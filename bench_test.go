@@ -482,14 +482,20 @@ func BenchmarkAblationResampleCenter(b *testing.B) {
 
 // --- Substrate micro-benchmarks ---
 
+// benchSimulate measures one test-instance the way production runs it:
+// the template compiled once, a generator per instance.
 func benchSimulate(b *testing.B, unit duv.DUV, tmpl *template.Template) {
 	b.Helper()
+	plan := generator.Compile(tmpl, unit.Defaults())
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := generator.New(tmpl, unit.Defaults(), uint64(i))
-		_ = unit.Simulate(g)
+		simulated = unit.Simulate(generator.NewFromPlan(plan, uint64(i)))
 	}
 }
+
+// simulated keeps the compiler from discarding a benchmarked Simulate.
+var simulated coverage.Vector
 
 func BenchmarkSimulateIOUnit(b *testing.B) {
 	unit := iounit.New()
@@ -564,34 +570,40 @@ func BenchmarkTACBestTemplates(b *testing.B) {
 	}
 }
 
-// BenchmarkGeneratorDecisions compares the interpreted per-decision
-// parameter resolution against the compiled-plan fast path (one Compile
-// per batch, shared by every instance). 200 decisions per op.
+// BenchmarkGeneratorDecisions compares the two ways to ask a compiled
+// plan for a decision: by parameter name (a map lookup and a string
+// result per decision — what the bench ledger's generator.decision_ns
+// probes) and by the handle a unit binds at construction (what every
+// model's Simulate does). 200 decisions per op.
 func BenchmarkGeneratorDecisions(b *testing.B) {
 	unit := iounit.New()
-	tmpl := unit.BaseTemplates()[4]
-	decisions := func(b *testing.B, g *generator.Generator) {
-		b.Helper()
-		for j := 0; j < 100; j++ {
-			_ = g.PickValue("Command")
-			_ = g.PickInt("Gap")
-		}
-	}
-	b.Run("interpreted", func(b *testing.B) {
+	plan := generator.Compile(unit.BaseTemplates()[4], unit.Defaults())
+	bind := generator.Bind(unit.Defaults())
+	hCommand, hGap := bind.Handle("Command"), bind.Handle("Gap")
+	sum := 0
+	b.Run("name", func(b *testing.B) {
+		g := generator.NewFromPlan(plan, 1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			decisions(b, generator.New(tmpl, unit.Defaults(), uint64(i)))
+			for j := 0; j < 100; j++ {
+				sum += len(g.PickValue("Command")) + g.PickInt("Gap")
+			}
 		}
 	})
-	b.Run("compiled", func(b *testing.B) {
-		plan := generator.Compile(tmpl, unit.Defaults())
+	b.Run("handle", func(b *testing.B) {
+		g := generator.NewFromPlan(plan, 1)
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			decisions(b, generator.NewFromPlan(plan, uint64(i)))
+			for j := 0; j < 100; j++ {
+				sum += g.Code(hCommand) + g.Int(hGap)
+			}
 		}
 	})
+	decisionSum = sum
 }
+
+// decisionSum keeps the compiler from discarding the benchmarked decisions.
+var decisionSum int
 
 // BenchmarkSchedulerThroughput pushes (template, N) batch jobs through
 // the sequential reference path and the persistent worker-pool

@@ -72,7 +72,7 @@ func TestFarmdServesAndDrainsOnSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	unit := iounit.New()
-	tmpl, err := template.Parse("template farmd_t { weight Command { read: 5; write: 15; } }")
+	tmpl, err := template.Parse("template farmd_t { weight Command { dma_read: 5; dma_write: 15; } }")
 	if err != nil {
 		t.Fatal(err)
 	}

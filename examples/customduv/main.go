@@ -10,11 +10,14 @@
 //
 //  1. define a coverage model (here: grant-streak events forming an
 //     ordered family),
-//  2. implement duv.DUV — Simulate consults the generator for every
-//     random decision it makes,
-//  3. declare defaults and a base regression suite in the template
+//  2. declare defaults and a base regression suite in the template
 //     language,
-//  4. hand the unit to core.NewFlow and run.
+//  3. bind, once, in the constructor: every parameter name to a
+//     generator.Handle, every symbolic value to its vocabulary code,
+//     every event name to its ID,
+//  4. implement duv.DUV — Simulate consults the generator, by handle,
+//     for every random decision it makes, and touches no string,
+//  5. hand the unit to core.NewFlow and run.
 package main
 
 import (
@@ -39,8 +42,19 @@ type arbiter struct {
 	model    *coverage.Model
 	defaults generator.Defaults
 	base     []*template.Template
-	streaks  []int
+
+	// Bound once in newArbiter; Simulate only indexes.
+	hReqMix, hPrioOverride, hBurstiness generator.Handle
+	requesterOf                         [4]int // ReqMix code -> requester
+	prioOn                              int    // PrioOverride code of "on"
+
+	evStreak                                 [len(streakDepths)]int
+	evGranted                                [4]int
+	evPrioUsed, evIdleCycle, evAllRequesting int
 }
+
+// streakDepths are the grant-streak lengths the family's events mark.
+var streakDepths = [...]int{2, 4, 8, 12, 16}
 
 const streakFamily = "grant_streaks"
 
@@ -54,7 +68,7 @@ func newArbiter() *arbiter {
 	if err := m.AddFamily(streakFamily, names[:5]); err != nil {
 		panic(err)
 	}
-	u := &arbiter{model: m, streaks: []int{2, 4, 8, 12, 16}}
+	u := &arbiter{model: m}
 
 	defaults, err := template.Parse(`
 template arb_defaults {
@@ -99,6 +113,22 @@ template arb_hotspot {
     range Burstiness [0 : 7];
 }
 `)
+
+	bind := generator.Bind(u.defaults)
+	u.hReqMix = bind.Handle("ReqMix")
+	u.hPrioOverride = bind.Handle("PrioOverride")
+	u.hBurstiness = bind.Handle("Burstiness")
+	u.prioOn = bind.Code("PrioOverride", "on")
+	for i := range u.requesterOf {
+		u.requesterOf[bind.Code("ReqMix", fmt.Sprintf("r%d", i))] = i
+		u.evGranted[i] = m.MustLookup(fmt.Sprintf("arb_r%d_granted", i))
+	}
+	for i, depth := range streakDepths {
+		u.evStreak[i] = m.MustLookup(fmt.Sprintf("streak_%02d", depth))
+	}
+	u.evPrioUsed = m.MustLookup("arb_prio_used")
+	u.evIdleCycle = m.MustLookup("arb_idle_cycle")
+	u.evAllRequesting = m.MustLookup("arb_all_requesting")
 	return u
 }
 
@@ -122,28 +152,28 @@ func (u *arbiter) Simulate(g *generator.Generator) coverage.Vector {
 		// Each requester raises its line with a probability shaped by
 		// ReqMix and Burstiness.
 		var req [4]bool
-		burst := g.PickInt("Burstiness")
+		burst := g.Int(u.hBurstiness)
 		any := false
 		all := true
 		for i := 0; i < 4; i++ {
-			want := g.PickValue("ReqMix") == fmt.Sprintf("r%d", i)
+			want := u.requesterOf[g.Code(u.hReqMix)] == i
 			// Burstiness keeps lines asserted for longer runs.
 			req[i] = want || (burst > 0 && r.Bool(float64(burst)/10))
 			any = any || req[i]
 			all = all && req[i]
 		}
 		if all {
-			v.Set(u.model.MustLookup("arb_all_requesting"))
+			v.Set(u.evAllRequesting)
 		}
 		if !any {
-			v.Set(u.model.MustLookup("arb_idle_cycle"))
+			v.Set(u.evIdleCycle)
 			continue
 		}
 		// Priority override lets the last winner keep the grant.
 		grant := -1
-		if lastGrant >= 0 && req[lastGrant] && g.PickValue("PrioOverride") == "on" {
+		if lastGrant >= 0 && req[lastGrant] && g.Code(u.hPrioOverride) == u.prioOn {
 			grant = lastGrant
-			v.Set(u.model.MustLookup("arb_prio_used"))
+			v.Set(u.evPrioUsed)
 		} else {
 			for i := 0; i < 4; i++ {
 				cand := (rr + i) % 4
@@ -154,7 +184,7 @@ func (u *arbiter) Simulate(g *generator.Generator) coverage.Vector {
 			}
 			rr = (grant + 1) % 4
 		}
-		v.Set(u.model.MustLookup(fmt.Sprintf("arb_r%d_granted", grant)))
+		v.Set(u.evGranted[grant])
 		if grant == lastGrant {
 			streak++
 		} else {
@@ -165,9 +195,9 @@ func (u *arbiter) Simulate(g *generator.Generator) coverage.Vector {
 			maxStreak = streak
 		}
 	}
-	for i, th := range u.streaks {
-		if maxStreak >= th {
-			v.Set(u.model.MustLookup([]string{"streak_02", "streak_04", "streak_08", "streak_12", "streak_16"}[i]))
+	for i, depth := range streakDepths {
+		if maxStreak >= depth {
+			v.Set(u.evStreak[i])
 		}
 	}
 	return v

@@ -1,0 +1,173 @@
+// Package duvtest holds the test harness every unit model shares: a
+// golden lock on the simulated statistics, so a change to the generator
+// or to a model's decision loop that moves a single coverage bit of a
+// single test-instance fails the unit's own test.
+package duvtest
+
+import (
+	"bufio"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/duv"
+	"repro/internal/generator"
+	"repro/internal/rng"
+	"repro/internal/skeleton"
+	"repro/internal/template"
+)
+
+var update = flag.Bool("update-simulate-golden", false,
+	"rewrite testdata/simulate_golden.txt (ONLY for deliberate model or generator behavior changes)")
+
+// goldenSeeds is the number of test-instances (seeds 0..goldenSeeds-1)
+// hashed per case.
+const goldenSeeds = 500
+
+// goldenCase is one template the golden simulates; tmpl nil is the pure
+// default behavior.
+type goldenCase struct {
+	name string
+	tmpl *template.Template
+}
+
+// goldenCases derives the unit's case list from its own defaults and
+// base suite: the nil template, every base template, the richest base
+// template skeletonized and instantiated (subrange entries), and for
+// every symbolic default parameter the weight shapes the decision path
+// special-cases — interleaved zero weights, all-zero weights, a single
+// entry — plus the vocabulary in reverse order.
+func goldenCases(t *testing.T, unit duv.DUV) []goldenCase {
+	t.Helper()
+	cases := []goldenCase{{name: "defaults"}}
+	base := unit.BaseTemplates()
+	richest := base[0]
+	for _, b := range base {
+		cases = append(cases, goldenCase{"base/" + b.Name, b})
+		if len(b.Params) > len(richest.Params) {
+			richest = b
+		}
+	}
+
+	skel, err := skeleton.Skeletonize(richest, skeleton.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := skel.Instantiate("golden_skel", skel.RandomWeights(rng.New(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, goldenCase{"skeleton/" + richest.Name, inst})
+
+	defaults := unit.Defaults()
+	names := make([]string, 0, len(defaults))
+	for name := range defaults {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		wp, ok := defaults[name].(*template.WeightParam)
+		if !ok {
+			continue
+		}
+		vocab := wp.Entries
+		shape := func(kind string, entries []template.WeightEntry) {
+			tmpl := template.New("golden_" + kind)
+			tmpl.SetParam(&template.WeightParam{Name: name, Entries: entries})
+			cases = append(cases, goldenCase{kind + "/" + name, tmpl})
+		}
+		interleaved := make([]template.WeightEntry, len(vocab))
+		allZero := make([]template.WeightEntry, len(vocab))
+		reversed := make([]template.WeightEntry, len(vocab))
+		for i, e := range vocab {
+			interleaved[i] = template.WeightEntry{Value: e.Value, Weight: (i % 2) * 10 * (i + 1)}
+			allZero[i] = template.WeightEntry{Value: e.Value}
+			reversed[len(vocab)-1-i] = template.WeightEntry{Value: e.Value, Weight: i + 1}
+		}
+		shape("zero-interleaved", interleaved)
+		shape("all-zero", allZero)
+		shape("reversed", reversed)
+		shape("single", []template.WeightEntry{{Value: vocab[len(vocab)-1].Value}})
+	}
+	return cases
+}
+
+// hashCase simulates the case's goldenSeeds instances and returns the
+// FNV-64a hash over their coverage-vector words (little-endian, event 0
+// in bit 0 of word 0), in seed order.
+func hashCase(unit duv.DUV, tmpl *template.Template) uint64 {
+	plan := generator.Compile(tmpl, unit.Defaults())
+	h := fnv.New64a()
+	var buf [8]byte
+	for seed := uint64(0); seed < goldenSeeds; seed++ {
+		v := unit.Simulate(generator.NewFromPlan(plan, seed))
+		for lo := 0; lo < v.Len(); lo += 64 {
+			var w uint64
+			for id := lo; id < lo+64 && id < v.Len(); id++ {
+				if v.Get(id) {
+					w |= 1 << uint(id-lo)
+				}
+			}
+			for i := range buf {
+				buf[i] = byte(w >> (8 * uint(i)))
+			}
+			h.Write(buf[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// SimulateGolden checks the unit's simulated statistics against
+// testdata/simulate_golden.txt in the calling test's package directory.
+// The file was generated before the decision loop was compiled down to
+// handles and codes; it only changes on a deliberate behavior change.
+func SimulateGolden(t *testing.T, unit duv.DUV) {
+	t.Helper()
+	path := filepath.Join("testdata", "simulate_golden.txt")
+	cases := goldenCases(t, unit)
+
+	if *update {
+		var b strings.Builder
+		for _, c := range cases {
+			fmt.Fprintf(&b, "%s\t%016x\n", c.name, hashCase(unit, c.tmpl))
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, hash, ok := strings.Cut(sc.Text(), "\t")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", path, sc.Text())
+		}
+		want[name] = hash
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(cases) {
+		t.Errorf("%s holds %d cases, the unit derives %d", path, len(want), len(cases))
+	}
+	for _, c := range cases {
+		if got := fmt.Sprintf("%016x", hashCase(unit, c.tmpl)); got != want[c.name] {
+			t.Errorf("%s: vectors hash to %s, golden %q", c.name, got, want[c.name])
+		}
+	}
+}

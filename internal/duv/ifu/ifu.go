@@ -52,6 +52,12 @@ type IFU struct {
 	base     []*template.Template
 	cross    *coverage.CrossProduct
 
+	// Generator handles, bound once at construction, and the meaning of
+	// each ThreadSel and BranchMix vocabulary code.
+	hThreadSel, hFetchAddr, hBranchMix, hRedirectRate, hDispatchStall generator.Handle
+	threadOf                                                          [numThreads]int
+	branchOf                                                          [2]int // 1 = "br"
+
 	// crossIDs[entry][thread][sector][branch] -> event ID.
 	crossIDs                           [numEntries][numThreads][numSectors][2]int
 	evRedirect, evQueueHigh, evStarved int
@@ -92,6 +98,17 @@ func New() *IFU {
 
 	u.defaults = duv.DefaultsFromTemplate(duv.MustParseTemplates(defaultsSource)[0])
 	u.base = duv.MustParseTemplates(baseSources...)
+
+	bind := generator.Bind(u.defaults)
+	u.hThreadSel = bind.Handle("ThreadSel")
+	u.hFetchAddr = bind.Handle("FetchAddr")
+	u.hBranchMix = bind.Handle("BranchMix")
+	u.hRedirectRate = bind.Handle("RedirectRate")
+	u.hDispatchStall = bind.Handle("DispatchStall")
+	for t, name := range values("t", numThreads) {
+		u.threadOf[bind.Code("ThreadSel", name)] = t
+	}
+	u.branchOf[bind.Code("BranchMix", "br")] = 1
 	return u
 }
 
@@ -136,14 +153,11 @@ func (u *IFU) Simulate(g *generator.Generator) coverage.Vector {
 
 	for cycle := 0; cycle < simCycles; cycle++ {
 		// Fetch stage: one fetch attempt per cycle on a chosen thread.
-		thread := int(g.PickValue("ThreadSel")[1] - '0')
+		thread := u.threadOf[g.Code(u.hThreadSel)]
 		if occ[thread] < fetchStop {
-			addr := g.PickInt("FetchAddr")
+			addr := g.Int(u.hFetchAddr)
 			sector := (addr >> 14) & 3
-			branch := 0
-			if g.PickValue("BranchMix") == "br" {
-				branch = 1
-			}
+			branch := u.branchOf[g.Code(u.hBranchMix)]
 			entry := occ[thread]
 			v.Set(u.crossIDs[entry][thread][sector][branch])
 			occ[thread]++
@@ -153,7 +167,7 @@ func (u *IFU) Simulate(g *generator.Generator) coverage.Vector {
 
 			// A branch may redirect the front end, flushing the queue of
 			// the fetching thread.
-			if branch == 1 && r.Intn(100) < g.PickInt("RedirectRate") {
+			if branch == 1 && r.Intn(100) < g.Int(u.hRedirectRate) {
 				v.Set(u.evRedirect)
 				occ[thread] = 0
 			}
@@ -183,7 +197,7 @@ func (u *IFU) Simulate(g *generator.Generator) coverage.Vector {
 					}
 				}
 			}
-			dispatchWait = g.PickInt("DispatchStall")
+			dispatchWait = g.Int(u.hDispatchStall)
 		}
 	}
 	return v

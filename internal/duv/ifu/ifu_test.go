@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/coverage"
+	"repro/internal/duv/duvtest"
 	"repro/internal/generator"
 	"repro/internal/rng"
 	"repro/internal/template"
@@ -178,4 +179,9 @@ func TestCalibrationReport(t *testing.T) {
 		report(b.Name, b, uint64(100+i))
 	}
 	report("hand_optimal", optimalTemplate(t), 999)
+}
+
+// TestSimulateGolden locks the unit's simulated statistics bit for bit.
+func TestSimulateGolden(t *testing.T) {
+	duvtest.SimulateGolden(t, New())
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/duv"
 	"repro/internal/generator"
+	"repro/internal/rng"
 	"repro/internal/template"
 )
 
@@ -40,8 +41,22 @@ const (
 	scrubSize  = 8 // entries removed by a background scrub
 )
 
+// The pushback probabilities in the integer form the per-cycle draws use.
+var (
+	dropBelow  = rng.Threshold(dropProb)
+	drainBelow = rng.Threshold(drainProb)
+	scrubBelow = rng.Threshold(scrubProb)
+)
+
 // crcThresholds are the family's occupancy levels, shallow to deep.
 var crcThresholds = []int{4, 8, 16, 32, 64, 96}
+
+// The unit's symbolic vocabularies, in the order of the defaults' entry
+// lists: generator codes index them.
+var (
+	commands = [...]string{"dma_read", "dma_write", "crc", "interrupt", "nop"}
+	channels = [...]string{"ch0", "ch1", "ch2", "ch3"}
+)
 
 // FamilyName is the registered name of the crc_* event family.
 const FamilyName = "crc_fifo"
@@ -61,11 +76,16 @@ type IOUnit struct {
 	defaults generator.Defaults
 	base     []*template.Template
 
-	// Event IDs resolved once at construction.
+	// Generator handles and vocabulary codes, bound once at construction.
+	hCommand, hChannel, hBurstLen, hPayloadSize, hGap generator.Handle
+	cmdRead, cmdWrite, cmdCRC, cmdIRQ                 int
+
+	// Event IDs resolved once at construction; cmdSeen, chUsed and
+	// dmaByCh are indexed by Command and Channel codes.
 	crcIDs   []int
-	cmdSeen  map[string]int
-	chUsed   [4]int
-	cmdByCh  map[string][4]int
+	cmdSeen  [len(commands)]int
+	chUsed   [len(channels)]int
+	dmaByCh  [len(commands)][len(channels)]int // rows cmdRead and cmdWrite
 	burstIDs [4]int
 	evGapZero, evGapLong,
 	evPayloadSmall, evPayloadLarge,
@@ -78,15 +98,14 @@ func New() *IOUnit {
 	names := []string{
 		"crc_004", "crc_008", "crc_016", "crc_032", "crc_064", "crc_096",
 	}
-	cmds := []string{"dma_read", "dma_write", "crc", "interrupt", "nop"}
-	for _, c := range cmds {
+	for _, c := range commands {
 		names = append(names, "io_cmd_"+c)
 	}
-	for ch := 0; ch < 4; ch++ {
+	for ch := range channels {
 		names = append(names, "io_ch"+string(rune('0'+ch))+"_used")
 	}
 	for _, c := range []string{"read", "write"} {
-		for ch := 0; ch < 4; ch++ {
+		for ch := range channels {
 			names = append(names, "io_"+c+"_ch"+string(rune('0'+ch)))
 		}
 	}
@@ -103,26 +122,33 @@ func New() *IOUnit {
 		panic(err)
 	}
 
-	u := &IOUnit{
-		model:   m,
-		cmdSeen: map[string]int{},
-		cmdByCh: map[string][4]int{},
-	}
+	u := &IOUnit{model: m}
+	u.defaults = duv.DefaultsFromTemplate(duv.MustParseTemplates(defaultsSource)[0])
+	u.base = duv.MustParseTemplates(baseSources...)
+
+	bind := generator.Bind(u.defaults)
+	u.hCommand = bind.Handle("Command")
+	u.hChannel = bind.Handle("Channel")
+	u.hBurstLen = bind.Handle("BurstLen")
+	u.hPayloadSize = bind.Handle("PayloadSize")
+	u.hGap = bind.Handle("Gap")
+	u.cmdRead = bind.Code("Command", "dma_read")
+	u.cmdWrite = bind.Code("Command", "dma_write")
+	u.cmdCRC = bind.Code("Command", "crc")
+	u.cmdIRQ = bind.Code("Command", "interrupt")
+
 	for _, fn := range famNames {
 		u.crcIDs = append(u.crcIDs, m.MustLookup(fn))
 	}
-	for _, c := range cmds {
-		u.cmdSeen[c] = m.MustLookup("io_cmd_" + c)
+	for _, c := range commands {
+		u.cmdSeen[bind.Code("Command", c)] = m.MustLookup("io_cmd_" + c)
 	}
-	for ch := 0; ch < 4; ch++ {
-		u.chUsed[ch] = m.MustLookup("io_ch" + string(rune('0'+ch)) + "_used")
-	}
-	for _, c := range []string{"read", "write"} {
-		var ids [4]int
-		for ch := 0; ch < 4; ch++ {
-			ids[ch] = m.MustLookup("io_" + c + "_ch" + string(rune('0'+ch)))
-		}
-		u.cmdByCh[c] = ids
+	for ch, c := range channels {
+		code := bind.Code("Channel", c)
+		digit := string(rune('0' + ch))
+		u.chUsed[code] = m.MustLookup("io_ch" + digit + "_used")
+		u.dmaByCh[u.cmdRead][code] = m.MustLookup("io_read_ch" + digit)
+		u.dmaByCh[u.cmdWrite][code] = m.MustLookup("io_write_ch" + digit)
 	}
 	for i, n := range []string{"io_burst_1_4", "io_burst_5_8", "io_burst_9_16", "io_burst_17_32"} {
 		u.burstIDs[i] = m.MustLookup(n)
@@ -136,9 +162,6 @@ func New() *IOUnit {
 	u.evBack2Back = m.MustLookup("io_back2back_crc")
 	u.evScrubSeen = m.MustLookup("io_scrub_seen")
 	u.evDrainIdle = m.MustLookup("io_drain_idle")
-
-	u.defaults = duv.DefaultsFromTemplate(duv.MustParseTemplates(defaultsSource)[0])
-	u.base = duv.MustParseTemplates(baseSources...)
 	return u
 }
 
@@ -178,14 +201,14 @@ func (u *IOUnit) Simulate(g *generator.Generator) coverage.Vector {
 	for cycle := 0; cycle < simCycles; cycle++ {
 		// Start a new command when the engine is free.
 		if pushLeft == 0 && busyLeft == 0 && gapLeft == 0 {
-			cmd := g.PickValue("Command")
+			cmd := g.Code(u.hCommand)
 			v.Set(u.cmdSeen[cmd])
-			ch := int(g.PickValue("Channel")[2] - '0') // "ch0".."ch3"
+			ch := g.Code(u.hChannel)
 			v.Set(u.chUsed[ch])
 
 			switch cmd {
-			case "crc":
-				burst := g.PickInt("BurstLen")
+			case u.cmdCRC:
+				burst := g.Int(u.hBurstLen)
 				pushLeft = burst
 				switch {
 				case burst <= 4:
@@ -201,8 +224,8 @@ func (u *IOUnit) Simulate(g *generator.Generator) coverage.Vector {
 					v.Set(u.evBack2Back)
 				}
 				lastWasCRC = true
-			case "dma_read", "dma_write":
-				payload := g.PickInt("PayloadSize")
+			case u.cmdRead, u.cmdWrite:
+				payload := g.Int(u.hPayloadSize)
 				if payload <= 16 {
 					v.Set(u.evPayloadSmall)
 				}
@@ -210,13 +233,9 @@ func (u *IOUnit) Simulate(g *generator.Generator) coverage.Vector {
 					v.Set(u.evPayloadLarge)
 				}
 				busyLeft = 2 + payload/32
-				kind := "read"
-				if cmd == "dma_write" {
-					kind = "write"
-				}
-				v.Set(u.cmdByCh[kind][ch])
+				v.Set(u.dmaByCh[cmd][ch])
 				lastWasCRC = false
-			case "interrupt":
+			case u.cmdIRQ:
 				if occ > 8 {
 					v.Set(u.evIRQDuringFill)
 				}
@@ -228,7 +247,7 @@ func (u *IOUnit) Simulate(g *generator.Generator) coverage.Vector {
 				lastWasCRC = false
 			}
 
-			gap := g.PickInt("Gap")
+			gap := g.Int(u.hGap)
 			gapLeft = gap
 			if gap == 0 {
 				v.Set(u.evGapZero)
@@ -248,7 +267,7 @@ func (u *IOUnit) Simulate(g *generator.Generator) coverage.Vector {
 			}
 			for i := 0; i < rate && pushLeft > 0; i++ {
 				pushLeft--
-				if occ >= dropAt && r.Bool(dropProb) {
+				if occ >= dropAt && r.Below(dropBelow) {
 					continue // entry dropped by backpressure
 				}
 				if occ < fifoCap {
@@ -264,10 +283,10 @@ func (u *IOUnit) Simulate(g *generator.Generator) coverage.Vector {
 		}
 
 		// Background drain and scrub.
-		if occ > 0 && r.Bool(drainProb) {
+		if occ > 0 && r.Below(drainBelow) {
 			occ--
 		}
-		if r.Bool(scrubProb) && occ > 0 {
+		if r.Below(scrubBelow) && occ > 0 {
 			v.Set(u.evScrubSeen)
 			occ -= scrubSize
 			if occ < 0 {

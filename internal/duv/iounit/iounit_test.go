@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/coverage"
+	"repro/internal/duv/duvtest"
 	"repro/internal/generator"
 	"repro/internal/rng"
 	"repro/internal/template"
@@ -207,4 +208,9 @@ func formatRate(r float64) string {
 	default:
 		return fmt.Sprintf("%.1f%%", r*100)
 	}
+}
+
+// TestSimulateGolden locks the unit's simulated statistics bit for bit.
+func TestSimulateGolden(t *testing.T) {
+	duvtest.SimulateGolden(t, New())
 }

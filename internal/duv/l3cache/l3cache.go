@@ -18,6 +18,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/duv"
 	"repro/internal/generator"
+	"repro/internal/rng"
 	"repro/internal/template"
 )
 
@@ -54,10 +55,18 @@ type L3Cache struct {
 	defaults generator.Defaults
 	base     []*template.Template
 
+	// Generator handles and vocabulary codes, bound once at construction.
+	hReqType, hThreadSel, hBypassHint, hInterArrival, hLocality generator.Handle
+	reqRead, reqWrite, reqRwitm, reqFlush, reqNop, hintOn       int
+
+	// grantBelow[n] is the integer form (rng.Threshold) of the arbiter's
+	// grant probability with n requests in flight.
+	grantBelow [bypassQueueCap]uint64
+
 	bypIDs   [bypassQueueCap]int
-	evHit    map[string]int // read/write hit
-	evMiss   map[string]int // read/write miss
-	evThread [4]int
+	evHit    [2]int // read-class, write
+	evMiss   [2]int
+	evThread [4]int // by ThreadSel code
 	evRwitm, evFlush,
 	evEvictClean, evEvictDirty,
 	evSetConflict, evBypDenied, evQueueFull int
@@ -83,20 +92,35 @@ func New() *L3Cache {
 		panic(err)
 	}
 
-	u := &L3Cache{
-		model:  m,
-		evHit:  map[string]int{},
-		evMiss: map[string]int{},
-	}
+	u := &L3Cache{model: m}
+	u.defaults = duv.DefaultsFromTemplate(duv.MustParseTemplates(defaultsSource)[0])
+	u.base = duv.MustParseTemplates(baseSources...)
+
+	bind := generator.Bind(u.defaults)
+	u.hReqType = bind.Handle("ReqType")
+	u.hThreadSel = bind.Handle("ThreadSel")
+	u.hBypassHint = bind.Handle("BypassHint")
+	u.hInterArrival = bind.Handle("InterArrival")
+	u.hLocality = bind.Handle("Locality")
+	u.reqRead = bind.Code("ReqType", "read")
+	u.reqWrite = bind.Code("ReqType", "write")
+	u.reqRwitm = bind.Code("ReqType", "rwitm")
+	u.reqFlush = bind.Code("ReqType", "flush")
+	u.reqNop = bind.Code("ReqType", "nop")
+	u.hintOn = bind.Code("BypassHint", "on")
+
 	for i := 0; i < bypassQueueCap; i++ {
 		u.bypIDs[i] = m.MustLookup(fmt.Sprintf("byp_reqs%02d", i+1))
+		grant := 1 - float64(i)/grantKnee
+		if grant < grantFloor {
+			grant = grantFloor
+		}
+		u.grantBelow[i] = rng.Threshold(grant)
 	}
-	u.evHit["read"] = m.MustLookup("l3_hit_read")
-	u.evHit["write"] = m.MustLookup("l3_hit_write")
-	u.evMiss["read"] = m.MustLookup("l3_miss_read")
-	u.evMiss["write"] = m.MustLookup("l3_miss_write")
+	u.evHit = [2]int{m.MustLookup("l3_hit_read"), m.MustLookup("l3_hit_write")}
+	u.evMiss = [2]int{m.MustLookup("l3_miss_read"), m.MustLookup("l3_miss_write")}
 	for t := 0; t < 4; t++ {
-		u.evThread[t] = m.MustLookup(fmt.Sprintf("l3_t%d_active", t))
+		u.evThread[bind.Code("ThreadSel", fmt.Sprintf("t%d", t))] = m.MustLookup(fmt.Sprintf("l3_t%d_active", t))
 	}
 	u.evRwitm = m.MustLookup("l3_rwitm_seen")
 	u.evFlush = m.MustLookup("l3_flush_seen")
@@ -105,9 +129,6 @@ func New() *L3Cache {
 	u.evSetConflict = m.MustLookup("l3_set_conflict")
 	u.evBypDenied = m.MustLookup("l3_bypass_denied")
 	u.evQueueFull = m.MustLookup("l3_queue_full")
-
-	u.defaults = duv.DefaultsFromTemplate(duv.MustParseTemplates(defaultsSource)[0])
-	u.base = duv.MustParseTemplates(baseSources...)
 	return u
 }
 
@@ -145,8 +166,12 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 	var sets [numSets][numWays]cacheLine
 	lruClock := 0
 
-	history := make([]int, 0, historySize) // recently touched lines
-	completions := make([]int, 0, bypassQueueCap)
+	// Fixed arrays in the frame: the history never outgrows historySize
+	// and at most bypassQueueCap requests are in flight.
+	var historyBuf [historySize]int
+	var completionsBuf [bypassQueueCap]int
+	history := historyBuf[:0] // recently touched lines
+	completions := completionsBuf[:0]
 	inFlight := 0
 	maxInFlight := 0
 	waitLeft := 0
@@ -171,15 +196,14 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 		}
 
 		// Issue one request.
-		req := g.PickValue("ReqType")
-		thread := int(g.PickValue("ThreadSel")[1] - '0')
-		v.Set(u.evThread[thread])
+		req := g.Code(u.hReqType)
+		v.Set(u.evThread[g.Code(u.hThreadSel)])
 
-		if req == "nop" {
-			waitLeft = g.PickInt("InterArrival")
+		if req == u.reqNop {
+			waitLeft = g.Int(u.hInterArrival)
 			continue
 		}
-		if req == "flush" {
+		if req == u.reqFlush {
 			v.Set(u.evFlush)
 			// Flush invalidates one random set.
 			s := r.Intn(numSets)
@@ -189,13 +213,13 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 				}
 				sets[s][w] = cacheLine{}
 			}
-			waitLeft = g.PickInt("InterArrival")
+			waitLeft = g.Int(u.hInterArrival)
 			continue
 		}
 
 		// Address generation with tunable locality.
 		var line int
-		if len(history) > 0 && r.Intn(100) < g.PickInt("Locality") {
+		if len(history) > 0 && r.Intn(100) < g.Int(u.hLocality) {
 			line = history[r.Intn(len(history))]
 		} else {
 			line = r.Intn(addrLines)
@@ -213,8 +237,9 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 		}
 		lastSet, lastSetCycle = set, cycle
 
-		isWrite := req == "write"
-		if req == "rwitm" {
+		isWrite := req == u.reqWrite
+		isRwitm := req == u.reqRwitm
+		if isRwitm {
 			v.Set(u.evRwitm)
 		}
 
@@ -227,14 +252,14 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 				break
 			}
 		}
-		kind := "read"
+		kind := 0
 		if isWrite {
-			kind = "write"
+			kind = 1
 		}
 		if hitWay >= 0 {
 			v.Set(u.evHit[kind])
 			sets[set][hitWay].lru = lruClock
-			if isWrite || req == "rwitm" {
+			if isWrite || isRwitm {
 				sets[set][hitWay].dirty = true
 			}
 		} else {
@@ -255,22 +280,18 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 			}
 			sets[set][victim] = cacheLine{
 				tag: tag, valid: true,
-				dirty: isWrite || req == "rwitm",
+				dirty: isWrite || isRwitm,
 				lru:   lruClock,
 			}
 
 			// Bypass path: read-class misses with the hint on may go
 			// straight to memory, occupying a bypass queue slot.
-			if (req == "read" || req == "rwitm") && g.PickValue("BypassHint") == "on" {
-				grant := 1 - float64(inFlight)/grantKnee
-				if grant < grantFloor {
-					grant = grantFloor
-				}
+			if (req == u.reqRead || isRwitm) && g.Code(u.hBypassHint) == u.hintOn {
 				switch {
 				case inFlight >= bypassQueueCap:
 					v.Set(u.evQueueFull)
 					v.Set(u.evBypDenied)
-				case r.Bool(grant):
+				case r.Below(u.grantBelow[inFlight]):
 					inFlight++
 					if inFlight > maxInFlight {
 						maxInFlight = inFlight
@@ -283,7 +304,7 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 			}
 		}
 
-		waitLeft = g.PickInt("InterArrival")
+		waitLeft = g.Int(u.hInterArrival)
 	}
 
 	for i := 0; i < bypassQueueCap; i++ {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/duv"
 	"repro/internal/generator"
+	"repro/internal/rng"
 	"repro/internal/template"
 )
 
@@ -50,7 +51,13 @@ var (
 	inportNames  = []string{"fromN", "fromS", "fromE", "fromW"}
 	vcNames      = []string{"vc0", "vc1", "vc2", "vc3"}
 	outportNames = []string{"toN", "toS", "toE", "toW", "toL"}
+	// hotspotNames are the HotspotPort values, in outport order.
+	hotspotNames = []string{"n", "s", "e", "w", "l"}
 )
+
+// retryDrainBelow is the integer form of the per-cycle probability that
+// the retry queue drains one entry.
+var retryDrainBelow = rng.Threshold(0.70)
 
 func init() {
 	duv.Register(UnitName, func() duv.DUV { return New() })
@@ -63,6 +70,12 @@ type Router struct {
 	defaults generator.Defaults
 	base     []*template.Template
 	cross    *coverage.CrossProduct
+
+	// Generator handles and vocabulary codes, bound once at construction.
+	hInjectionRate, hTrafficPattern, hHotspotPort, hVCSel, hPacketLen generator.Handle
+	patHotspot, patNeighbor, patTornado                               int
+	vcOf                                                              [numVCs]int      // VCSel code -> VC
+	hotspotOf                                                         [numOutports]int // HotspotPort code -> outport
 
 	retryIDs []int
 	crossIDs [numInports][numVCs][numOutports]int
@@ -120,6 +133,22 @@ func New() *Router {
 
 	u.defaults = duv.DefaultsFromTemplate(duv.MustParseTemplates(defaultsSource)[0])
 	u.base = duv.MustParseTemplates(baseSources...)
+
+	bind := generator.Bind(u.defaults)
+	u.hInjectionRate = bind.Handle("InjectionRate")
+	u.hTrafficPattern = bind.Handle("TrafficPattern")
+	u.hHotspotPort = bind.Handle("HotspotPort")
+	u.hVCSel = bind.Handle("VCSel")
+	u.hPacketLen = bind.Handle("PacketLen")
+	u.patHotspot = bind.Code("TrafficPattern", "hotspot")
+	u.patNeighbor = bind.Code("TrafficPattern", "neighbor")
+	u.patTornado = bind.Code("TrafficPattern", "tornado")
+	for vc, name := range vcNames {
+		u.vcOf[bind.Code("VCSel", name)] = vc
+	}
+	for out, name := range hotspotNames {
+		u.hotspotOf[bind.Code("HotspotPort", name)] = out
+	}
 	return u
 }
 
@@ -146,34 +175,19 @@ func (u *Router) BaseTemplates() []*template.Template {
 
 // outportFor resolves a traffic pattern to an output port for a packet
 // entering at inport.
-func outportFor(pattern string, inport int, g *generator.Generator) int {
+func (u *Router) outportFor(pattern, inport int, g *generator.Generator) int {
 	switch pattern {
-	case "hotspot":
+	case u.patHotspot:
 		// All traffic converges on the hotspot port.
-		return hotspotIndex(g.PickValue("HotspotPort"))
-	case "neighbor":
+		return u.hotspotOf[g.Code(u.hHotspotPort)]
+	case u.patNeighbor:
 		// Each inport forwards to its clockwise neighbor (n->e, e->s, ...).
 		return (inport + 1) % numInports
-	case "tornado":
+	case u.patTornado:
 		// Halfway around: opposite port.
 		return (inport + 2) % numInports
 	default: // uniform over all five outports
 		return g.RNG().Intn(numOutports)
-	}
-}
-
-func hotspotIndex(v string) int {
-	switch v { // HotspotPort values are n, s, e, w, l
-	case "n":
-		return 0
-	case "s":
-		return 1
-	case "e":
-		return 2
-	case "w":
-		return 3
-	default:
-		return 4
 	}
 }
 
@@ -195,9 +209,11 @@ func (u *Router) Simulate(g *generator.Generator) coverage.Vector {
 		}
 	}
 	// Downstream drains one credit-holding flit per outport per cycle
-	// with some jitter.
-	var active []flit // packets holding a VC
-	retry := 0        // retry queue depth
+	// with some jitter. Every active packet holds one credit, so the
+	// frame's array never overflows.
+	var activeBuf [numOutports * numVCs * creditsPerVC]flit
+	active := activeBuf[:0] // packets holding a VC
+	retry := 0              // retry queue depth
 	maxRetry := 0
 
 	for cycle := 0; cycle < simCycles; cycle++ {
@@ -205,16 +221,16 @@ func (u *Router) Simulate(g *generator.Generator) coverage.Vector {
 		// two new packets per cycle.
 		grants := 0
 		for in := 0; in < numInports; in++ {
-			if r.Intn(100) >= g.PickInt("InjectionRate") {
+			if r.Intn(100) >= g.Int(u.hInjectionRate) {
 				continue
 			}
-			pattern := g.PickValue("TrafficPattern")
-			if pattern == "hotspot" {
+			pattern := g.Code(u.hTrafficPattern)
+			if pattern == u.patHotspot {
 				v.Set(u.evHotspot)
 			}
-			out := outportFor(pattern, in, g)
-			vc := int(g.PickValue("VCSel")[2] - '0')
-			length := g.PickInt("PacketLen")
+			out := u.outportFor(pattern, in, g)
+			vc := u.vcOf[g.Code(u.hVCSel)]
+			length := g.Int(u.hPacketLen)
 			if length >= 12 {
 				v.Set(u.evLongPacket)
 			}
@@ -272,7 +288,7 @@ func (u *Router) Simulate(g *generator.Generator) coverage.Vector {
 		active = active[:n]
 
 		// Retry queue drains when bandwidth frees up.
-		if retry > 0 && r.Bool(0.70) {
+		if retry > 0 && r.Below(retryDrainBelow) {
 			retry--
 		}
 		if retry > maxRetry {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/coverage"
+	"repro/internal/duv/duvtest"
 	"repro/internal/generator"
 	"repro/internal/rng"
 	"repro/internal/template"
@@ -241,4 +242,9 @@ func TestCalibrationReport(t *testing.T) {
 		report(b.Name, b, uint64(100+i))
 	}
 	report("flood", saturating(t), 999)
+}
+
+// TestSimulateGolden locks the unit's simulated statistics bit for bit.
+func TestSimulateGolden(t *testing.T) {
+	duvtest.SimulateGolden(t, New())
 }

@@ -3,6 +3,7 @@ package farm
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func testOptions(dial func(string) (net.Conn, error), rec *obs.Recorder) Options
 
 func altTemplate(t *testing.T) *template.Template {
 	t.Helper()
-	tmpl, err := template.Parse("template farm_alt { weight Command { read: 10; write: 30; } }")
+	tmpl, err := template.Parse("template farm_alt { weight Command { dma_read: 10; dma_write: 30; } }")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,6 +269,60 @@ func TestFarmUnknownUnit(t *testing.T) {
 	_, err := d.RunChunk(sim.RemoteChunk{Unit: "no_such_unit", Seed: 1, Lo: 0, Hi: 4, Events: 1})
 	if err == nil {
 		t.Fatal("unknown unit accepted")
+	}
+}
+
+// TestServerBadTemplateIsAnInBandError: a template the unit cannot run —
+// a symbolic value outside the parameter's vocabulary — gets an error
+// result, and the same connection then serves a good chunk. Both bad
+// templates used to reach the model: the first as a false crc_004 hit
+// in every instance, the second as an index-out-of-range panic that
+// took the worker process down.
+func TestServerBadTemplateIsAnInBandError(t *testing.T) {
+	srv := NewServer(ServerOptions{Capacity: 1, DrainTimeout: time.Second})
+	defer srv.Shutdown()
+	lb := NewLoopback()
+	lb.Add("w", srv, Faults{})
+	conn, err := lb.Dial("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	// No Max field: the session negotiates v1, so the frames stay JSON.
+	if err := WriteFrame(conn, &Frame{Type: TypeHello, Version: ProtocolV1}); err != nil {
+		t.Fatal(err)
+	}
+	var f Frame
+	if err := ReadFrame(conn, &f); err != nil || f.Type != TypeWelcome {
+		t.Fatalf("handshake failed: %v %+v", err, f)
+	}
+	for i, tc := range []struct{ tmpl, wantErr string }{
+		{"template bad { weight Command { bogus: 1; } }", `value "bogus" is not one of`},
+		{"template bad { weight Channel { x: 1; } }", `value "x" is not one of`},
+		{altTemplate(t).String(), ""},
+	} {
+		id := uint64(i + 1)
+		if err := WriteFrame(conn, &Frame{
+			Type: TypeChunk, ID: id, Unit: iounit.UnitName,
+			Template: tc.tmpl, HasTemplate: true, Seed: 7, Lo: 0, Hi: 16,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var res Frame
+		if err := ReadFrame(conn, &res); err != nil {
+			t.Fatalf("chunk %d: the connection did not survive: %v", id, err)
+		}
+		if res.Type != TypeResult || res.ID != id {
+			t.Fatalf("chunk %d: reply = %+v", id, res)
+		}
+		if tc.wantErr == "" {
+			if res.Err != "" || res.Sims != 16 {
+				t.Fatalf("good chunk after two bad ones: %+v", res)
+			}
+		} else if !strings.Contains(res.Err, tc.wantErr) || res.Sims != 0 {
+			t.Fatalf("chunk %d: Err = %q (sims %d), want an error mentioning %q", id, res.Err, res.Sims, tc.wantErr)
+		}
 	}
 }
 

@@ -318,7 +318,6 @@ func TestHedgedStragglerExecution(t *testing.T) {
 	env := sim.NewEnv(iounit.New(), 1, 2)
 	defer env.Close()
 	chunks, events := chunkPlan(t, "c-hedge", 120, 80)
-	want := localCounts(t, env, chunks, events)
 
 	rec := obs.NewRecorder()
 	lb := NewLoopback()
@@ -353,16 +352,36 @@ func TestHedgedStragglerExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := driveChunks(t, d, env, chunks, events, drivers)
+	// Engagement must not depend on how fast a chunk simulates or on
+	// which connection a spurious hedge happens to borrow. The first half
+	// of the plan warms the latency ring; each round then waits for the
+	// event the scenario needs — the straggler's delayed handshake has
+	// completed and its connection is pooled — and drives the second
+	// half, which cycles through every pooled connection. A round in
+	// which the straggler's connection was spent as the losing side of a
+	// hedge (and evicted) is followed by another.
+	warm, probe := chunks[:len(chunks)/2], chunks[len(chunks)/2:]
+	wantProbe := localCounts(t, env, probe, events)
+	want := localCounts(t, env, warm, events)
+	got := driveChunks(t, d, env, warm, events, drivers)
+	for round := 0; round < 20 && rec.Counter("farm.hedge_wins").Value() == 0; round++ {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if h := d.Health(); len(h) == 3 && h[1].Addr == "b" && h[1].Conns > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("straggler never connected: %+v", d.Health())
+			}
+		}
+		got.Merge(driveChunks(t, d, env, probe, events, drivers))
+		want.Merge(wantProbe)
+	}
 	diffCounts(t, "hedged straggler", got, want)
+	totalSims := want.Sims()
 
 	hedges := rec.Counter("farm.hedges").Value()
 	wins := rec.Counter("farm.hedge_wins").Value()
 	hedged := rec.Counter("farm.hedged_sims").Value()
-	totalSims := uint64(0)
-	for _, c := range chunks {
-		totalSims += uint64(c.Hi - c.Lo)
-	}
 	if hedges == 0 || wins == 0 {
 		t.Fatalf("hedging never engaged (hedges=%d wins=%d): straggler unmitigated", hedges, wins)
 	}

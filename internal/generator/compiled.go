@@ -1,145 +1,276 @@
-// Compiled sampling plans: the "compile once, execute N times" fast path
-// of the biased-random engine.
+// Compiled sampling plans: "compile once, execute N times".
 //
 // A batch simulation job evaluates one (template, defaults) pair N times
-// with N different seeds. The interpreted path re-resolves every
-// parameter by name on every decision (template linear scan + defaults
-// map lookup) and allocates a fresh weight slice per weighted decision.
-// A Plan performs all of that work once per batch: every parameter the
-// pair defines is pre-resolved into a flat table with precomputed
-// cumulative-weight sums, shared read-only by all N generator instances.
+// with N different seeds, and every instance makes thousands of
+// decisions. Compile resolves everything a decision would otherwise look
+// up — the effective setting of each parameter (template wins), the
+// cumulative weights, the integer code of each symbolic value — into a
+// dense slot table shared read-only by all N generators. It is the only
+// decision path: New compiles too.
 //
-// Determinism contract: a generator backed by a Plan consumes its random
-// stream exactly like the interpreted path (one Intn per multi-entry
-// weighted pick, none for single-entry parameters, one extra IntRange
-// for subrange entries), so (template, seed) identifies the same
-// test-instance on both paths bit for bit.
+// Slot order. The defaults' parameters come first, in sorted-name order,
+// so slot i is the same parameter in every plan of one unit and the
+// Handles a unit binds at construction are valid for all of them.
+// Parameters only the template names follow, in template order; no unit
+// holds a handle to those, they are reached by name (PickValue, PickInt,
+// Has).
+//
+// Vocabulary codes. A symbolic default's entry list is the parameter's
+// vocabulary; a decision by handle returns the chosen value's index in
+// that list, whatever subset or order of it the template weights. A
+// template value outside the vocabulary cannot be given a code, so it is
+// an error of the plan (Plan.Err), as is a template setting of the other
+// type than the default it overrides: the decision loop never sees
+// either.
+//
+// Stream-consumption contract. (template, seed) identifies a
+// test-instance bit for bit, so the draws a decision makes are part of
+// the format: none to choose among the entries of a single-entry
+// parameter (a range parameter is one), one Intn(len) when every weight
+// is zero (uniform fallback), one Intn(total) otherwise — zero-weight
+// entries are then unselectable — and, for a numeric parameter, one
+// IntRange inside the chosen range. compiled_test.go keeps the
+// per-decision interpreter this table replaced as the oracle for both
+// the decisions and the stream position.
 package generator
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/rng"
 	"repro/internal/template"
 )
 
-// planParam is one pre-resolved parameter of a Plan.
-type planParam struct {
+// slotKind says which decisions a slot answers.
+type slotKind uint8
+
+const (
+	kindSymbolic  slotKind = iota // every entry a symbolic value: Code, PickValue
+	kindMixed                     // symbolic and subrange entries: PickValue
+	kindSubranges                 // every entry a subrange: Int, PickInt, PickValue
+	kindRange                     // a range parameter, held as its one subrange: Int, PickInt
+)
+
+// entry is one selectable entry of a slot.
+type entry struct {
+	cum    int // cumulative positive weight up to and including this entry
+	code   int // symbolic value: its vocabulary code; subrange: -1
+	lo, hi int // subrange bounds
+}
+
+// slot is one pre-resolved parameter of a Plan.
+type slot struct {
+	entries []entry
+	total   int      // sum of the positive weights; 0 selects uniformly
+	vocab   []string // symbolic values by code, for PickValue
 	name    string
-	isRange bool
-	lo, hi  int // range parameter bounds
-
-	// Weight parameter tables. cum[i] is the cumulative weight of the
-	// positive-weight entries up to and including pos[i]; total is the
-	// grand total, 0 when every weight is zero (uniform fallback).
-	entries []template.WeightEntry
-	pos     []int
-	cum     []int
-	total   int
+	kind    slotKind
 }
 
-// pick draws one entry according to the weights, consuming the stream
-// exactly like rng.RNG.WeightedIndex on the interpreted path.
-func (p *planParam) pick(r *rng.RNG) template.WeightEntry {
-	if len(p.entries) == 1 {
-		return p.entries[0]
+// pick draws the index of one entry according to the weights. The scan
+// is linear: no unit, and no skeleton at the default four subranges, has
+// more than five entries.
+func (s *slot) pick(r *rng.RNG) int {
+	if len(s.entries) == 1 {
+		return 0
 	}
-	if p.total == 0 {
-		return p.entries[r.Intn(len(p.entries))]
+	if s.total == 0 {
+		return r.Intn(len(s.entries))
 	}
-	k := r.Intn(p.total)
-	return p.entries[p.pos[sort.SearchInts(p.cum, k+1)]]
+	k := r.Intn(s.total)
+	i := 0
+	for s.entries[i].cum <= k {
+		i++
+	}
+	return i
 }
 
-// Plan is a compiled (template, defaults) pair: every parameter either of
-// them defines, pre-resolved (template wins) into decision tables. A Plan
-// is immutable after Compile and safe for concurrent use by any number of
-// generators.
+func (s *slot) code(r *rng.RNG) int {
+	if s.kind != kindSymbolic {
+		panic(fmt.Sprintf("generator: parameter %q is not a symbolic weight parameter", s.name))
+	}
+	return s.entries[s.pick(r)].code
+}
+
+func (s *slot) int(r *rng.RNG) int {
+	if s.kind < kindSubranges {
+		panic(fmt.Sprintf("generator: parameter %q has symbolic entries; use PickValue", s.name))
+	}
+	e := &s.entries[s.pick(r)]
+	return r.IntRange(e.lo, e.hi)
+}
+
+func (s *slot) label(r *rng.RNG) string {
+	if s.kind == kindRange {
+		panic(fmt.Sprintf("generator: parameter %q is not a weight parameter", s.name))
+	}
+	e := &s.entries[s.pick(r)]
+	if e.code < 0 {
+		return fmt.Sprintf("[%d:%d]", e.lo, e.hi)
+	}
+	return s.vocab[e.code]
+}
+
+// Plan is a compiled (template, defaults) pair. A Plan is immutable
+// after Compile and safe for concurrent use by any number of generators.
 type Plan struct {
-	tmpl   *template.Template
-	params map[string]*planParam
+	tmpl  *template.Template
+	slots []slot
+	index map[string]int // parameter name -> slot
+	err   error
 }
 
 // Compile builds the sampling plan for tmpl (nil = pure defaults) over
-// the given defaults.
+// the given defaults. A template the defaults cannot run — see Err —
+// still yields a Plan, carrying the error.
 func Compile(tmpl *template.Template, defaults Defaults) *Plan {
-	plan := &Plan{tmpl: tmpl, params: make(map[string]*planParam, len(defaults))}
-	for name, p := range defaults {
-		plan.params[name] = compileParam(name, p)
+	names := sortedNames(defaults)
+	plan := &Plan{tmpl: tmpl, slots: make([]slot, len(names)), index: make(map[string]int, len(names))}
+	for i, name := range names {
+		plan.index[name] = i
+		s, err := compileParam(defaults[name], nil)
+		if err == nil && tmpl != nil {
+			if p, ok := tmpl.Param(name); ok {
+				s, err = compileParam(p, &s)
+			}
+		}
+		if err != nil {
+			return plan.fail(name, err)
+		}
+		plan.slots[i] = s
 	}
 	if tmpl != nil {
 		for _, p := range tmpl.Params {
-			plan.params[p.ParamName()] = compileParam(p.ParamName(), p)
+			if _, ok := plan.index[p.ParamName()]; ok {
+				continue
+			}
+			s, err := compileParam(p, nil)
+			if err != nil {
+				return plan.fail(p.ParamName(), err)
+			}
+			plan.index[s.name] = len(plan.slots)
+			plan.slots = append(plan.slots, s)
 		}
 	}
 	return plan
 }
+
+// fail records why the named parameter cannot be compiled.
+func (p *Plan) fail(param string, err error) *Plan {
+	if p.tmpl != nil {
+		p.err = fmt.Errorf("generator: template %q: parameter %q: %w", p.tmpl.Name, param, err)
+	} else {
+		p.err = fmt.Errorf("generator: parameter %q: %w", param, err)
+	}
+	return p
+}
+
+// Err reports why the plan cannot drive a generator: a symbolic value
+// outside the parameter's vocabulary, a symbolic setting over a numeric
+// default or a range or subrange setting over a symbolic one, an empty
+// weight parameter, or inverted bounds. Callers that compile templates
+// from outside the program check it before NewFromPlan.
+func (p *Plan) Err() error { return p.err }
 
 // Template returns the template the plan was compiled from (may be nil).
 func (p *Plan) Template() *template.Template { return p.tmpl }
 
 // Has reports whether the plan defines the parameter.
 func (p *Plan) Has(name string) bool {
-	_, ok := p.params[name]
+	_, ok := p.index[name]
 	return ok
 }
 
-func compileParam(name string, p template.Param) *planParam {
-	switch param := p.(type) {
-	case *template.RangeParam:
-		return &planParam{name: name, isRange: true, lo: param.Lo, hi: param.Hi}
-	case *template.WeightParam:
-		// Copy the entries: the plan may be cached and shared across
-		// goroutines long after the caller mutates its template.
-		cp := &planParam{name: name, entries: append([]template.WeightEntry(nil), param.Entries...)}
-		for i, e := range cp.entries {
-			if e.Weight > 0 {
-				cp.total += e.Weight
-				cp.pos = append(cp.pos, i)
-				cp.cum = append(cp.cum, cp.total)
-			}
-		}
-		return cp
-	default:
-		panic(fmt.Sprintf("generator: parameter %q has unknown type %T", name, p))
-	}
-}
-
-// NewFromPlan returns a generator for one test-instance backed by the
-// compiled plan. It is the fast-path equivalent of New(plan.Template(),
-// defaults, seed): same decisions, same stream consumption, no
-// per-decision resolution or allocation.
-func NewFromPlan(plan *Plan, seed uint64) *Generator {
-	return &Generator{tmpl: plan.tmpl, plan: plan, r: rng.New(seed), seed: seed}
-}
-
-// planLookup finds the pre-resolved parameter, panicking like the
-// interpreted path on unknown names.
-func (g *Generator) planLookup(name string) *planParam {
-	p, ok := g.plan.params[name]
+// lookup finds a parameter's slot by name.
+func (p *Plan) lookup(name string) *slot {
+	i, ok := p.index[name]
 	if !ok {
 		panic(fmt.Sprintf("generator: no setting or default for parameter %q", name))
 	}
-	return p
+	return &p.slots[i]
 }
 
-func (g *Generator) planPickValue(name string) string {
-	p := g.planLookup(name)
-	if p.isRange {
-		panic(fmt.Sprintf("generator: parameter %q is not a weight parameter", name))
+// compileParam lays one setting out as a slot. def is the slot of the
+// default this setting overrides (nil for a default itself and for a
+// parameter only the template names, whose own entries then are the
+// vocabulary). Entries are copied: the plan may be cached and shared
+// across goroutines long after the caller mutates its template.
+func compileParam(p template.Param, def *slot) (slot, error) {
+	s := slot{name: p.ParamName()}
+	switch param := p.(type) {
+	case *template.RangeParam:
+		e, err := rangeEntry(param.Lo, param.Hi, def)
+		if err != nil {
+			return slot{}, err
+		}
+		s.kind = kindRange
+		s.entries = []entry{e}
+	case *template.WeightParam:
+		if len(param.Entries) == 0 {
+			return slot{}, fmt.Errorf("no entries")
+		}
+		s.entries = make([]entry, len(param.Entries))
+		if def != nil {
+			s.vocab = def.vocab
+		} else {
+			s.vocab = make([]string, len(param.Entries))
+		}
+		subranges := 0
+		for i, we := range param.Entries {
+			var e entry
+			switch {
+			case we.IsRange:
+				var err error
+				if e, err = rangeEntry(we.Lo, we.Hi, def); err != nil {
+					return slot{}, err
+				}
+				subranges++
+			case def == nil:
+				s.vocab[i] = we.Value
+				e.code = i
+			case def.kind >= kindSubranges:
+				return slot{}, fmt.Errorf("value %q overrides a numeric default", we.Value)
+			default:
+				if e.code = indexOf(def.vocab, we.Value); e.code < 0 {
+					return slot{}, fmt.Errorf("value %q is not one of %v", we.Value, def.vocab)
+				}
+			}
+			if we.Weight > 0 {
+				s.total += we.Weight
+			}
+			e.cum = s.total
+			s.entries[i] = e
+		}
+		switch subranges {
+		case 0:
+			s.kind = kindSymbolic
+		case len(s.entries):
+			s.kind = kindSubranges
+		default:
+			s.kind = kindMixed
+		}
+	default:
+		return slot{}, fmt.Errorf("unknown type %T", p)
 	}
-	return p.pick(g.r).Label()
+	return s, nil
 }
 
-func (g *Generator) planPickInt(name string) int {
-	p := g.planLookup(name)
-	if p.isRange {
-		return g.r.IntRange(p.lo, p.hi)
+// rangeEntry is the entry of a range parameter or of one subrange.
+func rangeEntry(lo, hi int, def *slot) (entry, error) {
+	if def != nil && def.kind == kindSymbolic {
+		return entry{}, fmt.Errorf("[%d:%d] overrides a symbolic default (values %v)", lo, hi, def.vocab)
 	}
-	e := p.pick(g.r)
-	if !e.IsRange {
-		panic(fmt.Sprintf("generator: parameter %q has symbolic entries; use PickValue", name))
+	if hi < lo || hi-lo+1 <= 0 {
+		return entry{}, fmt.Errorf("[%d:%d] is not a range", lo, hi)
 	}
-	return g.r.IntRange(e.Lo, e.Hi)
+	return entry{code: -1, lo: lo, hi: hi}, nil
+}
+
+func indexOf(vocab []string, value string) int {
+	for i, v := range vocab {
+		if v == value {
+			return i
+		}
+	}
+	return -1
 }

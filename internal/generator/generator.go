@@ -13,10 +13,18 @@
 // A test-instance is fully identified by (template, seed): re-running the
 // generator with the same pair reproduces the same decision stream, which
 // makes every simulation in this repository reproducible.
+//
+// Names are resolved before the first decision, never during one. A unit
+// model binds its parameter names to Handles and its symbolic values to
+// vocabulary codes once, when it is constructed (Bind); a (template,
+// defaults) pair is compiled once per batch into a Plan whose slot order
+// those handles index (Compile). The per-cycle decision — Code or Int —
+// is then an array index, a draw and an integer compare.
 package generator
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/rng"
 	"repro/internal/template"
@@ -24,71 +32,120 @@ import (
 
 // Defaults is a DUV's default parameter behavior: the settings used for
 // any parameter the test-template does not override. Keys are parameter
-// names.
+// names. A symbolic default's entry list is the parameter's vocabulary:
+// the only values a template may weight.
 type Defaults map[string]template.Param
 
-// Generator makes biased-random decisions for one test-instance. It is
-// backed either by a (template, defaults) pair resolved per decision, or
-// by a compiled Plan (see NewFromPlan) that resolves everything once per
-// batch; both paths produce identical decision streams for a given seed.
-type Generator struct {
-	tmpl     *template.Template
+// Handle identifies one parameter of a unit's Defaults in every Plan
+// compiled over those defaults: its position among the sorted names.
+type Handle int
+
+// sortedNames fixes the slot order of a unit's defaults. It is a pure
+// function of the key set, which is what lets a Handle bound when the
+// unit is constructed index every later Plan.
+func sortedNames(defaults Defaults) []string {
+	names := make([]string, 0, len(defaults))
+	for name := range defaults {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Binding resolves a unit's parameter names and symbolic values to the
+// handles and codes its decision loop uses. Unit models bind once, in
+// their constructor; an unknown name or value is a programming error and
+// panics there, not in the middle of a campaign.
+type Binding struct {
 	defaults Defaults
-	plan     *Plan
-	r        *rng.RNG
-	seed     uint64
+	names    []string
+}
+
+// Bind prepares the name resolution for a unit's defaults.
+func Bind(defaults Defaults) *Binding {
+	return &Binding{defaults: defaults, names: sortedNames(defaults)}
+}
+
+// Handle returns the handle of a default parameter.
+func (b *Binding) Handle(name string) Handle {
+	i := sort.SearchStrings(b.names, name)
+	if i == len(b.names) || b.names[i] != name {
+		panic(fmt.Sprintf("generator: no default for parameter %q", name))
+	}
+	return Handle(i)
+}
+
+// Code returns the vocabulary code of a symbolic value: its index in the
+// default entry list of the parameter. Code(h) on a generator returns
+// these codes whatever order a template lists the values in.
+func (b *Binding) Code(name, value string) int {
+	if wp, ok := b.defaults[name].(*template.WeightParam); ok {
+		for i, e := range wp.Entries {
+			if !e.IsRange && e.Value == value {
+				return i
+			}
+		}
+	}
+	panic(fmt.Sprintf("generator: parameter %q has no default value %q", name, value))
+}
+
+// Generator makes biased-random decisions for one test-instance of a
+// compiled Plan. It holds its random stream by value, so one generator
+// can be Reset and reused for every instance of a chunk.
+type Generator struct {
+	plan *Plan
+	r    rng.RNG
+	seed uint64
+}
+
+// NewFromPlan returns a generator for one test-instance of the compiled
+// plan. It panics on a plan that carries an error: callers that compile
+// templates from outside the program check Plan.Err first.
+func NewFromPlan(plan *Plan, seed uint64) *Generator {
+	if plan.err != nil {
+		panic(fmt.Sprintf("generator: NewFromPlan on an invalid plan: %v", plan.err))
+	}
+	return &Generator{plan: plan, r: *rng.New(seed), seed: seed}
 }
 
 // New returns a generator for one test-instance of tmpl with the given
 // defaults and seed. tmpl may be nil, in which case every decision uses
-// the defaults.
+// the defaults. Batch callers compile once and use NewFromPlan.
 func New(tmpl *template.Template, defaults Defaults, seed uint64) *Generator {
-	return &Generator{tmpl: tmpl, defaults: defaults, r: rng.New(seed), seed: seed}
+	return NewFromPlan(Compile(tmpl, defaults), seed)
+}
+
+// Reset rebinds the generator to another test-instance of the same plan,
+// exactly as if it had been created by NewFromPlan(plan, seed).
+func (g *Generator) Reset(seed uint64) {
+	g.r = *rng.New(seed)
+	g.seed = seed
 }
 
 // Seed returns the test-instance seed.
 func (g *Generator) Seed() uint64 { return g.seed }
 
 // Template returns the test-template driving this instance (may be nil).
-func (g *Generator) Template() *template.Template { return g.tmpl }
+func (g *Generator) Template() *template.Template { return g.plan.tmpl }
 
-// resolve finds the effective setting for a parameter: the template's if
-// present, otherwise the default. The bool reports whether any setting
-// exists.
-func (g *Generator) resolve(name string) (template.Param, bool) {
-	if g.tmpl != nil {
-		if p, ok := g.tmpl.Param(name); ok {
-			return p, true
-		}
-	}
-	p, ok := g.defaults[name]
-	return p, ok
+// Has reports whether the parameter has a setting (template or default).
+func (g *Generator) Has(name string) bool { return g.plan.Has(name) }
+
+// RNG exposes the instance's random stream for auxiliary decisions a DUV
+// model needs that are not tied to a template parameter (e.g. internal
+// micro-architectural noise). Sharing the stream keeps the whole
+// test-instance reproducible from its seed.
+func (g *Generator) RNG() *rng.RNG { return &g.r }
+
+// Code makes a random decision for a symbolic weight parameter and
+// returns the chosen value's vocabulary code (Binding.Code). It panics
+// if the parameter is numeric.
+func (g *Generator) Code(h Handle) int {
+	return g.plan.slots[h].code(&g.r)
 }
 
-// PickValue makes a random decision for a symbolic weight parameter and
-// returns the chosen value. For weight parameters containing subrange
-// entries the chosen entry's label is returned. It panics if the
-// parameter is unknown or is a range parameter — DUV models consult
-// parameters they declared defaults for, so an unknown name is a
-// programming error, not an input error.
-func (g *Generator) PickValue(name string) string {
-	if g.plan != nil {
-		return g.planPickValue(name)
-	}
-	p, ok := g.resolve(name)
-	if !ok {
-		panic(fmt.Sprintf("generator: no setting or default for parameter %q", name))
-	}
-	wp, ok := p.(*template.WeightParam)
-	if !ok {
-		panic(fmt.Sprintf("generator: parameter %q is not a weight parameter", name))
-	}
-	e := g.pickEntry(wp)
-	return e.Label()
-}
-
-// PickInt makes a random decision for a numeric parameter and returns
-// the chosen value:
+// Int makes a random decision for a numeric parameter and returns the
+// chosen value:
 //
 //   - for a range parameter, a uniform draw from [lo, hi];
 //   - for a weight parameter over subranges (the Skeletonizer's output
@@ -97,59 +154,24 @@ func (g *Generator) PickValue(name string) string {
 //     distribution of an originally-uniform range parameter (paper
 //     Section IV-C).
 //
-// It panics if the parameter is unknown or is a symbolic weight
-// parameter.
+// It panics if the parameter has symbolic entries.
+func (g *Generator) Int(h Handle) int {
+	return g.plan.slots[h].int(&g.r)
+}
+
+// PickValue is the decision by parameter name for a weight parameter,
+// returning the chosen entry's label: the symbolic value, or "[lo:hi]"
+// for a subrange entry. Names are the only way to reach a parameter that
+// a template sets and the unit's defaults do not name. It panics if the
+// parameter is unknown or is a range parameter — DUV models consult
+// parameters they declared defaults for, so an unknown name is a
+// programming error, not an input error.
+func (g *Generator) PickValue(name string) string {
+	return g.plan.lookup(name).label(&g.r)
+}
+
+// PickInt is Int by parameter name. It panics if the parameter is
+// unknown or has symbolic entries.
 func (g *Generator) PickInt(name string) int {
-	if g.plan != nil {
-		return g.planPickInt(name)
-	}
-	p, ok := g.resolve(name)
-	if !ok {
-		panic(fmt.Sprintf("generator: no setting or default for parameter %q", name))
-	}
-	switch param := p.(type) {
-	case *template.RangeParam:
-		return g.r.IntRange(param.Lo, param.Hi)
-	case *template.WeightParam:
-		e := g.pickEntry(param)
-		if !e.IsRange {
-			panic(fmt.Sprintf("generator: parameter %q has symbolic entries; use PickValue", name))
-		}
-		return g.r.IntRange(e.Lo, e.Hi)
-	default:
-		panic(fmt.Sprintf("generator: parameter %q has unknown type %T", name, p))
-	}
+	return g.plan.lookup(name).int(&g.r)
 }
-
-// pickEntry draws one entry of a weight parameter according to the
-// weights. All-zero weights select uniformly, mirroring a generator that
-// falls back to uniform choice when the template disables every value.
-func (g *Generator) pickEntry(wp *template.WeightParam) template.WeightEntry {
-	if len(wp.Entries) == 1 {
-		return wp.Entries[0]
-	}
-	weights := make([]int, len(wp.Entries))
-	for i, e := range wp.Entries {
-		weights[i] = e.Weight
-	}
-	return wp.Entries[g.pickIndex(weights)]
-}
-
-func (g *Generator) pickIndex(weights []int) int {
-	return g.r.WeightedIndex(weights)
-}
-
-// Has reports whether the parameter has a setting (template or default).
-func (g *Generator) Has(name string) bool {
-	if g.plan != nil {
-		return g.plan.Has(name)
-	}
-	_, ok := g.resolve(name)
-	return ok
-}
-
-// RNG exposes the instance's random stream for auxiliary decisions a DUV
-// model needs that are not tied to a template parameter (e.g. internal
-// micro-architectural noise). Sharing the stream keeps the whole
-// test-instance reproducible from its seed.
-func (g *Generator) RNG() *rng.RNG { return g.r }

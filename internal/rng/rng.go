@@ -123,9 +123,32 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
+// Threshold returns the integer form of the probability p: for the 53
+// bits x a draw keeps, float64(x)/2^53 < p exactly when x < Threshold(p)
+// (x, x/2^53 and p*2^53 are all exact in float64, and an integer is
+// below a real exactly when it is below its ceiling). Precompute it for
+// a constant probability and decide with Below: the draw then inlines
+// into the caller with no float arithmetic.
+func Threshold(p float64) uint64 {
+	switch {
+	case p >= 1:
+		return 1 << 53
+	case p > 0:
+		return uint64(math.Ceil(p * (1 << 53)))
+	default: // p <= 0, NaN
+		return 0
+	}
+}
+
+// Below consumes one draw and reports whether it falls under the
+// threshold: Below(Threshold(p)) is Bool(p), bit for bit.
+func (r *RNG) Below(threshold uint64) bool {
+	return r.Uint64()>>11 < threshold
+}
+
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
-	return r.Float64() < p
+	return r.Below(Threshold(p))
 }
 
 // Shuffle randomizes the order of n elements using the provided swap

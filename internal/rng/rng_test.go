@@ -192,6 +192,35 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
+// TestThresholdEqualsFloatCompare: the integer Bernoulli draw is the
+// float compare it replaced, on every draw and at every edge of p.
+func TestThresholdEqualsFloatCompare(t *testing.T) {
+	const ulp = 1.0 / (1 << 53)
+	for _, p := range []float64{-0.5, 0, ulp, 0.004, 0.08, 0.88, 1 - ulp, 1, 1.5, math.NaN(), math.Inf(1)} {
+		a, b, c := New(97), New(97), New(97)
+		th := Threshold(p)
+		for i := 0; i < 1000000; i++ {
+			want := a.Float64() < p
+			if b.Below(th) != want || c.Bool(p) != want {
+				t.Fatalf("p=%v draw %d: threshold form disagrees with Float64() < p (= %v)", p, i, want)
+			}
+		}
+		if a.State() != b.State() || a.State() != c.State() {
+			t.Fatalf("p=%v: a Bernoulli draw must consume exactly one output", p)
+		}
+	}
+	// The two values of x a 10^6-draw stream will not produce: the
+	// smallest and the largest.
+	for _, p := range []float64{ulp, 1 - ulp} {
+		th := Threshold(p)
+		for _, x := range []uint64{0, 1, th - 1, th, 1<<53 - 2, 1<<53 - 1} {
+			if want := float64(x)/(1<<53) < p; (x < th) != want {
+				t.Errorf("p=%v x=%d: x < Threshold(p) is %v, float compare %v", p, x, x < th, want)
+			}
+		}
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := New(seed)

@@ -268,7 +268,9 @@ func scratchFor(scratch *coverage.Counts, n int) *coverage.Counts {
 // aggregate, merge it into the job, and complete the job when its last
 // chunk lands. Counts merging is commutative, so completion order does
 // not affect the result; the scratch is private to the worker and reset
-// per chunk, so the loop allocates nothing in steady state.
+// per chunk, so the loop allocates one generator per chunk and nothing
+// else. Every metric of a chunk is published before finish can complete
+// the job, so a caller that Waits and then snapshots reads final totals.
 func (s *Scheduler) work(id int) {
 	var scratch *coverage.Counts
 	for t := range s.tasks {
@@ -276,27 +278,25 @@ func (s *Scheduler) work(id int) {
 		if t.job.canceled() {
 			// Cancellation: the chunk still lands (so Wait returns and the
 			// job drains) but contributes nothing — no simulation runs.
-			completed := s.complete(t, nil)
 			if o != nil {
 				o.queue.Add(-1)
 				o.aborted.Inc()
-				if completed {
-					o.jobsDone.Inc()
-				}
 			}
+			s.finish(t)
 			continue
 		}
 		scratch = scratchFor(scratch, t.job.total.Len())
 		if o == nil {
 			s.simulateChunkInto(t, scratch)
-			s.complete(t, scratch)
+			s.merge(t, scratch)
+			s.finish(t)
 			continue
 		}
 		o.queue.Add(-1)
 		sp := o.tracer.Span("sim", "chunk").WithTid(100 + id)
 		start := time.Now()
 		s.simulateChunkInto(t, scratch)
-		completed := s.complete(t, scratch)
+		s.merge(t, scratch)
 		dur := time.Since(start)
 		n := uint64(t.hi - t.lo)
 		if sp != nil {
@@ -310,9 +310,7 @@ func (s *Scheduler) work(id int) {
 		o.simNs.Observe(uint64(dur) / n)
 		o.chunks.Inc()
 		o.instances.Add(n)
-		if completed {
-			o.jobsDone.Inc()
-		}
+		s.finish(t)
 	}
 }
 
@@ -329,14 +327,11 @@ func (s *Scheduler) remoteWork(lane int, r ChunkRunner) {
 	for t := range s.tasks {
 		o := s.obs
 		if t.job.canceled() {
-			completed := s.complete(t, nil)
 			if o != nil {
 				o.queue.Add(-1)
 				o.aborted.Inc()
-				if completed {
-					o.jobsDone.Inc()
-				}
 			}
+			s.finish(t)
 			continue
 		}
 		n := uint64(t.hi - t.lo)
@@ -388,8 +383,9 @@ func (s *Scheduler) remoteWork(lane int, r ChunkRunner) {
 				s.simulateChunkInto(t, scratch)
 			}
 		}
-		completed := s.complete(t, scratch)
+		s.merge(t, scratch)
 		if o == nil {
+			s.finish(t)
 			continue
 		}
 		dur := time.Since(start)
@@ -409,9 +405,7 @@ func (s *Scheduler) remoteWork(lane int, r ChunkRunner) {
 		if remote {
 			o.remote.Inc()
 		}
-		if completed {
-			o.jobsDone.Inc()
-		}
+		s.finish(t)
 	}
 }
 
@@ -427,32 +421,38 @@ func setTraceIdentity(sp *obs.Span, t chunk) {
 }
 
 // simulateChunkInto runs one chunk locally, merging into the caller's
-// scratch aggregate. This is the simulate hot path: it takes no locks,
-// touches no observability state, and allocates nothing itself.
+// scratch aggregate. This is the simulate hot path: it takes no locks
+// and touches no observability state. A chunk a lane picked up drains
+// whole; cancellation acts between chunks (Job.canceled).
 func (s *Scheduler) simulateChunkInto(t chunk, dst *coverage.Counts) {
 	j := t.job
-	for i := t.lo; i < t.hi; i++ {
-		g := generator.NewFromPlan(j.plan, j.seed.SplitIndex(uint64(i)).Uint64())
-		dst.Add(j.unit.Simulate(g))
-	}
+	// The error is the context's; Background has none.
+	_ = simulateRange(context.Background(), j.unit, j.plan, j.seed, t.lo, t.hi, dst)
 }
 
-// complete merges one chunk's aggregate into its job — exactly once per
-// chunk, whoever computed it — and reports whether it was the job's last
-// chunk (nil counts means the chunk contributes nothing: cancellation).
-// Counts merging is commutative, so completion order does not affect
-// the result, and merging copies, so callers may reuse counts as their
-// scratch for the next chunk.
-func (s *Scheduler) complete(t chunk, counts *coverage.Counts) bool {
+// merge adds one chunk's aggregate to its job — exactly once per chunk,
+// whoever computed it. Counts merging is commutative, so completion
+// order does not affect the result, and merging copies, so callers may
+// reuse counts as their scratch for the next chunk.
+func (s *Scheduler) merge(t chunk, counts *coverage.Counts) {
 	j := t.job
 	j.mu.Lock()
 	j.total.Merge(counts)
 	j.mu.Unlock()
+}
+
+// finish lands one chunk — merged, or contributing nothing after a
+// cancellation — and completes the job if it was the last. It is the
+// last thing a lane does for a chunk: whatever the lane publishes about
+// the chunk happens before a Wait on the job can return.
+func (s *Scheduler) finish(t chunk) {
+	j := t.job
 	if j.pending.Add(-1) == 0 {
+		if s.obs != nil {
+			s.obs.jobsDone.Inc()
+		}
 		close(j.done)
-		return true
 	}
-	return false
 }
 
 // Close shuts the pool down; idle workers and remote lanes exit after

@@ -166,11 +166,13 @@ func TestEnvCloseIdempotent(t *testing.T) {
 func TestPlanCacheReuse(t *testing.T) {
 	env := NewEnv(newToy(), 2, 2)
 	defer env.Close()
-	tmpl := modeB(t)
-	if env.plan(tmpl) != env.plan(tmpl) {
-		t.Fatal("plan cache did not reuse the compiled plan")
-	}
-	if env.plan(nil) != env.plan(nil) {
-		t.Fatal("nil-template plan not cached")
+	for _, tmpl := range []*template.Template{modeB(t), nil} {
+		a, err := env.plan(tmpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, _ := env.plan(tmpl); a != b {
+			t.Fatalf("plan cache did not reuse the compiled plan of %v", tmpl)
+		}
 	}
 }

@@ -173,11 +173,41 @@ func (e *Env) RestoreCounters(batches, sims uint64) {
 // plan returns the unit's compiled sampling plan for tmpl, compiling
 // and caching it on first use. Plans are keyed by template content, so
 // re-parsed or renamed copies of one body share one table; the cache is
-// size-bounded (SetPlanCacheSize).
-func (e *Env) plan(tmpl *template.Template) *generator.Plan {
-	return e.plans.get(planKey(tmpl), func() *generator.Plan {
+// size-bounded (SetPlanCacheSize). A template the unit cannot run (a
+// symbolic value outside a parameter's vocabulary, a setting of the
+// wrong type) is an error here, before any instance runs and before the
+// batch counter moves.
+func (e *Env) plan(tmpl *template.Template) (*generator.Plan, error) {
+	plan := e.plans.get(planKey(tmpl), func() *generator.Plan {
 		return generator.Compile(tmpl, e.defaults)
 	})
+	if err := plan.Err(); err != nil {
+		return nil, fmt.Errorf("sim: unit %q: %w", e.unitName, err)
+	}
+	return plan, nil
+}
+
+// simulateRange is the one per-instance loop of the package: instances
+// [lo, hi) of the batch seeded by batchSeed, each added to dst. Instance
+// i's generator seed depends only on (batch seed, i). One generator
+// serves the whole range, so an instance costs a single allocation: the
+// Vector its Simulate returns. ctx is polled between instances; nil (an
+// environment without SetContext) never cancels.
+func simulateRange(ctx context.Context, unit duv.DUV, plan *generator.Plan, batchSeed *rng.RNG, lo, hi int, dst *coverage.Counts) error {
+	if lo >= hi {
+		return nil
+	}
+	g := generator.NewFromPlan(plan, 0)
+	for i := lo; i < hi; i++ {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		g.Reset(batchSeed.SplitIndex(uint64(i)).Uint64())
+		dst.Add(unit.Simulate(g))
+	}
+	return nil
 }
 
 // Submit enqueues a batch of n test-instances of tmpl (nil = pure
@@ -193,13 +223,17 @@ func (e *Env) Submit(tmpl *template.Template, n int) (*Job, error) {
 	if err := e.ctxErr(); err != nil {
 		return nil, err
 	}
+	plan, err := e.plan(tmpl)
+	if err != nil {
+		return nil, err
+	}
 	batchNum := e.batch.Add(1)
 	batchSeed := e.seed.SplitIndex(batchNum)
 	job := &Job{
 		unit:      e.unit,
 		unitName:  e.unitName,
 		tmpl:      tmpl,
-		plan:      e.plan(tmpl),
+		plan:      plan,
 		seed:      batchSeed,
 		seedState: batchSeed.State(),
 		total:     coverage.NewCountsFor(e.unit.Model()),
@@ -241,15 +275,14 @@ func (e *Env) Run(tmpl *template.Template, n int) (*coverage.Counts, error) {
 	if err := e.ctxErr(); err != nil {
 		return nil, err
 	}
+	plan, err := e.plan(tmpl)
+	if err != nil {
+		return nil, err
+	}
 	batchSeed := e.seed.SplitIndex(e.batch.Add(1))
-	plan := e.plan(tmpl)
 	c := coverage.NewCountsFor(e.unit.Model())
-	for i := 0; i < n; i++ {
-		if err := e.ctxErr(); err != nil {
-			return nil, err
-		}
-		g := generator.NewFromPlan(plan, batchSeed.SplitIndex(uint64(i)).Uint64())
-		c.Add(e.unit.Simulate(g))
+	if err := simulateRange(e.ctx, e.unit, plan, batchSeed, 0, n, c); err != nil {
+		return nil, err
 	}
 	if n > 0 {
 		e.sims.Add(uint64(n))
@@ -288,11 +321,12 @@ func (e *Env) RunChunkInto(tmpl *template.Template, seedState uint64, lo, hi int
 	if dst.Len() != e.unit.Model().Size() {
 		return fmt.Errorf("sim: chunk aggregate tracks %d events, model has %d", dst.Len(), e.unit.Model().Size())
 	}
-	plan := e.plan(tmpl)
-	seed := rng.New(seedState)
-	for i := lo; i < hi; i++ {
-		g := generator.NewFromPlan(plan, seed.SplitIndex(uint64(i)).Uint64())
-		dst.Add(e.unit.Simulate(g))
+	plan, err := e.plan(tmpl)
+	if err != nil {
+		return err
+	}
+	if err := simulateRange(context.Background(), e.unit, plan, rng.New(seedState), lo, hi, dst); err != nil {
+		return err
 	}
 	if n := hi - lo; n > 0 {
 		e.sims.Add(uint64(n))
