@@ -44,6 +44,7 @@ type arbiter struct {
 	base     []*template.Template
 
 	// Bound once in newArbiter; Simulate only indexes.
+	bind                                *generator.Binding
 	hReqMix, hPrioOverride, hBurstiness generator.Handle
 	requesterOf                         [4]int // ReqMix code -> requester
 	prioOn                              int    // PrioOverride code of "on"
@@ -115,6 +116,7 @@ template arb_hotspot {
 `)
 
 	bind := generator.Bind(u.defaults)
+	u.bind = bind
 	u.hReqMix = bind.Handle("ReqMix")
 	u.hPrioOverride = bind.Handle("PrioOverride")
 	u.hBurstiness = bind.Handle("Burstiness")
@@ -144,6 +146,7 @@ func (u *arbiter) BaseTemplates() []*template.Template {
 }
 
 func (u *arbiter) Simulate(g *generator.Generator) coverage.Vector {
+	u.bind.Check(g) // g must be compiled over u.Defaults()
 	v := coverage.NewVectorFor(u.model)
 	r := g.RNG()
 	lastGrant, streak, maxStreak := -1, 0, 0

@@ -11,3 +11,9 @@ import (
 func TestSimulateGolden(t *testing.T) {
 	duvtest.SimulateGolden(t, newArbiter())
 }
+
+// TestSimulateRejectsForeignGenerator: the handles bound in newArbiter
+// are only valid for plans compiled over the arbiter's own defaults.
+func TestSimulateRejectsForeignGenerator(t *testing.T) {
+	duvtest.RejectsForeignGenerator(t, newArbiter())
+}

@@ -38,7 +38,10 @@ type DUV interface {
 	// these.
 	BaseTemplates() []*template.Template
 	// Simulate runs one test-instance (the generator is bound to a
-	// template and a seed) and returns its coverage vector.
+	// template and a seed) and returns its coverage vector. g must be
+	// compiled over Defaults(), which the unit must not change after
+	// construction: the unit decides by handles bound to those defaults
+	// (generator.Binding.Check).
 	Simulate(g *generator.Generator) coverage.Vector
 }
 

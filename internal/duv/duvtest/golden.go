@@ -1,7 +1,8 @@
 // Package duvtest holds the test harness every unit model shares: a
 // golden lock on the simulated statistics, so a change to the generator
 // or to a model's decision loop that moves a single coverage bit of a
-// single test-instance fails the unit's own test.
+// single test-instance fails the unit's own test, and the check that a
+// unit refuses a generator its handles do not fit.
 package duvtest
 
 import (
@@ -170,4 +171,22 @@ func SimulateGolden(t *testing.T, unit duv.DUV) {
 			t.Errorf("%s: vectors hash to %s, golden %q", c.name, got, want[c.name])
 		}
 	}
+}
+
+// RejectsForeignGenerator checks that the unit refuses a generator
+// compiled over defaults other than its own (here: its own plus one
+// parameter, which shifts the slots its handles index) instead of
+// deciding from the wrong parameters.
+func RejectsForeignGenerator(t *testing.T, unit duv.DUV) {
+	t.Helper()
+	foreign := generator.Defaults{"\x00first": &template.RangeParam{Name: "\x00first", Lo: 0, Hi: 1}}
+	for name, p := range unit.Defaults() {
+		foreign[name] = p
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: Simulate accepted a generator compiled over other defaults", unit.Name())
+		}
+	}()
+	unit.Simulate(generator.New(nil, foreign, 0))
 }

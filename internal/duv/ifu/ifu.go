@@ -54,6 +54,7 @@ type IFU struct {
 
 	// Generator handles, bound once at construction, and the meaning of
 	// each ThreadSel and BranchMix vocabulary code.
+	bind                                                              *generator.Binding
 	hThreadSel, hFetchAddr, hBranchMix, hRedirectRate, hDispatchStall generator.Handle
 	threadOf                                                          [numThreads]int
 	branchOf                                                          [2]int // 1 = "br"
@@ -100,6 +101,7 @@ func New() *IFU {
 	u.base = duv.MustParseTemplates(baseSources...)
 
 	bind := generator.Bind(u.defaults)
+	u.bind = bind
 	u.hThreadSel = bind.Handle("ThreadSel")
 	u.hFetchAddr = bind.Handle("FetchAddr")
 	u.hBranchMix = bind.Handle("BranchMix")
@@ -143,6 +145,7 @@ func (u *IFU) BaseTemplates() []*template.Template {
 
 // Simulate implements duv.DUV.
 func (u *IFU) Simulate(g *generator.Generator) coverage.Vector {
+	u.bind.Check(g)
 	v := coverage.NewVectorFor(u.model)
 	r := g.RNG()
 

@@ -51,11 +51,11 @@ var (
 // crcThresholds are the family's occupancy levels, shallow to deep.
 var crcThresholds = []int{4, 8, 16, 32, 64, 96}
 
-// The unit's symbolic vocabularies, in the order of the defaults' entry
-// lists: generator codes index them.
-var (
-	commands = [...]string{"dma_read", "dma_write", "crc", "interrupt", "nop"}
-	channels = [...]string{"ch0", "ch1", "ch2", "ch3"}
+// Sizes of the symbolic vocabularies the defaults declare; they size the
+// code-indexed event tables.
+const (
+	numCommands = 5 // Command values
+	numChannels = 4 // Channel values
 )
 
 // FamilyName is the registered name of the crc_* event family.
@@ -77,15 +77,16 @@ type IOUnit struct {
 	base     []*template.Template
 
 	// Generator handles and vocabulary codes, bound once at construction.
+	bind                                              *generator.Binding
 	hCommand, hChannel, hBurstLen, hPayloadSize, hGap generator.Handle
 	cmdRead, cmdWrite, cmdCRC, cmdIRQ                 int
 
 	// Event IDs resolved once at construction; cmdSeen, chUsed and
 	// dmaByCh are indexed by Command and Channel codes.
 	crcIDs   []int
-	cmdSeen  [len(commands)]int
-	chUsed   [len(channels)]int
-	dmaByCh  [len(commands)][len(channels)]int // rows cmdRead and cmdWrite
+	cmdSeen  [numCommands]int
+	chUsed   [numChannels]int
+	dmaByCh  [numCommands][numChannels]int // rows cmdRead and cmdWrite
 	burstIDs [4]int
 	evGapZero, evGapLong,
 	evPayloadSmall, evPayloadLarge,
@@ -95,18 +96,36 @@ type IOUnit struct {
 
 // New constructs the I/O unit model.
 func New() *IOUnit {
+	u := &IOUnit{}
+	u.defaults = duv.DefaultsFromTemplate(duv.MustParseTemplates(defaultsSource)[0])
+	u.base = duv.MustParseTemplates(baseSources...)
+
+	bind := generator.Bind(u.defaults)
+	u.bind = bind
+	u.hCommand = bind.Handle("Command")
+	u.hChannel = bind.Handle("Channel")
+	u.hBurstLen = bind.Handle("BurstLen")
+	u.hPayloadSize = bind.Handle("PayloadSize")
+	u.hGap = bind.Handle("Gap")
+	u.cmdRead = bind.Code("Command", "dma_read")
+	u.cmdWrite = bind.Code("Command", "dma_write")
+	u.cmdCRC = bind.Code("Command", "crc")
+	u.cmdIRQ = bind.Code("Command", "interrupt")
+	commands := bind.Vocabulary("Command") // dma_read, dma_write, crc, interrupt, nop
+	channels := bind.Vocabulary("Channel") // ch0 .. ch3
+
 	names := []string{
 		"crc_004", "crc_008", "crc_016", "crc_032", "crc_064", "crc_096",
 	}
 	for _, c := range commands {
 		names = append(names, "io_cmd_"+c)
 	}
-	for ch := range channels {
-		names = append(names, "io_ch"+string(rune('0'+ch))+"_used")
+	for _, ch := range channels {
+		names = append(names, "io_"+ch+"_used")
 	}
 	for _, c := range []string{"read", "write"} {
-		for ch := range channels {
-			names = append(names, "io_"+c+"_ch"+string(rune('0'+ch)))
+		for _, ch := range channels {
+			names = append(names, "io_"+c+"_"+ch)
 		}
 	}
 	names = append(names,
@@ -121,34 +140,18 @@ func New() *IOUnit {
 	if err := m.AddFamily(FamilyName, famNames); err != nil {
 		panic(err)
 	}
-
-	u := &IOUnit{model: m}
-	u.defaults = duv.DefaultsFromTemplate(duv.MustParseTemplates(defaultsSource)[0])
-	u.base = duv.MustParseTemplates(baseSources...)
-
-	bind := generator.Bind(u.defaults)
-	u.hCommand = bind.Handle("Command")
-	u.hChannel = bind.Handle("Channel")
-	u.hBurstLen = bind.Handle("BurstLen")
-	u.hPayloadSize = bind.Handle("PayloadSize")
-	u.hGap = bind.Handle("Gap")
-	u.cmdRead = bind.Code("Command", "dma_read")
-	u.cmdWrite = bind.Code("Command", "dma_write")
-	u.cmdCRC = bind.Code("Command", "crc")
-	u.cmdIRQ = bind.Code("Command", "interrupt")
+	u.model = m
 
 	for _, fn := range famNames {
 		u.crcIDs = append(u.crcIDs, m.MustLookup(fn))
 	}
-	for _, c := range commands {
-		u.cmdSeen[bind.Code("Command", c)] = m.MustLookup("io_cmd_" + c)
+	for code, c := range commands {
+		u.cmdSeen[code] = m.MustLookup("io_cmd_" + c)
 	}
-	for ch, c := range channels {
-		code := bind.Code("Channel", c)
-		digit := string(rune('0' + ch))
-		u.chUsed[code] = m.MustLookup("io_ch" + digit + "_used")
-		u.dmaByCh[u.cmdRead][code] = m.MustLookup("io_read_ch" + digit)
-		u.dmaByCh[u.cmdWrite][code] = m.MustLookup("io_write_ch" + digit)
+	for code, ch := range channels {
+		u.chUsed[code] = m.MustLookup("io_" + ch + "_used")
+		u.dmaByCh[u.cmdRead][code] = m.MustLookup("io_read_" + ch)
+		u.dmaByCh[u.cmdWrite][code] = m.MustLookup("io_write_" + ch)
 	}
 	for i, n := range []string{"io_burst_1_4", "io_burst_5_8", "io_burst_9_16", "io_burst_17_32"} {
 		u.burstIDs[i] = m.MustLookup(n)
@@ -186,6 +189,7 @@ func (u *IOUnit) BaseTemplates() []*template.Template {
 // Simulate implements duv.DUV: it drives the unit for simCycles cycles
 // with stimuli drawn from g and returns the coverage vector.
 func (u *IOUnit) Simulate(g *generator.Generator) coverage.Vector {
+	u.bind.Check(g)
 	v := coverage.NewVectorFor(u.model)
 	r := g.RNG()
 

@@ -214,3 +214,9 @@ func formatRate(r float64) string {
 func TestSimulateGolden(t *testing.T) {
 	duvtest.SimulateGolden(t, New())
 }
+
+// TestSimulateRejectsForeignGenerator: the unit's handles are only valid
+// for plans compiled over its own defaults.
+func TestSimulateRejectsForeignGenerator(t *testing.T) {
+	duvtest.RejectsForeignGenerator(t, New())
+}

@@ -56,6 +56,7 @@ type L3Cache struct {
 	base     []*template.Template
 
 	// Generator handles and vocabulary codes, bound once at construction.
+	bind                                                        *generator.Binding
 	hReqType, hThreadSel, hBypassHint, hInterArrival, hLocality generator.Handle
 	reqRead, reqWrite, reqRwitm, reqFlush, reqNop, hintOn       int
 
@@ -97,6 +98,7 @@ func New() *L3Cache {
 	u.base = duv.MustParseTemplates(baseSources...)
 
 	bind := generator.Bind(u.defaults)
+	u.bind = bind
 	u.hReqType = bind.Handle("ReqType")
 	u.hThreadSel = bind.Handle("ThreadSel")
 	u.hBypassHint = bind.Handle("BypassHint")
@@ -160,6 +162,7 @@ type cacheLine struct {
 
 // Simulate implements duv.DUV.
 func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
+	u.bind.Check(g)
 	v := coverage.NewVectorFor(u.model)
 	r := g.RNG()
 

@@ -17,6 +17,8 @@ package noc
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/coverage"
 	"repro/internal/duv"
@@ -51,8 +53,6 @@ var (
 	inportNames  = []string{"fromN", "fromS", "fromE", "fromW"}
 	vcNames      = []string{"vc0", "vc1", "vc2", "vc3"}
 	outportNames = []string{"toN", "toS", "toE", "toW", "toL"}
-	// hotspotNames are the HotspotPort values, in outport order.
-	hotspotNames = []string{"n", "s", "e", "w", "l"}
 )
 
 // retryDrainBelow is the integer form of the per-cycle probability that
@@ -72,6 +72,7 @@ type Router struct {
 	cross    *coverage.CrossProduct
 
 	// Generator handles and vocabulary codes, bound once at construction.
+	bind                                                              *generator.Binding
 	hInjectionRate, hTrafficPattern, hHotspotPort, hVCSel, hPacketLen generator.Handle
 	patHotspot, patNeighbor, patTornado                               int
 	vcOf                                                              [numVCs]int      // VCSel code -> VC
@@ -135,6 +136,7 @@ func New() *Router {
 	u.base = duv.MustParseTemplates(baseSources...)
 
 	bind := generator.Bind(u.defaults)
+	u.bind = bind
 	u.hInjectionRate = bind.Handle("InjectionRate")
 	u.hTrafficPattern = bind.Handle("TrafficPattern")
 	u.hHotspotPort = bind.Handle("HotspotPort")
@@ -146,8 +148,12 @@ func New() *Router {
 	for vc, name := range vcNames {
 		u.vcOf[bind.Code("VCSel", name)] = vc
 	}
-	for out, name := range hotspotNames {
-		u.hotspotOf[bind.Code("HotspotPort", name)] = out
+	for code, name := range bind.Vocabulary("HotspotPort") { // n, s, e, w, l
+		out := slices.Index(outportNames, "to"+strings.ToUpper(name))
+		if out < 0 {
+			panic(fmt.Sprintf("noc: HotspotPort value %q names no outport", name))
+		}
+		u.hotspotOf[code] = out
 	}
 	return u
 }
@@ -199,6 +205,7 @@ type flit struct {
 
 // Simulate implements duv.DUV.
 func (u *Router) Simulate(g *generator.Generator) coverage.Vector {
+	u.bind.Check(g)
 	v := coverage.NewVectorFor(u.model)
 	r := g.RNG()
 

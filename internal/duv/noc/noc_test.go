@@ -248,3 +248,9 @@ func TestCalibrationReport(t *testing.T) {
 func TestSimulateGolden(t *testing.T) {
 	duvtest.SimulateGolden(t, New())
 }
+
+// TestSimulateRejectsForeignGenerator: the unit's handles are only valid
+// for plans compiled over its own defaults.
+func TestSimulateRejectsForeignGenerator(t *testing.T) {
+	duvtest.RejectsForeignGenerator(t, New())
+}

@@ -307,25 +307,25 @@ func TestByzantineFleetAcceptance(t *testing.T) {
 // TestHedgedStragglerExecution pins down hedged chunk execution in the
 // topology where it must engage: two clean workers and one straggler
 // whose single connection answers an order of magnitude slower than the
-// fleet p95. Because the straggler's dial handshake is itself delayed,
-// the latency ring warms up entirely from fast samples before the
-// straggler ever completes an exchange — so every chunk unlucky enough
-// to start on it is hedged onto a clean lane, the hedge wins, and the
-// aggregate stays bit-identical with bounded duplicate work.
+// fleet p95. The straggler's connection is the last one pooled and the
+// pool is FIFO, so the latency ring warms up entirely from fast samples
+// before the straggler ever starts an exchange — the chunk unlucky
+// enough to start on it is hedged onto a clean lane, the hedge wins, and
+// the aggregate stays bit-identical with bounded duplicate work.
 func TestHedgedStragglerExecution(t *testing.T) {
 	const drivers = 8
 	base := runtime.NumGoroutine()
 	env := sim.NewEnv(iounit.New(), 1, 2)
 	defer env.Close()
 	chunks, events := chunkPlan(t, "c-hedge", 120, 80)
+	want := localCounts(t, env, chunks, events)
 
 	rec := obs.NewRecorder()
 	lb := NewLoopback()
-	// The straggler's one connection against twelve fast ones keeps its
-	// slow samples far below the ring's 5% p95 tail, and its delayed
-	// handshake means the ring warms up from fast samples before it ever
-	// completes an exchange — every chunk that starts on it is hedged.
-	caps := []int{6, 1, 6}
+	// Sixteen fast connections, as many as the ring needs samples before
+	// hedging arms (healthSet.latencyP95), and the straggler's one, pooled
+	// last because its handshake is delayed like every frame it writes.
+	caps := []int{8, 1, 8}
 	faults := []Faults{{}, {Delay: 300 * time.Millisecond}, {}}
 	addrs := make([]string, 3)
 	servers := make([]*Server, 3)
@@ -348,40 +348,36 @@ func TestHedgedStragglerExecution(t *testing.T) {
 			s.Shutdown()
 		}
 	}()
-	if err := d.WaitReady(10 * time.Second); err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		h := d.Health()
+		if len(h) == 3 && h[0].Conns == caps[0] && h[1].Conns == caps[1] && h[2].Conns == caps[2] {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet never fully connected: %+v", h)
+		}
 	}
 
-	// Engagement must not depend on how fast a chunk simulates or on
-	// which connection a spurious hedge happens to borrow. The first half
-	// of the plan warms the latency ring; each round then waits for the
-	// event the scenario needs — the straggler's delayed handshake has
-	// completed and its connection is pooled — and drives the second
-	// half, which cycles through every pooled connection. A round in
-	// which the straggler's connection was spent as the losing side of a
-	// hedge (and evicted) is followed by another.
-	warm, probe := chunks[:len(chunks)/2], chunks[len(chunks)/2:]
-	wantProbe := localCounts(t, env, probe, events)
-	want := localCounts(t, env, warm, events)
-	got := driveChunks(t, d, env, warm, events, drivers)
-	for round := 0; round < 20 && rec.Counter("farm.hedge_wins").Value() == 0; round++ {
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-			if h := d.Health(); len(h) == 3 && h[1].Addr == "b" && h[1].Conns > 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("straggler never connected: %+v", d.Health())
-			}
-		}
-		got.Merge(driveChunks(t, d, env, probe, events, drivers))
-		want.Merge(wantProbe)
+	// Engagement must depend neither on how fast a chunk simulates nor on
+	// which idle connection a hedge borrows (an unscored worker ranks
+	// healthiest, and a hedge that loses evicts its connection). One
+	// driver walks the pool first: sixteen fast exchanges, none hedged
+	// because the ring is still filling, then the straggler's connection
+	// with the ring exactly warm. The rest of the plan runs concurrently.
+	got := driveChunks(t, d, env, chunks[:17], events, 1)
+	if wins := rec.Counter("farm.hedge_wins").Value(); wins != 1 {
+		t.Fatalf("the straggler's first exchange: hedge wins = %d, want 1 (hedges=%d)", wins, rec.Counter("farm.hedges").Value())
 	}
+	got.Merge(driveChunks(t, d, env, chunks[17:], events, drivers))
 	diffCounts(t, "hedged straggler", got, want)
-	totalSims := want.Sims()
 
 	hedges := rec.Counter("farm.hedges").Value()
 	wins := rec.Counter("farm.hedge_wins").Value()
 	hedged := rec.Counter("farm.hedged_sims").Value()
+	totalSims := uint64(0)
+	for _, c := range chunks {
+		totalSims += uint64(c.Hi - c.Lo)
+	}
 	if hedges == 0 || wins == 0 {
 		t.Fatalf("hedging never engaged (hedges=%d wins=%d): straggler unmitigated", hedges, wins)
 	}

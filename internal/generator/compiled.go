@@ -115,6 +115,7 @@ func (s *slot) label(r *rng.RNG) string {
 // after Compile and safe for concurrent use by any number of generators.
 type Plan struct {
 	tmpl  *template.Template
+	names []string // the defaults' parameters, sorted: slots[:len(names)]
 	slots []slot
 	index map[string]int // parameter name -> slot
 	err   error
@@ -125,7 +126,7 @@ type Plan struct {
 // still yields a Plan, carrying the error.
 func Compile(tmpl *template.Template, defaults Defaults) *Plan {
 	names := sortedNames(defaults)
-	plan := &Plan{tmpl: tmpl, slots: make([]slot, len(names)), index: make(map[string]int, len(names))}
+	plan := &Plan{tmpl: tmpl, names: names, slots: make([]slot, len(names)), index: make(map[string]int, len(names))}
 	for i, name := range names {
 		plan.index[name] = i
 		s, err := compileParam(defaults[name], nil)

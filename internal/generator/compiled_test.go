@@ -348,12 +348,48 @@ func TestCodesFollowTheDefaultsNotTheTemplate(t *testing.T) {
 	}
 }
 
+func TestVocabularyIsTheDefaultEntryListInCodeOrder(t *testing.T) {
+	bind := Bind(testDefaults(t))
+	vocab := bind.Vocabulary("Mnemonic")
+	if want := []string{"load", "store", "add", "mul"}; !reflect.DeepEqual(vocab, want) {
+		t.Fatalf("Vocabulary(Mnemonic) = %v, want %v", vocab, want)
+	}
+	for code, v := range vocab {
+		if got := bind.Code("Mnemonic", v); got != code {
+			t.Errorf("Code(Mnemonic, %s) = %d, want %d", v, got, code)
+		}
+	}
+}
+
+// TestCheckRejectsAGeneratorOverOtherDefaults: handles index slots by
+// position, so a generator compiled over defaults with another parameter
+// set must not reach a unit's decision loop.
+func TestCheckRejectsAGeneratorOverOtherDefaults(t *testing.T) {
+	defaults := testDefaults(t)
+	bind := Bind(defaults)
+	bind.Check(New(nil, defaults, 1))
+	bind.Check(New(mustParse(t, "template t { range Extra [1:2]; }"), defaults, 1)) // template-only parameters follow the defaults
+
+	grown := Defaults{"Added": &template.RangeParam{Name: "Added", Lo: 0, Hi: 1}}
+	for name, p := range defaults {
+		grown[name] = p
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "Added") {
+			t.Errorf("Check over grown defaults: panic %q, want one listing the parameters", msg)
+		}
+	}()
+	bind.Check(New(nil, grown, 1))
+}
+
 func TestBindingPanicsOnUnknownNames(t *testing.T) {
 	bind := Bind(testDefaults(t))
 	for name, f := range map[string]func(){
-		"unknown parameter":      func() { bind.Handle("Missing") },
-		"unknown value":          func() { bind.Code("Mnemonic", "div") },
-		"value of a range param": func() { bind.Code("CacheDelay", "x") },
+		"unknown parameter":           func() { bind.Handle("Missing") },
+		"unknown value":               func() { bind.Code("Mnemonic", "div") },
+		"value of a range param":      func() { bind.Code("CacheDelay", "x") },
+		"vocabulary of a range param": func() { bind.Vocabulary("CacheDelay") },
 	} {
 		func() {
 			defer func() {

@@ -24,6 +24,7 @@ package generator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -87,6 +88,36 @@ func (b *Binding) Code(name, value string) int {
 		}
 	}
 	panic(fmt.Sprintf("generator: parameter %q has no default value %q", name, value))
+}
+
+// Vocabulary returns the values of a symbolic parameter in code order:
+// its default entry list. Units fill their code-indexed tables from it,
+// so the defaults remain the one declaration of each vocabulary.
+func (b *Binding) Vocabulary(name string) []string {
+	wp, ok := b.defaults[name].(*template.WeightParam)
+	if !ok {
+		panic(fmt.Sprintf("generator: no symbolic default for parameter %q", name))
+	}
+	vocab := make([]string, len(wp.Entries))
+	for i, e := range wp.Entries {
+		if e.IsRange {
+			panic(fmt.Sprintf("generator: the default of parameter %q has subrange entries", name))
+		}
+		vocab[i] = e.Value
+	}
+	return vocab
+}
+
+// Check panics unless g decides over a plan compiled from the defaults
+// the binding was made over, the condition for the binding's handles to
+// index g's slots. A unit calls it once per Simulate, so a generator
+// built over other defaults — or over a Defaults map that gained or lost
+// a parameter after Bind — fails with both name lists instead of
+// deciding from the wrong parameter.
+func (b *Binding) Check(g *Generator) {
+	if !slices.Equal(b.names, g.plan.names) {
+		panic(fmt.Sprintf("generator: handles bound over parameters %v used with a plan over %v", b.names, g.plan.names))
+	}
 }
 
 // Generator makes biased-random decisions for one test-instance of a
