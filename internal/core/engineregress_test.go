@@ -9,8 +9,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/duv"
 	"repro/internal/duv/iounit"
 	"repro/internal/duv/l3cache"
+	"repro/internal/duv/noc"
 )
 
 // The default-engine byte-identity lock: the pluggable-engine refactor
@@ -36,10 +38,10 @@ func canonicalReport(t *testing.T, r *Report) []byte {
 		Sims        uint64   `json:"sims"`
 	}
 	doc := struct {
-		Unit         string  `json:"unit"`
-		TargetEvents []int   `json:"target_events"`
-		Chosen       []any   `json:"chosen"`
-		Phases       []phase `json:"phases"`
+		Unit         string    `json:"unit"`
+		TargetEvents []int     `json:"target_events"`
+		Chosen       []any     `json:"chosen"`
+		Phases       []phase   `json:"phases"`
 		BestWeights  []float64 `json:"best_weights"`
 		BestTemplate string    `json:"best_template"`
 		Progress     any       `json:"progress"`
@@ -94,10 +96,14 @@ func checkReportGolden(t *testing.T, name string, reports []*Report) {
 	}
 }
 
-// TestDefaultEngineReportGolden runs small deterministic family and
-// cross flows with the default configuration (no engine named — the
-// implicit-filtering path) and compares the full reports byte-for-byte
-// against goldens captured before the opt.Engine refactor.
+// TestDefaultEngineReportGolden runs small deterministic flows through
+// every entry point with the default configuration (no engine named —
+// the implicit-filtering path) and compares the full reports
+// byte-for-byte against goldens captured on the code before the change
+// they lock: the family and l3 files before the opt.Engine refactor,
+// the cross, events and per-event files before the steps of the flow
+// were factored into one pipeline. A journaled row must reproduce its
+// unjournaled golden: journaling never perturbs a report.
 func TestDefaultEngineReportGolden(t *testing.T) {
 	famCfg := Config{
 		Seed:                  7,
@@ -112,17 +118,6 @@ func TestDefaultEngineReportGolden(t *testing.T) {
 		BestSims:              100,
 		Workers:               3,
 	}
-	flow, err := New(iounit.New(), famCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, err := flow.RunFamilyRefined(context.Background(), iounit.FamilyName, 0.4, 2)
-	flow.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkReportGolden(t, "engine_default_family.golden", reports)
-
 	crossCfg := Config{
 		Seed:                  11,
 		CorpusSimsPerTemplate: 150,
@@ -136,14 +131,48 @@ func TestDefaultEngineReportGolden(t *testing.T) {
 		BestSims:              80,
 		Workers:               2,
 	}
-	l3, err := New(l3cache.New(), crossCfg)
-	if err != nil {
-		t.Fatal(err)
+	one := func(r *Report, err error) ([]*Report, error) { return []*Report{r}, err }
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name, golden string
+		unit         duv.DUV
+		cfg          Config
+		journaled    bool
+		run          func(*Flow) ([]*Report, error)
+	}{
+		{"family_refined", "engine_default_family.golden", iounit.New(), famCfg, false, func(f *Flow) ([]*Report, error) {
+			return f.RunFamilyRefined(ctx, iounit.FamilyName, 0.4, 2)
+		}},
+		{"family_l3", "engine_default_l3.golden", l3cache.New(), crossCfg, false, func(f *Flow) ([]*Report, error) {
+			return one(f.RunFamily(ctx, l3cache.FamilyName, 0.5))
+		}},
+		{"cross_noc", "engine_default_cross_noc.golden", noc.New(), crossCfg, false, func(f *Flow) ([]*Report, error) {
+			return one(f.RunCross(ctx, noc.CrossName))
+		}},
+		{"events_l3", "engine_default_events_l3.golden", l3cache.New(), crossCfg, false, func(f *Flow) ([]*Report, error) {
+			return one(f.RunEvents(ctx, []string{"byp_reqs03"}, 0.5))
+		}},
+		{"per_event_l3", "engine_default_per_event_l3.golden", l3cache.New(), crossCfg, false, func(f *Flow) ([]*Report, error) {
+			return f.RunPerEventShared(ctx, l3cache.FamilyName, 0.5)
+		}},
+		{"per_event_l3_journaled", "engine_default_per_event_l3.golden", l3cache.New(), crossCfg, true, func(f *Flow) ([]*Report, error) {
+			return f.RunPerEventShared(ctx, l3cache.FamilyName, 0.5)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.journaled {
+				tc.cfg.Journal = filepath.Join(t.TempDir(), "flow.journal")
+			}
+			flow, err := New(tc.unit, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports, err := tc.run(flow)
+			flow.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkReportGolden(t, tc.golden, reports)
+		})
 	}
-	rep, err := l3.RunFamily(context.Background(), l3cache.FamilyName, 0.5)
-	l3.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkReportGolden(t, "engine_default_l3.golden", []*Report{rep})
 }
