@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/duv/iounit"
+	"repro/internal/journal"
 )
 
 // chaosConfig is deliberately tiny: the sweep reruns the campaign twice
@@ -29,39 +30,67 @@ func chaosConfig() core.Config {
 	}
 }
 
-func chaosCampaign() Campaign {
+// chaosCampaign journals run's campaign on the I/O unit.
+func chaosCampaign(run func(*core.Flow) (any, error)) Campaign {
 	return Campaign{
 		NewFlow: func(journal string) (*core.Flow, error) {
 			cfg := chaosConfig()
 			cfg.Journal = journal
 			return core.New(iounit.New(), cfg)
 		},
-		Run: func(f *core.Flow) (any, error) {
-			reports, err := f.RunFamilyRefined(context.Background(), iounit.FamilyName, 0.4, 1)
-			if err != nil {
-				return nil, err
-			}
-			return reports, nil
-		},
+		Run: run,
 	}
 }
 
-// TestKillAtEveryAppendBoundary is the PR's central robustness
-// property: a flow killed at ANY journal append — cleanly at the record
-// boundary, or mid-frame with a torn partial write on disk — must
-// resume into a bit-identical result. The sweep covers every record the
-// campaign journals.
+func runRefined(f *core.Flow) (any, error) {
+	reports, err := f.RunFamilyRefined(context.Background(), iounit.FamilyName, 0.4, 1)
+	if err != nil {
+		return nil, err
+	}
+	return reports, nil
+}
+
+// runPerEvent is the shared-sample composition: two uncovered crc_fifo
+// events, each with its own optimization and harvest.
+func runPerEvent(f *core.Flow) (any, error) {
+	reports, err := f.RunPerEventShared(context.Background(), iounit.FamilyName, 0.4)
+	if err != nil {
+		return nil, err
+	}
+	return reports, nil
+}
+
+// TestKillAtEveryAppendBoundary is the central robustness property: a
+// flow killed at ANY journal append — cleanly at the record boundary,
+// or mid-frame with a torn partial write on disk — must resume into a
+// bit-identical result. The sweep covers every record the campaign
+// journals, for both compositions of the flow's steps.
 func TestKillAtEveryAppendBoundary(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	trials, err := chaosCampaign().Sweep(t.TempDir(), []int{0, 7})
-	if err != nil {
-		t.Fatal(err)
+	for _, row := range []struct {
+		name  string
+		run   func(*core.Flow) (any, error)
+		tears []int
+	}{
+		{"family", runRefined, []int{0, 7}},
+		{"per_event", runPerEvent, []int{0}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			trials, err := chaosCampaign(row.run).Sweep(dir, row.tears)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trials < 20 {
+				t.Fatalf("sweep ran only %d trials; the campaign journals too few records to be a meaningful test", trials)
+			}
+			t.Logf("chaos sweep: %d crash+resume trials, all bit-identical", trials)
+			if row.name == "per_event" {
+				checkEveryTargetCheckpointed(t, filepath.Join(dir, "baseline.journal"))
+			}
+		})
 	}
-	if trials < 20 {
-		t.Fatalf("sweep ran only %d trials; the campaign journals too few records to be a meaningful test", trials)
-	}
-	t.Logf("chaos sweep: %d crash+resume trials, all bit-identical", trials)
 
 	// Every killed flow was Closed; its workers must be gone. Allow the
 	// runtime a moment to retire exiting goroutines.
@@ -76,12 +105,40 @@ func TestKillAtEveryAppendBoundary(t *testing.T) {
 	}
 }
 
+// checkEveryTargetCheckpointed asserts a finished per-event journal
+// holds, for each target, its optimizer iterations followed by its
+// harvest — what lets a resumed campaign skip the targets it finished.
+func checkEveryTargetCheckpointed(t *testing.T, path string) {
+	t.Helper()
+	recs, w, err := journal.Recover(path, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	harvests, iters := 0, 0
+	for _, r := range recs {
+		switch r.Type {
+		case "opt_iter":
+			iters++
+		case "harvest":
+			if iters == 0 {
+				t.Fatalf("harvest %d has no opt_iter record before it", harvests+1)
+			}
+			harvests++
+			iters = 0
+		}
+	}
+	if harvests != 2 {
+		t.Fatalf("journal holds %d harvest records in %d, want one per target (2)", harvests, len(recs))
+	}
+}
+
 // TestCrashAndResumeRejectsForeignFlow: the harness must not be able to
 // resume a journal into a flow with a different config — the guard the
 // whole bit-identity argument rests on.
 func TestCrashAndResumeRejectsForeignFlow(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "victim.journal")
-	c := chaosCampaign()
+	c := chaosCampaign(runRefined)
 	victim, err := c.NewFlow(path)
 	if err != nil {
 		t.Fatal(err)

@@ -1,20 +1,27 @@
 // Package core implements the AS-CDG flow (paper Section IV, Fig. 2):
 // the CDG-Runner orchestration that ties the substrates together.
 //
-// Given target coverage events, the flow
+// On top of the "Before CDG" corpus — the unit's base regression suite
+// simulated into a coverage repository, built once or reused — the flow
+// is six steps, one function each (steps.go):
 //
-//  1. builds (or reuses) the "Before CDG" corpus: the unit's base
-//     regression suite simulated into a coverage repository;
-//  2. forms the approximated target from neighbor events;
-//  3. runs the coarse-grained search: TAC finds the best existing
-//     test-templates for the approximated target, and the parameters of
-//     the top-n templates are merged into one candidate template;
-//  4. skeletonizes the candidate, defining the fine-grained search box;
-//  5. random-samples the box (n templates x N sims each) and picks the
-//     best starting point;
-//  6. optimizes with implicit filtering (n+1 templates per iteration,
-//     N sims per template);
-//  7. harvests the best template and measures it standalone.
+//  1. approximated target: the real target events plus weighted
+//     neighbor events (familyTarget, crossTarget, eventsTarget);
+//  2. coarse-grained search: TAC finds the best existing test-templates
+//     for the approximated target, and the parameters of the top-n are
+//     merged into one candidate template (coarseSearch);
+//  3. skeletonize the candidate, defining the fine-grained search box
+//     (skeletonize);
+//  4. random-sample the box, n templates x N sims each (sampleBox);
+//  5. optimize from the best sampled point with the configured engine —
+//     implicit filtering by default, n+1 templates per iteration, N sims
+//     per template (optimize);
+//  6. harvest the best template and measure it standalone (harvest).
+//
+// Two compositions run them: pipeline takes one approximated target
+// through steps 2-6 (Run, RunFamily, RunFamilyRefined, RunCross and
+// RunEvents differ only in step 1), and perEventShared runs steps 2-4
+// once and steps 5-6 per uncovered event (RunPerEventShared).
 //
 // Every phase's aggregate coverage is retained so the paper's result
 // tables (Figs. 3-5) and the optimization progress curve (Fig. 6) can be
@@ -27,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 
 	"repro/internal/coverage"
@@ -356,7 +364,7 @@ func (f *Flow) Close() {
 }
 
 // begin installs the run's context on the flow and its environment
-// (nil means never canceled). Entry points call it before any phase.
+// (nil means never canceled), before any phase.
 func (f *Flow) begin(ctx context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -373,7 +381,7 @@ func (f *Flow) ctxErr() error {
 	return f.ctx.Err()
 }
 
-// finish normalizes an entry point's error: a run that failed because
+// finish normalizes a run's error: a run that failed because
 // its context was canceled is an interruption, not a failure — the
 // error is wrapped so errors.Is(err, ErrInterrupted) holds (the
 // original cause stays in the chain) and the cancellation metric is
@@ -389,6 +397,40 @@ func (f *Flow) finish(err error) error {
 // Repository returns the flow's corpus (nil until built or configured).
 func (f *Flow) Repository() *coverage.Repository { return f.repo }
 
+// campaign is the one frame around every entry point: it installs the
+// run's context, runs the composition, and turns a failure caused by
+// cancellation into an interruption.
+func campaign[R any](ctx context.Context, f *Flow, run func() (R, error)) (R, error) {
+	f.begin(ctx)
+	out, err := run()
+	return out, f.finish(err)
+}
+
+// runTarget is the frame of every single-target entry point: step 1 as
+// the entry point resolves it, then steps 2-6.
+func (f *Flow) runTarget(ctx context.Context, step1 func() (*neighbors.Target, []int, error)) (*Report, error) {
+	return campaign(ctx, f, func() (*Report, error) {
+		target, targetEvents, err := step1()
+		if err != nil {
+			return nil, err
+		}
+		return f.pipeline(target, targetEvents)
+	})
+}
+
+// Run executes the flow for an approximated target and the list of
+// real target events, with cancellation and journal replay. With a
+// journal armed (Config.Journal), completed phases replay from the
+// record stream without simulating and the run re-enters live execution
+// mid-phase; either way the Report is bit-identical to an uninterrupted
+// unjournaled run. On cancellation the flow stops between simulations,
+// never journals post-cancellation state, and returns an
+// ErrInterrupted-wrapped error — the journal then resumes from the last
+// completed record.
+func (f *Flow) Run(ctx context.Context, target *neighbors.Target, targetEvents []int) (*Report, error) {
+	return f.runTarget(ctx, func() (*neighbors.Target, []int, error) { return target, targetEvents, nil })
+}
+
 // RunFamily is the common entry point for buffer-utilization families:
 // the real targets are the family's uncovered events, and the
 // approximated target is the decay-weighted family (decay 1 = the
@@ -396,38 +438,7 @@ func (f *Flow) Repository() *coverage.Repository { return f.repo }
 // with an ErrInterrupted-wrapped error, leaving any journal consistent
 // for resumption.
 func (f *Flow) RunFamily(ctx context.Context, family string, decay float64) (*Report, error) {
-	report, err := f.runFamily(ctx, family, decay)
-	return report, f.finish(err)
-}
-
-func (f *Flow) runFamily(ctx context.Context, family string, decay float64) (*Report, error) {
-	f.begin(ctx)
-	model := f.env.Unit().Model()
-	famIDs, ok := model.Family(family)
-	if !ok {
-		return nil, fmt.Errorf("core: unit %q has no family %q", f.env.Unit().Name(), family)
-	}
-	if err := f.ensureCorpus(); err != nil {
-		return nil, err
-	}
-	// Real targets: the family events still uncovered after the corpus.
-	ph := f.rec.PhaseStart("neighbors", map[string]any{"family": family, "decay": decay})
-	var targets []int
-	for _, id := range famIDs {
-		if f.repo.Total().Hits(id) == 0 {
-			targets = append(targets, id)
-		}
-	}
-	if len(targets) == 0 {
-		// Everything already covered: aim at the deepest (last) member.
-		targets = famIDs[len(famIDs)-1:]
-	}
-	ws, err := neighbors.Ordinal(model, family, targets, decay)
-	ph.End(map[string]any{"targets": len(targets), "approx_events": len(ws)})
-	if err != nil {
-		return nil, err
-	}
-	return f.Run(ctx, neighbors.NewTarget(ws), targets)
+	return f.runTarget(ctx, func() (*neighbors.Target, []int, error) { return f.familyTarget(family, decay) })
 }
 
 // RunCross is the entry point for cross-product coverage (the paper's
@@ -435,37 +446,23 @@ func (f *Flow) runFamily(ctx context.Context, family string, decay float64) (*Re
 // approximated target spans the whole cross product uniformly. ctx
 // cancels as in RunFamily.
 func (f *Flow) RunCross(ctx context.Context, crossName string) (*Report, error) {
-	report, err := f.runCross(ctx, crossName)
-	return report, f.finish(err)
+	return f.runTarget(ctx, func() (*neighbors.Target, []int, error) { return f.crossTarget(crossName) })
 }
 
-func (f *Flow) runCross(ctx context.Context, crossName string) (*Report, error) {
-	f.begin(ctx)
-	model := f.env.Unit().Model()
-	cp, ok := model.Cross(crossName)
-	if !ok {
-		return nil, fmt.Errorf("core: unit %q has no cross product %q", f.env.Unit().Name(), crossName)
-	}
-	if err := f.ensureCorpus(); err != nil {
-		return nil, err
-	}
-	ph := f.rec.PhaseStart("neighbors", map[string]any{"cross": crossName})
-	ids, err := model.IDs(cp.EventNames())
-	if err != nil {
-		ph.End(nil)
-		return nil, err
-	}
-	var targets []int
-	for _, id := range ids {
-		if f.repo.Total().Hits(id) == 0 {
-			targets = append(targets, id)
-		}
-	}
-	if len(targets) == 0 {
-		targets = ids
-	}
-	ph.End(map[string]any{"targets": len(targets), "approx_events": len(ids)})
-	return f.Run(ctx, neighbors.Uniform(ids), targets)
+// RunEvents targets an arbitrary set of events by name, without
+// requiring them to belong to a declared family or cross product. The
+// approximated target is mined from the coverage repository with the
+// correlation method (the FRIENDS substitute, paper Section IV-A): the
+// targets themselves at weight 1, plus every event whose per-template
+// hit profile resembles theirs, weighted by similarity.
+//
+// minSim in [0, 1] sets the similarity cutoff; 0.5 is a reasonable
+// default. At least one target must already have evidence in the
+// repository — for fully dark targets, structural neighbors (RunFamily,
+// RunCross) are the right tool, exactly as in the paper. ctx cancels as
+// in RunFamily.
+func (f *Flow) RunEvents(ctx context.Context, eventNames []string, minSim float64) (*Report, error) {
+	return f.runTarget(ctx, func() (*neighbors.Target, []int, error) { return f.eventsTarget(eventNames, minSim) })
 }
 
 // RunFamilyRefined repeats RunFamily up to rounds times, implementing
@@ -503,47 +500,13 @@ func (f *Flow) RunFamilyRefined(ctx context.Context, family string, decay float6
 // in the repository.
 func (f *Flow) familyCovered(family string) bool {
 	famIDs, _ := f.env.Unit().Model().Family(family)
-	for _, id := range famIDs {
-		if f.repo.Total().Hits(id) == 0 {
-			return false
-		}
-	}
-	return true
+	return len(f.uncovered(famIDs)) == 0
 }
 
-func (f *Flow) ensureCorpus() error {
-	if f.repo != nil {
-		return nil
-	}
-	ph := f.rec.PhaseStart("corpus", map[string]any{
-		"sims_per_template": f.cfg.CorpusSimsPerTemplate,
-	})
-	repo, err := f.env.BuildCorpusJournaled(f.cfg.CorpusSimsPerTemplate, f.cur)
-	if err != nil {
-		ph.End(nil)
-		return err
-	}
-	f.repo = repo
-	ph.End(map[string]any{"sims": f.repo.Sims()})
-	return nil
-}
-
-// Run executes the flow for an approximated target and the list of
-// real target events, with cancellation and journal replay. With a
-// journal armed (Config.Journal), completed phases replay from the
-// record stream without simulating and the run re-enters live execution
-// mid-phase; either way the Report is bit-identical to an uninterrupted
-// unjournaled run. On cancellation the flow stops between simulations,
-// never journals post-cancellation state, and returns an
-// ErrInterrupted-wrapped error — the journal then resumes from the last
-// completed record.
-func (f *Flow) Run(ctx context.Context, target *neighbors.Target, targetEvents []int) (*Report, error) {
-	f.begin(ctx)
-	report, err := f.run(target, targetEvents)
-	return report, f.finish(err)
-}
-
-func (f *Flow) run(target *neighbors.Target, targetEvents []int) (*Report, error) {
+// pipeline is the first of the flow's two compositions: one approximated
+// target through steps 2-6, bracketed by the journal's run_start and
+// run_done records.
+func (f *Flow) pipeline(target *neighbors.Target, targetEvents []int) (*Report, error) {
 	if target == nil || target.Len() == 0 {
 		return nil, fmt.Errorf("core: empty approximated target")
 	}
@@ -553,257 +516,58 @@ func (f *Flow) run(target *neighbors.Target, targetEvents []int) (*Report, error
 	if err := f.syncRunStart(target, targetEvents); err != nil {
 		return nil, err
 	}
-	model := f.env.Unit().Model()
 	simsAtStart := f.env.Simulations()
-	report := &Report{
-		Unit:         f.env.Unit().Name(),
-		Target:       target,
-		TargetEvents: append([]int(nil), targetEvents...),
-	}
-	report.Phases = append(report.Phases, PhaseStats{
-		Name:        "before",
-		Description: fmt.Sprintf("%d sims", f.repo.Sims()),
-		Counts:      f.repo.Total().Clone(),
-	})
-
-	// Coarse-grained search (paper Section IV-B). The repository may
-	// contain statistics for templates whose bodies the flow does not
-	// have (e.g. templates harvested by earlier runs against a shared
-	// corpus); only templates with known bodies can seed the skeleton,
-	// so rank all templates and keep the best TopTemplates known ones.
-	phTac := f.rec.PhaseStart("tac", map[string]any{"approx_events": target.Len()})
-	stats := tac.New(f.repo)
-	ranked, err := stats.BestTemplates(target.Events(), target.Weights(), 0)
+	before := f.beforePhase()
+	chosen, candidate, err := f.coarseSearch(target)
 	if err != nil {
-		phTac.End(nil)
 		return nil, err
 	}
-	ranked = blendTACPrior(ranked, f.cfg.TACPrior)
-	byName := map[string]*template.Template{}
-	for _, t := range f.env.Unit().BaseTemplates() {
-		byName[t.Name] = t
-	}
-	for name, t := range f.extra {
-		byName[name] = t
-	}
-	var best []tac.TemplateScore
-	var chosen []*template.Template
-	for _, ts := range ranked {
-		t, ok := byName[ts.Name]
-		if !ok {
-			continue
-		}
-		best = append(best, ts)
-		chosen = append(chosen, t)
-		if len(best) == f.cfg.TopTemplates {
-			break
-		}
-	}
-	phTac.End(map[string]any{"chosen": len(best)})
-	if len(best) == 0 || best[0].Score == 0 {
-		return nil, fmt.Errorf("core: no existing template shows evidence for the approximated target; widen the neighborhood")
-	}
-	report.ChosenTemplates = best
-	candidate := MergeTemplates(f.env.Unit().Name()+"_cdg_candidate", chosen)
-	report.Candidate = candidate
-
-	// Skeletonize (paper Section IV-C).
-	phSkel := f.rec.PhaseStart("skeleton", map[string]any{"candidate": candidate.Name})
-	skel, err := skeleton.Skeletonize(candidate, skeleton.Options{
-		IncludeZeroWeights: f.cfg.IncludeZeroWeights,
-		Subranges:          f.cfg.Subranges,
-		Mode:               f.cfg.SubrangeMode,
-	})
+	skel, err := f.skeletonize(candidate)
 	if err != nil {
-		phSkel.End(nil)
 		return nil, err
 	}
-	report.Skeleton = skel
-	phSkel.End(map[string]any{"dim": skel.Dim()})
-
 	r := rng.New(f.cfg.Seed).SplitString("cdg-runner")
-
-	// Random sample phase (paper Section IV-D).
-	phSample := f.rec.PhaseStart("sampling", map[string]any{
-		"templates": f.cfg.SampleTemplates, "sims_each": f.cfg.SampleSims,
-	})
-	samples, samplePhase, err := f.samplePhase(skel, r.SplitString("sample"))
+	samples, sampling, err := f.sampleBox(skel, r.SplitString("sample"), target)
 	if err != nil {
-		phSample.End(nil)
 		return nil, err
 	}
-	bestX, bestStart := bestSample(samples, target)
-	phSample.End(map[string]any{"best_score": bestStart})
-	report.Phases = append(report.Phases, PhaseStats{
-		Name:        "sampling",
-		Description: fmt.Sprintf("%d tests x %d sims each", f.cfg.SampleTemplates, f.cfg.SampleSims),
-		Counts:      samplePhase,
+	res, optimization, err := f.optimize(skel, samples, target, r.SplitString("optimize"), map[string]any{
+		"iterations": f.cfg.OptIterations, "directions": f.cfg.OptDirections, "sims_per_point": f.cfg.OptSims,
 	})
-
-	// Optimization phase (paper Section IV-E, Algorithm 1). The n
-	// stencil probes of an iteration are independent, so they are
-	// submitted as concurrent jobs on the environment's scheduler; batch
-	// seeds are assigned in point order, keeping the run bit-identical
-	// to sequential evaluation.
-	phOpt := f.rec.PhaseStart("optimization", map[string]any{
-		"iterations": f.cfg.OptIterations, "directions": f.cfg.OptDirections,
-		"sims_per_point": f.cfg.OptSims, "start_score": bestStart,
-	})
-	// Replay checkpointed iterations: the last opt_iter record carries
-	// the engine's complete resumable state and the cumulative phase
-	// aggregate, so the engine re-enters at the following iteration.
-	engineName := f.cfg.engineName()
-	optPhase := coverage.NewCountsFor(model)
-	var optResume json.RawMessage
-	for {
-		var rec optIterRec
-		ok, err := f.cur.Take("opt_iter", &rec)
-		if err != nil {
-			phOpt.End(nil)
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if rec.Engine != engineName {
-			phOpt.End(nil)
-			return nil, fmt.Errorf("core: journal opt_iter record is from engine %q, flow uses %q", rec.Engine, engineName)
-		}
-		if len(rec.PhaseHits) != model.Size() {
-			phOpt.End(nil)
-			return nil, fmt.Errorf("core: journal opt_iter record has %d events, want %d", len(rec.PhaseHits), model.Size())
-		}
-		optPhase = coverage.CountsFromRaw(rec.PhaseHits, rec.PhaseSims)
-		optResume = rec.State
-		f.env.RestoreCounters(rec.Batches, rec.EnvSims)
-	}
-	var batchErr error
-	checkpoint := func(state json.RawMessage) error {
-		// An iteration evaluated on a failed or canceled batch must not
-		// reach the journal: its values are not real simulation results.
-		if batchErr != nil {
-			return batchErr
-		}
-		if err := f.ctxErr(); err != nil {
-			return err
-		}
-		hits, sims := optPhase.Raw()
-		return f.cur.Append("opt_iter", optIterRec{
-			Engine: engineName, State: state, PhaseHits: hits, PhaseSims: sims,
-			Batches: f.env.Batches(), EnvSims: f.env.Simulations(),
-		})
-	}
-	params, err := f.cfg.engineParams()
 	if err != nil {
-		phOpt.End(nil)
 		return nil, err
 	}
-	eng, err := opt.New(engineName, opt.EngineConfig{
-		X0:          bestX,
-		Lo:          0,
-		Hi:          float64(skel.MaxWeight()),
-		TargetValue: f.cfg.TargetValue,
-		RNG:         r.SplitString("optimize"),
-		Recorder:    f.rec,
-		Prior:       f.cfg.Prior,
-	}, params)
-	if err != nil {
-		phOpt.End(nil)
-		return nil, err
-	}
-	res, err := opt.Drive(eng, opt.DriveOptions{
-		Batch:      f.batchObjective(skel, target, optPhase, &batchErr),
-		BatchSize:  f.cfg.OptDirections,
-		Context:    f.ctx,
-		Checkpoint: checkpoint,
-		Resume:     optResume,
-	})
-	if err == nil && batchErr != nil {
-		err = batchErr
-	}
-	if err != nil {
-		phOpt.End(nil)
-		return nil, err
-	}
-	phOpt.End(map[string]any{"best": res.Value, "evals": res.Evals})
-	report.Progress = res.History
-	report.Phases = append(report.Phases, PhaseStats{
-		Name: "optimization",
-		Description: fmt.Sprintf("%d iterations x %d tests x %d sims",
-			len(res.History), f.cfg.OptDirections+1, f.cfg.OptSims),
-		Counts: optPhase,
-	})
-
-	// Harvest (paper Section IV-F): measure the best template standalone.
-	// The round counter advances only after the phase succeeds, so a
-	// failed harvest neither skips a round number nor leaves the report
-	// and repository half-updated.
-	report.BestWeights = res.X
 	name := fmt.Sprintf("%s_cdg_best_%d", f.env.Unit().Name(), f.round+1)
-	phHarvest := f.rec.PhaseStart("harvest", map[string]any{"sims": f.cfg.BestSims})
-	bestTemplate, err := skel.Instantiate(name, res.X)
+	bestTemplate, best, err := f.harvest(skel, res.X, name, map[string]any{"sims": f.cfg.BestSims})
 	if err != nil {
-		phHarvest.End(nil)
 		return nil, err
 	}
-	report.BestTemplate = bestTemplate
-	bestCounts, err := f.harvestCounts(bestTemplate)
-	if err != nil {
-		phHarvest.End(nil)
-		return nil, err
+	report := &Report{
+		Unit:            f.env.Unit().Name(),
+		Target:          target,
+		TargetEvents:    append([]int(nil), targetEvents...),
+		ChosenTemplates: chosen,
+		Candidate:       candidate,
+		Skeleton:        skel,
+		Phases:          []PhaseStats{before, sampling, optimization, best},
+		BestWeights:     res.X,
+		BestTemplate:    bestTemplate,
+		Progress:        res.History,
+		TotalSims:       f.env.Simulations() - simsAtStart,
 	}
-	phHarvest.End(map[string]any{"template": bestTemplate.Name})
-	report.Phases = append(report.Phases, PhaseStats{
-		Name:        "best",
-		Description: fmt.Sprintf("%d sims", f.cfg.BestSims),
-		Counts:      bestCounts,
-	})
-
-	// The harvested template joins the regression suite: record its runs
-	// in the repository and keep its body so a refinement round's
-	// coarse-grained search may select it.
-	f.repo.RecordCounts(bestTemplate.Name, bestCounts)
-	f.extra[bestTemplate.Name] = bestTemplate
-	f.round++
-
-	report.TotalSims = f.env.Simulations() - simsAtStart
 	if err := f.syncRunDone(report.TotalSims); err != nil {
 		return nil, err
 	}
 	return report, nil
 }
 
-// harvestCounts measures the harvested template standalone — from the
-// journal when replaying, live (and journaled) otherwise.
-func (f *Flow) harvestCounts(tmpl *template.Template) (*coverage.Counts, error) {
-	var rec harvestRec
-	ok, err := f.cur.Take("harvest", &rec)
-	if err != nil {
-		return nil, err
+// beforePhase snapshots the repository as a report's "before" column.
+func (f *Flow) beforePhase() PhaseStats {
+	return PhaseStats{
+		Name:        "before",
+		Description: fmt.Sprintf("%d sims", f.repo.Sims()),
+		Counts:      f.repo.Total().Clone(),
 	}
-	if ok {
-		if rec.Name != tmpl.Name || len(rec.Hits) != f.env.Unit().Model().Size() {
-			return nil, fmt.Errorf("core: journal harvest record %q does not match template %q", rec.Name, tmpl.Name)
-		}
-		f.env.RestoreCounters(rec.Batches, rec.EnvSims)
-		return coverage.CountsFromRaw(rec.Hits, rec.Sims), nil
-	}
-	job, err := f.env.Submit(tmpl, f.cfg.BestSims)
-	if err != nil {
-		return nil, err
-	}
-	batches, envSims := f.env.Batches(), f.env.Simulations()
-	counts := job.Wait()
-	if err := f.ctxErr(); err != nil {
-		return nil, err
-	}
-	hits, sims := counts.Raw()
-	if err := f.cur.Append("harvest", harvestRec{
-		Name: tmpl.Name, Hits: hits, Sims: sims, Batches: batches, EnvSims: envSims,
-	}); err != nil {
-		return nil, err
-	}
-	return counts, nil
 }
 
 // syncRunStart validates (replay) or records (live) a run's opening
@@ -824,8 +588,8 @@ func (f *Flow) syncRunStart(target *neighbors.Target, targetEvents []int) error 
 	if !ok {
 		return f.cur.Append("run_start", want)
 	}
-	if !intsEqual(got.Targets, want.Targets) || !intsEqual(got.ApproxEvents, want.ApproxEvents) ||
-		!floatsEqual(got.ApproxWeights, want.ApproxWeights) {
+	if !slices.Equal(got.Targets, want.Targets) || !slices.Equal(got.ApproxEvents, want.ApproxEvents) ||
+		!slices.Equal(got.ApproxWeights, want.ApproxWeights) {
 		return fmt.Errorf("core: journal run_start record does not match this run's targets (journal belongs to a different campaign)")
 	}
 	return nil
@@ -847,164 +611,6 @@ func (f *Flow) syncRunDone(totalSims uint64) error {
 			got.Round, got.TotalSims, f.round, totalSims)
 	}
 	return nil
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// batchObjective builds the optimizer's objective: every point becomes a
-// (template, OptSims) job on the environment's scheduler. Points are
-// submitted in order — so batch seeds, and therefore results, match a
-// sequential evaluation exactly — and waited on in order, keeping the
-// phase aggregate's merge order deterministic too. A failure (closed or
-// canceled environment) is parked in errOut and zeros are returned; the
-// optimizer's checkpoint hook surfaces the error and aborts the run
-// before the poisoned values can be journaled or acted on.
-func (f *Flow) batchObjective(skel *skeleton.Skeleton, target *neighbors.Target, phase *coverage.Counts, errOut *error) opt.BatchObjective {
-	return func(points [][]float64) []float64 {
-		vals := make([]float64, len(points))
-		if *errOut != nil {
-			return vals
-		}
-		jobs := make([]*sim.Job, len(points))
-		for i, x := range points {
-			tmpl, err := skel.Instantiate("cand", x)
-			if err != nil {
-				*errOut = err
-				return vals
-			}
-			job, err := f.env.Submit(tmpl, f.cfg.OptSims)
-			if err != nil {
-				*errOut = err
-				return vals
-			}
-			jobs[i] = job
-		}
-		for i, job := range jobs {
-			counts := job.Wait()
-			if err := f.ctxErr(); err != nil {
-				*errOut = err
-				return vals
-			}
-			phase.Merge(counts)
-			vals[i] = target.Score(counts)
-		}
-		return vals
-	}
-}
-
-// sample is one evaluated point of the random-sample phase.
-type sample struct {
-	x      []float64
-	counts *coverage.Counts
-}
-
-// samplePhase runs the random-sample phase: SampleTemplates uniform
-// points in the skeleton's weight box, SampleSims sims each. All points
-// are submitted up front and simulated concurrently on the scheduler
-// (the coarse-phase sweep); submission order fixes the batch seeds, so
-// the result is identical to running them one at a time. It returns the
-// individual samples (so several targets can each pick their own best
-// starting point from the same simulations) and the phase aggregate.
-func (f *Flow) samplePhase(skel *skeleton.Skeleton, r *rng.RNG) ([]sample, *coverage.Counts, error) {
-	model := f.env.Unit().Model()
-	aggregate := coverage.NewCountsFor(model)
-	n := f.cfg.SampleTemplates
-	samples := make([]sample, 0, n)
-	// Replay prefix: weights are still drawn from the RNG (the stream
-	// must advance exactly as the live run's did); the counts come from
-	// the journal and the environment's seeding counters are restored so
-	// the live remainder draws the original batch seeds.
-	for len(samples) < n {
-		var rec sampleRec
-		ok, err := f.cur.Take("sample", &rec)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			break
-		}
-		if rec.I != len(samples) || len(rec.Hits) != model.Size() {
-			return nil, nil, fmt.Errorf("core: journal sample record %d does not match phase index %d", rec.I, len(samples))
-		}
-		x := skel.RandomWeights(r)
-		counts := coverage.CountsFromRaw(rec.Hits, rec.Sims)
-		aggregate.Merge(counts)
-		samples = append(samples, sample{x: x, counts: counts})
-		f.env.RestoreCounters(rec.Batches, rec.EnvSims)
-	}
-	first := len(samples)
-	if first == n {
-		return samples, aggregate, nil
-	}
-	type pending struct {
-		job              *sim.Job
-		batches, envSims uint64
-	}
-	jobs := make([]pending, 0, n-first)
-	for i := first; i < n; i++ {
-		x := skel.RandomWeights(r)
-		tmpl, err := skel.Instantiate(fmt.Sprintf("sample_%03d", i), x)
-		if err != nil {
-			return nil, nil, err
-		}
-		job, err := f.env.Submit(tmpl, f.cfg.SampleSims)
-		if err != nil {
-			return nil, nil, err
-		}
-		jobs = append(jobs, pending{job, f.env.Batches(), f.env.Simulations()})
-		samples = append(samples, sample{x: x})
-	}
-	for k, p := range jobs {
-		counts := p.job.Wait()
-		if err := f.ctxErr(); err != nil {
-			return nil, nil, err
-		}
-		aggregate.Merge(counts)
-		samples[first+k].counts = counts
-		hits, sims := counts.Raw()
-		if err := f.cur.Append("sample", sampleRec{
-			I: first + k, Hits: hits, Sims: sims, Batches: p.batches, EnvSims: p.envSims,
-		}); err != nil {
-			return nil, nil, err
-		}
-	}
-	return samples, aggregate, nil
-}
-
-// bestSample returns the sampled point with the highest target score,
-// and that score.
-func bestSample(samples []sample, target *neighbors.Target) ([]float64, float64) {
-	best := samples[0].x
-	bestScore := target.Score(samples[0].counts)
-	for _, s := range samples[1:] {
-		if score := target.Score(s.counts); score > bestScore {
-			bestScore = score
-			best = s.x
-		}
-	}
-	return best, bestScore
 }
 
 // MergeTemplates unions the parameters of the given templates (highest

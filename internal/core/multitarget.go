@@ -2,16 +2,10 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
-	"repro/internal/coverage"
 	"repro/internal/neighbors"
-	"repro/internal/opt"
 	"repro/internal/rng"
-	"repro/internal/skeleton"
-	"repro/internal/tac"
-	"repro/internal/template"
 )
 
 // RunPerEventShared implements the paper's future-work direction
@@ -27,207 +21,77 @@ import (
 //
 // Only the optimization and harvest phases run per target. Compared to
 // independent Run calls for k targets this saves (k-1) x (corpus +
-// sampling) simulations.
+// sampling) simulations. Journaled like every other campaign: a resumed
+// run replays the targets it had finished and re-enters the interrupted
+// one mid-optimization.
 //
 // It returns one report per target event, in family order. ctx cancels
 // as in RunFamily.
 func (f *Flow) RunPerEventShared(ctx context.Context, family string, decay float64) ([]*Report, error) {
-	reports, err := f.runPerEventShared(ctx, family, decay)
-	return reports, f.finish(err)
+	return campaign(ctx, f, func() ([]*Report, error) { return f.perEventShared(family, decay) })
 }
 
-func (f *Flow) runPerEventShared(ctx context.Context, family string, decay float64) ([]*Report, error) {
-	f.begin(ctx)
-	model := f.env.Unit().Model()
-	famIDs, ok := model.Family(family)
-	if !ok {
-		return nil, fmt.Errorf("core: unit %q has no family %q", f.env.Unit().Name(), family)
-	}
-	if err := f.ensureCorpus(); err != nil {
+// perEventShared is the second of the flow's two compositions: steps
+// 2-4 once, driven by the union of the family's targets, then steps 5-6
+// per target event against its own approximated target.
+func (f *Flow) perEventShared(family string, decay float64) ([]*Report, error) {
+	union, targets, err := f.familyTarget(family, decay)
+	if err != nil {
 		return nil, err
 	}
 	simsAtStart := f.env.Simulations()
-
-	var targets []int
-	for _, id := range famIDs {
-		if f.repo.Total().Hits(id) == 0 {
-			targets = append(targets, id)
-		}
-	}
-	if len(targets) == 0 {
-		targets = famIDs[len(famIDs)-1:]
-	}
-
-	// Shared coarse-grained search, driven by the union target.
-	phN := f.rec.PhaseStart("neighbors", map[string]any{"family": family, "decay": decay})
-	unionWS, err := neighbors.Ordinal(model, family, targets, decay)
-	phN.End(map[string]any{"targets": len(targets), "approx_events": len(unionWS)})
+	before := f.beforePhase()
+	before.Description += " (shared)"
+	chosen, candidate, err := f.coarseSearch(union)
 	if err != nil {
 		return nil, err
 	}
-	union := neighbors.NewTarget(unionWS)
-	phTac := f.rec.PhaseStart("tac", map[string]any{"approx_events": union.Len()})
-	stats := tac.New(f.repo)
-	ranked, err := stats.BestTemplates(union.Events(), union.Weights(), 0)
+	skel, err := f.skeletonize(candidate)
 	if err != nil {
-		phTac.End(nil)
 		return nil, err
 	}
-	ranked = blendTACPrior(ranked, f.cfg.TACPrior)
-	byName := map[string]*template.Template{}
-	for _, t := range f.env.Unit().BaseTemplates() {
-		byName[t.Name] = t
-	}
-	for name, t := range f.extra {
-		byName[name] = t
-	}
-	var chosenScores []tac.TemplateScore
-	var chosen []*template.Template
-	for _, ts := range ranked {
-		t, ok := byName[ts.Name]
-		if !ok {
-			continue
-		}
-		chosenScores = append(chosenScores, ts)
-		chosen = append(chosen, t)
-		if len(chosen) == f.cfg.TopTemplates {
-			break
-		}
-	}
-	phTac.End(map[string]any{"chosen": len(chosen)})
-	if len(chosen) == 0 || chosenScores[0].Score == 0 {
-		return nil, fmt.Errorf("core: no existing template shows evidence for the family %q", family)
-	}
-	candidate := MergeTemplates(f.env.Unit().Name()+"_cdg_candidate", chosen)
-	phSkel := f.rec.PhaseStart("skeleton", map[string]any{"candidate": candidate.Name})
-	skel, err := skeleton.Skeletonize(candidate, skeleton.Options{
-		IncludeZeroWeights: f.cfg.IncludeZeroWeights,
-		Subranges:          f.cfg.Subranges,
-		Mode:               f.cfg.SubrangeMode,
-	})
-	if err != nil {
-		phSkel.End(nil)
-		return nil, err
-	}
-	phSkel.End(map[string]any{"dim": skel.Dim()})
-
-	// Shared random sampling.
-	phSample := f.rec.PhaseStart("sampling", map[string]any{
-		"templates": f.cfg.SampleTemplates, "sims_each": f.cfg.SampleSims,
-	})
 	r := rng.New(f.cfg.Seed).SplitString("cdg-runner-shared")
-	samples, sampleAggregate, err := f.samplePhase(skel, r.SplitString("sample"))
-	phSample.End(nil)
+	samples, sampling, err := f.sampleBox(skel, r.SplitString("sample"), nil)
 	if err != nil {
 		return nil, err
 	}
+	sampling.Description += " (shared)"
 	sharedSims := f.env.Simulations() - simsAtStart
 
-	before := f.repo.Total().Clone()
+	unit, model := f.env.Unit().Name(), f.env.Unit().Model()
 	reports := make([]*Report, 0, len(targets))
 	for _, ev := range targets {
 		ws, err := neighbors.Ordinal(model, family, []int{ev}, decay)
 		if err != nil {
 			return nil, err
 		}
-		target := neighbors.NewTarget(ws)
-		report := &Report{
-			Unit:            f.env.Unit().Name(),
+		target, event := neighbors.NewTarget(ws), model.Name(ev)
+		perTargetStart := f.env.Simulations()
+		res, optimization, err := f.optimize(skel, samples, target, r.SplitString("optimize-"+event),
+			map[string]any{"target": event})
+		if err != nil {
+			return nil, err
+		}
+		bestTemplate, best, err := f.harvest(skel, res.X, fmt.Sprintf("%s_cdg_%s_best", unit, event),
+			map[string]any{"target": event, "sims": f.cfg.BestSims})
+		if err != nil {
+			return nil, err
+		}
+		reports = append(reports, &Report{
+			Unit:            unit,
 			Target:          target,
 			TargetEvents:    []int{ev},
-			ChosenTemplates: chosenScores,
+			ChosenTemplates: chosen,
 			Candidate:       candidate,
 			Skeleton:        skel,
-		}
-		report.Phases = append(report.Phases, PhaseStats{
-			Name:        "before",
-			Description: fmt.Sprintf("%d sims (shared)", before.Sims()),
-			Counts:      before,
+			Phases:          []PhaseStats{before, sampling, optimization, best},
+			BestWeights:     res.X,
+			BestTemplate:    bestTemplate,
+			Progress:        res.History,
+			// Per-target accounting: this target's own spend plus its share
+			// of the common phases.
+			TotalSims: f.env.Simulations() - perTargetStart + sharedSims/uint64(len(targets)),
 		})
-		report.Phases = append(report.Phases, PhaseStats{
-			Name: "sampling",
-			Description: fmt.Sprintf("%d tests x %d sims each (shared)",
-				f.cfg.SampleTemplates, f.cfg.SampleSims),
-			Counts: sampleAggregate,
-		})
-
-		perTargetStart := f.env.Simulations()
-		optPhase := coverage.NewCountsFor(model)
-		x0, startScore := bestSample(samples, target)
-		phOpt := f.rec.PhaseStart("optimization", map[string]any{
-			"target": model.Name(ev), "start_score": startScore,
-		})
-		var batchErr error
-		params, err := f.cfg.engineParams()
-		if err != nil {
-			phOpt.End(nil)
-			return nil, err
-		}
-		eng, err := opt.New(f.cfg.engineName(), opt.EngineConfig{
-			X0:          x0,
-			Lo:          0,
-			Hi:          float64(skel.MaxWeight()),
-			TargetValue: f.cfg.TargetValue,
-			RNG:         r.SplitString("optimize-" + model.Name(ev)),
-			Recorder:    f.rec,
-			Prior:       f.cfg.Prior,
-		}, params)
-		if err != nil {
-			phOpt.End(nil)
-			return nil, err
-		}
-		res, err := opt.Drive(eng, opt.DriveOptions{
-			Batch:      f.batchObjective(skel, target, optPhase, &batchErr),
-			BatchSize:  f.cfg.OptDirections,
-			Context:    f.ctx,
-			Checkpoint: func(json.RawMessage) error { return batchErr },
-		})
-		if err == nil && batchErr != nil {
-			err = batchErr
-		}
-		if err != nil {
-			phOpt.End(nil)
-			return nil, err
-		}
-		phOpt.End(map[string]any{"best": res.Value, "evals": res.Evals})
-		report.Progress = res.History
-		report.Phases = append(report.Phases, PhaseStats{
-			Name: "optimization",
-			Description: fmt.Sprintf("%d iterations x %d tests x %d sims",
-				len(res.History), f.cfg.OptDirections+1, f.cfg.OptSims),
-			Counts: optPhase,
-		})
-
-		report.BestWeights = res.X
-		phHarvest := f.rec.PhaseStart("harvest", map[string]any{
-			"target": model.Name(ev), "sims": f.cfg.BestSims,
-		})
-		bestTemplate, err := skel.Instantiate(
-			fmt.Sprintf("%s_cdg_%s_best", f.env.Unit().Name(), model.Name(ev)), res.X)
-		if err != nil {
-			phHarvest.End(nil)
-			return nil, err
-		}
-		report.BestTemplate = bestTemplate
-		bestCounts, err := f.env.Run(bestTemplate, f.cfg.BestSims)
-		if err != nil {
-			phHarvest.End(nil)
-			return nil, err
-		}
-		phHarvest.End(map[string]any{"template": bestTemplate.Name})
-		report.Phases = append(report.Phases, PhaseStats{
-			Name:        "best",
-			Description: fmt.Sprintf("%d sims", f.cfg.BestSims),
-			Counts:      bestCounts,
-		})
-		f.repo.RecordCounts(bestTemplate.Name, bestCounts)
-		f.extra[bestTemplate.Name] = bestTemplate
-		f.round++
-
-		// Per-target accounting: this target's own spend plus its share
-		// of the common phases.
-		report.TotalSims = f.env.Simulations() - perTargetStart + sharedSims/uint64(len(targets))
-		reports = append(reports, report)
 	}
 	return reports, nil
 }

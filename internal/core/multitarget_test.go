@@ -2,9 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/duv/l3cache"
+	"repro/internal/journal"
+	"repro/internal/obs"
 )
 
 func TestRunPerEventSharedBasics(t *testing.T) {
@@ -100,5 +105,92 @@ func TestRunPerEventSharedAccounting(t *testing.T) {
 	// the environment's grand total.
 	if sum > flow.Env().Simulations() {
 		t.Fatalf("per-target sims sum %d exceeds environment total %d", sum, flow.Env().Simulations())
+	}
+}
+
+// TestPerEventResumeSkipsFinishedTargets: the per-event composition
+// checkpoints like every other campaign, so a run killed right after
+// target k's harvest resumes without paying for targets 1..k again — it
+// appends no record for them and simulates at least their simulations
+// fewer than the uninterrupted run.
+func TestPerEventResumeSkipsFinishedTargets(t *testing.T) {
+	const k = 2
+	cfg := Config{
+		Seed: 25, Workers: 2, CorpusSimsPerTemplate: 150, TopTemplates: 2, Subranges: 2,
+		SampleTemplates: 6, SampleSims: 10, OptIterations: 3, OptDirections: 5, OptSims: 12, BestSims: 80,
+	}
+	run := func(path string, rec *obs.Recorder, kill int) ([]*Report, *Flow, error) {
+		c := cfg
+		c.Journal, c.Obs = path, rec
+		flow, err := New(l3cache.New(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kill > 0 {
+			flow.Journal().Writer().FailAppends(kill, 0)
+		}
+		reports, err := flow.RunPerEventShared(context.Background(), l3cache.FamilyName, 0.4)
+		flow.Close()
+		return reports, flow, err
+	}
+	records := func(path string) []journal.Record {
+		recs, w, err := journal.Recover(path, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		return recs
+	}
+	simulated := func(rec *obs.Recorder) uint64 {
+		return rec.Metrics.Snapshot().Counters["sim.instances_completed"]
+	}
+
+	dir := t.TempDir()
+	baseRec := obs.NewRecorder()
+	want, _, err := run(filepath.Join(dir, "baseline.journal"), baseRec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) <= k {
+		t.Fatalf("campaign has %d targets, need more than %d", len(want), k)
+	}
+	baseline := records(filepath.Join(dir, "baseline.journal"))
+	kill, harvests := 0, 0
+	for i, r := range baseline {
+		if r.Type == "harvest" {
+			if harvests++; harvests == k {
+				kill = i + 1 // the append right after target k's harvest
+			}
+		}
+	}
+	if harvests != len(want) {
+		t.Fatalf("journal holds %d harvest records for %d targets", harvests, len(want))
+	}
+
+	path := filepath.Join(dir, "killed.journal")
+	if _, _, err := run(path, nil, kill); !errors.Is(err, journal.ErrInjected) {
+		t.Fatalf("victim err = %v, want the injected kill", err)
+	}
+	resumedRec := obs.NewRecorder()
+	got, survivor, err := run(path, resumedRec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("resumed per-event reports diverged from the uninterrupted run")
+	}
+	if n := survivor.Journal().Writer().Appends(); n != len(baseline) {
+		t.Fatalf("resumed journal holds %d records, want the baseline's %d (nothing re-appended)", n, len(baseline))
+	}
+	if !reflect.DeepEqual(records(path)[:kill], baseline[:kill]) {
+		t.Fatal("resume rewrote the finished targets' records")
+	}
+	var finished uint64
+	for _, r := range want[:k] {
+		finished += r.Phase("optimization").Counts.Sims() + r.Phase("best").Counts.Sims()
+	}
+	if base, resumed := simulated(baseRec), simulated(resumedRec); resumed+finished > base {
+		t.Fatalf("resumed run simulated %d instances, uninterrupted %d: the %d of targets 1..%d were paid twice",
+			resumed, base, finished, k)
 	}
 }
