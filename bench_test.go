@@ -10,6 +10,8 @@
 package repro
 
 import (
+	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -237,6 +239,28 @@ func (f *ablationFixture) trueValue(x []float64) float64 {
 	return f.target.Score(mustRun(f.env, tmpl, 2000))
 }
 
+// optimize runs the named engine ("" = implicit filtering) over obj
+// through the surface production runs — opt.New over opt.MergeParams,
+// then opt.Drive. over is a JSON object overlaid on the ablations'
+// common setting of 11 directions x 8 iterations, the way core overlays
+// Config.EngineParams on the flow's generic knobs.
+func optimize(b *testing.B, engine string, obj opt.Objective, cfg opt.EngineConfig, over string) opt.Result {
+	b.Helper()
+	params, err := opt.MergeParams(map[string]any{"directions": 11, "iterations": 8}, json.RawMessage(over))
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := opt.New(engine, cfg, params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := opt.Drive(eng, opt.DriveOptions{Objective: obj, BatchSize: 11})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkAblationSamplesPerPoint varies N, the sims per objective
 // sample (paper Section IV-E: larger N cuts noise but costs sims).
 func BenchmarkAblationSamplesPerPoint(b *testing.B) {
@@ -244,12 +268,7 @@ func BenchmarkAblationSamplesPerPoint(b *testing.B) {
 		b.Run(map[int]string{25: "N25", 100: "N100", 400: "N400"}[n], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				fix := ablationSetup(b, uint64(i+1))
-				res, err := opt.ImplicitFiltering(fix.objective(n), fix.x0, opt.Options{
-					Directions: 11, MaxIterations: 8, RNG: rng.New(uint64(i + 7)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := optimize(b, "", fix.objective(n), opt.EngineConfig{X0: fix.x0, RNG: rng.New(uint64(i + 7))}, "")
 				b.ReportMetric(fix.trueValue(res.X), "true_target")
 				b.ReportMetric(float64(res.Evals*n), "sims")
 			}
@@ -263,12 +282,8 @@ func BenchmarkAblationDirections(b *testing.B) {
 		b.Run(map[int]string{5: "n5", 11: "n11", 19: "n19"}[n], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				fix := ablationSetup(b, uint64(i+1))
-				res, err := opt.ImplicitFiltering(fix.objective(100), fix.x0, opt.Options{
-					Directions: n, MaxIterations: 8, RNG: rng.New(uint64(i + 7)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := optimize(b, "", fix.objective(100), opt.EngineConfig{X0: fix.x0, RNG: rng.New(uint64(i + 7))},
+					fmt.Sprintf(`{"directions": %d}`, n))
 				b.ReportMetric(fix.trueValue(res.X), "true_target")
 			}
 		})
@@ -281,12 +296,8 @@ func BenchmarkAblationStencil(b *testing.B) {
 		b.Run(map[float64]string{6.25: "h6", 25: "h25", 50: "h50"}[h], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				fix := ablationSetup(b, uint64(i+1))
-				res, err := opt.ImplicitFiltering(fix.objective(100), fix.x0, opt.Options{
-					Directions: 11, MaxIterations: 8, InitialStep: h, RNG: rng.New(uint64(i + 7)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := optimize(b, "", fix.objective(100), opt.EngineConfig{X0: fix.x0, RNG: rng.New(uint64(i + 7))},
+					fmt.Sprintf(`{"initial_step": %v}`, h))
 				b.ReportMetric(fix.trueValue(res.X), "true_target")
 			}
 		})
@@ -308,12 +319,7 @@ func BenchmarkAblationNoSampling(b *testing.B) {
 				if !sampled {
 					x0 = fix.skel.RandomWeights(rng.New(uint64(i + 99)))
 				}
-				res, err := opt.ImplicitFiltering(fix.objective(100), x0, opt.Options{
-					Directions: 11, MaxIterations: 8, RNG: rng.New(uint64(i + 7)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := optimize(b, "", fix.objective(100), opt.EngineConfig{X0: x0, RNG: rng.New(uint64(i + 7))}, "")
 				b.ReportMetric(fix.trueValue(res.X), "true_target")
 			}
 		})
@@ -346,12 +352,7 @@ func BenchmarkAblationRawTarget(b *testing.B) {
 					}
 					return objTarget.Score(mustRun(fix.env, tmpl, 100))
 				}
-				res, err := opt.ImplicitFiltering(obj, fix.x0, opt.Options{
-					Directions: 11, MaxIterations: 8, RNG: rng.New(uint64(i + 7)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := optimize(b, "", obj, opt.EngineConfig{X0: fix.x0, RNG: rng.New(uint64(i + 7))}, "")
 				// Judge both by the same approximated target so the
 				// numbers are comparable.
 				b.ReportMetric(fix.trueValue(res.X), "true_target")
@@ -387,12 +388,7 @@ func BenchmarkAblationWeightedTarget(b *testing.B) {
 					}
 					return objTarget.Score(mustRun(fix.env, tmpl, 100))
 				}
-				res, err := opt.ImplicitFiltering(obj, fix.x0, opt.Options{
-					Directions: 11, MaxIterations: 8, RNG: rng.New(uint64(i + 7)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := optimize(b, "", obj, opt.EngineConfig{X0: fix.x0, RNG: rng.New(uint64(i + 7))}, "")
 				// Judge by deep-event coverage: the sum of byp09..16 hit
 				// rates of the returned template (the frontier reachable
 				// at bench-scale budgets).
@@ -411,49 +407,20 @@ func BenchmarkAblationWeightedTarget(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationOptimizers compares implicit filtering with the
-// baselines under an equal simulation budget.
+// BenchmarkAblationOptimizers compares every registered engine under
+// an equal budget of 100 objective evaluations, 100 sims each.
 func BenchmarkAblationOptimizers(b *testing.B) {
-	const budget = 100 // objective evaluations, 100 sims each
-	run := func(b *testing.B, f func(fix *ablationFixture, i int) (opt.Result, error)) {
-		for i := 0; i < b.N; i++ {
-			fix := ablationSetup(b, uint64(i+1))
-			res, err := f(fix, i)
-			if err != nil {
-				b.Fatal(err)
+	for _, engine := range opt.EngineNames() {
+		b.Run(engine, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				fix := ablationSetup(b, uint64(i+1))
+				res := optimize(b, engine, fix.objective(100),
+					opt.EngineConfig{X0: fix.x0, MaxEvals: 100, RNG: rng.New(uint64(i + 7))},
+					`{"iterations": 100, "min_step": 1e-9}`) // budget-bound, not iteration- or stencil-bound
+				b.ReportMetric(fix.trueValue(res.X), "true_target")
 			}
-			b.ReportMetric(fix.trueValue(res.X), "true_target")
-		}
+		})
 	}
-	b.Run("implicit_filtering", func(b *testing.B) {
-		run(b, func(fix *ablationFixture, i int) (opt.Result, error) {
-			return opt.ImplicitFiltering(fix.objective(100), fix.x0, opt.Options{
-				Directions: 11, MaxIterations: 100, MaxEvals: budget,
-				MinStep: 1e-9, RNG: rng.New(uint64(i + 7)),
-			})
-		})
-	})
-	b.Run("random_search", func(b *testing.B) {
-		run(b, func(fix *ablationFixture, i int) (opt.Result, error) {
-			return opt.RandomSearch(fix.objective(100), fix.skel.Dim(), opt.Options{
-				MaxEvals: budget, RNG: rng.New(uint64(i + 7)),
-			})
-		})
-	})
-	b.Run("compass_search", func(b *testing.B) {
-		run(b, func(fix *ablationFixture, i int) (opt.Result, error) {
-			return opt.CompassSearch(fix.objective(100), fix.x0, opt.Options{
-				MaxIterations: 100, MaxEvals: budget, MinStep: 1e-9, RNG: rng.New(uint64(i + 7)),
-			})
-		})
-	})
-	b.Run("nelder_mead", func(b *testing.B) {
-		run(b, func(fix *ablationFixture, i int) (opt.Result, error) {
-			return opt.NelderMead(fix.objective(100), fix.x0, opt.Options{
-				MaxIterations: 100, MaxEvals: budget, InitialStep: 25,
-			})
-		})
-	})
 }
 
 // BenchmarkAblationResampleCenter toggles the paper's center-resampling
@@ -467,13 +434,8 @@ func BenchmarkAblationResampleCenter(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				fix := ablationSetup(b, uint64(i+1))
-				res, err := opt.ImplicitFiltering(fix.objective(50), fix.x0, opt.Options{
-					Directions: 11, MaxIterations: 8,
-					NoResampleCenter: !resample, RNG: rng.New(uint64(i + 7)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := optimize(b, "", fix.objective(50), opt.EngineConfig{X0: fix.x0, RNG: rng.New(uint64(i + 7))},
+					fmt.Sprintf(`{"no_resample_center": %t}`, !resample))
 				b.ReportMetric(fix.trueValue(res.X), "true_target")
 			}
 		})

@@ -37,23 +37,15 @@ func sameResult(t *testing.T, a, b Result) {
 
 func TestImplicitFilteringBatchMatchesSequential(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 44} {
-		opts := Options{
-			Directions:    8,
-			MaxIterations: 40,
-			MinStep:       0.01,
-			MaxEvals:      200,
+		engine := func() Engine {
+			return newIFEngine(EngineConfig{X0: []float64{10, 85, 40}, MaxEvals: 200, RNG: rng.New(seed)},
+				IFSpec{Directions: 8, Iterations: 40, MinStep: 0.01})
 		}
-		x0 := []float64{10, 85, 40}
-		optsSeq := opts
-		optsSeq.RNG = rng.New(seed)
-		seq, err := ImplicitFiltering(sphere, x0, optsSeq)
+		seq, err := Drive(engine(), DriveOptions{Objective: sphere})
 		if err != nil {
 			t.Fatal(err)
 		}
-		optsBatch := opts
-		optsBatch.RNG = rng.New(seed)
-		optsBatch.Batch = asBatch(sphere)
-		batch, err := ImplicitFiltering(nil, x0, optsBatch)
+		batch, err := Drive(engine(), DriveOptions{Batch: asBatch(sphere)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,56 +53,11 @@ func TestImplicitFilteringBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestCompassSearchBatchMatchesSequential(t *testing.T) {
-	opts := Options{MaxIterations: 60, MinStep: 0.01, MaxEvals: 150}
-	x0 := []float64{15, 90}
-	optsSeq := opts
-	optsSeq.RNG = rng.New(5)
-	seq, err := CompassSearch(sphere, x0, optsSeq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	optsBatch := opts
-	optsBatch.RNG = rng.New(5)
-	optsBatch.Batch = asBatch(sphere)
-	batch, err := CompassSearch(nil, x0, optsBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, seq, batch)
-}
-
-func TestCompassSearchMaxEvalsStopsWholeSweep(t *testing.T) {
-	// Regression: the budget check used to break only the +/- sign pair
-	// of the current coordinate, letting a sweep overrun MaxEvals by up
-	// to 2*dim-1 calls on high-dimensional problems.
-	for _, budget := range []int{1, 2, 7, 23, 37} {
-		calls := 0
-		f := func(x []float64) float64 { calls++; return 0 }
-		if _, err := CompassSearch(f, make([]float64, 20), Options{
-			MaxIterations: 1000,
-			MaxEvals:      budget,
-			MinStep:       1e-12,
-			RNG:           rng.New(1),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if calls > budget {
-			t.Fatalf("budget %d: %d calls", budget, calls)
-		}
-	}
-}
-
 func TestImplicitFilteringMaxEvalsExact(t *testing.T) {
 	calls := 0
 	f := func(x []float64) float64 { calls++; return 0 }
-	if _, err := ImplicitFiltering(f, make([]float64, 6), Options{
-		Directions:    50,
-		MaxIterations: 1000,
-		MaxEvals:      30,
-		MinStep:       1e-12,
-		RNG:           rng.New(2),
-	}); err != nil {
+	if _, err := runIF(f, EngineConfig{X0: make([]float64, 6), MaxEvals: 30, RNG: rng.New(2)},
+		IFSpec{Directions: 50, Iterations: 1000, MinStep: 1e-12}); err != nil {
 		t.Fatal(err)
 	}
 	if calls > 30 {
@@ -132,45 +79,16 @@ func TestBatchNeverCalledWithZeroPoints(t *testing.T) {
 		return out
 	}
 	for _, budget := range []int{1, 2, 3} {
-		if _, err := CompassSearch(nil, []float64{50, 50}, Options{
-			MaxIterations: 100,
-			MaxEvals:      budget,
-			MinStep:       1e-12,
-			RNG:           rng.New(3),
-			Batch:         batch,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ImplicitFiltering(nil, []float64{50, 50}, Options{
-			Directions:    10,
-			MaxIterations: 100,
-			MaxEvals:      budget,
-			MinStep:       1e-12,
-			RNG:           rng.New(4),
-			Batch:         batch,
-		}); err != nil {
+		eng := newIFEngine(EngineConfig{X0: []float64{50, 50}, MaxEvals: budget, RNG: rng.New(4)},
+			IFSpec{Directions: 10, Iterations: 100, MinStep: 1e-12})
+		if _, err := Drive(eng, DriveOptions{Batch: batch}); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
 func TestNilObjectiveRequiresBatch(t *testing.T) {
-	if _, err := ImplicitFiltering(nil, []float64{1}, Options{}); err == nil {
-		t.Error("implicit filtering: nil objective without batch should fail")
-	}
-	if _, err := CompassSearch(nil, []float64{1}, Options{}); err == nil {
-		t.Error("compass search: nil objective without batch should fail")
-	}
-}
-
-func TestRandomSearchScratchReuseStillCorrect(t *testing.T) {
-	// The reused scratch point must not alias the returned best point.
-	res, err := RandomSearch(sphere, 3, Options{MaxEvals: 200, RNG: rng.New(6)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sphere(res.X)
-	if res.Value != want {
-		t.Fatalf("returned X (%v) does not produce returned value: %v != %v", res.X, want, res.Value)
+	if _, err := runIF(nil, EngineConfig{X0: []float64{1}}, IFSpec{}); err == nil {
+		t.Error("nil objective without batch should fail")
 	}
 }

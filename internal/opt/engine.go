@@ -99,7 +99,7 @@ type PriorPoint struct {
 	Value float64   `json:"value"`
 }
 
-// withDefaults resolves the config's zero values like Options does.
+// withDefaults resolves the config's zero values.
 func (c EngineConfig) withDefaults() EngineConfig {
 	if c.Hi == 0 && c.Lo == 0 {
 		c.Hi = 100

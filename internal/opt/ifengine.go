@@ -9,8 +9,7 @@ import (
 	"repro/internal/rng"
 )
 
-// IFSpec holds implicit filtering's solver-specific knobs — the
-// stencil fields that used to live on the shared Options struct.
+// IFSpec holds implicit filtering's solver-specific knobs.
 type IFSpec struct {
 	// Directions is the number of random probe directions per iteration
 	// — the paper's n (default 10).
@@ -67,12 +66,10 @@ const (
 
 // ifEngine is the paper's Algorithm 1 as a Propose/Observe state
 // machine. Each iteration proposes one batch [center?, probe1..probeN]
-// — the center resample first, then the stencil probes. Because the
-// probe directions come from the engine's own RNG and the probes are
-// computed from the previous iteration's center, this combined batch
-// reaches a deterministic batch objective in exactly the order the
-// legacy two-call form (resample, then probes) did, which is what keeps
-// the default flow's reports byte-identical across the refactor.
+// — the center resample first, then the stencil probes. The probe
+// directions come from the engine's own RNG and the probes are computed
+// from the previous iteration's center, so the batch order is fixed:
+// the default flow's golden reports depend on it.
 type ifEngine struct {
 	spec        IFSpec
 	lo, hi      float64
@@ -126,8 +123,8 @@ func newIFEngine(cfg EngineConfig, spec IFSpec) *ifEngine {
 
 func (e *ifEngine) Name() string { return DefaultEngine }
 
-// remaining mirrors evaluator.remaining: evals left under the budget,
-// with 0 meaning unlimited.
+// remaining returns the evals left under the budget (0 = unlimited,
+// reported as a large budget).
 func (e *ifEngine) remaining() int {
 	if e.maxEvals <= 0 {
 		return 1 << 30
@@ -159,8 +156,8 @@ func (e *ifEngine) Propose(ctx context.Context, _ int) ([][]float64, error) {
 	if e.pendingCenter {
 		pts = append(pts, append([]float64(nil), e.center...))
 	}
-	// The legacy loop charged the center resample before clamping the
-	// probe count to the remaining budget; mirror that arithmetic.
+	// The center resample is charged before the probe count is clamped
+	// to the remaining budget.
 	nProbes := e.spec.Directions
 	if e.maxEvals > 0 {
 		if rem := e.maxEvals - e.evals - len(pts); nProbes > rem {
@@ -253,8 +250,7 @@ func (e *ifEngine) Result() Result {
 	return Result{X: e.overallX, Value: e.overallBest, Evals: e.evals, History: e.history}
 }
 
-// state snapshots the run as the legacy IterState, valid after any
-// completed iteration.
+// state snapshots the run, valid after any completed iteration.
 func (e *ifEngine) state() IterState {
 	return IterState{
 		Iter:        e.iter,
@@ -271,8 +267,7 @@ func (e *ifEngine) state() IterState {
 
 func (e *ifEngine) Checkpoint() (json.RawMessage, error) {
 	// Stable boundaries are completed iterations — the initial center
-	// evaluation is not one (matching the legacy once-per-iteration
-	// checkpoint contract), so a kill before iteration 1 re-pays only
+	// evaluation is not one, so a kill before iteration 1 re-pays only
 	// that single eval on resume.
 	if e.iter == 0 || e.pending != nil {
 		return nil, nil
@@ -289,10 +284,10 @@ func (e *ifEngine) Restore(state json.RawMessage) error {
 	return nil
 }
 
-// restoreState re-enters the run exactly as the legacy Resume path did:
-// trajectory state from the checkpoint, RNG reseeded from the raw
-// state, and the stop conditions the uninterrupted run checked right
-// after that iteration re-applied so a finished run stays finished.
+// restoreState re-enters the run: trajectory state from the checkpoint,
+// RNG reseeded from the raw state, and the stop conditions the
+// uninterrupted run checked right after that iteration re-applied so a
+// finished run stays finished.
 func (e *ifEngine) restoreState(st IterState) {
 	e.center = append([]float64(nil), st.Center...)
 	e.best = st.Best

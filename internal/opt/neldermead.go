@@ -325,26 +325,3 @@ func (e *nmEngine) Restore(state json.RawMessage) error {
 	}
 	return nil
 }
-
-// NelderMead maximizes f with the classic simplex method (reflection,
-// expansion, contraction, shrink), as an ablation baseline for implicit
-// filtering. The initial simplex puts one vertex at x0 and one at
-// x0 + InitialStep along each coordinate. Nelder-Mead has no built-in
-// defense against noisy objectives, which is exactly why the paper
-// prefers implicit filtering; the ablation bench quantifies the gap.
-//
-// This is the Options-compatibility wrapper over the "nelder_mead"
-// Engine; Options' stencil-only fields (Directions, MinStep, ...) are
-// ignored, as before.
-func NelderMead(f Objective, x0 []float64, opts Options) (Result, error) {
-	opts = opts.withDefaults()
-	if len(x0) == 0 {
-		return Result{}, fmt.Errorf("opt: empty starting point")
-	}
-	if f == nil {
-		return Result{}, fmt.Errorf("opt: nil objective")
-	}
-	eng := newNMEngine(engineConfigFromOptions(x0, opts),
-		NelderMeadSpec{Iterations: opts.MaxIterations, InitialStep: opts.InitialStep})
-	return Drive(eng, DriveOptions{Objective: f, Context: opts.Context})
-}

@@ -17,9 +17,8 @@ func TestImplicitFilteringObsCounters(t *testing.T) {
 		Trace:    obs.NewTracer(),
 		Progress: obs.NewProgress(&progress),
 	}
-	res, err := ImplicitFiltering(sphere, []float64{5, 5}, Options{
-		Directions: 4, MaxIterations: 12, RNG: rng.New(3), Recorder: rec,
-	})
+	res, err := runIF(sphere, EngineConfig{X0: []float64{5, 5}, RNG: rng.New(3), Recorder: rec},
+		IFSpec{Directions: 4, Iterations: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,30 +85,12 @@ func TestImplicitFilteringObsCounters(t *testing.T) {
 	}
 }
 
-func TestCompassSearchObsCounters(t *testing.T) {
-	rec := obs.NewRecorder()
-	res, err := CompassSearch(sphere, []float64{5, 5}, Options{
-		MaxIterations: 10, RNG: rng.New(3), Recorder: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := rec.Metrics.Snapshot()
-	if got := snap.Counters["opt.evals"]; got != uint64(res.Evals) {
-		t.Fatalf("opt.evals = %d, want %d", got, res.Evals)
-	}
-	if got := snap.Counters["opt.iterations"]; got != uint64(len(res.History)) {
-		t.Fatalf("opt.iterations = %d, want %d", got, len(res.History))
-	}
-}
-
 // TestRecorderDoesNotChangeTrajectory checks instrumentation is purely
 // observational: identical results with and without a recorder.
 func TestRecorderDoesNotChangeTrajectory(t *testing.T) {
 	run := func(rec *obs.Recorder) Result {
-		res, err := ImplicitFiltering(sphere, []float64{10, 90}, Options{
-			Directions: 6, MaxIterations: 15, RNG: rng.New(11), Recorder: rec,
-		})
+		res, err := runIF(sphere, EngineConfig{X0: []float64{10, 90}, RNG: rng.New(11), Recorder: rec},
+			IFSpec{Directions: 6, Iterations: 15})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,16 +6,17 @@
 // cannot use gradient or Hessian methods (paper Section IV-E). The
 // primary algorithm is implicit filtering (Algorithm 1 in the paper,
 // refs [5], [6]) with the paper's two noise modifications: N samples per
-// point and per-iteration resampling of the center. Random search,
-// compass search, and Nelder-Mead are provided as ablation baselines.
+// point and per-iteration resampling of the center. Nelder-Mead, a
+// Bayesian-optimization engine and a learned ranker are the
+// alternatives it is compared against.
 //
-// All methods MAXIMIZE the objective over the box [Lo, Hi]^d.
+// Every method is an Engine (engine.go), built by name with New and run
+// by Drive — the one way to run an optimizer. All of them MAXIMIZE the
+// objective over the box [Lo, Hi]^d.
 package opt
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"math"
 
 	"repro/internal/obs"
@@ -38,90 +39,12 @@ type Objective func(x []float64) float64
 // point order.
 type BatchObjective func(points [][]float64) []float64
 
-// Options configure an optimization run. Zero values select the
-// documented defaults.
-type Options struct {
-	// Directions is the number of random directions per implicit
-	// filtering iteration — the paper's n (default 10).
-	Directions int
-	// InitialStep is the initial stencil size h (default: a quarter of
-	// the box width).
-	InitialStep float64
-	// MinStep stops the run when the stencil shrinks below it (default:
-	// 1/64 of the box width).
-	MinStep float64
-	// MaxIterations bounds the number of iterations (default 50).
-	MaxIterations int
-	// MaxEvals bounds the number of objective calls (0 = unlimited).
-	// Used by the baselines to grant every method an equal budget.
-	MaxEvals int
-	// TargetValue stops the run once the best observed value reaches it
-	// (0 = disabled). The paper's stopping criteria combine iterations,
-	// stencil size and target hit probability; all three are supported.
-	TargetValue float64
-	// ResampleCenter re-evaluates the center every iteration instead of
-	// trusting the previous measurement — the paper's guard against
-	// extremely lucky noise (Section IV-E). Default true; set
-	// NoResampleCenter to disable in ablations.
-	NoResampleCenter bool
-	// Lo and Hi bound the search box in every coordinate (defaults 0
-	// and 100 — the skeleton weight box).
-	Lo, Hi float64
-	// RNG drives direction sampling. nil seeds a fresh generator with 0.
-	RNG *rng.RNG
-	// Batch, when non-nil, evaluates each iteration's independent probe
-	// points as one call (stencil optimizers only: ImplicitFiltering and
-	// CompassSearch). The per-point Objective argument may then be nil.
-	Batch BatchObjective
-	// Recorder, when non-nil, streams one opt_iter progress event per
-	// iteration (including best-objective-so-far, the paper's Fig. 6
-	// series, watchable live) and counts evals, step halvings, and
-	// center resamples into the metrics registry. Purely observational:
-	// the trajectory is identical with it set or nil.
-	Recorder *obs.Recorder
-	// Context, when non-nil, cancels the run between evaluations: the
-	// optimizer returns the best-so-far partial Result together with the
-	// context's error (stencil optimizers only).
-	Context context.Context
-	// Checkpoint, when non-nil, is called after every completed
-	// ImplicitFiltering iteration with the run's resumable state. An
-	// error aborts the run with that error — the flow's journaling hook.
-	Checkpoint func(IterState) error
-	// Resume, when non-nil, re-enters an ImplicitFiltering run from a
-	// previous checkpoint instead of starting at x0: the trajectory
-	// continues exactly as the uninterrupted run would have.
-	Resume *IterState
-}
-
 // ctxErr is the nil-tolerant cancellation probe (nil = never canceled).
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
 	}
 	return ctx.Err()
-}
-
-func (o Options) withDefaults() Options {
-	if o.Directions <= 0 {
-		o.Directions = 10
-	}
-	if o.Hi == 0 && o.Lo == 0 {
-		o.Hi = 100
-	}
-	width := o.Hi - o.Lo
-	if o.InitialStep <= 0 {
-		o.InitialStep = width / 4
-	}
-	if o.MinStep <= 0 {
-		o.MinStep = width / 64
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 50
-	}
-	if o.RNG == nil {
-		o.RNG = rng.New(0)
-	}
-	return o
 }
 
 // IterRecord captures one optimizer iteration for progress plots (the
@@ -134,8 +57,8 @@ type IterRecord struct {
 	Evals int     `json:"evals"` // cumulative objective calls after the iteration
 }
 
-// IterState is a checkpoint of an ImplicitFiltering run taken after a
-// completed iteration: the stencil state, the running best, the RNG's
+// IterState is the implicit-filtering engine's checkpoint, taken after
+// a completed iteration: the stencil state, the running best, the RNG's
 // raw state, and the history so far — everything needed to re-enter the
 // loop at the next iteration and reproduce the uninterrupted run's
 // trajectory bit for bit. It round-trips through JSON exactly (Go's
@@ -172,49 +95,8 @@ func clampTo(x []float64, lo, hi float64) {
 	}
 }
 
-// evaluator wraps the sequential and batch objective forms behind one
-// budget-counting interface so the stencil optimizers are agnostic to
-// which the caller supplied.
-type evaluator struct {
-	f      Objective
-	batch  BatchObjective
-	evals  int
-	mEvals *obs.Counter // live eval counter (nil-safe)
-}
-
-// all evaluates every point, in order, counting one eval per point.
-func (e *evaluator) all(points [][]float64) []float64 {
-	if len(points) == 0 {
-		return nil
-	}
-	e.evals += len(points)
-	e.mEvals.Add(uint64(len(points)))
-	if e.batch != nil {
-		return e.batch(points)
-	}
-	out := make([]float64, len(points))
-	for i, p := range points {
-		out[i] = e.f(p)
-	}
-	return out
-}
-
-// one evaluates a single point.
-func (e *evaluator) one(x []float64) float64 {
-	return e.all([][]float64{x})[0]
-}
-
-// remaining returns how many evals are left under maxEvals (0 =
-// unlimited, reported as a large budget).
-func (e *evaluator) remaining(maxEvals int) int {
-	if maxEvals <= 0 {
-		return 1 << 30
-	}
-	return maxEvals - e.evals
-}
-
 // historyCap sizes a history preallocation: the expected iteration count,
-// capped so budget-bound runs passing MaxIterations = 1<<30 don't
+// capped so budget-bound runs passing Iterations = 1<<30 don't
 // preallocate gigabytes for a history that stays tiny.
 func historyCap(n int) int {
 	const limit = 4096
@@ -278,204 +160,4 @@ func randomDirection(r *rng.RNG, dim int) []float64 {
 		}
 		return d
 	}
-}
-
-// IFSpecFromOptions is the compatibility constructor bridging the
-// legacy aggregate Options to implicit filtering's per-engine spec.
-func IFSpecFromOptions(opts Options) IFSpec {
-	return IFSpec{
-		Directions:       opts.Directions,
-		Iterations:       opts.MaxIterations,
-		InitialStep:      opts.InitialStep,
-		MinStep:          opts.MinStep,
-		NoResampleCenter: opts.NoResampleCenter,
-	}
-}
-
-// engineConfigFromOptions extracts the solver-agnostic half of Options.
-func engineConfigFromOptions(x0 []float64, opts Options) EngineConfig {
-	return EngineConfig{
-		X0:          x0,
-		Lo:          opts.Lo,
-		Hi:          opts.Hi,
-		MaxEvals:    opts.MaxEvals,
-		TargetValue: opts.TargetValue,
-		RNG:         opts.RNG,
-		Recorder:    opts.Recorder,
-	}
-}
-
-// driveOptionsFromOptions adapts Options' loop concerns (objective,
-// cancellation, typed checkpoint/resume) to Drive's engine-agnostic
-// form. IterState round-trips through JSON exactly (shortest-form
-// float64 encoding), so the raw<->typed conversions here preserve the
-// legacy checkpoint semantics bit for bit.
-func driveOptionsFromOptions(f Objective, opts Options) (DriveOptions, error) {
-	drv := DriveOptions{Objective: f, Batch: opts.Batch, Context: opts.Context}
-	if opts.Checkpoint != nil {
-		cb := opts.Checkpoint
-		drv.Checkpoint = func(raw json.RawMessage) error {
-			var st IterState
-			if err := json.Unmarshal(raw, &st); err != nil {
-				return err
-			}
-			return cb(st)
-		}
-	}
-	if opts.Resume != nil {
-		raw, err := json.Marshal(opts.Resume)
-		if err != nil {
-			return DriveOptions{}, err
-		}
-		drv.Resume = raw
-	}
-	return drv, nil
-}
-
-// ImplicitFiltering maximizes f starting from x0 using the paper's
-// Algorithm 1. Each iteration samples f at the center (resampled unless
-// disabled) and at Directions random points at stencil distance h — as
-// one batch when Options.Batch is set, since the probes are independent;
-// the center moves to the best point if it improves, otherwise h is
-// halved. The run stops on MaxIterations, MinStep, MaxEvals, or
-// TargetValue.
-//
-// This is the Options-compatibility wrapper over the "implicit_filtering"
-// Engine; the trajectory is identical to the pre-Engine implementation.
-func ImplicitFiltering(f Objective, x0 []float64, opts Options) (Result, error) {
-	opts = opts.withDefaults()
-	if len(x0) == 0 {
-		return Result{}, fmt.Errorf("opt: empty starting point")
-	}
-	if f == nil && opts.Batch == nil {
-		return Result{}, fmt.Errorf("opt: nil objective")
-	}
-	eng := newIFEngine(engineConfigFromOptions(x0, opts), IFSpecFromOptions(opts))
-	drv, err := driveOptionsFromOptions(f, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return Drive(eng, drv)
-}
-
-// RandomSearch maximizes f by uniform sampling of the box — the
-// simplest budget-matched baseline. It runs until MaxEvals (or
-// Directions*MaxIterations when MaxEvals is 0).
-func RandomSearch(f Objective, dim int, opts Options) (Result, error) {
-	opts = opts.withDefaults()
-	if dim <= 0 {
-		return Result{}, fmt.Errorf("opt: non-positive dimension %d", dim)
-	}
-	budget := opts.MaxEvals
-	if budget <= 0 {
-		budget = opts.Directions * opts.MaxIterations
-	}
-	// One scratch point reused for every draw and one history slice sized
-	// to the whole budget: the run allocates O(1), not O(budget).
-	x := make([]float64, dim)
-	var bestX []float64
-	best := math.Inf(-1)
-	history := make([]IterRecord, 0, historyCap(budget))
-	for i := 0; i < budget; i++ {
-		for j := range x {
-			x[j] = opts.Lo + opts.RNG.Float64()*(opts.Hi-opts.Lo)
-		}
-		v := f(x)
-		if v > best {
-			best = v
-			if bestX == nil {
-				bestX = make([]float64, dim)
-			}
-			copy(bestX, x)
-		}
-		history = append(history, IterRecord{Iter: i + 1, Best: best, Evals: i + 1})
-		if opts.TargetValue > 0 && best >= opts.TargetValue {
-			break
-		}
-	}
-	return Result{X: bestX, Value: best, Evals: len(history), History: history}, nil
-}
-
-// CompassSearch maximizes f with coordinate-aligned pattern search
-// (generalized pattern search with the 2d compass stencil): probe
-// +/- h along every coordinate — as one batch when Options.Batch is set —
-// move to the best improvement, halve h when none improves. Once MaxEvals
-// is reached the whole probe sweep stops, not just the current
-// coordinate's sign pair.
-func CompassSearch(f Objective, x0 []float64, opts Options) (Result, error) {
-	opts = opts.withDefaults()
-	if len(x0) == 0 {
-		return Result{}, fmt.Errorf("opt: empty starting point")
-	}
-	if f == nil && opts.Batch == nil {
-		return Result{}, fmt.Errorf("opt: nil objective")
-	}
-	dim := len(x0)
-	center := append([]float64(nil), x0...)
-	clampTo(center, opts.Lo, opts.Hi)
-
-	ev := &evaluator{f: f, batch: opts.Batch, mEvals: opts.Recorder.Counter("opt.evals")}
-	oo := newOptObs(opts.Recorder)
-	h := opts.InitialStep
-	if err := ctxErr(opts.Context); err != nil {
-		return Result{}, err
-	}
-	best := ev.one(center)
-	history := make([]IterRecord, 0, historyCap(opts.MaxIterations))
-
-	for iter := 1; iter <= opts.MaxIterations; iter++ {
-		if err := ctxErr(opts.Context); err != nil {
-			return Result{X: center, Value: best, Evals: ev.evals, History: history}, err
-		}
-		if ev.remaining(opts.MaxEvals) <= 0 {
-			break
-		}
-		if !opts.NoResampleCenter {
-			best = ev.one(center)
-			oo.resamples.Inc()
-		}
-		iterBest := best
-		nextCenter := center
-		moved := false
-		nProbes := 2 * dim
-		if rem := ev.remaining(opts.MaxEvals); nProbes > rem {
-			nProbes = rem
-		}
-		probes := make([][]float64, 0, nProbes)
-		for i := 0; i < dim && len(probes) < nProbes; i++ {
-			for _, sign := range []float64{1, -1} {
-				if len(probes) == nProbes {
-					break
-				}
-				cand := append([]float64(nil), center...)
-				cand[i] += sign * h
-				clampTo(cand, opts.Lo, opts.Hi)
-				probes = append(probes, cand)
-			}
-		}
-		for i, v := range ev.all(probes) {
-			if v > iterBest {
-				iterBest = v
-				nextCenter = probes[i]
-				moved = true
-			}
-		}
-		if moved {
-			center = nextCenter
-			best = iterBest
-		} else {
-			h /= 2
-			oo.halvings.Inc()
-		}
-		rec := IterRecord{Iter: iter, Best: iterBest, Step: h, Moved: moved, Evals: ev.evals}
-		history = append(history, rec)
-		oo.iter("compass_search", rec, best)
-		if opts.TargetValue > 0 && best >= opts.TargetValue {
-			break
-		}
-		if h < opts.MinStep {
-			break
-		}
-	}
-	return Result{X: center, Value: best, Evals: ev.evals, History: history}, nil
 }

@@ -27,14 +27,20 @@ func noisy(f Objective, amplitude float64, seed uint64) Objective {
 	}
 }
 
+// runIF drives a fresh implicit-filtering engine over f to completion.
+func runIF(f Objective, cfg EngineConfig, spec IFSpec) (Result, error) {
+	return Drive(newIFEngine(cfg, spec), DriveOptions{Objective: f})
+}
+
+// runNM drives a fresh Nelder-Mead engine over f to completion.
+func runNM(f Objective, cfg EngineConfig, spec NelderMeadSpec) (Result, error) {
+	return Drive(newNMEngine(cfg, spec), DriveOptions{Objective: f})
+}
+
 func TestImplicitFilteringConvergesNoiseless(t *testing.T) {
 	x0 := []float64{10, 10, 10}
-	res, err := ImplicitFiltering(sphere, x0, Options{
-		Directions:    15,
-		MaxIterations: 120,
-		MinStep:       0.01,
-		RNG:           rng.New(1),
-	})
+	res, err := runIF(sphere, EngineConfig{X0: x0, RNG: rng.New(1)},
+		IFSpec{Directions: 15, Iterations: 120, MinStep: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +57,8 @@ func TestImplicitFilteringConvergesNoiseless(t *testing.T) {
 func TestImplicitFilteringImprovesUnderNoise(t *testing.T) {
 	x0 := []float64{5, 5, 5, 5}
 	start := sphere(x0)
-	res, err := ImplicitFiltering(noisy(sphere, 200, 7), x0, Options{
-		Directions:    20,
-		MaxIterations: 80,
-		RNG:           rng.New(2),
-	})
+	res, err := runIF(noisy(sphere, 200, 7), EngineConfig{X0: x0, RNG: rng.New(2)},
+		IFSpec{Directions: 20, Iterations: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +77,8 @@ func TestImplicitFilteringNeverWorseThanStartNoiseless(t *testing.T) {
 		for i := range x0 {
 			x0[i] = r.Float64() * 100
 		}
-		res, err := ImplicitFiltering(sphere, x0, Options{
-			Directions:    6,
-			MaxIterations: 20,
-			RNG:           rng.New(seed + 1),
-		})
+		res, err := runIF(sphere, EngineConfig{X0: x0, RNG: rng.New(seed + 1)},
+			IFSpec{Directions: 6, Iterations: 20})
 		if err != nil {
 			return false
 		}
@@ -98,13 +98,8 @@ func TestImplicitFilteringRespectsBox(t *testing.T) {
 		}
 		return s
 	}
-	res, err := ImplicitFiltering(runaway, []float64{50, 50}, Options{
-		Directions:    10,
-		MaxIterations: 60,
-		Lo:            0,
-		Hi:            100,
-		RNG:           rng.New(3),
-	})
+	res, err := runIF(runaway, EngineConfig{X0: []float64{50, 50}, Lo: 0, Hi: 100, RNG: rng.New(3)},
+		IFSpec{Directions: 10, Iterations: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +115,8 @@ func TestImplicitFilteringRespectsBox(t *testing.T) {
 
 func TestImplicitFilteringStencilHalvesWhenStuck(t *testing.T) {
 	flat := func(x []float64) float64 { return 0 }
-	res, err := ImplicitFiltering(flat, []float64{50}, Options{
-		Directions:    4,
-		MaxIterations: 100,
-		InitialStep:   32,
-		MinStep:       1,
-		RNG:           rng.New(4),
-	})
+	res, err := runIF(flat, EngineConfig{X0: []float64{50}, RNG: rng.New(4)},
+		IFSpec{Directions: 4, Iterations: 100, InitialStep: 32, MinStep: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +132,9 @@ func TestImplicitFilteringStencilHalvesWhenStuck(t *testing.T) {
 }
 
 func TestImplicitFilteringTargetValueStops(t *testing.T) {
-	res, err := ImplicitFiltering(func(x []float64) float64 { return 42 }, []float64{1}, Options{
-		Directions:    4,
-		MaxIterations: 100,
-		TargetValue:   40,
-		RNG:           rng.New(5),
-	})
+	res, err := runIF(func(x []float64) float64 { return 42 },
+		EngineConfig{X0: []float64{1}, TargetValue: 40, RNG: rng.New(5)},
+		IFSpec{Directions: 4, Iterations: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +146,8 @@ func TestImplicitFilteringTargetValueStops(t *testing.T) {
 func TestImplicitFilteringMaxEvals(t *testing.T) {
 	calls := 0
 	f := func(x []float64) float64 { calls++; return 0 }
-	_, err := ImplicitFiltering(f, []float64{1, 2}, Options{
-		Directions:    10,
-		MaxIterations: 1000,
-		MaxEvals:      37,
-		MinStep:       1e-9,
-		RNG:           rng.New(6),
-	})
+	_, err := runIF(f, EngineConfig{X0: []float64{1, 2}, MaxEvals: 37, RNG: rng.New(6)},
+		IFSpec{Directions: 10, Iterations: 1000, MinStep: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,17 +157,14 @@ func TestImplicitFilteringMaxEvals(t *testing.T) {
 }
 
 func TestImplicitFilteringEmptyStart(t *testing.T) {
-	if _, err := ImplicitFiltering(sphere, nil, Options{}); err == nil {
+	if _, err := New(DefaultEngine, EngineConfig{}, nil); err == nil {
 		t.Fatal("empty start should fail")
 	}
 }
 
 func TestImplicitFilteringHistoryMonotoneEvals(t *testing.T) {
-	res, _ := ImplicitFiltering(noisy(sphere, 50, 1), []float64{20, 20}, Options{
-		Directions:    8,
-		MaxIterations: 30,
-		RNG:           rng.New(7),
-	})
+	res, _ := runIF(noisy(sphere, 50, 1), EngineConfig{X0: []float64{20, 20}, RNG: rng.New(7)},
+		IFSpec{Directions: 8, Iterations: 30})
 	prev := 0
 	for _, h := range res.History {
 		if h.Evals <= prev {
@@ -195,69 +174,8 @@ func TestImplicitFilteringHistoryMonotoneEvals(t *testing.T) {
 	}
 }
 
-func TestRandomSearchFindsDecentPoint(t *testing.T) {
-	res, err := RandomSearch(sphere, 2, Options{MaxEvals: 400, RNG: rng.New(8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Evals != 400 {
-		t.Fatalf("evals = %d", res.Evals)
-	}
-	if res.Value < -2000 {
-		t.Fatalf("random search value = %v, too poor for 400 samples", res.Value)
-	}
-	for _, v := range res.X {
-		if v < 0 || v > 100 {
-			t.Fatalf("sample outside box: %v", res.X)
-		}
-	}
-}
-
-func TestRandomSearchErrors(t *testing.T) {
-	if _, err := RandomSearch(sphere, 0, Options{}); err == nil {
-		t.Fatal("dim 0 should fail")
-	}
-}
-
-func TestRandomSearchTargetStops(t *testing.T) {
-	res, err := RandomSearch(func(x []float64) float64 { return 1 }, 2, Options{
-		MaxEvals: 100, TargetValue: 0.5, RNG: rng.New(9),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Evals != 1 {
-		t.Fatalf("evals = %d, want 1", res.Evals)
-	}
-}
-
-func TestCompassSearchConverges(t *testing.T) {
-	res, err := CompassSearch(sphere, []float64{10, 90}, Options{
-		MaxIterations: 100,
-		MinStep:       0.01,
-		RNG:           rng.New(10),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range res.X {
-		if math.Abs(v-70) > 2 {
-			t.Fatalf("x[%d] = %v", i, v)
-		}
-	}
-}
-
-func TestCompassSearchEmptyStart(t *testing.T) {
-	if _, err := CompassSearch(sphere, nil, Options{}); err == nil {
-		t.Fatal("empty start should fail")
-	}
-}
-
 func TestNelderMeadConverges(t *testing.T) {
-	res, err := NelderMead(sphere, []float64{20, 20}, Options{
-		MaxIterations: 200,
-		InitialStep:   10,
-	})
+	res, err := runNM(sphere, EngineConfig{X0: []float64{20, 20}}, NelderMeadSpec{Iterations: 200, InitialStep: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,10 +188,7 @@ func TestNelderMeadConverges(t *testing.T) {
 
 func TestNelderMeadRespectsBox(t *testing.T) {
 	runaway := func(x []float64) float64 { return x[0] + x[1] }
-	res, err := NelderMead(runaway, []float64{90, 90}, Options{
-		MaxIterations: 100,
-		InitialStep:   20,
-	})
+	res, err := runNM(runaway, EngineConfig{X0: []float64{90, 90}}, NelderMeadSpec{Iterations: 100, InitialStep: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +200,7 @@ func TestNelderMeadRespectsBox(t *testing.T) {
 }
 
 func TestNelderMeadEmptyStart(t *testing.T) {
-	if _, err := NelderMead(sphere, nil, Options{}); err == nil {
+	if _, err := New("nelder_mead", EngineConfig{}, nil); err == nil {
 		t.Fatal("empty start should fail")
 	}
 }
@@ -302,17 +217,14 @@ func TestImplicitFilteringBeatsNelderMeadUnderHeavyNoise(t *testing.T) {
 		x0 := []float64{10, 10, 10}
 		budget := 600
 		fi := noisy(sphere, 400, seed)
-		resIF, err := ImplicitFiltering(fi, x0, Options{
-			Directions: 15, MaxIterations: 1000, MaxEvals: budget,
-			MinStep: 1e-9, RNG: rng.New(seed),
-		})
+		resIF, err := runIF(fi, EngineConfig{X0: x0, MaxEvals: budget, RNG: rng.New(seed)},
+			IFSpec{Directions: 15, Iterations: 1000, MinStep: 1e-9})
 		if err != nil {
 			t.Fatal(err)
 		}
 		fn := noisy(sphere, 400, seed+1)
-		resNM, err := NelderMead(fn, x0, Options{
-			MaxIterations: 1000, MaxEvals: budget, InitialStep: 25,
-		})
+		resNM, err := runNM(fn, EngineConfig{X0: x0, MaxEvals: budget},
+			NelderMeadSpec{Iterations: 1000, InitialStep: 25})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,11 +239,12 @@ func TestImplicitFilteringBeatsNelderMeadUnderHeavyNoise(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Directions != 10 || o.Hi != 100 || o.InitialStep != 25 || o.MaxIterations != 50 {
-		t.Fatalf("defaults = %+v", o)
+	c := EngineConfig{}.withDefaults()
+	s := IFSpec{}.withDefaults(c.Lo, c.Hi)
+	if s.Directions != 10 || c.Hi != 100 || s.InitialStep != 25 || s.Iterations != 50 {
+		t.Fatalf("defaults = %+v %+v", c, s)
 	}
-	if o.RNG == nil {
+	if c.RNG == nil {
 		t.Fatal("default RNG missing")
 	}
 }

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,14 +11,18 @@ import (
 	"repro/internal/rng"
 )
 
-// resumeOpts is a small deterministic run with every stop criterion in
-// play (iterations, min step, target value all reachable).
-func resumeOpts() Options {
-	return Options{
-		Directions:    6,
-		MaxIterations: 18,
-		MinStep:       0.5,
-		RNG:           rng.New(9),
+// resumeEngine is a small deterministic run with every stop criterion
+// in play (iterations, min step, target value all reachable).
+func resumeEngine(x0 []float64, targetValue float64) Engine {
+	return newIFEngine(EngineConfig{X0: x0, TargetValue: targetValue, RNG: rng.New(9)},
+		IFSpec{Directions: 6, Iterations: 18, MinStep: 0.5})
+}
+
+// collect returns a checkpoint hook that keeps a copy of every state.
+func collect(states *[]json.RawMessage) func(json.RawMessage) error {
+	return func(raw json.RawMessage) error {
+		*states = append(*states, append(json.RawMessage(nil), raw...))
+		return nil
 	}
 }
 
@@ -28,13 +33,8 @@ func resumeOpts() Options {
 // already paid for.
 func TestResumeFromEveryCheckpointIsBitIdentical(t *testing.T) {
 	x0 := []float64{10, 20, 30}
-	var states []IterState
-	opts := resumeOpts()
-	opts.Checkpoint = func(st IterState) error {
-		states = append(states, st)
-		return nil
-	}
-	want, err := ImplicitFiltering(sphere, x0, opts)
+	var states []json.RawMessage
+	want, err := Drive(resumeEngine(x0, 0), DriveOptions{Objective: sphere, Checkpoint: collect(&states)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,26 +42,26 @@ func TestResumeFromEveryCheckpointIsBitIdentical(t *testing.T) {
 		t.Fatalf("%d checkpoints for %d iterations", len(states), len(want.History))
 	}
 
-	for k, st := range states {
-		// Round-trip the state through JSON, as the journal does: Go's
-		// shortest-representation float encoding must preserve every bit.
-		data, err := json.Marshal(st)
+	for k, raw := range states {
+		// IterState is the schema journals hold: decoding a checkpoint
+		// into it and encoding it back, as a journal replay does, must
+		// preserve every field and — Go's float encoding being
+		// shortest-representation — every bit.
+		var st IterState
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatal(err)
+		}
+		back, err := json.Marshal(st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back IterState
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(back, st) {
+		if !bytes.Equal(back, raw) {
 			t.Fatalf("checkpoint %d does not survive a JSON round-trip", k)
 		}
 
 		evals := 0
 		counting := func(x []float64) float64 { evals++; return sphere(x) }
-		ropts := resumeOpts()
-		ropts.Resume = &back
-		got, err := ImplicitFiltering(counting, x0, ropts)
+		got, err := Drive(resumeEngine(x0, 0), DriveOptions{Objective: counting, Resume: back})
 		if err != nil {
 			t.Fatalf("resume from checkpoint %d: %v", k, err)
 		}
@@ -80,11 +80,8 @@ func TestResumeFromEveryCheckpointIsBitIdentical(t *testing.T) {
 // identical Result, not run further iterations.
 func TestResumeAfterTargetValueStop(t *testing.T) {
 	x0 := []float64{65, 65}
-	var states []IterState
-	opts := resumeOpts()
-	opts.TargetValue = -100
-	opts.Checkpoint = func(st IterState) error { states = append(states, st); return nil }
-	want, err := ImplicitFiltering(sphere, x0, opts)
+	var states []json.RawMessage
+	want, err := Drive(resumeEngine(x0, -100), DriveOptions{Objective: sphere, Checkpoint: collect(&states)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +89,10 @@ func TestResumeAfterTargetValueStop(t *testing.T) {
 		t.Fatalf("run did not reach target (value %v)", want.Value)
 	}
 	evals := 0
-	ropts := resumeOpts()
-	ropts.TargetValue = -100
-	ropts.Resume = &states[len(states)-1]
-	got, err := ImplicitFiltering(func(x []float64) float64 { evals++; return sphere(x) }, x0, ropts)
+	got, err := Drive(resumeEngine(x0, -100), DriveOptions{
+		Objective: func(x []float64) float64 { evals++; return sphere(x) },
+		Resume:    states[len(states)-1],
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +109,16 @@ func TestResumeAfterTargetValueStop(t *testing.T) {
 func TestImplicitFilteringCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	iters := 0
-	opts := resumeOpts()
-	opts.Context = ctx
-	opts.Checkpoint = func(IterState) error {
-		if iters++; iters == 3 {
-			cancel()
-		}
-		return nil
-	}
-	res, err := ImplicitFiltering(sphere, []float64{10, 10}, opts)
+	res, err := Drive(resumeEngine([]float64{10, 10}, 0), DriveOptions{
+		Objective: sphere,
+		Context:   ctx,
+		Checkpoint: func(json.RawMessage) error {
+			if iters++; iters == 3 {
+				cancel()
+			}
+			return nil
+		},
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -130,16 +128,15 @@ func TestImplicitFilteringCancel(t *testing.T) {
 
 	// Canceled before the first evaluation: zero work.
 	evals := 0
-	copts := resumeOpts()
-	copts.Context = ctx
-	if _, err := ImplicitFiltering(func(x []float64) float64 { evals++; return 0 }, []float64{1}, copts); !errors.Is(err, context.Canceled) {
+	_, err = Drive(resumeEngine([]float64{1}, 0), DriveOptions{
+		Objective: func(x []float64) float64 { evals++; return 0 },
+		Context:   ctx,
+	})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if evals != 0 {
 		t.Fatalf("canceled run evaluated %d points", evals)
-	}
-	if _, err := CompassSearch(sphere, []float64{1, 2}, copts); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CompassSearch err = %v, want context.Canceled", err)
 	}
 }
 
@@ -148,14 +145,15 @@ func TestImplicitFilteringCancel(t *testing.T) {
 func TestCheckpointErrorAborts(t *testing.T) {
 	boom := errors.New("journal full")
 	iters := 0
-	opts := resumeOpts()
-	opts.Checkpoint = func(IterState) error {
-		if iters++; iters == 2 {
-			return boom
-		}
-		return nil
-	}
-	res, err := ImplicitFiltering(sphere, []float64{10, 10}, opts)
+	res, err := Drive(resumeEngine([]float64{10, 10}, 0), DriveOptions{
+		Objective: sphere,
+		Checkpoint: func(json.RawMessage) error {
+			if iters++; iters == 2 {
+				return boom
+			}
+			return nil
+		},
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the checkpoint error", err)
 	}
