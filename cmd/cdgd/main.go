@@ -185,12 +185,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	srv := &http.Server{Handler: svc.Handler()}
-	fmt.Fprintf(stdout, "cdgd: listening on %s (data %s, owner %s, max-running %d, max-queue %d%s)\n",
-		ln.Addr(), *dataDir, svc.Owner(), *maxRunning, *maxQueue, farmBanner)
 
+	// The drain handler is installed before the banner is printed, so
+	// whoever waits for the banner may signal at once: until Notify
+	// returns, SIGTERM still takes its default action and kills the
+	// daemon before its campaigns checkpoint.
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sigc)
+	fmt.Fprintf(stdout, "cdgd: listening on %s (data %s, owner %s, max-running %d, max-queue %d%s)\n",
+		ln.Addr(), *dataDir, svc.Owner(), *maxRunning, *maxQueue, farmBanner)
+
 	serveDone := make(chan struct{})
 	go func() {
 		select {

@@ -111,15 +111,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// /readyz fails once the drain begins, so orchestrators stop routing
 	// new sessions at a worker that is on its way out.
 	health.Set("sessions", srv.Ready)
+
+	// The drain handler is installed before the banner is printed, so
+	// whoever waits for the banner may signal at once: until Notify
+	// returns, SIGTERM still takes its default action and kills the
+	// process undrained.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	fmt.Fprintf(stdout, "farmd: listening on %s (capacity %d, protocol <= v%d, %s)\n",
 		ln.Addr(), srv.Capacity(), srv.MaxVersion(), buildinfo.Read().Short())
 	if armed := failpoint.Default.Snapshot(); len(armed) > 0 {
 		fmt.Fprintf(stdout, "farmd: FAULT INJECTION ARMED: %d failpoint(s) active — not for production\n", len(armed))
 	}
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigc)
 	serveDone := make(chan struct{})
 	go func() {
 		select {
