@@ -25,8 +25,8 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
-	"repro/internal/farm"
 	"repro/internal/failpoint"
+	"repro/internal/farm"
 	"repro/internal/figures"
 	"repro/internal/obs"
 	"repro/internal/opt"
@@ -74,6 +74,14 @@ func main() {
 	if err := opt.Validate(*engine, json.RawMessage(*engineParams)); err != nil {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 		os.Exit(2)
+	}
+	// Created before any figure runs: a -csv path that cannot be written
+	// fails now, not after every simulation has been paid for.
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)

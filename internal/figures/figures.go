@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/coverage"
+	"repro/internal/duv"
 	"repro/internal/duv/ifu"
 	"repro/internal/duv/iounit"
 	"repro/internal/duv/l3cache"
@@ -87,14 +88,19 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// journalPath resolves the figure's journal file for Config.Journal.
-// With Resume set, an existing journal is recovered and replayed (a
-// missing one — the previous run died before reaching this figure —
-// starts fresh); without it, any stale journal is removed so the run
-// starts over, matching the historical create-and-truncate behavior.
+// journalPath resolves the figure's journal file for Config.Journal,
+// creating JournalDir if need be — a path that cannot hold a journal
+// fails here, before the first simulation. With Resume set, an existing
+// journal is recovered and replayed (a missing one — the previous run
+// died before reaching this figure — starts fresh); without it, any
+// stale journal is removed so the run starts over, matching the
+// historical create-and-truncate behavior.
 func (o Options) journalPath(name string) (string, error) {
 	if o.JournalDir == "" {
 		return "", nil
+	}
+	if err := os.MkdirAll(o.JournalDir, 0o755); err != nil {
+		return "", err
 	}
 	path := filepath.Join(o.JournalDir, name+".journal")
 	if !o.Resume {
@@ -145,66 +151,110 @@ func compositeReport(reports []*core.Report) *core.Report {
 	return composite
 }
 
+// budget is one figure's row of simulation budgets at paper scale.
+// Every figure samples with N = 100 sims per test and splits ranges into
+// 4 subranges.
+type budget struct {
+	corpus        int // "before" sims over the whole base suite, times Scale
+	topTemplates  int
+	sampleTests   int // random-sample tests at the default scale
+	optIterations int
+	optDirections int // probes per iteration, beside the resampled center
+	optSims       int
+	bestSims      int // harvest sims at the default scale
+}
+
+// newFlow is the one place Options and a budget row become a
+// core.Config: it builds the figure's flow, journaled under name when
+// JournalDir is set.
+func (o Options) newFlow(name string, unit duv.DUV, b budget) (*core.Flow, error) {
+	journal, err := o.journalPath(name)
+	if err != nil {
+		return nil, err
+	}
+	return core.New(unit, core.Config{
+		Seed:                  o.Seed,
+		Workers:               o.Workers,
+		Obs:                   o.Obs,
+		Runner:                o.Runner,
+		RunnerLanes:           o.RunnerLanes,
+		Engine:                o.Engine,
+		EngineParams:          o.EngineParams,
+		Journal:               journal,
+		CorpusSimsPerTemplate: scaled(b.corpus, o.Scale) / len(unit.BaseTemplates()),
+		TopTemplates:          b.topTemplates,
+		Subranges:             4,
+		SampleTemplates:       scaled(b.sampleTests, o.Scale*10),
+		SampleSims:            100,
+		OptIterations:         b.optIterations,
+		OptDirections:         b.optDirections,
+		OptSims:               b.optSims,
+		BestSims:              scaled(b.bestSims, o.Scale*10),
+	})
+}
+
+// familySpec is what tells one family figure from another.
+type familySpec struct {
+	name, title string
+	unit        duv.DUV
+	family      string
+	budget      budget
+}
+
+// familyFigure regenerates a hit-statistics table for one event family
+// across the four phases: refinement rounds until the family is covered
+// (or Rounds run out), rendered as the composite report.
+func familyFigure(spec familySpec, opts Options) (*Result, error) {
+	opts = opts.withDefaults()
+	flow, err := opts.newFlow(spec.name, spec.unit, spec.budget)
+	if err != nil {
+		return nil, err
+	}
+	defer flow.Close()
+	reports, err := flow.RunFamilyRefined(opts.ctx(), spec.family, 0.4, opts.Rounds)
+	if err != nil {
+		return nil, err
+	}
+	composite := compositeReport(reports)
+	table, err := composite.FormatFamilyTable(spec.unit.Model(), spec.family)
+	if err != nil {
+		return nil, err
+	}
+	csv, err := composite.FamilyCSV(spec.unit.Model(), spec.family)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Name:  spec.name,
+		Title: spec.title,
+		Text: fmt.Sprintf("%s\n(%d refinement rounds; composite of round 1 'before' and final-round phases)\n",
+			table, len(reports)),
+		CSV:     csv,
+		Reports: reports,
+		Sims:    flow.Env().Simulations(),
+	}, nil
+}
+
 // Fig3 regenerates the paper's Fig. 3: hit statistics for the crc_*
 // family of the I/O unit across the four phases. Paper budgets: before
 // 669,000 sims; sampling 200 tests x 100 sims; optimization 7
 // iterations x 20 tests x 200 sims; best 10,000 sims.
 func Fig3(opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	unit := iounit.New()
-	cfg := core.Config{
-		Seed:                  opts.Seed,
-		Workers:               opts.Workers,
-		Obs:                   opts.Obs,
-		Runner:                opts.Runner,
-		RunnerLanes:           opts.RunnerLanes,
-		Engine:                opts.Engine,
-		EngineParams:          opts.EngineParams,
-		CorpusSimsPerTemplate: scaled(669000, opts.Scale) / len(unit.BaseTemplates()),
-		TopTemplates:          2,
-		Subranges:             4,
-		SampleTemplates:       scaled(200, opts.Scale*10), // 200 at default scale
-		SampleSims:            100,
-		OptIterations:         7,
-		OptDirections:         19, // +1 center = 20 tests/iteration
-		OptSims:               200,
-		BestSims:              scaled(10000, opts.Scale*10),
-	}
-	jp, err := opts.journalPath("fig3")
-	if err != nil {
-		return nil, err
-	}
-	cfg.Journal = jp
-	flow, err := core.New(unit, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer flow.Close()
-	reports, err := flow.RunFamilyRefined(opts.ctx(), iounit.FamilyName, 0.4, opts.Rounds)
-	if err != nil {
-		return nil, err
-	}
-	composite := compositeReport(reports)
-	table, err := composite.FormatFamilyTable(unit.Model(), iounit.FamilyName)
-	if err != nil {
-		return nil, err
-	}
-	csv, err := composite.FamilyCSV(unit.Model(), iounit.FamilyName)
-	if err != nil {
-		return nil, err
-	}
-	var b strings.Builder
-	b.WriteString(table)
-	fmt.Fprintf(&b, "\n(%d refinement rounds; composite of round 1 'before' and final-round phases)\n",
-		len(reports))
-	return &Result{
-		Name:    "fig3",
-		Title:   "Fig. 3: hit statistics for a family of events in one of the I/O units",
-		Text:    b.String(),
-		CSV:     csv,
-		Reports: reports,
-		Sims:    flow.Env().Simulations(),
-	}, nil
+	return familyFigure(familySpec{
+		name:   "fig3",
+		title:  "Fig. 3: hit statistics for a family of events in one of the I/O units",
+		unit:   iounit.New(),
+		family: iounit.FamilyName,
+		budget: budget{
+			corpus:        669000,
+			topTemplates:  2,
+			sampleTests:   200,
+			optIterations: 7,
+			optDirections: 19, // +1 center = 20 tests/iteration
+			optSims:       200,
+			bestSims:      10000,
+		},
+	}, opts)
 }
 
 // Fig4 regenerates the paper's Fig. 4: hit statistics for the
@@ -212,61 +262,21 @@ func Fig3(opts Options) (*Result, error) {
 // sims; sampling 210 tests x 100 sims; optimization 25 iterations x 12
 // tests x 100 sims; best 15,000 sims.
 func Fig4(opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	unit := l3cache.New()
-	cfg := core.Config{
-		Seed:                  opts.Seed,
-		Workers:               opts.Workers,
-		Obs:                   opts.Obs,
-		Runner:                opts.Runner,
-		RunnerLanes:           opts.RunnerLanes,
-		Engine:                opts.Engine,
-		EngineParams:          opts.EngineParams,
-		CorpusSimsPerTemplate: scaled(1000000, opts.Scale) / len(unit.BaseTemplates()),
-		TopTemplates:          2,
-		Subranges:             4,
-		SampleTemplates:       scaled(210, opts.Scale*10),
-		SampleSims:            100,
-		OptIterations:         25,
-		OptDirections:         11, // +1 center = 12 tests/iteration
-		OptSims:               100,
-		BestSims:              scaled(15000, opts.Scale*10),
-	}
-	jp, err := opts.journalPath("fig4")
-	if err != nil {
-		return nil, err
-	}
-	cfg.Journal = jp
-	flow, err := core.New(unit, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer flow.Close()
-	reports, err := flow.RunFamilyRefined(opts.ctx(), l3cache.FamilyName, 0.4, opts.Rounds)
-	if err != nil {
-		return nil, err
-	}
-	composite := compositeReport(reports)
-	table, err := composite.FormatFamilyTable(unit.Model(), l3cache.FamilyName)
-	if err != nil {
-		return nil, err
-	}
-	csv, err := composite.FamilyCSV(unit.Model(), l3cache.FamilyName)
-	if err != nil {
-		return nil, err
-	}
-	var b strings.Builder
-	b.WriteString(table)
-	fmt.Fprintf(&b, "\n(%d refinement rounds; composite of round 1 'before' and final-round phases)\n",
-		len(reports))
-	return &Result{
-		Name:    "fig4",
-		Title:   "Fig. 4: hit statistics for a family of events in a processor's L3 unit",
-		Text:    b.String(),
-		CSV:     csv,
-		Reports: reports,
-		Sims:    flow.Env().Simulations(),
-	}, nil
+	return familyFigure(familySpec{
+		name:   "fig4",
+		title:  "Fig. 4: hit statistics for a family of events in a processor's L3 unit",
+		unit:   l3cache.New(),
+		family: l3cache.FamilyName,
+		budget: budget{
+			corpus:        1000000,
+			topTemplates:  2,
+			sampleTests:   210,
+			optIterations: 25,
+			optDirections: 11, // +1 center = 12 tests/iteration
+			optSims:       100,
+			bestSims:      15000,
+		},
+	}, opts)
 }
 
 // Fig5 regenerates the paper's Fig. 5: the status (never/lightly/well
@@ -276,30 +286,15 @@ func Fig4(opts Options) (*Result, error) {
 func Fig5(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	unit := ifu.New()
-	cfg := core.Config{
-		Seed:                  opts.Seed,
-		Workers:               opts.Workers,
-		Obs:                   opts.Obs,
-		Runner:                opts.Runner,
-		RunnerLanes:           opts.RunnerLanes,
-		Engine:                opts.Engine,
-		EngineParams:          opts.EngineParams,
-		CorpusSimsPerTemplate: scaled(300000, opts.Scale) / len(unit.BaseTemplates()),
-		TopTemplates:          3,
-		Subranges:             4,
-		SampleTemplates:       scaled(200, opts.Scale*10),
-		SampleSims:            100,
-		OptIterations:         10,
-		OptDirections:         15,
-		OptSims:               200,
-		BestSims:              scaled(20000, opts.Scale*10),
-	}
-	jp, err := opts.journalPath("fig5")
-	if err != nil {
-		return nil, err
-	}
-	cfg.Journal = jp
-	flow, err := core.New(unit, cfg)
+	flow, err := opts.newFlow("fig5", unit, budget{
+		corpus:        300000,
+		topTemplates:  3,
+		sampleTests:   200,
+		optIterations: 10,
+		optDirections: 15,
+		optSims:       200,
+		bestSims:      20000,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -345,19 +340,25 @@ func Fig5(opts Options) (*Result, error) {
 // rounds start near their optimum and are flat, which is convergence,
 // not progress.
 func Fig6(opts Options) (*Result, error) {
-	res, err := Fig4(opts)
+	fig4, err := Fig4(opts)
 	if err != nil {
 		return nil, err
 	}
-	climbing := climbingReport(res.Reports)
+	return fig6Of(fig4, fig4.Sims), nil
+}
+
+// fig6Of renders Fig. 6 from a finished Fig. 4 run; sims is what the
+// result accounts for (nothing, when Fig. 4 is reported beside it).
+func fig6Of(fig4 *Result, sims uint64) *Result {
+	climbing := climbingReport(fig4.Reports)
 	return &Result{
 		Name:    "fig6",
 		Title:   "Fig. 6: optimization progress on the L3 example",
 		Text:    climbing.FormatProgress(),
 		CSV:     climbing.ProgressCSV(),
-		Reports: res.Reports,
-		Sims:    res.Sims,
-	}, nil
+		Reports: fig4.Reports,
+		Sims:    sims,
+	}
 }
 
 // climbingReport picks the report whose optimization history gained the
@@ -397,16 +398,7 @@ func All(opts Options) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	climbing := climbingReport(fig4.Reports)
-	fig6 := &Result{
-		Name:    "fig6",
-		Title:   "Fig. 6: optimization progress on the L3 example",
-		Text:    climbing.FormatProgress(),
-		CSV:     climbing.ProgressCSV(),
-		Reports: fig4.Reports,
-		Sims:    0, // shares Fig 4's run
-	}
-	return []*Result{fig3, fig4, fig5, fig6}, nil
+	return []*Result{fig3, fig4, fig5, fig6Of(fig4, 0)}, nil // fig6 shares Fig 4's run
 }
 
 // StatusCountsByPhase extracts Fig. 5's raw series (for tests and

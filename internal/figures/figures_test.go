@@ -1,11 +1,14 @@
 package figures
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/coverage"
 	"repro/internal/duv/ifu"
+	"repro/internal/duv/iounit"
 )
 
 // tinyOpts keeps figure tests fast; the optimization budgets are fixed
@@ -27,6 +30,35 @@ func TestScaled(t *testing.T) {
 	}
 	if scaled(3, 0.001) != 1 {
 		t.Fatal("scaled should floor at 1")
+	}
+}
+
+// TestJournalDirIsCreated: a JournalDir that does not exist yet is
+// created when the figure's flow is built, and one that cannot exist
+// fails there — before anything is simulated.
+func TestJournalDirIsCreated(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt", "run1")
+	opts := tinyOpts(1)
+	opts.JournalDir = dir
+	flow, err := opts.newFlow("fig3", iounit.New(), budget{corpus: 100, topTemplates: 1, sampleTests: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flow.Close()
+	if _, err := os.Stat(filepath.Join(dir, "fig3.journal")); err != nil {
+		t.Fatalf("no journal in the created directory: %v", err)
+	}
+	if n := flow.Env().Simulations(); n != 0 {
+		t.Fatalf("building the flow simulated %d instances", n)
+	}
+
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts.JournalDir = filepath.Join(file, "ckpt")
+	if _, err := Fig3(opts); err == nil {
+		t.Fatal("a journal directory under a regular file should fail")
 	}
 }
 
