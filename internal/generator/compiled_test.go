@@ -2,6 +2,7 @@ package generator
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -15,7 +16,7 @@ import (
 // interp is the per-decision interpreter the slot table replaced, kept
 // as the test oracle: it resolves the parameter by name on every
 // decision (template linear scan, then the defaults map), builds a
-// weight slice per pick and draws through rng.WeightedIndex. The slot
+// weight slice per pick and draws through weightedIndex. The slot
 // path must return the same decisions and leave the stream in the same
 // state.
 type interp struct {
@@ -84,11 +85,91 @@ func (g *interp) pickEntry(wp *template.WeightParam) template.WeightEntry {
 	for i, e := range wp.Entries {
 		weights[i] = e.Weight
 	}
-	return wp.Entries[g.pickIndex(weights)]
+	return wp.Entries[weightedIndex(g.r, weights)]
 }
 
-func (g *interp) pickIndex(weights []int) int {
-	return g.r.WeightedIndex(weights)
+// weightedIndex picks an index in [0, len(weights)) with probability
+// proportional to weights[i]. Negative weights are treated as zero. If
+// all weights are zero it picks uniformly. It panics on an empty slice.
+func weightedIndex(r *rng.RNG, weights []int) int {
+	if len(weights) == 0 {
+		panic("weightedIndex called with no weights")
+	}
+	total := 0
+	for _, w := range weights {
+		if w > 0 {
+			total += w
+		}
+	}
+	if total == 0 {
+		return r.Intn(len(weights))
+	}
+	pick := r.Intn(total)
+	for i, w := range weights {
+		if w <= 0 {
+			continue
+		}
+		if pick < w {
+			return i
+		}
+		pick -= w
+	}
+	// Unreachable if total was computed consistently.
+	return len(weights) - 1
+}
+
+func TestWeightedIndexDistribution(t *testing.T) {
+	r := rng.New(37)
+	weights := []int{10, 0, 30, 60}
+	counts := make([]int, len(weights))
+	const n = 100000
+	for i := 0; i < n; i++ {
+		counts[weightedIndex(r, weights)]++
+	}
+	if counts[1] != 0 {
+		t.Fatalf("zero-weight index picked %d times", counts[1])
+	}
+	for i, w := range weights {
+		if w == 0 {
+			continue
+		}
+		want := float64(w) / 100
+		got := float64(counts[i]) / n
+		if math.Abs(got-want) > 0.01 {
+			t.Errorf("index %d rate = %v, want ~%v", i, got, want)
+		}
+	}
+}
+
+func TestWeightedIndexAllZeroUniform(t *testing.T) {
+	r := rng.New(41)
+	counts := make([]int, 4)
+	for i := 0; i < 40000; i++ {
+		counts[weightedIndex(r, []int{0, 0, 0, 0})]++
+	}
+	for i, c := range counts {
+		if c < 9000 || c > 11000 {
+			t.Errorf("all-zero weights index %d picked %d times, want ~10000", i, c)
+		}
+	}
+}
+
+func TestWeightedIndexNegativeTreatedAsZero(t *testing.T) {
+	r := rng.New(43)
+	for i := 0; i < 1000; i++ {
+		if idx := weightedIndex(r, []int{-5, 10, -1}); idx != 1 {
+			t.Fatalf("negative weights should never be picked, got index %d", idx)
+		}
+	}
+}
+
+func TestWeightedIndexPanicsOnEmpty(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("weightedIndex(nil) should panic")
+		}
+	}()
+	weightedIndex(rng.New(0), nil)
 }
 
 // equivTemplates exercises every decision kind the compiler handles:

@@ -169,33 +169,3 @@ func (r *RNG) Perm(n int) []int {
 	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
 }
-
-// WeightedIndex picks an index in [0, len(weights)) with probability
-// proportional to weights[i]. Negative weights are treated as zero. If
-// all weights are zero it picks uniformly. It panics on an empty slice.
-func (r *RNG) WeightedIndex(weights []int) int {
-	if len(weights) == 0 {
-		panic("rng: WeightedIndex called with no weights")
-	}
-	total := 0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total == 0 {
-		return r.Intn(len(weights))
-	}
-	pick := r.Intn(total)
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		if pick < w {
-			return i
-		}
-		pick -= w
-	}
-	// Unreachable if total was computed consistently.
-	return len(weights) - 1
-}

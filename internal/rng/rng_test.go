@@ -261,60 +261,6 @@ func TestShuffleCoversOrders(t *testing.T) {
 	}
 }
 
-func TestWeightedIndexDistribution(t *testing.T) {
-	r := New(37)
-	weights := []int{10, 0, 30, 60}
-	counts := make([]int, len(weights))
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[r.WeightedIndex(weights)]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight index picked %d times", counts[1])
-	}
-	for i, w := range weights {
-		if w == 0 {
-			continue
-		}
-		want := float64(w) / 100
-		got := float64(counts[i]) / n
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("index %d rate = %v, want ~%v", i, got, want)
-		}
-	}
-}
-
-func TestWeightedIndexAllZeroUniform(t *testing.T) {
-	r := New(41)
-	counts := make([]int, 4)
-	for i := 0; i < 40000; i++ {
-		counts[r.WeightedIndex([]int{0, 0, 0, 0})]++
-	}
-	for i, c := range counts {
-		if c < 9000 || c > 11000 {
-			t.Errorf("all-zero weights index %d picked %d times, want ~10000", i, c)
-		}
-	}
-}
-
-func TestWeightedIndexNegativeTreatedAsZero(t *testing.T) {
-	r := New(43)
-	for i := 0; i < 1000; i++ {
-		if idx := r.WeightedIndex([]int{-5, 10, -1}); idx != 1 {
-			t.Fatalf("negative weights should never be picked, got index %d", idx)
-		}
-	}
-}
-
-func TestWeightedIndexPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WeightedIndex(nil) should panic")
-		}
-	}()
-	New(0).WeightedIndex(nil)
-}
-
 func TestUint64Distribution(t *testing.T) {
 	// Crude equidistribution check: each of the top 4 bits patterns of the
 	// high nibble should appear roughly uniformly.
