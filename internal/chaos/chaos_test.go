@@ -69,12 +69,13 @@ func TestKillAtEveryAppendBoundary(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	for _, row := range []struct {
-		name  string
-		run   func(*core.Flow) (any, error)
-		tears []int
+		name    string
+		run     func(*core.Flow) (any, error)
+		tears   []int
+		targets int // optimizations the campaign runs, each ending in a harvest
 	}{
-		{"family", runRefined, []int{0, 7}},
-		{"per_event", runPerEvent, []int{0}},
+		{"family", runRefined, []int{0, 7}, 1},
+		{"per_event", runPerEvent, []int{0}, 2},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -86,9 +87,7 @@ func TestKillAtEveryAppendBoundary(t *testing.T) {
 				t.Fatalf("sweep ran only %d trials; the campaign journals too few records to be a meaningful test", trials)
 			}
 			t.Logf("chaos sweep: %d crash+resume trials, all bit-identical", trials)
-			if row.name == "per_event" {
-				checkEveryTargetCheckpointed(t, filepath.Join(dir, "baseline.journal"))
-			}
+			checkEveryTargetCheckpointed(t, filepath.Join(dir, "baseline.journal"), row.targets)
 		})
 	}
 
@@ -105,10 +104,10 @@ func TestKillAtEveryAppendBoundary(t *testing.T) {
 	}
 }
 
-// checkEveryTargetCheckpointed asserts a finished per-event journal
+// checkEveryTargetCheckpointed asserts a finished campaign's journal
 // holds, for each target, its optimizer iterations followed by its
 // harvest — what lets a resumed campaign skip the targets it finished.
-func checkEveryTargetCheckpointed(t *testing.T, path string) {
+func checkEveryTargetCheckpointed(t *testing.T, path string, targets int) {
 	t.Helper()
 	recs, w, err := journal.Recover(path, nil, nil)
 	if err != nil {
@@ -128,8 +127,8 @@ func checkEveryTargetCheckpointed(t *testing.T, path string) {
 			iters = 0
 		}
 	}
-	if harvests != 2 {
-		t.Fatalf("journal holds %d harvest records in %d, want one per target (2)", harvests, len(recs))
+	if harvests != targets {
+		t.Fatalf("journal holds %d harvest records in %d, want one per target (%d)", harvests, len(recs), targets)
 	}
 }
 

@@ -133,6 +133,7 @@ func TestDefaultEngineReportGolden(t *testing.T) {
 	}
 	one := func(r *Report, err error) ([]*Report, error) { return []*Report{r}, err }
 	ctx := context.Background()
+	perEvent := func(f *Flow) ([]*Report, error) { return f.RunPerEventShared(ctx, l3cache.FamilyName, 0.5) }
 	for _, tc := range []struct {
 		name, golden string
 		unit         duv.DUV
@@ -152,12 +153,8 @@ func TestDefaultEngineReportGolden(t *testing.T) {
 		{"events_l3", "engine_default_events_l3.golden", l3cache.New(), crossCfg, false, func(f *Flow) ([]*Report, error) {
 			return one(f.RunEvents(ctx, []string{"byp_reqs03"}, 0.5))
 		}},
-		{"per_event_l3", "engine_default_per_event_l3.golden", l3cache.New(), crossCfg, false, func(f *Flow) ([]*Report, error) {
-			return f.RunPerEventShared(ctx, l3cache.FamilyName, 0.5)
-		}},
-		{"per_event_l3_journaled", "engine_default_per_event_l3.golden", l3cache.New(), crossCfg, true, func(f *Flow) ([]*Report, error) {
-			return f.RunPerEventShared(ctx, l3cache.FamilyName, 0.5)
-		}},
+		{"per_event_l3", "engine_default_per_event_l3.golden", l3cache.New(), crossCfg, false, perEvent},
+		{"per_event_l3_journaled", "engine_default_per_event_l3.golden", l3cache.New(), crossCfg, true, perEvent},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.journaled {

@@ -321,17 +321,14 @@ func bestSample(samples []sample, target *neighbors.Target) ([]float64, float64)
 
 // optimize is step 5 (paper Section IV-E, Algorithm 1): the configured
 // engine climbs from the target's best sampled point, drawing its
-// randomness from r. attrs are the span's start attributes beside the
-// start score. Every completed engine iteration is journaled as an
+// randomness from r. attrs are the span's start attributes; the start
+// score joins them. Every completed engine iteration is journaled as an
 // opt_iter record, and a resumed run re-enters at the iteration after
 // the last one recorded.
 func (f *Flow) optimize(skel *skeleton.Skeleton, samples []sample, target *neighbors.Target, r *rng.RNG, attrs map[string]any) (res opt.Result, stats PhaseStats, err error) {
 	x0, startScore := bestSample(samples, target)
-	start := map[string]any{"start_score": startScore}
-	for k, v := range attrs {
-		start[k] = v
-	}
-	err = f.phase("optimization", start, func() (map[string]any, error) {
+	attrs["start_score"] = startScore
+	err = f.phase("optimization", attrs, func() (map[string]any, error) {
 		engineName := f.cfg.engineName()
 		counts, resume, err := f.replayOptimizer(engineName)
 		if err != nil {
