@@ -4,9 +4,9 @@
 // with N different seeds, and every instance makes thousands of
 // decisions. Compile resolves everything a decision would otherwise look
 // up — the effective setting of each parameter (template wins), the
-// cumulative weights, the integer code of each symbolic value — into a
-// dense slot table shared read-only by all N generators. It is the only
-// decision path: New compiles too.
+// entry each draw selects, the integer code of each symbolic value —
+// into a dense slot table shared read-only by all N generators. It is
+// the only decision path: New compiles too.
 //
 // Slot order. The defaults' parameters come first, in sorted-name order,
 // so slot i is the same parameter in every plan of one unit and the
@@ -32,6 +32,16 @@
 // IntRange inside the chosen range. compiled_test.go keeps the
 // per-decision interpreter this table replaced as the oracle for both
 // the decisions and the stream position.
+//
+// Draw tables. The weighted choice is an implementation of that
+// contract, not a second one: Compile tabulates, for every draw k the
+// contract allows, the entry a scan of the cumulative weights would stop
+// at, so a decision is the contract's one Intn and one byte load, with no
+// branch on the drawn value (see slot.lut for the slots this covers: all
+// that a unit decides over a template of the flow).
+// Every draw is an Intn of at most 1<<32, the widest bound Intn can
+// honour: a larger total weight or a wider range is an error of the
+// plan.
 package generator
 
 import (
@@ -58,8 +68,28 @@ type entry struct {
 	lo, hi int // subrange bounds
 }
 
+// maxDraw is the widest bound a decision may hand to Intn (see its
+// comment): beyond it some entries, or some values of a range, could
+// never be drawn.
+const maxDraw = 1 << 32
+
+// lutCap bounds a slot's draw table, in bytes. The flow's own templates
+// stay far below it — no unit, and no skeleton at the default four
+// subranges, has more than five entries, a skeleton weights each at most
+// MaxWeight 100 and every unit's totals are 100 — so the cap only bounds
+// what a template off the wire (cmd/farmd) can make a cached plan hold:
+// 4 KiB for each parameter the unit declares.
+const lutCap = 4096
+
 // slot is one pre-resolved parameter of a Plan.
 type slot struct {
+	// lut maps each draw of the stream-consumption contract to the index
+	// of the entry it selects: len(lut) is the total weight, or the entry
+	// count when every weight is zero (the identity: uniform fallback).
+	// Nil for a single-entry slot, which draws nothing, and for the slots
+	// that scan: more than 256 entries, a total weight above lutCap, or a
+	// parameter only the template names.
+	lut     []uint8
 	entries []entry
 	total   int      // sum of the positive weights; 0 selects uniformly
 	vocab   []string // symbolic values by code, for PickValue
@@ -67,13 +97,21 @@ type slot struct {
 	kind    slotKind
 }
 
-// pick draws the index of one entry according to the weights. The scan
-// is linear: no unit, and no skeleton at the default four subranges, has
-// more than five entries.
+// pick draws the index of one entry according to the weights.
 func (s *slot) pick(r *rng.RNG) int {
+	if n := len(s.lut); n != 0 {
+		return int(s.lut[r.Intn(n)])
+	}
 	if len(s.entries) == 1 {
 		return 0
 	}
+	return s.scan(r)
+}
+
+// scan is pick for the slots without a draw table: the same draw, then
+// a linear walk of the cumulative weights. No decision of a unit's model
+// over a template of the flow takes it.
+func (s *slot) scan(r *rng.RNG) int {
 	if s.total == 0 {
 		return r.Intn(len(s.entries))
 	}
@@ -83,6 +121,29 @@ func (s *slot) pick(r *rng.RNG) int {
 		i++
 	}
 	return i
+}
+
+// tabulate builds the slot's draw table: lut[k] is the entry the scan
+// stops at for draw k.
+func (s *slot) tabulate() {
+	n := len(s.entries)
+	if n < 2 || n > 256 || s.total > lutCap {
+		return
+	}
+	if s.total == 0 {
+		s.lut = make([]uint8, n)
+		for i := range s.lut {
+			s.lut[i] = uint8(i)
+		}
+		return
+	}
+	s.lut = make([]uint8, s.total)
+	k := 0
+	for i := range s.entries {
+		for ; k < s.entries[i].cum; k++ {
+			s.lut[k] = uint8(i)
+		}
+	}
 }
 
 func (s *slot) code(r *rng.RNG) int {
@@ -153,6 +214,12 @@ func Compile(tmpl *template.Template, defaults Defaults) *Plan {
 			plan.slots = append(plan.slots, s)
 		}
 	}
+	// Only the unit's own parameters get a draw table: they are the ones
+	// a model decides, and their number — not the length of a template
+	// off the wire — then bounds what a plan holds.
+	for i := range names {
+		plan.slots[i].tabulate()
+	}
 	return plan
 }
 
@@ -169,8 +236,9 @@ func (p *Plan) fail(param string, err error) *Plan {
 // Err reports why the plan cannot drive a generator: a symbolic value
 // outside the parameter's vocabulary, a symbolic setting over a numeric
 // default or a range or subrange setting over a symbolic one, an empty
-// weight parameter, or inverted bounds. Callers that compile templates
-// from outside the program check it before NewFromPlan.
+// weight parameter, inverted bounds, or a total weight or a range span
+// above 1<<32. Callers that compile templates from outside the program
+// check it before NewFromPlan.
 func (p *Plan) Err() error { return p.err }
 
 // Template returns the template the plan was compiled from (may be nil).
@@ -237,6 +305,10 @@ func compileParam(p template.Param, def *slot) (slot, error) {
 				}
 			}
 			if we.Weight > 0 {
+				// Each term is at most maxDraw, so the sum cannot wrap.
+				if we.Weight > maxDraw || s.total+we.Weight > maxDraw {
+					return slot{}, fmt.Errorf("total weight exceeds 1<<32")
+				}
 				s.total += we.Weight
 			}
 			e.cum = s.total
@@ -261,8 +333,11 @@ func rangeEntry(lo, hi int, def *slot) (entry, error) {
 	if def != nil && def.kind == kindSymbolic {
 		return entry{}, fmt.Errorf("[%d:%d] overrides a symbolic default (values %v)", lo, hi, def.vocab)
 	}
-	if hi < lo || hi-lo+1 <= 0 {
+	if hi < lo {
 		return entry{}, fmt.Errorf("[%d:%d] is not a range", lo, hi)
+	}
+	if uint64(hi)-uint64(lo) >= maxDraw { // the span less one, exact whatever the signs
+		return entry{}, fmt.Errorf("[%d:%d] span exceeds 1<<32", lo, hi)
 	}
 	return entry{code: -1, lo: lo, hi: hi}, nil
 }

@@ -41,11 +41,6 @@ func (g *interp) resolve(name string) (template.Param, bool) {
 	return p, ok
 }
 
-func (g *interp) Has(name string) bool {
-	_, ok := g.resolve(name)
-	return ok
-}
-
 func (g *interp) PickValue(name string) string {
 	p, ok := g.resolve(name)
 	if !ok {
@@ -197,60 +192,26 @@ func equivTemplates(t *testing.T) []*template.Template {
 	return out
 }
 
-// drive makes the same decision sequence on the interpreter and on the
-// slot path and fails on the first divergence, in a decision or in the
-// stream state after it.
-func drive(t *testing.T, name string, a *interp, b *Generator, rounds int) {
-	t.Helper()
-	sync := func(i int, param string) {
-		t.Helper()
-		if x, y := a.RNG().State(), b.RNG().State(); x != y {
-			t.Fatalf("%s round %d: streams diverged after %s (%#x != %#x)", name, i, param, x, y)
-		}
-	}
-	for i := 0; i < rounds; i++ {
-		if a.Has("Mnemonic") {
-			if x, y := a.PickValue("Mnemonic"), b.PickValue("Mnemonic"); x != y {
-				t.Fatalf("%s round %d: Mnemonic %q != %q", name, i, x, y)
-			}
-			sync(i, "Mnemonic")
-		}
-		if a.Has("CacheDelay") {
-			if x, y := a.PickInt("CacheDelay"), b.PickInt("CacheDelay"); x != y {
-				t.Fatalf("%s round %d: CacheDelay %d != %d", name, i, x, y)
-			}
-			sync(i, "CacheDelay")
-		}
-		if a.Has("Mode") {
-			if x, y := a.PickValue("Mode"), b.PickValue("Mode"); x != y {
-				t.Fatalf("%s round %d: Mode %q != %q", name, i, x, y)
-			}
-			sync(i, "Mode")
-		}
-	}
-}
-
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	defaults := testDefaults(t)
 	for _, tmpl := range equivTemplates(t) {
-		plan := Compile(tmpl, defaults)
-		if err := plan.Err(); err != nil {
-			t.Fatal(err)
-		}
 		for seed := uint64(0); seed < 25; seed++ {
-			drive(t, tmpl.Name, newInterp(tmpl, defaults, seed), NewFromPlan(plan, seed), 40)
+			if err := CheckDecisions(t, tmpl, defaults, seed, 40); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
 
 func TestCompiledNilTemplateMatchesInterpreted(t *testing.T) {
 	defaults := testDefaults(t)
-	plan := Compile(nil, defaults)
-	if plan.Template() != nil {
+	if Compile(nil, defaults).Template() != nil {
 		t.Fatal("nil-template plan should report a nil template")
 	}
 	for seed := uint64(1); seed < 20; seed++ {
-		drive(t, "defaults-only", newInterp(nil, defaults, seed), NewFromPlan(plan, seed), 40)
+		if err := CheckDecisions(t, nil, defaults, seed, 40); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -390,6 +351,173 @@ func TestSlotPathMatchesInterpreterQuick(t *testing.T) {
 	}
 }
 
+// CheckDecisions compiles tmpl over defaults and, if the plan is valid,
+// makes n decisions on every slot — by handle where the defaults name
+// the parameter, else by name — against the interpreter: equal decisions,
+// equal stream state after each, every Int inside the subrange its draw
+// chose, every Code inside the vocabulary, no draw table above lutCap.
+// It returns the plan's error. Exported because FuzzCompileDecide lives
+// in the external test package (fuzz_test.go): it imports the units,
+// which import this package.
+func CheckDecisions(t *testing.T, tmpl *template.Template, defaults Defaults, seed uint64, n int) error {
+	t.Helper()
+	plan := Compile(tmpl, defaults)
+	if plan.Err() != nil {
+		return plan.Err()
+	}
+	oracle, g := newInterp(tmpl, defaults, seed), NewFromPlan(plan, seed)
+	for i := range plan.slots {
+		s := &plan.slots[i]
+		if len(s.lut) > lutCap {
+			t.Fatalf("%s: draw table of %d bytes, cap %d", s.name, len(s.lut), lutCap)
+		}
+		byHandle := i < len(plan.names)
+		for d := 0; d < n; d++ {
+			switch {
+			case s.kind >= kindSubranges:
+				before := g.r
+				want, got := oracle.PickInt(s.name), 0
+				if byHandle {
+					got = g.Int(Handle(i))
+				} else {
+					got = g.PickInt(s.name)
+				}
+				if e := s.entries[s.pick(&before)]; got != want || got < e.lo || got > e.hi {
+					t.Fatalf("%s decision %d: %d, interpreter %d, chosen subrange [%d:%d]", s.name, d, got, want, e.lo, e.hi)
+				}
+			case s.kind == kindSymbolic && byHandle:
+				want, code := oracle.PickValue(s.name), g.Code(Handle(i))
+				if code < 0 || code >= len(s.vocab) || s.vocab[code] != want {
+					t.Fatalf("%s decision %d: code %d of %v, interpreter %q", s.name, d, code, s.vocab, want)
+				}
+			default:
+				if want, got := oracle.PickValue(s.name), g.PickValue(s.name); got != want {
+					t.Fatalf("%s decision %d: %q, interpreter %q", s.name, d, got, want)
+				}
+			}
+			if g.r.State() != oracle.RNG().State() {
+				t.Fatalf("%s decision %d: stream state diverged from the interpreter's", s.name, d)
+			}
+		}
+	}
+	return nil
+}
+
+// TestDrawTableMatchesInterpreterAtTheEdges walks the boundaries of the
+// draw table — its byte cap, its 256-entry limit, zero weights in every
+// position, the identity table of an all-zero slot, the single entry
+// that draws nothing — and the scan that remains beyond them. Every
+// shape is decided 4,096 times, symbolic and numeric: as the unit's
+// defaults and as a template over them (by handle: Code, Int), and as
+// parameters only the template names (by name), which never get a table.
+func TestDrawTableMatchesInterpreterAtTheEdges(t *testing.T) {
+	flat := func(n, w int) []int {
+		ws := make([]int, n)
+		for i := range ws {
+			ws[i] = w
+		}
+		return ws
+	}
+	for _, tc := range []struct {
+		name    string
+		weights []int
+		lut     int // bytes of draw table; 0 = none
+	}{
+		{"total one below the cap", []int{1, lutCap - 2}, lutCap - 1},
+		{"total at the cap", []int{lutCap - 1, 1}, lutCap},
+		{"total one above the cap", []int{1, lutCap}, 0},
+		{"total at Intn's bound", []int{1 << 31, 1 << 31}, 0},
+		{"zero weight first", []int{0, 3, 5}, 8},
+		{"zero weight in the middle", []int{3, 0, 5}, 8},
+		{"zero weight last", []int{3, 5, 0}, 8},
+		{"zero weights around every entry", []int{0, 0, 4, 0, 0, 1, 0}, 5},
+		{"all zero, 2 entries", flat(2, 0), 2},
+		{"all zero, 5 entries", flat(5, 0), 5},
+		{"all zero, 256 entries", flat(256, 0), 256},
+		{"all zero, 257 entries", flat(257, 0), 0},
+		{"256 entries", flat(256, 3), 768},
+		{"256 entries at the cap", flat(256, lutCap/256), lutCap},
+		{"257 entries", flat(257, 3), 0},
+		{"single entry", []int{7}, 0},
+		{"single zero entry", []int{0}, 0},
+	} {
+		symbolic, numeric := &template.WeightParam{Name: "S"}, &template.WeightParam{Name: "N"}
+		for i, w := range tc.weights {
+			symbolic.Entries = append(symbolic.Entries, template.WeightEntry{Value: fmt.Sprintf("v%d", i), Weight: w})
+			numeric.Entries = append(numeric.Entries, template.WeightEntry{IsRange: true, Lo: 10 * i, Hi: 10*i + 6, Weight: w})
+		}
+		asTemplate := &template.Template{Name: "t", Params: []template.Param{symbolic, numeric}}
+		vocabulary := &template.WeightParam{Name: "S"} // the same values, reversed
+		for i := len(symbolic.Entries) - 1; i >= 0; i-- {
+			vocabulary.Entries = append(vocabulary.Entries, template.WeightEntry{Value: symbolic.Entries[i].Value, Weight: 1})
+		}
+		for _, c := range []struct {
+			how      string
+			tmpl     *template.Template
+			defaults Defaults
+			lut      int
+		}{
+			{"as the defaults", nil, Defaults{"S": symbolic, "N": numeric}, tc.lut},
+			{"as a template over defaults", asTemplate, Defaults{"S": vocabulary, "N": &template.RangeParam{Name: "N", Lo: -5, Hi: 5}}, tc.lut},
+			{"as template-only parameters, which scan", asTemplate, nil, 0},
+		} {
+			if err := CheckDecisions(t, c.tmpl, c.defaults, 9, 4096); err != nil {
+				t.Fatalf("%s, %s: %v", tc.name, c.how, err)
+			}
+			for _, s := range Compile(c.tmpl, c.defaults).slots {
+				if len(s.lut) != c.lut {
+					t.Errorf("%s, %s: %s has a draw table of %d bytes, want %d", tc.name, c.how, s.name, len(s.lut), c.lut)
+				}
+			}
+		}
+	}
+
+	// A template that reorders, subsets and zeroes the vocabulary still
+	// decides vocabulary codes.
+	defaults := testDefaults(t)
+	for _, src := range []string{
+		"template t { weight Mnemonic { mul: 5; load: 0; add: 2; } weight Mode { slow: 1; fast: 1; } }",
+		"template t { weight Mnemonic { mul: 0; add: 0; store: 0; load: 0; } }",
+		"template t { weight CacheDelay { [50:60]: 0; [0:9]: 4; [10:49]: 1; } }",
+	} {
+		if err := CheckDecisions(t, mustParse(t, src), defaults, 10, 4096); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+	}
+}
+
+// TestPlanTablesAreBounded: cmd/farmd compiles templates off the wire
+// into a cache of plans, so what a plan holds must not grow with what it
+// is sent. The widest template — every declared parameter at the table
+// cap, and a thousand more parameters of its own at the cap — holds
+// lutCap bytes of table per declared parameter and none beyond.
+func TestPlanTablesAreBounded(t *testing.T) {
+	defaults := testDefaults(t)
+	var src strings.Builder
+	src.WriteString("template wide {\n")
+	fmt.Fprintf(&src, "weight Mnemonic { load: %d; mul: 1; }\n", lutCap-1)
+	fmt.Fprintf(&src, "weight CacheDelay { [0:9]: 1; [10:100]: %d; }\n", lutCap-1)
+	fmt.Fprintf(&src, "weight Mode { slow: %d; fast: %d; }\n", lutCap/2, lutCap/2)
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&src, "weight Extra%d { a: %d; b: 1; }\n", i, lutCap-1)
+	}
+	src.WriteString("}")
+	plan := Compile(mustParse(t, src.String()), defaults)
+	if err := plan.Err(); err != nil {
+		t.Fatal(err)
+	}
+	bytes := 0
+	for i, s := range plan.slots {
+		if len(s.lut) > lutCap || (i >= len(defaults) && s.lut != nil) {
+			t.Errorf("slot %d (%s) holds a draw table of %d bytes", i, s.name, len(s.lut))
+		}
+		bytes += len(s.lut)
+	}
+	if want := len(defaults) * lutCap; bytes != want {
+		t.Errorf("the plan holds %d bytes of draw tables, want %d: %d per declared parameter", bytes, want, lutCap)
+	}
+}
+
 func TestSlotOrderIsSortedDefaultsThenTemplateOrder(t *testing.T) {
 	defaults := testDefaults(t)
 	tmpl := mustParse(t, `template t { range Zeta [1:2]; weight Mode { slow: 1; } range Alpha [3:4]; }`)
@@ -508,11 +636,31 @@ func TestPlanErrors(t *testing.T) {
 		{"inverted subrange", "[9:2] is not a range",
 			&template.Template{Name: "t", Params: []template.Param{&template.WeightParam{Name: "New",
 				Entries: []template.WeightEntry{{IsRange: true, Lo: 9, Hi: 2, Weight: 1}}}}}},
+		// Every draw is an Intn, uniform up to 1<<32 only. The first of
+		// these used to wrap the total negative and panic a worker on its
+		// first decision; the second never selected b.
+		{"total weight wraps int", "total weight exceeds 1<<32",
+			mustParse(t, "template t { weight Cmd { a: 9223372036854775807; b: 9223372036854775807; } }")},
+		{"total weight above 1<<32", "total weight exceeds 1<<32",
+			mustParse(t, "template t { weight Cmd { a: 1099511627776; b: 1099511627776; } }")},
+		{"one weight above 1<<32", "total weight exceeds 1<<32",
+			mustParse(t, "template t { weight Cmd { a: 4294967297; } }")},
+		{"range wider than 1<<32", "[0:4294967296] span exceeds 1<<32",
+			mustParse(t, "template t { range CacheDelay [0 : 4294967296]; }")},
+		{"range as wide as int", "span exceeds 1<<32",
+			&template.Template{Name: "t", Params: []template.Param{&template.RangeParam{Name: "R", Lo: math.MinInt, Hi: math.MaxInt}}}},
+		{"subrange wider than 1<<32", "[-1:4294967295] span exceeds 1<<32",
+			&template.Template{Name: "t", Params: []template.Param{&template.WeightParam{Name: "CacheDelay",
+				Entries: []template.WeightEntry{{IsRange: true, Lo: 0, Hi: 9, Weight: 1}, {IsRange: true, Lo: -1, Hi: 1<<32 - 1, Weight: 1}}}}}},
 	} {
 		err := Compile(tc.tmpl, defaults).Err()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Err() = %v, want it to mention %q", tc.name, err, tc.want)
 		}
+	}
+	// 1<<32 itself is inside Intn's domain, as a total and as a span.
+	if err := Compile(mustParse(t, "template t { weight Cmd { a: 2147483648; b: 2147483648; } range CacheDelay [1 : 4294967296]; }"), defaults).Err(); err != nil {
+		t.Errorf("total weight and span of exactly 1<<32: %v", err)
 	}
 	// The skeleton's output form stays legal: subranges over a range default.
 	if err := Compile(mustParse(t, "template t { weight CacheDelay { [0:9]: 1; [10:100]: 0; } }"), defaults).Err(); err != nil {

@@ -1,0 +1,41 @@
+package generator_test
+
+import (
+	"testing"
+
+	"repro/internal/duv"
+	_ "repro/internal/duv/ifu"
+	_ "repro/internal/duv/iounit"
+	_ "repro/internal/duv/l3cache"
+	_ "repro/internal/duv/noc"
+	"repro/internal/generator"
+	"repro/internal/template"
+)
+
+// FuzzCompileDecide is the hostile-input boundary of the template DSL:
+// whatever text cmd/farmd is sent, parsing it and compiling it over any
+// registered unit's defaults never panics, and a plan that reports no
+// error decides like the interpreter (generator.CheckDecisions) on every
+// slot. The seed corpus under testdata/fuzz/FuzzCompileDecide holds the
+// units' base templates, the equivalence templates of compiled_test.go
+// and the three over-wide draws of TestPlanErrors. A finding becomes a
+// row of TestPlanErrors.
+func FuzzCompileDecide(f *testing.F) {
+	var defaults []generator.Defaults
+	for _, name := range duv.Names() {
+		unit, err := duv.New(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		defaults = append(defaults, unit.Defaults())
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		tmpl, err := template.Parse(src)
+		if err != nil {
+			return
+		}
+		for _, d := range defaults {
+			_ = generator.CheckDecisions(t, tmpl, d, 1, 256) // a plan error is a legal answer
+		}
+	})
+}

@@ -86,6 +86,12 @@ func (r *RNG) Int63() int64 {
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
+//
+// Domain: n <= 1<<32. The draw scales 32 bits of the stream, so a larger
+// n is not refused but leaves values of [0, n) that are never returned
+// (n = 1<<41 reaches only the multiples of 512). Callers that take n
+// from outside the program bound it themselves: generator.Compile makes
+// a wider total weight or range an error of the plan.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn called with n <= 0")

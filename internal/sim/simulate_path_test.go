@@ -16,9 +16,10 @@ import (
 )
 
 // TestTemplateTheUnitCannotRunIsAnError: a symbolic value outside a
-// parameter's vocabulary and a setting of the other type than the
-// unit's default come back as errors from Submit, Run and RunChunkInto
-// before any instance runs — at one worker and at several. They used to
+// parameter's vocabulary, a setting of the other type than the unit's
+// default and a draw wider than the generator can make uniformly come
+// back as errors from Submit, Run and RunChunkInto before any instance
+// runs — at one worker and at several. The first two used to
 // reach the model: `weight Command { bogus: 1; }` set event 0 (crc_004,
 // a target-family event) in every iounit instance, `weight Channel
 // { x: 1; }` indexed out of range in a scheduler worker.
@@ -35,6 +36,11 @@ func TestTemplateTheUnitCannotRunIsAnError(t *testing.T) {
 		{"l3cache", "weight BypassHint { on: 1; [0:1]: 1; }", "[0:1] overrides a symbolic default"},
 		{"noc", "weight VCSel { vc9: 1; }", `value "vc9" is not one of [vc0 vc1 vc2 vc3]`},
 		{"noc", "weight HotspotPort { up: 1; }", `value "up" is not one of [n s e w l]`},
+		// Draws wider than rng.Intn's 1<<32: the first used to panic a
+		// worker (the total wraps negative), the others to skew silently.
+		{"iounit", "weight Command { crc: 9223372036854775807; nop: 9223372036854775807; }", "total weight exceeds 1<<32"},
+		{"iounit", "weight Command { crc: 1099511627776; nop: 1099511627776; }", "total weight exceeds 1<<32"},
+		{"ifu", "range FetchAddr [0 : 4294967296];", "[0:4294967296] span exceeds 1<<32"},
 	} {
 		unit, err := duv.New(tc.unit)
 		if err != nil {
