@@ -535,8 +535,9 @@ func BenchmarkTACBestTemplates(b *testing.B) {
 // BenchmarkGeneratorDecisions compares the two ways to ask a compiled
 // plan for a decision: by parameter name (a map lookup and a string
 // result per decision — what the bench ledger's generator.decision_ns
-// probes) and by the handle a unit binds at construction (what every
-// model's Simulate does). 200 decisions per op.
+// probes) and through the deciders a model fetches for its handles
+// before its cycle loop (what every unit's Simulate does: the decision
+// inlines into the loop). 200 decisions per op.
 func BenchmarkGeneratorDecisions(b *testing.B) {
 	unit := iounit.New()
 	plan := generator.Compile(unit.BaseTemplates()[4], unit.Defaults())
@@ -554,10 +555,11 @@ func BenchmarkGeneratorDecisions(b *testing.B) {
 	})
 	b.Run("handle", func(b *testing.B) {
 		g := generator.NewFromPlan(plan, 1)
+		r, command, gap := g.RNG(), g.Choice(hCommand), g.Ranges(hGap)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < 100; j++ {
-				sum += g.Code(hCommand) + g.Int(hGap)
+				sum += command.Code(r) + gap.Pick(r).Int(r)
 			}
 		}
 	})

@@ -25,8 +25,8 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
-	"repro/internal/farm"
 	"repro/internal/failpoint"
+	"repro/internal/farm"
 	"repro/internal/figures"
 	"repro/internal/obs"
 	"repro/internal/opt"

@@ -149,17 +149,22 @@ func (u *arbiter) Simulate(g *generator.Generator) coverage.Vector {
 	u.bind.Check(g) // g must be compiled over u.Defaults()
 	v := coverage.NewVectorFor(u.model)
 	r := g.RNG()
+	// Fetch the deciders once, before the loop: the kind of each setting
+	// is checked here, and in the loop a decision is a few inlined
+	// instructions over locals.
+	reqMix, prioOverride := g.Choice(u.hReqMix), g.Choice(u.hPrioOverride)
+	burstiness := g.Ranges(u.hBurstiness)
 	lastGrant, streak, maxStreak := -1, 0, 0
 	rr := 0
 	for cycle := 0; cycle < 600; cycle++ {
 		// Each requester raises its line with a probability shaped by
 		// ReqMix and Burstiness.
 		var req [4]bool
-		burst := g.Int(u.hBurstiness)
+		burst := burstiness.Pick(r).Int(r)
 		any := false
 		all := true
 		for i := 0; i < 4; i++ {
-			want := u.requesterOf[g.Code(u.hReqMix)] == i
+			want := u.requesterOf[reqMix.Code(r)] == i
 			// Burstiness keeps lines asserted for longer runs.
 			req[i] = want || (burst > 0 && r.Bool(float64(burst)/10))
 			any = any || req[i]
@@ -174,7 +179,7 @@ func (u *arbiter) Simulate(g *generator.Generator) coverage.Vector {
 		}
 		// Priority override lets the last winner keep the grant.
 		grant := -1
-		if lastGrant >= 0 && req[lastGrant] && g.Code(u.hPrioOverride) == u.prioOn {
+		if lastGrant >= 0 && req[lastGrant] && prioOverride.Code(r) == u.prioOn {
 			grant = lastGrant
 			v.Set(u.evPrioUsed)
 		} else {

@@ -2,7 +2,7 @@
 // golden lock on the simulated statistics, so a change to the generator
 // or to a model's decision loop that moves a single coverage bit of a
 // single test-instance fails the unit's own test, and the check that a
-// unit refuses a generator its handles do not fit.
+// unit refuses a generator its handles or its deciders do not fit.
 package duvtest
 
 import (
@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -174,19 +175,38 @@ func SimulateGolden(t *testing.T, unit duv.DUV) {
 }
 
 // RejectsForeignGenerator checks that the unit refuses a generator
-// compiled over defaults other than its own (here: its own plus one
-// parameter, which shifts the slots its handles index) instead of
-// deciding from the wrong parameters.
+// compiled over defaults other than its own instead of deciding from the
+// wrong parameters: its own plus one parameter, which shifts the slots
+// its handles index; and, for every parameter in turn, its own with that
+// parameter turned from symbolic to numeric or back, which the unit must
+// notice where it fetches its deciders, before its first cycle, with a
+// panic that names the parameter.
 func RejectsForeignGenerator(t *testing.T, unit duv.DUV) {
 	t.Helper()
-	foreign := generator.Defaults{"\x00first": &template.RangeParam{Name: "\x00first", Lo: 0, Hi: 1}}
-	for name, p := range unit.Defaults() {
-		foreign[name] = p
+	panicOf := func(defaults generator.Defaults) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		unit.Simulate(generator.New(nil, defaults, 0))
+		return
 	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s: Simulate accepted a generator compiled over other defaults", unit.Name())
+
+	foreign := maps.Clone(unit.Defaults())
+	foreign["\x00first"] = &template.RangeParam{Name: "\x00first", Lo: 0, Hi: 1}
+	if msg := panicOf(foreign); !strings.Contains(msg, "handles bound over") {
+		t.Errorf("%s: Simulate over defaults with one more parameter: %s", unit.Name(), msg)
+	}
+
+	for name, p := range unit.Defaults() {
+		swapped := maps.Clone(unit.Defaults())
+		var want string
+		if wp, ok := p.(*template.WeightParam); ok && !wp.Entries[0].IsRange {
+			swapped[name] = &template.RangeParam{Name: name, Lo: 0, Hi: 1}
+			want = fmt.Sprintf("parameter %q is not a symbolic weight parameter", name)
+		} else {
+			swapped[name] = &template.WeightParam{Name: name, Entries: []template.WeightEntry{{Value: "x", Weight: 1}}}
+			want = fmt.Sprintf("parameter %q has symbolic entries", name)
 		}
-	}()
-	unit.Simulate(generator.New(nil, foreign, 0))
+		if msg := panicOf(swapped); !strings.Contains(msg, want) {
+			t.Errorf("%s: Simulate with %s of the other kind: %s, want a panic saying %s", unit.Name(), name, msg, want)
+		}
+	}
 }

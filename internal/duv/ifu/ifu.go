@@ -22,6 +22,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/duv"
 	"repro/internal/generator"
+	"repro/internal/rng"
 	"repro/internal/template"
 )
 
@@ -147,7 +148,12 @@ func (u *IFU) BaseTemplates() []*template.Template {
 func (u *IFU) Simulate(g *generator.Generator) coverage.Vector {
 	u.bind.Check(g)
 	v := coverage.NewVectorFor(u.model)
-	r := g.RNG()
+	// The type is spelled out for the import: a method of the stream
+	// (r.Intn below) inlines only where the compiler has its body, which
+	// is in the packages that import rng themselves.
+	var r *rng.RNG = g.RNG()
+	threadSel, branchMix := g.Choice(u.hThreadSel), g.Choice(u.hBranchMix)
+	fetchAddr, redirectRate, dispatchStall := g.Ranges(u.hFetchAddr), g.Ranges(u.hRedirectRate), g.Ranges(u.hDispatchStall)
 
 	var occ [numThreads]int // fetch queue occupancy per thread
 	dispatchThread := 0     // round-robin dispatch pointer
@@ -156,11 +162,11 @@ func (u *IFU) Simulate(g *generator.Generator) coverage.Vector {
 
 	for cycle := 0; cycle < simCycles; cycle++ {
 		// Fetch stage: one fetch attempt per cycle on a chosen thread.
-		thread := u.threadOf[g.Code(u.hThreadSel)]
+		thread := u.threadOf[threadSel.Code(r)]
 		if occ[thread] < fetchStop {
-			addr := g.Int(u.hFetchAddr)
+			addr := fetchAddr.Pick(r).Int(r)
 			sector := (addr >> 14) & 3
-			branch := u.branchOf[g.Code(u.hBranchMix)]
+			branch := u.branchOf[branchMix.Code(r)]
 			entry := occ[thread]
 			v.Set(u.crossIDs[entry][thread][sector][branch])
 			occ[thread]++
@@ -170,7 +176,7 @@ func (u *IFU) Simulate(g *generator.Generator) coverage.Vector {
 
 			// A branch may redirect the front end, flushing the queue of
 			// the fetching thread.
-			if branch == 1 && r.Intn(100) < g.Int(u.hRedirectRate) {
+			if branch == 1 && r.Intn(100) < redirectRate.Pick(r).Int(r) {
 				v.Set(u.evRedirect)
 				occ[thread] = 0
 			}
@@ -200,7 +206,7 @@ func (u *IFU) Simulate(g *generator.Generator) coverage.Vector {
 					}
 				}
 			}
-			dispatchWait = g.Int(u.hDispatchStall)
+			dispatchWait = dispatchStall.Pick(r).Int(r)
 		}
 	}
 	return v

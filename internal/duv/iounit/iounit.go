@@ -192,6 +192,8 @@ func (u *IOUnit) Simulate(g *generator.Generator) coverage.Vector {
 	u.bind.Check(g)
 	v := coverage.NewVectorFor(u.model)
 	r := g.RNG()
+	command, channel := g.Choice(u.hCommand), g.Choice(u.hChannel)
+	burstLen, payloadSize, gaps := g.Ranges(u.hBurstLen), g.Ranges(u.hPayloadSize), g.Ranges(u.hGap)
 
 	occ := 0      // CRC FIFO occupancy
 	maxOcc := 0   // high-water mark
@@ -205,14 +207,14 @@ func (u *IOUnit) Simulate(g *generator.Generator) coverage.Vector {
 	for cycle := 0; cycle < simCycles; cycle++ {
 		// Start a new command when the engine is free.
 		if pushLeft == 0 && busyLeft == 0 && gapLeft == 0 {
-			cmd := g.Code(u.hCommand)
+			cmd := command.Code(r)
 			v.Set(u.cmdSeen[cmd])
-			ch := g.Code(u.hChannel)
+			ch := channel.Code(r)
 			v.Set(u.chUsed[ch])
 
 			switch cmd {
 			case u.cmdCRC:
-				burst := g.Int(u.hBurstLen)
+				burst := burstLen.Pick(r).Int(r)
 				pushLeft = burst
 				switch {
 				case burst <= 4:
@@ -229,7 +231,7 @@ func (u *IOUnit) Simulate(g *generator.Generator) coverage.Vector {
 				}
 				lastWasCRC = true
 			case u.cmdRead, u.cmdWrite:
-				payload := g.Int(u.hPayloadSize)
+				payload := payloadSize.Pick(r).Int(r)
 				if payload <= 16 {
 					v.Set(u.evPayloadSmall)
 				}
@@ -251,7 +253,7 @@ func (u *IOUnit) Simulate(g *generator.Generator) coverage.Vector {
 				lastWasCRC = false
 			}
 
-			gap := g.Int(u.hGap)
+			gap := gaps.Pick(r).Int(r)
 			gapLeft = gap
 			if gap == 0 {
 				v.Set(u.evGapZero)

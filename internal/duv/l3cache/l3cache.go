@@ -165,6 +165,8 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 	u.bind.Check(g)
 	v := coverage.NewVectorFor(u.model)
 	r := g.RNG()
+	reqType, threadSel, bypassHint := g.Choice(u.hReqType), g.Choice(u.hThreadSel), g.Choice(u.hBypassHint)
+	interArrival, locality := g.Ranges(u.hInterArrival), g.Ranges(u.hLocality)
 
 	var sets [numSets][numWays]cacheLine
 	lruClock := 0
@@ -199,11 +201,11 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 		}
 
 		// Issue one request.
-		req := g.Code(u.hReqType)
-		v.Set(u.evThread[g.Code(u.hThreadSel)])
+		req := reqType.Code(r)
+		v.Set(u.evThread[threadSel.Code(r)])
 
 		if req == u.reqNop {
-			waitLeft = g.Int(u.hInterArrival)
+			waitLeft = interArrival.Pick(r).Int(r)
 			continue
 		}
 		if req == u.reqFlush {
@@ -216,13 +218,13 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 				}
 				sets[s][w] = cacheLine{}
 			}
-			waitLeft = g.Int(u.hInterArrival)
+			waitLeft = interArrival.Pick(r).Int(r)
 			continue
 		}
 
 		// Address generation with tunable locality.
 		var line int
-		if len(history) > 0 && r.Intn(100) < g.Int(u.hLocality) {
+		if len(history) > 0 && r.Intn(100) < locality.Pick(r).Int(r) {
 			line = history[r.Intn(len(history))]
 		} else {
 			line = r.Intn(addrLines)
@@ -289,7 +291,7 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 
 			// Bypass path: read-class misses with the hint on may go
 			// straight to memory, occupying a bypass queue slot.
-			if (req == u.reqRead || isRwitm) && g.Code(u.hBypassHint) == u.hintOn {
+			if (req == u.reqRead || isRwitm) && bypassHint.Code(r) == u.hintOn {
 				switch {
 				case inFlight >= bypassQueueCap:
 					v.Set(u.evQueueFull)
@@ -307,7 +309,7 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 			}
 		}
 
-		waitLeft = g.Int(u.hInterArrival)
+		waitLeft = interArrival.Pick(r).Int(r)
 	}
 
 	for i := 0; i < bypassQueueCap; i++ {

@@ -181,11 +181,11 @@ func (u *Router) BaseTemplates() []*template.Template {
 
 // outportFor resolves a traffic pattern to an output port for a packet
 // entering at inport.
-func (u *Router) outportFor(pattern, inport int, g *generator.Generator) int {
+func (u *Router) outportFor(pattern, inport int, hotspotPort generator.Choice, r *rng.RNG) int {
 	switch pattern {
 	case u.patHotspot:
 		// All traffic converges on the hotspot port.
-		return u.hotspotOf[g.Code(u.hHotspotPort)]
+		return u.hotspotOf[hotspotPort.Code(r)]
 	case u.patNeighbor:
 		// Each inport forwards to its clockwise neighbor (n->e, e->s, ...).
 		return (inport + 1) % numInports
@@ -193,7 +193,7 @@ func (u *Router) outportFor(pattern, inport int, g *generator.Generator) int {
 		// Halfway around: opposite port.
 		return (inport + 2) % numInports
 	default: // uniform over all five outports
-		return g.RNG().Intn(numOutports)
+		return r.Intn(numOutports)
 	}
 }
 
@@ -208,6 +208,8 @@ func (u *Router) Simulate(g *generator.Generator) coverage.Vector {
 	u.bind.Check(g)
 	v := coverage.NewVectorFor(u.model)
 	r := g.RNG()
+	trafficPattern, hotspotPort, vcSel := g.Choice(u.hTrafficPattern), g.Choice(u.hHotspotPort), g.Choice(u.hVCSel)
+	injectionRate, packetLen := g.Ranges(u.hInjectionRate), g.Ranges(u.hPacketLen)
 
 	var credits [numOutports][numVCs]int
 	for o := range credits {
@@ -228,16 +230,16 @@ func (u *Router) Simulate(g *generator.Generator) coverage.Vector {
 		// two new packets per cycle.
 		grants := 0
 		for in := 0; in < numInports; in++ {
-			if r.Intn(100) >= g.Int(u.hInjectionRate) {
+			if r.Intn(100) >= injectionRate.Pick(r).Int(r) {
 				continue
 			}
-			pattern := g.Code(u.hTrafficPattern)
+			pattern := trafficPattern.Code(r)
 			if pattern == u.patHotspot {
 				v.Set(u.evHotspot)
 			}
-			out := u.outportFor(pattern, in, g)
-			vc := u.vcOf[g.Code(u.hVCSel)]
-			length := g.Int(u.hPacketLen)
+			out := u.outportFor(pattern, in, hotspotPort, r)
+			vc := u.vcOf[vcSel.Code(r)]
+			length := packetLen.Pick(r).Int(r)
 			if length >= 12 {
 				v.Set(u.evLongPacket)
 			}

@@ -33,19 +33,31 @@
 // per-decision interpreter this table replaced as the oracle for both
 // the decisions and the stream position.
 //
-// Draw tables. The weighted choice is an implementation of that
-// contract, not a second one: Compile tabulates, for every draw k the
-// contract allows, the entry a scan of the cumulative weights would stop
-// at, so a decision is the contract's one Intn and one byte load, with no
-// branch on the drawn value (see slot.lut for the slots this covers: all
-// that a unit decides over a template of the flow).
+// Thresholds. The weighted choice is an implementation of that
+// contract, not a second one. Intn(total) scales the 32 bits w of one
+// draw to k = ⌊w·total/2³²⌋ and the cumulative-weight scan stops at the
+// first entry i with k < cum_i; since cum_i is an integer that is
+// w·total/2³² < cum_i, i.e. w < ⌈cum_i·2³²/total⌉ (all weights zero:
+// cum_i = i+1, total = the entry count). So the entry is decided on the
+// draw itself, whatever the size of total: Compile keeps, per selectable
+// entry, the last w that selects it, and for every parameter the unit
+// declares a 256-byte table over w>>24 that answers the buckets no
+// threshold cuts without a walk (see slot.table).
 // Every draw is an Intn of at most 1<<32, the widest bound Intn can
 // honour: a larger total weight or a wider range is an error of the
 // plan.
+//
+// Deciders. A unit's model does not go through the plan for a decision:
+// before its cycle loop it fetches, by value, a Choice (symbolic) or a
+// Ranges (numeric) for each of its handles — the kind is checked there,
+// once per Simulate — and decides in the loop with methods small enough
+// to inline into it: Choice.Code, Ranges.Pick, Range.Int. CI keeps them
+// inlinable (.github/workflows/ci.yml, "Inlining guard").
 package generator
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/template"
@@ -55,121 +67,165 @@ import (
 type slotKind uint8
 
 const (
-	kindSymbolic  slotKind = iota // every entry a symbolic value: Code, PickValue
+	kindSymbolic  slotKind = iota // every entry a symbolic value: Choice, PickValue
 	kindMixed                     // symbolic and subrange entries: PickValue
-	kindSubranges                 // every entry a subrange: Int, PickInt, PickValue
-	kindRange                     // a range parameter, held as its one subrange: Int, PickInt
+	kindSubranges                 // every entry a subrange: Ranges, PickInt, PickValue
+	kindRange                     // a range parameter, held as its one subrange: Ranges, PickInt
 )
-
-// entry is one selectable entry of a slot.
-type entry struct {
-	cum    int // cumulative positive weight up to and including this entry
-	code   int // symbolic value: its vocabulary code; subrange: -1
-	lo, hi int // subrange bounds
-}
 
 // maxDraw is the widest bound a decision may hand to Intn (see its
 // comment): beyond it some entries, or some values of a range, could
 // never be drawn.
 const maxDraw = 1 << 32
 
-// lutCap bounds a slot's draw table, in bytes. The flow's own templates
-// stay far below it — no unit, and no skeleton at the default four
-// subranges, has more than five entries, a skeleton weights each at most
-// MaxWeight 100 and every unit's totals are 100 — so the cap only bounds
-// what a template off the wire (cmd/farmd) can make a cached plan hold:
-// 4 KiB for each parameter the unit declares.
-const lutCap = 4096
+// walk marks a table bucket that does not decide: a threshold cuts it,
+// or what it would hold does not fit below the marker.
+const walk = math.MaxUint8
 
-// slot is one pre-resolved parameter of a Plan.
+// Range is one integer interval a numeric decision chose.
+type Range struct {
+	lo   int
+	span uint64 // hi-lo+1, at most maxDraw
+}
+
+// Int draws a value of the range: IntRange(lo, hi), bit for bit.
+func (x Range) Int(r *rng.RNG) int {
+	return x.lo + int(uint64(r.Word(rng.Stride))*x.span>>32)
+}
+
+// Choice decides one symbolic parameter of one plan. Fetch it with
+// Generator.Choice before the cycle loop; it is a pointer, a step and two
+// slice headers over the plan's read-only data, safe to copy and share.
+type Choice struct {
+	table *[256]uint8
+	last  []uint32
+	codes []int
+	step  uint64
+}
+
+// Code makes a random decision and returns the chosen value's vocabulary
+// code (Binding.Code). It must stay inlinable: see the package comment.
+func (c Choice) Code(r *rng.RNG) int {
+	w := r.Word(c.step)
+	i := int(c.table[w>>24])
+	if i != walk {
+		return i
+	}
+	for i = 0; w > c.last[i]; i++ {
+	}
+	return c.codes[i]
+}
+
+// Ranges decides one numeric parameter of one plan: a range parameter,
+// or a weight parameter over subranges (the Skeletonizer's output form).
+// Fetch it with Generator.Ranges before the cycle loop.
+type Ranges struct {
+	table  *[256]uint8
+	last   []uint32
+	ranges []Range
+	step   uint64
+}
+
+// Pick makes the weighted draw of a subrange — none for a range
+// parameter — and Int on the result the uniform draw inside it: this is
+// exactly how the CDG-Runner shapes the distribution of an
+// originally-uniform range parameter (paper Section IV-C). It must stay
+// inlinable: see the package comment.
+func (d Ranges) Pick(r *rng.RNG) Range {
+	w := r.Word(d.step)
+	i := int(d.table[w>>24])
+	if i == walk {
+		for i = 0; w > d.last[i]; i++ {
+		}
+	}
+	return d.ranges[i]
+}
+
+// slot is one pre-resolved parameter of a Plan. last, codes and ranges
+// run over its selectable entries in template order: every entry when
+// all weights are zero (uniform fallback), else those of positive
+// weight — the others can never be drawn and are checked, then dropped.
 type slot struct {
-	// lut maps each draw of the stream-consumption contract to the index
-	// of the entry it selects: len(lut) is the total weight, or the entry
-	// count when every weight is zero (the identity: uniform fallback).
-	// Nil for a single-entry slot, which draws nothing, and for the slots
-	// that scan: more than 256 entries, a total weight above lutCap, or a
-	// parameter only the template names.
-	lut     []uint8
-	entries []entry
-	total   int      // sum of the positive weights; 0 selects uniformly
-	vocab   []string // symbolic values by code, for PickValue
-	name    string
-	kind    slotKind
+	// table, indexed by the top byte of the draw, holds what every draw
+	// of that bucket decides — the vocabulary code of a symbolic slot,
+	// else the entry index — or walk. At most entries−1 buckets are cut,
+	// so on the flow's templates (≤ 5 entries) 98 % of decisions end
+	// here. Nil for a parameter only the template names: no unit decides
+	// those in a loop, and their number is the sender's choice.
+	table  *[256]uint8
+	last   []uint32 // the largest draw word that selects the entry; ascending, ending at MaxUint32
+	codes  []int    // symbolic value: its vocabulary code; subrange: -1
+	ranges []Range  // subrange bounds
+	step   uint64   // what a decision advances the stream by: 0 for a single-entry parameter
+	vocab  []string // symbolic values by code, for PickValue
+	name   string
+	kind   slotKind
 }
 
-// pick draws the index of one entry according to the weights.
-func (s *slot) pick(r *rng.RNG) int {
-	if n := len(s.lut); n != 0 {
-		return int(s.lut[r.Intn(n)])
+// decide makes the slot's draw and returns what its table holds for it:
+// the decision by name, the deciders' walk with the table optional.
+func (s *slot) decide(r *rng.RNG) int {
+	w := r.Word(s.step)
+	if s.table != nil {
+		if v := int(s.table[w>>24]); v != walk {
+			return v
+		}
 	}
-	if len(s.entries) == 1 {
-		return 0
-	}
-	return s.scan(r)
-}
-
-// scan is pick for the slots without a draw table: the same draw, then
-// a linear walk of the cumulative weights. No decision of a unit's model
-// over a template of the flow takes it.
-func (s *slot) scan(r *rng.RNG) int {
-	if s.total == 0 {
-		return r.Intn(len(s.entries))
-	}
-	k := r.Intn(s.total)
 	i := 0
-	for s.entries[i].cum <= k {
+	for w > s.last[i] {
 		i++
+	}
+	if s.kind == kindSymbolic {
+		return s.codes[i]
 	}
 	return i
 }
 
-// tabulate builds the slot's draw table: lut[k] is the entry the scan
-// stops at for draw k.
-func (s *slot) tabulate() {
-	n := len(s.entries)
-	if n < 2 || n > 256 || s.total > lutCap {
-		return
-	}
-	if s.total == 0 {
-		s.lut = make([]uint8, n)
-		for i := range s.lut {
-			s.lut[i] = uint8(i)
+// fill builds the slot's table into t: entry by entry, the marker on
+// the bucket its threshold cuts (none when the threshold is the bucket's
+// last word) and its decision on the whole buckets before that.
+func (s *slot) fill(t *[256]uint8) {
+	b := 0
+	for i, last := range s.last {
+		v := i
+		if s.kind == kindSymbolic {
+			v = s.codes[i]
 		}
-		return
-	}
-	s.lut = make([]uint8, s.total)
-	k := 0
-	for i := range s.entries {
-		for ; k < s.entries[i].cum; k++ {
-			s.lut[k] = uint8(i)
+		if v >= walk {
+			v = walk
+		}
+		whole := int((uint64(last) + 1) >> 24) // buckets that end at or before last
+		for ; b < whole; b++ {
+			t[b] = uint8(v)
+		}
+		if b == int(last>>24) { // last falls inside bucket b
+			t[b] = walk
+			b++
 		}
 	}
-}
-
-func (s *slot) code(r *rng.RNG) int {
-	if s.kind != kindSymbolic {
-		panic(fmt.Sprintf("generator: parameter %q is not a symbolic weight parameter", s.name))
-	}
-	return s.entries[s.pick(r)].code
+	s.table = t
 }
 
 func (s *slot) int(r *rng.RNG) int {
 	if s.kind < kindSubranges {
 		panic(fmt.Sprintf("generator: parameter %q has symbolic entries; use PickValue", s.name))
 	}
-	e := &s.entries[s.pick(r)]
-	return r.IntRange(e.lo, e.hi)
+	return s.ranges[s.decide(r)].Int(r)
 }
 
 func (s *slot) label(r *rng.RNG) string {
 	if s.kind == kindRange {
 		panic(fmt.Sprintf("generator: parameter %q is not a weight parameter", s.name))
 	}
-	e := &s.entries[s.pick(r)]
-	if e.code < 0 {
-		return fmt.Sprintf("[%d:%d]", e.lo, e.hi)
+	v := s.decide(r)
+	if s.kind != kindSymbolic {
+		if s.codes[v] < 0 {
+			x := s.ranges[v]
+			return fmt.Sprintf("[%d:%d]", x.lo, x.lo+int(x.span-1))
+		}
+		v = s.codes[v]
 	}
-	return s.vocab[e.code]
+	return s.vocab[v]
 }
 
 // Plan is a compiled (template, defaults) pair. A Plan is immutable
@@ -214,22 +270,21 @@ func Compile(tmpl *template.Template, defaults Defaults) *Plan {
 			plan.slots = append(plan.slots, s)
 		}
 	}
-	// Only the unit's own parameters get a draw table: they are the ones
-	// a model decides, and their number — not the length of a template
-	// off the wire — then bounds what a plan holds.
-	for i := range names {
-		plan.slots[i].tabulate()
+	// Only the unit's own parameters get a table: they are the ones a
+	// model decides, and their number — not the length of a template off
+	// the wire, nor any weight in it — then bounds what a plan holds.
+	tables := make([][256]uint8, len(names))
+	for i := range tables {
+		plan.slots[i].fill(&tables[i])
 	}
 	return plan
 }
 
-// fail records why the named parameter cannot be compiled.
+// fail records why the named parameter cannot be compiled. The error
+// does not name the template: a cached plan serves every template of the
+// same body, so whoever returns the error names the one it was given.
 func (p *Plan) fail(param string, err error) *Plan {
-	if p.tmpl != nil {
-		p.err = fmt.Errorf("generator: template %q: parameter %q: %w", p.tmpl.Name, param, err)
-	} else {
-		p.err = fmt.Errorf("generator: parameter %q: %w", param, err)
-	}
+	p.err = fmt.Errorf("generator: parameter %q: %w", param, err)
 	return p
 }
 
@@ -268,78 +323,111 @@ func compileParam(p template.Param, def *slot) (slot, error) {
 	s := slot{name: p.ParamName()}
 	switch param := p.(type) {
 	case *template.RangeParam:
-		e, err := rangeEntry(param.Lo, param.Hi, def)
+		x, err := rangeEntry(param.Lo, param.Hi, def)
 		if err != nil {
 			return slot{}, err
 		}
 		s.kind = kindRange
-		s.entries = []entry{e}
+		one := &struct { // one allocation for the three one-entry lists
+			last   [1]uint32
+			codes  [1]int
+			ranges [1]Range
+		}{[1]uint32{math.MaxUint32}, [1]int{-1}, [1]Range{x}}
+		s.last, s.codes, s.ranges = one.last[:], one.codes[:], one.ranges[:]
 	case *template.WeightParam:
-		if len(param.Entries) == 0 {
+		n := len(param.Entries)
+		if n == 0 {
 			return slot{}, fmt.Errorf("no entries")
 		}
-		s.entries = make([]entry, len(param.Entries))
 		if def != nil {
 			s.vocab = def.vocab
 		} else {
-			s.vocab = make([]string, len(param.Entries))
+			s.vocab = make([]string, n)
 		}
-		subranges := 0
+		codes, ranges := make([]int, n), make([]Range, n)
+		total, subranges := 0, 0
 		for i, we := range param.Entries {
-			var e entry
 			switch {
 			case we.IsRange:
 				var err error
-				if e, err = rangeEntry(we.Lo, we.Hi, def); err != nil {
+				if ranges[i], err = rangeEntry(we.Lo, we.Hi, def); err != nil {
 					return slot{}, err
 				}
+				codes[i] = -1
 				subranges++
 			case def == nil:
 				s.vocab[i] = we.Value
-				e.code = i
+				codes[i] = i
 			case def.kind >= kindSubranges:
 				return slot{}, fmt.Errorf("value %q overrides a numeric default", we.Value)
 			default:
-				if e.code = indexOf(def.vocab, we.Value); e.code < 0 {
+				if codes[i] = indexOf(def.vocab, we.Value); codes[i] < 0 {
 					return slot{}, fmt.Errorf("value %q is not one of %v", we.Value, def.vocab)
 				}
 			}
 			if we.Weight > 0 {
 				// Each term is at most maxDraw, so the sum cannot wrap.
-				if we.Weight > maxDraw || s.total+we.Weight > maxDraw {
+				if we.Weight > maxDraw || total+we.Weight > maxDraw {
 					return slot{}, fmt.Errorf("total weight exceeds 1<<32")
 				}
-				s.total += we.Weight
+				total += we.Weight
 			}
-			e.cum = s.total
-			s.entries[i] = e
 		}
 		switch subranges {
 		case 0:
 			s.kind = kindSymbolic
-		case len(s.entries):
+		case n:
 			s.kind = kindSubranges
 		default:
 			s.kind = kindMixed
 		}
+		if n > 1 {
+			s.step = rng.Stride
+		}
+		// Keep the selectable entries, each with the last draw word below
+		// its threshold ⌈cum·2³²/total⌉ (package comment). cum < total ≤
+		// 1<<32 keeps the numerator inside 64 bits, cum ≥ 1 the threshold
+		// above zero, and the last entry's is 1<<32 itself.
+		last, k := make([]uint32, n), 0 // k selectable entries so far, compacted in place
+		cum, of := uint64(0), uint64(total)
+		if total == 0 {
+			of = uint64(n)
+		}
+		for i, we := range param.Entries {
+			switch {
+			case total == 0:
+				cum++
+			case we.Weight > 0:
+				cum += uint64(we.Weight)
+			default:
+				continue
+			}
+			last[k] = math.MaxUint32
+			if cum < of {
+				last[k] = uint32((cum<<32+of-1)/of - 1)
+			}
+			codes[k], ranges[k] = codes[i], ranges[i]
+			k++
+		}
+		s.last, s.codes, s.ranges = last[:k], codes[:k], ranges[:k]
 	default:
 		return slot{}, fmt.Errorf("unknown type %T", p)
 	}
 	return s, nil
 }
 
-// rangeEntry is the entry of a range parameter or of one subrange.
-func rangeEntry(lo, hi int, def *slot) (entry, error) {
+// rangeEntry is the interval of a range parameter or of one subrange.
+func rangeEntry(lo, hi int, def *slot) (Range, error) {
 	if def != nil && def.kind == kindSymbolic {
-		return entry{}, fmt.Errorf("[%d:%d] overrides a symbolic default (values %v)", lo, hi, def.vocab)
+		return Range{}, fmt.Errorf("[%d:%d] overrides a symbolic default (values %v)", lo, hi, def.vocab)
 	}
 	if hi < lo {
-		return entry{}, fmt.Errorf("[%d:%d] is not a range", lo, hi)
+		return Range{}, fmt.Errorf("[%d:%d] is not a range", lo, hi)
 	}
 	if uint64(hi)-uint64(lo) >= maxDraw { // the span less one, exact whatever the signs
-		return entry{}, fmt.Errorf("[%d:%d] span exceeds 1<<32", lo, hi)
+		return Range{}, fmt.Errorf("[%d:%d] span exceeds 1<<32", lo, hi)
 	}
-	return entry{code: -1, lo: lo, hi: hi}, nil
+	return Range{lo: lo, span: uint64(hi) - uint64(lo) + 1}, nil
 }
 
 func indexOf(vocab []string, value string) int {

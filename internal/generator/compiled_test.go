@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,6 +13,21 @@ import (
 	"repro/internal/rng"
 	"repro/internal/template"
 )
+
+// decide and decideInt are a unit's decisions by handle, without the
+// hoist: the decider is fetched anew for every decision.
+func (g *Generator) decide(h Handle) int    { return g.Choice(h).Code(&g.r) }
+func (g *Generator) decideInt(h Handle) int { return g.Ranges(h).Pick(&g.r).Int(&g.r) }
+
+// walked is the plain threshold walk, no table: the index, among the
+// slot's selectable entries, of the one its draw selects.
+func (s *slot) walked(r *rng.RNG) int {
+	w, i := r.Word(s.step), 0
+	for w > s.last[i] {
+		i++
+	}
+	return i
+}
 
 // interp is the per-decision interpreter the slot table replaced, kept
 // as the test oracle: it resolves the parameter by name on every
@@ -99,7 +115,12 @@ func weightedIndex(r *rng.RNG, weights []int) int {
 	if total == 0 {
 		return r.Intn(len(weights))
 	}
-	pick := r.Intn(total)
+	return scanWeights(r.Intn(total), weights)
+}
+
+// scanWeights is the cumulative-weight scan: the index draw pick of
+// [0, total) selects.
+func scanWeights(pick int, weights []int) int {
 	for i, w := range weights {
 		if w <= 0 {
 			continue
@@ -218,14 +239,19 @@ func TestCompiledNilTemplateMatchesInterpreted(t *testing.T) {
 // randomSetting draws one parameter setting. vocab nil asks for a
 // numeric setting (a range, or subrange entries), otherwise for a
 // non-empty subset of vocab in random order. Weight shapes cover the
-// decision path's special cases: single entry, all-zero, interleaved
-// zeros.
+// decision path's special cases: single entry, all-zero, interleaved and
+// leading zeros, one positive weight among zeros, totals far above any
+// table one could index by Intn(total), and a total of exactly 1<<32.
 func randomSetting(r *rand.Rand, name string, vocab []string) template.Param {
 	weight := func() int {
-		if r.Intn(3) == 0 {
+		switch r.Intn(6) {
+		case 0, 1:
 			return 0
+		case 2:
+			return 1 + r.Intn(1<<20)
+		default:
+			return 1 + r.Intn(100)
 		}
-		return 1 + r.Intn(100)
 	}
 	if vocab == nil && r.Intn(2) == 0 {
 		lo := r.Intn(200) - 100
@@ -244,10 +270,28 @@ func randomSetting(r *rand.Rand, name string, vocab []string) template.Param {
 			wp.Entries = append(wp.Entries, template.WeightEntry{Value: vocab[i], Weight: weight()})
 		}
 	}
-	if r.Intn(5) == 0 {
+	switch r.Intn(10) {
+	case 0, 1: // all zero
 		for i := range wp.Entries {
 			wp.Entries[i].Weight = 0
 		}
+	case 2: // one positive weight among zeros
+		keep := r.Intn(len(wp.Entries))
+		for i := range wp.Entries {
+			if i != keep {
+				wp.Entries[i].Weight = 0
+			}
+		}
+	case 3: // a leading zero
+		wp.Entries[0].Weight = 0
+	case 4: // a total of exactly 1<<32
+		fill := r.Intn(len(wp.Entries))
+		wp.Entries[fill].Weight = 0
+		rest := 0
+		for _, e := range wp.Entries {
+			rest += e.Weight
+		}
+		wp.Entries[fill].Weight = 1<<32 - rest
 	}
 	return wp
 }
@@ -314,7 +358,7 @@ func TestSlotPathMatchesInterpreterQuick(t *testing.T) {
 					return false
 				}
 				if isDefault {
-					if code := byHandle.Code(bind.Handle(name)); code != bind.Code(name, want) {
+					if code := byHandle.decide(bind.Handle(name)); code != bind.Code(name, want) {
 						t.Errorf("shape %d decision %d: Code(%s) = %d, interpreter %q", shape, i, name, code, want)
 						return false
 					}
@@ -329,7 +373,7 @@ func TestSlotPathMatchesInterpreterQuick(t *testing.T) {
 				}
 				got := 0
 				if isDefault {
-					got = byHandle.Int(bind.Handle(name))
+					got = byHandle.decideInt(bind.Handle(name))
 				} else {
 					got = byHandle.PickInt(name)
 				}
@@ -354,11 +398,12 @@ func TestSlotPathMatchesInterpreterQuick(t *testing.T) {
 // CheckDecisions compiles tmpl over defaults and, if the plan is valid,
 // makes n decisions on every slot — by handle where the defaults name
 // the parameter, else by name — against the interpreter: equal decisions,
-// equal stream state after each, every Int inside the subrange its draw
-// chose, every Code inside the vocabulary, no draw table above lutCap.
-// It returns the plan's error. Exported because FuzzCompileDecide lives
-// in the external test package (fuzz_test.go): it imports the units,
-// which import this package.
+// equal stream state after each, every decision through a table equal to
+// the plain threshold walk's, every Int inside the subrange its draw
+// chose, every Code inside the vocabulary, and a table for exactly the
+// parameters the defaults name. It returns the plan's error. Exported
+// because FuzzCompileDecide lives in the external test package
+// (fuzz_test.go): it imports the units, which import this package.
 func CheckDecisions(t *testing.T, tmpl *template.Template, defaults Defaults, seed uint64, n int) error {
 	t.Helper()
 	plan := Compile(tmpl, defaults)
@@ -368,27 +413,28 @@ func CheckDecisions(t *testing.T, tmpl *template.Template, defaults Defaults, se
 	oracle, g := newInterp(tmpl, defaults, seed), NewFromPlan(plan, seed)
 	for i := range plan.slots {
 		s := &plan.slots[i]
-		if len(s.lut) > lutCap {
-			t.Fatalf("%s: draw table of %d bytes, cap %d", s.name, len(s.lut), lutCap)
-		}
 		byHandle := i < len(plan.names)
+		if (s.table != nil) != byHandle {
+			t.Fatalf("%s: table %v, parameter of the defaults %v", s.name, s.table != nil, byHandle)
+		}
 		for d := 0; d < n; d++ {
+			before := g.r
+			walked := s.walked(&before)
 			switch {
 			case s.kind >= kindSubranges:
-				before := g.r
 				want, got := oracle.PickInt(s.name), 0
 				if byHandle {
-					got = g.Int(Handle(i))
+					got = g.decideInt(Handle(i))
 				} else {
 					got = g.PickInt(s.name)
 				}
-				if e := s.entries[s.pick(&before)]; got != want || got < e.lo || got > e.hi {
-					t.Fatalf("%s decision %d: %d, interpreter %d, chosen subrange [%d:%d]", s.name, d, got, want, e.lo, e.hi)
+				if x := s.ranges[walked]; got != want || got < x.lo || uint64(got-x.lo) >= x.span {
+					t.Fatalf("%s decision %d: %d, interpreter %d, walk chose [%d:+%d]", s.name, d, got, want, x.lo, x.span)
 				}
 			case s.kind == kindSymbolic && byHandle:
-				want, code := oracle.PickValue(s.name), g.Code(Handle(i))
-				if code < 0 || code >= len(s.vocab) || s.vocab[code] != want {
-					t.Fatalf("%s decision %d: code %d of %v, interpreter %q", s.name, d, code, s.vocab, want)
+				want, code := oracle.PickValue(s.name), g.decide(Handle(i))
+				if code < 0 || code >= len(s.vocab) || s.vocab[code] != want || code != s.codes[walked] {
+					t.Fatalf("%s decision %d: code %d of %v, interpreter %q, walk chose code %d", s.name, d, code, s.vocab, want, s.codes[walked])
 				}
 			default:
 				if want, got := oracle.PickValue(s.name), g.PickValue(s.name); got != want {
@@ -404,12 +450,21 @@ func CheckDecisions(t *testing.T, tmpl *template.Template, defaults Defaults, se
 }
 
 // TestDrawTableMatchesInterpreterAtTheEdges walks the boundaries of the
-// draw table — its byte cap, its 256-entry limit, zero weights in every
-// position, the identity table of an all-zero slot, the single entry
-// that draws nothing — and the scan that remains beyond them. Every
-// shape is decided 4,096 times, symbolic and numeric: as the unit's
-// defaults and as a template over them (by handle: Code, Int), and as
-// parameters only the template names (by name), which never get a table.
+// threshold form: totals no table indexed by Intn(total) could hold, up
+// to Intn's own bound; zero weights in every position; the uniform
+// fallback of an all-zero slot; the single entry that draws nothing;
+// more entries, and higher codes, than a table byte can name; thresholds
+// exactly on a bucket edge. Every shape is checked three ways, symbolic
+// and numeric, as the unit's defaults, as a template over them (codes
+// then differ from entry indices) and as parameters only the template
+// names (by name, no table):
+//   - 4,096 decisions against the interpreter (CheckDecisions);
+//   - every threshold against the contract's own arithmetic: the last
+//     draw word of an entry, and the word after it, scaled and scanned
+//     as Intn and the interpreter do;
+//   - every bucket of every table: the decision of its draws if the
+//     first and the last of them agree and it fits under the marker,
+//     else the marker.
 func TestDrawTableMatchesInterpreterAtTheEdges(t *testing.T) {
 	flat := func(n, w int) []int {
 		ws := make([]int, n)
@@ -421,30 +476,47 @@ func TestDrawTableMatchesInterpreterAtTheEdges(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		weights []int
-		lut     int // bytes of draw table; 0 = none
+		cut     int // table buckets a threshold cuts; -1: not pinned
 	}{
-		{"total one below the cap", []int{1, lutCap - 2}, lutCap - 1},
-		{"total at the cap", []int{lutCap - 1, 1}, lutCap},
-		{"total one above the cap", []int{1, lutCap}, 0},
+		{"total 4097", []int{1, 4096}, 1},
+		{"total far above 4096, two thresholds in one bucket", []int{5000, 3, 70000, 1 << 20}, 2},
 		{"total at Intn's bound", []int{1 << 31, 1 << 31}, 0},
-		{"zero weight first", []int{0, 3, 5}, 8},
-		{"zero weight in the middle", []int{3, 0, 5}, 8},
-		{"zero weight last", []int{3, 5, 0}, 8},
-		{"zero weights around every entry", []int{0, 0, 4, 0, 0, 1, 0}, 5},
-		{"all zero, 2 entries", flat(2, 0), 2},
-		{"all zero, 5 entries", flat(5, 0), 5},
-		{"all zero, 256 entries", flat(256, 0), 256},
-		{"all zero, 257 entries", flat(257, 0), 0},
-		{"256 entries", flat(256, 3), 768},
-		{"256 entries at the cap", flat(256, lutCap/256), lutCap},
-		{"257 entries", flat(257, 3), 0},
+		{"total at Intn's bound, one draw word for the first entry", []int{1, 1<<32 - 1}, 1},
+		{"total at Intn's bound, one draw word for the last entry", []int{1<<32 - 1, 1}, 1},
+		{"one weight at Intn's bound", []int{0, 1 << 32, 0}, 0},
+		{"zero weight first", []int{0, 3, 5}, 0},
+		{"zero weight in the middle", []int{3, 0, 5}, 0},
+		{"zero weight last", []int{3, 5, 0}, 0},
+		{"zero weights around every entry", []int{0, 0, 4, 0, 0, 1, 0}, 1},
+		{"one positive weight among zeros", []int{0, 0, 9, 0}, 0},
+		{"all zero, 2 entries", flat(2, 0), 0},
+		{"all zero, 5 entries", flat(5, 0), 4},
+		{"all zero, 256 entries", flat(256, 0), -1},
+		{"all zero, 300 entries", flat(300, 0), -1},
+		{"254 entries", flat(254, 3), -1},
+		{"255 entries", flat(255, 3), -1},
+		{"256 entries", flat(256, 3), -1},
+		{"257 entries", flat(257, 3), -1},
+		{"threshold on a bucket edge, 128:128", []int{128, 128}, 0},
+		{"threshold on a bucket edge, 1:255", []int{1, 255}, 0},
+		{"threshold one bucket in, 1:256", []int{1, 256}, 1},
+		{"every threshold on a bucket edge", flat(64, 7), 0},
 		{"single entry", []int{7}, 0},
 		{"single zero entry", []int{0}, 0},
 	} {
 		symbolic, numeric := &template.WeightParam{Name: "S"}, &template.WeightParam{Name: "N"}
+		total := 0
 		for i, w := range tc.weights {
 			symbolic.Entries = append(symbolic.Entries, template.WeightEntry{Value: fmt.Sprintf("v%d", i), Weight: w})
 			numeric.Entries = append(numeric.Entries, template.WeightEntry{IsRange: true, Lo: 10 * i, Hi: 10*i + 6, Weight: w})
+			total += w
+		}
+		// entryAt is the contract: the entry the draw word w selects.
+		entryAt := func(w uint32) int {
+			if total == 0 {
+				return int(uint64(w) * uint64(len(tc.weights)) >> 32)
+			}
+			return scanWeights(int(uint64(w)*uint64(total)>>32), tc.weights)
 		}
 		asTemplate := &template.Template{Name: "t", Params: []template.Param{symbolic, numeric}}
 		vocabulary := &template.WeightParam{Name: "S"} // the same values, reversed
@@ -455,18 +527,58 @@ func TestDrawTableMatchesInterpreterAtTheEdges(t *testing.T) {
 			how      string
 			tmpl     *template.Template
 			defaults Defaults
-			lut      int
 		}{
-			{"as the defaults", nil, Defaults{"S": symbolic, "N": numeric}, tc.lut},
-			{"as a template over defaults", asTemplate, Defaults{"S": vocabulary, "N": &template.RangeParam{Name: "N", Lo: -5, Hi: 5}}, tc.lut},
-			{"as template-only parameters, which scan", asTemplate, nil, 0},
+			{"as the defaults", nil, Defaults{"S": symbolic, "N": numeric}},
+			{"as a template over defaults", asTemplate, Defaults{"S": vocabulary, "N": &template.RangeParam{Name: "N", Lo: -5, Hi: 5}}},
+			{"as template-only parameters, which walk", asTemplate, nil},
 		} {
 			if err := CheckDecisions(t, c.tmpl, c.defaults, 9, 4096); err != nil {
 				t.Fatalf("%s, %s: %v", tc.name, c.how, err)
 			}
 			for _, s := range Compile(c.tmpl, c.defaults).slots {
-				if len(s.lut) != c.lut {
-					t.Errorf("%s, %s: %s has a draw table of %d bytes, want %d", tc.name, c.how, s.name, len(s.lut), c.lut)
+				// decision is what the slot decides when the contract selects
+				// entry e of the template: the vocabulary code, or the index
+				// among the selectable entries.
+				decision := func(e int) int {
+					if s.kind == kindSymbolic {
+						return indexOf(s.vocab, symbolic.Entries[e].Value)
+					}
+					return slices.IndexFunc(s.ranges, func(x Range) bool { return x.lo == numeric.Entries[e].Lo })
+				}
+				for i, last := range s.last {
+					held, e := i, entryAt(last)
+					if s.kind == kindSymbolic {
+						held = s.codes[i]
+					}
+					if held != decision(e) {
+						t.Fatalf("%s, %s: %s entry %d decides %d and ends at word %d, where the contract decides %d", tc.name, c.how, s.name, i, held, last, decision(e))
+					}
+					if last != math.MaxUint32 && entryAt(last+1) == e {
+						t.Fatalf("%s, %s: %s entry %d ends at word %d, the contract still selects it at the next", tc.name, c.how, s.name, i, last)
+					}
+				}
+				if s.last[len(s.last)-1] != math.MaxUint32 {
+					t.Fatalf("%s, %s: %s: the last threshold is %d", tc.name, c.how, s.name, s.last[len(s.last)-1])
+				}
+				if s.table == nil {
+					continue
+				}
+				cut := 0
+				for b, got := range s.table {
+					first, last := entryAt(uint32(b)<<24), entryAt(uint32(b)<<24|(1<<24-1))
+					want := walk
+					if first == last && decision(first) < walk {
+						want = decision(first)
+					}
+					if int(got) != want {
+						t.Fatalf("%s, %s: %s table[%d] = %d, want %d (the contract selects entries %d to %d)", tc.name, c.how, s.name, b, got, want, first, last)
+					}
+					if first != last {
+						cut++
+					}
+				}
+				if tc.cut >= 0 && cut != tc.cut {
+					t.Errorf("%s, %s: %s has %d cut buckets, want %d", tc.name, c.how, s.name, cut, tc.cut)
 				}
 			}
 		}
@@ -488,18 +600,18 @@ func TestDrawTableMatchesInterpreterAtTheEdges(t *testing.T) {
 
 // TestPlanTablesAreBounded: cmd/farmd compiles templates off the wire
 // into a cache of plans, so what a plan holds must not grow with what it
-// is sent. The widest template — every declared parameter at the table
-// cap, and a thousand more parameters of its own at the cap — holds
-// lutCap bytes of table per declared parameter and none beyond.
+// is sent. The widest template — every declared parameter at the widest
+// total Intn can draw, and a thousand more parameters of its own — holds
+// 256 bytes of table per declared parameter and none beyond.
 func TestPlanTablesAreBounded(t *testing.T) {
 	defaults := testDefaults(t)
 	var src strings.Builder
 	src.WriteString("template wide {\n")
-	fmt.Fprintf(&src, "weight Mnemonic { load: %d; mul: 1; }\n", lutCap-1)
-	fmt.Fprintf(&src, "weight CacheDelay { [0:9]: 1; [10:100]: %d; }\n", lutCap-1)
-	fmt.Fprintf(&src, "weight Mode { slow: %d; fast: %d; }\n", lutCap/2, lutCap/2)
+	fmt.Fprintf(&src, "weight Mnemonic { load: %d; mul: 1; }\n", 1<<32-1)
+	fmt.Fprintf(&src, "weight CacheDelay { [0:9]: 1; [10:100]: %d; }\n", 1<<32-1)
+	fmt.Fprintf(&src, "weight Mode { slow: %d; fast: %d; }\n", 1<<31, 1<<31)
 	for i := 0; i < 1000; i++ {
-		fmt.Fprintf(&src, "weight Extra%d { a: %d; b: 1; }\n", i, lutCap-1)
+		fmt.Fprintf(&src, "weight Extra%d { a: %d; b: 1; }\n", i, 1<<32-1)
 	}
 	src.WriteString("}")
 	plan := Compile(mustParse(t, src.String()), defaults)
@@ -508,13 +620,16 @@ func TestPlanTablesAreBounded(t *testing.T) {
 	}
 	bytes := 0
 	for i, s := range plan.slots {
-		if len(s.lut) > lutCap || (i >= len(defaults) && s.lut != nil) {
-			t.Errorf("slot %d (%s) holds a draw table of %d bytes", i, s.name, len(s.lut))
+		if s.table == nil {
+			continue
 		}
-		bytes += len(s.lut)
+		if i >= len(defaults) {
+			t.Errorf("slot %d (%s), a parameter only the template names, holds a table", i, s.name)
+		}
+		bytes += len(s.table)
 	}
-	if want := len(defaults) * lutCap; bytes != want {
-		t.Errorf("the plan holds %d bytes of draw tables, want %d: %d per declared parameter", bytes, want, lutCap)
+	if want := len(defaults) * 256; bytes != want {
+		t.Errorf("the plan holds %d bytes of tables, want %d: 256 per declared parameter", bytes, want)
 	}
 }
 
@@ -544,14 +659,14 @@ func TestCodesFollowTheDefaultsNotTheTemplate(t *testing.T) {
 	for _, v := range []string{"load", "store", "add", "mul"} {
 		// A single-entry template in any position decides that value.
 		tmpl := mustParse(t, "template t { weight Mnemonic { "+v+": 3; } }")
-		if got, want := New(tmpl, defaults, 1).Code(h), bind.Code("Mnemonic", v); got != want {
+		if got, want := New(tmpl, defaults, 1).decide(h), bind.Code("Mnemonic", v); got != want {
 			t.Errorf("template {%s}: Code = %d, want %d", v, got, want)
 		}
 	}
 	tmpl := mustParse(t, "template t { weight Mnemonic { mul: 0; store: 5; load: 0; } }")
 	g := New(tmpl, defaults, 2)
 	for i := 0; i < 100; i++ {
-		if got := g.Code(h); got != bind.Code("Mnemonic", "store") {
+		if got := g.decide(h); got != bind.Code("Mnemonic", "store") {
 			t.Fatalf("reordered template decided code %d", got)
 		}
 	}
@@ -725,8 +840,8 @@ func TestDecisionsDoNotAllocate(t *testing.T) {
 	hM, hD := bind.Handle("Mnemonic"), bind.Handle("CacheDelay")
 	g := NewFromPlan(Compile(equivTemplates(t)[1], defaults), 5)
 	if n := testing.AllocsPerRun(200, func() {
-		g.Code(hM)
-		g.Int(hD)
+		g.decide(hM)
+		g.decideInt(hD)
 		g.PickValue("Mnemonic")
 		g.PickInt("CacheDelay")
 	}); n != 0 {
@@ -798,12 +913,12 @@ func TestCompiledPanicsMatchInterpreted(t *testing.T) {
 		return
 	}
 	for name, pair := range map[string][2]func(){
-		"unknown PickValue":          {func() { g.PickValue("Missing") }, func() { o.PickValue("Missing") }},
-		"unknown PickInt":            {func() { g.PickInt("Missing") }, func() { o.PickInt("Missing") }},
-		"PickValue on range":         {func() { g.PickValue("CacheDelay") }, func() { o.PickValue("CacheDelay") }},
-		"PickInt on symbolic weight": {func() { g.PickInt("Mnemonic") }, func() { o.PickInt("Mnemonic") }},
-		"Code on range":              {func() { g.Code(bind.Handle("CacheDelay")) }, func() { o.PickValue("CacheDelay") }},
-		"Int on symbolic weight":     {func() { g.Int(bind.Handle("Mnemonic")) }, func() { o.PickInt("Mnemonic") }},
+		"unknown PickValue":           {func() { g.PickValue("Missing") }, func() { o.PickValue("Missing") }},
+		"unknown PickInt":             {func() { g.PickInt("Missing") }, func() { o.PickInt("Missing") }},
+		"PickValue on range":          {func() { g.PickValue("CacheDelay") }, func() { o.PickValue("CacheDelay") }},
+		"PickInt on symbolic weight":  {func() { g.PickInt("Mnemonic") }, func() { o.PickInt("Mnemonic") }},
+		"Choice of a range":           {func() { g.Choice(bind.Handle("CacheDelay")) }, func() { o.PickValue("CacheDelay") }},
+		"Ranges of a symbolic weight": {func() { g.Ranges(bind.Handle("Mnemonic")) }, func() { o.PickInt("Mnemonic") }},
 	} {
 		if !panics(pair[0]) || !panics(pair[1]) {
 			t.Errorf("%s should panic on the slot path and in the interpreter", name)

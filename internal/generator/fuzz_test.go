@@ -17,9 +17,11 @@ import (
 // registered unit's defaults never panics, and a plan that reports no
 // error decides like the interpreter (generator.CheckDecisions) on every
 // slot. The seed corpus under testdata/fuzz/FuzzCompileDecide holds the
-// units' base templates, the equivalence templates of compiled_test.go
-// and the three over-wide draws of TestPlanErrors. A finding becomes a
-// row of TestPlanErrors.
+// units' base templates, the equivalence templates of compiled_test.go,
+// the three over-wide draws of TestPlanErrors and the shapes at the edges
+// of the threshold tables (threshold_*: totals above 4,096 and of exactly
+// 1<<32, zero weights in every position, thresholds on a bucket edge, 300
+// entries). A finding becomes a row of TestPlanErrors.
 func FuzzCompileDecide(f *testing.F) {
 	var defaults []generator.Defaults
 	for _, name := range duv.Names() {

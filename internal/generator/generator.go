@@ -18,8 +18,10 @@
 // model binds its parameter names to Handles and its symbolic values to
 // vocabulary codes once, when it is constructed (Bind); a (template,
 // defaults) pair is compiled once per batch into a Plan whose slot order
-// those handles index (Compile). The per-cycle decision — Code or Int —
-// is then an array index, a draw and an integer compare.
+// those handles index (Compile); and a model fetches the deciders of its
+// handles once per test-instance, before its cycle loop (Choice, Ranges).
+// The per-cycle decision is then a draw and a byte load, inlined into the
+// loop.
 package generator
 
 import (
@@ -77,8 +79,8 @@ func (b *Binding) Handle(name string) Handle {
 }
 
 // Code returns the vocabulary code of a symbolic value: its index in the
-// default entry list of the parameter. Code(h) on a generator returns
-// these codes whatever order a template lists the values in.
+// default entry list of the parameter. Choice.Code returns these codes
+// whatever order a template lists the values in.
 func (b *Binding) Code(name, value string) int {
 	if wp, ok := b.defaults[name].(*template.WeightParam); ok {
 		for i, e := range wp.Entries {
@@ -168,26 +170,27 @@ func (g *Generator) Has(name string) bool { return g.plan.Has(name) }
 // test-instance reproducible from its seed.
 func (g *Generator) RNG() *rng.RNG { return &g.r }
 
-// Code makes a random decision for a symbolic weight parameter and
-// returns the chosen value's vocabulary code (Binding.Code). It panics
-// if the parameter is numeric.
-func (g *Generator) Code(h Handle) int {
-	return g.plan.slots[h].code(&g.r)
+// Choice returns the decider of a symbolic weight parameter, to be
+// fetched before the cycle loop and asked there (Choice.Code). It panics
+// if the plan's setting is numeric.
+func (g *Generator) Choice(h Handle) Choice {
+	s := &g.plan.slots[h]
+	if s.kind != kindSymbolic {
+		panic(fmt.Sprintf("generator: parameter %q is not a symbolic weight parameter", s.name))
+	}
+	return Choice{table: s.table, last: s.last, codes: s.codes, step: s.step}
 }
 
-// Int makes a random decision for a numeric parameter and returns the
-// chosen value:
-//
-//   - for a range parameter, a uniform draw from [lo, hi];
-//   - for a weight parameter over subranges (the Skeletonizer's output
-//     form), a weighted draw of a subrange followed by a uniform draw
-//     inside it — this is exactly how the CDG-Runner shapes the
-//     distribution of an originally-uniform range parameter (paper
-//     Section IV-C).
-//
-// It panics if the parameter has symbolic entries.
-func (g *Generator) Int(h Handle) int {
-	return g.plan.slots[h].int(&g.r)
+// Ranges returns the decider of a numeric parameter — a range, or a
+// weight parameter over subranges — to be fetched before the cycle loop
+// and asked there (Ranges.Pick, then Range.Int). It panics if the plan's
+// setting has symbolic entries.
+func (g *Generator) Ranges(h Handle) Ranges {
+	s := &g.plan.slots[h]
+	if s.kind < kindSubranges {
+		panic(fmt.Sprintf("generator: parameter %q has symbolic entries", s.name))
+	}
+	return Ranges{table: s.table, last: s.last, ranges: s.ranges, step: s.step}
 }
 
 // PickValue is the decision by parameter name for a weight parameter,
@@ -201,8 +204,9 @@ func (g *Generator) PickValue(name string) string {
 	return g.plan.lookup(name).label(&g.r)
 }
 
-// PickInt is Int by parameter name. It panics if the parameter is
-// unknown or has symbolic entries.
+// PickInt is the numeric decision (Ranges.Pick, then Range.Int) by
+// parameter name. It panics if the parameter is unknown or has symbolic
+// entries.
 func (g *Generator) PickInt(name string) int {
 	return g.plan.lookup(name).int(&g.r)
 }

@@ -95,13 +95,13 @@ type bayesEngine struct {
 	xs [][]float64
 	ys []float64
 
-	iter     int
-	evals    int
-	best     float64
-	bestX    []float64
-	history  []IterRecord
-	done     bool
-	pending  [][]float64
+	iter    int
+	evals   int
+	best    float64
+	bestX   []float64
+	history []IterRecord
+	done    bool
+	pending [][]float64
 }
 
 func newBayesEngine(cfg EngineConfig, spec BayesSpec) *bayesEngine {
@@ -353,14 +353,14 @@ func (e *bayesEngine) Restore(state json.RawMessage) error {
 
 // gpModel is a fitted zero-mean GP on standardized observations.
 type gpModel struct {
-	zs      [][]float64 // normalized training inputs
-	chol    []float64   // lower Cholesky factor of K + noise*I
-	alpha   []float64   // (K + noise*I)^-1 y~
-	yMean   float64
-	yStd    float64
-	yBest   float64 // best standardized training value
-	ell     float64
-	noise   float64
+	zs    [][]float64 // normalized training inputs
+	chol  []float64   // lower Cholesky factor of K + noise*I
+	alpha []float64   // (K + noise*I)^-1 y~
+	yMean float64
+	yStd  float64
+	yBest float64 // best standardized training value
+	ell   float64
+	noise float64
 }
 
 func fitGP(xs [][]float64, ys []float64, e *bayesEngine, spec BayesSpec) *gpModel {

@@ -16,8 +16,9 @@ package rng
 
 import "math"
 
-// golden is the 64-bit golden-ratio increment used by SplitMix64.
-const golden = 0x9e3779b97f4a7c15
+// Stride is the 64-bit golden-ratio increment of SplitMix64: the step
+// the state takes for every draw.
+const Stride = 0x9e3779b97f4a7c15
 
 // RNG is a deterministic pseudo-random number generator. The zero value
 // is a valid generator seeded with 0; prefer New for clarity.
@@ -40,11 +41,25 @@ func (r *RNG) State() uint64 { return r.state }
 
 // Uint64 returns the next value in the stream (SplitMix64 output function).
 func (r *RNG) Uint64() uint64 {
-	r.state += golden
-	z := r.state
+	r.state += Stride
+	return mix(r.state)
+}
+
+// mix is the SplitMix64 output function.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// Word advances the stream by step and returns the 32 bits Intn scales:
+// Word(Stride) is uint32(Uint64()), and Intn(n) is Word(Stride)*n>>32.
+// Word(0) consumes nothing. It exists for callers that compile "draw or
+// do not draw" into data (generator's deciders carry their step) so that
+// the decision stays free of a branch and small enough to inline.
+func (r *RNG) Word(step uint64) uint32 {
+	r.state += step
+	return uint32(mix(r.state))
 }
 
 // Split derives a new generator whose stream is statistically independent

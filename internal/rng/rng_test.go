@@ -276,3 +276,26 @@ func TestUint64Distribution(t *testing.T) {
 		}
 	}
 }
+
+// TestWordIsTheDrawIntnScales: Word(Stride) is the low half of Uint64 and
+// the 32 bits Intn multiplies, with the same step of the stream; Word(0)
+// leaves the stream where it was.
+func TestWordIsTheDrawIntnScales(t *testing.T) {
+	f := func(seed uint64, bound uint32) bool {
+		n := int(bound) + 1 // up to 1<<32
+		a, b, c := New(seed), New(seed), New(seed)
+		for i := 0; i < 20; i++ {
+			w := a.Word(Stride)
+			if w != uint32(b.Uint64()) || int(uint64(w)*uint64(n)>>32) != c.Intn(n) {
+				return false
+			}
+			if a.Word(0); a.State() != b.State() || a.State() != c.State() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

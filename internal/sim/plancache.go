@@ -15,12 +15,10 @@ import (
 // daemons (cmd/farmd) that parse templates off the wire — a fresh
 // pointer per request — and would otherwise retain every body ever
 // simulated. What one cached plan can hold is bounded as well: its entry
-// lists by the frame the template arrived in, and its draw tables at
-// 4 KiB (generator's lutCap) for each parameter the unit declares,
-// whatever weights and however many other parameters the wire sends —
-// 256 plans of a unit of five parameters (every unit here) are 5 MiB of
-// tables at the very worst, and ≈ 0.3 MiB on the flow's own templates (a
-// few hundred bytes per slot).
+// lists by the frame the template arrived in, and its decision tables at
+// 256 bytes for each parameter the unit declares, whatever weights and
+// however many other parameters the wire sends — 256 plans of a unit of
+// five parameters (every unit here) are 320 KiB of tables, always.
 const DefaultPlanCacheSize = 256
 
 // planCache is a size-bounded LRU of compiled sampling plans keyed by

@@ -182,6 +182,11 @@ func (e *Env) plan(tmpl *template.Template) (*generator.Plan, error) {
 		return generator.Compile(tmpl, e.defaults)
 	})
 	if err := plan.Err(); err != nil {
+		// The plan may have been cached under another template's name: the
+		// key is the body. Name the template this call was given.
+		if tmpl != nil {
+			return nil, fmt.Errorf("sim: unit %q: template %q: %w", e.unitName, tmpl.Name, err)
+		}
 		return nil, fmt.Errorf("sim: unit %q: %w", e.unitName, err)
 	}
 	return plan, nil

@@ -76,6 +76,26 @@ func TestTemplateTheUnitCannotRunIsAnError(t *testing.T) {
 			env.Close()
 		}
 	}
+
+	// The plan cache keys on the body, so a second template of the same
+	// body is answered from the first one's plan: the error must still
+	// name the template that was submitted.
+	unit, err := duv.New("iounit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv(unit, 5, 1)
+	defer env.Close()
+	for _, name := range []string{"first_name", "second_name"} {
+		tmpl, err := template.Parse("template " + name + " { weight Command { bogus: 1; } }")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = env.Submit(tmpl, 4)
+		if want := `template "` + name + `": generator: parameter "Command": value "bogus"`; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Submit of %s = %v, want an error mentioning %s", name, err, want)
+		}
+	}
 }
 
 // TestSimulatePathAllocations pins the allocation budget of the hot
