@@ -174,6 +174,16 @@ func (f *Flow) resumeJournal(path string) error {
 		return err
 	}
 	cur := journal.NewCursor(w, recs)
+	if len(recs) == 0 {
+		// No record survived: the writer died between journal.Create and
+		// its header append. Nothing was checkpointed, so start afresh.
+		if err := cur.Append("flow_header", f.header()); err != nil {
+			w.Close()
+			return err
+		}
+		f.cur = cur
+		return nil
+	}
 	var got flowHeader
 	ok, err := cur.Take("flow_header", &got)
 	if err != nil {

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/duv/iounit"
+	"repro/internal/journal"
 	"repro/internal/obs"
 )
 
@@ -122,6 +124,32 @@ func TestResumeRejectsMismatchedFlow(t *testing.T) {
 	defer fresh.Close()
 	if err := fresh.resumeJournal(filepath.Join(t.TempDir(), "missing.journal")); err == nil {
 		t.Fatal("resume of a missing journal succeeded")
+	}
+}
+
+// TestJournalWithoutHeaderStartsFresh: a writer killed between
+// journal.Create (magic written and synced) and its header append — or
+// during the header append — leaves a journal with no complete record.
+// Nothing was checkpointed, so the next flow on that path must start
+// it fresh, not refuse it as another flow's journal: a campaign adopted
+// from a replica killed in that window would otherwise fail for good.
+func TestJournalWithoutHeaderStartsFresh(t *testing.T) {
+	for name, tail := range map[string]string{"magic only": "", "torn header": "\x00\x00\x01"} {
+		path := filepath.Join(t.TempDir(), "run.journal")
+		if err := os.WriteFile(path, []byte(journal.Magic+tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		flow := newJournaled(t, journalTestConfig(), path)
+		flow.Close()
+		// The header is on disk now: the same flow resumes, another does not.
+		newJournaled(t, journalTestConfig(), path).Close()
+		other := journalTestConfig()
+		other.Seed = 22
+		other.Journal = path
+		if f, err := New(iounit.New(), other); err == nil {
+			f.Close()
+			t.Fatalf("%s: the restarted journal has no header of its own flow", name)
+		}
 	}
 }
 

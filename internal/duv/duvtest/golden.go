@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"maps"
 	"os"
@@ -99,15 +100,25 @@ func goldenCases(t *testing.T, unit duv.DUV) []goldenCase {
 	return cases
 }
 
-// hashCase simulates the case's goldenSeeds instances and returns the
-// FNV-64a hash over their coverage-vector words (little-endian, event 0
-// in bit 0 of word 0), in seed order.
-func hashCase(unit duv.DUV, tmpl *template.Template) uint64 {
+// hashCase simulates the case's goldenSeeds instances and returns two
+// FNV-64a hashes, in seed order: one over their coverage-vector words
+// (little-endian, event 0 in bit 0 of word 0), one over the generator's
+// stream state after each Simulate. The second locks how many draws an
+// instance makes, so a model that skips draws it cannot be influenced by
+// must skip exactly as many as it would have made.
+func hashCase(unit duv.DUV, tmpl *template.Template) (vectors, states uint64) {
 	plan := generator.Compile(tmpl, unit.Defaults())
-	h := fnv.New64a()
+	hv, hs := fnv.New64a(), fnv.New64a()
 	var buf [8]byte
+	word := func(h hash.Hash64, w uint64) {
+		for i := range buf {
+			buf[i] = byte(w >> (8 * uint(i)))
+		}
+		h.Write(buf[:])
+	}
 	for seed := uint64(0); seed < goldenSeeds; seed++ {
-		v := unit.Simulate(generator.NewFromPlan(plan, seed))
+		g := generator.NewFromPlan(plan, seed)
+		v := unit.Simulate(g)
 		for lo := 0; lo < v.Len(); lo += 64 {
 			var w uint64
 			for id := lo; id < lo+64 && id < v.Len(); id++ {
@@ -115,19 +126,19 @@ func hashCase(unit duv.DUV, tmpl *template.Template) uint64 {
 					w |= 1 << uint(id-lo)
 				}
 			}
-			for i := range buf {
-				buf[i] = byte(w >> (8 * uint(i)))
-			}
-			h.Write(buf[:])
+			word(hv, w)
 		}
+		word(hs, g.RNG().State())
 	}
-	return h.Sum64()
+	return hv.Sum64(), hs.Sum64()
 }
 
 // SimulateGolden checks the unit's simulated statistics against
-// testdata/simulate_golden.txt in the calling test's package directory.
-// The file was generated before the decision loop was compiled down to
-// handles and codes; it only changes on a deliberate behavior change.
+// testdata/simulate_golden.txt in the calling test's package directory:
+// one line per case, its name, the vector hash and the stream-state hash.
+// The vector column was generated before the decision loop was compiled
+// down to handles and codes, the state column before the models skipped
+// their quiet cycles; either only changes on a deliberate behavior change.
 func SimulateGolden(t *testing.T, unit duv.DUV) {
 	t.Helper()
 	path := filepath.Join("testdata", "simulate_golden.txt")
@@ -136,7 +147,8 @@ func SimulateGolden(t *testing.T, unit duv.DUV) {
 	if *update {
 		var b strings.Builder
 		for _, c := range cases {
-			fmt.Fprintf(&b, "%s\t%016x\n", c.name, hashCase(unit, c.tmpl))
+			vectors, states := hashCase(unit, c.tmpl)
+			fmt.Fprintf(&b, "%s\t%016x\t%016x\n", c.name, vectors, states)
 		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -152,14 +164,14 @@ func SimulateGolden(t *testing.T, unit duv.DUV) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	want := map[string]string{}
+	want := map[string][2]string{}
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		name, hash, ok := strings.Cut(sc.Text(), "\t")
-		if !ok {
+		fields := strings.Split(sc.Text(), "\t")
+		if len(fields) != 3 {
 			t.Fatalf("%s: malformed line %q", path, sc.Text())
 		}
-		want[name] = hash
+		want[fields[0]] = [2]string{fields[1], fields[2]}
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -168,8 +180,12 @@ func SimulateGolden(t *testing.T, unit duv.DUV) {
 		t.Errorf("%s holds %d cases, the unit derives %d", path, len(want), len(cases))
 	}
 	for _, c := range cases {
-		if got := fmt.Sprintf("%016x", hashCase(unit, c.tmpl)); got != want[c.name] {
-			t.Errorf("%s: vectors hash to %s, golden %q", c.name, got, want[c.name])
+		vectors, states := hashCase(unit, c.tmpl)
+		if got := fmt.Sprintf("%016x", vectors); got != want[c.name][0] {
+			t.Errorf("%s: vectors hash to %s, golden %q", c.name, got, want[c.name][0])
+		}
+		if got := fmt.Sprintf("%016x", states); got != want[c.name][1] {
+			t.Errorf("%s: end-of-instance stream states hash to %s, golden %q", c.name, got, want[c.name][1])
 		}
 	}
 }

@@ -263,6 +263,27 @@ func (u *IOUnit) Simulate(g *generator.Generator) coverage.Vector {
 			}
 		}
 
+		// A quiet stretch: nothing to push and an empty FIFO. Until the
+		// engine is free again, every cycle only counts busy or gap down,
+		// makes no drain draw (the drain draws only when occ > 0), draws a
+		// scrub word that cannot fire at occ == 0 and extends the idle
+		// run. Skip those draws and jump past the stretch. A negative busy
+		// or gap count (a template's negative range) stalls the engine for
+		// good; it takes the cycle-by-cycle path.
+		if pushLeft == 0 && occ == 0 && busyLeft >= 0 && gapLeft >= 0 {
+			q := min(max(busyLeft+gapLeft, 1), simCycles-cycle)
+			r.Skip(q)
+			busyLeft, gapLeft = 0, 0
+			if wasNonEmpty {
+				idleRun += q
+				if idleRun >= 64 {
+					v.Set(u.evDrainIdle)
+				}
+			}
+			cycle += q - 1
+			continue
+		}
+
 		// Advance the engine by one cycle.
 		switch {
 		case pushLeft > 0:

@@ -220,3 +220,167 @@ func TestSimulateGolden(t *testing.T) {
 func TestSimulateRejectsForeignGenerator(t *testing.T) {
 	duvtest.RejectsForeignGenerator(t, New())
 }
+
+// TestSimulateMatchesReference: jumping over the quiet cycles changes no
+// vector and no stream position. Beside the skeleton instances, the edge
+// shapes: a CRC burst of zero (nothing to push, nothing to count down),
+// and the negative gaps, payloads and bursts a template's range may
+// produce, which stall the engine for the rest of the instance.
+func TestSimulateMatchesReference(t *testing.T) {
+	u := New()
+	var extra []*template.Template
+	for _, src := range []string{
+		`template crc_zero_burst { weight Command { crc: 80; nop: 20; } range BurstLen [0 : 3]; range Gap [0 : 2]; }`,
+		`template gap_negative { weight Command { crc: 50; dma_read: 50; } range Gap [-3 : 3]; }`,
+		`template payload_negative { range PayloadSize [-200 : 10]; range Gap [0 : 3]; }`,
+		`template burst_negative { weight Command { crc: 60; interrupt: 20; nop: 20; } range BurstLen [-2 : 12]; }`,
+		`template gap_huge { weight Command { crc: 50; nop: 50; } range Gap [0 : 5000]; }`,
+	} {
+		tmpl, err := template.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		extra = append(extra, tmpl)
+	}
+	extra = append(extra, optimalTemplate(t))
+	duvtest.MatchesReference(t, u, u.simulateReference, extra...)
+}
+
+// simulateReference is the cycle-by-cycle Simulate the model had before
+// it jumped over its quiet cycles, kept as the oracle of
+// TestSimulateMatchesReference: it steps every cycle and makes every draw.
+func (u *IOUnit) simulateReference(g *generator.Generator) coverage.Vector {
+	u.bind.Check(g)
+	v := coverage.NewVectorFor(u.model)
+	r := g.RNG()
+	command, channel := g.Choice(u.hCommand), g.Choice(u.hChannel)
+	burstLen, payloadSize, gaps := g.Ranges(u.hBurstLen), g.Ranges(u.hPayloadSize), g.Ranges(u.hGap)
+
+	occ := 0      // CRC FIFO occupancy
+	maxOcc := 0   // high-water mark
+	pushLeft := 0 // CRC entries still to push for the current burst
+	busyLeft := 0 // cycles the current non-CRC command still occupies
+	gapLeft := 0  // idle cycles before the next command
+	lastWasCRC := false
+	idleRun := 0 // consecutive cycles at zero occupancy
+	wasNonEmpty := false
+
+	for cycle := 0; cycle < simCycles; cycle++ {
+		// Start a new command when the engine is free.
+		if pushLeft == 0 && busyLeft == 0 && gapLeft == 0 {
+			cmd := command.Code(r)
+			v.Set(u.cmdSeen[cmd])
+			ch := channel.Code(r)
+			v.Set(u.chUsed[ch])
+
+			switch cmd {
+			case u.cmdCRC:
+				burst := burstLen.Pick(r).Int(r)
+				pushLeft = burst
+				switch {
+				case burst <= 4:
+					v.Set(u.burstIDs[0])
+				case burst <= 8:
+					v.Set(u.burstIDs[1])
+				case burst <= 16:
+					v.Set(u.burstIDs[2])
+				default:
+					v.Set(u.burstIDs[3])
+				}
+				if lastWasCRC {
+					v.Set(u.evBack2Back)
+				}
+				lastWasCRC = true
+			case u.cmdRead, u.cmdWrite:
+				payload := payloadSize.Pick(r).Int(r)
+				if payload <= 16 {
+					v.Set(u.evPayloadSmall)
+				}
+				if payload >= 49 {
+					v.Set(u.evPayloadLarge)
+				}
+				busyLeft = 2 + payload/32
+				v.Set(u.dmaByCh[cmd][ch])
+				lastWasCRC = false
+			case u.cmdIRQ:
+				if occ > 8 {
+					v.Set(u.evIRQDuringFill)
+				}
+				occ = 0 // interrupt handler flushes the CRC FIFO
+				busyLeft = 4
+				lastWasCRC = false
+			default: // nop
+				busyLeft = 1
+				lastWasCRC = false
+			}
+
+			gap := gaps.Pick(r).Int(r)
+			gapLeft = gap
+			if gap == 0 {
+				v.Set(u.evGapZero)
+			}
+			if gap > 24 {
+				v.Set(u.evGapLong)
+			}
+		}
+
+		// Advance the engine by one cycle.
+		switch {
+		case pushLeft > 0:
+			// CRC burst in flight: push entries, with hardware pushback.
+			rate := 2
+			if occ >= throttleAt {
+				rate = 1
+			}
+			for i := 0; i < rate && pushLeft > 0; i++ {
+				pushLeft--
+				if occ >= dropAt && r.Below(dropBelow) {
+					continue // entry dropped by backpressure
+				}
+				if occ < fifoCap {
+					occ++
+				} else {
+					v.Set(u.evFifoFull)
+				}
+			}
+		case busyLeft > 0:
+			busyLeft--
+		case gapLeft > 0:
+			gapLeft--
+		}
+
+		// Background drain and scrub.
+		if occ > 0 && r.Below(drainBelow) {
+			occ--
+		}
+		if r.Below(scrubBelow) && occ > 0 {
+			v.Set(u.evScrubSeen)
+			occ -= scrubSize
+			if occ < 0 {
+				occ = 0
+			}
+		}
+
+		if occ > maxOcc {
+			maxOcc = occ
+		}
+		if occ == 0 {
+			if wasNonEmpty {
+				idleRun++
+				if idleRun >= 64 {
+					v.Set(u.evDrainIdle)
+				}
+			}
+		} else {
+			wasNonEmpty = true
+			idleRun = 0
+		}
+	}
+
+	for i, th := range crcThresholds {
+		if maxOcc >= th {
+			v.Set(u.crcIDs[i])
+		}
+	}
+	return v
+}

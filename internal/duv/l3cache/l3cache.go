@@ -183,6 +183,18 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 	lastSet, lastSetCycle := -1, -1<<30
 
 	for cycle := 0; cycle < simCycles; cycle++ {
+		// Wait cycles make no draw, and retiring only lowers inFlight,
+		// which only the issue step reads: jump to the cycle the wait
+		// ends on, where one retirement covers every completion that fell
+		// due during the wait. A negative wait (a template's negative
+		// range) is no wait.
+		if waitLeft > 0 {
+			if cycle += waitLeft; cycle >= simCycles {
+				break
+			}
+			waitLeft = 0
+		}
+
 		// Retire finished bypass requests.
 		n := 0
 		for _, c := range completions {
@@ -194,11 +206,6 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 			}
 		}
 		completions = completions[:n]
-
-		if waitLeft > 0 {
-			waitLeft--
-			continue
-		}
 
 		// Issue one request.
 		req := reqType.Code(r)

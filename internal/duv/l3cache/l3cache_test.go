@@ -206,3 +206,188 @@ func TestSimulateGolden(t *testing.T) {
 func TestSimulateRejectsForeignGenerator(t *testing.T) {
 	duvtest.RejectsForeignGenerator(t, New())
 }
+
+// TestSimulateMatchesReference: jumping over the wait cycles changes no
+// vector and no stream position. Beside the skeleton instances, the edge
+// shapes: negative inter-arrival times (no wait at all), waits that run
+// past the end of the instance, and the bypass-heavy template whose
+// completions fall due during waits.
+func TestSimulateMatchesReference(t *testing.T) {
+	u := New()
+	var extra []*template.Template
+	for _, src := range []string{
+		`template wait_negative { range InterArrival [-4 : 3]; }`,
+		`template wait_long { weight BypassHint { on: 100; } range InterArrival [20 : 3000]; }`,
+		`template wait_nop_flush { weight ReqType { read: 40; flush: 30; nop: 30; } weight BypassHint { on: 100; } range InterArrival [0 : 40]; }`,
+	} {
+		tmpl, err := template.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		extra = append(extra, tmpl)
+	}
+	extra = append(extra, optimalTemplate(t))
+	duvtest.MatchesReference(t, u, u.simulateReference, extra...)
+}
+
+// simulateReference is the cycle-by-cycle Simulate the model had before
+// it jumped over its quiet cycles, kept as the oracle of
+// TestSimulateMatchesReference: it steps every cycle and makes every draw.
+func (u *L3Cache) simulateReference(g *generator.Generator) coverage.Vector {
+	u.bind.Check(g)
+	v := coverage.NewVectorFor(u.model)
+	r := g.RNG()
+	reqType, threadSel, bypassHint := g.Choice(u.hReqType), g.Choice(u.hThreadSel), g.Choice(u.hBypassHint)
+	interArrival, locality := g.Ranges(u.hInterArrival), g.Ranges(u.hLocality)
+
+	var sets [numSets][numWays]cacheLine
+	lruClock := 0
+
+	// Fixed arrays in the frame: the history never outgrows historySize
+	// and at most bypassQueueCap requests are in flight.
+	var historyBuf [historySize]int
+	var completionsBuf [bypassQueueCap]int
+	history := historyBuf[:0] // recently touched lines
+	completions := completionsBuf[:0]
+	inFlight := 0
+	maxInFlight := 0
+	waitLeft := 0
+	lastSet, lastSetCycle := -1, -1<<30
+
+	for cycle := 0; cycle < simCycles; cycle++ {
+		// Retire finished bypass requests.
+		n := 0
+		for _, c := range completions {
+			if c > cycle {
+				completions[n] = c
+				n++
+			} else {
+				inFlight--
+			}
+		}
+		completions = completions[:n]
+
+		if waitLeft > 0 {
+			waitLeft--
+			continue
+		}
+
+		// Issue one request.
+		req := reqType.Code(r)
+		v.Set(u.evThread[threadSel.Code(r)])
+
+		if req == u.reqNop {
+			waitLeft = interArrival.Pick(r).Int(r)
+			continue
+		}
+		if req == u.reqFlush {
+			v.Set(u.evFlush)
+			// Flush invalidates one random set.
+			s := r.Intn(numSets)
+			for w := range sets[s] {
+				if sets[s][w].valid && sets[s][w].dirty {
+					v.Set(u.evEvictDirty)
+				}
+				sets[s][w] = cacheLine{}
+			}
+			waitLeft = interArrival.Pick(r).Int(r)
+			continue
+		}
+
+		// Address generation with tunable locality.
+		var line int
+		if len(history) > 0 && r.Intn(100) < locality.Pick(r).Int(r) {
+			line = history[r.Intn(len(history))]
+		} else {
+			line = r.Intn(addrLines)
+		}
+		if len(history) < historySize {
+			history = append(history, line)
+		} else {
+			history[r.Intn(historySize)] = line
+		}
+
+		set := line % numSets
+		tag := line / numSets
+		if set == lastSet && cycle-lastSetCycle <= 4 {
+			v.Set(u.evSetConflict)
+		}
+		lastSet, lastSetCycle = set, cycle
+
+		isWrite := req == u.reqWrite
+		isRwitm := req == u.reqRwitm
+		if isRwitm {
+			v.Set(u.evRwitm)
+		}
+
+		// Lookup.
+		lruClock++
+		hitWay := -1
+		for w := range sets[set] {
+			if sets[set][w].valid && sets[set][w].tag == tag {
+				hitWay = w
+				break
+			}
+		}
+		kind := 0
+		if isWrite {
+			kind = 1
+		}
+		if hitWay >= 0 {
+			v.Set(u.evHit[kind])
+			sets[set][hitWay].lru = lruClock
+			if isWrite || isRwitm {
+				sets[set][hitWay].dirty = true
+			}
+		} else {
+			v.Set(u.evMiss[kind])
+			// Allocate: evict the LRU way.
+			victim := 0
+			for w := 1; w < numWays; w++ {
+				if sets[set][w].lru < sets[set][victim].lru {
+					victim = w
+				}
+			}
+			if sets[set][victim].valid {
+				if sets[set][victim].dirty {
+					v.Set(u.evEvictDirty)
+				} else {
+					v.Set(u.evEvictClean)
+				}
+			}
+			sets[set][victim] = cacheLine{
+				tag: tag, valid: true,
+				dirty: isWrite || isRwitm,
+				lru:   lruClock,
+			}
+
+			// Bypass path: read-class misses with the hint on may go
+			// straight to memory, occupying a bypass queue slot.
+			if (req == u.reqRead || isRwitm) && bypassHint.Code(r) == u.hintOn {
+				switch {
+				case inFlight >= bypassQueueCap:
+					v.Set(u.evQueueFull)
+					v.Set(u.evBypDenied)
+				case r.Below(u.grantBelow[inFlight]):
+					inFlight++
+					if inFlight > maxInFlight {
+						maxInFlight = inFlight
+					}
+					lat := bypassLatency + r.Intn(2*latencyJitter+1) - latencyJitter
+					completions = append(completions, cycle+lat)
+				default:
+					v.Set(u.evBypDenied)
+				}
+			}
+		}
+
+		waitLeft = interArrival.Pick(r).Int(r)
+	}
+
+	for i := 0; i < bypassQueueCap; i++ {
+		if maxInFlight >= i+1 {
+			v.Set(u.bypIDs[i])
+		}
+	}
+	return v
+}

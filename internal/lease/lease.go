@@ -10,8 +10,10 @@
 //   - Acquisition. A replica may claim a campaign whose lease is
 //     absent, released, expired, or already its own. Claiming epoch
 //     N is arbitrated by an O_EXCL guard file (lease.epoch.N): the
-//     filesystem guarantees at most one creator, so at most one owner
-//     ever holds a given epoch, and epochs only grow.
+//     filesystem guarantees at most one creator, and a re-scan after
+//     the create turns back a claimer whose N is stale (its guard was
+//     already dropped behind a higher epoch), so at most one owner ever
+//     holds a given epoch, and epochs only grow.
 //
 //   - Renewal. A background goroutine re-reads the record and rewrites
 //     RenewedAt every TTL/3. A renewal that finds a higher epoch (or a
@@ -36,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -208,9 +211,9 @@ func (m *Manager) Acquire(dir, campaign string) (*Handle, error) {
 		if maxGuard > base {
 			base = maxGuard
 		}
-		epoch := base + 1
-		if err := claimEpoch(dir, epoch); err != nil {
-			if os.IsExist(err) {
+		epoch, err := claimAbove(dir, base)
+		if err != nil {
+			if errors.Is(err, fs.ErrExist) {
 				// A peer is claiming concurrently; give it a moment to write
 				// its record, then re-read. If its lease turns out live we
 				// return ErrHeld on the next pass.
@@ -469,14 +472,41 @@ func writeRecord(dir string, rec *Record) error {
 	})
 }
 
+// guardPath names epoch's guard file in dir.
+func guardPath(dir string, epoch uint64) string {
+	return filepath.Join(dir, guardPrefix+strconv.FormatUint(epoch, 10))
+}
+
 // claimEpoch creates the O_EXCL guard file arbitrating epoch ownership.
 func claimEpoch(dir string, epoch uint64) error {
-	f, err := os.OpenFile(filepath.Join(dir, guardPrefix+strconv.FormatUint(epoch, 10)),
-		os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(guardPath(dir, epoch), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
 	return f.Close()
+}
+
+// claimAbove claims the epoch after base: it creates that epoch's guard,
+// then scans the guards again. A guard above the new one means base was
+// stale — the winner of a higher epoch had already dropped the guard this
+// claim re-created — so the claim is a lost race (fs.ErrExist) and its
+// guard is removed again (best-effort, as in dropStaleGuards: a guard
+// left below the top one is litter the next winner drops). The re-scan
+// cannot miss the higher guard: the newest guard is never dropped.
+func claimAbove(dir string, base uint64) (uint64, error) {
+	epoch := base + 1
+	if err := claimEpoch(dir, epoch); err != nil {
+		return 0, err
+	}
+	top, err := maxGuardEpoch(dir)
+	if err != nil {
+		return 0, err
+	}
+	if top > epoch {
+		os.Remove(guardPath(dir, epoch))
+		return 0, fmt.Errorf("lease: epoch %d already superseded by %d: %w", epoch, top, fs.ErrExist)
+	}
+	return epoch, nil
 }
 
 // maxGuardEpoch scans dir for claim markers and returns the highest

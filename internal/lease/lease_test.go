@@ -2,8 +2,10 @@ package lease
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -231,6 +233,35 @@ func TestEpochMonotonicAcrossCrashedClaims(t *testing.T) {
 	defer h.Release()
 	if h.Epoch() != 8 {
 		t.Fatalf("epoch = %d, want 8 (past the orphaned guard)", h.Epoch())
+	}
+}
+
+// TestStaleClaimDoesNotReissueAnEpoch: the files an interleaving leaves
+// when epoch 3 was won and its winner dropped the guards below it — guard
+// 3 and its record, guard 2 gone — met by a claimer whose scan still saw
+// base 1. Re-creating guard 2 succeeds, but epoch 2 was issued already:
+// the claim must be a lost race, and must leave the directory as it was.
+func TestStaleClaimDoesNotReissueAnEpoch(t *testing.T) {
+	dir := campaignDir(t)
+	if err := claimEpoch(dir, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRecord(dir, &Record{Campaign: "c000001", Owner: "r3", Epoch: 3, RenewedAt: time.Now().UTC(), TTLMillis: 60000}); err != nil {
+		t.Fatal(err)
+	}
+	before := dirEntries(t, dir)
+	epoch, err := claimAbove(dir, 1)
+	if err == nil {
+		t.Fatalf("claim from stale base 1 won epoch %d below the issued epoch 3", epoch)
+	}
+	if !errors.Is(err, fs.ErrExist) {
+		t.Fatalf("claim from stale base 1: %v, want a lost race (fs.ErrExist)", err)
+	}
+	if after := dirEntries(t, dir); !slices.Equal(after, before) {
+		t.Fatalf("lost claim left the directory as %v, was %v", after, before)
+	}
+	if epoch, err := claimAbove(dir, 3); err != nil || epoch != 4 {
+		t.Fatalf("claim from the current base 3 = %d, %v; want epoch 4", epoch, err)
 	}
 }
 

@@ -62,6 +62,15 @@ func (r *RNG) Word(step uint64) uint32 {
 	return uint32(mix(r.state))
 }
 
+// Skip advances the stream by n draws without computing them: the state
+// is a counter, so n draws move it by n*Stride (mod 2^64). A model calls
+// it for a stretch of cycles whose outcome does not depend on the draws
+// made in them, where it must still leave the stream where the draws
+// would have.
+func (r *RNG) Skip(n int) {
+	r.state += uint64(n) * Stride
+}
+
 // Split derives a new generator whose stream is statistically independent
 // of the parent's continuation. The parent stream advances by one step.
 func (r *RNG) Split() *RNG {

@@ -277,6 +277,23 @@ func TestUint64Distribution(t *testing.T) {
 	}
 }
 
+// TestSkipIsRepeatedDraws: Skip(n) leaves the stream where n calls of
+// Uint64 do, including an n whose n*Stride wraps the state many times.
+func TestSkipIsRepeatedDraws(t *testing.T) {
+	for _, seed := range []uint64{0, 7, math.MaxUint64 - 3} {
+		for _, n := range []int{0, 1, 2, 1000, 1 << 20} {
+			a, b := New(seed), New(seed)
+			a.Skip(n)
+			for i := 0; i < n; i++ {
+				b.Uint64()
+			}
+			if a.State() != b.State() || a.Uint64() != b.Uint64() {
+				t.Errorf("seed %d: Skip(%d) left state %#x, %d draws %#x", seed, n, a.State(), n, b.State())
+			}
+		}
+	}
+}
+
 // TestWordIsTheDrawIntnScales: Word(Stride) is the low half of Uint64 and
 // the 32 bits Intn multiplies, with the same step of the stream; Word(0)
 // leaves the stream where it was.
