@@ -633,41 +633,32 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 func BenchmarkFarmLoopback(b *testing.B) {
 	// The full farm RPC path — frame codec, dispatcher pooling, server
 	// execution — over the in-memory loopback transport, so the number
-	// is pure protocol + scheduling overhead with no real network. One
-	// sub-benchmark per wire protocol: v1 JSON frames and the v2 binary
-	// codec (see internal/farm's BENCH_farm.json trajectory).
+	// is pure protocol + scheduling overhead with no real network.
 	unit := iounit.New()
 	tmpl := unit.BaseTemplates()[0]
 	const batch = 256
-	for _, pv := range []struct {
-		name string
-		max  int
-	}{{"v1", 1}, {"v2", 0}} {
-		b.Run(pv.name, func(b *testing.B) {
-			lb := farm.NewLoopback()
-			addrs := []string{"bench-w0", "bench-w1"}
-			for _, addr := range addrs {
-				srv := farm.NewServer(farm.ServerOptions{Capacity: 2})
-				defer srv.Shutdown()
-				lb.Add(addr, srv, farm.Faults{})
-			}
-			d := farm.New(addrs, farm.Options{Dial: lb.Dial, MaxVersion: pv.max})
-			defer d.Close()
-			if err := d.WaitReady(5 * time.Second); err != nil {
-				b.Fatal(err)
-			}
-			env := sim.NewEnv(unit, 1, 0)
-			defer env.Close()
-			env.AttachRunner(d, d.Lanes())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = mustSubmit(env, tmpl, batch).Wait()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sim")
-			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "sims/sec")
-		})
+	lb := farm.NewLoopback()
+	addrs := []string{"bench-w0", "bench-w1"}
+	for _, addr := range addrs {
+		srv := farm.NewServer(farm.ServerOptions{Capacity: 2})
+		defer srv.Shutdown()
+		lb.Add(addr, srv, farm.Faults{})
 	}
+	d := farm.New(addrs, farm.Options{Dial: lb.Dial})
+	defer d.Close()
+	if err := d.WaitReady(5 * time.Second); err != nil {
+		b.Fatal(err)
+	}
+	env := sim.NewEnv(unit, 1, 0)
+	defer env.Close()
+	env.AttachRunner(d, d.Lanes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = mustSubmit(env, tmpl, batch).Wait()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sim")
+	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "sims/sec")
 }
 
 func BenchmarkSimulateNoC(b *testing.B) {

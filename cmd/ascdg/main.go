@@ -68,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	saveRepo := fs.String("save-repo", "", "save the (possibly updated) coverage repository to this JSON file")
 	workers := fs.Int("workers", 0, "simulation worker goroutines (<= 0: GOMAXPROCS)")
 	farmAddrs := fs.String("farm", "", "comma-separated farmd worker addresses (host:port,host:port); chunks are dispatched remotely with local fallback")
-	farmProto := fs.Int("proto", 0, "highest farm wire protocol to negotiate (0: highest supported; 1 forces JSON frames)")
 	farmRetry := fs.String("farm-retry", "", "farm retry/backoff tuning: base=50ms,cap=2s,attempts=3,jitter=0.25 (keys optional)")
 	hedge := fs.Float64("hedge", 0, "hedge straggling farm chunks after this multiple of the fleet p95 latency (0 disables)")
 	auditFraction := fs.Float64("audit-fraction", 0, "re-execute this fraction of remote chunk results locally and cross-check them (0 disables, 1 audits everything)")
@@ -160,8 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.EngineParams = json.RawMessage(*engineParams)
 	}
 	if *farmAddrs != "" {
-		fopts := farm.Options{Rec: sess.Recorder(), MaxVersion: *farmProto,
-			Hedge: *hedge, AuditFraction: *auditFraction}
+		fopts := farm.Options{Rec: sess.Recorder(), Hedge: *hedge, AuditFraction: *auditFraction}
 		if err := fopts.ApplyRetrySpec(*farmRetry); err != nil {
 			fmt.Fprintf(stderr, "ascdg: %v\n", err)
 			return 2

@@ -70,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	retryAfter := fs.Duration("retry-after", 15*time.Second, "Retry-After hint attached to 429 rejections")
 	workers := fs.Int("workers", 0, "simulation worker goroutines per campaign (<= 0: GOMAXPROCS)")
 	farmAddrs := fs.String("farm", "", "comma-separated farmd worker addresses (host:port,host:port); chunks are dispatched remotely with local fallback")
-	farmProto := fs.Int("proto", 0, "highest farm wire protocol to negotiate (0: highest supported; 1 forces JSON frames)")
 	farmRetry := fs.String("farm-retry", "", "farm retry/backoff tuning as key=value pairs: base=50ms,cap=2s,attempts=3,jitter=0.25")
 	hedge := fs.Float64("hedge", 0, "hedge straggling farm chunks after this multiple of the fleet p95 latency (0: off)")
 	auditFraction := fs.Float64("audit-fraction", 0, "fraction of remote chunk results re-executed locally and cross-checked (0: off, 1: all)")
@@ -146,7 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var farmBanner string
 	if *farmAddrs != "" {
 		fopts := farm.Options{
-			Rec: sess.Recorder(), MaxVersion: *farmProto, Log: logger,
+			Rec: sess.Recorder(), Log: logger,
 			Hedge: *hedge, AuditFraction: *auditFraction,
 		}
 		if err := fopts.ApplyRetrySpec(*farmRetry); err != nil {

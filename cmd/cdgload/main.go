@@ -233,10 +233,44 @@ func (f *fleet) kill9(r *replica) {
 	cmd.Wait()
 }
 
+// replica returns the replica with the given owner identity.
+func (f *fleet) replica(owner string) *replica {
+	for _, r := range f.reps {
+		if r.owner == owner {
+			return r
+		}
+	}
+	return nil
+}
+
 func (f *fleet) shutdownAll() {
 	for _, r := range f.reps {
 		f.kill9(r)
 	}
+}
+
+// get runs one GET against one replica.
+func (r *replica) get(path string, out any) error {
+	addr := r.address()
+	if addr == "" {
+		return fmt.Errorf("replica %s not up", r.owner)
+	}
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		return err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: %d: %s", path, resp.StatusCode, body)
+	}
+	if out == nil {
+		return nil
+	}
+	return json.Unmarshal(body, out)
 }
 
 // anyGet tries the request against every live replica until one
@@ -244,31 +278,39 @@ func (f *fleet) shutdownAll() {
 func (f *fleet) anyGet(path string, out any) error {
 	var lastErr error
 	for _, r := range f.reps {
-		addr := r.address()
-		if addr == "" {
-			continue
-		}
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			lastErr = fmt.Errorf("GET %s: %d: %s", path, resp.StatusCode, body)
-			continue
-		}
-		if out == nil {
+		if lastErr = r.get(path, out); lastErr == nil {
 			return nil
 		}
-		return json.Unmarshal(body, out)
 	}
 	return fmt.Errorf("no replica answered GET %s: %w", path, lastErr)
+}
+
+// running reads the campaign states on the shared data root. The
+// owning replica writes a campaign's state when it claims it, so they
+// do not lag the way a replica's view of its peers does. It returns the
+// owner of the most recently started running campaign (the one
+// furthest from finishing; "" if none) and how many running campaigns
+// each owner holds. A campaign still running under a killed owner is
+// resumed under a new lease epoch by whoever claims it next.
+func (f *fleet) running() (newest string, held map[string]int) {
+	held = map[string]int{}
+	dirs, _ := filepath.Glob(filepath.Join(f.opts.dataDir, "c*", "campaign.json"))
+	var newestAt time.Time
+	for _, p := range dirs {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			continue
+		}
+		var st service.State
+		if json.Unmarshal(data, &st) != nil || st.State != "running" || st.StartedAt == nil {
+			continue
+		}
+		held[st.Owner]++
+		if st.StartedAt.After(newestAt) {
+			newest, newestAt = st.Owner, *st.StartedAt
+		}
+	}
+	return newest, held
 }
 
 // submit POSTs the spec to any replica, retrying 429s (honoring a
@@ -326,6 +368,9 @@ func chaosRun(opts options, stdout, stderr io.Writer) error {
 		}
 	}
 	deadline := time.Now().Add(opts.timeout)
+	// The kill rounds report from their own goroutine while the
+	// submission loop reports from this one.
+	stdout = &lockedWriter{w: stdout}
 
 	f := &fleet{opts: opts, stdout: stdout}
 	for i := 0; i < opts.replicas; i++ {
@@ -347,6 +392,47 @@ func chaosRun(opts options, stdout, stderr io.Writer) error {
 	}
 	sort.Strings(tenantNames)
 
+	// Observer: polls the fleet, recording the order campaigns are first
+	// seen off the queue (the fairness signal) and terminal states. It
+	// starts before the first submission, because small campaigns finish
+	// while later ones are still being submitted.
+	obs := newObserver(f, opts.campaigns)
+	stopObs := make(chan struct{})
+	obsDone := make(chan struct{})
+	go func() {
+		defer close(obsDone)
+		t := time.NewTicker(10 * time.Millisecond)
+		defer t.Stop()
+		for {
+			select {
+			case <-stopObs:
+				return
+			case <-t.C:
+				obs.poll()
+			}
+		}
+	}()
+	defer func() {
+		close(stopObs)
+		<-obsDone
+	}()
+
+	// Chaos runs alongside submission, paced by fleet progress rather
+	// than wall time, and every kill lands on a replica running a
+	// campaign: it is SIGKILLed, the peers get 2×TTL to steal its
+	// leases, and it respawns under the same owner identity.
+	stopChaos := make(chan struct{})
+	chaosDone := make(chan error, 1)
+	go func() {
+		chaosDone <- f.killRounds(obs, deadline, stopChaos)
+	}()
+	var chaosErr error
+	waitChaos := sync.OnceFunc(func() {
+		close(stopChaos)
+		chaosErr = <-chaosDone
+	})
+	defer waitChaos()
+
 	specs := map[string]service.Spec{}
 	tenantOf := map[string]string{}
 	var ids []string
@@ -360,73 +446,21 @@ func chaosRun(opts options, stdout, stderr io.Writer) error {
 		specs[id] = spec
 		tenantOf[id] = tenant
 		ids = append(ids, id)
+		obs.add(id)
 	}
 	fmt.Fprintf(stdout, "cdgload: %d campaigns submitted across tenants %v\n", len(ids), tenantNames)
-
-	// Observer: polls the fleet, recording the order campaigns are first
-	// seen off the queue (the fairness signal) and terminal states.
-	obs := newObserver(f, ids)
-	stopObs := make(chan struct{})
-	obsDone := make(chan struct{})
-	go func() {
-		defer close(obsDone)
-		t := time.NewTicker(40 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopObs:
-				return
-			case <-t.C:
-				obs.poll()
-			}
-		}
-	}()
-
-	// Chaos: kill rounds are paced by fleet progress, not wall time —
-	// round k fires once (k+1)/(kills+1) of the campaigns are done, so
-	// every kill is guaranteed to land mid-run with work in flight. The
-	// victim is a replica observed running campaigns (falling back to a
-	// random one); it is SIGKILLed, the peers get 2×TTL to steal its
-	// leases, and it respawns under the same owner identity.
-	rng := rand.New(rand.NewSource(opts.seed))
-	for k := 0; k < opts.kills; k++ {
-		threshold := (k + 1) * len(ids) / (opts.kills + 1)
-		if threshold < 1 {
-			threshold = 1
-		}
-		for obs.doneCount() < threshold && !obs.allDone() && time.Now().Before(deadline) {
-			time.Sleep(25 * time.Millisecond)
-		}
-		if obs.allDone() || time.Now().After(deadline) {
-			break
-		}
-		victim := f.reps[rng.Intn(len(f.reps))]
-		if owner := obs.busyOwner(); owner != "" {
-			for _, r := range f.reps {
-				if r.owner == owner {
-					victim = r
-				}
-			}
-		}
-		f.kill9(victim)
-		time.Sleep(2 * opts.leaseTTL) // let peers notice and steal
-		if err := f.spawn(victim); err != nil {
-			return fmt.Errorf("respawning %s: %w", victim.owner, err)
-		}
-		time.Sleep(opts.killEvery) // spacing floor before the next round
-	}
 
 	// Liveness: every campaign terminal before the deadline.
 	for !obs.allDone() {
 		if time.Now().After(deadline) {
-			close(stopObs)
-			<-obsDone
 			return fmt.Errorf("liveness: %s", obs.pendingSummary())
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	close(stopObs)
-	<-obsDone
+	waitChaos()
+	if chaosErr != nil {
+		return chaosErr
+	}
 
 	// Zero lost, none failed, exactly-one-owner bookkeeping.
 	states := map[string]*service.State{}
@@ -493,6 +527,64 @@ func chaosRun(opts options, stdout, stderr io.Writer) error {
 	return nil
 }
 
+// killRounds runs the kill -9 rounds until they are all spent, every
+// campaign is done, the deadline passes, or stop closes. Round k waits
+// until (k+1)/(kills+1) of the campaigns are done, then for a replica
+// that is running one, and kills it. A round whose victim finished its
+// campaigns before it died is repeated.
+func (f *fleet) killRounds(obs *observer, deadline time.Time, stop <-chan struct{}) error {
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return obs.allDone() || time.Now().After(deadline)
+		}
+	}
+	for k := 0; k < f.opts.kills; k++ {
+		threshold := (k + 1) * obs.want / (f.opts.kills + 1)
+		if threshold < 1 {
+			threshold = 1
+		}
+		for obs.doneCount() < threshold && !stopped() {
+			time.Sleep(25 * time.Millisecond)
+		}
+		var victim *replica
+		for victim == nil && !stopped() {
+			owner, _ := f.running()
+			if victim = f.replica(owner); victim == nil {
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+		if victim == nil {
+			return nil
+		}
+		f.kill9(victim)
+		if _, held := f.running(); held[victim.owner] == 0 {
+			fmt.Fprintf(f.stdout, "cdgload: replica %s finished its campaigns before it died; repeating the round\n", victim.owner)
+			k--
+		}
+		time.Sleep(2 * f.opts.leaseTTL) // let peers notice and steal
+		if err := f.spawn(victim); err != nil {
+			return fmt.Errorf("respawning %s: %w", victim.owner, err)
+		}
+		time.Sleep(f.opts.killEvery) // spacing floor before the next round
+	}
+	return nil
+}
+
+// lockedWriter serializes writes from concurrent goroutines.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
+}
+
 // loadSpec is the harness's campaign: the same small iounit family
 // target the service tests use, seeded per campaign so every report is
 // unique and deterministic.
@@ -519,30 +611,46 @@ func loadSpec(seed uint64, tenant string) service.Spec {
 }
 
 // observer tracks, via polling, when each campaign is first seen off
-// the queue and which are terminal.
+// the queue and which are terminal. Submitted ids are added as they are
+// accepted; the run is done once all want of them are terminal.
 type observer struct {
-	f   *fleet
-	ids []string
+	f    *fleet
+	want int
 
 	mu    sync.Mutex
+	ids   []string
 	seq   int
-	first map[string]int    // id → first-seen-dispatched sequence
-	done  map[string]bool   // id → terminal observed
-	owner map[string]string // id → last seen owner while running
+	first map[string]int  // id → first-seen-dispatched sequence
+	done  map[string]bool // id → terminal observed
 }
 
-func newObserver(f *fleet, ids []string) *observer {
+func newObserver(f *fleet, want int) *observer {
 	return &observer{
-		f: f, ids: ids,
-		first: map[string]int{}, done: map[string]bool{}, owner: map[string]string{},
+		f: f, want: want,
+		first: map[string]int{}, done: map[string]bool{},
 	}
 }
 
+func (o *observer) add(id string) {
+	o.mu.Lock()
+	o.ids = append(o.ids, id)
+	o.mu.Unlock()
+}
+
+// poll merges every live replica's view. A replica's view of its
+// peers' campaigns lags by a janitor pass, its view of its own does
+// not, and a terminal state seen anywhere is final.
 func (o *observer) poll() {
-	var list []*service.State
-	if err := o.f.anyGet("/v1/campaigns", &list); err != nil {
-		return // fleet mid-kill; next tick
+	for _, r := range o.f.reps {
+		var list []*service.State
+		if r.get("/v1/campaigns", &list) != nil {
+			continue // replica mid-kill; the others still answer
+		}
+		o.record(list)
 	}
+}
+
+func (o *observer) record(list []*service.State) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for _, st := range list {
@@ -553,14 +661,12 @@ func (o *observer) poll() {
 				o.first[st.ID] = o.seq
 				o.seq++
 			}
-			o.owner[st.ID] = st.Owner
 		default: // terminal
 			if _, ok := o.first[st.ID]; !ok {
 				o.first[st.ID] = o.seq
 				o.seq++
 			}
 			o.done[st.ID] = true
-			delete(o.owner, st.ID)
 		}
 	}
 }
@@ -580,25 +686,15 @@ func (o *observer) doneCount() int {
 func (o *observer) allDone() bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	if len(o.ids) < o.want {
+		return false
+	}
 	for _, id := range o.ids {
 		if !o.done[id] {
 			return false
 		}
 	}
 	return true
-}
-
-// busyOwner returns an owner currently running campaigns — the most
-// interesting replica to kill.
-func (o *observer) busyOwner() string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for _, owner := range o.owner {
-		if owner != "" {
-			return owner
-		}
-	}
-	return ""
 }
 
 func (o *observer) pendingSummary() string {

@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	capacity := fs.Int("capacity", 0, "concurrently executing chunks (<= 0: GOMAXPROCS); advertised to dispatchers")
 	planCache := fs.Int("plan-cache", 0, "per-unit compiled-plan cache entries (0: unbounded)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight chunks")
-	proto := fs.Int("proto", 0, "highest wire protocol version to negotiate (0: highest supported; 1 forces JSON frames)")
 	trace := fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file (view in Perfetto)")
 	progress := fs.Bool("progress", false, "stream JSONL progress events to stderr")
 	metrics := fs.Bool("metrics", false, "print a final metrics summary to stderr")
@@ -104,7 +103,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Capacity:      *capacity,
 		PlanCacheSize: *planCache,
 		DrainTimeout:  *drain,
-		MaxVersion:    *proto,
 		Rec:           sess.Recorder(),
 		Log:           logger,
 	})
@@ -119,8 +117,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sigc)
-	fmt.Fprintf(stdout, "farmd: listening on %s (capacity %d, protocol <= v%d, %s)\n",
-		ln.Addr(), srv.Capacity(), srv.MaxVersion(), buildinfo.Read().Short())
+	fmt.Fprintf(stdout, "farmd: listening on %s (capacity %d, protocol v%d, %s)\n",
+		ln.Addr(), srv.Capacity(), farm.ProtocolVersion, buildinfo.Read().Short())
 	if armed := failpoint.Default.Snapshot(); len(armed) > 0 {
 		fmt.Fprintf(stdout, "farmd: FAULT INJECTION ARMED: %d failpoint(s) active — not for production\n", len(armed))
 	}

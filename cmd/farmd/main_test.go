@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/duv/iounit"
 	"repro/internal/farm"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/template"
 )
@@ -65,6 +64,9 @@ func TestFarmdServesAndDrainsOnSignal(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("farmd never reported its listen address; stderr:\n%s", stderr.String())
 	}
+	if !strings.Contains(stdout.String(), "protocol v3") {
+		t.Fatalf("startup banner does not name the protocol:\n%s", stdout.String())
+	}
 
 	d := farm.New([]string{addr}, farm.Options{})
 	defer d.Close()
@@ -111,60 +113,6 @@ func TestFarmdServesAndDrainsOnSignal(t *testing.T) {
 	out := stdout.String()
 	if !strings.Contains(out, "draining") || !strings.Contains(out, "drained, exiting") {
 		t.Fatalf("missing drain banners in output:\n%s", out)
-	}
-}
-
-// TestFarmdProtoFlag boots the daemon pinned to protocol v1 and checks
-// the startup banner states the cap and that dispatchers negotiate
-// down to v1 against it.
-func TestFarmdProtoFlag(t *testing.T) {
-	stdout := &addrWatcher{addr: make(chan string, 1)}
-	var stderr bytes.Buffer
-	code := make(chan int, 1)
-	go func() {
-		code <- run([]string{"-listen", "127.0.0.1:0", "-capacity", "1", "-proto", "1", "-drain", "2s"}, stdout, &stderr)
-	}()
-	var addr string
-	select {
-	case addr = <-stdout.addr:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("farmd never reported its listen address; stderr:\n%s", stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "protocol <= v1") {
-		t.Fatalf("startup banner missing protocol cap:\n%s", stdout.String())
-	}
-
-	rec := obs.NewRecorder()
-	d := farm.New([]string{addr}, farm.Options{Rec: rec})
-	defer d.Close()
-	if err := d.WaitReady(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	unit := iounit.New()
-	chunk := sim.RemoteChunk{
-		Unit: iounit.UnitName, Seed: 5, Lo: 0, Hi: 50, Events: unit.Model().Size(),
-	}
-	if _, err := d.RunChunk(chunk); err != nil {
-		t.Fatal(err)
-	}
-	snap := rec.Metrics.Snapshot()
-	if snap.Gauges["farm.proto_version"] != 1 {
-		t.Fatalf("farm.proto_version = %d, want 1 against a -proto 1 worker", snap.Gauges["farm.proto_version"])
-	}
-	if snap.Counters["farm.conns_v2"] != 0 {
-		t.Fatalf("%d v2 connections against a -proto 1 worker", snap.Counters["farm.conns_v2"])
-	}
-
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case c := <-code:
-		if c != 0 {
-			t.Fatalf("exit code = %d, want 0; stderr:\n%s", c, stderr.String())
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("farmd did not exit after SIGTERM")
 	}
 }
 

@@ -44,7 +44,6 @@ func main() {
 	csvDir := flag.String("csv", "", "also write each figure's series as <dir>/figN.csv")
 	workers := flag.Int("workers", 0, "simulation worker goroutines (<= 0: GOMAXPROCS)")
 	farmAddrs := flag.String("farm", "", "comma-separated farmd worker addresses (host:port,host:port); chunks are dispatched remotely with local fallback")
-	farmProto := flag.Int("proto", 0, "highest farm wire protocol to negotiate (0: highest supported; 1 forces JSON frames)")
 	farmRetry := flag.String("farm-retry", "", "farm retry/backoff tuning: base=50ms,cap=2s,attempts=3,jitter=0.25 (keys optional)")
 	hedge := flag.Float64("hedge", 0, "hedge straggling farm chunks after this multiple of the fleet p95 latency (0 disables)")
 	auditFraction := flag.Float64("audit-fraction", 0, "re-execute this fraction of remote chunk results locally and cross-check them (0 disables, 1 audits everything)")
@@ -126,8 +125,7 @@ func main() {
 		opts.EngineParams = json.RawMessage(*engineParams)
 	}
 	if *farmAddrs != "" {
-		fopts := farm.Options{Rec: sess.Recorder(), MaxVersion: *farmProto,
-			Hedge: *hedge, AuditFraction: *auditFraction}
+		fopts := farm.Options{Rec: sess.Recorder(), Hedge: *hedge, AuditFraction: *auditFraction}
 		if err := fopts.ApplyRetrySpec(*farmRetry); err != nil {
 			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 			os.Exit(2)

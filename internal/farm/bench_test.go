@@ -2,10 +2,6 @@ package farm
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -25,267 +21,64 @@ func benchResultFrame(events int) *Frame {
 	return &Frame{Type: TypeResult, ID: 12345, Hits: hits, Sims: 256}
 }
 
-// benchCodecRoundTrip returns a benchmark closure that encodes and
-// decodes the frame through a warm per-connection codec at the given
-// version. SetBytes carries the *logical* coverage payload (8 bytes
-// per event), so MB/s is comparable across codecs: how fast coverage
-// data moves, not how fast each codec moves its own envelope.
-func benchCodecRoundTrip(version int, f *Frame) func(b *testing.B) {
-	return func(b *testing.B) {
-		c := &codec{version: version}
-		var buf bytes.Buffer
-		got := Frame{Hits: make([]uint64, 0, len(f.Hits))}
+// BenchmarkWireCodec measures one result-frame round trip (encode +
+// decode) through a warm per-connection codec: the per-chunk protocol
+// overhead with the transport and simulation subtracted out. SetBytes
+// carries the logical coverage payload (8 bytes per event), so MB/s is
+// how fast coverage data moves, not how fast the envelope does.
+func BenchmarkWireCodec(b *testing.B) {
+	f := benchResultFrame(256)
+	var c codec
+	var buf bytes.Buffer
+	got := Frame{Hits: make([]uint64, 0, len(f.Hits))}
+	if err := c.write(&buf, f); err != nil {
+		b.Fatal(err)
+	}
+	if err := c.read(&buf, &got); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(8 * len(f.Hits)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
 		if err := c.write(&buf, f); err != nil {
 			b.Fatal(err)
 		}
 		if err := c.read(&buf, &got); err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(int64(8 * len(f.Hits)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := c.write(&buf, f); err != nil {
-				b.Fatal(err)
-			}
-			if err := c.read(&buf, &got); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
-}
-
-// BenchmarkWireCodec measures one result-frame round trip (encode +
-// decode) per codec. This is the per-chunk protocol overhead with the
-// transport and simulation subtracted out.
-func BenchmarkWireCodec(b *testing.B) {
-	f := benchResultFrame(256)
-	b.Run("v1", benchCodecRoundTrip(ProtocolV1, f))
-	b.Run("v2", benchCodecRoundTrip(ProtocolV2, f))
-	b.Run("v3", benchCodecRoundTrip(ProtocolV3, f))
-}
-
-// benchFleet wires the standard two-worker loopback fleet at a
-// protocol cap and hands it back with a cleanup.
-func benchFleet(tb testing.TB, maxVersion int) *Dispatcher {
-	lb := NewLoopback()
-	addrs := []string{"bench-w0", "bench-w1"}
-	for _, addr := range addrs {
-		srv := NewServer(ServerOptions{Capacity: 2})
-		tb.Cleanup(srv.Shutdown)
-		lb.Add(addr, srv, Faults{})
-	}
-	d := New(addrs, Options{Dial: lb.Dial, MaxVersion: maxVersion})
-	tb.Cleanup(d.Close)
-	if err := d.WaitReady(5 * time.Second); err != nil {
-		tb.Fatal(err)
-	}
-	return d
 }
 
 // BenchmarkFarmChunkPath measures the dispatcher-side cost of one
 // remote chunk — request encode, server execution, result decode,
-// merge into caller scratch — per protocol version. allocs/op is the
-// allocs-per-chunk number the v2 codec drives toward zero.
+// merge into caller scratch — over a two-worker loopback fleet.
+// allocs/op is the allocs-per-chunk number the codec keeps at zero.
 func BenchmarkFarmChunkPath(b *testing.B) {
-	unit := iounit.New()
-	events := unit.Model().Size()
+	lb := NewLoopback()
+	addrs := []string{"bench-w0", "bench-w1"}
+	for _, addr := range addrs {
+		srv := NewServer(ServerOptions{Capacity: 2})
+		b.Cleanup(srv.Shutdown)
+		lb.Add(addr, srv, Faults{})
+	}
+	d := New(addrs, Options{Dial: lb.Dial})
+	b.Cleanup(d.Close)
+	if err := d.WaitReady(5 * time.Second); err != nil {
+		b.Fatal(err)
+	}
+	events := iounit.New().Model().Size()
 	const instances = 256
-	for _, pv := range []struct {
-		name string
-		max  int
-	}{{"v1", 1}, {"v2", 2}, {"v3", 0}} {
-		b.Run(pv.name, func(b *testing.B) {
-			d := benchFleet(b, pv.max)
-			chunk := sim.RemoteChunk{
-				Unit: iounit.UnitName, Seed: 42, Lo: 0, Hi: instances, Events: events,
-			}
-			dst := coverage.NewCounts(events)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst.Reset()
-				if err := d.RunChunkInto(chunk, dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N*instances)/b.Elapsed().Seconds(), "sims/sec")
-		})
-	}
-}
-
-// ---- Persistent bench trajectory (BENCH_farm.json) ----
-
-// benchFile is the committed benchmark baseline at the repo root. The
-// guard below reads it to detect regressions and rewrites it with
-// fresh numbers (commit the rewrite to advance the baseline).
-const benchFile = "../../BENCH_farm.json"
-
-type codecBenchRecord struct {
-	NsPerOp     int64   `json:"ns_per_op"`
-	MBPerSec    float64 `json:"mb_per_sec"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// benchRecord is BENCH_farm.json: absolute numbers for the trajectory,
-// benchstat-comparable lines for tooling, and the machine-normalized
-// ratio the regression guard compares (farm throughput relative to the
-// same machine's local throughput, so a slower runner does not read as
-// a protocol regression).
-type benchRecord struct {
-	Date            string           `json:"date"`
-	GoOS            string           `json:"goos"`
-	GoArch          string           `json:"goarch"`
-	MaxProcs        int              `json:"maxprocs"`
-	Benchstat       []string         `json:"benchstat"`
-	CodecV1         codecBenchRecord `json:"codec_v1"`
-	CodecV2         codecBenchRecord `json:"codec_v2"`
-	LocalSimsPerSec float64          `json:"local_sims_per_sec"`
-	FarmSimsPerSec  float64          `json:"farm_sims_per_sec"`
-	FarmLocalRatio  float64          `json:"farm_local_ratio"`
-}
-
-func mbPerSec(r testing.BenchmarkResult, logicalBytes int) float64 {
-	if r.T <= 0 {
-		return 0
-	}
-	return float64(logicalBytes) * float64(r.N) / r.T.Seconds() / 1e6
-}
-
-func benchstatLine(name string, r testing.BenchmarkResult) string {
-	return fmt.Sprintf("%s-%d\t%s\t%s", name, runtime.GOMAXPROCS(0), r.String(), r.MemString())
-}
-
-// measureFarmSimsPerSec is one chunk-path throughput sample over the
-// loopback fleet.
-func measureFarmSimsPerSec(t *testing.T, maxVersion int) float64 {
-	unit := iounit.New()
-	events := unit.Model().Size()
-	const instances = 512
-	d := benchFleet(t, maxVersion)
-	defer d.Close()
 	chunk := sim.RemoteChunk{Unit: iounit.UnitName, Seed: 42, Lo: 0, Hi: instances, Events: events}
 	dst := coverage.NewCounts(events)
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dst.Reset()
-			if err := d.RunChunkInto(chunk, dst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return float64(instances) / (time.Duration(res.NsPerOp())).Seconds()
-}
-
-// measureLocalSimsPerSec is one sample of the same workload run by a
-// local environment — the normalization denominator.
-func measureLocalSimsPerSec(t *testing.T) float64 {
-	unit := iounit.New()
-	const instances = 512
-	env := sim.NewEnv(unit, 1, 2)
-	defer env.Close()
-	dst := coverage.NewCountsFor(unit.Model())
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dst.Reset()
-			if err := env.RunChunkInto(nil, 42, 0, instances, dst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return float64(instances) / (time.Duration(res.NsPerOp())).Seconds()
-}
-
-// TestFarmBenchTrajectory is the CI bench job: it measures both codecs
-// and the full chunk path, enforces the v2 acceptance criteria (≥5×
-// fewer allocs per chunk round trip and higher coverage MB/s than v1),
-// guards the machine-normalized farm throughput against the committed
-// BENCH_farm.json baseline (>10% regression fails), and rewrites the
-// file with fresh numbers. Gated behind BENCH_FARM=1 because
-// wall-clock numbers are meaningless on noisy runners unless invoked
-// deliberately.
-func TestFarmBenchTrajectory(t *testing.T) {
-	if os.Getenv("BENCH_FARM") == "" {
-		t.Skip("set BENCH_FARM=1 to run the farm bench trajectory guard")
-	}
-	frame := benchResultFrame(256)
-	logical := 8 * len(frame.Hits)
-	v1 := testing.Benchmark(benchCodecRoundTrip(ProtocolV1, frame))
-	v2 := testing.Benchmark(benchCodecRoundTrip(ProtocolV2, frame))
-	rec := benchRecord{
-		Date:     time.Now().UTC().Format(time.RFC3339),
-		GoOS:     runtime.GOOS,
-		GoArch:   runtime.GOARCH,
-		MaxProcs: runtime.GOMAXPROCS(0),
-		Benchstat: []string{
-			benchstatLine("BenchmarkWireCodec/v1", v1),
-			benchstatLine("BenchmarkWireCodec/v2", v2),
-		},
-		CodecV1: codecBenchRecord{
-			NsPerOp: v1.NsPerOp(), MBPerSec: mbPerSec(v1, logical),
-			AllocsPerOp: v1.AllocsPerOp(), BytesPerOp: v1.AllocedBytesPerOp(),
-		},
-		CodecV2: codecBenchRecord{
-			NsPerOp: v2.NsPerOp(), MBPerSec: mbPerSec(v2, logical),
-			AllocsPerOp: v2.AllocsPerOp(), BytesPerOp: v2.AllocedBytesPerOp(),
-		},
-	}
-	t.Logf("codec v1: %d ns/op, %.1f MB/s, %d allocs/op", rec.CodecV1.NsPerOp, rec.CodecV1.MBPerSec, rec.CodecV1.AllocsPerOp)
-	t.Logf("codec v2: %d ns/op, %.1f MB/s, %d allocs/op", rec.CodecV2.NsPerOp, rec.CodecV2.MBPerSec, rec.CodecV2.AllocsPerOp)
-
-	// Acceptance: the binary codec must round-trip with at least 5x
-	// fewer allocations and move coverage data faster than JSON.
-	if rec.CodecV2.AllocsPerOp*5 > rec.CodecV1.AllocsPerOp {
-		t.Errorf("v2 allocs/op = %d, want <= v1/5 (v1 = %d)", rec.CodecV2.AllocsPerOp, rec.CodecV1.AllocsPerOp)
-	}
-	if rec.CodecV2.MBPerSec <= rec.CodecV1.MBPerSec {
-		t.Errorf("v2 = %.1f MB/s, want > v1 (%.1f MB/s)", rec.CodecV2.MBPerSec, rec.CodecV1.MBPerSec)
-	}
-
-	// Paired trials: local and farm throughput measured back to back,
-	// guarding on the best per-pair ratio. Pairing cancels machine-wide
-	// noise (a loaded runner slows both numerators and denominators);
-	// taking the best of several pairs discards downward scheduling
-	// spikes without hiding a real protocol regression, which would
-	// depress every pair.
-	for trial := 0; trial < 5; trial++ {
-		local := measureLocalSimsPerSec(t)
-		fleet := measureFarmSimsPerSec(t, 0)
-		if local <= 0 {
-			continue
-		}
-		if r := fleet / local; r > rec.FarmLocalRatio {
-			rec.FarmLocalRatio = r
-			rec.LocalSimsPerSec = local
-			rec.FarmSimsPerSec = fleet
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst.Reset()
+		if err := d.RunChunkInto(chunk, dst); err != nil {
+			b.Fatal(err)
 		}
 	}
-	t.Logf("sims/sec: local %.0f, farm %.0f, ratio %.3f (best of 5 paired trials)",
-		rec.LocalSimsPerSec, rec.FarmSimsPerSec, rec.FarmLocalRatio)
-
-	// Trajectory guard: compare the machine-normalized ratio against
-	// the committed baseline; a >10% drop is a protocol regression.
-	if raw, err := os.ReadFile(benchFile); err == nil {
-		var base benchRecord
-		if err := json.Unmarshal(raw, &base); err != nil {
-			t.Fatalf("corrupt %s: %v", benchFile, err)
-		}
-		if base.FarmLocalRatio > 0 && rec.FarmLocalRatio < base.FarmLocalRatio*0.90 {
-			t.Errorf("farm/local sims-per-sec ratio %.3f regressed >10%% vs committed baseline %.3f",
-				rec.FarmLocalRatio, base.FarmLocalRatio)
-		}
-	} else if !os.IsNotExist(err) {
-		t.Fatal(err)
-	}
-
-	out, err := json.MarshalIndent(&rec, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(benchFile, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", benchFile)
+	b.ReportMetric(float64(b.N*instances)/b.Elapsed().Seconds(), "sims/sec")
 }

@@ -59,12 +59,6 @@ type Options struct {
 	// MaxConnsPerWorker caps connections per address; the effective
 	// count is min(cap, worker's advertised capacity). <= 0: 8.
 	MaxConnsPerWorker int
-	// MaxVersion caps the chunk-path protocol version this dispatcher
-	// offers in its hello (the -proto flag). 0 means the highest this
-	// build speaks (ProtocolVersion); 1 forces v1 JSON frames even
-	// against v2-capable workers. Each connection uses the minimum of
-	// this and the worker's own maximum.
-	MaxVersion int
 	// Hedge, when > 0, enables hedged chunk execution: an exchange
 	// still in flight after Hedge × the fleet's recent p95 exchange
 	// latency is duplicated on the healthiest idle connection of a
@@ -94,7 +88,7 @@ type Options struct {
 	// disables).
 	Rec *obs.Recorder
 	// Log receives structured connection-lifecycle and failure events
-	// with correlated fields (worker, proto, chunk). nil discards.
+	// with correlated fields (worker, chunk). nil discards.
 	Log *slog.Logger
 	// Context, when non-nil, cancels queued remote work: RunChunk stops
 	// retrying, acquiring, and backing off the moment it is done, and
@@ -140,7 +134,6 @@ func (o *Options) setDefaults() {
 	if o.AuditFraction > 1 {
 		o.AuditFraction = 1
 	}
-	o.MaxVersion = clampMaxVersion(o.MaxVersion)
 	if o.FP == nil {
 		o.FP = failpoint.Default
 	}
@@ -215,9 +208,6 @@ type Dispatcher struct {
 	mEvicts     *obs.Counter
 	mCanceled   *obs.Counter
 	mInflight   *obs.Gauge
-	mProto      *obs.Gauge
-	mConnsV1    *obs.Counter
-	mConnsV2    *obs.Counter
 	mHedges     *obs.Counter
 	mHedgeWins  *obs.Counter
 	mHedgedSims *obs.Counter
@@ -260,14 +250,13 @@ type wconn struct {
 	// not count against the worker's health score.
 	hedgeCanceled atomic.Bool
 
-	// cdc speaks the version negotiated for this connection; its
-	// grow-once buffers plus the reusable read frame rf (whose Hits
-	// capacity is retained across results) make the steady-state
-	// exchange path allocation-free under v2.
+	// cdc's grow-once buffers plus the reusable read frame rf (whose
+	// Hits capacity is retained across results) make the steady-state
+	// exchange path allocation-free.
 	cdc codec
 	rf  Frame
 
-	// gauge is the connection's labeled farm.conns{peer,proto} gauge,
+	// gauge is the connection's labeled farm.conns{peer} gauge,
 	// incremented on handshake and decremented on eviction (nil-safe).
 	gauge *obs.Gauge
 }
@@ -303,9 +292,6 @@ func New(addrs []string, opts Options) *Dispatcher {
 		d.mEvicts = rec.Counter("farm.conn_evictions")
 		d.mCanceled = rec.Counter("farm.chunks_canceled")
 		d.mInflight = rec.Gauge("farm.inflight")
-		d.mProto = rec.Gauge("farm.proto_version")
-		d.mConnsV1 = rec.Counter("farm.conns_v1")
-		d.mConnsV2 = rec.Counter("farm.conns_v2")
 		d.mHedges = rec.Counter("farm.hedges")
 		d.mHedgeWins = rec.Counter("farm.hedge_wins")
 		d.mHedgedSims = rec.Counter("farm.hedged_sims")
@@ -381,7 +367,7 @@ func (d *Dispatcher) RunChunk(c sim.RemoteChunk) (*coverage.Counts, error) {
 // RunChunkInto implements sim.ChunkRunnerInto: like RunChunk, but the
 // chunk's aggregate is merged into dst (which must be zeroed and sized
 // to c.Events). The scheduler's remote lanes call this with per-lane
-// scratch, so a healthy v2 session moves chunks with no per-chunk
+// scratch, so a healthy session moves chunks with no per-chunk
 // allocation on either end.
 func (d *Dispatcher) RunChunkInto(c sim.RemoteChunk, dst *coverage.Counts) error {
 	if dst.Len() != c.Events {
@@ -394,6 +380,13 @@ func (d *Dispatcher) RunChunkInto(c sim.RemoteChunk, dst *coverage.Counts) error
 	}
 	if err := d.ctxErr(); err != nil {
 		d.mCanceled.Inc()
+		return err
+	}
+	if err := CheckModelFits(c.Events); err != nil {
+		// The model cannot travel in a legal frame; retrying would fail
+		// identically, so surface the typed error before taking a
+		// connection.
+		d.mErrors.Inc()
 		return err
 	}
 	var lastErr error
@@ -415,15 +408,6 @@ func (d *Dispatcher) RunChunkInto(c sim.RemoteChunk, dst *coverage.Counts) error
 				lastErr = ErrNoWorkers
 			}
 			break
-		}
-		if err := CheckModelFits(c.Events, w.cdc.version); err != nil {
-			// The connection is fine — the model simply cannot travel in
-			// a legal frame at this session's version. Retrying would
-			// fail identically, so surface the typed error immediately
-			// and keep the connection.
-			d.put(w)
-			d.mErrors.Inc()
-			return err
 		}
 		d.mInflight.Add(1)
 		err := d.runAttempt(w, c, dst)
@@ -753,7 +737,7 @@ func (d *Dispatcher) exchange(w *wconn, c sim.RemoteChunk) (time.Duration, error
 	}
 	if err != nil {
 		d.log.Debug("farm: chunk exchange failed",
-			"worker", w.addr, "proto", w.cdc.version,
+			"worker", w.addr,
 			"campaign", c.Campaign, "batch", c.Batch, "chunk", c.Chunk, "err", err)
 	}
 	return dur, err
@@ -850,7 +834,7 @@ func (d *Dispatcher) kill(w *wconn) {
 	d.live.Add(-1)
 	w.gauge.Add(-1)
 	d.health.detach(w.addr, w)
-	d.log.Debug("farm: connection evicted", "worker", w.addr, "proto", w.cdc.version)
+	d.log.Debug("farm: connection evicted", "worker", w.addr)
 	w.conn.Close()
 	close(w.broken)
 }
@@ -932,11 +916,9 @@ func (d *Dispatcher) gateDial(addr string) bool {
 }
 
 // dial opens and handshakes one connection. The hello/welcome exchange
-// is always v1 JSON — the hello advertises the dispatcher's highest
-// supported chunk-path version in Max, the welcome answers with the
-// negotiated one, and the connection's codec switches to it. A
-// handshake refusal (error frame, wrong welcome, nonsense negotiation)
-// maps onto ErrVersionMismatch.
+// is JSON: the hello offers ProtocolVersion in Max and only a welcome
+// confirming exactly that version is accepted. A refusal (error frame,
+// wrong welcome, any other version) maps onto ErrVersionMismatch.
 func (d *Dispatcher) dial(addrIdx int, addr string) (*wconn, int, error) {
 	if err := d.fp.Eval("farm/dial"); err != nil {
 		return nil, 0, err
@@ -950,7 +932,7 @@ func (d *Dispatcher) dial(addrIdx int, addr string) (*wconn, int, error) {
 		return nil, 0, err
 	}
 	conn.SetDeadline(time.Now().Add(d.opts.ChunkTimeout))
-	hello := &Frame{Type: TypeHello, Version: ProtocolV1, Max: d.opts.MaxVersion,
+	hello := &Frame{Type: TypeHello, Version: handshakeVersion, Max: ProtocolVersion,
 		Build: buildinfo.Read().Short()}
 	if err := WriteFrame(conn, hello); err != nil {
 		conn.Close()
@@ -966,46 +948,29 @@ func (d *Dispatcher) dial(addrIdx int, addr string) (*wconn, int, error) {
 		conn.Close()
 		return nil, 0, fmt.Errorf("%w: worker %s: %s", ErrVersionMismatch, addr, f.Err)
 	}
-	if f.Type != TypeWelcome || f.Version != ProtocolV1 {
+	if f.Type != TypeWelcome || f.Version != handshakeVersion || f.Max != ProtocolVersion {
 		conn.Close()
-		return nil, 0, fmt.Errorf("%w: worker %s answered %q v%d", ErrVersionMismatch, addr, f.Type, f.Version)
-	}
-	version := f.Max
-	if version == 0 {
-		version = ProtocolV1 // pre-negotiation worker: field absent
-	}
-	if version < ProtocolV1 || version > d.opts.MaxVersion {
-		conn.Close()
-		return nil, 0, fmt.Errorf("%w: worker %s negotiated v%d (offered max v%d)",
-			ErrVersionMismatch, addr, version, d.opts.MaxVersion)
-	}
-	d.mProto.Set(int64(version))
-	if version >= ProtocolV2 {
-		d.mConnsV2.Inc()
-	} else {
-		d.mConnsV1.Inc()
+		return nil, 0, fmt.Errorf("%w: worker %s answered %q handshake v%d protocol v%d, want protocol v%d",
+			ErrVersionMismatch, addr, f.Type, f.Version, f.Max, ProtocolVersion)
 	}
 	capacity := f.Capacity
 	if capacity < 1 {
 		capacity = 1
 	}
-	// The labeled per-connection gauge: one series per (worker address,
-	// negotiated version), so /metrics shows exactly which peers speak
-	// which protocol. Worker addresses come from configuration, so the
-	// label cardinality is bounded.
-	gauge := d.metrics.GaugeWith("farm.conns",
-		obs.Labels("peer", addr, "proto", fmt.Sprintf("v%d", version)))
+	// The labeled per-connection gauge: one series per worker address.
+	// Addresses come from configuration, so the label cardinality is
+	// bounded.
+	gauge := d.metrics.GaugeWith("farm.conns", obs.Labels("peer", addr))
 	gauge.Add(1)
 	d.live.Add(1)
 	d.log.Info("farm: connection established",
 		"worker", addr, "remote", conn.RemoteAddr().String(),
-		"proto", version, "capacity", f.Capacity, "build", f.Build)
+		"capacity", f.Capacity, "build", f.Build)
 	w := &wconn{
 		conn:    conn,
 		addr:    addr,
 		addrIdx: addrIdx,
 		broken:  make(chan struct{}),
-		cdc:     codec{version: version},
 		gauge:   gauge,
 	}
 	d.health.attach(addr, w)

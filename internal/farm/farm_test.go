@@ -79,30 +79,16 @@ func diffCounts(t *testing.T, label string, got, want *coverage.Counts) {
 
 // farmFixture wires a loopback fleet to a dispatcher.
 func farmFixture(t *testing.T, faults []Faults, rec *obs.Recorder) (*Dispatcher, []*Server) {
-	return farmFixtureV(t, faults, nil, 0, rec)
-}
-
-// farmFixtureV is farmFixture with protocol caps: serverMax[i] bounds
-// worker i's negotiable version (nil or 0: highest supported) and
-// dispMax bounds the dispatcher's (0: highest supported) — the
-// mixed-fleet fixture.
-func farmFixtureV(t *testing.T, faults []Faults, serverMax []int, dispMax int, rec *obs.Recorder) (*Dispatcher, []*Server) {
 	t.Helper()
 	lb := NewLoopback()
 	addrs := make([]string, len(faults))
 	servers := make([]*Server, len(faults))
 	for i, f := range faults {
-		maxV := 0
-		if serverMax != nil {
-			maxV = serverMax[i]
-		}
-		servers[i] = NewServer(ServerOptions{Capacity: 2, DrainTimeout: 2 * time.Second, MaxVersion: maxV})
+		servers[i] = NewServer(ServerOptions{Capacity: 2, DrainTimeout: 2 * time.Second})
 		addrs[i] = string(rune('a' + i))
 		lb.Add(addrs[i], servers[i], f)
 	}
-	opts := testOptions(lb.Dial, rec)
-	opts.MaxVersion = dispMax
-	d := New(addrs, opts)
+	d := New(addrs, testOptions(lb.Dial, rec))
 	t.Cleanup(d.Close)
 	t.Cleanup(func() {
 		for _, s := range servers {
@@ -110,6 +96,19 @@ func farmFixtureV(t *testing.T, faults []Faults, serverMax []int, dispMax int, r
 		}
 	})
 	return d, servers
+}
+
+// handshake opens a session on a raw connection the way the dispatcher
+// does, failing the test unless the server welcomes it.
+func handshake(t *testing.T, conn net.Conn) {
+	t.Helper()
+	if err := WriteFrame(conn, &Frame{Type: TypeHello, Version: handshakeVersion, Max: ProtocolVersion}); err != nil {
+		t.Fatal(err)
+	}
+	var f Frame
+	if err := ReadFrame(conn, &f); err != nil || f.Type != TypeWelcome {
+		t.Fatalf("handshake failed: %v %+v", err, f)
+	}
 }
 
 // TestFarmBitIdenticalAcrossTopologies is the tentpole acceptance
@@ -289,28 +288,22 @@ func TestServerBadTemplateIsAnInBandError(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	// No Max field: the session negotiates v1, so the frames stay JSON.
-	if err := WriteFrame(conn, &Frame{Type: TypeHello, Version: ProtocolV1}); err != nil {
-		t.Fatal(err)
-	}
-	var f Frame
-	if err := ReadFrame(conn, &f); err != nil || f.Type != TypeWelcome {
-		t.Fatalf("handshake failed: %v %+v", err, f)
-	}
+	handshake(t, conn)
+	var c codec
 	for i, tc := range []struct{ tmpl, wantErr string }{
 		{"template bad { weight Command { bogus: 1; } }", `value "bogus" is not one of`},
 		{"template bad { weight Channel { x: 1; } }", `value "x" is not one of`},
 		{altTemplate(t).String(), ""},
 	} {
 		id := uint64(i + 1)
-		if err := WriteFrame(conn, &Frame{
+		if err := c.write(conn, &Frame{
 			Type: TypeChunk, ID: id, Unit: iounit.UnitName,
 			Template: tc.tmpl, HasTemplate: true, Seed: 7, Lo: 0, Hi: 16,
 		}); err != nil {
 			t.Fatal(err)
 		}
 		var res Frame
-		if err := ReadFrame(conn, &res); err != nil {
+		if err := c.read(conn, &res); err != nil {
 			t.Fatalf("chunk %d: the connection did not survive: %v", id, err)
 		}
 		if res.Type != TypeResult || res.ID != id {
@@ -335,15 +328,7 @@ func TestServerDrain(t *testing.T) {
 		client, server := net.Pipe()
 		go srv.ServeConn(server)
 		client.SetDeadline(time.Now().Add(10 * time.Second))
-		// No Max field: the session negotiates v1, so the raw frames
-		// below stay JSON.
-		if err := WriteFrame(client, &Frame{Type: TypeHello, Version: ProtocolV1}); err != nil {
-			t.Fatal(err)
-		}
-		var f Frame
-		if err := ReadFrame(client, &f); err != nil || f.Type != TypeWelcome {
-			t.Fatalf("handshake failed: %v %+v", err, f)
-		}
+		handshake(t, client)
 		return client
 	}
 	busy := dialSrv()
@@ -352,7 +337,8 @@ func TestServerDrain(t *testing.T) {
 	defer idle.Close()
 
 	// A chunk big enough to still be in flight when Shutdown starts.
-	if err := WriteFrame(busy, &Frame{
+	var c codec
+	if err := c.write(busy, &Frame{
 		Type: TypeChunk, ID: 1, Unit: iounit.UnitName, Seed: 7, Lo: 0, Hi: 30000,
 	}); err != nil {
 		t.Fatal(err)
@@ -365,7 +351,7 @@ func TestServerDrain(t *testing.T) {
 	}()
 
 	var res Frame
-	if err := ReadFrame(busy, &res); err != nil {
+	if err := c.read(busy, &res); err != nil {
 		t.Fatalf("in-flight chunk was severed instead of drained: %v", err)
 	}
 	if res.Type != TypeResult || res.ID != 1 || res.Err != "" || res.Sims != 30000 {
@@ -373,7 +359,7 @@ func TestServerDrain(t *testing.T) {
 	}
 	// The idle connection is gone (read fails rather than blocking).
 	var f Frame
-	if err := ReadFrame(idle, &f); err == nil {
+	if err := c.read(idle, &f); err == nil {
 		t.Fatalf("idle connection survived shutdown: %+v", f)
 	}
 	select {
@@ -386,7 +372,7 @@ func TestServerDrain(t *testing.T) {
 	defer client.Close()
 	go srv.ServeConn(server)
 	client.SetDeadline(time.Now().Add(5 * time.Second))
-	WriteFrame(client, &Frame{Type: TypeHello, Version: ProtocolV1})
+	WriteFrame(client, &Frame{Type: TypeHello, Version: handshakeVersion, Max: ProtocolVersion})
 	if err := ReadFrame(client, &f); err == nil {
 		t.Fatalf("draining server answered handshake: %+v", f)
 	}

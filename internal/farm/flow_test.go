@@ -42,12 +42,6 @@ func flowFP(r *core.Report) flowFingerprint {
 }
 
 func runFlow(t *testing.T, faults []Faults) flowFingerprint {
-	return runFlowV(t, faults, nil, 0)
-}
-
-// runFlowV is runFlow over a version-mixed fleet: serverMax caps each
-// worker's protocol (nil/0: highest), dispMax the dispatcher's.
-func runFlowV(t *testing.T, faults []Faults, serverMax []int, dispMax int) flowFingerprint {
 	t.Helper()
 	cfg := core.Config{
 		Seed:                  21,
@@ -63,7 +57,7 @@ func runFlowV(t *testing.T, faults []Faults, serverMax []int, dispMax int) flowF
 		BestSims:              250,
 	}
 	if faults != nil {
-		d, _ := farmFixtureV(t, faults, serverMax, dispMax, nil)
+		d, _ := farmFixture(t, faults, nil)
 		if err := d.WaitReady(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -101,38 +95,5 @@ func TestFlowReportBitIdenticalWithFarm(t *testing.T) {
 	})
 	if !reflect.DeepEqual(local, faulty) {
 		t.Fatalf("faulty farm diverged from local flow:\n%+v\nvs\n%+v", faulty, local)
-	}
-}
-
-// TestFlowReportBitIdenticalAcrossProtocols is the protocol-negotiation
-// acceptance criterion at system level: the full flow's report must be
-// bit-identical whether the fleet speaks v1 only, v2 only, the current
-// v3 (with its trace-correlation trailer), or any mix of old and new
-// peers — under fault injection — so a rolling fleet upgrade can never
-// change a published number.
-func TestFlowReportBitIdenticalAcrossProtocols(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full flow x5; skipped in -short")
-	}
-	faults := []Faults{
-		{DropAfterFrames: 10, Delay: time.Millisecond},
-		{DuplicateEvery: 2, FailDials: 2},
-	}
-	v1Only := runFlowV(t, faults, nil, 1)
-	v2Only := runFlowV(t, faults, nil, 2)
-	v3Only := runFlowV(t, faults, nil, 0)
-	mixedOldNew := runFlowV(t, faults, []int{1, 0}, 0) // one v1-capped, one current worker
-	mixedV2V3 := runFlowV(t, faults, []int{2, 0}, 0)   // one v2-capped (pre-trailer), one current
-	if !reflect.DeepEqual(v1Only, v2Only) {
-		t.Fatalf("v2 fleet diverged from v1 fleet:\n%+v\nvs\n%+v", v2Only, v1Only)
-	}
-	if !reflect.DeepEqual(v1Only, v3Only) {
-		t.Fatalf("v3 fleet diverged from v1 fleet:\n%+v\nvs\n%+v", v3Only, v1Only)
-	}
-	if !reflect.DeepEqual(v1Only, mixedOldNew) {
-		t.Fatalf("mixed v1/v3 fleet diverged:\n%+v\nvs\n%+v", mixedOldNew, v1Only)
-	}
-	if !reflect.DeepEqual(v1Only, mixedV2V3) {
-		t.Fatalf("mixed v2/v3 fleet diverged:\n%+v\nvs\n%+v", mixedV2V3, v1Only)
 	}
 }

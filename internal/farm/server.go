@@ -34,14 +34,10 @@ type ServerOptions struct {
 	// (severed chunks are re-run by the dispatcher's fallback, so drain
 	// is an optimization, never a correctness requirement). <= 0: 10s.
 	DrainTimeout time.Duration
-	// MaxVersion caps the protocol version this worker negotiates
-	// (0 or out of range: ProtocolVersion). Set 1 to force the v1 JSON
-	// codec for debugging mixed fleets (farmd's -proto flag).
-	MaxVersion int
 	// Rec receives the worker's metrics and traces (nil disables).
 	Rec *obs.Recorder
 	// Log receives structured session-lifecycle events with correlated
-	// fields (peer, proto, chunk). nil discards.
+	// fields (peer, chunk). nil discards.
 	Log *slog.Logger
 	// FP is the failpoint registry consulted at the worker's injection
 	// points (farm/serve_read, farm/serve_write, farm/serve_chunk). nil
@@ -68,21 +64,18 @@ type Server struct {
 	draining atomic.Bool
 	done     chan struct{} // closed when Shutdown begins
 
-	log     *slog.Logger
-	metrics *obs.Registry // labeled per-connection gauges (nil-safe)
-	fp      *failpoint.Registry
+	log *slog.Logger
+	fp  *failpoint.Registry
 
 	// Metric handles (all nil-safe).
-	mConns   *obs.Gauge
-	mChunks  *obs.Counter
-	mErrors  *obs.Counter
-	mRefused *obs.Counter
-	mProto   *obs.Gauge   // farm.server.proto_version: last negotiated
-	mConnsV1 *obs.Counter // connections negotiated at v1
-	mConnsV2 *obs.Counter // connections negotiated at v2
-	hChunkNs *obs.Histogram
-	hSims    *obs.Histogram
-	tracer   *obs.Tracer
+	mConns    *obs.Gauge
+	mChunks   *obs.Counter
+	mErrors   *obs.Counter
+	mRefused  *obs.Counter
+	mSessions *obs.Gauge // handshaken sessions
+	hChunkNs  *obs.Histogram
+	hSims     *obs.Histogram
+	tracer    *obs.Tracer
 }
 
 // serverConn is one client connection plus the flag Shutdown uses to
@@ -101,7 +94,6 @@ func NewServer(opts ServerOptions) *Server {
 	if opts.DrainTimeout <= 0 {
 		opts.DrainTimeout = 10 * time.Second
 	}
-	opts.MaxVersion = clampMaxVersion(opts.MaxVersion)
 	s := &Server{
 		opts:  opts,
 		sem:   make(chan struct{}, opts.Capacity),
@@ -115,14 +107,11 @@ func NewServer(opts ServerOptions) *Server {
 		s.fp = failpoint.Default
 	}
 	if rec := opts.Rec; rec != nil {
-		s.metrics = rec.Metrics
 		s.mConns = rec.Gauge("farm.server.conns")
 		s.mChunks = rec.Counter("farm.server.chunks")
 		s.mErrors = rec.Counter("farm.server.chunk_errors")
 		s.mRefused = rec.Counter("farm.server.refused")
-		s.mProto = rec.Gauge("farm.server.proto_version")
-		s.mConnsV1 = rec.Counter("farm.server.conns_v1")
-		s.mConnsV2 = rec.Counter("farm.server.conns_v2")
+		s.mSessions = rec.Gauge("farm.server.sessions")
 		s.hChunkNs = rec.Histogram("farm.server.chunk_ns", obs.LatencyBounds())
 		s.hSims = rec.Histogram("farm.server.chunk_size", obs.SizeBounds())
 		s.tracer = rec.Trace
@@ -132,10 +121,6 @@ func NewServer(opts ServerOptions) *Server {
 
 // Capacity reports the worker's concurrent-chunk bound.
 func (s *Server) Capacity() int { return cap(s.sem) }
-
-// MaxVersion reports the highest protocol version the worker offers in
-// its welcome frames.
-func (s *Server) MaxVersion() int { return s.opts.MaxVersion }
 
 // errDraining is Ready's failure once Shutdown has begun.
 var errDraining = errors.New("farm: worker is draining")
@@ -190,52 +175,40 @@ func (s *Server) ServeConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	// Handshake, always in v1 JSON frames: refuse anything that is not
-	// a hello at the (never-changing) handshake framing version, then
-	// negotiate the chunk-path codec from the two Max fields. An old
-	// peer sends no Max and negotiates v1; both sides switch codecs
-	// only after the welcome, so any build handshakes with any other.
+	// Handshake, in JSON frames: refuse anything that is not a hello
+	// at the handshake framing version offering protocol v3 or later.
 	var f Frame
 	if err := ReadFrame(conn, &f); err != nil || f.Type != TypeHello {
 		s.mRefused.Inc()
 		return
 	}
-	if f.Version != ProtocolV1 {
+	if f.Version != handshakeVersion || f.Max < ProtocolVersion {
 		s.mRefused.Inc()
-		WriteFrame(conn, &Frame{Type: TypeError,
-			Err: fmt.Sprintf("handshake version %d, want %d", f.Version, ProtocolV1)})
+		WriteFrame(conn, &Frame{Type: TypeError, Err: fmt.Sprintf(
+			"hello offers protocol version %d (handshake %d); this worker speaks version %d (handshake %d)",
+			f.Max, f.Version, ProtocolVersion, handshakeVersion)})
 		return
 	}
-	version := negotiate(f.Max, s.opts.MaxVersion)
 	if err := WriteFrame(conn, &Frame{
-		Type: TypeWelcome, Version: ProtocolV1, Max: version, Capacity: s.Capacity(),
+		Type: TypeWelcome, Version: handshakeVersion, Max: ProtocolVersion, Capacity: s.Capacity(),
 		Build: buildinfo.Read().Short(),
 	}); err != nil {
 		return
 	}
-	s.mProto.Set(int64(version))
-	if version >= ProtocolV2 {
-		s.mConnsV2.Inc()
-	} else {
-		s.mConnsV1.Inc()
-	}
 	peer := conn.RemoteAddr().String()
-	gauge := s.metrics.GaugeWith("farm.server.sessions",
-		obs.Labels("proto", fmt.Sprintf("v%d", version)))
-	gauge.Add(1)
-	s.log.Info("farm: session started",
-		"peer", peer, "proto", version, "peer_build", f.Build)
+	s.mSessions.Add(1)
+	s.log.Info("farm: session started", "peer", peer, "peer_build", f.Build)
 	defer func() {
-		gauge.Add(-1)
-		s.log.Debug("farm: session ended", "peer", peer, "proto", version)
+		s.mSessions.Add(-1)
+		s.log.Debug("farm: session ended", "peer", peer)
 	}()
 
 	// Session state, all reused across the connection's frames: the
-	// negotiated codec's scratch buffers, the response frame (its Hits
-	// buffer grows once to the model size), and the chunk executor's
-	// scratch aggregate — so a long-lived v2 connection executes chunks
-	// with zero allocations on the protocol path.
-	cdc := &codec{version: version}
+	// codec's scratch buffers, the response frame (its Hits buffer grows
+	// once to the model size), and the chunk executor's scratch
+	// aggregate — so a long-lived connection executes chunks with zero
+	// allocations on the protocol path.
+	var cdc codec
 	var resp Frame
 	var scratch *coverage.Counts
 	for {
@@ -260,7 +233,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		case TypeChunk:
 			sc.busy.Store(true)
 			var drop bool
-			scratch, drop = s.execute(&f, &resp, scratch, version)
+			scratch, drop = s.execute(&f, &resp, scratch)
 			// farm/serve_write: drop swallows the computed result (the
 			// session lives on, the dispatcher times out); any other
 			// policy severs the session after the work was done.
@@ -291,7 +264,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 // in-band so the dispatcher can fall back locally without killing the
 // connection. The scratch aggregate is connection-local and returned
 // (possibly resized) for reuse by the next chunk.
-func (s *Server) execute(f *Frame, resp *Frame, scratch *coverage.Counts, version int) (*coverage.Counts, bool) {
+func (s *Server) execute(f *Frame, resp *Frame, scratch *coverage.Counts) (*coverage.Counts, bool) {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 
@@ -300,7 +273,7 @@ func (s *Server) execute(f *Frame, resp *Frame, scratch *coverage.Counts, versio
 	*resp = Frame{Type: TypeResult, ID: f.ID, Hits: resp.Hits[:0]}
 	var err error
 	drop := false
-	scratch, err = s.runChunk(f, scratch, version)
+	scratch, err = s.runChunk(f, scratch)
 	if err != nil {
 		s.mErrors.Inc()
 		resp.Err = err.Error()
@@ -348,13 +321,13 @@ func (s *Server) execute(f *Frame, resp *Frame, scratch *coverage.Counts, versio
 // chunk deterministically via sim.Env.RunChunkInto, merging into the
 // connection's scratch aggregate (resized only when the model size
 // changes between requests).
-func (s *Server) runChunk(f *Frame, scratch *coverage.Counts, version int) (*coverage.Counts, error) {
+func (s *Server) runChunk(f *Frame, scratch *coverage.Counts) (*coverage.Counts, error) {
 	env, err := s.env(f.Unit)
 	if err != nil {
 		return scratch, err
 	}
 	events := env.Unit().Model().Size()
-	if err := CheckModelFits(events, version); err != nil {
+	if err := CheckModelFits(events); err != nil {
 		// A model this large cannot travel in any result frame; tell
 		// the dispatcher in-band instead of failing on the write.
 		return scratch, err

@@ -48,14 +48,14 @@ func TestFormatLe(t *testing.T) {
 func popRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("farm.chunks").Add(42)
-	r.CounterWith("farm.dials", Labels("peer", "a:9666", "proto", "v3")).Add(3)
+	r.CounterWith("farm.dials", Labels("peer", "a:9666", "zone", "z3")).Add(3)
 	r.Gauge("service.running").Set(2)
-	r.GaugeWith("farm.conns", Labels("peer", "b:9666", "proto", "v1")).Add(1)
+	r.GaugeWith("farm.conns", Labels("peer", "b:9666", "zone", "z1")).Add(1)
 	h := r.Histogram("farm.rpc_ns", LatencyBounds())
 	for i := uint64(1); i < 30; i++ {
 		h.Observe(i * 100_000)
 	}
-	hl := r.HistogramWith("farm.server.chunk_ns", Labels("proto", "v2"), ExpBounds(10, 2, 4))
+	hl := r.HistogramWith("farm.server.chunk_ns", Labels("zone", "z2"), ExpBounds(10, 2, 4))
 	hl.Observe(5)
 	hl.Observe(500)
 	return r
@@ -73,13 +73,13 @@ func TestWriteOpenMetricsConformance(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE farm_chunks counter\n",
 		"farm_chunks_total 42\n",
-		`farm_dials_total{peer="a:9666",proto="v3"} 3`,
-		`farm_conns{peer="b:9666",proto="v1"} 1`,
+		`farm_dials_total{peer="a:9666",zone="z3"} 3`,
+		`farm_conns{peer="b:9666",zone="z1"} 1`,
 		"# TYPE farm_rpc_ns histogram\n",
 		`farm_rpc_ns_bucket{le="+Inf"}`,
 		"farm_rpc_ns_sum ",
 		"farm_rpc_ns_count 29\n",
-		`farm_server_chunk_ns_bucket{proto="v2",le="10.0"} 1`,
+		`farm_server_chunk_ns_bucket{zone="z2",le="10.0"} 1`,
 		"# TYPE ascdg_build_info gauge\n",
 		"ascdg_build_info{",
 		"# EOF\n",

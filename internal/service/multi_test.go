@@ -244,6 +244,25 @@ func TestRecoverOrderDeterministic(t *testing.T) {
 	}
 }
 
+// TestRecoverSkipsTornSubmission: a replica killed between allocating
+// a campaign directory and renaming its state file in never
+// acknowledged that submission. The directory must not stop the next
+// start, and the id allocator must step past it.
+func TestRecoverSkipsTornSubmission(t *testing.T) {
+	dataDir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dataDir, "c000001"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	svc := newService(t, Config{DataDir: dataDir, Capacity: func() int { return 0 }})
+	id, err := svc.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != "c000002" {
+		t.Fatalf("submitted id = %s, want c000002", id)
+	}
+}
+
 // TestTenantMetricsLabeled: every tenant-attributed series carries the
 // tenant label in the OpenMetrics rendering, alongside the unlabeled
 // aggregate.

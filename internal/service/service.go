@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -325,11 +326,13 @@ func (s *Service) scan(initial bool) error {
 
 		st, err := loadState(dir)
 		if err != nil {
-			if initial {
+			if initial && !errors.Is(err, fs.ErrNotExist) {
 				return fmt.Errorf("service: recovering %s: %w", id, err)
 			}
-			// A peer may be mid-submission (directory exists, state not yet
-			// renamed in); skip and catch it on the next pass.
+			// No state file: a peer is mid-submission (directory made,
+			// state not yet renamed in), or a replica died between the two
+			// and never acknowledged the submission. Skip it; the next pass
+			// catches the former.
 			continue
 		}
 		s.mu.Lock()
