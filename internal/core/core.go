@@ -66,6 +66,14 @@ type Config struct {
 	Runner      sim.ChunkRunner
 	RunnerLanes int
 
+	// CorpusCache, when non-nil, shares finished "Before CDG" corpus
+	// builds between flows (see sim.CorpusCache): a flow whose corpus
+	// another flow already built replays it instead of simulating it,
+	// through the journal-resume path. Like Runner it is purely a
+	// throughput knob — reports and journals are byte-identical with or
+	// without it.
+	CorpusCache *sim.CorpusCache
+
 	// CorpusSimsPerTemplate is the number of simulations of each base
 	// template when building the "Before CDG" corpus (default 1000).
 	CorpusSimsPerTemplate int
@@ -326,6 +334,7 @@ func New(unit duv.DUV, cfg Config) (*Flow, error) {
 		}
 		env.AttachRunner(cfg.Runner, lanes)
 	}
+	env.SetCorpusCache(cfg.CorpusCache)
 	f := &Flow{
 		env:   env,
 		cfg:   cfg,

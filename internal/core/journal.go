@@ -25,8 +25,9 @@ import (
 // field-for-field against the resuming flow: a journal written under a
 // different unit, seed, coverage model, or any result-relevant config
 // knob must not replay into this run. Throughput-only knobs (Workers,
-// Runner, RunnerLanes, Obs) are deliberately excluded — the flow is
-// bit-identical across them, so a run may resume on different hardware.
+// Runner, RunnerLanes, CorpusCache, Obs) are deliberately excluded —
+// the flow is bit-identical across them, so a run may resume on
+// different hardware.
 // Plumbing fields (Journal itself, Repository — whose induced targets
 // the run_start record validates instead) are excluded too.
 type flowHeader struct {

@@ -147,14 +147,15 @@ func (s Spec) targetDesc() string {
 }
 
 // validate rejects malformed submissions before they consume a
-// campaign id. Target names (family, cross, event names) are validated
-// by the flow itself at run time — the unit must exist, though, so a
-// typo fails fast at submission.
+// campaign id: the unit must exist, and so must the family, cross
+// product or events the spec targets in that unit's coverage model, so
+// a typo fails at submission rather than after the campaign started.
 func (s Spec) validate() error {
 	if s.Unit == "" {
 		return errors.New("service: spec: unit is required")
 	}
-	if _, err := duv.New(s.Unit); err != nil {
+	unit, err := duv.New(s.Unit)
+	if err != nil {
 		return fmt.Errorf("service: spec: %w", err)
 	}
 	modes := 0
@@ -169,6 +170,18 @@ func (s Spec) validate() error {
 	}
 	if modes != 1 {
 		return errors.New("service: spec: exactly one of family, cross or events is required")
+	}
+	model := unit.Model()
+	if _, ok := model.Family(s.Family); s.Family != "" && !ok {
+		return fmt.Errorf("service: spec: unit %q has no family %q (families: %s)",
+			s.Unit, s.Family, nameList(model.FamilyNames()))
+	}
+	if _, ok := model.Cross(s.Cross); s.Cross != "" && !ok {
+		return fmt.Errorf("service: spec: unit %q has no cross product %q (cross products: %s)",
+			s.Unit, s.Cross, nameList(model.CrossNames()))
+	}
+	if _, err := model.IDs(s.Events); err != nil {
+		return fmt.Errorf("service: spec: unit %q: %w", s.Unit, err)
 	}
 	if len(s.Tenant) > 64 {
 		return errors.New("service: spec: tenant name too long (max 64)")
@@ -185,6 +198,14 @@ func (s Spec) validate() error {
 		}
 	}
 	return nil
+}
+
+// nameList renders the names a rejection offers instead.
+func nameList(names []string) string {
+	if len(names) == 0 {
+		return "none"
+	}
+	return strings.Join(names, ", ")
 }
 
 // coreConfig expands the spec into the flow config it runs under.

@@ -109,6 +109,13 @@ func TestHTTPEndpointGoldens(t *testing.T) {
 	}
 	checkGolden(t, "submit_invalid.json", normalize(body))
 
+	// POST a target the unit does not have → 400 naming it, no campaign.
+	resp, body = doJSON(t, client, "POST", ts.URL+"/v1/campaigns", Spec{Unit: "iounit", Family: "no_such_family"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown-target POST status = %d, want 400: %s", resp.StatusCode, body)
+	}
+	checkGolden(t, "submit_unknown_target.json", normalize(body))
+
 	// GET unknown id → 404.
 	resp, body = doJSON(t, client, "GET", ts.URL+"/v1/campaigns/c999999", nil)
 	if resp.StatusCode != http.StatusNotFound {

@@ -209,6 +209,11 @@ type Service struct {
 	leases *lease.Manager
 	know   *knowledge.Store
 
+	// corpora holds the corpora this process's campaigns built, so a
+	// campaign with the same (unit, seed, corpus budget) replays one
+	// instead of simulating it.
+	corpora *sim.CorpusCache
+
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
@@ -257,6 +262,7 @@ func New(cfg Config) (*Service, error) {
 		log:               obs.OrNop(cfg.Log),
 		leases:            leases,
 		know:              know,
+		corpora:           sim.NewCorpusCache(),
 		baseCtx:           ctx,
 		baseCancel:        cancel,
 		campaigns:         map[string]*campaign{},
@@ -1106,6 +1112,7 @@ func (s *Service) executeFlow(c *campaign, h *lease.Handle, ctx context.Context)
 	cfg.Log = s.log.With("campaign", c.st.ID)
 	cfg.Runner = s.cfg.Runner
 	cfg.RunnerLanes = s.cfg.RunnerLanes
+	cfg.CorpusCache = s.corpora
 	cfg.Journal = filepath.Join(c.dir, "flow.journal")
 	flow, err := core.New(unit, cfg)
 	if err != nil {

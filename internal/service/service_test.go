@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,9 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/duv/iounit"
+	"repro/internal/failpoint"
+	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // tinySpec is the fast iounit campaign every service test runs: big
@@ -110,6 +114,9 @@ func TestSpecValidation(t *testing.T) {
 		{Unit: "no_such_unit", Family: "x"},
 		{Unit: iounit.UnitName}, // no target
 		{Unit: iounit.UnitName, Family: "a", Cross: "b"}, // two targets
+		{Unit: iounit.UnitName, Family: "no_such_family"},
+		{Unit: iounit.UnitName, Cross: "no_such_cross"},
+		{Unit: iounit.UnitName, Events: []string{"io_cmd_crc", "no_such_event"}},
 	}
 	for i, spec := range bad {
 		if _, err := svc.Submit(spec); err == nil {
@@ -300,42 +307,69 @@ func TestRestartResume(t *testing.T) {
 // core.New), proving a campaign killed at ANY journal append resumes
 // bit-identically — the invariant TestRestartResume samples at one
 // point, swept across every record.
+//
+// In the warm_cache row every flow shares one corpus cache, which the
+// baseline run fills: each killed and each resumed flow takes its corpus
+// from the journal's k corpus records plus the cache, never simulating
+// it again — including kills mid-corpus, where the journal holds fewer
+// records than the suite has templates and the cache supplies the rest.
 func TestSpecFlowKillSweep(t *testing.T) {
 	spec := tinySpec()
-	campaign := chaos.Campaign{
-		NewFlow: func(journal string) (*core.Flow, error) {
-			cfg := spec.coreConfig(0)
-			cfg.Journal = journal
-			return core.New(iounit.New(), cfg)
-		},
-		Run: func(f *core.Flow) (any, error) {
-			return f.RunFamilyRefined(context.Background(), spec.Family, spec.decay(), spec.rounds())
-		},
-	}
-	trials, err := campaign.Sweep(t.TempDir(), []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trials < 10 {
-		t.Fatalf("sweep ran only %d trials", trials)
+	for _, row := range []struct {
+		name  string
+		cache *sim.CorpusCache
+	}{
+		{"cold", nil},
+		{"warm_cache", sim.NewCorpusCache()},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			rec := &obs.Recorder{Metrics: obs.NewRegistry()}
+			campaign := chaos.Campaign{
+				NewFlow: func(journal string) (*core.Flow, error) {
+					cfg := spec.coreConfig(0)
+					cfg.Journal = journal
+					cfg.CorpusCache = row.cache
+					cfg.Obs = rec
+					return core.New(iounit.New(), cfg)
+				},
+				Run: func(f *core.Flow) (any, error) {
+					return f.RunFamilyRefined(context.Background(), spec.Family, spec.decay(), spec.rounds())
+				},
+			}
+			trials, err := campaign.Sweep(t.TempDir(), []int{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trials < 10 {
+				t.Fatalf("sweep ran only %d trials", trials)
+			}
+			if row.cache == nil {
+				return
+			}
+			// The baseline is the one build; every killed flow starts from an
+			// empty journal, so each of them replays the cached corpus.
+			misses, hits := rec.Counter("sim.corpus_cache.misses").Value(), rec.Counter("sim.corpus_cache.hits").Value()
+			if misses != 1 || hits < uint64(trials) {
+				t.Fatalf("corpus cache: %d misses and %d hits over %d trials, want 1 miss and at least one hit per trial",
+					misses, hits, trials)
+			}
+		})
 	}
 }
 
-// TestResumeValidatesSpec: restarting with a data directory whose
-// journal no longer matches the campaign spec must fail that campaign,
-// not silently produce different results. (Guarded by the flow
-// journal's config hash.)
+// TestFailedCampaignReported: a campaign whose flow fails at run time —
+// here the disk refuses its journal's first append — ends "failed" with
+// the error on record.
 func TestFailedCampaignReported(t *testing.T) {
+	defer failpoint.Default.Clear("journal/append")
 	svc := newService(t, Config{})
-	spec := tinySpec()
-	spec.Family = "" // switch to an invalid events target
-	spec.Events = []string{"no_such_event"}
-	id, err := svc.Submit(spec)
+	failpoint.Default.Set("journal/append", failpoint.Policy{Kind: failpoint.KindError, Rate: 1, Times: 1})
+	id, err := svc.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := waitDone(t, svc, id)
-	if st.State != StateFailed || st.Error == "" {
-		t.Fatalf("state = %q error = %q, want failed with message", st.State, st.Error)
+	if st.State != StateFailed || !strings.Contains(st.Error, "journal") {
+		t.Fatalf("state = %q error = %q, want failed with the journal error", st.State, st.Error)
 	}
 }

@@ -56,6 +56,7 @@ type Env struct {
 	defaults generator.Defaults
 	sched    *Scheduler
 	plans    *planCache
+	corpora  *CorpusCache    // nil = every corpus is built (SetCorpusCache)
 	ctx      context.Context // nil = never canceled (SetContext)
 	campaign string          // trace-correlation identity (SetRecorder)
 
@@ -63,6 +64,8 @@ type Env struct {
 	mBatches   *obs.Counter
 	mInstances *obs.Counter // sequential-path instances (the scheduler counts its own)
 	hBatchSize *obs.Histogram
+
+	mCorpusHits, mCorpusMisses, mCorpusEvictions *obs.Counter
 }
 
 // NewEnv creates an environment for the unit with the given base seed.
@@ -94,8 +97,19 @@ func (e *Env) SetRecorder(rec *obs.Recorder) {
 	e.mInstances = rec.Counter("sim.instances_completed")
 	e.hBatchSize = rec.Histogram("sim.batch_size", obs.SizeBounds())
 	e.plans.setRecorder(rec)
+	e.mCorpusHits = rec.Counter("sim.corpus_cache.hits")
+	e.mCorpusMisses = rec.Counter("sim.corpus_cache.misses")
+	e.mCorpusEvictions = rec.Counter("sim.corpus_cache.evictions")
 	e.sched.setRecorder(rec)
 }
+
+// SetCorpusCache shares c's finished corpus builds with this
+// environment: BuildCorpusJournaled replays a cached build instead of
+// simulating it, and stores the builds it completes. Purely a throughput
+// knob — repositories, counters and journals are identical with or
+// without a cache. Call before the first build; nil (the default)
+// builds every corpus.
+func (e *Env) SetCorpusCache(c *CorpusCache) { e.corpora = c }
 
 // SetContext installs a cancellation context. Submissions after the
 // context is canceled fail with ctx.Err(); chunks already queued on the
@@ -409,11 +423,25 @@ type CorpusTemplateRec struct {
 // cursor, in base-template order. A nil cursor degrades to a plain
 // build. Replay consumes no simulations; the live remainder is
 // submitted up front and journaled in submission order.
+//
+// With a corpus cache installed (SetCorpusCache), a remainder the cache
+// holds is replayed from it exactly like journal records — and appended
+// to the cursor, so the journal is the one a live build writes — and a
+// build that completes from counters (0, 0), as every flow's does, is
+// stored for the next environment with the same key.
 func (e *Env) BuildCorpusJournaled(simsPerTemplate int, cur *journal.Cursor) (*coverage.Repository, error) {
 	repo := coverage.NewRepository(e.unit.Model())
 	templates := e.unit.BaseTemplates()
-	start := 0
-	for start < len(templates) {
+	var key corpusKey
+	if e.corpora != nil {
+		key = corpusKey{
+			unit: e.unitName, events: e.unit.Model().Size(), suite: suiteKey(templates),
+			seed: e.Seed(), simsPerTemplate: simsPerTemplate,
+			batches: e.batch.Load(), envSims: e.sims.Load(),
+		}
+	}
+	recs := make([]CorpusTemplateRec, 0, len(templates))
+	for len(recs) < len(templates) {
 		var rec CorpusTemplateRec
 		ok, err := cur.Take("corpus_template", &rec)
 		if err != nil {
@@ -422,17 +450,27 @@ func (e *Env) BuildCorpusJournaled(simsPerTemplate int, cur *journal.Cursor) (*c
 		if !ok {
 			break
 		}
-		if rec.I != start || rec.Name != templates[start].Name || len(rec.Hits) != e.unit.Model().Size() {
-			return nil, fmt.Errorf("sim: journal corpus record %d (%q) does not match template %d (%q)",
-				rec.I, rec.Name, start, templates[start].Name)
+		if err := e.replayCorpusRec(repo, templates, len(recs), rec); err != nil {
+			return nil, err
 		}
-		repo.RecordCounts(rec.Name, coverage.CountsFromRaw(rec.Hits, rec.Sims))
-		e.RestoreCounters(rec.Batches, rec.EnvSims)
-		start++
+		recs = append(recs, rec)
 	}
-	if start == len(templates) {
-		return repo, nil
+	if len(recs) < len(templates) && e.corpora != nil {
+		if cached := e.corpora.get(key); cached != nil {
+			e.mCorpusHits.Inc()
+			for i := len(recs); i < len(cached); i++ {
+				if err := e.replayCorpusRec(repo, templates, i, cached[i]); err != nil {
+					return nil, err
+				}
+				if err := cur.Append("corpus_template", cached[i]); err != nil {
+					return nil, err
+				}
+			}
+			return repo, nil
+		}
+		e.mCorpusMisses.Inc()
 	}
+	start := len(recs)
 	type pending struct {
 		job              *Job
 		batches, envSims uint64
@@ -453,14 +491,32 @@ func (e *Env) BuildCorpusJournaled(simsPerTemplate int, cur *journal.Cursor) (*c
 		name := templates[start+i].Name
 		repo.RecordCounts(name, counts)
 		hits, n := counts.Raw()
-		if err := cur.Append("corpus_template", CorpusTemplateRec{
+		rec := CorpusTemplateRec{
 			I: start + i, Name: name, Hits: hits, Sims: n,
 			Batches: p.batches, EnvSims: p.envSims,
-		}); err != nil {
+		}
+		if err := cur.Append("corpus_template", rec); err != nil {
 			return nil, err
 		}
+		recs = append(recs, rec)
+	}
+	if e.corpora != nil && key.batches == 0 && key.envSims == 0 {
+		e.mCorpusEvictions.Add(uint64(e.corpora.put(key, recs)))
 	}
 	return repo, nil
+}
+
+// replayCorpusRec installs record i of a corpus build — from the journal
+// or the corpus cache — into repo and restores the environment's seeding
+// counters to the ones the record was built under.
+func (e *Env) replayCorpusRec(repo *coverage.Repository, templates []*template.Template, i int, rec CorpusTemplateRec) error {
+	if rec.I != i || rec.Name != templates[i].Name || len(rec.Hits) != e.unit.Model().Size() {
+		return fmt.Errorf("sim: journal corpus record %d (%q) does not match template %d (%q)",
+			rec.I, rec.Name, i, templates[i].Name)
+	}
+	repo.RecordCounts(rec.Name, coverage.CountsFromRaw(rec.Hits, rec.Sims))
+	e.RestoreCounters(rec.Batches, rec.EnvSims)
+	return nil
 }
 
 // corpusHeader identifies a standalone corpus journal; resume rejects a
