@@ -21,9 +21,8 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/coverage"
 	"repro/internal/duv"
@@ -31,11 +30,7 @@ import (
 	_ "repro/internal/duv/iounit"
 	_ "repro/internal/duv/l3cache"
 	_ "repro/internal/duv/noc"
-	"repro/internal/failpoint"
-	"repro/internal/farm"
-	"repro/internal/obs"
 	"repro/internal/opt"
-	"repro/internal/profiling"
 	"repro/internal/sigctx"
 )
 
@@ -62,29 +57,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	engineParams := fs.String("engine-params", "", `engine-specific knobs as JSON, e.g. '{"candidates": 256}'`)
 	bestSims := fs.Int("best-sims", 2000, "standalone sims of the harvested template")
 	out := fs.String("out", "", "write the harvested test-template to this file")
-	journalPath := fs.String("journal", "", "checkpoint the run into this crash-safe journal file")
-	resume := fs.Bool("resume", false, "recover the -journal file and re-enter the interrupted run (use the same flags)")
 	loadRepo := fs.String("load-repo", "", "load the Before-CDG corpus from this JSON file instead of simulating")
 	saveRepo := fs.String("save-repo", "", "save the (possibly updated) coverage repository to this JSON file")
-	workers := fs.Int("workers", 0, "simulation worker goroutines (<= 0: GOMAXPROCS)")
-	farmAddrs := fs.String("farm", "", "comma-separated farmd worker addresses (host:port,host:port); chunks are dispatched remotely with local fallback")
-	farmRetry := fs.String("farm-retry", "", "farm retry/backoff tuning: base=50ms,cap=2s,attempts=3,jitter=0.25 (keys optional)")
-	hedge := fs.Float64("hedge", 0, "hedge straggling farm chunks after this multiple of the fleet p95 latency (0 disables)")
-	auditFraction := fs.Float64("audit-fraction", 0, "re-execute this fraction of remote chunk results locally and cross-check them (0 disables, 1 audits everything)")
-	failpoints := fs.String("failpoints", os.Getenv("ASCDG_FAILPOINTS"), "arm fault-injection points: name=policy[:rate[:times]],... (policies: error, delay(d), corrupt, drop, panic; seed=N reseeds)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file (view in Perfetto)")
-	progress := fs.Bool("progress", false, "stream JSONL progress events (phases, optimizer iterations) to stderr")
-	metrics := fs.Bool("metrics", false, "print a final metrics summary to stderr")
-	debugAddr := fs.String("debug-addr", "", "serve /debug/vars, /debug/metrics and /debug/pprof on this address during the run")
-	version := fs.Bool("version", false, "print version information and exit")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *version {
-		fmt.Fprintln(stdout, buildinfo.String("ascdg"))
-		return 0
+	var (
+		workers   cli.Workers
+		jnl       cli.Journal
+		farmFlags cli.Farm
+		faults    cli.Faults
+		profile   cli.Profile
+		obsFlags  cli.Obs
+	)
+	if code, done := cli.Parse(fs, args, stdout, &workers, &jnl, &farmFlags, &faults, &profile, &obsFlags); done {
+		return code
 	}
 	if *unitName == "" {
 		fmt.Fprintln(stderr, "ascdg: -unit is required")
@@ -94,53 +78,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ascdg: exactly one of -family or -cross is required")
 		return 2
 	}
-	if *resume && *journalPath == "" {
-		fmt.Fprintln(stderr, "ascdg: -resume requires -journal")
-		return 2
+	if code := jnl.Check(); code != 0 {
+		return code
 	}
-	if err := failpoint.Configure(*failpoints); err != nil {
-		fmt.Fprintf(stderr, "ascdg: %v\n", err)
-		return 2
+	if code := faults.Arm(); code != 0 {
+		return code
 	}
 	if err := opt.Validate(*engine, json.RawMessage(*engineParams)); err != nil {
-		fmt.Fprintf(stderr, "ascdg: %v\n", err)
-		return 2
+		return cli.Fail(fs, 2, err)
 	}
 	unit, err := duv.New(*unitName)
 	if err != nil {
-		fmt.Fprintf(stderr, "ascdg: %v\n", err)
-		return 1
+		return cli.Fail(fs, 1, err)
 	}
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintf(stderr, "ascdg: %v\n", err)
-		return 1
+	stopProfiles, code := profile.Start()
+	if code != 0 {
+		return code
 	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(stderr, "ascdg: %v\n", err)
-		}
-	}()
-
-	var progressW io.Writer
-	if *progress {
-		progressW = stderr
+	defer stopProfiles()
+	rec, stopObs, code := obsFlags.Start(nil)
+	if code != 0 {
+		return code
 	}
-	sess, err := obs.StartSession(obs.Config{
-		TracePath:   *trace,
-		ProgressW:   progressW,
-		MetricsDump: *metrics,
-		DebugAddr:   *debugAddr,
-	}, stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "ascdg: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(stderr, "ascdg: %v\n", err)
-		}
-	}()
+	defer stopObs()
 
 	cfg := core.Config{
 		Seed:                  *seed,
@@ -151,56 +111,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 		OptDirections:         *directions,
 		OptSims:               *optSims,
 		BestSims:              *bestSims,
-		Workers:               *workers,
-		Obs:                   sess.Recorder(),
+		Workers:               int(workers),
+		Obs:                   rec,
 		Engine:                *engine,
 	}
 	if *engineParams != "" {
 		cfg.EngineParams = json.RawMessage(*engineParams)
 	}
-	if *farmAddrs != "" {
-		fopts := farm.Options{Rec: sess.Recorder(), Hedge: *hedge, AuditFraction: *auditFraction}
-		if err := fopts.ApplyRetrySpec(*farmRetry); err != nil {
-			fmt.Fprintf(stderr, "ascdg: %v\n", err)
-			return 2
-		}
-		d := farm.New(strings.Split(*farmAddrs, ","), fopts)
+	d, _, code := farmFlags.Dial(rec, nil)
+	if code != 0 {
+		return code
+	}
+	if d != nil {
 		defer d.Close()
-		if err := d.WaitReady(5 * time.Second); err != nil {
-			fmt.Fprintf(stderr, "ascdg: farm: no worker reachable yet (%v); continuing, chunks fall back to local execution\n", err)
-		}
 		cfg.Runner = d
 		cfg.RunnerLanes = d.Lanes()
 	}
 	if *loadRepo != "" {
 		repo, err := coverage.LoadFile(*loadRepo, unit.Model())
 		if err != nil {
-			fmt.Fprintf(stderr, "ascdg: %v\n", err)
-			return 1
+			return cli.Fail(fs, 1, err)
 		}
 		cfg.Repository = repo
 	}
-	if *journalPath != "" {
+	if jnl.Path != "" {
 		// An explicit fresh start (-journal without -resume) must not
 		// silently replay a stale journal; -resume must have one to
 		// replay. core.New resumes any existing journal file.
-		_, statErr := os.Stat(*journalPath)
-		if *resume && statErr != nil {
-			fmt.Fprintf(stderr, "ascdg: -resume: no journal at %s\n", *journalPath)
+		_, statErr := os.Stat(jnl.Path)
+		if jnl.Resume && statErr != nil {
+			fmt.Fprintf(stderr, "ascdg: -resume: no journal at %s\n", jnl.Path)
 			return 1
 		}
-		if !*resume && statErr == nil {
-			if err := os.Remove(*journalPath); err != nil {
-				fmt.Fprintf(stderr, "ascdg: %v\n", err)
-				return 1
+		if !jnl.Resume && statErr == nil {
+			if err := os.Remove(jnl.Path); err != nil {
+				return cli.Fail(fs, 1, err)
 			}
 		}
-		cfg.Journal = *journalPath
+		cfg.Journal = jnl.Path
 	}
 	flow, err := core.New(unit, cfg)
 	if err != nil {
-		fmt.Fprintf(stderr, "ascdg: %v\n", err)
-		return 1
+		return cli.Fail(fs, 1, err)
 	}
 	defer flow.Close()
 	ctx, stopSignals := sigctx.Notify(context.Background(), stderr)
@@ -215,15 +167,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reports = append(reports, r)
 	}
 	if errors.Is(err, core.ErrInterrupted) {
-		fmt.Fprintln(stderr, "ascdg: interrupted")
-		if *journalPath != "" {
-			fmt.Fprintf(stderr, "ascdg: run checkpointed; continue with: ascdg -resume -journal %s (plus the same flags)\n", *journalPath)
-		}
+		jnl.Interrupted("run")
 		return 0
 	}
 	if err != nil {
-		fmt.Fprintf(stderr, "ascdg: %v\n", err)
-		return 1
+		return cli.Fail(fs, 1, err)
 	}
 
 	m := unit.Model()
@@ -233,16 +181,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *family != "" {
 			table, err := report.FormatFamilyTable(m, *family)
 			if err != nil {
-				fmt.Fprintf(stderr, "ascdg: %v\n", err)
-				return 1
+				return cli.Fail(fs, 1, err)
 			}
 			fmt.Fprintln(stdout, table)
 		} else {
 			cp, _ := m.Cross(*cross)
 			ids, err := m.IDs(cp.EventNames())
 			if err != nil {
-				fmt.Fprintf(stderr, "ascdg: %v\n", err)
-				return 1
+				return cli.Fail(fs, 1, err)
 			}
 			fmt.Fprintln(stdout, report.FormatStatusTable(m, ids))
 		}
@@ -254,15 +200,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprint(stdout, final.BestTemplate.String())
 	if *out != "" {
 		if err := os.WriteFile(*out, []byte(final.BestTemplate.String()), 0o644); err != nil {
-			fmt.Fprintf(stderr, "ascdg: %v\n", err)
-			return 1
+			return cli.Fail(fs, 1, err)
 		}
 		fmt.Fprintf(stdout, "written to %s\n", *out)
 	}
 	if *saveRepo != "" {
 		if err := flow.Repository().SaveFile(*saveRepo); err != nil {
-			fmt.Fprintf(stderr, "ascdg: %v\n", err)
-			return 1
+			return cli.Fail(fs, 1, err)
 		}
 		fmt.Fprintf(stdout, "repository saved to %s (%d sims)\n", *saveRepo, flow.Repository().Sims())
 	}

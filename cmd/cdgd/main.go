@@ -38,19 +38,17 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	_ "repro/internal/duv/ifu"
 	_ "repro/internal/duv/iounit"
 	_ "repro/internal/duv/l3cache"
 	_ "repro/internal/duv/noc"
-	"repro/internal/failpoint"
-	"repro/internal/farm"
 	"repro/internal/obs"
 	"repro/internal/service"
-	"strings"
 )
 
 func main() {
@@ -68,67 +66,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "campaign lease TTL; a replica silent this long loses its campaigns to peers")
 	tenantWeights := fs.String("tenant-weights", "", "fair-share weights as name=weight pairs (e.g. paid=3,free=1); unlisted tenants weigh 1")
 	retryAfter := fs.Duration("retry-after", 15*time.Second, "Retry-After hint attached to 429 rejections")
-	workers := fs.Int("workers", 0, "simulation worker goroutines per campaign (<= 0: GOMAXPROCS)")
-	farmAddrs := fs.String("farm", "", "comma-separated farmd worker addresses (host:port,host:port); chunks are dispatched remotely with local fallback")
-	farmRetry := fs.String("farm-retry", "", "farm retry/backoff tuning as key=value pairs: base=50ms,cap=2s,attempts=3,jitter=0.25")
-	hedge := fs.Float64("hedge", 0, "hedge straggling farm chunks after this multiple of the fleet p95 latency (0: off)")
-	auditFraction := fs.Float64("audit-fraction", 0, "fraction of remote chunk results re-executed locally and cross-checked (0: off, 1: all)")
-	failpoints := fs.String("failpoints", os.Getenv("ASCDG_FAILPOINTS"), "arm fault-injection points, e.g. farm/dial=error:0.5,journal/append=delay(5ms) (default $ASCDG_FAILPOINTS)")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON of the daemon's lifetime to this file (view in Perfetto)")
-	progress := fs.Bool("progress", false, "stream the service's own JSONL events (submissions, campaign starts/ends) to stderr")
-	metrics := fs.Bool("metrics", false, "print a final metrics summary to stderr at exit")
-	debugAddr := fs.String("debug-addr", "", "serve /debug/vars, /debug/metrics, /debug/pprof and the ops endpoints (/metrics, /healthz, /readyz) on this address while running")
-	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn or error")
-	logFormat := fs.String("log-format", "text", "structured log encoding: text or json")
-	version := fs.Bool("version", false, "print version information and exit")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *version {
-		fmt.Fprintln(stdout, buildinfo.String("cdgd"))
-		return 0
+	var (
+		workers   cli.Workers
+		farmFlags cli.Farm
+		faults    cli.Faults
+		obsFlags  cli.Obs
+		logFlags  cli.Log
+	)
+	if code, done := cli.Parse(fs, args, stdout, &workers, &farmFlags, &faults, &obsFlags, &logFlags); done {
+		return code
 	}
 	if *dataDir == "" {
 		fmt.Fprintln(stderr, "cdgd: -data is required")
 		return 2
 	}
-	if err := failpoint.Configure(*failpoints); err != nil {
-		fmt.Fprintf(stderr, "cdgd: %v\n", err)
-		return 2
+	if code := faults.Arm(); code != 0 {
+		return code
 	}
-
-	logger, err := obs.NewLogger(stderr, *logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintf(stderr, "cdgd: %v\n", err)
-		return 2
-	}
-
-	var progressW io.Writer
-	if *progress {
-		progressW = stderr
+	logger, code := logFlags.New()
+	if code != 0 {
+		return code
 	}
 	health := obs.NewHealth()
-	sess, err := obs.StartSession(obs.Config{
-		TracePath:   *trace,
-		ProgressW:   progressW,
-		MetricsDump: *metrics,
-		DebugAddr:   *debugAddr,
-		Health:      health,
-	}, stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "cdgd: %v\n", err)
-		return 1
+	rec, stopObs, code := obsFlags.Start(health)
+	if code != 0 {
+		return code
 	}
-	defer func() {
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(stderr, "cdgd: %v\n", err)
-		}
-	}()
+	defer stopObs()
 
 	weights, err := parseTenantWeights(*tenantWeights)
 	if err != nil {
-		fmt.Fprintf(stderr, "cdgd: %v\n", err)
-		return 2
+		return cli.Fail(fs, 2, err)
 	}
 	svcCfg := service.Config{
 		DataDir:       *dataDir,
@@ -138,25 +106,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxRunning:    *maxRunning,
 		MaxQueue:      *maxQueue,
 		RetryAfter:    *retryAfter,
-		Workers:       *workers,
-		Rec:           sess.Recorder(),
+		Workers:       int(workers),
+		Rec:           rec,
 		Log:           logger,
 	}
+	d, retry, code := farmFlags.Dial(rec, logger)
+	if code != 0 {
+		return code
+	}
 	var farmBanner string
-	if *farmAddrs != "" {
-		fopts := farm.Options{
-			Rec: sess.Recorder(), Log: logger,
-			Hedge: *hedge, AuditFraction: *auditFraction,
-		}
-		if err := fopts.ApplyRetrySpec(*farmRetry); err != nil {
-			fmt.Fprintf(stderr, "cdgd: %v\n", err)
-			return 2
-		}
-		d := farm.New(strings.Split(*farmAddrs, ","), fopts)
+	if d != nil {
 		defer d.Close()
-		if err := d.WaitReady(5 * time.Second); err != nil {
-			fmt.Fprintf(stderr, "cdgd: farm: no worker reachable yet (%v); continuing, chunks fall back to local execution\n", err)
-		}
 		svcCfg.Runner = d
 		svcCfg.RunnerLanes = d.Lanes()
 		// Capacity-aware admission: campaign starts are deferred beyond
@@ -166,12 +126,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Worker health (quarantine state, latency, error rates) joins
 		// the /v1/scheduler introspection payload.
 		svcCfg.FarmHealth = d.Health
-		farmBanner = fmt.Sprintf(", farm retry %s", fopts.RetryString())
+		farmBanner = ", farm retry " + retry
 	}
 	svc, err := service.New(svcCfg)
 	if err != nil {
-		fmt.Fprintf(stderr, "cdgd: %v\n", err)
-		return 1
+		return cli.Fail(fs, 1, err)
 	}
 	// The debug listener's /readyz mirrors the API mux's: not ready once
 	// the service drains, the queue saturates, or the data root breaks.
@@ -180,8 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		svc.Close()
-		fmt.Fprintf(stderr, "cdgd: %v\n", err)
-		return 1
+		return cli.Fail(fs, 1, err)
 	}
 	srv := &http.Server{Handler: svc.Handler()}
 
@@ -216,8 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	close(serveDone)
 	svc.Close() // interrupts running campaigns; they checkpoint and exit
 	if err != nil && err != http.ErrServerClosed {
-		fmt.Fprintf(stderr, "cdgd: %v\n", err)
-		return 1
+		return cli.Fail(fs, 1, err)
 	}
 	fmt.Fprintln(stdout, "cdgd: drained, exiting")
 	return 0

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	_ "repro/internal/duv/ifu"
 	_ "repro/internal/duv/iounit"
 	_ "repro/internal/duv/l3cache"
@@ -46,64 +47,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 	capacity := fs.Int("capacity", 0, "concurrently executing chunks (<= 0: GOMAXPROCS); advertised to dispatchers")
 	planCache := fs.Int("plan-cache", 0, "per-unit compiled-plan cache entries (0: unbounded)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight chunks")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file (view in Perfetto)")
-	progress := fs.Bool("progress", false, "stream JSONL progress events to stderr")
-	metrics := fs.Bool("metrics", false, "print a final metrics summary to stderr")
-	debugAddr := fs.String("debug-addr", "", "serve /debug/vars, /debug/metrics, /debug/pprof and the ops endpoints (/metrics, /healthz, /readyz) on this address while running")
-	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn or error")
-	logFormat := fs.String("log-format", "text", "structured log encoding: text or json")
-	failpoints := fs.String("failpoints", os.Getenv("ASCDG_FAILPOINTS"), "arm fault-injection points, e.g. farm/serve_chunk=corrupt:0.1 (default $ASCDG_FAILPOINTS)")
-	version := fs.Bool("version", false, "print version information and exit")
-	if err := fs.Parse(args); err != nil {
-		return 2
+	var (
+		faults   cli.Faults
+		obsFlags cli.Obs
+		logFlags cli.Log
+	)
+	if code, done := cli.Parse(fs, args, stdout, &faults, &obsFlags, &logFlags); done {
+		return code
 	}
-	if *version {
-		fmt.Fprintln(stdout, buildinfo.String("farmd"))
-		return 0
+	if code := faults.Arm(); code != 0 {
+		return code
 	}
-	if err := failpoint.Configure(*failpoints); err != nil {
-		fmt.Fprintf(stderr, "farmd: %v\n", err)
-		return 2
-	}
-
-	logger, err := obs.NewLogger(stderr, *logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintf(stderr, "farmd: %v\n", err)
-		return 2
-	}
-
-	var progressW io.Writer
-	if *progress {
-		progressW = stderr
+	logger, code := logFlags.New()
+	if code != 0 {
+		return code
 	}
 	health := obs.NewHealth()
-	sess, err := obs.StartSession(obs.Config{
-		TracePath:   *trace,
-		ProgressW:   progressW,
-		MetricsDump: *metrics,
-		DebugAddr:   *debugAddr,
-		Health:      health,
-	}, stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "farmd: %v\n", err)
-		return 1
+	rec, stopObs, code := obsFlags.Start(health)
+	if code != 0 {
+		return code
 	}
-	defer func() {
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(stderr, "farmd: %v\n", err)
-		}
-	}()
+	defer stopObs()
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fmt.Fprintf(stderr, "farmd: %v\n", err)
-		return 1
+		return cli.Fail(fs, 1, err)
 	}
 	srv := farm.NewServer(farm.ServerOptions{
 		Capacity:      *capacity,
 		PlanCacheSize: *planCache,
 		DrainTimeout:  *drain,
-		Rec:           sess.Recorder(),
+		Rec:           rec,
 		Log:           logger,
 	})
 	// /readyz fails once the drain begins, so orchestrators stop routing
@@ -137,8 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	close(serveDone)
 	srv.Shutdown() // idempotent; waits for the signal path's drain too
 	if err != nil {
-		fmt.Fprintf(stderr, "farmd: %v\n", err)
-		return 1
+		return cli.Fail(fs, 1, err)
 	}
 	fmt.Fprintln(stdout, "farmd: drained, exiting")
 	return 0

@@ -13,26 +13,21 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"strings"
 
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/coverage"
 	"repro/internal/duv"
 	_ "repro/internal/duv/ifu"
 	_ "repro/internal/duv/iounit"
 	_ "repro/internal/duv/l3cache"
 	_ "repro/internal/duv/noc"
-	"repro/internal/journal"
-	"repro/internal/obs"
 	"repro/internal/regress"
 	"repro/internal/sigctx"
-	"repro/internal/sim"
 	"repro/internal/template"
 )
 
@@ -43,103 +38,41 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("regress", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	unitName := fs.String("unit", "", "built-in unit: "+strings.Join(duv.Names(), ", "))
-	sims := fs.Int("sims", 1000, "simulations per base template when building statistics")
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	load := fs.String("load", "", "load a repository JSON instead of simulating")
 	minimize := fs.Bool("minimize", false, "print a minimal covering subset of the suite")
 	policy := fs.Int("policy", 0, "allocate this many simulations across the suite")
 	focusLightly := fs.Bool("focus-lightly", false, "policy: weight lightly-hit events 10x")
-	workers := fs.Int("workers", 0, "simulation worker goroutines (<= 0: GOMAXPROCS)")
 	out := fs.String("out", "", "persist the harvested suite (templates + statistics) to this JSON file (atomic write)")
-	journalPath := fs.String("journal", "", "checkpoint the statistics build into this crash-safe journal file")
-	resume := fs.Bool("resume", false, "recover the -journal file and re-enter the interrupted build (use the same flags)")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file (view in Perfetto)")
-	progress := fs.Bool("progress", false, "stream JSONL progress events to stderr")
-	metrics := fs.Bool("metrics", false, "print a final metrics summary to stderr")
-	debugAddr := fs.String("debug-addr", "", "serve /debug/vars, /debug/metrics and /debug/pprof on this address during the run")
-	version := fs.Bool("version", false, "print version information and exit")
-	if err := fs.Parse(args); err != nil {
-		return 2
+	var (
+		corpus   cli.Corpus
+		obsFlags cli.Obs
+	)
+	if code, done := cli.Parse(fs, args, stdout, &corpus, &obsFlags); done {
+		return code
 	}
-	if *version {
-		fmt.Fprintln(stdout, buildinfo.String("regress"))
-		return 0
-	}
-	if *unitName == "" {
-		fmt.Fprintln(stderr, "regress: -unit is required")
-		return 2
+	if code := corpus.Check(); code != 0 {
+		return code
 	}
 	if !*minimize && *policy <= 0 && *out == "" {
 		fmt.Fprintln(stderr, "regress: one of -minimize, -policy or -out is required")
 		return 2
 	}
-	if *resume && *journalPath == "" {
-		fmt.Fprintln(stderr, "regress: -resume requires -journal")
-		return 2
-	}
-	unit, err := duv.New(*unitName)
+	unit, err := duv.New(corpus.Unit)
 	if err != nil {
-		fmt.Fprintf(stderr, "regress: %v\n", err)
-		return 1
+		return cli.Fail(fs, 1, err)
 	}
 
-	var progressW io.Writer
-	if *progress {
-		progressW = stderr
+	rec, stopObs, code := obsFlags.Start(nil)
+	if code != 0 {
+		return code
 	}
-	sess, err := obs.StartSession(obs.Config{
-		TracePath:   *trace,
-		ProgressW:   progressW,
-		MetricsDump: *metrics,
-		DebugAddr:   *debugAddr,
-	}, stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "regress: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(stderr, "regress: %v\n", err)
-		}
-	}()
+	defer stopObs()
 
 	ctx, stopSignals := sigctx.Notify(context.Background(), stderr)
 	defer stopSignals()
 
-	var repo *coverage.Repository
-	if *load != "" {
-		repo, err = coverage.LoadFile(*load, unit.Model())
-		if err != nil {
-			fmt.Fprintf(stderr, "regress: %v\n", err)
-			return 1
-		}
-	} else {
-		env := sim.NewEnv(unit, *seed, *workers)
-		defer env.Close()
-		env.SetRecorder(sess.Recorder())
-		env.SetContext(ctx)
-		var cur *journal.Cursor
-		if *journalPath != "" {
-			cur, err = env.OpenCorpusJournal(*journalPath, *resume, *sims, sess.Recorder())
-			if err != nil {
-				fmt.Fprintf(stderr, "regress: %v\n", err)
-				return 1
-			}
-			defer cur.Close()
-		}
-		repo, err = env.BuildCorpusJournaled(*sims, cur)
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(stderr, "regress: interrupted")
-			if *journalPath != "" {
-				fmt.Fprintf(stderr, "regress: build checkpointed; continue with: regress -resume -journal %s (plus the same flags)\n", *journalPath)
-			}
-			return 0
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "regress: %v\n", err)
-			return 1
-		}
+	repo, code := corpus.Build(ctx, unit, rec)
+	if repo == nil {
+		return code
 	}
 	bodies := map[string]*template.Template{}
 	for _, t := range unit.BaseTemplates() {
@@ -147,13 +80,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	suite, err := regress.FromRepository(repo, bodies)
 	if err != nil {
-		fmt.Fprintf(stderr, "regress: %v\n", err)
-		return 1
+		return cli.Fail(fs, 1, err)
 	}
 	if *out != "" {
 		if err := suite.SaveFile(*out); err != nil {
-			fmt.Fprintf(stderr, "regress: %v\n", err)
-			return 1
+			return cli.Fail(fs, 1, err)
 		}
 		fmt.Fprintf(stdout, "suite saved to %s (%d templates)\n", *out, suite.Len())
 	}

@@ -2,37 +2,22 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-// TestMain lets the test binary stand in for the repro command: main
-// reads the process's flags and exits on its own, so tests re-execute
-// themselves with REPRO_TEST_MAIN set instead of calling it.
-func TestMain(m *testing.M) {
-	if os.Getenv("REPRO_TEST_MAIN") != "" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+	"repro/internal/failpoint"
+)
 
 // repro runs the command with args and returns its stdout, stderr and
 // exit code.
 func repro(t *testing.T, args ...string) (string, string, int) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "REPRO_TEST_MAIN=1")
 	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	if err != nil && cmd.ProcessState == nil {
-		t.Fatal(err)
-	}
-	return stdout.String(), stderr.String(), cmd.ProcessState.ExitCode()
+	code := run(args, &stdout, &stderr)
+	return stdout.String(), stderr.String(), code
 }
 
 // TestCSVDirIsCreated: -csv into a directory that does not exist yet
@@ -66,5 +51,31 @@ func TestCSVDirIsCreated(t *testing.T) {
 	}
 	if _, err := os.Stat(journals); !os.IsNotExist(err) {
 		t.Fatalf("a figure's flow was built before the -csv path was checked (stat: %v)", err)
+	}
+}
+
+// TestFailedRunKeepsTraceAndMetrics: a run that fails after the
+// observability session started still writes its trace and its metrics
+// dump on the way out.
+func TestFailedRunKeepsTraceAndMetrics(t *testing.T) {
+	t.Cleanup(failpoint.Default.Reset)
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.json")
+	_, stderr, code := repro(t, "-fig", "3", "-scale", "0.002", "-rounds", "1",
+		"-journal", filepath.Join(dir, "ck"), "-trace", trace, "-metrics",
+		"-failpoints", "journal/append=error")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr)
+	}
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatalf("trace not written: %v", err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("trace is not a JSON array: %v", err)
+	}
+	if !strings.Contains(stderr, "metrics summary") {
+		t.Fatalf("stderr lacks the metrics dump:\n%s", stderr)
 	}
 }

@@ -13,8 +13,7 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/buildinfo"
-	"repro/internal/obs"
+	"repro/internal/cli"
 	"repro/internal/skeleton"
 	"repro/internal/template"
 )
@@ -30,46 +29,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mode := fs.String("mode", "linear", "subrange split mode: linear or geometric")
 	zero := fs.Bool("zero", false, "also mark zero-weight entries")
 	slots := fs.Bool("slots", false, "also list the skeleton's slots")
-	fs.Int("workers", 0, "accepted for flag parity with the other commands; skeletonize never simulates")
-	fs.String("journal", "", "accepted for flag parity with the other commands; skeletonization is instantaneous, nothing to checkpoint")
-	fs.Bool("resume", false, "accepted for flag parity with the other commands; skeletonization is instantaneous, nothing to resume")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file (view in Perfetto)")
-	progress := fs.Bool("progress", false, "stream JSONL progress events to stderr")
-	metrics := fs.Bool("metrics", false, "print a final metrics summary to stderr")
-	debugAddr := fs.String("debug-addr", "", "serve /debug/vars, /debug/metrics and /debug/pprof on this address during the run")
-	version := fs.Bool("version", false, "print version information and exit")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *version {
-		fmt.Fprintln(stdout, buildinfo.String("skeletonize"))
-		return 0
+	var obsFlags cli.Obs
+	if code, done := cli.Parse(fs, args, stdout, &obsFlags); done {
+		return code
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "usage: skeletonize [flags] <template-file>")
 		return 2
 	}
 
-	var progressW io.Writer
-	if *progress {
-		progressW = stderr
+	rec, stopObs, code := obsFlags.Start(nil)
+	if code != 0 {
+		return code
 	}
-	sess, err := obs.StartSession(obs.Config{
-		TracePath:   *trace,
-		ProgressW:   progressW,
-		MetricsDump: *metrics,
-		DebugAddr:   *debugAddr,
-	}, stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "skeletonize: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(stderr, "skeletonize: %v\n", err)
-		}
-	}()
-	rec := sess.Recorder()
+	defer stopObs()
 
 	var m skeleton.SubrangeMode
 	switch *mode {
@@ -84,8 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	tmpl, err := template.ParseFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintf(stderr, "skeletonize: %v\n", err)
-		return 1
+		return cli.Fail(fs, 1, err)
 	}
 	ph := rec.PhaseStart("skeleton", map[string]any{"file": fs.Arg(0)})
 	skel, err := skeleton.Skeletonize(tmpl, skeleton.Options{
@@ -95,8 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	if err != nil {
 		ph.End(nil)
-		fmt.Fprintf(stderr, "skeletonize: %v\n", err)
-		return 1
+		return cli.Fail(fs, 1, err)
 	}
 	ph.End(map[string]any{"dim": skel.Dim()})
 	fmt.Fprint(stdout, skel.MarkedSource())

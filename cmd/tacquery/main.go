@@ -15,25 +15,20 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
-	"repro/internal/buildinfo"
-	"repro/internal/coverage"
+	"repro/internal/cli"
 	"repro/internal/duv"
 	_ "repro/internal/duv/ifu"
 	_ "repro/internal/duv/iounit"
 	_ "repro/internal/duv/l3cache"
 	_ "repro/internal/duv/noc"
-	"repro/internal/journal"
 	"repro/internal/knowledge"
-	"repro/internal/obs"
 	"repro/internal/sigctx"
-	"repro/internal/sim"
 	statlib "repro/internal/stats"
 	"repro/internal/tac"
 )
@@ -45,10 +40,6 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tacquery", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	unitName := fs.String("unit", "", "built-in unit: "+strings.Join(duv.Names(), ", "))
-	sims := fs.Int("sims", 1000, "simulations per base template when building the repository")
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	load := fs.String("load", "", "load the repository from this JSON file instead of simulating")
 	save := fs.String("save", "", "save the repository to this JSON file")
 	events := fs.String("events", "", "comma-separated event names to report on (default: all)")
 	best := fs.Int("best", 0, "report the n best templates for the given events")
@@ -56,96 +47,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 	uncovered := fs.Bool("uncovered", false, "list never-hit events")
 	lightly := fs.Bool("lightly", false, "list lightly-hit events")
 	ci := fs.Bool("ci", false, "report 95% Wilson confidence intervals for hit rates")
-	workers := fs.Int("workers", 0, "simulation worker goroutines (<= 0: GOMAXPROCS)")
-	journalPath := fs.String("journal", "", "checkpoint the repository build into this crash-safe journal file")
-	resume := fs.Bool("resume", false, "recover the -journal file and re-enter the interrupted build (use the same flags)")
-	trace := fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file (view in Perfetto)")
-	progress := fs.Bool("progress", false, "stream JSONL progress events to stderr")
-	metrics := fs.Bool("metrics", false, "print a final metrics summary to stderr")
-	debugAddr := fs.String("debug-addr", "", "serve /debug/vars, /debug/metrics and /debug/pprof on this address during the run")
-	version := fs.Bool("version", false, "print version information and exit")
-	if err := fs.Parse(args); err != nil {
-		return 2
+	var (
+		corpus   cli.Corpus
+		obsFlags cli.Obs
+	)
+	if code, done := cli.Parse(fs, args, stdout, &corpus, &obsFlags); done {
+		return code
 	}
-	if *version {
-		fmt.Fprintln(stdout, buildinfo.String("tacquery"))
-		return 0
+	if code := corpus.Check(); code != 0 {
+		return code
 	}
-	if *unitName == "" {
-		fmt.Fprintln(stderr, "tacquery: -unit is required")
-		return 2
-	}
-	if *resume && *journalPath == "" {
-		fmt.Fprintln(stderr, "tacquery: -resume requires -journal")
-		return 2
-	}
-	unit, err := duv.New(*unitName)
+	unit, err := duv.New(corpus.Unit)
 	if err != nil {
-		fmt.Fprintf(stderr, "tacquery: %v\n", err)
-		return 1
+		return cli.Fail(fs, 1, err)
 	}
 
-	var progressW io.Writer
-	if *progress {
-		progressW = stderr
+	rec, stopObs, code := obsFlags.Start(nil)
+	if code != 0 {
+		return code
 	}
-	sess, err := obs.StartSession(obs.Config{
-		TracePath:   *trace,
-		ProgressW:   progressW,
-		MetricsDump: *metrics,
-		DebugAddr:   *debugAddr,
-	}, stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "tacquery: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(stderr, "tacquery: %v\n", err)
-		}
-	}()
+	defer stopObs()
 
 	ctx, stopSignals := sigctx.Notify(context.Background(), stderr)
 	defer stopSignals()
 
-	var repo *coverage.Repository
-	if *load != "" {
-		repo, err = coverage.LoadFile(*load, unit.Model())
-		if err != nil {
-			fmt.Fprintf(stderr, "tacquery: %v\n", err)
-			return 1
-		}
-	} else {
-		env := sim.NewEnv(unit, *seed, *workers)
-		defer env.Close()
-		env.SetRecorder(sess.Recorder())
-		env.SetContext(ctx)
-		var cur *journal.Cursor
-		if *journalPath != "" {
-			cur, err = env.OpenCorpusJournal(*journalPath, *resume, *sims, sess.Recorder())
-			if err != nil {
-				fmt.Fprintf(stderr, "tacquery: %v\n", err)
-				return 1
-			}
-			defer cur.Close()
-		}
-		repo, err = env.BuildCorpusJournaled(*sims, cur)
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(stderr, "tacquery: interrupted")
-			if *journalPath != "" {
-				fmt.Fprintf(stderr, "tacquery: build checkpointed; continue with: tacquery -resume -journal %s (plus the same flags)\n", *journalPath)
-			}
-			return 0
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "tacquery: %v\n", err)
-			return 1
-		}
+	repo, code := corpus.Build(ctx, unit, rec)
+	if repo == nil {
+		return code
 	}
 	if *save != "" {
 		if err := repo.SaveFile(*save); err != nil {
-			fmt.Fprintf(stderr, "tacquery: %v\n", err)
-			return 1
+			return cli.Fail(fs, 1, err)
 		}
 		fmt.Fprintf(stdout, "repository saved to %s (%d sims)\n", *save, repo.Sims())
 	}
@@ -158,8 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		names := strings.Split(*events, ",")
 		ids, err = m.IDs(names)
 		if err != nil {
-			fmt.Fprintf(stderr, "tacquery: %v\n", err)
-			return 1
+			return cli.Fail(fs, 1, err)
 		}
 	}
 
@@ -186,16 +117,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		scores, err := stats.BestTemplates(ids, nil, n)
 		if err != nil {
-			fmt.Fprintf(stderr, "tacquery: %v\n", err)
-			return 1
+			return cli.Fail(fs, 1, err)
 		}
 		if *knowledgeDir != "" {
 			entries, err := knowledge.Load(*knowledgeDir)
 			if err != nil {
-				fmt.Fprintf(stderr, "tacquery: %v\n", err)
-				return 1
+				return cli.Fail(fs, 1, err)
 			}
-			scores = knowledge.BlendTAC(scores, knowledge.TACBoosts(entries, *unitName, knowledge.DefaultDamp))
+			scores = knowledge.BlendTAC(scores, knowledge.TACBoosts(entries, corpus.Unit, knowledge.DefaultDamp))
 			if len(scores) > *best {
 				scores = scores[:*best]
 			}

@@ -22,7 +22,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/obs"
 )
 
@@ -34,13 +34,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracemerge", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("o", "", "write the merged trace to this file (default: stdout)")
-	version := fs.Bool("version", false, "print version information and exit")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *version {
-		fmt.Fprintln(stdout, buildinfo.String("tracemerge"))
-		return 0
+	if code, done := cli.Parse(fs, args, stdout); done {
+		return code
 	}
 	if fs.NArg() == 0 {
 		fmt.Fprintln(stderr, "usage: tracemerge [-o merged.json] <trace-file>...")
@@ -51,8 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, path := range fs.Args() {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			fmt.Fprintf(stderr, "tracemerge: %v\n", err)
-			return 1
+			return cli.Fail(fs, 1, err)
 		}
 		events, err := obs.ParseTrace(data)
 		if err != nil {
@@ -67,15 +61,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintf(stderr, "tracemerge: %v\n", err)
-			return 1
+			return cli.Fail(fs, 1, err)
 		}
 		defer f.Close()
 		w = f
 	}
 	if err := obs.WriteTrace(w, merged); err != nil {
-		fmt.Fprintf(stderr, "tracemerge: %v\n", err)
-		return 1
+		return cli.Fail(fs, 1, err)
 	}
 	if *out != "" {
 		fmt.Fprintf(stdout, "tracemerge: %d events from %d traces -> %s\n",
