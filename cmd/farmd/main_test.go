@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coverage"
 	"repro/internal/duv/iounit"
 	"repro/internal/farm"
 	"repro/internal/sim"
@@ -82,14 +83,14 @@ func TestFarmdServesAndDrainsOnSignal(t *testing.T) {
 		Unit: iounit.UnitName, Template: tmpl, Seed: 77,
 		Lo: 0, Hi: 200, Events: unit.Model().Size(),
 	}
-	got, err := d.RunChunk(chunk)
-	if err != nil {
+	got := coverage.NewCountsFor(unit.Model())
+	if err := d.RunChunkInto(chunk, got); err != nil {
 		t.Fatal(err)
 	}
 	local := sim.NewEnv(unit, 1, 1)
 	defer local.Close()
-	want, err := local.RunChunk(tmpl, chunk.Seed, chunk.Lo, chunk.Hi)
-	if err != nil {
+	want := coverage.NewCountsFor(unit.Model())
+	if err := local.RunChunkInto(tmpl, chunk.Seed, chunk.Lo, chunk.Hi, want); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < want.Len(); i++ {

@@ -82,11 +82,9 @@ type Config struct {
 	// to the fine-grained search (default 2).
 	TopTemplates int
 
-	// Subranges, SubrangeMode and IncludeZeroWeights configure the
-	// Skeletonizer (defaults: 4, Linear, false).
-	Subranges          int
-	SubrangeMode       skeleton.SubrangeMode
-	IncludeZeroWeights bool
+	// Subranges is the Skeletonizer's subrange count per range parameter
+	// (default 4; linear subranges, zero weights left unmarked).
+	Subranges int
 
 	// SampleTemplates (n) and SampleSims (N) configure the random
 	// sample phase (defaults 50 and 100).
@@ -94,17 +92,12 @@ type Config struct {
 	SampleSims      int
 
 	// OptIterations, OptDirections and OptSims configure implicit
-	// filtering (defaults 10, 10, 100). InitialStep and MinStep default
-	// to a quarter and 1/64 of the weight box. NoResampleCenter disables
-	// the center-resampling noise guard (ablation).
-	OptIterations    int
-	OptDirections    int
-	OptSims          int
-	InitialStep      float64
-	MinStep          float64
-	NoResampleCenter bool
-	// TargetValue optionally stops the optimizer early (0 = disabled).
-	TargetValue float64
+	// filtering (defaults 10, 10, 100). The engine's other knobs
+	// (initial_step, min_step, no_resample_center, ...) are set through
+	// EngineParams.
+	OptIterations int
+	OptDirections int
+	OptSims       int
 
 	// BestSims is the standalone evaluation budget for the harvested
 	// template (default 2000).
@@ -205,21 +198,12 @@ func (c Config) engineName() string {
 
 // engineParams builds the engine's parameter blob: the flow's generic
 // optimizer knobs as the base, with the user's EngineParams overlaid.
-// Engines decode leniently, so stencil-specific knobs (directions,
-// min_step) are simply ignored by engines without them.
+// Engines decode leniently, so stencil-specific knobs (directions) are
+// simply ignored by engines without them.
 func (c Config) engineParams() (json.RawMessage, error) {
 	base := map[string]any{
 		"iterations": c.OptIterations,
 		"directions": c.OptDirections,
-	}
-	if c.InitialStep > 0 {
-		base["initial_step"] = c.InitialStep
-	}
-	if c.MinStep > 0 {
-		base["min_step"] = c.MinStep
-	}
-	if c.NoResampleCenter {
-		base["no_resample_center"] = true
 	}
 	return opt.MergeParams(base, c.EngineParams)
 }

@@ -38,15 +38,17 @@ type flowHeader struct {
 	CfgHash uint64 `json:"cfg_hash"`
 }
 
-// cfgHash digests the result-relevant Config fields.
+// cfgHash digests the result-relevant Config fields. The literal fields
+// are knobs Config no longer has (subrange mode, zero-weight marking,
+// initial and minimum step, center resampling, target value), hashed at
+// the values every run had, so journals written before they went still
+// resume.
 func cfgHash(c Config) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d|%d|%d|%t|%d|%d|%d|%d|%d|%v|%v|%t|%v|%d",
-		c.Seed, c.CorpusSimsPerTemplate, c.TopTemplates,
-		c.Subranges, c.SubrangeMode, c.IncludeZeroWeights,
+	fmt.Fprintf(h, "%d|%d|%d|%d|0|false|%d|%d|%d|%d|%d|0|0|false|0|%d",
+		c.Seed, c.CorpusSimsPerTemplate, c.TopTemplates, c.Subranges,
 		c.SampleTemplates, c.SampleSims,
 		c.OptIterations, c.OptDirections, c.OptSims,
-		c.InitialStep, c.MinStep, c.NoResampleCenter, c.TargetValue,
 		c.BestSims)
 	// Engine selection, engine params, and the knowledge priors all steer
 	// proposals, so a journal written under different ones must not

@@ -33,6 +33,29 @@ func journalTestConfig() Config {
 	}
 }
 
+// TestConfigHashIsStable pins the journal header's config hash: a
+// journal written by an earlier build resumes only if the same config
+// still hashes to the same value, whatever fields Config gains or loses.
+func TestConfigHashIsStable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"zero", Config{}, 0x1f5063c8593f3267},
+		{"default", Config{}.withDefaults(), 0x288ac8e793ebc383},
+		{"fully budgeted", Config{
+			Seed: 7, CorpusSimsPerTemplate: 300, TopTemplates: 3, Subranges: 5,
+			SampleTemplates: 12, SampleSims: 40,
+			OptIterations: 6, OptDirections: 8, OptSims: 30, BestSims: 500,
+		}, 0x313347dce21d29b8},
+	} {
+		if got := cfgHash(tc.cfg); got != tc.want {
+			t.Errorf("%s config: cfgHash = %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}
+
 func runRefined(t *testing.T, flow *Flow, rounds int) []*Report {
 	t.Helper()
 	reports, err := flow.RunFamilyRefined(context.Background(), iounit.FamilyName, 0.4, rounds)

@@ -187,11 +187,7 @@ func (f *Flow) coarseSearch(target *neighbors.Target) (best []tac.TemplateScore,
 // and ranges become the fine-grained search box.
 func (f *Flow) skeletonize(candidate *template.Template) (skel *skeleton.Skeleton, err error) {
 	err = f.phase("skeleton", map[string]any{"candidate": candidate.Name}, func() (map[string]any, error) {
-		skel, err = skeleton.Skeletonize(candidate, skeleton.Options{
-			IncludeZeroWeights: f.cfg.IncludeZeroWeights,
-			Subranges:          f.cfg.Subranges,
-			Mode:               f.cfg.SubrangeMode,
-		})
+		skel, err = skeleton.Skeletonize(candidate, skeleton.Options{Subranges: f.cfg.Subranges})
 		if err != nil {
 			return nil, err
 		}
@@ -355,13 +351,12 @@ func (f *Flow) optimize(skel *skeleton.Skeleton, samples []sample, target *neigh
 			return nil, err
 		}
 		eng, err := opt.New(engineName, opt.EngineConfig{
-			X0:          x0,
-			Lo:          0,
-			Hi:          float64(skel.MaxWeight()),
-			TargetValue: f.cfg.TargetValue,
-			RNG:         r,
-			Recorder:    f.rec,
-			Prior:       f.cfg.Prior,
+			X0:       x0,
+			Lo:       0,
+			Hi:       float64(skel.MaxWeight()),
+			RNG:      r,
+			Recorder: f.rec,
+			Prior:    f.cfg.Prior,
 		}, params)
 		if err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coverage"
 	"repro/internal/duv/iounit"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -16,6 +17,12 @@ func cancelChunk() sim.RemoteChunk {
 		Unit: iounit.UnitName, Seed: 7, Lo: 0, Hi: 16,
 		Events: iounit.New().Model().Size(),
 	}
+}
+
+// runCancelChunk runs cancelChunk on d into a fresh aggregate.
+func runCancelChunk(d *Dispatcher) error {
+	c := cancelChunk()
+	return d.RunChunkInto(c, coverage.NewCounts(c.Events))
 }
 
 // TestRunChunkCanceledContext: once the dispatcher's context is
@@ -37,19 +44,19 @@ func TestRunChunkCanceledContext(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := d.RunChunk(cancelChunk()); err != nil {
-		t.Fatalf("healthy RunChunk: %v", err)
+	if err := runCancelChunk(d); err != nil {
+		t.Fatalf("healthy RunChunkInto: %v", err)
 	}
 	cancel()
-	if _, err := d.RunChunk(cancelChunk()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunChunk after cancel: err = %v, want context.Canceled", err)
+	if err := runCancelChunk(d); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunChunkInto after cancel: err = %v, want context.Canceled", err)
 	}
 	if got := rec.Counter("farm.chunks_canceled").Value(); got != 1 {
 		t.Fatalf("farm.chunks_canceled = %d, want 1", got)
 	}
 }
 
-// TestCancelUnblocksAcquire: a cancellation arriving while RunChunk is
+// TestCancelUnblocksAcquire: a cancellation arriving while RunChunkInto is
 // waiting for a connection (dead fleet, long AcquireTimeout) unblocks
 // it promptly instead of burning the full timeout and retry backoff.
 func TestCancelUnblocksAcquire(t *testing.T) {
@@ -63,17 +70,16 @@ func TestCancelUnblocksAcquire(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := d.RunChunk(cancelChunk())
-		done <- err
+		done <- runCancelChunk(d)
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("RunChunk succeeded with no workers")
+			t.Fatal("RunChunkInto succeeded with no workers")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RunChunk still blocked long after cancellation")
+		t.Fatal("RunChunkInto still blocked long after cancellation")
 	}
 }

@@ -27,7 +27,7 @@ var (
 	// failure: the chunk runs locally, so a dead or absent fleet
 	// degrades throughput, never results.
 	ErrNoWorkers = errors.New("farm: no remote workers available")
-	// ErrDispatcherClosed reports a RunChunk after Close.
+	// ErrDispatcherClosed reports a RunChunkInto after Close.
 	ErrDispatcherClosed = errors.New("farm: dispatcher is closed")
 )
 
@@ -90,7 +90,7 @@ type Options struct {
 	// Log receives structured connection-lifecycle and failure events
 	// with correlated fields (worker, chunk). nil discards.
 	Log *slog.Logger
-	// Context, when non-nil, cancels queued remote work: RunChunk stops
+	// Context, when non-nil, cancels queued remote work: RunChunkInto stops
 	// retrying, acquiring, and backing off the moment it is done, and
 	// new calls fail immediately with its error. In-flight exchanges
 	// drain under their ChunkTimeout as usual.
@@ -264,7 +264,7 @@ type wconn struct {
 // New starts a dispatcher for the given worker addresses. It returns
 // immediately; connections are established in the background (WaitReady
 // blocks for the first). An empty address list yields a dispatcher
-// whose RunChunk always reports ErrNoWorkers — graceful degradation to
+// whose RunChunkInto always reports ErrNoWorkers — graceful degradation to
 // local-only execution.
 func New(addrs []string, opts Options) *Dispatcher {
 	opts.setDefaults()
@@ -352,23 +352,12 @@ func (d *Dispatcher) WaitReady(timeout time.Duration) error {
 	}
 }
 
-// RunChunk implements sim.ChunkRunner: it relocates the chunk to a
-// worker and returns the aggregate, retrying across connections before
-// reporting failure (which sends the chunk to the scheduler's local
-// fallback).
-func (d *Dispatcher) RunChunk(c sim.RemoteChunk) (*coverage.Counts, error) {
-	counts := coverage.NewCounts(c.Events)
-	if err := d.RunChunkInto(c, counts); err != nil {
-		return nil, err
-	}
-	return counts, nil
-}
-
-// RunChunkInto implements sim.ChunkRunnerInto: like RunChunk, but the
-// chunk's aggregate is merged into dst (which must be zeroed and sized
-// to c.Events). The scheduler's remote lanes call this with per-lane
-// scratch, so a healthy session moves chunks with no per-chunk
-// allocation on either end.
+// RunChunkInto implements sim.ChunkRunner: it relocates the chunk to a
+// worker and merges the aggregate into dst (which must be zeroed and
+// sized to c.Events), retrying across connections before reporting
+// failure (which sends the chunk to the scheduler's local fallback). The
+// scheduler's remote lanes call this with per-lane scratch, so a healthy
+// session moves chunks with no per-chunk allocation on either end.
 func (d *Dispatcher) RunChunkInto(c sim.RemoteChunk, dst *coverage.Counts) error {
 	if dst.Len() != c.Events {
 		return fmt.Errorf("farm: RunChunkInto: dst has %d events, chunk has %d", dst.Len(), c.Events)
@@ -1032,7 +1021,7 @@ func (d *Dispatcher) ping(w *wconn) error {
 
 // Close stops the dispatcher: keepers and the heartbeater exit, every
 // connection is closed, audit environments shut down, and subsequent
-// RunChunk calls report ErrDispatcherClosed (in-flight exchanges fail
+// RunChunkInto calls report ErrDispatcherClosed (in-flight exchanges fail
 // and fall back locally). Close is idempotent.
 func (d *Dispatcher) Close() {
 	d.stop.Do(func() { close(d.closed) })

@@ -161,14 +161,14 @@ func TestFarmRemoteActuallyRuns(t *testing.T) {
 		Unit: iounit.UnitName, Template: altTemplate(t), Seed: 42,
 		Lo: 0, Hi: 100, Events: unit.Model().Size(),
 	}
-	got, err := d.RunChunk(chunk)
-	if err != nil {
+	got := coverage.NewCountsFor(unit.Model())
+	if err := d.RunChunkInto(chunk, got); err != nil {
 		t.Fatal(err)
 	}
-	local := sim.NewEnv(unit, 7, 1) // env seed irrelevant to RunChunk
+	local := sim.NewEnv(unit, 7, 1) // env seed irrelevant to RunChunkInto
 	defer local.Close()
-	want, err := local.RunChunk(chunk.Template, chunk.Seed, chunk.Lo, chunk.Hi)
-	if err != nil {
+	want := coverage.NewCountsFor(unit.Model())
+	if err := local.RunChunkInto(chunk.Template, chunk.Seed, chunk.Lo, chunk.Hi, want); err != nil {
 		t.Fatal(err)
 	}
 	diffCounts(t, "remote chunk", got, want)
@@ -240,7 +240,7 @@ func TestFarmRejoin(t *testing.T) {
 func TestFarmNoWorkers(t *testing.T) {
 	d := New(nil, testOptions(NewLoopback().Dial, nil))
 	defer d.Close()
-	_, err := d.RunChunk(sim.RemoteChunk{Unit: iounit.UnitName, Seed: 1, Lo: 0, Hi: 8, Events: 1})
+	err := d.RunChunkInto(sim.RemoteChunk{Unit: iounit.UnitName, Seed: 1, Lo: 0, Hi: 8, Events: 1}, coverage.NewCounts(1))
 	if !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
 	}
@@ -253,7 +253,7 @@ func TestFarmNoWorkers(t *testing.T) {
 func TestFarmDispatcherClosed(t *testing.T) {
 	d, _ := farmFixture(t, []Faults{{}}, nil)
 	d.Close()
-	if _, err := d.RunChunk(sim.RemoteChunk{Unit: iounit.UnitName, Hi: 8, Events: 1}); !errors.Is(err, ErrDispatcherClosed) {
+	if err := d.RunChunkInto(sim.RemoteChunk{Unit: iounit.UnitName, Hi: 8, Events: 1}, coverage.NewCounts(1)); !errors.Is(err, ErrDispatcherClosed) {
 		t.Fatalf("err = %v, want ErrDispatcherClosed", err)
 	}
 }
@@ -265,18 +265,18 @@ func TestFarmUnknownUnit(t *testing.T) {
 	if err := d.WaitReady(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	_, err := d.RunChunk(sim.RemoteChunk{Unit: "no_such_unit", Seed: 1, Lo: 0, Hi: 4, Events: 1})
-	if err == nil {
+	if err := d.RunChunkInto(sim.RemoteChunk{Unit: "no_such_unit", Seed: 1, Lo: 0, Hi: 4, Events: 1}, coverage.NewCounts(1)); err == nil {
 		t.Fatal("unknown unit accepted")
 	}
 }
 
 // TestServerBadTemplateIsAnInBandError: a template the unit cannot run —
-// a symbolic value outside the parameter's vocabulary — gets an error
-// result, and the same connection then serves a good chunk. Both bad
-// templates used to reach the model: the first as a false crc_004 hit
-// in every instance, the second as an index-out-of-range panic that
-// took the worker process down.
+// a parameter the unit does not declare, a symbolic value outside the
+// parameter's vocabulary — gets an error result, and the same connection
+// then serves a good chunk. The first used to run the unit's default in
+// silence; the other two used to reach the model: the first of them as a
+// false crc_004 hit in every instance, the second as an
+// index-out-of-range panic that took the worker process down.
 func TestServerBadTemplateIsAnInBandError(t *testing.T) {
 	srv := NewServer(ServerOptions{Capacity: 1, DrainTimeout: time.Second})
 	defer srv.Shutdown()
@@ -291,6 +291,7 @@ func TestServerBadTemplateIsAnInBandError(t *testing.T) {
 	handshake(t, conn)
 	var c codec
 	for i, tc := range []struct{ tmpl, wantErr string }{
+		{"template bad { weight Comand { crc: 1; } }", `parameter "Comand": not one of the unit's parameters [BurstLen Channel Command Gap PayloadSize]`},
 		{"template bad { weight Command { bogus: 1; } }", `value "bogus" is not one of`},
 		{"template bad { weight Channel { x: 1; } }", `value "x" is not one of`},
 		{altTemplate(t).String(), ""},
@@ -311,7 +312,7 @@ func TestServerBadTemplateIsAnInBandError(t *testing.T) {
 		}
 		if tc.wantErr == "" {
 			if res.Err != "" || res.Sims != 16 {
-				t.Fatalf("good chunk after two bad ones: %+v", res)
+				t.Fatalf("good chunk after bad ones: %+v", res)
 			}
 		} else if !strings.Contains(res.Err, tc.wantErr) || res.Sims != 0 {
 			t.Fatalf("chunk %d: Err = %q (sims %d), want an error mentioning %q", id, res.Err, res.Sims, tc.wantErr)

@@ -360,7 +360,7 @@ func (s *Server) env(unit string) (*sim.Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := sim.NewEnv(u, 1, 1) // seed irrelevant: RunChunk carries its own
+	e := sim.NewEnv(u, 1, 1) // seed irrelevant: RunChunkInto carries its own
 	if s.opts.Rec != nil {
 		e.SetRecorder(s.opts.Rec)
 	}

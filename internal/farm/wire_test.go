@@ -13,6 +13,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/coverage"
 	"repro/internal/duv/iounit"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -632,9 +633,9 @@ func TestFarmModelTooLarge(t *testing.T) {
 	if err := d.WaitReady(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	_, err := d.RunChunk(sim.RemoteChunk{
+	err := d.RunChunkInto(sim.RemoteChunk{
 		Unit: iounit.UnitName, Seed: 1, Lo: 0, Hi: 4, Events: maxEvents() + 1,
-	})
+	}, coverage.NewCounts(maxEvents()+1))
 	var mtl *ModelTooLargeError
 	if !errors.As(err, &mtl) {
 		t.Fatalf("err = %v, want *ModelTooLargeError", err)
@@ -648,10 +649,10 @@ func TestFarmModelTooLarge(t *testing.T) {
 	}
 	// The same connection still executes normal chunks.
 	unit := iounit.New()
-	got, err := d.RunChunk(sim.RemoteChunk{
+	got := coverage.NewCountsFor(unit.Model())
+	if err := d.RunChunkInto(sim.RemoteChunk{
 		Unit: iounit.UnitName, Seed: 42, Lo: 0, Hi: 10, Events: unit.Model().Size(),
-	})
-	if err != nil {
+	}, got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Sims() != 10 {

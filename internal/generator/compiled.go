@@ -8,12 +8,13 @@
 // into a dense slot table shared read-only by all N generators. It is
 // the only decision path: New compiles too.
 //
-// Slot order. The defaults' parameters come first, in sorted-name order,
-// so slot i is the same parameter in every plan of one unit and the
-// Handles a unit binds at construction are valid for all of them.
-// Parameters only the template names follow, in template order; no unit
-// holds a handle to those, they are reached by name (PickValue, PickInt,
-// Has).
+// Slot order. A plan has one slot per parameter of the defaults, in
+// sorted-name order, so slot i is the same parameter in every plan of one
+// unit and the Handles a unit binds at construction are valid for all of
+// them. A template changes the defaults of the unit's own parameters
+// (paper Section III); a parameter the unit does not declare would bias
+// no decision, so a template that names one is an error of the plan
+// (Plan.Err), not a slot.
 //
 // Vocabulary codes. A symbolic default's entry list is the parameter's
 // vocabulary; a decision by handle returns the chosen value's index in
@@ -40,9 +41,9 @@
 // w·total/2³² < cum_i, i.e. w < ⌈cum_i·2³²/total⌉ (all weights zero:
 // cum_i = i+1, total = the entry count). So the entry is decided on the
 // draw itself, whatever the size of total: Compile keeps, per selectable
-// entry, the last w that selects it, and for every parameter the unit
-// declares a 256-byte table over w>>24 that answers the buckets no
-// threshold cuts without a walk (see slot.table).
+// entry, the last w that selects it, and per slot a 256-byte table over
+// w>>24 that answers the buckets no threshold cuts without a walk (see
+// slot.table).
 // Every draw is an Intn of at most 1<<32, the widest bound Intn can
 // honour: a larger total weight or a wider range is an error of the
 // plan.
@@ -52,25 +53,18 @@
 // Ranges (numeric) for each of its handles — the kind is checked there,
 // once per Simulate — and decides in the loop with methods small enough
 // to inline into it: Choice.Code, Ranges.Pick, Range.Int. CI keeps them
-// inlinable (.github/workflows/ci.yml, "Inlining guard").
+// inlinable (.github/workflows/ci.yml, "Inlining guard"). They are the
+// only decision code: PickValue and PickInt find a slot by name and ask
+// the same deciders.
 package generator
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/template"
-)
-
-// slotKind says which decisions a slot answers.
-type slotKind uint8
-
-const (
-	kindSymbolic  slotKind = iota // every entry a symbolic value: Choice, PickValue
-	kindMixed                     // symbolic and subrange entries: PickValue
-	kindSubranges                 // every entry a subrange: Ranges, PickInt, PickValue
-	kindRange                     // a range parameter, held as its one subrange: Ranges, PickInt
 )
 
 // maxDraw is the widest bound a decision may hand to Intn (see its
@@ -150,35 +144,16 @@ type slot struct {
 	// of that bucket decides — the vocabulary code of a symbolic slot,
 	// else the entry index — or walk. At most entries−1 buckets are cut,
 	// so on the flow's templates (≤ 5 entries) 98 % of decisions end
-	// here. Nil for a parameter only the template names: no unit decides
-	// those in a loop, and their number is the sender's choice.
+	// here.
 	table  *[256]uint8
 	last   []uint32 // the largest draw word that selects the entry; ascending, ending at MaxUint32
-	codes  []int    // symbolic value: its vocabulary code; subrange: -1
+	codes  []int    // a symbolic slot's vocabulary codes
 	ranges []Range  // subrange bounds
 	step   uint64   // what a decision advances the stream by: 0 for a single-entry parameter
-	vocab  []string // symbolic values by code, for PickValue
-	name   string
-	kind   slotKind
-}
-
-// decide makes the slot's draw and returns what its table holds for it:
-// the decision by name, the deciders' walk with the table optional.
-func (s *slot) decide(r *rng.RNG) int {
-	w := r.Word(s.step)
-	if s.table != nil {
-		if v := int(s.table[w>>24]); v != walk {
-			return v
-		}
-	}
-	i := 0
-	for w > s.last[i] {
-		i++
-	}
-	if s.kind == kindSymbolic {
-		return s.codes[i]
-	}
-	return i
+	vocab  []string // symbolic values by code, for PickValue and errors
+	// symbolic: every entry a symbolic value (Choice); else every entry a
+	// subrange, or a range parameter held as its one subrange (Ranges).
+	symbolic bool
 }
 
 // fill builds the slot's table into t: entry by entry, the marker on
@@ -188,7 +163,7 @@ func (s *slot) fill(t *[256]uint8) {
 	b := 0
 	for i, last := range s.last {
 		v := i
-		if s.kind == kindSymbolic {
+		if s.symbolic {
 			v = s.codes[i]
 		}
 		if v >= walk {
@@ -206,46 +181,32 @@ func (s *slot) fill(t *[256]uint8) {
 	s.table = t
 }
 
-func (s *slot) int(r *rng.RNG) int {
-	if s.kind < kindSubranges {
-		panic(fmt.Sprintf("generator: parameter %q has symbolic entries; use PickValue", s.name))
-	}
-	return s.ranges[s.decide(r)].Int(r)
-}
-
-func (s *slot) label(r *rng.RNG) string {
-	if s.kind == kindRange {
-		panic(fmt.Sprintf("generator: parameter %q is not a weight parameter", s.name))
-	}
-	v := s.decide(r)
-	if s.kind != kindSymbolic {
-		if s.codes[v] < 0 {
-			x := s.ranges[v]
-			return fmt.Sprintf("[%d:%d]", x.lo, x.lo+int(x.span-1))
-		}
-		v = s.codes[v]
-	}
-	return s.vocab[v]
-}
-
 // Plan is a compiled (template, defaults) pair. A Plan is immutable
 // after Compile and safe for concurrent use by any number of generators.
 type Plan struct {
 	tmpl  *template.Template
-	names []string // the defaults' parameters, sorted: slots[:len(names)]
+	names []string // the defaults' parameters, sorted: one slot each
 	slots []slot
-	index map[string]int // parameter name -> slot
 	err   error
 }
 
 // Compile builds the sampling plan for tmpl (nil = pure defaults) over
 // the given defaults. A template the defaults cannot run — see Err —
-// still yields a Plan, carrying the error.
+// still yields a Plan, carrying the error. A plan holds one slot and one
+// table per parameter of the defaults: what it holds is bounded by them,
+// not by the length of a template off the wire nor by any weight in it.
 func Compile(tmpl *template.Template, defaults Defaults) *Plan {
 	names := sortedNames(defaults)
-	plan := &Plan{tmpl: tmpl, names: names, slots: make([]slot, len(names)), index: make(map[string]int, len(names))}
+	plan := &Plan{tmpl: tmpl, names: names, slots: make([]slot, len(names))}
+	if tmpl != nil {
+		for _, p := range tmpl.Params {
+			if _, ok := defaults[p.ParamName()]; !ok {
+				return plan.fail(p.ParamName(), fmt.Errorf("not one of the unit's parameters %v", names))
+			}
+		}
+	}
+	tables := make([][256]uint8, len(names))
 	for i, name := range names {
-		plan.index[name] = i
 		s, err := compileParam(defaults[name], nil)
 		if err == nil && tmpl != nil {
 			if p, ok := tmpl.Param(name); ok {
@@ -255,27 +216,8 @@ func Compile(tmpl *template.Template, defaults Defaults) *Plan {
 		if err != nil {
 			return plan.fail(name, err)
 		}
+		s.fill(&tables[i])
 		plan.slots[i] = s
-	}
-	if tmpl != nil {
-		for _, p := range tmpl.Params {
-			if _, ok := plan.index[p.ParamName()]; ok {
-				continue
-			}
-			s, err := compileParam(p, nil)
-			if err != nil {
-				return plan.fail(p.ParamName(), err)
-			}
-			plan.index[s.name] = len(plan.slots)
-			plan.slots = append(plan.slots, s)
-		}
-	}
-	// Only the unit's own parameters get a table: they are the ones a
-	// model decides, and their number — not the length of a template off
-	// the wire, nor any weight in it — then bounds what a plan holds.
-	tables := make([][256]uint8, len(names))
-	for i := range tables {
-		plan.slots[i].fill(&tables[i])
 	}
 	return plan
 }
@@ -288,52 +230,35 @@ func (p *Plan) fail(param string, err error) *Plan {
 	return p
 }
 
-// Err reports why the plan cannot drive a generator: a symbolic value
-// outside the parameter's vocabulary, a symbolic setting over a numeric
-// default or a range or subrange setting over a symbolic one, an empty
-// weight parameter, inverted bounds, or a total weight or a range span
-// above 1<<32. Callers that compile templates from outside the program
+// Err reports why the plan cannot drive a generator: a parameter the
+// defaults do not declare, a symbolic value outside the parameter's
+// vocabulary, a symbolic setting over a numeric default or a range or
+// subrange setting over a symbolic one, an empty weight parameter,
+// inverted bounds, or a total weight or a range span above 1<<32. Callers that compile templates from outside the program
 // check it before NewFromPlan.
 func (p *Plan) Err() error { return p.err }
 
 // Template returns the template the plan was compiled from (may be nil).
 func (p *Plan) Template() *template.Template { return p.tmpl }
 
-// Has reports whether the plan defines the parameter.
-func (p *Plan) Has(name string) bool {
-	_, ok := p.index[name]
-	return ok
-}
-
-// lookup finds a parameter's slot by name.
-func (p *Plan) lookup(name string) *slot {
-	i, ok := p.index[name]
-	if !ok {
-		panic(fmt.Sprintf("generator: no setting or default for parameter %q", name))
-	}
-	return &p.slots[i]
-}
-
 // compileParam lays one setting out as a slot. def is the slot of the
-// default this setting overrides (nil for a default itself and for a
-// parameter only the template names, whose own entries then are the
-// vocabulary). Entries are copied: the plan may be cached and shared
-// across goroutines long after the caller mutates its template.
+// default this setting overrides (nil for a default itself, whose own
+// entries then are the vocabulary). Entries are copied: the plan may be
+// cached and shared across goroutines long after the caller mutates its
+// template.
 func compileParam(p template.Param, def *slot) (slot, error) {
-	s := slot{name: p.ParamName()}
+	var s slot
 	switch param := p.(type) {
 	case *template.RangeParam:
 		x, err := rangeEntry(param.Lo, param.Hi, def)
 		if err != nil {
 			return slot{}, err
 		}
-		s.kind = kindRange
-		one := &struct { // one allocation for the three one-entry lists
+		one := &struct { // one allocation for both one-entry lists
 			last   [1]uint32
-			codes  [1]int
 			ranges [1]Range
-		}{[1]uint32{math.MaxUint32}, [1]int{-1}, [1]Range{x}}
-		s.last, s.codes, s.ranges = one.last[:], one.codes[:], one.ranges[:]
+		}{[1]uint32{math.MaxUint32}, [1]Range{x}}
+		s.last, s.ranges = one.last[:], one.ranges[:]
 	case *template.WeightParam:
 		n := len(param.Entries)
 		if n == 0 {
@@ -353,15 +278,14 @@ func compileParam(p template.Param, def *slot) (slot, error) {
 				if ranges[i], err = rangeEntry(we.Lo, we.Hi, def); err != nil {
 					return slot{}, err
 				}
-				codes[i] = -1
 				subranges++
 			case def == nil:
 				s.vocab[i] = we.Value
 				codes[i] = i
-			case def.kind >= kindSubranges:
+			case !def.symbolic:
 				return slot{}, fmt.Errorf("value %q overrides a numeric default", we.Value)
 			default:
-				if codes[i] = indexOf(def.vocab, we.Value); codes[i] < 0 {
+				if codes[i] = slices.Index(def.vocab, we.Value); codes[i] < 0 {
 					return slot{}, fmt.Errorf("value %q is not one of %v", we.Value, def.vocab)
 				}
 			}
@@ -373,14 +297,10 @@ func compileParam(p template.Param, def *slot) (slot, error) {
 				total += we.Weight
 			}
 		}
-		switch subranges {
-		case 0:
-			s.kind = kindSymbolic
-		case n:
-			s.kind = kindSubranges
-		default:
-			s.kind = kindMixed
+		if subranges != 0 && subranges != n { // a template's entries must fit its default, so only a default can mix
+			return slot{}, fmt.Errorf("mixes symbolic values and subranges")
 		}
+		s.symbolic = subranges == 0
 		if n > 1 {
 			s.step = rng.Stride
 		}
@@ -418,7 +338,7 @@ func compileParam(p template.Param, def *slot) (slot, error) {
 
 // rangeEntry is the interval of a range parameter or of one subrange.
 func rangeEntry(lo, hi int, def *slot) (Range, error) {
-	if def != nil && def.kind == kindSymbolic {
+	if def != nil && def.symbolic {
 		return Range{}, fmt.Errorf("[%d:%d] overrides a symbolic default (values %v)", lo, hi, def.vocab)
 	}
 	if hi < lo {
@@ -428,13 +348,4 @@ func rangeEntry(lo, hi int, def *slot) (Range, error) {
 		return Range{}, fmt.Errorf("[%d:%d] span exceeds 1<<32", lo, hi)
 	}
 	return Range{lo: lo, span: uint64(hi) - uint64(lo) + 1}, nil
-}
-
-func indexOf(vocab []string, value string) int {
-	for i, v := range vocab {
-		if v == value {
-			return i
-		}
-	}
-	return -1
 }

@@ -204,7 +204,7 @@ func equivTemplates(t *testing.T) []*template.Template {
 		}`,
 		`template zero { weight Mnemonic { load: 0; add: 0; mul: 0; } }`,
 		`template single { weight Mnemonic { mul: 0; } range CacheDelay [5 : 5]; }`,
-		`template sparse { range Unrelated [1 : 1000000]; }`,
+		`template sparse { range CacheDelay [1 : 1000000]; }`,
 	}
 	out := make([]*template.Template, len(srcs))
 	for i, src := range srcs {
@@ -331,14 +331,6 @@ func TestSlotPathMatchesInterpreterQuick(t *testing.T) {
 				tmpl.SetParam(randomSetting(r, name, vocabs[name]))
 			}
 		}
-		if r.Intn(2) == 0 { // a parameter only the template names
-			name := "TemplateOnly"
-			names = append(names, name)
-			if r.Intn(2) == 0 {
-				vocabs[name] = letters[:1+r.Intn(6)]
-			}
-			tmpl.SetParam(randomSetting(r, name, vocabs[name]))
-		}
 
 		plan := Compile(tmpl, defaults)
 		if err := plan.Err(); err != nil {
@@ -350,20 +342,15 @@ func TestSlotPathMatchesInterpreterQuick(t *testing.T) {
 		byHandle, byName := NewFromPlan(plan, seed), NewFromPlan(plan, seed)
 		for i := 0; i < 300; i++ {
 			name := names[r.Intn(len(names))]
-			_, isDefault := defaults[name]
-			if vocab := vocabs[name]; vocab != nil {
+			if vocabs[name] != nil {
 				want := oracle.PickValue(name)
 				if got := byName.PickValue(name); got != want {
 					t.Errorf("shape %d decision %d: PickValue(%s) = %q, interpreter %q", shape, i, name, got, want)
 					return false
 				}
-				if isDefault {
-					if code := byHandle.decide(bind.Handle(name)); code != bind.Code(name, want) {
-						t.Errorf("shape %d decision %d: Code(%s) = %d, interpreter %q", shape, i, name, code, want)
-						return false
-					}
-				} else {
-					byHandle.PickValue(name)
+				if code := byHandle.decide(bind.Handle(name)); code != bind.Code(name, want) {
+					t.Errorf("shape %d decision %d: Code(%s) = %d, interpreter %q", shape, i, name, code, want)
+					return false
 				}
 			} else {
 				want := oracle.PickInt(name)
@@ -371,13 +358,7 @@ func TestSlotPathMatchesInterpreterQuick(t *testing.T) {
 					t.Errorf("shape %d decision %d: PickInt(%s) = %d, interpreter %d", shape, i, name, got, want)
 					return false
 				}
-				got := 0
-				if isDefault {
-					got = byHandle.decideInt(bind.Handle(name))
-				} else {
-					got = byHandle.PickInt(name)
-				}
-				if got != want {
+				if got := byHandle.decideInt(bind.Handle(name)); got != want {
 					t.Errorf("shape %d decision %d: Int(%s) = %d, interpreter %d", shape, i, name, got, want)
 					return false
 				}
@@ -396,53 +377,64 @@ func TestSlotPathMatchesInterpreterQuick(t *testing.T) {
 }
 
 // CheckDecisions compiles tmpl over defaults and, if the plan is valid,
-// makes n decisions on every slot — by handle where the defaults name
-// the parameter, else by name — against the interpreter: equal decisions,
-// equal stream state after each, every decision through a table equal to
-// the plain threshold walk's, every Int inside the subrange its draw
-// chose, every Code inside the vocabulary, and a table for exactly the
-// parameters the defaults name. It returns the plan's error. Exported
-// because FuzzCompileDecide lives in the external test package
-// (fuzz_test.go): it imports the units, which import this package.
+// checks that every parameter the template names is one the defaults
+// declare, then makes n decisions on every slot — alternately by handle
+// and by name — against the interpreter: equal decisions, equal stream
+// state after each, every decision through a table equal to the plain
+// threshold walk's, every Int inside the subrange its draw chose, every
+// Code inside the vocabulary, and one slot with a table per parameter of
+// the defaults. It returns the plan's error. Exported because
+// FuzzCompileDecide lives in the external test package (fuzz_test.go):
+// it imports the units, which import this package.
 func CheckDecisions(t *testing.T, tmpl *template.Template, defaults Defaults, seed uint64, n int) error {
 	t.Helper()
 	plan := Compile(tmpl, defaults)
 	if plan.Err() != nil {
 		return plan.Err()
 	}
+	if tmpl != nil {
+		for _, p := range tmpl.Params {
+			if _, ok := defaults[p.ParamName()]; !ok {
+				t.Fatalf("%s: a valid plan for a template that names a parameter the defaults do not declare", p.ParamName())
+			}
+		}
+	}
+	if len(plan.slots) != len(defaults) {
+		t.Fatalf("%d slots for %d parameters of the defaults", len(plan.slots), len(defaults))
+	}
 	oracle, g := newInterp(tmpl, defaults, seed), NewFromPlan(plan, seed)
-	for i := range plan.slots {
+	for i, name := range plan.names {
 		s := &plan.slots[i]
-		byHandle := i < len(plan.names)
-		if (s.table != nil) != byHandle {
-			t.Fatalf("%s: table %v, parameter of the defaults %v", s.name, s.table != nil, byHandle)
+		if s.table == nil {
+			t.Fatalf("%s: no table", name)
 		}
 		for d := 0; d < n; d++ {
 			before := g.r
 			walked := s.walked(&before)
-			switch {
-			case s.kind >= kindSubranges:
-				want, got := oracle.PickInt(s.name), 0
-				if byHandle {
-					got = g.decideInt(Handle(i))
+			byName := d%2 == 1
+			if s.symbolic {
+				want, code := oracle.PickValue(name), 0
+				if byName {
+					code = slices.Index(s.vocab, g.PickValue(name))
 				} else {
-					got = g.PickInt(s.name)
+					code = g.decide(Handle(i))
+				}
+				if code < 0 || code >= len(s.vocab) || s.vocab[code] != want || code != s.codes[walked] {
+					t.Fatalf("%s decision %d: code %d of %v, interpreter %q, walk chose code %d", name, d, code, s.vocab, want, s.codes[walked])
+				}
+			} else {
+				want, got := oracle.PickInt(name), 0
+				if byName {
+					got = g.PickInt(name)
+				} else {
+					got = g.decideInt(Handle(i))
 				}
 				if x := s.ranges[walked]; got != want || got < x.lo || uint64(got-x.lo) >= x.span {
-					t.Fatalf("%s decision %d: %d, interpreter %d, walk chose [%d:+%d]", s.name, d, got, want, x.lo, x.span)
-				}
-			case s.kind == kindSymbolic && byHandle:
-				want, code := oracle.PickValue(s.name), g.decide(Handle(i))
-				if code < 0 || code >= len(s.vocab) || s.vocab[code] != want || code != s.codes[walked] {
-					t.Fatalf("%s decision %d: code %d of %v, interpreter %q, walk chose code %d", s.name, d, code, s.vocab, want, s.codes[walked])
-				}
-			default:
-				if want, got := oracle.PickValue(s.name), g.PickValue(s.name); got != want {
-					t.Fatalf("%s decision %d: %q, interpreter %q", s.name, d, got, want)
+					t.Fatalf("%s decision %d: %d, interpreter %d, walk chose [%d:+%d]", name, d, got, want, x.lo, x.span)
 				}
 			}
 			if g.r.State() != oracle.RNG().State() {
-				t.Fatalf("%s decision %d: stream state diverged from the interpreter's", s.name, d)
+				t.Fatalf("%s decision %d: stream state diverged from the interpreter's", name, d)
 			}
 		}
 	}
@@ -454,10 +446,9 @@ func CheckDecisions(t *testing.T, tmpl *template.Template, defaults Defaults, se
 // to Intn's own bound; zero weights in every position; the uniform
 // fallback of an all-zero slot; the single entry that draws nothing;
 // more entries, and higher codes, than a table byte can name; thresholds
-// exactly on a bucket edge. Every shape is checked three ways, symbolic
-// and numeric, as the unit's defaults, as a template over them (codes
-// then differ from entry indices) and as parameters only the template
-// names (by name, no table):
+// exactly on a bucket edge. Every shape is checked two ways, symbolic
+// and numeric: as the unit's defaults, and as a template over them
+// (codes then differ from entry indices):
 //   - 4,096 decisions against the interpreter (CheckDecisions);
 //   - every threshold against the contract's own arithmetic: the last
 //     draw word of an entry, and the word after it, scaled and scanned
@@ -530,38 +521,36 @@ func TestDrawTableMatchesInterpreterAtTheEdges(t *testing.T) {
 		}{
 			{"as the defaults", nil, Defaults{"S": symbolic, "N": numeric}},
 			{"as a template over defaults", asTemplate, Defaults{"S": vocabulary, "N": &template.RangeParam{Name: "N", Lo: -5, Hi: 5}}},
-			{"as template-only parameters, which walk", asTemplate, nil},
 		} {
 			if err := CheckDecisions(t, c.tmpl, c.defaults, 9, 4096); err != nil {
 				t.Fatalf("%s, %s: %v", tc.name, c.how, err)
 			}
-			for _, s := range Compile(c.tmpl, c.defaults).slots {
+			plan := Compile(c.tmpl, c.defaults)
+			for i, s := range plan.slots {
+				name := plan.names[i]
 				// decision is what the slot decides when the contract selects
 				// entry e of the template: the vocabulary code, or the index
 				// among the selectable entries.
 				decision := func(e int) int {
-					if s.kind == kindSymbolic {
-						return indexOf(s.vocab, symbolic.Entries[e].Value)
+					if s.symbolic {
+						return slices.Index(s.vocab, symbolic.Entries[e].Value)
 					}
 					return slices.IndexFunc(s.ranges, func(x Range) bool { return x.lo == numeric.Entries[e].Lo })
 				}
 				for i, last := range s.last {
 					held, e := i, entryAt(last)
-					if s.kind == kindSymbolic {
+					if s.symbolic {
 						held = s.codes[i]
 					}
 					if held != decision(e) {
-						t.Fatalf("%s, %s: %s entry %d decides %d and ends at word %d, where the contract decides %d", tc.name, c.how, s.name, i, held, last, decision(e))
+						t.Fatalf("%s, %s: %s entry %d decides %d and ends at word %d, where the contract decides %d", tc.name, c.how, name, i, held, last, decision(e))
 					}
 					if last != math.MaxUint32 && entryAt(last+1) == e {
-						t.Fatalf("%s, %s: %s entry %d ends at word %d, the contract still selects it at the next", tc.name, c.how, s.name, i, last)
+						t.Fatalf("%s, %s: %s entry %d ends at word %d, the contract still selects it at the next", tc.name, c.how, name, i, last)
 					}
 				}
 				if s.last[len(s.last)-1] != math.MaxUint32 {
-					t.Fatalf("%s, %s: %s: the last threshold is %d", tc.name, c.how, s.name, s.last[len(s.last)-1])
-				}
-				if s.table == nil {
-					continue
+					t.Fatalf("%s, %s: %s: the last threshold is %d", tc.name, c.how, name, s.last[len(s.last)-1])
 				}
 				cut := 0
 				for b, got := range s.table {
@@ -571,14 +560,14 @@ func TestDrawTableMatchesInterpreterAtTheEdges(t *testing.T) {
 						want = decision(first)
 					}
 					if int(got) != want {
-						t.Fatalf("%s, %s: %s table[%d] = %d, want %d (the contract selects entries %d to %d)", tc.name, c.how, s.name, b, got, want, first, last)
+						t.Fatalf("%s, %s: %s table[%d] = %d, want %d (the contract selects entries %d to %d)", tc.name, c.how, name, b, got, want, first, last)
 					}
 					if first != last {
 						cut++
 					}
 				}
 				if tc.cut >= 0 && cut != tc.cut {
-					t.Errorf("%s, %s: %s has %d cut buckets, want %d", tc.name, c.how, s.name, cut, tc.cut)
+					t.Errorf("%s, %s: %s has %d cut buckets, want %d", tc.name, c.how, name, cut, tc.cut)
 				}
 			}
 		}
@@ -601,8 +590,9 @@ func TestDrawTableMatchesInterpreterAtTheEdges(t *testing.T) {
 // TestPlanTablesAreBounded: cmd/farmd compiles templates off the wire
 // into a cache of plans, so what a plan holds must not grow with what it
 // is sent. The widest template — every declared parameter at the widest
-// total Intn can draw, and a thousand more parameters of its own — holds
-// 256 bytes of table per declared parameter and none beyond.
+// total Intn can draw — holds 256 bytes of table per declared parameter,
+// full stop; the same template with a thousand more parameters of its
+// own is an error naming the first of them.
 func TestPlanTablesAreBounded(t *testing.T) {
 	defaults := testDefaults(t)
 	var src strings.Builder
@@ -610,42 +600,44 @@ func TestPlanTablesAreBounded(t *testing.T) {
 	fmt.Fprintf(&src, "weight Mnemonic { load: %d; mul: 1; }\n", 1<<32-1)
 	fmt.Fprintf(&src, "weight CacheDelay { [0:9]: 1; [10:100]: %d; }\n", 1<<32-1)
 	fmt.Fprintf(&src, "weight Mode { slow: %d; fast: %d; }\n", 1<<31, 1<<31)
-	for i := 0; i < 1000; i++ {
-		fmt.Fprintf(&src, "weight Extra%d { a: %d; b: 1; }\n", i, 1<<32-1)
-	}
-	src.WriteString("}")
-	plan := Compile(mustParse(t, src.String()), defaults)
+	plan := Compile(mustParse(t, src.String()+"}"), defaults)
 	if err := plan.Err(); err != nil {
 		t.Fatal(err)
 	}
 	bytes := 0
-	for i, s := range plan.slots {
-		if s.table == nil {
-			continue
-		}
-		if i >= len(defaults) {
-			t.Errorf("slot %d (%s), a parameter only the template names, holds a table", i, s.name)
-		}
+	for _, s := range plan.slots {
 		bytes += len(s.table)
 	}
-	if want := len(defaults) * 256; bytes != want {
-		t.Errorf("the plan holds %d bytes of tables, want %d: 256 per declared parameter", bytes, want)
+	if want := len(defaults) * 256; len(plan.slots) != len(defaults) || bytes != want {
+		t.Errorf("the plan holds %d slots and %d bytes of tables, want %d and %d: 256 per declared parameter",
+			len(plan.slots), bytes, len(defaults), want)
+	}
+
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&src, "weight Extra%d { a: %d; b: 1; }\n", i, 1<<32-1)
+	}
+	err := Compile(mustParse(t, src.String()+"}"), defaults).Err()
+	if want := `parameter "Extra0": not one of the unit's parameters [CacheDelay Mnemonic Mode]`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a thousand undeclared parameters: Err() = %v, want it to mention %s", err, want)
 	}
 }
 
+// TestSlotOrderIsSortedDefaultsThenTemplateOrder: slots follow the
+// defaults' sorted names, and the order a template lists its settings in
+// counts for nothing — it adds no slot of its own.
 func TestSlotOrderIsSortedDefaultsThenTemplateOrder(t *testing.T) {
 	defaults := testDefaults(t)
-	tmpl := mustParse(t, `template t { range Zeta [1:2]; weight Mode { slow: 1; } range Alpha [3:4]; }`)
-	var got []string
-	for _, s := range Compile(tmpl, defaults).slots {
-		got = append(got, s.name)
+	tmpl := mustParse(t, `template t { weight Mode { slow: 1; } range CacheDelay [1:2]; weight Mnemonic { mul: 1; } }`)
+	plan := Compile(tmpl, defaults)
+	want := []string{"CacheDelay", "Mnemonic", "Mode"}
+	if !reflect.DeepEqual(plan.names, want) || len(plan.slots) != len(want) {
+		t.Fatalf("slots over %v (%d of them), want one each over %v", plan.names, len(plan.slots), want)
 	}
-	want := []string{"CacheDelay", "Mnemonic", "Mode", "Zeta", "Alpha"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("slot order %v, want %v", got, want)
+	if plan.slots[0].ranges[0] != (Range{lo: 1, span: 2}) || plan.slots[1].codes[0] != 3 || plan.slots[2].codes[0] != 1 {
+		t.Fatalf("a slot holds another parameter's setting: %+v", plan.slots)
 	}
 	bind := Bind(defaults)
-	for i, name := range want[:3] {
+	for i, name := range want {
 		if h := bind.Handle(name); int(h) != i {
 			t.Errorf("Handle(%s) = %d, want %d", name, h, i)
 		}
@@ -692,7 +684,7 @@ func TestCheckRejectsAGeneratorOverOtherDefaults(t *testing.T) {
 	defaults := testDefaults(t)
 	bind := Bind(defaults)
 	bind.Check(New(nil, defaults, 1))
-	bind.Check(New(mustParse(t, "template t { range Extra [1:2]; }"), defaults, 1)) // template-only parameters follow the defaults
+	bind.Check(New(mustParse(t, "template t { range CacheDelay [1:2]; }"), defaults, 1)) // a template changes no slot
 
 	grown := Defaults{"Added": &template.RangeParam{Name: "Added", Lo: 0, Hi: 1}}
 	for name, p := range defaults {
@@ -726,16 +718,18 @@ func TestBindingPanicsOnUnknownNames(t *testing.T) {
 	}
 }
 
-// TestPlanErrors: what a template may not say about a parameter the
-// unit declared a default for, and malformed settings anywhere. Each of
-// these used to reach the decision loop as a false coverage hit or a
-// panic.
+// TestPlanErrors: a parameter the unit does not declare, what a template
+// may not say about one it does, and malformed settings. The first used
+// to compile and run the unit's default in silence; each of the others
+// used to reach the decision loop as a false coverage hit or a panic.
 func TestPlanErrors(t *testing.T) {
 	defaults := testDefaults(t)
 	for _, tc := range []struct {
 		name, want string
 		tmpl       *template.Template
 	}{
+		{"undeclared parameter", `parameter "Mnemonik": not one of the unit's parameters [CacheDelay Mnemonic Mode]`,
+			mustParse(t, "template t { weight Mnemonic { load: 1; } weight Mnemonik { load: 1; } }")},
 		{"out of vocabulary", `value "div" is not one of [load store add mul]`,
 			mustParse(t, "template t { weight Mnemonic { load: 1; div: 1; } }")},
 		{"symbolic over a range default", `value "fast" overrides a numeric default`,
@@ -744,26 +738,26 @@ func TestPlanErrors(t *testing.T) {
 			mustParse(t, "template t { range Mode [0:3]; }")},
 		{"subrange over a symbolic default", "[0:3] overrides a symbolic default",
 			mustParse(t, "template t { weight Mode { fast: 1; [0:3]: 1; } }")},
-		{"empty weight parameter", "no entries",
-			&template.Template{Name: "t", Params: []template.Param{&template.WeightParam{Name: "New"}}}},
+		{"empty weight parameter", `parameter "Mode": no entries`,
+			&template.Template{Name: "t", Params: []template.Param{&template.WeightParam{Name: "Mode"}}}},
 		{"inverted range", "[5:1] is not a range",
 			&template.Template{Name: "t", Params: []template.Param{&template.RangeParam{Name: "CacheDelay", Lo: 5, Hi: 1}}}},
 		{"inverted subrange", "[9:2] is not a range",
-			&template.Template{Name: "t", Params: []template.Param{&template.WeightParam{Name: "New",
+			&template.Template{Name: "t", Params: []template.Param{&template.WeightParam{Name: "CacheDelay",
 				Entries: []template.WeightEntry{{IsRange: true, Lo: 9, Hi: 2, Weight: 1}}}}}},
 		// Every draw is an Intn, uniform up to 1<<32 only. The first of
 		// these used to wrap the total negative and panic a worker on its
 		// first decision; the second never selected b.
-		{"total weight wraps int", "total weight exceeds 1<<32",
-			mustParse(t, "template t { weight Cmd { a: 9223372036854775807; b: 9223372036854775807; } }")},
-		{"total weight above 1<<32", "total weight exceeds 1<<32",
-			mustParse(t, "template t { weight Cmd { a: 1099511627776; b: 1099511627776; } }")},
-		{"one weight above 1<<32", "total weight exceeds 1<<32",
-			mustParse(t, "template t { weight Cmd { a: 4294967297; } }")},
+		{"total weight wraps int", `parameter "Mnemonic": total weight exceeds 1<<32`,
+			mustParse(t, "template t { weight Mnemonic { load: 9223372036854775807; mul: 9223372036854775807; } }")},
+		{"total weight above 1<<32", `parameter "Mnemonic": total weight exceeds 1<<32`,
+			mustParse(t, "template t { weight Mnemonic { load: 1099511627776; mul: 1099511627776; } }")},
+		{"one weight above 1<<32", `parameter "Mode": total weight exceeds 1<<32`,
+			mustParse(t, "template t { weight Mode { slow: 4294967297; } }")},
 		{"range wider than 1<<32", "[0:4294967296] span exceeds 1<<32",
 			mustParse(t, "template t { range CacheDelay [0 : 4294967296]; }")},
-		{"range as wide as int", "span exceeds 1<<32",
-			&template.Template{Name: "t", Params: []template.Param{&template.RangeParam{Name: "R", Lo: math.MinInt, Hi: math.MaxInt}}}},
+		{"range as wide as int", `parameter "CacheDelay": [-9223372036854775808:9223372036854775807] span exceeds 1<<32`,
+			&template.Template{Name: "t", Params: []template.Param{&template.RangeParam{Name: "CacheDelay", Lo: math.MinInt, Hi: math.MaxInt}}}},
 		{"subrange wider than 1<<32", "[-1:4294967295] span exceeds 1<<32",
 			&template.Template{Name: "t", Params: []template.Param{&template.WeightParam{Name: "CacheDelay",
 				Entries: []template.WeightEntry{{IsRange: true, Lo: 0, Hi: 9, Weight: 1}, {IsRange: true, Lo: -1, Hi: 1<<32 - 1, Weight: 1}}}}}},
@@ -773,8 +767,14 @@ func TestPlanErrors(t *testing.T) {
 			t.Errorf("%s: Err() = %v, want it to mention %q", tc.name, err, tc.want)
 		}
 	}
+	// A default may not mix symbolic values and subranges: no template
+	// could override it, and no decider answers it.
+	mixed := &template.WeightParam{Name: "X", Entries: []template.WeightEntry{{Value: "on", Weight: 1}, {IsRange: true, Lo: 0, Hi: 9, Weight: 1}}}
+	if err := Compile(nil, Defaults{"X": mixed}).Err(); err == nil || !strings.Contains(err.Error(), `parameter "X": mixes symbolic values and subranges`) {
+		t.Errorf("mixed default: Err() = %v", err)
+	}
 	// 1<<32 itself is inside Intn's domain, as a total and as a span.
-	if err := Compile(mustParse(t, "template t { weight Cmd { a: 2147483648; b: 2147483648; } range CacheDelay [1 : 4294967296]; }"), defaults).Err(); err != nil {
+	if err := Compile(mustParse(t, "template t { weight Mnemonic { load: 2147483648; mul: 2147483648; } range CacheDelay [1 : 4294967296]; }"), defaults).Err(); err != nil {
 		t.Errorf("total weight and span of exactly 1<<32: %v", err)
 	}
 	// The skeleton's output form stays legal: subranges over a range default.
@@ -788,32 +788,6 @@ func TestPlanErrors(t *testing.T) {
 		}
 	}()
 	NewFromPlan(Compile(mustParse(t, "template t { range Mode [0:3]; }"), defaults), 0)
-}
-
-// TestMixedTemplateOnlyParameterByName: a parameter only the template
-// names may mix symbolic and subrange entries; PickValue labels both,
-// like the interpreter, and PickInt refuses it.
-func TestMixedTemplateOnlyParameterByName(t *testing.T) {
-	tmpl := mustParse(t, "template t { weight Extra { [0:9]: 2; on: 1; [10:20]: 0; off: 3; } }")
-	defaults := testDefaults(t)
-	oracle, g := newInterp(tmpl, defaults, 4), New(tmpl, defaults, 4)
-	seen := map[string]bool{}
-	for i := 0; i < 200; i++ {
-		want := oracle.PickValue("Extra")
-		if got := g.PickValue("Extra"); got != want || g.RNG().State() != oracle.RNG().State() {
-			t.Fatalf("decision %d: %q, interpreter %q", i, got, want)
-		}
-		seen[want] = true
-	}
-	if !seen["[0:9]"] || !seen["on"] || !seen["off"] || seen["[10:20]"] {
-		t.Fatalf("labels seen: %v", seen)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("PickInt on a parameter with symbolic entries should panic")
-		}
-	}()
-	g.PickInt("Extra")
 }
 
 func TestResetEqualsNewFromPlan(t *testing.T) {
@@ -850,55 +824,40 @@ func TestDecisionsDoNotAllocate(t *testing.T) {
 }
 
 func TestCompiledSingleEntryConsumesNoRandomness(t *testing.T) {
-	tmpl := mustParse(t, "template t { weight W { only: 0; } }")
-	g := NewFromPlan(Compile(tmpl, nil), 17)
-	if v := g.PickValue("W"); v != "only" {
+	tmpl, defaults := mustParse(t, "template t { weight Mnemonic { mul: 0; } }"), testDefaults(t)
+	g := NewFromPlan(Compile(tmpl, defaults), 17)
+	if v := g.PickValue("Mnemonic"); v != "mul" {
 		t.Fatalf("pick = %q", v)
 	}
 	// The stream must be untouched: the next draw equals a fresh
 	// generator's first draw.
-	if g.RNG().Uint64() != NewFromPlan(Compile(tmpl, nil), 17).RNG().Uint64() {
+	if g.RNG().Uint64() != NewFromPlan(Compile(tmpl, defaults), 17).RNG().Uint64() {
 		t.Fatal("single-entry pick consumed randomness")
 	}
 }
 
 func TestCompiledAllZeroWeightsUniform(t *testing.T) {
-	tmpl := mustParse(t, "template t { weight W { a: 0; b: 0; } }")
-	g := NewFromPlan(Compile(tmpl, nil), 7)
+	tmpl := mustParse(t, "template t { weight Mode { fast: 0; slow: 0; } }")
+	g := NewFromPlan(Compile(tmpl, testDefaults(t)), 7)
 	seen := map[string]int{}
 	for i := 0; i < 2000; i++ {
-		seen[g.PickValue("W")]++
+		seen[g.PickValue("Mode")]++
 	}
-	if seen["a"] < 800 || seen["b"] < 800 {
+	if seen["fast"] < 800 || seen["slow"] < 800 {
 		t.Fatalf("all-zero weights not uniform on the compiled path: %v", seen)
 	}
 }
 
 func TestPlanImmuneToTemplateMutation(t *testing.T) {
-	tmpl := mustParse(t, "template t { weight W { a: 100; b: 0; } }")
-	plan := Compile(tmpl, nil)
-	tmpl.Weight("W").Entries[0].Weight = 0
-	tmpl.Weight("W").Entries[1].Weight = 100
+	tmpl := mustParse(t, "template t { weight Mode { slow: 100; fast: 0; } }")
+	plan := Compile(tmpl, testDefaults(t))
+	tmpl.Weight("Mode").Entries[0].Weight = 0
+	tmpl.Weight("Mode").Entries[1].Weight = 100
 	g := NewFromPlan(plan, 3)
 	for i := 0; i < 200; i++ {
-		if v := g.PickValue("W"); v != "a" {
+		if v := g.PickValue("Mode"); v != "slow" {
 			t.Fatalf("plan saw a post-compile template mutation: picked %q", v)
 		}
-	}
-}
-
-func TestPlanHas(t *testing.T) {
-	tmpl := mustParse(t, "template t { range R [1:2]; }")
-	plan := Compile(tmpl, testDefaults(t))
-	if !plan.Has("R") || !plan.Has("Mnemonic") {
-		t.Fatal("plan should cover both template and default params")
-	}
-	if plan.Has("NoSuch") {
-		t.Fatal("plan should not cover unknown params")
-	}
-	g := NewFromPlan(plan, 0)
-	if !g.Has("R") || !g.Has("Mnemonic") || g.Has("NoSuch") {
-		t.Fatal("plan-backed generator Has disagrees with plan")
 	}
 }
 

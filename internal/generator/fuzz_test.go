@@ -15,13 +15,16 @@ import (
 // FuzzCompileDecide is the hostile-input boundary of the template DSL:
 // whatever text cmd/farmd is sent, parsing it and compiling it over any
 // registered unit's defaults never panics, and a plan that reports no
-// error decides like the interpreter (generator.CheckDecisions) on every
-// slot. The seed corpus under testdata/fuzz/FuzzCompileDecide holds the
-// units' base templates, the equivalence templates of compiled_test.go,
-// the three over-wide draws of TestPlanErrors and the shapes at the edges
-// of the threshold tables (threshold_*: totals above 4,096 and of exactly
-// 1<<32, zero weights in every position, thresholds on a bucket edge, 300
-// entries). A finding becomes a row of TestPlanErrors.
+// error names only parameters the unit declares and decides like the
+// interpreter (generator.CheckDecisions) on every slot. The seed corpus
+// under testdata/fuzz/FuzzCompileDecide holds the units' base templates,
+// the equivalence templates of compiled_test.go (equiv_*) and the three
+// over-wide draws of TestPlanErrors (overflow_*), each over one unit's
+// parameters, and the shapes at the edges of the threshold tables
+// (threshold_*: totals above 4,096 and of exactly 1<<32, zero weights in
+// every position, thresholds on a bucket edge, 256 and 300 entries),
+// one seed per unit — the unsuffixed one is the I/O unit's. A finding
+// becomes a row of TestPlanErrors.
 func FuzzCompileDecide(f *testing.F) {
 	var defaults []generator.Defaults
 	for _, name := range duv.Names() {

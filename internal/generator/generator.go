@@ -70,9 +70,12 @@ func Bind(defaults Defaults) *Binding {
 }
 
 // Handle returns the handle of a default parameter.
-func (b *Binding) Handle(name string) Handle {
-	i := sort.SearchStrings(b.names, name)
-	if i == len(b.names) || b.names[i] != name {
+func (b *Binding) Handle(name string) Handle { return handle(b.names, name) }
+
+// handle finds a parameter among a unit's parameter names (≤ 6 here).
+func handle(names []string, name string) Handle {
+	i := slices.Index(names, name)
+	if i < 0 {
 		panic(fmt.Sprintf("generator: no default for parameter %q", name))
 	}
 	return Handle(i)
@@ -161,9 +164,6 @@ func (g *Generator) Seed() uint64 { return g.seed }
 // Template returns the test-template driving this instance (may be nil).
 func (g *Generator) Template() *template.Template { return g.plan.tmpl }
 
-// Has reports whether the parameter has a setting (template or default).
-func (g *Generator) Has(name string) bool { return g.plan.Has(name) }
-
 // RNG exposes the instance's random stream for auxiliary decisions a DUV
 // model needs that are not tied to a template parameter (e.g. internal
 // micro-architectural noise). Sharing the stream keeps the whole
@@ -175,8 +175,8 @@ func (g *Generator) RNG() *rng.RNG { return &g.r }
 // if the plan's setting is numeric.
 func (g *Generator) Choice(h Handle) Choice {
 	s := &g.plan.slots[h]
-	if s.kind != kindSymbolic {
-		panic(fmt.Sprintf("generator: parameter %q is not a symbolic weight parameter", s.name))
+	if !s.symbolic {
+		panic(fmt.Sprintf("generator: parameter %q is not a symbolic weight parameter", g.plan.names[h]))
 	}
 	return Choice{table: s.table, last: s.last, codes: s.codes, step: s.step}
 }
@@ -187,26 +187,23 @@ func (g *Generator) Choice(h Handle) Choice {
 // setting has symbolic entries.
 func (g *Generator) Ranges(h Handle) Ranges {
 	s := &g.plan.slots[h]
-	if s.kind < kindSubranges {
-		panic(fmt.Sprintf("generator: parameter %q has symbolic entries", s.name))
+	if s.symbolic {
+		panic(fmt.Sprintf("generator: parameter %q has symbolic entries", g.plan.names[h]))
 	}
 	return Ranges{table: s.table, last: s.last, ranges: s.ranges, step: s.step}
 }
 
-// PickValue is the decision by parameter name for a weight parameter,
-// returning the chosen entry's label: the symbolic value, or "[lo:hi]"
-// for a subrange entry. Names are the only way to reach a parameter that
-// a template sets and the unit's defaults do not name. It panics if the
-// parameter is unknown or is a range parameter — DUV models consult
-// parameters they declared defaults for, so an unknown name is a
-// programming error, not an input error.
+// PickValue is Choice.Code by parameter name, returning the chosen
+// symbolic value. It panics if the defaults do not name the parameter or
+// it is not a symbolic weight parameter: a unit decides parameters it
+// declared, so either is a programming error, not an input error.
 func (g *Generator) PickValue(name string) string {
-	return g.plan.lookup(name).label(&g.r)
+	h := handle(g.plan.names, name)
+	return g.plan.slots[h].vocab[g.Choice(h).Code(&g.r)]
 }
 
-// PickInt is the numeric decision (Ranges.Pick, then Range.Int) by
-// parameter name. It panics if the parameter is unknown or has symbolic
-// entries.
+// PickInt is Ranges.Pick, then Range.Int, by parameter name. It panics if
+// the defaults do not name the parameter or it has symbolic entries.
 func (g *Generator) PickInt(name string) int {
-	return g.plan.lookup(name).int(&g.r)
+	return g.Ranges(handle(g.plan.names, name)).Pick(&g.r).Int(&g.r)
 }

@@ -19,7 +19,7 @@ func mustParse(t *testing.T, src string) *template.Template {
 
 func testDefaults(t *testing.T) Defaults {
 	t.Helper()
-	def := mustParse(t, `
+	return defaultsOf(t, `
 template defaults {
     weight Mnemonic {
         load:  25;
@@ -34,8 +34,13 @@ template defaults {
     }
 }
 `)
+}
+
+// defaultsOf declares the settings of a template as a unit's defaults.
+func defaultsOf(t *testing.T, src string) Defaults {
+	t.Helper()
 	d := Defaults{}
-	for _, p := range def.Params {
+	for _, p := range mustParse(t, src).Params {
 		d[p.ParamName()] = p
 	}
 	return d
@@ -59,7 +64,7 @@ template t {
 }
 
 func TestDefaultFallback(t *testing.T) {
-	tmpl := mustParse(t, "template t { range Unrelated [1:2]; }")
+	tmpl := mustParse(t, "template t { range CacheDelay [1:2]; }")
 	g := New(tmpl, testDefaults(t), 2)
 	seen := map[string]int{}
 	for i := 0; i < 4000; i++ {
@@ -136,28 +141,28 @@ func TestZeroWeightNeverPicked(t *testing.T) {
 }
 
 func TestAllZeroWeightsUniform(t *testing.T) {
-	tmpl := mustParse(t, "template t { weight W { a: 0; b: 0; } }")
-	g := New(tmpl, nil, 7)
+	tmpl := mustParse(t, "template t { weight Mnemonic { load: 0; store: 0; } }")
+	g := New(tmpl, testDefaults(t), 7)
 	seen := map[string]int{}
 	for i := 0; i < 2000; i++ {
-		seen[g.PickValue("W")]++
+		seen[g.PickValue("Mnemonic")]++
 	}
-	if seen["a"] < 800 || seen["b"] < 800 {
+	if seen["load"] < 800 || seen["store"] < 800 || len(seen) != 2 {
 		t.Fatalf("all-zero weights not uniform: %v", seen)
 	}
 }
 
 func TestSingleEntryFastPath(t *testing.T) {
-	tmpl := mustParse(t, "template t { weight W { only: 0; } }")
-	g := New(tmpl, nil, 8)
-	if v := g.PickValue("W"); v != "only" {
+	tmpl := mustParse(t, "template t { weight Mnemonic { add: 0; } }")
+	g := New(tmpl, testDefaults(t), 8)
+	if v := g.PickValue("Mnemonic"); v != "add" {
 		t.Fatalf("single entry pick = %q", v)
 	}
 }
 
 func TestDeterminism(t *testing.T) {
+	d := defaultsOf(t, "template d { weight A { x: 1; y: 1; z: 1; } range B [0 : 1]; }")
 	f := func(seed uint64) bool {
-		d := Defaults{}
 		tmpl, err := template.Parse(`
 template t {
     weight A { x: 1; y: 2; z: 3; }
@@ -185,31 +190,17 @@ template t {
 }
 
 func TestDifferentSeedsDiffer(t *testing.T) {
-	tmpl := mustParse(t, "template t { range B [0 : 1000000]; }")
-	g1 := New(tmpl, nil, 100)
-	g2 := New(tmpl, nil, 101)
+	tmpl := mustParse(t, "template t { range CacheDelay [0 : 1000000]; }")
+	g1 := New(tmpl, testDefaults(t), 100)
+	g2 := New(tmpl, testDefaults(t), 101)
 	same := 0
 	for i := 0; i < 50; i++ {
-		if g1.PickInt("B") == g2.PickInt("B") {
+		if g1.PickInt("CacheDelay") == g2.PickInt("CacheDelay") {
 			same++
 		}
 	}
 	if same > 2 {
 		t.Fatalf("different seeds coincided %d/50 times", same)
-	}
-}
-
-func TestHas(t *testing.T) {
-	tmpl := mustParse(t, "template t { range R [1:2]; }")
-	g := New(tmpl, testDefaults(t), 9)
-	if !g.Has("R") || !g.Has("Mnemonic") {
-		t.Fatal("Has should see both template and default params")
-	}
-	if g.Has("NoSuch") {
-		t.Fatal("Has should not see unknown params")
-	}
-	if g.Seed() != 9 {
-		t.Fatalf("Seed = %d", g.Seed())
 	}
 }
 

@@ -16,9 +16,10 @@ import (
 // pointer per request — and would otherwise retain every body ever
 // simulated. What one cached plan can hold is bounded as well: its entry
 // lists by the frame the template arrived in, and its decision tables at
-// 256 bytes for each parameter the unit declares, whatever weights and
-// however many other parameters the wire sends — 256 plans of a unit of
-// five parameters (every unit here) are 320 KiB of tables, always.
+// 256 bytes per declared parameter, full stop — a template that names any
+// other parameter compiles to an error, whatever weights it sends. 256
+// plans of a unit of five parameters (every unit here) are 320 KiB of
+// tables, always.
 const DefaultPlanCacheSize = 256
 
 // planCache is a size-bounded LRU of compiled sampling plans keyed by

@@ -37,8 +37,8 @@ func TestClosedEnvReturnsErrClosed(t *testing.T) {
 	if _, err := env.BuildCorpus(10); !errors.Is(err, ErrClosed) {
 		t.Fatalf("BuildCorpus after Close: err = %v, want ErrClosed", err)
 	}
-	if _, err := env.RunChunk(modeB(t), 1, 0, 10); !errors.Is(err, ErrClosed) {
-		t.Fatalf("RunChunk after Close: err = %v, want ErrClosed", err)
+	if err := env.RunChunkInto(modeB(t), 1, 0, 10, coverage.NewCountsFor(env.Unit().Model())); !errors.Is(err, ErrClosed) {
+		t.Fatalf("RunChunkInto after Close: err = %v, want ErrClosed", err)
 	}
 }
 
@@ -52,10 +52,11 @@ func Env2Workers(t *testing.T) *Env {
 func TestRunChunkRejectsBadRange(t *testing.T) {
 	env := NewEnv(newToy(), 1, 1)
 	defer env.Close()
-	if _, err := env.RunChunk(nil, 1, -1, 3); err == nil {
+	dst := coverage.NewCountsFor(env.Unit().Model())
+	if err := env.RunChunkInto(nil, 1, -1, 3, dst); err == nil {
 		t.Fatal("negative lo accepted")
 	}
-	if _, err := env.RunChunk(nil, 1, 5, 3); err == nil {
+	if err := env.RunChunkInto(nil, 1, 5, 3, dst); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 }
@@ -72,15 +73,13 @@ func TestRunChunkRelocatable(t *testing.T) {
 	job := submit(t, env, base, 137)
 	want := job.Wait()
 
-	worker := NewEnv(newToy(), 999, 1) // unrelated seed: RunChunk ignores it
+	worker := NewEnv(newToy(), 999, 1) // unrelated seed: RunChunkInto ignores it
 	defer worker.Close()
 	got := coverage.NewCountsFor(worker.Unit().Model())
 	for _, r := range [][2]int{{0, 50}, {50, 51}, {51, 137}} {
-		c, err := worker.RunChunk(job.tmpl, job.seedState, r[0], r[1])
-		if err != nil {
+		if err := worker.RunChunkInto(job.tmpl, job.seedState, r[0], r[1], got); err != nil {
 			t.Fatal(err)
 		}
-		got.Merge(c)
 	}
 	if got.Sims() != want.Sims() || got.Hits(0) != want.Hits(0) || got.Hits(1) != want.Hits(1) {
 		t.Fatalf("relocated chunks diverged: got %d/%d/%d, want %d/%d/%d",
@@ -88,32 +87,32 @@ func TestRunChunkRelocatable(t *testing.T) {
 	}
 }
 
-// envRunner relocates chunks into a second environment via RunChunk —
-// an in-process stand-in for a farm worker daemon.
+// envRunner relocates chunks into a second environment via RunChunkInto
+// — an in-process stand-in for a farm worker daemon.
 type envRunner struct {
 	env     *Env
 	invoked atomic.Int64
 }
 
-func (r *envRunner) RunChunk(c RemoteChunk) (*coverage.Counts, error) {
+func (r *envRunner) RunChunkInto(c RemoteChunk, dst *coverage.Counts) error {
 	r.invoked.Add(1)
-	return r.env.RunChunk(c.Template, c.Seed, c.Lo, c.Hi)
+	return r.env.RunChunkInto(c.Template, c.Seed, c.Lo, c.Hi, dst)
 }
 
 // errRunner always fails, forcing the local fallback path.
 type errRunner struct{ invoked atomic.Int64 }
 
-func (r *errRunner) RunChunk(RemoteChunk) (*coverage.Counts, error) {
+func (r *errRunner) RunChunkInto(RemoteChunk, *coverage.Counts) error {
 	r.invoked.Add(1)
-	return nil, errors.New("worker unreachable")
+	return errors.New("worker unreachable")
 }
 
-// badRunner returns a well-formed-looking but wrong-sized aggregate; the
-// scheduler must detect and discard it.
-type badRunner struct{}
+// badRunner reports success but merges only the chunk's first instance;
+// the scheduler must detect the short aggregate and discard it.
+type badRunner struct{ env *Env }
 
-func (badRunner) RunChunk(c RemoteChunk) (*coverage.Counts, error) {
-	return coverage.NewCounts(c.Events), nil // zero sims: malformed
+func (r badRunner) RunChunkInto(c RemoteChunk, dst *coverage.Counts) error {
+	return r.env.RunChunkInto(c.Template, c.Seed, c.Lo, c.Lo+1, dst)
 }
 
 // runWithRunner runs a fixed workload with an optional ChunkRunner
@@ -157,7 +156,7 @@ func TestChunkRunnerBitIdentical(t *testing.T) {
 	if got := runWithRunner(t, failing, 2, 4); !countsEqual(got, want) {
 		t.Fatalf("failing-remote run diverged")
 	}
-	if got := runWithRunner(t, badRunner{}, 2, 4); !countsEqual(got, want) {
+	if got := runWithRunner(t, badRunner{workerEnv}, 2, 4); !countsEqual(got, want) {
 		t.Fatalf("malformed-remote run diverged")
 	}
 }

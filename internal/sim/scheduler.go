@@ -105,21 +105,14 @@ type RemoteChunk struct {
 
 // ChunkRunner executes relocated chunks — the seam where a distributed
 // backend (internal/farm's dispatcher) plugs into the scheduler. A
-// runner returns the chunk's aggregate or an error; on error (or a
-// malformed aggregate) the scheduler re-executes the chunk locally, so
-// runners may fail freely without affecting results. Implementations
-// must be safe for concurrent use by many lanes.
+// runner merges the chunk's aggregate into a caller-owned dst (sized to
+// c.Events) or returns an error; on error (or a malformed aggregate) the
+// scheduler discards dst's content and re-executes the chunk locally, so
+// runners may fail freely without affecting results. Each remote lane
+// keeps one scratch aggregate, so a healthy farm path allocates nothing
+// per chunk. Implementations must be safe for concurrent use by many
+// lanes.
 type ChunkRunner interface {
-	RunChunk(c RemoteChunk) (*coverage.Counts, error)
-}
-
-// ChunkRunnerInto is the allocation-free refinement of ChunkRunner:
-// the chunk's aggregate is merged into a caller-owned dst (sized to
-// c.Events) instead of being returned in a fresh Counts. Remote lanes
-// probe for it and keep one scratch aggregate per lane, so a healthy
-// farm path allocates nothing per chunk. On error dst must be left
-// untouched; the lane then falls back to local execution as usual.
-type ChunkRunnerInto interface {
 	RunChunkInto(c RemoteChunk, dst *coverage.Counts) error
 }
 
@@ -318,11 +311,10 @@ func (s *Scheduler) work(id int) {
 // merge its aggregate, re-executing locally if the runner fails or
 // returns a malformed result. Either way the chunk lands exactly once,
 // so aggregates can never double-count — the core of the farm's
-// fault-tolerance contract. Runners that implement ChunkRunnerInto
-// merge straight into the lane's scratch aggregate, so the healthy
-// remote path allocates nothing per chunk.
+// fault-tolerance contract. The runner merges straight into the lane's
+// scratch aggregate, so the healthy remote path allocates nothing per
+// chunk.
 func (s *Scheduler) remoteWork(lane int, r ChunkRunner) {
-	rInto, _ := r.(ChunkRunnerInto)
 	var scratch *coverage.Counts
 	for t := range s.tasks {
 		o := s.obs
@@ -355,20 +347,10 @@ func (s *Scheduler) remoteWork(lane int, r ChunkRunner) {
 			Chunk:    t.id,
 		}
 		scratch = scratchFor(scratch, events)
-		remote := false
-		if rInto != nil {
-			if err := rInto.RunChunkInto(rc, scratch); err == nil &&
-				scratch.Len() == events && scratch.Sims() == n {
-				remote = true
-			} else {
-				scratch.Reset() // discard any partial merge before fallback
-			}
-		} else if counts, err := r.RunChunk(rc); err == nil && counts != nil &&
-			counts.Len() == events && counts.Sims() == n {
-			scratch.Merge(counts)
-			remote = true
-		}
+		err := r.RunChunkInto(rc, scratch)
+		remote := err == nil && scratch.Len() == events && scratch.Sims() == n
 		if !remote {
+			scratch.Reset() // discard any partial merge before fallback
 			// Remote execution failed (worker down, timeout, bad frame):
 			// the chunk must still land exactly once, so run it here —
 			// unless cancellation arrived while the remote attempt ran.

@@ -188,9 +188,9 @@ func (e *Env) RestoreCounters(batches, sims uint64) {
 // and caching it on first use. Plans are keyed by template content, so
 // re-parsed or renamed copies of one body share one table; the cache is
 // size-bounded (SetPlanCacheSize). A template the unit cannot run (a
-// symbolic value outside a parameter's vocabulary, a setting of the
-// wrong type) is an error here, before any instance runs and before the
-// batch counter moves.
+// parameter the unit does not declare, a symbolic value outside a
+// parameter's vocabulary, a setting of the wrong type) is an error here,
+// before any instance runs and before the batch counter moves.
 func (e *Env) plan(tmpl *template.Template) (*generator.Plan, error) {
 	plan := e.plans.get(planKey(tmpl), func() *generator.Plan {
 		return generator.Compile(tmpl, e.defaults)
@@ -313,24 +313,15 @@ func (e *Env) Run(tmpl *template.Template, n int) (*coverage.Counts, error) {
 	return c, nil
 }
 
-// RunChunk simulates instances [lo, hi) of a relocated batch: tmpl (nil
-// = pure default behavior) under the given batch seed state. Instance
-// i's generator seed depends only on (batch seed, i), so the result is
-// bit-identical to the chunk's execution inside the originating
-// environment, whichever process runs it — this is the farm worker's
-// entry point. The environment's own batch counter is not consumed.
-func (e *Env) RunChunk(tmpl *template.Template, seedState uint64, lo, hi int) (*coverage.Counts, error) {
-	c := coverage.NewCountsFor(e.unit.Model())
-	if err := e.RunChunkInto(tmpl, seedState, lo, hi, c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// RunChunkInto is RunChunk merging into a caller-owned aggregate —
-// the allocation-free variant for callers that reuse a scratch Counts
-// across chunks (the farm server's per-connection scratch, benches).
-// dst must be sized to the unit's model; it is added to, not reset.
+// RunChunkInto simulates instances [lo, hi) of a relocated batch — tmpl
+// (nil = pure default behavior) under the given batch seed state — into
+// a caller-owned aggregate. Instance i's generator seed depends only on
+// (batch seed, i), so the result is bit-identical to the chunk's
+// execution inside the originating environment, whichever process runs
+// it: this is the farm worker's entry point. The environment's own batch
+// counter is not consumed. dst must be sized to the unit's model; it is
+// added to, not reset, so a caller may reuse one scratch Counts across
+// chunks.
 func (e *Env) RunChunkInto(tmpl *template.Template, seedState uint64, lo, hi int, dst *coverage.Counts) error {
 	if e.closed.Load() {
 		return ErrClosed

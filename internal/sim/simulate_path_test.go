@@ -15,18 +15,24 @@ import (
 	"repro/internal/template"
 )
 
-// TestTemplateTheUnitCannotRunIsAnError: a symbolic value outside a
-// parameter's vocabulary, a setting of the other type than the unit's
-// default and a draw wider than the generator can make uniformly come
-// back as errors from Submit, Run and RunChunkInto before any instance
-// runs — at one worker and at several. The first two used to
-// reach the model: `weight Command { bogus: 1; }` set event 0 (crc_004,
-// a target-family event) in every iounit instance, `weight Channel
+// TestTemplateTheUnitCannotRunIsAnError: a parameter the unit does not
+// declare, a symbolic value outside a parameter's vocabulary, a setting
+// of the other type than the unit's default and a draw wider than the
+// generator can make uniformly come back as errors from Submit, Run and
+// RunChunkInto before any instance runs — at one worker and at several.
+// The first used to run the unit's default in silence: a misspelled
+// `weight Comand { crc: 1; }` biased nothing. The next two used to reach
+// the model: `weight Command { bogus: 1; }` set event 0 (crc_004, a
+// target-family event) in every iounit instance, `weight Channel
 // { x: 1; }` indexed out of range in a scheduler worker.
 func TestTemplateTheUnitCannotRunIsAnError(t *testing.T) {
 	for _, tc := range []struct {
 		unit, src, want string
 	}{
+		{"iounit", "weight Comand { crc: 1; }", `parameter "Comand": not one of the unit's parameters [BurstLen Channel Command Gap PayloadSize]`},
+		{"ifu", "weight ThreadSelect { t0: 1; }", `parameter "ThreadSelect": not one of the unit's parameters [BranchMix DispatchStall FetchAddr RedirectRate ThreadSel]`},
+		{"l3cache", "range Interarrival [0 : 9];", `parameter "Interarrival": not one of the unit's parameters [BypassHint InterArrival Locality ReqType ThreadSel]`},
+		{"noc", "weight VcSel { vc0: 1; }", `parameter "VcSel": not one of the unit's parameters [HotspotPort InjectionRate PacketLen TrafficPattern VCSel]`},
 		{"iounit", "weight Command { bogus: 1; }", `value "bogus" is not one of [dma_read dma_write crc interrupt nop]`},
 		{"iounit", "weight Channel { x: 1; }", `value "x" is not one of [ch0 ch1 ch2 ch3]`},
 		{"iounit", "weight BurstLen { long: 1; }", `value "long" overrides a numeric default`},
