@@ -74,10 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ascdg: -unit is required")
 		return 2
 	}
-	if (*family == "") == (*cross == "") {
-		fmt.Fprintln(stderr, "ascdg: exactly one of -family or -cross is required")
-		return 2
-	}
 	if code := jnl.Check(); code != 0 {
 		return code
 	}
@@ -90,6 +86,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	unit, err := duv.New(*unitName)
 	if err != nil {
 		return cli.Fail(fs, 1, err)
+	}
+	target := core.Target{Family: *family, Decay: *decay, Rounds: *rounds, Cross: *cross}
+	if err := target.Validate(unit); err != nil {
+		return cli.Fail(fs, 2, err)
 	}
 	stopProfiles, code := profile.Start()
 	if code != 0 {
@@ -158,14 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, stopSignals := sigctx.Notify(context.Background(), stderr)
 	defer stopSignals()
 
-	var reports []*core.Report
-	if *family != "" {
-		reports, err = flow.RunFamilyRefined(ctx, *family, *decay, *rounds)
-	} else {
-		var r *core.Report
-		r, err = flow.RunCross(ctx, *cross)
-		reports = append(reports, r)
-	}
+	reports, err := flow.Run(ctx, target)
 	if errors.Is(err, core.ErrInterrupted) {
 		jnl.Interrupted("run")
 		return 0

@@ -77,11 +77,27 @@ func TestErrors(t *testing.T) {
 	if code := run([]string{"-unit", "nope", "-family", "f"}, &out, &errb); code != 1 {
 		t.Errorf("unknown unit: exit %d, want 1", code)
 	}
-	if code := run(smallArgs("-unit", "iounit", "-family", "no_such"), &out, &errb); code != 1 {
-		t.Errorf("unknown family: exit %d, want 1", code)
+	// A target the unit lacks is a bad flag value, like -engine bogus.
+	if code := run(smallArgs("-unit", "iounit", "-family", "no_such"), &out, &errb); code != 2 {
+		t.Errorf("unknown family: exit %d, want 2", code)
 	}
-	if code := run(smallArgs("-unit", "iounit", "-cross", "no_such"), &out, &errb); code != 1 {
-		t.Errorf("unknown cross: exit %d, want 1", code)
+	if code := run(smallArgs("-unit", "iounit", "-cross", "no_such"), &out, &errb); code != 2 {
+		t.Errorf("unknown cross: exit %d, want 2", code)
+	}
+}
+
+// TestDecayOutsideDomainIsAUsageError: -decay must lie in (0, 1]; any
+// other value is refused before the corpus is simulated, not after.
+func TestDecayOutsideDomainIsAUsageError(t *testing.T) {
+	for _, decay := range []string{"1.5", "-0.2"} {
+		var out, errb bytes.Buffer
+		code := run(smallArgs("-unit", "iounit", "-family", "crc_fifo", "-decay", decay), &out, &errb)
+		if code != 2 || !strings.Contains(errb.String(), "ascdg: decay "+decay+" outside (0, 1]") {
+			t.Errorf("-decay %s: exit %d, stderr %q; want exit 2 naming the decay", decay, code, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("-decay %s: ran anyway:\n%s", decay, out.String())
+		}
 	}
 }
 

@@ -163,7 +163,7 @@ func expectedReports(t *testing.T, spec service.Spec) []*service.ReportJSON {
 	}
 	flow := core.NewFlow(unit, cfg)
 	defer flow.Close()
-	reports, err := flow.RunFamilyRefined(context.Background(), spec.Family, spec.Decay, 1)
+	reports, err := flow.Run(context.Background(), core.Target{Family: spec.Family, Decay: spec.Decay, Rounds: spec.Rounds})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func main() {
 		OptSims:               80,
 		BestSims:              1500,
 	})
-	reports, err := flow.RunFamilyRefined(context.Background(), streakFamily, 0.5, 2)
+	reports, err := flow.Run(context.Background(), core.Target{Family: streakFamily, Decay: 0.5, Rounds: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,10 +36,11 @@ func main() {
 		BestSims:              4000,
 	})
 
-	report, err := flow.RunCross(context.Background(), ifu.CrossName)
+	reports, err := flow.Run(context.Background(), core.Target{Cross: ifu.CrossName})
 	if err != nil {
 		log.Fatal(err)
 	}
+	report := reports[0] // a cross target runs one round
 
 	model := unit.Model()
 	cross := unit.Cross()

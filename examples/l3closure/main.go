@@ -35,7 +35,7 @@ func main() {
 		BestSims:              3000,
 	})
 
-	reports, err := flow.RunFamilyRefined(context.Background(), l3cache.FamilyName, 0.4, 3)
+	reports, err := flow.Run(context.Background(), core.Target{Family: l3cache.FamilyName, Decay: 0.4, Rounds: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func main() {
 
 	// Two refinement rounds: the first pushes the frontier (crc_032),
 	// the second climbs onto the evidence it created (crc_064).
-	reports, err := flow.RunFamilyRefined(context.Background(), iounit.FamilyName, 0.4, 2)
+	reports, err := flow.Run(context.Background(), core.Target{Family: iounit.FamilyName, Decay: 0.4, Rounds: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

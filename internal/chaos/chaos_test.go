@@ -43,7 +43,7 @@ func chaosCampaign(run func(*core.Flow) (any, error)) Campaign {
 }
 
 func runRefined(f *core.Flow) (any, error) {
-	reports, err := f.RunFamilyRefined(context.Background(), iounit.FamilyName, 0.4, 1)
+	reports, err := f.Run(context.Background(), core.Target{Family: iounit.FamilyName, Decay: 0.4})
 	if err != nil {
 		return nil, err
 	}

@@ -18,9 +18,10 @@
 //     per template (optimize);
 //  6. harvest the best template and measure it standalone (harvest).
 //
-// Two compositions run them: pipeline takes one approximated target
-// through steps 2-6 (Run, RunFamily, RunFamilyRefined, RunCross and
-// RunEvents differ only in step 1), and perEventShared runs steps 2-4
+// The campaign's target is data (Target: a family, a cross product or
+// an event list), and Run is the one entry point that takes it: step 1
+// for the target's mode, then the pipeline composition — steps 2-6 —
+// once per round. The other composition, perEventShared, runs steps 2-4
 // once and steps 5-6 per uncovered event (RunPerEventShared).
 //
 // Every phase's aggregate coverage is retained so the paper's result
@@ -399,94 +400,73 @@ func campaign[R any](ctx context.Context, f *Flow, run func() (R, error)) (R, er
 	return out, f.finish(err)
 }
 
-// runTarget is the frame of every single-target entry point: step 1 as
-// the entry point resolves it, then steps 2-6.
-func (f *Flow) runTarget(ctx context.Context, step1 func() (*neighbors.Target, []int, error)) (*Report, error) {
-	return campaign(ctx, f, func() (*Report, error) {
-		target, targetEvents, err := step1()
-		if err != nil {
-			return nil, err
+// Run is the flow's one entry point: it validates target against the
+// unit, then runs step 1 for the target's mode and steps 2-6, returning
+// one report per round.
+//
+// A cross or events target runs one round. A family target runs up to
+// Rounds, the paper's closing observation in Section IV-E: "Once there
+// is good evidence for the target event, we can repeat the process."
+// Each round re-derives the real targets from the updated repository
+// (events the previous round newly covered drop out), and the previous
+// round's harvested template competes in the coarse-grained search, so
+// the skeleton of round k+1 starts from the best knowledge of round k.
+// The loop stops early once every family event has evidence. It counts
+// the flow's harvested rounds rather than its own, so a resumed flow
+// replays its completed rounds and then runs only the remainder.
+//
+// With a journal armed (Config.Journal), completed phases replay from
+// the record stream without simulating and the run re-enters live
+// execution mid-phase; either way the reports are bit-identical to an
+// uninterrupted unjournaled run. On cancellation the flow stops between
+// simulations, never journals post-cancellation state, and returns an
+// ErrInterrupted-wrapped error alongside the rounds it completed — the
+// journal then resumes from the last completed record.
+func (f *Flow) Run(ctx context.Context, target Target) ([]*Report, error) {
+	return campaign(ctx, f, func() ([]*Report, error) {
+		if err := target.Validate(f.env.Unit()); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		return f.pipeline(target, targetEvents)
+		if target.Family == "" {
+			report, err := f.runRound(target)
+			if err != nil {
+				return nil, err
+			}
+			return []*Report{report}, nil
+		}
+		var reports []*Report
+		for f.round < target.rounds() && !(f.round > 0 && f.familyCovered(target.Family)) {
+			report, err := f.runRound(target)
+			if err != nil {
+				return reports, err
+			}
+			reports = append(reports, report)
+		}
+		return reports, nil
 	})
 }
 
-// Run executes the flow for an approximated target and the list of
-// real target events, with cancellation and journal replay. With a
-// journal armed (Config.Journal), completed phases replay from the
-// record stream without simulating and the run re-enters live execution
-// mid-phase; either way the Report is bit-identical to an uninterrupted
-// unjournaled run. On cancellation the flow stops between simulations,
-// never journals post-cancellation state, and returns an
-// ErrInterrupted-wrapped error — the journal then resumes from the last
-// completed record.
-func (f *Flow) Run(ctx context.Context, target *neighbors.Target, targetEvents []int) (*Report, error) {
-	return f.runTarget(ctx, func() (*neighbors.Target, []int, error) { return target, targetEvents, nil })
+// runRound is one round of a validated target: step 1, then steps 2-6.
+func (f *Flow) runRound(target Target) (*Report, error) {
+	approx, targetEvents, err := f.approximate(target)
+	if err != nil {
+		return nil, err
+	}
+	return f.pipeline(approx, targetEvents)
 }
 
-// RunFamily is the common entry point for buffer-utilization families:
-// the real targets are the family's uncovered events, and the
-// approximated target is the decay-weighted family (decay 1 = the
-// paper's plain family sum). ctx aborts the run between simulations
-// with an ErrInterrupted-wrapped error, leaving any journal consistent
-// for resumption.
-func (f *Flow) RunFamily(ctx context.Context, family string, decay float64) (*Report, error) {
-	return f.runTarget(ctx, func() (*neighbors.Target, []int, error) { return f.familyTarget(family, decay) })
-}
-
-// RunCross is the entry point for cross-product coverage (the paper's
-// IFU experiment): the targets are the cross's uncovered events, and the
-// approximated target spans the whole cross product uniformly. ctx
-// cancels as in RunFamily.
-func (f *Flow) RunCross(ctx context.Context, crossName string) (*Report, error) {
-	return f.runTarget(ctx, func() (*neighbors.Target, []int, error) { return f.crossTarget(crossName) })
-}
-
-// RunEvents targets an arbitrary set of events by name, without
-// requiring them to belong to a declared family or cross product. The
-// approximated target is mined from the coverage repository with the
-// correlation method (the FRIENDS substitute, paper Section IV-A): the
-// targets themselves at weight 1, plus every event whose per-template
-// hit profile resembles theirs, weighted by similarity.
-//
-// minSim in [0, 1] sets the similarity cutoff; 0.5 is a reasonable
-// default. At least one target must already have evidence in the
-// repository — for fully dark targets, structural neighbors (RunFamily,
-// RunCross) are the right tool, exactly as in the paper. ctx cancels as
-// in RunFamily.
-func (f *Flow) RunEvents(ctx context.Context, eventNames []string, minSim float64) (*Report, error) {
-	return f.runTarget(ctx, func() (*neighbors.Target, []int, error) { return f.eventsTarget(eventNames, minSim) })
-}
-
-// RunFamilyRefined repeats RunFamily up to rounds times, implementing
-// the paper's closing observation in Section IV-E: "Once there is good
-// evidence for the target event, we can repeat the process." Each round
-// re-derives the real targets from the updated repository (events the
-// previous round newly covered drop out), and the previous round's
-// harvested template competes in the coarse-grained search, so the
-// skeleton of round k+1 starts from the best knowledge of round k. The
-// loop stops early once every family event has evidence.
-//
-// The loop is driven by the flow's harvested-round counter rather than
-// a local one, so a resumed flow replays its completed rounds and then
-// runs only the remainder of the campaign. ctx cancels as in RunFamily;
-// completed rounds' reports are returned alongside the error.
+// RunFamilyRefined is Run for a family target.
 func (f *Flow) RunFamilyRefined(ctx context.Context, family string, decay float64, rounds int) ([]*Report, error) {
-	if rounds <= 0 {
-		rounds = 1
+	return f.Run(ctx, Target{Family: family, Decay: decay, Rounds: rounds})
+}
+
+// RunCross is Run for a cross-product target, returning its one report.
+func (f *Flow) RunCross(ctx context.Context, crossName string) (*Report, error) {
+	reports, err := f.Run(ctx, Target{Cross: crossName})
+	if err != nil {
+		return nil, err
 	}
-	var reports []*Report
-	for f.round < rounds {
-		if f.round > 0 && f.familyCovered(family) {
-			break
-		}
-		report, err := f.RunFamily(ctx, family, decay)
-		if err != nil {
-			return reports, err
-		}
-		reports = append(reports, report)
-	}
-	return reports, nil
+	return reports[0], nil
 }
 
 // familyCovered reports whether every event of the family has evidence

@@ -100,7 +100,7 @@ func smallConfig(seed uint64) Config {
 
 func TestFlowEndToEndIOUnit(t *testing.T) {
 	flow := NewFlow(iounit.New(), smallConfig(1))
-	report, err := flow.RunFamily(context.Background(), iounit.FamilyName, 1.0)
+	report, err := runOne(flow, Target{Family: iounit.FamilyName})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestFlowImprovesFamilyFrontier(t *testing.T) {
 	// frontier must advance: the deepest covered event is hit far more
 	// often by the harvested template than by the regression mix.
 	flow := NewFlow(iounit.New(), smallConfig(2))
-	report, err := flow.RunFamily(context.Background(), iounit.FamilyName, 1.0)
+	report, err := runOne(flow, Target{Family: iounit.FamilyName})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestFlowHitsUncoveredTargetsL3(t *testing.T) {
 	// newly cover some previously-uncovered family events — the paper's
 	// headline claim.
 	flow := NewFlow(l3cache.New(), smallConfig(2))
-	report, err := flow.RunFamily(context.Background(), l3cache.FamilyName, 1.0)
+	report, err := runOne(flow, Target{Family: l3cache.FamilyName})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestFlowHitsUncoveredTargetsL3(t *testing.T) {
 
 func TestRunFamilyRefinedProgresses(t *testing.T) {
 	flow := NewFlow(l3cache.New(), smallConfig(9))
-	reports, err := flow.RunFamilyRefined(context.Background(), l3cache.FamilyName, 1.0, 2)
+	reports, err := flow.Run(context.Background(), Target{Family: l3cache.FamilyName, Rounds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestRunFamilyRefinedProgresses(t *testing.T) {
 func TestFlowSharedRepository(t *testing.T) {
 	unit := iounit.New()
 	flowA := NewFlow(unit, smallConfig(3))
-	if _, err := flowA.RunFamily(context.Background(), iounit.FamilyName, 1.0); err != nil {
+	if _, err := runOne(flowA, Target{Family: iounit.FamilyName}); err != nil {
 		t.Fatal(err)
 	}
 	repo := flowA.Repository()
@@ -219,7 +219,7 @@ func TestFlowSharedRepository(t *testing.T) {
 	cfgB.Repository = repo
 	flowB := NewFlow(unit, cfgB)
 	simsBefore := flowB.Env().Simulations()
-	report, err := flowB.RunFamily(context.Background(), iounit.FamilyName, 0.5)
+	report, err := runOne(flowB, Target{Family: iounit.FamilyName, Decay: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,19 +234,34 @@ func TestFlowSharedRepository(t *testing.T) {
 	}
 }
 
+// runOne runs a one-round target on flow and returns its report.
+func runOne(flow *Flow, target Target) (*Report, error) {
+	reports, err := flow.Run(context.Background(), target)
+	if err != nil {
+		return nil, err
+	}
+	return reports[0], nil
+}
+
 func TestFlowRunErrors(t *testing.T) {
 	flow := NewFlow(iounit.New(), smallConfig(5))
-	if _, err := flow.Run(context.Background(), nil, nil); err == nil {
+	if _, err := flow.pipeline(nil, nil); err == nil {
 		t.Error("nil target should fail")
 	}
-	if _, err := flow.Run(context.Background(), neighbors.Uniform(nil), nil); err == nil {
+	if _, err := flow.pipeline(neighbors.Uniform(nil), nil); err == nil {
 		t.Error("empty target should fail")
 	}
-	if _, err := flow.RunFamily(context.Background(), "no_such_family", 1.0); err == nil {
+	if _, err := runOne(flow, Target{Family: "no_such_family"}); err == nil {
 		t.Error("unknown family should fail")
 	}
-	if _, err := flow.RunCross(context.Background(), "no_such_cross"); err == nil {
+	if _, err := runOne(flow, Target{Cross: "no_such_cross"}); err == nil {
 		t.Error("unknown cross should fail")
+	}
+	if _, err := runOne(flow, Target{Family: iounit.FamilyName, Decay: 1.5}); err == nil {
+		t.Error("decay outside (0, 1] should fail")
+	}
+	if n := flow.Env().Simulations(); n != 0 {
+		t.Errorf("rejected runs simulated %d instances, want none", n)
 	}
 }
 
@@ -257,7 +272,7 @@ func TestFlowNoEvidenceFails(t *testing.T) {
 	flow := NewFlow(unit, smallConfig(6))
 	m := unit.Model()
 	dark := neighbors.Uniform([]int{m.MustLookup("crc_096")})
-	if _, err := flow.Run(context.Background(), dark, dark.Events()); err == nil {
+	if _, err := flow.pipeline(dark, dark.Events()); err == nil {
 		t.Fatal("expected failure for evidence-free target")
 	} else if !strings.Contains(err.Error(), "no existing template") {
 		t.Fatalf("unexpected error: %v", err)
@@ -267,7 +282,7 @@ func TestFlowNoEvidenceFails(t *testing.T) {
 func TestReportFormatters(t *testing.T) {
 	unit := l3cache.New()
 	flow := NewFlow(unit, smallConfig(7))
-	report, err := flow.RunFamily(context.Background(), l3cache.FamilyName, 1.0)
+	report, err := runOne(flow, Target{Family: l3cache.FamilyName})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +347,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestFlowDeterministicAcrossRuns(t *testing.T) {
 	run := func() *Report {
 		flow := NewFlow(iounit.New(), smallConfig(11))
-		report, err := flow.RunFamily(context.Background(), iounit.FamilyName, 1.0)
+		report, err := runOne(flow, Target{Family: iounit.FamilyName})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +379,7 @@ func TestFlowDeterministicAcrossRuns(t *testing.T) {
 
 func TestRunCrossOnFamilyUnitFails(t *testing.T) {
 	flow := NewFlow(iounit.New(), smallConfig(12))
-	if _, err := flow.RunCross(context.Background(), "anything"); err == nil {
-		t.Fatal("iounit has no cross products; RunCross must fail")
+	if _, err := runOne(flow, Target{Cross: "anything"}); err == nil {
+		t.Fatal("iounit has no cross products; a cross target must fail")
 	}
 }

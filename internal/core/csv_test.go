@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,7 +11,7 @@ import (
 func csvReport(t *testing.T) (*Report, *Flow) {
 	t.Helper()
 	flow := NewFlow(iounit.New(), smallConfig(41))
-	report, err := flow.RunFamily(context.Background(), iounit.FamilyName, 1.0)
+	report, err := runOne(flow, Target{Family: iounit.FamilyName})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func runWithWorkers(t *testing.T, workers int) reportFingerprint {
 	cfg.Workers = workers
 	flow := NewFlow(iounit.New(), cfg)
 	defer flow.Close()
-	report, err := flow.RunFamily(context.Background(), iounit.FamilyName, 1.0)
+	report, err := runOne(flow, Target{Family: iounit.FamilyName})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestBatchObjectiveAccountsEverySimulation(t *testing.T) {
 	// optimization phase aggregate and the flow's total accounting.
 	flow := NewFlow(iounit.New(), smallConfig(33))
 	defer flow.Close()
-	report, err := flow.RunFamily(context.Background(), iounit.FamilyName, 1.0)
+	report, err := runOne(flow, Target{Family: iounit.FamilyName})
 	if err != nil {
 		t.Fatal(err)
 	}

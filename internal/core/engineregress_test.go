@@ -96,9 +96,9 @@ func checkReportGolden(t *testing.T, name string, reports []*Report) {
 	}
 }
 
-// TestDefaultEngineReportGolden runs small deterministic flows through
-// every entry point with the default configuration (no engine named —
-// the implicit-filtering path) and compares the full reports
+// TestDefaultEngineReportGolden runs small deterministic flows of every
+// target mode and both compositions with the default configuration (no
+// engine named — the implicit-filtering path) and compares the full reports
 // byte-for-byte against goldens captured on the code before the change
 // they lock: the family and l3 files before the opt.Engine refactor,
 // the cross, events and per-event files before the steps of the flow
@@ -131,8 +131,10 @@ func TestDefaultEngineReportGolden(t *testing.T) {
 		BestSims:              80,
 		Workers:               2,
 	}
-	one := func(r *Report, err error) ([]*Report, error) { return []*Report{r}, err }
 	ctx := context.Background()
+	run := func(target Target) func(*Flow) ([]*Report, error) {
+		return func(f *Flow) ([]*Report, error) { return f.Run(ctx, target) }
+	}
 	perEvent := func(f *Flow) ([]*Report, error) { return f.RunPerEventShared(ctx, l3cache.FamilyName, 0.5) }
 	for _, tc := range []struct {
 		name, golden string
@@ -141,18 +143,13 @@ func TestDefaultEngineReportGolden(t *testing.T) {
 		journaled    bool
 		run          func(*Flow) ([]*Report, error)
 	}{
-		{"family_refined", "engine_default_family.golden", iounit.New(), famCfg, false, func(f *Flow) ([]*Report, error) {
-			return f.RunFamilyRefined(ctx, iounit.FamilyName, 0.4, 2)
-		}},
-		{"family_l3", "engine_default_l3.golden", l3cache.New(), crossCfg, false, func(f *Flow) ([]*Report, error) {
-			return one(f.RunFamily(ctx, l3cache.FamilyName, 0.5))
-		}},
-		{"cross_noc", "engine_default_cross_noc.golden", noc.New(), crossCfg, false, func(f *Flow) ([]*Report, error) {
-			return one(f.RunCross(ctx, noc.CrossName))
-		}},
-		{"events_l3", "engine_default_events_l3.golden", l3cache.New(), crossCfg, false, func(f *Flow) ([]*Report, error) {
-			return one(f.RunEvents(ctx, []string{"byp_reqs03"}, 0.5))
-		}},
+		{"family_refined", "engine_default_family.golden", iounit.New(), famCfg, false,
+			run(Target{Family: iounit.FamilyName, Decay: 0.4, Rounds: 2})},
+		{"family_l3", "engine_default_l3.golden", l3cache.New(), crossCfg, false,
+			run(Target{Family: l3cache.FamilyName, Decay: 0.5})},
+		{"cross_noc", "engine_default_cross_noc.golden", noc.New(), crossCfg, false, run(Target{Cross: noc.CrossName})},
+		{"events_l3", "engine_default_events_l3.golden", l3cache.New(), crossCfg, false,
+			run(Target{Events: []string{"byp_reqs03"}})},
 		{"per_event_l3", "engine_default_per_event_l3.golden", l3cache.New(), crossCfg, false, perEvent},
 		{"per_event_l3_journaled", "engine_default_per_event_l3.golden", l3cache.New(), crossCfg, true, perEvent},
 	} {

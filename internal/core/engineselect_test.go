@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"path/filepath"
 	"testing"
 
@@ -26,7 +25,7 @@ func TestEngineSelection(t *testing.T) {
 			cfg.Engine = name
 			run := func() *Report {
 				flow := NewFlow(iounit.New(), cfg)
-				report, err := flow.RunFamily(context.Background(), iounit.FamilyName, 1.0)
+				report, err := runOne(flow, Target{Family: iounit.FamilyName})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,7 +64,7 @@ func TestEngineJournalReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report1, err := flow.RunFamily(context.Background(), iounit.FamilyName, 1.0)
+	report1, err := runOne(flow, Target{Family: iounit.FamilyName})
 	flow.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +75,7 @@ func TestEngineJournalReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report2, err := flow2.RunFamily(context.Background(), iounit.FamilyName, 1.0)
+	report2, err := runOne(flow2, Target{Family: iounit.FamilyName})
 	flow2.Close()
 	if err != nil {
 		t.Fatal(err)

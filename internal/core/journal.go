@@ -5,7 +5,7 @@
 // (header, run boundaries) that reject a journal belonging to a
 // different run. Replay is transparent: a flow constructed with
 // Config.Journal naming an existing file consumes the journal's
-// history from the normal entry points (Run and friends) instead of
+// history from the normal entry points (Run, RunPerEventShared) instead of
 // simulating, then switches to live execution mid-phase, producing a
 // Report bit-identical to an uninterrupted run.
 package core
@@ -166,7 +166,7 @@ func (f *Flow) startJournal(path string) error {
 }
 
 // resumeJournal recovers the journal at path (truncating any torn tail)
-// and arms the flow to replay it: the next Run* calls — with the same
+// and arms the flow to replay it: the next run calls — with the same
 // arguments as the interrupted run — consume the journal's history
 // instead of simulating, re-enter mid-phase where it ends, and continue
 // live, appending to the same journal. The journal's header must match

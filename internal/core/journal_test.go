@@ -58,7 +58,7 @@ func TestConfigHashIsStable(t *testing.T) {
 
 func runRefined(t *testing.T, flow *Flow, rounds int) []*Report {
 	t.Helper()
-	reports, err := flow.RunFamilyRefined(context.Background(), iounit.FamilyName, 0.4, rounds)
+	reports, err := flow.Run(context.Background(), Target{Family: iounit.FamilyName, Decay: 0.4, Rounds: rounds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRoundSurvivesFailedHarvest(t *testing.T) {
 
 	flow := NewFlow(iounit.New(), cfg)
 	defer flow.Close()
-	_, err := flow.RunFamily(ctx, iounit.FamilyName, 0.4)
+	_, err := flow.Run(ctx, Target{Family: iounit.FamilyName, Decay: 0.4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -222,7 +222,7 @@ func TestRoundSurvivesFailedHarvest(t *testing.T) {
 	// A fresh context completes the run; the harvested template must be
 	// round 1 — no skipped number.
 	rec.Progress = nil
-	report, err := flow.RunFamily(context.Background(), iounit.FamilyName, 0.4)
+	report, err := runOne(flow, Target{Family: iounit.FamilyName, Decay: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ import (
 // one mid-optimization.
 //
 // It returns one report per target event, in family order. ctx cancels
-// as in RunFamily.
+// as in Run.
 func (f *Flow) RunPerEventShared(ctx context.Context, family string, decay float64) ([]*Report, error) {
 	return campaign(ctx, f, func() ([]*Report, error) { return f.perEventShared(family, decay) })
 }

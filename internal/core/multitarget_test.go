@@ -56,7 +56,7 @@ func TestRunPerEventSharedSavesSimulations(t *testing.T) {
 	}
 	sharedTotal := shared.Env().Simulations()
 
-	// Independent runs: one full RunFamily per target, each rebuilding
+	// Independent runs: one full round per target, each rebuilding
 	// sampling (corpus shared via Config.Repository to isolate the
 	// sampling saving).
 	indepCfg := cfg
@@ -65,7 +65,7 @@ func TestRunPerEventSharedSavesSimulations(t *testing.T) {
 	base := indep.Env().Simulations()
 	k := len(sharedReports)
 	for i := 0; i < k; i++ {
-		if _, err := indep.RunFamily(context.Background(), l3cache.FamilyName, 0.4); err != nil {
+		if _, err := indep.runRound(Target{Family: l3cache.FamilyName, Decay: 0.4}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/coverage"
@@ -10,7 +9,7 @@ import (
 
 func TestFlowNoCFamily(t *testing.T) {
 	flow := NewFlow(noc.New(), smallConfig(51))
-	report, err := flow.RunFamily(context.Background(), noc.FamilyName, 0.5)
+	report, err := runOne(flow, Target{Family: noc.FamilyName, Decay: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func TestFlowNoCFamily(t *testing.T) {
 func TestFlowNoCCrossUTurnsStayDark(t *testing.T) {
 	unit := noc.New()
 	flow := NewFlow(unit, smallConfig(52))
-	report, err := flow.RunCross(context.Background(), noc.CrossName)
+	report, err := runOne(flow, Target{Cross: noc.CrossName})
 	if err != nil {
 		t.Fatal(err)
 	}

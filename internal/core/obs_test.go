@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -22,7 +21,7 @@ func runInstrumented(t *testing.T, workers int, rec *obs.Recorder) reportFingerp
 	cfg.Obs = rec
 	flow := NewFlow(iounit.New(), cfg)
 	defer flow.Close()
-	report, err := flow.RunFamily(context.Background(), iounit.FamilyName, 1.0)
+	report, err := runOne(flow, Target{Family: iounit.FamilyName})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestPaperScaleIOUnit(t *testing.T) {
 		t.Skip("paper-scale run skipped in -short")
 	}
 	flow := NewFlow(iounit.New(), paperConfig(1))
-	reports, err := flow.RunFamilyRefined(context.Background(), iounit.FamilyName, 0.4, 5)
+	reports, err := flow.Run(context.Background(), Target{Family: iounit.FamilyName, Decay: 0.4, Rounds: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +12,7 @@ func TestRunEventsCorrelatedTarget(t *testing.T) {
 	// byp_reqs03 has evidence in the corpus; correlation mining should
 	// recruit its ladder siblings as neighbors and the flow should
 	// sharply improve its hit rate.
-	report, err := flow.RunEvents(context.Background(), []string{"byp_reqs03"}, 0.5)
+	report, err := runOne(flow, Target{Events: []string{"byp_reqs03"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,14 +34,14 @@ func TestRunEventsCorrelatedTarget(t *testing.T) {
 
 func TestRunEventsErrors(t *testing.T) {
 	flow := NewFlow(l3cache.New(), smallConfig(32))
-	if _, err := flow.RunEvents(context.Background(), nil, 0.5); err == nil {
+	if _, err := runOne(flow, Target{Events: []string{}}); err == nil {
 		t.Error("no events should fail")
 	}
-	if _, err := flow.RunEvents(context.Background(), []string{"no_such_event"}, 0.5); err == nil {
+	if _, err := runOne(flow, Target{Events: []string{"no_such_event"}}); err == nil {
 		t.Error("unknown event should fail")
 	}
 	// A completely dark target has no profile to correlate with.
-	_, err := flow.RunEvents(context.Background(), []string{"byp_reqs16"}, 0.5)
+	_, err := runOne(flow, Target{Events: []string{"byp_reqs16"}})
 	if err == nil {
 		t.Fatal("dark target should fail with guidance")
 	}

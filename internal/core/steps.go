@@ -62,6 +62,19 @@ func (f *Flow) uncovered(ids []int) []int {
 	return out
 }
 
+// approximate is step 1, the approximated target (paper Section IV-A),
+// for a validated target's mode.
+func (f *Flow) approximate(t Target) (*neighbors.Target, []int, error) {
+	switch {
+	case t.Family != "":
+		return f.familyTarget(t.Family, t.decay())
+	case t.Cross != "":
+		return f.crossTarget(t.Cross)
+	default:
+		return f.eventsTarget(t.Events, t.minSim())
+	}
+}
+
 // familyTarget is step 1 for a buffer-utilization family: the real
 // targets are the family events still uncovered after the corpus — or,
 // everything already covered, its deepest (last) member — and the
@@ -94,10 +107,7 @@ func (f *Flow) familyTarget(family string, decay float64) (target *neighbors.Tar
 // the approximated target spans the whole cross uniformly.
 func (f *Flow) crossTarget(crossName string) (target *neighbors.Target, targets []int, err error) {
 	model := f.env.Unit().Model()
-	cp, ok := model.Cross(crossName)
-	if !ok {
-		return nil, nil, fmt.Errorf("core: unit %q has no cross product %q", f.env.Unit().Name(), crossName)
-	}
+	cp, _ := model.Cross(crossName)
 	if err := f.ensureCorpus(); err != nil {
 		return nil, nil, err
 	}
@@ -116,11 +126,13 @@ func (f *Flow) crossTarget(crossName string) (target *neighbors.Target, targets 
 }
 
 // eventsTarget is step 1 for an arbitrary event list: the approximated
-// target is mined from the repository by hit-profile correlation.
+// target is mined from the repository by hit-profile correlation (the
+// FRIENDS substitute): the targets themselves at weight 1, plus every
+// event whose per-template hit profile resembles theirs, weighted by
+// similarity. At least one target must already have evidence — for
+// fully dark targets, structural neighbors (a family or cross target)
+// are the right tool, exactly as in the paper.
 func (f *Flow) eventsTarget(eventNames []string, minSim float64) (target *neighbors.Target, targets []int, err error) {
-	if len(eventNames) == 0 {
-		return nil, nil, fmt.Errorf("core: no target events given")
-	}
 	targets, err = f.env.Unit().Model().IDs(eventNames)
 	if err != nil {
 		return nil, nil, err

@@ -66,11 +66,11 @@ func runFlow(t *testing.T, faults []Faults) flowFingerprint {
 	}
 	flow := core.NewFlow(iounit.New(), cfg)
 	defer flow.Close()
-	report, err := flow.RunFamily(context.Background(), iounit.FamilyName, 1.0)
+	reports, err := flow.Run(context.Background(), core.Target{Family: iounit.FamilyName})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return flowFP(report)
+	return flowFP(reports[0])
 }
 
 // TestFlowReportBitIdenticalWithFarm runs the paper's full per-family

@@ -211,7 +211,7 @@ func familyFigure(spec familySpec, opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer flow.Close()
-	reports, err := flow.RunFamilyRefined(opts.ctx(), spec.family, 0.4, opts.Rounds)
+	reports, err := flow.Run(opts.ctx(), core.Target{Family: spec.family, Decay: 0.4, Rounds: opts.Rounds})
 	if err != nil {
 		return nil, err
 	}
@@ -299,10 +299,11 @@ func Fig5(opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer flow.Close()
-	report, err := flow.RunCross(opts.ctx(), ifu.CrossName)
+	reports, err := flow.Run(opts.ctx(), core.Target{Cross: ifu.CrossName})
 	if err != nil {
 		return nil, err
 	}
+	report := reports[0]
 	ids, err := unit.Model().IDs(unit.Cross().EventNames())
 	if err != nil {
 		return nil, err
@@ -328,7 +329,7 @@ func Fig5(opts Options) (*Result, error) {
 		Title:   "Fig. 5: event status while running AS-CDG on a cross-product (IFU)",
 		Text:    b.String(),
 		CSV:     report.StatusCSV(ids),
-		Reports: []*core.Report{report},
+		Reports: reports,
 		Sims:    flow.Env().Simulations(),
 	}, nil
 }

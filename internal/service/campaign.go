@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -13,26 +12,18 @@ import (
 )
 
 // Spec is a campaign submission: which unit to drive, what coverage to
-// chase, and which flow knobs to override. Exactly one of Family, Cross
-// or Events selects the target mode.
+// chase, and which flow knobs to override.
 type Spec struct {
 	// Unit names a built-in unit (duv.Names()).
 	Unit string `json:"unit"`
 
-	// Family targets a buffer-utilization event family (the paper's
-	// Figs. 3/4 experiments). Decay weights the approximated target
-	// (default 1.0 = plain family sum); Rounds is the number of
-	// refinement rounds (default 1).
-	Family string  `json:"family,omitempty"`
-	Decay  float64 `json:"decay,omitempty"`
-	Rounds int     `json:"rounds,omitempty"`
-
-	// Cross targets a cross-product coverage model (the paper's IFU
-	// experiment).
-	Cross string `json:"cross,omitempty"`
-
-	// Events targets an explicit event list; MinSim is the minimum
-	// name-similarity for approximated-target neighbors (default 0.5).
+	// The campaign's target: these fields mean what the core.Target
+	// fields of the same names mean, and exactly one of Family, Cross or
+	// Events selects the mode.
+	Family string   `json:"family,omitempty"`
+	Decay  float64  `json:"decay,omitempty"`
+	Rounds int      `json:"rounds,omitempty"`
+	Cross  string   `json:"cross,omitempty"`
 	Events []string `json:"events,omitempty"`
 	MinSim float64  `json:"min_sim,omitempty"`
 
@@ -86,25 +77,9 @@ type SpecConfig struct {
 	Workers         int `json:"workers,omitempty"`
 }
 
-func (s Spec) decay() float64 {
-	if s.Decay <= 0 || s.Decay > 1 {
-		return 1.0
-	}
-	return s.Decay
-}
-
-func (s Spec) rounds() int {
-	if s.Rounds <= 0 {
-		return 1
-	}
-	return s.Rounds
-}
-
-func (s Spec) minSim() float64 {
-	if s.MinSim <= 0 {
-		return 0.5
-	}
-	return s.MinSim
+// target is the campaign's target as core runs it.
+func (s Spec) target() core.Target {
+	return core.Target{Family: s.Family, Decay: s.Decay, Rounds: s.Rounds, Cross: s.Cross, Events: s.Events, MinSim: s.MinSim}
 }
 
 func (s Spec) tenant() string {
@@ -134,22 +109,10 @@ func (s Spec) useKnowledge() bool {
 	return s.Engine != nil && s.Engine.Knowledge
 }
 
-// targetDesc renders the campaign's target mode for knowledge entries.
-func (s Spec) targetDesc() string {
-	switch {
-	case s.Family != "":
-		return "family:" + s.Family
-	case s.Cross != "":
-		return "cross:" + s.Cross
-	default:
-		return "events:" + strings.Join(s.Events, ",")
-	}
-}
-
 // validate rejects malformed submissions before they consume a
-// campaign id: the unit must exist, and so must the family, cross
-// product or events the spec targets in that unit's coverage model, so
-// a typo fails at submission rather than after the campaign started.
+// campaign id: the unit must exist and the target must pass
+// core.Target.Validate against it, so a typo fails at submission rather
+// than after the campaign started.
 func (s Spec) validate() error {
 	if s.Unit == "" {
 		return errors.New("service: spec: unit is required")
@@ -158,30 +121,8 @@ func (s Spec) validate() error {
 	if err != nil {
 		return fmt.Errorf("service: spec: %w", err)
 	}
-	modes := 0
-	if s.Family != "" {
-		modes++
-	}
-	if s.Cross != "" {
-		modes++
-	}
-	if len(s.Events) > 0 {
-		modes++
-	}
-	if modes != 1 {
-		return errors.New("service: spec: exactly one of family, cross or events is required")
-	}
-	model := unit.Model()
-	if _, ok := model.Family(s.Family); s.Family != "" && !ok {
-		return fmt.Errorf("service: spec: unit %q has no family %q (families: %s)",
-			s.Unit, s.Family, nameList(model.FamilyNames()))
-	}
-	if _, ok := model.Cross(s.Cross); s.Cross != "" && !ok {
-		return fmt.Errorf("service: spec: unit %q has no cross product %q (cross products: %s)",
-			s.Unit, s.Cross, nameList(model.CrossNames()))
-	}
-	if _, err := model.IDs(s.Events); err != nil {
-		return fmt.Errorf("service: spec: unit %q: %w", s.Unit, err)
+	if err := s.target().Validate(unit); err != nil {
+		return fmt.Errorf("service: spec: %w", err)
 	}
 	if len(s.Tenant) > 64 {
 		return errors.New("service: spec: tenant name too long (max 64)")
@@ -198,14 +139,6 @@ func (s Spec) validate() error {
 		}
 	}
 	return nil
-}
-
-// nameList renders the names a rejection offers instead.
-func nameList(names []string) string {
-	if len(names) == 0 {
-		return "none"
-	}
-	return strings.Join(names, ", ")
 }
 
 // coreConfig expands the spec into the flow config it runs under.

@@ -37,7 +37,7 @@ func directRun(t *testing.T, spec Spec, dir string) {
 		t.Fatal(err)
 	}
 	defer flow.Close()
-	reports, err := flow.RunFamilyRefined(context.Background(), spec.Family, spec.decay(), spec.rounds())
+	reports, err := flow.Run(context.Background(), spec.target())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1128,23 +1128,7 @@ func (s *Service) executeFlow(c *campaign, h *lease.Handle, ctx context.Context)
 		s.cfg.flowArmed(c.st.ID, flow)
 	}
 
-	var reports []*core.Report
-	switch {
-	case spec.Family != "":
-		reports, err = flow.RunFamilyRefined(ctx, spec.Family, spec.decay(), spec.rounds())
-	case spec.Cross != "":
-		var r *core.Report
-		r, err = flow.RunCross(ctx, spec.Cross)
-		if r != nil {
-			reports = append(reports, r)
-		}
-	default:
-		var r *core.Report
-		r, err = flow.RunEvents(ctx, spec.Events, spec.minSim())
-		if r != nil {
-			reports = append(reports, r)
-		}
-	}
+	reports, err := flow.Run(ctx, spec.target())
 	if err != nil {
 		return nil, err
 	}
@@ -1284,7 +1268,7 @@ func knowledgeEntries(id string, spec Spec, reports []*ReportJSON) []knowledge.E
 			Campaign: id,
 			Round:    round,
 			Unit:     spec.Unit,
-			Target:   spec.targetDesc(),
+			Target:   spec.target().String(),
 			Template: fmt.Sprintf("%s_r%d_best", id, round),
 			Weights:  r.BestWeights,
 			Score:    float64(hits) / (float64(best.Sims) * float64(len(best.TargetHits))),

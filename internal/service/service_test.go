@@ -117,6 +117,10 @@ func TestSpecValidation(t *testing.T) {
 		{Unit: iounit.UnitName, Family: "no_such_family"},
 		{Unit: iounit.UnitName, Cross: "no_such_cross"},
 		{Unit: iounit.UnitName, Events: []string{"io_cmd_crc", "no_such_event"}},
+		// decay: 0 selects 1; anything else outside (0, 1] is refused, not
+		// run as 1.
+		{Unit: iounit.UnitName, Family: iounit.FamilyName, Decay: -0.2},
+		{Unit: iounit.UnitName, Family: iounit.FamilyName, Decay: 1.5},
 	}
 	for i, spec := range bad {
 		if _, err := svc.Submit(spec); err == nil {
@@ -333,7 +337,7 @@ func TestSpecFlowKillSweep(t *testing.T) {
 					return core.New(iounit.New(), cfg)
 				},
 				Run: func(f *core.Flow) (any, error) {
-					return f.RunFamilyRefined(context.Background(), spec.Family, spec.decay(), spec.rounds())
+					return f.Run(context.Background(), spec.target())
 				},
 			}
 			trials, err := campaign.Sweep(t.TempDir(), []int{0})

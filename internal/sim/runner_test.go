@@ -27,13 +27,6 @@ func TestClosedEnvReturnsErrClosed(t *testing.T) {
 	if _, err := env.Run(nil, 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("sequential Run after Close: err = %v, want ErrClosed", err)
 	}
-	if _, err := env.RunEach(env.Unit().BaseTemplates(), 10); !errors.Is(err, ErrClosed) {
-		t.Fatalf("RunEach after Close: err = %v, want ErrClosed", err)
-	}
-	repo := coverage.NewRepository(env.Unit().Model())
-	if _, err := env.RunInto(repo, modeB(t), 10); !errors.Is(err, ErrClosed) {
-		t.Fatalf("RunInto after Close: err = %v, want ErrClosed", err)
-	}
 	if _, err := env.BuildCorpus(10); !errors.Is(err, ErrClosed) {
 		t.Fatalf("BuildCorpus after Close: err = %v, want ErrClosed", err)
 	}

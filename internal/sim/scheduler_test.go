@@ -137,22 +137,16 @@ func TestSchedulerRealUnitEquivalence(t *testing.T) {
 	}
 }
 
-func TestRunEachMatchesSequential(t *testing.T) {
+// TestRunMatchesSequential: Run on a pool (every batch through the
+// scheduler) and Run on one worker (inline) agree batch for batch over
+// a sequence of templates, so the batch counter seeds both alike.
+func TestRunMatchesSequential(t *testing.T) {
 	seq := NewEnv(iounit.New(), 5, 1)
 	par := NewEnv(iounit.New(), 5, 4)
 	defer seq.Close()
 	defer par.Close()
-	ts := seq.Unit().BaseTemplates()
-	a, err := seq.RunEach(ts, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := par.RunEach(ts, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ts {
-		sameCounts(t, ts[i].Name, a[i], b[i])
+	for _, tmpl := range seq.Unit().BaseTemplates() {
+		sameCounts(t, tmpl.Name, run(t, seq, tmpl, 60), run(t, par, tmpl, 60))
 	}
 }
 

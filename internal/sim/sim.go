@@ -344,49 +344,6 @@ func (e *Env) RunChunkInto(tmpl *template.Template, seedState uint64, lo, hi int
 	return nil
 }
 
-// RunEach simulates n instances of every template and returns one
-// aggregate per template, in order. All batches are submitted up front
-// and run concurrently on the scheduler.
-func (e *Env) RunEach(templates []*template.Template, n int) ([]*coverage.Counts, error) {
-	out := make([]*coverage.Counts, len(templates))
-	if e.workers <= 1 {
-		for i, t := range templates {
-			c, err := e.Run(t, n)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = c
-		}
-		return out, nil
-	}
-	jobs := make([]*Job, len(templates))
-	for i, t := range templates {
-		job, err := e.Submit(t, n)
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = job
-	}
-	for i, j := range jobs {
-		out[i] = j.Wait()
-		if err := e.ctxErr(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// RunInto simulates n instances of tmpl and records the aggregate in the
-// repository under the template's name, returning the aggregate.
-func (e *Env) RunInto(repo *coverage.Repository, tmpl *template.Template, n int) (*coverage.Counts, error) {
-	c, err := e.Run(tmpl, n)
-	if err != nil {
-		return nil, err
-	}
-	repo.RecordCounts(tmpl.Name, c)
-	return c, nil
-}
-
 // BuildCorpus simulates the unit's entire base regression suite,
 // simsPerTemplate instances each, into a fresh repository. This stands
 // in for the "several weeks of mainstream unit simulation" that precede

@@ -148,36 +148,6 @@ func TestWorkerCountsEquivalent(t *testing.T) {
 	}
 }
 
-func TestRunEach(t *testing.T) {
-	env := NewEnv(newToy(), 5, 2)
-	ts := []*template.Template{modeB(t), env.Unit().BaseTemplates()[0]}
-	counts, err := env.RunEach(ts, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != 2 {
-		t.Fatalf("len = %d", len(counts))
-	}
-	if counts[0].Hits(1) != 40 {
-		t.Fatalf("modeB hits = %d", counts[0].Hits(1))
-	}
-	if env.Simulations() != 80 {
-		t.Fatalf("accounting = %d", env.Simulations())
-	}
-}
-
-func TestRunInto(t *testing.T) {
-	env := NewEnv(newToy(), 6, 2)
-	repo := coverage.NewRepository(env.Unit().Model())
-	if _, err := env.RunInto(repo, modeB(t), 30); err != nil {
-		t.Fatal(err)
-	}
-	c, ok := repo.Template("b_only")
-	if !ok || c.Sims() != 30 {
-		t.Fatalf("repository not updated: %v %v", c, ok)
-	}
-}
-
 func TestBuildCorpus(t *testing.T) {
 	env := NewEnv(newToy(), 8, 2)
 	repo := buildCorpus(t, env, 25)
