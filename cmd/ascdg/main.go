@@ -134,22 +134,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		cfg.Repository = repo
 	}
-	if jnl.Path != "" {
-		// An explicit fresh start (-journal without -resume) must not
-		// silently replay a stale journal; -resume must have one to
-		// replay. core.New resumes any existing journal file.
-		_, statErr := os.Stat(jnl.Path)
-		if jnl.Resume && statErr != nil {
-			fmt.Fprintf(stderr, "ascdg: -resume: no journal at %s\n", jnl.Path)
-			return 1
-		}
-		if !jnl.Resume && statErr == nil {
-			if err := os.Remove(jnl.Path); err != nil {
-				return cli.Fail(fs, 1, err)
-			}
-		}
-		cfg.Journal = jnl.Path
+	if code := jnl.Prepare(); code != 0 {
+		return code
 	}
+	cfg.Journal = jnl.Path
 	flow, err := core.New(unit, cfg)
 	if err != nil {
 		return cli.Fail(fs, 1, err)

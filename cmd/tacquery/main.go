@@ -124,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				return cli.Fail(fs, 1, err)
 			}
-			scores = knowledge.BlendTAC(scores, knowledge.TACBoosts(entries, corpus.Unit, knowledge.DefaultDamp))
+			scores = tac.Blend(scores, knowledge.TACBoosts(entries, corpus.Unit, knowledge.DefaultDamp))
 			if len(scores) > *best {
 				scores = scores[:*best]
 			}

@@ -269,6 +269,26 @@ func (j *Journal) Check() int {
 	return 0
 }
 
+// Prepare applies the one journal rule of every command that journals a
+// run into a file: -resume needs an existing journal, and -journal
+// without -resume starts over, removing a stale file. The command then
+// opens -journal with journal.Open, which resumes whatever file is there.
+func (j *Journal) Prepare() int {
+	if j.Path == "" {
+		return 0
+	}
+	_, err := os.Stat(j.Path)
+	if j.Resume && err != nil {
+		return Fail(j.fs, 1, fmt.Errorf("-resume: no journal at %s", j.Path))
+	}
+	if !j.Resume && err == nil {
+		if err := os.Remove(j.Path); err != nil {
+			return Fail(j.fs, 1, err)
+		}
+	}
+	return 0
+}
+
 // Interrupted reports that an interrupt stopped the command's run (or
 // build), and how to continue it when it was journaled.
 func (j *Journal) Interrupted(what string) {
@@ -316,9 +336,9 @@ func (c *Corpus) Check() int {
 }
 
 // Build returns the repository: loaded from -load, or simulated under
-// -sims, -seed and -workers and checkpointed per -journal/-resume. A nil
-// repository ends the command with code: 1 after an error, 0 once an
-// interrupted build is checkpointed.
+// -sims, -seed and -workers and checkpointed per -journal/-resume
+// (Journal.Prepare). A nil repository ends the command with code: 1
+// after an error, 0 once an interrupted build is checkpointed.
 func (c *Corpus) Build(ctx context.Context, unit duv.DUV, rec *obs.Recorder) (repo *coverage.Repository, code int) {
 	if c.load != "" {
 		repo, err := coverage.LoadFile(c.load, unit.Model())
@@ -333,8 +353,11 @@ func (c *Corpus) Build(ctx context.Context, unit duv.DUV, rec *obs.Recorder) (re
 	env.SetContext(ctx)
 	var cur *journal.Cursor
 	if c.journal.Path != "" {
+		if code := c.journal.Prepare(); code != 0 {
+			return nil, code
+		}
 		var err error
-		cur, err = env.OpenCorpusJournal(c.journal.Path, c.journal.Resume, c.sims, rec)
+		cur, err = env.OpenCorpusJournal(c.journal.Path, c.sims, rec)
 		if err != nil {
 			return nil, Fail(c.fs, 1, err)
 		}

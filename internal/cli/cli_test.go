@@ -192,6 +192,57 @@ func TestJournal(t *testing.T) {
 	})
 }
 
+// TestJournalRule: ascdg (Journal.Prepare) and regress and tacquery
+// (Corpus.Build) follow one -journal/-resume rule with one message:
+// -resume needs an existing journal, and -journal without -resume starts
+// over whatever stale file is there.
+func TestJournalRule(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.journal")
+	stale := filepath.Join(dir, "stale.journal")
+	build := func(fs *flag.FlagSet, args []string) int {
+		var c Corpus
+		c.Register(fs)
+		fs.Parse(append([]string{"-sims", "5"}, args...))
+		repo, code := c.Build(context.Background(), iounit.New(), nil)
+		if (repo != nil) != (code == 0) {
+			t.Errorf("%q: repository %v with exit %d", args, repo != nil, code)
+		}
+		return code
+	}
+	prepare := func(fs *flag.FlagSet, args []string) int {
+		var j Journal
+		j.Register(fs)
+		fs.Parse(args)
+		return j.Prepare()
+	}
+	for _, cmd := range []struct {
+		name string
+		step func(*flag.FlagSet, []string) int
+	}{{"ascdg", prepare}, {"regress", build}, {"tacquery", build}} {
+		for _, tc := range []stepCase{
+			{[]string{"-journal", missing, "-resume"}, 1, cmd.name + ": -resume: no journal at " + missing + "\n"},
+			{[]string{"-journal", stale}, 0, ""},
+		} {
+			if err := os.WriteFile(stale, []byte("a stale run's journal"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fs := flag.NewFlagSet(cmd.name, flag.ContinueOnError)
+			var out bytes.Buffer
+			fs.SetOutput(&out)
+			if code := cmd.step(fs, tc.args); code != tc.code || !strings.Contains(out.String(), tc.out) {
+				t.Errorf("%s %q: exit %d, output %q; want exit %d, output with %q", cmd.name, tc.args, code, out.String(), tc.code, tc.out)
+			}
+			if _, err := os.Stat(missing); err == nil {
+				t.Errorf("%s %q: -resume created the missing journal", cmd.name, tc.args)
+			}
+			if data, _ := os.ReadFile(stale); tc.code == 0 && string(data) == "a stale run's journal" {
+				t.Errorf("%s %q: the stale journal is still there", cmd.name, tc.args)
+			}
+		}
+	}
+}
+
 func TestWorkers(t *testing.T) {
 	checkDefaults(t, new(Workers), map[string]string{"workers": "0"})
 }

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
-	"sort"
 
 	"repro/internal/coverage"
 	"repro/internal/duv"
@@ -209,30 +208,6 @@ func (c Config) engineParams() (json.RawMessage, error) {
 	return opt.MergeParams(base, c.EngineParams)
 }
 
-// blendTACPrior folds cross-campaign knowledge into a TAC ranking: each
-// template named in prior gets its boost added to the measured score,
-// then the ranking is re-sorted (score descending, name ascending for
-// determinism). An empty prior returns ranked untouched, keeping the
-// default flow bit-identical.
-func blendTACPrior(ranked []tac.TemplateScore, prior map[string]float64) []tac.TemplateScore {
-	if len(prior) == 0 {
-		return ranked
-	}
-	out := append([]tac.TemplateScore(nil), ranked...)
-	for i := range out {
-		if boost, ok := prior[out[i].Name]; ok {
-			out[i].Score += boost
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
 // PhaseStats is one phase's aggregate coverage — one column group of the
 // paper's Figs. 3 and 4.
 type PhaseStats struct {
@@ -328,10 +303,15 @@ func New(unit duv.DUV, cfg Config) (*Flow, error) {
 		extra: map[string]*template.Template{},
 	}
 	if cfg.Journal != "" {
-		if err := f.openJournal(cfg.Journal); err != nil {
+		cur, resumed, err := journal.Open(cfg.Journal, "flow_header", f.header(), f.rec, cfg.Log)
+		if err != nil {
 			env.Close()
 			return nil, err
 		}
+		if resumed {
+			f.rec.Counter("flow.resumes").Inc()
+		}
+		f.cur = cur
 	}
 	return f, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/duv/iounit"
@@ -51,6 +52,46 @@ func TestEngineSelection(t *testing.T) {
 	}
 }
 
+// TestBlendTACPriorOrdering: the knowledge-base TAC prior reorders the
+// coarse-grained search — the boosted template is promoted with the
+// boost added to its score, the others keep their order, and an empty
+// prior is a no-op.
+func TestBlendTACPriorOrdering(t *testing.T) {
+	coarse := func(prior map[string]float64) []tac.TemplateScore {
+		cfg := smallConfig(3)
+		cfg.TopTemplates = len(iounit.New().BaseTemplates())
+		cfg.TACPrior = prior
+		flow := NewFlow(iounit.New(), cfg)
+		target, _, err := flow.approximate(Target{Family: iounit.FamilyName})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := flow.ensureCorpus(); err != nil {
+			t.Fatal(err)
+		}
+		best, _, err := flow.coarseSearch(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return best
+	}
+	plain := coarse(nil)
+	if len(plain) < 2 {
+		t.Fatalf("coarse search ranked %d templates, want at least 2", len(plain))
+	}
+	if same := coarse(map[string]float64{}); !reflect.DeepEqual(same, plain) {
+		t.Fatalf("empty prior changed ranking: %v, want %v", same, plain)
+	}
+	last := plain[len(plain)-1]
+	boosted := coarse(map[string]float64{last.Name: 10})
+	promoted := last
+	promoted.Score += 10
+	want := append([]tac.TemplateScore{promoted}, plain[:len(plain)-1]...)
+	if !reflect.DeepEqual(boosted, want) {
+		t.Fatalf("boosted ranking = %v, want %v", boosted, want)
+	}
+}
+
 // TestEngineJournalReplay: a journaled flow under a non-default engine
 // replays to bit-identical reports, and the journal refuses a flow
 // configured with a different engine (the engine is result-relevant, so
@@ -88,27 +129,5 @@ func TestEngineJournalReplay(t *testing.T) {
 	cfg.Engine = "nelder_mead"
 	if _, err := New(iounit.New(), cfg); err == nil {
 		t.Fatal("journal written under ranker accepted by a nelder_mead flow")
-	}
-}
-
-// TestBlendTACPriorOrdering: the knowledge-base TAC prior reorders a
-// coarse-grained ranking exactly as specified — boosted templates are
-// promoted, an empty prior is a no-op.
-func TestBlendTACPriorOrdering(t *testing.T) {
-	ranked := []tac.TemplateScore{
-		{Name: "a", Score: 0.5},
-		{Name: "b", Score: 0.3},
-		{Name: "c", Score: 0.1},
-	}
-	blended := blendTACPrior(ranked, map[string]float64{"c": 0.45})
-	if blended[0].Name != "c" || blended[0].Score != 0.55 {
-		t.Fatalf("boosted template not promoted: %+v", blended)
-	}
-	// Empty prior: untouched.
-	same := blendTACPrior(ranked, nil)
-	for i := range ranked {
-		if same[i] != ranked[i] {
-			t.Fatalf("nil prior changed ranking at %d: %+v", i, same[i])
-		}
 	}
 }

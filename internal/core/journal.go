@@ -1,11 +1,13 @@
 // Flow journaling: the crash-safe checkpoint/resume layer (DESIGN.md
-// §10). A journaled flow appends one record per unit of paid-for
-// simulation — corpus template aggregates, per-sample aggregates,
-// optimizer iteration states, harvest results — plus structural records
-// (header, run boundaries) that reject a journal belonging to a
-// different run. Replay is transparent: a flow constructed with
-// Config.Journal naming an existing file consumes the journal's
-// history from the normal entry points (Run, RunPerEventShared) instead of
+// §10). New opens the journal through journal.Open with the flowHeader
+// below, which rejects a journal belonging to a different run. The flow
+// then appends one record per unit of paid-for simulation: the batches
+// of the corpus, the random sample and the harvest go through the one
+// replay-or-run loop, sim.Env.RunBatches; each optimizer iteration is an
+// opt_iter engine checkpoint (optimize); run_start and run_done bracket
+// each pipeline. Replay is transparent: a flow constructed with
+// Config.Journal naming an existing file consumes the journal's history
+// from the normal entry points (Run, RunPerEventShared) instead of
 // simulating, then switches to live execution mid-phase, producing a
 // Report bit-identical to an uninterrupted run.
 package core
@@ -14,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"sort"
 
 	"repro/internal/journal"
@@ -92,18 +93,6 @@ type runStartRec struct {
 	ApproxWeights []float64 `json:"approx_weights"`
 }
 
-// sampleRec is one random-sample point's aggregate, with the
-// environment's seeding counters captured right after the sample's
-// batch was submitted (replay restores them so later submissions draw
-// the original seeds).
-type sampleRec struct {
-	I       int      `json:"i"`
-	Hits    []uint64 `json:"hits"`
-	Sims    uint64   `json:"sims"`
-	Batches uint64   `json:"batches"`
-	EnvSims uint64   `json:"env_sims"`
-}
-
 // optIterRec checkpoints one optimizer iteration: the engine's opaque
 // resumable state plus the cumulative optimization-phase aggregate and
 // the environment counters after the iteration's submissions. Replay
@@ -118,89 +107,11 @@ type optIterRec struct {
 	EnvSims   uint64          `json:"env_sims"`
 }
 
-// harvestRec is the harvested template's standalone evaluation.
-type harvestRec struct {
-	Name    string   `json:"name"`
-	Hits    []uint64 `json:"hits"`
-	Sims    uint64   `json:"sims"`
-	Batches uint64   `json:"batches"`
-	EnvSims uint64   `json:"env_sims"`
-}
-
 // runDoneRec closes a Run's record group; replay validates the round
 // counter and simulation total as an end-to-end integrity check.
 type runDoneRec struct {
 	Round     int    `json:"round"`
 	TotalSims uint64 `json:"total_sims"`
-}
-
-// openJournal arms the flow's journal at path: a missing or empty file
-// starts fresh, an existing one is recovered and replayed. This is the
-// construction path behind Config.Journal — a daemon that re-opens its
-// campaign directories after a restart resumes interrupted runs with no
-// extra bookkeeping.
-func (f *Flow) openJournal(path string) error {
-	if st, err := os.Stat(path); err == nil && st.Size() > 0 {
-		return f.resumeJournal(path)
-	} else if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return f.startJournal(path)
-}
-
-// startJournal creates a fresh journal at path and arms the flow to
-// checkpoint into it. The flow owns the journal and closes it with
-// Close.
-func (f *Flow) startJournal(path string) error {
-	w, err := journal.Create(path, f.rec)
-	if err != nil {
-		return err
-	}
-	cur := journal.NewCursor(w, nil)
-	if err := cur.Append("flow_header", f.header()); err != nil {
-		w.Close()
-		return err
-	}
-	f.cur = cur
-	return nil
-}
-
-// resumeJournal recovers the journal at path (truncating any torn tail)
-// and arms the flow to replay it: the next run calls — with the same
-// arguments as the interrupted run — consume the journal's history
-// instead of simulating, re-enter mid-phase where it ends, and continue
-// live, appending to the same journal. The journal's header must match
-// this flow's unit, seed, coverage model, and result-relevant config.
-func (f *Flow) resumeJournal(path string) error {
-	recs, w, err := journal.Recover(path, f.rec, f.cfg.Log)
-	if err != nil {
-		return err
-	}
-	cur := journal.NewCursor(w, recs)
-	if len(recs) == 0 {
-		// No record survived: the writer died between journal.Create and
-		// its header append. Nothing was checkpointed, so start afresh.
-		if err := cur.Append("flow_header", f.header()); err != nil {
-			w.Close()
-			return err
-		}
-		f.cur = cur
-		return nil
-	}
-	var got flowHeader
-	ok, err := cur.Take("flow_header", &got)
-	if err != nil {
-		w.Close()
-		return err
-	}
-	if want := f.header(); !ok || got != want {
-		w.Close()
-		return fmt.Errorf("core: journal %s does not match this flow (unit %q, seed %d, config hash %#x)",
-			path, want.Unit, want.Seed, want.CfgHash)
-	}
-	f.cur = cur
-	f.rec.Counter("flow.resumes").Inc()
-	return nil
 }
 
 // Journal exposes the flow's journal cursor (nil when journaling is

@@ -10,9 +10,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/duv"
 	"repro/internal/duv/iounit"
+	"repro/internal/duv/l3cache"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // journalTestConfig is the small iounit campaign the journal tests run:
@@ -140,38 +143,53 @@ func TestResumeRejectsMismatchedFlow(t *testing.T) {
 	workersCfg.Workers = 7
 	moved := newJournaled(t, workersCfg, path)
 	moved.Close()
-
-	// An explicit resume of a missing journal must fail; New's
-	// auto-detect treats it as a fresh start instead.
-	fresh := NewFlow(iounit.New(), journalTestConfig())
-	defer fresh.Close()
-	if err := fresh.resumeJournal(filepath.Join(t.TempDir(), "missing.journal")); err == nil {
-		t.Fatal("resume of a missing journal succeeded")
-	}
 }
 
 // TestJournalWithoutHeaderStartsFresh: a writer killed between
 // journal.Create (magic written and synced) and its header append — or
 // during the header append — leaves a journal with no complete record.
-// Nothing was checkpointed, so the next flow on that path must start
-// it fresh, not refuse it as another flow's journal: a campaign adopted
-// from a replica killed in that window would otherwise fail for good.
+// Nothing was checkpointed, so the next run on that path must start it
+// fresh, not refuse it as another run's journal: a campaign adopted from
+// a replica killed in that window would otherwise fail for good, and so
+// would "tacquery -resume" of a corpus build killed there. Both headers
+// go through the one opener, journal.Open.
 func TestJournalWithoutHeaderStartsFresh(t *testing.T) {
-	for name, tail := range map[string]string{"magic only": "", "torn header": "\x00\x00\x01"} {
-		path := filepath.Join(t.TempDir(), "run.journal")
-		if err := os.WriteFile(path, []byte(journal.Magic+tail), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		flow := newJournaled(t, journalTestConfig(), path)
-		flow.Close()
-		// The header is on disk now: the same flow resumes, another does not.
-		newJournaled(t, journalTestConfig(), path).Close()
-		other := journalTestConfig()
-		other.Seed = 22
-		other.Journal = path
-		if f, err := New(iounit.New(), other); err == nil {
-			f.Close()
-			t.Fatalf("%s: the restarted journal has no header of its own flow", name)
+	for _, h := range []struct {
+		header string
+		open   func(path string, seed uint64) error
+	}{
+		{"flow_header", func(path string, seed uint64) error {
+			cfg := journalTestConfig()
+			cfg.Seed, cfg.Journal = seed, path
+			f, err := New(iounit.New(), cfg)
+			if err == nil {
+				f.Close()
+			}
+			return err
+		}},
+		{"corpus_header", func(path string, seed uint64) error {
+			env := sim.NewEnv(iounit.New(), seed, 1)
+			defer env.Close()
+			cur, err := env.OpenCorpusJournal(path, 10, nil)
+			cur.Close()
+			return err
+		}},
+	} {
+		for name, tail := range map[string]string{"magic only": "", "torn header": "\x00\x00\x01"} {
+			path := filepath.Join(t.TempDir(), "run.journal")
+			if err := os.WriteFile(path, []byte(journal.Magic+tail), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.open(path, 21); err != nil {
+				t.Fatalf("%s, %s: %v", h.header, name, err)
+			}
+			// The header is on disk now: the same run resumes, another does not.
+			if err := h.open(path, 21); err != nil {
+				t.Fatalf("%s, %s: reopen: %v", h.header, name, err)
+			}
+			if h.open(path, 22) == nil {
+				t.Fatalf("%s, %s: the restarted journal has no header of its own run", h.header, name)
+			}
 		}
 	}
 }
@@ -231,5 +249,60 @@ func TestRoundSurvivesFailedHarvest(t *testing.T) {
 	}
 	if flow.Round() != 1 {
 		t.Fatalf("Round() = %d, want 1", flow.Round())
+	}
+}
+
+// TestParentJournalsReplay: journals written by the code before the
+// flow's batches went through one replay-or-run loop (testdata/parent_*,
+// committed untouched) still replay — with zero new simulations and
+// nothing appended — to the report goldens their runs produced. The
+// configs are TestDefaultEngineReportGolden's.
+func TestParentJournalsReplay(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		journal, golden string
+		unit            duv.DUV
+		cfg             Config
+		run             func(*Flow) ([]*Report, error)
+	}{
+		{"parent_family_iounit.journal", "engine_default_family.golden", iounit.New(), Config{
+			Seed: 7, CorpusSimsPerTemplate: 120, TopTemplates: 2, Subranges: 2, SampleTemplates: 8, SampleSims: 12,
+			OptIterations: 4, OptDirections: 4, OptSims: 15, BestSims: 100, Workers: 3,
+		}, func(f *Flow) ([]*Report, error) {
+			return f.Run(ctx, Target{Family: iounit.FamilyName, Decay: 0.4, Rounds: 2})
+		}},
+		{"parent_per_event_l3.journal", "engine_default_per_event_l3.golden", l3cache.New(), Config{
+			Seed: 11, CorpusSimsPerTemplate: 150, TopTemplates: 2, Subranges: 2, SampleTemplates: 6, SampleSims: 10,
+			OptIterations: 3, OptDirections: 5, OptSims: 12, BestSims: 80, Workers: 2,
+		}, func(f *Flow) ([]*Report, error) { return f.RunPerEventShared(ctx, l3cache.FamilyName, 0.5) }},
+	} {
+		t.Run(tc.journal, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.journal))
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), tc.journal)
+			if err := os.WriteFile(path, want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rec := obs.NewRecorder()
+			tc.cfg.Journal, tc.cfg.Obs = path, rec
+			flow, err := New(tc.unit, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports, err := tc.run(flow)
+			flow.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkReportGolden(t, tc.golden, reports)
+			if n := rec.Counter("sim.instances_completed").Value(); n != 0 {
+				t.Errorf("replay simulated %d instances, want 0", n)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+				t.Errorf("replay changed the journal (%d bytes, was %d)", len(got), len(want))
+			}
+		})
 	}
 }

@@ -173,7 +173,7 @@ func (f *Flow) coarseSearch(target *neighbors.Target) (best []tac.TemplateScore,
 		for name, t := range f.extra {
 			byName[name] = t
 		}
-		for _, ts := range blendTACPrior(ranked, f.cfg.TACPrior) {
+		for _, ts := range tac.Blend(ranked, f.cfg.TACPrior) {
 			t, ok := byName[ts.Name]
 			if !ok {
 				continue
@@ -243,72 +243,30 @@ func (f *Flow) sampleBox(skel *skeleton.Skeleton, r *rng.RNG, scored *neighbors.
 }
 
 // samplePhase simulates the random sample: SampleTemplates uniform
-// points in the skeleton's weight box, SampleSims sims each. All points
-// are submitted up front and simulated concurrently on the scheduler
-// (the coarse-phase sweep); submission order fixes the batch seeds, so
-// the result is identical to running them one at a time.
+// points in the skeleton's weight box, SampleSims sims each, as the
+// batches of one sim.Env.RunBatches loop (submitted up front, simulated
+// concurrently on the scheduler; submission order fixes the batch
+// seeds). Every point's weights are drawn from r, replayed or not, so the
+// stream advances exactly as the live run's did.
 func (f *Flow) samplePhase(skel *skeleton.Skeleton, r *rng.RNG) ([]sample, *coverage.Counts, error) {
-	model := f.env.Unit().Model()
-	aggregate := coverage.NewCountsFor(model)
-	n := f.cfg.SampleTemplates
-	samples := make([]sample, 0, n)
-	// Replay prefix: weights are still drawn from the RNG (the stream
-	// must advance exactly as the live run's did); the counts come from
-	// the journal and the environment's seeding counters are restored so
-	// the live remainder draws the original batch seeds.
-	for len(samples) < n {
-		var rec sampleRec
-		ok, err := f.cur.Take("sample", &rec)
+	samples := make([]sample, f.cfg.SampleTemplates)
+	batches := make([]sim.Batch, len(samples))
+	for i := range samples {
+		samples[i].x = skel.RandomWeights(r)
+		tmpl, err := skel.Instantiate(fmt.Sprintf("sample_%03d", i), samples[i].x)
 		if err != nil {
 			return nil, nil, err
 		}
-		if !ok {
-			break
-		}
-		if rec.I != len(samples) || len(rec.Hits) != model.Size() {
-			return nil, nil, fmt.Errorf("core: journal sample record %d does not match phase index %d", rec.I, len(samples))
-		}
-		x := skel.RandomWeights(r)
-		counts := coverage.CountsFromRaw(rec.Hits, rec.Sims)
-		aggregate.Merge(counts)
-		samples = append(samples, sample{x: x, counts: counts})
-		f.env.RestoreCounters(rec.Batches, rec.EnvSims)
+		batches[i] = sim.Batch{I: i, Tmpl: tmpl, Sims: f.cfg.SampleSims}
 	}
-	first := len(samples)
-	if first == n {
-		return samples, aggregate, nil
+	recs, err := f.env.RunBatches(f.cur, "sample", batches, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	type pending struct {
-		job              *sim.Job
-		batches, envSims uint64
-	}
-	jobs := make([]pending, 0, n-first)
-	for i := first; i < n; i++ {
-		x := skel.RandomWeights(r)
-		tmpl, err := skel.Instantiate(fmt.Sprintf("sample_%03d", i), x)
-		if err != nil {
-			return nil, nil, err
-		}
-		job, err := f.env.Submit(tmpl, f.cfg.SampleSims)
-		if err != nil {
-			return nil, nil, err
-		}
-		jobs = append(jobs, pending{job, f.env.Batches(), f.env.Simulations()})
-		samples = append(samples, sample{x: x})
-	}
-	for k, p := range jobs {
-		counts := p.job.Wait()
-		if err := f.ctxErr(); err != nil {
-			return nil, nil, err
-		}
-		aggregate.Merge(counts)
-		samples[first+k].counts = counts
-		hits, sims := counts.Raw()
-		if err := f.cur.Append("sample", sampleRec{
-			I: first + k, Hits: hits, Sims: sims, Batches: p.batches, EnvSims: p.envSims,
-		}); err != nil {
-			return nil, nil, err
-		}
+	aggregate := coverage.NewCountsFor(f.env.Unit().Model())
+	for i, rec := range recs {
+		samples[i].counts = rec.Counts()
+		aggregate.Merge(samples[i].counts)
 	}
 	return samples, aggregate, nil
 }
@@ -478,11 +436,11 @@ func (f *Flow) harvest(skel *skeleton.Skeleton, x []float64, name string, attrs 
 		if err != nil {
 			return nil, err
 		}
-		counts, err := f.harvestCounts(tmpl)
+		recs, err := f.env.RunBatches(f.cur, "harvest", []sim.Batch{{Name: name, Tmpl: tmpl, Sims: f.cfg.BestSims}}, nil)
 		if err != nil {
 			return nil, err
 		}
-		stats = PhaseStats{Name: "best", Description: fmt.Sprintf("%d sims", f.cfg.BestSims), Counts: counts}
+		stats = PhaseStats{Name: "best", Description: fmt.Sprintf("%d sims", f.cfg.BestSims), Counts: recs[0].Counts()}
 		return map[string]any{"template": tmpl.Name}, nil
 	})
 	if err != nil {
@@ -492,37 +450,4 @@ func (f *Flow) harvest(skel *skeleton.Skeleton, x []float64, name string, attrs 
 	f.extra[tmpl.Name] = tmpl
 	f.round++
 	return tmpl, stats, nil
-}
-
-// harvestCounts measures the harvested template standalone — from the
-// journal when replaying, live (and journaled) otherwise.
-func (f *Flow) harvestCounts(tmpl *template.Template) (*coverage.Counts, error) {
-	var rec harvestRec
-	ok, err := f.cur.Take("harvest", &rec)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		if rec.Name != tmpl.Name || len(rec.Hits) != f.env.Unit().Model().Size() {
-			return nil, fmt.Errorf("core: journal harvest record %q does not match template %q", rec.Name, tmpl.Name)
-		}
-		f.env.RestoreCounters(rec.Batches, rec.EnvSims)
-		return coverage.CountsFromRaw(rec.Hits, rec.Sims), nil
-	}
-	job, err := f.env.Submit(tmpl, f.cfg.BestSims)
-	if err != nil {
-		return nil, err
-	}
-	batches, envSims := f.env.Batches(), f.env.Simulations()
-	counts := job.Wait()
-	if err := f.ctxErr(); err != nil {
-		return nil, err
-	}
-	hits, sims := counts.Raw()
-	if err := f.cur.Append("harvest", harvestRec{
-		Name: tmpl.Name, Hits: hits, Sims: sims, Batches: batches, EnvSims: envSims,
-	}); err != nil {
-		return nil, err
-	}
-	return counts, nil
 }

@@ -19,7 +19,8 @@
 // Append new ones once it is exhausted. Appending while replay records
 // remain is an error — it means the run diverged from the journal
 // (different config, seed, or code path), and continuing would corrupt
-// the stream.
+// the stream. Open hands a run its Cursor: it decides fresh or resume
+// and checks the journal's header against the run's.
 package journal
 
 import (
@@ -214,6 +215,45 @@ func Recover(path string, rec *obs.Recorder, log *slog.Logger) ([]Record, *Write
 	rec.Counter("journal.recoveries").Inc()
 	log.Info("journal: recovered", "path", path, "records", len(recs))
 	return recs, newWriter(f, path, len(recs), rec), nil
+}
+
+// Open is the one way a run opens its journal. A missing or empty file
+// is created, with header appended as its first record, of type typ. An
+// existing one is recovered (Recover) and must begin with a typ record
+// equal to header: a journal of another run is rejected, never replayed.
+// A recovered journal with no surviving record — its writer died before
+// the header reached the disk — checkpointed nothing, so it starts afresh
+// like a missing one. resumed reports whether the header was replayed,
+// i.e. the cursor holds the run's history. The caller closes the cursor.
+func Open[H comparable](path, typ string, header H, rec *obs.Recorder, log *slog.Logger) (cur *Cursor, resumed bool, err error) {
+	var (
+		recs []Record
+		w    *Writer
+	)
+	st, err := os.Stat(path)
+	switch {
+	case err == nil && st.Size() > 0:
+		recs, w, err = Recover(path, rec, log)
+	case err == nil || os.IsNotExist(err):
+		w, err = Create(path, rec)
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	cur = NewCursor(w, recs)
+	if len(recs) == 0 {
+		err = cur.Append(typ, header)
+	} else {
+		var got H
+		if resumed, err = cur.Take(typ, &got); err == nil && (!resumed || got != header) {
+			err = fmt.Errorf("journal: %s belongs to another run (want %s %+v)", path, typ, header)
+		}
+	}
+	if err != nil {
+		w.Close()
+		return nil, false, err
+	}
+	return cur, resumed, nil
 }
 
 // SetFence installs a guard consulted before every append: a non-nil

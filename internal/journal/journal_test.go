@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -302,3 +303,66 @@ func TestSetFenceRejectsAppends(t *testing.T) {
 		t.Fatalf("Appends = %d, want 1", w.Appends())
 	}
 }
+
+// TestOpen: the one opener creates a missing, empty or header-less
+// journal with the run's header, resumes a journal whose header equals
+// the run's with its history behind the header, and rejects one of
+// another run or a file that is no journal.
+func TestOpen(t *testing.T) {
+	dir := t.TempDir()
+	hdr := payload{N: 1, S: "run"}
+	for _, tc := range []struct {
+		name    string
+		content *string // nil: no file
+		header  payload
+		resumed bool
+		errPart string
+	}{
+		{"missing", nil, hdr, false, ""},
+		{"empty", ptr(""), hdr, false, ""},
+		{"magic only", ptr(Magic), hdr, false, ""},
+		{"torn header", ptr(Magic + "\x00\x00\x01"), hdr, false, ""},
+		{"same run", nil, hdr, true, ""},
+		{"another run", nil, payload{N: 2, S: "run"}, false, "belongs to another run"},
+		{"not a journal", ptr("ASCDG"), hdr, false, "not a journal"},
+	} {
+		path := filepath.Join(dir, tc.name+".journal")
+		switch {
+		case tc.content != nil:
+			if err := os.WriteFile(path, []byte(*tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		case tc.resumed || tc.errPart != "":
+			// A finished run of hdr with one record after the header.
+			cur, _, err := Open(path, "header", hdr, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur.Append("rec", payload{N: 7})
+			cur.Close()
+		}
+		cur, resumed, err := Open(path, "header", tc.header, nil, nil)
+		if tc.errPart != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.errPart) {
+				t.Errorf("%s: err = %v, want one with %q", tc.name, err, tc.errPart)
+			}
+			continue
+		}
+		if err != nil || resumed != tc.resumed {
+			t.Fatalf("%s: resumed %v, err %v; want resumed %v", tc.name, resumed, err, tc.resumed)
+		}
+		var rec payload
+		if ok, _ := cur.Take("rec", &rec); ok != tc.resumed || cur.Replaying() {
+			t.Errorf("%s: history replayed %v, want %v", tc.name, ok, tc.resumed)
+		}
+		cur.Close()
+		// Whatever the file was, it now begins with this run's header.
+		again, resumed, err := Open(path, "header", tc.header, nil, nil)
+		if err != nil || !resumed {
+			t.Errorf("%s: reopen: resumed %v, err %v", tc.name, resumed, err)
+		}
+		again.Close()
+	}
+}
+
+func ptr(s string) *string { return &s }

@@ -28,7 +28,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/opt"
-	"repro/internal/tac"
 )
 
 // Entry is one campaign round's harvested evidence: the weight vector
@@ -255,30 +254,6 @@ func Priors(entries []Entry, unit string, max int) []opt.PriorPoint {
 		pts = pts[:max]
 	}
 	return pts
-}
-
-// BlendTAC folds boosts into a TAC ranking — each named template's
-// boost is added to its measured score, then the ranking re-sorts
-// (score descending, name ascending for determinism). Empty boosts
-// return ranked untouched. This is the query-level counterpart of the
-// flow's own in-run blending (core.Config.TACPrior).
-func BlendTAC(ranked []tac.TemplateScore, boosts map[string]float64) []tac.TemplateScore {
-	if len(boosts) == 0 {
-		return ranked
-	}
-	out := append([]tac.TemplateScore(nil), ranked...)
-	for i := range out {
-		if b, ok := boosts[out[i].Name]; ok {
-			out[i].Score += b
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }
 
 // TACBoosts turns the unit's entries into damped per-template score

@@ -259,17 +259,21 @@ func TestTACBoosts(t *testing.T) {
 	}
 }
 
+// TestBlendTAC: the boosts history earns, blended into a TAC ranking,
+// promote the credited template; history for another unit leaves the
+// ranking untouched, and the input ranking is never mutated.
 func TestBlendTAC(t *testing.T) {
 	ranked := []tac.TemplateScore{
 		{Name: "a", Score: 0.50},
 		{Name: "b", Score: 0.40},
 		{Name: "c", Score: 0.30},
 	}
-	// Nil boosts: untouched, same backing order.
-	if got := BlendTAC(ranked, nil); !reflect.DeepEqual(got, ranked) {
-		t.Fatalf("nil blend changed ranking: %v", got)
+	entries := []Entry{entry("c1", 0, "iounit", "t1", 0.5, "c")}
+	if got := tac.Blend(ranked, TACBoosts(entries, "noc", 0.5)); !reflect.DeepEqual(got, ranked) {
+		t.Fatalf("blend without boosts changed ranking: %v", got)
 	}
-	got := BlendTAC(ranked, map[string]float64{"c": 0.25})
+	// c: 0.30 + 0.5*0.5 = 0.55 overtakes a.
+	got := tac.Blend(ranked, TACBoosts(entries, "iounit", 0.5))
 	want := []string{"c", "a", "b"}
 	for i, name := range want {
 		if got[i].Name != name {
@@ -279,8 +283,7 @@ func TestBlendTAC(t *testing.T) {
 	if got[0].Score != 0.55 {
 		t.Fatalf("boosted score = %v, want 0.55", got[0].Score)
 	}
-	// The input slice must not be mutated.
 	if ranked[2].Score != 0.30 || ranked[0].Name != "a" {
-		t.Fatalf("BlendTAC mutated its input: %v", ranked)
+		t.Fatalf("blend mutated its input: %v", ranked)
 	}
 }

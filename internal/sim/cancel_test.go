@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -107,7 +109,7 @@ func TestBuildCorpusJournaledMatchesPlain(t *testing.T) {
 	env := NewEnv(iounit.New(), seed, 3)
 	defer env.Close()
 	path := filepath.Join(t.TempDir(), "corpus.journal")
-	cur, err := env.OpenCorpusJournal(path, false, sims, nil)
+	cur, err := env.OpenCorpusJournal(path, sims, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestBuildCorpusJournaledMatchesPlain(t *testing.T) {
 	// repository, counters restored to the originals.
 	replayEnv := NewEnv(iounit.New(), seed, 3)
 	defer replayEnv.Close()
-	cur2, err := replayEnv.OpenCorpusJournal(path, true, sims, nil)
+	cur2, err := replayEnv.OpenCorpusJournal(path, sims, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func TestBuildCorpusJournaledResumeFromEveryCrash(t *testing.T) {
 		for _, tear := range []int{0, 7} {
 			path := filepath.Join(t.TempDir(), "corpus.journal")
 			env := NewEnv(iounit.New(), seed, 2)
-			cur, err := env.OpenCorpusJournal(path, false, sims, nil)
+			cur, err := env.OpenCorpusJournal(path, sims, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +175,7 @@ func TestBuildCorpusJournaledResumeFromEveryCrash(t *testing.T) {
 			env.Close()
 
 			resumed := NewEnv(iounit.New(), seed, 2)
-			cur2, err := resumed.OpenCorpusJournal(path, true, sims, nil)
+			cur2, err := resumed.OpenCorpusJournal(path, sims, nil)
 			if err != nil {
 				t.Fatalf("fail=%d tear=%d: reopen: %v", fail, tear, err)
 			}
@@ -199,7 +201,7 @@ func TestOpenCorpusJournalRejectsMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.journal")
 	env := NewEnv(iounit.New(), 21, 1)
 	defer env.Close()
-	cur, err := env.OpenCorpusJournal(path, false, 10, nil)
+	cur, err := env.OpenCorpusJournal(path, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,15 +209,61 @@ func TestOpenCorpusJournalRejectsMismatch(t *testing.T) {
 
 	other := NewEnv(iounit.New(), 22, 1)
 	defer other.Close()
-	if _, err := other.OpenCorpusJournal(path, true, 10, nil); err == nil {
+	if _, err := other.OpenCorpusJournal(path, 10, nil); err == nil {
 		t.Fatal("resume with a different seed succeeded")
 	}
-	if _, err := env.OpenCorpusJournal(path, true, 11, nil); err == nil {
+	if _, err := env.OpenCorpusJournal(path, 11, nil); err == nil {
 		t.Fatal("resume with a different budget succeeded")
 	}
 	toy := NewEnv(newToy(), 21, 1)
 	defer toy.Close()
-	if _, err := toy.OpenCorpusJournal(path, true, 10, nil); err == nil {
+	if _, err := toy.OpenCorpusJournal(path, 10, nil); err == nil {
 		t.Fatal("resume with a different unit succeeded")
+	}
+}
+
+// TestParentCorpusJournalReplays: a corpus journal written by the code
+// before the build went through the one replay-or-run loop
+// (testdata/parent_corpus_iounit.journal, iounit, seed 21, 40 sims per
+// template) replays with zero new simulations and nothing appended into
+// the repository that build saved.
+func TestParentCorpusJournalReplays(t *testing.T) {
+	journalBytes, err := os.ReadFile(filepath.Join("testdata", "parent_corpus_iounit.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "corpus.journal")
+	if err := os.WriteFile(path, journalBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv(iounit.New(), 21, 2)
+	defer env.Close()
+	rec := obs.NewRecorder()
+	env.SetRecorder(rec)
+	cur, err := env.OpenCorpusJournal(path, 40, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := env.BuildCorpusJournaled(40, cur)
+	cur.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rec.Counter("sim.instances_completed").Value(); n != 0 {
+		t.Errorf("replay simulated %d instances, want 0", n)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, journalBytes) {
+		t.Errorf("replay changed the journal (%d bytes, was %d)", len(got), len(journalBytes))
+	}
+	var saved bytes.Buffer
+	if err := repo.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "parent_corpus_iounit.repo.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), want) {
+		t.Fatalf("replayed repository differs from the parent build's:\n%s\nwant:\n%s", saved.Bytes(), want)
 	}
 }

@@ -25,10 +25,13 @@ const corpusCacheSize = 64
 // shared by every environment it is installed on (SetCorpusCache). A
 // corpus is a pure function of the unit, its base suite, the seed, the
 // budget and the seeding counters the build started from, so a build
-// whose key is cached replays the stored per-template records through
-// the same path a journal resume takes — the repository, the
-// environment's counters and the journal come out byte-identical to a
-// live build, without simulating. Safe for concurrent use; the zero
+// whose key is cached hands the stored per-template records to
+// RunBatches as its precomputed records, which it replays the way it
+// replays a journal — the repository, the environment's counters and
+// the journal come out byte-identical to a live build, without
+// simulating. That precomputed-records input is the seam for any other
+// source of finished batches (an observation store, a corpus artifact
+// on a service's data root). Safe for concurrent use; the zero
 // value is not usable, create one with NewCorpusCache. A nil cache
 // never hits and stores nothing.
 type CorpusCache struct {
@@ -53,7 +56,7 @@ type corpusKey struct {
 // recs is never mutated once stored.
 type corpusEntry struct {
 	key  corpusKey
-	recs []CorpusTemplateRec
+	recs []BatchRec
 }
 
 // NewCorpusCache returns an empty cache bounded at corpusCacheSize builds.
@@ -83,7 +86,7 @@ func suiteKey(templates []*template.Template) string {
 
 // get returns a copy of the records cached under k, or nil. The records'
 // Hits slices are shared and must not be written.
-func (c *CorpusCache) get(k corpusKey) []CorpusTemplateRec {
+func (c *CorpusCache) get(k corpusKey) []BatchRec {
 	if c == nil {
 		return nil
 	}
@@ -101,7 +104,7 @@ func (c *CorpusCache) get(k corpusKey) []CorpusTemplateRec {
 // recs, and returns how many least-recently-used builds it evicted. A
 // key already present keeps its records: two builds of one key produce
 // identical records, so whichever finished first stays.
-func (c *CorpusCache) put(k corpusKey, recs []CorpusTemplateRec) (evicted int) {
+func (c *CorpusCache) put(k corpusKey, recs []BatchRec) (evicted int) {
 	if c == nil {
 		return 0
 	}

@@ -82,7 +82,7 @@ func TestCorpusCacheFillRule(t *testing.T) {
 	// Failed: the journal append of the second template dies.
 	env := NewEnv(iounit.New(), 21, 2)
 	env.SetCorpusCache(cache)
-	cur, err := env.OpenCorpusJournal(filepath.Join(t.TempDir(), "corpus.journal"), false, 20, nil)
+	cur, err := env.OpenCorpusJournal(filepath.Join(t.TempDir(), "corpus.journal"), 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

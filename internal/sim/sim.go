@@ -353,118 +353,53 @@ func (e *Env) BuildCorpus(simsPerTemplate int) (*coverage.Repository, error) {
 	return e.BuildCorpusJournaled(simsPerTemplate, nil)
 }
 
-// CorpusTemplateRec is the journal record of one corpus template's
-// aggregate: the counts plus the environment's seeding counters right
-// after the template's batch was submitted, so a resumed build draws
-// the exact batch seeds the original would have for the remainder.
-type CorpusTemplateRec struct {
-	I       int      `json:"i"`
-	Name    string   `json:"name"`
-	Hits    []uint64 `json:"hits"`
-	Sims    uint64   `json:"sims"`
-	Batches uint64   `json:"batches"`
-	EnvSims uint64   `json:"env_sims"`
-}
-
 // BuildCorpusJournaled is BuildCorpus with crash-safe checkpointing:
-// each template's aggregate is replayed from (or appended to) the
-// cursor, in base-template order. A nil cursor degrades to a plain
-// build. Replay consumes no simulations; the live remainder is
-// submitted up front and journaled in submission order.
+// the base templates are the batches of one RunBatches loop, journaled
+// on cur as "corpus_template" records. A nil cursor degrades to a plain
+// build.
 //
-// With a corpus cache installed (SetCorpusCache), a remainder the cache
-// holds is replayed from it exactly like journal records — and appended
-// to the cursor, so the journal is the one a live build writes — and a
-// build that completes from counters (0, 0), as every flow's does, is
-// stored for the next environment with the same key.
+// With a corpus cache installed (SetCorpusCache), the cache is the
+// loop's precomputed records: a remainder the cache holds is replayed
+// from it, and a build that started from counters (0, 0), as every
+// flow's does, is stored for the next environment with the same key.
 func (e *Env) BuildCorpusJournaled(simsPerTemplate int, cur *journal.Cursor) (*coverage.Repository, error) {
-	repo := coverage.NewRepository(e.unit.Model())
 	templates := e.unit.BaseTemplates()
-	var key corpusKey
+	batches := make([]Batch, len(templates))
+	for i, t := range templates {
+		batches[i] = Batch{I: i, Name: t.Name, Tmpl: t, Sims: simsPerTemplate}
+	}
+	var (
+		key    corpusKey
+		cached func() []BatchRec
+	)
 	if e.corpora != nil {
 		key = corpusKey{
 			unit: e.unitName, events: e.unit.Model().Size(), suite: suiteKey(templates),
 			seed: e.Seed(), simsPerTemplate: simsPerTemplate,
 			batches: e.batch.Load(), envSims: e.sims.Load(),
 		}
-	}
-	recs := make([]CorpusTemplateRec, 0, len(templates))
-	for len(recs) < len(templates) {
-		var rec CorpusTemplateRec
-		ok, err := cur.Take("corpus_template", &rec)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if err := e.replayCorpusRec(repo, templates, len(recs), rec); err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
-	if len(recs) < len(templates) && e.corpora != nil {
-		if cached := e.corpora.get(key); cached != nil {
-			e.mCorpusHits.Inc()
-			for i := len(recs); i < len(cached); i++ {
-				if err := e.replayCorpusRec(repo, templates, i, cached[i]); err != nil {
-					return nil, err
-				}
-				if err := cur.Append("corpus_template", cached[i]); err != nil {
-					return nil, err
-				}
+		cached = func() []BatchRec {
+			recs := e.corpora.get(key)
+			if recs == nil {
+				e.mCorpusMisses.Inc()
+			} else {
+				e.mCorpusHits.Inc()
 			}
-			return repo, nil
+			return recs
 		}
-		e.mCorpusMisses.Inc()
 	}
-	start := len(recs)
-	type pending struct {
-		job              *Job
-		batches, envSims uint64
+	recs, err := e.RunBatches(cur, "corpus_template", batches, cached)
+	if err != nil {
+		return nil, err
 	}
-	jobs := make([]pending, 0, len(templates)-start)
-	for _, t := range templates[start:] {
-		job, err := e.Submit(t, simsPerTemplate)
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, pending{job, e.batch.Load(), e.sims.Load()})
-	}
-	for i, p := range jobs {
-		counts := p.job.Wait()
-		if err := e.ctxErr(); err != nil {
-			return nil, err
-		}
-		name := templates[start+i].Name
-		repo.RecordCounts(name, counts)
-		hits, n := counts.Raw()
-		rec := CorpusTemplateRec{
-			I: start + i, Name: name, Hits: hits, Sims: n,
-			Batches: p.batches, EnvSims: p.envSims,
-		}
-		if err := cur.Append("corpus_template", rec); err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
+	repo := coverage.NewRepository(e.unit.Model())
+	for _, rec := range recs {
+		repo.RecordCounts(rec.Name, rec.Counts())
 	}
 	if e.corpora != nil && key.batches == 0 && key.envSims == 0 {
 		e.mCorpusEvictions.Add(uint64(e.corpora.put(key, recs)))
 	}
 	return repo, nil
-}
-
-// replayCorpusRec installs record i of a corpus build — from the journal
-// or the corpus cache — into repo and restores the environment's seeding
-// counters to the ones the record was built under.
-func (e *Env) replayCorpusRec(repo *coverage.Repository, templates []*template.Template, i int, rec CorpusTemplateRec) error {
-	if rec.I != i || rec.Name != templates[i].Name || len(rec.Hits) != e.unit.Model().Size() {
-		return fmt.Errorf("sim: journal corpus record %d (%q) does not match template %d (%q)",
-			rec.I, rec.Name, i, templates[i].Name)
-	}
-	repo.RecordCounts(rec.Name, coverage.CountsFromRaw(rec.Hits, rec.Sims))
-	e.RestoreCounters(rec.Batches, rec.EnvSims)
-	return nil
 }
 
 // corpusHeader identifies a standalone corpus journal; resume rejects a
@@ -477,46 +412,19 @@ type corpusHeader struct {
 	Events          int    `json:"events"`
 }
 
-// OpenCorpusJournal creates (resume false) or recovers (resume true) a
-// standalone corpus-build journal for this environment — the
-// crash-safety entry point for CLIs whose only simulation phase is
-// BuildCorpus (regress, tacquery). On resume, the journal's header must
-// match this environment's unit, seed and budget exactly; a mismatched
-// journal is rejected rather than silently replayed into a different
-// run. The caller owns closing the returned cursor.
-func (e *Env) OpenCorpusJournal(path string, resume bool, simsPerTemplate int, rec *obs.Recorder) (*journal.Cursor, error) {
-	want := corpusHeader{
+// OpenCorpusJournal opens (journal.Open) the standalone corpus-build
+// journal at path for this environment — the crash-safety entry point
+// for CLIs whose only simulation phase is BuildCorpus (regress,
+// tacquery). A missing file starts a fresh journal; an existing one
+// resumes, and its header must match this environment's unit, seed and
+// budget exactly. The caller owns closing the returned cursor.
+func (e *Env) OpenCorpusJournal(path string, simsPerTemplate int, rec *obs.Recorder) (*journal.Cursor, error) {
+	cur, resumed, err := journal.Open(path, "corpus_header", corpusHeader{
 		Kind: "corpus", Unit: e.unitName, Seed: e.Seed(),
 		SimsPerTemplate: simsPerTemplate, Events: e.unit.Model().Size(),
-	}
-	if resume {
-		recs, w, err := journal.Recover(path, rec, nil)
-		if err != nil {
-			return nil, err
-		}
-		cur := journal.NewCursor(w, recs)
-		var got corpusHeader
-		ok, err := cur.Take("corpus_header", &got)
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		if !ok || got != want {
-			w.Close()
-			return nil, fmt.Errorf("sim: journal %s does not match this corpus build (unit %q, seed %d, %d sims/template)",
-				path, want.Unit, want.Seed, want.SimsPerTemplate)
-		}
+	}, rec, nil)
+	if resumed {
 		rec.Counter("sim.corpus_resumes").Inc()
-		return cur, nil
 	}
-	w, err := journal.Create(path, rec)
-	if err != nil {
-		return nil, err
-	}
-	cur := journal.NewCursor(w, nil)
-	if err := cur.Append("corpus_header", want); err != nil {
-		w.Close()
-		return nil, err
-	}
-	return cur, nil
+	return cur, err
 }

@@ -54,10 +54,12 @@ func WilsonZ(hits, n uint64, z float64) Interval {
 	margin := z / denom * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf))
 	lo := center - margin
 	hi := center + margin
-	if lo < 0 {
+	// At p == 0 and p == 1 the bound is exactly 0 or 1, but center and
+	// margin round differently; pin them so the interval still holds p.
+	if lo < 0 || hits == 0 {
 		lo = 0
 	}
-	if hi > 1 {
+	if hi > 1 || hits == n {
 		hi = 1
 	}
 	return Interval{lo, hi}

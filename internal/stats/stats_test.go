@@ -53,6 +53,19 @@ func TestWilsonPropertyBounds(t *testing.T) {
 	}
 }
 
+func TestWilsonExactEndpoints(t *testing.T) {
+	// 0/n and n/n must reach 0 and 1 exactly: the bounds of the formula
+	// round to just inside them for many n.
+	for n := uint64(1); n <= 20000; n++ {
+		if lo := Wilson(0, n).Lo; lo != 0 {
+			t.Fatalf("Wilson(0,%d).Lo = %v, want 0", n, lo)
+		}
+		if hi := Wilson(n, n).Hi; hi != 1 {
+			t.Fatalf("Wilson(%d,%d).Hi = %v, want 1", n, n, hi)
+		}
+	}
+}
+
 func TestWilsonShrinksWithN(t *testing.T) {
 	// Property: for a fixed rate, more trials tighten the interval.
 	prev := 1.0

@@ -75,12 +75,7 @@ func (s *Stats) BestTemplates(events []int, weights []float64, n int) ([]Templat
 		}
 		scores = append(scores, TemplateScore{Name: name, Score: score, Sims: c.Sims()})
 	}
-	sort.Slice(scores, func(i, j int) bool {
-		if scores[i].Score != scores[j].Score {
-			return scores[i].Score > scores[j].Score
-		}
-		return scores[i].Name < scores[j].Name
-	})
+	rank(scores)
 	if n > 0 && len(scores) > n {
 		scores = scores[:n]
 	}
@@ -98,13 +93,38 @@ func (s *Stats) EventTemplates(event int) []TemplateScore {
 		}
 		scores = append(scores, TemplateScore{Name: name, Score: c.HitRate(event), Sims: c.Sims()})
 	}
-	sort.Slice(scores, func(i, j int) bool {
+	rank(scores)
+	return scores
+}
+
+// Blend folds per-template score boosts (cross-campaign knowledge) into
+// a ranking: each named template's boost is added to its score, then the
+// ranking re-sorts. Empty boosts return ranked untouched, so a flow or
+// query without knowledge is bit-identical to one that never blends.
+// ranked itself is not modified.
+func Blend(ranked []TemplateScore, boosts map[string]float64) []TemplateScore {
+	if len(boosts) == 0 {
+		return ranked
+	}
+	out := append([]TemplateScore(nil), ranked...)
+	for i := range out {
+		if b, ok := boosts[out[i].Name]; ok {
+			out[i].Score += b
+		}
+	}
+	rank(out)
+	return out
+}
+
+// rank sorts scores best first: score descending, ties by name ascending
+// for determinism.
+func rank(scores []TemplateScore) {
+	sort.SliceStable(scores, func(i, j int) bool {
 		if scores[i].Score != scores[j].Score {
 			return scores[i].Score > scores[j].Score
 		}
 		return scores[i].Name < scores[j].Name
 	})
-	return scores
 }
 
 // EventRow is one line of a per-event TAC report.
