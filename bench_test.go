@@ -418,6 +418,7 @@ func BenchmarkAblationOptimizers(b *testing.B) {
 					opt.EngineConfig{X0: fix.x0, MaxEvals: 100, RNG: rng.New(uint64(i + 7))},
 					`{"iterations": 100, "min_step": 1e-9}`) // budget-bound, not iteration- or stencil-bound
 				b.ReportMetric(fix.trueValue(res.X), "true_target")
+				b.ReportMetric(float64(res.Evals), "evals")
 			}
 		})
 	}

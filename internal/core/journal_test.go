@@ -252,11 +252,14 @@ func TestRoundSurvivesFailedHarvest(t *testing.T) {
 	}
 }
 
-// TestParentJournalsReplay: journals written by the code before the
-// flow's batches went through one replay-or-run loop (testdata/parent_*,
-// committed untouched) still replay — with zero new simulations and
-// nothing appended — to the report goldens their runs produced. The
-// configs are TestDefaultEngineReportGolden's.
+// TestParentJournalsReplay: journals written by earlier code
+// (testdata/parent_*, committed untouched) still replay — with zero new
+// simulations and nothing appended — to the reports their runs produced.
+// The iounit and per-event journals predate the flow's batches going
+// through one replay-or-run loop; their configs are
+// TestDefaultEngineReportGolden's and their reports its goldens. The
+// bayes journal predates the engines sharing one frame; a row without a
+// golden compares against an unjournaled run of the same config.
 func TestParentJournalsReplay(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -275,6 +278,12 @@ func TestParentJournalsReplay(t *testing.T) {
 			Seed: 11, CorpusSimsPerTemplate: 150, TopTemplates: 2, Subranges: 2, SampleTemplates: 6, SampleSims: 10,
 			OptIterations: 3, OptDirections: 5, OptSims: 12, BestSims: 80, Workers: 2,
 		}, func(f *Flow) ([]*Report, error) { return f.RunPerEventShared(ctx, l3cache.FamilyName, 0.5) }},
+		{"parent_bayes_l3.journal", "", l3cache.New(), Config{
+			Seed: 11, CorpusSimsPerTemplate: 150, TopTemplates: 2, Subranges: 2, SampleTemplates: 6, SampleSims: 10,
+			OptIterations: 6, OptDirections: 5, OptSims: 12, BestSims: 80, Workers: 2, Engine: "bayes",
+		}, func(f *Flow) ([]*Report, error) {
+			return f.Run(ctx, Target{Family: l3cache.FamilyName, Decay: 0.5})
+		}},
 	} {
 		t.Run(tc.journal, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.journal))
@@ -296,7 +305,26 @@ func TestParentJournalsReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkReportGolden(t, tc.golden, reports)
+			if tc.golden != "" {
+				checkReportGolden(t, tc.golden, reports)
+			} else {
+				plainCfg := tc.cfg
+				plainCfg.Journal, plainCfg.Obs = "", nil
+				plain := NewFlow(tc.unit, plainCfg)
+				plainReports, err := tc.run(plain)
+				plain.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(reports) != len(plainReports) {
+					t.Fatalf("replay produced %d reports, the unjournaled run %d", len(reports), len(plainReports))
+				}
+				for i := range reports {
+					if !bytes.Equal(canonicalReport(t, reports[i]), canonicalReport(t, plainReports[i])) {
+						t.Fatalf("replayed report %d differs from the unjournaled run's", i)
+					}
+				}
+			}
 			if n := rec.Counter("sim.instances_completed").Value(); n != 0 {
 				t.Errorf("replay simulated %d instances, want 0", n)
 			}

@@ -1,13 +1,9 @@
 package opt
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 	"math"
-	"sort"
 
-	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -78,67 +74,22 @@ func init() {
 }
 
 type bayesEngine struct {
-	spec        BayesSpec
-	lo, hi      float64
-	maxEvals    int
-	targetValue float64
-	rng         *rng.RNG
-	rec         *obs.Recorder
-	mEvals      *obs.Counter
-	oo          optObs
-
-	dim int
-	x0  []float64
-
+	frame
+	spec BayesSpec
 	// Training data: prior (knowledge-base) points first, then live
 	// observations. Only live observations count toward evals/best.
 	xs [][]float64
 	ys []float64
-
-	iter    int
-	evals   int
-	best    float64
-	bestX   []float64
-	history []IterRecord
-	done    bool
-	pending [][]float64
 }
 
 func newBayesEngine(cfg EngineConfig, spec BayesSpec) *bayesEngine {
-	cfg = cfg.withDefaults()
-	e := &bayesEngine{
-		spec:        spec.withDefaults(),
-		lo:          cfg.Lo,
-		hi:          cfg.Hi,
-		maxEvals:    cfg.MaxEvals,
-		targetValue: cfg.TargetValue,
-		rng:         cfg.RNG,
-		rec:         cfg.Recorder,
-		mEvals:      cfg.Recorder.Counter("opt.evals"),
-		oo:          newOptObs(cfg.Recorder),
-		dim:         len(cfg.X0),
-		x0:          append([]float64(nil), cfg.X0...),
-	}
-	clampTo(e.x0, e.lo, e.hi)
-	for _, p := range cfg.priorInDim(e.dim) {
+	e := &bayesEngine{spec: spec.withDefaults()}
+	e.frame = newFrame("bayes", cfg, e)
+	for _, p := range e.prior(cfg.Prior) {
 		e.xs = append(e.xs, p.X)
 		e.ys = append(e.ys, p.Value)
 	}
 	return e
-}
-
-func (e *bayesEngine) Name() string { return "bayes" }
-
-func (e *bayesEngine) batchSize(n int) int {
-	if n <= 0 {
-		n = 4
-	}
-	if e.maxEvals > 0 {
-		if rem := e.maxEvals - e.evals; n > rem {
-			n = rem
-		}
-	}
-	return n
 }
 
 // norm maps a point into the unit box.
@@ -151,59 +102,20 @@ func (e *bayesEngine) norm(x []float64) []float64 {
 	return z
 }
 
-func (e *bayesEngine) randomPoint() []float64 {
-	x := make([]float64, e.dim)
-	for i := range x {
-		x[i] = e.lo + e.rng.Float64()*(e.hi-e.lo)
+func (e *bayesEngine) next(n int) [][]float64 {
+	if e.iter >= e.spec.Iterations {
+		return nil
 	}
-	return x
-}
-
-// jitterAround draws a Gaussian perturbation of x at a tenth of the box
-// width, clamped.
-func (e *bayesEngine) jitterAround(x []float64) []float64 {
-	scale := (e.hi - e.lo) / 10
-	c := make([]float64, e.dim)
-	for i := range c {
-		c[i] = x[i] + e.rng.NormFloat64()*scale
-	}
-	clampTo(c, e.lo, e.hi)
-	return c
-}
-
-func (e *bayesEngine) Propose(_ context.Context, n int) ([][]float64, error) {
-	if e.pending != nil {
-		return nil, fmt.Errorf("opt: %s: Propose before Observe", e.Name())
-	}
-	if e.done || e.iter >= e.spec.Iterations {
-		e.done = true
-		return nil, nil
-	}
-	batch := e.batchSize(n)
-	if batch <= 0 {
-		e.done = true
-		return nil, nil
-	}
-	var pts [][]float64
+	batch := e.batch(n)
 	switch {
 	case e.evals == 0:
 		// Round 1 always pays for the caller's starting point (the
 		// skeleton sampler's best) before exploring.
-		pts = append(pts, append([]float64(nil), e.x0...))
-		for len(pts) < batch {
-			pts = append(pts, e.randomPoint())
-		}
+		return e.fill([][]float64{append([]float64(nil), e.x0...)}, batch)
 	case e.iter < e.spec.InitRounds || len(e.xs) < e.dim+2:
-		for len(pts) < batch {
-			pts = append(pts, e.randomPoint())
-		}
-	default:
-		pts = e.acquire(batch)
+		return e.fill(nil, batch)
 	}
-	e.pending = pts
-	e.evals += len(pts)
-	e.mEvals.Add(uint64(len(pts)))
-	return pts, nil
+	return e.acquire(batch)
 }
 
 // acquire fits the GP on the (capped) training set and returns the
@@ -213,11 +125,8 @@ func (e *bayesEngine) acquire(batch int) [][]float64 {
 	gp := fitGP(xs, ys, e, e.spec)
 
 	nCand := e.spec.Candidates
-	cands := make([][]float64, 0, nCand)
 	// Half uniform exploration, half local refinement around the best.
-	for i := 0; i < nCand/2; i++ {
-		cands = append(cands, e.randomPoint())
-	}
+	cands := e.fill(make([][]float64, 0, nCand), nCand/2)
 	anchor := e.bestX
 	if anchor == nil {
 		anchor = e.x0
@@ -225,30 +134,10 @@ func (e *bayesEngine) acquire(batch int) [][]float64 {
 	for len(cands) < nCand {
 		cands = append(cands, e.jitterAround(anchor))
 	}
-
-	type scored struct {
-		idx int
-		ei  float64
-	}
-	ranked := make([]scored, len(cands))
-	for i, c := range cands {
+	return topN(cands, func(c []float64) float64 {
 		mu, sigma := gp.predict(e.norm(c))
-		ranked[i] = scored{idx: i, ei: expectedImprovement(mu, sigma, gp.yBest, e.spec.Explore)}
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].ei != ranked[j].ei {
-			return ranked[i].ei > ranked[j].ei
-		}
-		return ranked[i].idx < ranked[j].idx
-	})
-	pts := make([][]float64, 0, batch)
-	for _, r := range ranked {
-		if len(pts) == batch {
-			break
-		}
-		pts = append(pts, cands[r.idx])
-	}
-	return pts
+		return expectedImprovement(mu, sigma, gp.yBest, e.spec.Explore)
+	}, batch)
 }
 
 // trainingSet caps the GP inputs at MaxObservations, keeping the global
@@ -278,39 +167,10 @@ func (e *bayesEngine) trainingSet() ([][]float64, []float64) {
 	return xs, ys
 }
 
-func (e *bayesEngine) Observe(values []float64) error {
-	if e.pending == nil {
-		return fmt.Errorf("opt: %s: Observe without Propose", e.Name())
-	}
-	if len(values) != len(e.pending) {
-		return fmt.Errorf("opt: %s: %d values for %d points", e.Name(), len(values), len(e.pending))
-	}
-	roundBest := math.Inf(-1)
-	for i, v := range values {
-		x := e.pending[i]
-		e.xs = append(e.xs, x)
-		e.ys = append(e.ys, v)
-		if v > roundBest {
-			roundBest = v
-		}
-		if e.bestX == nil || v > e.best {
-			e.best = v
-			e.bestX = append([]float64(nil), x...)
-		}
-	}
-	e.pending = nil
-	e.iter++
-	rec := IterRecord{Iter: e.iter, Best: roundBest, Evals: e.evals}
-	e.history = append(e.history, rec)
-	e.oo.iter(e.Name(), rec, e.best)
-	if e.targetValue > 0 && e.best >= e.targetValue {
-		e.done = true
-	}
-	return nil
-}
-
-func (e *bayesEngine) Result() Result {
-	return Result{X: e.bestX, Value: e.best, Evals: e.evals, History: e.history}
+func (e *bayesEngine) learn(pts [][]float64, values []float64) {
+	e.xs = append(e.xs, pts...)
+	e.ys = append(e.ys, values...)
+	e.endIteration(IterRecord{Best: maxOf(values)})
 }
 
 type bayesState struct {
@@ -324,14 +184,11 @@ type bayesState struct {
 	History  []IterRecord `json:"history"`
 }
 
-func (e *bayesEngine) Checkpoint() (json.RawMessage, error) {
-	if e.iter == 0 || e.pending != nil {
-		return nil, nil
-	}
-	return json.Marshal(bayesState{
+func (e *bayesEngine) state() any {
+	return bayesState{
 		Iter: e.iter, Evals: e.evals, XS: e.xs, YS: e.ys,
 		Best: e.best, BestX: e.bestX, RNGState: e.rng.State(), History: e.history,
-	})
+	}
 }
 
 func (e *bayesEngine) Restore(state json.RawMessage) error {
@@ -339,15 +196,9 @@ func (e *bayesEngine) Restore(state json.RawMessage) error {
 	if err := json.Unmarshal(state, &st); err != nil {
 		return err
 	}
-	e.iter = st.Iter
-	e.evals = st.Evals
-	e.xs = st.XS
-	e.ys = st.YS
-	e.best = st.Best
-	e.bestX = st.BestX
+	e.iter, e.evals, e.xs, e.ys = st.Iter, st.Evals, st.XS, st.YS
+	e.best, e.bestX, e.history = st.Best, st.BestX, st.History
 	e.rng = rng.New(st.RNGState)
-	e.history = append(e.history[:0], st.History...)
-	e.done = e.targetValue > 0 && e.bestX != nil && e.best >= e.targetValue
 	return nil
 }
 

@@ -20,6 +20,8 @@
 //     stable boundaries (nil between them); Restore re-enters the run
 //     so the continued trajectory is bit-identical to the uninterrupted
 //     one, re-evaluating nothing the snapshot already paid for.
+//   - Budget: the points of all batches together never exceed
+//     EngineConfig.MaxEvals.
 package opt
 
 import (
@@ -73,11 +75,10 @@ type EngineConfig struct {
 	// Lo and Hi bound the box in every coordinate (defaults 0 and 100,
 	// the skeleton weight box).
 	Lo, Hi float64
-	// MaxEvals bounds objective calls (0 = unlimited).
+	// MaxEvals bounds objective calls (0 = unlimited). No engine ever
+	// exceeds it: a batch is sized or cut to the calls left, and the run
+	// ends when none are.
 	MaxEvals int
-	// TargetValue stops the run once the best observed value reaches it
-	// (0 = disabled).
-	TargetValue float64
 	// RNG drives all engine randomness. nil seeds a fresh generator
 	// with 0.
 	RNG *rng.RNG
@@ -108,21 +109,6 @@ func (c EngineConfig) withDefaults() EngineConfig {
 		c.RNG = rng.New(0)
 	}
 	return c
-}
-
-// priorInDim filters the prior down to points of the engine's dimension
-// that lie inside the box, preserving order.
-func (c EngineConfig) priorInDim(dim int) []PriorPoint {
-	var out []PriorPoint
-	for _, p := range c.Prior {
-		if len(p.X) != dim {
-			continue
-		}
-		x := append([]float64(nil), p.X...)
-		clampTo(x, c.Lo, c.Hi)
-		out = append(out, PriorPoint{X: x, Value: p.Value})
-	}
-	return out
 }
 
 // EngineDef registers one engine: its canonical name, a constructor,

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -188,6 +190,110 @@ func TestEngineConformanceBatchSequentialEquivalence(t *testing.T) {
 	}
 }
 
+// TestEngineConformanceBudget: no engine spends more objective calls
+// than EngineConfig.MaxEvals, and Result reports exactly the calls it
+// made — a noisy objective, and budgets that cut an engine's batches at
+// every offset (below, at and just above a Nelder-Mead simplex of 13).
+func TestEngineConformanceBudget(t *testing.T) {
+	x0 := make([]float64, 12)
+	for i := range x0 {
+		x0[i] = float64(5 + 7*i)
+	}
+	for _, name := range EngineNames() {
+		t.Run(name, func(t *testing.T) {
+			for _, budget := range []int{1, 7, 12, 13, 37} {
+				for seed := uint64(1); seed <= 3; seed++ {
+					e, err := New(name, EngineConfig{X0: x0, MaxEvals: budget, RNG: rng.New(seed)},
+						json.RawMessage(`{"iterations": 1000}`))
+					if err != nil {
+						t.Fatal(err)
+					}
+					evals := 0
+					f := noisy(sphere, 300, seed)
+					res, err := Drive(e, DriveOptions{Objective: func(x []float64) float64 { evals++; return f(x) }})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if evals > budget {
+						t.Errorf("budget %d, seed %d: %d evaluations", budget, seed, evals)
+					}
+					if res.Evals != evals {
+						t.Errorf("budget %d, seed %d: Result().Evals = %d, made %d", budget, seed, res.Evals, evals)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestEngineConformanceProtocolMisuse: calling Propose twice, Observe
+// without a Propose, or Observe with the wrong number of values is an
+// error that leaves the engine as it was — the run then finishes exactly
+// as an undisturbed one.
+func TestEngineConformanceProtocolMisuse(t *testing.T) {
+	ctx := context.Background()
+	observe := func(t *testing.T, e Engine, pts [][]float64) {
+		t.Helper()
+		vals := make([]float64, len(pts))
+		for i, p := range pts {
+			vals[i] = confObjective(p)
+		}
+		if err := e.Observe(vals); err != nil {
+			t.Fatalf("Observe after a misuse: %v", err)
+		}
+	}
+	propose := func(t *testing.T, e Engine) [][]float64 {
+		t.Helper()
+		pts, err := e.Propose(ctx, 0)
+		if err != nil || len(pts) == 0 {
+			t.Fatalf("first Propose = %d points, %v", len(pts), err)
+		}
+		return pts
+	}
+	misuses := []struct {
+		name   string
+		misuse func(t *testing.T, e Engine) (want string, err error)
+	}{
+		{"observe without propose", func(t *testing.T, e Engine) (string, error) {
+			return "Observe without Propose", e.Observe([]float64{0})
+		}},
+		{"propose twice", func(t *testing.T, e Engine) (string, error) {
+			pts := propose(t, e)
+			_, err := e.Propose(ctx, 0)
+			observe(t, e, pts)
+			return "Propose before Observe", err
+		}},
+		{"wrong value count", func(t *testing.T, e Engine) (string, error) {
+			pts := propose(t, e)
+			err := e.Observe(make([]float64, len(pts)+1))
+			observe(t, e, pts)
+			return fmt.Sprintf("%d values for %d points", len(pts)+1, len(pts)), err
+		}},
+	}
+	for _, tc := range conformanceCases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := Drive(confEngine(t, tc.name, tc.params, 41), DriveOptions{Objective: confObjective})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range misuses {
+				e := confEngine(t, tc.name, tc.params, 41)
+				msg, err := m.misuse(t, e)
+				if err == nil || !strings.Contains(err.Error(), msg) {
+					t.Fatalf("%s: err = %v, want one containing %q", m.name, err, msg)
+				}
+				got, err := Drive(e, DriveOptions{Objective: confObjective})
+				if err != nil {
+					t.Fatalf("%s: the run after it: %v", m.name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: the run after it diverged:\n got %+v\nwant %+v", m.name, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestEnginePriorWarmStart: engines that learn from the knowledge base
 // must exploit a prior observation of the optimum region in round one —
 // the warm ranker proposes the prior best point outright.
@@ -231,7 +337,7 @@ func TestEngineRegistryValidate(t *testing.T) {
 		t.Fatal("unknown engine accepted")
 	}
 	for _, name := range EngineNames() {
-		if !containsStr(err.Error(), name) {
+		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("unknown-engine error %q does not list %q", err, name)
 		}
 	}
@@ -241,15 +347,6 @@ func TestEngineRegistryValidate(t *testing.T) {
 	if err := Validate("nelder_mead", json.RawMessage(`{"directions": 4}`)); err == nil {
 		t.Fatal("stencil-only param accepted by nelder_mead")
 	}
-}
-
-func containsStr(haystack, needle string) bool {
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		if haystack[i:i+len(needle)] == needle {
-			return true
-		}
-	}
-	return false
 }
 
 // TestEngineNamesStable pins the registry contents: the four engines of

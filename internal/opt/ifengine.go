@@ -1,9 +1,7 @@
 package opt
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -58,180 +56,79 @@ func init() {
 	})
 }
 
-const (
-	stencilFresh     = iota // next proposal is the initial center evaluation
-	stencilIterating        // alternating full iterations
-	stencilDone
-)
-
-// ifEngine is the paper's Algorithm 1 as a Propose/Observe state
-// machine. Each iteration proposes one batch [center?, probe1..probeN]
-// — the center resample first, then the stencil probes. The probe
-// directions come from the engine's own RNG and the probes are computed
-// from the previous iteration's center, so the batch order is fixed:
-// the default flow's golden reports depend on it.
+// ifEngine is the paper's Algorithm 1 as a policy. Its first batch is
+// the starting point alone; each iteration then proposes one batch
+// [center?, probe1..probeN] — the center resample first, then the
+// stencil probes. The probe directions come from the engine's own RNG
+// and the probes are computed from the previous iteration's center, so
+// the batch order is fixed: the default flow's golden reports depend on
+// it.
 type ifEngine struct {
-	spec        IFSpec
-	lo, hi      float64
-	maxEvals    int
-	targetValue float64
-	rng         *rng.RNG
-	rec         *obs.Recorder
-	mEvals      *obs.Counter
-	oo          optObs
-
-	dim int
-	x0  []float64
-
-	phase       int
-	center      []float64
-	best        float64
-	h           float64
-	overallBest float64
-	overallX    []float64
-	evals       int
-	iter        int // completed iterations
-	history     []IterRecord
-
-	pending       [][]float64 // points of the outstanding Propose, nil between rounds
-	pendingProbes [][]float64 // the probe suffix of pending
-	pendingCenter bool        // pending[0] is the center resample
-	sp            *obs.Span
+	frame
+	spec    IFSpec
+	center  []float64 // nil until the starting point is observed
+	centerV float64   // the center's latest value
+	h       float64
+	sp      *obs.Span
 }
 
 func newIFEngine(cfg EngineConfig, spec IFSpec) *ifEngine {
-	cfg = cfg.withDefaults()
-	spec = spec.withDefaults(cfg.Lo, cfg.Hi)
-	e := &ifEngine{
-		spec:        spec,
-		lo:          cfg.Lo,
-		hi:          cfg.Hi,
-		maxEvals:    cfg.MaxEvals,
-		targetValue: cfg.TargetValue,
-		rng:         cfg.RNG,
-		rec:         cfg.Recorder,
-		mEvals:      cfg.Recorder.Counter("opt.evals"),
-		oo:          newOptObs(cfg.Recorder),
-		dim:         len(cfg.X0),
-		x0:          append([]float64(nil), cfg.X0...),
-		h:           spec.InitialStep,
-		history:     make([]IterRecord, 0, historyCap(spec.Iterations)),
-	}
-	clampTo(e.x0, e.lo, e.hi)
+	e := &ifEngine{}
+	e.frame = newFrame(DefaultEngine, cfg, e)
+	e.spec = spec.withDefaults(e.lo, e.hi)
+	e.h = e.spec.InitialStep
 	return e
 }
 
-func (e *ifEngine) Name() string { return DefaultEngine }
-
-// remaining returns the evals left under the budget (0 = unlimited,
-// reported as a large budget).
-func (e *ifEngine) remaining() int {
-	if e.maxEvals <= 0 {
-		return 1 << 30
+func (e *ifEngine) next(int) [][]float64 {
+	if e.center == nil {
+		return [][]float64{append([]float64(nil), e.x0...)}
 	}
-	return e.maxEvals - e.evals
-}
-
-func (e *ifEngine) Propose(ctx context.Context, _ int) ([][]float64, error) {
-	if e.pending != nil {
-		return nil, fmt.Errorf("opt: %s: Propose before Observe", e.Name())
+	if e.iter >= e.spec.Iterations {
+		return nil
 	}
-	switch e.phase {
-	case stencilDone:
-		return nil, nil
-	case stencilFresh:
-		e.pending = [][]float64{append([]float64(nil), e.x0...)}
-		e.pendingCenter = false
-		e.evals++
-		e.mEvals.Add(1)
-		return e.pending, nil
-	}
-	if e.iter >= e.spec.Iterations || e.remaining() <= 0 {
-		e.phase = stencilDone
-		return nil, nil
-	}
-	e.sp = e.rec.Span("opt", "iteration")
+	e.sp = e.oo.rec.Span("opt", "iteration")
 	pts := make([][]float64, 0, e.spec.Directions+1)
-	e.pendingCenter = !e.spec.NoResampleCenter
-	if e.pendingCenter {
+	if !e.spec.NoResampleCenter {
 		pts = append(pts, append([]float64(nil), e.center...))
 	}
 	// The center resample is charged before the probe count is clamped
 	// to the remaining budget.
-	nProbes := e.spec.Directions
-	if e.maxEvals > 0 {
-		if rem := e.maxEvals - e.evals - len(pts); nProbes > rem {
-			nProbes = rem
-		}
-	}
-	if nProbes < 0 {
-		nProbes = 0
-	}
-	probes := make([][]float64, 0, nProbes)
-	for d := 0; d < nProbes; d++ {
+	for d := min(e.spec.Directions, e.remaining()-len(pts)); d > 0; d-- {
 		dir := randomDirection(e.rng, e.dim)
 		cand := make([]float64, e.dim)
 		for i := range cand {
 			cand[i] = e.center[i] + dir[i]*e.h
 		}
 		clampTo(cand, e.lo, e.hi)
-		probes = append(probes, cand)
+		pts = append(pts, cand)
 	}
-	e.pendingProbes = probes
-	pts = append(pts, probes...)
-	e.pending = pts
-	e.evals += len(pts)
-	e.mEvals.Add(uint64(len(pts)))
-	return pts, nil
+	return pts
 }
 
-func (e *ifEngine) Observe(values []float64) error {
-	if e.pending == nil {
-		return fmt.Errorf("opt: %s: Observe without Propose", e.Name())
+func (e *ifEngine) learn(pts [][]float64, values []float64) {
+	if e.center == nil {
+		e.center, e.centerV = pts[0], values[0]
+		return
 	}
-	if len(values) != len(e.pending) {
-		return fmt.Errorf("opt: %s: %d values for %d points", e.Name(), len(values), len(e.pending))
-	}
-	defer func() { e.pending, e.pendingProbes = nil, nil }()
-
-	if e.phase == stencilFresh {
-		e.center = e.pending[0]
-		e.best = values[0]
-		e.overallBest = e.best
-		e.overallX = append([]float64(nil), e.center...)
-		e.phase = stencilIterating
-		return nil
-	}
-
-	if e.pendingCenter {
-		e.best = values[0]
+	if !e.spec.NoResampleCenter {
+		e.centerV = values[0]
 		e.oo.resamples.Inc()
-		values = values[1:]
+		pts, values = pts[1:], values[1:]
 	}
-	iterBest := e.best
-	nextCenter := e.center
-	moved := false
+	iterBest, moved := e.centerV, false
 	for d, val := range values {
 		if val > iterBest {
-			iterBest = val
-			nextCenter = e.pendingProbes[d]
-			moved = true
+			iterBest, e.center, moved = val, pts[d], true
 		}
 	}
 	if moved {
-		e.center = nextCenter
-		e.best = iterBest
+		e.centerV = iterBest
 	} else {
 		e.h /= 2
 		e.oo.halvings.Inc()
 	}
-	if iterBest > e.overallBest {
-		e.overallBest = iterBest
-		e.overallX = append([]float64(nil), nextCenter...)
-	}
-	e.iter++
-	rec := IterRecord{Iter: e.iter, Best: iterBest, Step: e.h, Moved: moved, Evals: e.evals}
-	e.history = append(e.history, rec)
+	e.endIteration(IterRecord{Best: iterBest, Step: e.h, Moved: moved})
 	if e.sp != nil {
 		e.sp.SetArg("iter", e.iter)
 		e.sp.SetArg("best", iterBest)
@@ -239,67 +136,38 @@ func (e *ifEngine) Observe(values []float64) error {
 		e.sp.End()
 		e.sp = nil
 	}
-	e.oo.iter(e.Name(), rec, e.overallBest)
-	if (e.targetValue > 0 && e.overallBest >= e.targetValue) || e.h < e.spec.MinStep {
-		e.phase = stencilDone
-	}
-	return nil
+	e.done = e.h < e.spec.MinStep
 }
 
-func (e *ifEngine) Result() Result {
-	return Result{X: e.overallX, Value: e.overallBest, Evals: e.evals, History: e.history}
-}
-
-// state snapshots the run, valid after any completed iteration.
-func (e *ifEngine) state() IterState {
+// state is the IterState of the completed iteration. The initial center
+// evaluation is not a boundary (the frame checkpoints only after
+// iteration 1), so a kill before iteration 1 re-pays only that eval.
+func (e *ifEngine) state() any {
 	return IterState{
 		Iter:        e.iter,
-		Center:      append([]float64(nil), e.center...),
-		Best:        e.best,
+		Center:      e.center,
+		Best:        e.centerV,
 		Step:        e.h,
-		OverallBest: e.overallBest,
-		OverallX:    append([]float64(nil), e.overallX...),
+		OverallBest: e.best,
+		OverallX:    e.bestX,
 		Evals:       e.evals,
 		RNGState:    e.rng.State(),
-		History:     append([]IterRecord(nil), e.history...),
+		History:     e.history,
 	}
 }
 
-func (e *ifEngine) Checkpoint() (json.RawMessage, error) {
-	// Stable boundaries are completed iterations — the initial center
-	// evaluation is not one, so a kill before iteration 1 re-pays only
-	// that single eval on resume.
-	if e.iter == 0 || e.pending != nil {
-		return nil, nil
-	}
-	return json.Marshal(e.state())
-}
-
+// Restore re-enters the run: trajectory state from the checkpoint, the
+// RNG reseeded from its raw state, and the min-step stop the
+// uninterrupted run checked after that iteration re-applied, so a
+// finished run stays finished.
 func (e *ifEngine) Restore(state json.RawMessage) error {
 	var st IterState
 	if err := json.Unmarshal(state, &st); err != nil {
 		return err
 	}
-	e.restoreState(st)
-	return nil
-}
-
-// restoreState re-enters the run: trajectory state from the checkpoint,
-// RNG reseeded from the raw state, and the stop conditions the
-// uninterrupted run checked right after that iteration re-applied so a
-// finished run stays finished.
-func (e *ifEngine) restoreState(st IterState) {
-	e.center = append([]float64(nil), st.Center...)
-	e.best = st.Best
-	e.h = st.Step
-	e.overallBest = st.OverallBest
-	e.overallX = append([]float64(nil), st.OverallX...)
-	e.evals = st.Evals
-	e.iter = st.Iter
-	e.history = append(e.history[:0], st.History...)
+	e.center, e.centerV, e.h = st.Center, st.Best, st.Step
+	e.iter, e.evals, e.best, e.bestX, e.history = st.Iter, st.Evals, st.OverallBest, st.OverallX, st.History
 	e.rng = rng.New(st.RNGState)
-	e.phase = stencilIterating
-	if (e.targetValue > 0 && e.overallBest >= e.targetValue) || e.h < e.spec.MinStep {
-		e.phase = stencilDone
-	}
+	e.done = e.h < e.spec.MinStep
+	return nil
 }

@@ -1,12 +1,9 @@
 package opt
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
-
-	"repro/internal/obs"
 )
 
 // NelderMeadSpec holds the simplex method's solver-specific knobs.
@@ -58,7 +55,6 @@ const (
 	nmExpand          // expansion outstanding
 	nmContract        // contraction outstanding
 	nmShrink          // shrink batch outstanding
-	nmDone
 )
 
 type nmVertex struct {
@@ -67,28 +63,16 @@ type nmVertex struct {
 }
 
 // nmEngine is the classic simplex method (reflection, expansion,
-// contraction, shrink) as a Propose/Observe state machine. Within an
-// iteration the steps are data-dependent and inherently sequential, so
-// most proposals are single points; the initial simplex and the shrink
-// step propose their independent points as one batch.
+// contraction, shrink) as a policy. Within an iteration the steps are
+// data-dependent and inherently sequential, so most proposals are single
+// points; the initial simplex and the shrink step propose their
+// independent points as one batch, which the frame cuts to the budget.
+// Its Result is the simplex's best vertex.
 type nmEngine struct {
-	spec        NelderMeadSpec
-	lo, hi      float64
-	maxEvals    int
-	targetValue float64
-	rec         *obs.Recorder
-	mEvals      *obs.Counter
-	oo          optObs
-
-	dim int
-	x0  []float64
-
-	stage    int
-	simplex  []nmVertex
-	iter     int
-	evals    int
-	topSoFar float64
-	history  []IterRecord
+	frame
+	spec    NelderMeadSpec
+	stage   int
+	simplex []nmVertex
 
 	// Per-iteration scratch, valid from the reflection proposal to the
 	// iteration's end.
@@ -96,29 +80,14 @@ type nmEngine struct {
 	worst     nmVertex
 	reflected []float64
 	rv        float64
-	pending   [][]float64
 }
 
 func newNMEngine(cfg EngineConfig, spec NelderMeadSpec) *nmEngine {
-	cfg = cfg.withDefaults()
-	spec = spec.withDefaults(cfg.Lo, cfg.Hi)
-	e := &nmEngine{
-		spec:        spec,
-		lo:          cfg.Lo,
-		hi:          cfg.Hi,
-		maxEvals:    cfg.MaxEvals,
-		targetValue: cfg.TargetValue,
-		rec:         cfg.Recorder,
-		mEvals:      cfg.Recorder.Counter("opt.evals"),
-		oo:          newOptObs(cfg.Recorder),
-		dim:         len(cfg.X0),
-		x0:          append([]float64(nil), cfg.X0...),
-	}
-	clampTo(e.x0, e.lo, e.hi)
+	e := &nmEngine{}
+	e.frame = newFrame("nelder_mead", cfg, e)
+	e.spec = spec.withDefaults(e.lo, e.hi)
 	return e
 }
-
-func (e *nmEngine) Name() string { return "nelder_mead" }
 
 // point generates centroid + coef*(centroid - worst), clamped — the
 // reflection/expansion/contraction family.
@@ -131,20 +100,8 @@ func (e *nmEngine) point(coef float64) []float64 {
 	return x
 }
 
-func (e *nmEngine) propose(pts [][]float64) [][]float64 {
-	e.pending = pts
-	e.evals += len(pts)
-	e.mEvals.Add(uint64(len(pts)))
-	return pts
-}
-
-func (e *nmEngine) Propose(_ context.Context, _ int) ([][]float64, error) {
-	if e.pending != nil {
-		return nil, fmt.Errorf("opt: %s: Propose before Observe", e.Name())
-	}
+func (e *nmEngine) next(int) [][]float64 {
 	switch e.stage {
-	case nmDone:
-		return nil, nil
 	case nmInit:
 		pts := make([][]float64, 0, e.dim+1)
 		pts = append(pts, append([]float64(nil), e.x0...))
@@ -154,11 +111,10 @@ func (e *nmEngine) Propose(_ context.Context, _ int) ([][]float64, error) {
 			clampTo(x, e.lo, e.hi)
 			pts = append(pts, x)
 		}
-		return e.propose(pts), nil
+		return pts
 	case nmStart:
-		if e.iter >= e.spec.Iterations || (e.maxEvals > 0 && e.evals >= e.maxEvals) {
-			e.stage = nmDone
-			return nil, nil
+		if e.iter >= e.spec.Iterations {
+			return nil
 		}
 		// Sort descending: best first (we maximize).
 		sort.Slice(e.simplex, func(i, j int) bool { return e.simplex[i].V > e.simplex[j].V })
@@ -171,45 +127,36 @@ func (e *nmEngine) Propose(_ context.Context, _ int) ([][]float64, error) {
 		}
 		e.reflected = e.point(nmAlpha)
 		e.stage = nmReflect
-		return e.propose([][]float64{e.reflected}), nil
+		return [][]float64{e.reflected}
 	case nmExpand:
-		return e.propose([][]float64{e.point(nmGamma)}), nil
+		return [][]float64{e.point(nmGamma)}
 	case nmContract:
-		return e.propose([][]float64{e.point(-nmRho)}), nil
+		return [][]float64{e.point(-nmRho)}
 	case nmShrink:
 		// Shrink every non-best vertex toward the best one; the moved
 		// vertices are independent, so they go out as one batch.
-		best := e.simplex[0]
-		pts := make([][]float64, 0, e.dim)
-		for i := 1; i <= e.dim; i++ {
-			x := e.simplex[i].X
-			for j := range x {
-				x[j] = best.X[j] + nmSigma*(x[j]-best.X[j])
+		best := e.simplex[0].X
+		pts := make([][]float64, e.dim)
+		for i := range pts {
+			x := make([]float64, e.dim)
+			for j, v := range e.simplex[i+1].X {
+				x[j] = best[j] + nmSigma*(v-best[j])
 			}
-			pts = append(pts, x)
+			pts[i] = x
 		}
-		return e.propose(pts), nil
+		return pts
 	}
-	return nil, fmt.Errorf("opt: %s: bad stage %d", e.Name(), e.stage)
+	return nil
 }
 
-func (e *nmEngine) Observe(values []float64) error {
-	if e.pending == nil {
-		return fmt.Errorf("opt: %s: Observe without Propose", e.Name())
-	}
-	if len(values) != len(e.pending) {
-		return fmt.Errorf("opt: %s: %d values for %d points", e.Name(), len(values), len(e.pending))
-	}
-	pending := e.pending
-	e.pending = nil
+func (e *nmEngine) learn(pts [][]float64, values []float64) {
 	switch e.stage {
 	case nmInit:
-		e.simplex = make([]nmVertex, len(pending))
-		for i, x := range pending {
+		e.simplex = make([]nmVertex, len(pts))
+		for i, x := range pts {
 			e.simplex[i] = nmVertex{X: x, V: values[i]}
 		}
 		e.stage = nmStart
-		return nil
 	case nmReflect:
 		e.rv = values[0]
 		switch {
@@ -221,64 +168,54 @@ func (e *nmEngine) Observe(values []float64) error {
 		default:
 			e.stage = nmContract
 		}
-		return nil
 	case nmExpand:
 		if ev := values[0]; ev > e.rv {
-			e.simplex[e.dim] = nmVertex{X: pending[0], V: ev}
+			e.simplex[e.dim] = nmVertex{X: pts[0], V: ev}
 		} else {
 			e.simplex[e.dim] = nmVertex{X: e.reflected, V: e.rv}
 		}
 		e.finishIteration()
-		return nil
 	case nmContract:
 		if cv := values[0]; cv > e.worst.V {
-			e.simplex[e.dim] = nmVertex{X: pending[0], V: cv}
+			e.simplex[e.dim] = nmVertex{X: pts[0], V: cv}
 			e.finishIteration()
 		} else {
 			e.stage = nmShrink
 		}
-		return nil
 	case nmShrink:
-		for i := 1; i <= e.dim; i++ {
-			e.simplex[i].V = values[i-1]
+		// A budget-cut batch moves only the vertices it evaluated.
+		for i, v := range values {
+			e.simplex[i+1] = nmVertex{X: pts[i], V: v}
 		}
 		e.finishIteration()
-		return nil
 	}
-	return fmt.Errorf("opt: %s: bad stage %d", e.Name(), e.stage)
 }
 
+// finishIteration records the iteration's best vertex. At an iteration
+// boundary the simplex holds the best value observed so far, so the
+// frame's running best is the Fig. 6 best-so-far.
 func (e *nmEngine) finishIteration() {
-	e.iter++
-	top := e.simplex[0].V
+	e.endIteration(IterRecord{Best: e.top().V})
+	e.stage = nmStart
+}
+
+// top returns the simplex's best vertex (the first on a tie).
+func (e *nmEngine) top() nmVertex {
+	best := e.simplex[0]
 	for _, vx := range e.simplex[1:] {
-		if vx.V > top {
-			top = vx.V
+		if vx.V > best.V {
+			best = vx
 		}
 	}
-	if e.iter == 1 || top > e.topSoFar {
-		e.topSoFar = top
-	}
-	rec := IterRecord{Iter: e.iter, Best: top, Evals: e.evals}
-	e.history = append(e.history, rec)
-	e.oo.iter(e.Name(), rec, e.topSoFar)
-	e.stage = nmStart
-	if e.targetValue > 0 && top >= e.targetValue {
-		e.stage = nmDone
-	}
+	return best
 }
 
 func (e *nmEngine) Result() Result {
 	if len(e.simplex) == 0 {
 		return Result{Evals: e.evals, History: e.history}
 	}
-	bestIdx := 0
-	for i, vx := range e.simplex {
-		if vx.V > e.simplex[bestIdx].V {
-			bestIdx = i
-		}
-	}
-	return Result{X: e.simplex[bestIdx].X, Value: e.simplex[bestIdx].V, Evals: e.evals, History: e.history}
+	top := e.top()
+	return Result{X: top.X, Value: top.V, Evals: e.evals, History: e.history}
 }
 
 type nmState struct {
@@ -289,19 +226,13 @@ type nmState struct {
 	History  []IterRecord `json:"history"`
 }
 
-func (e *nmEngine) Checkpoint() (json.RawMessage, error) {
-	// Stable boundaries: completed iterations with the simplex fully
-	// evaluated (nmStart or nmDone), never mid-iteration.
-	if e.pending != nil || e.iter == 0 || (e.stage != nmStart && e.stage != nmDone) {
-		return nil, nil
+// state is taken at completed iterations with the simplex fully
+// evaluated, never mid-iteration.
+func (e *nmEngine) state() any {
+	if e.stage != nmStart {
+		return nil
 	}
-	st := nmState{Iter: e.iter, Evals: e.evals, TopSoFar: e.topSoFar,
-		Simplex: make([]nmVertex, len(e.simplex)),
-		History: append([]IterRecord(nil), e.history...)}
-	for i, vx := range e.simplex {
-		st.Simplex[i] = nmVertex{X: append([]float64(nil), vx.X...), V: vx.V}
-	}
-	return json.Marshal(st)
+	return nmState{Iter: e.iter, Evals: e.evals, Simplex: e.simplex, TopSoFar: e.best, History: e.history}
 }
 
 func (e *nmEngine) Restore(state json.RawMessage) error {
@@ -310,18 +241,10 @@ func (e *nmEngine) Restore(state json.RawMessage) error {
 		return err
 	}
 	if len(st.Simplex) != e.dim+1 {
-		return fmt.Errorf("opt: %s: checkpoint simplex has %d vertices, want %d", e.Name(), len(st.Simplex), e.dim+1)
+		return fmt.Errorf("opt: %s: checkpoint simplex has %d vertices, want %d", e.name, len(st.Simplex), e.dim+1)
 	}
-	e.iter = st.Iter
-	e.evals = st.Evals
-	e.topSoFar = st.TopSoFar
-	e.simplex = st.Simplex
-	e.history = append(e.history[:0], st.History...)
+	e.iter, e.evals, e.simplex, e.history = st.Iter, st.Evals, st.Simplex, st.History
+	e.best, e.bestX = st.TopSoFar, e.top().X
 	e.stage = nmStart
-	// Re-apply the stop condition the uninterrupted run checked right
-	// after this iteration.
-	if n := len(e.history); n > 0 && e.targetValue > 0 && e.history[n-1].Best >= e.targetValue {
-		e.stage = nmDone
-	}
 	return nil
 }

@@ -12,14 +12,17 @@
 //
 // Every method is an Engine (engine.go), built by name with New and run
 // by Drive — the one way to run an optimizer. All of them MAXIMIZE the
-// objective over the box [Lo, Hi]^d.
+// objective over the box [Lo, Hi]^d within EngineConfig.MaxEvals
+// objective calls, never more. Each engine embeds one frame (frame.go)
+// that owns the budget, the Propose/Observe protocol, the best point,
+// the history and Result; the engine's own file holds only its search
+// policy and checkpoint payload.
 package opt
 
 import (
 	"context"
 	"math"
 
-	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -93,51 +96,6 @@ func clampTo(x []float64, lo, hi float64) {
 			x[i] = hi
 		}
 	}
-}
-
-// historyCap sizes a history preallocation: the expected iteration count,
-// capped so budget-bound runs passing Iterations = 1<<30 don't
-// preallocate gigabytes for a history that stays tiny.
-func historyCap(n int) int {
-	const limit = 4096
-	if n > limit {
-		return limit
-	}
-	return n
-}
-
-// optObs bundles the stencil optimizers' instrumentation: counters for
-// the convergence-relevant events plus the per-iteration opt_iter
-// progress record. Every handle and method is nil-safe, so the
-// optimizers call them unconditionally.
-type optObs struct {
-	rec       *obs.Recorder
-	iters     *obs.Counter
-	halvings  *obs.Counter
-	resamples *obs.Counter
-}
-
-func newOptObs(rec *obs.Recorder) optObs {
-	return optObs{
-		rec:       rec,
-		iters:     rec.Counter("opt.iterations"),
-		halvings:  rec.Counter("opt.step_halvings"),
-		resamples: rec.Counter("opt.center_resamples"),
-	}
-}
-
-// iter records one completed iteration: the live Fig. 6 sample.
-func (o optObs) iter(method string, h IterRecord, bestSoFar float64) {
-	o.iters.Inc()
-	o.rec.Emit("opt_iter", map[string]any{
-		"method":      method,
-		"iter":        h.Iter,
-		"best":        h.Best,
-		"best_so_far": bestSoFar,
-		"step":        h.Step,
-		"moved":       h.Moved,
-		"evals":       h.Evals,
-	})
 }
 
 // randomDirection draws a uniform direction on the unit sphere.

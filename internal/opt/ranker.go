@@ -1,13 +1,10 @@
 package opt
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 
-	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -60,18 +57,9 @@ func init() {
 }
 
 type rankerEngine struct {
-	spec        RankerSpec
-	lo, hi      float64
-	maxEvals    int
-	targetValue float64
-	rng         *rng.RNG
-	rec         *obs.Recorder
-	mEvals      *obs.Counter
-	oo          optObs
-
-	dim  int
+	frame
+	spec RankerSpec
 	nfea int // 1 + 2*dim: bias, linear, quadratic per coordinate
-	x0   []float64
 
 	// Ridge-regression normal equations, accumulated online:
 	// a = Ridge*I + sum phi phi^T, b = sum y*phi.
@@ -79,43 +67,20 @@ type rankerEngine struct {
 	b []float64
 
 	priorBest []float64 // best knowledge-base point, exploited directly
-
-	iter    int
-	evals   int
-	best    float64
-	bestX   []float64
-	history []IterRecord
-	done    bool
-	pending [][]float64
 }
 
 func newRankerEngine(cfg EngineConfig, spec RankerSpec) *rankerEngine {
-	cfg = cfg.withDefaults()
-	spec = spec.withDefaults()
-	dim := len(cfg.X0)
-	e := &rankerEngine{
-		spec:        spec,
-		lo:          cfg.Lo,
-		hi:          cfg.Hi,
-		maxEvals:    cfg.MaxEvals,
-		targetValue: cfg.TargetValue,
-		rng:         cfg.RNG,
-		rec:         cfg.Recorder,
-		mEvals:      cfg.Recorder.Counter("opt.evals"),
-		oo:          newOptObs(cfg.Recorder),
-		dim:         dim,
-		nfea:        1 + 2*dim,
-		x0:          append([]float64(nil), cfg.X0...),
-	}
-	clampTo(e.x0, e.lo, e.hi)
+	e := &rankerEngine{spec: spec.withDefaults()}
+	e.frame = newFrame("ranker", cfg, e)
+	e.nfea = 1 + 2*e.dim
 	e.a = make([]float64, e.nfea*e.nfea)
 	e.b = make([]float64, e.nfea)
 	for i := 0; i < e.nfea; i++ {
-		e.a[i*e.nfea+i] = spec.Ridge
+		e.a[i*e.nfea+i] = e.spec.Ridge
 	}
 	priorBestVal := math.Inf(-1)
-	for _, p := range cfg.priorInDim(dim) {
-		e.learn(p.X, p.Value)
+	for _, p := range e.prior(cfg.Prior) {
+		e.fit(p.X, p.Value)
 		if p.Value > priorBestVal {
 			priorBestVal = p.Value
 			e.priorBest = p.X
@@ -123,8 +88,6 @@ func newRankerEngine(cfg EngineConfig, spec RankerSpec) *rankerEngine {
 	}
 	return e
 }
-
-func (e *rankerEngine) Name() string { return "ranker" }
 
 // features maps a point to [1, z_i..., z_i^2...] over the unit box.
 func (e *rankerEngine) features(x []float64) []float64 {
@@ -139,8 +102,8 @@ func (e *rankerEngine) features(x []float64) []float64 {
 	return phi
 }
 
-// learn folds one (point, value) pair into the normal equations.
-func (e *rankerEngine) learn(x []float64, y float64) {
+// fit folds one (point, value) pair into the normal equations.
+func (e *rankerEngine) fit(x []float64, y float64) {
 	phi := e.features(x)
 	for i := 0; i < e.nfea; i++ {
 		for j := 0; j < e.nfea; j++ {
@@ -166,46 +129,11 @@ func (e *rankerEngine) predict(w, x []float64) float64 {
 	return s
 }
 
-func (e *rankerEngine) randomPoint() []float64 {
-	x := make([]float64, e.dim)
-	for i := range x {
-		x[i] = e.lo + e.rng.Float64()*(e.hi-e.lo)
+func (e *rankerEngine) next(n int) [][]float64 {
+	if e.iter >= e.spec.Iterations {
+		return nil
 	}
-	return x
-}
-
-func (e *rankerEngine) jitterAround(x []float64) []float64 {
-	scale := (e.hi - e.lo) / 10
-	c := make([]float64, e.dim)
-	for i := range c {
-		c[i] = x[i] + e.rng.NormFloat64()*scale
-	}
-	clampTo(c, e.lo, e.hi)
-	return c
-}
-
-func (e *rankerEngine) Propose(_ context.Context, n int) ([][]float64, error) {
-	if e.pending != nil {
-		return nil, fmt.Errorf("opt: %s: Propose before Observe", e.Name())
-	}
-	if e.done || e.iter >= e.spec.Iterations {
-		e.done = true
-		return nil, nil
-	}
-	batch := n
-	if batch <= 0 {
-		batch = 4
-	}
-	if e.maxEvals > 0 {
-		if rem := e.maxEvals - e.evals; batch > rem {
-			batch = rem
-		}
-	}
-	if batch <= 0 {
-		e.done = true
-		return nil, nil
-	}
-
+	batch := e.batch(n)
 	pts := make([][]float64, 0, batch)
 	if e.evals == 0 {
 		// Round 1 pays for the caller's starting point first, and — the
@@ -216,25 +144,14 @@ func (e *rankerEngine) Propose(_ context.Context, n int) ([][]float64, error) {
 		}
 	}
 	nExplore := int(float64(batch) * e.spec.Explore)
-	nRank := batch - len(pts) - nExplore
-	if nRank < 0 {
-		nRank = 0
-	}
-	if nRank > 0 {
+	if nRank := batch - len(pts) - nExplore; nRank > 0 {
 		pts = append(pts, e.rank(nRank)...)
 	}
-	for len(pts) < batch {
-		pts = append(pts, e.randomPoint())
-	}
-	e.pending = pts
-	e.evals += len(pts)
-	e.mEvals.Add(uint64(len(pts)))
-	return pts, nil
+	return e.fill(pts, batch)
 }
 
 // rank scores a candidate pool with the regression model and returns
-// the top n by predicted value (ties broken by candidate index, so the
-// selection is deterministic).
+// the top n by predicted value.
 func (e *rankerEngine) rank(n int) [][]float64 {
 	cands := make([][]float64, 0, e.spec.Candidates)
 	for _, anchor := range [][]float64{e.bestX, e.priorBest} {
@@ -251,66 +168,15 @@ func (e *rankerEngine) rank(n int) [][]float64 {
 			cands = append(cands, e.jitterAround(e.x0))
 		}
 	}
-	for len(cands) < e.spec.Candidates {
-		cands = append(cands, e.randomPoint())
-	}
 	w := e.weights()
-	type scored struct {
-		idx   int
-		score float64
-	}
-	ranked := make([]scored, len(cands))
-	for i, c := range cands {
-		ranked[i] = scored{idx: i, score: e.predict(w, c)}
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].score != ranked[j].score {
-			return ranked[i].score > ranked[j].score
-		}
-		return ranked[i].idx < ranked[j].idx
-	})
-	pts := make([][]float64, 0, n)
-	for _, r := range ranked {
-		if len(pts) == n {
-			break
-		}
-		pts = append(pts, cands[r.idx])
-	}
-	return pts
+	return topN(e.fill(cands, e.spec.Candidates), func(c []float64) float64 { return e.predict(w, c) }, n)
 }
 
-func (e *rankerEngine) Observe(values []float64) error {
-	if e.pending == nil {
-		return fmt.Errorf("opt: %s: Observe without Propose", e.Name())
+func (e *rankerEngine) learn(pts [][]float64, values []float64) {
+	for i, x := range pts {
+		e.fit(x, values[i])
 	}
-	if len(values) != len(e.pending) {
-		return fmt.Errorf("opt: %s: %d values for %d points", e.Name(), len(values), len(e.pending))
-	}
-	roundBest := math.Inf(-1)
-	for i, v := range values {
-		x := e.pending[i]
-		e.learn(x, v)
-		if v > roundBest {
-			roundBest = v
-		}
-		if e.bestX == nil || v > e.best {
-			e.best = v
-			e.bestX = append([]float64(nil), x...)
-		}
-	}
-	e.pending = nil
-	e.iter++
-	rec := IterRecord{Iter: e.iter, Best: roundBest, Evals: e.evals}
-	e.history = append(e.history, rec)
-	e.oo.iter(e.Name(), rec, e.best)
-	if e.targetValue > 0 && e.best >= e.targetValue {
-		e.done = true
-	}
-	return nil
-}
-
-func (e *rankerEngine) Result() Result {
-	return Result{X: e.bestX, Value: e.best, Evals: e.evals, History: e.history}
+	e.endIteration(IterRecord{Best: maxOf(values)})
 }
 
 type rankerState struct {
@@ -324,14 +190,11 @@ type rankerState struct {
 	History  []IterRecord `json:"history"`
 }
 
-func (e *rankerEngine) Checkpoint() (json.RawMessage, error) {
-	if e.iter == 0 || e.pending != nil {
-		return nil, nil
-	}
-	return json.Marshal(rankerState{
+func (e *rankerEngine) state() any {
+	return rankerState{
 		Iter: e.iter, Evals: e.evals, A: e.a, B: e.b,
 		Best: e.best, BestX: e.bestX, RNGState: e.rng.State(), History: e.history,
-	})
+	}
 }
 
 func (e *rankerEngine) Restore(state json.RawMessage) error {
@@ -340,16 +203,10 @@ func (e *rankerEngine) Restore(state json.RawMessage) error {
 		return err
 	}
 	if len(st.A) != e.nfea*e.nfea || len(st.B) != e.nfea {
-		return fmt.Errorf("opt: %s: checkpoint model size mismatch", e.Name())
+		return fmt.Errorf("opt: %s: checkpoint model size mismatch", e.name)
 	}
-	e.iter = st.Iter
-	e.evals = st.Evals
-	e.a = st.A
-	e.b = st.B
-	e.best = st.Best
-	e.bestX = st.BestX
+	e.iter, e.evals, e.a, e.b = st.Iter, st.Evals, st.A, st.B
+	e.best, e.bestX, e.history = st.Best, st.BestX, st.History
 	e.rng = rng.New(st.RNGState)
-	e.history = append(e.history[:0], st.History...)
-	e.done = e.targetValue > 0 && e.bestX != nil && e.best >= e.targetValue
 	return nil
 }

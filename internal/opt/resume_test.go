@@ -11,10 +11,10 @@ import (
 	"repro/internal/rng"
 )
 
-// resumeEngine is a small deterministic run with every stop criterion
-// in play (iterations, min step, target value all reachable).
-func resumeEngine(x0 []float64, targetValue float64) Engine {
-	return newIFEngine(EngineConfig{X0: x0, TargetValue: targetValue, RNG: rng.New(9)},
+// resumeEngine is a small deterministic run with both stop criteria in
+// play (iterations and min step both reachable).
+func resumeEngine(x0 []float64) Engine {
+	return newIFEngine(EngineConfig{X0: x0, RNG: rng.New(9)},
 		IFSpec{Directions: 6, Iterations: 18, MinStep: 0.5})
 }
 
@@ -34,7 +34,7 @@ func collect(states *[]json.RawMessage) func(json.RawMessage) error {
 func TestResumeFromEveryCheckpointIsBitIdentical(t *testing.T) {
 	x0 := []float64{10, 20, 30}
 	var states []json.RawMessage
-	want, err := Drive(resumeEngine(x0, 0), DriveOptions{Objective: sphere, Checkpoint: collect(&states)})
+	want, err := Drive(resumeEngine(x0), DriveOptions{Objective: sphere, Checkpoint: collect(&states)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestResumeFromEveryCheckpointIsBitIdentical(t *testing.T) {
 
 		evals := 0
 		counting := func(x []float64) float64 { evals++; return sphere(x) }
-		got, err := Drive(resumeEngine(x0, 0), DriveOptions{Objective: counting, Resume: back})
+		got, err := Drive(resumeEngine(x0), DriveOptions{Objective: counting, Resume: back})
 		if err != nil {
 			t.Fatalf("resume from checkpoint %d: %v", k, err)
 		}
@@ -75,41 +75,12 @@ func TestResumeFromEveryCheckpointIsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeAfterTargetValueStop: resuming from the final checkpoint of
-// a run that stopped on TargetValue must return immediately with the
-// identical Result, not run further iterations.
-func TestResumeAfterTargetValueStop(t *testing.T) {
-	x0 := []float64{65, 65}
-	var states []json.RawMessage
-	want, err := Drive(resumeEngine(x0, -100), DriveOptions{Objective: sphere, Checkpoint: collect(&states)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Value < -100 {
-		t.Fatalf("run did not reach target (value %v)", want.Value)
-	}
-	evals := 0
-	got, err := Drive(resumeEngine(x0, -100), DriveOptions{
-		Objective: func(x []float64) float64 { evals++; return sphere(x) },
-		Resume:    states[len(states)-1],
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evals != 0 {
-		t.Fatalf("resume from a finished run evaluated %d points", evals)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("resume from a finished run diverged")
-	}
-}
-
 // TestImplicitFilteringCancel: a canceled context stops the run between
 // evaluations with ctx.Err() and the best-so-far partial result.
 func TestImplicitFilteringCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	iters := 0
-	res, err := Drive(resumeEngine([]float64{10, 10}, 0), DriveOptions{
+	res, err := Drive(resumeEngine([]float64{10, 10}), DriveOptions{
 		Objective: sphere,
 		Context:   ctx,
 		Checkpoint: func(json.RawMessage) error {
@@ -128,7 +99,7 @@ func TestImplicitFilteringCancel(t *testing.T) {
 
 	// Canceled before the first evaluation: zero work.
 	evals := 0
-	_, err = Drive(resumeEngine([]float64{1}, 0), DriveOptions{
+	_, err = Drive(resumeEngine([]float64{1}), DriveOptions{
 		Objective: func(x []float64) float64 { evals++; return 0 },
 		Context:   ctx,
 	})
@@ -145,7 +116,7 @@ func TestImplicitFilteringCancel(t *testing.T) {
 func TestCheckpointErrorAborts(t *testing.T) {
 	boom := errors.New("journal full")
 	iters := 0
-	res, err := Drive(resumeEngine([]float64{10, 10}, 0), DriveOptions{
+	res, err := Drive(resumeEngine([]float64{10, 10}), DriveOptions{
 		Objective: sphere,
 		Checkpoint: func(json.RawMessage) error {
 			if iters++; iters == 2 {
