@@ -2,19 +2,20 @@ package farm
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/coverage"
-	"repro/internal/duv"
 	"repro/internal/failpoint"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -74,8 +75,6 @@ type Options struct {
 	// local ground truth, discards the remote result, and quarantines
 	// the worker permanently. 0 disables; the -audit-fraction flag.
 	AuditFraction float64
-	// Health tunes worker health scoring and the quarantine breaker.
-	Health HealthOptions
 	// FP is the failpoint registry consulted at the dispatcher's
 	// injection points (farm/dial, farm/handshake, farm/rpc_write,
 	// farm/rpc_read). nil selects failpoint.Default — disarmed in
@@ -95,6 +94,10 @@ type Options struct {
 	// new calls fail immediately with its error. In-flight exchanges
 	// drain under their ChunkTimeout as usual.
 	Context context.Context
+
+	// breaker overrides two of the health breaker's constants for
+	// in-package tests (health.go).
+	breaker breaker
 }
 
 func (o *Options) setDefaults() {
@@ -125,17 +128,11 @@ func (o *Options) setDefaults() {
 	if o.MaxConnsPerWorker <= 0 {
 		o.MaxConnsPerWorker = 8
 	}
-	if o.Hedge < 0 {
-		o.Hedge = 0
-	}
-	if o.AuditFraction < 0 {
-		o.AuditFraction = 0
-	}
-	if o.AuditFraction > 1 {
-		o.AuditFraction = 1
-	}
 	if o.FP == nil {
 		o.FP = failpoint.Default
+	}
+	if o.Context == nil {
+		o.Context = context.Background()
 	}
 	if o.Dial == nil {
 		o.Dial = func(addr string) (net.Conn, error) {
@@ -189,15 +186,14 @@ type Dispatcher struct {
 	log     *slog.Logger
 	metrics *obs.Registry // labeled per-connection gauges (nil-safe)
 	fp      *failpoint.Registry
-	health  *healthSet // nil when Health.Disable
+	health  *healthSet
 
-	// Audit state: a sampling RNG plus lazily built local environments,
-	// one per unit (mirroring the server's), shared by every auditing
-	// lane under auditMu. Audits are sampled, so the serialization is
-	// off the common path.
-	auditMu   sync.Mutex
-	auditRng  *rand.Rand
-	auditEnvs map[string]*sim.Env
+	// Audit state: a sampling RNG plus the local executor a worker runs
+	// chunks on, shared by every auditing lane under auditMu. Audits are
+	// sampled, so the serialization is off the common path.
+	auditMu  sync.Mutex
+	auditRng *rand.Rand
+	local    *unitEnvs
 
 	// Metric handles (all nil-safe).
 	mDials      *obs.Counter
@@ -215,23 +211,6 @@ type Dispatcher struct {
 	mMismatches *obs.Counter
 	hRPCNs      *obs.Histogram
 	tracer      *obs.Tracer
-}
-
-// ctxDone returns the configured context's done channel (nil — blocking
-// forever — when no context was given).
-func (d *Dispatcher) ctxDone() <-chan struct{} {
-	if d.opts.Context == nil {
-		return nil
-	}
-	return d.opts.Context.Done()
-}
-
-// ctxErr reports the configured context's error, if any.
-func (d *Dispatcher) ctxErr() error {
-	if d.opts.Context == nil {
-		return nil
-	}
-	return d.opts.Context.Err()
 }
 
 // wconn is one live worker connection. It is owned by exactly one
@@ -277,10 +256,10 @@ func New(addrs []string, opts Options) *Dispatcher {
 	}
 	d.log = obs.OrNop(opts.Log)
 	d.fp = opts.FP
-	d.health = newHealthSet(opts.Health, addrs, opts.Rec, d.log)
+	d.health = newHealthSet(opts.breaker, addrs, opts.Rec, d.log)
+	d.local = newUnitEnvs(nil, 0)
 	if opts.AuditFraction > 0 {
 		d.auditRng = rand.New(rand.NewSource(rand.Int63()))
-		d.auditEnvs = map[string]*sim.Env{}
 	}
 	if rec := opts.Rec; rec != nil {
 		d.metrics = rec.Metrics
@@ -323,16 +302,12 @@ func (d *Dispatcher) Lanes() int {
 // control consumes (a dead fleet reads 0, deferring campaign starts
 // instead of piling them onto local fallback).
 func (d *Dispatcher) LiveConns() int {
-	n := d.live.Load()
-	if n < 0 {
-		n = 0
-	}
-	return int(n)
+	return int(max(d.live.Load(), 0))
 }
 
 // Health returns a point-in-time snapshot of every worker's health
 // score and quarantine state, sorted by address — the farm section of
-// GET /v1/scheduler. nil when health scoring is disabled.
+// GET /v1/scheduler.
 func (d *Dispatcher) Health() []WorkerHealth {
 	return d.health.snapshot()
 }
@@ -367,7 +342,7 @@ func (d *Dispatcher) RunChunkInto(c sim.RemoteChunk, dst *coverage.Counts) error
 		return ErrDispatcherClosed
 	default:
 	}
-	if err := d.ctxErr(); err != nil {
+	if err := d.opts.Context.Err(); err != nil {
 		d.mCanceled.Inc()
 		return err
 	}
@@ -384,7 +359,7 @@ func (d *Dispatcher) RunChunkInto(c sim.RemoteChunk, dst *coverage.Counts) error
 			d.mRetries.Inc()
 			d.sleep(d.backoff(attempt - 1))
 		}
-		if err := d.ctxErr(); err != nil {
+		if err := d.opts.Context.Err(); err != nil {
 			d.mCanceled.Inc()
 			if lastErr == nil {
 				lastErr = err
@@ -527,11 +502,7 @@ func (d *Dispatcher) hedgeBudget() time.Duration {
 	if p95 <= 0 {
 		return 0
 	}
-	b := time.Duration(d.opts.Hedge * float64(p95))
-	if b < time.Millisecond {
-		b = time.Millisecond
-	}
-	return b
+	return max(time.Duration(d.opts.Hedge*float64(p95)), time.Millisecond)
 }
 
 // acquireHedge non-blockingly picks the healthiest idle connection on a
@@ -626,7 +597,7 @@ func (d *Dispatcher) audit(w *wconn, c sim.RemoteChunk, dst *coverage.Counts) bo
 	}
 	d.mAudits.Inc()
 	hits, sims := local.Raw()
-	if sims == w.rf.Sims && equalHits(hits, w.rf.Hits) {
+	if sims == w.rf.Sims && slices.Equal(hits, w.rf.Hits) {
 		return true
 	}
 	d.mMismatches.Inc()
@@ -642,21 +613,15 @@ func (d *Dispatcher) audit(w *wconn, c sim.RemoteChunk, dst *coverage.Counts) bo
 	return false
 }
 
-// auditRun re-executes a chunk on a local, lazily built environment for
-// its unit — the dispatcher-side twin of the server's env map. Chunks
-// are pure functions of (template, seed, range), so the local run is
-// ground truth.
+// auditRun re-executes a chunk on the local executor a worker uses.
+// Chunks are pure functions of (template, seed, range), so the local run
+// is ground truth.
 func (d *Dispatcher) auditRun(c sim.RemoteChunk) (*coverage.Counts, error) {
 	d.auditMu.Lock()
 	defer d.auditMu.Unlock()
-	env, ok := d.auditEnvs[c.Unit]
-	if !ok {
-		u, err := duv.New(c.Unit)
-		if err != nil {
-			return nil, err
-		}
-		env = sim.NewEnv(u, 1, 1) // seed irrelevant: the chunk carries its own
-		d.auditEnvs[c.Unit] = env
+	env, err := d.local.env(c.Unit)
+	if err != nil {
+		return nil, err
 	}
 	counts := coverage.NewCounts(c.Events)
 	if err := env.RunChunkInto(c.Template, c.Seed, c.Lo, c.Hi, counts); err != nil {
@@ -665,45 +630,22 @@ func (d *Dispatcher) auditRun(c sim.RemoteChunk) (*coverage.Counts, error) {
 	return counts, nil
 }
 
-// equalHits compares two dense hit arrays.
-func equalHits(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // chunkDigest is a short FNV-1a fingerprint of a chunk result, for
 // audit-mismatch logs.
 func chunkDigest(hits []uint64, sims uint64) string {
 	h := fnv.New64a()
 	var buf [8]byte
 	for _, v := range hits {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
+		h.Write(binary.LittleEndian.AppendUint64(buf[:0], v))
 	}
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(sims >> (8 * i))
-	}
-	h.Write(buf[:])
+	h.Write(binary.LittleEndian.AppendUint64(buf[:0], sims))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // exchange performs one chunk RPC on a connection the caller owns,
 // under the per-chunk deadline, leaving the validated result in w.rf
 // for the caller to merge (exactly once, possibly after an audit).
-// Stale frames (duplicated results from a flaky transport, late
-// heartbeat replies) are skipped by correlation ID, so a noisy
-// connection either yields the right answer or an error — never a
-// mismatched one. Returns the exchange's wall-clock duration for health
-// scoring.
+// Returns the exchange's wall-clock duration for health scoring.
 func (d *Dispatcher) exchange(w *wconn, c sim.RemoteChunk) (time.Duration, error) {
 	sp := d.tracer.Span("farm", "rpc")
 	if sp != nil {
@@ -732,41 +674,52 @@ func (d *Dispatcher) exchange(w *wconn, c sim.RemoteChunk) (time.Duration, error
 	return dur, err
 }
 
+// exchange1 is one chunk request and its validated result in w.rf.
 func (d *Dispatcher) exchange1(w *wconn, c sim.RemoteChunk) error {
 	if err := d.fp.Eval("farm/rpc_write"); err != nil {
 		return err
 	}
-	w.conn.SetDeadline(time.Now().Add(d.opts.ChunkTimeout))
+	fillChunkFrame(&w.rf, 0, c)
+	if err := w.roundTrip(&w.rf, TypeResult, d.opts.ChunkTimeout); err != nil {
+		return err
+	}
+	f := &w.rf
+	if f.Err != "" {
+		return fmt.Errorf("farm: worker %s: %s", w.addr, f.Err)
+	}
+	n := uint64(c.Hi - c.Lo)
+	if len(f.Hits) != c.Events || f.Sims != n {
+		return fmt.Errorf("farm: worker %s: malformed result (%d events/%d sims, want %d/%d)",
+			w.addr, len(f.Hits), f.Sims, c.Events, n)
+	}
+	// The corrupt policy here simulates a byzantine worker from the
+	// dispatcher's own vantage point: the mutated hits pass framing and
+	// shape validation and only the integrity audit can tell.
+	return d.fp.Uints("farm/rpc_read", f.Hits)
+}
+
+// roundTrip writes req under the connection's next correlation ID and
+// reads into w.rf (req may be w.rf itself) until the reply of the given
+// type carrying that ID arrives, all under one deadline. Stale frames —
+// duplicates from a flaky transport, late heartbeat replies — are
+// skipped, so a noisy connection yields the right reply or an error,
+// never a mismatched one.
+func (w *wconn) roundTrip(req *Frame, reply string, timeout time.Duration) error {
+	w.conn.SetDeadline(time.Now().Add(timeout))
 	defer w.conn.SetDeadline(time.Time{})
 	id := w.nextID
 	w.nextID++
-	fillChunkFrame(&w.rf, id, c)
-	if err := w.cdc.write(w.conn, &w.rf); err != nil {
+	req.ID = id
+	if err := w.cdc.write(w.conn, req); err != nil {
 		return err
 	}
 	for {
-		f := &w.rf
-		if err := w.cdc.read(w.conn, f); err != nil {
+		if err := w.cdc.read(w.conn, &w.rf); err != nil {
 			return err
 		}
-		if f.Type != TypeResult || f.ID != id {
-			continue // stale duplicate or heartbeat reply; keep reading
+		if w.rf.Type == reply && w.rf.ID == id {
+			return nil
 		}
-		if f.Err != "" {
-			return fmt.Errorf("farm: worker %s: %s", w.addr, f.Err)
-		}
-		n := uint64(c.Hi - c.Lo)
-		if len(f.Hits) != c.Events || f.Sims != n {
-			return fmt.Errorf("farm: worker %s: malformed result (%d events/%d sims, want %d/%d)",
-				w.addr, len(f.Hits), f.Sims, c.Events, n)
-		}
-		// The corrupt policy here simulates a byzantine worker from the
-		// dispatcher's own vantage point: the mutated hits pass framing
-		// and shape validation and only the integrity audit can tell.
-		if err := d.fp.Uints("farm/rpc_read", f.Hits); err != nil {
-			return err
-		}
-		return nil
 	}
 }
 
@@ -789,7 +742,7 @@ func (d *Dispatcher) acquire() *wconn {
 			return w
 		case <-deadline.C:
 			return nil
-		case <-d.ctxDone():
+		case <-d.opts.Context.Done():
 			return nil
 		case <-d.closed:
 			return nil
@@ -859,14 +812,11 @@ func (d *Dispatcher) keeper(addrIdx int, addr string, slot int, fanOut *sync.Onc
 			continue
 		}
 		fails = 0
+		d.health.attach(addr, w)
 		d.readyOne.Do(func() { close(d.ready) })
 		if slot == 0 {
 			fanOut.Do(func() {
-				n := capacity
-				if n > d.opts.MaxConnsPerWorker {
-					n = d.opts.MaxConnsPerWorker
-				}
-				for s := 1; s < n; s++ {
+				for s := 1; s < min(capacity, d.opts.MaxConnsPerWorker); s++ {
 					d.wg.Add(1)
 					go d.keeper(addrIdx, addr, s, fanOut)
 				}
@@ -942,10 +892,7 @@ func (d *Dispatcher) dial(addrIdx int, addr string) (*wconn, int, error) {
 		return nil, 0, fmt.Errorf("%w: worker %s answered %q handshake v%d protocol v%d, want protocol v%d",
 			ErrVersionMismatch, addr, f.Type, f.Version, f.Max, ProtocolVersion)
 	}
-	capacity := f.Capacity
-	if capacity < 1 {
-		capacity = 1
-	}
+	capacity := max(f.Capacity, 1)
 	// The labeled per-connection gauge: one series per worker address.
 	// Addresses come from configuration, so the label cardinality is
 	// bounded.
@@ -962,7 +909,6 @@ func (d *Dispatcher) dial(addrIdx int, addr string) (*wconn, int, error) {
 		broken:  make(chan struct{}),
 		gauge:   gauge,
 	}
-	d.health.attach(addr, w)
 	return w, capacity, nil
 }
 
@@ -999,24 +945,10 @@ func (d *Dispatcher) heartbeater() {
 	}
 }
 
+// ping is one heartbeat round trip, under the heartbeat interval.
 func (d *Dispatcher) ping(w *wconn) error {
-	w.conn.SetDeadline(time.Now().Add(d.opts.Heartbeat))
-	defer w.conn.SetDeadline(time.Time{})
-	id := w.nextID
-	w.nextID++
-	w.rf = Frame{Type: TypePing, ID: id, Hits: w.rf.Hits[:0]}
-	if err := w.cdc.write(w.conn, &w.rf); err != nil {
-		return err
-	}
-	for {
-		if err := w.cdc.read(w.conn, &w.rf); err != nil {
-			return err
-		}
-		if w.rf.Type == TypePong && w.rf.ID == id {
-			return nil
-		}
-		// Skip stale duplicates from a flaky transport.
-	}
+	w.rf = Frame{Type: TypePing, Hits: w.rf.Hits[:0]}
+	return w.roundTrip(&w.rf, TypePong, d.opts.Heartbeat)
 }
 
 // Close stops the dispatcher: keepers and the heartbeater exit, every
@@ -1032,10 +964,7 @@ func (d *Dispatcher) Close() {
 		default:
 			d.wg.Wait()
 			d.auditMu.Lock()
-			for _, env := range d.auditEnvs {
-				env.Close()
-			}
-			d.auditEnvs = nil
+			d.local.close()
 			d.auditMu.Unlock()
 			return
 		}
@@ -1047,7 +976,7 @@ func (d *Dispatcher) Close() {
 func (d *Dispatcher) sleep(dur time.Duration) {
 	select {
 	case <-time.After(dur):
-	case <-d.ctxDone():
+	case <-d.opts.Context.Done():
 	case <-d.closed:
 	}
 }
@@ -1061,10 +990,7 @@ func (d *Dispatcher) backoff(attempt int) time.Duration {
 // backoff is the attempt'th exponential backoff step with ±jitter
 // (a fraction of the step; 0 disables).
 func backoff(base, max time.Duration, attempt int, jitter float64) time.Duration {
-	if attempt > 16 {
-		attempt = 16
-	}
-	dur := base << uint(attempt)
+	dur := base << uint(min(attempt, 16))
 	if dur > max || dur <= 0 {
 		dur = max
 	}

@@ -159,7 +159,7 @@ func TestFaultMatrix(t *testing.T) {
 				opts := testOptions(lb.Dial, rec)
 				opts.ChunkTimeout = 300 * time.Millisecond
 				opts.AuditFraction = 1
-				opts.Health.Cooldown = 40 * time.Millisecond
+				opts.breaker.cooldown = 40 * time.Millisecond
 				opts.FP = failpoint.New(7)
 				if !pt.server {
 					opts.FP.Set(pt.name, pol)
@@ -240,11 +240,11 @@ func TestByzantineFleetAcceptance(t *testing.T) {
 	// Liveness discovery is not under test here, so disable it.
 	opts.Heartbeat = -1
 	opts.FP = failpoint.New(1)
-	opts.Health.Cooldown = 100 * time.Millisecond
+	opts.breaker.cooldown = 100 * time.Millisecond
 	// The straggler is hedging's job here, not the breaker's: an
 	// unreachable latency threshold keeps the quarantine assertion
 	// pinned on the byzantine worker.
-	opts.Health.LatencyFactor = 1000
+	opts.breaker.latencyFactor = 1000
 	d := New(addrs, opts)
 	defer d.Close()
 	defer func() {
@@ -340,7 +340,7 @@ func TestHedgedStragglerExecution(t *testing.T) {
 	opts.FP = failpoint.New(1)
 	// Hedging, not the breaker, is under test: keep the straggler
 	// routable so there is something to hedge.
-	opts.Health.LatencyFactor = 1000
+	opts.breaker.latencyFactor = 1000
 	d := New(addrs, opts)
 	defer d.Close()
 	defer func() {

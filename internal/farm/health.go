@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"cmp"
 	"log/slog"
 	"slices"
 	"sync"
@@ -9,51 +10,30 @@ import (
 	"repro/internal/obs"
 )
 
-// HealthOptions tune per-worker health scoring and the circuit breaker
-// that quarantines misbehaving workers (DESIGN.md §13). The zero value
-// selects the documented defaults; scoring is on by default because a
-// fleet with no failures never trips it.
-type HealthOptions struct {
-	// Disable turns health scoring, quarantine, and hedging's
-	// healthiest-lane selection off entirely.
-	Disable bool
-	// ErrorThreshold quarantines a worker once its exchange error-rate
-	// EWMA exceeds it (default 0.5), after MinSamples outcomes.
-	ErrorThreshold float64
-	// LatencyFactor quarantines a worker once its latency EWMA exceeds
-	// LatencyFactor × the fleet-wide EWMA (default 6) — the straggler
-	// cut. It never fires while this worker is the only one with
-	// samples, so a single-worker fleet cannot quarantine itself.
-	LatencyFactor float64
-	// MinSamples is how many exchange outcomes a worker needs before
-	// the thresholds are consulted (default 4).
-	MinSamples int
-	// Cooldown is the first quarantine's duration (default 5s); each
-	// further quarantine doubles it, up to 8×. After the cooldown one
-	// probe connection is allowed through (half-open); its first
-	// exchange outcome either heals the worker or re-quarantines it.
-	// Integrity failures (audit mismatches) quarantine permanently.
-	Cooldown time.Duration
-	// Alpha is the EWMA smoothing factor in (0, 1] (default 0.3).
-	Alpha float64
-}
+// The circuit breaker's tuning (DESIGN.md §13). After minSamples
+// exchange outcomes, a worker is quarantined once its error-rate EWMA
+// exceeds errorThreshold, or its latency EWMA exceeds latencyFactor ×
+// the fleet-wide EWMA while another worker has samples (so a
+// single-worker fleet is never its own baseline). The first quarantine
+// lasts baseCooldown and each further one doubles it, up to 8×; then one
+// probe connection goes through (half-open), and its first exchange
+// heals the worker or re-quarantines it. Integrity failures (audit
+// mismatches) quarantine permanently. alpha smooths every EWMA.
+const (
+	errorThreshold = 0.5
+	latencyFactor  = 6
+	minSamples     = 4
+	baseCooldown   = 5 * time.Second
+	alpha          = 0.3
+)
 
-func (o *HealthOptions) setDefaults() {
-	if o.ErrorThreshold <= 0 {
-		o.ErrorThreshold = 0.5
-	}
-	if o.LatencyFactor <= 0 {
-		o.LatencyFactor = 6
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 4
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 5 * time.Second
-	}
-	if o.Alpha <= 0 || o.Alpha > 1 {
-		o.Alpha = 0.3
-	}
+// breaker overrides the cooldown and latency factor (zero fields keep
+// the constants). Only in-package tests set it, through Options.breaker:
+// fault schedules shorten the cooldown, and hedging tests disarm the
+// straggler cut so the straggler stays routable.
+type breaker struct {
+	cooldown      time.Duration
+	latencyFactor float64
 }
 
 // Worker health states.
@@ -102,13 +82,13 @@ type workerHealth struct {
 }
 
 // healthSet scores every worker's exchanges and runs the circuit
-// breaker. A nil *healthSet (scoring disabled) is valid: every method
-// no-ops and every gate stays open.
+// breaker. Every worker address is registered at construction.
 type healthSet struct {
-	opts HealthOptions
-	log  *slog.Logger
+	b   breaker
+	log *slog.Logger
+	now func() time.Time // the breaker's clock; tests step a fake one
 
-	gQuarantined *obs.Gauge   // farm.workers_quarantined: currently open
+	gQuarantined *obs.Gauge   // farm.workers_quarantined: not healthy
 	cQuarantines *obs.Counter // farm.quarantines: total breaker opens
 	cIntegrity   *obs.Counter // farm.integrity_failures
 	cProbes      *obs.Counter // farm.health_probes
@@ -123,14 +103,17 @@ type healthSet struct {
 	fleetLat float64 // ns, EWMA across all workers
 }
 
-func newHealthSet(opts HealthOptions, addrs []string, rec *obs.Recorder, log *slog.Logger) *healthSet {
-	if opts.Disable {
-		return nil
+func newHealthSet(b breaker, addrs []string, rec *obs.Recorder, log *slog.Logger) *healthSet {
+	if b.cooldown <= 0 {
+		b.cooldown = baseCooldown
 	}
-	opts.setDefaults()
+	if b.latencyFactor <= 0 {
+		b.latencyFactor = latencyFactor
+	}
 	hs := &healthSet{
-		opts:    opts,
+		b:       b,
 		log:     obs.OrNop(log),
+		now:     time.Now,
 		workers: make(map[string]*workerHealth, len(addrs)),
 	}
 	if rec != nil {
@@ -143,53 +126,32 @@ func newHealthSet(opts HealthOptions, addrs []string, rec *obs.Recorder, log *sl
 		hs.workers[addr] = &workerHealth{
 			addr:     addr,
 			state:    healthHealthy,
-			cooldown: opts.Cooldown,
+			cooldown: b.cooldown,
 			conns:    map[*wconn]struct{}{},
 		}
 	}
 	return hs
 }
 
-// get returns the worker's scorecard, creating one for addresses the
-// constructor did not know about (defensive; addrs are fixed).
-// Caller holds hs.mu.
-func (hs *healthSet) get(addr string) *workerHealth {
-	h := hs.workers[addr]
-	if h == nil {
-		h = &workerHealth{addr: addr, state: healthHealthy, cooldown: hs.opts.Cooldown, conns: map[*wconn]struct{}{}}
-		hs.workers[addr] = h
-	}
-	return h
-}
-
 // attach registers a live connection with its worker's scorecard.
 func (hs *healthSet) attach(addr string, w *wconn) {
-	if hs == nil {
-		return
-	}
 	hs.mu.Lock()
-	hs.get(addr).conns[w] = struct{}{}
+	hs.workers[addr].conns[w] = struct{}{}
 	hs.mu.Unlock()
 }
 
 // detach removes an evicted connection.
 func (hs *healthSet) detach(addr string, w *wconn) {
-	if hs == nil {
-		return
-	}
 	hs.mu.Lock()
-	delete(hs.get(addr).conns, w)
+	delete(hs.workers[addr].conns, w)
 	hs.mu.Unlock()
 }
 
 // allowed reports whether chunks may be routed to the worker right now.
 func (hs *healthSet) allowed(addr string) bool {
-	if hs == nil {
-		return true
-	}
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
-	return hs.get(addr).state != healthQuarantined
+	return hs.workers[addr].state != healthQuarantined
 }
 
 // gate decides whether a keeper may dial its worker now. While the
@@ -197,12 +159,9 @@ func (hs *healthSet) allowed(addr string) bool {
 // quarantine has expired it flips to half-open and admits exactly one
 // prober (the caller), refusing other slots until the probe resolves.
 func (hs *healthSet) gate(addr string) (bool, time.Duration) {
-	if hs == nil {
-		return true, 0
-	}
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
-	h := hs.get(addr)
+	h := hs.workers[addr]
 	switch h.state {
 	case healthHealthy:
 		return true, 0
@@ -210,12 +169,8 @@ func (hs *healthSet) gate(addr string) (bool, time.Duration) {
 		if h.permanent {
 			return false, 500 * time.Millisecond
 		}
-		wait := time.Until(h.until)
-		if wait > 0 {
-			if wait > 250*time.Millisecond {
-				wait = 250 * time.Millisecond
-			}
-			return false, wait
+		if wait := h.until.Sub(hs.now()); wait > 0 {
+			return false, min(wait, 250*time.Millisecond)
 		}
 		// Cooldown over: half-open. This caller becomes the probe.
 		h.state = healthProbing
@@ -238,12 +193,8 @@ func (hs *healthSet) gate(addr string) (bool, time.Duration) {
 // down just keeps its keepers in redial backoff, which the breaker
 // would only slow down.
 func (hs *healthSet) dialFailed(addr string) {
-	if hs == nil {
-		return
-	}
 	hs.mu.Lock()
-	h := hs.get(addr)
-	if h.state == healthProbing {
+	if h := hs.workers[addr]; h.state == healthProbing {
 		h.probing = false
 	}
 	hs.mu.Unlock()
@@ -253,21 +204,17 @@ func (hs *healthSet) dialFailed(addr string) {
 // the breaker. It returns the connections to evict when the breaker
 // opened — the caller kills them outside the lock.
 func (hs *healthSet) outcome(addr string, dur time.Duration, ok bool) []*wconn {
-	if hs == nil {
-		return nil
-	}
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
-	h := hs.get(addr)
-	a := hs.opts.Alpha
+	h := hs.workers[addr]
 	h.samples++
 	if ok {
-		h.errEWMA *= 1 - a
-		h.latEWMA = a*float64(dur) + (1-a)*h.latEWMA
+		h.errEWMA *= 1 - alpha
+		h.latEWMA = alpha*float64(dur) + (1-alpha)*h.latEWMA
 		if hs.fleetLat == 0 {
 			hs.fleetLat = float64(dur)
 		} else {
-			hs.fleetLat = a*float64(dur) + (1-a)*hs.fleetLat
+			hs.fleetLat = alpha*float64(dur) + (1-alpha)*hs.fleetLat
 		}
 		hs.lats[hs.latPos] = uint64(dur)
 		hs.latPos = (hs.latPos + 1) % len(hs.lats)
@@ -275,7 +222,7 @@ func (hs *healthSet) outcome(addr string, dur time.Duration, ok bool) []*wconn {
 			hs.latCount++
 		}
 	} else {
-		h.errEWMA = a + (1-a)*h.errEWMA
+		h.errEWMA = alpha + (1-alpha)*h.errEWMA
 	}
 
 	switch h.state {
@@ -287,13 +234,13 @@ func (hs *healthSet) outcome(addr string, dur time.Duration, ok bool) []*wconn {
 		}
 		return hs.quarantine(h, "probe failed", false)
 	case healthHealthy:
-		if h.samples < hs.opts.MinSamples {
+		if h.samples < minSamples {
 			return nil
 		}
-		if h.errEWMA > hs.opts.ErrorThreshold {
+		if h.errEWMA > errorThreshold {
 			return hs.quarantine(h, "error rate", false)
 		}
-		if h.latEWMA > hs.opts.LatencyFactor*hs.fleetLat && hs.othersSampled(h) {
+		if h.latEWMA > hs.b.latencyFactor*hs.fleetLat && hs.othersSampled(h) {
 			return hs.quarantine(h, "straggling", false)
 		}
 	}
@@ -305,12 +252,9 @@ func (hs *healthSet) outcome(addr string, dur time.Duration, ok bool) []*wconn {
 // probing — a byzantine worker does not get better by waiting). Returns
 // the connections to evict.
 func (hs *healthSet) integrityFailure(addr string) []*wconn {
-	if hs == nil {
-		return nil
-	}
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
-	h := hs.get(addr)
+	h := hs.workers[addr]
 	h.integrity++
 	hs.cIntegrity.Inc()
 	return hs.quarantine(h, "integrity failure", true)
@@ -328,8 +272,10 @@ func (hs *healthSet) othersSampled(h *workerHealth) bool {
 	return false
 }
 
-// quarantine opens the breaker. Caller holds hs.mu; the returned
-// connections must be killed after release.
+// quarantine opens the breaker. The quarantined gauge counts a worker
+// once, from leaving healthy until heal, so a failed half-open probe
+// does not count it again. Caller holds hs.mu; the returned connections
+// must be killed after release.
 func (hs *healthSet) quarantine(h *workerHealth, reason string, permanent bool) []*wconn {
 	if h.state == healthQuarantined {
 		if permanent {
@@ -337,15 +283,17 @@ func (hs *healthSet) quarantine(h *workerHealth, reason string, permanent bool) 
 		}
 		return nil
 	}
+	if h.state == healthHealthy {
+		hs.gQuarantined.Add(1)
+	}
 	h.state = healthQuarantined
 	h.probing = false
 	h.permanent = h.permanent || permanent
 	h.quarantines++
-	h.until = time.Now().Add(h.cooldown)
-	if next := h.cooldown * 2; next <= 8*hs.opts.Cooldown {
+	h.until = hs.now().Add(h.cooldown)
+	if next := h.cooldown * 2; next <= 8*hs.b.cooldown {
 		h.cooldown = next
 	}
-	hs.gQuarantined.Add(1)
 	hs.cQuarantines.Inc()
 	hs.log.Warn("farm: worker quarantined",
 		"worker", h.addr, "reason", reason, "permanent", h.permanent,
@@ -359,7 +307,7 @@ func (hs *healthSet) quarantine(h *workerHealth, reason string, permanent bool) 
 }
 
 // heal closes the breaker after a successful probe. The error score is
-// forgiven and samples reset so MinSamples must re-accumulate before
+// forgiven and samples reset so minSamples must re-accumulate before
 // the breaker can trip again; latency memory is kept. Caller holds
 // hs.mu.
 func (hs *healthSet) heal(h *workerHealth) {
@@ -374,12 +322,9 @@ func (hs *healthSet) heal(h *workerHealth) {
 // hedging path's lane-selection order (fewer errors, then lower
 // latency).
 func (hs *healthSet) better(a, b string) bool {
-	if hs == nil {
-		return false
-	}
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
-	ha, hb := hs.get(a), hs.get(b)
+	ha, hb := hs.workers[a], hs.workers[b]
 	if ha.errEWMA != hb.errEWMA {
 		return ha.errEWMA < hb.errEWMA
 	}
@@ -390,9 +335,6 @@ func (hs *healthSet) better(a, b string) bool {
 // recent-latency ring, or 0 until at least 16 samples exist (hedging
 // stays off during warmup rather than hedging on noise).
 func (hs *healthSet) latencyP95() time.Duration {
-	if hs == nil {
-		return 0
-	}
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
 	if hs.latCount < 16 {
@@ -407,9 +349,6 @@ func (hs *healthSet) latencyP95() time.Duration {
 // snapshot returns every worker's externally visible health, sorted by
 // address.
 func (hs *healthSet) snapshot() []WorkerHealth {
-	if hs == nil {
-		return nil
-	}
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
 	out := make([]WorkerHealth, 0, len(hs.workers))
@@ -426,14 +365,6 @@ func (hs *healthSet) snapshot() []WorkerHealth {
 			Conns:             len(h.conns),
 		})
 	}
-	slices.SortFunc(out, func(a, b WorkerHealth) int {
-		if a.Addr < b.Addr {
-			return -1
-		}
-		if a.Addr > b.Addr {
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(out, func(a, b WorkerHealth) int { return cmp.Compare(a.Addr, b.Addr) })
 	return out
 }

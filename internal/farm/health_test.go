@@ -7,13 +7,20 @@ import (
 	"repro/internal/obs"
 )
 
-// newTestHealth builds a scored healthSet over the given worker
-// addresses with a short, test-friendly cooldown.
-func newTestHealth(addrs []string, opts HealthOptions, rec *obs.Recorder) *healthSet {
-	if opts.Cooldown == 0 {
-		opts.Cooldown = 25 * time.Millisecond
-	}
-	return newHealthSet(opts, addrs, rec, nil)
+// testClock is a manual clock for healthSet.now: a cooldown passes when
+// the test steps the clock, not when the wall clock does.
+type testClock struct{ t time.Time }
+
+func (c *testClock) now() time.Time         { return c.t }
+func (c *testClock) step(dur time.Duration) { c.t = c.t.Add(dur) }
+
+// newTestHealth builds a healthSet over the given worker addresses on a
+// manual clock.
+func newTestHealth(addrs []string, b breaker, rec *obs.Recorder) (*healthSet, *testClock) {
+	clk := &testClock{t: time.Unix(0, 0)}
+	hs := newHealthSet(b, addrs, rec, nil)
+	hs.now = clk.now
+	return hs, clk
 }
 
 // fail scores n failed exchanges against addr.
@@ -36,10 +43,10 @@ func succeed(hs *healthSet, addr string, dur time.Duration, n int) {
 // probe healing the worker with its sample count reset.
 func TestHealthErrorQuarantineAndHeal(t *testing.T) {
 	rec := obs.NewRecorder()
-	hs := newTestHealth([]string{"a", "b"}, HealthOptions{}, rec)
+	hs, clk := newTestHealth([]string{"a", "b"}, breaker{}, rec)
 
 	// Four straight failures push errEWMA to 1-0.7^4 ≈ 0.76 > 0.5 with
-	// samples == MinSamples, so the breaker opens on the fourth.
+	// samples == minSamples, so the breaker opens on the fourth.
 	fail(hs, "a", 4)
 	if hs.allowed("a") {
 		t.Fatalf("worker a still allowed after 4/4 failed exchanges")
@@ -58,15 +65,9 @@ func TestHealthErrorQuarantineAndHeal(t *testing.T) {
 
 	// After the cooldown the first gate call becomes the half-open
 	// probe; a second concurrent caller is refused until it resolves.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if ok, _ := hs.gate("a"); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("gate never admitted a half-open probe")
-		}
-		time.Sleep(time.Millisecond)
+	clk.step(baseCooldown)
+	if ok, _ := hs.gate("a"); !ok {
+		t.Fatalf("gate refused the half-open probe after the cooldown")
 	}
 	if got := rec.Counter("farm.health_probes").Value(); got != 1 {
 		t.Fatalf("health_probes counter = %d, want 1", got)
@@ -76,7 +77,7 @@ func TestHealthErrorQuarantineAndHeal(t *testing.T) {
 	}
 
 	// The probe's successful exchange heals the worker: error score
-	// forgiven, samples reset so MinSamples must re-accumulate.
+	// forgiven, samples reset so minSamples must re-accumulate.
 	hs.outcome("a", time.Millisecond, true)
 	if !hs.allowed("a") {
 		t.Fatalf("worker a not allowed after successful probe")
@@ -98,26 +99,22 @@ func TestHealthErrorQuarantineAndHeal(t *testing.T) {
 	// post-heal sample count restarts from zero.
 	fail(hs, "a", 2)
 	if !hs.allowed("a") {
-		t.Fatalf("breaker tripped before MinSamples re-accumulated after heal")
+		t.Fatalf("breaker tripped before minSamples re-accumulated after heal")
 	}
 }
 
 // TestHealthProbeFailureEscalates verifies that a failed half-open
-// probe re-quarantines immediately and the cooldown escalates.
+// probe re-quarantines immediately, the cooldown escalates, and the
+// quarantined gauge counts the worker once until a probe heals it.
 func TestHealthProbeFailureEscalates(t *testing.T) {
 	rec := obs.NewRecorder()
-	hs := newTestHealth([]string{"a"}, HealthOptions{Cooldown: 10 * time.Millisecond}, rec)
+	hs, clk := newTestHealth([]string{"a"}, breaker{}, rec)
+	gauge := rec.Gauge("farm.workers_quarantined")
 
 	fail(hs, "a", 4)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if ok, _ := hs.gate("a"); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("gate never went half-open")
-		}
-		time.Sleep(time.Millisecond)
+	clk.step(baseCooldown)
+	if ok, _ := hs.gate("a"); !ok {
+		t.Fatalf("gate not half-open after the cooldown")
 	}
 	hs.outcome("a", 0, false) // probe fails
 	if hs.allowed("a") {
@@ -135,23 +132,34 @@ func TestHealthProbeFailureEscalates(t *testing.T) {
 	if h.Quarantines != 2 {
 		t.Fatalf("worker quarantines = %d, want 2", h.Quarantines)
 	}
+	if got := gauge.Value(); got != 1 {
+		t.Fatalf("workers_quarantined gauge = %d after a failed probe, want 1", got)
+	}
+
+	// The second cooldown is twice the first.
+	clk.step(baseCooldown)
+	if ok, _ := hs.gate("a"); ok {
+		t.Fatalf("gate admitted a probe before the escalated cooldown passed")
+	}
+	clk.step(baseCooldown)
+	if ok, _ := hs.gate("a"); !ok {
+		t.Fatalf("gate not half-open after the escalated cooldown")
+	}
+	hs.outcome("a", time.Millisecond, true) // probe heals
+	if got := gauge.Value(); got != 0 {
+		t.Fatalf("workers_quarantined gauge = %d after the worker healed, want 0", got)
+	}
 }
 
 // TestHealthDialFailedReleasesProbe verifies that a probe whose dial
 // itself fails releases the half-open token for the next caller
 // instead of wedging the worker in probing forever.
 func TestHealthDialFailedReleasesProbe(t *testing.T) {
-	hs := newTestHealth([]string{"a"}, HealthOptions{Cooldown: 10 * time.Millisecond}, obs.NewRecorder())
+	hs, clk := newTestHealth([]string{"a"}, breaker{}, obs.NewRecorder())
 	fail(hs, "a", 4)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if ok, _ := hs.gate("a"); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("gate never went half-open")
-		}
-		time.Sleep(time.Millisecond)
+	clk.step(baseCooldown)
+	if ok, _ := hs.gate("a"); !ok {
+		t.Fatalf("gate not half-open after the cooldown")
 	}
 	if ok, _ := hs.gate("a"); ok {
 		t.Fatalf("second caller admitted while probe dial outstanding")
@@ -168,9 +176,9 @@ func TestHealthDialFailedReleasesProbe(t *testing.T) {
 // fires once a faster peer has scored.
 func TestHealthLatencyQuarantineNeedsPeers(t *testing.T) {
 	rec := obs.NewRecorder()
-	// LatencyFactor 0.1 makes the latency condition trivially true for
+	// A latency factor of 0.1 makes the latency condition trivially true for
 	// any sampled worker — isolating the othersSampled guard.
-	hs := newTestHealth([]string{"a", "b"}, HealthOptions{LatencyFactor: 0.1}, rec)
+	hs, _ := newTestHealth([]string{"a", "b"}, breaker{latencyFactor: 0.1}, rec)
 
 	succeed(hs, "a", 10*time.Millisecond, 6)
 	if !hs.allowed("a") {
@@ -189,13 +197,13 @@ func TestHealthLatencyQuarantineNeedsPeers(t *testing.T) {
 // timed cooldown would have expired, and no probe is ever admitted.
 func TestHealthIntegrityQuarantineIsPermanent(t *testing.T) {
 	rec := obs.NewRecorder()
-	hs := newTestHealth([]string{"a"}, HealthOptions{Cooldown: time.Millisecond}, rec)
+	hs, clk := newTestHealth([]string{"a"}, breaker{}, rec)
 
 	hs.integrityFailure("a")
 	if got := rec.Counter("farm.integrity_failures").Value(); got != 1 {
 		t.Fatalf("integrity_failures counter = %d, want 1", got)
 	}
-	time.Sleep(20 * time.Millisecond) // far past the 1ms cooldown
+	clk.step(time.Hour) // far past any timed cooldown
 	if ok, _ := hs.gate("a"); ok {
 		t.Fatalf("gate admitted a permanently quarantined worker")
 	}
@@ -216,7 +224,7 @@ func TestHealthIntegrityQuarantineIsPermanent(t *testing.T) {
 // TestHealthBetterOrdering verifies the hedging path's lane-selection
 // order: fewer errors first, then lower latency.
 func TestHealthBetterOrdering(t *testing.T) {
-	hs := newTestHealth([]string{"a", "b", "c"}, HealthOptions{}, obs.NewRecorder())
+	hs, _ := newTestHealth([]string{"a", "b", "c"}, breaker{}, obs.NewRecorder())
 	fail(hs, "a", 1)
 	succeed(hs, "b", 10*time.Millisecond, 1)
 	succeed(hs, "c", time.Millisecond, 1)
@@ -227,16 +235,12 @@ func TestHealthBetterOrdering(t *testing.T) {
 	if !hs.better("c", "b") || hs.better("b", "c") {
 		t.Fatalf("lower-latency worker should beat slower one at equal error rate")
 	}
-	var nilHS *healthSet
-	if nilHS.better("a", "b") {
-		t.Fatalf("nil healthSet should never prefer")
-	}
 }
 
 // TestHealthLatencyP95Warmup verifies that the hedging percentile stays
 // 0 until 16 samples exist, then reflects the tail of the ring.
 func TestHealthLatencyP95Warmup(t *testing.T) {
-	hs := newTestHealth([]string{"a"}, HealthOptions{}, obs.NewRecorder())
+	hs, _ := newTestHealth([]string{"a"}, breaker{}, obs.NewRecorder())
 	succeed(hs, "a", time.Millisecond, 15)
 	if got := hs.latencyP95(); got != 0 {
 		t.Fatalf("latencyP95 = %v with 15 samples, want 0 during warmup", got)

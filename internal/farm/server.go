@@ -56,8 +56,9 @@ type Server struct {
 	opts ServerOptions
 	sem  chan struct{}
 
+	local *unitEnvs
+
 	mu    sync.Mutex
-	envs  map[string]*sim.Env
 	conns map[*serverConn]struct{}
 	wg    sync.WaitGroup
 
@@ -97,7 +98,7 @@ func NewServer(opts ServerOptions) *Server {
 	s := &Server{
 		opts:  opts,
 		sem:   make(chan struct{}, opts.Capacity),
-		envs:  map[string]*sim.Env{},
+		local: newUnitEnvs(opts.Rec, opts.PlanCacheSize),
 		conns: map[*serverConn]struct{}{},
 		done:  make(chan struct{}),
 	}
@@ -322,7 +323,7 @@ func (s *Server) execute(f *Frame, resp *Frame, scratch *coverage.Counts) (*cove
 // connection's scratch aggregate (resized only when the model size
 // changes between requests).
 func (s *Server) runChunk(f *Frame, scratch *coverage.Counts) (*coverage.Counts, error) {
-	env, err := s.env(f.Unit)
+	env, err := s.local.env(f.Unit)
 	if err != nil {
 		return scratch, err
 	}
@@ -341,34 +342,61 @@ func (s *Server) runChunk(f *Frame, scratch *coverage.Counts) (*coverage.Counts,
 	} else {
 		scratch.Reset()
 	}
-	if err := env.RunChunkInto(tmpl, f.Seed, f.Lo, f.Hi, scratch); err != nil {
-		return scratch, err
-	}
-	return scratch, nil
+	return scratch, env.RunChunkInto(tmpl, f.Seed, f.Lo, f.Hi, scratch)
 }
 
-// env returns the lazily created environment for a unit. Environments
-// are single-worker: a chunk runs inline on its connection goroutine,
-// and the capacity semaphore is the concurrency bound.
-func (s *Server) env(unit string) (*sim.Env, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.envs[unit]; ok {
+// unitEnvs is the local chunk executor: one lazily built environment
+// per unit, shared by a worker's connections and by the dispatcher's
+// audits. Environments are single-worker — a chunk runs inline on its
+// caller's goroutine, and the caller bounds the concurrency — and their
+// seed is irrelevant, since every chunk carries its own.
+type unitEnvs struct {
+	rec       *obs.Recorder // nil: unrecorded
+	planCache int           // <= 0: sim.DefaultPlanCacheSize
+
+	mu   sync.Mutex
+	envs map[string]*sim.Env // nil once closed
+}
+
+var errExecutorClosed = errors.New("farm: local executor is closed")
+
+func newUnitEnvs(rec *obs.Recorder, planCache int) *unitEnvs {
+	return &unitEnvs{rec: rec, planCache: planCache, envs: map[string]*sim.Env{}}
+}
+
+// env returns the unit's environment, building it on first use.
+func (u *unitEnvs) env(unit string) (*sim.Env, error) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.envs == nil {
+		return nil, errExecutorClosed
+	}
+	if e, ok := u.envs[unit]; ok {
 		return e, nil
 	}
-	u, err := duv.New(unit)
+	d, err := duv.New(unit)
 	if err != nil {
 		return nil, err
 	}
-	e := sim.NewEnv(u, 1, 1) // seed irrelevant: RunChunkInto carries its own
-	if s.opts.Rec != nil {
-		e.SetRecorder(s.opts.Rec)
+	e := sim.NewEnv(d, 1, 1)
+	if u.rec != nil {
+		e.SetRecorder(u.rec)
 	}
-	if s.opts.PlanCacheSize > 0 {
-		e.SetPlanCacheSize(s.opts.PlanCacheSize)
+	if u.planCache > 0 {
+		e.SetPlanCacheSize(u.planCache)
 	}
-	s.envs[unit] = e
+	u.envs[unit] = e
 	return e, nil
+}
+
+// close shuts every environment down; later env calls fail.
+func (u *unitEnvs) close() {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	for _, e := range u.envs {
+		e.Close()
+	}
+	u.envs = nil
 }
 
 // track registers a connection; it refuses once draining so Shutdown's
@@ -428,10 +456,5 @@ func (s *Server) Shutdown() {
 		s.mu.Unlock()
 		<-finished
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.envs {
-		e.Close()
-	}
+	s.local.close()
 }

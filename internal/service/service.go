@@ -781,8 +781,7 @@ func (s *Service) Cancel(id string) *State {
 				c.st.State = StateCanceled
 				c.st.FinishedAt = now()
 				saveState(c.dir, &c.st)
-				s.counter("service.canceled").Inc()
-				s.tenantCounter("service.canceled", c.st.Spec.tenant()).Inc()
+				s.countTerminal(&c.st)
 			}
 			c.finishLocked()
 			h.Release()
@@ -1000,33 +999,14 @@ func (s *Service) runCampaign(c *campaign, tenant string, h *lease.Handle, ctx c
 				s.counter("service.fenced").Inc()
 				break
 			}
-			c.st.State = StateFailed
-			c.st.Error = verr.Error()
-			c.st.FinishedAt = now()
-			saveStateOwned(c.dir, &c.st, h)
-			c.finishLocked()
-			state = c.st.State
-			s.counter("service.failed").Inc()
+			state = s.finishOwned(c, h, StateFailed, verr)
 			break
 		}
 		s.feedKnowledge(c.st.ID, c.st.Spec, reports, h)
-		c.st.State = StateDone
-		c.st.FinishedAt = now()
 		c.st.Reports = reports
-		saveStateOwned(c.dir, &c.st, h)
-		c.finishLocked()
-		state = c.st.State
-		s.counter("service.completed").Inc()
-		s.tenantCounter("service.completed", tenant).Inc()
-		s.engineCounter("service.completed", c.st.Spec.engineName()).Inc()
+		state = s.finishOwned(c, h, StateDone, nil)
 	case interrupted && byUser:
-		c.st.State = StateCanceled
-		c.st.FinishedAt = now()
-		saveStateOwned(c.dir, &c.st, h)
-		c.finishLocked()
-		state = c.st.State
-		s.counter("service.canceled").Inc()
-		s.tenantCounter("service.canceled", tenant).Inc()
+		state = s.finishOwned(c, h, StateCanceled, nil)
 	case interrupted:
 		// Daemon drain: the journal holds the completed prefix and the
 		// on-disk state stays "running"; releasing the lease below lets
@@ -1035,15 +1015,7 @@ func (s *Service) runCampaign(c *campaign, tenant string, h *lease.Handle, ctx c
 		c.finishLocked()
 		state = c.st.State
 	default:
-		c.st.State = StateFailed
-		c.st.Error = err.Error()
-		c.st.FinishedAt = now()
-		saveStateOwned(c.dir, &c.st, h)
-		c.finishLocked()
-		state = c.st.State
-		s.counter("service.failed").Inc()
-		s.tenantCounter("service.failed", tenant).Inc()
-		s.engineCounter("service.failed", c.st.Spec.engineName()).Inc()
+		state = s.finishOwned(c, h, StateFailed, err)
 	}
 	c.mu.Unlock()
 	h.Release()
@@ -1068,6 +1040,40 @@ func (s *Service) runCampaign(c *campaign, tenant string, h *lease.Handle, ctx c
 	s.updateGaugesLocked()
 	s.cond.Signal()
 	s.mu.Unlock()
+}
+
+// finishOwned moves a campaign this replica runs to terminal state st
+// (with err's message when it failed), writes it behind the lease fence,
+// counts it and returns st. Caller holds c.mu.
+func (s *Service) finishOwned(c *campaign, h *lease.Handle, st string, err error) string {
+	c.st.State = st
+	if err != nil {
+		c.st.Error = err.Error()
+	}
+	c.st.FinishedAt = now()
+	saveStateOwned(c.dir, &c.st, h)
+	c.finishLocked()
+	s.countTerminal(&c.st)
+	return st
+}
+
+// terminalCounters names the counter of each terminal state.
+var terminalCounters = map[string]string{
+	StateDone:     "service.completed",
+	StateFailed:   "service.failed",
+	StateCanceled: "service.canceled",
+}
+
+// countTerminal counts a campaign that reached a terminal state in the
+// total and its tenant's series, and — done and failed only — its
+// engine's.
+func (s *Service) countTerminal(st *State) {
+	name := terminalCounters[st.State]
+	s.counter(name).Inc()
+	s.tenantCounter(name, st.Spec.tenant()).Inc()
+	if st.State != StateCanceled {
+		s.engineCounter(name, st.Spec.engineName()).Inc()
+	}
 }
 
 // executeFlow builds the campaign's journaled flow — with the lease's

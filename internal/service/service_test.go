@@ -306,6 +306,36 @@ func TestRestartResume(t *testing.T) {
 	}
 }
 
+// TestReportWriteFailureCounted: a campaign whose report.json cannot be
+// written ends failed, and the failure is counted in its tenant and
+// engine series like any other, so the labeled series sum to the total.
+func TestReportWriteFailureCounted(t *testing.T) {
+	rec := obs.NewRecorder()
+	dataDir := t.TempDir()
+	svc := newService(t, Config{DataDir: dataDir, Rec: rec, flowArmed: func(id string, _ *core.Flow) {
+		// A non-empty directory where the report goes: its final rename fails.
+		if err := os.MkdirAll(filepath.Join(dataDir, id, "report.json", "x"), 0o755); err != nil {
+			t.Error(err)
+		}
+	}})
+	id, err := svc.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, svc, id); st.State != StateFailed {
+		t.Fatalf("state = %q (error %q), want failed", st.State, st.Error)
+	}
+	for _, c := range []*obs.Counter{
+		rec.Counter("service.failed"),
+		rec.Metrics.CounterWith("service.failed", obs.Labels("tenant", tinySpec().tenant())),
+		rec.Metrics.CounterWith("service.failed", obs.Labels("engine", tinySpec().engineName())),
+	} {
+		if got := c.Value(); got != 1 {
+			t.Fatalf("a service.failed series = %d, want 1", got)
+		}
+	}
+}
+
 // TestSpecFlowKillSweep reuses the chaos harness against the exact
 // flow a service campaign runs (spec → coreConfig → journaled
 // core.New), proving a campaign killed at ANY journal append resumes
