@@ -37,8 +37,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -94,21 +92,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stopObs()
 
-	weights, err := parseTenantWeights(*tenantWeights)
+	weights, err := service.ParseTenantWeights(*tenantWeights)
 	if err != nil {
-		return cli.Fail(fs, 2, err)
-	}
-	svcCfg := service.Config{
-		DataDir:       *dataDir,
-		Owner:         *owner,
-		LeaseTTL:      *leaseTTL,
-		TenantWeights: weights,
-		MaxRunning:    *maxRunning,
-		MaxQueue:      *maxQueue,
-		RetryAfter:    *retryAfter,
-		Workers:       int(workers),
-		Rec:           rec,
-		Log:           logger,
+		return cli.Fail(fs, 2, fmt.Errorf("-tenant-weights: %w", err))
 	}
 	d, retry, code := farmFlags.Dial(rec, logger)
 	if code != 0 {
@@ -117,18 +103,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var farmBanner string
 	if d != nil {
 		defer d.Close()
-		svcCfg.Runner = d
-		svcCfg.RunnerLanes = d.Lanes()
-		// Capacity-aware admission: campaign starts are deferred beyond
-		// the number of live farm connections, so a fleet outage pauses
-		// the queue instead of drowning the daemon in local fallback.
-		svcCfg.Capacity = d.LiveConns
-		// Worker health (quarantine state, latency, error rates) joins
-		// the /v1/scheduler introspection payload.
-		svcCfg.FarmHealth = d.Health
 		farmBanner = ", farm retry " + retry
 	}
-	svc, err := service.New(svcCfg)
+	svc, err := service.New(service.Config{
+		DataDir:       *dataDir,
+		Owner:         *owner,
+		LeaseTTL:      *leaseTTL,
+		TenantWeights: weights,
+		MaxRunning:    *maxRunning,
+		MaxQueue:      *maxQueue,
+		RetryAfter:    *retryAfter,
+		Workers:       int(workers),
+		Farm:          d, // chunks, capacity-aware admission and /v1/scheduler's farm health
+		Rec:           rec,
+		Log:           logger,
+	})
 	if err != nil {
 		return cli.Fail(fs, 1, err)
 	}
@@ -178,25 +167,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "cdgd: drained, exiting")
 	return 0
-}
-
-// parseTenantWeights parses "-tenant-weights paid=3,free=1" into the
-// service's weight map. Empty input yields nil (every tenant weighs 1).
-func parseTenantWeights(s string) (map[string]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	weights := map[string]float64{}
-	for _, pair := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("-tenant-weights: malformed pair %q (want name=weight)", pair)
-		}
-		w, err := strconv.ParseFloat(val, 64)
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("-tenant-weights: weight for %q must be a positive number, got %q", name, val)
-		}
-		weights[name] = w
-	}
-	return weights, nil
 }

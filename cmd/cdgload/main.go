@@ -27,6 +27,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -118,21 +119,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// parseWeights is -tenants: cdgd's -tenant-weights syntax, with at
+// least one tenant.
 func parseWeights(s string) (map[string]float64, error) {
-	weights := map[string]float64{}
-	for _, pair := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("-tenants: malformed pair %q (want name=weight)", pair)
-		}
-		w, err := strconv.ParseFloat(val, 64)
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("-tenants: weight for %q must be positive, got %q", name, val)
-		}
-		weights[name] = w
+	weights, err := service.ParseTenantWeights(s)
+	if err == nil && len(weights) == 0 {
+		err = errors.New("at least one tenant is required")
 	}
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("-tenants: at least one tenant is required")
+	if err != nil {
+		return nil, fmt.Errorf("-tenants: %w", err)
 	}
 	return weights, nil
 }
@@ -862,11 +857,4 @@ func (f *fleet) verifyReports(sample []string, specs map[string]service.Spec,
 	}
 	fmt.Fprintf(stdout, "cdgload: verify: %d adopted campaigns byte-identical to clean runs\n", len(sample))
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -15,8 +15,9 @@ package knowledge
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -157,17 +158,13 @@ func (s *Store) All() ([]Entry, error) { return Load(s.dir) }
 // Load reads the merged view of the store at dir without opening a
 // journal — the read-only path for CLI consumers (tacquery) and tests.
 func Load(dir string) ([]Entry, error) {
+	var snap []Entry
+	if err := atomicfile.ReadJSON(filepath.Join(dir, snapshotFile), &snap); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("knowledge: %w", err)
+	}
 	byKey := map[string]Entry{}
-	if data, err := os.ReadFile(filepath.Join(dir, snapshotFile)); err == nil {
-		var snap []Entry
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return nil, fmt.Errorf("knowledge: %s: %w", snapshotFile, err)
-		}
-		for _, e := range snap {
-			byKey[e.key()] = e
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
+	for _, e := range snap {
+		byKey[e.key()] = e
 	}
 	files, err := os.ReadDir(dir)
 	if err != nil {
@@ -223,11 +220,7 @@ func (s *Store) Compact() error {
 	if len(all) == 0 {
 		return nil
 	}
-	return atomicfile.WriteFile(filepath.Join(s.dir, snapshotFile), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(all)
-	})
+	return atomicfile.WriteJSON(filepath.Join(s.dir, snapshotFile), all)
 }
 
 // Close closes this replica's journal. The store's files remain for

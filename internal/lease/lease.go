@@ -34,10 +34,8 @@
 package lease
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"log/slog"
 	"os"
@@ -97,16 +95,12 @@ func (r *Record) Expired(now time.Time) bool {
 // Peek reads the lease record in dir, returning (nil, nil) when no
 // lease has ever been written.
 func Peek(dir string) (*Record, error) {
-	data, err := os.ReadFile(filepath.Join(dir, File))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
 	var rec Record
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("lease: decoding %s: %w", filepath.Join(dir, File), err)
+	switch err := atomicfile.ReadJSON(filepath.Join(dir, File), &rec); {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, nil
+	case err != nil:
+		return nil, fmt.Errorf("lease: %w", err)
 	}
 	return &rec, nil
 }
@@ -465,11 +459,7 @@ func (h *Handle) fireLost() {
 
 // writeRecord persists the record crash-safely.
 func writeRecord(dir string, rec *Record) error {
-	return atomicfile.WriteFile(filepath.Join(dir, File), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rec)
-	})
+	return atomicfile.WriteJSON(filepath.Join(dir, File), rec)
 }
 
 // guardPath names epoch's guard file in dir.

@@ -5,10 +5,7 @@
 package regress
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 
 	"repro/internal/atomicfile"
 	"repro/internal/coverage"
@@ -42,24 +39,16 @@ func (s *Suite) SaveFile(path string) error {
 		}
 		doc.Entries = append(doc.Entries, ej)
 	}
-	return atomicfile.WriteFile(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	})
+	return atomicfile.WriteJSON(path, doc)
 }
 
 // LoadSuiteFile reads a suite saved by SaveFile, re-parsing the stored
 // template sources. The model must match the one the suite was built
 // against (same event count).
 func LoadSuiteFile(path string, m *coverage.Model) (*Suite, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var doc suiteJSON
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("regress: %s: %w", path, err)
+	if err := atomicfile.ReadJSON(path, &doc); err != nil {
+		return nil, fmt.Errorf("regress: %w", err)
 	}
 	if doc.Events != m.Size() {
 		return nil, fmt.Errorf("regress: %s tracks %d events, model has %d", path, doc.Events, m.Size())
@@ -72,8 +61,8 @@ func LoadSuiteFile(path string, m *coverage.Model) (*Suite, error) {
 		}
 		var tmpl *template.Template
 		if ej.Template != "" {
-			tmpl, err = template.Parse(ej.Template)
-			if err != nil {
+			var err error
+			if tmpl, err = template.Parse(ej.Template); err != nil {
 				return nil, fmt.Errorf("regress: %s: entry %q: %w", path, ej.Name, err)
 			}
 		}

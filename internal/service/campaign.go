@@ -192,3 +192,10 @@ func (st *State) clone() *State {
 	dup := *st
 	return &dup
 }
+
+// slim is the state as campaign.json holds it: the reports live in
+// report.json, so every transition is one small atomic rename.
+func (st State) slim() State {
+	st.Reports = nil
+	return st
+}

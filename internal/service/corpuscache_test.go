@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/atomicfile"
 	"repro/internal/core"
 	"repro/internal/duv/iounit"
 	"repro/internal/obs"
@@ -45,7 +46,7 @@ func directRun(t *testing.T, spec Spec, dir string) {
 	for i, r := range reports {
 		out[i] = NewReportJSON(r, unit.Model())
 	}
-	if err := saveReports(dir, out); err != nil {
+	if err := atomicfile.WriteJSON(filepath.Join(dir, reportFile), out); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,7 +1,11 @@
 package service
 
 import (
+	"fmt"
+	"math"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // fairSched is the service's weighted fair-share admission queue
@@ -12,12 +16,20 @@ import (
 // saturated interval, tenants receive campaign starts proportional to
 // their weights, while a lone tenant still gets the whole service.
 //
+// It also keeps the running slots: pop takes one for the dispatched
+// campaign's tenant and release gives it back, so busy and the
+// per-tenant running and completed tallies have one owner.
+//
 // Not safe for concurrent use; the Service guards it with its mutex.
 type fairSched struct {
 	weights map[string]float64 // configured weights; absent tenants weigh 1
 	tenants map[string]*tenantQ
 	clock   float64 // virtual time of the most recent dispatch
 	size    int
+
+	busy      int            // campaigns holding a running slot
+	running   map[string]int // running slots by tenant
+	completed map[string]int // campaigns done, by tenant
 }
 
 type tenantQ struct {
@@ -33,7 +45,30 @@ func newFairSched(weights map[string]float64) *fairSched {
 			w[k] = v
 		}
 	}
-	return &fairSched{weights: w, tenants: map[string]*tenantQ{}}
+	return &fairSched{weights: w, tenants: map[string]*tenantQ{}, running: map[string]int{}, completed: map[string]int{}}
+}
+
+// ParseTenantWeights parses "paid=3,free=1" into Config.TenantWeights.
+// Every weight must be a finite positive number: NaN would silently
+// weigh 1, and +Inf would starve every other tenant. Empty input yields
+// nil (every tenant weighs 1).
+func ParseTenantWeights(s string) (map[string]float64, error) {
+	if s == "" {
+		return nil, nil
+	}
+	weights := map[string]float64{}
+	for _, pair := range strings.Split(s, ",") {
+		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
+		if !ok || name == "" {
+			return nil, fmt.Errorf("malformed pair %q (want name=weight)", pair)
+		}
+		w, err := strconv.ParseFloat(val, 64)
+		if err != nil || !(w > 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("weight for %q must be a finite positive number, got %q", name, val)
+		}
+		weights[name] = w
+	}
+	return weights, nil
 }
 
 func (f *fairSched) weight(tenant string) float64 {
@@ -59,9 +94,9 @@ func (f *fairSched) push(tenant, id string) {
 	f.size++
 }
 
-// pop dispatches the next campaign: the backlogged tenant with the
-// smallest virtual time (ties broken by name, so scheduling is
-// deterministic), FIFO within the tenant.
+// pop dispatches the next campaign into a running slot: the backlogged
+// tenant with the smallest virtual time (ties broken by name, so
+// scheduling is deterministic), FIFO within the tenant.
 func (f *fairSched) pop() (id, tenant string, ok bool) {
 	var best *tenantQ
 	for _, q := range f.tenants {
@@ -80,7 +115,19 @@ func (f *fairSched) pop() (id, tenant string, ok bool) {
 	f.size--
 	f.clock = best.vtime
 	best.vtime += 1 / f.weight(best.name)
+	f.busy++
+	f.running[best.name]++
 	return id, best.name, true
+}
+
+// release frees a running slot of tenant's, counting a completion when
+// done.
+func (f *fairSched) release(tenant string, done bool) {
+	f.busy--
+	f.running[tenant]--
+	if done {
+		f.completed[tenant]++
+	}
 }
 
 // remove withdraws a queued campaign (cancellation, peer adoption)
@@ -133,27 +180,13 @@ type TenantStat struct {
 	VTime     float64 `json:"vtime"`
 }
 
-// stats renders a deterministic (name-sorted) snapshot; running and
-// completed tallies come from the service.
-func (f *fairSched) stats(running, completed map[string]int) []TenantStat {
-	names := map[string]struct{}{}
-	for n := range f.tenants {
-		names[n] = struct{}{}
-	}
-	for n := range running {
-		names[n] = struct{}{}
-	}
-	for n := range completed {
-		names[n] = struct{}{}
-	}
-	out := make([]TenantStat, 0, len(names))
-	for n := range names {
-		st := TenantStat{Tenant: n, Weight: f.weight(n), Running: running[n], Completed: completed[n]}
-		if q := f.tenants[n]; q != nil {
-			st.Queued = len(q.ids)
-			st.VTime = q.vtime
-		}
-		out = append(out, st)
+// stats renders a deterministic (name-sorted) snapshot. Every tenant
+// that ever ran was popped, so the tenant queues name them all.
+func (f *fairSched) stats() []TenantStat {
+	out := make([]TenantStat, 0, len(f.tenants))
+	for n, q := range f.tenants {
+		out = append(out, TenantStat{Tenant: n, Weight: f.weight(n), Queued: len(q.ids),
+			Running: f.running[n], Completed: f.completed[n], VTime: q.vtime})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out

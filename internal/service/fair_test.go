@@ -106,3 +106,45 @@ func TestFairSchedRemove(t *testing.T) {
 		t.Fatalf("pop = %q, want a2", id)
 	}
 }
+
+// TestParseTenantWeights: -tenant-weights (cdgd) and -tenants (cdgload)
+// accept finite positive weights only. NaN used to weigh 1 silently,
+// and +Inf starved every other tenant and broke GET /v1/scheduler's
+// JSON.
+func TestParseTenantWeights(t *testing.T) {
+	for _, row := range []struct {
+		in   string
+		want map[string]float64
+		ok   bool
+	}{
+		{"", nil, true},
+		{"paid=3,free=1", map[string]float64{"paid": 3, "free": 1}, true},
+		{" paid=0.5 , free=2", map[string]float64{"paid": 0.5, "free": 2}, true},
+		{"paid=NaN", nil, false},
+		{"paid=nan", nil, false},
+		{"paid=Inf", nil, false},
+		{"paid=+Inf", nil, false},
+		{"paid=-Inf", nil, false},
+		{"paid=1e400", nil, false},
+		{"paid=0", nil, false},
+		{"paid=-1", nil, false},
+		{"paid", nil, false},
+		{"=3", nil, false},
+		{"paid=x", nil, false},
+		{"paid=3,", nil, false},
+	} {
+		got, err := ParseTenantWeights(row.in)
+		if (err == nil) != row.ok {
+			t.Errorf("ParseTenantWeights(%q) err = %v, want ok=%v", row.in, err, row.ok)
+			continue
+		}
+		if len(got) != len(row.want) {
+			t.Errorf("ParseTenantWeights(%q) = %v, want %v", row.in, got, row.want)
+		}
+		for k, w := range row.want {
+			if got[k] != w {
+				t.Errorf("ParseTenantWeights(%q)[%q] = %v, want %v", row.in, k, got[k], w)
+			}
+		}
+	}
+}

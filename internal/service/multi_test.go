@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/core"
+	"repro/internal/lease"
 	"repro/internal/obs"
 )
 
@@ -162,7 +164,7 @@ func TestLeaseFencingOnSteal(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		a.mu.Lock()
-		running := a.running
+		running := a.sched.busy
 		a.mu.Unlock()
 		if running == 0 {
 			break
@@ -191,6 +193,74 @@ func TestLeaseFencingOnSteal(t *testing.T) {
 	}
 }
 
+// TestFencedFinishWritesNothing: a replica whose lease moved to a
+// peer's higher epoch before its terminal write — here a user cancel,
+// the run's only terminal write — writes nothing, counts nothing and
+// leaves the campaign's waiters open. They close once refresh reads the
+// new owner's terminal state.
+func TestFencedFinishWritesNothing(t *testing.T) {
+	rec := obs.NewRecorder()
+	dataDir := t.TempDir()
+	var running []byte
+	armed := make(chan struct{})
+	var svc *Service
+	svc = newService(t, Config{DataDir: dataDir, Rec: rec, LeaseTTL: time.Minute,
+		flowArmed: func(id string, _ *core.Flow) {
+			dir := filepath.Join(dataDir, id)
+			var err error
+			if running, err = os.ReadFile(filepath.Join(dir, stateFile)); err != nil {
+				t.Error(err)
+			}
+			l, err := lease.Peek(dir)
+			if err != nil || l == nil {
+				t.Errorf("lease.Peek = %v, %v", l, err)
+				return
+			}
+			l.Owner, l.Epoch = "peer", l.Epoch+1
+			if err := atomicfile.WriteJSON(filepath.Join(dir, lease.File), l); err != nil {
+				t.Error(err)
+			}
+			svc.Cancel(id)
+			close(armed)
+		}})
+	id, err := svc.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-armed
+	svc.Close() // waits for the runner to unwind
+	got, err := os.ReadFile(filepath.Join(dataDir, id, stateFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(running) {
+		t.Fatalf("fenced replica rewrote campaign.json:\n%s", got)
+	}
+	if svc.Done(id) {
+		t.Fatal("fenced replica closed the campaign's waiters")
+	}
+	for name, want := range map[string]uint64{
+		"service.fenced": 1, "service.canceled": 0, "service.completed": 0, "service.failed": 0,
+	} {
+		if n := rec.Counter(name).Value(); n != want {
+			t.Fatalf("%s = %d, want %d", name, n, want)
+		}
+	}
+
+	// The peer finishes the campaign; the next refresh closes the waiters.
+	st, err := loadState(filepath.Join(dataDir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.State, st.Owner = StateCanceled, "peer"
+	if err := saveState(filepath.Join(dataDir, id), st); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Get(id); got.State != StateCanceled || !svc.Done(id) {
+		t.Fatalf("after the peer's terminal write: state %q, Done %v", got.State, svc.Done(id))
+	}
+}
+
 // TestRecoverOrderDeterministic locks the recovery enqueue order:
 // previously-running campaigns first, then queued ones, each by
 // submission time — never by directory-walk order.
@@ -216,8 +286,8 @@ func TestRecoverOrderDeterministic(t *testing.T) {
 	mk("c000004", StateDone, t0)
 
 	svc := newService(t, Config{
-		DataDir:  dataDir,
-		Capacity: func() int { return 0 }, // freeze dispatch so the queue is inspectable
+		DataDir: dataDir,
+		frozen:  true, // freeze dispatch so the queue is inspectable
 	})
 	svc.mu.Lock()
 	var got []string
@@ -253,7 +323,7 @@ func TestRecoverSkipsTornSubmission(t *testing.T) {
 	if err := os.Mkdir(filepath.Join(dataDir, "c000001"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	svc := newService(t, Config{DataDir: dataDir, Capacity: func() int { return 0 }})
+	svc := newService(t, Config{DataDir: dataDir, frozen: true})
 	id, err := svc.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +342,7 @@ func TestTenantMetricsLabeled(t *testing.T) {
 		MaxQueue:      8,
 		Rec:           rec,
 		TenantWeights: map[string]float64{"acme": 3},
-		Capacity:      func() int { return 0 }, // keep them queued
+		frozen:        true, // keep them queued
 	})
 	spec := tinySpec()
 	spec.Tenant = "acme"

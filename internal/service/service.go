@@ -27,10 +27,8 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"log/slog"
 	"os"
@@ -97,15 +95,6 @@ type Config struct {
 	// paid tenant 3 of every 4 campaign starts under saturation.
 	TenantWeights map[string]float64
 
-	// Capacity, when non-nil, reports how many campaigns the backing
-	// simulation capacity can feed right now; the dispatcher defers
-	// campaign starts beyond min(MaxRunning, Capacity()). cdgd wires it
-	// to the farm dispatcher's live worker count so a fleet outage
-	// pauses admissions instead of piling campaigns onto local
-	// fallback. Must be fast and non-blocking (called under the
-	// service's lock).
-	Capacity func() int
-
 	// MaxRunning bounds concurrently running campaigns (default 1 —
 	// campaigns are multi-phase simulation runs that each saturate the
 	// worker pool).
@@ -123,17 +112,13 @@ type Config struct {
 	// GOMAXPROCS). A campaign spec may override it.
 	Workers int
 
-	// Runner and RunnerLanes pass a remote chunk runner (the farm
-	// dispatcher) through to every campaign flow. Purely a throughput
-	// knob: reports are bit-identical with or without it.
-	Runner      sim.ChunkRunner
-	RunnerLanes int
-
-	// FarmHealth, when non-nil, reports the farm fleet's per-worker
-	// health and quarantine state; cdgd wires it to the dispatcher's
-	// Health method and GET /v1/scheduler serves it in its "farm"
-	// section. Must be fast and non-blocking.
-	FarmHealth func() []farm.WorkerHealth
+	// Farm, when non-nil, runs every campaign flow's chunks on the
+	// simulation farm (a throughput knob: reports are bit-identical
+	// with or without it). The dispatcher then starts at most
+	// min(MaxRunning, Farm.LiveConns()) campaigns, so a fleet outage
+	// pauses campaign starts instead of piling them onto local
+	// fallback, and GET /v1/scheduler serves Farm.Health().
+	Farm *farm.Dispatcher
 
 	// Rec instruments the service (service.* metrics — several carry a
 	// tenant label — campaign spans, lease.* metrics) and is shared as
@@ -151,6 +136,10 @@ type Config struct {
 	// construction and before the run starts — the test seam used to
 	// interrupt campaigns at exact journal positions.
 	flowArmed func(id string, f *core.Flow)
+
+	// frozen pins the dispatcher's capacity at 0 — the test seam that
+	// keeps submitted campaigns queued for inspection.
+	frozen bool
 }
 
 func (c Config) withDefaults() Config {
@@ -183,11 +172,48 @@ type campaign struct {
 
 	mu             sync.Mutex
 	st             State
-	lease          *lease.Handle      // non-nil while running locally
-	cancel         context.CancelFunc // non-nil while running locally
+	lease          *lease.Handle      // non-nil while this replica runs it
+	cancel         context.CancelFunc // non-nil while this replica runs it
 	canceledByUser bool
-	remote         bool          // a live peer replica owns it
 	done           chan struct{} // closed when the campaign leaves the live states
+}
+
+// refresh is the one rule that mirrors the data root into memory:
+// campaign.json is the campaign's state unless this replica holds its
+// lease, and a terminal state closes the campaign's waiters. It returns
+// the state on disk.
+func (c *campaign) refresh() (*State, error) {
+	st, err := loadState(c.dir)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.lease == nil {
+		c.st = *st
+		if isTerminal(st.State) {
+			c.finishLocked()
+		}
+	}
+	return st, nil
+}
+
+// settled reports whether refresh has nothing to mirror: this replica
+// runs the campaign, or it is terminal.
+func (c *campaign) settled() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lease != nil || isTerminal(c.st.State)
+}
+
+// write stores v as the JSON file name in the campaign's directory
+// behind h's fence: h.Verify re-reads lease.json first, so a replica
+// that lost the lease never writes into the campaign.
+func (c *campaign) write(h *lease.Handle, name string, v any) error {
+	if err := h.Verify(); err != nil {
+		return err
+	}
+	return atomicfile.WriteJSON(filepath.Join(c.dir, name), v)
 }
 
 // finishLocked closes the campaign's done channel (idempotently).
@@ -217,15 +243,12 @@ type Service struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu                sync.Mutex
-	cond              *sync.Cond
-	campaigns         map[string]*campaign
-	sched             *fairSched
-	running           int
-	runningByTenant   map[string]int
-	completedByTenant map[string]int
-	nextID            int
-	closed            bool
+	mu        sync.Mutex
+	cond      *sync.Cond
+	campaigns map[string]*campaign
+	sched     *fairSched
+	nextID    int
+	closed    bool
 
 	wg sync.WaitGroup // dispatcher + janitor + running campaigns
 }
@@ -256,20 +279,18 @@ func New(cfg Config) (*Service, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
-		cfg:               cfg,
-		owner:             cfg.Owner,
-		rec:               cfg.Rec,
-		log:               obs.OrNop(cfg.Log),
-		leases:            leases,
-		know:              know,
-		corpora:           sim.NewCorpusCache(),
-		baseCtx:           ctx,
-		baseCancel:        cancel,
-		campaigns:         map[string]*campaign{},
-		sched:             newFairSched(cfg.TenantWeights),
-		runningByTenant:   map[string]int{},
-		completedByTenant: map[string]int{},
-		nextID:            1,
+		cfg:        cfg,
+		owner:      cfg.Owner,
+		rec:        cfg.Rec,
+		log:        obs.OrNop(cfg.Log),
+		leases:     leases,
+		know:       know,
+		corpora:    sim.NewCorpusCache(),
+		baseCtx:    ctx,
+		baseCancel: cancel,
+		campaigns:  map[string]*campaign{},
+		sched:      newFairSched(cfg.TenantWeights),
+		nextID:     1,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if err := s.scan(true); err != nil {
@@ -288,11 +309,11 @@ func New(cfg Config) (*Service, error) {
 func (s *Service) Owner() string { return s.owner }
 
 // scan walks the data root and reconciles it with memory: new
-// directories (peer submissions) are registered, terminal campaigns
-// close their waiters, and live campaigns whose lease is claimable —
-// never leased, released by a draining owner, or expired under a dead
-// one — are (re-)enqueued for this replica to run. Campaigns held by a
-// live peer are tracked as remote, with their on-disk state mirrored.
+// directories (peer submissions) are registered, every campaign this
+// replica neither queues nor runs is refreshed from disk, and live
+// campaigns whose lease is claimable — never leased, released by a
+// draining owner, or expired under a dead one — are (re-)enqueued for
+// this replica to run.
 //
 // Enqueue order is deterministic: previously-running campaigns first
 // (their journals resume), then queued ones, each sorted by original
@@ -315,22 +336,17 @@ func (s *Service) scan(initial bool) error {
 			continue
 		}
 		id := e.Name()
-		dir := filepath.Join(s.cfg.DataDir, id)
-
 		s.mu.Lock()
 		c := s.campaigns[id]
-		inSched := c != nil && s.sched.contains(id)
+		inSched := s.sched.contains(id)
 		s.mu.Unlock()
-		if c != nil {
-			c.mu.Lock()
-			skip := c.lease != nil || isTerminal(c.st.State) || inSched
-			c.mu.Unlock()
-			if skip {
-				continue // locally active or already settled
-			}
+		if c == nil {
+			c = &campaign{dir: filepath.Join(s.cfg.DataDir, id), done: make(chan struct{})}
+		} else if inSched || c.settled() {
+			continue // locally active or already settled
 		}
 
-		st, err := loadState(dir)
+		st, err := c.refresh()
 		if err != nil {
 			if initial && !errors.Is(err, fs.ErrNotExist) {
 				return fmt.Errorf("service: recovering %s: %w", id, err)
@@ -345,45 +361,24 @@ func (s *Service) scan(initial bool) error {
 		if n := idNumber(id); n >= s.nextID {
 			s.nextID = n + 1
 		}
-		c = s.campaigns[id]
-		if c == nil {
-			c = &campaign{dir: dir, st: *st, done: make(chan struct{})}
+		if s.campaigns[id] == nil {
 			s.campaigns[id] = c
 		}
 		s.mu.Unlock()
-
 		if isTerminal(st.State) {
-			c.mu.Lock()
-			if c.lease == nil { // never clobber a local run's view
-				c.st = *st
-				c.finishLocked()
-			}
-			c.mu.Unlock()
-			s.mu.Lock()
-			if s.sched.remove(id) { // a peer canceled it out of our queue
-				s.updateGaugesLocked()
-			}
-			s.mu.Unlock()
 			continue
 		}
 
-		rec, err := lease.Peek(dir)
+		rec, err := lease.Peek(c.dir)
 		if err != nil {
 			if initial {
 				return fmt.Errorf("service: recovering %s: %w", id, err)
 			}
 			continue
 		}
-		if !s.leases.Claimable(rec) {
-			c.mu.Lock()
-			if c.lease == nil {
-				c.st = *st
-				c.remote = true
-			}
-			c.mu.Unlock()
-			continue
+		if s.leases.Claimable(rec) {
+			adopt = append(adopt, candidate{id: id, st: st})
 		}
-		adopt = append(adopt, candidate{id: id, st: st})
 	}
 
 	// Deterministic enqueue order: resumed first, then queued, each by
@@ -413,21 +408,19 @@ func (s *Service) scan(initial bool) error {
 		c.mu.Lock()
 		racing := c.lease != nil || isTerminal(c.st.State)
 		if !racing {
-			wasRunning := cand.st.State == StateRunning
-			c.st = *cand.st
 			c.st.State = StateQueued // in-memory; on-disk state is untouched until claimed
-			c.remote = false
-			c.mu.Unlock()
-			s.sched.push(cand.st.Spec.tenant(), cand.id)
-			enqueued++
-			if wasRunning {
-				s.counter("service.resumed").Inc()
-				s.log.Info("service: campaign re-enqueued for resume", "campaign", cand.id)
-			} else if !initial {
-				s.log.Debug("service: campaign adopted into queue", "campaign", cand.id)
-			}
-		} else {
-			c.mu.Unlock()
+		}
+		c.mu.Unlock()
+		if racing {
+			continue
+		}
+		s.sched.push(cand.st.Spec.tenant(), cand.id)
+		enqueued++
+		if cand.st.State == StateRunning {
+			s.counter("service.resumed").Inc()
+			s.log.Info("service: campaign re-enqueued for resume", "campaign", cand.id)
+		} else if !initial {
+			s.log.Debug("service: campaign adopted into queue", "campaign", cand.id)
 		}
 	}
 	if enqueued > 0 {
@@ -480,19 +473,16 @@ func (s *Service) janitor() {
 }
 
 // capacityLocked is the dispatcher's effective concurrency bound:
-// MaxRunning clamped by the live farm capacity (when configured).
+// MaxRunning clamped by the farm's live connections (when configured).
 // Caller holds s.mu.
 func (s *Service) capacityLocked() int {
-	max := s.cfg.MaxRunning
-	if s.cfg.Capacity != nil {
-		if c := s.cfg.Capacity(); c < max {
-			max = c
-		}
+	switch {
+	case s.cfg.frozen:
+		return 0
+	case s.cfg.Farm != nil:
+		return min(s.cfg.MaxRunning, s.cfg.Farm.LiveConns())
 	}
-	if max < 0 {
-		max = 0
-	}
-	return max
+	return s.cfg.MaxRunning
 }
 
 // updateGaugesLocked refreshes every queue-shaped gauge: totals,
@@ -501,13 +491,13 @@ func (s *Service) capacityLocked() int {
 // holds s.mu.
 func (s *Service) updateGaugesLocked() {
 	s.gauge("service.queued").Set(int64(s.sched.len()))
-	s.gauge("service.running").Set(int64(s.running))
+	s.gauge("service.running").Set(int64(s.sched.busy))
 	s.gauge("service.capacity").Set(int64(s.capacityLocked()))
 	s.gauge("service.desired_workers").Set(int64(s.desiredWorkersLocked()))
 	for tenant, n := range s.sched.queuedByTenant() {
 		s.tenantGauge("service.queued", tenant).Set(int64(n))
 	}
-	for tenant, n := range s.runningByTenant {
+	for tenant, n := range s.sched.running {
 		s.tenantGauge("service.running", tenant).Set(int64(n))
 	}
 }
@@ -521,7 +511,7 @@ func (s *Service) desiredWorkersLocked() int {
 	if per <= 0 {
 		per = runtime.GOMAXPROCS(0)
 	}
-	return (s.running + s.sched.len()) * per
+	return (s.sched.busy + s.sched.len()) * per
 }
 
 // Ready is the daemon's readiness check for /readyz. It fails once
@@ -647,29 +637,17 @@ func (s *Service) Submit(spec Spec) (string, error) {
 func (s *Service) Get(id string) *State {
 	s.mu.Lock()
 	c := s.campaigns[id]
-	inSched := c != nil && s.sched.contains(id)
+	inSched := s.sched.contains(id)
 	s.mu.Unlock()
 	if c == nil {
 		return nil
 	}
+	if !inSched && !c.settled() {
+		c.refresh()
+	}
 	c.mu.Lock()
-	local := c.lease != nil || inSched
-	live := !isTerminal(c.st.State)
 	st := c.st.clone()
 	c.mu.Unlock()
-	if live && !local {
-		if dst, err := loadState(c.dir); err == nil {
-			c.mu.Lock()
-			if c.lease == nil { // still not ours
-				c.st = *dst
-				if isTerminal(dst.State) {
-					c.finishLocked()
-				}
-			}
-			st = c.st.clone()
-			c.mu.Unlock()
-		}
-	}
 	if st.State == StateDone && st.Reports == nil {
 		// Terminal reports live on disk, not in memory: load on demand so
 		// a restarted daemon serves old campaigns without caching them.
@@ -706,22 +684,18 @@ func (s *Service) List() []*State {
 func (s *Service) Scheduler() SchedulerInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	running := make(map[string]int, len(s.runningByTenant))
-	for k, v := range s.runningByTenant {
-		running[k] = v
-	}
 	info := SchedulerInfo{
 		Owner:          s.owner,
 		MaxRunning:     s.cfg.MaxRunning,
 		Capacity:       s.capacityLocked(),
-		Running:        s.running,
+		Running:        s.sched.busy,
 		Queued:         s.sched.len(),
 		DesiredWorkers: s.desiredWorkersLocked(),
 		LeaseTTLMillis: s.cfg.LeaseTTL.Milliseconds(),
-		Tenants:        s.sched.stats(running, s.completedByTenant),
+		Tenants:        s.sched.stats(),
 	}
-	if s.cfg.FarmHealth != nil {
-		info.Farm = s.cfg.FarmHealth()
+	if s.cfg.Farm != nil {
+		info.Farm = s.cfg.Farm.Health()
 	}
 	return info
 }
@@ -770,22 +744,18 @@ func (s *Service) Cancel(id string) *State {
 		c.cancel()
 	case removed:
 		// Queued here: claim the lease so no peer can start it while we
-		// write the terminal state.
+		// write the terminal state — unless a peer finished it first.
 		c.mu.Unlock()
-		h, err := s.leases.Acquire(c.dir, id)
-		c.mu.Lock()
-		if err == nil {
-			if dst, lerr := loadState(c.dir); lerr == nil && isTerminal(dst.State) {
-				c.st = *dst // a peer finished it first
-			} else {
-				c.st.State = StateCanceled
-				c.st.FinishedAt = now()
-				saveState(c.dir, &c.st)
-				s.countTerminal(&c.st)
+		if h, err := s.leases.Acquire(c.dir, id); err == nil {
+			c.refresh()
+			c.mu.Lock()
+			if !isTerminal(c.st.State) {
+				s.finish(c, h, StateCanceled, nil)
 			}
-			c.finishLocked()
+			c.mu.Unlock()
 			h.Release()
 		}
+		c.mu.Lock()
 	case c.canceledByUser:
 		// claim in flight; the runner observes the flag
 	default:
@@ -876,13 +846,12 @@ func (s *Service) Close() {
 // dispatch pops campaigns in weighted fair-share order whenever a
 // running slot is free within the capacity clamp, claims each one's
 // lease, and spawns its runner goroutine. A campaign whose lease a
-// peer holds is handed over (tracked as remote) without burning the
-// slot.
+// peer holds gives its slot straight back.
 func (s *Service) dispatch() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for !s.closed && (s.sched.len() == 0 || s.running >= s.capacityLocked()) {
+		for !s.closed && (s.sched.len() == 0 || s.sched.busy >= s.capacityLocked()) {
 			s.cond.Wait()
 		}
 		if s.closed {
@@ -891,20 +860,23 @@ func (s *Service) dispatch() {
 		}
 		id, tenant, _ := s.sched.pop()
 		c := s.campaigns[id]
-		s.running++
-		s.runningByTenant[tenant]++
 		s.updateGaugesLocked()
 		s.mu.Unlock()
 
 		if !s.claimAndRun(c, id, tenant) {
-			s.mu.Lock()
-			s.running--
-			s.runningByTenant[tenant]--
-			s.updateGaugesLocked()
-			s.cond.Signal()
-			s.mu.Unlock()
+			s.release(tenant, false)
 		}
 	}
+}
+
+// release gives tenant's running slot back — counting a completion
+// when done — and wakes the dispatcher.
+func (s *Service) release(tenant string, done bool) {
+	s.mu.Lock()
+	s.sched.release(tenant, done)
+	s.updateGaugesLocked()
+	s.cond.Signal()
+	s.mu.Unlock()
 }
 
 // claimAndRun acquires the campaign's lease and launches its runner,
@@ -912,24 +884,15 @@ func (s *Service) dispatch() {
 func (s *Service) claimAndRun(c *campaign, id, tenant string) bool {
 	h, err := s.leases.Acquire(c.dir, id)
 	if err != nil {
-		// A peer owns it (or the data root failed): hand it over and let
-		// the janitor keep watching it.
-		c.mu.Lock()
-		if !isTerminal(c.st.State) {
-			c.remote = true
-		}
-		c.mu.Unlock()
+		// A peer owns it (or the data root failed): the janitor keeps
+		// refreshing it.
 		s.counter("service.lease_conflicts").Inc()
 		s.log.Debug("service: campaign claimed by peer", "campaign", id, "err", err)
 		return false
 	}
-	// Re-read the authoritative state: a peer may have finished or
-	// canceled the campaign while it sat in our queue.
-	if st, err := loadState(c.dir); err == nil && isTerminal(st.State) {
-		c.mu.Lock()
-		c.st = *st
-		c.finishLocked()
-		c.mu.Unlock()
+	// A peer may have finished or canceled the campaign while it sat in
+	// our queue.
+	if st, err := c.refresh(); err == nil && isTerminal(st.State) {
 		h.Release()
 		return false
 	}
@@ -943,11 +906,12 @@ func (s *Service) claimAndRun(c *campaign, id, tenant string) bool {
 	c.st.Epoch = h.Epoch()
 	c.lease = h
 	c.cancel = cancel
-	c.remote = false
 	if c.canceledByUser {
 		cancel() // canceled while we were claiming
 	}
-	saveState(c.dir, &c.st)
+	// A fenced write fires OnLost, so the run ends fenced at its first
+	// lease check.
+	c.write(h, stateFile, c.st.slim())
 	c.mu.Unlock()
 	if h.Stolen() {
 		s.counter("service.adopted").Inc()
@@ -960,9 +924,9 @@ func (s *Service) claimAndRun(c *campaign, id, tenant string) bool {
 }
 
 // runCampaign executes one campaign to a terminal state (or to an
-// interruption that the next owner resumes). Every terminal write is
-// fenced by the lease epoch: if ownership was lost mid-run, nothing is
-// written and the campaign is left to its new owner.
+// interruption that the next owner resumes). Every write goes through
+// the lease fence: if ownership was lost mid-run, nothing is written
+// and the campaign is left to its new owner.
 func (s *Service) runCampaign(c *campaign, tenant string, h *lease.Handle, ctx context.Context, cancel context.CancelFunc) {
 	defer s.wg.Done()
 	defer cancel()
@@ -978,36 +942,20 @@ func (s *Service) runCampaign(c *campaign, tenant string, h *lease.Handle, ctx c
 	c.mu.Lock()
 	c.cancel = nil
 	c.lease = nil
-	fenced := errors.Is(err, lease.ErrFenced) || (err != nil && h.Check() != nil)
 	interrupted := errors.Is(err, core.ErrInterrupted)
-	byUser := c.canceledByUser
 	var state string
 	switch {
-	case fenced:
-		// A peer owns the campaign now; its journal has everything this
-		// run paid for. Nothing on disk is ours to write. The done
-		// channel stays open until the janitor observes the new owner's
-		// terminal state.
-		c.remote = true
-		state = "fenced"
-		s.counter("service.fenced").Inc()
 	case err == nil:
-		if verr := saveReportsOwned(c.dir, reports, h); verr != nil {
-			if errors.Is(verr, lease.ErrFenced) {
-				c.remote = true
-				state = "fenced"
-				s.counter("service.fenced").Inc()
-				break
-			}
-			state = s.finishOwned(c, h, StateFailed, verr)
+		if err = c.write(h, reportFile, reports); err != nil {
+			state = s.finish(c, h, StateFailed, err)
 			break
 		}
-		s.feedKnowledge(c.st.ID, c.st.Spec, reports, h)
+		s.feedKnowledge(id, c.st.Spec, reports, h)
 		c.st.Reports = reports
-		state = s.finishOwned(c, h, StateDone, nil)
-	case interrupted && byUser:
-		state = s.finishOwned(c, h, StateCanceled, nil)
-	case interrupted:
+		state = s.finish(c, h, StateDone, nil)
+	case interrupted && c.canceledByUser:
+		state = s.finish(c, h, StateCanceled, nil)
+	case interrupted && h.Check() == nil:
 		// Daemon drain: the journal holds the completed prefix and the
 		// on-disk state stays "running"; releasing the lease below lets
 		// any peer adopt it immediately. The in-memory campaign is
@@ -1015,7 +963,8 @@ func (s *Service) runCampaign(c *campaign, tenant string, h *lease.Handle, ctx c
 		c.finishLocked()
 		state = c.st.State
 	default:
-		state = s.finishOwned(c, h, StateFailed, err)
+		// A flow error, or a fenced run: finish writes nothing then.
+		state = s.finish(c, h, StateFailed, err)
 	}
 	c.mu.Unlock()
 	h.Release()
@@ -1030,31 +979,30 @@ func (s *Service) runCampaign(c *campaign, tenant string, h *lease.Handle, ctx c
 		s.log.Info("service: campaign ended", "campaign", id, "state", state)
 	}
 	span.End()
-
-	s.mu.Lock()
-	s.running--
-	s.runningByTenant[tenant]--
-	if state == StateDone {
-		s.completedByTenant[tenant]++
-	}
-	s.updateGaugesLocked()
-	s.cond.Signal()
-	s.mu.Unlock()
+	s.release(tenant, state == StateDone)
 }
 
-// finishOwned moves a campaign this replica runs to terminal state st
-// (with err's message when it failed), writes it behind the lease fence,
-// counts it and returns st. Caller holds c.mu.
-func (s *Service) finishOwned(c *campaign, h *lease.Handle, st string, err error) string {
-	c.st.State = st
+// finish moves a campaign this replica holds h for to the terminal
+// state (with err's message when it failed): it writes campaign.json
+// behind the fence, counts the campaign and closes its waiters. When h
+// has lost the lease, finish writes and counts nothing and returns
+// "fenced"; the waiters stay open until refresh reads the new owner's
+// terminal state. Caller holds c.mu.
+func (s *Service) finish(c *campaign, h *lease.Handle, state string, err error) string {
+	st := c.st
+	st.State = state
+	st.FinishedAt = now()
 	if err != nil {
-		c.st.Error = err.Error()
+		st.Error = err.Error()
 	}
-	c.st.FinishedAt = now()
-	saveStateOwned(c.dir, &c.st, h)
+	if werr := c.write(h, stateFile, st.slim()); errors.Is(werr, lease.ErrFenced) {
+		s.counter("service.fenced").Inc()
+		return "fenced"
+	}
+	c.st = st
 	c.finishLocked()
-	s.countTerminal(&c.st)
-	return st
+	s.countTerminal(&st)
+	return state
 }
 
 // terminalCounters names the counter of each terminal state.
@@ -1116,8 +1064,9 @@ func (s *Service) executeFlow(c *campaign, h *lease.Handle, ctx context.Context)
 	}
 	cfg.Obs = rec
 	cfg.Log = s.log.With("campaign", c.st.ID)
-	cfg.Runner = s.cfg.Runner
-	cfg.RunnerLanes = s.cfg.RunnerLanes
+	if d := s.cfg.Farm; d != nil { // a nil *Dispatcher must not become a non-nil Runner
+		cfg.Runner, cfg.RunnerLanes = d, d.Lanes()
+	}
 	cfg.CorpusCache = s.corpora
 	cfg.Journal = filepath.Join(c.dir, "flow.journal")
 	flow, err := core.New(unit, cfg)
@@ -1196,15 +1145,12 @@ type knowledgeSnapshot struct {
 // computes it from the store on first start and persists it (fenced —
 // only the lease owner may write into the campaign directory).
 func (s *Service) campaignKnowledge(c *campaign, h *lease.Handle) (*knowledgeSnapshot, error) {
-	path := filepath.Join(c.dir, "knowledge.json")
-	if data, err := os.ReadFile(path); err == nil {
-		var kp knowledgeSnapshot
-		if err := json.Unmarshal(data, &kp); err != nil {
-			return nil, fmt.Errorf("service: %s: %w", path, err)
-		}
-		return &kp, nil
-	} else if !os.IsNotExist(err) {
-		return nil, err
+	var frozen knowledgeSnapshot
+	switch err := atomicfile.ReadJSON(filepath.Join(c.dir, knowledgeFile), &frozen); {
+	case err == nil:
+		return &frozen, nil
+	case !errors.Is(err, fs.ErrNotExist):
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	entries, err := s.know.All()
 	if err != nil {
@@ -1215,14 +1161,7 @@ func (s *Service) campaignKnowledge(c *campaign, h *lease.Handle) (*knowledgeSna
 		Prior: knowledge.Priors(entries, unit, maxPriorPoints),
 		TAC:   knowledge.TACBoosts(entries, unit, knowledge.DefaultDamp),
 	}
-	if err := h.Verify(); err != nil {
-		return nil, err
-	}
-	if err := atomicfile.WriteFile(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(kp)
-	}); err != nil {
+	if err := c.write(h, knowledgeFile, kp); err != nil {
 		return nil, err
 	}
 	return kp, nil
@@ -1300,67 +1239,29 @@ func idNumber(id string) int {
 	return n
 }
 
-const stateFile = "campaign.json"
+// The JSON files of a campaign directory.
+const (
+	stateFile     = "campaign.json"
+	reportFile    = "report.json"
+	knowledgeFile = "knowledge.json"
+)
 
 func loadState(dir string) (*State, error) {
-	data, err := os.ReadFile(filepath.Join(dir, stateFile))
-	if err != nil {
-		return nil, err
-	}
 	var st State
-	if err := json.Unmarshal(data, &st); err != nil {
+	if err := atomicfile.ReadJSON(filepath.Join(dir, stateFile), &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
 }
 
-// saveState persists the campaign's lifecycle record crash-safely.
-// Reports are persisted separately (report.json); the state file stays
-// small so every transition is one cheap atomic rename.
+// saveState writes a new campaign's first state; every later write
+// into the campaign directory goes through campaign.write's fence.
 func saveState(dir string, st *State) error {
-	slim := st.clone()
-	slim.Reports = nil
-	return atomicfile.WriteFile(filepath.Join(dir, stateFile), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(slim)
-	})
-}
-
-// saveStateOwned is saveState behind the lease fence: the write is
-// refused once the handle's epoch is superseded, so a stale owner can
-// never clobber the adopter's lifecycle record.
-func saveStateOwned(dir string, st *State, h *lease.Handle) error {
-	if err := h.Verify(); err != nil {
-		return err
-	}
-	return saveState(dir, st)
+	return atomicfile.WriteJSON(filepath.Join(dir, stateFile), st.slim())
 }
 
 func loadReports(dir string) ([]*ReportJSON, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "report.json"))
-	if err != nil {
-		return nil, err
-	}
 	var reports []*ReportJSON
-	if err := json.Unmarshal(data, &reports); err != nil {
-		return nil, err
-	}
-	return reports, nil
-}
-
-func saveReports(dir string, reports []*ReportJSON) error {
-	return atomicfile.WriteFile(filepath.Join(dir, "report.json"), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(reports)
-	})
-}
-
-// saveReportsOwned is saveReports behind the lease fence.
-func saveReportsOwned(dir string, reports []*ReportJSON, h *lease.Handle) error {
-	if err := h.Verify(); err != nil {
-		return err
-	}
-	return saveReports(dir, reports)
+	err := atomicfile.ReadJSON(filepath.Join(dir, reportFile), &reports)
+	return reports, err
 }
