@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,6 +54,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	if code, done := cli.Parse(fs, args, stdout, &workers, &jnl, &farmFlags, &faults, &profile, &obsFlags); done {
 		return code
+	}
+	// figures.Options defaults a zero seed, scale or round count; a value
+	// given here is taken as given or refused. Seed 0 is a seed of its own
+	// to core and ascdg, so running seed 1 in its place would count one
+	// seed twice in a sweep.
+	switch {
+	case *seed == 0:
+		return cli.Fail(fs, 2, errors.New("-seed 0: seeds start at 1"))
+	case !(*scale > 0) || math.IsInf(*scale, 1):
+		return cli.Fail(fs, 2, fmt.Errorf("-scale %v: want a finite positive number", *scale))
+	case *rounds < 1:
+		return cli.Fail(fs, 2, fmt.Errorf("-rounds %d: want at least 1", *rounds))
 	}
 	if code := jnl.Check(); code != 0 {
 		return code

@@ -54,6 +54,30 @@ func TestCSVDirIsCreated(t *testing.T) {
 	}
 }
 
+// TestRefusesInputsItWouldRewrite: a seed of 0, a scale that is not a
+// finite positive number and fewer than one round exit 2 before any
+// simulation, instead of running some other seed, scale or round count.
+func TestRefusesInputsItWouldRewrite(t *testing.T) {
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-seed", "0", "-seed 0"},
+		{"-scale", "NaN", "-scale NaN"},
+		{"-scale", "+Inf", "-scale +Inf"},
+		{"-scale", "-5", "-scale -5"},
+		{"-scale", "0", "-scale 0"},
+		{"-rounds", "0", "-rounds 0"},
+		{"-rounds", "-1", "-rounds -1"},
+	} {
+		args := []string{"-fig", "3", "-scale", "0.002", "-rounds", "1", "-metrics", tc.flag, tc.value}
+		stdout, stderr, code := repro(t, args...)
+		if code != 2 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%s %s: exit %d, stderr %q; want exit 2 naming %q", tc.flag, tc.value, code, stderr, tc.want)
+		}
+		if stdout != "" || strings.Contains(stderr, "metrics summary") {
+			t.Errorf("%s %s: a run started before the input was refused", tc.flag, tc.value)
+		}
+	}
+}
+
 // TestFailedRunKeepsTraceAndMetrics: a run that fails after the
 // observability session started still writes its trace and its metrics
 // dump on the way out.

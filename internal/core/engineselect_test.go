@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -12,9 +10,10 @@ import (
 )
 
 // TestEngineSelection runs the full flow under every registered
-// non-default engine (the default is pinned byte-for-byte by
-// TestDefaultEngineReportGolden) and checks the runs complete, harvest a
-// valid template, and are deterministic rerun-to-rerun.
+// non-default engine and checks the run completes and harvests a valid
+// template. The default engine's reports are pinned byte for byte by the
+// goldens, and every engine's determinism across workers, journaling and
+// replay by TestInvarianceMatrix's engine rows.
 func TestEngineSelection(t *testing.T) {
 	for _, name := range opt.EngineNames() {
 		if name == opt.DefaultEngine {
@@ -24,15 +23,12 @@ func TestEngineSelection(t *testing.T) {
 			t.Parallel()
 			cfg := smallConfig(5)
 			cfg.Engine = name
-			run := func() *Report {
-				flow := NewFlow(iounit.New(), cfg)
-				report, err := runOne(flow, Target{Family: iounit.FamilyName})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return report
+			flow := NewFlow(iounit.New(), cfg)
+			defer flow.Close()
+			report, err := runOne(flow, Target{Family: iounit.FamilyName})
+			if err != nil {
+				t.Fatal(err)
 			}
-			report := run()
 			if len(report.Phases) != 4 {
 				t.Fatalf("phases = %d, want 4", len(report.Phases))
 			}
@@ -44,9 +40,6 @@ func TestEngineSelection(t *testing.T) {
 			}
 			if len(report.Progress) == 0 {
 				t.Fatal("no optimization history")
-			}
-			if !bytes.Equal(canonicalReport(t, report), canonicalReport(t, run())) {
-				t.Fatalf("engine %s is not deterministic across identical runs", name)
 			}
 		})
 	}
@@ -89,45 +82,5 @@ func TestBlendTACPriorOrdering(t *testing.T) {
 	want := append([]tac.TemplateScore{promoted}, plain[:len(plain)-1]...)
 	if !reflect.DeepEqual(boosted, want) {
 		t.Fatalf("boosted ranking = %v, want %v", boosted, want)
-	}
-}
-
-// TestEngineJournalReplay: a journaled flow under a non-default engine
-// replays to bit-identical reports, and the journal refuses a flow
-// configured with a different engine (the engine is result-relevant, so
-// it is part of the config hash).
-func TestEngineJournalReplay(t *testing.T) {
-	cfg := smallConfig(9)
-	cfg.Engine = "ranker"
-	cfg.Journal = filepath.Join(t.TempDir(), "flow.journal")
-
-	flow, err := New(iounit.New(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report1, err := runOne(flow, Target{Family: iounit.FamilyName})
-	flow.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Same config over the completed journal: pure replay, same bytes.
-	flow2, err := New(iounit.New(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report2, err := runOne(flow2, Target{Family: iounit.FamilyName})
-	flow2.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(canonicalReport(t, report1), canonicalReport(t, report2)) {
-		t.Fatal("replayed report differs from the original run")
-	}
-
-	// A different engine must not silently resume this journal.
-	cfg.Engine = "nelder_mead"
-	if _, err := New(iounit.New(), cfg); err == nil {
-		t.Fatal("journal written under ranker accepted by a nelder_mead flow")
 	}
 }

@@ -115,7 +115,8 @@ type runDoneRec struct {
 }
 
 // Journal exposes the flow's journal cursor (nil when journaling is
-// off) — the chaos harness arms fault injection through it.
+// off) — TestInvarianceMatrix's kill rows arm fault injection through
+// it.
 func (f *Flow) Journal() *journal.Cursor { return f.cur }
 
 // Round returns the number of successfully harvested rounds.

@@ -6,13 +6,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/duv"
 	"repro/internal/duv/iounit"
-	"repro/internal/duv/l3cache"
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -59,90 +57,51 @@ func TestConfigHashIsStable(t *testing.T) {
 	}
 }
 
-func runRefined(t *testing.T, flow *Flow, rounds int) []*Report {
-	t.Helper()
-	reports, err := flow.Run(context.Background(), Target{Family: iounit.FamilyName, Decay: 0.4, Rounds: rounds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return reports
-}
-
-// newJournaled builds a flow journaled at path via the declarative
-// construction API: a missing file starts fresh, an existing one is
-// recovered and replayed.
-func newJournaled(t *testing.T, cfg Config, path string) *Flow {
-	t.Helper()
-	cfg.Journal = path
-	flow, err := New(iounit.New(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return flow
-}
-
-// TestJournaledRunMatchesPlainRun: journaling on (Config.Journal) must
-// not perturb a run — every Report is bit-identical to the unjournaled
-// flow's — and a full replay of the finished journal must reproduce the
-// same Reports without simulating anything.
-func TestJournaledRunMatchesPlainRun(t *testing.T) {
-	const rounds = 2
-	plain := NewFlow(iounit.New(), journalTestConfig())
-	defer plain.Close()
-	want := runRefined(t, plain, rounds)
-
-	path := filepath.Join(t.TempDir(), "run.journal")
-	live := newJournaled(t, journalTestConfig(), path)
-	got := runRefined(t, live, rounds)
-	live.Close()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("journaled run diverged from plain run")
-	}
-
-	// New sees the finished journal on disk and arms a full replay.
-	replay := newJournaled(t, journalTestConfig(), path)
-	defer replay.Close()
-	replayed := runRefined(t, replay, rounds)
-	if !reflect.DeepEqual(replayed, want) {
-		t.Fatal("replayed run diverged from plain run")
-	}
-	if sims := replay.Env().Simulations(); sims != plain.Env().Simulations() {
-		t.Fatalf("replay's simulation counter = %d, want the original %d", sims, plain.Env().Simulations())
-	}
-	if replay.Round() != rounds {
-		t.Fatalf("replayed flow round = %d, want %d", replay.Round(), rounds)
-	}
-}
-
-// TestResumeRejectsMismatchedFlow: a journal must only resume into a
-// flow with the identical unit, seed, and result-relevant config.
+// TestResumeRejectsMismatchedFlow: a journal resumes only into a flow
+// with the identical unit, seed and result-relevant config, also when
+// the run that wrote it was killed mid-campaign. A throughput-only knob
+// does not block a resume: a run may move to a machine with a different
+// worker count.
 func TestResumeRejectsMismatchedFlow(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.journal")
-	flow := newJournaled(t, journalTestConfig(), path)
-	flow.Close()
-
-	seedCfg := journalTestConfig()
-	seedCfg.Seed = 22
-	seedCfg.Journal = path
-	if other, err := New(iounit.New(), seedCfg); err == nil {
-		other.Close()
-		t.Fatal("resume with a different seed succeeded")
+	for _, tc := range []struct {
+		name    string
+		write   func(*Config) // the config of the run that writes the journal
+		kill    int           // > 0: that run dies at this append; 0: it writes only its header
+		resume  func(*Config) // the config of the flow that opens the journal
+		refused bool
+	}{
+		{"seed", nil, 0, func(c *Config) { c.Seed = 22 }, true},
+		{"config", nil, 0, func(c *Config) { c.OptSims = 26 }, true},
+		{"seed_after_kill", nil, 3, func(c *Config) { c.Seed = 99 }, true},
+		{"engine", func(c *Config) { c.Engine = "ranker" }, 0, func(c *Config) { c.Engine = "nelder_mead" }, true},
+		{"workers", nil, 0, func(c *Config) { c.Workers = 7 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.journal")
+			s := invScenario{unit: func() duv.DUV { return iounit.New() }, cfg: journalTestConfig(),
+				run: func(f *Flow) ([]*Report, error) {
+					return f.Run(context.Background(), Target{Family: iounit.FamilyName})
+				}}
+			if tc.write != nil {
+				tc.write(&s.cfg)
+			}
+			if tc.kill > 0 {
+				invCrash(t, s, tc.kill, 0, invJournal(path))
+			} else {
+				s.open(t, invJournal(path)).Close()
+			}
+			cfg := journalTestConfig()
+			tc.resume(&cfg)
+			cfg.Journal = path
+			flow, err := New(iounit.New(), cfg)
+			if err == nil {
+				flow.Close()
+			}
+			if refused := err != nil; refused != tc.refused {
+				t.Fatalf("refused = %v (%v), want %v", refused, err, tc.refused)
+			}
+		})
 	}
-
-	simsCfg := journalTestConfig()
-	simsCfg.OptSims = 26
-	simsCfg.Journal = path
-	if tweaked, err := New(iounit.New(), simsCfg); err == nil {
-		tweaked.Close()
-		t.Fatal("resume with a different config succeeded")
-	}
-
-	// Throughput-only knobs must NOT block a resume: a run may move to a
-	// machine with a different worker count.
-	workersCfg := journalTestConfig()
-	workersCfg.Workers = 7
-	moved := newJournaled(t, workersCfg, path)
-	moved.Close()
 }
 
 // TestJournalWithoutHeaderStartsFresh: a writer killed between
@@ -249,88 +208,5 @@ func TestRoundSurvivesFailedHarvest(t *testing.T) {
 	}
 	if flow.Round() != 1 {
 		t.Fatalf("Round() = %d, want 1", flow.Round())
-	}
-}
-
-// TestParentJournalsReplay: journals written by earlier code
-// (testdata/parent_*, committed untouched) still replay — with zero new
-// simulations and nothing appended — to the reports their runs produced.
-// The iounit and per-event journals predate the flow's batches going
-// through one replay-or-run loop; their configs are
-// TestDefaultEngineReportGolden's and their reports its goldens. The
-// bayes journal predates the engines sharing one frame; a row without a
-// golden compares against an unjournaled run of the same config.
-func TestParentJournalsReplay(t *testing.T) {
-	ctx := context.Background()
-	for _, tc := range []struct {
-		journal, golden string
-		unit            duv.DUV
-		cfg             Config
-		run             func(*Flow) ([]*Report, error)
-	}{
-		{"parent_family_iounit.journal", "engine_default_family.golden", iounit.New(), Config{
-			Seed: 7, CorpusSimsPerTemplate: 120, TopTemplates: 2, Subranges: 2, SampleTemplates: 8, SampleSims: 12,
-			OptIterations: 4, OptDirections: 4, OptSims: 15, BestSims: 100, Workers: 3,
-		}, func(f *Flow) ([]*Report, error) {
-			return f.Run(ctx, Target{Family: iounit.FamilyName, Decay: 0.4, Rounds: 2})
-		}},
-		{"parent_per_event_l3.journal", "engine_default_per_event_l3.golden", l3cache.New(), Config{
-			Seed: 11, CorpusSimsPerTemplate: 150, TopTemplates: 2, Subranges: 2, SampleTemplates: 6, SampleSims: 10,
-			OptIterations: 3, OptDirections: 5, OptSims: 12, BestSims: 80, Workers: 2,
-		}, func(f *Flow) ([]*Report, error) { return f.RunPerEventShared(ctx, l3cache.FamilyName, 0.5) }},
-		{"parent_bayes_l3.journal", "", l3cache.New(), Config{
-			Seed: 11, CorpusSimsPerTemplate: 150, TopTemplates: 2, Subranges: 2, SampleTemplates: 6, SampleSims: 10,
-			OptIterations: 6, OptDirections: 5, OptSims: 12, BestSims: 80, Workers: 2, Engine: "bayes",
-		}, func(f *Flow) ([]*Report, error) {
-			return f.Run(ctx, Target{Family: l3cache.FamilyName, Decay: 0.5})
-		}},
-	} {
-		t.Run(tc.journal, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.journal))
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(t.TempDir(), tc.journal)
-			if err := os.WriteFile(path, want, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			rec := obs.NewRecorder()
-			tc.cfg.Journal, tc.cfg.Obs = path, rec
-			flow, err := New(tc.unit, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reports, err := tc.run(flow)
-			flow.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.golden != "" {
-				checkReportGolden(t, tc.golden, reports)
-			} else {
-				plainCfg := tc.cfg
-				plainCfg.Journal, plainCfg.Obs = "", nil
-				plain := NewFlow(tc.unit, plainCfg)
-				plainReports, err := tc.run(plain)
-				plain.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(reports) != len(plainReports) {
-					t.Fatalf("replay produced %d reports, the unjournaled run %d", len(reports), len(plainReports))
-				}
-				for i := range reports {
-					if !bytes.Equal(canonicalReport(t, reports[i]), canonicalReport(t, plainReports[i])) {
-						t.Fatalf("replayed report %d differs from the unjournaled run's", i)
-					}
-				}
-			}
-			if n := rec.Counter("sim.instances_completed").Value(); n != 0 {
-				t.Errorf("replay simulated %d instances, want 0", n)
-			}
-			if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
-				t.Errorf("replay changed the journal (%d bytes, was %d)", len(got), len(want))
-			}
-		})
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/duv/iounit"
@@ -14,46 +13,17 @@ var flowPhases = []string{
 	"corpus", "neighbors", "tac", "skeleton", "sampling", "optimization", "harvest",
 }
 
-func runInstrumented(t *testing.T, workers int, rec *obs.Recorder) reportFingerprint {
-	t.Helper()
-	cfg := smallConfig(21)
-	cfg.Workers = workers
-	cfg.Obs = rec
-	flow := NewFlow(iounit.New(), cfg)
-	defer flow.Close()
-	report, err := runOne(flow, Target{Family: iounit.FamilyName})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fingerprint(report)
-}
-
-// TestFlowBitIdenticalWithObservability extends the worker-count
-// determinism guarantee to the observability axis: the report is bit
-// identical with obs off and on, at 1 and at N workers.
-func TestFlowBitIdenticalWithObservability(t *testing.T) {
-	plain := runInstrumented(t, 1, nil)
-	for _, v := range []struct {
-		name    string
-		workers int
-		rec     *obs.Recorder
-	}{
-		{"workers1_obs", 1, obs.NewRecorder()},
-		{"workers4_plain", 4, nil},
-		{"workers4_obs", 4, obs.NewRecorder()},
-	} {
-		if got := runInstrumented(t, v.workers, v.rec); !reflect.DeepEqual(plain, got) {
-			t.Fatalf("%s diverged from the uninstrumented single-worker run:\n%+v\n%+v",
-				v.name, got, plain)
-		}
-	}
-}
-
 // TestFlowEmitsAllPhaseSpans checks an instrumented run records one
 // "phase" span per flow phase, with spans for every one of the seven.
 func TestFlowEmitsAllPhaseSpans(t *testing.T) {
 	rec := obs.NewRecorder()
-	runInstrumented(t, 2, rec)
+	cfg := smallConfig(21)
+	cfg.Workers, cfg.Obs = 2, rec
+	flow := NewFlow(iounit.New(), cfg)
+	defer flow.Close()
+	if _, err := runOne(flow, Target{Family: iounit.FamilyName}); err != nil {
+		t.Fatal(err)
+	}
 
 	byName := map[string]int{}
 	for _, ev := range rec.Trace.Events() {

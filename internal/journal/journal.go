@@ -52,8 +52,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var (
 	// ErrNotJournal reports a file without the journal magic.
 	ErrNotJournal = errors.New("journal: not a journal file")
-	// ErrInjected is returned by Append after FailAppends triggers — the
-	// chaos harness's stand-in for a crash mid-run.
+	// ErrInjected is returned by Append after FailAppends triggers — a
+	// test's stand-in for a crash mid-run.
 	ErrInjected = errors.New("journal: injected append failure")
 )
 
@@ -429,7 +429,7 @@ func (c *Cursor) Append(typ string, v any) error {
 }
 
 // Writer exposes the underlying writer (nil for a nil cursor) — the
-// chaos harness arms FailAppends through it.
+// flow's kill tests arm FailAppends through it.
 func (c *Cursor) Writer() *Writer {
 	if c == nil {
 		return nil

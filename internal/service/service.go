@@ -17,7 +17,8 @@
 // janitor first claims the expired lease, and core.New recovers the
 // journal, replaying the completed prefix, so the adopted campaign's
 // reports are bit-identical to an uninterrupted run (the invariant
-// internal/chaos sweeps and cmd/cdgload drives at fleet scale).
+// internal/core's TestInvarianceMatrix sweeps and cmd/cdgload drives at
+// fleet scale).
 //
 // Scheduling is weighted fair-share rather than FIFO: every Spec
 // carries a tenant, Config.TenantWeights assigns per-tenant weights,

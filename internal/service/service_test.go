@@ -11,12 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/duv/iounit"
 	"repro/internal/failpoint"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // tinySpec is the fast iounit campaign every service test runs: big
@@ -251,8 +249,9 @@ func TestRestartResume(t *testing.T) {
 
 	// Interrupted run: the campaign's flow is gated until the service
 	// starts draining, so the drain deterministically catches it in the
-	// running state (every mid-run interruption point is swept by
-	// TestSpecFlowKillSweep; this test pins the service mechanics).
+	// running state (every mid-run interruption point is swept by the
+	// kill rows of internal/core's TestInvarianceMatrix; this test pins
+	// the service mechanics).
 	dataDir := t.TempDir()
 	var svcp *Service
 	svc, err := New(Config{DataDir: dataDir, flowArmed: func(string, *core.Flow) {
@@ -333,61 +332,6 @@ func TestReportWriteFailureCounted(t *testing.T) {
 		if got := c.Value(); got != 1 {
 			t.Fatalf("a service.failed series = %d, want 1", got)
 		}
-	}
-}
-
-// TestSpecFlowKillSweep reuses the chaos harness against the exact
-// flow a service campaign runs (spec → coreConfig → journaled
-// core.New), proving a campaign killed at ANY journal append resumes
-// bit-identically — the invariant TestRestartResume samples at one
-// point, swept across every record.
-//
-// In the warm_cache row every flow shares one corpus cache, which the
-// baseline run fills: each killed and each resumed flow takes its corpus
-// from the journal's k corpus records plus the cache, never simulating
-// it again — including kills mid-corpus, where the journal holds fewer
-// records than the suite has templates and the cache supplies the rest.
-func TestSpecFlowKillSweep(t *testing.T) {
-	spec := tinySpec()
-	for _, row := range []struct {
-		name  string
-		cache *sim.CorpusCache
-	}{
-		{"cold", nil},
-		{"warm_cache", sim.NewCorpusCache()},
-	} {
-		t.Run(row.name, func(t *testing.T) {
-			rec := &obs.Recorder{Metrics: obs.NewRegistry()}
-			campaign := chaos.Campaign{
-				NewFlow: func(journal string) (*core.Flow, error) {
-					cfg := spec.coreConfig(0)
-					cfg.Journal = journal
-					cfg.CorpusCache = row.cache
-					cfg.Obs = rec
-					return core.New(iounit.New(), cfg)
-				},
-				Run: func(f *core.Flow) (any, error) {
-					return f.Run(context.Background(), spec.target())
-				},
-			}
-			trials, err := campaign.Sweep(t.TempDir(), []int{0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if trials < 10 {
-				t.Fatalf("sweep ran only %d trials", trials)
-			}
-			if row.cache == nil {
-				return
-			}
-			// The baseline is the one build; every killed flow starts from an
-			// empty journal, so each of them replays the cached corpus.
-			misses, hits := rec.Counter("sim.corpus_cache.misses").Value(), rec.Counter("sim.corpus_cache.hits").Value()
-			if misses != 1 || hits < uint64(trials) {
-				t.Fatalf("corpus cache: %d misses and %d hits over %d trials, want 1 miss and at least one hit per trial",
-					misses, hits, trials)
-			}
-		})
 	}
 }
 
