@@ -91,17 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := target.Validate(unit); err != nil {
 		return cli.Fail(fs, 2, err)
 	}
-	stopProfiles, code := profile.Start()
-	if code != 0 {
-		return code
-	}
-	defer stopProfiles()
-	rec, stopObs, code := obsFlags.Start(nil)
-	if code != 0 {
-		return code
-	}
-	defer stopObs()
-
 	cfg := core.Config{
 		Seed:                  *seed,
 		CorpusSimsPerTemplate: *corpus,
@@ -112,9 +101,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		OptSims:               *optSims,
 		BestSims:              *bestSims,
 		Workers:               int(workers),
-		Obs:                   rec,
 		Engine:                *engine,
 	}
+	if err := cfg.Validate(); err != nil {
+		return cli.Fail(fs, 2, err)
+	}
+	stopProfiles, code := profile.Start()
+	if code != 0 {
+		return code
+	}
+	defer stopProfiles()
+	rec, stopObs, code := obsFlags.Start(nil)
+	if code != 0 {
+		return code
+	}
+	defer stopObs()
+	cfg.Obs = rec
 	if *engineParams != "" {
 		cfg.EngineParams = json.RawMessage(*engineParams)
 	}

@@ -84,6 +84,13 @@ func TestErrors(t *testing.T) {
 	if code := run(smallArgs("-unit", "iounit", "-cross", "no_such"), &out, &errb); code != 2 {
 		t.Errorf("unknown cross: exit %d, want 2", code)
 	}
+	// A negative budget is a bad flag value, not a request for the
+	// default.
+	errb.Reset()
+	if code := run(smallArgs("-unit", "iounit", "-family", "crc_fifo", "-opt-sims", "-5"), &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "OptSims -5 is negative") {
+		t.Errorf("-opt-sims -5: exit %d, stderr %q; want exit 2 naming the budget", code, errb.String())
+	}
 }
 
 // TestDecayOutsideDomainIsAUsageError: -decay must lie in (0, 1]; any

@@ -51,7 +51,8 @@ import (
 )
 
 // Config holds every knob of the flow. The zero value selects the
-// defaults documented per field; the paper's per-unit settings live in
+// defaults documented per field, and a negative budget is an error
+// (Validate); the paper's per-unit settings live in
 // the repro harness (cmd/repro).
 type Config struct {
 	// Seed makes the entire flow reproducible.
@@ -154,6 +155,33 @@ type Config struct {
 	// (resume, torn-tail truncation). Like Obs, it is throughput-only:
 	// excluded from the journal's config hash, never result-relevant.
 	Log *slog.Logger
+}
+
+// Validate is the one check of a config's budgets, shared by New and a
+// service's admission as Target.Validate is: zero selects a budget's
+// default, and a negative budget is an error rather than a silent
+// default. Workers and RunnerLanes size pools, not budgets, and keep
+// their documented <= 0 meaning. Its errors carry no package prefix.
+func (c Config) Validate() error {
+	for _, b := range []struct {
+		name string
+		v    int
+	}{
+		{"CorpusSimsPerTemplate", c.CorpusSimsPerTemplate},
+		{"TopTemplates", c.TopTemplates},
+		{"Subranges", c.Subranges},
+		{"SampleTemplates", c.SampleTemplates},
+		{"SampleSims", c.SampleSims},
+		{"OptIterations", c.OptIterations},
+		{"OptDirections", c.OptDirections},
+		{"OptSims", c.OptSims},
+		{"BestSims", c.BestSims},
+	} {
+		if b.v < 0 {
+			return fmt.Errorf("budget %s %d is negative (0 selects the default)", b.name, b.v)
+		}
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -284,6 +312,9 @@ var ErrInterrupted = errors.New("core: run interrupted")
 // This is the declarative construction path — nothing needs to be
 // mutated on the flow before running it.
 func New(unit duv.DUV, cfg Config) (*Flow, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	cfg = cfg.withDefaults()
 	env := sim.NewEnv(unit, cfg.Seed, cfg.Workers)
 	env.SetRecorder(cfg.Obs)
@@ -316,9 +347,9 @@ func New(unit duv.DUV, cfg Config) (*Flow, error) {
 	return f, nil
 }
 
-// NewFlow is New for configs without a journal. It panics if cfg
-// names a journal that cannot be opened; prefer New when cfg.Journal
-// is set.
+// NewFlow is New for configs without a journal. It panics where New
+// fails — a negative budget, or a journal that cannot be opened; prefer
+// New when cfg.Journal is set.
 func NewFlow(unit duv.DUV, cfg Config) *Flow {
 	f, err := New(unit, cfg)
 	if err != nil {

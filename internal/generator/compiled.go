@@ -6,7 +6,10 @@
 // up — the effective setting of each parameter (template wins), the
 // entry each draw selects, the integer code of each symbolic value —
 // into a dense slot table shared read-only by all N generators. It is
-// the only decision path: New compiles too.
+// the only decision path: New compiles too. The defaults themselves are
+// compiled at most once per Binding, not once per plan: a plan compiles
+// only the template's overrides and shares the binding's slot of every
+// other parameter.
 //
 // Slot order. A plan has one slot per parameter of the defaults, in
 // sorted-name order, so slot i is the same parameter in every plan of one
@@ -191,32 +194,55 @@ type Plan struct {
 }
 
 // Compile builds the sampling plan for tmpl (nil = pure defaults) over
-// the given defaults. A template the defaults cannot run — see Err —
-// still yields a Plan, carrying the error. A plan holds one slot and one
-// table per parameter of the defaults: what it holds is bounded by them,
-// not by the length of a template off the wire nor by any weight in it.
+// the given defaults: Bind(defaults).Compile(tmpl). Callers that compile
+// many templates over one unit's defaults bind once and call
+// Binding.Compile.
 func Compile(tmpl *template.Template, defaults Defaults) *Plan {
-	names := sortedNames(defaults)
-	plan := &Plan{tmpl: tmpl, names: names, slots: make([]slot, len(names))}
+	return Bind(defaults).Compile(tmpl)
+}
+
+// Compile builds the sampling plan for tmpl (nil = pure defaults) over
+// the binding's defaults. A template the defaults cannot run — see Err —
+// still yields a Plan, carrying the error. The plan shares the binding's
+// slot of every parameter tmpl leaves alone and compiles each override
+// once, against the default's vocabulary and kind: a default is compiled
+// at most once per binding, and one the template overrides is only
+// checked. A plan holds one slot per parameter of the defaults and one
+// table per override: what it holds is bounded by them, not by the
+// length of a template off the wire nor by any weight in it.
+func (b *Binding) Compile(tmpl *template.Template) *Plan {
+	plan := &Plan{tmpl: tmpl, names: b.names, slots: make([]slot, len(b.names))}
+	overrides := 0
 	if tmpl != nil {
 		for _, p := range tmpl.Params {
-			if _, ok := defaults[p.ParamName()]; !ok {
-				return plan.fail(p.ParamName(), fmt.Errorf("not one of the unit's parameters %v", names))
+			if _, ok := slices.BinarySearch(b.names, p.ParamName()); !ok {
+				return plan.fail(p.ParamName(), fmt.Errorf("not one of the unit's parameters %v", b.names))
 			}
 		}
+		overrides = min(len(tmpl.Params), len(b.names))
 	}
-	tables := make([][256]uint8, len(names))
-	for i, name := range names {
-		s, err := compileParam(defaults[name], nil)
-		if err == nil && tmpl != nil {
-			if p, ok := tmpl.Param(name); ok {
-				s, err = compileParam(p, &s)
-			}
+	tables := make([][256]uint8, overrides)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, name := range b.names {
+		var p template.Param
+		if tmpl != nil {
+			p, _ = tmpl.Param(name)
 		}
+		def, err := b.def(i, p == nil)
 		if err != nil {
 			return plan.fail(name, err)
 		}
-		s.fill(&tables[i])
+		if p == nil {
+			plan.slots[i] = *def
+			continue
+		}
+		s, err := compileParam(p, def)
+		if err != nil {
+			return plan.fail(name, err)
+		}
+		s.fill(&tables[0])
+		tables = tables[1:]
 		plan.slots[i] = s
 	}
 	return plan

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -211,6 +212,38 @@ func equivTemplates(t *testing.T) []*template.Template {
 		out[i] = mustParse(t, src)
 	}
 	return out
+}
+
+// TestBindingPlansMatchFreshCompiles: one binding serves every plan of
+// an environment, compiled in any order and from several goroutines at
+// once — a default first only checked under an override and later
+// decided by itself included — and each plan is the one a fresh
+// Compile of its template gives.
+func TestBindingPlansMatchFreshCompiles(t *testing.T) {
+	defaults := testDefaults(t)
+	tmpls := append(equivTemplates(t), nil, mustParse(t, "template bad { weight Mnemonic { load: 1; jump: 1; } }"))
+	check := func(bind *Binding, tmpl *template.Template) {
+		got, want := bind.Compile(tmpl), Compile(tmpl, defaults)
+		if !reflect.DeepEqual(got.slots, want.slots) || fmt.Sprint(got.err) != fmt.Sprint(want.err) {
+			t.Errorf("template %v: the binding's plan differs from a fresh compile (err %v, want %v)", tmpl, got.err, want.err)
+		}
+	}
+	seq := Bind(defaults)
+	for _, tmpl := range tmpls {
+		check(seq, tmpl)
+	}
+	shared := Bind(defaults)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range tmpls {
+				check(shared, tmpls[(i+w)%len(tmpls)])
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCompiledMatchesInterpreted(t *testing.T) {

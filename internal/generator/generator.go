@@ -18,8 +18,9 @@
 // model binds its parameter names to Handles and its symbolic values to
 // vocabulary codes once, when it is constructed (Bind); a (template,
 // defaults) pair is compiled once per batch into a Plan whose slot order
-// those handles index (Compile); and a model fetches the deciders of its
-// handles once per test-instance, before its cycle loop (Choice, Ranges).
+// those handles index (Binding.Compile, over defaults compiled once per
+// binding); and a model fetches the deciders of its handles once per
+// test-instance, before its cycle loop (Choice, Ranges).
 // The per-cycle decision is then a draw and a byte load, inlined into the
 // loop.
 package generator
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/template"
@@ -59,14 +61,51 @@ func sortedNames(defaults Defaults) []string {
 // handles and codes its decision loop uses. Unit models bind once, in
 // their constructor; an unknown name or value is a programming error and
 // panics there, not in the middle of a campaign.
+//
+// A binding also compiles its defaults for Compile, each at most once:
+// a default is checked (compiled less its decision table) the first time
+// a plan needs it and gets its table the first time a plan decides by
+// it, so every Plan of a binding shares the slot of each parameter its
+// template leaves alone and compiles only the template's overrides. A
+// unit's own binding, which only resolves names, compiles nothing.
 type Binding struct {
 	defaults Defaults
 	names    []string
+
+	mu   sync.Mutex     // guards defs, for Compile
+	defs []boundDefault // by handle; made by the first Compile
+}
+
+// boundDefault is one default as a binding compiles it for its plans.
+type boundDefault struct {
+	slot          // the compiled default; its table is set once a plan decides by it
+	err     error // why the default cannot be compiled
+	checked bool  // slot and err hold the default's compile
 }
 
 // Bind prepares the name resolution for a unit's defaults.
 func Bind(defaults Defaults) *Binding {
 	return &Binding{defaults: defaults, names: sortedNames(defaults)}
+}
+
+// def returns the compiled default of handle i, checking it on first
+// use, and fills its table when the plan decides by the default itself
+// (table): a default the template overrides is only checked, since an
+// override reads nothing of it but its vocabulary and kind. The caller
+// holds b.mu.
+func (b *Binding) def(i int, table bool) (*slot, error) {
+	if b.defs == nil {
+		b.defs = make([]boundDefault, len(b.names))
+	}
+	d := &b.defs[i]
+	if !d.checked {
+		d.slot, d.err = compileParam(b.defaults[b.names[i]], nil)
+		d.checked = true
+	}
+	if table && d.err == nil && d.table == nil {
+		d.fill(new([256]uint8))
+	}
+	return &d.slot, d.err
 }
 
 // Handle returns the handle of a default parameter.

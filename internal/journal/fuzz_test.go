@@ -2,6 +2,9 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"testing"
 )
 
@@ -40,6 +43,61 @@ func FuzzJournalDecode(f *testing.F) {
 			}
 			if recs[i].Type == "" {
 				t.Fatalf("record %d has empty type", i)
+			}
+		}
+	})
+}
+
+// envelopeFrame is the two-pass frame encoder encodeFrame replaced: the
+// record marshalled, then the envelope marshalled around it, then both
+// copied behind the header. It is the oracle of FuzzFrameMatchesEnvelope.
+func envelopeFrame(typ string, v any) ([]byte, error) {
+	var d json.RawMessage
+	if v != nil {
+		var err error
+		if d, err = json.Marshal(v); err != nil {
+			return nil, err
+		}
+	}
+	payload, err := json.Marshal(envelope{T: typ, D: d})
+	if err != nil {
+		return nil, err
+	}
+	frame := make([]byte, 8+len(payload))
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	copy(frame[8:], payload)
+	return frame, nil
+}
+
+// FuzzFrameMatchesEnvelope checks the one-pass frame encoder against
+// json.Marshal(envelope{…}) for any type string and record: the record
+// as a string, as raw JSON (whitespace and escapes included) when it is
+// valid JSON, and absent.
+func FuzzFrameMatchesEnvelope(f *testing.F) {
+	f.Add("sample", `{"i": 0, "hits": [1, 2]}`)
+	f.Add("a<b>&c", "line\u2028sep\u2029")
+	f.Add("bad\xffutf8", "\x00\x1f\"\\\x7f")
+	f.Add("opt_iter", ` [ 1e3 , "<&>" , null ] `)
+	f.Fuzz(func(t *testing.T, typ, record string) {
+		if typ == "" {
+			return
+		}
+		values := []any{nil, record}
+		if json.Valid([]byte(record)) {
+			values = append(values, json.RawMessage(record))
+		}
+		for _, v := range values {
+			got, err := encodeFrame(typ, v)
+			if err != nil {
+				t.Fatalf("encodeFrame(%q, %#v): %v", typ, v, err)
+			}
+			want, err := envelopeFrame(typ, v)
+			if err != nil {
+				t.Fatalf("envelope of (%q, %#v): %v", typ, v, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("frame of (%q, %#v):\n got %q\nwant %q", typ, v, got, want)
 			}
 		}
 	})

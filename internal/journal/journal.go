@@ -63,34 +63,53 @@ type Record struct {
 	Data json.RawMessage
 }
 
-// envelope is the JSON frame payload.
+// envelope is the JSON frame payload. Recovery decodes it; encodeFrame
+// writes the bytes json.Marshal would give it without building one.
 type envelope struct {
 	T string          `json:"t"`
 	D json.RawMessage `json:"d,omitempty"`
 }
 
-// encodeFrame renders one record as a length+CRC framed payload.
+// encodeFrame renders one record as a length+CRC framed payload in one
+// pass: the envelope {"t":…,"d":…} is appended straight after the
+// header, around the record's own encoding. That encoding is already
+// compact and HTML-escaped, which is all the envelope's RawMessage
+// would do to it again, so the frame is byte for byte
+// json.Marshal(envelope{typ, json.Marshal(v)}) behind its header.
 func encodeFrame(typ string, v any) ([]byte, error) {
 	if typ == "" {
 		return nil, fmt.Errorf("journal: empty record type")
 	}
-	var d json.RawMessage
+	var d []byte
 	if v != nil {
 		var err error
-		d, err = json.Marshal(v)
-		if err != nil {
+		if d, err = json.Marshal(v); err != nil {
 			return nil, fmt.Errorf("journal: encoding %q record: %w", typ, err)
 		}
 	}
-	payload, err := json.Marshal(envelope{T: typ, D: d})
-	if err != nil {
-		return nil, fmt.Errorf("journal: encoding %q record: %w", typ, err)
+	frame := make([]byte, 8, 8+len(`{"t":"","d":}`)+len(typ)+len(d))
+	frame = appendString(append(frame, `{"t":`...), typ)
+	if d != nil {
+		frame = append(append(frame, `,"d":`...), d...)
 	}
-	frame := make([]byte, 8+len(payload))
+	frame = append(frame, '}')
+	payload := frame[8:]
 	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[8:], payload)
 	return frame, nil
+}
+
+// appendString appends s as json.Marshal encodes a string. Record types
+// are plain identifiers, written as they are; anything that needs
+// escaping goes through the encoder.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // DecodeAll decodes the longest valid prefix of a frame stream (the

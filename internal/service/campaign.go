@@ -110,19 +110,23 @@ func (s Spec) useKnowledge() bool {
 }
 
 // validate rejects malformed submissions before they consume a
-// campaign id: the unit must exist and the target must pass
-// core.Target.Validate against it, so a typo fails at submission rather
-// than after the campaign started.
-func (s Spec) validate() error {
+// campaign id: the unit must exist (units builds it, as it does for
+// the campaign that runs), the target must pass core.Target.Validate
+// against it and the budgets core.Config.Validate, so a typo fails at
+// submission rather than after the campaign started.
+func (s Spec) validate(units func(string) (duv.DUV, error)) error {
 	if s.Unit == "" {
 		return errors.New("service: spec: unit is required")
 	}
-	unit, err := duv.New(s.Unit)
+	unit, err := units(s.Unit)
 	if err != nil {
 		return fmt.Errorf("service: spec: %w", err)
 	}
 	if err := s.target().Validate(unit); err != nil {
 		return fmt.Errorf("service: spec: %w", err)
+	}
+	if err := s.coreConfig(0).Validate(); err != nil {
+		return fmt.Errorf("service: spec: config: %w", err)
 	}
 	if len(s.Tenant) > 64 {
 		return errors.New("service: spec: tenant name too long (max 64)")

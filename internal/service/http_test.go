@@ -116,6 +116,13 @@ func TestHTTPEndpointGoldens(t *testing.T) {
 	}
 	checkGolden(t, "submit_unknown_target.json", normalize(body))
 
+	// POST a negative budget → 400 naming it, not a run at the default.
+	resp, body = doJSON(t, client, "POST", ts.URL+"/v1/campaigns",
+		Spec{Unit: "iounit", Family: "crc_fifo", Config: SpecConfig{SampleSims: -7}})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "SampleSims -7 is negative") {
+		t.Fatalf("negative-budget POST status = %d, want 400 naming the budget: %s", resp.StatusCode, body)
+	}
+
 	// GET unknown id → 404.
 	resp, body = doJSON(t, client, "GET", ts.URL+"/v1/campaigns/c999999", nil)
 	if resp.StatusCode != http.StatusNotFound {

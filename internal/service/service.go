@@ -241,6 +241,12 @@ type Service struct {
 	// instead of simulating it.
 	corpora *sim.CorpusCache
 
+	// units holds one unit per name, built on first use (unit) and
+	// shared by admission and every campaign: a duv.DUV is read-only
+	// once constructed.
+	unitsMu sync.Mutex
+	units   map[string]duv.DUV
+
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
@@ -287,6 +293,7 @@ func New(cfg Config) (*Service, error) {
 		leases:     leases,
 		know:       know,
 		corpora:    sim.NewCorpusCache(),
+		units:      map[string]duv.DUV{},
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		campaigns:  map[string]*campaign{},
@@ -569,7 +576,7 @@ func (s *Service) Ready() error {
 // ids are allocated with an O_EXCL directory create, so concurrent
 // submissions across replicas never collide.
 func (s *Service) Submit(spec Spec) (string, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.validate(s.unit); err != nil {
 		return "", err
 	}
 	// service/admit simulates admission-path failure (store unwritable,
@@ -1033,7 +1040,7 @@ func (s *Service) executeFlow(c *campaign, h *lease.Handle, ctx context.Context)
 		return nil, err
 	}
 	spec := c.st.Spec
-	unit, err := duv.New(spec.Unit)
+	unit, err := s.unit(spec.Unit)
 	if err != nil {
 		return nil, err
 	}
@@ -1093,6 +1100,22 @@ func (s *Service) executeFlow(c *campaign, h *lease.Handle, ctx context.Context)
 		out[i] = NewReportJSON(r, unit.Model())
 	}
 	return out, nil
+}
+
+// unit returns the service's one unit of the given name, building it
+// on first use. Only a unit that was built is kept.
+func (s *Service) unit(name string) (duv.DUV, error) {
+	s.unitsMu.Lock()
+	defer s.unitsMu.Unlock()
+	if u, ok := s.units[name]; ok {
+		return u, nil
+	}
+	u, err := duv.New(name)
+	if err != nil {
+		return nil, err
+	}
+	s.units[name] = u
+	return u, nil
 }
 
 func (s *Service) counter(name string) *obs.Counter { return s.rec.Counter(name) }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/duv"
 	"repro/internal/duv/iounit"
 	"repro/internal/failpoint"
 	"repro/internal/obs"
@@ -119,6 +120,11 @@ func TestSpecValidation(t *testing.T) {
 		// run as 1.
 		{Unit: iounit.UnitName, Family: iounit.FamilyName, Decay: -0.2},
 		{Unit: iounit.UnitName, Family: iounit.FamilyName, Decay: 1.5},
+		// budgets: 0 selects the default; a negative one is refused, not
+		// run as the default.
+		{Unit: iounit.UnitName, Family: iounit.FamilyName, Config: SpecConfig{SampleSims: -7}},
+		{Unit: iounit.UnitName, Family: iounit.FamilyName, Config: SpecConfig{CorpusSims: -1}},
+		{Unit: iounit.UnitName, Family: iounit.FamilyName, Config: SpecConfig{BestSims: -2000}},
 	}
 	for i, spec := range bad {
 		if _, err := svc.Submit(spec); err == nil {
@@ -127,6 +133,38 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if got := len(svc.List()); got != 0 {
 		t.Fatalf("rejected submissions left %d campaigns behind", got)
+	}
+}
+
+// TestUnitBuiltOncePerName: admission and every campaign share one
+// unit per name, however many goroutines ask at once; a name that
+// builds no unit is an error and is not kept.
+func TestUnitBuiltOncePerName(t *testing.T) {
+	svc := newService(t, Config{})
+	units := make([]duv.DUV, 8)
+	var wg sync.WaitGroup
+	for i := range units {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			u, err := svc.unit(iounit.UnitName)
+			if err != nil {
+				t.Error(err)
+			}
+			units[i] = u
+		}()
+	}
+	wg.Wait()
+	for _, u := range units[1:] {
+		if u != units[0] {
+			t.Fatal("two callers got two different units of one name")
+		}
+	}
+	if _, err := svc.unit("no_such_unit"); err == nil {
+		t.Fatal("unknown unit accepted")
+	}
+	if got := len(svc.units); got != 1 {
+		t.Fatalf("service keeps %d units, want 1", got)
 	}
 }
 

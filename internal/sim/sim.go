@@ -16,7 +16,9 @@
 // Each job's template is compiled once into a generator.Plan (cached,
 // content-keyed, size-bounded) and shared read-only by all N instances,
 // so per-decision parameter resolution and allocation are off the
-// per-simulation path.
+// per-simulation path; the unit's defaults are compiled once per
+// environment (generator.Binding), so a plan compiles only the
+// template's overrides.
 //
 // Chunks are relocatable: instance i of a batch is seeded purely from
 // (batch seed, i), never from which worker runs it or in which order, so
@@ -53,7 +55,7 @@ type Env struct {
 	batch    atomic.Uint64
 	sims     atomic.Uint64
 	closed   atomic.Bool
-	defaults generator.Defaults
+	bind     *generator.Binding // the unit's defaults, compiled once
 	sched    *Scheduler
 	plans    *planCache
 	corpora  *CorpusCache    // nil = every corpus is built (SetCorpusCache)
@@ -79,7 +81,7 @@ func NewEnv(unit duv.DUV, seed uint64, workers int) *Env {
 		unitName: unit.Name(),
 		workers:  workers,
 		seed:     rng.New(seed),
-		defaults: unit.Defaults(),
+		bind:     generator.Bind(unit.Defaults()),
 		sched:    newScheduler(workers),
 		plans:    newPlanCache(DefaultPlanCacheSize),
 	}
@@ -193,7 +195,7 @@ func (e *Env) RestoreCounters(batches, sims uint64) {
 // before any instance runs and before the batch counter moves.
 func (e *Env) plan(tmpl *template.Template) (*generator.Plan, error) {
 	plan := e.plans.get(planKey(tmpl), func() *generator.Plan {
-		return generator.Compile(tmpl, e.defaults)
+		return e.bind.Compile(tmpl)
 	})
 	if err := plan.Err(); err != nil {
 		// The plan may have been cached under another template's name: the

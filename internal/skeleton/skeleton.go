@@ -89,7 +89,24 @@ type Slot struct {
 type Skeleton struct {
 	base  *template.Template
 	slots []Slot
-	opts  Options
+	// at holds each slot's position in base, and params the slots of
+	// each base parameter that has any: Instantiate writes a weight
+	// vector by position, never by label.
+	at      []position
+	params  []paramSlots
+	entries int // entries over all base parameters
+	opts    Options
+}
+
+// position is where a slot's weight lives in the base template.
+type position struct {
+	param, entry int // indexes into base.Params and its Entries
+}
+
+// paramSlots are the slots [first, end) of base parameter param: one
+// parameter's slots are contiguous, in entry order.
+type paramSlots struct {
+	param, first, end int
 }
 
 // Skeletonize builds a skeleton from a test-template. It returns an
@@ -100,34 +117,35 @@ func Skeletonize(t *template.Template, opts Options) (*Skeleton, error) {
 	}
 	opts = opts.withDefaults()
 	s := &Skeleton{base: template.New(t.Name + "_skel"), opts: opts}
+	mark := func(param string, entry int, label string, kind SlotKind) {
+		pi := len(s.base.Params)
+		if n := len(s.params); n == 0 || s.params[n-1].param != pi {
+			s.params = append(s.params, paramSlots{param: pi, first: len(s.slots)})
+		}
+		s.slots = append(s.slots, Slot{Param: param, Label: label, Kind: kind})
+		s.at = append(s.at, position{param: pi, entry: entry})
+		s.params[len(s.params)-1].end = len(s.slots)
+	}
 	for _, p := range t.Params {
+		wp := &template.WeightParam{Name: p.ParamName()}
 		switch param := p.(type) {
 		case *template.WeightParam:
-			wp := &template.WeightParam{Name: param.Name}
 			for _, e := range param.Entries {
-				marked := e.Weight > 0 || opts.IncludeZeroWeights
-				ne := e
-				if marked {
-					ne.Weight = 0
-					s.slots = append(s.slots, Slot{Param: param.Name, Label: e.Label(), Kind: SlotWeight})
+				if e.Weight > 0 || opts.IncludeZeroWeights {
+					mark(param.Name, len(wp.Entries), e.Label(), SlotWeight)
+					e.Weight = 0
 				}
-				wp.Entries = append(wp.Entries, ne)
+				wp.Entries = append(wp.Entries, e)
 			}
-			s.base.Params = append(s.base.Params, wp)
 		case *template.RangeParam:
-			wp := &template.WeightParam{Name: param.Name}
 			for _, sub := range split(param.Lo, param.Hi, opts.Subranges, opts.Mode) {
-				wp.Entries = append(wp.Entries, template.WeightEntry{
-					IsRange: true, Lo: sub[0], Hi: sub[1], Weight: 0,
-				})
-				s.slots = append(s.slots, Slot{
-					Param: param.Name,
-					Label: fmt.Sprintf("[%d:%d]", sub[0], sub[1]),
-					Kind:  SlotSubrange,
-				})
+				e := template.WeightEntry{IsRange: true, Lo: sub[0], Hi: sub[1]}
+				mark(param.Name, len(wp.Entries), e.Label(), SlotSubrange)
+				wp.Entries = append(wp.Entries, e)
 			}
-			s.base.Params = append(s.base.Params, wp)
 		}
+		s.base.Params = append(s.base.Params, wp)
+		s.entries += len(wp.Entries)
 	}
 	if len(s.slots) == 0 {
 		return nil, fmt.Errorf("skeleton: template %q has no modifiable settings", t.Name)
@@ -209,67 +227,57 @@ func (s *Skeleton) Clamp(x []float64) []float64 {
 
 // Instantiate creates a concrete test-template named name from the
 // skeleton and a weight vector. Weights are clamped to [0, MaxWeight]
-// and rounded to integers. If every marked entry of a parameter rounds
-// to zero, the entry with the largest raw weight is set to 1: an
-// all-zero parameter would make the generator fall back to a uniform
-// choice over *all* entries — including unmarked zero-weight entries the
-// template author excluded on purpose.
+// and rounded to integers; a NaN weight is an error. If every marked
+// entry of a parameter rounds to zero, the entry with the largest raw
+// weight is set to 1: an all-zero parameter would make the generator
+// fall back to a uniform choice over *all* entries — including unmarked
+// zero-weight entries the template author excluded on purpose.
 func (s *Skeleton) Instantiate(name string, weights []float64) (*template.Template, error) {
 	if len(weights) != len(s.slots) {
 		return nil, fmt.Errorf("skeleton: got %d weights for %d slots", len(weights), len(s.slots))
 	}
-	t := s.base.Clone()
-	t.Name = name
-	idx := 0
-	for _, p := range t.Params {
-		wp, ok := p.(*template.WeightParam)
-		if !ok {
-			continue
-		}
-		first := idx
-		markedIdx := make([]int, 0, len(wp.Entries)) // entry positions of this param's slots
-		for ei := range wp.Entries {
-			if idx < len(s.slots) && s.slots[idx].Param == wp.Name && s.slots[idx].Label == wp.Entries[ei].Label() {
-				w := weights[idx]
-				if w < 0 {
-					w = 0
-				}
-				max := float64(s.opts.MaxWeight)
-				if w > max {
-					w = max
-				}
-				wp.Entries[ei].Weight = int(math.Round(w))
-				markedIdx = append(markedIdx, ei)
-				idx++
-			}
-		}
-		if len(markedIdx) == 0 {
-			continue
-		}
+	t := s.clone(name)
+	top := float64(s.opts.MaxWeight)
+	for _, ps := range s.params {
+		entries := t.Params[ps.param].(*template.WeightParam).Entries
+		revive := ps.first // the largest raw weight (ties: first)
 		allZero := true
-		for _, ei := range markedIdx {
-			if wp.Entries[ei].Weight > 0 {
-				allZero = false
-				break
+		for k := ps.first; k < ps.end; k++ {
+			w := weights[k]
+			if math.IsNaN(w) {
+				return nil, fmt.Errorf("skeleton: weight %d (%s %s) is NaN", k, s.slots[k].Param, s.slots[k].Label)
 			}
+			if w > weights[revive] {
+				revive = k
+			}
+			rounded := int(math.Round(min(max(w, 0), top)))
+			entries[s.at[k].entry].Weight = rounded
+			allZero = allZero && rounded == 0
 		}
 		if allZero {
-			// Revive the largest raw weight (ties: first).
-			bestSlot, bestRaw := 0, math.Inf(-1)
-			for k, ei := range markedIdx {
-				_ = ei
-				if raw := weights[first+k]; raw > bestRaw {
-					bestRaw = raw
-					bestSlot = k
-				}
-			}
-			wp.Entries[markedIdx[bestSlot]].Weight = 1
+			entries[s.at[revive].entry].Weight = 1
 		}
 	}
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("skeleton: instantiated template invalid: %w", err)
 	}
 	return t, nil
+}
+
+// clone copies the base under another name in four allocations: the
+// template, its parameter list, the parameters and all their entries.
+func (s *Skeleton) clone(name string) *template.Template {
+	t := &template.Template{Name: name, Params: make([]template.Param, len(s.base.Params))}
+	wps := make([]template.WeightParam, len(s.base.Params))
+	entries := make([]template.WeightEntry, 0, s.entries)
+	for i, p := range s.base.Params {
+		src := p.(*template.WeightParam)
+		from := len(entries)
+		entries = append(entries, src.Entries...)
+		wps[i] = template.WeightParam{Name: src.Name, Entries: entries[from:len(entries):len(entries)]}
+		t.Params[i] = &wps[i]
+	}
+	return t
 }
 
 // Weights recovers the slot weight vector from a template previously
@@ -310,11 +318,8 @@ func (s *Skeleton) MarkedSource() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "template %s {\n", s.base.Name)
 	idx := 0
-	for _, p := range s.base.Params {
-		wp, ok := p.(*template.WeightParam)
-		if !ok {
-			continue
-		}
+	for pi, p := range s.base.Params {
+		wp := p.(*template.WeightParam)
 		fmt.Fprintf(&b, "    weight %s {\n", wp.Name)
 		width := 0
 		for _, e := range wp.Entries {
@@ -322,9 +327,8 @@ func (s *Skeleton) MarkedSource() string {
 				width = n
 			}
 		}
-		for _, e := range wp.Entries {
-			marked := idx < len(s.slots) && s.slots[idx].Param == wp.Name && s.slots[idx].Label == e.Label()
-			if marked {
+		for ei, e := range wp.Entries {
+			if idx < len(s.at) && s.at[idx] == (position{param: pi, entry: ei}) {
 				fmt.Fprintf(&b, "        %-*s <?>;\n", width+1, e.Label()+":")
 				idx++
 			} else {

@@ -1,6 +1,7 @@
 package skeleton
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -277,6 +278,17 @@ func TestInstantiateRevivesAllZeroParam(t *testing.T) {
 	}
 	if e, _ := wp.Entry("load"); e.Weight != 0 {
 		t.Fatalf("load = %d", e.Weight)
+	}
+}
+
+// TestInstantiateRefusesNaN: a NaN weight has no place in the box, so
+// it is refused, naming the slot, instead of rounding to an integer
+// weight that no template can carry.
+func TestInstantiateRefusesNaN(t *testing.T) {
+	s, _ := Skeletonize(mustParse(t, lsuSource), Options{Subranges: 2})
+	_, err := s.Instantiate("c", []float64{10, 20, 30, math.NaN(), 5})
+	if err == nil || !strings.Contains(err.Error(), "weight 3 (CacheDelay [0:49]) is NaN") {
+		t.Fatalf("err = %v, want the NaN slot named", err)
 	}
 }
 

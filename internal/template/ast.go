@@ -71,7 +71,10 @@ type WeightEntry struct {
 // value, or "[lo:hi]" for subrange entries.
 func (e WeightEntry) Label() string {
 	if e.IsRange {
-		return fmt.Sprintf("[%d:%d]", e.Lo, e.Hi)
+		var buf [48]byte // "[", two int64s, ":", "]"
+		b := strconv.AppendInt(append(buf[:0], '['), int64(e.Lo), 10)
+		b = strconv.AppendInt(append(b, ':'), int64(e.Hi), 10)
+		return string(append(b, ']'))
 	}
 	return e.Value
 }
