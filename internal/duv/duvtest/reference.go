@@ -24,9 +24,10 @@ const (
 // the oracle: for every instance, the same coverage vector and the same
 // stream state afterwards, so a model that jumps over cycles makes
 // exactly the draws it would have. The instances are referenceSeeds seeds
-// of referenceWeightVectors random skeleton instances of every base
-// template, and of every template in extra (edge shapes the skeletons do
-// not reach).
+// of every template in extra (edge shapes the skeletons do not reach) and
+// of points of every base template's skeleton: referenceWeightVectors
+// random points, and the corners of the box that optimized campaigns
+// converge to (corners).
 func MatchesReference(t *testing.T, unit duv.DUV, reference func(*generator.Generator) coverage.Vector, extra ...*template.Template) {
 	t.Helper()
 	r := rng.New(25)
@@ -36,8 +37,12 @@ func MatchesReference(t *testing.T, unit duv.DUV, reference func(*generator.Gene
 		if err != nil {
 			t.Fatal(err)
 		}
+		var points [][]float64
 		for i := 0; i < referenceWeightVectors; i++ {
-			inst, err := skel.Instantiate(fmt.Sprintf("%s_%d", b.Name, i), skel.RandomWeights(r))
+			points = append(points, skel.RandomWeights(r))
+		}
+		for i, x := range append(points, corners(skel)...) {
+			inst, err := skel.Instantiate(fmt.Sprintf("%s_%d", b.Name, i), x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,14 +55,41 @@ func MatchesReference(t *testing.T, unit duv.DUV, reference func(*generator.Gene
 			t.Fatalf("%s: %v", tmpl.Name, err)
 		}
 		for seed := uint64(0); seed < referenceSeeds; seed++ {
-			got, want := generator.NewFromPlan(plan, seed), generator.NewFromPlan(plan, seed)
-			if !unit.Simulate(got).Equal(reference(want)) {
-				t.Fatalf("%s seed %d: coverage vector differs from the reference model's", tmpl.Name, seed)
-			}
-			if got.RNG().State() != want.RNG().State() {
-				t.Fatalf("%s seed %d: stream state %#x after Simulate, reference %#x",
-					tmpl.Name, seed, got.RNG().State(), want.RNG().State())
-			}
+			SameAsReference(t, unit, reference, plan, seed)
 		}
+	}
+}
+
+// corners returns the corners of the skeleton's search box: every slot
+// at MaxWeight, every slot at zero (which Instantiate revives to one
+// entry per parameter), and each slot alone at MaxWeight.
+func corners(s *skeleton.Skeleton) [][]float64 {
+	top := float64(s.MaxWeight())
+	all := make([]float64, s.Dim())
+	for i := range all {
+		all[i] = top
+	}
+	out := [][]float64{all, make([]float64, s.Dim())}
+	for i := 0; i < s.Dim(); i++ {
+		x := make([]float64, s.Dim())
+		x[i] = top
+		out = append(out, x)
+	}
+	return out
+}
+
+// SameAsReference simulates the instance (plan, seed) with the unit and
+// with reference, and fails t unless both give the same coverage vector
+// and leave the stream in the same state.
+func SameAsReference(t testing.TB, unit duv.DUV, reference func(*generator.Generator) coverage.Vector, plan *generator.Plan, seed uint64) {
+	t.Helper()
+	got, want := generator.NewFromPlan(plan, seed), generator.NewFromPlan(plan, seed)
+	name := plan.Template().Name
+	if !unit.Simulate(got).Equal(reference(want)) {
+		t.Fatalf("%s seed %d: coverage vector differs from the reference model's", name, seed)
+	}
+	if got.RNG().State() != want.RNG().State() {
+		t.Fatalf("%s seed %d: stream state %#x after Simulate, reference %#x",
+			name, seed, got.RNG().State(), want.RNG().State())
 	}
 }

@@ -41,6 +41,11 @@ const (
 	scrubSize  = 8 // entries removed by a background scrub
 )
 
+// Simulate's push stretch adds two entries from below throttleAt with no
+// drop draw and no full-FIFO check, which needs throttleAt below dropAt
+// and fifoCap: this line stops compiling otherwise.
+const _ = uint(dropAt-throttleAt-1) + uint(fifoCap-throttleAt-1)
+
 // The pushback probabilities in the integer form the per-cycle draws use.
 var (
 	dropBelow  = rng.Threshold(dropProb)
@@ -204,7 +209,7 @@ func (u *IOUnit) Simulate(g *generator.Generator) coverage.Vector {
 	idleRun := 0 // consecutive cycles at zero occupancy
 	wasNonEmpty := false
 
-	for cycle := 0; cycle < simCycles; cycle++ {
+	for cycle := 0; cycle < simCycles; {
 		// Start a new command when the engine is free.
 		if pushLeft == 0 && busyLeft == 0 && gapLeft == 0 {
 			cmd := command.Code(r)
@@ -263,78 +268,96 @@ func (u *IOUnit) Simulate(g *generator.Generator) coverage.Vector {
 			}
 		}
 
-		// A quiet stretch: nothing to push and an empty FIFO. Until the
-		// engine is free again, every cycle only counts busy or gap down,
-		// makes no drain draw (the drain draws only when occ > 0), draws a
-		// scrub word that cannot fire at occ == 0 and extends the idle
-		// run. Skip those draws and jump past the stretch. A negative busy
-		// or gap count (a template's negative range) stalls the engine for
-		// good; it takes the cycle-by-cycle path.
-		if pushLeft == 0 && occ == 0 && busyLeft >= 0 && gapLeft >= 0 {
-			q := min(max(busyLeft+gapLeft, 1), simCycles-cycle)
-			r.Skip(q)
-			busyLeft, gapLeft = 0, 0
-			if wasNonEmpty {
-				idleRun += q
-				if idleRun >= 64 {
-					v.Set(u.evDrainIdle)
+		// Push stretch: a CRC burst in flight holds the engine (busyLeft is
+		// 0 and gapLeft waits for the burst), so every cycle until the
+		// burst is out or the instance ends pushes one or two entries with
+		// hardware pushback, then draws the drain and the scrub.
+		if pushLeft > 0 {
+			for ; pushLeft > 0 && cycle < simCycles; cycle++ {
+				if occ < throttleAt {
+					// Two entries pushed from below throttleAt reach
+					// neither dropAt nor fifoCap: no drop draw, no full
+					// FIFO.
+					n := min(pushLeft, 2)
+					pushLeft -= n
+					occ += n
+				} else {
+					pushLeft--
+					if occ < dropAt || !r.Below(dropBelow) { // else dropped by backpressure
+						if occ < fifoCap {
+							occ++
+						} else {
+							v.Set(u.evFifoFull)
+						}
+					}
+				}
+
+				// Background drain and scrub; occ > 0 here, since the
+				// push either added an entry or found occ >= throttleAt.
+				if r.Below(drainBelow) {
+					occ--
+				}
+				if r.Below(scrubBelow) && occ > 0 {
+					v.Set(u.evScrubSeen)
+					occ = max(occ-scrubSize, 0)
+				}
+
+				maxOcc = max(maxOcc, occ)
+				if occ == 0 {
+					if wasNonEmpty {
+						idleRun++
+						if idleRun >= 64 {
+							v.Set(u.evDrainIdle)
+						}
+					}
+				} else {
+					wasNonEmpty = true
+					idleRun = 0
 				}
 			}
-			cycle += q - 1
 			continue
 		}
 
-		// Advance the engine by one cycle.
-		switch {
-		case pushLeft > 0:
-			// CRC burst in flight: push entries, with hardware pushback.
-			rate := 2
-			if occ >= throttleAt {
-				rate = 1
-			}
-			for i := 0; i < rate && pushLeft > 0; i++ {
-				pushLeft--
-				if occ >= dropAt && r.Below(dropBelow) {
-					continue // entry dropped by backpressure
-				}
-				if occ < fifoCap {
-					occ++
-				} else {
-					v.Set(u.evFifoFull)
-				}
-			}
-		case busyLeft > 0:
-			busyLeft--
-		case gapLeft > 0:
-			gapLeft--
+		// Drain stretch: nothing to push. Until the engine is free, every
+		// cycle only counts busy or gap down, draws the drain while the
+		// FIFO holds an entry, and draws the scrub: q = max(busy+gap, 1)
+		// cycles, capped at the cycles left. Nothing is pushed, so occ only
+		// falls and maxOcc cannot move. A negative count (a template's
+		// negative range) stalls the engine for good: its stretch is the
+		// rest of the instance.
+		q := simCycles - cycle
+		if pushLeft == 0 && busyLeft >= 0 && gapLeft >= 0 {
+			q = min(max(busyLeft+gapLeft, 1), q)
+			busyLeft, gapLeft = 0, 0
 		}
-
-		// Background drain and scrub.
-		if occ > 0 && r.Below(drainBelow) {
-			occ--
-		}
-		if r.Below(scrubBelow) && occ > 0 {
-			v.Set(u.evScrubSeen)
-			occ -= scrubSize
-			if occ < 0 {
-				occ = 0
+		end := cycle + q
+		for ; occ > 0 && cycle < end; cycle++ {
+			if r.Below(drainBelow) {
+				occ--
+			}
+			if r.Below(scrubBelow) && occ > 0 {
+				v.Set(u.evScrubSeen)
+				occ = max(occ-scrubSize, 0)
+			}
+			if occ == 0 {
+				// The FIFO held entries at the end of the cycle before, so
+				// wasNonEmpty holds and idleRun was 0.
+				idleRun = 1
 			}
 		}
-
-		if occ > maxOcc {
-			maxOcc = occ
-		}
+		// From an empty FIFO, every cycle left in the stretch makes no
+		// drain draw, draws a scrub word that cannot fire at occ == 0 and
+		// extends the idle run: skip those draws and jump.
 		if occ == 0 {
+			r.Skip(end - cycle)
 			if wasNonEmpty {
-				idleRun++
+				idleRun += end - cycle
 				if idleRun >= 64 {
 					v.Set(u.evDrainIdle)
 				}
 			}
-		} else {
-			wasNonEmpty = true
-			idleRun = 0
 		}
+		cycle = end
 	}
 
 	for i, th := range crcThresholds {

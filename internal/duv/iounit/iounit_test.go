@@ -9,6 +9,7 @@ import (
 	"repro/internal/duv/duvtest"
 	"repro/internal/generator"
 	"repro/internal/rng"
+	"repro/internal/skeleton"
 	"repro/internal/template"
 )
 
@@ -24,7 +25,7 @@ func runMany(u *IOUnit, tmpl *template.Template, n int, seed uint64) *coverage.C
 	return c
 }
 
-func findBase(t *testing.T, u *IOUnit, name string) *template.Template {
+func findBase(t testing.TB, u *IOUnit, name string) *template.Template {
 	t.Helper()
 	for _, b := range u.BaseTemplates() {
 		if b.Name == name {
@@ -39,7 +40,7 @@ func findBase(t *testing.T, u *IOUnit, name string) *template.Template {
 // maximum bursts, zero gaps. The optimizer should discover something
 // like it; the unit tests use it to verify the deep family levels are
 // reachable at all.
-func optimalTemplate(t *testing.T) *template.Template {
+func optimalTemplate(t testing.TB) *template.Template {
 	t.Helper()
 	tmpl, err := template.Parse(`
 template io_optimal {
@@ -221,11 +222,12 @@ func TestSimulateRejectsForeignGenerator(t *testing.T) {
 	duvtest.RejectsForeignGenerator(t, New())
 }
 
-// TestSimulateMatchesReference: jumping over the quiet cycles changes no
-// vector and no stream position. Beside the skeleton instances, the edge
-// shapes: a CRC burst of zero (nothing to push, nothing to count down),
-// and the negative gaps, payloads and bursts a template's range may
-// produce, which stall the engine for the rest of the instance.
+// TestSimulateMatchesReference: running the busy cycles in stretches and
+// jumping over the quiet ones changes no vector and no stream position.
+// Beside the skeleton instances and their corners, the edge shapes: a
+// CRC burst of zero (nothing to push, nothing to count down), the
+// negative gaps, payloads and bursts a template's range may produce,
+// which stall the engine for the rest of the instance, and edgeShapes.
 func TestSimulateMatchesReference(t *testing.T) {
 	u := New()
 	var extra []*template.Template
@@ -242,8 +244,100 @@ func TestSimulateMatchesReference(t *testing.T) {
 		}
 		extra = append(extra, tmpl)
 	}
+	for _, s := range edgeShapes {
+		extra = append(extra, s.template())
+	}
 	extra = append(extra, optimalTemplate(t))
 	duvtest.MatchesReference(t, u, u.simulateReference, extra...)
+}
+
+// shape is a template over the Command mix and the [lo:hi] ranges of
+// BurstLen, Gap and PayloadSize (lo and hi in either order): the
+// space FuzzSimulateMatchesReference searches.
+type shape struct {
+	name                                         string
+	read, write, crc, irq, nop                   uint8
+	burstLo, burstHi, gapLo, gapHi, payLo, payHi int16
+}
+
+func (s shape) template() *template.Template {
+	tmpl := template.New(s.name)
+	tmpl.SetParam(&template.WeightParam{Name: "Command", Entries: []template.WeightEntry{
+		{Value: "dma_read", Weight: int(s.read)},
+		{Value: "dma_write", Weight: int(s.write)},
+		{Value: "crc", Weight: int(s.crc)},
+		{Value: "interrupt", Weight: int(s.irq)},
+		{Value: "nop", Weight: int(s.nop)},
+	}})
+	for _, p := range []struct {
+		name   string
+		lo, hi int16
+	}{{"BurstLen", s.burstLo, s.burstHi}, {"Gap", s.gapLo, s.gapHi}, {"PayloadSize", s.payLo, s.payHi}} {
+		tmpl.SetParam(&template.RangeParam{Name: p.name, Lo: int(min(p.lo, p.hi)), Hi: int(max(p.lo, p.hi))})
+	}
+	return tmpl
+}
+
+// edgeShapes drive the push and drain stretches into their corners.
+var edgeShapes = []shape{
+	// A burst longer than the instance: the push stretch ends on the last cycle.
+	{name: "burst_past_end", crc: 100, burstLo: 1500, burstHi: 3000, payLo: 1, payHi: 64},
+	// Short bursts, long gaps: the FIFO empties partway through a drain stretch.
+	{name: "drain_empties_mid_stretch", crc: 60, nop: 40, burstLo: 1, burstHi: 6, gapLo: 8, gapHi: 40, payLo: 1, payHi: 64},
+	// One- and two-entry bursts, short gaps: the FIFO empties on a
+	// stretch's last cycle, and on the instance's.
+	{name: "drain_empties_last_cycle", crc: 90, nop: 10, burstLo: 1, burstHi: 2, gapHi: 3, payLo: 1, payHi: 64},
+	// Occupancy below scrubSize when a scrub fires.
+	{name: "scrub_below_size", crc: 100, burstLo: 1, burstHi: 4, gapHi: 6, payLo: 1, payHi: 64},
+	// An interrupt issued right after a burst flushes the filled FIFO.
+	{name: "irq_after_burst", crc: 50, irq: 50, burstLo: 10, burstHi: 20, payLo: 1, payHi: 64},
+	// Back-to-back CRC commands with no gap between them.
+	{name: "back2back_zero_gap", crc: 100, burstLo: 1, burstHi: 8, payLo: 1, payHi: 64},
+	// Bursts long enough to hold occupancy at fifoCap, with drops.
+	{name: "fifo_full_drops", crc: 100, burstLo: 400, burstHi: 1200, payLo: 1, payHi: 64},
+}
+
+// FuzzSimulateMatchesReference: over any Command mix, ranges and seed,
+// Simulate gives the reference's vector and leaves the stream where the
+// reference does.
+func FuzzSimulateMatchesReference(f *testing.F) {
+	for i, s := range edgeShapes {
+		f.Add(s.read, s.write, s.crc, s.irq, s.nop, s.burstLo, s.burstHi, s.gapLo, s.gapHi, s.payLo, s.payHi, uint64(i))
+	}
+	u := New()
+	f.Fuzz(func(t *testing.T, read, write, crc, irq, nop uint8, burstLo, burstHi, gapLo, gapHi, payLo, payHi int16, seed uint64) {
+		s := shape{"fuzz", read, write, crc, irq, nop, burstLo, burstHi, gapLo, gapHi, payLo, payHi}
+		plan := generator.Compile(s.template(), u.Defaults())
+		if err := plan.Err(); err != nil {
+			t.Skip(err)
+		}
+		duvtest.SameAsReference(t, u, u.simulateReference, plan, seed)
+	})
+}
+
+// BenchmarkSimulate times one instance at the shapes campaigns run: the
+// optimal template, which pushes nearly every cycle, and a point of the
+// io_crc_stress skeleton.
+func BenchmarkSimulate(b *testing.B) {
+	u := New()
+	skel, err := skeleton.Skeletonize(findBase(b, u, "io_crc_stress"), skeleton.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	stress, err := skel.Instantiate("io_crc_stress_point", skel.RandomWeights(rng.New(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tmpl := range []*template.Template{optimalTemplate(b), stress} {
+		plan := generator.Compile(tmpl, u.Defaults())
+		b.Run(tmpl.Name, func(b *testing.B) {
+			g := generator.NewFromPlan(plan, 0)
+			for i := 0; i < b.N; i++ {
+				g.Reset(uint64(i))
+				u.Simulate(g)
+			}
+		})
+	}
 }
 
 // simulateReference is the cycle-by-cycle Simulate the model had before

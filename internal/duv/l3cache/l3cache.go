@@ -177,6 +177,7 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 	var completionsBuf [bypassQueueCap]int
 	history := historyBuf[:0] // recently touched lines
 	completions := completionsBuf[:0]
+	nextDue := simCycles // earliest completion; simCycles while none can fall due
 	inFlight := 0
 	maxInFlight := 0
 	waitLeft := 0
@@ -195,17 +196,22 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 			waitLeft = 0
 		}
 
-		// Retire finished bypass requests.
-		n := 0
-		for _, c := range completions {
-			if c > cycle {
-				completions[n] = c
-				n++
-			} else {
-				inFlight--
+		// Retire finished bypass requests, once the earliest is due: until
+		// then no request has finished and inFlight stands.
+		if cycle >= nextDue {
+			n := 0
+			nextDue = simCycles
+			for _, c := range completions {
+				if c > cycle {
+					completions[n] = c
+					n++
+					nextDue = min(nextDue, c)
+				} else {
+					inFlight--
+				}
 			}
+			completions = completions[:n]
 		}
-		completions = completions[:n]
 
 		// Issue one request.
 		req := reqType.Code(r)
@@ -310,6 +316,7 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 					}
 					lat := bypassLatency + r.Intn(2*latencyJitter+1) - latencyJitter
 					completions = append(completions, cycle+lat)
+					nextDue = min(nextDue, cycle+lat)
 				default:
 					v.Set(u.evBypDenied)
 				}

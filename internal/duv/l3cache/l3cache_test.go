@@ -8,6 +8,7 @@ import (
 	"repro/internal/duv/duvtest"
 	"repro/internal/generator"
 	"repro/internal/rng"
+	"repro/internal/skeleton"
 	"repro/internal/template"
 )
 
@@ -21,7 +22,7 @@ func runMany(u *L3Cache, tmpl *template.Template, n int, seed uint64) *coverage.
 	return c
 }
 
-func findBase(t *testing.T, u *L3Cache, name string) *template.Template {
+func findBase(t testing.TB, u *L3Cache, name string) *template.Template {
 	t.Helper()
 	for _, b := range u.BaseTemplates() {
 		if b.Name == name {
@@ -207,11 +208,12 @@ func TestSimulateRejectsForeignGenerator(t *testing.T) {
 	duvtest.RejectsForeignGenerator(t, New())
 }
 
-// TestSimulateMatchesReference: jumping over the wait cycles changes no
-// vector and no stream position. Beside the skeleton instances, the edge
+// TestSimulateMatchesReference: jumping over the wait cycles and
+// retiring only once a request falls due changes no vector and no stream
+// position. Beside the skeleton instances and their corners, the edge
 // shapes: negative inter-arrival times (no wait at all), waits that run
-// past the end of the instance, and the bypass-heavy template whose
-// completions fall due during waits.
+// past the end of the instance, the bypass-heavy template whose
+// completions fall due during waits, and edgeShapes.
 func TestSimulateMatchesReference(t *testing.T) {
 	u := New()
 	var extra []*template.Template
@@ -226,8 +228,104 @@ func TestSimulateMatchesReference(t *testing.T) {
 		}
 		extra = append(extra, tmpl)
 	}
+	for _, s := range edgeShapes {
+		extra = append(extra, s.template())
+	}
 	extra = append(extra, optimalTemplate(t))
 	duvtest.MatchesReference(t, u, u.simulateReference, extra...)
+}
+
+// shape is a template over the ReqType mix, the BypassHint mix and the
+// [lo:hi] ranges of InterArrival and Locality (lo and hi in either
+// order): the space FuzzSimulateMatchesReference searches.
+type shape struct {
+	name                             string
+	read, write, rwitm, flush, nop   uint8
+	on, off                          uint8
+	waitLo, waitHi, localLo, localHi int16
+}
+
+func (s shape) template() *template.Template {
+	tmpl := template.New(s.name)
+	tmpl.SetParam(&template.WeightParam{Name: "ReqType", Entries: []template.WeightEntry{
+		{Value: "read", Weight: int(s.read)},
+		{Value: "write", Weight: int(s.write)},
+		{Value: "rwitm", Weight: int(s.rwitm)},
+		{Value: "flush", Weight: int(s.flush)},
+		{Value: "nop", Weight: int(s.nop)},
+	}})
+	tmpl.SetParam(&template.WeightParam{Name: "BypassHint", Entries: []template.WeightEntry{
+		{Value: "on", Weight: int(s.on)},
+		{Value: "off", Weight: int(s.off)},
+	}})
+	for _, p := range []struct {
+		name   string
+		lo, hi int16
+	}{{"InterArrival", s.waitLo, s.waitHi}, {"Locality", s.localLo, s.localHi}} {
+		tmpl.SetParam(&template.RangeParam{Name: p.name, Lo: int(min(p.lo, p.hi)), Hi: int(max(p.lo, p.hi))})
+	}
+	return tmpl
+}
+
+// edgeShapes drive the bypass queue and its retirement into their corners.
+var edgeShapes = []shape{
+	// Requests that finish while the issue step waits out a long gap.
+	{name: "due_during_wait", read: 100, on: 100, waitLo: 5, waitHi: 40},
+	// Back-to-back bypass-eligible misses: the queue fills and denies.
+	{name: "queue_full", read: 80, rwitm: 20, on: 100},
+	// Flushes issued while bypass requests are in flight.
+	{name: "flush_in_flight", read: 50, flush: 50, on: 100, waitHi: 2},
+	// A request each cycle, so some latency ends on the last cycle.
+	{name: "due_on_last_cycle", read: 100, on: 100, waitHi: 1, localHi: 5},
+}
+
+// FuzzSimulateMatchesReference: over any request mix, hint mix, ranges
+// and seed, Simulate gives the reference's vector and leaves the stream
+// where the reference does.
+func FuzzSimulateMatchesReference(f *testing.F) {
+	for i, s := range edgeShapes {
+		f.Add(s.read, s.write, s.rwitm, s.flush, s.nop, s.on, s.off, s.waitLo, s.waitHi, s.localLo, s.localHi, uint64(i))
+	}
+	u := New()
+	f.Fuzz(func(t *testing.T, read, write, rwitm, flush, nop, on, off uint8, waitLo, waitHi, localLo, localHi int16, seed uint64) {
+		s := shape{"fuzz", read, write, rwitm, flush, nop, on, off, waitLo, waitHi, localLo, localHi}
+		plan := generator.Compile(s.template(), u.Defaults())
+		if err := plan.Err(); err != nil {
+			t.Skip(err)
+		}
+		duvtest.SameAsReference(t, u, u.simulateReference, plan, seed)
+	})
+}
+
+// BenchmarkSimulate times one instance at a shape campaigns run: a point
+// of the l3_bypass_probe skeleton with the bypass hint always on.
+func BenchmarkSimulate(b *testing.B) {
+	u := New()
+	skel, err := skeleton.Skeletonize(findBase(b, u, "l3_bypass_probe"), skeleton.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := skel.RandomWeights(rng.New(1))
+	for i, slot := range skel.Slots() {
+		if slot.Param == "BypassHint" {
+			x[i] = 0
+			if slot.Label == "on" {
+				x[i] = float64(skel.MaxWeight())
+			}
+		}
+	}
+	tmpl, err := skel.Instantiate("l3_bypass_probe_point", x)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := generator.Compile(tmpl, u.Defaults())
+	b.Run(tmpl.Name, func(b *testing.B) {
+		g := generator.NewFromPlan(plan, 0)
+		for i := 0; i < b.N; i++ {
+			g.Reset(uint64(i))
+			u.Simulate(g)
+		}
+	})
 }
 
 // simulateReference is the cycle-by-cycle Simulate the model had before
