@@ -74,6 +74,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ascdg: -unit is required")
 		return 2
 	}
+	if *rounds < 1 {
+		return cli.Fail(fs, 2, fmt.Errorf("-rounds %d: want at least 1", *rounds))
+	}
 	if code := jnl.Check(); code != 0 {
 		return code
 	}

@@ -91,6 +91,14 @@ func TestErrors(t *testing.T) {
 		!strings.Contains(errb.String(), "OptSims -5 is negative") {
 		t.Errorf("-opt-sims -5: exit %d, stderr %q; want exit 2 naming the budget", code, errb.String())
 	}
+	// As on repro, a round count below 1 is refused, not run as one round.
+	for _, rounds := range []string{"0", "-2"} {
+		errb.Reset()
+		if code := run(smallArgs("-unit", "iounit", "-family", "crc_fifo", "-rounds", rounds), &out, &errb); code != 2 ||
+			!strings.Contains(errb.String(), "ascdg: -rounds "+rounds+": want at least 1") {
+			t.Errorf("-rounds %s: exit %d, stderr %q; want exit 2", rounds, code, errb.String())
+		}
+	}
 }
 
 // TestDecayOutsideDomainIsAUsageError: -decay must lie in (0, 1]; any

@@ -126,12 +126,17 @@ func (f *Farm) Register(fs *flag.FlagSet) {
 // -farm is empty. It waits up to five seconds for a first worker and
 // warns if none answered: chunks fall back to local execution until one
 // does. retry is the effective -farm-retry configuration, for banners.
+// A -hedge, -audit-fraction or -farm-retry the dispatcher cannot honour
+// (farm.Options.Validate, ApplyRetrySpec) is a usage error.
 // The command closes d.
 func (f *Farm) Dial(rec *obs.Recorder, log *slog.Logger) (d *farm.Dispatcher, retry string, code int) {
 	if f.addrs == "" {
 		return nil, "", 0
 	}
 	opts := farm.Options{Rec: rec, Log: log, Hedge: f.hedge, AuditFraction: f.auditFraction}
+	if err := opts.Validate(); err != nil {
+		return nil, "", Fail(f.fs, 2, err)
+	}
 	if err := opts.ApplyRetrySpec(f.retry); err != nil {
 		return nil, "", Fail(f.fs, 2, err)
 	}

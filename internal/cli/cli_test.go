@@ -130,6 +130,14 @@ func TestFarm(t *testing.T) {
 		{[]string{"-farm-retry", "bogus"}, 0, ""},
 		{[]string{"-farm", "127.0.0.1:1", "-farm-retry", "bogus"}, 2, "cmd: farm: retry spec"},
 		{[]string{"-farm", "127.0.0.1:1", "-farm-retry", "attempts=0"}, 2, "cmd: farm: retry spec attempts"},
+		// A multiplier that does not convert to a duration once hedged
+		// every exchange after 1ms.
+		{[]string{"-farm", "127.0.0.1:1", "-hedge", "NaN"}, 2, "cmd: farm: hedge NaN"},
+		{[]string{"-farm", "127.0.0.1:1", "-hedge", "+Inf"}, 2, "cmd: farm: hedge +Inf"},
+		{[]string{"-farm", "127.0.0.1:1", "-hedge", "-1"}, 2, "cmd: farm: hedge -1"},
+		{[]string{"-farm", "127.0.0.1:1", "-audit-fraction", "NaN"}, 2, "cmd: farm: audit fraction NaN"},
+		{[]string{"-farm", "127.0.0.1:1", "-audit-fraction", "2"}, 2, "cmd: farm: audit fraction 2"},
+		{[]string{"-farm", "127.0.0.1:1", "-audit-fraction", "-0.5"}, 2, "cmd: farm: audit fraction -0.5"},
 	})
 }
 

@@ -16,7 +16,8 @@ type Target struct {
 	// Family targets a buffer-utilization event family (the paper's
 	// Figs. 3 and 4). Decay in (0, 1] weights the approximated target by
 	// ordinal distance (0 selects 1, the paper's plain family sum);
-	// Rounds is the number of refinement rounds (<= 0 selects 1).
+	// Rounds is the number of refinement rounds (0 selects 1; a negative
+	// count is refused).
 	Family string
 	Decay  float64
 	Rounds int
@@ -35,9 +36,9 @@ type Target struct {
 
 // Validate is the one check of a target against the unit it is to run
 // on: exactly one mode, a family, cross product or events the unit's
-// coverage model has, and a decay of 0 or in (0, 1]. Its errors carry
-// no package prefix; Run reports them as "core: ...", a service's
-// admission as a rejected spec.
+// coverage model has, a decay of 0 or in (0, 1] and a round count of at
+// least 0. Its errors carry no package prefix; Run reports them as
+// "core: ...", a service's admission as a rejected spec.
 func (t Target) Validate(unit duv.DUV) error {
 	modes := 0
 	for _, set := range []bool{t.Family != "", t.Cross != "", len(t.Events) > 0} {
@@ -63,6 +64,9 @@ func (t Target) Validate(unit duv.DUV) error {
 	if t.Decay != 0 && !(t.Decay > 0 && t.Decay <= 1) {
 		return fmt.Errorf("decay %v outside (0, 1]", t.Decay)
 	}
+	if t.Rounds < 0 {
+		return fmt.Errorf("rounds %d is negative", t.Rounds)
+	}
 	return nil
 }
 
@@ -82,7 +86,7 @@ func (t Target) decay() float64 {
 }
 
 func (t Target) rounds() int {
-	if t.Rounds <= 0 {
+	if t.Rounds == 0 {
 		return 1
 	}
 	return t.Rounds

@@ -37,6 +37,7 @@ func TestTargetValidate(t *testing.T) {
 		{"decay above 1", Target{Family: iounit.FamilyName, Decay: 1.5}, false, "decay 1.5 outside (0, 1]"},
 		{"NaN decay", Target{Family: iounit.FamilyName, Decay: math.NaN()}, false, "decay NaN outside (0, 1]"},
 		{"decay on a cross", Target{Cross: ifu.CrossName, Decay: 2}, true, "decay 2 outside (0, 1]"},
+		{"negative rounds", Target{Family: iounit.FamilyName, Rounds: -3}, false, "rounds -3 is negative"},
 	} {
 		unit := io
 		if tc.onIFU {

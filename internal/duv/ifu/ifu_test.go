@@ -191,3 +191,10 @@ func TestSimulateGolden(t *testing.T) {
 func TestSimulateRejectsForeignGenerator(t *testing.T) {
 	duvtest.RejectsForeignGenerator(t, New())
 }
+
+// BenchmarkSimulate times one instance at shapes campaigns run: a point
+// of the ifu_smt_balance skeleton and one of ifu_backpressure.
+func BenchmarkSimulate(b *testing.B) {
+	u := New()
+	duvtest.BenchmarkSimulate(b, u, duvtest.SkeletonPoint(b, u, "ifu_smt_balance"), duvtest.SkeletonPoint(b, u, "ifu_backpressure"))
+}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/duv/duvtest"
 	"repro/internal/generator"
 	"repro/internal/rng"
-	"repro/internal/skeleton"
 	"repro/internal/template"
 )
 
@@ -320,24 +319,7 @@ func FuzzSimulateMatchesReference(f *testing.F) {
 // io_crc_stress skeleton.
 func BenchmarkSimulate(b *testing.B) {
 	u := New()
-	skel, err := skeleton.Skeletonize(findBase(b, u, "io_crc_stress"), skeleton.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	stress, err := skel.Instantiate("io_crc_stress_point", skel.RandomWeights(rng.New(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tmpl := range []*template.Template{optimalTemplate(b), stress} {
-		plan := generator.Compile(tmpl, u.Defaults())
-		b.Run(tmpl.Name, func(b *testing.B) {
-			g := generator.NewFromPlan(plan, 0)
-			for i := 0; i < b.N; i++ {
-				g.Reset(uint64(i))
-				u.Simulate(g)
-			}
-		})
-	}
+	duvtest.BenchmarkSimulate(b, u, optimalTemplate(b), duvtest.SkeletonPoint(b, u, "io_crc_stress"))
 }
 
 // simulateReference is the cycle-by-cycle Simulate the model had before

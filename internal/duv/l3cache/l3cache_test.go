@@ -318,14 +318,7 @@ func BenchmarkSimulate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan := generator.Compile(tmpl, u.Defaults())
-	b.Run(tmpl.Name, func(b *testing.B) {
-		g := generator.NewFromPlan(plan, 0)
-		for i := 0; i < b.N; i++ {
-			g.Reset(uint64(i))
-			u.Simulate(g)
-		}
-	})
+	duvtest.BenchmarkSimulate(b, u, tmpl)
 }
 
 // simulateReference is the cycle-by-cycle Simulate the model had before

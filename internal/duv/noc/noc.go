@@ -181,7 +181,7 @@ func (u *Router) BaseTemplates() []*template.Template {
 
 // outportFor resolves a traffic pattern to an output port for a packet
 // entering at inport.
-func (u *Router) outportFor(pattern, inport int, hotspotPort generator.Choice, r *rng.RNG) int {
+func (u *Router) outportFor(pattern, inport int, hotspotPort *generator.Choice, r *rng.RNG) int {
 	switch pattern {
 	case u.patHotspot:
 		// All traffic converges on the hotspot port.
@@ -237,7 +237,7 @@ func (u *Router) Simulate(g *generator.Generator) coverage.Vector {
 			if pattern == u.patHotspot {
 				v.Set(u.evHotspot)
 			}
-			out := u.outportFor(pattern, in, hotspotPort, r)
+			out := u.outportFor(pattern, in, &hotspotPort, r)
 			vc := u.vcOf[vcSel.Code(r)]
 			length := packetLen.Pick(r).Int(r)
 			if length >= 12 {

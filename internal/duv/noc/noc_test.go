@@ -254,3 +254,11 @@ func TestSimulateGolden(t *testing.T) {
 func TestSimulateRejectsForeignGenerator(t *testing.T) {
 	duvtest.RejectsForeignGenerator(t, New())
 }
+
+// BenchmarkSimulate times one instance at shapes campaigns run: a point
+// of the noc_hotspot_probe skeleton, whose hotspot traffic asks the
+// router's outport helper, and one of noc_saturation.
+func BenchmarkSimulate(b *testing.B) {
+	u := New()
+	duvtest.BenchmarkSimulate(b, u, duvtest.SkeletonPoint(b, u, "noc_hotspot_probe"), duvtest.SkeletonPoint(b, u, "noc_saturation"))
+}

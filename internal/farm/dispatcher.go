@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net"
 	"slices"
@@ -139,6 +140,20 @@ func (o *Options) setDefaults() {
 			return net.DialTimeout("tcp", addr, 5*time.Second)
 		}
 	}
+}
+
+// Validate reports a Hedge or AuditFraction the dispatcher would turn
+// into other behaviour than it names: a Hedge that is not a finite
+// number >= 0 (NaN or +Inf times the p95 is no duration), or an
+// AuditFraction outside [0, 1].
+func (o *Options) Validate() error {
+	if math.IsNaN(o.Hedge) || math.IsInf(o.Hedge, 0) || o.Hedge < 0 {
+		return fmt.Errorf("farm: hedge %v: want a finite multiplier >= 0", o.Hedge)
+	}
+	if !(o.AuditFraction >= 0 && o.AuditFraction <= 1) { // NaN fails both
+		return fmt.Errorf("farm: audit fraction %v: want a fraction in [0, 1]", o.AuditFraction)
+	}
+	return nil
 }
 
 // jitter is the effective backoff jitter fraction (negative disables).
@@ -493,7 +508,9 @@ func (d *Dispatcher) runHedged(w *wconn, c sim.RemoteChunk, dst *coverage.Counts
 }
 
 // hedgeBudget is the straggler threshold: Hedge × the fleet's recent
-// p95 exchange latency, 0 while hedging is off or still warming up.
+// p95 exchange latency, at least 1ms, 0 while hedging is off or still
+// warming up. A product beyond time.Duration saturates: no exchange
+// outlasts it, so nothing is hedged.
 func (d *Dispatcher) hedgeBudget() time.Duration {
 	if d.opts.Hedge <= 0 {
 		return 0
@@ -502,7 +519,11 @@ func (d *Dispatcher) hedgeBudget() time.Duration {
 	if p95 <= 0 {
 		return 0
 	}
-	return max(time.Duration(d.opts.Hedge*float64(p95)), time.Millisecond)
+	b := d.opts.Hedge * float64(p95)
+	if b >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return max(time.Duration(b), time.Millisecond)
 }
 
 // acquireHedge non-blockingly picks the healthiest idle connection on a

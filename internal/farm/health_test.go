@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -248,5 +249,27 @@ func TestHealthLatencyP95Warmup(t *testing.T) {
 	succeed(hs, "a", 100*time.Millisecond, 1)
 	if got := hs.latencyP95(); got != 100*time.Millisecond {
 		t.Fatalf("latencyP95 = %v, want the 100ms tail sample", got)
+	}
+}
+
+// TestHedgeBudget: Hedge × the fleet's p95, floored at 1ms; a product
+// beyond time.Duration saturates rather than wrapping to the floor.
+func TestHedgeBudget(t *testing.T) {
+	hs, _ := newTestHealth([]string{"a"}, breaker{}, nil)
+	succeed(hs, "a", 3*time.Millisecond, 16)
+	for _, tc := range []struct {
+		hedge float64
+		want  time.Duration
+	}{
+		{0, 0},
+		{2, 6 * time.Millisecond},
+		{1e-6, time.Millisecond},
+		{1e6, 3000 * time.Second},
+		{1e30, math.MaxInt64},
+	} {
+		d := &Dispatcher{opts: Options{Hedge: tc.hedge}, health: hs}
+		if got := d.hedgeBudget(); got != tc.want {
+			t.Errorf("hedge %v at a 3ms p95: budget %v, want %v", tc.hedge, got, tc.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -89,5 +90,28 @@ func TestRetryString(t *testing.T) {
 	}
 	if got, want := o.RetryString(), "base=5ms,cap=100ms,attempts=7,jitter=0"; got != want {
 		t.Fatalf("RetryString = %q, want %q", got, want)
+	}
+}
+
+func TestOptionsValidate(t *testing.T) {
+	for _, tc := range []struct {
+		hedge, audit float64
+		ok           bool
+	}{
+		{0, 0, true},
+		{2, 0.5, true},
+		{1e30, 1, true}, // finite: hedgeBudget saturates
+		{math.NaN(), 0, false},
+		{math.Inf(1), 0, false},
+		{math.Inf(-1), 0, false},
+		{-1, 0, false},
+		{0, math.NaN(), false},
+		{0, 2, false},
+		{0, -0.5, false},
+	} {
+		o := Options{Hedge: tc.hedge, AuditFraction: tc.audit}
+		if err := o.Validate(); (err == nil) != tc.ok {
+			t.Errorf("Validate(hedge %v, audit fraction %v) = %v, want ok %v", tc.hedge, tc.audit, err, tc.ok)
+		}
 	}
 }

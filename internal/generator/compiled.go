@@ -52,13 +52,18 @@
 // plan.
 //
 // Deciders. A unit's model does not go through the plan for a decision:
-// before its cycle loop it fetches, by value, a Choice (symbolic) or a
+// before its cycle loop it fetches into a local a Choice (symbolic) or a
 // Ranges (numeric) for each of its handles — the kind is checked there,
 // once per Simulate — and decides in the loop with methods small enough
-// to inline into it: Choice.Code, Ranges.Pick, Range.Int. CI keeps them
-// inlinable (.github/workflows/ci.yml, "Inlining guard"). They are the
-// only decision code: PickValue and PickInt find a slot by name and ask
-// the same deciders.
+// to inline into it: (*Choice).Code, (*Ranges).Pick, Range.Int. A
+// decider is 64 bytes, too large for registers: Code and Pick take it by
+// pointer, so a decision asks the local in place, where a value receiver
+// would first copy all 64 bytes into a stack temporary on every call.
+// Range, 16 bytes, stays in registers and keeps its value receiver. CI
+// keeps the methods inlinable and the units free of decider copies
+// (.github/workflows/ci.yml, "Inlining guard", "A decision copies no
+// decider"). They are the only decision code: PickValue and PickInt find
+// a slot by name and ask the same deciders.
 package generator
 
 import (
@@ -90,9 +95,10 @@ func (x Range) Int(r *rng.RNG) int {
 	return x.lo + int(uint64(r.Word(rng.Stride))*x.span>>32)
 }
 
-// Choice decides one symbolic parameter of one plan. Fetch it with
-// Generator.Choice before the cycle loop; it is a pointer, a step and two
-// slice headers over the plan's read-only data, safe to copy and share.
+// Choice decides one symbolic parameter of one plan. Fetch it into a
+// local with Generator.Choice before the cycle loop and ask it through
+// that local; it is a pointer, a step and two slice headers over the
+// plan's read-only data, safe to share.
 type Choice struct {
 	table *[256]uint8
 	last  []uint32
@@ -102,7 +108,7 @@ type Choice struct {
 
 // Code makes a random decision and returns the chosen value's vocabulary
 // code (Binding.Code). It must stay inlinable: see the package comment.
-func (c Choice) Code(r *rng.RNG) int {
+func (c *Choice) Code(r *rng.RNG) int {
 	w := r.Word(c.step)
 	i := int(c.table[w>>24])
 	if i != walk {
@@ -115,7 +121,7 @@ func (c Choice) Code(r *rng.RNG) int {
 
 // Ranges decides one numeric parameter of one plan: a range parameter,
 // or a weight parameter over subranges (the Skeletonizer's output form).
-// Fetch it with Generator.Ranges before the cycle loop.
+// Fetch it into a local with Generator.Ranges before the cycle loop.
 type Ranges struct {
 	table  *[256]uint8
 	last   []uint32
@@ -128,7 +134,7 @@ type Ranges struct {
 // exactly how the CDG-Runner shapes the distribution of an
 // originally-uniform range parameter (paper Section IV-C). It must stay
 // inlinable: see the package comment.
-func (d Ranges) Pick(r *rng.RNG) Range {
+func (d *Ranges) Pick(r *rng.RNG) Range {
 	w := r.Word(d.step)
 	i := int(d.table[w>>24])
 	if i == walk {

@@ -17,8 +17,15 @@ import (
 
 // decide and decideInt are a unit's decisions by handle, without the
 // hoist: the decider is fetched anew for every decision.
-func (g *Generator) decide(h Handle) int    { return g.Choice(h).Code(&g.r) }
-func (g *Generator) decideInt(h Handle) int { return g.Ranges(h).Pick(&g.r).Int(&g.r) }
+func (g *Generator) decide(h Handle) int {
+	c := g.Choice(h)
+	return c.Code(&g.r)
+}
+
+func (g *Generator) decideInt(h Handle) int {
+	d := g.Ranges(h)
+	return d.Pick(&g.r).Int(&g.r)
+}
 
 // walked is the plain threshold walk, no table: the index, among the
 // slot's selectable entries, of the one its draw selects.
@@ -853,6 +860,24 @@ func TestDecisionsDoNotAllocate(t *testing.T) {
 		g.PickInt("CacheDelay")
 	}); n != 0 {
 		t.Fatalf("decisions allocate %v times per run", n)
+	}
+}
+
+// TestDecidersAreAskedInPlace pins the deciders' receivers: a value
+// receiver on a 64-byte decider would copy it whole before every
+// decision (package comment, "Deciders"), so the value types have no
+// methods at all and the pointers have Code and Pick.
+func TestDecidersAreAskedInPlace(t *testing.T) {
+	for _, c := range []struct {
+		typ    reflect.Type
+		method string
+	}{{reflect.TypeOf(Choice{}), "Code"}, {reflect.TypeOf(Ranges{}), "Pick"}} {
+		if n := c.typ.NumMethod(); n != 0 {
+			t.Errorf("%v has %d value-receiver methods, want 0", c.typ, n)
+		}
+		if _, ok := reflect.PointerTo(c.typ).MethodByName(c.method); !ok {
+			t.Errorf("*%v has no method %s", c.typ, c.method)
+		}
 	}
 }
 

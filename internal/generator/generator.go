@@ -210,8 +210,8 @@ func (g *Generator) Template() *template.Template { return g.plan.tmpl }
 func (g *Generator) RNG() *rng.RNG { return &g.r }
 
 // Choice returns the decider of a symbolic weight parameter, to be
-// fetched before the cycle loop and asked there (Choice.Code). It panics
-// if the plan's setting is numeric.
+// fetched into a local before the cycle loop and asked there through
+// that local (Choice.Code). It panics if the plan's setting is numeric.
 func (g *Generator) Choice(h Handle) Choice {
 	s := &g.plan.slots[h]
 	if !s.symbolic {
@@ -221,9 +221,9 @@ func (g *Generator) Choice(h Handle) Choice {
 }
 
 // Ranges returns the decider of a numeric parameter — a range, or a
-// weight parameter over subranges — to be fetched before the cycle loop
-// and asked there (Ranges.Pick, then Range.Int). It panics if the plan's
-// setting has symbolic entries.
+// weight parameter over subranges — to be fetched into a local before
+// the cycle loop and asked there through that local (Ranges.Pick, then
+// Range.Int). It panics if the plan's setting has symbolic entries.
 func (g *Generator) Ranges(h Handle) Ranges {
 	s := &g.plan.slots[h]
 	if s.symbolic {
@@ -238,11 +238,13 @@ func (g *Generator) Ranges(h Handle) Ranges {
 // declared, so either is a programming error, not an input error.
 func (g *Generator) PickValue(name string) string {
 	h := handle(g.plan.names, name)
-	return g.plan.slots[h].vocab[g.Choice(h).Code(&g.r)]
+	c := g.Choice(h)
+	return g.plan.slots[h].vocab[c.Code(&g.r)]
 }
 
 // PickInt is Ranges.Pick, then Range.Int, by parameter name. It panics if
 // the defaults do not name the parameter or it has symbolic entries.
 func (g *Generator) PickInt(name string) int {
-	return g.Ranges(handle(g.plan.names, name)).Pick(&g.r).Int(&g.r)
+	d := g.Ranges(handle(g.plan.names, name))
+	return d.Pick(&g.r).Int(&g.r)
 }

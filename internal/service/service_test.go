@@ -120,6 +120,8 @@ func TestSpecValidation(t *testing.T) {
 		// run as 1.
 		{Unit: iounit.UnitName, Family: iounit.FamilyName, Decay: -0.2},
 		{Unit: iounit.UnitName, Family: iounit.FamilyName, Decay: 1.5},
+		// rounds: 0 selects 1; a negative count is refused, not run as 1.
+		{Unit: iounit.UnitName, Family: iounit.FamilyName, Rounds: -3},
 		// budgets: 0 selects the default; a negative one is refused, not
 		// run as the default.
 		{Unit: iounit.UnitName, Family: iounit.FamilyName, Config: SpecConfig{SampleSims: -7}},
