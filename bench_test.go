@@ -17,11 +17,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/coverage"
-	"repro/internal/duv"
 	"repro/internal/duv/ifu"
 	"repro/internal/duv/iounit"
 	"repro/internal/duv/l3cache"
-	"repro/internal/duv/noc"
 	"repro/internal/farm"
 	"repro/internal/figures"
 	"repro/internal/generator"
@@ -445,36 +443,6 @@ func BenchmarkAblationResampleCenter(b *testing.B) {
 
 // --- Substrate micro-benchmarks ---
 
-// benchSimulate measures one test-instance the way production runs it:
-// the template compiled once, a generator per instance.
-func benchSimulate(b *testing.B, unit duv.DUV, tmpl *template.Template) {
-	b.Helper()
-	plan := generator.Compile(tmpl, unit.Defaults())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		simulated = unit.Simulate(generator.NewFromPlan(plan, uint64(i)))
-	}
-}
-
-// simulated keeps the compiler from discarding a benchmarked Simulate.
-var simulated coverage.Vector
-
-func BenchmarkSimulateIOUnit(b *testing.B) {
-	unit := iounit.New()
-	benchSimulate(b, unit, unit.BaseTemplates()[0])
-}
-
-func BenchmarkSimulateL3Cache(b *testing.B) {
-	unit := l3cache.New()
-	benchSimulate(b, unit, unit.BaseTemplates()[0])
-}
-
-func BenchmarkSimulateIFU(b *testing.B) {
-	unit := ifu.New()
-	benchSimulate(b, unit, unit.BaseTemplates()[0])
-}
-
 func BenchmarkTemplateParse(b *testing.B) {
 	src := iounit.New().BaseTemplates()[4].String()
 	b.ReportAllocs()
@@ -660,9 +628,4 @@ func BenchmarkFarmLoopback(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sim")
 	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "sims/sec")
-}
-
-func BenchmarkSimulateNoC(b *testing.B) {
-	unit := noc.New()
-	benchSimulate(b, unit, unit.BaseTemplates()[0])
 }

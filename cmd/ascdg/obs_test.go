@@ -121,7 +121,7 @@ func TestDebugEndpointDuringRun(t *testing.T) {
 	addr := strings.TrimSpace(strings.TrimPrefix(
 		strings.SplitN(banner, "debug endpoint on http://", 2)[1], ""))
 	addr = strings.SplitN(addr, "/debug/", 2)[0]
-	if _, err := http.Get("http://" + addr + "/debug/vars"); err == nil {
+	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Fatalf("debug server still listening after the run")
 	}
 }

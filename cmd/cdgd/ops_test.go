@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/opt"
 )
 
 // TestCdgdOpsEndpoints boots the daemon and checks the operational
@@ -49,7 +50,9 @@ func TestCdgdOpsEndpoints(t *testing.T) {
 	if err := obs.ValidateOpenMetrics([]byte(page)); err != nil {
 		t.Fatalf("cdgd /metrics is not valid OpenMetrics: %v\n%s", err, page)
 	}
-	for _, want := range []string{"ascdg_build_info{", "service_submitted_total 1\n", "service_completed_total 1\n"} {
+	// One campaign is one sample in each campaign counter family.
+	labels := "{" + obs.Labels("engine", opt.DefaultEngine, "tenant", "default") + "} 1\n"
+	for _, want := range []string{"ascdg_build_info{", "service_submitted_total" + labels, "service_completed_total" + labels} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("cdgd /metrics lacks %q:\n%s", want, page)
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -30,7 +31,7 @@ func TestObsFlags(t *testing.T) {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
 	stderr := errb.String()
-	if !strings.Contains(stderr, "sim.batches_submitted") {
+	if !regexp.MustCompile(`sim\.batch_size +count=[1-9]`).MatchString(stderr) {
 		t.Fatalf("metrics dump missing:\n%s", stderr)
 	}
 	// At least one JSONL line must decode (the corpus runs outside the

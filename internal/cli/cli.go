@@ -77,34 +77,63 @@ func (o *Obs) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.trace, "trace", "", "write a Chrome trace-event JSON of the run to this file (view in Perfetto)")
 	fs.BoolVar(&o.progress, "progress", false, "stream JSONL progress events to stderr")
 	fs.BoolVar(&o.metrics, "metrics", false, "print a final metrics summary to stderr")
-	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /debug/vars, /debug/metrics, /debug/pprof and the ops endpoints (/metrics, /healthz, /readyz) on this address while running")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /debug/pprof and the ops endpoints (/metrics, /healthz, /readyz) on this address while running")
 }
 
-// Start starts the observability session, with health (may be nil)
-// answering /readyz. rec is nil when every sink is off. stop writes the
-// trace and the metrics dump and stops the debug server; the command
-// defers it.
+// Start starts the run's observability, with health (may be nil)
+// answering /readyz. rec is nil when every sink is off, so an
+// uninstrumented run stays zero-cost. stop stops the debug server,
+// writes the trace file and prints the metrics dump; the command defers
+// it. A failure at stop is reported and leaves the run's results as
+// they are.
 func (o *Obs) Start(health *obs.Health) (rec *obs.Recorder, stop func(), code int) {
+	if o.trace == "" && !o.progress && !o.metrics && o.debugAddr == "" {
+		return nil, func() {}, 0
+	}
 	w := o.fs.Output()
-	var progressW io.Writer
+	rec = &obs.Recorder{Metrics: obs.NewRegistry()}
+	if o.trace != "" {
+		rec.Trace = obs.NewTracer()
+	}
 	if o.progress {
-		progressW = w
+		rec.Progress = obs.NewProgress(w)
 	}
-	sess, err := obs.StartSession(obs.Config{
-		TracePath:   o.trace,
-		ProgressW:   progressW,
-		MetricsDump: o.metrics,
-		DebugAddr:   o.debugAddr,
-		Health:      health,
-	}, w)
-	if err != nil {
-		return nil, nil, Fail(o.fs, 1, err)
+	var srv *obs.DebugServer
+	if o.debugAddr != "" {
+		var err error
+		if srv, err = obs.ServeDebug(o.debugAddr, rec.Metrics, health); err != nil {
+			return nil, nil, Fail(o.fs, 1, fmt.Errorf("obs: debug server: %w", err))
+		}
+		fmt.Fprintf(w, "debug endpoint on http://%s/debug/pprof/\n", srv.Addr())
 	}
-	return sess.Recorder(), func() {
-		if err := sess.Close(); err != nil {
-			printf(o.fs, "%v", err)
+	return rec, func() {
+		if srv != nil {
+			if err := srv.Close(); err != nil {
+				printf(o.fs, "%v", err)
+			}
+		}
+		if rec.Trace != nil {
+			if err := writeTrace(o.trace, rec.Trace); err != nil {
+				printf(o.fs, "%v", err)
+			}
+		}
+		if o.metrics {
+			fmt.Fprint(w, rec.Metrics.Format())
 		}
 	}, 0
+}
+
+// writeTrace writes t's spans to path as Chrome trace-event JSON.
+func writeTrace(path string, t *obs.Tracer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.Export(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Farm is -farm, -farm-retry, -hedge and -audit-fraction.

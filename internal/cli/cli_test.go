@@ -3,9 +3,11 @@ package cli
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"io"
 	"maps"
+	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -14,6 +16,7 @@ import (
 
 	"repro/internal/duv/iounit"
 	"repro/internal/failpoint"
+	"repro/internal/obs"
 )
 
 // stepCase is one command line for a group: the exit code its step must
@@ -97,19 +100,58 @@ func TestParse(t *testing.T) {
 
 func TestObs(t *testing.T) {
 	checkDefaults(t, &Obs{}, map[string]string{"trace": "", "progress": "false", "metrics": "false", "debug-addr": ""})
+	dir := t.TempDir()
+	trace, missing := filepath.Join(dir, "trace.json"), filepath.Join(dir, "missing", "trace.json")
+	banner := regexp.MustCompile(`debug endpoint on http://(\S+)/debug/pprof/`)
 	checkStep(t, func(o *Obs) int {
+		out := o.fs.Output().(*bytes.Buffer)
 		rec, stop, code := o.Start(nil)
-		if code == 0 {
-			off := o.trace == "" && !o.progress && !o.metrics && o.debugAddr == ""
-			if (rec == nil) != off {
-				t.Errorf("every sink off: %v, but recorder %v", off, rec)
+		if code != 0 {
+			return code
+		}
+		off := o.trace == "" && !o.progress && !o.metrics && o.debugAddr == ""
+		if (rec == nil) != off {
+			t.Errorf("every sink off: %v, but recorder %v", off, rec)
+		}
+		rec.PhaseStart("corpus", nil).End(nil)
+		rec.Counter("sim.jobs").Add(2)
+		var addr string
+		if m := banner.FindStringSubmatch(out.String()); m != nil {
+			addr = m[1]
+			resp, err := http.Get("http://" + addr + "/metrics")
+			if err != nil {
+				t.Errorf("debug server not serving during the run: %v", err)
+			} else {
+				resp.Body.Close()
 			}
-			stop()
+		}
+		stop()
+		if off && out.Len() != 0 {
+			t.Errorf("every sink off, but output %q", out)
+		}
+		if addr != "" {
+			if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
+				t.Errorf("debug server on %s still listening after stop", addr)
+			}
+		}
+		if o.trace == trace {
+			var events []obs.TraceEvent
+			data, err := os.ReadFile(trace)
+			if err == nil {
+				err = json.Unmarshal(data, &events)
+			}
+			if err != nil || len(events) != 1 || events[0].Name != "corpus" {
+				t.Errorf("trace file %q, %v: want the one corpus span", data, err)
+			}
 		}
 		return code
 	}, []stepCase{
 		{nil, 0, ""},
-		{[]string{"-metrics"}, 0, "metrics summary"},
+		{[]string{"-trace", trace}, 0, ""},
+		{[]string{"-progress"}, 0, `"event":"phase_start"`},
+		{[]string{"-metrics"}, 0, "sim.jobs"},
+		// The trace file is written at stop, which reports its failure.
+		{[]string{"-trace", missing}, 0, "cmd: open " + missing},
 		{[]string{"-debug-addr", "127.0.0.1:0"}, 0, "debug endpoint on http://127.0.0.1:"},
 		{[]string{"-debug-addr", "256.0.0.1:bogus"}, 1, "cmd: obs: debug server"},
 	})

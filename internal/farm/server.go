@@ -70,12 +70,11 @@ type Server struct {
 
 	// Metric handles (all nil-safe).
 	mConns    *obs.Gauge
-	mChunks   *obs.Counter
 	mErrors   *obs.Counter
 	mRefused  *obs.Counter
 	mSessions *obs.Gauge // handshaken sessions
 	hChunkNs  *obs.Histogram
-	hSims     *obs.Histogram
+	hSims     *obs.Histogram // its count is the chunks served
 	tracer    *obs.Tracer
 }
 
@@ -109,7 +108,6 @@ func NewServer(opts ServerOptions) *Server {
 	}
 	if rec := opts.Rec; rec != nil {
 		s.mConns = rec.Gauge("farm.server.conns")
-		s.mChunks = rec.Counter("farm.server.chunks")
 		s.mErrors = rec.Counter("farm.server.chunk_errors")
 		s.mRefused = rec.Counter("farm.server.refused")
 		s.mSessions = rec.Gauge("farm.server.sessions")
@@ -279,7 +277,6 @@ func (s *Server) execute(f *Frame, resp *Frame, scratch *coverage.Counts) (*cove
 		s.mErrors.Inc()
 		resp.Err = err.Error()
 	} else {
-		s.mChunks.Inc()
 		resp.Hits, resp.Sims = scratch.AppendRaw(resp.Hits[:0])
 		s.hSims.Observe(resp.Sims)
 		// farm/serve_chunk is the byzantine-worker seam: corrupt silently

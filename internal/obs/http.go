@@ -1,36 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 )
-
-// The registry published through expvar. Debug servers may come and go
-// (tests start several), but expvar.Publish panics on duplicate names,
-// so the package publishes one Func exactly once and swaps the pointer
-// it reads.
-var (
-	expvarOnce sync.Once
-	expvarReg  atomic.Pointer[Registry]
-)
-
-func publishExpvar(reg *Registry) {
-	expvarReg.Store(reg)
-	expvarOnce.Do(func() {
-		expvar.Publish("ascdg", expvar.Func(func() any {
-			if r := expvarReg.Load(); r != nil {
-				return r.Snapshot()
-			}
-			return nil
-		}))
-	})
-}
 
 // MetricsHandler serves reg as an OpenMetrics text exposition — the
 // /metrics endpoint Prometheus scrapes. A nil registry serves a valid
@@ -77,8 +52,6 @@ func RegisterOps(mux *http.ServeMux, reg *Registry, h *Health) {
 
 // DebugServer serves the debug HTTP endpoint:
 //
-//	/debug/vars     expvar (including the "ascdg" metrics snapshot)
-//	/debug/metrics  the registry snapshot alone, as JSON
 //	/debug/pprof/   net/http/pprof profiles (cpu, heap, goroutine, ...)
 //	/metrics        OpenMetrics text exposition (Prometheus scrape)
 //	/healthz        liveness probe (always 200)
@@ -101,15 +74,7 @@ func ServeDebug(addr string, reg *Registry, health *Health) (*DebugServer, error
 	if err != nil {
 		return nil, err
 	}
-	publishExpvar(reg)
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(reg.Snapshot())
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,35 +25,29 @@ func get(t *testing.T, url string) []byte {
 	return body
 }
 
+// TestDebugServerEndpoints: the debug server serves pprof next to the
+// ops endpoints, and nothing else under /debug/.
 func TestDebugServerEndpoints(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("sim.jobs").Add(42)
-	srv, err := ServeDebug("127.0.0.1:0", reg, nil)
+	srv, err := ServeDebug("127.0.0.1:0", NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	base := "http://" + srv.Addr()
 
-	var snap Snapshot
-	if err := json.Unmarshal(get(t, base+"/debug/metrics"), &snap); err != nil {
-		t.Fatalf("/debug/metrics is not JSON: %v", err)
-	}
-	if snap.Counters["sim.jobs"] != 42 {
-		t.Fatalf("metrics snapshot = %+v, want sim.jobs=42", snap)
-	}
-
-	vars := string(get(t, base+"/debug/vars"))
-	if !strings.Contains(vars, `"ascdg"`) {
-		t.Fatalf("/debug/vars missing the ascdg metrics var:\n%s", vars)
-	}
-	if !strings.Contains(vars, "sim.jobs") {
-		t.Fatalf("/debug/vars missing published counter:\n%s", vars)
-	}
-
 	pprofIndex := string(get(t, base+"/debug/pprof/"))
 	if !strings.Contains(pprofIndex, "goroutine") {
 		t.Fatalf("/debug/pprof/ index looks wrong:\n%s", pprofIndex)
+	}
+	for _, path := range []string{"/debug/vars", "/debug/metrics"} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -135,24 +128,4 @@ func TestDebugServerOpsEndpoints(t *testing.T) {
 		t.Fatalf("/readyz body = %q", body)
 	}
 	get(t, base+"/healthz")
-}
-
-func TestDebugServerRestart(t *testing.T) {
-	// Starting a second server (tests and repeated sessions do this)
-	// must not panic on duplicate expvar registration, and the expvar
-	// snapshot must follow the most recent registry.
-	for i := 0; i < 2; i++ {
-		reg := NewRegistry()
-		reg.Counter("restart.run").Add(uint64(i + 1))
-		srv, err := ServeDebug("127.0.0.1:0", reg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vars := string(get(t, fmt.Sprintf("http://%s/debug/vars", srv.Addr())))
-		want := fmt.Sprintf(`"restart.run":%d`, i+1)
-		if !strings.Contains(vars, want) {
-			t.Fatalf("run %d: /debug/vars missing %q:\n%s", i, want, vars)
-		}
-		srv.Close()
-	}
 }

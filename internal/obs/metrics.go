@@ -2,7 +2,8 @@
 // a lock-free metrics registry (atomic counters, gauges, and bounded
 // histograms), span-based tracing exported as Chrome trace-event JSON
 // (viewable in Perfetto or chrome://tracing), a structured JSONL
-// progress stream, and a debug HTTP endpoint (expvar + pprof).
+// progress stream, an OpenMetrics exposition, and a debug HTTP endpoint
+// (pprof plus the /metrics, /healthz and /readyz ops endpoints).
 //
 // Every instrumentation entry point is nil-safe: a nil *Recorder, nil
 // *Counter, nil *Gauge, nil *Histogram, nil *Span, and nil *Phase are
@@ -159,12 +160,12 @@ func (h *Histogram) Quantile(q float64) uint64 {
 
 // HistogramSnapshot is a point-in-time copy of a histogram.
 type HistogramSnapshot struct {
-	Count  uint64   `json:"count"`
-	Sum    uint64   `json:"sum"`
-	Max    uint64   `json:"max"`
-	Bounds []uint64 `json:"bounds"`
+	Count  uint64
+	Sum    uint64
+	Max    uint64
+	Bounds []uint64
 	// Buckets has len(Bounds)+1 entries; the last is the overflow.
-	Buckets []uint64 `json:"buckets"`
+	Buckets []uint64
 }
 
 // ExpBounds returns n exponentially spaced bounds start, start*factor,
@@ -295,12 +296,12 @@ func splitMetricKey(key string) (name, labels string) {
 	return key, ""
 }
 
-// Snapshot is a point-in-time copy of every metric in a registry,
-// JSON-serializable for the debug endpoint.
+// Snapshot is a point-in-time copy of every metric in a registry, the
+// one read that the -metrics dump and the OpenMetrics page render.
 type Snapshot struct {
-	Counters   map[string]uint64            `json:"counters"`
-	Gauges     map[string]int64             `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
+	Counters   map[string]uint64
+	Gauges     map[string]int64
+	Histograms map[string]HistogramSnapshot
 }
 
 // Snapshot copies the registry's current values.

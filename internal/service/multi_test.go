@@ -2,10 +2,12 @@ package service
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -239,11 +241,11 @@ func TestFencedFinishWritesNothing(t *testing.T) {
 	if svc.Done(id) {
 		t.Fatal("fenced replica closed the campaign's waiters")
 	}
-	for name, want := range map[string]uint64{
-		"service.fenced": 1, "service.canceled": 0, "service.completed": 0, "service.failed": 0,
+	for name, want := range map[string]map[string]uint64{
+		"service.fenced": {"": 1}, "service.canceled": {}, "service.completed": {}, "service.failed": {},
 	} {
-		if n := rec.Counter(name).Value(); n != want {
-			t.Fatalf("%s = %d, want %d", name, n, want)
+		if got := counterSeries(rec.Metrics, name); !maps.Equal(got, want) {
+			t.Fatalf("%s series = %v, want %v", name, got, want)
 		}
 	}
 
@@ -334,8 +336,8 @@ func TestRecoverSkipsTornSubmission(t *testing.T) {
 }
 
 // TestTenantMetricsLabeled: every tenant-attributed series carries the
-// tenant label in the OpenMetrics rendering, alongside the unlabeled
-// aggregate.
+// tenant label in the OpenMetrics rendering, and each family has one
+// label set, so summing a family's samples counts every campaign once.
 func TestTenantMetricsLabeled(t *testing.T) {
 	rec := obs.NewRecorder()
 	svc := newService(t, Config{
@@ -357,14 +359,30 @@ func TestTenantMetricsLabeled(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := om.String()
+	engine := spec.engineName()
 	for _, want := range []string{
-		`service_submitted_total{tenant="acme"} 1`,
-		`service_submitted_total{tenant="default"} 1`,
-		`service_submitted_total 2`,
+		`service_submitted_total{engine="` + engine + `",tenant="acme"} 1`,
+		`service_submitted_total{engine="` + engine + `",tenant="default"} 1`,
 		`service_queued{tenant="acme"} 1`,
 	} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, page)
+		}
+	}
+	for _, family := range []string{"service_submitted_total", "service_queued"} {
+		sum := 0.0
+		for _, line := range strings.Split(page, "\n") {
+			series, value, _ := strings.Cut(line, " ")
+			if name, _, _ := strings.Cut(series, "{"); name == family {
+				v, err := strconv.ParseFloat(value, 64)
+				if err != nil {
+					t.Fatalf("sample %q: %v", line, err)
+				}
+				sum += v
+			}
+		}
+		if sum != 2 {
+			t.Fatalf("the %s samples sum to %v, want 2 (one per campaign):\n%s", family, sum, page)
 		}
 	}
 

@@ -493,20 +493,18 @@ func (s *Service) capacityLocked() int {
 	return s.cfg.MaxRunning
 }
 
-// updateGaugesLocked refreshes every queue-shaped gauge: totals,
-// per-tenant labeled series, the capacity clamp, and the autoscaling
+// updateGaugesLocked refreshes every queue-shaped gauge: the queued and
+// running campaigns per tenant, the capacity clamp, and the autoscaling
 // hint (how many simulation workers the current backlog wants). Caller
 // holds s.mu.
 func (s *Service) updateGaugesLocked() {
-	s.gauge("service.queued").Set(int64(s.sched.len()))
-	s.gauge("service.running").Set(int64(s.sched.busy))
 	s.gauge("service.capacity").Set(int64(s.capacityLocked()))
 	s.gauge("service.desired_workers").Set(int64(s.desiredWorkersLocked()))
 	for tenant, n := range s.sched.queuedByTenant() {
-		s.tenantGauge("service.queued", tenant).Set(int64(n))
+		s.gauge("service.queued", "tenant", tenant).Set(int64(n))
 	}
 	for tenant, n := range s.sched.running {
-		s.tenantGauge("service.running", tenant).Set(int64(n))
+		s.gauge("service.running", "tenant", tenant).Set(int64(n))
 	}
 }
 
@@ -592,8 +590,7 @@ func (s *Service) Submit(spec Spec) (string, error) {
 	}
 	if s.sched.len() >= s.cfg.MaxQueue {
 		s.mu.Unlock()
-		s.counter("service.rejected").Inc()
-		s.tenantCounter("service.rejected", tenant).Inc()
+		s.counter("service.rejected", "engine", spec.engineName(), "tenant", tenant).Inc()
 		return "", fmt.Errorf("%w (capacity %d)", ErrQueueFull, s.cfg.MaxQueue)
 	}
 	var id, dir string
@@ -627,9 +624,7 @@ func (s *Service) Submit(spec Spec) (string, error) {
 	}
 	s.campaigns[id] = c
 	s.sched.push(tenant, id)
-	s.counter("service.submitted").Inc()
-	s.tenantCounter("service.submitted", tenant).Inc()
-	s.engineCounter("service.submitted", spec.engineName()).Inc()
+	s.counter("service.submitted", "engine", spec.engineName(), "tenant", tenant).Inc()
 	s.updateGaugesLocked()
 	s.cond.Signal()
 	s.mu.Unlock()
@@ -1020,16 +1015,10 @@ var terminalCounters = map[string]string{
 	StateCanceled: "service.canceled",
 }
 
-// countTerminal counts a campaign that reached a terminal state in the
-// total and its tenant's series, and — done and failed only — its
-// engine's.
+// countTerminal counts a campaign that reached a terminal state in its
+// engine's and tenant's series.
 func (s *Service) countTerminal(st *State) {
-	name := terminalCounters[st.State]
-	s.counter(name).Inc()
-	s.tenantCounter(name, st.Spec.tenant()).Inc()
-	if st.State != StateCanceled {
-		s.engineCounter(name, st.Spec.engineName()).Inc()
-	}
+	s.counter(terminalCounters[st.State], "engine", st.Spec.engineName(), "tenant", st.Spec.tenant()).Inc()
 }
 
 // executeFlow builds the campaign's journaled flow — with the lease's
@@ -1118,34 +1107,25 @@ func (s *Service) unit(name string) (duv.DUV, error) {
 	return u, nil
 }
 
-func (s *Service) counter(name string) *obs.Counter { return s.rec.Counter(name) }
-func (s *Service) gauge(name string) *obs.Gauge     { return s.rec.Gauge(name) }
-
-// tenantCounter and tenantGauge are the per-tenant labeled series
-// (service.submitted{tenant="x"}, ...). Tenant names are validated at
-// submission, so label cardinality is caller-bounded.
-func (s *Service) tenantCounter(name, tenant string) *obs.Counter {
+// counter and gauge return the service series name labeled by the
+// pairs kv, or unlabeled without them. Each family has one label set: a
+// campaign counter (service.submitted, .rejected and the terminal
+// counters) is labeled by engine and tenant, the queue gauges by tenant,
+// and a series no tenant owns by nothing, so summing a family counts
+// each fact once. Tenant names are validated at submission and engine
+// names come from the registry, so label cardinality is caller-bounded.
+func (s *Service) counter(name string, kv ...string) *obs.Counter {
 	if s.rec == nil {
 		return nil
 	}
-	return s.rec.Metrics.CounterWith(name, obs.Labels("tenant", tenant))
+	return s.rec.Metrics.CounterWith(name, obs.Labels(kv...))
 }
 
-func (s *Service) tenantGauge(name, tenant string) *obs.Gauge {
+func (s *Service) gauge(name string, kv ...string) *obs.Gauge {
 	if s.rec == nil {
 		return nil
 	}
-	return s.rec.Metrics.GaugeWith(name, obs.Labels("tenant", tenant))
-}
-
-// engineCounter is the per-engine labeled series
-// (service.submitted{engine="ranker"}, ...). Engine names come from the
-// registry, so label cardinality is bounded by opt.EngineNames().
-func (s *Service) engineCounter(name, engine string) *obs.Counter {
-	if s.rec == nil {
-		return nil
-	}
-	return s.rec.Metrics.CounterWith(name, obs.Labels("engine", engine))
+	return s.rec.Metrics.GaugeWith(name, obs.Labels(kv...))
 }
 
 // Knowledge returns the merged fleet-wide knowledge base (the

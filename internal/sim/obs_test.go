@@ -33,9 +33,6 @@ func TestSchedulerObsMetrics(t *testing.T) {
 	}
 
 	snap := rec.Metrics.Snapshot()
-	if got := snap.Counters["sim.batches_submitted"]; got != jobs {
-		t.Fatalf("batches_submitted = %d, want %d", got, jobs)
-	}
 	if got := snap.Counters["sim.jobs_submitted"]; got != jobs {
 		t.Fatalf("jobs_submitted = %d, want %d", got, jobs)
 	}

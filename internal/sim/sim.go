@@ -63,9 +63,8 @@ type Env struct {
 	campaign string          // trace-correlation identity (SetRecorder)
 
 	// Observability handles (nil when disabled; all nil-safe).
-	mBatches   *obs.Counter
-	mInstances *obs.Counter // sequential-path instances (the scheduler counts its own)
-	hBatchSize *obs.Histogram
+	mInstances *obs.Counter   // sequential-path instances (the scheduler counts its own)
+	hBatchSize *obs.Histogram // its count is the batches submitted
 
 	mCorpusHits, mCorpusMisses, mCorpusEvictions *obs.Counter
 }
@@ -95,7 +94,6 @@ func NewEnv(unit duv.DUV, seed uint64, workers int) *Env {
 // seeding, sharding, and merge order are identical with it on or off.
 func (e *Env) SetRecorder(rec *obs.Recorder) {
 	e.campaign = rec.CampaignID()
-	e.mBatches = rec.Counter("sim.batches_submitted")
 	e.mInstances = rec.Counter("sim.instances_completed")
 	e.hBatchSize = rec.Histogram("sim.batch_size", obs.SizeBounds())
 	e.plans.setRecorder(rec)
@@ -269,7 +267,6 @@ func (e *Env) Submit(tmpl *template.Template, n int) (*Job, error) {
 		return job, nil
 	}
 	e.sims.Add(uint64(n))
-	e.mBatches.Inc()
 	e.hBatchSize.Observe(uint64(n))
 	e.sched.enqueue(job, n)
 	return job, nil
@@ -308,7 +305,6 @@ func (e *Env) Run(tmpl *template.Template, n int) (*coverage.Counts, error) {
 	}
 	if n > 0 {
 		e.sims.Add(uint64(n))
-		e.mBatches.Inc()
 		e.mInstances.Add(uint64(n))
 		e.hBatchSize.Observe(uint64(n))
 	}
