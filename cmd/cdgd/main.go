@@ -96,14 +96,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return cli.Fail(fs, 2, fmt.Errorf("-tenant-weights: %w", err))
 	}
-	d, retry, code := farmFlags.Dial(rec, logger)
+	d, code := farmFlags.Dial(rec, logger)
 	if code != 0 {
 		return code
 	}
-	var farmBanner string
 	if d != nil {
 		defer d.Close()
-		farmBanner = ", farm retry " + retry
 	}
 	svc, err := service.New(service.Config{
 		DataDir:       *dataDir,
@@ -139,8 +137,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sigc)
-	fmt.Fprintf(stdout, "cdgd: listening on %s (data %s, owner %s, max-running %d, max-queue %d%s)\n",
-		ln.Addr(), *dataDir, svc.Owner(), *maxRunning, *maxQueue, farmBanner)
+	fmt.Fprintf(stdout, "cdgd: listening on %s (data %s, owner %s, max-running %d, max-queue %d)\n",
+		ln.Addr(), *dataDir, svc.Owner(), *maxRunning, *maxQueue)
 
 	serveDone := make(chan struct{})
 	go func() {

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	farmd -listen :9666 [-capacity 8] [-plan-cache 64] [-drain 10s]
+//	farmd -listen :9666 [-capacity 8] [-drain 10s]
 //
 // SIGINT/SIGTERM drain gracefully: in-flight chunks finish and their
 // results are delivered before the process exits; idle connections are
@@ -45,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	listen := fs.String("listen", ":9666", "address to listen on for farm-protocol connections")
 	capacity := fs.Int("capacity", 0, "concurrently executing chunks (<= 0: GOMAXPROCS); advertised to dispatchers")
-	planCache := fs.Int("plan-cache", 0, "per-unit compiled-plan cache entries (0: unbounded)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight chunks")
 	var (
 		faults   cli.Faults
@@ -74,11 +73,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.Fail(fs, 1, err)
 	}
 	srv := farm.NewServer(farm.ServerOptions{
-		Capacity:      *capacity,
-		PlanCacheSize: *planCache,
-		DrainTimeout:  *drain,
-		Rec:           rec,
-		Log:           logger,
+		Capacity:     *capacity,
+		DrainTimeout: *drain,
+		Rec:          rec,
+		Log:          logger,
 	})
 	// /readyz fails once the drain begins, so orchestrators stop routing
 	// new sessions at a worker that is on its way out.

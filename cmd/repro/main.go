@@ -104,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *engineParams != "" {
 		opts.EngineParams = json.RawMessage(*engineParams)
 	}
-	d, _, code := farmFlags.Dial(rec, nil)
+	d, code := farmFlags.Dial(rec, nil)
 	if code != 0 {
 		return code
 	}

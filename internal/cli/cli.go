@@ -136,17 +136,17 @@ func writeTrace(path string, t *obs.Tracer) error {
 	return f.Close()
 }
 
-// Farm is -farm, -farm-retry, -hedge and -audit-fraction.
+// Farm is -farm, -hedge and -audit-fraction. The dispatcher's timeouts,
+// retry budget and backoff are constants of internal/farm.
 type Farm struct {
 	fs                   *flag.FlagSet
-	addrs, retry         string
+	addrs                string
 	hedge, auditFraction float64
 }
 
 func (f *Farm) Register(fs *flag.FlagSet) {
 	f.fs = fs
 	fs.StringVar(&f.addrs, "farm", "", "comma-separated farmd worker addresses (host:port,host:port); chunks are dispatched remotely with local fallback")
-	fs.StringVar(&f.retry, "farm-retry", "", "farm retry/backoff tuning: base=50ms,cap=2s,attempts=3,jitter=0.25 (keys optional)")
 	fs.Float64Var(&f.hedge, "hedge", 0, "hedge straggling farm chunks after this multiple of the fleet p95 latency (0 disables)")
 	fs.Float64Var(&f.auditFraction, "audit-fraction", 0, "re-execute this fraction of remote chunk results locally and cross-check them (0 disables, 1 audits everything)")
 }
@@ -154,26 +154,21 @@ func (f *Farm) Register(fs *flag.FlagSet) {
 // Dial builds the dispatcher over the -farm workers, or returns nil when
 // -farm is empty. It waits up to five seconds for a first worker and
 // warns if none answered: chunks fall back to local execution until one
-// does. retry is the effective -farm-retry configuration, for banners.
-// A -hedge, -audit-fraction or -farm-retry the dispatcher cannot honour
-// (farm.Options.Validate, ApplyRetrySpec) is a usage error.
-// The command closes d.
-func (f *Farm) Dial(rec *obs.Recorder, log *slog.Logger) (d *farm.Dispatcher, retry string, code int) {
+// does. A -hedge or -audit-fraction the dispatcher cannot honour
+// (farm.Options.Validate) is a usage error. The command closes d.
+func (f *Farm) Dial(rec *obs.Recorder, log *slog.Logger) (d *farm.Dispatcher, code int) {
 	if f.addrs == "" {
-		return nil, "", 0
+		return nil, 0
 	}
 	opts := farm.Options{Rec: rec, Log: log, Hedge: f.hedge, AuditFraction: f.auditFraction}
 	if err := opts.Validate(); err != nil {
-		return nil, "", Fail(f.fs, 2, err)
-	}
-	if err := opts.ApplyRetrySpec(f.retry); err != nil {
-		return nil, "", Fail(f.fs, 2, err)
+		return nil, Fail(f.fs, 2, err)
 	}
 	d = farm.New(strings.Split(f.addrs, ","), opts)
 	if err := d.WaitReady(5 * time.Second); err != nil {
 		printf(f.fs, "farm: no worker reachable yet (%v); continuing, chunks fall back to local execution", err)
 	}
-	return d, opts.RetryString(), 0
+	return d, 0
 }
 
 // Faults is -failpoints, which defaults to $ASCDG_FAILPOINTS.

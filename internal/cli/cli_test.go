@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -158,9 +162,9 @@ func TestObs(t *testing.T) {
 }
 
 func TestFarm(t *testing.T) {
-	checkDefaults(t, &Farm{}, map[string]string{"farm": "", "farm-retry": "", "hedge": "0", "audit-fraction": "0"})
+	checkDefaults(t, &Farm{}, map[string]string{"farm": "", "hedge": "0", "audit-fraction": "0"})
 	checkStep(t, func(f *Farm) int {
-		d, _, code := f.Dial(nil, nil)
+		d, code := f.Dial(nil, nil)
 		if d != nil {
 			t.Errorf("a dispatcher from %+v", f)
 			d.Close()
@@ -168,10 +172,6 @@ func TestFarm(t *testing.T) {
 		return code
 	}, []stepCase{
 		{nil, 0, ""},
-		// -farm-retry tunes a farm; without one it is not read.
-		{[]string{"-farm-retry", "bogus"}, 0, ""},
-		{[]string{"-farm", "127.0.0.1:1", "-farm-retry", "bogus"}, 2, "cmd: farm: retry spec"},
-		{[]string{"-farm", "127.0.0.1:1", "-farm-retry", "attempts=0"}, 2, "cmd: farm: retry spec attempts"},
 		// A multiplier that does not convert to a duration once hedged
 		// every exchange after 1ms.
 		{[]string{"-farm", "127.0.0.1:1", "-hedge", "NaN"}, 2, "cmd: farm: hedge NaN"},
@@ -332,10 +332,13 @@ func TestCorpus(t *testing.T) {
 	}
 }
 
-// TestREADMEHasEveryFlag keeps README's flag table complete: every flag
-// this package registers has a row whose first cell names it.
+// TestREADMEHasEveryFlag keeps README's flag tables a census both ways:
+// every flag this package registers has a row whose first cell names
+// it, and every flag a row's first cell names is declared by this
+// package or a command's main.go.
 func TestREADMEHasEveryFlag(t *testing.T) {
-	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	root := filepath.Join("..", "..")
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,4 +350,71 @@ func TestREADMEHasEveryFlag(t *testing.T) {
 			t.Errorf("README.md has no flag-table row for -%s", f.Name)
 		}
 	})
+
+	declared := declaredFlags(t, root)
+	if len(declared) == 0 {
+		t.Fatal("the scan found no declared flags")
+	}
+	name := regexp.MustCompile("`-([a-z][a-z0-9-]*)")
+	for _, line := range strings.Split(string(readme), "\n") {
+		cells := strings.Split(line, "|")
+		if !strings.HasPrefix(line, "| ") || len(cells) < 3 {
+			continue
+		}
+		for _, m := range name.FindAllStringSubmatch(cells[1], -1) {
+			if !declared[m[1]] {
+				t.Errorf("README.md's flag table documents -%s, which neither internal/cli nor a cmd/*/main.go declares", m[1])
+			}
+		}
+	}
+}
+
+// declaredFlags scans this package's and every command's main.go source
+// for flag-set calls whose name argument is a string literal.
+func declaredFlags(t *testing.T, root string) map[string]bool {
+	t.Helper()
+	nameArg := map[string]int{
+		"Bool": 0, "Duration": 0, "Float64": 0, "Int": 0, "Int64": 0, "String": 0, "Uint": 0, "Uint64": 0,
+		"Func": 0, "BoolFunc": 0,
+		"BoolVar": 1, "DurationVar": 1, "Float64Var": 1, "IntVar": 1, "Int64Var": 1, "StringVar": 1,
+		"UintVar": 1, "Uint64Var": 1, "Var": 1, "TextVar": 1,
+	}
+	mains, err := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, path := range append(mains, own...) {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			i, ok := nameArg[sel.Sel.Name]
+			if !ok || len(call.Args) <= i {
+				return true
+			}
+			if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value) // the parser accepted the literal
+				declared[name] = true
+			}
+			return true
+		})
+	}
+	return declared
 }

@@ -320,11 +320,7 @@ func invFleet(name string, faults ...farm.Faults) invAxis {
 			addrs[i] = string(rune('a' + i))
 			lb.Add(addrs[i], srv, f)
 		}
-		d := farm.New(addrs, farm.Options{
-			ChunkTimeout: 2 * time.Second, AcquireTimeout: 50 * time.Millisecond, Attempts: 3,
-			Heartbeat: 20 * time.Millisecond, BackoffBase: 2 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
-			Dial: lb.Dial,
-		})
+		d := farm.New(addrs, farm.Options{Dial: lb.Dial})
 		defer d.Close()
 		if err := d.WaitReady(10 * time.Second); err != nil {
 			t.Fatal(err)

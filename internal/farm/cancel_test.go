@@ -57,13 +57,13 @@ func TestRunChunkCanceledContext(t *testing.T) {
 }
 
 // TestCancelUnblocksAcquire: a cancellation arriving while RunChunkInto is
-// waiting for a connection (dead fleet, long AcquireTimeout) unblocks
+// waiting for a connection (dead fleet, long acquire timeout) unblocks
 // it promptly instead of burning the full timeout and retry backoff.
 func TestCancelUnblocksAcquire(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	lb := NewLoopback() // no workers registered: acquire always blocks
 	opts := testOptions(lb.Dial, nil)
-	opts.AcquireTimeout = 30 * time.Second
+	opts.timing.acquire = 30 * time.Second
 	opts.Context = ctx
 	d := New(nil, opts)
 	defer d.Close()

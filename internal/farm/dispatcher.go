@@ -25,39 +25,41 @@ import (
 // Dispatcher errors.
 var (
 	// ErrNoWorkers reports that no remote connection was available
-	// within AcquireTimeout. The scheduler treats it like any runner
-	// failure: the chunk runs locally, so a dead or absent fleet
-	// degrades throughput, never results.
+	// in time. The scheduler treats it like any runner failure: the
+	// chunk runs locally, so a dead or absent fleet degrades
+	// throughput, never results.
 	ErrNoWorkers = errors.New("farm: no remote workers available")
 	// ErrDispatcherClosed reports a RunChunkInto after Close.
 	ErrDispatcherClosed = errors.New("farm: dispatcher is closed")
 )
 
+// timing is the dispatcher's clock and retry budget.
+type timing struct {
+	chunk     time.Duration // deadline of one exchange attempt or handshake
+	acquire   time.Duration // wait for an idle connection before falling back locally
+	attempts  int           // connections a chunk tries before the local fallback
+	heartbeat time.Duration // idle-connection ping interval and deadline; <= 0 disables
+	// backoffBase doubles per failed attempt or redial, up to backoffMax,
+	// and every step is jittered by ± jitter of itself (0 disables).
+	backoffBase, backoffMax time.Duration
+	jitter                  float64
+}
+
+// fleetTiming is the timing every fleet runs (DESIGN.md §9). No option
+// sets it; in-package tests replace it through Options.timing so fault
+// scenarios resolve in milliseconds.
+var fleetTiming = timing{
+	chunk:       60 * time.Second,
+	acquire:     2 * time.Second,
+	attempts:    3,
+	heartbeat:   5 * time.Second,
+	backoffBase: 50 * time.Millisecond,
+	backoffMax:  2 * time.Second,
+	jitter:      0.25,
+}
+
 // Options tune the dispatcher. The zero value gives sane defaults.
 type Options struct {
-	// ChunkTimeout is the per-attempt deadline for one remote exchange
-	// (write request, read result). <= 0: 60s.
-	ChunkTimeout time.Duration
-	// AcquireTimeout bounds the wait for an idle connection before the
-	// attempt is abandoned (and the chunk falls back locally). <= 0: 2s.
-	AcquireTimeout time.Duration
-	// Attempts is how many connections a chunk tries before giving up
-	// remotely. Each failed attempt evicts its connection and backs off
-	// (BackoffBase doubling per attempt, jittered, capped at
-	// BackoffMax). <= 0: 3.
-	Attempts int
-	// Heartbeat is the idle-connection ping interval; dead connections
-	// are evicted and their keeper redials (rejoin). <= 0: 5s. Negative
-	// disables heartbeats.
-	Heartbeat time.Duration
-	// BackoffBase/BackoffMax bound the exponential redial and retry
-	// backoff. <= 0: 50ms / 2s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// BackoffJitter is the ± jitter fraction applied to every backoff
-	// step, in [0, 1]. 0 selects the default 0.25; negative disables
-	// jitter entirely (deterministic backoff, for tests).
-	BackoffJitter float64
 	// MaxConnsPerWorker caps connections per address; the effective
 	// count is min(cap, worker's advertised capacity). <= 0: 8.
 	MaxConnsPerWorker int
@@ -93,38 +95,19 @@ type Options struct {
 	// Context, when non-nil, cancels queued remote work: RunChunkInto stops
 	// retrying, acquiring, and backing off the moment it is done, and
 	// new calls fail immediately with its error. In-flight exchanges
-	// drain under their ChunkTimeout as usual.
+	// drain under their chunk deadline as usual.
 	Context context.Context
 
-	// breaker overrides two of the health breaker's constants for
-	// in-package tests (health.go).
+	// timing replaces fleetTiming, and breaker overrides two of the
+	// health breaker's constants (health.go), for in-package tests. The
+	// zero timing selects fleetTiming.
+	timing  timing
 	breaker breaker
 }
 
 func (o *Options) setDefaults() {
-	if o.ChunkTimeout <= 0 {
-		o.ChunkTimeout = 60 * time.Second
-	}
-	if o.AcquireTimeout <= 0 {
-		o.AcquireTimeout = 2 * time.Second
-	}
-	if o.Attempts <= 0 {
-		o.Attempts = 3
-	}
-	if o.Heartbeat == 0 {
-		o.Heartbeat = 5 * time.Second
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 2 * time.Second
-	}
-	if o.BackoffJitter == 0 {
-		o.BackoffJitter = 0.25
-	}
-	if o.BackoffJitter > 1 {
-		o.BackoffJitter = 1
+	if o.timing == (timing{}) {
+		o.timing = fleetTiming
 	}
 	if o.MaxConnsPerWorker <= 0 {
 		o.MaxConnsPerWorker = 8
@@ -156,14 +139,6 @@ func (o *Options) Validate() error {
 	return nil
 }
 
-// jitter is the effective backoff jitter fraction (negative disables).
-func (o *Options) jitter() float64 {
-	if o.BackoffJitter < 0 {
-		return 0
-	}
-	return o.BackoffJitter
-}
-
 // Dispatcher hands scheduler chunks to a fleet of farm workers. It
 // implements sim.ChunkRunner, so it plugs into a simulation environment
 // with Env.AttachRunner(d, d.Lanes()); the scheduler's remote lanes and
@@ -176,7 +151,7 @@ func (o *Options) jitter() float64 {
 // exponential backoff, so workers may crash and rejoin at any time.
 // Failed exchanges are retried on other connections with backoff and
 // jitter, and the chunk is abandoned to the scheduler's local fallback
-// after Attempts tries; combined with the scheduler's exactly-once
+// once its attempts run out; combined with the scheduler's exactly-once
 // merge, a chunk is never lost and never double-counted, whatever the
 // failure pattern.
 //
@@ -272,7 +247,7 @@ func New(addrs []string, opts Options) *Dispatcher {
 	d.log = obs.OrNop(opts.Log)
 	d.fp = opts.FP
 	d.health = newHealthSet(opts.breaker, addrs, opts.Rec, d.log)
-	d.local = newUnitEnvs(nil, 0)
+	d.local = newUnitEnvs(nil)
 	if opts.AuditFraction > 0 {
 		d.auditRng = rand.New(rand.NewSource(rand.Int63()))
 	}
@@ -298,7 +273,7 @@ func New(addrs []string, opts Options) *Dispatcher {
 		d.wg.Add(1)
 		go d.keeper(i, addr, 0, &sync.Once{})
 	}
-	if opts.Heartbeat > 0 {
+	if opts.timing.heartbeat > 0 {
 		d.wg.Add(1)
 		go d.heartbeater()
 	}
@@ -307,7 +282,7 @@ func New(addrs []string, opts Options) *Dispatcher {
 
 // Lanes is the recommended number of scheduler lanes to attach: one per
 // potential connection slot, so a fully healthy fleet can be saturated
-// while AcquireTimeout keeps lanes from stalling when slots are down.
+// while the acquire timeout keeps lanes from stalling when slots are down.
 func (d *Dispatcher) Lanes() int {
 	return len(d.addrs) * d.opts.MaxConnsPerWorker
 }
@@ -369,7 +344,7 @@ func (d *Dispatcher) RunChunkInto(c sim.RemoteChunk, dst *coverage.Counts) error
 		return err
 	}
 	var lastErr error
-	for attempt := 0; attempt < d.opts.Attempts; attempt++ {
+	for attempt := 0; attempt < d.opts.timing.attempts; attempt++ {
 		if attempt > 0 {
 			d.mRetries.Inc()
 			d.sleep(d.backoff(attempt - 1))
@@ -701,7 +676,7 @@ func (d *Dispatcher) exchange1(w *wconn, c sim.RemoteChunk) error {
 		return err
 	}
 	fillChunkFrame(&w.rf, 0, c)
-	if err := w.roundTrip(&w.rf, TypeResult, d.opts.ChunkTimeout); err != nil {
+	if err := w.roundTrip(&w.rf, TypeResult, d.opts.timing.chunk); err != nil {
 		return err
 	}
 	f := &w.rf
@@ -746,9 +721,9 @@ func (w *wconn) roundTrip(req *Frame, reply string, timeout time.Duration) error
 
 // acquire pulls an idle connection, skipping any that died while
 // pooled and evicting connections of quarantined workers. nil means no
-// connection within AcquireTimeout (or closed).
+// connection within the acquire timeout (or closed).
 func (d *Dispatcher) acquire() *wconn {
-	deadline := time.NewTimer(d.opts.AcquireTimeout)
+	deadline := time.NewTimer(d.opts.timing.acquire)
 	defer deadline.Stop()
 	for {
 		select {
@@ -891,7 +866,7 @@ func (d *Dispatcher) dial(addrIdx int, addr string) (*wconn, int, error) {
 		conn.Close()
 		return nil, 0, err
 	}
-	conn.SetDeadline(time.Now().Add(d.opts.ChunkTimeout))
+	conn.SetDeadline(time.Now().Add(d.opts.timing.chunk))
 	hello := &Frame{Type: TypeHello, Version: handshakeVersion, Max: ProtocolVersion,
 		Build: buildinfo.Read().Short()}
 	if err := WriteFrame(conn, hello); err != nil {
@@ -940,7 +915,7 @@ func (d *Dispatcher) dial(addrIdx int, addr string) (*wconn, int, error) {
 // ping/result frames from interleaving.
 func (d *Dispatcher) heartbeater() {
 	defer d.wg.Done()
-	t := time.NewTicker(d.opts.Heartbeat)
+	t := time.NewTicker(d.opts.timing.heartbeat)
 	defer t.Stop()
 	for {
 		select {
@@ -969,7 +944,7 @@ func (d *Dispatcher) heartbeater() {
 // ping is one heartbeat round trip, under the heartbeat interval.
 func (d *Dispatcher) ping(w *wconn) error {
 	w.rf = Frame{Type: TypePing, Hits: w.rf.Hits[:0]}
-	return w.roundTrip(&w.rf, TypePong, d.opts.Heartbeat)
+	return w.roundTrip(&w.rf, TypePong, d.opts.timing.heartbeat)
 }
 
 // Close stops the dispatcher: keepers and the heartbeater exit, every
@@ -1005,7 +980,8 @@ func (d *Dispatcher) sleep(dur time.Duration) {
 // backoff is the attempt'th exponential backoff step under the
 // dispatcher's retry configuration.
 func (d *Dispatcher) backoff(attempt int) time.Duration {
-	return backoff(d.opts.BackoffBase, d.opts.BackoffMax, attempt, d.opts.jitter())
+	t := &d.opts.timing
+	return backoff(t.backoffBase, t.backoffMax, attempt, t.jitter)
 }
 
 // backoff is the attempt'th exponential backoff step with ±jitter

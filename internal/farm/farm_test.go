@@ -2,6 +2,7 @@ package farm
 
 import (
 	"errors"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -15,18 +16,42 @@ import (
 	"repro/internal/template"
 )
 
-// testOptions are aggressive timings so fault scenarios resolve in
-// milliseconds instead of the production defaults' seconds.
+// testTiming is aggressive so fault scenarios resolve in milliseconds
+// instead of fleetTiming's seconds.
+var testTiming = timing{
+	chunk:       2 * time.Second,
+	acquire:     50 * time.Millisecond,
+	attempts:    3,
+	heartbeat:   20 * time.Millisecond,
+	backoffBase: 2 * time.Millisecond,
+	backoffMax:  20 * time.Millisecond,
+	jitter:      0.25,
+}
+
 func testOptions(dial func(string) (net.Conn, error), rec *obs.Recorder) Options {
-	return Options{
-		ChunkTimeout:   2 * time.Second,
-		AcquireTimeout: 50 * time.Millisecond,
-		Attempts:       3,
-		Heartbeat:      20 * time.Millisecond,
-		BackoffBase:    2 * time.Millisecond,
-		BackoffMax:     20 * time.Millisecond,
-		Dial:           dial,
-		Rec:            rec,
+	return Options{Dial: dial, Rec: rec, timing: testTiming}
+}
+
+func TestOptionsValidate(t *testing.T) {
+	for _, tc := range []struct {
+		hedge, audit float64
+		ok           bool
+	}{
+		{0, 0, true},
+		{2, 0.5, true},
+		{1e30, 1, true}, // finite: hedgeBudget saturates
+		{math.NaN(), 0, false},
+		{math.Inf(1), 0, false},
+		{math.Inf(-1), 0, false},
+		{-1, 0, false},
+		{0, math.NaN(), false},
+		{0, 2, false},
+		{0, -0.5, false},
+	} {
+		o := Options{Hedge: tc.hedge, AuditFraction: tc.audit}
+		if err := o.Validate(); (err == nil) != tc.ok {
+			t.Errorf("Validate(hedge %v, audit fraction %v) = %v, want ok %v", tc.hedge, tc.audit, err, tc.ok)
+		}
 	}
 }
 
@@ -391,11 +416,9 @@ func TestFarmTCP(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 
-	d := New([]string{ln.Addr().String()}, Options{
-		AcquireTimeout: 100 * time.Millisecond,
-		BackoffBase:    5 * time.Millisecond,
-		Heartbeat:      50 * time.Millisecond,
-	})
+	tm := fleetTiming
+	tm.acquire, tm.backoffBase, tm.heartbeat = 100*time.Millisecond, 5*time.Millisecond, 50*time.Millisecond
+	d := New([]string{ln.Addr().String()}, Options{timing: tm})
 	defer d.Close()
 	if err := d.WaitReady(10 * time.Second); err != nil {
 		t.Fatal(err)

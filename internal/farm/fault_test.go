@@ -157,7 +157,7 @@ func TestFaultMatrix(t *testing.T) {
 					lb.Add(addrs[i], servers[i], Faults{})
 				}
 				opts := testOptions(lb.Dial, rec)
-				opts.ChunkTimeout = 300 * time.Millisecond
+				opts.timing.chunk = 300 * time.Millisecond
 				opts.AuditFraction = 1
 				opts.breaker.cooldown = 40 * time.Millisecond
 				opts.FP = failpoint.New(7)
@@ -238,7 +238,7 @@ func TestByzantineFleetAcceptance(t *testing.T) {
 	// would evict the straggler's connection at every idle pass — it
 	// would never serve a chunk, and there would be nothing to hedge.
 	// Liveness discovery is not under test here, so disable it.
-	opts.Heartbeat = -1
+	opts.timing.heartbeat = 0
 	opts.FP = failpoint.New(1)
 	opts.breaker.cooldown = 100 * time.Millisecond
 	// The straggler is hedging's job here, not the breaker's: an
@@ -336,7 +336,7 @@ func TestHedgedStragglerExecution(t *testing.T) {
 	}
 	opts := testOptions(lb.Dial, rec)
 	opts.Hedge = 2
-	opts.Heartbeat = -1 // see TestByzantineFleetAcceptance
+	opts.timing.heartbeat = 0 // see TestByzantineFleetAcceptance
 	opts.FP = failpoint.New(1)
 	// Hedging, not the breaker, is under test: keep the straggler
 	// routable so there is something to hedge.

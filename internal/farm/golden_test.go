@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/duv/iounit"
@@ -94,7 +93,7 @@ func recordSession(t *testing.T) []string {
 		tap = &tapConn{Conn: client}
 		return tap, nil
 	}
-	d := New(nil, Options{Dial: dial, Heartbeat: time.Hour, ChunkTimeout: 5 * time.Second})
+	d := New(nil, Options{Dial: dial})
 	defer d.Close()
 	w, _, err := d.dial(0, "golden")
 	if err != nil {

@@ -90,7 +90,6 @@ type healthSet struct {
 
 	gQuarantined *obs.Gauge   // farm.workers_quarantined: not healthy
 	cQuarantines *obs.Counter // farm.quarantines: total breaker opens
-	cIntegrity   *obs.Counter // farm.integrity_failures
 	cProbes      *obs.Counter // farm.health_probes
 
 	mu      sync.Mutex
@@ -119,7 +118,6 @@ func newHealthSet(b breaker, addrs []string, rec *obs.Recorder, log *slog.Logger
 	if rec != nil {
 		hs.gQuarantined = rec.Gauge("farm.workers_quarantined")
 		hs.cQuarantines = rec.Counter("farm.quarantines")
-		hs.cIntegrity = rec.Counter("farm.integrity_failures")
 		hs.cProbes = rec.Counter("farm.health_probes")
 	}
 	for _, addr := range addrs {
@@ -255,8 +253,7 @@ func (hs *healthSet) integrityFailure(addr string) []*wconn {
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
 	h := hs.workers[addr]
-	h.integrity++
-	hs.cIntegrity.Inc()
+	h.integrity++ // the fleet-wide count is the dispatcher's farm.audit_mismatches
 	return hs.quarantine(h, "integrity failure", true)
 }
 

@@ -14,8 +14,9 @@ type Faults struct {
 	// the keeper's redial backoff and WaitReady.
 	FailDials int
 	// Delay is added before every server-side frame write — exercises
-	// per-chunk deadlines when larger than ChunkTimeout, and plain
-	// latency otherwise.
+	// the per-chunk deadline when larger than the dispatcher's chunk
+	// timing (60s in fleetTiming, shorter in tests), and plain latency
+	// otherwise.
 	Delay time.Duration
 	// DuplicateEvery duplicates every Nth server-side frame (0: never) —
 	// exercises the dispatcher's correlation-ID skip and, with the

@@ -24,11 +24,6 @@ type ServerOptions struct {
 	// advertise it so dispatchers open a matching number of
 	// connections). <= 0 selects GOMAXPROCS.
 	Capacity int
-	// PlanCacheSize bounds each unit environment's compiled-plan cache
-	// (<= 0: sim.DefaultPlanCacheSize). Worth setting on long-lived
-	// daemons: every chunk request re-parses its template, and only the
-	// content-keyed cache keeps that from becoming a compile per chunk.
-	PlanCacheSize int
 	// DrainTimeout bounds Shutdown: connections executing a chunk get
 	// this long to finish and write their result before being severed
 	// (severed chunks are re-run by the dispatcher's fallback, so drain
@@ -97,7 +92,7 @@ func NewServer(opts ServerOptions) *Server {
 	s := &Server{
 		opts:  opts,
 		sem:   make(chan struct{}, opts.Capacity),
-		local: newUnitEnvs(opts.Rec, opts.PlanCacheSize),
+		local: newUnitEnvs(opts.Rec),
 		conns: map[*serverConn]struct{}{},
 		done:  make(chan struct{}),
 	}
@@ -348,8 +343,7 @@ func (s *Server) runChunk(f *Frame, scratch *coverage.Counts) (*coverage.Counts,
 // caller's goroutine, and the caller bounds the concurrency — and their
 // seed is irrelevant, since every chunk carries its own.
 type unitEnvs struct {
-	rec       *obs.Recorder // nil: unrecorded
-	planCache int           // <= 0: sim.DefaultPlanCacheSize
+	rec *obs.Recorder // nil: unrecorded
 
 	mu   sync.Mutex
 	envs map[string]*sim.Env // nil once closed
@@ -357,8 +351,8 @@ type unitEnvs struct {
 
 var errExecutorClosed = errors.New("farm: local executor is closed")
 
-func newUnitEnvs(rec *obs.Recorder, planCache int) *unitEnvs {
-	return &unitEnvs{rec: rec, planCache: planCache, envs: map[string]*sim.Env{}}
+func newUnitEnvs(rec *obs.Recorder) *unitEnvs {
+	return &unitEnvs{rec: rec, envs: map[string]*sim.Env{}}
 }
 
 // env returns the unit's environment, building it on first use.
@@ -378,9 +372,6 @@ func (u *unitEnvs) env(unit string) (*sim.Env, error) {
 	e := sim.NewEnv(d, 1, 1)
 	if u.rec != nil {
 		e.SetRecorder(u.rec)
-	}
-	if u.planCache > 0 {
-		e.SetPlanCacheSize(u.planCache)
 	}
 	u.envs[unit] = e
 	return e, nil

@@ -478,7 +478,7 @@ func TestDialNegotiation(t *testing.T) {
 			}()
 			return client, nil
 		}
-		d := New(nil, Options{Dial: fakeDial, Heartbeat: time.Second})
+		d := New(nil, Options{Dial: fakeDial})
 		defer d.Close()
 		w, capacity, err := d.dial(0, "current")
 		if err != nil {
@@ -523,7 +523,7 @@ func TestDialVersionMismatch(t *testing.T) {
 				}()
 				return client, nil
 			}
-			d := New(nil, Options{Dial: fakeDial, Heartbeat: -1})
+			d := New(nil, Options{Dial: fakeDial})
 			defer d.Close()
 			if _, _, err := d.dial(0, "fake"); !errors.Is(err, ErrVersionMismatch) {
 				t.Fatalf("err = %v, want ErrVersionMismatch", err)

@@ -129,6 +129,7 @@ type Manager struct {
 	ttl   time.Duration
 	rec   *obs.Recorder
 	log   *slog.Logger
+	now   func() time.Time // the lease clock; tests step a fake one
 
 	mu      sync.Mutex
 	handles map[*Handle]struct{}
@@ -151,6 +152,7 @@ func NewManager(opts Options) (*Manager, error) {
 		ttl:     opts.TTL,
 		rec:     opts.Rec,
 		log:     obs.OrNop(opts.Log),
+		now:     time.Now,
 		handles: map[*Handle]struct{}{},
 	}, nil
 }
@@ -165,7 +167,7 @@ func (m *Manager) TTL() time.Duration { return m.ttl }
 // acquired by this manager's owner right now: free, released, expired,
 // or already ours (a previous incarnation of this replica).
 func (m *Manager) Claimable(rec *Record) bool {
-	return rec == nil || rec.Owner == m.owner || rec.Expired(time.Now())
+	return rec == nil || rec.Owner == m.owner || rec.Expired(m.now())
 }
 
 // Acquire claims the campaign lease in dir, bumping the fencing epoch
@@ -189,7 +191,7 @@ func (m *Manager) Acquire(dir, campaign string) (*Handle, error) {
 		if err != nil {
 			return nil, err
 		}
-		if rec != nil && rec.Owner != m.owner && !rec.Expired(time.Now()) {
+		if rec != nil && rec.Owner != m.owner && !rec.Expired(m.now()) {
 			return nil, fmt.Errorf("%w: campaign %s held by %s (epoch %d, expires %s)",
 				ErrHeld, campaign, rec.Owner, rec.Epoch,
 				rec.RenewedAt.Add(rec.TTL()).Format(time.RFC3339))
@@ -216,7 +218,7 @@ func (m *Manager) Acquire(dir, campaign string) (*Handle, error) {
 			}
 			return nil, err
 		}
-		now := time.Now().UTC()
+		now := m.now().UTC()
 		newRec := &Record{
 			Campaign:  campaign,
 			Owner:     m.owner,
@@ -385,19 +387,21 @@ func (h *Handle) writeReleased() {
 		return // superseded (or unreadable): leave the current record alone
 	}
 	rec.Released = true
-	rec.RenewedAt = time.Now().UTC()
+	rec.RenewedAt = h.m.now().UTC()
 	writeRecord(h.dir, rec)
 }
 
-// renewLoop rewrites RenewedAt every TTL/3 until the handle is released
-// or fenced.
+// renewInterval is how often a holder renews a lease of the given TTL:
+// three times per TTL, so one late tick still renews before expiry.
+func renewInterval(ttl time.Duration) time.Duration {
+	return max(ttl/3, 5*time.Millisecond)
+}
+
+// renewLoop rewrites RenewedAt every renewInterval until the handle is
+// released or fenced.
 func (h *Handle) renewLoop() {
 	defer close(h.done)
-	interval := h.m.ttl / 3
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(renewInterval(h.m.ttl))
 	defer t.Stop()
 	for {
 		select {
@@ -420,7 +424,7 @@ func (h *Handle) renewLoop() {
 			h.markLost(rec)
 			return
 		}
-		rec.RenewedAt = time.Now().UTC()
+		rec.RenewedAt = h.m.now().UTC()
 		if err := writeRecord(h.dir, rec); err != nil {
 			// A data root we cannot write is a data root whose lease we
 			// cannot defend: fence conservatively rather than run past TTL.

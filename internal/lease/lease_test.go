@@ -21,6 +21,34 @@ func newManager(t *testing.T, owner string, ttl time.Duration) *Manager {
 	return m
 }
 
+// fakeClock is a lease clock that moves only when the test steps it,
+// so expiry does not depend on how fast a loaded machine schedules the
+// test or syncs its files.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func newFakeClock(ms ...*Manager) *fakeClock {
+	c := &fakeClock{t: time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)}
+	for _, m := range ms {
+		m.now = c.now
+	}
+	return c
+}
+
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
 func campaignDir(t *testing.T) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "c000001")
@@ -98,6 +126,7 @@ func TestStealOnExpiry(t *testing.T) {
 	ttl := 150 * time.Millisecond
 	m1 := newManager(t, "r1", ttl)
 	m2 := newManager(t, "r2", ttl)
+	clock := newFakeClock(m1, m2)
 	dir := campaignDir(t)
 
 	h1, err := m1.Acquire(dir, "c000001")
@@ -109,25 +138,19 @@ func TestStealOnExpiry(t *testing.T) {
 	h1.OnLost(func() { once.Do(func() { close(lost) }) })
 	h1.Suspend(true) // simulate a stalled replica: lease expires
 
-	// Until expiry the lease is not stealable.
+	// Until expiry the lease is not stealable, up to its last instant.
 	if _, err := m2.Acquire(dir, "c000001"); !errors.Is(err, ErrHeld) {
 		t.Fatalf("pre-expiry Acquire err = %v, want ErrHeld", err)
 	}
+	clock.advance(ttl - time.Millisecond)
+	if _, err := m2.Acquire(dir, "c000001"); !errors.Is(err, ErrHeld) {
+		t.Fatalf("Acquire 1ms before expiry err = %v, want ErrHeld", err)
+	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	var h2 *Handle
-	for {
-		h2, err = m2.Acquire(dir, "c000001")
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, ErrHeld) {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("lease never expired")
-		}
-		time.Sleep(10 * time.Millisecond)
+	clock.advance(time.Millisecond)
+	h2, err := m2.Acquire(dir, "c000001")
+	if err != nil {
+		t.Fatalf("Acquire at expiry err = %v, want the lease", err)
 	}
 	defer h2.Release()
 	if !h2.Stolen() {
@@ -161,12 +184,29 @@ func TestStealOnExpiry(t *testing.T) {
 	}
 }
 
+// TestRenewIntervalBeatsTTL: the renewal ticker fires at least twice per
+// TTL in real time, so a holder that misses one tick still renews
+// before its lease expires.
+func TestRenewIntervalBeatsTTL(t *testing.T) {
+	for _, ttl := range []time.Duration{
+		15 * time.Millisecond, 120 * time.Millisecond, time.Second, 10 * time.Second, time.Hour,
+	} {
+		if iv := renewInterval(ttl); iv <= 0 || 2*iv >= ttl {
+			t.Errorf("renewInterval(%v) = %v, want in (0, TTL/2)", ttl, iv)
+		}
+	}
+}
+
 // TestRenewalExtendsLease: a healthy holder's lease stays live well past
-// the TTL because the renewal goroutine keeps pushing RenewedAt.
+// the TTL because the renewal goroutine keeps pushing RenewedAt. The
+// lease clock moves a third of a TTL at a time, and each step waits for
+// a renewal to stamp the new instant before a peer tries to steal;
+// TestRenewIntervalBeatsTTL checks the real-time cadence.
 func TestRenewalExtendsLease(t *testing.T) {
 	ttl := 120 * time.Millisecond
 	m1 := newManager(t, "r1", ttl)
 	m2 := newManager(t, "r2", ttl)
+	clock := newFakeClock(m1, m2)
 	dir := campaignDir(t)
 
 	h, err := m1.Acquire(dir, "c000001")
@@ -174,9 +214,25 @@ func TestRenewalExtendsLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	time.Sleep(3 * ttl)
-	if _, err := m2.Acquire(dir, "c000001"); !errors.Is(err, ErrHeld) {
-		t.Fatalf("renewed lease was stealable after 3x TTL: err = %v", err)
+	for step := 1; step <= 9; step++ {
+		clock.advance(ttl / 3)
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			rec, err := Peek(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rec.RenewedAt.Before(clock.now()) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("step %d: lease not renewed since %v", step, rec.RenewedAt)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if _, err := m2.Acquire(dir, "c000001"); !errors.Is(err, ErrHeld) {
+			t.Fatalf("renewed lease was stealable %d/3 TTL after acquisition: err = %v", step, err)
+		}
 	}
 	if err := h.Check(); err != nil {
 		t.Fatalf("healthy holder fenced: %v", err)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -38,20 +39,26 @@ type tenantQ struct {
 	vtime float64
 }
 
+// newFairSched schedules by weights, each of which checkWeight accepts.
 func newFairSched(weights map[string]float64) *fairSched {
-	w := make(map[string]float64, len(weights))
-	for k, v := range weights {
-		if v > 0 {
-			w[k] = v
-		}
+	return &fairSched{weights: maps.Clone(weights), tenants: map[string]*tenantQ{}, running: map[string]int{}, completed: map[string]int{}}
+}
+
+// checkWeight accepts a tenant weight only when it and its reciprocal,
+// the virtual time one dispatch costs, are finite and positive: NaN
+// would silently weigh 1, +Inf would starve every other tenant, and a
+// weight as small as 1e-320 would move the scheduler clock to +Inf,
+// which breaks GET /v1/scheduler's JSON and every later tie.
+func checkWeight(tenant string, w float64) error {
+	if r := 1 / w; !(w > 0 && r > 0 && r <= math.MaxFloat64) { // NaN fails too
+		return fmt.Errorf("weight for %q must be a finite positive number with a finite reciprocal, got %v", tenant, w)
 	}
-	return &fairSched{weights: w, tenants: map[string]*tenantQ{}, running: map[string]int{}, completed: map[string]int{}}
+	return nil
 }
 
 // ParseTenantWeights parses "paid=3,free=1" into Config.TenantWeights.
-// Every weight must be a finite positive number: NaN would silently
-// weigh 1, and +Inf would starve every other tenant. Empty input yields
-// nil (every tenant weighs 1).
+// Every weight must pass checkWeight. Empty input yields nil (every
+// tenant weighs 1).
 func ParseTenantWeights(s string) (map[string]float64, error) {
 	if s == "" {
 		return nil, nil
@@ -63,8 +70,11 @@ func ParseTenantWeights(s string) (map[string]float64, error) {
 			return nil, fmt.Errorf("malformed pair %q (want name=weight)", pair)
 		}
 		w, err := strconv.ParseFloat(val, 64)
-		if err != nil || !(w > 0) || math.IsInf(w, 1) {
+		if err != nil {
 			return nil, fmt.Errorf("weight for %q must be a finite positive number, got %q", name, val)
+		}
+		if err := checkWeight(name, w); err != nil {
+			return nil, err
 		}
 		weights[name] = w
 	}

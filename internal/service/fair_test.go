@@ -2,6 +2,9 @@ package service
 
 import (
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -108,9 +111,10 @@ func TestFairSchedRemove(t *testing.T) {
 }
 
 // TestParseTenantWeights: -tenant-weights (cdgd) and -tenants (cdgload)
-// accept finite positive weights only. NaN used to weigh 1 silently,
-// and +Inf starved every other tenant and broke GET /v1/scheduler's
-// JSON.
+// accept finite positive weights with a finite reciprocal only. NaN
+// used to weigh 1 silently, +Inf starved every other tenant and broke
+// GET /v1/scheduler's JSON, and so did a subnormal weight, whose
+// reciprocal moved the scheduler clock to +Inf.
 func TestParseTenantWeights(t *testing.T) {
 	for _, row := range []struct {
 		in   string
@@ -128,6 +132,9 @@ func TestParseTenantWeights(t *testing.T) {
 		{"paid=1e400", nil, false},
 		{"paid=0", nil, false},
 		{"paid=-1", nil, false},
+		{"x=1e-320", nil, false},
+		{"x=4e-309", nil, false},
+		{"x=6e-309", map[string]float64{"x": 6e-309}, true}, // 1/x is about 1.7e308
 		{"paid", nil, false},
 		{"=3", nil, false},
 		{"paid=x", nil, false},
@@ -147,4 +154,48 @@ func TestParseTenantWeights(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNewRefusesTenantWeights: Config.TenantWeights passes the check
+// ParseTenantWeights applies, before New touches the data root. A weight
+// the scheduler would ignore, or whose reciprocal is not finite and
+// positive, is an error rather than a tenant that weighs 1 or a clock
+// at +Inf.
+func TestNewRefusesTenantWeights(t *testing.T) {
+	for _, w := range []float64{1e-320, 4e-309, 0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		dir := filepath.Join(t.TempDir(), "data")
+		svc, err := New(Config{DataDir: dir, TenantWeights: map[string]float64{"free": 1, "slow": w}})
+		if err == nil {
+			svc.Close()
+			t.Errorf("New accepted tenant weight %v", w)
+			continue
+		}
+		if want := fmt.Sprintf(`service: Config.TenantWeights: weight for "slow" must be a finite positive number with a finite reciprocal, got %v`, w); err.Error() != want {
+			t.Errorf("New(weight %v) = %q, want %q", w, err, want)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("New(weight %v) created the data root: %v", w, err)
+		}
+	}
+}
+
+// FuzzParseTenantWeights: every weight ParseTenantWeights accepts has a
+// finite, positive reciprocal, so no dispatch can move the scheduler
+// clock to +Inf or NaN.
+func FuzzParseTenantWeights(f *testing.F) {
+	for _, seed := range []string{"", "paid=3,free=1", " a=0.5 , b=2", "x=1e-320", "x=4e-309", "x=6e-309",
+		"x=NaN", "x=+Inf", "x=0x1p-1074", "x=1e400", "x=0", "a=1,a=2"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		weights, err := ParseTenantWeights(s)
+		if err != nil {
+			return
+		}
+		for name, w := range weights {
+			if r := 1 / w; !(r > 0) || math.IsInf(r, 0) {
+				t.Fatalf("ParseTenantWeights(%q) accepted %q=%v, reciprocal %v", s, name, w, r)
+			}
+		}
+	})
 }

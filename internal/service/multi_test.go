@@ -96,6 +96,39 @@ func TestMultiReplicaAdoption(t *testing.T) {
 	}
 }
 
+// TestGetSeesPeerFinishQueuedHere: a campaign queued on replica A that
+// peer B runs to completion reads as done on A at once, and leaves A's
+// queue, though A's dispatcher has not popped it (its one running slot
+// stays held).
+func TestGetSeesPeerFinishQueuedHere(t *testing.T) {
+	dataDir := t.TempDir()
+	ttl := 250 * time.Millisecond
+	a, release := gatedService(t, Config{DataDir: dataDir, Owner: "rA", MaxRunning: 1, LeaseTTL: ttl})
+	defer release()
+	first, err := a.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, a, first, StateRunning)
+	second, err := a.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b := newService(t, Config{DataDir: dataDir, Owner: "rB", LeaseTTL: ttl})
+	if st := waitDone(t, b, second); st.State != StateDone || st.Owner != "rB" {
+		t.Fatalf("peer's run: state %q owner %q (error %q), want done by rB", st.State, st.Owner, st.Error)
+	}
+	st := a.Get(second)
+	if st.State != StateDone || st.Owner != "rB" || len(st.Reports) == 0 {
+		t.Fatalf("A serves state %q owner %q with %d reports, want done by rB with reports",
+			st.State, st.Owner, len(st.Reports))
+	}
+	if q := a.Scheduler().Queued; q != 0 {
+		t.Fatalf("A still queues %d campaigns, want 0", q)
+	}
+}
+
 // TestLeaseFencingOnSteal is the kill -9 path in miniature: replica A
 // stalls mid-campaign without draining (its lease stops renewing),
 // replica B steals the lease and finishes the campaign, and A — still

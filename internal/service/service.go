@@ -93,7 +93,9 @@ type Config struct {
 
 	// TenantWeights assigns fair-share weights (default: every tenant
 	// weighs 1). Only ratios matter: {"paid": 3, "free": 1} gives the
-	// paid tenant 3 of every 4 campaign starts under saturation.
+	// paid tenant 3 of every 4 campaign starts under saturation. New
+	// refuses a weight that, or whose reciprocal, is not finite and
+	// positive.
 	TenantWeights map[string]float64
 
 	// MaxRunning bounds concurrently running campaigns (default 1 —
@@ -269,6 +271,11 @@ func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	if cfg.DataDir == "" {
 		return nil, errors.New("service: Config.DataDir is required")
+	}
+	for tenant, w := range cfg.TenantWeights {
+		if err := checkWeight(tenant, w); err != nil {
+			return nil, fmt.Errorf("service: Config.TenantWeights: %w", err)
+		}
 	}
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, err
@@ -645,8 +652,12 @@ func (s *Service) Get(id string) *State {
 	if c == nil {
 		return nil
 	}
-	if !inSched && !c.settled() {
-		c.refresh()
+	if !c.settled() {
+		if inSched {
+			s.dropFinished(c, id)
+		} else {
+			c.refresh()
+		}
 	}
 	c.mu.Lock()
 	st := c.st.clone()
@@ -659,6 +670,23 @@ func (s *Service) Get(id string) *State {
 		}
 	}
 	return st
+}
+
+// dropFinished withdraws a campaign from this replica's queue once a
+// peer has finished it, and mirrors the terminal state. A campaign
+// queued here keeps its in-memory "queued" state otherwise: its disk
+// state may name a dead owner it is queued to resume.
+func (s *Service) dropFinished(c *campaign, id string) {
+	st, err := loadState(c.dir)
+	if err != nil || !isTerminal(st.State) {
+		return
+	}
+	s.mu.Lock()
+	if s.sched.remove(id) {
+		s.updateGaugesLocked()
+	}
+	s.mu.Unlock()
+	c.refresh()
 }
 
 // List returns every campaign's state snapshot (without reports),

@@ -9,8 +9,8 @@ import (
 	"repro/internal/template"
 )
 
-// DefaultPlanCacheSize bounds the environment's compiled-plan cache. A
-// full AS-CDG flow touches far fewer distinct template bodies than this
+// planCacheSize bounds every environment's compiled-plan cache; no
+// option changes it. A full AS-CDG flow touches far fewer distinct template bodies than this
 // at any one time, so CLIs never evict; the bound exists for long-lived
 // daemons (cmd/farmd) that parse templates off the wire — a fresh
 // pointer per request — and would otherwise retain every body ever
@@ -20,7 +20,7 @@ import (
 // other parameter compiles to an error, whatever weights it sends. 256
 // plans of a unit of five parameters (every unit here) are 320 KiB of
 // tables, always.
-const DefaultPlanCacheSize = 256
+const planCacheSize = 256
 
 // planCache is a size-bounded LRU of compiled sampling plans keyed by
 // template *content* (name-independent fingerprint), so two parses of
@@ -63,7 +63,9 @@ func (c *planCache) setRecorder(rec *obs.Recorder) {
 }
 
 // setCap rebounds the cache, evicting least-recently-used plans if the
-// new bound is already exceeded.
+// new bound is already exceeded. Only tests call it: every environment
+// runs at planCacheSize, and evicted plans are simply recompiled on next
+// use, so any bound is semantically neutral.
 func (c *planCache) setCap(capacity int) {
 	if capacity < 1 {
 		capacity = 1

@@ -27,7 +27,7 @@ func TestPlanCacheBounded(t *testing.T) {
 	defer env.Close()
 	rec := obs.NewRecorder()
 	env.SetRecorder(rec)
-	env.SetPlanCacheSize(2)
+	env.plans.setCap(2)
 
 	for i := 0; i < 4; i++ {
 		run(t, env, weighted(t, i), 4)
@@ -98,13 +98,14 @@ func TestPlanCacheContentKeyed(t *testing.T) {
 
 // TestPlanCacheEvictionIsNeutral checks an evicted plan recompiles to
 // the same sampling behavior: a cache bound of 1 under alternating
-// templates gives bit-identical aggregates to an unbounded cache.
+// templates gives bit-identical aggregates to the default bound, which
+// never evicts here.
 func TestPlanCacheEvictionIsNeutral(t *testing.T) {
 	mk := func(bound int) []uint64 {
 		env := NewEnv(newToy(), 77, 1)
 		defer env.Close()
 		if bound > 0 {
-			env.SetPlanCacheSize(bound)
+			env.plans.setCap(bound)
 		}
 		var hits []uint64
 		for i := 0; i < 3; i++ {
@@ -115,10 +116,10 @@ func TestPlanCacheEvictionIsNeutral(t *testing.T) {
 		}
 		return hits
 	}
-	unbounded, thrashing := mk(0), mk(1)
-	for i := range unbounded {
-		if unbounded[i] != thrashing[i] {
-			t.Fatalf("sample %d diverged: %d != %d", i, unbounded[i], thrashing[i])
+	resident, thrashing := mk(0), mk(1)
+	for i := range resident {
+		if resident[i] != thrashing[i] {
+			t.Fatalf("sample %d diverged: %d != %d", i, resident[i], thrashing[i])
 		}
 	}
 }

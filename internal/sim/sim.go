@@ -82,7 +82,7 @@ func NewEnv(unit duv.DUV, seed uint64, workers int) *Env {
 		seed:     rng.New(seed),
 		bind:     generator.Bind(unit.Defaults()),
 		sched:    newScheduler(workers),
-		plans:    newPlanCache(DefaultPlanCacheSize),
+		plans:    newPlanCache(planCacheSize),
 	}
 }
 
@@ -127,13 +127,6 @@ func (e *Env) ctxErr() error {
 	}
 	return e.ctx.Err()
 }
-
-// SetPlanCacheSize rebounds the compiled-plan cache (default
-// DefaultPlanCacheSize). Long-lived daemons that stream arbitrary
-// template bodies set this to match their memory budget; evicted plans
-// are simply recompiled on next use, so any bound is semantically
-// neutral.
-func (e *Env) SetPlanCacheSize(n int) { e.plans.setCap(n) }
 
 // AttachRunner adds lanes remote-execution goroutines that pull chunks
 // from the same queue as the local workers and delegate them to r —
@@ -187,7 +180,7 @@ func (e *Env) RestoreCounters(batches, sims uint64) {
 // plan returns the unit's compiled sampling plan for tmpl, compiling
 // and caching it on first use. Plans are keyed by template content, so
 // re-parsed or renamed copies of one body share one table; the cache is
-// size-bounded (SetPlanCacheSize). A template the unit cannot run (a
+// size-bounded (planCacheSize). A template the unit cannot run (a
 // parameter the unit does not declare, a symbolic value outside a
 // parameter's vocabulary, a setting of the wrong type) is an error here,
 // before any instance runs and before the batch counter moves.
