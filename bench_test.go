@@ -239,9 +239,9 @@ func (f *ablationFixture) trueValue(x []float64) float64 {
 
 // optimize runs the named engine ("" = implicit filtering) over obj
 // through the surface production runs — opt.New over opt.MergeParams,
-// then opt.Drive. over is a JSON object overlaid on the ablations'
-// common setting of 11 directions x 8 iterations, the way core overlays
-// Config.EngineParams on the flow's generic knobs.
+// then opt.Drive. over is a JSON object of engine knobs overlaid on the
+// ablations' common setting of 11 directions x 8 iterations; the flow
+// itself sets only those two and leaves every other knob at its default.
 func optimize(b *testing.B, engine string, obj opt.Objective, cfg opt.EngineConfig, over string) opt.Result {
 	b.Helper()
 	params, err := opt.MergeParams(map[string]any{"directions": 11, "iterations": 8}, json.RawMessage(over))

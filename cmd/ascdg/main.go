@@ -14,7 +14,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -30,7 +29,6 @@ import (
 	_ "repro/internal/duv/iounit"
 	_ "repro/internal/duv/l3cache"
 	_ "repro/internal/duv/noc"
-	"repro/internal/opt"
 	"repro/internal/sigctx"
 )
 
@@ -53,8 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	iterations := fs.Int("iterations", 10, "optimizer iterations")
 	directions := fs.Int("directions", 10, "optimizer directions per iteration (n)")
 	optSims := fs.Int("opt-sims", 100, "optimizer sims per point (N)")
-	engine := fs.String("engine", "", "optimization engine: "+strings.Join(opt.EngineNames(), ", ")+" (default implicit_filtering)")
-	engineParams := fs.String("engine-params", "", `engine-specific knobs as JSON, e.g. '{"candidates": 256}'`)
 	bestSims := fs.Int("best-sims", 2000, "standalone sims of the harvested template")
 	out := fs.String("out", "", "write the harvested test-template to this file")
 	loadRepo := fs.String("load-repo", "", "load the Before-CDG corpus from this JSON file instead of simulating")
@@ -66,8 +62,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faults    cli.Faults
 		profile   cli.Profile
 		obsFlags  cli.Obs
+		engine    cli.Engine
 	)
-	if code, done := cli.Parse(fs, args, stdout, &workers, &jnl, &farmFlags, &faults, &profile, &obsFlags); done {
+	if code, done := cli.Parse(fs, args, stdout, &workers, &jnl, &farmFlags, &faults, &profile, &obsFlags, &engine); done {
 		return code
 	}
 	if *unitName == "" {
@@ -83,8 +80,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if code := faults.Arm(); code != 0 {
 		return code
 	}
-	if err := opt.Validate(*engine, json.RawMessage(*engineParams)); err != nil {
-		return cli.Fail(fs, 2, err)
+	if code := engine.Check(); code != 0 {
+		return code
 	}
 	unit, err := duv.New(*unitName)
 	if err != nil {
@@ -104,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		OptSims:               *optSims,
 		BestSims:              *bestSims,
 		Workers:               int(workers),
-		Engine:                *engine,
+		Engine:                engine.Name,
 	}
 	if err := cfg.Validate(); err != nil {
 		return cli.Fail(fs, 2, err)
@@ -120,9 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stopObs()
 	cfg.Obs = rec
-	if *engineParams != "" {
-		cfg.EngineParams = json.RawMessage(*engineParams)
-	}
 	d, code := farmFlags.Dial(rec, nil)
 	if code != 0 {
 		return code

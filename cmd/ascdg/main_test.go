@@ -91,6 +91,18 @@ func TestErrors(t *testing.T) {
 		!strings.Contains(errb.String(), "OptSims -5 is negative") {
 		t.Errorf("-opt-sims -5: exit %d, stderr %q; want exit 2 naming the budget", code, errb.String())
 	}
+	// The search is an engine name over the budget flags: an unregistered
+	// name is refused, and engine knobs are not flags.
+	errb.Reset()
+	if code := run(smallArgs("-unit", "iounit", "-family", "crc_fifo", "-engine", "bogus"), &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), `ascdg: unknown engine "bogus"`) {
+		t.Errorf("-engine bogus: exit %d, stderr %q; want exit 2 listing the engines", code, errb.String())
+	}
+	errb.Reset()
+	if code := run(smallArgs("-unit", "iounit", "-family", "crc_fifo", "-engine-params", "{}"), &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "flag provided but not defined: -engine-params") {
+		t.Errorf("-engine-params: exit %d, stderr %q; want exit 2 for an undefined flag", code, errb.String())
+	}
 	// As on repro, a round count below 1 is refused, not run as one round.
 	for _, rounds := range []string{"0", "-2"} {
 		errb.Reset()

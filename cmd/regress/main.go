@@ -52,6 +52,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if code := corpus.Check(); code != 0 {
 		return code
 	}
+	if *policy < 0 {
+		return cli.Fail(fs, 2, fmt.Errorf("-policy %d: want at least 0 (0 skips the policy)", *policy))
+	}
 	if !*minimize && *policy <= 0 && *out == "" {
 		fmt.Fprintln(stderr, "regress: one of -minimize, -policy or -out is required")
 		return 2

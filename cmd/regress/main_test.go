@@ -50,4 +50,19 @@ func TestErrors(t *testing.T) {
 	if code := run([]string{"-unit", "iounit", "-minimize", "-load", "/no/file"}, &out, &errb); code != 1 {
 		t.Errorf("bad load: exit %d", code)
 	}
+	// Budgets below their floor are usage errors naming the flag, refused
+	// before any simulation.
+	for _, c := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-unit", "iounit", "-minimize", "-policy", "-5"}, "regress: -policy -5: want at least 0"},
+		{[]string{"-unit", "iounit", "-minimize", "-sims", "0"}, "regress: -sims 0: want at least 1"},
+		{[]string{"-unit", "iounit", "-minimize", "-sims", "-3"}, "regress: -sims -3: want at least 1"},
+	} {
+		errb.Reset()
+		if code := run(c.args, &out, &errb); code != 2 || !strings.Contains(errb.String(), c.msg) {
+			t.Errorf("%v: exit %d, want 2 with %q: %s", c.args, code, c.msg, errb.String())
+		}
+	}
 }

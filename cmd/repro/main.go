@@ -13,7 +13,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -21,12 +20,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/figures"
-	"repro/internal/opt"
 	"repro/internal/sigctx"
 )
 
@@ -41,8 +38,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 0.1, "budget scale (1.0 = paper-scale simulation counts)")
 	seed := fs.Uint64("seed", 1, "random seed for the whole run")
 	rounds := fs.Int("rounds", 5, "max refinement rounds for family experiments")
-	engine := fs.String("engine", "", "optimization engine for every figure flow: "+strings.Join(opt.EngineNames(), ", ")+" (default implicit_filtering)")
-	engineParams := fs.String("engine-params", "", `engine-specific knobs as JSON, e.g. '{"candidates": 256}'`)
 	csvDir := fs.String("csv", "", "also write each figure's series as <dir>/figN.csv")
 	var (
 		workers   cli.Workers
@@ -51,8 +46,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faults    cli.Faults
 		profile   cli.Profile
 		obsFlags  cli.Obs
+		engine    cli.Engine
 	)
-	if code, done := cli.Parse(fs, args, stdout, &workers, &jnl, &farmFlags, &faults, &profile, &obsFlags); done {
+	if code, done := cli.Parse(fs, args, stdout, &workers, &jnl, &farmFlags, &faults, &profile, &obsFlags, &engine); done {
 		return code
 	}
 	// figures.Options defaults a zero seed, scale or round count; a value
@@ -73,8 +69,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if code := faults.Arm(); code != 0 {
 		return code
 	}
-	if err := opt.Validate(*engine, json.RawMessage(*engineParams)); err != nil {
-		return cli.Fail(fs, 2, err)
+	if code := engine.Check(); code != 0 {
+		return code
 	}
 	// Created before any figure runs: a -csv path that cannot be written
 	// fails now, not after every simulation has been paid for.
@@ -99,10 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := figures.Options{
 		Scale: *scale, Seed: *seed, Rounds: *rounds, Workers: int(workers),
 		Obs: rec, Ctx: ctx, JournalDir: jnl.Path, Resume: jnl.Resume,
-		Engine: *engine,
-	}
-	if *engineParams != "" {
-		opts.EngineParams = json.RawMessage(*engineParams)
+		Engine: engine.Name,
 	}
 	d, code := farmFlags.Dial(rec, nil)
 	if code != 0 {

@@ -55,8 +55,9 @@ func TestCSVDirIsCreated(t *testing.T) {
 }
 
 // TestRefusesInputsItWouldRewrite: a seed of 0, a scale that is not a
-// finite positive number and fewer than one round exit 2 before any
-// simulation, instead of running some other seed, scale or round count.
+// finite positive number, fewer than one round and an unregistered
+// engine exit 2 before any simulation, instead of running some other
+// seed, scale, round count or search. Engine knobs are not flags.
 func TestRefusesInputsItWouldRewrite(t *testing.T) {
 	for _, tc := range []struct{ flag, value, want string }{
 		{"-seed", "0", "-seed 0"},
@@ -66,6 +67,7 @@ func TestRefusesInputsItWouldRewrite(t *testing.T) {
 		{"-scale", "0", "-scale 0"},
 		{"-rounds", "0", "-rounds 0"},
 		{"-rounds", "-1", "-rounds -1"},
+		{"-engine", "annealing", `repro: unknown engine "annealing"`},
 	} {
 		args := []string{"-fig", "3", "-scale", "0.002", "-rounds", "1", "-metrics", tc.flag, tc.value}
 		stdout, stderr, code := repro(t, args...)
@@ -75,6 +77,10 @@ func TestRefusesInputsItWouldRewrite(t *testing.T) {
 		if stdout != "" || strings.Contains(stderr, "metrics summary") {
 			t.Errorf("%s %s: a run started before the input was refused", tc.flag, tc.value)
 		}
+	}
+	if stdout, stderr, code := repro(t, "-fig", "3", "-engine-params", "{}"); code != 2 || stdout != "" ||
+		!strings.Contains(stderr, "flag provided but not defined: -engine-params") {
+		t.Errorf("-engine-params: exit %d, stderr %q; want exit 2 for an undefined flag", code, stderr)
 	}
 }
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	skeletonize [-subranges 4] [-mode linear|geometric] [-zero] file.tmpl
+//	skeletonize [-subranges 4] [-slots] file.tmpl
 package main
 
 import (
@@ -25,9 +25,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("skeletonize", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	subranges := fs.Int("subranges", 4, "number of subranges per range parameter")
-	mode := fs.String("mode", "linear", "subrange split mode: linear or geometric")
-	zero := fs.Bool("zero", false, "also mark zero-weight entries")
+	subranges := fs.Int("subranges", 4, "number of equal-width subranges per range parameter")
 	slots := fs.Bool("slots", false, "also list the skeleton's slots")
 	var obsFlags cli.Obs
 	if code, done := cli.Parse(fs, args, stdout, &obsFlags); done {
@@ -37,6 +35,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: skeletonize [flags] <template-file>")
 		return 2
 	}
+	if *subranges < 1 {
+		return cli.Fail(fs, 2, fmt.Errorf("-subranges %d: want at least 1", *subranges))
+	}
 
 	rec, stopObs, code := obsFlags.Start(nil)
 	if code != 0 {
@@ -44,27 +45,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stopObs()
 
-	var m skeleton.SubrangeMode
-	switch *mode {
-	case "linear":
-		m = skeleton.Linear
-	case "geometric":
-		m = skeleton.Geometric
-	default:
-		fmt.Fprintf(stderr, "skeletonize: unknown mode %q\n", *mode)
-		return 2
-	}
-
 	tmpl, err := template.ParseFile(fs.Arg(0))
 	if err != nil {
 		return cli.Fail(fs, 1, err)
 	}
 	ph := rec.PhaseStart("skeleton", map[string]any{"file": fs.Arg(0)})
-	skel, err := skeleton.Skeletonize(tmpl, skeleton.Options{
-		IncludeZeroWeights: *zero,
-		Subranges:          *subranges,
-		Mode:               m,
-	})
+	skel, err := skeleton.Skeletonize(tmpl, skeleton.Options{Subranges: *subranges})
 	if err != nil {
 		ph.End(nil)
 		return cli.Fail(fs, 1, err)

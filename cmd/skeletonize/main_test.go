@@ -47,17 +47,6 @@ func TestRunProducesMarkedSkeleton(t *testing.T) {
 	}
 }
 
-func TestRunZeroFlag(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-subranges", "2", "-zero", writeTemplate(t)}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
-	}
-	if strings.Count(out.String(), "<?>") != 4 {
-		t.Fatalf("with -zero marks = %d, want 4", strings.Count(out.String(), "<?>"))
-	}
-}
-
 func TestRunSlotsFlag(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"-slots", writeTemplate(t)}, &out, &errb)
@@ -69,20 +58,25 @@ func TestRunSlotsFlag(t *testing.T) {
 	}
 }
 
-func TestRunGeometricMode(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-mode", "geometric", writeTemplate(t)}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{}, &out, &errb); code != 2 {
 		t.Errorf("no args: exit %d, want 2", code)
 	}
-	if code := run([]string{"-mode", "bogus", writeTemplate(t)}, &out, &errb); code != 2 {
-		t.Errorf("bad mode: exit %d, want 2", code)
+	// The split is always linear and zero weights always stay unmarked.
+	for _, args := range [][]string{{"-mode", "geometric"}, {"-zero"}} {
+		errb.Reset()
+		if code := run(append(args, writeTemplate(t)), &out, &errb); code != 2 ||
+			!strings.Contains(errb.String(), "flag provided but not defined") {
+			t.Errorf("%v: exit %d, want 2 for an undefined flag: %s", args, code, errb.String())
+		}
+	}
+	for _, n := range []string{"0", "-3"} {
+		errb.Reset()
+		if code := run([]string{"-subranges", n, writeTemplate(t)}, &out, &errb); code != 2 ||
+			!strings.Contains(errb.String(), "skeletonize: -subranges "+n+": want at least 1") {
+			t.Errorf("-subranges %s: exit %d, want 2 naming the flag: %s", n, code, errb.String())
+		}
 	}
 	if code := run([]string{"/does/not/exist.tmpl"}, &out, &errb); code != 1 {
 		t.Errorf("missing file: exit %d, want 1", code)

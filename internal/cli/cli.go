@@ -26,6 +26,7 @@ import (
 	"repro/internal/farm"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/opt"
 	"repro/internal/sim"
 )
 
@@ -334,6 +335,26 @@ func (w *Workers) Register(fs *flag.FlagSet) {
 	fs.IntVar((*int)(w), "workers", 0, "simulation worker goroutines (<= 0: GOMAXPROCS)")
 }
 
+// Engine is -engine, the fine-grained optimizer by registry name. The
+// engine runs with its default knobs over the flow's budget flags.
+type Engine struct {
+	fs   *flag.FlagSet
+	Name string
+}
+
+func (e *Engine) Register(fs *flag.FlagSet) {
+	e.fs = fs
+	fs.StringVar(&e.Name, "engine", "", "optimization engine: "+strings.Join(opt.EngineNames(), ", ")+" (default "+opt.DefaultEngine+")")
+}
+
+// Check refuses an engine name that is not registered.
+func (e *Engine) Check() int {
+	if err := opt.Validate(e.Name, nil); err != nil {
+		return Fail(e.fs, 2, err)
+	}
+	return 0
+}
+
 // Corpus is the coverage repository of a unit's base suite: -unit,
 // -sims, -seed, -load, -workers, -journal and -resume.
 type Corpus struct {
@@ -356,10 +377,14 @@ func (c *Corpus) Register(fs *flag.FlagSet) {
 	c.journal.Register(fs)
 }
 
-// Check requires -unit and rejects -resume without -journal.
+// Check requires -unit and at least one simulation per template, and
+// rejects -resume without -journal.
 func (c *Corpus) Check() int {
 	if c.Unit == "" {
 		return Fail(c.fs, 2, errors.New("-unit is required"))
+	}
+	if c.sims < 1 {
+		return Fail(c.fs, 2, fmt.Errorf("-sims %d: want at least 1", c.sims))
 	}
 	return c.journal.Check()
 }

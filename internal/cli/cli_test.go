@@ -297,6 +297,20 @@ func TestWorkers(t *testing.T) {
 	checkDefaults(t, new(Workers), map[string]string{"workers": "0"})
 }
 
+func TestEngine(t *testing.T) {
+	checkDefaults(t, &Engine{}, map[string]string{"engine": ""})
+	checkStep(t, (*Engine).Check, []stepCase{
+		{nil, 0, ""},
+		{[]string{"-engine", "bayes"}, 0, ""},
+		{[]string{"-engine", "annealing"}, 2, `cmd: unknown engine "annealing" (registered: `},
+	})
+	var e Engine
+	register(t, &e, []string{"-engine", "ranker"})
+	if e.Name != "ranker" {
+		t.Errorf("Name = %q, want ranker", e.Name)
+	}
+}
+
 func TestCorpus(t *testing.T) {
 	checkDefaults(t, &Corpus{}, map[string]string{
 		"unit": "", "sims": "1000", "seed": "1", "load": "", "workers": "0", "journal": "", "resume": "false",
@@ -304,6 +318,9 @@ func TestCorpus(t *testing.T) {
 	checkStep(t, (*Corpus).Check, []stepCase{
 		{nil, 2, "cmd: -unit is required"},
 		{[]string{"-unit", "iounit", "-resume"}, 2, "cmd: -resume requires -journal"},
+		{[]string{"-unit", "iounit", "-sims", "0"}, 2, "cmd: -sims 0: want at least 1"},
+		{[]string{"-unit", "iounit", "-sims", "-3"}, 2, "cmd: -sims -3: want at least 1"},
+		{[]string{"-unit", "iounit", "-sims", "1"}, 0, ""},
 		{[]string{"-unit", "iounit"}, 0, ""},
 	})
 
@@ -343,7 +360,7 @@ func TestREADMEHasEveryFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
-	Parse(fs, nil, io.Discard, &Obs{}, &Farm{}, &Faults{}, &Log{}, &Profile{}, &Corpus{})
+	Parse(fs, nil, io.Discard, &Obs{}, &Farm{}, &Faults{}, &Log{}, &Profile{}, &Corpus{}, &Engine{})
 	fs.VisitAll(func(f *flag.Flag) {
 		row := regexp.MustCompile("(?m)^\\| [^|]*`-" + regexp.QuoteMeta(f.Name) + "[` ]")
 		if !row.Match(readme) {

@@ -94,8 +94,8 @@ type Config struct {
 
 	// OptIterations, OptDirections and OptSims configure implicit
 	// filtering (defaults 10, 10, 100). The engine's other knobs
-	// (initial_step, min_step, no_resample_center, ...) are set through
-	// EngineParams.
+	// (initial_step, min_step, no_resample_center, ...) keep their
+	// defaults.
 	OptIterations int
 	OptDirections int
 	OptSims       int
@@ -106,12 +106,8 @@ type Config struct {
 
 	// Engine selects the fine-grained optimizer by registry name
 	// ("" = implicit_filtering, the paper's Algorithm 1; see
-	// opt.EngineNames). EngineParams is the engine's opaque knob blob
-	// (a JSON object) overlaid on the flow's generic optimizer knobs
-	// (iterations, directions, steps). Both are result-relevant and
-	// journal-hashed.
-	Engine       string
-	EngineParams json.RawMessage
+	// opt.EngineNames). Result-relevant and journal-hashed.
+	Engine string
 
 	// Prior offers past observations from the cross-campaign knowledge
 	// base to engines that learn from history (ranker, bayes): each
@@ -224,16 +220,15 @@ func (c Config) engineName() string {
 	return c.Engine
 }
 
-// engineParams builds the engine's parameter blob: the flow's generic
-// optimizer knobs as the base, with the user's EngineParams overlaid.
+// engineParams builds the engine's parameter blob from the flow's
+// generic optimizer knobs; every other knob keeps the engine's default.
 // Engines decode leniently, so stencil-specific knobs (directions) are
 // simply ignored by engines without them.
 func (c Config) engineParams() (json.RawMessage, error) {
-	base := map[string]any{
+	return opt.MergeParams(map[string]any{
 		"iterations": c.OptIterations,
 		"directions": c.OptDirections,
-	}
-	return opt.MergeParams(base, c.EngineParams)
+	}, nil)
 }
 
 // PhaseStats is one phase's aggregate coverage — one column group of the

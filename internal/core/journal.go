@@ -51,13 +51,14 @@ func cfgHash(c Config) uint64 {
 		c.SampleTemplates, c.SampleSims,
 		c.OptIterations, c.OptDirections, c.OptSims,
 		c.BestSims)
-	// Engine selection, engine params, and the knowledge priors all steer
-	// proposals, so a journal written under different ones must not
-	// replay. The default engine with no extras hashes the same as before
-	// this field existed, keeping old journals resumable.
-	if name := c.engineName(); name != opt.DefaultEngine || len(c.EngineParams) > 0 ||
-		len(c.Prior) > 0 || len(c.TACPrior) > 0 {
-		fmt.Fprintf(h, "|%s|%s", name, c.EngineParams)
+	// Engine selection and the knowledge priors steer proposals, so a
+	// journal written under different ones must not replay. The default
+	// engine with no priors hashes the same as before the engine field
+	// existed, keeping old journals resumable. The trailing "|" is where
+	// the engine-params blob went: hashed empty, journals written with no
+	// blob still resume.
+	if name := c.engineName(); name != opt.DefaultEngine || len(c.Prior) > 0 || len(c.TACPrior) > 0 {
+		fmt.Fprintf(h, "|%s|", name)
 		for _, p := range c.Prior {
 			fmt.Fprintf(h, "|%v=%v", p.X, p.Value)
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/duv/iounit"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/opt"
 	"repro/internal/sim"
 )
 
@@ -50,6 +51,12 @@ func TestConfigHashIsStable(t *testing.T) {
 			SampleTemplates: 12, SampleSims: 40,
 			OptIterations: 6, OptDirections: 8, OptSims: 30, BestSims: 500,
 		}, 0x313347dce21d29b8},
+		{"ranker", Config{Engine: "ranker"}, 0x9b12cda78149de9c},
+		{"bayes with priors", Config{
+			Engine:   "bayes",
+			Prior:    []opt.PriorPoint{{X: []float64{12.5, 80}, Value: 0.25}},
+			TACPrior: map[string]float64{"crc_fifo": 0.75},
+		}, 0x510aacb7df40db6d},
 	} {
 		if got := cfgHash(tc.cfg); got != tc.want {
 			t.Errorf("%s config: cfgHash = %#x, want %#x", tc.name, got, tc.want)

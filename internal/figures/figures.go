@@ -13,7 +13,6 @@ package figures
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -61,11 +60,9 @@ type Options struct {
 	// starting over; figures whose journal is missing start fresh.
 	Resume bool
 	// Engine selects the optimization engine for every figure flow
-	// ("" keeps the paper's implicit filtering); EngineParams is the
-	// engine's knob object as JSON. The A/B study in EXPERIMENTS.md
-	// sweeps these across the registered engines.
-	Engine       string
-	EngineParams json.RawMessage
+	// ("" keeps the paper's implicit filtering). The A/B study in
+	// EXPERIMENTS.md sweeps it across the registered engines.
+	Engine string
 }
 
 func (o Options) withDefaults() Options {
@@ -179,7 +176,6 @@ func (o Options) newFlow(name string, unit duv.DUV, b budget) (*core.Flow, error
 		Runner:                o.Runner,
 		RunnerLanes:           o.RunnerLanes,
 		Engine:                o.Engine,
-		EngineParams:          o.EngineParams,
 		Journal:               journal,
 		CorpusSimsPerTemplate: scaled(b.corpus, o.Scale) / len(unit.BaseTemplates()),
 		TopTemplates:          b.topTemplates,

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -44,14 +43,11 @@ type Spec struct {
 	Config SpecConfig `json:"config,omitempty"`
 }
 
-// EngineSpec selects and parameterizes the campaign's optimization
-// engine. Name must be registered (opt.EngineNames()); Params is the
-// engine's own knob object, validated strictly at admission so a typo
-// fails the submission with the full key list instead of being silently
-// ignored mid-campaign.
+// EngineSpec selects the campaign's optimization engine. Name must be
+// registered (opt.EngineNames()); the engine runs with its default
+// knobs, over the iteration and direction budgets of the spec's config.
 type EngineSpec struct {
-	Name   string          `json:"name,omitempty"`
-	Params json.RawMessage `json:"params,omitempty"`
+	Name string `json:"name,omitempty"`
 
 	// Knowledge opts the campaign into the cross-campaign flywheel: at
 	// start it reads the knowledge base — harvested (weights, score)
@@ -138,7 +134,7 @@ func (s Spec) validate(units func(string) (duv.DUV, error)) error {
 		}
 	}
 	if s.Engine != nil {
-		if err := opt.Validate(s.Engine.Name, s.Engine.Params); err != nil {
+		if err := opt.Validate(s.Engine.Name, nil); err != nil {
 			return fmt.Errorf("service: spec: %w", err)
 		}
 	}
@@ -166,7 +162,6 @@ func (s Spec) coreConfig(defaultWorkers int) core.Config {
 	}
 	if s.Engine != nil {
 		cfg.Engine = s.Engine.Name
-		cfg.EngineParams = s.Engine.Params
 	}
 	return cfg
 }

@@ -11,14 +11,11 @@ import (
 	_ "repro/internal/duv/l3cache"
 )
 
-// engineSpec is tinySpec under an explicit engine with the knowledge
-// flywheel enabled.
-func engineSpec(name string, params string, know bool) Spec {
+// engineSpec is tinySpec under an explicit engine, with the knowledge
+// flywheel enabled when know is set.
+func engineSpec(name string, know bool) Spec {
 	spec := tinySpec()
 	spec.Engine = &EngineSpec{Name: name, Knowledge: know}
-	if params != "" {
-		spec.Engine.Params = json.RawMessage(params)
-	}
 	return spec
 }
 
@@ -60,17 +57,21 @@ func TestHTTPEngineSpecGoldens(t *testing.T) {
 	client := ts.Client()
 
 	// Unknown engine → 400 listing every registered engine.
-	resp, body := doJSON(t, client, "POST", ts.URL+"/v1/campaigns", engineSpec("annealing", "", false))
+	resp, body := doJSON(t, client, "POST", ts.URL+"/v1/campaigns", engineSpec("annealing", false))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown engine POST status = %d, want 400: %s", resp.StatusCode, body)
 	}
 	checkGolden(t, "submit_bad_engine.json", normalize(body))
 
-	// Known engine, misspelled knob → 400 from the strict params check.
-	resp, body = doJSON(t, client, "POST", ts.URL+"/v1/campaigns",
-		engineSpec("nelder_mead", `{"iteratoins": 4}`, false))
+	// Engine knobs are not settable: a well-formed engine.params is an
+	// unknown field of the spec → 400, not a run that drops it.
+	withParams := struct {
+		Spec
+		Engine map[string]any `json:"engine"`
+	}{tinySpec(), map[string]any{"name": "nelder_mead", "params": map[string]any{"iterations": 4}}}
+	resp, body = doJSON(t, client, "POST", ts.URL+"/v1/campaigns", withParams)
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad params POST status = %d, want 400: %s", resp.StatusCode, body)
+		t.Fatalf("engine params POST status = %d, want 400: %s", resp.StatusCode, body)
 	}
 	checkGolden(t, "submit_bad_engine_params.json", normalize(body))
 
@@ -83,8 +84,9 @@ func TestHTTPEngineSpecGoldens(t *testing.T) {
 
 	// A campaign under an explicit engine: accepted, and the engine spec
 	// round-trips through the campaign state.
-	resp, body = doJSON(t, client, "POST", ts.URL+"/v1/campaigns",
-		engineSpec("nelder_mead", `{"iterations": 4}`, true))
+	spec := engineSpec("nelder_mead", true)
+	spec.Config.OptIterations = 4
+	resp, body = doJSON(t, client, "POST", ts.URL+"/v1/campaigns", spec)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("engine POST status = %d, want 202: %s", resp.StatusCode, body)
 	}
@@ -207,7 +209,7 @@ func readSnapshot(t *testing.T, path string, into *knowledgeSnapshot) {
 func TestKnowledgeSurvivesRestart(t *testing.T) {
 	dataDir := t.TempDir()
 	svc := newService(t, Config{DataDir: dataDir})
-	id, err := svc.Submit(engineSpec("ranker", "", true))
+	id, err := svc.Submit(engineSpec("ranker", true))
 	if err != nil {
 		t.Fatal(err)
 	}

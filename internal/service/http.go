@@ -64,8 +64,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// A field the spec does not have is refused, not dropped: a
+	// misspelled budget would otherwise run under its default.
 	var spec Spec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
+	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("invalid spec: %v", err)})
 		return
 	}

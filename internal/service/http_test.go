@@ -123,6 +123,15 @@ func TestHTTPEndpointGoldens(t *testing.T) {
 		t.Fatalf("negative-budget POST status = %d, want 400 naming the budget: %s", resp.StatusCode, body)
 	}
 
+	// POST a misspelled budget → 400 naming the field, not a run at the
+	// default.
+	resp, body = doJSON(t, client, "POST", ts.URL+"/v1/campaigns",
+		json.RawMessage(`{"unit": "iounit", "family": "crc_fifo", "config": {"sample_sim": 5}}`))
+	if resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(body), `invalid spec: json: unknown field \"sample_sim\"`) {
+		t.Fatalf("misspelled-field POST status = %d, want 400 naming the field: %s", resp.StatusCode, body)
+	}
+
 	// GET unknown id → 404.
 	resp, body = doJSON(t, client, "GET", ts.URL+"/v1/campaigns/c999999", nil)
 	if resp.StatusCode != http.StatusNotFound {

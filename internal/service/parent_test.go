@@ -15,7 +15,7 @@ import (
 // had one refresh rule, one fenced writer and one JSON codec. A service
 // with owner "parent-replica" and LeaseTTL 2s ran three submissions:
 //
-//	c000001    engineSpec("ranker", "", true), done; it fed knowledge/
+//	c000001    engineSpec("ranker", true), done; it fed knowledge/
 //	c000002    the same spec at seed 22, drained after 12 journal
 //	           appends (mid-sampling): state "running", lease released,
 //	           knowledge.json frozen from c000001's harvest

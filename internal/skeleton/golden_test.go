@@ -19,16 +19,10 @@ import (
 var updateInstantiateGolden = flag.Bool("update-instantiate-golden", false,
 	"rewrite testdata/instantiate.golden (ONLY for deliberate behavior changes)")
 
-// goldenOptions are the skeletonizations the golden covers: the flow's
-// default, zero weights marked, and a geometric split.
-var goldenOptions = []struct {
-	name string
-	opts Options
-}{
-	{"default", Options{}},
-	{"zero_weights", Options{IncludeZeroWeights: true, Subranges: 3}},
-	{"geometric", Options{Mode: Geometric, Subranges: 5, MaxWeight: 40}},
-}
+// seedsPerTemplate is how far the golden's seed advances per base
+// template: the golden once covered three skeletonizations of each, and
+// the default one keeps the seed it was written with.
+const seedsPerTemplate = 3
 
 // goldenPoints are the weight vectors instantiated per skeleton: two
 // seeded in-box draws, every slot zero (each parameter revived), every
@@ -55,33 +49,30 @@ func goldenPoints(s *Skeleton, r *rng.RNG) [][]float64 {
 }
 
 // instantiateGolden renders seeded instantiations of every registered
-// unit's base templates under each of goldenOptions.
+// unit's base templates under the default skeletonization.
 func instantiateGolden(t *testing.T) string {
 	var b strings.Builder
-	seed := uint64(0)
+	seed := uint64(1)
 	for _, name := range duv.Names() {
 		unit, err := duv.New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, base := range unit.BaseTemplates() {
-			for _, o := range goldenOptions {
-				fmt.Fprintf(&b, "== %s/%s/%s\n", name, base.Name, o.name)
-				s, err := Skeletonize(base, o.opts)
+			fmt.Fprintf(&b, "== %s/%s/default\n", name, base.Name)
+			s, err := Skeletonize(base, Options{})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, base.Name, err)
+			}
+			r := rng.New(seed)
+			seed += seedsPerTemplate
+			for i, x := range goldenPoints(s, r) {
+				tmpl, err := s.Instantiate(fmt.Sprintf("p%d", i), x)
 				if err != nil {
-					fmt.Fprintf(&b, "error: %v\n", err)
+					fmt.Fprintf(&b, "p%d error: %v\n", i, err)
 					continue
 				}
-				seed++
-				r := rng.New(seed)
-				for i, x := range goldenPoints(s, r) {
-					tmpl, err := s.Instantiate(fmt.Sprintf("p%d", i), x)
-					if err != nil {
-						fmt.Fprintf(&b, "p%d error: %v\n", i, err)
-						continue
-					}
-					b.WriteString(tmpl.String())
-				}
+				b.WriteString(tmpl.String())
 			}
 		}
 	}
@@ -128,24 +119,22 @@ func TestInstantiateCompiles(t *testing.T) {
 		}
 		bind := generator.Bind(unit.Defaults())
 		for _, base := range unit.BaseTemplates() {
-			for _, o := range goldenOptions {
-				s, err := Skeletonize(base, o.opts)
+			s, err := Skeletonize(base, Options{})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, base.Name, err)
+			}
+			r := rng.New(7)
+			points := goldenPoints(s, r)
+			for range 20 {
+				points = append(points, s.RandomWeights(r))
+			}
+			for i, x := range points {
+				inst, err := s.Instantiate("p", x)
 				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", name, base.Name, o.name, err)
+					t.Fatalf("%s/%s point %d: %v", name, base.Name, i, err)
 				}
-				r := rng.New(7)
-				points := goldenPoints(s, r)
-				for range 20 {
-					points = append(points, s.RandomWeights(r))
-				}
-				for i, x := range points {
-					inst, err := s.Instantiate("p", x)
-					if err != nil {
-						t.Fatalf("%s/%s/%s point %d: %v", name, base.Name, o.name, i, err)
-					}
-					if err := bind.Compile(inst).Err(); err != nil {
-						t.Errorf("%s/%s/%s point %d: %v\n%s", name, base.Name, o.name, i, err, inst)
-					}
+				if err := bind.Compile(inst).Err(); err != nil {
+					t.Errorf("%s/%s point %d: %v\n%s", name, base.Name, i, err, inst)
 				}
 			}
 		}

@@ -4,13 +4,15 @@
 // The Skeletonizer receives a test-template and produces a skeleton: a
 // copy of the template in which every weight that the CDG-Runner may
 // modify is replaced by a mark. Weight parameters keep their entries,
-// with each (by default non-zero) weight marked; range parameters —
-// from which the generator draws uniformly — are replaced by weight
-// parameters over subranges, each subrange weight marked, so the runner
-// can shape the distribution over the original range.
+// with each non-zero weight marked: a zero weight flags a value the
+// template author excluded on purpose (paper Fig. 1(b) leaves "add: 0"
+// unmarked), so it stays fixed. Range parameters — from which the
+// generator draws uniformly — are replaced by weight parameters over
+// equal-width subranges, each subrange weight marked, so the runner can
+// shape the distribution over the original range.
 //
 // The marked positions ("slots") define the fine-grained search space:
-// a skeleton with d slots plus a weight vector in [0, MaxWeight]^d
+// a skeleton with d slots plus a weight vector in [0, 100]^d
 // instantiates to a concrete, valid test-template.
 package skeleton
 
@@ -23,42 +25,22 @@ import (
 	"repro/internal/template"
 )
 
-// SubrangeMode selects how a range parameter is split into subranges.
-type SubrangeMode int
-
-const (
-	// Linear splits the range into equal-width subranges.
-	Linear SubrangeMode = iota
-	// Geometric splits the range into subranges of geometrically growing
-	// width, giving the runner finer control near the low end — useful
-	// for delay- and gap-like parameters whose interesting values are
-	// small.
-	Geometric
-)
+// maxWeight is the upper bound of every slot's weight: the search box
+// is [0, maxWeight]^d.
+const maxWeight = 100
 
 // Options control skeletonization. The zero value selects the defaults
 // documented on each field.
 type Options struct {
-	// IncludeZeroWeights also marks weight entries whose weight is zero.
-	// Zero weights often flag values that must not be used (paper
-	// Fig. 1(b) deliberately leaves "add: 0" unmarked), so the default
-	// is to keep them fixed.
-	IncludeZeroWeights bool
-	// Subranges is the number of subranges a range parameter is split
-	// into (default 4). The paper leaves the count user-controlled.
+	// Subranges is the number of equal-width subranges a range
+	// parameter is split into (default 4). The paper leaves the count
+	// user-controlled.
 	Subranges int
-	// Mode selects the subrange split shape (default Linear).
-	Mode SubrangeMode
-	// MaxWeight is the upper bound of every slot's weight (default 100).
-	MaxWeight int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Subranges <= 0 {
 		o.Subranges = 4
-	}
-	if o.MaxWeight <= 0 {
-		o.MaxWeight = 100
 	}
 	return o
 }
@@ -131,14 +113,14 @@ func Skeletonize(t *template.Template, opts Options) (*Skeleton, error) {
 		switch param := p.(type) {
 		case *template.WeightParam:
 			for _, e := range param.Entries {
-				if e.Weight > 0 || opts.IncludeZeroWeights {
+				if e.Weight > 0 {
 					mark(param.Name, len(wp.Entries), e.Label(), SlotWeight)
 					e.Weight = 0
 				}
 				wp.Entries = append(wp.Entries, e)
 			}
 		case *template.RangeParam:
-			for _, sub := range split(param.Lo, param.Hi, opts.Subranges, opts.Mode) {
+			for _, sub := range split(param.Lo, param.Hi, opts.Subranges) {
 				e := template.WeightEntry{IsRange: true, Lo: sub[0], Hi: sub[1]}
 				mark(param.Name, len(wp.Entries), e.Label(), SlotSubrange)
 				wp.Entries = append(wp.Entries, e)
@@ -154,8 +136,8 @@ func Skeletonize(t *template.Template, opts Options) (*Skeleton, error) {
 }
 
 // split divides the inclusive range [lo, hi] into at most k non-empty,
-// non-overlapping, covering subranges.
-func split(lo, hi, k int, mode SubrangeMode) [][2]int {
+// non-overlapping, covering subranges of equal width (±1).
+func split(lo, hi, k int) [][2]int {
 	width := hi - lo + 1
 	if k > width {
 		k = width
@@ -163,33 +145,9 @@ func split(lo, hi, k int, mode SubrangeMode) [][2]int {
 	if k <= 1 {
 		return [][2]int{{lo, hi}}
 	}
-	bounds := make([]int, 0, k+1)
-	switch mode {
-	case Geometric:
-		// Cut points at lo + width^(i/k), deduplicated; guarantees the
-		// first subranges are the narrowest.
-		bounds = append(bounds, lo)
-		for i := 1; i < k; i++ {
-			cut := lo + int(math.Round(math.Pow(float64(width), float64(i)/float64(k))))
-			if cut <= bounds[len(bounds)-1] {
-				cut = bounds[len(bounds)-1] + 1
-			}
-			if cut > hi {
-				break
-			}
-			bounds = append(bounds, cut)
-		}
-		bounds = append(bounds, hi+1)
-	default: // Linear
-		for i := 0; i <= k; i++ {
-			bounds = append(bounds, lo+i*width/k)
-		}
-	}
-	subs := make([][2]int, 0, len(bounds)-1)
-	for i := 0; i+1 < len(bounds); i++ {
-		if bounds[i+1] > bounds[i] {
-			subs = append(subs, [2]int{bounds[i], bounds[i+1] - 1})
-		}
+	subs := make([][2]int, 0, k)
+	for i := 0; i < k; i++ {
+		subs = append(subs, [2]int{lo + i*width/k, lo + (i+1)*width/k - 1})
 	}
 	return subs
 }
@@ -210,7 +168,7 @@ func (s *Skeleton) Options() Options { return s.opts }
 func (s *Skeleton) Base() *template.Template { return s.base }
 
 // MaxWeight returns the upper bound of every slot weight.
-func (s *Skeleton) MaxWeight() int { return s.opts.MaxWeight }
+func (s *Skeleton) MaxWeight() int { return maxWeight }
 
 // Clamp limits every coordinate of x to the search box [0, MaxWeight],
 // in place, and returns x.
@@ -218,8 +176,8 @@ func (s *Skeleton) Clamp(x []float64) []float64 {
 	for i, v := range x {
 		if v < 0 {
 			x[i] = 0
-		} else if v > float64(s.opts.MaxWeight) {
-			x[i] = float64(s.opts.MaxWeight)
+		} else if v > maxWeight {
+			x[i] = maxWeight
 		}
 	}
 	return x
@@ -237,7 +195,6 @@ func (s *Skeleton) Instantiate(name string, weights []float64) (*template.Templa
 		return nil, fmt.Errorf("skeleton: got %d weights for %d slots", len(weights), len(s.slots))
 	}
 	t := s.clone(name)
-	top := float64(s.opts.MaxWeight)
 	for _, ps := range s.params {
 		entries := t.Params[ps.param].(*template.WeightParam).Entries
 		revive := ps.first // the largest raw weight (ties: first)
@@ -250,7 +207,7 @@ func (s *Skeleton) Instantiate(name string, weights []float64) (*template.Templa
 			if w > weights[revive] {
 				revive = k
 			}
-			rounded := int(math.Round(min(max(w, 0), top)))
+			rounded := int(math.Round(min(max(w, 0), maxWeight)))
 			entries[s.at[k].entry].Weight = rounded
 			allZero = allZero && rounded == 0
 		}
@@ -305,7 +262,7 @@ func (s *Skeleton) Weights(t *template.Template) ([]float64, error) {
 func (s *Skeleton) RandomWeights(r *rng.RNG) []float64 {
 	x := make([]float64, len(s.slots))
 	for i := range x {
-		x[i] = r.Float64() * float64(s.opts.MaxWeight)
+		x[i] = r.Float64() * maxWeight
 	}
 	return x
 }

@@ -73,26 +73,6 @@ func TestSkeletonizeLSU(t *testing.T) {
 	}
 }
 
-func TestIncludeZeroWeights(t *testing.T) {
-	s, err := Skeletonize(mustParse(t, lsuSource), Options{IncludeZeroWeights: true, Subranges: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Now "add" is also marked: 4 + 2 slots.
-	if s.Dim() != 6 {
-		t.Fatalf("Dim = %d, want 6", s.Dim())
-	}
-	found := false
-	for _, sl := range s.Slots() {
-		if sl.Param == "Mnemonic" && sl.Label == "add" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("add not marked despite IncludeZeroWeights")
-	}
-}
-
 func TestSkeletonizeRejectsUnmodifiable(t *testing.T) {
 	// A template whose only weight entries are zero yields no slots.
 	tmpl := mustParse(t, "template t { weight W { a: 0; } }")
@@ -109,7 +89,7 @@ func TestSkeletonizeRejectsInvalid(t *testing.T) {
 }
 
 func TestSplitLinear(t *testing.T) {
-	subs := split(0, 99, 4, Linear)
+	subs := split(0, 99, 4)
 	if len(subs) != 4 {
 		t.Fatalf("subs = %v", subs)
 	}
@@ -123,7 +103,7 @@ func TestSplitLinear(t *testing.T) {
 
 func TestSplitNarrowRange(t *testing.T) {
 	// Range narrower than requested subrange count: one subrange per value.
-	subs := split(5, 7, 8, Linear)
+	subs := split(5, 7, 8)
 	if len(subs) != 3 {
 		t.Fatalf("subs = %v", subs)
 	}
@@ -135,39 +115,9 @@ func TestSplitNarrowRange(t *testing.T) {
 }
 
 func TestSplitSingleValue(t *testing.T) {
-	subs := split(9, 9, 4, Linear)
+	subs := split(9, 9, 4)
 	if len(subs) != 1 || subs[0] != [2]int{9, 9} {
 		t.Fatalf("subs = %v", subs)
-	}
-}
-
-func TestSplitGeometric(t *testing.T) {
-	subs := split(0, 1000, 5, Geometric)
-	// Must cover the range contiguously and be increasingly wide.
-	lo := 0
-	prevWidth := 0
-	for i, s := range subs {
-		if s[0] != lo {
-			t.Fatalf("gap at %v", s)
-		}
-		width := s[1] - s[0] + 1
-		if i > 0 && width < prevWidth {
-			t.Fatalf("geometric widths not non-decreasing: %v", subs)
-		}
-		prevWidth = width
-		lo = s[1] + 1
-	}
-	if lo != 1001 {
-		t.Fatalf("coverage ends at %d", lo)
-	}
-	if len(subs) < 2 {
-		t.Fatalf("expected multiple subranges, got %v", subs)
-	}
-	// First geometric subrange should be much narrower than the last.
-	first := subs[0][1] - subs[0][0] + 1
-	last := subs[len(subs)-1][1] - subs[len(subs)-1][0] + 1
-	if first >= last {
-		t.Fatalf("geometric split not front-loaded: first=%d last=%d", first, last)
 	}
 }
 
@@ -178,11 +128,7 @@ func TestSplitPropertyCoverage(t *testing.T) {
 		width := 1 + r.Intn(500)
 		hi := lo + width - 1
 		k := 1 + r.Intn(10)
-		mode := Linear
-		if r.Bool(0.5) {
-			mode = Geometric
-		}
-		subs := split(lo, hi, k, mode)
+		subs := split(lo, hi, k)
 		if len(subs) == 0 || len(subs) > k {
 			return false
 		}
@@ -375,7 +321,7 @@ template o {
 }
 
 func TestRandomWeightsInBox(t *testing.T) {
-	s, _ := Skeletonize(mustParse(t, lsuSource), Options{MaxWeight: 50})
+	s, _ := Skeletonize(mustParse(t, lsuSource), Options{})
 	r := rng.New(3)
 	for trial := 0; trial < 100; trial++ {
 		x := s.RandomWeights(r)
@@ -383,8 +329,8 @@ func TestRandomWeightsInBox(t *testing.T) {
 			t.Fatalf("len = %d", len(x))
 		}
 		for _, v := range x {
-			if v < 0 || v >= 50 {
-				t.Fatalf("weight %v out of [0,50)", v)
+			if v < 0 || v >= 100 {
+				t.Fatalf("weight %v out of [0,100)", v)
 			}
 		}
 	}
@@ -434,7 +380,7 @@ func TestDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Options().Subranges != 4 || s.Options().MaxWeight != 100 {
+	if s.Options().Subranges != 4 {
 		t.Fatalf("defaults = %+v", s.Options())
 	}
 	if s.MaxWeight() != 100 {
