@@ -78,6 +78,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "cdgd: -data is required")
 		return 2
 	}
+	if code := workers.Check(fs); code != 0 {
+		return code
+	}
 	if code := faults.Arm(); code != 0 {
 		return code
 	}

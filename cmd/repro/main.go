@@ -63,6 +63,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *rounds < 1:
 		return cli.Fail(fs, 2, fmt.Errorf("-rounds %d: want at least 1", *rounds))
 	}
+	if code := workers.Check(fs); code != 0 {
+		return code
+	}
 	if code := jnl.Check(); code != 0 {
 		return code
 	}

@@ -55,9 +55,10 @@ func TestCSVDirIsCreated(t *testing.T) {
 }
 
 // TestRefusesInputsItWouldRewrite: a seed of 0, a scale that is not a
-// finite positive number, fewer than one round and an unregistered
-// engine exit 2 before any simulation, instead of running some other
-// seed, scale, round count or search. Engine knobs are not flags.
+// finite positive number, fewer than one round, an unregistered engine
+// and a pool above sim.MaxWorkers exit 2 before any simulation, instead
+// of running some other seed, scale, round count or search, or panicking
+// in the scheduler's make. Engine knobs are not flags.
 func TestRefusesInputsItWouldRewrite(t *testing.T) {
 	for _, tc := range []struct{ flag, value, want string }{
 		{"-seed", "0", "-seed 0"},
@@ -68,6 +69,7 @@ func TestRefusesInputsItWouldRewrite(t *testing.T) {
 		{"-rounds", "0", "-rounds 0"},
 		{"-rounds", "-1", "-rounds -1"},
 		{"-engine", "annealing", `repro: unknown engine "annealing"`},
+		{"-workers", "1099511627776", "repro: -workers 1099511627776: want at most 1024"},
 	} {
 		args := []string{"-fig", "3", "-scale", "0.002", "-rounds", "1", "-metrics", tc.flag, tc.value}
 		stdout, stderr, code := repro(t, args...)

@@ -335,6 +335,14 @@ func (w *Workers) Register(fs *flag.FlagSet) {
 	fs.IntVar((*int)(w), "workers", 0, "simulation worker goroutines (<= 0: GOMAXPROCS)")
 }
 
+// Check refuses a pool above sim.MaxWorkers with exit code 2.
+func (w Workers) Check(fs *flag.FlagSet) int {
+	if int(w) > sim.MaxWorkers {
+		return Fail(fs, 2, fmt.Errorf("-workers %d: want at most %d (<= 0: GOMAXPROCS)", int(w), sim.MaxWorkers))
+	}
+	return 0
+}
+
 // Engine is -engine, the fine-grained optimizer by registry name. The
 // engine runs with its default knobs over the flow's budget flags.
 type Engine struct {
@@ -377,14 +385,18 @@ func (c *Corpus) Register(fs *flag.FlagSet) {
 	c.journal.Register(fs)
 }
 
-// Check requires -unit and at least one simulation per template, and
-// rejects -resume without -journal.
+// Check requires -unit and at least one simulation per template,
+// refuses -workers above sim.MaxWorkers, and rejects -resume without
+// -journal.
 func (c *Corpus) Check() int {
 	if c.Unit == "" {
 		return Fail(c.fs, 2, errors.New("-unit is required"))
 	}
 	if c.sims < 1 {
 		return Fail(c.fs, 2, fmt.Errorf("-sims %d: want at least 1", c.sims))
+	}
+	if code := c.workers.Check(c.fs); code != 0 {
+		return code
 	}
 	return c.journal.Check()
 }

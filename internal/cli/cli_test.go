@@ -321,6 +321,9 @@ func TestCorpus(t *testing.T) {
 		{[]string{"-unit", "iounit", "-sims", "0"}, 2, "cmd: -sims 0: want at least 1"},
 		{[]string{"-unit", "iounit", "-sims", "-3"}, 2, "cmd: -sims -3: want at least 1"},
 		{[]string{"-unit", "iounit", "-sims", "1"}, 0, ""},
+		{[]string{"-unit", "iounit", "-workers", "1099511627776"}, 2, "cmd: -workers 1099511627776: want at most 1024 (<= 0: GOMAXPROCS)"},
+		{[]string{"-unit", "iounit", "-workers", "1024"}, 0, ""},
+		{[]string{"-unit", "iounit", "-workers", "-1"}, 0, ""},
 		{[]string{"-unit", "iounit"}, 0, ""},
 	})
 

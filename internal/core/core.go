@@ -51,8 +51,8 @@ import (
 )
 
 // Config holds every knob of the flow. The zero value selects the
-// defaults documented per field, and a negative budget is an error
-// (Validate); the paper's per-unit settings live in
+// defaults documented per field, and a negative budget or an oversized
+// pool is an error (Validate); the paper's per-unit settings live in
 // the repro harness (cmd/repro).
 type Config struct {
 	// Seed makes the entire flow reproducible.
@@ -156,9 +156,18 @@ type Config struct {
 // Validate is the one check of a config's budgets, shared by New and a
 // service's admission as Target.Validate is: zero selects a budget's
 // default, and a negative budget is an error rather than a silent
-// default. Workers and RunnerLanes size pools, not budgets, and keep
-// their documented <= 0 meaning. Its errors carry no package prefix.
+// default. Workers and RunnerLanes size pools, not budgets: they keep
+// their documented <= 0 meaning, and a pool above sim.MaxWorkers is an
+// error. Its errors carry no package prefix.
 func (c Config) Validate() error {
+	for _, p := range []struct {
+		name string
+		v    int
+	}{{"Workers", c.Workers}, {"RunnerLanes", c.RunnerLanes}} {
+		if p.v > sim.MaxWorkers {
+			return fmt.Errorf("pool %s %d exceeds %d (<= 0 selects the default)", p.name, p.v, sim.MaxWorkers)
+		}
+	}
 	for _, b := range []struct {
 		name string
 		v    int

@@ -8,6 +8,7 @@ import (
 	"repro/internal/duv"
 	"repro/internal/duv/ifu"
 	"repro/internal/duv/iounit"
+	"repro/internal/sim"
 )
 
 // TestTargetValidate is the table of the one target check Run, the
@@ -63,5 +64,45 @@ func TestTargetValidate(t *testing.T) {
 	set := Target{Family: iounit.FamilyName, Decay: 0.4, Rounds: 3, MinSim: 0.7}
 	if set.decay() != 0.4 || set.rounds() != 3 || set.minSim() != 0.7 {
 		t.Fatalf("set values not kept: %+v", set)
+	}
+}
+
+// TestConfigValidate is the table of the one config check New, the
+// service's admission and its recovery scan share: budgets and pools.
+// A pool above sim.MaxWorkers used to reach sim.NewEnv, whose task
+// queue (eight slots a worker) it overflowed with a makechan panic that
+// took cdgd down from a campaign goroutine.
+func TestConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		wantErr string // "" = valid
+	}{
+		{"zero", Config{}, ""},
+		{"GOMAXPROCS workers", Config{Workers: -1, RunnerLanes: -1}, ""},
+		{"widest pool", Config{Workers: sim.MaxWorkers, RunnerLanes: sim.MaxWorkers}, ""},
+		{"negative budget", Config{OptSims: -5}, "budget OptSims -5 is negative"},
+		{"workers above the bound", Config{Workers: sim.MaxWorkers + 1}, "pool Workers 1025 exceeds 1024"},
+		{"workers that overflow the queue", Config{Workers: 1 << 40}, "pool Workers 1099511627776 exceeds 1024"},
+		{"lanes above the bound", Config{RunnerLanes: 1 << 40}, "pool RunnerLanes 1099511627776 exceeds 1024"},
+	} {
+		err := tc.cfg.Validate()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v, want valid", tc.name, err)
+		case tc.wantErr != "" && err == nil:
+			t.Errorf("%s: valid, want %q", tc.name, tc.wantErr)
+		case err != nil && !strings.HasPrefix(err.Error(), tc.wantErr):
+			t.Errorf("%s: %q, want it to start with %q", tc.name, err, tc.wantErr)
+		}
+		if tc.wantErr == "" {
+			continue
+		}
+		if f, err := New(iounit.New(), tc.cfg); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			if f != nil {
+				f.Close()
+			}
+			t.Errorf("%s: New = %v, want %q", tc.name, err, tc.wantErr)
+		}
 	}
 }

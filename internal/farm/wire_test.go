@@ -352,7 +352,7 @@ func TestChunkFrameRoundTrip(t *testing.T) {
 			}
 			continue
 		}
-		if back.String() != tc.String() || back.Fingerprint() != tc.Fingerprint() {
+		if back.String() != tc.String() {
 			t.Fatalf("template diverged:\n%s\nvs\n%s", back.String(), tc.String())
 		}
 	}

@@ -255,8 +255,8 @@ func (b *Binding) Compile(tmpl *template.Template) *Plan {
 }
 
 // fail records why the named parameter cannot be compiled. The error
-// does not name the template: a cached plan serves every template of the
-// same body, so whoever returns the error names the one it was given.
+// does not name the template or the unit: the caller that compiled the
+// plan names both (sim.Env.plan).
 func (p *Plan) fail(param string, err error) *Plan {
 	p.err = fmt.Errorf("generator: parameter %q: %w", param, err)
 	return p
@@ -275,8 +275,8 @@ func (p *Plan) Template() *template.Template { return p.tmpl }
 
 // compileParam lays one setting out as a slot. def is the slot of the
 // default this setting overrides (nil for a default itself, whose own
-// entries then are the vocabulary). Entries are copied: the plan may be
-// cached and shared across goroutines long after the caller mutates its
+// entries then are the vocabulary). Entries are copied: a batch's
+// workers share the plan and may run after the caller mutates its
 // template.
 func compileParam(p template.Param, def *slot) (slot, error) {
 	var s slot

@@ -627,9 +627,9 @@ func TestDrawTableMatchesInterpreterAtTheEdges(t *testing.T) {
 	}
 }
 
-// TestPlanTablesAreBounded: cmd/farmd compiles templates off the wire
-// into a cache of plans, so what a plan holds must not grow with what it
-// is sent. The widest template — every declared parameter at the widest
+// TestPlanTablesAreBounded: cmd/farmd compiles a plan for every chunk
+// it is sent, so what a plan holds must not grow with what it is
+// sent. The widest template — every declared parameter at the widest
 // total Intn can draw — holds 256 bytes of table per declared parameter,
 // full stop; the same template with a thousand more parameters of its
 // own is an error naming the first of them.

@@ -1,6 +1,8 @@
 package generator_test
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/duv"
@@ -16,7 +18,12 @@ import (
 // whatever text cmd/farmd is sent, parsing it and compiling it over any
 // registered unit's defaults never panics, and a plan that reports no
 // error names only parameters the unit declares and decides like the
-// interpreter (generator.CheckDecisions) on every slot. The seed corpus
+// interpreter (generator.CheckDecisions) on every slot. Every template
+// Parse accepts also round-trips through its printed form, which is how
+// a farm chunk carries it and how the corpus cache keys a base suite:
+// the reparse succeeds, String is a fixed point, and over each unit's
+// defaults both parses compile to the same plan error or to plans that
+// decide alike (sameDecisions). The seed corpus
 // under testdata/fuzz/FuzzCompileDecide holds the units' base templates,
 // the equivalence templates of compiled_test.go (equiv_*) and the three
 // over-wide draws of TestPlanErrors (overflow_*), each over one unit's
@@ -39,8 +46,53 @@ func FuzzCompileDecide(f *testing.F) {
 		if err != nil {
 			return
 		}
+		text := tmpl.String()
+		back, err := template.Parse(text)
+		if err != nil {
+			t.Fatalf("the printed form does not parse: %v\n%s", err, text)
+		}
+		if again := back.String(); again != text {
+			t.Fatalf("String is not a fixed point:\n%s\nreprints as\n%s", text, again)
+		}
 		for _, d := range defaults {
 			_ = generator.CheckDecisions(t, tmpl, d, 1, 256) // a plan error is a legal answer
+			sameDecisions(t, tmpl, back, d)
 		}
 	})
+}
+
+// sameDecisions checks that a and b compile over d to the same plan
+// error, or to plans whose generators, from one seed, make the same
+// decisions on every parameter of d and end at the same stream state.
+func sameDecisions(t *testing.T, a, b *template.Template, d generator.Defaults) {
+	t.Helper()
+	pa, pb := generator.Compile(a, d), generator.Compile(b, d)
+	if ea, eb := fmt.Sprint(pa.Err()), fmt.Sprint(pb.Err()); ea != eb {
+		t.Fatalf("the reparse compiles to another plan error: %s, then %s", ea, eb)
+	}
+	if pa.Err() != nil {
+		return
+	}
+	names := make([]string, 0, len(d))
+	for name := range d {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	ga, gb := generator.NewFromPlan(pa, 7), generator.NewFromPlan(pb, 7)
+	for i := 0; i < 32; i++ {
+		for _, name := range names {
+			var x, y any
+			if w, ok := d[name].(*template.WeightParam); ok && !w.Entries[0].IsRange {
+				x, y = ga.PickValue(name), gb.PickValue(name)
+			} else {
+				x, y = ga.PickInt(name), gb.PickInt(name)
+			}
+			if x != y {
+				t.Fatalf("%s decision %d: %v, then %v after the reparse", name, i, x, y)
+			}
+		}
+	}
+	if ga.RNG().State() != gb.RNG().State() {
+		t.Fatal("the reparse's generator ends at another stream state")
+	}
 }

@@ -123,6 +123,15 @@ func TestHTTPEndpointGoldens(t *testing.T) {
 		t.Fatalf("negative-budget POST status = %d, want 400 naming the budget: %s", resp.StatusCode, body)
 	}
 
+	// POST a pool no scheduler can allocate → 400 naming it, not a
+	// makechan panic in the campaign goroutine that takes the daemon down.
+	resp, body = doJSON(t, client, "POST", ts.URL+"/v1/campaigns",
+		json.RawMessage(`{"unit": "iounit", "family": "crc_fifo", "config": {"workers": 1099511627776}}`))
+	if resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(body), "pool Workers 1099511627776 exceeds 1024") {
+		t.Fatalf("oversized-pool POST status = %d, want 400 naming the pool: %s", resp.StatusCode, body)
+	}
+
 	// POST a misspelled budget → 400 naming the field, not a run at the
 	// default.
 	resp, body = doJSON(t, client, "POST", ts.URL+"/v1/campaigns",

@@ -349,6 +349,44 @@ func TestRecoverOrderDeterministic(t *testing.T) {
 	}
 }
 
+// TestRecoverSkipsCopiedDirectory: a copy of a queued campaign's
+// directory ("c000001.bak") is not a campaign. Recovery used to parse
+// any name that starts "c" and a number, so the copy was adopted and run
+// beside the original, and List returned two campaigns with the ID
+// c000001; "c12abc" also moved the allocator to c000013.
+func TestRecoverSkipsCopiedDirectory(t *testing.T) {
+	dataDir := t.TempDir()
+	orig := filepath.Join(dataDir, "c000001")
+	if err := os.Mkdir(orig, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	st := &State{ID: "c000001", Spec: tinySpec(), State: StateQueued, SubmittedAt: time.Date(2026, 8, 7, 10, 0, 0, 0, time.UTC)}
+	if err := saveState(orig, st); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"c000001.bak", "c12abc", "c-3", "c+7", "c 5", "c000000", "c1", "c0000001"} {
+		copyTree(t, orig, filepath.Join(dataDir, name))
+	}
+
+	svc := newService(t, Config{DataDir: dataDir, frozen: true})
+	svc.mu.Lock()
+	var queued []string
+	if q := svc.sched.tenants["default"]; q != nil {
+		queued = append(queued, q.ids...)
+	}
+	nextID := svc.nextID
+	svc.mu.Unlock()
+	if len(queued) != 1 || queued[0] != "c000001" {
+		t.Errorf("recovered queue = %q, want [c000001]", queued)
+	}
+	if nextID != 2 {
+		t.Errorf("nextID after recovery = %d, want 2", nextID)
+	}
+	if list := svc.List(); len(list) != 1 {
+		t.Errorf("List holds %d campaigns, want 1", len(list))
+	}
+}
+
 // TestRecoverSkipsTornSubmission: a replica killed between allocating
 // a campaign directory and renaming its state file in never
 // acknowledged that submission. The directory must not stop the next

@@ -36,6 +36,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -602,7 +604,7 @@ func (s *Service) Submit(spec Spec) (string, error) {
 	}
 	var id, dir string
 	for {
-		id = fmt.Sprintf("c%06d", s.nextID)
+		id = campaignID(s.nextID)
 		s.nextID++
 		dir = filepath.Join(s.cfg.DataDir, id)
 		err := os.Mkdir(dir, 0o755)
@@ -1261,11 +1263,19 @@ func now() *time.Time {
 	return &t
 }
 
-// idNumber parses the numeric part of a campaign id ("c000042" → 42);
-// foreign directory names yield 0 and never advance the allocator.
+// campaignID is the allocator's name for campaign n: "c" and n in at
+// least six digits.
+func campaignID(n int) string { return fmt.Sprintf("c%06d", n) }
+
+// idNumber parses the number of a campaign id in the allocator's form
+// ("c000042" → 42). Every other name yields 0, so a scan neither adopts
+// it nor advances the allocator past it: the knowledge base, and a copy
+// of a campaign directory ("c000001.bak"), which would otherwise run as
+// a second campaign under the ID its state file names.
 func idNumber(id string) int {
-	var n int
-	if _, err := fmt.Sscanf(id, "c%d", &n); err != nil {
+	digits, ok := strings.CutPrefix(id, "c")
+	n, err := strconv.Atoi(digits)
+	if !ok || err != nil || n <= 0 || campaignID(n) != id {
 		return 0
 	}
 	return n

@@ -45,7 +45,7 @@ type CorpusCache struct {
 type corpusKey struct {
 	unit            string
 	events          int
-	suite           string // names and content fingerprints of the base templates, in order
+	suite           string // source text of the base templates, in order (suiteKey)
 	seed            uint64
 	simsPerTemplate int
 	batches         uint64 // environment counters when the build started
@@ -70,16 +70,17 @@ func newCorpusCache(capacity int) *CorpusCache {
 	}
 }
 
-// suiteKey identifies a base suite by its templates' names and contents,
-// each length-prefixed so distinct suites never concatenate alike.
+// suiteKey identifies a base suite by its templates' source text
+// (template.Parse round-trips Template.String), each length-prefixed so
+// distinct suites never concatenate alike. The key lives only in memory,
+// so its format is free to change.
 func suiteKey(templates []*template.Template) string {
 	var b strings.Builder
 	for _, t := range templates {
-		for _, s := range []string{t.Name, t.Fingerprint()} {
-			b.WriteString(strconv.Itoa(len(s)))
-			b.WriteByte(':')
-			b.WriteString(s)
-		}
+		s := t.String()
+		b.WriteString(strconv.Itoa(len(s)))
+		b.WriteByte(':')
+		b.WriteString(s)
 	}
 	return b.String()
 }

@@ -156,17 +156,3 @@ func TestEnvCloseIdempotent(t *testing.T) {
 	env.Close()
 	env.Close() // second close must not panic
 }
-
-func TestPlanCacheReuse(t *testing.T) {
-	env := NewEnv(newToy(), 2, 2)
-	defer env.Close()
-	for _, tmpl := range []*template.Template{modeB(t), nil} {
-		a, err := env.plan(tmpl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b, _ := env.plan(tmpl); a != b {
-			t.Fatalf("plan cache did not reuse the compiled plan of %v", tmpl)
-		}
-	}
-}

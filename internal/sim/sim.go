@@ -13,12 +13,13 @@
 // submissions of the same template still see fresh sampling noise (the
 // "dynamic noise" the optimizer must absorb, Section IV-E).
 //
-// Each job's template is compiled once into a generator.Plan (cached,
-// content-keyed, size-bounded) and shared read-only by all N instances,
-// so per-decision parameter resolution and allocation are off the
-// per-simulation path; the unit's defaults are compiled once per
-// environment (generator.Binding), so a plan compiles only the
-// template's overrides.
+// Each job's template is compiled once, at submission, into a
+// generator.Plan shared read-only by all N instances, so per-decision
+// parameter resolution and allocation are off the per-simulation path;
+// the unit's defaults are compiled once per environment
+// (generator.Binding), so a plan compiles only the template's overrides.
+// Nothing caches plans: a compile costs about a microsecond, and a batch
+// runs at least eight simulations of 3–45 µs each.
 //
 // Chunks are relocatable: instance i of a batch is seeded purely from
 // (batch seed, i), never from which worker runs it or in which order, so
@@ -57,7 +58,6 @@ type Env struct {
 	closed   atomic.Bool
 	bind     *generator.Binding // the unit's defaults, compiled once
 	sched    *Scheduler
-	plans    *planCache
 	corpora  *CorpusCache    // nil = every corpus is built (SetCorpusCache)
 	ctx      context.Context // nil = never canceled (SetContext)
 	campaign string          // trace-correlation identity (SetRecorder)
@@ -69,8 +69,18 @@ type Env struct {
 	mCorpusHits, mCorpusMisses, mCorpusEvictions *obs.Counter
 }
 
+// MaxWorkers bounds a pool: an environment's local workers, and its
+// remote lanes apiece. Simulation is CPU-bound, so workers beyond the
+// machine's cores only wait, and each one costs a goroutine, a scratch
+// aggregate and eight slots of the task queue. 1024 is above the core
+// count of any machine the flow runs on and, at the farm's default eight
+// connections per farmd, lanes for a fleet of 128. A larger count is
+// refused where it enters (core.Config.Validate, cli.Workers.Check), not
+// handed to NewEnv, whose queue it could not allocate.
+const MaxWorkers = 1024
+
 // NewEnv creates an environment for the unit with the given base seed.
-// workers <= 0 selects GOMAXPROCS.
+// workers <= 0 selects GOMAXPROCS; callers keep it at most MaxWorkers.
 func NewEnv(unit duv.DUV, seed uint64, workers int) *Env {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -82,7 +92,6 @@ func NewEnv(unit duv.DUV, seed uint64, workers int) *Env {
 		seed:     rng.New(seed),
 		bind:     generator.Bind(unit.Defaults()),
 		sched:    newScheduler(workers),
-		plans:    newPlanCache(planCacheSize),
 	}
 }
 
@@ -96,7 +105,6 @@ func (e *Env) SetRecorder(rec *obs.Recorder) {
 	e.campaign = rec.CampaignID()
 	e.mInstances = rec.Counter("sim.instances_completed")
 	e.hBatchSize = rec.Histogram("sim.batch_size", obs.SizeBounds())
-	e.plans.setRecorder(rec)
 	e.mCorpusHits = rec.Counter("sim.corpus_cache.hits")
 	e.mCorpusMisses = rec.Counter("sim.corpus_cache.misses")
 	e.mCorpusEvictions = rec.Counter("sim.corpus_cache.evictions")
@@ -177,20 +185,14 @@ func (e *Env) RestoreCounters(batches, sims uint64) {
 	e.sims.Store(sims)
 }
 
-// plan returns the unit's compiled sampling plan for tmpl, compiling
-// and caching it on first use. Plans are keyed by template content, so
-// re-parsed or renamed copies of one body share one table; the cache is
-// size-bounded (planCacheSize). A template the unit cannot run (a
-// parameter the unit does not declare, a symbolic value outside a
-// parameter's vocabulary, a setting of the wrong type) is an error here,
-// before any instance runs and before the batch counter moves.
+// plan compiles the unit's sampling plan for tmpl, once per batch or
+// chunk. A template the unit cannot run (a parameter the unit does not
+// declare, a symbolic value outside a parameter's vocabulary, a setting
+// of the wrong type) is an error here, before any instance runs and
+// before the batch counter moves.
 func (e *Env) plan(tmpl *template.Template) (*generator.Plan, error) {
-	plan := e.plans.get(planKey(tmpl), func() *generator.Plan {
-		return e.bind.Compile(tmpl)
-	})
+	plan := e.bind.Compile(tmpl)
 	if err := plan.Err(); err != nil {
-		// The plan may have been cached under another template's name: the
-		// key is the body. Name the template this call was given.
 		if tmpl != nil {
 			return nil, fmt.Errorf("sim: unit %q: template %q: %w", e.unitName, tmpl.Name, err)
 		}

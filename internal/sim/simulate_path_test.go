@@ -83,9 +83,8 @@ func TestTemplateTheUnitCannotRunIsAnError(t *testing.T) {
 		}
 	}
 
-	// The plan cache keys on the body, so a second template of the same
-	// body is answered from the first one's plan: the error must still
-	// name the template that was submitted.
+	// Two templates of one body fail alike: each error names the
+	// template that was submitted.
 	unit, err := duv.New("iounit")
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,6 @@ package template
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -53,8 +52,6 @@ type Param interface {
 	CloneParam() Param
 	// write appends the canonical source form to b at the given indent.
 	write(b *strings.Builder, indent string)
-	// appendKey appends the setting's identity to b: see Fingerprint.
-	appendKey(b []byte) []byte
 }
 
 // WeightEntry is one value:weight pair of a weight parameter. An entry is
@@ -131,27 +128,6 @@ func (p *WeightParam) write(b *strings.Builder, indent string) {
 	fmt.Fprintf(b, "%s}\n", indent)
 }
 
-func (p *WeightParam) appendKey(b []byte) []byte {
-	b = appendString(append(b, 'w'), p.Name)
-	for _, e := range p.Entries {
-		if e.IsRange {
-			b = strconv.AppendInt(append(b, '['), int64(e.Lo), 10)
-			b = strconv.AppendInt(append(b, ':'), int64(e.Hi), 10)
-		} else {
-			b = appendString(append(b, '='), e.Value)
-		}
-		b = strconv.AppendInt(append(b, ':'), int64(e.Weight), 10)
-	}
-	return append(b, ';')
-}
-
-// appendString appends s behind its length, so that no choice of names
-// and values makes two different settings read the same.
-func appendString(b []byte, s string) []byte {
-	b = strconv.AppendInt(b, int64(len(s)), 10)
-	return append(append(b, ':'), s...)
-}
-
 // RangeParam is a range parameter: values are drawn uniformly from the
 // inclusive range [Lo, Hi].
 type RangeParam struct {
@@ -173,13 +149,6 @@ func (p *RangeParam) Width() int { return p.Hi - p.Lo + 1 }
 
 func (p *RangeParam) write(b *strings.Builder, indent string) {
 	fmt.Fprintf(b, "%srange %s [%d : %d];\n", indent, p.Name, p.Lo, p.Hi)
-}
-
-func (p *RangeParam) appendKey(b []byte) []byte {
-	b = appendString(append(b, 'r'), p.Name)
-	b = strconv.AppendInt(append(b, '['), int64(p.Lo), 10)
-	b = strconv.AppendInt(append(b, ':'), int64(p.Hi), 10)
-	return append(b, ';')
 }
 
 // New returns an empty template with the given name.
@@ -249,7 +218,9 @@ func (t *Template) ParamNames() []string {
 }
 
 // String returns the canonical source form of the template; Parse of the
-// result reproduces the template exactly.
+// result reproduces the template exactly, so String is a template's
+// identity wherever one is needed: a farm chunk carries its template as
+// this text, and the corpus cache keys a base suite by it.
 func (t *Template) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "template %s {\n", t.Name)
@@ -258,25 +229,4 @@ func (t *Template) String() string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// Fingerprint returns a stable identity string for the template's
-// *contents* (name excluded): equal settings yield equal fingerprints
-// regardless of parameter order; the order of a weight parameter's
-// entries is part of its setting. It is the key of the simulation
-// environment's plan cache, computed once per submitted batch, so it is
-// one buffer of strconv appends, not the pretty-printer: compact and
-// injective, not readable.
-func (t *Template) Fingerprint() string {
-	byName := func(a, b Param) int { return strings.Compare(a.ParamName(), b.ParamName()) }
-	params := t.Params
-	if !slices.IsSortedFunc(params, byName) {
-		params = slices.Clone(params)
-		slices.SortStableFunc(params, byName)
-	}
-	key := make([]byte, 0, 32*len(params))
-	for _, p := range params {
-		key = p.appendKey(key)
-	}
-	return string(key)
 }

@@ -305,65 +305,6 @@ func TestParamLookupsWrongKind(t *testing.T) {
 	}
 }
 
-func TestFingerprintOrderIndependent(t *testing.T) {
-	a, _ := Parse("template x { range A [1:2]; range B [3:4]; }")
-	b, _ := Parse("template y { range B [3:4]; range A [1:2]; }")
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("fingerprints should ignore parameter order and template name")
-	}
-	c, _ := Parse("template x { range A [1:2]; range B [3:5]; }")
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Fatal("different settings must give different fingerprints")
-	}
-}
-
-// TestFingerprintEquivalenceClasses pins what the plan-cache key tells
-// apart: not the template's name, not the order of its parameters; every
-// name, value, bound and weight, the order of a weight parameter's
-// entries, and where one string ends and the next begins.
-func TestFingerprintEquivalenceClasses(t *testing.T) {
-	base := "template a { weight W { x: 1; y: 2; [0:3]: 4; } range R [1:2]; weight V { on: 0; } }"
-	for _, tc := range []struct {
-		name, other string
-		equal       bool
-	}{
-		{"itself", base, true},
-		{"renamed", "template b { weight W { x: 1; y: 2; [0:3]: 4; } range R [1:2]; weight V { on: 0; } }", true},
-		{"parameters reordered", "template a { weight V { on: 0; } range R [1:2]; weight W { x: 1; y: 2; [0:3]: 4; } }", true},
-		{"reformatted", "template a {\n  weight W {\n    x:      1;\n    y: 2;\n    [0 : 3]: 4;\n  }\n  range R [1 : 2];\n  weight V { on: 0; }\n}", true},
-		{"entries reordered", "template a { weight W { y: 2; x: 1; [0:3]: 4; } range R [1:2]; weight V { on: 0; } }", false},
-		{"a weight changed", "template a { weight W { x: 1; y: 3; [0:3]: 4; } range R [1:2]; weight V { on: 0; } }", false},
-		{"a weight moved to its neighbour", "template a { weight W { x: 2; y: 1; [0:3]: 4; } range R [1:2]; weight V { on: 0; } }", false},
-		{"a value renamed", "template a { weight W { x: 1; z: 2; [0:3]: 4; } range R [1:2]; weight V { on: 0; } }", false},
-		{"a subrange bound changed", "template a { weight W { x: 1; y: 2; [0:4]: 4; } range R [1:2]; weight V { on: 0; } }", false},
-		{"a range bound changed", "template a { weight W { x: 1; y: 2; [0:3]: 4; } range R [1:3]; weight V { on: 0; } }", false},
-		{"a parameter renamed", "template a { weight W { x: 1; y: 2; [0:3]: 4; } range Q [1:2]; weight V { on: 0; } }", false},
-		{"a parameter dropped", "template a { weight W { x: 1; y: 2; [0:3]: 4; } range R [1:2]; }", false},
-		{"an entry dropped", "template a { weight W { x: 1; y: 2; } range R [1:2]; weight V { on: 0; } }", false},
-		{"an entry moved to the next parameter", "template a { weight W { x: 1; y: 2; } range R [1:2]; weight V { [0:3]: 4; on: 0; } }", false},
-		{"range turned into a one-subrange weight", "template a { weight W { x: 1; y: 2; [0:3]: 4; } weight R { [1:2]: 1; } weight V { on: 0; } }", false},
-	} {
-		a, err := Parse(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Parse(tc.other)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := a.Fingerprint() == b.Fingerprint(); got != tc.equal {
-			t.Errorf("%s: fingerprints equal = %v, want %v\n%q\n%q", tc.name, got, tc.equal, a.Fingerprint(), b.Fingerprint())
-		}
-	}
-	// Names and values are not confined to identifiers when a template is
-	// built in code: string boundaries must not be forgeable.
-	x := &Template{Params: []Param{&WeightParam{Name: "A", Entries: []WeightEntry{{Value: "b=1:c", Weight: 1}}}}}
-	y := &Template{Params: []Param{&WeightParam{Name: "A", Entries: []WeightEntry{{Value: "b", Weight: 1}, {Value: "c", Weight: 1}}}}}
-	if x.Fingerprint() == y.Fingerprint() {
-		t.Errorf("one value spelled like two entries collides: %q", x.Fingerprint())
-	}
-}
-
 func TestValidateProgrammatic(t *testing.T) {
 	cases := []struct {
 		name string
