@@ -14,6 +14,7 @@ package l3cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/coverage"
 	"repro/internal/duv"
@@ -67,9 +68,9 @@ type L3Cache struct {
 	bypIDs   [bypassQueueCap]int
 	evHit    [2]int // read-class, write
 	evMiss   [2]int
+	evEvict  [2]int // clean, dirty
 	evThread [4]int // by ThreadSel code
 	evRwitm, evFlush,
-	evEvictClean, evEvictDirty,
 	evSetConflict, evBypDenied, evQueueFull int
 }
 
@@ -126,8 +127,7 @@ func New() *L3Cache {
 	}
 	u.evRwitm = m.MustLookup("l3_rwitm_seen")
 	u.evFlush = m.MustLookup("l3_flush_seen")
-	u.evEvictClean = m.MustLookup("l3_evict_clean")
-	u.evEvictDirty = m.MustLookup("l3_evict_dirty")
+	u.evEvict = [2]int{m.MustLookup("l3_evict_clean"), m.MustLookup("l3_evict_dirty")}
 	u.evSetConflict = m.MustLookup("l3_set_conflict")
 	u.evBypDenied = m.MustLookup("l3_bypass_denied")
 	u.evQueueFull = m.MustLookup("l3_queue_full")
@@ -152,12 +152,59 @@ func (u *L3Cache) BaseTemplates() []*template.Template {
 	return out
 }
 
-// cacheLine is one way of a set.
-type cacheLine struct {
-	tag   int
-	valid bool
-	dirty bool
-	lru   int // higher = more recently used
+// Each set keeps its numWays tags in one uint64, way w in the 16-bit
+// lane w. An invalid way holds invalidTag, which no tag equals: a tag is
+// below addrLines/numSets.
+const (
+	laneOnes   = 0x0001000100010001 // 1 in every lane
+	laneHighs  = 0x8000800080008000 // the top bit of every lane
+	invalidTag = 0xffff
+	emptySet   = invalidTag * laneOnes
+)
+
+// A granted bypass request completes at most maxLatency cycles after its
+// issue. The completion calendar counts the requests that fall due on
+// cycle c in slot c&(calendarSlots-1); no two cycles an outstanding request
+// can fall due on share a slot, because each lies within maxLatency
+// cycles after the last issue cycle.
+const (
+	maxLatency    = bypassLatency + latencyJitter
+	calendarSlots = 64
+)
+
+// Compile-time guards on the packing: a negative constant does not
+// convert to uint.
+const (
+	_ = uint(calendarSlots - 1 - maxLatency)         // the calendar outspans every latency
+	_ = uint(-(calendarSlots & (calendarSlots - 1))) // calendarSlots is a power of two
+	_ = uint(invalidTag - addrLines/numSets)         // every tag is below invalidTag
+	_ = uint(4-numWays) + uint(numWays-4)            // four lanes, four ways
+)
+
+// hitLanes returns a word whose lowest set bit is the top bit of the
+// lowest lane of tags equal to tag, or 0 if no lane is: a lane of x is
+// zero exactly where tags holds tag, and a zero lane's borrow can mark
+// only lanes above it.
+func hitLanes(tags uint64, tag int) uint64 {
+	x := tags ^ uint64(tag)*laneOnes
+	return (x - laneOnes) &^ x & laneHighs
+}
+
+// lruWay returns the way with the smallest LRU stamp, the lowest such
+// way on a tie, as a scan from way 0 would: a two-round tournament in
+// which the higher way wins only when strictly smaller.
+func lruWay(s *[numWays]int32) int {
+	a, b := 0, 2
+	if s[1] < s[0] {
+		a = 1
+	}
+	if s[3] < s[2] {
+		b = 3
+	}
+	if s[b] < s[a] {
+		return b
+	}
+	return a
 }
 
 // Simulate implements duv.DUV.
@@ -168,16 +215,22 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 	reqType, threadSel, bypassHint := g.Choice(u.hReqType), g.Choice(u.hThreadSel), g.Choice(u.hBypassHint)
 	interArrival, locality := g.Ranges(u.hInterArrival), g.Ranges(u.hLocality)
 
-	var sets [numSets][numWays]cacheLine
-	lruClock := 0
+	// The cache, per set: the packed tags, each way's LRU stamp (the
+	// lruClock of its last use; 0 for an invalid way, which the victim
+	// choice therefore takes first) and a bitmask of the dirty ways, a
+	// subset of the valid ones.
+	var tags [numSets]uint64
+	for s := range tags {
+		tags[s] = emptySet
+	}
+	var stamps [numSets][numWays]int32
+	var dirty [numSets]uint8
+	lruClock := int32(0)
 
-	// Fixed arrays in the frame: the history never outgrows historySize
-	// and at most bypassQueueCap requests are in flight.
-	var historyBuf [historySize]int
-	var completionsBuf [bypassQueueCap]int
-	history := historyBuf[:0] // recently touched lines
-	completions := completionsBuf[:0]
-	nextDue := simCycles // earliest completion; simCycles while none can fall due
+	var history [historySize]int // recently touched lines, the first histLen valid
+	histLen := 0
+	var due [calendarSlots]uint8 // bypass completions per cycle, mod calendarSlots
+	retired := 0                 // the cycle up to which completions are retired
 	inFlight := 0
 	maxInFlight := 0
 	waitLeft := 0
@@ -186,9 +239,8 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 	for cycle := 0; cycle < simCycles; cycle++ {
 		// Wait cycles make no draw, and retiring only lowers inFlight,
 		// which only the issue step reads: jump to the cycle the wait
-		// ends on, where one retirement covers every completion that fell
-		// due during the wait. A negative wait (a template's negative
-		// range) is no wait.
+		// ends on. A negative wait (a template's negative range) is no
+		// wait.
 		if waitLeft > 0 {
 			if cycle += waitLeft; cycle >= simCycles {
 				break
@@ -196,22 +248,19 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 			waitLeft = 0
 		}
 
-		// Retire finished bypass requests, once the earliest is due: until
-		// then no request has finished and inFlight stands.
-		if cycle >= nextDue {
-			n := 0
-			nextDue = simCycles
-			for _, c := range completions {
-				if c > cycle {
-					completions[n] = c
-					n++
-					nextDue = min(nextDue, c)
-				} else {
-					inFlight--
-				}
+		// Retire the requests due in (retired, cycle]. Every outstanding
+		// request falls due within maxLatency cycles after the last issue
+		// cycle, which is retired, so a jump that long retires them all.
+		if cycle-retired >= maxLatency {
+			inFlight = 0
+			due = [calendarSlots]uint8{}
+		} else {
+			for c := retired + 1; c <= cycle; c++ {
+				inFlight -= int(due[c&(calendarSlots-1)])
+				due[c&(calendarSlots-1)] = 0
 			}
-			completions = completions[:n]
 		}
+		retired = cycle
 
 		// Issue one request.
 		req := reqType.Code(r)
@@ -225,25 +274,29 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 			v.Set(u.evFlush)
 			// Flush invalidates one random set.
 			s := r.Intn(numSets)
-			for w := range sets[s] {
-				if sets[s][w].valid && sets[s][w].dirty {
-					v.Set(u.evEvictDirty)
-				}
-				sets[s][w] = cacheLine{}
+			if dirty[s] != 0 {
+				v.Set(u.evEvict[1])
 			}
+			tags[s], stamps[s], dirty[s] = emptySet, [numWays]int32{}, 0
 			waitLeft = interArrival.Pick(r).Int(r)
 			continue
 		}
 
-		// Address generation with tunable locality.
-		var line int
-		if len(history) > 0 && r.Intn(100) < locality.Pick(r).Int(r) {
-			line = history[r.Intn(len(history))]
-		} else {
-			line = r.Intn(addrLines)
+		// Address generation with tunable locality. One 32-bit draw w
+		// picks both a recent line and a fresh one, each as Intn(n) would
+		// pick it from w (rng.Intn scales 32 bits by n), and the locality
+		// outcome keeps one by a mask, not a branch: the stream moves as
+		// if only the kept one had been drawn.
+		keep := 0 // all ones to keep the recent line
+		if histLen > 0 && r.Intn(100) < locality.Pick(r).Int(r) {
+			keep = -1
 		}
-		if len(history) < historySize {
-			history = append(history, line)
+		w := uint64(r.Intn(1 << 32))
+		fresh, recent := int(w*addrLines>>32), history[w*uint64(histLen)>>32%historySize]
+		line := fresh ^ (fresh^recent)&keep
+		if histLen < historySize {
+			history[histLen] = line
+			histLen++
 		} else {
 			history[r.Intn(historySize)] = line
 		}
@@ -260,47 +313,34 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 		if isRwitm {
 			v.Set(u.evRwitm)
 		}
-
-		// Lookup.
-		lruClock++
-		hitWay := -1
-		for w := range sets[set] {
-			if sets[set][w].valid && sets[set][w].tag == tag {
-				hitWay = w
-				break
-			}
-		}
 		kind := 0
 		if isWrite {
 			kind = 1
 		}
-		if hitWay >= 0 {
+		var dirties uint8 // 1 if the request dirties its line
+		if isWrite || isRwitm {
+			dirties = 1
+		}
+
+		// Lookup.
+		lruClock++
+		ways := &stamps[set]
+		if match := hitLanes(tags[set], tag); match != 0 {
 			v.Set(u.evHit[kind])
-			sets[set][hitWay].lru = lruClock
-			if isWrite || isRwitm {
-				sets[set][hitWay].dirty = true
-			}
+			way := bits.TrailingZeros64(match) >> 4
+			ways[way] = lruClock
+			dirty[set] |= dirties << way
 		} else {
 			v.Set(u.evMiss[kind])
 			// Allocate: evict the LRU way.
-			victim := 0
-			for w := 1; w < numWays; w++ {
-				if sets[set][w].lru < sets[set][victim].lru {
-					victim = w
-				}
+			victim := lruWay(ways)
+			if ways[victim] != 0 {
+				v.Set(u.evEvict[dirty[set]>>victim&1])
 			}
-			if sets[set][victim].valid {
-				if sets[set][victim].dirty {
-					v.Set(u.evEvictDirty)
-				} else {
-					v.Set(u.evEvictClean)
-				}
-			}
-			sets[set][victim] = cacheLine{
-				tag: tag, valid: true,
-				dirty: isWrite || isRwitm,
-				lru:   lruClock,
-			}
+			lane := 16 * uint(victim)
+			tags[set] = tags[set]&^(invalidTag<<lane) | uint64(tag)<<lane
+			ways[victim] = lruClock
+			dirty[set] = dirty[set]&^(1<<victim) | dirties<<victim
 
 			// Bypass path: read-class misses with the hint on may go
 			// straight to memory, occupying a bypass queue slot.
@@ -315,8 +355,7 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 						maxInFlight = inFlight
 					}
 					lat := bypassLatency + r.Intn(2*latencyJitter+1) - latencyJitter
-					completions = append(completions, cycle+lat)
-					nextDue = min(nextDue, cycle+lat)
+					due[(cycle+lat)&(calendarSlots-1)]++
 				default:
 					v.Set(u.evBypDenied)
 				}

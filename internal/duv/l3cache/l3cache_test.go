@@ -208,12 +208,13 @@ func TestSimulateRejectsForeignGenerator(t *testing.T) {
 	duvtest.RejectsForeignGenerator(t, New())
 }
 
-// TestSimulateMatchesReference: jumping over the wait cycles and
-// retiring only once a request falls due changes no vector and no stream
-// position. Beside the skeleton instances and their corners, the edge
-// shapes: negative inter-arrival times (no wait at all), waits that run
-// past the end of the instance, the bypass-heavy template whose
-// completions fall due during waits, and edgeShapes.
+// TestSimulateMatchesReference: jumping over the wait cycles, the
+// completion calendar, the packed tags and the one-draw address pick
+// change no vector and no stream position. Beside the skeleton instances
+// and their corners, the edge shapes: negative inter-arrival times (no
+// wait at all), waits that run past the end of the instance, the
+// bypass-heavy template whose completions fall due during waits, and
+// edgeShapes.
 func TestSimulateMatchesReference(t *testing.T) {
 	u := New()
 	var extra []*template.Template
@@ -267,7 +268,8 @@ func (s shape) template() *template.Template {
 	return tmpl
 }
 
-// edgeShapes drive the bypass queue and its retirement into their corners.
+// edgeShapes drive the bypass queue, its completion calendar, the packed
+// tags and the address pick into their corners.
 var edgeShapes = []shape{
 	// Requests that finish while the issue step waits out a long gap.
 	{name: "due_during_wait", read: 100, on: 100, waitLo: 5, waitHi: 40},
@@ -277,6 +279,21 @@ var edgeShapes = []shape{
 	{name: "flush_in_flight", read: 50, flush: 50, on: 100, waitHi: 2},
 	// A request each cycle, so some latency ends on the last cycle.
 	{name: "due_on_last_cycle", read: 100, on: 100, waitHi: 1, localHi: 5},
+	// Every wait outlasts the longest latency: each issue after the first
+	// retires the whole calendar at once.
+	{name: "retire_all_jump", read: 80, rwitm: 20, on: 100, waitLo: 41, waitHi: 200},
+	// Issues 39 and 40 cycles apart (a wait of n cycles puts the next
+	// issue n+1 cycles on): a request granted the longest latency is still
+	// in flight at the next issue, or has just finished.
+	{name: "wait_max_latency", read: 100, on: 100, waitLo: 38, waitHi: 39},
+	// Writes fill and dirty every way of every set, and flushes empty
+	// full, dirty sets.
+	{name: "flush_dirty_full", write: 70, rwitm: 10, flush: 20, on: 50, off: 50},
+	// The locality draw always keeps the recent line, and never does.
+	{name: "locality_always", read: 50, write: 30, rwitm: 20, on: 100, localLo: 100, localHi: 100},
+	{name: "locality_never", read: 50, write: 30, rwitm: 20, on: 100},
+	// Writes only, all fresh lines: every set fills and evicts dirty ways.
+	{name: "write_storm_full", write: 100, off: 100},
 }
 
 // FuzzSimulateMatchesReference: over any request mix, hint mix, ranges
@@ -297,8 +314,10 @@ func FuzzSimulateMatchesReference(f *testing.F) {
 	})
 }
 
-// BenchmarkSimulate times one instance at a shape campaigns run: a point
-// of the l3_bypass_probe skeleton with the bypass hint always on.
+// BenchmarkSimulate times one instance at two shapes campaigns run: a
+// point of the l3_bypass_probe skeleton with the bypass hint always on,
+// and queue_full, the back-to-back read-class misses with the hint on
+// that Fig. 4's optimizer drives its templates toward.
 func BenchmarkSimulate(b *testing.B) {
 	u := New()
 	skel, err := skeleton.Skeletonize(findBase(b, u, "l3_bypass_probe"), skeleton.Options{})
@@ -318,12 +337,30 @@ func BenchmarkSimulate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	duvtest.BenchmarkSimulate(b, u, tmpl)
+	var queueFull *template.Template
+	for _, s := range edgeShapes {
+		if s.name == "queue_full" {
+			queueFull = s.template()
+		}
+	}
+	duvtest.BenchmarkSimulate(b, u, tmpl, queueFull)
+}
+
+// cacheLine is one way of a set in simulateReference.
+type cacheLine struct {
+	tag   int
+	valid bool
+	dirty bool
+	lru   int // higher = more recently used
 }
 
 // simulateReference is the cycle-by-cycle Simulate the model had before
 // it jumped over its quiet cycles, kept as the oracle of
 // TestSimulateMatchesReference: it steps every cycle and makes every draw.
+// It also keeps the per-way cacheLines with their linear tag and LRU
+// scans, the list of completion cycles, and the address pick that draws
+// in one arm or the other, where Simulate has packed tags, a completion
+// calendar and one draw.
 func (u *L3Cache) simulateReference(g *generator.Generator) coverage.Vector {
 	u.bind.Check(g)
 	v := coverage.NewVectorFor(u.model)
@@ -377,7 +414,7 @@ func (u *L3Cache) simulateReference(g *generator.Generator) coverage.Vector {
 			s := r.Intn(numSets)
 			for w := range sets[s] {
 				if sets[s][w].valid && sets[s][w].dirty {
-					v.Set(u.evEvictDirty)
+					v.Set(u.evEvict[1])
 				}
 				sets[s][w] = cacheLine{}
 			}
@@ -441,9 +478,9 @@ func (u *L3Cache) simulateReference(g *generator.Generator) coverage.Vector {
 			}
 			if sets[set][victim].valid {
 				if sets[set][victim].dirty {
-					v.Set(u.evEvictDirty)
+					v.Set(u.evEvict[1])
 				} else {
-					v.Set(u.evEvictClean)
+					v.Set(u.evEvict[0])
 				}
 			}
 			sets[set][victim] = cacheLine{

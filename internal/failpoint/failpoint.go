@@ -151,7 +151,8 @@ func ParsePolicy(s string) (Policy, error) {
 	if tail != "" {
 		rateStr, timesStr, hasTimes := strings.Cut(tail, ":")
 		rate, err := strconv.ParseFloat(rateStr, 64)
-		if err != nil || rate <= 0 || rate > 1 {
+		// Written so that NaN, which fails every comparison, is refused.
+		if err != nil || !(rate > 0 && rate <= 1) {
 			return p, fmt.Errorf("failpoint: policy %q: rate must be in (0, 1], got %q", s, rateStr)
 		}
 		p.Rate = rate

@@ -38,12 +38,37 @@ func TestParsePolicy(t *testing.T) {
 	for _, bad := range []string{
 		"", "explode", "delay", "delay(x)", "delay(-1s)", "error(5)",
 		"error:0", "error:2", "error:1:-1", "error:1:0", "error:nope",
-		"delay(1s",
+		"delay(1s", "error:NaN", "drop:nan:2",
 	} {
 		if _, err := ParsePolicy(bad); err == nil {
 			t.Errorf("ParsePolicy(%q): expected error", bad)
 		}
 	}
+}
+
+// FuzzParsePolicy: every policy ParsePolicy accepts has a rate in
+// (0, 1], a delay and a count that are not negative, and prints (String)
+// to a spec that parses back to the same policy.
+func FuzzParsePolicy(f *testing.F) {
+	for _, s := range []string{
+		"error", "delay(250ms)", "corrupt:0.5", "drop:1:3", "panic",
+		"delay(1s):0.25:2", "error:1:2", "error:NaN", "drop:nan:2",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePolicy(s)
+		if err != nil {
+			return
+		}
+		if !(p.Rate > 0 && p.Rate <= 1) || p.Delay < 0 || p.Times < 0 {
+			t.Fatalf("ParsePolicy(%q) = %+v: rate outside (0, 1] or a negative delay or count", s, p)
+		}
+		back, err := ParsePolicy(p.String())
+		if err != nil || back != p {
+			t.Fatalf("ParsePolicy(%q) = %+v prints as %q, which parses to %+v, %v", s, p, p.String(), back, err)
+		}
+	})
 }
 
 func TestConfigureAndSnapshot(t *testing.T) {

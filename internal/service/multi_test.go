@@ -387,6 +387,46 @@ func TestRecoverSkipsCopiedDirectory(t *testing.T) {
 	}
 }
 
+// TestDropFinishedKeepsQueuedState: Get on a campaign queued here only
+// inspects its campaign.json. A dead owner's mid-run state there (what a
+// crashed peer leaves, and what this replica queued the campaign to
+// resume) changes neither the in-memory "queued" state nor the queue
+// entry; a terminal state is mirrored and withdraws the entry.
+func TestDropFinishedKeepsQueuedState(t *testing.T) {
+	dataDir := t.TempDir()
+	svc := newService(t, Config{DataDir: dataDir, frozen: true})
+	id, err := svc.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(dataDir, id)
+	started := time.Date(2026, 8, 7, 10, 0, 0, 0, time.UTC)
+	dead := State{ID: id, Spec: tinySpec(), State: StateRunning, SubmittedAt: started, StartedAt: &started, Owner: "dead-replica", Epoch: 3}
+	if err := saveState(dir, &dead); err != nil {
+		t.Fatal(err)
+	}
+	queued := func() bool {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		return svc.sched.contains(id)
+	}
+	if st := svc.Get(id); st.State != StateQueued || st.Owner != "" || !queued() {
+		t.Fatalf("after a dead owner's running state on disk: Get = %s (owner %q), queued here %v; want queued, no owner, queued here",
+			st.State, st.Owner, queued())
+	}
+
+	finished := started.Add(time.Minute)
+	done := dead
+	done.State, done.FinishedAt = StateDone, &finished
+	if err := saveState(dir, &done); err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Get(id); st.State != StateDone || st.Owner != "dead-replica" || queued() {
+		t.Fatalf("after a peer's done state on disk: Get = %s (owner %q), queued here %v; want done, owner dead-replica, not queued",
+			st.State, st.Owner, queued())
+	}
+}
+
 // TestRecoverSkipsTornSubmission: a replica killed between allocating
 // a campaign directory and renaming its state file in never
 // acknowledged that submission. The directory must not stop the next

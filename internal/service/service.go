@@ -183,15 +183,28 @@ type campaign struct {
 	done           chan struct{} // closed when the campaign leaves the live states
 }
 
-// refresh is the one rule that mirrors the data root into memory:
-// campaign.json is the campaign's state unless this replica holds its
-// lease, and a terminal state closes the campaign's waiters. It returns
-// the state on disk.
+// load is the one reader of the campaign's campaign.json. It only
+// inspects the data root; refresh and mirror bring what it read into
+// memory.
+func (c *campaign) load() (*State, error) {
+	return loadState(c.dir)
+}
+
+// refresh loads the campaign's state from disk, mirrors it and returns
+// it.
 func (c *campaign) refresh() (*State, error) {
-	st, err := loadState(c.dir)
+	st, err := c.load()
 	if err != nil {
 		return nil, err
 	}
+	c.mirror(st)
+	return st, nil
+}
+
+// mirror is the one rule that brings the data root into memory: st, as
+// load read it, is the campaign's state unless this replica holds its
+// lease, and a terminal state closes the campaign's waiters.
+func (c *campaign) mirror(st *State) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.lease == nil {
@@ -200,7 +213,6 @@ func (c *campaign) refresh() (*State, error) {
 			c.finishLocked()
 		}
 	}
-	return st, nil
 }
 
 // settled reports whether refresh has nothing to mirror: this replica
@@ -675,11 +687,11 @@ func (s *Service) Get(id string) *State {
 }
 
 // dropFinished withdraws a campaign from this replica's queue once a
-// peer has finished it, and mirrors the terminal state. A campaign
-// queued here keeps its in-memory "queued" state otherwise: its disk
-// state may name a dead owner it is queued to resume.
+// peer has finished it, and mirrors the terminal state it loaded. A
+// campaign queued here keeps its in-memory "queued" state otherwise: its
+// disk state may name a dead owner it is queued to resume.
 func (s *Service) dropFinished(c *campaign, id string) {
-	st, err := loadState(c.dir)
+	st, err := c.load()
 	if err != nil || !isTerminal(st.State) {
 		return
 	}
@@ -688,7 +700,7 @@ func (s *Service) dropFinished(c *campaign, id string) {
 		s.updateGaugesLocked()
 	}
 	s.mu.Unlock()
-	c.refresh()
+	c.mirror(st)
 }
 
 // List returns every campaign's state snapshot (without reports),
