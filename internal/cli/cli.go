@@ -137,35 +137,41 @@ func writeTrace(path string, t *obs.Tracer) error {
 	return f.Close()
 }
 
-// Farm is -farm, -hedge and -audit-fraction. The dispatcher's timeouts,
-// retry budget and backoff are constants of internal/farm.
+// Farm is -farm and -audit-fraction. The dispatcher's timeouts, retry
+// budget and backoff are constants of internal/farm.
 type Farm struct {
-	fs                   *flag.FlagSet
-	addrs                string
-	hedge, auditFraction float64
+	fs            *flag.FlagSet
+	addrs         string
+	auditFraction float64
 }
 
 func (f *Farm) Register(fs *flag.FlagSet) {
 	f.fs = fs
 	fs.StringVar(&f.addrs, "farm", "", "comma-separated farmd worker addresses (host:port,host:port); chunks are dispatched remotely with local fallback")
-	fs.Float64Var(&f.hedge, "hedge", 0, "hedge straggling farm chunks after this multiple of the fleet p95 latency (0 disables)")
 	fs.Float64Var(&f.auditFraction, "audit-fraction", 0, "re-execute this fraction of remote chunk results locally and cross-check them (0 disables, 1 audits everything)")
 }
 
 // Dial builds the dispatcher over the -farm workers, or returns nil when
 // -farm is empty. It waits up to five seconds for a first worker and
 // warns if none answered: chunks fall back to local execution until one
-// does. A -hedge or -audit-fraction the dispatcher cannot honour
-// (farm.Options.Validate) is a usage error. The command closes d.
+// does. An empty address in the list, or an -audit-fraction the
+// dispatcher cannot honour (farm.Options.Validate), is a usage error.
+// The command closes d.
 func (f *Farm) Dial(rec *obs.Recorder, log *slog.Logger) (d *farm.Dispatcher, code int) {
 	if f.addrs == "" {
 		return nil, 0
 	}
-	opts := farm.Options{Rec: rec, Log: log, Hedge: f.hedge, AuditFraction: f.auditFraction}
+	addrs := strings.Split(f.addrs, ",")
+	for i, a := range addrs {
+		if addrs[i] = strings.TrimSpace(a); addrs[i] == "" {
+			return nil, Fail(f.fs, 2, fmt.Errorf("-farm %q: empty worker address", f.addrs))
+		}
+	}
+	opts := farm.Options{Rec: rec, Log: log, AuditFraction: f.auditFraction}
 	if err := opts.Validate(); err != nil {
 		return nil, Fail(f.fs, 2, err)
 	}
-	d = farm.New(strings.Split(f.addrs, ","), opts)
+	d = farm.New(addrs, opts)
 	if err := d.WaitReady(5 * time.Second); err != nil {
 		printf(f.fs, "farm: no worker reachable yet (%v); continuing, chunks fall back to local execution", err)
 	}

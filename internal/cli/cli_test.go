@@ -162,7 +162,7 @@ func TestObs(t *testing.T) {
 }
 
 func TestFarm(t *testing.T) {
-	checkDefaults(t, &Farm{}, map[string]string{"farm": "", "hedge": "0", "audit-fraction": "0"})
+	checkDefaults(t, &Farm{}, map[string]string{"farm": "", "audit-fraction": "0"})
 	checkStep(t, func(f *Farm) int {
 		d, code := f.Dial(nil, nil)
 		if d != nil {
@@ -172,11 +172,9 @@ func TestFarm(t *testing.T) {
 		return code
 	}, []stepCase{
 		{nil, 0, ""},
-		// A multiplier that does not convert to a duration once hedged
-		// every exchange after 1ms.
-		{[]string{"-farm", "127.0.0.1:1", "-hedge", "NaN"}, 2, "cmd: farm: hedge NaN"},
-		{[]string{"-farm", "127.0.0.1:1", "-hedge", "+Inf"}, 2, "cmd: farm: hedge +Inf"},
-		{[]string{"-farm", "127.0.0.1:1", "-hedge", "-1"}, 2, "cmd: farm: hedge -1"},
+		// An empty entry would be a worker address dialed forever.
+		{[]string{"-farm", "127.0.0.1:1,"}, 2, `cmd: -farm "127.0.0.1:1,": empty worker address`},
+		{[]string{"-farm", "a,,b"}, 2, `cmd: -farm "a,,b": empty worker address`},
 		{[]string{"-farm", "127.0.0.1:1", "-audit-fraction", "NaN"}, 2, "cmd: farm: audit fraction NaN"},
 		{[]string{"-farm", "127.0.0.1:1", "-audit-fraction", "2"}, 2, "cmd: farm: audit fraction 2"},
 		{[]string{"-farm", "127.0.0.1:1", "-audit-fraction", "-0.5"}, 2, "cmd: farm: audit fraction -0.5"},

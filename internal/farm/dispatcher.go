@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
-	"math"
 	"math/rand"
 	"net"
 	"slices"
@@ -63,14 +62,6 @@ type Options struct {
 	// MaxConnsPerWorker caps connections per address; the effective
 	// count is min(cap, worker's advertised capacity). <= 0: 8.
 	MaxConnsPerWorker int
-	// Hedge, when > 0, enables hedged chunk execution: an exchange
-	// still in flight after Hedge × the fleet's recent p95 exchange
-	// latency is duplicated on the healthiest idle connection of a
-	// different worker. The first result wins (the loser is canceled
-	// and its connection evicted), and the scheduler's exactly-once
-	// merge is preserved, so reports stay bit-identical — hedging only
-	// caps tail latency. 1.5–3 are sensible values; the -hedge flag.
-	Hedge float64
 	// AuditFraction, in [0, 1], samples this fraction of successful
 	// remote results for an integrity audit: the chunk is re-executed
 	// locally (chunks are deterministic functions of their seed and
@@ -125,14 +116,9 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// Validate reports a Hedge or AuditFraction the dispatcher would turn
-// into other behaviour than it names: a Hedge that is not a finite
-// number >= 0 (NaN or +Inf times the p95 is no duration), or an
-// AuditFraction outside [0, 1].
+// Validate reports an AuditFraction outside [0, 1], which the
+// dispatcher would turn into other behaviour than it names.
 func (o *Options) Validate() error {
-	if math.IsNaN(o.Hedge) || math.IsInf(o.Hedge, 0) || o.Hedge < 0 {
-		return fmt.Errorf("farm: hedge %v: want a finite multiplier >= 0", o.Hedge)
-	}
 	if !(o.AuditFraction >= 0 && o.AuditFraction <= 1) { // NaN fails both
 		return fmt.Errorf("farm: audit fraction %v: want a fraction in [0, 1]", o.AuditFraction)
 	}
@@ -157,10 +143,10 @@ func (o *Options) Validate() error {
 //
 // Beyond crash failures, the dispatcher defends against workers that
 // are merely slow, flappy, or wrong: every exchange outcome feeds a
-// per-worker health score whose circuit breaker quarantines bad workers
-// (health.go), stragglers can be hedged onto a healthier lane (Hedge),
-// and sampled results can be audited against local ground truth
-// (AuditFraction) — a provably wrong worker is quarantined permanently.
+// per-worker health score whose circuit breaker quarantines erroring
+// and straggling workers (health.go), and sampled results can be
+// audited against local ground truth (AuditFraction) — a provably wrong
+// worker is quarantined permanently.
 type Dispatcher struct {
 	opts  Options
 	addrs []string
@@ -194,9 +180,6 @@ type Dispatcher struct {
 	mEvicts     *obs.Counter
 	mCanceled   *obs.Counter
 	mInflight   *obs.Gauge
-	mHedges     *obs.Counter
-	mHedgeWins  *obs.Counter
-	mHedgedSims *obs.Counter
 	mAudits     *obs.Counter
 	mMismatches *obs.Counter
 	hRPCNs      *obs.Histogram
@@ -213,11 +196,6 @@ type wconn struct {
 	nextID  uint64
 	dead    atomic.Bool
 	broken  chan struct{} // closed by kill; wakes the keeper to redial
-
-	// hedgeCanceled marks an in-flight exchange deliberately canceled
-	// because the hedged duplicate won; its failure is expected and must
-	// not count against the worker's health score.
-	hedgeCanceled atomic.Bool
 
 	// cdc's grow-once buffers plus the reusable read frame rf (whose
 	// Hits capacity is retained across results) make the steady-state
@@ -261,9 +239,6 @@ func New(addrs []string, opts Options) *Dispatcher {
 		d.mEvicts = rec.Counter("farm.conn_evictions")
 		d.mCanceled = rec.Counter("farm.chunks_canceled")
 		d.mInflight = rec.Gauge("farm.inflight")
-		d.mHedges = rec.Counter("farm.hedges")
-		d.mHedgeWins = rec.Counter("farm.hedge_wins")
-		d.mHedgedSims = rec.Counter("farm.hedged_sims")
 		d.mAudits = rec.Counter("farm.audits")
 		d.mMismatches = rec.Counter("farm.audit_mismatches")
 		d.hRPCNs = rec.Histogram("farm.rpc_ns", obs.LatencyBounds())
@@ -379,165 +354,17 @@ func (d *Dispatcher) RunChunkInto(c sim.RemoteChunk, dst *coverage.Counts) error
 // runAttempt runs one chunk attempt on an acquired connection, owning
 // its lifecycle from here: on success the validated result is merged
 // into dst exactly once (after an optional integrity audit) and the
-// connection pooled; on failure the connection is evicted. When hedging
-// is armed and warmed up, a straggling exchange is duplicated on a
-// second worker with first-result-wins semantics.
+// connection pooled; on failure the connection is evicted.
 func (d *Dispatcher) runAttempt(w *wconn, c sim.RemoteChunk, dst *coverage.Counts) error {
-	budget := d.hedgeBudget()
-	if budget <= 0 {
-		dur, err := d.exchange(w, c)
-		if err != nil {
-			d.score(w, 0, false)
-			d.kill(w)
-			return err
-		}
-		d.score(w, dur, true)
-		d.deliver(w, c, dst)
-		return nil
+	dur, err := d.exchange(w, c)
+	if err != nil {
+		d.score(w, 0, false)
+		d.kill(w)
+		return err
 	}
-	return d.runHedged(w, c, dst, budget)
-}
-
-// runHedged is runAttempt's hedging variant: the primary exchange gets
-// the latency budget; past it, a duplicate launches on the healthiest
-// idle connection of a different worker. The first successful result is
-// merged (exactly once — the loser's duplicate result is discarded, so
-// reports stay bit-identical) and the losing exchange is canceled by
-// expiring its read deadline, bounding the duplicated work.
-func (d *Dispatcher) runHedged(w *wconn, c sim.RemoteChunk, dst *coverage.Counts, budget time.Duration) error {
-	type result struct {
-		w   *wconn
-		dur time.Duration
-		err error
-	}
-	resc := make(chan result, 2)
-	launch := func(conn *wconn) {
-		go func() {
-			dur, err := d.exchange(conn, c)
-			resc <- result{conn, dur, err}
-		}()
-	}
-	launch(w)
-	timer := time.NewTimer(budget)
-	defer timer.Stop()
-	var second *wconn
-	var lastErr error
-	outstanding := 1
-	delivered := false
-	for outstanding > 0 {
-		select {
-		case r := <-resc:
-			outstanding--
-			if r.err != nil {
-				if !r.w.hedgeCanceled.Load() {
-					d.score(r.w, 0, false)
-				}
-				d.kill(r.w)
-				lastErr = r.err
-				continue
-			}
-			d.score(r.w, r.dur, true)
-			if delivered {
-				// The loser finished anyway: discard its duplicate result —
-				// the chunk was already merged exactly once.
-				r.w.hedgeCanceled.Store(false)
-				d.put(r.w)
-				continue
-			}
-			delivered = true
-			if second != nil && r.w == second {
-				d.mHedgeWins.Inc()
-			}
-			// First result wins: cancel the other in-flight exchange by
-			// expiring its read deadline. It errors out promptly and its
-			// connection is evicted; the keeper redials.
-			other := second
-			if r.w == second {
-				other = w
-			}
-			if other != nil {
-				other.hedgeCanceled.Store(true)
-				other.conn.SetReadDeadline(time.Now())
-			}
-			d.deliver(r.w, c, dst)
-		case <-timer.C:
-			if delivered || second != nil {
-				continue
-			}
-			if w2 := d.acquireHedge(w.addr); w2 != nil {
-				second = w2
-				outstanding++
-				d.mHedges.Inc()
-				d.mHedgedSims.Add(uint64(c.Hi - c.Lo))
-				d.log.Debug("farm: hedging straggling chunk",
-					"worker", w.addr, "hedge_worker", w2.addr,
-					"budget", budget, "campaign", c.Campaign, "batch", c.Batch, "chunk", c.Chunk)
-				launch(second)
-			}
-		}
-	}
-	if delivered {
-		return nil
-	}
-	return lastErr
-}
-
-// hedgeBudget is the straggler threshold: Hedge × the fleet's recent
-// p95 exchange latency, at least 1ms, 0 while hedging is off or still
-// warming up. A product beyond time.Duration saturates: no exchange
-// outlasts it, so nothing is hedged.
-func (d *Dispatcher) hedgeBudget() time.Duration {
-	if d.opts.Hedge <= 0 {
-		return 0
-	}
-	p95 := d.health.latencyP95()
-	if p95 <= 0 {
-		return 0
-	}
-	b := d.opts.Hedge * float64(p95)
-	if b >= math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return max(time.Duration(b), time.Millisecond)
-}
-
-// acquireHedge non-blockingly picks the healthiest idle connection on a
-// worker other than exclude. Unsuitable connections go straight back to
-// the pool; nil means no hedge lane is available (the hedge is simply
-// skipped).
-func (d *Dispatcher) acquireHedge(exclude string) *wconn {
-	var best *wconn
-	var rejected []*wconn
-	for {
-		var w *wconn
-		select {
-		case w = <-d.idle:
-		default:
-		}
-		if w == nil {
-			break
-		}
-		if w.dead.Load() {
-			continue
-		}
-		if w.addr == exclude || !d.health.allowed(w.addr) {
-			rejected = append(rejected, w)
-			continue
-		}
-		switch {
-		case best == nil:
-			best = w
-		case d.health.better(w.addr, best.addr):
-			rejected = append(rejected, best)
-			best = w
-		default:
-			rejected = append(rejected, w)
-		}
-	}
-	for _, w := range rejected {
-		d.put(w)
-	}
-	return best
+	d.score(w, dur, true)
+	d.deliver(w, c, dst)
+	return nil
 }
 
 // score feeds one exchange outcome to the health breaker and evicts the

@@ -34,23 +34,19 @@ func testOptions(dial func(string) (net.Conn, error), rec *obs.Recorder) Options
 
 func TestOptionsValidate(t *testing.T) {
 	for _, tc := range []struct {
-		hedge, audit float64
-		ok           bool
+		audit float64
+		ok    bool
 	}{
-		{0, 0, true},
-		{2, 0.5, true},
-		{1e30, 1, true}, // finite: hedgeBudget saturates
-		{math.NaN(), 0, false},
-		{math.Inf(1), 0, false},
-		{math.Inf(-1), 0, false},
-		{-1, 0, false},
-		{0, math.NaN(), false},
-		{0, 2, false},
-		{0, -0.5, false},
+		{0, true},
+		{0.5, true},
+		{1, true},
+		{math.NaN(), false},
+		{2, false},
+		{-0.5, false},
 	} {
-		o := Options{Hedge: tc.hedge, AuditFraction: tc.audit}
+		o := Options{AuditFraction: tc.audit}
 		if err := o.Validate(); (err == nil) != tc.ok {
-			t.Errorf("Validate(hedge %v, audit fraction %v) = %v, want ok %v", tc.hedge, tc.audit, err, tc.ok)
+			t.Errorf("Validate(audit fraction %v) = %v, want ok %v", tc.audit, err, tc.ok)
 		}
 	}
 }

@@ -29,8 +29,8 @@ const (
 
 // breaker overrides the cooldown and latency factor (zero fields keep
 // the constants). Only in-package tests set it, through Options.breaker:
-// fault schedules shorten the cooldown, and hedging tests disarm the
-// straggler cut so the straggler stays routable.
+// fault schedules shorten the cooldown, and the straggler test lowers
+// the latency factor to isolate the peer guard.
 type breaker struct {
 	cooldown      time.Duration
 	latencyFactor float64
@@ -92,13 +92,8 @@ type healthSet struct {
 	cQuarantines *obs.Counter // farm.quarantines: total breaker opens
 	cProbes      *obs.Counter // farm.health_probes
 
-	mu      sync.Mutex
-	workers map[string]*workerHealth
-	// lats is a ring of recent successful exchange latencies (ns),
-	// fleet-wide — the percentile source for the hedging budget.
-	lats     [128]uint64
-	latPos   int
-	latCount int
+	mu       sync.Mutex
+	workers  map[string]*workerHealth
 	fleetLat float64 // ns, EWMA across all workers
 }
 
@@ -214,11 +209,6 @@ func (hs *healthSet) outcome(addr string, dur time.Duration, ok bool) []*wconn {
 		} else {
 			hs.fleetLat = alpha*float64(dur) + (1-alpha)*hs.fleetLat
 		}
-		hs.lats[hs.latPos] = uint64(dur)
-		hs.latPos = (hs.latPos + 1) % len(hs.lats)
-		if hs.latCount < len(hs.lats) {
-			hs.latCount++
-		}
 	} else {
 		h.errEWMA = alpha + (1-alpha)*h.errEWMA
 	}
@@ -313,34 +303,6 @@ func (hs *healthSet) heal(h *workerHealth) {
 	h.samples = 0
 	hs.gQuarantined.Add(-1)
 	hs.log.Info("farm: worker healed", "worker", h.addr, "quarantines", h.quarantines)
-}
-
-// better reports whether worker a is currently healthier than b — the
-// hedging path's lane-selection order (fewer errors, then lower
-// latency).
-func (hs *healthSet) better(a, b string) bool {
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	ha, hb := hs.workers[a], hs.workers[b]
-	if ha.errEWMA != hb.errEWMA {
-		return ha.errEWMA < hb.errEWMA
-	}
-	return ha.latEWMA < hb.latEWMA
-}
-
-// latencyP95 estimates the 95th-percentile exchange latency from the
-// recent-latency ring, or 0 until at least 16 samples exist (hedging
-// stays off during warmup rather than hedging on noise).
-func (hs *healthSet) latencyP95() time.Duration {
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	if hs.latCount < 16 {
-		return 0
-	}
-	buf := make([]uint64, hs.latCount)
-	copy(buf, hs.lats[:hs.latCount])
-	slices.Sort(buf)
-	return time.Duration(buf[(len(buf)*95)/100])
 }
 
 // snapshot returns every worker's externally visible health, sorted by

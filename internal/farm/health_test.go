@@ -1,7 +1,6 @@
 package farm
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -216,57 +215,5 @@ func TestHealthIntegrityQuarantineIsPermanent(t *testing.T) {
 	}
 	if h.State != "quarantined" || !h.Permanent || h.IntegrityFailures != 1 {
 		t.Fatalf("worker = %+v, want permanent integrity quarantine", h)
-	}
-}
-
-// TestHealthBetterOrdering verifies the hedging path's lane-selection
-// order: fewer errors first, then lower latency.
-func TestHealthBetterOrdering(t *testing.T) {
-	hs, _ := newTestHealth([]string{"a", "b", "c"}, breaker{}, obs.NewRecorder())
-	fail(hs, "a", 1)
-	succeed(hs, "b", 10*time.Millisecond, 1)
-	succeed(hs, "c", time.Millisecond, 1)
-
-	if !hs.better("b", "a") || hs.better("a", "b") {
-		t.Fatalf("error-free worker should beat erroring worker")
-	}
-	if !hs.better("c", "b") || hs.better("b", "c") {
-		t.Fatalf("lower-latency worker should beat slower one at equal error rate")
-	}
-}
-
-// TestHealthLatencyP95Warmup verifies that the hedging percentile stays
-// 0 until 16 samples exist, then reflects the tail of the ring.
-func TestHealthLatencyP95Warmup(t *testing.T) {
-	hs, _ := newTestHealth([]string{"a"}, breaker{}, obs.NewRecorder())
-	succeed(hs, "a", time.Millisecond, 15)
-	if got := hs.latencyP95(); got != 0 {
-		t.Fatalf("latencyP95 = %v with 15 samples, want 0 during warmup", got)
-	}
-	succeed(hs, "a", 100*time.Millisecond, 1)
-	if got := hs.latencyP95(); got != 100*time.Millisecond {
-		t.Fatalf("latencyP95 = %v, want the 100ms tail sample", got)
-	}
-}
-
-// TestHedgeBudget: Hedge × the fleet's p95, floored at 1ms; a product
-// beyond time.Duration saturates rather than wrapping to the floor.
-func TestHedgeBudget(t *testing.T) {
-	hs, _ := newTestHealth([]string{"a"}, breaker{}, nil)
-	succeed(hs, "a", 3*time.Millisecond, 16)
-	for _, tc := range []struct {
-		hedge float64
-		want  time.Duration
-	}{
-		{0, 0},
-		{2, 6 * time.Millisecond},
-		{1e-6, time.Millisecond},
-		{1e6, 3000 * time.Second},
-		{1e30, math.MaxInt64},
-	} {
-		d := &Dispatcher{opts: Options{Hedge: tc.hedge}, health: hs}
-		if got := d.hedgeBudget(); got != tc.want {
-			t.Errorf("hedge %v at a 3ms p95: budget %v, want %v", tc.hedge, got, tc.want)
-		}
 	}
 }

@@ -90,8 +90,13 @@ type Store struct {
 
 // Open opens (or creates) the knowledge base rooted at dir, writing
 // through the journal owned by owner. A torn tail left by a crash is
-// truncated, like any flow journal.
+// truncated, like any flow journal. owner names a file in dir, so it
+// must be one path element: not empty, "." or "..", and free of '/'
+// and '\'.
 func Open(dir, owner string, rec *obs.Recorder, log *slog.Logger) (*Store, error) {
+	if owner == "" || owner == "." || owner == ".." || strings.ContainsAny(owner, `/\`) {
+		return nil, fmt.Errorf("knowledge: owner %q is not a single path element", owner)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/tac"
@@ -69,6 +70,26 @@ func TestAddValidates(t *testing.T) {
 	}
 	if err := s.Add([]Entry{{Template: "x"}}); err == nil {
 		t.Fatal("entry without campaign accepted")
+	}
+}
+
+// TestOpenRefusesOwnerPath: the owner names the replica's journal file,
+// so an owner that is not one path element is refused before anything
+// is created — "../../escaped" would otherwise write above the data
+// root.
+func TestOpenRefusesOwnerPath(t *testing.T) {
+	for _, owner := range []string{"", ".", "..", "../../escaped", "a/b", `a\b`, "/abs"} {
+		root := t.TempDir()
+		s, err := Open(filepath.Join(root, "data", "knowledge"), owner, nil, nil)
+		if err == nil {
+			s.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "not a single path element") {
+			t.Errorf("owner %q: Open error %v, want a refusal", owner, err)
+		}
+		if left, _ := os.ReadDir(root); len(left) != 0 {
+			t.Errorf("owner %q: Open left %d entries in the root", owner, len(left))
+		}
 	}
 }
 

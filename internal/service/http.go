@@ -76,7 +76,9 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	id, err := s.Submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.RetryAfter()/time.Second)))
+		// Retry-After counts whole seconds: round a sub-second remainder
+		// up, so a 500ms hint does not read as "retry at once".
+		w.Header().Set("Retry-After", strconv.Itoa(int((s.RetryAfter()+time.Second-1)/time.Second)))
 		writeJSON(w, http.StatusTooManyRequests, httpError{Error: err.Error()})
 		return
 	case errors.Is(err, ErrClosed):

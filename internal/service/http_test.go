@@ -225,10 +225,27 @@ func TestHTTPCancelGolden(t *testing.T) {
 	checkGolden(t, "delete_unknown.json", normalize(body))
 }
 
-// TestHTTPQueueFullGolden pins the 429 rejection: Retry-After header
-// plus the error body.
+// TestHTTPQueueFullGolden pins the 429 rejection: the Retry-After
+// header, in whole seconds rounded up, plus the error body.
 func TestHTTPQueueFullGolden(t *testing.T) {
-	svc, release := gatedService(t, Config{MaxRunning: 1, MaxQueue: 1, RetryAfter: 15 * time.Second})
+	for _, tc := range []struct {
+		retryAfter time.Duration
+		header     string
+	}{
+		{15 * time.Second, "15"},
+		// Whole seconds, rounded up: a sub-second hint is not "retry now".
+		{500 * time.Millisecond, "1"},
+		{1500 * time.Millisecond, "2"},
+	} {
+		queueFullRejection(t, tc.retryAfter, tc.header)
+	}
+}
+
+// queueFullRejection fills a one-slot, one-deep service configured with
+// retryAfter and checks the third submission's 429.
+func queueFullRejection(t *testing.T, retryAfter time.Duration, header string) {
+	t.Helper()
+	svc, release := gatedService(t, Config{MaxRunning: 1, MaxQueue: 1, RetryAfter: retryAfter})
 	defer release()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -256,8 +273,8 @@ func TestHTTPQueueFullGolden(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429: %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "15" {
-		t.Fatalf("Retry-After = %q, want \"15\"", got)
+	if got := resp.Header.Get("Retry-After"); got != header {
+		t.Fatalf("-retry-after %v: Retry-After = %q, want %q", retryAfter, got, header)
 	}
 	checkGolden(t, "submit_rejected.json", normalize(body))
 }
