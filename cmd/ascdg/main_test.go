@@ -111,6 +111,12 @@ func TestErrors(t *testing.T) {
 			t.Errorf("-rounds %s: exit %d, stderr %q; want exit 2", rounds, code, errb.String())
 		}
 	}
+	// A cross target runs one round: more is refused, not dropped.
+	errb.Reset()
+	if code := run(smallArgs("-unit", "ifu", "-cross", "ifu", "-rounds", "3"), &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "ascdg: rounds 3: only a family target runs more than one round") {
+		t.Errorf("-cross ifu -rounds 3: exit %d, stderr %q; want exit 2", code, errb.String())
+	}
 }
 
 // TestDecayOutsideDomainIsAUsageError: -decay must lie in (0, 1]; any

@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -58,8 +57,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *seed == 0:
 		return cli.Fail(fs, 2, errors.New("-seed 0: seeds start at 1"))
-	case !(*scale > 0) || math.IsInf(*scale, 1):
-		return cli.Fail(fs, 2, fmt.Errorf("-scale %v: want a finite positive number", *scale))
+	case !(*scale > 0 && *scale <= figures.MaxScale):
+		return cli.Fail(fs, 2, fmt.Errorf("-scale %v: want a positive number at most %g", *scale, float64(figures.MaxScale)))
 	case *rounds < 1:
 		return cli.Fail(fs, 2, fmt.Errorf("-rounds %d: want at least 1", *rounds))
 	}

@@ -55,7 +55,7 @@ func TestCSVDirIsCreated(t *testing.T) {
 }
 
 // TestRefusesInputsItWouldRewrite: a seed of 0, a scale that is not a
-// finite positive number, fewer than one round, an unregistered engine
+// positive number at most figures.MaxScale, fewer than one round, an unregistered engine
 // and a pool above sim.MaxWorkers exit 2 before any simulation, instead
 // of running some other seed, scale, round count or search, or panicking
 // in the scheduler's make. Engine knobs are not flags.
@@ -66,6 +66,7 @@ func TestRefusesInputsItWouldRewrite(t *testing.T) {
 		{"-scale", "+Inf", "-scale +Inf"},
 		{"-scale", "-5", "-scale -5"},
 		{"-scale", "0", "-scale 0"},
+		{"-scale", "1e300", "-scale 1e+300: want a positive number at most 9e+12"},
 		{"-rounds", "0", "-rounds 0"},
 		{"-rounds", "-1", "-rounds -1"},
 		{"-engine", "annealing", `repro: unknown engine "annealing"`},

@@ -19,10 +19,13 @@
 //  6. harvest the best template and measure it standalone (harvest).
 //
 // The campaign's target is data (Target: a family, a cross product or
-// an event list), and Run is the one entry point that takes it: step 1
-// for the target's mode, then the pipeline composition — steps 2-6 —
-// once per round. The other composition, perEventShared, runs steps 2-4
-// once and steps 5-6 per uncovered event (RunPerEventShared).
+// an event list), and Run is the one entry point that takes it: one
+// loop runs step 1 for the target's mode, then the pipeline composition
+// — steps 2-6 — once per round. A round hands the next only values: the
+// repository's recorded harvests and the earlier rounds' reports, whose
+// harvested bodies join the coarse-grained search. The other
+// composition, perEventShared, runs steps 2-4 once and steps 5-6 per
+// uncovered event (RunPerEventShared). A flow runs one campaign.
 //
 // Every phase's aggregate coverage is retained so the paper's result
 // tables (Figs. 3-5) and the optimization progress curve (Fig. 6) can be
@@ -290,21 +293,20 @@ func (r *Report) Phase(name string) *PhaseStats {
 	return nil
 }
 
-// Flow runs AS-CDG against one unit.
+// Flow runs one AS-CDG campaign against one unit.
 type Flow struct {
-	env   *sim.Env
-	cfg   Config
-	rec   *obs.Recorder // nil when observability is off
-	repo  *coverage.Repository
-	extra map[string]*template.Template // harvested templates, by name
-	round int                           // successfully harvested rounds (names harvested templates)
-	ctx   context.Context               // nil = never canceled
-	cur   *journal.Cursor               // nil = journaling off
+	env  *sim.Env
+	cfg  Config
+	rec  *obs.Recorder // nil when observability is off
+	repo *coverage.Repository
+	ctx  context.Context // the campaign's; nil until one begins
+	cur  *journal.Cursor // nil = journaling off
 }
 
 // ErrInterrupted reports a run stopped by context cancellation rather
-// than a real failure: the flow checkpointed its state (when journaled)
-// and can be resumed. All run entry points return an error satisfying
+// than a real failure: the flow checkpointed its state (when journaled),
+// and a new flow armed with the same journal resumes the campaign. All
+// run entry points return an error satisfying
 // errors.Is(err, ErrInterrupted) on cancellation, so callers decide
 // exit codes without string matching. The underlying ctx.Err() stays in
 // the chain, so errors.Is(err, context.Canceled) keeps working too.
@@ -330,13 +332,7 @@ func New(unit duv.DUV, cfg Config) (*Flow, error) {
 		env.AttachRunner(cfg.Runner, lanes)
 	}
 	env.SetCorpusCache(cfg.CorpusCache)
-	f := &Flow{
-		env:   env,
-		cfg:   cfg,
-		rec:   cfg.Obs,
-		repo:  cfg.Repository,
-		extra: map[string]*template.Template{},
-	}
+	f := &Flow{env: env, cfg: cfg, rec: cfg.Obs, repo: cfg.Repository}
 	if cfg.Journal != "" {
 		cur, resumed, err := journal.Open(cfg.Journal, "flow_header", f.header(), f.rec, cfg.Log)
 		if err != nil {
@@ -372,16 +368,6 @@ func (f *Flow) Close() {
 	f.cur.Close()
 }
 
-// begin installs the run's context on the flow and its environment
-// (nil means never canceled), before any phase.
-func (f *Flow) begin(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	f.ctx = ctx
-	f.env.SetContext(ctx)
-}
-
 // ctxErr is the flow's nil-tolerant cancellation probe.
 func (f *Flow) ctxErr() error {
 	if f.ctx == nil {
@@ -406,52 +392,66 @@ func (f *Flow) finish(err error) error {
 // Repository returns the flow's corpus (nil until built or configured).
 func (f *Flow) Repository() *coverage.Repository { return f.repo }
 
-// campaign is the one frame around every entry point: it installs the
-// run's context, runs the composition, and turns a failure caused by
-// cancellation into an interruption.
-func campaign[R any](ctx context.Context, f *Flow, run func() (R, error)) (R, error) {
-	f.begin(ctx)
-	out, err := run()
-	return out, f.finish(err)
+// campaign is the one frame around every entry point: it validates the
+// target against the unit, claims the flow for its one campaign by
+// installing the run's context (nil means never canceled) on it and its
+// environment, builds the corpus, runs the composition, and turns a
+// failure caused by cancellation into an interruption. A refused target
+// leaves the flow unclaimed.
+func (f *Flow) campaign(ctx context.Context, target Target, run func() ([]*Report, error)) ([]*Report, error) {
+	if err := target.Validate(f.env.Unit()); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if f.ctx != nil {
+		return nil, errors.New("core: the flow already ran a campaign; resume one in a new flow from its journal")
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	f.ctx = ctx
+	f.env.SetContext(ctx)
+	err := f.ensureCorpus()
+	var reports []*Report
+	if err == nil {
+		reports, err = run()
+	}
+	return reports, f.finish(err)
 }
 
 // Run is the flow's one entry point: it validates target against the
 // unit, then runs step 1 for the target's mode and steps 2-6, returning
 // one report per round.
 //
-// A cross or events target runs one round. A family target runs up to
-// Rounds, the paper's closing observation in Section IV-E: "Once there
-// is good evidence for the target event, we can repeat the process."
-// Each round re-derives the real targets from the updated repository
-// (events the previous round newly covered drop out), and the previous
-// round's harvested template competes in the coarse-grained search, so
-// the skeleton of round k+1 starts from the best knowledge of round k.
-// The loop stops early once every family event has evidence. It counts
-// the flow's harvested rounds rather than its own, so a resumed flow
-// replays its completed rounds and then runs only the remainder.
+// A family target runs up to Rounds, the paper's closing observation in
+// Section IV-E: "Once there is good evidence for the target event, we
+// can repeat the process." A cross or events target runs one round.
+// Each round re-derives the real targets from the repository, which
+// holds the earlier rounds' harvests (events they newly covered drop
+// out), and the earlier rounds' harvested templates compete in the
+// coarse-grained search, so the skeleton of round k+1 starts from the
+// best knowledge of round k. Nothing else passes between rounds: the
+// runner stream has no round in it, so every round draws the same
+// sample points and optimizer stream. The loop stops early once every
+// family event has evidence.
 //
-// With a journal armed (Config.Journal), completed phases replay from
-// the record stream without simulating and the run re-enters live
+// A flow runs one campaign: a second call returns an error. With a
+// journal armed (Config.Journal), completed phases replay from the
+// record stream without simulating and the run re-enters live
 // execution mid-phase; either way the reports are bit-identical to an
 // uninterrupted unjournaled run. On cancellation the flow stops between
 // simulations, never journals post-cancellation state, and returns an
-// ErrInterrupted-wrapped error alongside the rounds it completed — the
-// journal then resumes from the last completed record.
+// ErrInterrupted-wrapped error alongside the rounds it completed — a
+// new flow on the same journal then resumes from the last completed
+// record.
 func (f *Flow) Run(ctx context.Context, target Target) ([]*Report, error) {
-	return campaign(ctx, f, func() ([]*Report, error) {
-		if err := target.Validate(f.env.Unit()); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if target.Family == "" {
-			report, err := f.runRound(target)
-			if err != nil {
-				return nil, err
-			}
-			return []*Report{report}, nil
-		}
+	return f.campaign(ctx, target, func() ([]*Report, error) {
 		var reports []*Report
-		for f.round < target.rounds() && !(f.round > 0 && f.familyCovered(target.Family)) {
-			report, err := f.runRound(target)
+		for len(reports) < target.rounds() && !(len(reports) > 0 && f.familyCovered(target.Family)) {
+			approx, targetEvents, err := f.approximate(target)
+			if err != nil {
+				return reports, err
+			}
+			report, err := f.pipeline(approx, targetEvents, reports)
 			if err != nil {
 				return reports, err
 			}
@@ -459,15 +459,6 @@ func (f *Flow) Run(ctx context.Context, target Target) ([]*Report, error) {
 		}
 		return reports, nil
 	})
-}
-
-// runRound is one round of a validated target: step 1, then steps 2-6.
-func (f *Flow) runRound(target Target) (*Report, error) {
-	approx, targetEvents, err := f.approximate(target)
-	if err != nil {
-		return nil, err
-	}
-	return f.pipeline(approx, targetEvents)
 }
 
 // RunFamilyRefined is Run for a family target.
@@ -493,20 +484,20 @@ func (f *Flow) familyCovered(family string) bool {
 
 // pipeline is the first of the flow's two compositions: one approximated
 // target through steps 2-6, bracketed by the journal's run_start and
-// run_done records.
-func (f *Flow) pipeline(target *neighbors.Target, targetEvents []int) (*Report, error) {
+// run_done records. prior are the campaign's earlier rounds: their count
+// numbers this round, and their harvested templates join the
+// coarse-grained search.
+func (f *Flow) pipeline(target *neighbors.Target, targetEvents []int, prior []*Report) (*Report, error) {
 	if target == nil || target.Len() == 0 {
 		return nil, fmt.Errorf("core: empty approximated target")
 	}
-	if err := f.ensureCorpus(); err != nil {
-		return nil, err
-	}
+	round := len(prior) + 1
 	if err := f.syncRunStart(target, targetEvents); err != nil {
 		return nil, err
 	}
 	simsAtStart := f.env.Simulations()
 	before := f.beforePhase()
-	chosen, candidate, err := f.coarseSearch(target)
+	chosen, candidate, err := f.coarseSearch(target, prior)
 	if err != nil {
 		return nil, err
 	}
@@ -525,7 +516,7 @@ func (f *Flow) pipeline(target *neighbors.Target, targetEvents []int) (*Report, 
 	if err != nil {
 		return nil, err
 	}
-	name := fmt.Sprintf("%s_cdg_best_%d", f.env.Unit().Name(), f.round+1)
+	name := fmt.Sprintf("%s_cdg_best_%d", f.env.Unit().Name(), round)
 	bestTemplate, best, err := f.harvest(skel, res.X, name, map[string]any{"sims": f.cfg.BestSims})
 	if err != nil {
 		return nil, err
@@ -543,7 +534,7 @@ func (f *Flow) pipeline(target *neighbors.Target, targetEvents []int) (*Report, 
 		Progress:        res.History,
 		TotalSims:       f.env.Simulations() - simsAtStart,
 	}
-	if err := f.syncRunDone(report.TotalSims); err != nil {
+	if err := f.syncRunDone(round, report.TotalSims); err != nil {
 		return nil, err
 	}
 	return report, nil
@@ -583,20 +574,20 @@ func (f *Flow) syncRunStart(target *neighbors.Target, targetEvents []int) error 
 	return nil
 }
 
-// syncRunDone validates (replay) or records (live) a run's closing
+// syncRunDone validates (replay) or records (live) a round's closing
 // integrity check.
-func (f *Flow) syncRunDone(totalSims uint64) error {
+func (f *Flow) syncRunDone(round int, totalSims uint64) error {
 	var got runDoneRec
 	ok, err := f.cur.Take("run_done", &got)
 	if err != nil {
 		return err
 	}
 	if !ok {
-		return f.cur.Append("run_done", runDoneRec{Round: f.round, TotalSims: totalSims})
+		return f.cur.Append("run_done", runDoneRec{Round: round, TotalSims: totalSims})
 	}
-	if got.Round != f.round || got.TotalSims != totalSims {
+	if got.Round != round || got.TotalSims != totalSims {
 		return fmt.Errorf("core: journal run_done record (round %d, %d sims) does not match this run (round %d, %d sims)",
-			got.Round, got.TotalSims, f.round, totalSims)
+			got.Round, got.TotalSims, round, totalSims)
 	}
 	return nil
 }

@@ -245,10 +245,10 @@ func runOne(flow *Flow, target Target) (*Report, error) {
 
 func TestFlowRunErrors(t *testing.T) {
 	flow := NewFlow(iounit.New(), smallConfig(5))
-	if _, err := flow.pipeline(nil, nil); err == nil {
+	if _, err := flow.pipeline(nil, nil, nil); err == nil {
 		t.Error("nil target should fail")
 	}
-	if _, err := flow.pipeline(neighbors.Uniform(nil), nil); err == nil {
+	if _, err := flow.pipeline(neighbors.Uniform(nil), nil, nil); err == nil {
 		t.Error("empty target should fail")
 	}
 	if _, err := runOne(flow, Target{Family: "no_such_family"}); err == nil {
@@ -265,6 +265,39 @@ func TestFlowRunErrors(t *testing.T) {
 	}
 }
 
+// TestFlowRunsOneCampaign: a flow runs one campaign. A second Run on
+// a flow whose campaign finished is an error, not a campaign that finds
+// its rounds used up and returns no report, or numbers its harvests
+// after the first campaign's. A refused target does not use the flow.
+func TestFlowRunsOneCampaign(t *testing.T) {
+	flow := NewFlow(iounit.New(), smallConfig(13))
+	defer flow.Close()
+	target := Target{Family: iounit.FamilyName, Decay: 0.4, Rounds: 2}
+	if _, err := flow.Run(context.Background(), Target{Family: "no_such_family"}); err == nil {
+		t.Fatal("unknown family should fail")
+	}
+	reports, err := flow.Run(context.Background(), target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(reports[0].BestTemplate.Name, "_cdg_best_1") {
+		t.Fatalf("first harvest %q, want the round-1 name", reports[0].BestTemplate.Name)
+	}
+	sims := flow.Env().Simulations()
+	for _, run := range []func() ([]*Report, error){
+		func() ([]*Report, error) { return flow.Run(context.Background(), target) },
+		func() ([]*Report, error) { return flow.RunPerEventShared(context.Background(), iounit.FamilyName, 0.4) },
+	} {
+		again, err := run()
+		if err == nil || !strings.Contains(err.Error(), "already ran a campaign") {
+			t.Fatalf("second campaign on one flow: %d reports, err %v; want the one-run error", len(again), err)
+		}
+	}
+	if n := flow.Env().Simulations(); n != sims {
+		t.Fatalf("refused campaigns simulated %d instances", n-sims)
+	}
+}
+
 func TestFlowNoEvidenceFails(t *testing.T) {
 	// A target consisting solely of uncovered events with no covered
 	// neighbors must fail with guidance rather than optimize noise.
@@ -272,7 +305,10 @@ func TestFlowNoEvidenceFails(t *testing.T) {
 	flow := NewFlow(unit, smallConfig(6))
 	m := unit.Model()
 	dark := neighbors.Uniform([]int{m.MustLookup("crc_096")})
-	if _, err := flow.pipeline(dark, dark.Events()); err == nil {
+	if err := flow.ensureCorpus(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flow.pipeline(dark, dark.Events(), nil); err == nil {
 		t.Fatal("expected failure for evidence-free target")
 	} else if !strings.Contains(err.Error(), "no existing template") {
 		t.Fatalf("unexpected error: %v", err)

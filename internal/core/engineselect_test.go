@@ -55,14 +55,14 @@ func TestBlendTACPriorOrdering(t *testing.T) {
 		cfg.TopTemplates = len(iounit.New().BaseTemplates())
 		cfg.TACPrior = prior
 		flow := NewFlow(iounit.New(), cfg)
+		if err := flow.ensureCorpus(); err != nil {
+			t.Fatal(err)
+		}
 		target, _, err := flow.approximate(Target{Family: iounit.FamilyName})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := flow.ensureCorpus(); err != nil {
-			t.Fatal(err)
-		}
-		best, _, err := flow.coarseSearch(target)
+		best, _, err := flow.coarseSearch(target, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -194,12 +194,11 @@ func invAxes() []invAxis {
 	return axes
 }
 
-// invOutcome is one run of a scenario: its reports, and the counters a
-// replay of its journal must restore.
+// invOutcome is one run of a scenario: its reports, and the simulation
+// counter a replay of its journal must restore.
 type invOutcome struct {
 	reports []*Report
 	sims    uint64
-	round   int
 }
 
 // open builds the scenario's flow with edit applied to its config.
@@ -225,7 +224,7 @@ func (s invScenario) play(t *testing.T, edit func(*Config)) invOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return invOutcome{reports, flow.Env().Simulations(), flow.Round()}
+	return invOutcome{reports, flow.Env().Simulations()}
 }
 
 // invSame is the matrix's one rule.
@@ -259,7 +258,7 @@ func invJournal(path string) func(*Config) {
 
 // invReplay runs the scenario over the finished journal at path: it must
 // reproduce want without simulating or appending anything, and leave the
-// flow's simulation counter and round where the original run left them.
+// flow's simulation counter where the original run left it.
 func invReplay(t *testing.T, s invScenario, path string, want invOutcome) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -272,8 +271,8 @@ func invReplay(t *testing.T, s invScenario, path string, want invOutcome) {
 	if n := rec.Counter("sim.instances_completed").Value(); n != 0 {
 		t.Errorf("replay simulated %d instances, want 0", n)
 	}
-	if got.sims != want.sims || got.round != want.round {
-		t.Errorf("replay restored %d simulations and round %d, want %d and %d", got.sims, got.round, want.sims, want.round)
+	if got.sims != want.sims {
+		t.Errorf("replay restored %d simulations, want %d", got.sims, want.sims)
 	}
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
 		t.Errorf("replay changed the journal (%d bytes, was %d)", len(after), len(data))

@@ -5,11 +5,12 @@
 // of the corpus, the random sample and the harvest go through the one
 // replay-or-run loop, sim.Env.RunBatches; each optimizer iteration is an
 // opt_iter engine checkpoint (optimize); run_start and run_done bracket
-// each pipeline. Replay is transparent: a flow constructed with
-// Config.Journal naming an existing file consumes the journal's history
-// from the normal entry points (Run, RunPerEventShared) instead of
-// simulating, then switches to live execution mid-phase, producing a
-// Report bit-identical to an uninterrupted run.
+// each pipeline round. Replay is transparent: a flow runs one campaign,
+// so an interrupted campaign resumes in a new flow constructed with
+// Config.Journal naming its file. That flow consumes the journal's
+// history from the normal entry points (Run, RunPerEventShared) instead
+// of simulating, then switches to live execution mid-phase, producing
+// reports bit-identical to an uninterrupted run.
 package core
 
 import (
@@ -84,7 +85,7 @@ func (f *Flow) header() flowHeader {
 	}
 }
 
-// runStartRec opens one Run's record group. The targets and the
+// runStartRec opens one round's record group. The targets and the
 // approximated target are recomputed on replay (they are pure functions
 // of the repository) and validated against the record, catching a
 // journal that belongs to a different campaign before any divergence.
@@ -108,8 +109,8 @@ type optIterRec struct {
 	EnvSims   uint64          `json:"env_sims"`
 }
 
-// runDoneRec closes a Run's record group; replay validates the round
-// counter and simulation total as an end-to-end integrity check.
+// runDoneRec closes a round's record group; replay validates the round
+// number and simulation total as an end-to-end integrity check.
 type runDoneRec struct {
 	Round     int    `json:"round"`
 	TotalSims uint64 `json:"total_sims"`
@@ -119,6 +120,3 @@ type runDoneRec struct {
 // off) — TestInvarianceMatrix's kill rows arm fault injection through
 // it.
 func (f *Flow) Journal() *journal.Cursor { return f.cur }
-
-// Round returns the number of successfully harvested rounds.
-func (f *Flow) Round() int { return f.round }

@@ -176,9 +176,9 @@ func (c *cancelOnPhase) Write(p []byte) (int, error) {
 }
 
 // TestRoundSurvivesFailedHarvest is the regression test for the
-// round-counter leak: a run that dies inside the harvest phase must not
-// consume a round number, and the next successful run must harvest
-// round 1, not round 2.
+// round-number leak: a campaign that dies inside the harvest phase has
+// completed no round, and resumed in a new flow from its journal it must
+// harvest round 1, not round 2.
 func TestRoundSurvivesFailedHarvest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	sink := &cancelOnPhase{needle: []byte(`"phase":"harvest"`), cancel: cancel}
@@ -186,34 +186,34 @@ func TestRoundSurvivesFailedHarvest(t *testing.T) {
 	rec.Progress = obs.NewProgress(sink)
 	cfg := journalTestConfig()
 	cfg.Obs = rec
+	cfg.Journal = filepath.Join(t.TempDir(), "flow.journal")
 
 	flow := NewFlow(iounit.New(), cfg)
-	defer flow.Close()
-	_, err := flow.Run(ctx, Target{Family: iounit.FamilyName, Decay: 0.4})
+	reports, err := flow.Run(ctx, Target{Family: iounit.FamilyName, Decay: 0.4})
+	flow.Close()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
-	if flow.Round() != 0 {
-		t.Fatalf("failed harvest consumed round: Round() = %d, want 0", flow.Round())
+	if len(reports) != 0 {
+		t.Fatalf("failed harvest completed %d rounds, want 0", len(reports))
 	}
 	if got := rec.Counter("flow.cancellations").Value(); got != 1 {
 		t.Fatalf("flow.cancellations = %d, want 1", got)
 	}
 
-	// A fresh context completes the run; the harvested template must be
-	// round 1 — no skipped number.
+	// A new flow on the journal completes the campaign; the harvested
+	// template must be round 1 — no skipped number.
 	rec.Progress = nil
-	report, err := runOne(flow, Target{Family: iounit.FamilyName, Decay: 0.4})
+	resumed := NewFlow(iounit.New(), cfg)
+	defer resumed.Close()
+	report, err := runOne(resumed, Target{Family: iounit.FamilyName, Decay: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasSuffix(report.BestTemplate.Name, "_cdg_best_1") {
 		t.Fatalf("harvested template %q, want round-1 name", report.BestTemplate.Name)
-	}
-	if flow.Round() != 1 {
-		t.Fatalf("Round() = %d, want 1", flow.Round())
 	}
 }

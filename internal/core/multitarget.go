@@ -25,10 +25,13 @@ import (
 // run replays the targets it had finished and re-enters the interrupted
 // one mid-optimization.
 //
-// It returns one report per target event, in family order. ctx cancels
-// as in Run.
+// It returns one report per target event, in family order. family and
+// decay are checked as Run checks a family target (decay 0 selects 1)
+// before anything is simulated; ctx cancels and a flow runs one
+// campaign, as in Run.
 func (f *Flow) RunPerEventShared(ctx context.Context, family string, decay float64) ([]*Report, error) {
-	return campaign(ctx, f, func() ([]*Report, error) { return f.perEventShared(family, decay) })
+	target := Target{Family: family, Decay: decay}
+	return f.campaign(ctx, target, func() ([]*Report, error) { return f.perEventShared(family, target.decay()) })
 }
 
 // perEventShared is the second of the flow's two compositions: steps
@@ -42,7 +45,7 @@ func (f *Flow) perEventShared(family string, decay float64) ([]*Report, error) {
 	simsAtStart := f.env.Simulations()
 	before := f.beforePhase()
 	before.Description += " (shared)"
-	chosen, candidate, err := f.coarseSearch(union)
+	chosen, candidate, err := f.coarseSearch(union, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/duv/l3cache"
@@ -58,16 +60,24 @@ func TestRunPerEventSharedSavesSimulations(t *testing.T) {
 
 	// Independent runs: one full round per target, each rebuilding
 	// sampling (corpus shared via Config.Repository to isolate the
-	// sampling saving).
+	// sampling saving). The rounds run step 1 and the pipeline directly,
+	// since a family campaign stops once the family is covered.
 	indepCfg := cfg
 	indepCfg.Repository = shared.Repository() // corpus for free
 	indep := NewFlow(l3cache.New(), indepCfg)
 	base := indep.Env().Simulations()
 	k := len(sharedReports)
+	var prior []*Report
 	for i := 0; i < k; i++ {
-		if _, err := indep.runRound(Target{Family: l3cache.FamilyName, Decay: 0.4}); err != nil {
+		approx, targets, err := indep.approximate(Target{Family: l3cache.FamilyName, Decay: 0.4})
+		if err != nil {
 			t.Fatal(err)
 		}
+		report, err := indep.pipeline(approx, targets, prior)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prior = append(prior, report)
 	}
 	indepTotal := indep.Env().Simulations() - base
 
@@ -81,10 +91,43 @@ func TestRunPerEventSharedSavesSimulations(t *testing.T) {
 	t.Logf("shared=%d sims for %d targets; independent=%d sims (excl. corpus)", sharedTotal, k, indepTotal)
 }
 
+// TestRunPerEventSharedErrors: the family and decay are checked as Run
+// checks a family target, before anything is simulated. A NaN decay
+// used to run the corpus, the sample and a target's optimization before
+// it failed to journal; decay 0 used to build the corpus and then fail,
+// where Run reads it as 1.
 func TestRunPerEventSharedErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		family  string
+		decay   float64
+		wantErr string
+	}{
+		{"unknown family", "no_such_family", 0.4, `core: unit "l3cache" has no family "no_such_family"`},
+		{"NaN decay", l3cache.FamilyName, math.NaN(), "core: decay NaN outside (0, 1]"},
+		{"decay above 1", l3cache.FamilyName, 1.5, "core: decay 1.5 outside (0, 1]"},
+	} {
+		flow := NewFlow(l3cache.New(), smallConfig(23))
+		_, err := flow.RunPerEventShared(context.Background(), tc.family, tc.decay)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.wantErr) {
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.wantErr)
+		}
+		if n := flow.Env().Simulations(); n != 0 {
+			t.Errorf("%s: the refused campaign simulated %d instances", tc.name, n)
+		}
+		flow.Close()
+	}
+
 	flow := NewFlow(l3cache.New(), smallConfig(23))
-	if _, err := flow.RunPerEventShared(context.Background(), "no_such_family", 0.4); err == nil {
-		t.Fatal("unknown family should fail")
+	defer flow.Close()
+	reports, err := flow.RunPerEventShared(context.Background(), l3cache.FamilyName, 0)
+	if err != nil {
+		t.Fatalf("decay 0: %v, want it read as 1", err)
+	}
+	for _, ev := range reports[0].Target.Events() {
+		if w := reports[0].Target.Weight(ev); w != 1 {
+			t.Fatalf("decay 0: event %d weighs %v, want 1 (decay 1)", ev, w)
+		}
 	}
 }
 

@@ -34,7 +34,8 @@ func (f *Flow) phase(name string, start map[string]any, step func() (map[string]
 
 // ensureCorpus builds the "Before CDG" corpus — the unit's base
 // regression suite simulated into the repository — unless the flow
-// already has one (Config.Repository, or an earlier run).
+// already has one (Config.Repository). The campaign frame calls it once,
+// before the composition.
 func (f *Flow) ensureCorpus() error {
 	if f.repo != nil {
 		return nil
@@ -81,13 +82,7 @@ func (f *Flow) approximate(t Target) (*neighbors.Target, []int, error) {
 // approximated target is their decay-weighted ordinal neighborhood.
 func (f *Flow) familyTarget(family string, decay float64) (target *neighbors.Target, targets []int, err error) {
 	model := f.env.Unit().Model()
-	famIDs, ok := model.Family(family)
-	if !ok {
-		return nil, nil, fmt.Errorf("core: unit %q has no family %q", f.env.Unit().Name(), family)
-	}
-	if err := f.ensureCorpus(); err != nil {
-		return nil, nil, err
-	}
+	famIDs, _ := model.Family(family)
 	err = f.phase("neighbors", map[string]any{"family": family, "decay": decay}, func() (map[string]any, error) {
 		if targets = f.uncovered(famIDs); len(targets) == 0 {
 			targets = famIDs[len(famIDs)-1:]
@@ -108,9 +103,6 @@ func (f *Flow) familyTarget(family string, decay float64) (target *neighbors.Tar
 func (f *Flow) crossTarget(crossName string) (target *neighbors.Target, targets []int, err error) {
 	model := f.env.Unit().Model()
 	cp, _ := model.Cross(crossName)
-	if err := f.ensureCorpus(); err != nil {
-		return nil, nil, err
-	}
 	err = f.phase("neighbors", map[string]any{"cross": crossName}, func() (map[string]any, error) {
 		ids, err := model.IDs(cp.EventNames())
 		if err != nil {
@@ -137,9 +129,6 @@ func (f *Flow) eventsTarget(eventNames []string, minSim float64) (target *neighb
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := f.ensureCorpus(); err != nil {
-		return nil, nil, err
-	}
 	err = f.phase("neighbors", map[string]any{"min_sim": minSim}, func() (map[string]any, error) {
 		ws, err := neighbors.Correlated(f.repo, targets, minSim)
 		if err != nil {
@@ -154,12 +143,13 @@ func (f *Flow) eventsTarget(eventNames []string, minSim float64) (target *neighb
 // coarseSearch is step 2, the coarse-grained search (paper Section
 // IV-B): TAC ranks the existing templates against the approximated
 // target, and the parameters of the best TopTemplates are merged into
-// the candidate the Skeletonizer starts from. The repository may hold
-// statistics for templates whose bodies the flow does not have (e.g.
-// harvested by earlier runs against a shared corpus); only templates
-// with known bodies can seed the skeleton, so all are ranked and the
-// best known ones kept.
-func (f *Flow) coarseSearch(target *neighbors.Target) (best []tac.TemplateScore, candidate *template.Template, err error) {
+// the candidate the Skeletonizer starts from. The known bodies are the
+// base suite's and those the campaign's prior rounds harvested. The
+// repository may hold statistics for templates whose bodies the flow
+// does not have (e.g. harvested by other flows against a shared
+// corpus); only templates with known bodies can seed the skeleton, so
+// all are ranked and the best known ones kept.
+func (f *Flow) coarseSearch(target *neighbors.Target, prior []*Report) (best []tac.TemplateScore, candidate *template.Template, err error) {
 	var chosen []*template.Template
 	err = f.phase("tac", map[string]any{"approx_events": target.Len()}, func() (map[string]any, error) {
 		ranked, err := tac.New(f.repo).BestTemplates(target.Events(), target.Weights(), 0)
@@ -170,8 +160,8 @@ func (f *Flow) coarseSearch(target *neighbors.Target) (best []tac.TemplateScore,
 		for _, t := range f.env.Unit().BaseTemplates() {
 			byName[t.Name] = t
 		}
-		for name, t := range f.extra {
-			byName[name] = t
+		for _, r := range prior {
+			byName[r.BestTemplate.Name] = r.BestTemplate
 		}
 		for _, ts := range tac.Blend(ranked, f.cfg.TACPrior) {
 			t, ok := byName[ts.Name]
@@ -426,10 +416,10 @@ func (f *Flow) batchObjective(skel *skeleton.Skeleton, target *neighbors.Target,
 
 // harvest is step 6 (paper Section IV-F): the optimum is instantiated
 // under name, measured standalone, and joins the regression suite — its
-// runs recorded in the repository and its body kept, so a later
-// coarse-grained search may select it. attrs are the span's start
-// attributes. The round counter advances last, so a failed harvest
-// neither skips a round number nor leaves the repository half-updated.
+// runs recorded in the repository, last, so a failed harvest leaves the
+// repository as it was. Its body is returned for the report, which is
+// how a later round's coarse-grained search may select it. attrs are
+// the span's start attributes.
 func (f *Flow) harvest(skel *skeleton.Skeleton, x []float64, name string, attrs map[string]any) (tmpl *template.Template, stats PhaseStats, err error) {
 	err = f.phase("harvest", attrs, func() (map[string]any, error) {
 		tmpl, err = skel.Instantiate(name, x)
@@ -447,7 +437,5 @@ func (f *Flow) harvest(skel *skeleton.Skeleton, x []float64, name string, attrs 
 		return nil, PhaseStats{}, err
 	}
 	f.repo.RecordCounts(tmpl.Name, stats.Counts)
-	f.extra[tmpl.Name] = tmpl
-	f.round++
 	return tmpl, stats, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/duv"
@@ -17,7 +18,8 @@ type Target struct {
 	// Figs. 3 and 4). Decay in (0, 1] weights the approximated target by
 	// ordinal distance (0 selects 1, the paper's plain family sum);
 	// Rounds is the number of refinement rounds (0 selects 1; a negative
-	// count is refused).
+	// count is refused, and so is more than one round of a target that
+	// is not a family, which runs once).
 	Family string
 	Decay  float64
 	Rounds int
@@ -26,19 +28,20 @@ type Target struct {
 	// approximated target spans it uniformly.
 	Cross string
 
-	// Events targets an explicit event list. Its approximated target is
-	// mined from the repository by hit-profile correlation, keeping the
-	// events whose cosine similarity is at least MinSim (<= 0 selects
-	// 0.5).
+	// Events targets an explicit event list, each event named once. Its
+	// approximated target is mined from the repository by hit-profile
+	// correlation, keeping the events whose cosine similarity is at least
+	// MinSim (<= 0 selects 0.5).
 	Events []string
 	MinSim float64
 }
 
 // Validate is the one check of a target against the unit it is to run
-// on: exactly one mode, a family, cross product or events the unit's
-// coverage model has, a decay of 0 or in (0, 1] and a round count of at
-// least 0. Its errors carry no package prefix; Run reports them as
-// "core: ...", a service's admission as a rejected spec.
+// on: exactly one mode, a family, cross product or distinct events the
+// unit's coverage model has, a decay of 0 or in (0, 1] and a round
+// count of at least 0, above 1 only for a family. Its errors carry no
+// package prefix; Run reports them as "core: ...", a service's
+// admission as a rejected spec.
 func (t Target) Validate(unit duv.DUV) error {
 	modes := 0
 	for _, set := range []bool{t.Family != "", t.Cross != "", len(t.Events) > 0} {
@@ -61,11 +64,19 @@ func (t Target) Validate(unit duv.DUV) error {
 	if _, err := model.IDs(t.Events); err != nil {
 		return fmt.Errorf("unit %q: %w", unit.Name(), err)
 	}
+	for i, name := range t.Events {
+		if slices.Contains(t.Events[:i], name) {
+			return fmt.Errorf("event %q is listed twice", name)
+		}
+	}
 	if t.Decay != 0 && !(t.Decay > 0 && t.Decay <= 1) {
 		return fmt.Errorf("decay %v outside (0, 1]", t.Decay)
 	}
 	if t.Rounds < 0 {
 		return fmt.Errorf("rounds %d is negative", t.Rounds)
+	}
+	if t.Rounds > 1 && t.Family == "" {
+		return fmt.Errorf("rounds %d: only a family target runs more than one round", t.Rounds)
 	}
 	return nil
 }

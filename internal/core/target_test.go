@@ -12,7 +12,7 @@ import (
 )
 
 // TestTargetValidate is the table of the one target check Run, the
-// service's admission and the CLIs share: mode, names and decay.
+// service's admission and the CLIs share: mode, names, decay and rounds.
 func TestTargetValidate(t *testing.T) {
 	io, fe := duv.DUV(iounit.New()), duv.DUV(ifu.New())
 	for _, tc := range []struct {
@@ -39,6 +39,13 @@ func TestTargetValidate(t *testing.T) {
 		{"NaN decay", Target{Family: iounit.FamilyName, Decay: math.NaN()}, false, "decay NaN outside (0, 1]"},
 		{"decay on a cross", Target{Cross: ifu.CrossName, Decay: 2}, true, "decay 2 outside (0, 1]"},
 		{"negative rounds", Target{Family: iounit.FamilyName, Rounds: -3}, false, "rounds -3 is negative"},
+		{"one round of a cross", Target{Cross: ifu.CrossName, Rounds: 1}, true, ""},
+		{"rounds on a cross", Target{Cross: ifu.CrossName, Rounds: 3}, true,
+			"rounds 3: only a family target runs more than one round"},
+		{"rounds on events", Target{Events: []string{"crc_004"}, Rounds: 2}, false,
+			"rounds 2: only a family target runs more than one round"},
+		{"repeated event", Target{Events: []string{"crc_004", "crc_096", "crc_004"}}, false,
+			`event "crc_004" is listed twice`},
 	} {
 		unit := io
 		if tc.onIFU {

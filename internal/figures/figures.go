@@ -28,10 +28,16 @@ import (
 	"repro/internal/sim"
 )
 
+// MaxScale is the largest Options.Scale under which every figure's
+// budgets fit an int. Fig. 4's corpus, 10^6 simulations at scale 1, is
+// the largest of them; a larger scale would overflow it.
+const MaxScale = 9e12
+
 // Options configure a figure run.
 type Options struct {
 	// Scale multiplies corpus and harvest budgets (default 0.1; 1.0
-	// reproduces the paper's simulation counts).
+	// reproduces the paper's simulation counts; above MaxScale the
+	// figure is refused).
 	Scale float64
 	// Seed drives the whole run (default 1).
 	Seed uint64
@@ -165,6 +171,9 @@ type budget struct {
 // core.Config: it builds the figure's flow, journaled under name when
 // JournalDir is set.
 func (o Options) newFlow(name string, unit duv.DUV, b budget) (*core.Flow, error) {
+	if !(o.Scale <= MaxScale) {
+		return nil, fmt.Errorf("figures: scale %v: want at most %g, or the %s budgets overflow", o.Scale, float64(MaxScale), name)
+	}
 	journal, err := o.journalPath(name)
 	if err != nil {
 		return nil, err

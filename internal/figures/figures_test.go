@@ -31,6 +31,16 @@ func TestScaled(t *testing.T) {
 	if scaled(3, 0.001) != 1 {
 		t.Fatal("scaled should floor at 1")
 	}
+	// The largest budget, Fig. 4's corpus, still fits at MaxScale; a
+	// scale above it is refused before anything is simulated, instead of
+	// overflowing to a negative int that floors to a one-sim budget.
+	if got := scaled(1000000, MaxScale); got != 9e18 {
+		t.Fatalf("scaled(1e6, MaxScale) = %d, want 9e18", got)
+	}
+	if _, err := Fig4(Options{Scale: 1e300, Seed: 1, Rounds: 1}); err == nil ||
+		!strings.Contains(err.Error(), "scale 1e+300: want at most 9e+12, or the fig4 budgets overflow") {
+		t.Fatalf("Fig4 at scale 1e300: %v, want the overflow refused", err)
+	}
 }
 
 // TestJournalDirIsCreated: a JournalDir that does not exist yet is

@@ -115,7 +115,7 @@ func Ordinal(m *coverage.Model, family string, targets []int, decay float64) ([]
 	if !ok {
 		return nil, fmt.Errorf("neighbors: unknown family %q", family)
 	}
-	if decay <= 0 || decay > 1 {
+	if !(decay > 0 && decay <= 1) {
 		return nil, fmt.Errorf("neighbors: decay %v outside (0, 1]", decay)
 	}
 	pos := map[int]int{}
@@ -151,7 +151,7 @@ func CrossNeighbors(m *coverage.Model, crossName string, targets []int, decay fl
 	if !ok {
 		return nil, fmt.Errorf("neighbors: unknown cross product %q", crossName)
 	}
-	if decay <= 0 || decay > 1 {
+	if !(decay > 0 && decay <= 1) {
 		return nil, fmt.Errorf("neighbors: decay %v outside (0, 1]", decay)
 	}
 	targetCoords := make([][]int, 0, len(targets))

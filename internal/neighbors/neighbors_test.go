@@ -133,6 +133,9 @@ func TestOrdinalErrors(t *testing.T) {
 	if _, err := Ordinal(m, "levels", []int{0}, 1.5); err == nil {
 		t.Error("decay > 1 should fail")
 	}
+	if _, err := Ordinal(m, "levels", []int{0}, math.NaN()); err == nil {
+		t.Error("decay NaN should fail")
+	}
 }
 
 func crossModel(t *testing.T) (*coverage.Model, *coverage.CrossProduct) {
@@ -196,6 +199,9 @@ func TestCrossNeighborsErrors(t *testing.T) {
 	}
 	if _, err := CrossNeighbors(m, "x", []int{0}, 2, -1); err == nil {
 		t.Error("bad decay should fail")
+	}
+	if _, err := CrossNeighbors(m, "x", []int{0}, math.NaN(), -1); err == nil {
+		t.Error("decay NaN should fail")
 	}
 	big := coverage.MustModel([]string{"x_a0_b0", "lone"})
 	cp, _ := coverage.NewCrossProduct("x", []coverage.Dim{{Name: "a", Values: []string{"a0"}}, {Name: "b", Values: []string{"b0"}}})

@@ -116,6 +116,15 @@ func TestHTTPEndpointGoldens(t *testing.T) {
 	}
 	checkGolden(t, "submit_unknown_target.json", normalize(body))
 
+	// POST rounds on an events target, which runs once → 400 naming
+	// them, not a run that drops them.
+	resp, body = doJSON(t, client, "POST", ts.URL+"/v1/campaigns",
+		json.RawMessage(`{"unit": "iounit", "events": ["crc_004"], "rounds": 3}`))
+	if resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(body), "rounds 3: only a family target runs more than one round") {
+		t.Fatalf("events-rounds POST status = %d, want 400 naming the rounds: %s", resp.StatusCode, body)
+	}
+
 	// POST a negative budget → 400 naming it, not a run at the default.
 	resp, body = doJSON(t, client, "POST", ts.URL+"/v1/campaigns",
 		Spec{Unit: "iounit", Family: "crc_fifo", Config: SpecConfig{SampleSims: -7}})

@@ -123,6 +123,10 @@ func TestSpecValidation(t *testing.T) {
 		{Unit: iounit.UnitName, Family: iounit.FamilyName, Decay: 1.5},
 		// rounds: 0 selects 1; a negative count is refused, not run as 1.
 		{Unit: iounit.UnitName, Family: iounit.FamilyName, Rounds: -3},
+		// rounds above 1 and repeated events change nothing off-family,
+		// so they are refused rather than dropped.
+		{Unit: iounit.UnitName, Events: []string{"crc_004"}, Rounds: 2},
+		{Unit: iounit.UnitName, Events: []string{"crc_004", "crc_004"}},
 		// budgets: 0 selects the default; a negative one is refused, not
 		// run as the default.
 		{Unit: iounit.UnitName, Family: iounit.FamilyName, Config: SpecConfig{SampleSims: -7}},
