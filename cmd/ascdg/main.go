@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	unitName := fs.String("unit", "", "built-in unit: "+strings.Join(duv.Names(), ", "))
 	family := fs.String("family", "", "target event family (e.g. crc_fifo, byp_reqs)")
 	cross := fs.String("cross", "", "target cross product (e.g. ifu)")
-	decay := fs.Float64("decay", 1.0, "approximated-target distance decay in (0,1]; 1 = plain family sum")
+	decay := fs.Float64("decay", 1.0, "approximated-target distance decay in (0,1] of a -family target; 1 = plain family sum")
 	rounds := fs.Int("rounds", 1, "refinement rounds")
 	seed := fs.Uint64("seed", 1, "run seed")
 	corpus := fs.Int("corpus", 2000, "simulations per base template for the Before-CDG corpus")
@@ -87,7 +87,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return cli.Fail(fs, 1, err)
 	}
-	target := core.Target{Family: *family, Decay: *decay, Rounds: *rounds, Cross: *cross}
+	// -decay weighs a -family target. Given with -cross, Validate
+	// refuses it rather than dropping it.
+	explicitDecay := false
+	fs.Visit(func(f *flag.Flag) { explicitDecay = explicitDecay || f.Name == "decay" })
+	target := core.Target{Family: *family, Rounds: *rounds, Cross: *cross}
+	if *family != "" || explicitDecay {
+		target.Decay = *decay
+	}
 	if err := target.Validate(unit); err != nil {
 		return cli.Fail(fs, 2, err)
 	}

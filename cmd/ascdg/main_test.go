@@ -117,6 +117,13 @@ func TestErrors(t *testing.T) {
 		!strings.Contains(errb.String(), "ascdg: rounds 3: only a family target runs more than one round") {
 		t.Errorf("-cross ifu -rounds 3: exit %d, stderr %q; want exit 2", code, errb.String())
 	}
+	// A cross target has no ordinal distance: an explicit -decay is
+	// refused, not dropped; -decay's default is passed only with -family.
+	errb.Reset()
+	if code := run(smallArgs("-unit", "ifu", "-cross", "ifu", "-decay", "0.4"), &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "ascdg: decay 0.4: only a family target is weighted by decay") {
+		t.Errorf("-cross ifu -decay 0.4: exit %d, stderr %q; want exit 2", code, errb.String())
+	}
 }
 
 // TestDecayOutsideDomainIsAUsageError: -decay must lie in (0, 1]; any

@@ -6,13 +6,14 @@
 // Usage:
 //
 //	cdgd -listen :9777 -data /var/lib/cdgd [-max-running 1] [-max-queue 16] \
-//	     [-owner replica-a] [-lease-ttl 10s] [-tenant-weights paid=3,free=1]
+//	     [-tenant-weights paid=3,free=1]
 //
-// Several cdgd replicas may share one -data root: campaign ownership is
-// arbitrated by per-campaign leases (internal/lease), so replicas adopt
-// each other's interrupted campaigns — kill -9 included — without ever
-// double-running one. Campaign starts follow weighted fair-share
-// scheduling across tenants (-tenant-weights).
+// A cdgd is the one writer of its -data root: it holds the root's lock
+// (<data>/lock, internal/lease) while it lives, and a second cdgd on the
+// root exits 1 naming the holder. The kernel drops the lock when the
+// daemon dies, so a cdgd restarted after a crash — kill -9 included —
+// resumes the interrupted campaigns at once. Campaign starts follow
+// weighted fair-share scheduling across tenants (-tenant-weights).
 //
 // API (see internal/service):
 //
@@ -60,8 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dataDir := fs.String("data", "", "campaign store directory (required); journals here survive restarts")
 	maxRunning := fs.Int("max-running", 1, "concurrently running campaigns")
 	maxQueue := fs.Int("max-queue", 16, "queued campaigns beyond the running ones; more are rejected with 429")
-	owner := fs.String("owner", "", "replica identity in campaign leases (default hostname-pid); must be unique per live replica on a shared -data root")
-	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "campaign lease TTL; a replica silent this long loses its campaigns to peers")
 	tenantWeights := fs.String("tenant-weights", "", "fair-share weights as name=weight pairs (e.g. paid=3,free=1); unlisted tenants weigh 1")
 	retryAfter := fs.Duration("retry-after", 15*time.Second, "Retry-After hint attached to 429 rejections")
 	var (
@@ -108,8 +107,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	svc, err := service.New(service.Config{
 		DataDir:       *dataDir,
-		Owner:         *owner,
-		LeaseTTL:      *leaseTTL,
 		TenantWeights: weights,
 		MaxRunning:    *maxRunning,
 		MaxQueue:      *maxQueue,
@@ -140,8 +137,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sigc)
-	fmt.Fprintf(stdout, "cdgd: listening on %s (data %s, owner %s, max-running %d, max-queue %d)\n",
-		ln.Addr(), *dataDir, svc.Owner(), *maxRunning, *maxQueue)
+	fmt.Fprintf(stdout, "cdgd: listening on %s (data %s, max-running %d, max-queue %d)\n",
+		ln.Addr(), *dataDir, *maxRunning, *maxQueue)
 
 	serveDone := make(chan struct{})
 	go func() {

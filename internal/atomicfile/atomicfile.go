@@ -7,8 +7,8 @@
 //
 // WriteJSON and ReadJSON are the one codec of every JSON file on a
 // campaign data root (campaign.json, report.json, a campaign's
-// knowledge.json, lease.json, the knowledge snapshot.json) and of the
-// harvested regression suite.
+// knowledge.json, and the lease.json and knowledge snapshot.json older
+// versions wrote) and of the harvested regression suite.
 package atomicfile
 
 import (

@@ -16,7 +16,9 @@ import (
 type Target struct {
 	// Family targets a buffer-utilization event family (the paper's
 	// Figs. 3 and 4). Decay in (0, 1] weights the approximated target by
-	// ordinal distance (0 selects 1, the paper's plain family sum);
+	// ordinal distance (0 selects 1, the paper's plain family sum; a
+	// target that is not a family has no ordinal distance and refuses
+	// it);
 	// Rounds is the number of refinement rounds (0 selects 1; a negative
 	// count is refused, and so is more than one round of a target that
 	// is not a family, which runs once).
@@ -31,7 +33,8 @@ type Target struct {
 	// Events targets an explicit event list, each event named once. Its
 	// approximated target is mined from the repository by hit-profile
 	// correlation, keeping the events whose cosine similarity is at least
-	// MinSim (<= 0 selects 0.5).
+	// MinSim in [0, 1] (0 selects 0.5). Only an events target mines, so
+	// any other refuses MinSim.
 	Events []string
 	MinSim float64
 }
@@ -39,7 +42,8 @@ type Target struct {
 // Validate is the one check of a target against the unit it is to run
 // on: exactly one mode, a family, cross product or distinct events the
 // unit's coverage model has, a decay of 0 or in (0, 1] and a round
-// count of at least 0, above 1 only for a family. Its errors carry no
+// count of at least 0 — a decay or more than one round only for a
+// family — and a min_sim in [0, 1], only for events. Its errors carry no
 // package prefix; Run reports them as "core: ...", a service's
 // admission as a rejected spec.
 func (t Target) Validate(unit duv.DUV) error {
@@ -71,6 +75,15 @@ func (t Target) Validate(unit duv.DUV) error {
 	}
 	if t.Decay != 0 && !(t.Decay > 0 && t.Decay <= 1) {
 		return fmt.Errorf("decay %v outside (0, 1]", t.Decay)
+	}
+	if t.Decay != 0 && t.Family == "" {
+		return fmt.Errorf("decay %v: only a family target is weighted by decay", t.Decay)
+	}
+	if !(t.MinSim >= 0 && t.MinSim <= 1) {
+		return fmt.Errorf("min_sim %v outside [0, 1]", t.MinSim)
+	}
+	if t.MinSim != 0 && len(t.Events) == 0 {
+		return fmt.Errorf("min_sim %v: only an events target mines neighbours by similarity", t.MinSim)
 	}
 	if t.Rounds < 0 {
 		return fmt.Errorf("rounds %d is negative", t.Rounds)
@@ -104,7 +117,7 @@ func (t Target) rounds() int {
 }
 
 func (t Target) minSim() float64 {
-	if t.MinSim <= 0 {
+	if t.MinSim == 0 {
 		return 0.5
 	}
 	return t.MinSim

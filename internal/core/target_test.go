@@ -38,6 +38,18 @@ func TestTargetValidate(t *testing.T) {
 		{"decay above 1", Target{Family: iounit.FamilyName, Decay: 1.5}, false, "decay 1.5 outside (0, 1]"},
 		{"NaN decay", Target{Family: iounit.FamilyName, Decay: math.NaN()}, false, "decay NaN outside (0, 1]"},
 		{"decay on a cross", Target{Cross: ifu.CrossName, Decay: 2}, true, "decay 2 outside (0, 1]"},
+		{"decay in domain on a cross", Target{Cross: ifu.CrossName, Decay: 1}, true,
+			"decay 1: only a family target is weighted by decay"},
+		{"decay on events", Target{Events: []string{"crc_004"}, Decay: 0.3}, false,
+			"decay 0.3: only a family target is weighted by decay"},
+		{"min_sim 1", Target{Events: []string{"crc_004"}, MinSim: 1}, false, ""},
+		{"negative min_sim", Target{Events: []string{"crc_004"}, MinSim: -3}, false, "min_sim -3 outside [0, 1]"},
+		{"min_sim above 1", Target{Events: []string{"crc_004"}, MinSim: 7}, false, "min_sim 7 outside [0, 1]"},
+		{"NaN min_sim", Target{Events: []string{"crc_004"}, MinSim: math.NaN()}, false, "min_sim NaN outside [0, 1]"},
+		{"min_sim on a family", Target{Family: iounit.FamilyName, MinSim: 0.9}, false,
+			"min_sim 0.9: only an events target mines neighbours by similarity"},
+		{"min_sim on a cross", Target{Cross: ifu.CrossName, MinSim: 0.5}, true,
+			"min_sim 0.5: only an events target mines neighbours by similarity"},
 		{"negative rounds", Target{Family: iounit.FamilyName, Rounds: -3}, false, "rounds -3 is negative"},
 		{"one round of a cross", Target{Cross: ifu.CrossName, Rounds: 1}, true, ""},
 		{"rounds on a cross", Target{Cross: ifu.CrossName, Rounds: 3}, true,
@@ -68,8 +80,8 @@ func TestTargetValidate(t *testing.T) {
 		t.Fatalf("zero-value defaults: decay %v, rounds %d, min_sim %v; want 1, 1, 0.5",
 			zero.decay(), zero.rounds(), zero.minSim())
 	}
-	set := Target{Family: iounit.FamilyName, Decay: 0.4, Rounds: 3, MinSim: 0.7}
-	if set.decay() != 0.4 || set.rounds() != 3 || set.minSim() != 0.7 {
+	set := Target{Family: iounit.FamilyName, Decay: 0.4, Rounds: 3}
+	if set.decay() != 0.4 || set.rounds() != 3 || (Target{MinSim: 0.7}).minSim() != 0.7 {
 		t.Fatalf("set values not kept: %+v", set)
 	}
 }

@@ -10,8 +10,8 @@
 // Points cost one atomic load while the registry is disarmed (the
 // production state), so they are safe to leave in hot paths: the farm
 // dispatcher threads them through dial/handshake/frame I/O, the farm
-// server through chunk execution, and the journal, lease, and service
-// layers through their durability and admission paths.
+// server through chunk execution, and the journal and service layers
+// through their durability and admission paths.
 //
 // Policies are configured programmatically (Set) or from a spec string
 // (Configure), the grammar the -failpoints flag and the
@@ -453,7 +453,7 @@ func (r *Registry) Snapshot() []PointState {
 func (r *Registry) Armed() bool { return r != nil && r.armed.Load() }
 
 // Package-level wrappers over Default, for call sites without an
-// explicit registry (journal, lease, service).
+// explicit registry (journal, service).
 
 // Eval evaluates a point on the Default registry.
 func Eval(name string) error { return Default.Eval(name) }

@@ -154,9 +154,6 @@ type Writer struct {
 	failAfter int
 	tearBytes int
 
-	// fence, when set, is consulted before every append (SetFence).
-	fence func() error
-
 	mAppends *obs.Counter
 	mBytes   *obs.Counter
 	tracer   *obs.Tracer
@@ -275,31 +272,13 @@ func Open[H comparable](path, typ string, header H, rec *obs.Recorder, log *slog
 	return cur, resumed, nil
 }
 
-// SetFence installs a guard consulted before every append: a non-nil
-// error rejects the append and poisons the writer. The campaign service
-// threads a lease fencing check through it, so a replica whose campaign
-// lease was stolen (its epoch superseded) can never append to a journal
-// the new owner is now writing. Not safe to call concurrently with
-// Append; install it before the run starts.
-func (w *Writer) SetFence(fence func() error) {
-	if w != nil {
-		w.fence = fence
-	}
-}
-
 // Append encodes one record, writes its frame in a single write, and
-// fsyncs. Any failure (I/O, fencing, or injected) poisons the writer:
+// fsyncs. Any failure (I/O or injected) poisons the writer:
 // every later Append returns the same error, so a run can never journal
 // past a crash point.
 func (w *Writer) Append(typ string, v any) error {
 	if w.err != nil {
 		return w.err
-	}
-	if w.fence != nil {
-		if err := w.fence(); err != nil {
-			w.err = err
-			return err
-		}
 	}
 	// journal/append simulates a failing disk: the error poisons the
 	// writer exactly like a real write failure (delay models a stalling

@@ -257,53 +257,6 @@ func TestJournalMetrics(t *testing.T) {
 	}
 }
 
-// TestSetFenceRejectsAppends: a fence that starts failing (the lease
-// layer's fencing epoch was superseded) rejects the append before any
-// byte reaches the file, poisons the writer, and stays rejected even
-// after the fence would pass again — a fenced run must never resume
-// writing.
-func TestSetFenceRejectsAppends(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.journal")
-	w, err := Create(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	fenceErr := errors.New("epoch superseded")
-	var fenced bool
-	w.SetFence(func() error {
-		if fenced {
-			return fenceErr
-		}
-		return nil
-	})
-	if err := w.Append("rec", payload{N: 1}); err != nil {
-		t.Fatalf("append with open fence: %v", err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fenced = true
-	if err := w.Append("rec", payload{N: 2}); !errors.Is(err, fenceErr) {
-		t.Fatalf("fenced append err = %v, want the fence error", err)
-	}
-	fenced = false
-	if err := w.Append("rec", payload{N: 3}); !errors.Is(err, fenceErr) {
-		t.Fatalf("append after fencing err = %v, want the sticky fence error", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(before) {
-		t.Fatalf("fenced appends reached the file: %d -> %d bytes", len(before), len(after))
-	}
-	if w.Appends() != 1 {
-		t.Fatalf("Appends = %d, want 1", w.Appends())
-	}
-}
-
 // TestOpen: the one opener creates a missing, empty or header-less
 // journal with the run's header, resumes a journal whose header equals
 // the run's with its history behind the header, and rejects one of

@@ -4,13 +4,14 @@
 // as warm-start priors for learning optimization engines (ranker,
 // bayes) and as damped score boosts for the coarse-grained TAC search.
 //
-// The store follows the same multi-replica discipline as the campaign
-// store: each replica appends only to its own CRC-framed journal
-// (<root>/<owner>.journal), so writes never race across processes, and
-// reads merge every replica's journal with the compacted snapshot.json
-// the janitor refreshes. Entries are keyed (campaign, round, template),
-// so replayed feeds — an adopted campaign re-finishing, a janitor
-// re-merge — deduplicate instead of double-counting.
+// A writer appends only to its own CRC-framed journal
+// (<root>/<owner>.journal); the service, the one writer of its data
+// root, writes under one fixed owner name. Reads merge every journal in
+// the directory, and the snapshot.json that older versions compacted
+// them into, so a root those versions wrote keeps its entries. Entries
+// are keyed (campaign, round, template), so a replayed feed — a
+// campaign re-finishing after a crash — deduplicates instead of
+// double-counting.
 package knowledge
 
 import (
@@ -74,9 +75,9 @@ const (
 // evidence dominates.
 const DefaultDamp = 0.25
 
-// Store is one replica's handle on the shared knowledge base. Safe for
-// concurrent use within the process; cross-process safety comes from
-// the own-journal-only write discipline.
+// Store is one writer's handle on the knowledge base. Safe for
+// concurrent use within the process; a second writer in another process
+// writes its own journal.
 type Store struct {
 	dir   string
 	owner string
@@ -132,7 +133,7 @@ func Open(dir, owner string, rec *obs.Recorder, log *slog.Logger) (*Store, error
 	return s, nil
 }
 
-// Add appends entries to this replica's journal, skipping keys it
+// Add appends entries to this writer's journal, skipping keys it
 // already holds. The append is durable (fsynced) before Add returns.
 func (s *Store) Add(entries []Entry) error {
 	s.mu.Lock()
@@ -153,11 +154,10 @@ func (s *Store) Add(entries []Entry) error {
 	return nil
 }
 
-// All returns the merged fleet-wide view: the compacted snapshot plus
-// every replica's journal, deduplicated by key and sorted by
-// (campaign, round, template). Peer journals are read with the
-// read-only torn-tail decoder — never recovered, they belong to their
-// owners.
+// All returns the merged view: any snapshot plus every journal,
+// deduplicated by key and sorted by (campaign, round, template). The
+// journals of other owners are read with the read-only torn-tail
+// decoder — never recovered, they belong to their owners.
 func (s *Store) All() ([]Entry, error) { return Load(s.dir) }
 
 // Load reads the merged view of the store at dir without opening a
@@ -212,24 +212,8 @@ func Load(dir string) ([]Entry, error) {
 	return out, nil
 }
 
-// Compact refreshes snapshot.json with the merged view. The janitor
-// calls it periodically so external consumers (tacquery, dashboards)
-// read one file; journals are never truncated — each entry is one small
-// record per campaign round, and the owner-only write discipline stays
-// trivially correct.
-func (s *Store) Compact() error {
-	all, err := s.All()
-	if err != nil {
-		return err
-	}
-	if len(all) == 0 {
-		return nil
-	}
-	return atomicfile.WriteJSON(filepath.Join(s.dir, snapshotFile), all)
-}
-
-// Close closes this replica's journal. The store's files remain for
-// peers and successors.
+// Close closes this writer's journal. The store's files remain for
+// successors.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

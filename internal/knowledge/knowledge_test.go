@@ -1,7 +1,6 @@
 package knowledge
 
 import (
-	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/atomicfile"
 	"repro/internal/tac"
 )
 
@@ -156,48 +156,28 @@ func TestMultiOwnerMerge(t *testing.T) {
 	}
 }
 
-// TestCompact: the snapshot holds the merged view and Load still
-// deduplicates it against the journals it was built from.
-func TestCompact(t *testing.T) {
+// TestLoadMergesSnapshot: a snapshot.json that an older version
+// compacted the journals into is still read, and Load deduplicates it
+// against the journals it was built from.
+func TestLoadMergesSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, "r1")
 	defer s.Close()
-
-	// Empty store: compact is a no-op, no snapshot appears.
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !os.IsNotExist(err) {
-		t.Fatalf("empty compact wrote a snapshot (stat err = %v)", err)
-	}
-
 	e1 := entry("c000001", 0, "iounit", "c000001_r0_best", 0.5)
 	e2 := entry("c000002", 0, "l3cache", "c000002_r0_best", 0.7)
+	old := entry("c000000", 0, "iounit", "c000000_r0_best", 0.3) // in the snapshot alone
 	if err := s.Add([]Entry{e1, e2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Compact(); err != nil {
+	if err := atomicfile.WriteJSON(filepath.Join(dir, snapshotFile), []Entry{old, e1, e2}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap []Entry
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap) != 2 {
-		t.Fatalf("snapshot entries = %d, want 2", len(snap))
-	}
-
-	// Snapshot + journal both hold the entries; the merge still yields 2.
 	all, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(all, []Entry{e1, e2}) {
-		t.Fatalf("post-compact view:\ngot  %+v\nwant %+v", all, []Entry{e1, e2})
+	if want := []Entry{old, e1, e2}; !reflect.DeepEqual(all, want) {
+		t.Fatalf("merged view:\ngot  %+v\nwant %+v", all, want)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 
 // registering names the methods that put a series into a registry: the
 // Registry's and Recorder's own, and the package-local wrappers
-// (service's counter and gauge, lease's counter) that take the name as
-// their first argument.
+// (service's counter and gauge) that take the name as their first
+// argument.
 var registering = map[string]bool{
 	"Counter": true, "Gauge": true, "Histogram": true,
 	"CounterWith": true, "GaugeWith": true, "HistogramWith": true,

@@ -178,13 +178,6 @@ type State struct {
 	StartedAt   *time.Time    `json:"started_at,omitempty"`
 	FinishedAt  *time.Time    `json:"finished_at,omitempty"`
 	Reports     []*ReportJSON `json:"reports,omitempty"`
-
-	// Owner and Epoch identify the replica that last ran (or is
-	// running) the campaign and its lease fencing epoch — set at
-	// dispatch, kept through terminal states so an adopted campaign
-	// records who finished it.
-	Owner string `json:"owner,omitempty"`
-	Epoch uint64 `json:"epoch,omitempty"`
 }
 
 func (st *State) clone() *State {

@@ -140,26 +140,13 @@ func (f *fairSched) release(tenant string, done bool) {
 	}
 }
 
-// remove withdraws a queued campaign (cancellation, peer adoption)
-// without charging its tenant's virtual time.
+// remove withdraws a queued campaign (cancellation) without charging its tenant's virtual time.
 func (f *fairSched) remove(id string) bool {
 	for _, q := range f.tenants {
 		for i, qid := range q.ids {
 			if qid == id {
 				q.ids = append(q.ids[:i], q.ids[i+1:]...)
 				f.size--
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// contains reports whether the campaign is queued.
-func (f *fairSched) contains(id string) bool {
-	for _, q := range f.tenants {
-		for _, qid := range q.ids {
-			if qid == id {
 				return true
 			}
 		}

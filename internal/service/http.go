@@ -65,11 +65,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// A field the spec does not have is refused, not dropped: a
-	// misspelled budget would otherwise run under its default.
+	// misspelled budget would otherwise run under its default. So is
+	// anything but white space after the spec, which would go unread.
 	var spec Spec
 	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after the spec")
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("invalid spec: %v", err)})
 		return
 	}
@@ -95,8 +102,7 @@ func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.List())
 }
 
-// handleKnowledge serves the merged cross-campaign knowledge base —
-// every replica sees the same entries, so any replica can answer.
+// handleKnowledge serves the merged cross-campaign knowledge base.
 func (s *Service) handleKnowledge(w http.ResponseWriter, r *http.Request) {
 	entries, err := s.Knowledge()
 	if err != nil {

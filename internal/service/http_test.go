@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -148,6 +149,24 @@ func TestHTTPEndpointGoldens(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest ||
 		!strings.Contains(string(body), `invalid spec: json: unknown field \"sample_sim\"`) {
 		t.Fatalf("misspelled-field POST status = %d, want 400 naming the field: %s", resp.StatusCode, body)
+	}
+
+	// POST a spec followed by a second object → 400, not a run that
+	// never reads the second object's fields.
+	// (doJSON marshals its body, and no JSON value is two objects.)
+	resp, err := client.Post(ts.URL+"/v1/campaigns", "application/json",
+		strings.NewReader(`{"unit": "iounit", "family": "crc_fifo"} {"seed": 99, "bogus": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(body), "invalid spec: trailing data after the spec") {
+		t.Fatalf("trailing-object POST status = %d, want 400 naming the trailing data: %s", resp.StatusCode, body)
 	}
 
 	// GET unknown id → 404.

@@ -12,8 +12,9 @@ import (
 )
 
 // parentRoot is a data root written by the service before its lifecycle
-// had one refresh rule, one fenced writer and one JSON codec. A service
-// with owner "parent-replica" and LeaseTTL 2s ran three submissions:
+// had one refresh rule, one fenced writer and one JSON codec, when
+// replicas shared roots through per-campaign leases. A service with
+// owner "parent-replica" and a 2s lease TTL ran three submissions:
 //
 //	c000001    engineSpec("ranker", true), done; it fed knowledge/
 //	c000002    the same spec at seed 22, drained after 12 journal

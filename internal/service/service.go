@@ -1,24 +1,24 @@
 // Package service is the campaign layer of the AS-CDG system: a
 // long-running daemon core that accepts CDG campaigns, runs them with
-// bounded concurrency, and persists everything so a daemon restart —
-// or a *peer replica* sharing the same data root — picks up exactly
-// where a dead process left off (DESIGN.md §11, §12).
+// bounded concurrency, and persists everything so a restarted daemon
+// picks up exactly where a dead one left off (DESIGN.md §11, §12).
 //
-// Every campaign owns a directory under Config.DataDir:
+// A service is the one writer of its data root: New takes an exclusive
+// kernel lock on <data>/lock (internal/lease) for the service's life
+// and refuses a root another process holds. The kernel drops the lock
+// when the process dies, kill -9 included, so a restart resumes at
+// once. Every campaign owns a directory under Config.DataDir:
 //
 //	<data>/<id>/campaign.json  current lifecycle state (atomic rename)
 //	<data>/<id>/flow.journal   the flow's crash-safe journal
 //	<data>/<id>/events.jsonl   the campaign's JSONL progress stream
 //	<data>/<id>/report.json    the final per-round reports, once done
-//	<data>/<id>/lease.json     ownership lease (internal/lease)
 //
 // The flow journal is the resume mechanism: a campaign that was
-// "running" when its owner died is adopted by whichever replica's
-// janitor first claims the expired lease, and core.New recovers the
-// journal, replaying the completed prefix, so the adopted campaign's
-// reports are bit-identical to an uninterrupted run (the invariant
-// internal/core's TestInvarianceMatrix sweeps and cmd/cdgload drives at
-// fleet scale).
+// "running" when its daemon died is re-enqueued by the next New, and
+// core.New recovers the journal, replaying the completed prefix, so the
+// resumed campaign's reports are bit-identical to an uninterrupted run
+// (the invariant internal/core's TestInvarianceMatrix sweeps).
 //
 // Scheduling is weighted fair-share rather than FIFO: every Spec
 // carries a tenant, Config.TenantWeights assigns per-tenant weights,
@@ -78,20 +78,9 @@ var ErrClosed = errors.New("service: draining")
 // selects the documented default.
 type Config struct {
 	// DataDir is the root of the campaign store (required). Each
-	// campaign gets its own subdirectory. Multiple replicas may share
-	// one data root: campaign ownership is arbitrated by leases.
+	// campaign gets its own subdirectory. The service holds the root's
+	// lock from New to Close; New fails while another process holds it.
 	DataDir string
-
-	// Owner is this replica's identity in lease records (default
-	// "<hostname>-<pid>"). Must be unique among live replicas sharing
-	// the data root.
-	Owner string
-
-	// LeaseTTL is how long a campaign lease protects its owner without
-	// renewal (default 10s). Shorter TTLs adopt dead replicas' campaigns
-	// faster at the cost of more lease I/O; it also paces the janitor's
-	// data-root rescans (every TTL/2).
-	LeaseTTL time.Duration
 
 	// TenantWeights assigns fair-share weights (default: every tenant
 	// weighs 1). Only ratios matter: {"paid": 3, "free": 1} gives the
@@ -126,14 +115,14 @@ type Config struct {
 	Farm *farm.Dispatcher
 
 	// Rec instruments the service (service.* metrics — several carry a
-	// tenant label — campaign spans, lease.* metrics) and is shared as
-	// the Metrics/Trace sink of every campaign flow. Each campaign
+	// tenant label — and campaign spans) and is shared as the
+	// Metrics/Trace sink of every campaign flow. Each campaign
 	// additionally gets a private Progress sink writing its
 	// events.jsonl.
 	Rec *obs.Recorder
 
 	// Log receives structured lifecycle events (submit, start, end,
-	// adopt, fence, drain), every record carrying the campaign id as a
+	// resume, drain), every record carrying the campaign id as a
 	// correlated field. nil discards.
 	Log *slog.Logger
 
@@ -148,16 +137,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Owner == "" {
-		host, err := os.Hostname()
-		if err != nil || host == "" {
-			host = "cdgd"
-		}
-		c.Owner = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 10 * time.Second
-	}
 	if c.MaxRunning <= 0 {
 		c.MaxRunning = 1
 	}
@@ -177,59 +156,18 @@ type campaign struct {
 
 	mu             sync.Mutex
 	st             State
-	lease          *lease.Handle      // non-nil while this replica runs it
-	cancel         context.CancelFunc // non-nil while this replica runs it
+	cancel         context.CancelFunc // non-nil while it runs
 	canceledByUser bool
 	done           chan struct{} // closed when the campaign leaves the live states
 }
 
-// load is the one reader of the campaign's campaign.json. It only
-// inspects the data root; refresh and mirror bring what it read into
-// memory.
+// load is the one reader of the campaign's campaign.json.
 func (c *campaign) load() (*State, error) {
 	return loadState(c.dir)
 }
 
-// refresh loads the campaign's state from disk, mirrors it and returns
-// it.
-func (c *campaign) refresh() (*State, error) {
-	st, err := c.load()
-	if err != nil {
-		return nil, err
-	}
-	c.mirror(st)
-	return st, nil
-}
-
-// mirror is the one rule that brings the data root into memory: st, as
-// load read it, is the campaign's state unless this replica holds its
-// lease, and a terminal state closes the campaign's waiters.
-func (c *campaign) mirror(st *State) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.lease == nil {
-		c.st = *st
-		if isTerminal(st.State) {
-			c.finishLocked()
-		}
-	}
-}
-
-// settled reports whether refresh has nothing to mirror: this replica
-// runs the campaign, or it is terminal.
-func (c *campaign) settled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lease != nil || isTerminal(c.st.State)
-}
-
-// write stores v as the JSON file name in the campaign's directory
-// behind h's fence: h.Verify re-reads lease.json first, so a replica
-// that lost the lease never writes into the campaign.
-func (c *campaign) write(h *lease.Handle, name string, v any) error {
-	if err := h.Verify(); err != nil {
-		return err
-	}
+// write stores v as the JSON file name in the campaign's directory.
+func (c *campaign) write(name string, v any) error {
 	return atomicfile.WriteJSON(filepath.Join(c.dir, name), v)
 }
 
@@ -245,12 +183,11 @@ func (c *campaign) finishLocked() {
 
 // Service runs campaigns. Create with New, stop with Close.
 type Service struct {
-	cfg    Config
-	owner  string
-	rec    *obs.Recorder
-	log    *slog.Logger
-	leases *lease.Manager
-	know   *knowledge.Store
+	cfg  Config
+	rec  *obs.Recorder
+	log  *slog.Logger
+	lock *lease.Handle // the data root's lock, held until Close
+	know *knowledge.Store
 
 	// corpora holds the corpora this process's campaigns built, so a
 	// campaign with the same (unit, seed, corpus budget) replays one
@@ -273,14 +210,25 @@ type Service struct {
 	nextID    int
 	closed    bool
 
-	wg sync.WaitGroup // dispatcher + janitor + running campaigns
+	wg sync.WaitGroup // dispatcher, farm watch and running campaigns
 }
 
-// New opens (or creates) the campaign store at cfg.DataDir, scans it —
-// adopting every claimable campaign the previous owner left queued or
-// running (resumed campaigns first, in submission order) — and starts
-// the dispatcher plus the janitor that keeps adopting peers' orphaned
-// campaigns while the service lives.
+// rootLock names the data root's lock file, and knowledgeOwner the
+// service's journal in the knowledge store.
+const (
+	rootLock       = "lock"
+	knowledgeOwner = "service"
+)
+
+// farmTick is how often a service with a farm re-reads
+// Farm.LiveConns(): a fleet that gains connections frees capacity that
+// no campaign event signals.
+const farmTick = 5 * time.Second
+
+// New takes the lock of cfg.DataDir (creating the root if need be),
+// recovers the campaigns it holds — resumed ones first, then queued
+// ones, each in submission order — and starts the dispatcher. It fails
+// if another process holds the root.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	if cfg.DataDir == "" {
@@ -294,24 +242,21 @@ func New(cfg Config) (*Service, error) {
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, err
 	}
-	leases, err := lease.NewManager(lease.Options{
-		Owner: cfg.Owner, TTL: cfg.LeaseTTL, Rec: cfg.Rec, Log: cfg.Log,
-	})
+	lock, err := lockRoot(cfg.DataDir)
 	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
+		return nil, fmt.Errorf("service: data root %s: %w", cfg.DataDir, err)
 	}
-	know, err := knowledge.Open(filepath.Join(cfg.DataDir, "knowledge"), cfg.Owner, cfg.Rec, cfg.Log)
+	know, err := knowledge.Open(filepath.Join(cfg.DataDir, "knowledge"), knowledgeOwner, cfg.Rec, cfg.Log)
 	if err != nil {
-		leases.Close()
+		lock.Release()
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		cfg:        cfg,
-		owner:      cfg.Owner,
 		rec:        cfg.Rec,
 		log:        obs.OrNop(cfg.Log),
-		leases:     leases,
+		lock:       lock,
 		know:       know,
 		corpora:    sim.NewCorpusCache(),
 		units:      map[string]duv.DUV{},
@@ -322,156 +267,129 @@ func New(cfg Config) (*Service, error) {
 		nextID:     1,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if err := s.scan(true); err != nil {
+	if err := s.recoverRoot(); err != nil {
 		cancel()
 		know.Close()
-		leases.Close()
+		lock.Release()
 		return nil, err
 	}
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.dispatch()
-	go s.janitor()
+	if cfg.Farm != nil {
+		s.wg.Add(1)
+		go s.watchFarm()
+	}
 	return s, nil
 }
 
-// Owner returns this replica's lease identity.
-func (s *Service) Owner() string { return s.owner }
+// lockRoot takes the data root's lock in the name of this process.
+func lockRoot(dir string) (*lease.Handle, error) {
+	host, err := os.Hostname()
+	if err != nil || host == "" {
+		host = "cdgd"
+	}
+	m, err := lease.NewManager(lease.Options{Owner: fmt.Sprintf("%s-%d", host, os.Getpid())})
+	if err != nil {
+		return nil, err
+	}
+	return m.Acquire(dir, rootLock)
+}
 
-// scan walks the data root and reconciles it with memory: new
-// directories (peer submissions) are registered, every campaign this
-// replica neither queues nor runs is refreshed from disk, and live
-// campaigns whose lease is claimable — never leased, released by a
-// draining owner, or expired under a dead one — are (re-)enqueued for
-// this replica to run.
-//
-// Enqueue order is deterministic: previously-running campaigns first
-// (their journals resume), then queued ones, each sorted by original
-// submission time (ties by id) — directory-walk order never matters.
-// initial is the startup pass, where a scan failure is fatal.
-func (s *Service) scan(initial bool) error {
+// recoverRoot registers every campaign of the data root and enqueues the
+// live ones. Enqueue order is deterministic: previously-running
+// campaigns first (their journals resume), then queued ones, each
+// sorted by original submission time (ties by id) — directory-walk
+// order never matters.
+func (s *Service) recoverRoot() error {
 	entries, err := os.ReadDir(s.cfg.DataDir)
 	if err != nil {
 		return err
 	}
-	type candidate struct {
-		id string
-		st *State
-	}
-	var adopt []candidate
+	var live []string
 	for _, e := range entries {
 		// Campaign directories are the allocator's c<number> names; the
-		// shared knowledge base (and any foreign directory) is not one.
-		if !e.IsDir() || idNumber(e.Name()) == 0 {
+		// knowledge base (and any foreign directory) is not one.
+		id, n := e.Name(), idNumber(e.Name())
+		if !e.IsDir() || n == 0 {
 			continue
 		}
-		id := e.Name()
-		s.mu.Lock()
-		c := s.campaigns[id]
-		inSched := s.sched.contains(id)
-		s.mu.Unlock()
-		if c == nil {
-			c = &campaign{dir: filepath.Join(s.cfg.DataDir, id), done: make(chan struct{})}
-		} else if inSched || c.settled() {
-			continue // locally active or already settled
+		c := &campaign{dir: filepath.Join(s.cfg.DataDir, id), done: make(chan struct{})}
+		st, err := c.load()
+		if errors.Is(err, fs.ErrNotExist) {
+			// A daemon killed between making the directory and renaming
+			// the state in never acknowledged the submission.
+			continue
 		}
-
-		st, err := c.refresh()
 		if err != nil {
-			if initial && !errors.Is(err, fs.ErrNotExist) {
-				return fmt.Errorf("service: recovering %s: %w", id, err)
-			}
-			// No state file: a peer is mid-submission (directory made,
-			// state not yet renamed in), or a replica died between the two
-			// and never acknowledged the submission. Skip it; the next pass
-			// catches the former.
-			continue
+			return fmt.Errorf("service: recovering %s: %w", id, err)
 		}
-		s.mu.Lock()
-		if n := idNumber(id); n >= s.nextID {
-			s.nextID = n + 1
-		}
-		if s.campaigns[id] == nil {
-			s.campaigns[id] = c
-		}
-		s.mu.Unlock()
+		c.st = *st
+		s.campaigns[id] = c
+		s.nextID = max(s.nextID, n+1)
 		if isTerminal(st.State) {
+			c.finishLocked()
 			continue
 		}
-
-		rec, err := lease.Peek(c.dir)
-		if err != nil {
-			if initial {
-				return fmt.Errorf("service: recovering %s: %w", id, err)
-			}
-			continue
+		if err := refuseLiveLease(c.dir); err != nil {
+			return fmt.Errorf("service: recovering %s: %w", id, err)
 		}
-		if s.leases.Claimable(rec) {
-			adopt = append(adopt, candidate{id: id, st: st})
-		}
+		live = append(live, id)
 	}
-
-	// Deterministic enqueue order: resumed first, then queued, each by
-	// (submission time, id).
-	sort.Slice(adopt, func(i, j int) bool {
-		a, b := adopt[i], adopt[j]
-		if (a.st.State == StateRunning) != (b.st.State == StateRunning) {
-			return a.st.State == StateRunning
+	sort.Slice(live, func(i, j int) bool {
+		a, b := s.campaigns[live[i]].st, s.campaigns[live[j]].st
+		if (a.State == StateRunning) != (b.State == StateRunning) {
+			return a.State == StateRunning
 		}
-		if !a.st.SubmittedAt.Equal(b.st.SubmittedAt) {
-			return a.st.SubmittedAt.Before(b.st.SubmittedAt)
+		if !a.SubmittedAt.Equal(b.SubmittedAt) {
+			return a.SubmittedAt.Before(b.SubmittedAt)
 		}
-		return a.id < b.id
+		return live[i] < live[j]
 	})
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	enqueued := 0
-	for _, cand := range adopt {
-		c := s.campaigns[cand.id]
-		if s.sched.contains(cand.id) {
-			continue
-		}
-		c.mu.Lock()
-		racing := c.lease != nil || isTerminal(c.st.State)
-		if !racing {
-			c.st.State = StateQueued // in-memory; on-disk state is untouched until claimed
-		}
-		c.mu.Unlock()
-		if racing {
-			continue
-		}
-		s.sched.push(cand.st.Spec.tenant(), cand.id)
-		enqueued++
-		if cand.st.State == StateRunning {
+	for _, id := range live {
+		c := s.campaigns[id]
+		if c.st.State == StateRunning {
 			s.counter("service.resumed").Inc()
-			s.log.Info("service: campaign re-enqueued for resume", "campaign", cand.id)
-		} else if !initial {
-			s.log.Debug("service: campaign adopted into queue", "campaign", cand.id)
+			s.log.Info("service: campaign re-enqueued for resume", "campaign", id)
 		}
+		c.st.State = StateQueued // in memory; the disk keeps "running" until it starts
+		s.sched.push(c.st.Spec.tenant(), id)
 	}
-	if enqueued > 0 {
+	if len(live) > 0 {
 		s.updateGaugesLocked()
-		s.cond.Broadcast()
-		if initial {
-			s.log.Info("service: recovery complete", "enqueued", enqueued)
-		}
+		s.log.Info("service: recovery complete", "enqueued", len(live))
 	}
 	return nil
 }
 
-// janitor periodically rescans the data root (every LeaseTTL/2),
-// adopting campaigns whose owners died or drained, mirroring peer
-// activity, and re-evaluating farm capacity for the dispatcher.
-func (s *Service) janitor() {
-	defer s.wg.Done()
-	interval := s.cfg.LeaseTTL / 2
-	if interval < 25*time.Millisecond {
-		interval = 25 * time.Millisecond
+// refuseLiveLease keeps an upgrade from running a campaign twice. A
+// daemon of an older version shared data roots through a per-campaign
+// lease.json; while one of those is unreleased and unexpired, that
+// daemon may still be running the campaign, so the root is refused,
+// naming it.
+func refuseLiveLease(dir string) error {
+	var l struct {
+		Owner     string    `json:"owner"`
+		RenewedAt time.Time `json:"renewed_at"`
+		TTLMillis int64     `json:"ttl_ms"`
+		Released  bool      `json:"released"`
 	}
-	t := time.NewTicker(interval)
+	switch err := atomicfile.ReadJSON(filepath.Join(dir, "lease.json"), &l); {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil
+	case err != nil:
+		return err
+	}
+	if expires := l.RenewedAt.Add(time.Duration(l.TTLMillis) * time.Millisecond); !l.Released && time.Now().Before(expires) {
+		return fmt.Errorf("leased by %s until %s: stop that daemon first", l.Owner, expires.Format(time.RFC3339))
+	}
+	return nil
+}
+
+// watchFarm wakes the dispatcher every farmTick, so campaign starts
+// follow the farm's live connections.
+func (s *Service) watchFarm() {
+	defer s.wg.Done()
+	t := time.NewTicker(farmTick)
 	defer t.Stop()
 	for {
 		select {
@@ -479,24 +397,9 @@ func (s *Service) janitor() {
 			return
 		case <-t.C:
 		}
-		// service/janitor simulates a janitor pass failing wholesale
-		// (data root briefly unreadable): the pass is skipped and the
-		// next tick retries, exactly like a real scan failure.
-		if err := failpoint.Eval("service/janitor"); err != nil {
-			s.log.Warn("service: janitor scan failed", "err", err)
-			continue
-		}
-		if err := s.scan(false); err != nil {
-			s.log.Warn("service: janitor scan failed", "err", err)
-		}
-		// Merge the fleet's knowledge journals into the compacted
-		// snapshot, so external consumers read one file.
-		if err := s.know.Compact(); err != nil {
-			s.log.Warn("service: knowledge compaction failed", "err", err)
-		}
 		s.mu.Lock()
 		s.updateGaugesLocked()
-		s.cond.Broadcast() // capacity may have changed
+		s.cond.Broadcast()
 		s.mu.Unlock()
 	}
 }
@@ -543,42 +446,17 @@ func (s *Service) desiredWorkersLocked() int {
 
 // Ready is the daemon's readiness check for /readyz. It fails once
 // Close began draining, when the admission queue is saturated (new
-// submissions would be rejected with 429 anyway), when a locally
-// running campaign has lost its lease (this replica is fenced and must
-// not be routed to until it unwinds), and when the data root is no
-// longer writable (submissions — and lease renewals — would fail).
+// submissions would be rejected with 429 anyway), and when the data
+// root is no longer writable (submissions would fail).
 func (s *Service) Ready() error {
 	s.mu.Lock()
 	closed, queued := s.closed, s.sched.len()
-	var held []*lease.Handle
-	var heldIDs []string
-	for id, c := range s.campaigns {
-		c.mu.Lock()
-		if c.lease != nil {
-			held = append(held, c.lease)
-			heldIDs = append(heldIDs, id)
-		}
-		c.mu.Unlock()
-	}
 	s.mu.Unlock()
-	var fenced []string
-	for i, h := range held {
-		// Verify (not Check): the slow probe detects a steal even when
-		// the renewal goroutine is wedged — exactly the failure mode a
-		// load balancer needs to see.
-		if h.Verify() != nil {
-			fenced = append(fenced, heldIDs[i])
-		}
-	}
 	if closed {
 		return ErrClosed
 	}
 	if queued >= s.cfg.MaxQueue {
 		return fmt.Errorf("%w (capacity %d)", ErrQueueFull, s.cfg.MaxQueue)
-	}
-	if len(fenced) > 0 {
-		sort.Strings(fenced)
-		return fmt.Errorf("service: lost lease on running campaign %s", fenced[0])
 	}
 	probe, err := os.CreateTemp(s.cfg.DataDir, ".readyz-*")
 	if err != nil {
@@ -590,10 +468,10 @@ func (s *Service) Ready() error {
 }
 
 // Submit validates and enqueues a campaign, returning its id. The
-// submission is durable before Submit returns: a daemon restart — or
-// any peer replica on the same data root — re-enqueues it. Campaign
-// ids are allocated with an O_EXCL directory create, so concurrent
-// submissions across replicas never collide.
+// submission is durable before Submit returns: a daemon restart
+// re-enqueues it. Campaign ids are allocated with an O_EXCL directory
+// create, which steps past the directory of a submission a killed
+// daemon never acknowledged.
 func (s *Service) Submit(spec Spec) (string, error) {
 	if err := spec.validate(s.unit); err != nil {
 		return "", err
@@ -627,7 +505,6 @@ func (s *Service) Submit(spec Spec) (string, error) {
 			s.mu.Unlock()
 			return "", err
 		}
-		// A peer replica allocated this id concurrently; skip past it.
 	}
 	c := &campaign{
 		dir: dir,
@@ -639,7 +516,7 @@ func (s *Service) Submit(spec Spec) (string, error) {
 		},
 		done: make(chan struct{}),
 	}
-	if err := saveState(dir, &c.st); err != nil {
+	if err := c.write(stateFile, c.st.slim()); err != nil {
 		s.mu.Unlock()
 		return "", err
 	}
@@ -655,23 +532,13 @@ func (s *Service) Submit(spec Spec) (string, error) {
 }
 
 // Get returns a snapshot of the campaign's state (reports included once
-// done), or nil if the id is unknown. For campaigns this replica is not
-// itself running or queueing, the snapshot is refreshed from disk, so
-// any replica serves the fleet-wide truth.
+// done), or nil if the id is unknown.
 func (s *Service) Get(id string) *State {
 	s.mu.Lock()
 	c := s.campaigns[id]
-	inSched := s.sched.contains(id)
 	s.mu.Unlock()
 	if c == nil {
 		return nil
-	}
-	if !c.settled() {
-		if inSched {
-			s.dropFinished(c, id)
-		} else {
-			c.refresh()
-		}
 	}
 	c.mu.Lock()
 	st := c.st.clone()
@@ -686,26 +553,8 @@ func (s *Service) Get(id string) *State {
 	return st
 }
 
-// dropFinished withdraws a campaign from this replica's queue once a
-// peer has finished it, and mirrors the terminal state it loaded. A
-// campaign queued here keeps its in-memory "queued" state otherwise: its
-// disk state may name a dead owner it is queued to resume.
-func (s *Service) dropFinished(c *campaign, id string) {
-	st, err := c.load()
-	if err != nil || !isTerminal(st.State) {
-		return
-	}
-	s.mu.Lock()
-	if s.sched.remove(id) {
-		s.updateGaugesLocked()
-	}
-	s.mu.Unlock()
-	c.mirror(st)
-}
-
 // List returns every campaign's state snapshot (without reports),
-// sorted by id. Remote campaigns' states are as of the janitor's last
-// scan; Get refreshes an individual campaign on demand.
+// sorted by id.
 func (s *Service) List() []*State {
 	s.mu.Lock()
 	cs := make([]*campaign, 0, len(s.campaigns))
@@ -723,20 +572,18 @@ func (s *Service) List() []*State {
 	return out
 }
 
-// Scheduler returns the fair-share scheduler's live snapshot: this
-// replica's identity, capacity clamps, the autoscaling hint, and
-// per-tenant weights/queue depths/virtual times.
+// Scheduler returns the fair-share scheduler's live snapshot: capacity
+// clamps, the autoscaling hint, and per-tenant weights/queue
+// depths/virtual times.
 func (s *Service) Scheduler() SchedulerInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	info := SchedulerInfo{
-		Owner:          s.owner,
 		MaxRunning:     s.cfg.MaxRunning,
 		Capacity:       s.capacityLocked(),
 		Running:        s.sched.busy,
 		Queued:         s.sched.len(),
 		DesiredWorkers: s.desiredWorkersLocked(),
-		LeaseTTLMillis: s.cfg.LeaseTTL.Milliseconds(),
 		Tenants:        s.sched.stats(),
 	}
 	if s.cfg.Farm != nil {
@@ -747,76 +594,45 @@ func (s *Service) Scheduler() SchedulerInfo {
 
 // SchedulerInfo is GET /v1/scheduler's response body.
 type SchedulerInfo struct {
-	Owner          string       `json:"owner"`
 	MaxRunning     int          `json:"max_running"`
 	Capacity       int          `json:"capacity"`
 	Running        int          `json:"running"`
 	Queued         int          `json:"queued"`
 	DesiredWorkers int          `json:"desired_workers"`
-	LeaseTTLMillis int64        `json:"lease_ttl_ms"`
 	Tenants        []TenantStat `json:"tenants"`
 	// Farm is the per-worker health/quarantine state of the farm fleet
-	// (omitted when the replica runs without a farm dispatcher).
+	// (omitted when the service runs without a farm dispatcher).
 	Farm []farm.WorkerHealth `json:"farm,omitempty"`
 }
 
-// Cancel stops a campaign: a queued one is withdrawn (arbitrated by a
-// short-lived lease claim, so a peer replica cannot concurrently start
-// it), a locally running one is interrupted (its journal keeps the
-// completed prefix). A campaign running on a peer replica is left
-// untouched — the returned state shows where it runs. Terminal
-// campaigns are left untouched. Returns the post-cancel state, or nil
-// for an unknown id.
+// Cancel stops a campaign: a queued one is withdrawn and a running one
+// is interrupted (its journal keeps the completed prefix). Terminal
+// campaigns are left untouched, and so is every campaign once Close
+// began: the root is about to pass to the next daemon. Returns the
+// post-cancel state, or nil for an unknown id.
 func (s *Service) Cancel(id string) *State {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	c := s.campaigns[id]
 	if c == nil {
-		s.mu.Unlock()
 		return nil
 	}
-	removed := s.sched.remove(id)
-	if removed {
-		s.updateGaugesLocked()
-	}
-	s.mu.Unlock()
-
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch {
-	case isTerminal(c.st.State):
-		// nothing to do
+	case s.closed:
+	case s.sched.remove(id):
+		s.updateGaugesLocked()
+		s.finish(c, StateCanceled, nil)
 	case c.cancel != nil:
 		c.canceledByUser = true
 		c.cancel()
-	case removed:
-		// Queued here: claim the lease so no peer can start it while we
-		// write the terminal state — unless a peer finished it first.
-		c.mu.Unlock()
-		if h, err := s.leases.Acquire(c.dir, id); err == nil {
-			c.refresh()
-			c.mu.Lock()
-			if !isTerminal(c.st.State) {
-				s.finish(c, h, StateCanceled, nil)
-			}
-			c.mu.Unlock()
-			h.Release()
-		}
-		c.mu.Lock()
-	case c.canceledByUser:
-		// claim in flight; the runner observes the flag
-	default:
-		// Remote (or mid-claim by a peer): not cancelable from this
-		// replica.
-		s.log.Info("service: cancel ignored for campaign owned elsewhere", "campaign", id)
 	}
-	st := c.st.clone()
-	c.mu.Unlock()
-	return st
+	return c.st.clone()
 }
 
 // Wait blocks until the campaign reaches a terminal state, the context
-// is done, or the id is unknown (returns immediately). For campaigns
-// running on peer replicas, termination is observed by the janitor's
-// next scan.
+// is done, or the id is unknown (returns immediately).
 func (s *Service) Wait(ctx context.Context, id string) {
 	s.mu.Lock()
 	c := s.campaigns[id]
@@ -832,8 +648,6 @@ func (s *Service) Wait(ctx context.Context, id string) {
 
 // EventsPath returns the campaign's JSONL progress file path (the file
 // appears when the campaign starts running), or "" for an unknown id.
-// The path is on the shared data root, so any replica can stream any
-// campaign's events.
 func (s *Service) EventsPath(id string) string {
 	s.mu.Lock()
 	c := s.campaigns[id]
@@ -865,11 +679,10 @@ func (s *Service) Done(id string) bool {
 func (s *Service) RetryAfter() time.Duration { return s.cfg.RetryAfter }
 
 // Close drains the service: no new submissions, running campaigns are
-// interrupted (their journals checkpoint the completed prefix, their
-// state stays "running" on disk, and their leases are released so the
-// next daemon — or a live peer — adopts them immediately), and queued
-// campaigns stay queued. Blocks until every campaign goroutine has
-// exited.
+// interrupted (their journals checkpoint the completed prefix and their
+// state stays "running" on disk, so the next daemon resumes them),
+// queued campaigns stay queued, and the data root's lock is released.
+// Blocks until every campaign goroutine has exited.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -884,14 +697,14 @@ func (s *Service) Close() {
 	s.baseCancel()
 	s.wg.Wait()
 	s.know.Close()
-	s.leases.Close()
+	s.lock.Release()
 	s.log.Info("service: drained")
 }
 
 // dispatch pops campaigns in weighted fair-share order whenever a
-// running slot is free within the capacity clamp, claims each one's
-// lease, and spawns its runner goroutine. A campaign whose lease a
-// peer holds gives its slot straight back.
+// running slot is free within the capacity clamp and starts each one's
+// runner. A popped campaign gets its cancel function before s.mu is
+// released, so Cancel always finds it queued or running.
 func (s *Service) dispatch() {
 	defer s.wg.Done()
 	for {
@@ -905,12 +718,14 @@ func (s *Service) dispatch() {
 		}
 		id, tenant, _ := s.sched.pop()
 		c := s.campaigns[id]
+		ctx, cancel := context.WithCancel(s.baseCtx)
+		c.mu.Lock()
+		c.cancel = cancel
+		c.mu.Unlock()
 		s.updateGaugesLocked()
+		s.wg.Add(1)
 		s.mu.Unlock()
-
-		if !s.claimAndRun(c, id, tenant) {
-			s.release(tenant, false)
-		}
+		go s.runCampaign(c, tenant, ctx, cancel)
 	}
 }
 
@@ -924,129 +739,75 @@ func (s *Service) release(tenant string, done bool) {
 	s.mu.Unlock()
 }
 
-// claimAndRun acquires the campaign's lease and launches its runner,
-// reporting whether the running slot was consumed.
-func (s *Service) claimAndRun(c *campaign, id, tenant string) bool {
-	h, err := s.leases.Acquire(c.dir, id)
-	if err != nil {
-		// A peer owns it (or the data root failed): the janitor keeps
-		// refreshing it.
-		s.counter("service.lease_conflicts").Inc()
-		s.log.Debug("service: campaign claimed by peer", "campaign", id, "err", err)
-		return false
-	}
-	// A peer may have finished or canceled the campaign while it sat in
-	// our queue.
-	if st, err := c.refresh(); err == nil && isTerminal(st.State) {
-		h.Release()
-		return false
-	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	h.OnLost(cancel) // lease loss interrupts the flow at its next checkpoint
-
-	c.mu.Lock()
-	c.st.State = StateRunning
-	c.st.StartedAt = now()
-	c.st.Owner = s.owner
-	c.st.Epoch = h.Epoch()
-	c.lease = h
-	c.cancel = cancel
-	if c.canceledByUser {
-		cancel() // canceled while we were claiming
-	}
-	// A fenced write fires OnLost, so the run ends fenced at its first
-	// lease check.
-	c.write(h, stateFile, c.st.slim())
-	c.mu.Unlock()
-	if h.Stolen() {
-		s.counter("service.adopted").Inc()
-		s.log.Info("service: campaign adopted from expired owner",
-			"campaign", id, "epoch", h.Epoch())
-	}
-	s.wg.Add(1)
-	go s.runCampaign(c, tenant, h, ctx, cancel)
-	return true
-}
-
-// runCampaign executes one campaign to a terminal state (or to an
-// interruption that the next owner resumes). Every write goes through
-// the lease fence: if ownership was lost mid-run, nothing is written
-// and the campaign is left to its new owner.
-func (s *Service) runCampaign(c *campaign, tenant string, h *lease.Handle, ctx context.Context, cancel context.CancelFunc) {
+// runCampaign executes one campaign to a terminal state, or to a drain
+// that leaves it "running" on disk for the next daemon to resume.
+func (s *Service) runCampaign(c *campaign, tenant string, ctx context.Context, cancel context.CancelFunc) {
 	defer s.wg.Done()
 	defer cancel()
+	c.mu.Lock()
 	id := c.st.ID
+	c.st.State = StateRunning
+	c.st.StartedAt = now()
+	if err := c.write(stateFile, c.st.slim()); err != nil {
+		s.log.Warn("service: writing campaign state failed", "campaign", id, "err", err)
+	}
+	c.mu.Unlock()
 	span := s.rec.Span("campaign", id)
-	s.rec.Emit("campaign_start", map[string]any{
-		"id": id, "unit": c.st.Spec.Unit, "tenant": tenant, "owner": s.owner, "epoch": h.Epoch()})
-	s.log.Info("service: campaign started",
-		"campaign", id, "unit", c.st.Spec.Unit, "tenant", tenant, "epoch", h.Epoch())
+	s.rec.Emit("campaign_start", map[string]any{"id": id, "unit": c.st.Spec.Unit, "tenant": tenant})
+	s.log.Info("service: campaign started", "campaign", id, "unit", c.st.Spec.Unit, "tenant", tenant)
 
-	reports, err := s.executeFlow(c, h, ctx)
+	reports, err := s.executeFlow(c, ctx)
 
 	c.mu.Lock()
 	c.cancel = nil
-	c.lease = nil
 	interrupted := errors.Is(err, core.ErrInterrupted)
 	var state string
 	switch {
 	case err == nil:
-		if err = c.write(h, reportFile, reports); err != nil {
-			state = s.finish(c, h, StateFailed, err)
+		if err = c.write(reportFile, reports); err != nil {
+			state = s.finish(c, StateFailed, err)
 			break
 		}
-		s.feedKnowledge(id, c.st.Spec, reports, h)
+		s.feedKnowledge(id, c.st.Spec, reports)
 		c.st.Reports = reports
-		state = s.finish(c, h, StateDone, nil)
+		state = s.finish(c, StateDone, nil)
 	case interrupted && c.canceledByUser:
-		state = s.finish(c, h, StateCanceled, nil)
-	case interrupted && h.Check() == nil:
+		state = s.finish(c, StateCanceled, nil)
+	case interrupted:
 		// Daemon drain: the journal holds the completed prefix and the
-		// on-disk state stays "running"; releasing the lease below lets
-		// any peer adopt it immediately. The in-memory campaign is
-		// finished for this process's lifetime.
+		// on-disk state stays "running" for the next daemon. The
+		// in-memory campaign is finished for this process's lifetime.
 		c.finishLocked()
 		state = c.st.State
 	default:
-		// A flow error, or a fenced run: finish writes nothing then.
-		state = s.finish(c, h, StateFailed, err)
+		state = s.finish(c, StateFailed, err)
 	}
 	c.mu.Unlock()
-	h.Release()
 
 	s.rec.Emit("campaign_end", map[string]any{"id": id, "state": state})
-	switch {
-	case state == "fenced":
-		s.log.Warn("service: campaign fenced (adopted by a peer)", "campaign", id, "epoch", h.Epoch())
-	case err != nil && state == StateFailed:
+	if err != nil && state == StateFailed {
 		s.log.Warn("service: campaign failed", "campaign", id, "err", err)
-	default:
+	} else {
 		s.log.Info("service: campaign ended", "campaign", id, "state", state)
 	}
 	span.End()
 	s.release(tenant, state == StateDone)
 }
 
-// finish moves a campaign this replica holds h for to the terminal
-// state (with err's message when it failed): it writes campaign.json
-// behind the fence, counts the campaign and closes its waiters. When h
-// has lost the lease, finish writes and counts nothing and returns
-// "fenced"; the waiters stay open until refresh reads the new owner's
-// terminal state. Caller holds c.mu.
-func (s *Service) finish(c *campaign, h *lease.Handle, state string, err error) string {
-	st := c.st
-	st.State = state
-	st.FinishedAt = now()
+// finish moves a campaign to the terminal state (with err's message
+// when it failed): it writes campaign.json, counts the campaign, closes
+// its waiters and returns the state. Caller holds c.mu.
+func (s *Service) finish(c *campaign, state string, err error) string {
+	c.st.State = state
+	c.st.FinishedAt = now()
 	if err != nil {
-		st.Error = err.Error()
+		c.st.Error = err.Error()
 	}
-	if werr := c.write(h, stateFile, st.slim()); errors.Is(werr, lease.ErrFenced) {
-		s.counter("service.fenced").Inc()
-		return "fenced"
+	if werr := c.write(stateFile, c.st.slim()); werr != nil {
+		s.log.Warn("service: writing campaign state failed", "campaign", c.st.ID, "err", werr)
 	}
-	c.st = st
 	c.finishLocked()
-	s.countTerminal(&st)
+	s.countTerminal(&c.st)
 	return state
 }
 
@@ -1063,13 +824,9 @@ func (s *Service) countTerminal(st *State) {
 	s.counter(terminalCounters[st.State], "engine", st.Spec.engineName(), "tenant", st.Spec.tenant()).Inc()
 }
 
-// executeFlow builds the campaign's journaled flow — with the lease's
-// fencing check wired into every journal append — and runs the
+// executeFlow builds the campaign's journaled flow and runs the
 // requested target, returning the per-round reports.
-func (s *Service) executeFlow(c *campaign, h *lease.Handle, ctx context.Context) ([]*ReportJSON, error) {
-	if err := h.Check(); err != nil {
-		return nil, err
-	}
+func (s *Service) executeFlow(c *campaign, ctx context.Context) ([]*ReportJSON, error) {
 	spec := c.st.Spec
 	unit, err := s.unit(spec.Unit)
 	if err != nil {
@@ -1094,7 +851,7 @@ func (s *Service) executeFlow(c *campaign, h *lease.Handle, ctx context.Context)
 
 	cfg := spec.coreConfig(s.cfg.Workers)
 	if spec.useKnowledge() {
-		kp, err := s.campaignKnowledge(c, h)
+		kp, err := s.campaignKnowledge(c)
 		if err != nil {
 			return nil, err
 		}
@@ -1113,11 +870,6 @@ func (s *Service) executeFlow(c *campaign, h *lease.Handle, ctx context.Context)
 		return nil, err
 	}
 	defer flow.Close()
-	// Every journal append from here on carries the fencing epoch: a
-	// stale owner's appends are rejected before any byte hits the file.
-	if cur := flow.Journal(); cur != nil {
-		cur.Writer().SetFence(h.Check)
-	}
 	if s.cfg.flowArmed != nil {
 		s.cfg.flowArmed(c.st.ID, flow)
 	}
@@ -1170,8 +922,8 @@ func (s *Service) gauge(name string, kv ...string) *obs.Gauge {
 	return s.rec.Metrics.GaugeWith(name, obs.Labels(kv...))
 }
 
-// Knowledge returns the merged fleet-wide knowledge base (the
-// GET /v1/knowledge body).
+// Knowledge returns the merged knowledge base (the GET /v1/knowledge
+// body).
 func (s *Service) Knowledge() ([]knowledge.Entry, error) { return s.know.All() }
 
 // maxPriorPoints bounds how many past harvests seed a warm campaign's
@@ -1188,9 +940,8 @@ type knowledgeSnapshot struct {
 }
 
 // campaignKnowledge loads the campaign's frozen knowledge snapshot, or
-// computes it from the store on first start and persists it (fenced —
-// only the lease owner may write into the campaign directory).
-func (s *Service) campaignKnowledge(c *campaign, h *lease.Handle) (*knowledgeSnapshot, error) {
+// computes it from the store on first start and persists it.
+func (s *Service) campaignKnowledge(c *campaign) (*knowledgeSnapshot, error) {
 	var frozen knowledgeSnapshot
 	switch err := atomicfile.ReadJSON(filepath.Join(c.dir, knowledgeFile), &frozen); {
 	case err == nil:
@@ -1207,22 +958,17 @@ func (s *Service) campaignKnowledge(c *campaign, h *lease.Handle) (*knowledgeSna
 		Prior: knowledge.Priors(entries, unit, maxPriorPoints),
 		TAC:   knowledge.TACBoosts(entries, unit, knowledge.DefaultDamp),
 	}
-	if err := c.write(h, knowledgeFile, kp); err != nil {
+	if err := c.write(knowledgeFile, kp); err != nil {
 		return nil, err
 	}
 	return kp, nil
 }
 
 // feedKnowledge appends the campaign's harvests to the knowledge base.
-// Fenced like every terminal write: a stale owner must not feed — its
-// adopter will, and (campaign, round) keying deduplicates a replayed
-// feed anyway.
-func (s *Service) feedKnowledge(id string, spec Spec, reports []*ReportJSON, h *lease.Handle) {
+// (campaign, round) keying deduplicates a feed replayed after a crash.
+func (s *Service) feedKnowledge(id string, spec Spec, reports []*ReportJSON) {
 	entries := knowledgeEntries(id, spec, reports)
 	if len(entries) == 0 {
-		return
-	}
-	if h.Verify() != nil {
 		return
 	}
 	if err := s.know.Add(entries); err != nil {
@@ -1280,7 +1026,7 @@ func now() *time.Time {
 func campaignID(n int) string { return fmt.Sprintf("c%06d", n) }
 
 // idNumber parses the number of a campaign id in the allocator's form
-// ("c000042" → 42). Every other name yields 0, so a scan neither adopts
+// ("c000042" → 42). Every other name yields 0, so recovery neither runs
 // it nor advances the allocator past it: the knowledge base, and a copy
 // of a campaign directory ("c000001.bak"), which would otherwise run as
 // a second campaign under the ID its state file names.
@@ -1306,12 +1052,6 @@ func loadState(dir string) (*State, error) {
 		return nil, err
 	}
 	return &st, nil
-}
-
-// saveState writes a new campaign's first state; every later write
-// into the campaign directory goes through campaign.write's fence.
-func saveState(dir string, st *State) error {
-	return atomicfile.WriteJSON(filepath.Join(dir, stateFile), st.slim())
 }
 
 func loadReports(dir string) ([]*ReportJSON, error) {

@@ -48,9 +48,6 @@ func newService(t *testing.T, cfg Config) *Service {
 	if cfg.DataDir == "" {
 		cfg.DataDir = t.TempDir()
 	}
-	if cfg.Owner == "" {
-		cfg.Owner = "replica-test" // fixed identity keeps goldens deterministic
-	}
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -127,6 +124,12 @@ func TestSpecValidation(t *testing.T) {
 		// so they are refused rather than dropped.
 		{Unit: iounit.UnitName, Events: []string{"crc_004"}, Rounds: 2},
 		{Unit: iounit.UnitName, Events: []string{"crc_004", "crc_004"}},
+		// min_sim and decay are refused where they change nothing, and
+		// min_sim outside [0, 1], rather than ignored or read as 0.5.
+		{Unit: iounit.UnitName, Family: iounit.FamilyName, MinSim: 0.9},
+		{Unit: iounit.UnitName, Events: []string{"crc_004"}, MinSim: -3},
+		{Unit: iounit.UnitName, Events: []string{"crc_004"}, MinSim: 7},
+		{Unit: iounit.UnitName, Events: []string{"crc_004"}, Decay: 0.3},
 		// budgets: 0 selects the default; a negative one is refused, not
 		// run as the default.
 		{Unit: iounit.UnitName, Family: iounit.FamilyName, Config: SpecConfig{SampleSims: -7}},
@@ -244,6 +247,25 @@ func TestCancelQueued(t *testing.T) {
 	}
 	if st := svc.Get(second); st.State != StateCanceled {
 		t.Fatalf("second campaign state = %q after run, want canceled", st.State)
+	}
+}
+
+// TestCancelAfterCloseWritesNothing: once Close began, the data root
+// is the next daemon's, so Cancel leaves a queued campaign queued, on
+// disk too.
+func TestCancelAfterCloseWritesNothing(t *testing.T) {
+	dataDir := t.TempDir()
+	svc := newService(t, Config{DataDir: dataDir, frozen: true})
+	id, err := svc.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	if st := svc.Cancel(id); st.State != StateQueued {
+		t.Fatalf("Cancel after Close = %q, want queued", st.State)
+	}
+	if st, err := loadState(filepath.Join(dataDir, id)); err != nil || st.State != StateQueued {
+		t.Fatalf("on-disk state after Cancel after Close = %+v, %v; want queued", st, err)
 	}
 }
 
