@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/coverage"
 	"repro/internal/duv"
 	_ "repro/internal/duv/ifu"
 	_ "repro/internal/duv/iounit"
@@ -53,18 +52,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	optSims := fs.Int("opt-sims", 100, "optimizer sims per point (N)")
 	bestSims := fs.Int("best-sims", 2000, "standalone sims of the harvested template")
 	out := fs.String("out", "", "write the harvested test-template to this file")
-	loadRepo := fs.String("load-repo", "", "load the Before-CDG corpus from this JSON file instead of simulating")
 	saveRepo := fs.String("save-repo", "", "save the (possibly updated) coverage repository to this JSON file")
 	var (
 		workers   cli.Workers
 		jnl       cli.Journal
 		farmFlags cli.Farm
-		faults    cli.Faults
 		profile   cli.Profile
 		obsFlags  cli.Obs
 		engine    cli.Engine
 	)
-	if code, done := cli.Parse(fs, args, stdout, &workers, &jnl, &farmFlags, &faults, &profile, &obsFlags, &engine); done {
+	if code, done := cli.Parse(fs, args, stdout, &workers, &jnl, &farmFlags, &profile, &obsFlags, &engine); done {
 		return code
 	}
 	if *unitName == "" {
@@ -75,9 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.Fail(fs, 2, fmt.Errorf("-rounds %d: want at least 1", *rounds))
 	}
 	if code := jnl.Check(); code != 0 {
-		return code
-	}
-	if code := faults.Arm(); code != 0 {
 		return code
 	}
 	if code := engine.Check(); code != 0 {
@@ -132,13 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer d.Close()
 		cfg.Runner = d
 		cfg.RunnerLanes = d.Lanes()
-	}
-	if *loadRepo != "" {
-		repo, err := coverage.LoadFile(*loadRepo, unit.Model())
-		if err != nil {
-			return cli.Fail(fs, 1, err)
-		}
-		cfg.Repository = repo
 	}
 	if code := jnl.Prepare(); code != 0 {
 		return code

@@ -6,6 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/coverage"
+	"repro/internal/duv/iounit"
+	"repro/internal/duv/l3cache"
 )
 
 // smallArgs keeps CLI end-to-end runs fast.
@@ -103,6 +107,13 @@ func TestErrors(t *testing.T) {
 		!strings.Contains(errb.String(), "flag provided but not defined: -engine-params") {
 		t.Errorf("-engine-params: exit %d, stderr %q; want exit 2 for an undefined flag", code, errb.String())
 	}
+	// Faults are injected through the farm's test transport and the
+	// journal writer, not armed from the command line.
+	errb.Reset()
+	if code := run(smallArgs("-unit", "iounit", "-family", "crc_fifo", "-failpoints", "journal/append=error"), &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "flag provided but not defined: -failpoints") {
+		t.Errorf("-failpoints: exit %d, stderr %q; want exit 2 for an undefined flag", code, errb.String())
+	}
 	// As on repro, a round count below 1 is refused, not run as one round.
 	for _, rounds := range []string{"0", "-2"} {
 		errb.Reset()
@@ -151,19 +162,19 @@ func TestRepoSaveAndReuse(t *testing.T) {
 	if !strings.Contains(out.String(), "repository saved") {
 		t.Fatal("save confirmation missing")
 	}
-	// Second campaign reuses the corpus: its 'before' phase must report
-	// more sims than a fresh corpus would have (it includes the first
-	// campaign's harvest runs).
-	out.Reset()
-	code = run(smallArgs("-unit", "l3cache", "-family", "byp_reqs", "-load-repo", repoPath), &out, &errb)
-	if code != 0 {
-		t.Fatalf("load run exit %d: %s", code, errb.String())
+	// The saved corpus is what tacquery -load and regress -load read:
+	// it loads against its own unit's model and no other.
+	if _, err := coverage.LoadFile(repoPath, l3cache.New().Model()); err != nil {
+		t.Fatalf("saved corpus does not load: %v", err)
 	}
-	if code := run(smallArgs("-unit", "l3cache", "-family", "byp_reqs", "-load-repo", "/no/file"), &out, &errb); code != 1 {
-		t.Fatalf("bad load exit %d, want 1", code)
+	if _, err := coverage.LoadFile(repoPath, iounit.New().Model()); err == nil {
+		t.Fatal("the l3cache corpus loaded against the iounit model")
 	}
-	// Loading the l3cache corpus against another unit must fail.
-	if code := run(smallArgs("-unit", "iounit", "-family", "crc_fifo", "-load-repo", repoPath), &out, &errb); code != 1 {
-		t.Fatalf("cross-unit load exit %d, want 1", code)
+	// A flow's corpus is built, replayed or cached, never loaded: the
+	// flag that loaded one is gone.
+	errb.Reset()
+	if code := run(smallArgs("-unit", "l3cache", "-family", "byp_reqs", "-load-repo", repoPath), &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "flag provided but not defined: -load-repo") {
+		t.Fatalf("-load-repo: exit %d, stderr %q; want exit 2 for an undefined flag", code, errb.String())
 	}
 }

@@ -66,21 +66,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		workers   cli.Workers
 		farmFlags cli.Farm
-		faults    cli.Faults
 		obsFlags  cli.Obs
 		logFlags  cli.Log
 	)
-	if code, done := cli.Parse(fs, args, stdout, &workers, &farmFlags, &faults, &obsFlags, &logFlags); done {
+	if code, done := cli.Parse(fs, args, stdout, &workers, &farmFlags, &obsFlags, &logFlags); done {
 		return code
 	}
 	if *dataDir == "" {
 		fmt.Fprintln(stderr, "cdgd: -data is required")
 		return 2
 	}
-	if code := workers.Check(fs); code != 0 {
-		return code
+	// service.Config reads a zero or negative bound as its default; a
+	// value given here is taken as given or refused.
+	switch {
+	case *maxRunning < 1:
+		return cli.Fail(fs, 2, fmt.Errorf("-max-running %d: want at least 1", *maxRunning))
+	case *maxQueue < 1:
+		return cli.Fail(fs, 2, fmt.Errorf("-max-queue %d: want at least 1", *maxQueue))
+	case *retryAfter <= 0:
+		return cli.Fail(fs, 2, fmt.Errorf("-retry-after %v: want a positive duration", *retryAfter))
 	}
-	if code := faults.Arm(); code != 0 {
+	if code := workers.Check(fs); code != 0 {
 		return code
 	}
 	logger, code := logFlags.New()

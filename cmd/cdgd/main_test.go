@@ -299,9 +299,29 @@ func TestCdgdRequiresDataDir(t *testing.T) {
 	}
 }
 
+// TestCdgdFlagErrorExitsTwo: an undefined flag, and a bound the service
+// would replace with its default, exit 2 naming the flag before the
+// daemon serves — instead of printing one value and running another.
 func TestCdgdFlagErrorExitsTwo(t *testing.T) {
-	var stderr bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, io.Discard, &stderr); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-no-such-flag", "", "flag provided but not defined: -no-such-flag"},
+		{"-failpoints", "journal/append=error", "flag provided but not defined: -failpoints"},
+		{"-max-running", "-1", "cdgd: -max-running -1: want at least 1"},
+		{"-max-running", "0", "cdgd: -max-running 0: want at least 1"},
+		{"-max-queue", "-2", "cdgd: -max-queue -2: want at least 1"},
+		{"-retry-after", "-5s", "cdgd: -retry-after -5s: want a positive duration"},
+		{"-retry-after", "0s", "cdgd: -retry-after 0s: want a positive duration"},
+	} {
+		args := []string{"-data", t.TempDir(), "-listen", "127.0.0.1:0", tc.flag}
+		if tc.value != "" {
+			args = append(args, tc.value)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%s %s: exit %d, stderr %q; want exit 2 naming %q", tc.flag, tc.value, code, stderr.String(), tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s %s: the daemon started:\n%s", tc.flag, tc.value, stdout.String())
+		}
 	}
 }

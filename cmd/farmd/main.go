@@ -31,7 +31,6 @@ import (
 	_ "repro/internal/duv/iounit"
 	_ "repro/internal/duv/l3cache"
 	_ "repro/internal/duv/noc"
-	"repro/internal/failpoint"
 	"repro/internal/farm"
 	"repro/internal/obs"
 )
@@ -47,15 +46,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	capacity := fs.Int("capacity", 0, "concurrently executing chunks (<= 0: GOMAXPROCS); advertised to dispatchers")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight chunks")
 	var (
-		faults   cli.Faults
 		obsFlags cli.Obs
 		logFlags cli.Log
 	)
-	if code, done := cli.Parse(fs, args, stdout, &faults, &obsFlags, &logFlags); done {
+	if code, done := cli.Parse(fs, args, stdout, &obsFlags, &logFlags); done {
 		return code
 	}
-	if code := faults.Arm(); code != 0 {
-		return code
+	// farm.ServerOptions reads a non-positive drain budget as its default.
+	if *drain <= 0 {
+		return cli.Fail(fs, 2, fmt.Errorf("-drain %v: want a positive duration", *drain))
 	}
 	logger, code := logFlags.New()
 	if code != 0 {
@@ -91,9 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer signal.Stop(sigc)
 	fmt.Fprintf(stdout, "farmd: listening on %s (capacity %d, protocol v%d, %s)\n",
 		ln.Addr(), srv.Capacity(), farm.ProtocolVersion, buildinfo.Read().Short())
-	if armed := failpoint.Default.Snapshot(); len(armed) > 0 {
-		fmt.Fprintf(stdout, "farmd: FAULT INJECTION ARMED: %d failpoint(s) active — not for production\n", len(armed))
-	}
 
 	serveDone := make(chan struct{})
 	go func() {

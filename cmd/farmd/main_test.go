@@ -117,13 +117,27 @@ func TestFarmdServesAndDrainsOnSignal(t *testing.T) {
 	}
 }
 
+// TestFarmdFlagErrorExitsTwo: an undefined flag, and a drain budget the
+// worker would replace with its default, exit 2 naming the flag before
+// the worker listens.
 func TestFarmdFlagErrorExitsTwo(t *testing.T) {
-	var stderr bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, io.Discard, &stderr); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "flag provided but not defined") {
-		t.Fatalf("stderr missing flag diagnostic:\n%s", stderr.String())
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-no-such-flag", "", "flag provided but not defined: -no-such-flag"},
+		{"-failpoints", "farm/dial=error", "flag provided but not defined: -failpoints"},
+		{"-drain", "-1s", "farmd: -drain -1s: want a positive duration"},
+		{"-drain", "0s", "farmd: -drain 0s: want a positive duration"},
+	} {
+		args := []string{"-listen", "127.0.0.1:0", tc.flag}
+		if tc.value != "" {
+			args = append(args, tc.value)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%s %s: exit %d, stderr %q; want exit 2 naming %q", tc.flag, tc.value, code, stderr.String(), tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s %s: the worker started:\n%s", tc.flag, tc.value, stdout.String())
+		}
 	}
 }
 

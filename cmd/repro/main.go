@@ -42,12 +42,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers   cli.Workers
 		jnl       cli.Journal
 		farmFlags cli.Farm
-		faults    cli.Faults
 		profile   cli.Profile
 		obsFlags  cli.Obs
 		engine    cli.Engine
 	)
-	if code, done := cli.Parse(fs, args, stdout, &workers, &jnl, &farmFlags, &faults, &profile, &obsFlags, &engine); done {
+	if code, done := cli.Parse(fs, args, stdout, &workers, &jnl, &farmFlags, &profile, &obsFlags, &engine); done {
 		return code
 	}
 	// figures.Options defaults a zero seed, scale or round count; a value
@@ -66,9 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 	if code := jnl.Check(); code != 0 {
-		return code
-	}
-	if code := faults.Arm(); code != 0 {
 		return code
 	}
 	if code := engine.Check(); code != 0 {

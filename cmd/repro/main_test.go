@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/failpoint"
 )
 
 // repro runs the command with args and returns its stdout, stderr and
@@ -81,23 +79,27 @@ func TestRefusesInputsItWouldRewrite(t *testing.T) {
 			t.Errorf("%s %s: a run started before the input was refused", tc.flag, tc.value)
 		}
 	}
-	if stdout, stderr, code := repro(t, "-fig", "3", "-engine-params", "{}"); code != 2 || stdout != "" ||
-		!strings.Contains(stderr, "flag provided but not defined: -engine-params") {
-		t.Errorf("-engine-params: exit %d, stderr %q; want exit 2 for an undefined flag", code, stderr)
+	for _, flag := range []string{"-engine-params", "-failpoints"} {
+		if stdout, stderr, code := repro(t, "-fig", "3", flag, "x"); code != 2 || stdout != "" ||
+			!strings.Contains(stderr, "flag provided but not defined: "+flag) {
+			t.Errorf("%s: exit %d, stderr %q; want exit 2 for an undefined flag", flag, code, stderr)
+		}
 	}
 }
 
 // TestFailedRunKeepsTraceAndMetrics: a run that fails after the
-// observability session started still writes its trace and its metrics
-// dump on the way out.
+// observability session started — here a non-empty directory stands
+// where the figure's journal goes, so the disk refuses it — still
+// writes its trace and its metrics dump on the way out.
 func TestFailedRunKeepsTraceAndMetrics(t *testing.T) {
-	t.Cleanup(failpoint.Default.Reset)
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "t.json")
+	if err := os.MkdirAll(filepath.Join(dir, "ck", "fig3.journal", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	_, stderr, code := repro(t, "-fig", "3", "-scale", "0.002", "-rounds", "1",
-		"-journal", filepath.Join(dir, "ck"), "-trace", trace, "-metrics",
-		"-failpoints", "journal/append=error")
-	if code != 1 {
+		"-journal", filepath.Join(dir, "ck"), "-trace", trace, "-metrics")
+	if code != 1 || !strings.Contains(stderr, "fig3.journal") {
 		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr)
 	}
 	data, err := os.ReadFile(trace)

@@ -57,6 +57,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if code := corpus.Check(); code != 0 {
 		return code
 	}
+	switch {
+	case *best < 0:
+		return cli.Fail(fs, 2, fmt.Errorf("-best %d: want at least 0 (0 skips the query)", *best))
+	case *best > 0 && *events == "":
+		fmt.Fprintln(stderr, "tacquery: -best requires -events")
+		return 2
+	}
 	unit, err := duv.New(corpus.Unit)
 	if err != nil {
 		return cli.Fail(fs, 1, err)
@@ -104,10 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, m.Name(id))
 		}
 	case *best > 0:
-		if ids == nil {
-			fmt.Fprintln(stderr, "tacquery: -best requires -events")
-			return 2
-		}
 		// With a knowledge base, rank everything, blend the boosts in,
 		// and only then truncate — a boost may promote a template past
 		// the unblended cutoff.

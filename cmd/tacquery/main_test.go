@@ -84,6 +84,23 @@ func TestErrors(t *testing.T) {
 	if code := run([]string{"-unit", "iounit", "-sims", "10", "-best", "2"}, &out, &errb); code != 2 {
 		t.Errorf("-best without -events: exit %d, want 2", code)
 	}
+	// A negative count is refused, not read as "no query".
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-unit", "iounit", "-sims", "10", "-events", "crc_032", "-best", "-3"}, &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "tacquery: -best -3: want at least 0") || out.Len() != 0 {
+		t.Errorf("-best -3: exit %d, stdout %q, stderr %q; want exit 2 naming the flag", code, out.String(), errb.String())
+	}
+	// -best without -events is refused before the corpus is built, also
+	// beside a listing query that would otherwise ignore it.
+	for _, list := range []string{"-uncovered", "-lightly"} {
+		out.Reset()
+		errb.Reset()
+		if code := run([]string{"-unit", "iounit", "-sims", "10", list, "-best", "2"}, &out, &errb); code != 2 ||
+			!strings.Contains(errb.String(), "-best requires -events") || out.Len() != 0 {
+			t.Errorf("%s -best 2 without -events: exit %d, stdout %q, stderr %q; want exit 2", list, code, out.String(), errb.String())
+		}
+	}
 	if code := run([]string{"-unit", "iounit", "-load", "/no/such/file"}, &out, &errb); code != 1 {
 		t.Errorf("missing load file: exit %d, want 1", code)
 	}

@@ -22,7 +22,6 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/coverage"
 	"repro/internal/duv"
-	"repro/internal/failpoint"
 	"repro/internal/farm"
 	"repro/internal/journal"
 	"repro/internal/obs"
@@ -176,25 +175,6 @@ func (f *Farm) Dial(rec *obs.Recorder, log *slog.Logger) (d *farm.Dispatcher, co
 		printf(f.fs, "farm: no worker reachable yet (%v); continuing, chunks fall back to local execution", err)
 	}
 	return d, 0
-}
-
-// Faults is -failpoints, which defaults to $ASCDG_FAILPOINTS.
-type Faults struct {
-	fs   *flag.FlagSet
-	spec string
-}
-
-func (f *Faults) Register(fs *flag.FlagSet) {
-	f.fs = fs
-	fs.StringVar(&f.spec, "failpoints", os.Getenv("ASCDG_FAILPOINTS"), "arm fault-injection points: name=policy[:rate[:times]],... (policies: error, delay(d), corrupt, drop, panic; seed=N reseeds; default $ASCDG_FAILPOINTS)")
-}
-
-// Arm arms the -failpoints spec in failpoint.Default.
-func (f *Faults) Arm() int {
-	if err := failpoint.Configure(f.spec); err != nil {
-		return Fail(f.fs, 2, err)
-	}
-	return 0
 }
 
 // Log is -log-level and -log-format.

@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"repro/internal/duv/iounit"
-	"repro/internal/failpoint"
 	"repro/internal/obs"
 )
 
@@ -178,19 +177,6 @@ func TestFarm(t *testing.T) {
 		{[]string{"-farm", "127.0.0.1:1", "-audit-fraction", "NaN"}, 2, "cmd: farm: audit fraction NaN"},
 		{[]string{"-farm", "127.0.0.1:1", "-audit-fraction", "2"}, 2, "cmd: farm: audit fraction 2"},
 		{[]string{"-farm", "127.0.0.1:1", "-audit-fraction", "-0.5"}, 2, "cmd: farm: audit fraction -0.5"},
-	})
-}
-
-func TestFaults(t *testing.T) {
-	t.Setenv("ASCDG_FAILPOINTS", "farm/dial=error:0.5")
-	checkDefaults(t, &Faults{}, map[string]string{"failpoints": "farm/dial=error:0.5"})
-	t.Setenv("ASCDG_FAILPOINTS", "")
-	t.Cleanup(failpoint.Default.Reset)
-	checkStep(t, (*Faults).Arm, []stepCase{
-		{nil, 0, ""},
-		{[]string{"-failpoints", "cli/test=error"}, 0, ""},
-		{[]string{"-failpoints", "cli/test"}, 2, "cmd: failpoint: malformed spec entry"},
-		{[]string{"-failpoints", "cli/test=sometimes"}, 2, "cmd: failpoint:"},
 	})
 }
 
@@ -361,7 +347,7 @@ func TestREADMEHasEveryFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
-	Parse(fs, nil, io.Discard, &Obs{}, &Farm{}, &Faults{}, &Log{}, &Profile{}, &Corpus{}, &Engine{})
+	Parse(fs, nil, io.Discard, &Obs{}, &Farm{}, &Log{}, &Profile{}, &Corpus{}, &Engine{})
 	fs.VisitAll(func(f *flag.Flag) {
 		row := regexp.MustCompile("(?m)^\\| [^|]*`-" + regexp.QuoteMeta(f.Name) + "[` ]")
 		if !row.Match(readme) {

@@ -134,13 +134,6 @@ type Config struct {
 	// reports are bit-identical with it set or nil (default nil).
 	Obs *obs.Recorder
 
-	// Repository, when non-nil, installs a pre-built "Before CDG" corpus
-	// at construction, so multiple flows against the same unit share the
-	// expensive regression phase. Not part of the journal's config hash:
-	// the journal's run_start record validates the targets the corpus
-	// induces instead.
-	Repository *coverage.Repository
-
 	// Journal, when non-empty, is the path of the flow's crash-safe
 	// journal file. New arms it at construction: a missing (or empty)
 	// file starts a fresh journal; an existing one is recovered and
@@ -312,9 +305,9 @@ type Flow struct {
 // the chain, so errors.Is(err, context.Canceled) keeps working too.
 var ErrInterrupted = errors.New("core: run interrupted")
 
-// New creates a fully configured flow for the unit: cfg.Repository
-// installs a pre-built corpus and cfg.Journal arms the crash-safe
-// journal (fresh when the file is missing, resumed when it exists).
+// New creates a fully configured flow for the unit: cfg.Journal arms
+// the crash-safe journal (fresh when the file is missing, resumed when
+// it exists).
 // This is the declarative construction path — nothing needs to be
 // mutated on the flow before running it.
 func New(unit duv.DUV, cfg Config) (*Flow, error) {
@@ -332,7 +325,7 @@ func New(unit duv.DUV, cfg Config) (*Flow, error) {
 		env.AttachRunner(cfg.Runner, lanes)
 	}
 	env.SetCorpusCache(cfg.CorpusCache)
-	f := &Flow{env: env, cfg: cfg, rec: cfg.Obs, repo: cfg.Repository}
+	f := &Flow{env: env, cfg: cfg, rec: cfg.Obs}
 	if cfg.Journal != "" {
 		cur, resumed, err := journal.Open(cfg.Journal, "flow_header", f.header(), f.rec, cfg.Log)
 		if err != nil {
@@ -389,7 +382,7 @@ func (f *Flow) finish(err error) error {
 	return fmt.Errorf("%w: %w", ErrInterrupted, err)
 }
 
-// Repository returns the flow's corpus (nil until built or configured).
+// Repository returns the flow's corpus (nil until built).
 func (f *Flow) Repository() *coverage.Repository { return f.repo }
 
 // campaign is the one frame around every entry point: it validates the
@@ -410,7 +403,7 @@ func (f *Flow) campaign(ctx context.Context, target Target, run func() ([]*Repor
 	}
 	f.ctx = ctx
 	f.env.SetContext(ctx)
-	err := f.ensureCorpus()
+	err := f.buildCorpus()
 	var reports []*Report
 	if err == nil {
 		reports, err = run()

@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/duv/iounit"
 	"repro/internal/duv/l3cache"
 	"repro/internal/neighbors"
+	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/template"
 )
 
@@ -207,30 +210,39 @@ func TestRunFamilyRefinedProgresses(t *testing.T) {
 	}
 }
 
+// TestFlowSharedRepository: two flows on one CorpusCache share the
+// corpus. The second takes the first's build from the cache instead of
+// simulating the base suite, and its repository and accounting come out
+// as a built corpus's would.
 func TestFlowSharedRepository(t *testing.T) {
 	unit := iounit.New()
-	flowA := NewFlow(unit, smallConfig(3))
-	if _, err := runOne(flowA, Target{Family: iounit.FamilyName}); err != nil {
+	cache := sim.NewCorpusCache()
+	cfgA := smallConfig(3)
+	cfgA.CorpusCache = cache
+	flowA := NewFlow(unit, cfgA)
+	reportA, err := runOne(flowA, Target{Family: iounit.FamilyName})
+	if err != nil {
 		t.Fatal(err)
 	}
-	repo := flowA.Repository()
 
-	cfgB := smallConfig(4)
-	cfgB.Repository = repo
+	rec := obs.NewRecorder()
+	cfgB := smallConfig(3)
+	cfgB.CorpusCache, cfgB.Obs = cache, rec
 	flowB := NewFlow(unit, cfgB)
-	simsBefore := flowB.Env().Simulations()
 	report, err := runOne(flowB, Target{Family: iounit.FamilyName, Decay: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flowB.Env().Simulations()-simsBefore != report.TotalSims {
-		t.Fatal("accounting mismatch")
+	if hits := rec.Counter("sim.corpus_cache.hits").Value(); hits != 1 {
+		t.Fatalf("sim.corpus_cache.hits = %d, want the one corpus taken from the cache", hits)
 	}
-	// Shared corpus: flowB must not have re-simulated the base suite, so
-	// its spend is sampling+optimization+best only.
-	expected := uint64(20*25 + len(report.Progress)*0 + 400)
-	if report.TotalSims < expected {
-		t.Fatalf("sims = %d, below the sampling+best floor %d", report.TotalSims, expected)
+	if !reflect.DeepEqual(report.Phase("before").Counts, reportA.Phase("before").Counts) {
+		t.Fatal("the cached corpus differs from the built one")
+	}
+	corpus := uint64(cfgB.CorpusSimsPerTemplate * len(unit.BaseTemplates()))
+	if flowB.Env().Simulations() != corpus+report.TotalSims {
+		t.Fatalf("env counted %d sims, want the corpus's %d plus the campaign's %d",
+			flowB.Env().Simulations(), corpus, report.TotalSims)
 	}
 }
 
@@ -305,7 +317,7 @@ func TestFlowNoEvidenceFails(t *testing.T) {
 	flow := NewFlow(unit, smallConfig(6))
 	m := unit.Model()
 	dark := neighbors.Uniform([]int{m.MustLookup("crc_096")})
-	if err := flow.ensureCorpus(); err != nil {
+	if err := flow.buildCorpus(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := flow.pipeline(dark, dark.Events(), nil); err == nil {

@@ -55,7 +55,7 @@ func TestBlendTACPriorOrdering(t *testing.T) {
 		cfg.TopTemplates = len(iounit.New().BaseTemplates())
 		cfg.TACPrior = prior
 		flow := NewFlow(iounit.New(), cfg)
-		if err := flow.ensureCorpus(); err != nil {
+		if err := flow.buildCorpus(); err != nil {
 			t.Fatal(err)
 		}
 		target, _, err := flow.approximate(Target{Family: iounit.FamilyName})

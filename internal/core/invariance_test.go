@@ -182,9 +182,10 @@ func invAxes() []invAxis {
 				}
 				invReplay(t, s, path, want)
 			}},
-		invFleet("fleet_healthy", farm.Faults{}, farm.Faults{}),
-		invFleet("fleet_faulty", farm.Faults{DropAfterFrames: 10, Delay: time.Millisecond},
+		invFleet("fleet_healthy", 0, farm.Faults{}, farm.Faults{}),
+		invFleet("fleet_faulty", 0, farm.Faults{DropAfterFrames: 10, Delay: time.Millisecond},
 			farm.Faults{DuplicateEvery: 2, FailDials: 2}),
+		invFleet("fleet_byzantine", 1, farm.Faults{Corrupt: true}, farm.Faults{}),
 		invKill("kill", nil),
 		invKill("kill_warm_cache", sim.NewCorpusCache),
 	}
@@ -308,8 +309,9 @@ func invCheckpointed(t *testing.T, path string, targets int) {
 }
 
 // invFleet runs the flow's chunks on an in-memory fleet of farm
-// workers, one per Faults, each misbehaving as its Faults say.
-func invFleet(name string, faults ...farm.Faults) invAxis {
+// workers, one per Faults, each misbehaving as its Faults say, with the
+// dispatcher auditing the given fraction of remote results.
+func invFleet(name string, audit float64, faults ...farm.Faults) invAxis {
 	return invAxis{name: name, check: func(t *testing.T, s invScenario, want invOutcome) {
 		lb := farm.NewLoopback()
 		addrs := make([]string, len(faults))
@@ -319,7 +321,7 @@ func invFleet(name string, faults ...farm.Faults) invAxis {
 			addrs[i] = string(rune('a' + i))
 			lb.Add(addrs[i], srv, f)
 		}
-		d := farm.New(addrs, farm.Options{Dial: lb.Dial})
+		d := farm.New(addrs, farm.Options{Dial: lb.Dial, AuditFraction: audit})
 		defer d.Close()
 		if err := d.WaitReady(10 * time.Second); err != nil {
 			t.Fatal(err)

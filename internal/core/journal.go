@@ -30,8 +30,7 @@ import (
 // Runner, RunnerLanes, CorpusCache, Obs) are deliberately excluded —
 // the flow is bit-identical across them, so a run may resume on
 // different hardware.
-// Plumbing fields (Journal itself, Repository — whose induced targets
-// the run_start record validates instead) are excluded too.
+// Journal itself, a plumbing field, is excluded too.
 type flowHeader struct {
 	Kind    string `json:"kind"`
 	Unit    string `json:"unit"`

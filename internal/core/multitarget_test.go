@@ -12,6 +12,7 @@ import (
 	"repro/internal/duv/l3cache"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 func TestRunPerEventSharedBasics(t *testing.T) {
@@ -50,6 +51,7 @@ func TestRunPerEventSharedBasics(t *testing.T) {
 
 func TestRunPerEventSharedSavesSimulations(t *testing.T) {
 	cfg := smallConfig(22)
+	cfg.CorpusCache = sim.NewCorpusCache()
 
 	shared := NewFlow(l3cache.New(), cfg)
 	sharedReports, err := shared.RunPerEventShared(context.Background(), l3cache.FamilyName, 0.4)
@@ -59,12 +61,14 @@ func TestRunPerEventSharedSavesSimulations(t *testing.T) {
 	sharedTotal := shared.Env().Simulations()
 
 	// Independent runs: one full round per target, each rebuilding
-	// sampling (corpus shared via Config.Repository to isolate the
-	// sampling saving). The rounds run step 1 and the pipeline directly,
-	// since a family campaign stops once the family is covered.
-	indepCfg := cfg
-	indepCfg.Repository = shared.Repository() // corpus for free
-	indep := NewFlow(l3cache.New(), indepCfg)
+	// sampling (the corpus comes from the shared flow's cache entry, to
+	// isolate the sampling saving). The rounds run step 1 and the
+	// pipeline directly, since a family campaign stops once the family
+	// is covered.
+	indep := NewFlow(l3cache.New(), cfg)
+	if err := indep.buildCorpus(); err != nil {
+		t.Fatal(err)
+	}
 	base := indep.Env().Simulations()
 	k := len(sharedReports)
 	var prior []*Report

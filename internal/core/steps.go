@@ -32,14 +32,11 @@ func (f *Flow) phase(name string, start map[string]any, step func() (map[string]
 	return err
 }
 
-// ensureCorpus builds the "Before CDG" corpus — the unit's base
-// regression suite simulated into the repository — unless the flow
-// already has one (Config.Repository). The campaign frame calls it once,
-// before the composition.
-func (f *Flow) ensureCorpus() error {
-	if f.repo != nil {
-		return nil
-	}
+// buildCorpus builds the "Before CDG" corpus — the unit's base
+// regression suite run into the repository through RunBatches: built,
+// replayed from the journal, or taken from the corpus cache. The
+// campaign frame calls it once, before the composition.
+func (f *Flow) buildCorpus() error {
 	start := map[string]any{"sims_per_template": f.cfg.CorpusSimsPerTemplate}
 	return f.phase("corpus", start, func() (map[string]any, error) {
 		repo, err := f.env.BuildCorpusJournaled(f.cfg.CorpusSimsPerTemplate, f.cur)

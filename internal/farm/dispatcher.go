@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/coverage"
-	"repro/internal/failpoint"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -69,11 +68,6 @@ type Options struct {
 	// local ground truth, discards the remote result, and quarantines
 	// the worker permanently. 0 disables; the -audit-fraction flag.
 	AuditFraction float64
-	// FP is the failpoint registry consulted at the dispatcher's
-	// injection points (farm/dial, farm/handshake, farm/rpc_write,
-	// farm/rpc_read). nil selects failpoint.Default — disarmed in
-	// production, so the points cost one atomic load each.
-	FP *failpoint.Registry
 	// Dial opens a transport to a worker address. nil: TCP. The
 	// fault-injection loopback substitutes its own.
 	Dial func(addr string) (net.Conn, error)
@@ -102,9 +96,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.MaxConnsPerWorker <= 0 {
 		o.MaxConnsPerWorker = 8
-	}
-	if o.FP == nil {
-		o.FP = failpoint.Default
 	}
 	if o.Context == nil {
 		o.Context = context.Background()
@@ -161,7 +152,6 @@ type Dispatcher struct {
 
 	log     *slog.Logger
 	metrics *obs.Registry // labeled per-connection gauges (nil-safe)
-	fp      *failpoint.Registry
 	health  *healthSet
 
 	// Audit state: a sampling RNG plus the local executor a worker runs
@@ -223,7 +213,6 @@ func New(addrs []string, opts Options) *Dispatcher {
 		ready:  make(chan struct{}),
 	}
 	d.log = obs.OrNop(opts.Log)
-	d.fp = opts.FP
 	d.health = newHealthSet(opts.breaker, addrs, opts.Rec, d.log)
 	d.local = newUnitEnvs(nil)
 	if opts.AuditFraction > 0 {
@@ -499,9 +488,6 @@ func (d *Dispatcher) exchange(w *wconn, c sim.RemoteChunk) (time.Duration, error
 
 // exchange1 is one chunk request and its validated result in w.rf.
 func (d *Dispatcher) exchange1(w *wconn, c sim.RemoteChunk) error {
-	if err := d.fp.Eval("farm/rpc_write"); err != nil {
-		return err
-	}
 	fillChunkFrame(&w.rf, 0, c)
 	if err := w.roundTrip(&w.rf, TypeResult, d.opts.timing.chunk); err != nil {
 		return err
@@ -515,10 +501,7 @@ func (d *Dispatcher) exchange1(w *wconn, c sim.RemoteChunk) error {
 		return fmt.Errorf("farm: worker %s: malformed result (%d events/%d sims, want %d/%d)",
 			w.addr, len(f.Hits), f.Sims, c.Events, n)
 	}
-	// The corrupt policy here simulates a byzantine worker from the
-	// dispatcher's own vantage point: the mutated hits pass framing and
-	// shape validation and only the integrity audit can tell.
-	return d.fp.Uints("farm/rpc_read", f.Hits)
+	return nil
 }
 
 // roundTrip writes req under the connection's next correlation ID and
@@ -682,15 +665,8 @@ func (d *Dispatcher) gateDial(addr string) bool {
 // confirming exactly that version is accepted. A refusal (error frame,
 // wrong welcome, any other version) maps onto ErrVersionMismatch.
 func (d *Dispatcher) dial(addrIdx int, addr string) (*wconn, int, error) {
-	if err := d.fp.Eval("farm/dial"); err != nil {
-		return nil, 0, err
-	}
 	conn, err := d.opts.Dial(addr)
 	if err != nil {
-		return nil, 0, err
-	}
-	if err := d.fp.Eval("farm/handshake"); err != nil {
-		conn.Close()
 		return nil, 0, err
 	}
 	conn.SetDeadline(time.Now().Add(d.opts.timing.chunk))

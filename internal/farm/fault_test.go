@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/coverage"
 	"repro/internal/duv/iounit"
-	"repro/internal/failpoint"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/template"
@@ -107,28 +106,30 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestFaultMatrix sweeps every farm injection point with every
-// recoverable policy and asserts the one invariant that matters:
-// whatever faults fire, wherever they fire, the run completes and its
-// aggregate is bit-identical to a clean local execution — and nothing
-// leaks. Corrupt policies at result-carrying points are caught by the
+// TestFaultMatrix runs the chunk plan on a fleet where two of three
+// workers misbehave as one row of the loopback's Faults says, and
+// asserts the one invariant that matters: whatever the transport does,
+// the run completes, its aggregate is bit-identical to a clean local
+// execution, and nothing leaks. Corrupt results are caught by the
 // integrity audit (AuditFraction 1), which substitutes local ground
-// truth; every other policy resolves through retry, hedging-free
-// timeout, or local fallback.
+// truth; every other fault resolves through retry, timeout, or local
+// fallback. Each row names the counter that shows its fault reached
+// the dispatcher (a duplicate is skipped without one); a fault the
+// short run outpaced must still show within a few seconds.
 func TestFaultMatrix(t *testing.T) {
-	points := []struct {
+	const deadline = 300 * time.Millisecond
+	rows := []struct {
 		name   string
-		server bool // armed on the workers' registries, not the dispatcher's
+		faults Faults
+		fired  string
 	}{
-		{"farm/dial", false},
-		{"farm/handshake", false},
-		{"farm/rpc_write", false},
-		{"farm/rpc_read", false},
-		{"farm/serve_read", true},
-		{"farm/serve_write", true},
-		{"farm/serve_chunk", true},
+		{"drop", Faults{DropAfterFrames: 3}, "farm.conn_evictions"},
+		{"duplicate", Faults{DuplicateEvery: 2}, ""},
+		{"delay_past_deadline", Faults{Delay: deadline + 100*time.Millisecond}, "farm.chunk_errors"},
+		{"failed_dials", Faults{FailDials: 3}, "farm.dial_failures"},
+		{"flapping", Faults{FlapEvery: 50 * time.Millisecond}, "farm.conn_evictions"},
+		{"corrupt", Faults{Corrupt: true}, "farm.audit_mismatches"},
 	}
-	policies := []string{"error:0.5:4", "delay(3ms):0.5:4", "drop:0.5:4", "corrupt:0.5:4"}
 
 	env := sim.NewEnv(iounit.New(), 1, 2)
 	defer env.Close()
@@ -136,48 +137,43 @@ func TestFaultMatrix(t *testing.T) {
 	want := localCounts(t, env, chunks, events)
 	base := runtime.NumGoroutine()
 
-	for _, pt := range points {
-		for _, spec := range policies {
-			pol, err := failpoint.ParsePolicy(spec)
-			if err != nil {
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			rec := obs.NewRecorder()
+			lb := NewLoopback()
+			addrs := []string{"a", "b", "c"}
+			servers := make([]*Server, len(addrs))
+			for i, addr := range addrs {
+				servers[i] = NewServer(ServerOptions{Capacity: 2, DrainTimeout: time.Second})
+				f := row.faults
+				if i == len(addrs)-1 {
+					f = Faults{} // one healthy worker, so WaitReady returns
+				}
+				lb.Add(addr, servers[i], f)
+			}
+			opts := testOptions(lb.Dial, rec)
+			opts.timing.chunk = deadline
+			opts.AuditFraction = 1
+			opts.breaker.cooldown = 40 * time.Millisecond
+			d := New(addrs, opts)
+			t.Cleanup(d.Close)
+			t.Cleanup(func() {
+				for _, s := range servers {
+					s.Shutdown()
+				}
+			})
+			if err := d.WaitReady(10 * time.Second); err != nil {
 				t.Fatal(err)
 			}
-			t.Run(pt.name+"/"+spec, func(t *testing.T) {
-				rec := obs.NewRecorder()
-				lb := NewLoopback()
-				addrs := make([]string, 3)
-				servers := make([]*Server, 3)
-				for i := range addrs {
-					fp := failpoint.New(int64(100 + i))
-					if pt.server {
-						fp.Set(pt.name, pol)
-					}
-					servers[i] = NewServer(ServerOptions{Capacity: 2, DrainTimeout: time.Second, FP: fp})
-					addrs[i] = string(rune('a' + i))
-					lb.Add(addrs[i], servers[i], Faults{})
+			got := driveChunks(t, d, env, chunks, events, 2)
+			diffCounts(t, row.name, got, want)
+			for giveUp := time.Now().Add(5 * time.Second); row.fired != "" && rec.Counter(row.fired).Value() == 0; {
+				if time.Now().After(giveUp) {
+					t.Fatalf("%s = 0: the fault never reached the dispatcher", row.fired)
 				}
-				opts := testOptions(lb.Dial, rec)
-				opts.timing.chunk = 300 * time.Millisecond
-				opts.AuditFraction = 1
-				opts.breaker.cooldown = 40 * time.Millisecond
-				opts.FP = failpoint.New(7)
-				if !pt.server {
-					opts.FP.Set(pt.name, pol)
-				}
-				d := New(addrs, opts)
-				t.Cleanup(d.Close)
-				t.Cleanup(func() {
-					for _, s := range servers {
-						s.Shutdown()
-					}
-				})
-				if err := d.WaitReady(10 * time.Second); err != nil {
-					t.Fatal(err)
-				}
-				got := driveChunks(t, d, env, chunks, events, 2)
-				diffCounts(t, pt.name+"/"+spec, got, want)
-			})
-		}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 	waitGoroutines(t, base)
 }
@@ -199,28 +195,21 @@ func TestByzantineFleetAcceptance(t *testing.T) {
 	rec := obs.NewRecorder()
 	lb := NewLoopback()
 
-	// Worker a is byzantine: every served chunk's hit array is silently
-	// perturbed — well-formed frames, wrong numbers. Only the audit can
+	// Worker a is byzantine: every result it carries has one hit count
+	// raised — well-formed frames, wrong numbers. Only the audit can
 	// tell.
-	byzFP := failpoint.New(11)
-	byzFP.Set("farm/serve_chunk", failpoint.Policy{Kind: failpoint.KindCorrupt})
 	fleets := []struct {
-		fp       *failpoint.Registry
 		faults   Faults
 		capacity int
 	}{
-		{byzFP, Faults{}, 4},
-		{nil, Faults{Delay: 150 * time.Millisecond}, 1},     // straggler
-		{nil, Faults{FlapEvery: 150 * time.Millisecond}, 4}, // flappy: dies and rejoins
+		{Faults{Corrupt: true}, 4},
+		{Faults{Delay: 150 * time.Millisecond}, 1},     // straggler
+		{Faults{FlapEvery: 150 * time.Millisecond}, 4}, // flappy: dies and rejoins
 	}
 	addrs := make([]string, len(fleets))
 	servers := make([]*Server, len(fleets))
 	for i, f := range fleets {
-		fp := f.fp
-		if fp == nil {
-			fp = failpoint.New(int64(i))
-		}
-		servers[i] = NewServer(ServerOptions{Capacity: f.capacity, DrainTimeout: time.Second, FP: fp})
+		servers[i] = NewServer(ServerOptions{Capacity: f.capacity, DrainTimeout: time.Second})
 		addrs[i] = string(rune('a' + i))
 		lb.Add(addrs[i], servers[i], f.faults)
 	}
@@ -231,7 +220,6 @@ func TestByzantineFleetAcceptance(t *testing.T) {
 	// would never serve a chunk. Liveness discovery is not under test
 	// here, so disable it.
 	opts.timing.heartbeat = 0
-	opts.FP = failpoint.New(1)
 	opts.breaker.cooldown = 100 * time.Millisecond
 	d := New(addrs, opts)
 	defer d.Close()

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -13,10 +14,11 @@ type Faults struct {
 	// FailDials fails this worker's first N dial attempts — exercises
 	// the keeper's redial backoff and WaitReady.
 	FailDials int
-	// Delay is added before every server-side frame write — exercises
-	// the per-chunk deadline when larger than the dispatcher's chunk
-	// timing (60s in fleetTiming, shorter in tests), and plain latency
-	// otherwise.
+	// Delay is added before every server-side frame write after the
+	// welcome — exercises the per-chunk deadline when larger than the
+	// dispatcher's chunk timing (60s in fleetTiming, shorter in tests),
+	// and plain latency otherwise. The welcome goes out at once, so a
+	// worker slower than the deadline still joins and takes chunks.
 	Delay time.Duration
 	// DuplicateEvery duplicates every Nth server-side frame (0: never) —
 	// exercises the dispatcher's correlation-ID skip and, with the
@@ -32,6 +34,11 @@ type Faults struct {
 	// rejoining, exercising the health breaker's quarantine/probe loop
 	// under sustained instability.
 	FlapEvery time.Duration
+	// Corrupt adds one to one hit count of every result frame, the
+	// count at the frame's ID modulo the array length, and re-encodes
+	// the frame — a byzantine worker whose results are well-formed and
+	// wrong, which only the dispatcher's integrity audit can catch.
+	Corrupt bool
 }
 
 // Loopback is an in-memory farm transport for tests: worker addresses
@@ -150,7 +157,10 @@ func (fc *faultConn) writer() {
 				fc.Close() // sever: the client sees EOF mid-exchange
 				return
 			}
-			if fc.faults.Delay > 0 {
+			if fc.faults.Corrupt {
+				buf = corruptResult(buf)
+			}
+			if fc.faults.Delay > 0 && frames > 1 {
 				select {
 				case <-time.After(fc.faults.Delay):
 				case <-fc.done:
@@ -167,6 +177,23 @@ func (fc *faultConn) writer() {
 			}
 		}
 	}
+}
+
+// corruptResult returns a length-prefixed frame with one hit count of
+// a result frame raised by one; any other frame (the JSON handshake
+// included, which does not decode as binary) passes unchanged.
+func corruptResult(buf []byte) []byte {
+	var f Frame
+	if decodeFrame(buf[4:], &f) != nil || f.Type != TypeResult || len(f.Hits) == 0 {
+		return buf
+	}
+	f.Hits[f.ID%uint64(len(f.Hits))]++
+	var c codec
+	var out bytes.Buffer
+	if c.write(&out, &f) != nil {
+		return buf
+	}
+	return out.Bytes()
 }
 
 func (fc *faultConn) Close() error {

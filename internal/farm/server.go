@@ -13,7 +13,6 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/coverage"
 	"repro/internal/duv"
-	"repro/internal/failpoint"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -34,13 +33,6 @@ type ServerOptions struct {
 	// Log receives structured session-lifecycle events with correlated
 	// fields (peer, chunk). nil discards.
 	Log *slog.Logger
-	// FP is the failpoint registry consulted at the worker's injection
-	// points (farm/serve_read, farm/serve_write, farm/serve_chunk). nil
-	// selects failpoint.Default — disarmed in production. The corrupt
-	// policy at farm/serve_chunk turns this worker byzantine: results
-	// are silently wrong but perfectly well-formed, which only the
-	// dispatcher's integrity audit can catch.
-	FP *failpoint.Registry
 }
 
 // Server executes chunk requests for any registered DUV. One Server
@@ -61,7 +53,6 @@ type Server struct {
 	done     chan struct{} // closed when Shutdown begins
 
 	log *slog.Logger
-	fp  *failpoint.Registry
 
 	// Metric handles (all nil-safe).
 	mConns    *obs.Gauge
@@ -97,10 +88,6 @@ func NewServer(opts ServerOptions) *Server {
 		done:  make(chan struct{}),
 	}
 	s.log = obs.OrNop(opts.Log)
-	s.fp = opts.FP
-	if s.fp == nil {
-		s.fp = failpoint.Default
-	}
 	if rec := opts.Rec; rec != nil {
 		s.mConns = rec.Gauge("farm.server.conns")
 		s.mErrors = rec.Counter("farm.server.chunk_errors")
@@ -209,15 +196,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if err := cdc.read(conn, &f); err != nil {
 			return // peer gone, or Shutdown severed an idle connection
 		}
-		// farm/serve_read simulates a worker that dies (or stalls) after
-		// accepting a request — the chunk is in flight but no result will
-		// ever come, so the dispatcher must time out and retry elsewhere.
-		if err := s.fp.Eval("farm/serve_read"); err != nil {
-			if errors.Is(err, failpoint.ErrInjected) {
-				s.log.Debug("farm: failpoint severed session", "point", "farm/serve_read", "peer", peer)
-			}
-			return
-		}
 		switch f.Type {
 		case TypePing:
 			resp = Frame{Type: TypePong, ID: f.ID, Hits: resp.Hits[:0]}
@@ -226,20 +204,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 			}
 		case TypeChunk:
 			sc.busy.Store(true)
-			var drop bool
-			scratch, drop = s.execute(&f, &resp, scratch)
-			// farm/serve_write: drop swallows the computed result (the
-			// session lives on, the dispatcher times out); any other
-			// policy severs the session after the work was done.
-			var err error
-			switch werr := s.fp.Eval("farm/serve_write"); {
-			case errors.Is(werr, failpoint.ErrDropped) || drop:
-			case werr != nil:
-				sc.busy.Store(false)
-				return
-			default:
-				err = cdc.write(conn, &resp)
-			}
+			scratch = s.execute(&f, &resp, scratch)
+			err := cdc.write(conn, &resp)
 			sc.busy.Store(false)
 			if err != nil || s.draining.Load() {
 				return
@@ -258,36 +224,20 @@ func (s *Server) ServeConn(conn net.Conn) {
 // in-band so the dispatcher can fall back locally without killing the
 // connection. The scratch aggregate is connection-local and returned
 // (possibly resized) for reuse by the next chunk.
-func (s *Server) execute(f *Frame, resp *Frame, scratch *coverage.Counts) (*coverage.Counts, bool) {
+func (s *Server) execute(f *Frame, resp *Frame, scratch *coverage.Counts) *coverage.Counts {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 
 	sp := s.tracer.Span("farm", "serve_chunk")
 	start := time.Now()
 	*resp = Frame{Type: TypeResult, ID: f.ID, Hits: resp.Hits[:0]}
-	var err error
-	drop := false
-	scratch, err = s.runChunk(f, scratch)
+	scratch, err := s.runChunk(f, scratch)
 	if err != nil {
 		s.mErrors.Inc()
 		resp.Err = err.Error()
 	} else {
 		resp.Hits, resp.Sims = scratch.AppendRaw(resp.Hits[:0])
 		s.hSims.Observe(resp.Sims)
-		// farm/serve_chunk is the byzantine-worker seam: corrupt silently
-		// mutates the (well-formed) result, delay turns this worker into
-		// a straggler, drop swallows the result, error reports a compute
-		// failure in-band.
-		switch cerr := s.fp.Uints("farm/serve_chunk", resp.Hits); {
-		case cerr == nil:
-		case errors.Is(cerr, failpoint.ErrDropped):
-			drop = true
-		default:
-			err = cerr
-			s.mErrors.Inc()
-			resp.Err = cerr.Error()
-			resp.Hits, resp.Sims = resp.Hits[:0], 0
-		}
 	}
 	s.hChunkNs.Observe(uint64(time.Since(start)))
 	if sp != nil {
@@ -307,7 +257,7 @@ func (s *Server) execute(f *Frame, resp *Frame, scratch *coverage.Counts) (*cove
 		s.log.Debug("farm: chunk failed", "unit", f.Unit,
 			"campaign", f.Campaign, "batch", f.Batch, "chunk", f.Chunk, "err", err)
 	}
-	return scratch, drop
+	return scratch
 }
 
 // runChunk resolves the request's unit environment and re-executes the

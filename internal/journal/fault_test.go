@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/failpoint"
 )
 
 // openFDs counts this process's open file descriptors via /proc.
@@ -21,22 +19,20 @@ func openFDs(t *testing.T) int {
 
 // TestAppendFailpointPoisonsWriter verifies that an injected append
 // failure behaves exactly like a failing disk: the append errors with
-// the failpoint sentinel and the writer stays poisoned even after the
-// failpoint schedule is exhausted.
+// ErrInjected and the writer stays poisoned for every later append.
 func TestAppendFailpointPoisonsWriter(t *testing.T) {
-	defer failpoint.Default.Clear("journal/append")
 	path := filepath.Join(t.TempDir(), "run.journal")
 	w := writeN(t, path, 3)
 	defer w.Close()
 
-	failpoint.Default.Set("journal/append", failpoint.Policy{Kind: failpoint.KindError, Rate: 1, Times: 1})
+	w.FailAppends(0, 0)
 	err := w.Append("rec", payload{N: 99})
-	if !errors.Is(err, failpoint.ErrInjected) {
-		t.Fatalf("Append under failpoint = %v, want ErrInjected", err)
+	if !errors.Is(err, ErrInjected) {
+		t.Fatalf("Append under injection = %v, want ErrInjected", err)
 	}
-	// The one-shot policy is spent, but the writer must stay poisoned —
-	// a run can never journal past a crash point.
-	if err2 := w.Append("rec", payload{N: 100}); !errors.Is(err2, failpoint.ErrInjected) {
+	// The writer must stay poisoned — a run can never journal past a
+	// crash point.
+	if err2 := w.Append("rec", payload{N: 100}); !errors.Is(err2, ErrInjected) {
 		t.Fatalf("Append after poison = %v, want the sticky injected error", err2)
 	}
 	if w.Appends() != 3 {
@@ -59,18 +55,21 @@ func TestAppendFailpointPoisonsWriter(t *testing.T) {
 // valid prefix survives, the rest is truncated away), recovery is
 // idempotent, and the journal accepts appends afterwards.
 func TestRecoverCorruptFailpoint(t *testing.T) {
-	defer failpoint.Default.Clear("journal/recover")
 	path := filepath.Join(t.TempDir(), "run.journal")
 	w := writeN(t, path, 8)
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	full, err := os.Stat(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("Stat: %v", err)
+		t.Fatalf("ReadFile: %v", err)
+	}
+	full := len(data)
+	data[len(Magic)+(full-len(Magic))*3/4] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
 
-	failpoint.Default.Set("journal/recover", failpoint.Policy{Kind: failpoint.KindCorrupt, Rate: 1, Times: 1})
 	recs, w2, err := Recover(path, nil, nil)
 	if err != nil {
 		t.Fatalf("Recover with corrupt stream: %v (want torn-tail handling, not an error)", err)
@@ -85,12 +84,12 @@ func TestRecoverCorruptFailpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stat: %v", err)
 	}
-	if truncated.Size() >= full.Size() {
-		t.Fatalf("file size %d after corrupt recovery, want truncated below %d", truncated.Size(), full.Size())
+	if truncated.Size() >= int64(full) {
+		t.Fatalf("file size %d after corrupt recovery, want truncated below %d", truncated.Size(), full)
 	}
 
-	// The failpoint is spent: a clean re-recovery must agree with the
-	// corrupted one (the truncation already made the loss durable).
+	// The truncation made the loss durable: a re-recovery must agree
+	// with the first one.
 	recs2, w3, err := Recover(path, nil, nil)
 	if err != nil {
 		t.Fatalf("clean re-Recover: %v", err)
@@ -114,47 +113,48 @@ func TestRecoverCorruptFailpoint(t *testing.T) {
 	}
 }
 
-// TestRecoverFaultsLeakNoFDs drives Recover's error paths — injected
-// read failures and drops — in a loop and asserts the process's open
-// file descriptor count does not grow: a failed recovery must never
-// leave the journal file open.
+// TestRecoverFaultsLeakNoFDs drives Recover's error paths — a file
+// without the magic and a directory where the journal should be — and
+// poisoned-append cycles in a loop, and asserts the process's open file
+// descriptor count does not grow: a failed recovery or append must
+// never leave the journal file open.
 func TestRecoverFaultsLeakNoFDs(t *testing.T) {
-	defer failpoint.Default.Clear("journal/recover")
-	path := filepath.Join(t.TempDir(), "run.journal")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.journal")
 	w := writeN(t, path, 5)
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+	bogus := filepath.Join(dir, "bogus")
+	if err := os.WriteFile(bogus, []byte("not a journal"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	base := openFDs(t)
-	for _, kind := range []failpoint.Kind{failpoint.KindError, failpoint.KindDrop} {
-		failpoint.Default.Set("journal/recover", failpoint.Policy{Kind: kind, Rate: 1})
-		for i := 0; i < 20; i++ {
-			recs, w2, err := Recover(path, nil, nil)
-			if !errors.Is(err, failpoint.ErrInjected) {
-				t.Fatalf("Recover under %v = (%d recs, %v), want ErrInjected", kind, len(recs), err)
+	for i := 0; i < 20; i++ {
+		for _, p := range []string{bogus, dir} {
+			recs, w2, err := Recover(p, nil, nil)
+			if err == nil {
+				t.Fatalf("Recover(%s) = %d recs, want an error", p, len(recs))
 			}
 			if w2 != nil {
 				t.Fatalf("Recover returned a writer alongside an error")
 			}
 		}
 	}
-	failpoint.Default.Clear("journal/recover")
-	// A couple of poisoned-append cycles must not leak either.
-	failpoint.Default.Set("journal/append", failpoint.Policy{Kind: failpoint.KindError, Rate: 1})
 	for i := 0; i < 10; i++ {
 		_, w2, err := Recover(path, nil, nil)
 		if err != nil {
 			t.Fatalf("Recover: %v", err)
 		}
-		if err := w2.Append("rec", payload{N: i}); !errors.Is(err, failpoint.ErrInjected) {
+		w2.FailAppends(0, 0)
+		if err := w2.Append("rec", payload{N: i}); !errors.Is(err, ErrInjected) {
 			t.Fatalf("Append = %v, want ErrInjected", err)
 		}
 		if err := w2.Close(); err != nil {
 			t.Fatalf("Close poisoned writer: %v", err)
 		}
 	}
-	failpoint.Default.Clear("journal/append")
 	if got := openFDs(t); got > base {
 		t.Fatalf("open fds grew from %d to %d across faulted recoveries", base, got)
 	}

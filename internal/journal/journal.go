@@ -32,7 +32,6 @@ import (
 	"log/slog"
 	"os"
 
-	"repro/internal/failpoint"
 	"repro/internal/obs"
 )
 
@@ -199,12 +198,6 @@ func Recover(path string, rec *obs.Recorder, log *slog.Logger) ([]Record, *Write
 	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
 		return nil, nil, fmt.Errorf("%w: %s", ErrNotJournal, path)
 	}
-	// journal/recover: corrupt flips a bit in the framed stream (past the
-	// magic, so the torn-tail discipline — not ErrNotJournal — handles
-	// it); error/drop abort recovery the way an unreadable disk would.
-	if err := failpoint.Bytes("journal/recover", data[len(Magic):]); err != nil {
-		return nil, nil, fmt.Errorf("journal: recovering %s: %w", path, err)
-	}
 	recs, n := DecodeAll(data[len(Magic):])
 	valid := int64(len(Magic) + n)
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
@@ -278,13 +271,6 @@ func Open[H comparable](path, typ string, header H, rec *obs.Recorder, log *slog
 // past a crash point.
 func (w *Writer) Append(typ string, v any) error {
 	if w.err != nil {
-		return w.err
-	}
-	// journal/append simulates a failing disk: the error poisons the
-	// writer exactly like a real write failure (delay models a stalling
-	// fsync and is not an error).
-	if err := failpoint.Eval("journal/append"); err != nil {
-		w.err = fmt.Errorf("journal: appending %q: %w", typ, err)
 		return w.err
 	}
 	frame, err := encodeFrame(typ, v)

@@ -44,7 +44,6 @@ import (
 	"repro/internal/atomicfile"
 	"repro/internal/core"
 	"repro/internal/duv"
-	"repro/internal/failpoint"
 	"repro/internal/farm"
 	"repro/internal/knowledge"
 	"repro/internal/lease"
@@ -475,11 +474,6 @@ func (s *Service) Ready() error {
 func (s *Service) Submit(spec Spec) (string, error) {
 	if err := spec.validate(s.unit); err != nil {
 		return "", err
-	}
-	// service/admit simulates admission-path failure (store unwritable,
-	// overload shedding) after validation but before any state exists.
-	if err := failpoint.Eval("service/admit"); err != nil {
-		return "", fmt.Errorf("service: admitting campaign: %w", err)
 	}
 	tenant := spec.tenant()
 	s.mu.Lock()

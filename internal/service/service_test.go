@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/duv"
 	"repro/internal/duv/iounit"
-	"repro/internal/failpoint"
 	"repro/internal/obs"
 )
 
@@ -143,6 +142,15 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if got := len(svc.List()); got != 0 {
 		t.Fatalf("rejected submissions left %d campaigns behind", got)
+	}
+	// A refusal burns no campaign id, and the next submission runs as if
+	// nothing happened.
+	id, err := svc.Submit(tinySpec())
+	if err != nil || id != "c000001" {
+		t.Fatalf("Submit after the refusals = %q, %v; want c000001", id, err)
+	}
+	if st := waitDone(t, svc, id); st.State != StateDone {
+		t.Fatalf("state = %q (error %q), want done", st.State, st.Error)
 	}
 }
 
@@ -410,16 +418,20 @@ func TestReportWriteFailureCounted(t *testing.T) {
 }
 
 // TestFailedCampaignReported: a campaign whose flow fails at run time —
-// here the disk refuses its journal's first append — ends "failed" with
-// the error on record.
+// here a directory stands where its journal file goes, so the disk
+// refuses the journal — ends "failed" with the error on record.
 func TestFailedCampaignReported(t *testing.T) {
-	defer failpoint.Default.Clear("journal/append")
-	svc := newService(t, Config{})
-	failpoint.Default.Set("journal/append", failpoint.Policy{Kind: failpoint.KindError, Rate: 1, Times: 1})
-	id, err := svc.Submit(tinySpec())
+	dataDir := t.TempDir()
+	queued := newService(t, Config{DataDir: dataDir, frozen: true})
+	id, err := queued.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
+	queued.Close()
+	if err := os.MkdirAll(filepath.Join(dataDir, id, "flow.journal", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	svc := newService(t, Config{DataDir: dataDir})
 	st := waitDone(t, svc, id)
 	if st.State != StateFailed || !strings.Contains(st.Error, "journal") {
 		t.Fatalf("state = %q error = %q, want failed with the journal error", st.State, st.Error)
