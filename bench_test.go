@@ -469,24 +469,6 @@ func BenchmarkSkeletonInstantiate(b *testing.B) {
 	}
 }
 
-func BenchmarkCoverageVectorOps(b *testing.B) {
-	v := coverage.NewVector(1024)
-	u := coverage.NewVector(1024)
-	for i := 0; i < 1024; i += 3 {
-		v.Set(i)
-	}
-	for i := 0; i < 1024; i += 5 {
-		u.Set(i)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := v.Clone()
-		c.Or(u)
-		c.AndNot(v)
-		_ = c.PopCount()
-	}
-}
-
 func BenchmarkTACBestTemplates(b *testing.B) {
 	unit := iounit.New()
 	env := sim.NewEnv(unit, 1, 0)

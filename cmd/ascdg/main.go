@@ -107,6 +107,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := cfg.Validate(); err != nil {
 		return cli.Fail(fs, 2, err)
 	}
+	if code := cli.CheckOutput(fs, "out", *out); code != 0 {
+		return code
+	}
+	if code := cli.CheckOutput(fs, "save-repo", *saveRepo); code != 0 {
+		return code
+	}
 	stopProfiles, code := profile.Start()
 	if code != 0 {
 		return code

@@ -135,6 +135,19 @@ func TestErrors(t *testing.T) {
 		!strings.Contains(errb.String(), "ascdg: decay 0.4: only a family target is weighted by decay") {
 		t.Errorf("-cross ifu -decay 0.4: exit %d, stderr %q; want exit 2", code, errb.String())
 	}
+	// An output path that cannot be written is refused before the
+	// campaign is paid for, naming the flag and the path.
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "no_such_dir", "x")
+	for _, c := range [][]string{{"-out", missing}, {"-save-repo", missing}, {"-out", dir}} {
+		out.Reset()
+		errb.Reset()
+		code := run(smallArgs(append([]string{"-unit", "iounit", "-family", "crc_fifo", "-metrics"}, c...)...), &out, &errb)
+		if code != 1 || !strings.Contains(errb.String(), "ascdg: "+c[0]+" "+c[1]+": ") ||
+			out.Len() != 0 || strings.Contains(errb.String(), "sim.instances_completed") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 before any simulation", c, code, out.String(), errb.String())
+		}
+	}
 }
 
 // TestDecayOutsideDomainIsAUsageError: -decay must lie in (0, 1]; any

@@ -26,7 +26,7 @@
 // SIGINT/SIGTERM drain gracefully: running campaigns checkpoint into
 // their journals (the on-disk state stays "running" so the next cdgd
 // resumes them), queued campaigns stay queued, and the HTTP listener
-// closes. A second signal exits immediately.
+// closes. A second signal exits immediately with exit 130.
 package main
 
 import (
@@ -37,8 +37,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/cli"
@@ -48,6 +46,7 @@ import (
 	_ "repro/internal/duv/noc"
 	"repro/internal/obs"
 	"repro/internal/service"
+	"repro/internal/sigctx"
 )
 
 func main() {
@@ -139,23 +138,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The drain handler is installed before the banner is printed, so
 	// whoever waits for the banner may signal at once: until Notify
 	// returns, SIGTERM still takes its default action and kills the
-	// daemon before its campaigns checkpoint.
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigc)
+	// daemon before its campaigns checkpoint. A second signal exits at
+	// once (exit 130).
+	sigCtx, stopSignals := sigctx.Notify(context.Background(), stderr)
+	defer stopSignals()
 	fmt.Fprintf(stdout, "cdgd: listening on %s (data %s, max-running %d, max-queue %d)\n",
 		ln.Addr(), *dataDir, *maxRunning, *maxQueue)
 
-	serveDone := make(chan struct{})
+	serveDone, drained := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(drained)
 		select {
-		case sig := <-sigc:
-			fmt.Fprintf(stdout, "cdgd: %v: draining (running campaigns checkpoint; queue persists)\n", sig)
-			go func() {
-				<-sigc
-				fmt.Fprintln(stderr, "cdgd: second signal, exiting immediately")
-				os.Exit(130)
-			}()
+		case <-sigCtx.Done():
+			fmt.Fprintln(stdout, "cdgd: draining (running campaigns checkpoint; queue persists)")
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			srv.Shutdown(ctx)
 			cancel()
@@ -166,6 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	err = srv.Serve(ln)
 	close(serveDone)
 	svc.Close() // interrupts running campaigns; they checkpoint and exit
+	<-drained
 	if err != nil && err != http.ErrServerClosed {
 		return cli.Fail(fs, 1, err)
 	}

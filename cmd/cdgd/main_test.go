@@ -50,6 +50,26 @@ func (w *addrWatcher) String() string {
 	return w.buf.String()
 }
 
+// syncBuffer is a bytes.Buffer that takes concurrent writes, as a
+// daemon's stderr does: its logger and its signal notice write from
+// different goroutines.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // startDaemon boots cdgd on an ephemeral port against dataDir and
 // returns its base URL plus the exit-code channel.
 func startDaemon(t *testing.T, dataDir string, stderr io.Writer) (string, *addrWatcher, chan int) {
@@ -191,7 +211,7 @@ func canonJSON(t *testing.T, v any) string {
 // to an uninterrupted run.
 func TestCdgdEndToEnd(t *testing.T) {
 	dataDir := t.TempDir()
-	var stderr bytes.Buffer
+	var stderr syncBuffer
 	base, stdout, code := startDaemon(t, dataDir, &stderr)
 
 	// Campaign 1: runs to completion; its report must match the direct

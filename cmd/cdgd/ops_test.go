@@ -19,7 +19,7 @@ import (
 // build_info and the service's own series, /healthz is 200, and
 // /readyz is 200 while the daemon accepts submissions.
 func TestCdgdOpsEndpoints(t *testing.T) {
-	var stderr bytes.Buffer
+	var stderr syncBuffer
 	base, _, code := startDaemon(t, t.TempDir(), &stderr)
 
 	fetch := func(path string) (int, string, http.Header) {

@@ -12,17 +12,17 @@
 //
 // SIGINT/SIGTERM drain gracefully: in-flight chunks finish and their
 // results are delivered before the process exits; idle connections are
-// severed immediately so dispatchers retry elsewhere.
+// severed immediately so dispatchers retry elsewhere. A second signal
+// aborts the drain with exit 130.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/buildinfo"
@@ -33,6 +33,7 @@ import (
 	_ "repro/internal/duv/noc"
 	"repro/internal/farm"
 	"repro/internal/obs"
+	"repro/internal/sigctx"
 )
 
 func main() {
@@ -84,18 +85,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The drain handler is installed before the banner is printed, so
 	// whoever waits for the banner may signal at once: until Notify
 	// returns, SIGTERM still takes its default action and kills the
-	// process undrained.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigc)
+	// process undrained. A second signal aborts the drain (exit 130).
+	ctx, stopSignals := sigctx.Notify(context.Background(), stderr)
+	defer stopSignals()
 	fmt.Fprintf(stdout, "farmd: listening on %s (capacity %d, protocol v%d, %s)\n",
 		ln.Addr(), srv.Capacity(), farm.ProtocolVersion, buildinfo.Read().Short())
 
-	serveDone := make(chan struct{})
+	serveDone, drained := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(drained)
 		select {
-		case sig := <-sigc:
-			fmt.Fprintf(stdout, "farmd: %v: draining (in-flight chunks finish, budget %s)\n", sig, *drain)
+		case <-ctx.Done():
+			fmt.Fprintf(stdout, "farmd: draining (in-flight chunks finish, budget %s)\n", *drain)
 			srv.Shutdown()
 		case <-serveDone:
 		}
@@ -103,7 +104,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	err = srv.Serve(ln)
 	close(serveDone)
-	srv.Shutdown() // idempotent; waits for the signal path's drain too
+	<-drained
+	srv.Shutdown() // idempotent
 	if err != nil {
 		return cli.Fail(fs, 1, err)
 	}

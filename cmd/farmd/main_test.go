@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -14,6 +17,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/duv/iounit"
 	"repro/internal/farm"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/template"
 )
@@ -48,13 +52,33 @@ func (w *addrWatcher) String() string {
 	return w.buf.String()
 }
 
+// syncBuffer is a bytes.Buffer that takes concurrent writes, as a
+// daemon's stderr does: its logger and its signal notice write from
+// different goroutines.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // TestFarmdServesAndDrainsOnSignal boots the daemon on an ephemeral
 // port, executes a real chunk against it over TCP, then delivers
 // SIGTERM and checks the clean-drain path: exit code 0 and the drain
 // banner, with the dispatcher's result bit-identical to a local run.
 func TestFarmdServesAndDrainsOnSignal(t *testing.T) {
 	stdout := &addrWatcher{addr: make(chan string, 1)}
-	var stderr bytes.Buffer
+	var stderr syncBuffer
 	code := make(chan int, 1)
 	go func() {
 		code <- run([]string{"-listen", "127.0.0.1:0", "-capacity", "2", "-drain", "5s"}, stdout, &stderr)
@@ -114,6 +138,72 @@ func TestFarmdServesAndDrainsOnSignal(t *testing.T) {
 	out := stdout.String()
 	if !strings.Contains(out, "draining") || !strings.Contains(out, "drained, exiting") {
 		t.Fatalf("missing drain banners in output:\n%s", out)
+	}
+}
+
+// TestFarmdSecondSignalAborts: a second SIGTERM during the drain ends
+// a built farmd at once with exit 130, well inside its -drain budget,
+// though a chunk is still executing.
+func TestFarmdSecondSignalAborts(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "farmd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	stdout := &addrWatcher{addr: make(chan string, 1)}
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, "-listen", "127.0.0.1:0", "-capacity", "1", "-drain", "10m")
+	cmd.Stdout, cmd.Stderr = stdout, &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		<-exited
+	})
+	var addr string
+	select {
+	case addr = <-stdout.addr:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("farmd never reported its listen address; stdout:\n%s", stdout.String())
+	}
+
+	// A chunk of minutes of simulation keeps the drain waiting.
+	rec := obs.NewRecorder()
+	d := farm.New([]string{addr}, farm.Options{Rec: rec})
+	defer d.Close()
+	if err := d.WaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	unit := iounit.New()
+	chunk := sim.RemoteChunk{Unit: iounit.UnitName, Seed: 5, Lo: 0, Hi: 1 << 24, Events: unit.Model().Size()}
+	go d.RunChunkInto(chunk, coverage.NewCountsFor(unit.Model()))
+	for deadline := time.Now().Add(10 * time.Second); rec.Gauge("farm.inflight").Value() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the chunk never went out")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	time.Sleep(300 * time.Millisecond) // let farmd read the request
+
+	cmd.Process.Signal(syscall.SIGTERM)
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(stdout.String(), "draining"); {
+		if time.Now().After(deadline) {
+			t.Fatalf("no drain banner after SIGTERM; stdout:\n%s", stdout.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	cmd.Process.Signal(syscall.SIGTERM)
+	select {
+	case err := <-exited:
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 130 {
+			t.Fatalf("farmd exited with %v, want exit 130; stderr:\n%s", err, stderr.String())
+		}
+		exited <- err // for the cleanup
+	case <-time.After(10 * time.Second):
+		t.Fatalf("farmd still draining 10s after a second SIGTERM; stdout:\n%s", stdout.String())
 	}
 }
 

@@ -59,6 +59,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "regress: one of -minimize, -policy or -out is required")
 		return 2
 	}
+	if code := cli.CheckOutput(fs, "out", *out); code != 0 {
+		return code
+	}
 	unit, err := duv.New(corpus.Unit)
 	if err != nil {
 		return cli.Fail(fs, 1, err)

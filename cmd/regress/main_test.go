@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -64,5 +65,15 @@ func TestErrors(t *testing.T) {
 		if code := run(c.args, &out, &errb); code != 2 || !strings.Contains(errb.String(), c.msg) {
 			t.Errorf("%v: exit %d, want 2 with %q: %s", c.args, code, c.msg, errb.String())
 		}
+	}
+	// An -out path that cannot be written is refused before the corpus
+	// is built, naming the flag and the path.
+	missing := filepath.Join(t.TempDir(), "no_such_dir", "suite.json")
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-unit", "iounit", "-sims", "10", "-minimize", "-metrics", "-out", missing}, &out, &errb); code != 1 ||
+		!strings.Contains(errb.String(), "regress: -out "+missing+": ") ||
+		out.Len() != 0 || strings.Contains(errb.String(), "sim.instances_completed") {
+		t.Errorf("-out %s: exit %d, stdout %q, stderr %q; want exit 1 before any simulation", missing, code, out.String(), errb.String())
 	}
 }

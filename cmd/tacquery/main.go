@@ -68,6 +68,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return cli.Fail(fs, 1, err)
 	}
+	if code := cli.CheckOutput(fs, "save", *save); code != 0 {
+		return code
+	}
+	m := unit.Model()
+	var ids []int
+	if *events != "" {
+		if ids, err = m.IDs(strings.Split(*events, ",")); err != nil {
+			return cli.Fail(fs, 1, err)
+		}
+	}
+	var entries []knowledge.Entry
+	if *knowledgeDir != "" {
+		if entries, err = knowledge.Load(*knowledgeDir); err != nil {
+			return cli.Fail(fs, 1, fmt.Errorf("-knowledge %s: %w", *knowledgeDir, err))
+		}
+	}
 
 	rec, stopObs, code := obsFlags.Start(nil)
 	if code != 0 {
@@ -90,16 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	stats := tac.New(repo)
-	m := unit.Model()
-
-	var ids []int
-	if *events != "" {
-		names := strings.Split(*events, ",")
-		ids, err = m.IDs(names)
-		if err != nil {
-			return cli.Fail(fs, 1, err)
-		}
-	}
 
 	switch {
 	case *uncovered:
@@ -123,10 +129,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return cli.Fail(fs, 1, err)
 		}
 		if *knowledgeDir != "" {
-			entries, err := knowledge.Load(*knowledgeDir)
-			if err != nil {
-				return cli.Fail(fs, 1, err)
-			}
 			scores = tac.Blend(scores, knowledge.TACBoosts(entries, corpus.Unit, knowledge.DefaultDamp))
 			if len(scores) > *best {
 				scores = scores[:*best]

@@ -104,4 +104,17 @@ func TestErrors(t *testing.T) {
 	if code := run([]string{"-unit", "iounit", "-load", "/no/such/file"}, &out, &errb); code != 1 {
 		t.Errorf("missing load file: exit %d, want 1", code)
 	}
+	// A -save path that cannot be written and a -knowledge store that
+	// cannot be read are refused before the corpus is built, naming the
+	// flag and the path.
+	missing := filepath.Join(t.TempDir(), "no_such_dir")
+	for _, c := range [][]string{{"-save", filepath.Join(missing, "r.json")}, {"-knowledge", missing}} {
+		out.Reset()
+		errb.Reset()
+		args := append([]string{"-unit", "iounit", "-sims", "10", "-events", "crc_032", "-best", "2", "-metrics"}, c...)
+		if code := run(args, &out, &errb); code != 1 || !strings.Contains(errb.String(), "tacquery: "+c[0]+" "+c[1]+": ") ||
+			out.Len() != 0 || strings.Contains(errb.String(), "sim.instances_completed") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 before any simulation", c, code, out.String(), errb.String())
+		}
+	}
 }

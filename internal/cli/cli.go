@@ -12,8 +12,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"log/slog"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -63,6 +65,30 @@ func printf(fs *flag.FlagSet, format string, args ...any) {
 func Fail(fs *flag.FlagSet, code int, err error) int {
 	printf(fs, "%v", err)
 	return code
+}
+
+// CheckOutput refuses, with code 1, an output flag whose path cannot be
+// written, so a command fails before it simulates rather than after:
+// it creates and removes a temp file in the path's directory, the probe
+// a service makes of its data root. An empty path passes.
+func CheckOutput(fs *flag.FlagSet, name, path string) int {
+	if path == "" {
+		return 0
+	}
+	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
+		return Fail(fs, 1, fmt.Errorf("-%s %s: is a directory", name, path))
+	}
+	probe, err := os.CreateTemp(filepath.Dir(path), ".probe-*")
+	if err != nil {
+		var pe *iofs.PathError
+		if errors.As(err, &pe) {
+			err = pe.Err
+		}
+		return Fail(fs, 1, fmt.Errorf("-%s %s: cannot create a file in %s: %w", name, path, filepath.Dir(path), err))
+	}
+	probe.Close()
+	os.Remove(probe.Name())
+	return 0
 }
 
 // Obs is -trace, -progress, -metrics and -debug-addr.
@@ -329,7 +355,7 @@ func (w Workers) Check(fs *flag.FlagSet) int {
 	return 0
 }
 
-// Engine is -engine, the fine-grained optimizer by registry name. The
+// Engine is -engine, the fine-grained optimizer by name. The
 // engine runs with its default knobs over the flow's budget flags.
 type Engine struct {
 	fs   *flag.FlagSet
@@ -341,7 +367,7 @@ func (e *Engine) Register(fs *flag.FlagSet) {
 	fs.StringVar(&e.Name, "engine", "", "optimization engine: "+strings.Join(opt.EngineNames(), ", ")+" (default "+opt.DefaultEngine+")")
 }
 
-// Check refuses an engine name that is not registered.
+// Check refuses an engine name opt does not know.
 func (e *Engine) Check() int {
 	if err := opt.Validate(e.Name, nil); err != nil {
 		return Fail(e.fs, 2, err)

@@ -94,14 +94,6 @@ func (s Snapshot) Coverage() float64 {
 	return float64(s.covered) / float64(len(s.status))
 }
 
-// WellCoverage returns a snapshot's well-hit fraction in [0, 1].
-func (s Snapshot) WellCoverage() float64 {
-	if len(s.status) == 0 {
-		return 0
-	}
-	return float64(s.well) / float64(len(s.status))
-}
-
 // Delta describes the event-status movement between two snapshots.
 type Delta struct {
 	From, To string

@@ -48,8 +48,8 @@ func TestRecordAndCoverage(t *testing.T) {
 	if s1.Coverage() != 0.5 { // a, b of 4
 		t.Fatalf("week1 coverage = %v", s1.Coverage())
 	}
-	if s1.WellCoverage() != 0.25 { // a only
-		t.Fatalf("week1 well = %v", s1.WellCoverage())
+	if s1.well != 1 { // a only
+		t.Fatalf("week1 well = %d", s1.well)
 	}
 	latest, ok := tr.Latest()
 	if !ok || latest.Label != "week2" {

@@ -107,7 +107,7 @@ type Config struct {
 	// template (default 2000).
 	BestSims int
 
-	// Engine selects the fine-grained optimizer by registry name
+	// Engine selects the fine-grained optimizer by name
 	// ("" = implicit_filtering, the paper's Algorithm 1; see
 	// opt.EngineNames). Result-relevant and journal-hashed.
 	Engine string

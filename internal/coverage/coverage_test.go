@@ -71,12 +71,6 @@ func TestFamilies(t *testing.T) {
 	if !ok || len(ids) != 3 || ids[0] != 1 || ids[2] != 3 {
 		t.Fatalf("Family = %v, %v", ids, ok)
 	}
-	if name, pos := m.FamilyOf(2); name != "fam" || pos != 1 {
-		t.Fatalf("FamilyOf(c) = %q,%d", name, pos)
-	}
-	if name, pos := m.FamilyOf(0); name != "" || pos != -1 {
-		t.Fatalf("FamilyOf(a) = %q,%d, want none", name, pos)
-	}
 	if err := m.AddFamily("fam", []string{"a"}); err == nil {
 		t.Error("duplicate family should fail")
 	}
@@ -133,10 +127,6 @@ func TestVectorBasics(t *testing.T) {
 			t.Fatalf("HitIDs[%d] = %d, want %d", i, ids[i], want[i])
 		}
 	}
-	v.Clear(64)
-	if v.Get(64) || v.PopCount() != 7 {
-		t.Fatal("Clear failed")
-	}
 	v.Reset()
 	if v.PopCount() != 0 {
 		t.Fatal("Reset failed")
@@ -159,53 +149,50 @@ func TestVectorAlgebraProperties(t *testing.T) {
 		n := 1 + r.Intn(300)
 		a, b := mk(seed+1, n), mk(seed+2, n)
 
-		// Or then AndNot b leaves a's exclusive bits.
-		or := a.Clone()
-		or.Or(b)
+		// HitIDs lists exactly the set bits, ascending, and PopCount
+		// counts them.
+		ids := a.HitIDs()
+		if len(ids) != a.PopCount() {
+			return false
+		}
+		next := 0
 		for i := 0; i < n; i++ {
-			if or.Get(i) != (a.Get(i) || b.Get(i)) {
+			set := next < len(ids) && ids[next] == i
+			if a.Get(i) != set {
 				return false
 			}
-		}
-		and := a.Clone()
-		and.And(b)
-		for i := 0; i < n; i++ {
-			if and.Get(i) != (a.Get(i) && b.Get(i)) {
-				return false
+			if set {
+				next++
 			}
 		}
-		diff := a.Clone()
-		diff.AndNot(b)
+		// Equal compares bits: a and b differ unless they agree on every
+		// event.
+		same := true
 		for i := 0; i < n; i++ {
-			if diff.Get(i) != (a.Get(i) && !b.Get(i)) {
-				return false
-			}
+			same = same && a.Get(i) == b.Get(i)
 		}
-		// Clone independence: mutating the clone must not affect the original.
+		if a.Equal(b) != same {
+			return false
+		}
+		// Clone independence: mutating the clone must not affect the
+		// original.
 		c := a.Clone()
 		if !c.Equal(a) {
 			return false
 		}
-		before := a.Get(0)
-		c.Set(0)
-		c.Clear(0)
-		if a.Get(0) != before {
+		before := a.PopCount()
+		for i := 0; i < n; i++ {
+			c.Set(i)
+		}
+		if a.PopCount() != before || c.PopCount() != n {
 			return false
 		}
-		return true
+		c.Reset()
+		return c.PopCount() == 0 && a.PopCount() == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestVectorSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Or of mismatched vectors should panic")
-		}
-	}()
-	NewVector(10).Or(NewVector(11))
 }
 
 func TestVectorEqualDifferentLengths(t *testing.T) {
@@ -538,24 +525,6 @@ func TestCrossProduct(t *testing.T) {
 	if _, err := cp.Coords("ifu_e9_t0"); err == nil {
 		t.Error("Coords with unknown value should fail")
 	}
-	d, err := cp.Hamming("ifu_e0_t0", "ifu_e2_t0")
-	if err != nil || d != 1 {
-		t.Fatalf("Hamming = %d, %v", d, err)
-	}
-	d, _ = cp.Hamming("ifu_e0_t0", "ifu_e2_t1")
-	if d != 2 {
-		t.Fatalf("Hamming = %d, want 2", d)
-	}
-	d, _ = cp.Hamming("ifu_e0_t0", "ifu_e0_t0")
-	if d != 0 {
-		t.Fatalf("Hamming self = %d", d)
-	}
-	if _, err := cp.Hamming("bad", "ifu_e0_t0"); err == nil {
-		t.Error("Hamming with bad first arg should fail")
-	}
-	if _, err := cp.Hamming("ifu_e0_t0", "bad"); err == nil {
-		t.Error("Hamming with bad second arg should fail")
-	}
 }
 
 func TestCrossProductValidation(t *testing.T) {
@@ -645,45 +614,5 @@ func TestCrossEventNamesMatchSize(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRepositoryMerge(t *testing.T) {
-	m := testModel(t)
-	a := NewRepository(m)
-	b := NewRepository(m)
-	v := NewVectorFor(m)
-	v.Set(0)
-	a.Record("t1", v)
-	b.Record("t1", v)
-	v.Reset()
-	v.Set(1)
-	b.Record("t2", v)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Sims() != 3 {
-		t.Fatalf("merged sims = %d", a.Sims())
-	}
-	c, _ := a.Template("t1")
-	if c.Sims() != 2 || c.Hits(0) != 2 {
-		t.Fatalf("t1 after merge = %+v", c)
-	}
-	if _, ok := a.Template("t2"); !ok {
-		t.Fatal("t2 missing after merge")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Fatal("Merge(nil) should be a no-op")
-	}
-}
-
-func TestRepositoryMergeModelMismatch(t *testing.T) {
-	a := NewRepository(testModel(t))
-	if err := a.Merge(NewRepository(MustModel([]string{"x"}))); err == nil {
-		t.Fatal("size mismatch should fail")
-	}
-	renamed := MustModel([]string{"a", "b", "c", "d", "z"})
-	if err := a.Merge(NewRepository(renamed)); err == nil {
-		t.Fatal("name mismatch should fail")
 	}
 }

@@ -127,25 +127,3 @@ func (cp *CrossProduct) Coords(eventName string) ([]int, error) {
 	}
 	return coords, nil
 }
-
-// Hamming returns the Hamming distance between two events of the cross
-// product: the number of dimensions in which their coordinates differ.
-// This is the structural neighbor metric of Fine & Ziv's cross-product
-// exploitation (paper Section IV-A, ref [15]).
-func (cp *CrossProduct) Hamming(a, b string) (int, error) {
-	ca, err := cp.Coords(a)
-	if err != nil {
-		return 0, err
-	}
-	cb, err := cp.Coords(b)
-	if err != nil {
-		return 0, err
-	}
-	d := 0
-	for i := range ca {
-		if ca[i] != cb[i] {
-			d++
-		}
-	}
-	return d, nil
-}

@@ -130,19 +130,6 @@ func (m *Model) FamilyNames() []string {
 	return names
 }
 
-// FamilyOf returns the name of the family containing the event and the
-// event's position within it, or ("", -1) if the event is in no family.
-func (m *Model) FamilyOf(eventID int) (string, int) {
-	for _, name := range m.FamilyNames() {
-		for pos, id := range m.families[name] {
-			if id == eventID {
-				return name, pos
-			}
-		}
-	}
-	return "", -1
-}
-
 // AddCross registers a cross-product coverage group; the cross's events
 // must already exist in the model (use CrossProduct.EventNames to
 // generate them).

@@ -102,30 +102,6 @@ func (r *Repository) LightlyHit() []int {
 	return ids
 }
 
-// Merge folds another repository into r. Both must be built over the
-// same model (same events in the same order). Per-template statistics
-// accumulate; this is how results from several simulation-farm shards
-// combine into one repository.
-func (r *Repository) Merge(o *Repository) error {
-	if o == nil {
-		return nil
-	}
-	if o.model.Size() != r.model.Size() {
-		return fmt.Errorf("coverage: merging repositories over different models (%d vs %d events)",
-			o.model.Size(), r.model.Size())
-	}
-	for i := 0; i < r.model.Size(); i++ {
-		if r.model.Name(i) != o.model.Name(i) {
-			return fmt.Errorf("coverage: merging repositories over different models (event %d: %q vs %q)",
-				i, r.model.Name(i), o.model.Name(i))
-		}
-	}
-	for name, counts := range o.perTemplate {
-		r.RecordCounts(name, counts)
-	}
-	return nil
-}
-
 // repoJSON is the serialized form of a repository. Event order is
 // captured explicitly so a repository can be reloaded against a model
 // revision check.

@@ -28,11 +28,6 @@ func (v Vector) Set(id int) {
 	v.words[id>>6] |= 1 << (uint(id) & 63)
 }
 
-// Clear marks event id as not hit.
-func (v Vector) Clear(id int) {
-	v.words[id>>6] &^= 1 << (uint(id) & 63)
-}
-
 // Get reports whether event id was hit.
 func (v Vector) Get(id int) bool {
 	return v.words[id>>6]&(1<<(uint(id)&63)) != 0
@@ -45,30 +40,6 @@ func (v Vector) PopCount() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Or sets v to v|u. Both vectors must have the same length.
-func (v Vector) Or(u Vector) {
-	v.sizeCheck(u)
-	for i := range v.words {
-		v.words[i] |= u.words[i]
-	}
-}
-
-// And sets v to v&u. Both vectors must have the same length.
-func (v Vector) And(u Vector) {
-	v.sizeCheck(u)
-	for i := range v.words {
-		v.words[i] &= u.words[i]
-	}
-}
-
-// AndNot sets v to v&^u. Both vectors must have the same length.
-func (v Vector) AndNot(u Vector) {
-	v.sizeCheck(u)
-	for i := range v.words {
-		v.words[i] &^= u.words[i]
-	}
 }
 
 // Reset clears all bits.
@@ -109,10 +80,4 @@ func (v Vector) HitIDs() []int {
 		}
 	}
 	return ids
-}
-
-func (v Vector) sizeCheck(u Vector) {
-	if v.n != u.n {
-		panic("coverage: vector size mismatch")
-	}
 }

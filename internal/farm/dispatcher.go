@@ -1,7 +1,6 @@
 package farm
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -77,12 +76,6 @@ type Options struct {
 	// Log receives structured connection-lifecycle and failure events
 	// with correlated fields (worker, chunk). nil discards.
 	Log *slog.Logger
-	// Context, when non-nil, cancels queued remote work: RunChunkInto stops
-	// retrying, acquiring, and backing off the moment it is done, and
-	// new calls fail immediately with its error. In-flight exchanges
-	// drain under their chunk deadline as usual.
-	Context context.Context
-
 	// timing replaces fleetTiming, and breaker overrides two of the
 	// health breaker's constants (health.go), for in-package tests. The
 	// zero timing selects fleetTiming.
@@ -96,9 +89,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.MaxConnsPerWorker <= 0 {
 		o.MaxConnsPerWorker = 8
-	}
-	if o.Context == nil {
-		o.Context = context.Background()
 	}
 	if o.Dial == nil {
 		o.Dial = func(addr string) (net.Conn, error) {
@@ -168,7 +158,6 @@ type Dispatcher struct {
 	mErrors     *obs.Counter
 	mRetries    *obs.Counter
 	mEvicts     *obs.Counter
-	mCanceled   *obs.Counter
 	mInflight   *obs.Gauge
 	mAudits     *obs.Counter
 	mMismatches *obs.Counter
@@ -226,7 +215,6 @@ func New(addrs []string, opts Options) *Dispatcher {
 		d.mErrors = rec.Counter("farm.chunk_errors")
 		d.mRetries = rec.Counter("farm.retries")
 		d.mEvicts = rec.Counter("farm.conn_evictions")
-		d.mCanceled = rec.Counter("farm.chunks_canceled")
 		d.mInflight = rec.Gauge("farm.inflight")
 		d.mAudits = rec.Counter("farm.audits")
 		d.mMismatches = rec.Counter("farm.audit_mismatches")
@@ -296,10 +284,6 @@ func (d *Dispatcher) RunChunkInto(c sim.RemoteChunk, dst *coverage.Counts) error
 		return ErrDispatcherClosed
 	default:
 	}
-	if err := d.opts.Context.Err(); err != nil {
-		d.mCanceled.Inc()
-		return err
-	}
 	if err := CheckModelFits(c.Events); err != nil {
 		// The model cannot travel in a legal frame; retrying would fail
 		// identically, so surface the typed error before taking a
@@ -312,13 +296,6 @@ func (d *Dispatcher) RunChunkInto(c sim.RemoteChunk, dst *coverage.Counts) error
 		if attempt > 0 {
 			d.mRetries.Inc()
 			d.sleep(d.backoff(attempt - 1))
-		}
-		if err := d.opts.Context.Err(); err != nil {
-			d.mCanceled.Inc()
-			if lastErr == nil {
-				lastErr = err
-			}
-			break
 		}
 		w := d.acquire()
 		if w == nil {
@@ -548,8 +525,6 @@ func (d *Dispatcher) acquire() *wconn {
 			return w
 		case <-deadline.C:
 			return nil
-		case <-d.opts.Context.Done():
-			return nil
 		case <-d.closed:
 			return nil
 		}
@@ -770,12 +745,10 @@ func (d *Dispatcher) Close() {
 	}
 }
 
-// sleep waits for dur unless the dispatcher closes or its context is
-// canceled first.
+// sleep waits for dur unless the dispatcher closes first.
 func (d *Dispatcher) sleep(dur time.Duration) {
 	select {
 	case <-time.After(dur):
-	case <-d.opts.Context.Done():
 	case <-d.closed:
 	}
 }

@@ -67,7 +67,7 @@ type Options struct {
 	Resume bool
 	// Engine selects the optimization engine for every figure flow
 	// ("" keeps the paper's implicit filtering). The A/B study in
-	// EXPERIMENTS.md sweeps it across the registered engines.
+	// EXPERIMENTS.md sweeps it across the engines.
 	Engine string
 }
 

@@ -23,7 +23,9 @@ import (
 // a farm chunk carries it and how the corpus cache keys a base suite:
 // the reparse succeeds, String is a fixed point, and over each unit's
 // defaults both parses compile to the same plan error or to plans that
-// decide alike (sameDecisions). The seed corpus
+// decide alike (sameDecisions). A plan that compiles also simulates:
+// two instances of it stay inside the unit's model (simulateInRange).
+// The seed corpus
 // under testdata/fuzz/FuzzCompileDecide holds the units' base templates,
 // the equivalence templates of compiled_test.go (equiv_*) and the three
 // over-wide draws of TestPlanErrors (overflow_*), each over one unit's
@@ -33,13 +35,13 @@ import (
 // one seed per unit — the unsuffixed one is the I/O unit's. A finding
 // becomes a row of TestPlanErrors.
 func FuzzCompileDecide(f *testing.F) {
-	var defaults []generator.Defaults
+	var units []duv.DUV
 	for _, name := range duv.Names() {
 		unit, err := duv.New(name)
 		if err != nil {
 			f.Fatal(err)
 		}
-		defaults = append(defaults, unit.Defaults())
+		units = append(units, unit)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		tmpl, err := template.Parse(src)
@@ -54,11 +56,38 @@ func FuzzCompileDecide(f *testing.F) {
 		if again := back.String(); again != text {
 			t.Fatalf("String is not a fixed point:\n%s\nreprints as\n%s", text, again)
 		}
-		for _, d := range defaults {
+		for _, unit := range units {
+			d := unit.Defaults()
 			_ = generator.CheckDecisions(t, tmpl, d, 1, 256) // a plan error is a legal answer
 			sameDecisions(t, tmpl, back, d)
+			simulateInRange(t, unit, tmpl)
 		}
 	})
+}
+
+// simulateInRange checks that, when tmpl compiles over unit's defaults,
+// the unit simulates two instances of it into vectors of the model's
+// size that hit only events the model has.
+func simulateInRange(t *testing.T, unit duv.DUV, tmpl *template.Template) {
+	t.Helper()
+	plan := generator.Compile(tmpl, unit.Defaults())
+	if plan.Err() != nil {
+		return
+	}
+	size := unit.Model().Size()
+	g := generator.NewFromPlan(plan, 0)
+	for seed := uint64(1); seed <= 2; seed++ {
+		g.Reset(seed)
+		v := unit.Simulate(g)
+		if v.Len() != size {
+			t.Fatalf("%s: seed %d: vector of %d events, model has %d", unit.Name(), seed, v.Len(), size)
+		}
+		for _, id := range v.HitIDs() {
+			if id < 0 || id >= size {
+				t.Fatalf("%s: seed %d: event %d outside the model's %d", unit.Name(), seed, id, size)
+			}
+		}
+	}
 }
 
 // sameDecisions checks that a and b compile over d to the same plan

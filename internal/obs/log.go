@@ -12,8 +12,9 @@ import (
 // flags and threads it through service, dispatcher, server, and
 // journal, attaching correlated fields (campaign, conn, chunk) at each
 // layer. Like the rest of the package the loggers are optional: code
-// that receives no logger uses NopLogger, whose handler reports every
-// level disabled, so a silent run pays one Enabled check per call site.
+// that receives no logger logs through OrNop's discarding logger, whose
+// handler reports every level disabled, so a silent run pays one
+// Enabled check per call site.
 
 // discardHandler is a slog.Handler that drops everything. (The stdlib
 // gained slog.DiscardHandler in a Go release newer than this module's
@@ -26,10 +27,6 @@ func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 var nopLogger = slog.New(discardHandler{})
-
-// NopLogger returns a logger that discards every record with levels
-// disabled, for code paths that always want a non-nil logger.
-func NopLogger() *slog.Logger { return nopLogger }
 
 // OrNop returns l, or the discarding logger when l is nil, so callees
 // can log unconditionally.

@@ -10,16 +10,16 @@ import (
 )
 
 func TestNopLogger(t *testing.T) {
-	l := NopLogger()
+	l := OrNop(nil)
 	if l == nil {
-		t.Fatal("NopLogger returned nil")
+		t.Fatal("OrNop(nil) returned nil")
 	}
 	if l.Enabled(context.Background(), slog.LevelError) {
 		t.Fatal("nop logger has a level enabled")
 	}
 	l.Info("must not panic", "k", "v")
 	if OrNop(nil) != l {
-		t.Fatal("OrNop(nil) is not the nop logger")
+		t.Fatal("OrNop(nil) is not one nop logger")
 	}
 	real := slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil))
 	if OrNop(real) != real {

@@ -23,16 +23,19 @@ type BayesSpec struct {
 	// global best plus the most recent observations are kept (default
 	// 64 — the O(n^3) Cholesky stays trivial).
 	MaxObservations int `json:"max_observations,omitempty"`
-	// LengthScale is the RBF kernel length scale in normalized box
-	// units (default 0.25).
-	LengthScale float64 `json:"length_scale,omitempty"`
-	// Noise is the observation-noise variance on the standardized
-	// objective (default 0.1 — coverage scores are simulation averages
-	// and genuinely noisy).
-	Noise float64 `json:"noise,omitempty"`
-	// Explore is the expected-improvement xi offset (default 0.01).
-	Explore float64 `json:"explore,omitempty"`
 }
+
+const (
+	// bayesLengthScale is the RBF kernel length scale in normalized box
+	// units.
+	bayesLengthScale = 0.25
+	// bayesNoise is the observation-noise variance on the standardized
+	// objective: coverage scores are simulation averages and genuinely
+	// noisy.
+	bayesNoise = 0.1
+	// bayesExplore is the expected-improvement xi offset.
+	bayesExplore = 0.01
+)
 
 func (s BayesSpec) withDefaults() BayesSpec {
 	if s.Iterations <= 0 {
@@ -47,31 +50,10 @@ func (s BayesSpec) withDefaults() BayesSpec {
 	if s.MaxObservations <= 0 {
 		s.MaxObservations = 64
 	}
-	if s.LengthScale <= 0 {
-		s.LengthScale = 0.25
-	}
-	if s.Noise <= 0 {
-		s.Noise = 0.1
-	}
-	if s.Explore <= 0 {
-		s.Explore = 0.01
-	}
 	return s
 }
 
-func init() {
-	Register(EngineDef{
-		Name: "bayes",
-		Make: func(cfg EngineConfig, params json.RawMessage) (Engine, error) {
-			var spec BayesSpec
-			if err := decodeParams(params, &spec); err != nil {
-				return nil, err
-			}
-			return newBayesEngine(cfg, spec), nil
-		},
-		Params: func() any { return new(BayesSpec) },
-	})
-}
+func (s *BayesSpec) build(cfg EngineConfig) Engine { return newBayesEngine(cfg, *s) }
 
 type bayesEngine struct {
 	frame
@@ -122,7 +104,7 @@ func (e *bayesEngine) next(n int) [][]float64 {
 // batch of candidates with the highest expected improvement.
 func (e *bayesEngine) acquire(batch int) [][]float64 {
 	xs, ys := e.trainingSet()
-	gp := fitGP(xs, ys, e, e.spec)
+	gp := fitGP(xs, ys, e)
 
 	nCand := e.spec.Candidates
 	// Half uniform exploration, half local refinement around the best.
@@ -136,7 +118,7 @@ func (e *bayesEngine) acquire(batch int) [][]float64 {
 	}
 	return topN(cands, func(c []float64) float64 {
 		mu, sigma := gp.predict(e.norm(c))
-		return expectedImprovement(mu, sigma, gp.yBest, e.spec.Explore)
+		return expectedImprovement(mu, sigma, gp.yBest, bayesExplore)
 	}, batch)
 }
 
@@ -210,13 +192,11 @@ type gpModel struct {
 	yMean float64
 	yStd  float64
 	yBest float64 // best standardized training value
-	ell   float64
-	noise float64
 }
 
-func fitGP(xs [][]float64, ys []float64, e *bayesEngine, spec BayesSpec) *gpModel {
+func fitGP(xs [][]float64, ys []float64, e *bayesEngine) *gpModel {
 	n := len(xs)
-	m := &gpModel{zs: make([][]float64, n), ell: spec.LengthScale, noise: spec.Noise}
+	m := &gpModel{zs: make([][]float64, n)}
 	for i, x := range xs {
 		m.zs[i] = e.norm(x)
 	}
@@ -243,9 +223,9 @@ func fitGP(xs [][]float64, ys []float64, e *bayesEngine, spec BayesSpec) *gpMode
 	k := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
-			v := rbf(m.zs[i], m.zs[j], m.ell)
+			v := rbf(m.zs[i], m.zs[j])
 			if i == j {
-				v += m.noise
+				v += bayesNoise
 			}
 			k[i*n+j] = v
 			k[j*n+i] = v
@@ -262,13 +242,13 @@ func (m *gpModel) predict(z []float64) (mu, sigma float64) {
 	n := len(m.zs)
 	kv := make([]float64, n)
 	for i, zi := range m.zs {
-		kv[i] = rbf(z, zi, m.ell)
+		kv[i] = rbf(z, zi)
 	}
 	for i := 0; i < n; i++ {
 		mu += kv[i] * m.alpha[i]
 	}
 	v := forwardSolve(m.chol, n, kv)
-	varZ := 1 + m.noise
+	varZ := 1 + bayesNoise
 	for _, vi := range v {
 		varZ -= vi * vi
 	}
@@ -278,13 +258,13 @@ func (m *gpModel) predict(z []float64) (mu, sigma float64) {
 	return mu, math.Sqrt(varZ)
 }
 
-func rbf(a, b []float64, ell float64) float64 {
+func rbf(a, b []float64) float64 {
 	d2 := 0.0
 	for i := range a {
 		d := a[i] - b[i]
 		d2 += d * d
 	}
-	return math.Exp(-d2 / (2 * ell * ell))
+	return math.Exp(-d2 / (2 * bayesLengthScale * bayesLengthScale))
 }
 
 // expectedImprovement is the EI acquisition for maximization on the

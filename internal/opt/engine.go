@@ -41,7 +41,7 @@ import (
 // Restore), then alternate Propose/Observe until Propose returns an
 // empty batch.
 type Engine interface {
-	// Name returns the engine's registry name.
+	// Name returns the engine's name (a key of the engines table).
 	Name() string
 	// Propose returns the next batch of points to evaluate. n is a
 	// batch-size hint (<= 0 means engine default); stencil engines whose
@@ -111,75 +111,69 @@ func (c EngineConfig) withDefaults() EngineConfig {
 	return c
 }
 
-// EngineDef registers one engine: its canonical name, a constructor,
-// and a params prototype used for strict admission-time validation of
-// user-supplied params JSON.
-type EngineDef struct {
-	Name string
-	// Make builds the engine. params may be nil/empty; unknown keys are
-	// ignored here (the merged blob carries generic flow knobs every
-	// engine picks what it understands from) — strict checking happens
-	// in Validate against the Params prototype.
-	Make func(cfg EngineConfig, params json.RawMessage) (Engine, error)
-	// Params returns a pointer to a zero params struct for this engine.
-	Params func() any
-}
-
-var engineDefs = map[string]EngineDef{}
-
 // DefaultEngine is the paper's algorithm and the name the empty string
 // resolves to.
 const DefaultEngine = "implicit_filtering"
 
-// Register adds an engine to the registry. Engines self-register from
-// init; duplicate names panic (a wiring bug, not a runtime condition).
-func Register(def EngineDef) {
-	if def.Name == "" || def.Make == nil {
-		panic("opt: Register with empty name or nil maker")
-	}
-	if _, dup := engineDefs[def.Name]; dup {
-		panic("opt: duplicate engine " + def.Name)
-	}
-	engineDefs[def.Name] = def
+// engineParams is an engine's params type: decoded from the knob blob,
+// it builds the engine.
+type engineParams interface {
+	build(cfg EngineConfig) Engine
 }
 
-// EngineNames returns the registered engine names, sorted.
+// engines maps each engine name to a fresh value of its params type.
+// Validate decodes user params into one strictly, New leniently.
+var engines = map[string]func() engineParams{
+	DefaultEngine: func() engineParams { return new(IFSpec) },
+	"nelder_mead": func() engineParams { return new(NelderMeadSpec) },
+	"bayes":       func() engineParams { return new(BayesSpec) },
+	"ranker":      func() engineParams { return new(RankerSpec) },
+}
+
+// EngineNames returns the engine names, sorted.
 func EngineNames() []string {
-	names := make([]string, 0, len(engineDefs))
-	for n := range engineDefs {
+	names := make([]string, 0, len(engines))
+	for n := range engines {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// New builds a registered engine by name ("" selects DefaultEngine).
-// params is the engine's knob blob; unknown keys are ignored (use
-// Validate for strict admission-time checking).
+// New builds an engine by name ("" selects DefaultEngine). params is the
+// engine's knob blob; unknown keys are ignored (the flow merges generic
+// knobs every engine picks what it understands from; use Validate for
+// strict admission-time checking).
 func New(name string, cfg EngineConfig, params json.RawMessage) (Engine, error) {
 	if name == "" {
 		name = DefaultEngine
 	}
-	def, ok := engineDefs[name]
+	mk, ok := engines[name]
 	if !ok {
 		return nil, fmt.Errorf("opt: unknown engine %q (registered: %s)", name, strings.Join(EngineNames(), ", "))
 	}
 	if len(cfg.X0) == 0 {
 		return nil, fmt.Errorf("opt: empty starting point")
 	}
-	return def.Make(cfg, params)
+	p := mk()
+	if len(bytes.TrimSpace(params)) > 0 {
+		if err := json.Unmarshal(params, p); err != nil {
+			return nil, err
+		}
+	}
+	return p.build(cfg), nil
 }
 
 // Validate checks an engine selection at admission time: the name must
-// be registered ("" is the default) and params, when present, must be a
-// JSON object containing only keys the engine's params type declares.
-// The error for an unknown engine lists every registered name, so HTTP
-// handlers can surface it verbatim.
+// be known ("" is the default) and params, when present, must be a JSON
+// object containing only keys the engine's params type declares. The
+// error for an unknown engine lists every engine name, so HTTP handlers
+// can surface it verbatim.
 func Validate(name string, params json.RawMessage) error {
 	if name == "" {
 		name = DefaultEngine
 	}
-	def, ok := engineDefs[name]
+	mk, ok := engines[name]
 	if !ok {
 		return fmt.Errorf("unknown engine %q (registered: %s)", name, strings.Join(EngineNames(), ", "))
 	}
@@ -188,21 +182,10 @@ func Validate(name string, params json.RawMessage) error {
 	}
 	dec := json.NewDecoder(bytes.NewReader(params))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(def.Params()); err != nil {
+	if err := dec.Decode(mk()); err != nil {
 		return fmt.Errorf("engine %q params: %v", name, err)
 	}
 	return nil
-}
-
-// decodeParams unmarshals a params blob into an engine's spec,
-// tolerating unknown keys: the flow merges its generic optimizer knobs
-// (iterations, directions, ...) into one blob and each engine picks
-// what it understands.
-func decodeParams(params json.RawMessage, into any) error {
-	if len(bytes.TrimSpace(params)) == 0 {
-		return nil
-	}
-	return json.Unmarshal(params, into)
 }
 
 // MergeParams overlays user params on top of base flow knobs: keys in

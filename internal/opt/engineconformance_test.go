@@ -347,6 +347,18 @@ func TestEngineRegistryValidate(t *testing.T) {
 	if err := Validate("nelder_mead", json.RawMessage(`{"directions": 4}`)); err == nil {
 		t.Fatal("stencil-only param accepted by nelder_mead")
 	}
+	// The GP's kernel and noise and the ranker's regularizer are
+	// constants, not knobs.
+	for _, c := range []struct{ name, params string }{
+		{"bayes", `{"noise": 0.2}`},
+		{"bayes", `{"length_scale": 0.5}`},
+		{"ranker", `{"ridge": 2}`},
+		{"ranker", `{"explore": 0.5}`},
+	} {
+		if err := Validate(c.name, json.RawMessage(c.params)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Fatalf("Validate(%s, %s) = %v, want an unknown-field error", c.name, c.params, err)
+		}
+	}
 }
 
 // TestEngineNamesStable pins the registry contents: the four engines of

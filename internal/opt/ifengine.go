@@ -42,19 +42,7 @@ func (s IFSpec) withDefaults(lo, hi float64) IFSpec {
 	return s
 }
 
-func init() {
-	Register(EngineDef{
-		Name: DefaultEngine,
-		Make: func(cfg EngineConfig, params json.RawMessage) (Engine, error) {
-			var spec IFSpec
-			if err := decodeParams(params, &spec); err != nil {
-				return nil, err
-			}
-			return newIFEngine(cfg, spec), nil
-		},
-		Params: func() any { return new(IFSpec) },
-	})
-}
+func (s *IFSpec) build(cfg EngineConfig) Engine { return newIFEngine(cfg, *s) }
 
 // ifEngine is the paper's Algorithm 1 as a policy. Its first batch is
 // the starting point alone; each iteration then proposes one batch

@@ -25,19 +25,7 @@ func (s NelderMeadSpec) withDefaults(lo, hi float64) NelderMeadSpec {
 	return s
 }
 
-func init() {
-	Register(EngineDef{
-		Name: "nelder_mead",
-		Make: func(cfg EngineConfig, params json.RawMessage) (Engine, error) {
-			var spec NelderMeadSpec
-			if err := decodeParams(params, &spec); err != nil {
-				return nil, err
-			}
-			return newNMEngine(cfg, spec), nil
-		},
-		Params: func() any { return new(NelderMeadSpec) },
-	})
-}
+func (s *NelderMeadSpec) build(cfg EngineConfig) Engine { return newNMEngine(cfg, *s) }
 
 // Simplex coefficients (classic Nelder-Mead).
 const (

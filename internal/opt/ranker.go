@@ -19,12 +19,15 @@ type RankerSpec struct {
 	Iterations int `json:"iterations,omitempty"`
 	// Candidates is the scored pool size per round (default 128).
 	Candidates int `json:"candidates,omitempty"`
-	// Explore is the fraction of each batch drawn uniformly at random
-	// instead of by predicted rank (default 0.25).
-	Explore float64 `json:"explore,omitempty"`
-	// Ridge is the L2 regularizer on the regression weights (default 1).
-	Ridge float64 `json:"ridge,omitempty"`
 }
+
+const (
+	// rankerExplore is the fraction of each batch drawn uniformly at
+	// random instead of by predicted rank.
+	rankerExplore = 0.25
+	// rankerRidge is the L2 regularizer on the regression weights.
+	rankerRidge = 1.0
+)
 
 func (s RankerSpec) withDefaults() RankerSpec {
 	if s.Iterations <= 0 {
@@ -33,28 +36,10 @@ func (s RankerSpec) withDefaults() RankerSpec {
 	if s.Candidates <= 0 {
 		s.Candidates = 128
 	}
-	if s.Explore <= 0 || s.Explore >= 1 {
-		s.Explore = 0.25
-	}
-	if s.Ridge <= 0 {
-		s.Ridge = 1
-	}
 	return s
 }
 
-func init() {
-	Register(EngineDef{
-		Name: "ranker",
-		Make: func(cfg EngineConfig, params json.RawMessage) (Engine, error) {
-			var spec RankerSpec
-			if err := decodeParams(params, &spec); err != nil {
-				return nil, err
-			}
-			return newRankerEngine(cfg, spec), nil
-		},
-		Params: func() any { return new(RankerSpec) },
-	})
-}
+func (s *RankerSpec) build(cfg EngineConfig) Engine { return newRankerEngine(cfg, *s) }
 
 type rankerEngine struct {
 	frame
@@ -76,7 +61,7 @@ func newRankerEngine(cfg EngineConfig, spec RankerSpec) *rankerEngine {
 	e.a = make([]float64, e.nfea*e.nfea)
 	e.b = make([]float64, e.nfea)
 	for i := 0; i < e.nfea; i++ {
-		e.a[i*e.nfea+i] = e.spec.Ridge
+		e.a[i*e.nfea+i] = rankerRidge
 	}
 	priorBestVal := math.Inf(-1)
 	for _, p := range e.prior(cfg.Prior) {
@@ -143,7 +128,7 @@ func (e *rankerEngine) next(n int) [][]float64 {
 			pts = append(pts, append([]float64(nil), e.priorBest...))
 		}
 	}
-	nExplore := int(float64(batch) * e.spec.Explore)
+	nExplore := int(float64(batch) * rankerExplore)
 	if nRank := batch - len(pts) - nExplore; nRank > 0 {
 		pts = append(pts, e.rank(nRank)...)
 	}

@@ -44,7 +44,7 @@ type Spec struct {
 }
 
 // EngineSpec selects the campaign's optimization engine. Name must be
-// registered (opt.EngineNames()); the engine runs with its default
+// one of opt.EngineNames(); the engine runs with its default
 // knobs, over the iteration and direction budgets of the spec's config.
 type EngineSpec struct {
 	Name string `json:"name,omitempty"`

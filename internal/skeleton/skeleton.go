@@ -170,19 +170,6 @@ func (s *Skeleton) Base() *template.Template { return s.base }
 // MaxWeight returns the upper bound of every slot weight.
 func (s *Skeleton) MaxWeight() int { return maxWeight }
 
-// Clamp limits every coordinate of x to the search box [0, MaxWeight],
-// in place, and returns x.
-func (s *Skeleton) Clamp(x []float64) []float64 {
-	for i, v := range x {
-		if v < 0 {
-			x[i] = 0
-		} else if v > maxWeight {
-			x[i] = maxWeight
-		}
-	}
-	return x
-}
-
 // Instantiate creates a concrete test-template named name from the
 // skeleton and a weight vector. Weights are clamped to [0, MaxWeight]
 // and rounded to integers; a NaN weight is an error. If every marked

@@ -336,14 +336,6 @@ func TestRandomWeightsInBox(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	s, _ := Skeletonize(mustParse(t, lsuSource), Options{})
-	x := s.Clamp([]float64{-5, 50, 105})
-	if x[0] != 0 || x[1] != 50 || x[2] != 100 {
-		t.Fatalf("Clamp = %v", x)
-	}
-}
-
 func TestMarkedSource(t *testing.T) {
 	s, _ := Skeletonize(mustParse(t, lsuSource), Options{Subranges: 3})
 	src := s.MarkedSource()

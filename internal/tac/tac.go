@@ -25,20 +25,6 @@ func New(repo *coverage.Repository) *Stats {
 	return &Stats{repo: repo}
 }
 
-// Repository returns the underlying coverage repository.
-func (s *Stats) Repository() *coverage.Repository { return s.repo }
-
-// HitProbability returns the empirical probability that a test-instance
-// generated from the named template hits the event — the per-template
-// statistic TAC maintains. It returns 0 for unknown templates.
-func (s *Stats) HitProbability(templateName string, event int) float64 {
-	c, ok := s.repo.Template(templateName)
-	if !ok {
-		return 0
-	}
-	return c.HitRate(event)
-}
-
 // TemplateScore is one template's score under a TAC query.
 type TemplateScore struct {
 	Name  string

@@ -41,19 +41,6 @@ func buildRepo(t *testing.T) *coverage.Repository {
 	return repo
 }
 
-func TestHitProbability(t *testing.T) {
-	s := New(buildRepo(t))
-	if got := s.HitProbability("t_good", 1); got != 0.8 {
-		t.Fatalf("P(t_good hits b) = %v", got)
-	}
-	if got := s.HitProbability("t_weak", 1); got != 0.2 {
-		t.Fatalf("P(t_weak hits b) = %v", got)
-	}
-	if got := s.HitProbability("missing", 1); got != 0 {
-		t.Fatalf("unknown template probability = %v", got)
-	}
-}
-
 func TestBestTemplates(t *testing.T) {
 	s := New(buildRepo(t))
 	best, err := s.BestTemplates([]int{1, 2}, nil, 2)
@@ -148,13 +135,6 @@ func TestReport(t *testing.T) {
 	sub := s.Report([]int{3})
 	if len(sub) != 1 || sub[0].Name != "d" {
 		t.Fatalf("sub report = %+v", sub)
-	}
-}
-
-func TestRepositoryAccessor(t *testing.T) {
-	repo := buildRepo(t)
-	if New(repo).Repository() != repo {
-		t.Fatal("Repository accessor broken")
 	}
 }
 

@@ -208,15 +208,6 @@ func (t *Template) SetParam(p Param) {
 	t.Params = append(t.Params, p)
 }
 
-// ParamNames returns the parameter names in source order.
-func (t *Template) ParamNames() []string {
-	names := make([]string, len(t.Params))
-	for i, p := range t.Params {
-		names[i] = p.ParamName()
-	}
-	return names
-}
-
 // String returns the canonical source form of the template; Parse of the
 // result reproduces the template exactly, so String is a template's
 // identity wherever one is needed: a farm chunk carries its template as
