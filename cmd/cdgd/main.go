@@ -61,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxRunning := fs.Int("max-running", 1, "concurrently running campaigns")
 	maxQueue := fs.Int("max-queue", 16, "queued campaigns beyond the running ones; more are rejected with 429")
 	tenantWeights := fs.String("tenant-weights", "", "fair-share weights as name=weight pairs (e.g. paid=3,free=1); unlisted tenants weigh 1")
-	retryAfter := fs.Duration("retry-after", 15*time.Second, "Retry-After hint attached to 429 rejections")
 	var (
 		workers   cli.Workers
 		farmFlags cli.Farm
@@ -82,8 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.Fail(fs, 2, fmt.Errorf("-max-running %d: want at least 1", *maxRunning))
 	case *maxQueue < 1:
 		return cli.Fail(fs, 2, fmt.Errorf("-max-queue %d: want at least 1", *maxQueue))
-	case *retryAfter <= 0:
-		return cli.Fail(fs, 2, fmt.Errorf("-retry-after %v: want a positive duration", *retryAfter))
 	}
 	if code := workers.Check(fs); code != 0 {
 		return code
@@ -115,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		TenantWeights: weights,
 		MaxRunning:    *maxRunning,
 		MaxQueue:      *maxQueue,
-		RetryAfter:    *retryAfter,
 		Workers:       int(workers),
 		Farm:          d, // chunks, capacity-aware admission and /v1/scheduler's farm health
 		Rec:           rec,

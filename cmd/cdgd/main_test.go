@@ -329,8 +329,7 @@ func TestCdgdFlagErrorExitsTwo(t *testing.T) {
 		{"-max-running", "-1", "cdgd: -max-running -1: want at least 1"},
 		{"-max-running", "0", "cdgd: -max-running 0: want at least 1"},
 		{"-max-queue", "-2", "cdgd: -max-queue -2: want at least 1"},
-		{"-retry-after", "-5s", "cdgd: -retry-after -5s: want a positive duration"},
-		{"-retry-after", "0s", "cdgd: -retry-after 0s: want a positive duration"},
+		{"-retry-after", "5s", "flag provided but not defined: -retry-after"},
 	} {
 		args := []string{"-data", t.TempDir(), "-listen", "127.0.0.1:0", tc.flag}
 		if tc.value != "" {

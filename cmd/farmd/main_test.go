@@ -139,6 +139,11 @@ func TestFarmdServesAndDrainsOnSignal(t *testing.T) {
 	if !strings.Contains(out, "draining") || !strings.Contains(out, "drained, exiting") {
 		t.Fatalf("missing drain banners in output:\n%s", out)
 	}
+	// farmd keeps nothing across a restart: the signal notice names the
+	// shutdown and promises no checkpoint.
+	if errOut := stderr.String(); !strings.Contains(errOut, "shutting down") || strings.Contains(errOut, "checkpointing") {
+		t.Fatalf("signal notice on stderr should name only the shutdown:\n%s", errOut)
+	}
 }
 
 // TestFarmdSecondSignalAborts: a second SIGTERM during the drain ends

@@ -13,6 +13,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,6 +55,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *policy < 0 {
 		return cli.Fail(fs, 2, fmt.Errorf("-policy %d: want at least 0 (0 skips the policy)", *policy))
+	}
+	if *focusLightly && *policy == 0 {
+		return cli.Fail(fs, 2, errors.New("-focus-lightly requires -policy"))
 	}
 	if !*minimize && *policy <= 0 && *out == "" {
 		fmt.Fprintln(stderr, "regress: one of -minimize, -policy or -out is required")

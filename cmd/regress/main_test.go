@@ -66,6 +66,15 @@ func TestErrors(t *testing.T) {
 			t.Errorf("%v: exit %d, want 2 with %q: %s", c.args, code, c.msg, errb.String())
 		}
 	}
+	// -focus-lightly only weights the policy: without -policy it would
+	// change nothing, so it is refused before the corpus is built.
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-unit", "iounit", "-sims", "10", "-minimize", "-metrics", "-focus-lightly"}, &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "regress: -focus-lightly requires -policy") || out.Len() != 0 ||
+		strings.Contains(errb.String(), "sim.instances_completed") {
+		t.Errorf("-focus-lightly without -policy: exit %d, stdout %q, stderr %q; want exit 2 before any simulation", code, out.String(), errb.String())
+	}
 	// An -out path that cannot be written is refused before the corpus
 	// is built, naming the flag and the path.
 	missing := filepath.Join(t.TempDir(), "no_such_dir", "suite.json")

@@ -15,6 +15,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -61,8 +62,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *best < 0:
 		return cli.Fail(fs, 2, fmt.Errorf("-best %d: want at least 0 (0 skips the query)", *best))
 	case *best > 0 && *events == "":
-		fmt.Fprintln(stderr, "tacquery: -best requires -events")
-		return 2
+		return cli.Fail(fs, 2, errors.New("-best requires -events"))
+	case *knowledgeDir != "" && *best == 0:
+		return cli.Fail(fs, 2, errors.New("-knowledge requires -best"))
 	}
 	unit, err := duv.New(corpus.Unit)
 	if err != nil {

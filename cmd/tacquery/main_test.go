@@ -101,6 +101,16 @@ func TestErrors(t *testing.T) {
 			t.Errorf("%s -best 2 without -events: exit %d, stdout %q, stderr %q; want exit 2", list, code, out.String(), errb.String())
 		}
 	}
+	// -knowledge only blends into -best scores: without -best it would
+	// change nothing, so it is refused before the store is read or the
+	// corpus built.
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-unit", "iounit", "-sims", "10", "-metrics", "-knowledge", t.TempDir()}, &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "tacquery: -knowledge requires -best") || out.Len() != 0 ||
+		strings.Contains(errb.String(), "sim.instances_completed") {
+		t.Errorf("-knowledge without -best: exit %d, stdout %q, stderr %q; want exit 2 before any simulation", code, out.String(), errb.String())
+	}
 	if code := run([]string{"-unit", "iounit", "-load", "/no/such/file"}, &out, &errb); code != 1 {
 		t.Errorf("missing load file: exit %d, want 1", code)
 	}

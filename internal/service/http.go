@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
 	"time"
 
 	"repro/internal/knowledge"
@@ -83,9 +82,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	id, err := s.Submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		// Retry-After counts whole seconds: round a sub-second remainder
-		// up, so a 500ms hint does not read as "retry at once".
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.RetryAfter()+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", retryAfterSeconds)
 		writeJSON(w, http.StatusTooManyRequests, httpError{Error: err.Error()})
 		return
 	case errors.Is(err, ErrClosed):

@@ -67,8 +67,13 @@ func isTerminal(state string) bool {
 }
 
 // ErrQueueFull rejects a submission when the admission queue is at
-// capacity; the HTTP layer maps it to 429 with a Retry-After hint.
+// capacity; the HTTP layer maps it to 429 with a Retry-After hint of
+// retryAfterSeconds.
 var ErrQueueFull = errors.New("service: campaign queue full")
+
+// retryAfterSeconds is the Retry-After header, in whole seconds, of a
+// 429 that rejects a submission with ErrQueueFull.
+const retryAfterSeconds = "15"
 
 // ErrClosed rejects submissions after Close began draining.
 var ErrClosed = errors.New("service: draining")
@@ -96,10 +101,6 @@ type Config struct {
 	// MaxQueue bounds campaigns waiting behind the running ones
 	// (default 16). Submissions beyond it fail with ErrQueueFull.
 	MaxQueue int
-
-	// RetryAfter is the backoff hint attached to ErrQueueFull
-	// rejections (default 15s).
-	RetryAfter time.Duration
 
 	// Workers sizes each campaign flow's simulation pool (<= 0:
 	// GOMAXPROCS). A campaign spec may override it.
@@ -141,9 +142,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 16
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 15 * time.Second
 	}
 	return c
 }
@@ -668,9 +666,6 @@ func (s *Service) Done(id string) bool {
 		return false
 	}
 }
-
-// RetryAfter is the backoff hint for ErrQueueFull rejections.
-func (s *Service) RetryAfter() time.Duration { return s.cfg.RetryAfter }
 
 // Close drains the service: no new submissions, running campaigns are
 // interrupted (their journals checkpoint the completed prefix and their

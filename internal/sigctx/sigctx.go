@@ -1,6 +1,7 @@
 // Package sigctx implements the CLIs' two-stage interrupt protocol.
-// The first SIGINT or SIGTERM cancels the returned context: a
-// journaled flow checkpoints, the command prints a resume hint, and
+// The first SIGINT or SIGTERM cancels the returned context, and the
+// notice names only the shutdown: each command prints its own line about
+// what it keeps (a journaled flow's resume hint, a daemon's drain), and
 // exits 0 — an interrupted campaign is a paused campaign, not a failed
 // one. A second signal aborts the process immediately (exit 130) for
 // the operator who really means it.
@@ -31,7 +32,7 @@ func Notify(parent context.Context, stderr io.Writer) (context.Context, context.
 	go func() {
 		select {
 		case sig := <-ch:
-			fmt.Fprintf(stderr, "\n%v: checkpointing and shutting down cleanly (signal again to abort immediately)\n", sig)
+			fmt.Fprintf(stderr, "\n%v: shutting down (signal again to abort immediately)\n", sig)
 			cancel()
 		case <-done:
 			return

@@ -28,8 +28,8 @@ func TestFirstSignalCancels(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("context not canceled by SIGINT")
 	}
-	if got := buf.String(); !strings.Contains(got, "checkpointing") {
-		t.Fatalf("stderr = %q, want a checkpoint notice", got)
+	if got := buf.String(); !strings.Contains(got, "shutting down (signal again to abort immediately)") || strings.Contains(got, "checkpointing") {
+		t.Fatalf("stderr = %q, want a shutdown notice that promises no checkpoint", got)
 	}
 }
 

@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"context"
 	"errors"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/coverage"
+	"repro/internal/duv"
 	"repro/internal/obs"
 )
 
@@ -154,50 +158,137 @@ func TestChunkRunnerBitIdentical(t *testing.T) {
 	}
 }
 
+// cancelRunner fails every call, and its first call cancels the
+// environment's context and opens the unit's gate: the cancel lands
+// while a remote attempt is in flight.
+type cancelRunner struct {
+	once   sync.Once
+	cancel context.CancelFunc
+	gate   chan struct{}
+}
+
+func (r *cancelRunner) RunChunkInto(RemoteChunk, *coverage.Counts) error {
+	r.once.Do(func() {
+		r.cancel()
+		close(r.gate)
+	})
+	return errors.New("worker unreachable")
+}
+
 // TestChunkRunnerObsAccounting drives a workload where remote lanes
 // dominate (1 local worker, 4 remote lanes) and checks the scheduler's
-// farm-side accounting: every chunk lands exactly once, remote + local
-// chunk counts add up, and failures surface as fallbacks, not as lost
-// or doubled instances.
+// farm-side accounting: every chunk lands in exactly one outcome, remote
+// and local chunk counts and spans add up, and failures surface as
+// fallbacks, not as lost or doubled instances. In the canceled row the
+// local worker parks in its first instance until the runner's first
+// call, so a remote lane is sure to attempt a chunk and see the cancel.
 func TestChunkRunnerObsAccounting(t *testing.T) {
-	const n = 2000
-	for _, tc := range []struct {
-		name   string
-		runner ChunkRunner
-	}{
-		{"healthy", nil}, // replaced below with an envRunner
-		{"failing", &errRunner{}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			env := NewEnv(newToy(), 9, 1)
-			defer env.Close()
-			rec := obs.NewRecorder()
-			env.SetRecorder(rec)
-			r := tc.runner
-			if r == nil {
+	const n, lanes = 2000, 4
+	const chunks = 2 // 2000 instances on 1 local worker shard into two 1000-instance chunks
+	for _, name := range []string{"healthy", "failing", "canceled"} {
+		t.Run(name, func(t *testing.T) {
+			var unit duv.DUV = newToy()
+			var r ChunkRunner
+			var ctx context.Context
+			switch name {
+			case "healthy":
 				workerEnv := NewEnv(newToy(), 1, 1)
 				defer workerEnv.Close()
 				r = &envRunner{env: workerEnv}
+			case "failing":
+				r = &errRunner{}
+			case "canceled":
+				block := newBlockDUV()
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithCancel(context.Background())
+				defer cancel()
+				unit, r = block, &cancelRunner{cancel: cancel, gate: block.gate}
 			}
-			env.AttachRunner(r, 4)
-			c := run(t, env, env.Unit().BaseTemplates()[0], n)
-			if c.Sims() != n {
+			env := NewEnv(unit, 9, 1)
+			defer env.Close()
+			rec := obs.NewRecorder()
+			env.SetRecorder(rec)
+			env.SetContext(ctx)
+			env.AttachRunner(r, lanes)
+			c := submit(t, env, env.Unit().BaseTemplates()[0], n).Wait()
+			if name != "canceled" && c.Sims() != n {
 				t.Fatalf("sims = %d, want %d (chunks lost or doubled)", c.Sims(), n)
 			}
 			snap := rec.Metrics.Snapshot()
-			if got := snap.Counters["sim.instances_completed"]; got != n {
-				t.Fatalf("instances_completed = %d, want %d", got, n)
-			}
+			completed := snap.Counters["sim.chunks_completed"]
+			aborted := snap.Counters["sim.chunks_aborted"]
 			remote := snap.Counters["sim.chunks_remote"]
 			fallbacks := snap.Counters["sim.remote_fallbacks"]
-			if tc.name == "failing" && remote != 0 {
-				t.Fatalf("failing runner credited with %d remote chunks", remote)
+			if got := snap.Counters["sim.instances_completed"]; got != uint64(c.Sims()) {
+				t.Fatalf("instances_completed = %d, want the job's %d sims", got, c.Sims())
 			}
-			if tc.name == "healthy" && fallbacks != 0 {
-				t.Fatalf("healthy runner charged %d fallbacks", fallbacks)
+			if completed+aborted != chunks {
+				t.Fatalf("chunks completed %d + aborted %d, want %d: a chunk landed in no outcome or in two",
+					completed, aborted, chunks)
 			}
-			t.Logf("%s: %d chunks, %d remote, %d fallbacks",
-				tc.name, snap.Counters["sim.chunks_completed"], remote, fallbacks)
+			if got := snap.Gauges["sim.queue_depth"]; got != 0 {
+				t.Fatalf("queue_depth = %d, want 0 after the job drained", got)
+			}
+			for key := range snap.Counters {
+				if strings.HasPrefix(key, "sim.worker.") && key != "sim.worker.00.busy_ns" {
+					t.Fatalf("series %s: only the one local worker reports busy time", key)
+				}
+			}
+			if _, ok := snap.Counters["sim.worker.00.busy_ns"]; !ok {
+				t.Fatal("no sim.worker.00.busy_ns series")
+			}
+
+			var local, remoteSpans, remoteTrue, remoteFalse uint64
+			for _, ev := range rec.Trace.Events() {
+				switch {
+				case ev.Cat != "sim":
+				case ev.Name == "chunk":
+					local++
+					if ev.Tid != 100 {
+						t.Fatalf("chunk span on tid %d, want 100", ev.Tid)
+					}
+				case ev.Name == "chunk_remote":
+					remoteSpans++
+					if ev.Tid < 300 || ev.Tid >= 300+lanes {
+						t.Fatalf("chunk_remote span on tid %d, want 300-%d", ev.Tid, 300+lanes-1)
+					}
+					switch ev.Args["remote"] {
+					case true:
+						remoteTrue++
+					case false:
+						remoteFalse++
+					default:
+						t.Fatalf("chunk_remote span without a remote arg: %v", ev.Args)
+					}
+				}
+			}
+			if remoteTrue != remote {
+				t.Fatalf("%d chunk_remote spans carry remote: true, want sim.chunks_remote %d", remoteTrue, remote)
+			}
+			if remoteFalse != fallbacks {
+				t.Fatalf("%d chunk_remote spans carry remote: false, want sim.remote_fallbacks %d", remoteFalse, fallbacks)
+			}
+			if local+remoteSpans != completed {
+				t.Fatalf("chunk spans %d + chunk_remote spans %d, want sim.chunks_completed %d", local, remoteSpans, completed)
+			}
+			switch name {
+			case "healthy":
+				if fallbacks != 0 {
+					t.Fatalf("healthy runner charged %d fallbacks", fallbacks)
+				}
+			case "failing":
+				if remote != 0 {
+					t.Fatalf("failing runner credited with %d remote chunks", remote)
+				}
+			case "canceled":
+				if fallbacks != 0 {
+					t.Fatalf("remote_fallbacks = %d, want 0: no chunk was re-run locally after the cancel", fallbacks)
+				}
+				if aborted == 0 {
+					t.Fatal("no chunk aborted: the runner's cancel reached no chunk")
+				}
+			}
+			t.Logf("%s: %d chunks, %d aborted, %d remote, %d fallbacks", name, completed, aborted, remote, fallbacks)
 		})
 	}
 }

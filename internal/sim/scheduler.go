@@ -107,21 +107,22 @@ type RemoteChunk struct {
 // backend (internal/farm's dispatcher) plugs into the scheduler. A
 // runner merges the chunk's aggregate into a caller-owned dst (sized to
 // c.Events) or returns an error; on error (or a malformed aggregate) the
-// scheduler discards dst's content and re-executes the chunk locally, so
-// runners may fail freely without affecting results. Each remote lane
-// keeps one scratch aggregate, so a healthy farm path allocates nothing
-// per chunk. Implementations must be safe for concurrent use by many
-// lanes.
+// scheduler discards dst's content and re-executes the chunk locally
+// unless its job was canceled meanwhile, so runners may fail freely
+// without affecting results. Each remote lane keeps one scratch
+// aggregate, so a healthy farm path allocates nothing per chunk.
+// Implementations must be safe for concurrent use by many lanes.
 type ChunkRunner interface {
 	RunChunkInto(c RemoteChunk, dst *coverage.Counts) error
 }
 
-// Scheduler is a persistent worker pool for batch simulation. Workers
-// are started once (lazily, on the first job) and live until Close;
-// every job, from any goroutine, is sharded into chunks and streamed
-// through the same pool, so concurrent jobs fill the machine instead of
-// spawning and joining a fresh goroutine set per batch. Remote lanes
-// (attachRunner) pull from the same queue as the local workers.
+// Scheduler is a persistent pool of lanes for batch simulation. Every
+// job, from any goroutine, is sharded into chunks and streamed through
+// one queue, so concurrent jobs fill the machine instead of spawning and
+// joining a fresh goroutine set per batch. Each lane runs the same loop
+// (lane): a local worker is a lane with no runner, started once (lazily,
+// on the first job); a remote lane (attachRunner) hands its chunks to a
+// ChunkRunner. Lanes live until Close.
 type Scheduler struct {
 	workers int
 	tasks   chan chunk
@@ -131,10 +132,12 @@ type Scheduler struct {
 }
 
 // schedObs holds the scheduler's pre-resolved metric handles so the
-// worker loop updates them with plain atomic ops — no registry lookups,
-// no locks — and a disabled run (obs == nil) pays one pointer check per
-// chunk. Purely observational: results and seeding are untouched.
+// lane loop updates them with plain atomic ops — no registry lookups,
+// no locks. Every handle is nil-safe; on is false when no recorder is
+// installed, and keeps clock reads and span arguments off that path.
+// Purely observational: results and seeding are untouched.
 type schedObs struct {
+	on        bool
 	tracer    *obs.Tracer
 	jobs      *obs.Counter // jobs submitted
 	jobsDone  *obs.Counter // jobs fully completed
@@ -142,19 +145,20 @@ type schedObs struct {
 	instances *obs.Counter // test-instances simulated
 	remote    *obs.Counter // chunks completed by a remote runner
 	fallbacks *obs.Counter // remote failures re-executed locally
-	aborted   *obs.Counter // queued chunks dropped by cancellation
+	aborted   *obs.Counter // chunks dropped by cancellation
 	queue     *obs.Gauge   // chunks queued but not yet picked up
 	chunkNs   *obs.Histogram
 	chunkSize *obs.Histogram
 	simNs     *obs.Histogram // per-instance latency (chunk mean)
-	busy      []*obs.Counter // per-worker busy nanoseconds
+	busy      []*obs.Counter // per-local-worker busy nanoseconds
 }
 
 func newSchedObs(rec *obs.Recorder, workers int) *schedObs {
 	if rec == nil || (rec.Metrics == nil && rec.Trace == nil) {
-		return nil
+		return &schedObs{}
 	}
 	o := &schedObs{
+		on:        true,
 		tracer:    rec.Trace,
 		jobs:      rec.Counter("sim.jobs_submitted"),
 		jobsDone:  rec.Counter("sim.jobs_completed"),
@@ -176,8 +180,8 @@ func newSchedObs(rec *obs.Recorder, workers int) *schedObs {
 }
 
 // setRecorder installs the scheduler's observability. It must be called
-// before the first job is enqueued (workers start lazily, so the
-// handles are published to them by the pool-start synchronization).
+// before the first job is enqueued (lanes read the handles per chunk,
+// so the queue hand-off publishes them).
 func (s *Scheduler) setRecorder(rec *obs.Recorder) {
 	s.obs = newSchedObs(rec, s.workers)
 }
@@ -188,16 +192,16 @@ func newScheduler(workers int) *Scheduler {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Scheduler{workers: workers, tasks: make(chan chunk, workers*8)}
+	return &Scheduler{workers: workers, tasks: make(chan chunk, workers*8), obs: &schedObs{}}
 }
 
 // enqueue shards a job of n instances into chunks and hands them to the
-// pool. It may block if the task queue is full; workers always drain it,
+// pool. It may block if the task queue is full; lanes always drain it,
 // so submission cannot deadlock.
 func (s *Scheduler) enqueue(j *Job, n int) {
 	s.start.Do(func() {
 		for w := 0; w < s.workers; w++ {
-			go s.work(w)
+			go s.lane(w, nil)
 		}
 	})
 	// Shard into at most 2 chunks per worker, at least 8 instances per
@@ -208,40 +212,25 @@ func (s *Scheduler) enqueue(j *Job, n int) {
 	}
 	chunks := (n + size - 1) / size
 	j.pending.Store(int64(chunks))
-	o := s.obs
-	o.countJob()
+	s.obs.jobs.Inc()
 	for lo := 0; lo < n; lo += size {
 		hi := lo + size
 		if hi > n {
 			hi = n
 		}
-		o.countEnqueue()
+		s.obs.queue.Add(1)
 		s.tasks <- chunk{job: j, lo: lo, hi: hi, id: chunkSeq.Add(1)}
 	}
 }
 
-// attachRunner starts lanes goroutines that delegate chunks to r,
-// falling back to local execution when r fails. Lanes exit when the
-// scheduler closes, exactly like local workers.
+// attachRunner starts lanes remote lanes that delegate chunks to r.
+// They exit when the scheduler closes, exactly like local workers.
 func (s *Scheduler) attachRunner(r ChunkRunner, lanes int) {
 	if r == nil || lanes < 1 {
 		return
 	}
 	for i := 0; i < lanes; i++ {
-		go s.remoteWork(i, r)
-	}
-}
-
-// countJob / countEnqueue are nil-safe submission-side hooks.
-func (o *schedObs) countJob() {
-	if o != nil {
-		o.jobs.Inc()
-	}
-}
-
-func (o *schedObs) countEnqueue() {
-	if o != nil {
-		o.queue.Add(1)
+		go s.lane(i, r)
 	}
 }
 
@@ -257,130 +246,75 @@ func scratchFor(scratch *coverage.Counts, n int) *coverage.Counts {
 	return scratch
 }
 
-// work is one worker's loop: simulate a chunk into the worker's scratch
-// aggregate, merge it into the job, and complete the job when its last
-// chunk lands. Counts merging is commutative, so completion order does
-// not affect the result; the scratch is private to the worker and reset
-// per chunk, so the loop allocates one generator per chunk and nothing
-// else. Every metric of a chunk is published before finish can complete
-// the job, so a caller that Waits and then snapshots reads final totals.
-func (s *Scheduler) work(id int) {
-	var scratch *coverage.Counts
-	for t := range s.tasks {
-		o := s.obs
-		if t.job.canceled() {
-			// Cancellation: the chunk still lands (so Wait returns and the
-			// job drains) but contributes nothing — no simulation runs.
-			if o != nil {
-				o.queue.Add(-1)
-				o.aborted.Inc()
-			}
-			s.finish(t)
-			continue
-		}
-		scratch = scratchFor(scratch, t.job.total.Len())
-		if o == nil {
-			s.simulateChunkInto(t, scratch)
-			s.merge(t, scratch)
-			s.finish(t)
-			continue
-		}
-		o.queue.Add(-1)
-		sp := o.tracer.Span("sim", "chunk").WithTid(100 + id)
-		start := time.Now()
-		s.simulateChunkInto(t, scratch)
-		s.merge(t, scratch)
-		dur := time.Since(start)
-		n := uint64(t.hi - t.lo)
-		if sp != nil {
-			sp.SetArg("instances", n)
-			setTraceIdentity(sp, t)
-			sp.End()
-		}
-		o.busy[id].Add(uint64(dur))
-		o.chunkNs.Observe(uint64(dur))
-		o.chunkSize.Observe(n)
-		o.simNs.Observe(uint64(dur) / n)
-		o.chunks.Inc()
-		o.instances.Add(n)
-		s.finish(t)
+// lane is the one chunk loop of the pool. A local worker (r nil)
+// simulates each chunk into its scratch aggregate; a remote lane hands
+// the chunk to r and simulates it itself only when r fails or returns a
+// malformed aggregate and the job is still live. Every chunk lands in
+// exactly one outcome — completed (remotely or here) or aborted by its
+// job's cancellation — and is merged into its job at most once, so
+// aggregates never double-count. Counts merging is commutative, so
+// completion order does not affect the result. A chunk a lane picked up
+// drains whole; cancellation acts between chunks (Job.canceled). Every
+// metric of a chunk is published before finish can complete the job, so
+// a caller that Waits and then snapshots reads final totals.
+func (s *Scheduler) lane(id int, r ChunkRunner) {
+	name, tid := "chunk", 100+id
+	if r != nil {
+		name, tid = "chunk_remote", 300+id
 	}
-}
-
-// remoteWork is one remote lane's loop: hand a chunk to the runner and
-// merge its aggregate, re-executing locally if the runner fails or
-// returns a malformed result. Either way the chunk lands exactly once,
-// so aggregates can never double-count — the core of the farm's
-// fault-tolerance contract. The runner merges straight into the lane's
-// scratch aggregate, so the healthy remote path allocates nothing per
-// chunk.
-func (s *Scheduler) remoteWork(lane int, r ChunkRunner) {
 	var scratch *coverage.Counts
 	for t := range s.tasks {
-		o := s.obs
-		if t.job.canceled() {
-			if o != nil {
-				o.queue.Add(-1)
-				o.aborted.Inc()
-			}
-			s.finish(t)
-			continue
-		}
-		n := uint64(t.hi - t.lo)
+		o, j := s.obs, t.job
+		o.queue.Add(-1)
 		var sp *obs.Span
 		var start time.Time
-		if o != nil {
-			o.queue.Add(-1)
-			sp = o.tracer.Span("sim", "chunk_remote").WithTid(300 + lane)
+		if o.on {
+			sp = o.tracer.Span("sim", name).WithTid(tid)
 			start = time.Now()
 		}
-		events := t.job.total.Len()
-		rc := RemoteChunk{
-			Unit:     t.job.unitName,
-			Template: t.job.tmpl,
-			Seed:     t.job.seedState,
-			Lo:       t.lo,
-			Hi:       t.hi,
-			Events:   events,
-			Campaign: t.job.campaign,
-			Batch:    t.job.batch,
-			Chunk:    t.id,
-		}
-		scratch = scratchFor(scratch, events)
-		err := r.RunChunkInto(rc, scratch)
-		remote := err == nil && scratch.Len() == events && scratch.Sims() == n
+		scratch = scratchFor(scratch, j.total.Len())
+		remote := r != nil && !j.canceled() && runRemote(r, t, scratch)
 		if !remote {
-			scratch.Reset() // discard any partial merge before fallback
-			// Remote execution failed (worker down, timeout, bad frame):
-			// the chunk must still land exactly once, so run it here —
-			// unless cancellation arrived while the remote attempt ran.
-			if o != nil {
+			if j.canceled() {
+				// The chunk still lands (so Wait returns and the job
+				// drains) but contributes nothing.
+				o.aborted.Inc()
+				s.finish(t)
+				continue
+			}
+			if r != nil {
 				o.fallbacks.Inc()
+				scratch.Reset() // discard any partial merge
 			}
-			if t.job.canceled() {
-				if o != nil {
-					o.aborted.Inc()
+			simulateRange(nil, j.unit, j.plan, j.seed, t.lo, t.hi, scratch) // no context: cannot fail
+		}
+		j.mu.Lock()
+		j.total.Merge(scratch)
+		j.mu.Unlock()
+		n := uint64(t.hi - t.lo)
+		if o.on {
+			dur := uint64(time.Since(start))
+			if sp != nil {
+				// The chunk's correlation identity: the IDs a worker-side
+				// span on another host echoes back, so the merged fleet
+				// trace lines parent and child up.
+				sp.SetArg("instances", n)
+				sp.SetArg("chunk", t.id)
+				sp.SetArg("batch", j.batch)
+				if j.campaign != "" {
+					sp.SetArg("campaign", j.campaign)
 				}
-			} else {
-				s.simulateChunkInto(t, scratch)
+				if r != nil {
+					sp.SetArg("remote", remote)
+				}
+				sp.End()
 			}
-		}
-		s.merge(t, scratch)
-		if o == nil {
-			s.finish(t)
-			continue
-		}
-		dur := time.Since(start)
-		if sp != nil {
-			sp.SetArg("instances", n)
-			sp.SetArg("remote", remote)
-			setTraceIdentity(sp, t)
-			sp.End()
-		}
-		o.chunkNs.Observe(uint64(dur))
-		o.chunkSize.Observe(n)
-		if n > 0 {
-			o.simNs.Observe(uint64(dur) / n)
+			if r == nil {
+				o.busy[id].Add(dur)
+			}
+			o.chunkNs.Observe(dur)
+			o.chunkSize.Observe(n)
+			o.simNs.Observe(dur / n)
 		}
 		o.chunks.Inc()
 		o.instances.Add(n)
@@ -391,35 +325,22 @@ func (s *Scheduler) remoteWork(lane int, r ChunkRunner) {
 	}
 }
 
-// setTraceIdentity stamps the chunk's correlation identity onto its
-// span: the IDs a worker-side span on another host echoes back, so the
-// merged fleet trace lines parent and child up.
-func setTraceIdentity(sp *obs.Span, t chunk) {
-	sp.SetArg("chunk", t.id)
-	sp.SetArg("batch", t.job.batch)
-	if t.job.campaign != "" {
-		sp.SetArg("campaign", t.job.campaign)
-	}
-}
-
-// simulateChunkInto runs one chunk locally, merging into the caller's
-// scratch aggregate. This is the simulate hot path: it takes no locks
-// and touches no observability state. A chunk a lane picked up drains
-// whole; cancellation acts between chunks (Job.canceled).
-func (s *Scheduler) simulateChunkInto(t chunk, dst *coverage.Counts) {
+// runRemote hands chunk t to r and reports whether r merged a
+// well-formed aggregate of it into dst.
+func runRemote(r ChunkRunner, t chunk, dst *coverage.Counts) bool {
 	j := t.job
-	simulateRange(nil, j.unit, j.plan, j.seed, t.lo, t.hi, dst) // no context: cannot fail
-}
-
-// merge adds one chunk's aggregate to its job — exactly once per chunk,
-// whoever computed it. Counts merging is commutative, so completion
-// order does not affect the result, and merging copies, so callers may
-// reuse counts as their scratch for the next chunk.
-func (s *Scheduler) merge(t chunk, counts *coverage.Counts) {
-	j := t.job
-	j.mu.Lock()
-	j.total.Merge(counts)
-	j.mu.Unlock()
+	err := r.RunChunkInto(RemoteChunk{
+		Unit:     j.unitName,
+		Template: j.tmpl,
+		Seed:     j.seedState,
+		Lo:       t.lo,
+		Hi:       t.hi,
+		Events:   dst.Len(),
+		Campaign: j.campaign,
+		Batch:    j.batch,
+		Chunk:    t.id,
+	}, dst)
+	return err == nil && dst.Len() == j.total.Len() && dst.Sims() == uint64(t.hi-t.lo)
 }
 
 // finish lands one chunk — merged, or contributing nothing after a
@@ -429,9 +350,7 @@ func (s *Scheduler) merge(t chunk, counts *coverage.Counts) {
 func (s *Scheduler) finish(t chunk) {
 	j := t.job
 	if j.pending.Add(-1) == 0 {
-		if s.obs != nil {
-			s.obs.jobsDone.Inc()
-		}
+		s.obs.jobsDone.Inc()
 		close(j.done)
 	}
 }
