@@ -6,7 +6,7 @@
 // Usage:
 //
 //	cdgd -listen :9777 -data /var/lib/cdgd [-max-running 1] [-max-queue 16] \
-//	     [-tenant-weights paid=3,free=1]
+//	     [-tenant-weights paid=3,free=1] [-farm host:port,host:port]
 //
 // A cdgd is the one writer of its -data root: it holds the root's lock
 // (<data>/lock, internal/lease) while it lives, and a second cdgd on the
@@ -15,6 +15,11 @@
 // resumes the interrupted campaigns at once. Campaign starts follow
 // weighted fair-share scheduling across tenants (-tenant-weights).
 //
+// -farm hands campaign chunks to farmd workers as well as local ones.
+// The fleet adds throughput only: campaigns start on -max-running
+// whatever its state, and a chunk no worker takes runs locally, so
+// reports are the same with or without it.
+//
 // API (see internal/service):
 //
 //	POST   /v1/campaigns             submit {"unit":"iounit","family":"crc_fifo",...}
@@ -22,6 +27,7 @@
 //	GET    /v1/campaigns/{id}        status + final reports
 //	GET    /v1/campaigns/{id}/events stream JSONL progress
 //	DELETE /v1/campaigns/{id}        cancel
+//	GET    /v1/scheduler             running and queued campaigns per tenant, farm health
 //
 // SIGINT/SIGTERM drain gracefully: running campaigns checkpoint into
 // their journals (the on-disk state stays "running" so the next cdgd
@@ -113,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxRunning:    *maxRunning,
 		MaxQueue:      *maxQueue,
 		Workers:       int(workers),
-		Farm:          d, // chunks, capacity-aware admission and /v1/scheduler's farm health
+		Farm:          d, // campaign chunks and /v1/scheduler's farm health
 		Rec:           rec,
 		Log:           logger,
 	})

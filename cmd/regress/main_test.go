@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/coverage"
+	"repro/internal/duv/iounit"
 )
 
 func TestMinimize(t *testing.T) {
@@ -74,6 +77,24 @@ func TestErrors(t *testing.T) {
 		!strings.Contains(errb.String(), "regress: -focus-lightly requires -policy") || out.Len() != 0 ||
 		strings.Contains(errb.String(), "sim.instances_completed") {
 		t.Errorf("-focus-lightly without -policy: exit %d, stdout %q, stderr %q; want exit 2 before any simulation", code, out.String(), errb.String())
+	}
+	// The flags that shape a corpus build change nothing beside -load, so
+	// each is refused before anything is loaded or simulated.
+	dir := t.TempDir()
+	repo := filepath.Join(dir, "repo.json")
+	if err := coverage.NewRepository(iounit.New().Model()).SaveFile(repo); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][]string{
+		{"-journal", filepath.Join(dir, "jnl")}, {"-resume"}, {"-sims", "5000"}, {"-seed", "9"}, {"-workers", "3"},
+	} {
+		out.Reset()
+		errb.Reset()
+		args := append([]string{"-unit", "iounit", "-load", repo, "-minimize", "-metrics"}, c...)
+		if code := run(args, &out, &errb); code != 2 || !strings.Contains(errb.String(), "regress: "+c[0]+" changes nothing beside -load") ||
+			out.Len() != 0 || strings.Contains(errb.String(), "sim.instances_completed") {
+			t.Errorf("%v beside -load: exit %d, stdout %q, stderr %q; want exit 2 naming the flag", c, code, out.String(), errb.String())
+		}
 	}
 	// An -out path that cannot be written is refused before the corpus
 	// is built, naming the flag and the path.

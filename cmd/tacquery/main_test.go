@@ -111,6 +111,24 @@ func TestErrors(t *testing.T) {
 		strings.Contains(errb.String(), "sim.instances_completed") {
 		t.Errorf("-knowledge without -best: exit %d, stdout %q, stderr %q; want exit 2 before any simulation", code, out.String(), errb.String())
 	}
+	// The flags that shape a corpus build change nothing beside -load, so
+	// each is refused before anything is loaded or simulated.
+	dir := t.TempDir()
+	repo := filepath.Join(dir, "repo.json")
+	if code := run([]string{"-unit", "iounit", "-sims", "10", "-save", repo}, &out, &errb); code != 0 {
+		t.Fatalf("save exit %d: %s", code, errb.String())
+	}
+	for _, c := range [][]string{
+		{"-journal", filepath.Join(dir, "jnl")}, {"-resume"}, {"-sims", "5000"}, {"-seed", "9"}, {"-workers", "3"},
+	} {
+		out.Reset()
+		errb.Reset()
+		args := append([]string{"-unit", "iounit", "-load", repo, "-uncovered", "-metrics"}, c...)
+		if code := run(args, &out, &errb); code != 2 || !strings.Contains(errb.String(), "tacquery: "+c[0]+" changes nothing beside -load") ||
+			out.Len() != 0 || strings.Contains(errb.String(), "sim.instances_completed") {
+			t.Errorf("%v beside -load: exit %d, stdout %q, stderr %q; want exit 2 naming the flag", c, code, out.String(), errb.String())
+		}
+	}
 	if code := run([]string{"-unit", "iounit", "-load", "/no/such/file"}, &out, &errb); code != 1 {
 		t.Errorf("missing load file: exit %d, want 1", code)
 	}

@@ -398,11 +398,26 @@ func (c *Corpus) Register(fs *flag.FlagSet) {
 }
 
 // Check requires -unit and at least one simulation per template,
-// refuses -workers above sim.MaxWorkers, and rejects -resume without
-// -journal.
+// refuses -workers above sim.MaxWorkers, rejects -resume without
+// -journal, and refuses beside -load each flag that shapes a build,
+// which -load would ignore.
 func (c *Corpus) Check() int {
 	if c.Unit == "" {
 		return Fail(c.fs, 2, errors.New("-unit is required"))
+	}
+	if c.load != "" {
+		ignored := ""
+		c.fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "sims", "seed", "workers", "journal", "resume":
+				if ignored == "" {
+					ignored = f.Name
+				}
+			}
+		})
+		if ignored != "" {
+			return Fail(c.fs, 2, fmt.Errorf("-%s changes nothing beside -load: the repository is loaded, not simulated", ignored))
+		}
 	}
 	if c.sims < 1 {
 		return Fail(c.fs, 2, fmt.Errorf("-sims %d: want at least 1", c.sims))

@@ -309,6 +309,9 @@ func TestCorpus(t *testing.T) {
 		{[]string{"-unit", "iounit", "-workers", "1024"}, 0, ""},
 		{[]string{"-unit", "iounit", "-workers", "-1"}, 0, ""},
 		{[]string{"-unit", "iounit"}, 0, ""},
+		{[]string{"-unit", "iounit", "-load", "r.json"}, 0, ""},
+		{[]string{"-unit", "iounit", "-load", "r.json", "-seed", "9"}, 2, "cmd: -seed changes nothing beside -load"},
+		{[]string{"-unit", "iounit", "-load", "r.json", "-journal", "j", "-resume"}, 2, "cmd: -journal changes nothing beside -load"},
 	})
 
 	canceled, cancel := context.WithCancel(context.Background())

@@ -21,10 +21,10 @@ import (
 
 // Dispatcher errors.
 var (
-	// ErrNoWorkers reports that no remote connection was available
-	// in time. The scheduler treats it like any runner failure: the
-	// chunk runs locally, so a dead or absent fleet degrades
-	// throughput, never results.
+	// ErrNoWorkers reports that no remote connection is established,
+	// or that none came free in time. The scheduler treats it like any
+	// runner failure: the chunk runs locally, so a dead or absent fleet
+	// degrades throughput, never results.
 	ErrNoWorkers = errors.New("farm: no remote workers available")
 	// ErrDispatcherClosed reports a RunChunkInto after Close.
 	ErrDispatcherClosed = errors.New("farm: dispatcher is closed")
@@ -33,7 +33,7 @@ var (
 // timing is the dispatcher's clock and retry budget.
 type timing struct {
 	chunk     time.Duration // deadline of one exchange attempt or handshake
-	acquire   time.Duration // wait for an idle connection before falling back locally
+	acquire   time.Duration // wait for an idle connection, while one is established, before the local fallback
 	attempts  int           // connections a chunk tries before the local fallback
 	heartbeat time.Duration // idle-connection ping interval and deadline; <= 0 disables
 	// backoffBase doubles per failed attempt or redial, up to backoffMax,
@@ -237,14 +237,6 @@ func New(addrs []string, opts Options) *Dispatcher {
 // while the acquire timeout keeps lanes from stalling when slots are down.
 func (d *Dispatcher) Lanes() int {
 	return len(d.addrs) * d.opts.MaxConnsPerWorker
-}
-
-// LiveConns reports how many worker connections are established right
-// now — the fleet-capacity signal the campaign service's admission
-// control consumes (a dead fleet reads 0, deferring campaign starts
-// instead of piling them onto local fallback).
-func (d *Dispatcher) LiveConns() int {
-	return int(max(d.live.Load(), 0))
 }
 
 // Health returns a point-in-time snapshot of every worker's health
@@ -508,11 +500,12 @@ func (w *wconn) roundTrip(req *Frame, reply string, timeout time.Duration) error
 
 // acquire pulls an idle connection, skipping any that died while
 // pooled and evicting connections of quarantined workers. nil means no
-// connection within the acquire timeout (or closed).
+// connection within the acquire timeout, none established at all (a
+// dead or not yet connected fleet falls back at once), or closed.
 func (d *Dispatcher) acquire() *wconn {
 	deadline := time.NewTimer(d.opts.timing.acquire)
 	defer deadline.Stop()
-	for {
+	for d.live.Load() > 0 {
 		select {
 		case w := <-d.idle:
 			if w.dead.Load() {
@@ -529,6 +522,7 @@ func (d *Dispatcher) acquire() *wconn {
 			return nil
 		}
 	}
+	return nil
 }
 
 // put returns a healthy connection to the pool.

@@ -256,19 +256,36 @@ func TestFarmRejoin(t *testing.T) {
 }
 
 // TestFarmNoWorkers checks graceful degradation: a dispatcher with no
-// fleet (or an unreachable one) reports ErrNoWorkers — so scheduler
-// lanes fall back locally — rather than stalling.
+// fleet, or with one no dial reaches, reports ErrNoWorkers at once — so
+// scheduler lanes fall back locally — rather than stalling. The
+// unreachable fleet runs fleetTiming: its 2 s acquire wait is for a
+// connection that is established, not for one no dial has made.
 func TestFarmNoWorkers(t *testing.T) {
-	d := New(nil, testOptions(NewLoopback().Dial, nil))
-	defer d.Close()
-	err := d.RunChunkInto(sim.RemoteChunk{Unit: iounit.UnitName, Seed: 1, Lo: 0, Hi: 8, Events: 1}, coverage.NewCounts(1))
-	if !errors.Is(err, ErrNoWorkers) {
-		t.Fatalf("err = %v, want ErrNoWorkers", err)
-	}
-	// The workload still completes, entirely locally.
 	want := workload(t, nil, 0)
-	got := workload(t, d, 2)
-	diffCounts(t, "no workers", got, want)
+	for _, tc := range []struct {
+		name  string
+		addrs []string
+		opts  Options
+	}{
+		{"no_addresses", nil, testOptions(NewLoopback().Dial, nil)},
+		{"unreachable", []string{"nowhere"}, Options{Dial: NewLoopback().Dial}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := New(tc.addrs, tc.opts)
+			defer d.Close()
+			start := time.Now()
+			err := d.RunChunkInto(sim.RemoteChunk{Unit: iounit.UnitName, Seed: 1, Lo: 0, Hi: 8, Events: 1}, coverage.NewCounts(1))
+			if !errors.Is(err, ErrNoWorkers) {
+				t.Fatalf("err = %v, want ErrNoWorkers", err)
+			}
+			if took := time.Since(start); took > 200*time.Millisecond {
+				t.Fatalf("ErrNoWorkers after %v, want under 200ms", took)
+			}
+			// The workload still completes, entirely locally.
+			got := workload(t, d, 2)
+			diffCounts(t, tc.name, got, want)
+		})
+	}
 }
 
 func TestFarmDispatcherClosed(t *testing.T) {

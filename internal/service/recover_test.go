@@ -178,6 +178,34 @@ func TestRecoverOrderDeterministic(t *testing.T) {
 	}
 }
 
+// TestListSameAfterRestart: List serves the states campaign.json holds,
+// without reports, so a campaign finished in this process is listed as
+// a restarted service lists it. It used to carry its reports until the
+// restart.
+func TestListSameAfterRestart(t *testing.T) {
+	dataDir := t.TempDir()
+	svc := newService(t, Config{DataDir: dataDir})
+	id, err := svc.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, svc, id); st.State != StateDone {
+		t.Fatalf("state = %q (error %q), want done", st.State, st.Error)
+	}
+	before, err := json.Marshal(svc.List())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	after, err := json.Marshal(newService(t, Config{DataDir: dataDir, frozen: true}).List())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(before) != string(after) {
+		t.Fatalf("List before the restart:\n%s\nafter:\n%s", before, after)
+	}
+}
+
 // TestRecoverSkipsCopiedDirectory: a copy of a queued campaign's
 // directory ("c000001.bak") is not a campaign. Recovery used to parse
 // any name that starts "c" and a number, so the copy was adopted and run
@@ -287,7 +315,7 @@ func TestTenantMetricsLabeled(t *testing.T) {
 	}
 
 	info := svc.Scheduler()
-	if info.Capacity != 0 || info.Queued != 2 {
+	if info.Running != 0 || info.Queued != 2 {
 		t.Fatalf("scheduler info = %+v", info)
 	}
 	var acme *TenantStat

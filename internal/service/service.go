@@ -34,7 +34,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -107,11 +106,10 @@ type Config struct {
 	Workers int
 
 	// Farm, when non-nil, runs every campaign flow's chunks on the
-	// simulation farm (a throughput knob: reports are bit-identical
-	// with or without it). The dispatcher then starts at most
-	// min(MaxRunning, Farm.LiveConns()) campaigns, so a fleet outage
-	// pauses campaign starts instead of piling them onto local
-	// fallback, and GET /v1/scheduler serves Farm.Health().
+	// simulation farm, and GET /v1/scheduler serves Farm.Health(). It
+	// adds throughput only: reports are bit-identical with or without
+	// it, and campaigns start on MaxRunning whatever the fleet's state,
+	// since a chunk no worker takes runs locally.
 	Farm *farm.Dispatcher
 
 	// Rec instruments the service (service.* metrics — several carry a
@@ -131,8 +129,8 @@ type Config struct {
 	// interrupt campaigns at exact journal positions.
 	flowArmed func(id string, f *core.Flow)
 
-	// frozen pins the dispatcher's capacity at 0 — the test seam that
-	// keeps submitted campaigns queued for inspection.
+	// frozen starts no campaign — the test seam that keeps submitted
+	// campaigns queued for inspection.
 	frozen bool
 }
 
@@ -207,7 +205,7 @@ type Service struct {
 	nextID    int
 	closed    bool
 
-	wg sync.WaitGroup // dispatcher, farm watch and running campaigns
+	wg sync.WaitGroup // dispatcher and running campaigns
 }
 
 // rootLock names the data root's lock file, and knowledgeOwner the
@@ -216,11 +214,6 @@ const (
 	rootLock       = "lock"
 	knowledgeOwner = "service"
 )
-
-// farmTick is how often a service with a farm re-reads
-// Farm.LiveConns(): a fleet that gains connections frees capacity that
-// no campaign event signals.
-const farmTick = 5 * time.Second
 
 // New takes the lock of cfg.DataDir (creating the root if need be),
 // recovers the campaigns it holds — resumed ones first, then queued
@@ -272,10 +265,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.wg.Add(1)
 	go s.dispatch()
-	if cfg.Farm != nil {
-		s.wg.Add(1)
-		go s.watchFarm()
-	}
 	return s, nil
 }
 
@@ -382,63 +371,15 @@ func refuseLiveLease(dir string) error {
 	return nil
 }
 
-// watchFarm wakes the dispatcher every farmTick, so campaign starts
-// follow the farm's live connections.
-func (s *Service) watchFarm() {
-	defer s.wg.Done()
-	t := time.NewTicker(farmTick)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.baseCtx.Done():
-			return
-		case <-t.C:
-		}
-		s.mu.Lock()
-		s.updateGaugesLocked()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-}
-
-// capacityLocked is the dispatcher's effective concurrency bound:
-// MaxRunning clamped by the farm's live connections (when configured).
-// Caller holds s.mu.
-func (s *Service) capacityLocked() int {
-	switch {
-	case s.cfg.frozen:
-		return 0
-	case s.cfg.Farm != nil:
-		return min(s.cfg.MaxRunning, s.cfg.Farm.LiveConns())
-	}
-	return s.cfg.MaxRunning
-}
-
-// updateGaugesLocked refreshes every queue-shaped gauge: the queued and
-// running campaigns per tenant, the capacity clamp, and the autoscaling
-// hint (how many simulation workers the current backlog wants). Caller
-// holds s.mu.
+// updateGaugesLocked refreshes the queued and running campaigns per
+// tenant. Caller holds s.mu.
 func (s *Service) updateGaugesLocked() {
-	s.gauge("service.capacity").Set(int64(s.capacityLocked()))
-	s.gauge("service.desired_workers").Set(int64(s.desiredWorkersLocked()))
 	for tenant, n := range s.sched.queuedByTenant() {
 		s.gauge("service.queued", "tenant", tenant).Set(int64(n))
 	}
 	for tenant, n := range s.sched.running {
 		s.gauge("service.running", "tenant", tenant).Set(int64(n))
 	}
-}
-
-// desiredWorkersLocked is the autoscaling hint: enough simulation
-// workers to feed every running and queued campaign at its configured
-// pool size. Exported as the service.desired_workers gauge and by
-// GET /v1/scheduler. Caller holds s.mu.
-func (s *Service) desiredWorkersLocked() int {
-	per := s.cfg.Workers
-	if per <= 0 {
-		per = runtime.GOMAXPROCS(0)
-	}
-	return (s.sched.busy + s.sched.len()) * per
 }
 
 // Ready is the daemon's readiness check for /readyz. It fails once
@@ -557,26 +498,25 @@ func (s *Service) List() []*State {
 	out := make([]*State, 0, len(cs))
 	for _, c := range cs {
 		c.mu.Lock()
-		out = append(out, c.st.clone())
+		st := c.st.slim()
 		c.mu.Unlock()
+		out = append(out, &st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// Scheduler returns the fair-share scheduler's live snapshot: capacity
-// clamps, the autoscaling hint, and per-tenant weights/queue
-// depths/virtual times.
+// Scheduler returns the fair-share scheduler's live snapshot: the
+// running bound, running and queued counts, per-tenant weights/queue
+// depths/virtual times, and the farm's health.
 func (s *Service) Scheduler() SchedulerInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	info := SchedulerInfo{
-		MaxRunning:     s.cfg.MaxRunning,
-		Capacity:       s.capacityLocked(),
-		Running:        s.sched.busy,
-		Queued:         s.sched.len(),
-		DesiredWorkers: s.desiredWorkersLocked(),
-		Tenants:        s.sched.stats(),
+		MaxRunning: s.cfg.MaxRunning,
+		Running:    s.sched.busy,
+		Queued:     s.sched.len(),
+		Tenants:    s.sched.stats(),
 	}
 	if s.cfg.Farm != nil {
 		info.Farm = s.cfg.Farm.Health()
@@ -586,12 +526,10 @@ func (s *Service) Scheduler() SchedulerInfo {
 
 // SchedulerInfo is GET /v1/scheduler's response body.
 type SchedulerInfo struct {
-	MaxRunning     int          `json:"max_running"`
-	Capacity       int          `json:"capacity"`
-	Running        int          `json:"running"`
-	Queued         int          `json:"queued"`
-	DesiredWorkers int          `json:"desired_workers"`
-	Tenants        []TenantStat `json:"tenants"`
+	MaxRunning int          `json:"max_running"`
+	Running    int          `json:"running"`
+	Queued     int          `json:"queued"`
+	Tenants    []TenantStat `json:"tenants"`
 	// Farm is the per-worker health/quarantine state of the farm fleet
 	// (omitted when the service runs without a farm dispatcher).
 	Farm []farm.WorkerHealth `json:"farm,omitempty"`
@@ -690,15 +628,15 @@ func (s *Service) Close() {
 	s.log.Info("service: drained")
 }
 
-// dispatch pops campaigns in weighted fair-share order whenever a
-// running slot is free within the capacity clamp and starts each one's
+// dispatch pops campaigns in weighted fair-share order whenever one of
+// MaxRunning slots is free (none while frozen) and starts each one's
 // runner. A popped campaign gets its cancel function before s.mu is
 // released, so Cancel always finds it queued or running.
 func (s *Service) dispatch() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for !s.closed && (s.sched.len() == 0 || s.sched.busy >= s.capacityLocked()) {
+		for !s.closed && (s.cfg.frozen || s.sched.len() == 0 || s.sched.busy >= s.cfg.MaxRunning) {
 			s.cond.Wait()
 		}
 		if s.closed {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"maps"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/duv"
 	"repro/internal/duv/iounit"
+	"repro/internal/farm"
 	"repro/internal/obs"
 )
 
@@ -67,37 +69,83 @@ func waitDone(t *testing.T, svc *Service, id string) *State {
 	return st
 }
 
+// TestSubmitRunGet runs one campaign with no farm, beside a healthy
+// loopback fleet, and beside a fleet no dial reaches. A farm is
+// throughput only: every row ends done with the farm-less row's
+// report.json bytes.
 func TestSubmitRunGet(t *testing.T) {
-	svc := newService(t, Config{})
-	id, err := svc.Submit(tinySpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitDone(t, svc, id)
-	if st.State != StateDone {
-		t.Fatalf("state = %q (error %q), want done", st.State, st.Error)
-	}
-	if len(st.Reports) != 1 {
-		t.Fatalf("reports = %d, want 1", len(st.Reports))
-	}
-	r := st.Reports[0]
-	if r.Unit != iounit.UnitName || r.TotalSims == 0 || r.BestTemplate == "" {
-		t.Fatalf("report not populated: %+v", r)
-	}
-	if len(r.Phases) == 0 || len(r.TargetEvents) == 0 {
-		t.Fatalf("report missing phases/targets: %+v", r)
-	}
-	for _, p := range r.Phases {
-		if len(p.TargetHits) != len(r.TargetEvents) {
-			t.Fatalf("phase %s: %d hit columns for %d targets", p.Name, len(p.TargetHits), len(r.TargetEvents))
-		}
-	}
-	// The final reports and the campaign's progress stream are on disk.
-	if _, err := os.Stat(filepath.Join(svc.cfg.DataDir, id, "report.json")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(svc.cfg.DataDir, id, "events.jsonl")); err != nil {
-		t.Fatal(err)
+	var want []byte
+	for _, tc := range []struct {
+		name   string
+		farm   bool // run chunks through a dispatcher
+		worker bool // a worker behind its address; without one every dial fails
+	}{
+		{name: "local"},
+		{name: "fleet", farm: true, worker: true},
+		{name: "unreachable", farm: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{}
+			rec := obs.NewRecorder()
+			if tc.farm {
+				lb := farm.NewLoopback()
+				if tc.worker {
+					srv := farm.NewServer(farm.ServerOptions{Capacity: 2, DrainTimeout: 2 * time.Second})
+					t.Cleanup(srv.Shutdown)
+					lb.Add("w", srv, farm.Faults{})
+				}
+				d := farm.New([]string{"w"}, farm.Options{Dial: lb.Dial, Rec: rec})
+				t.Cleanup(d.Close)
+				if tc.worker {
+					if err := d.WaitReady(10 * time.Second); err != nil {
+						t.Fatal(err)
+					}
+				}
+				cfg.Farm = d
+			}
+			svc := newService(t, cfg)
+			id, err := svc.Submit(tinySpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := waitDone(t, svc, id)
+			if st.State != StateDone {
+				t.Fatalf("state = %q (error %q), want done", st.State, st.Error)
+			}
+			if len(st.Reports) != 1 {
+				t.Fatalf("reports = %d, want 1", len(st.Reports))
+			}
+			r := st.Reports[0]
+			if r.Unit != iounit.UnitName || r.TotalSims == 0 || r.BestTemplate == "" {
+				t.Fatalf("report not populated: %+v", r)
+			}
+			if len(r.Phases) == 0 || len(r.TargetEvents) == 0 {
+				t.Fatalf("report missing phases/targets: %+v", r)
+			}
+			for _, p := range r.Phases {
+				if len(p.TargetHits) != len(r.TargetEvents) {
+					t.Fatalf("phase %s: %d hit columns for %d targets", p.Name, len(p.TargetHits), len(r.TargetEvents))
+				}
+			}
+			// The final reports and the campaign's progress stream are on disk.
+			report, err := os.ReadFile(filepath.Join(svc.cfg.DataDir, id, "report.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(filepath.Join(svc.cfg.DataDir, id, "events.jsonl")); err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = report
+			} else if !bytes.Equal(report, want) {
+				t.Fatalf("report.json differs from the farm-less run's:\n%s\nwant:\n%s", report, want)
+			}
+			// A silent fallback would also match, so the healthy fleet must
+			// have run chunks.
+			if n := rec.Metrics.Snapshot().Counters["farm.chunks"]; tc.worker && n == 0 {
+				t.Fatal("farm.chunks = 0 beside a healthy fleet: no chunk ran remotely")
+			}
+		})
 	}
 }
 
