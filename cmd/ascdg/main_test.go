@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/coverage"
 	"repro/internal/duv/iounit"
@@ -189,5 +190,31 @@ func TestRepoSaveAndReuse(t *testing.T) {
 	if code := run(smallArgs("-unit", "l3cache", "-family", "byp_reqs", "-load-repo", repoPath), &out, &errb); code != 2 ||
 		!strings.Contains(errb.String(), "flag provided but not defined: -load-repo") {
 		t.Fatalf("-load-repo: exit %d, stderr %q; want exit 2 for an undefined flag", code, errb.String())
+	}
+}
+
+// TestFarmFlagDoesNotWait: a -farm fleet no dial reaches changes neither
+// the output nor, beyond a second, the run time. Chunks fall back to
+// local execution while no worker is connected, so the command starts
+// at once instead of waiting for one.
+func TestFarmFlagDoesNotWait(t *testing.T) {
+	args := []string{"-unit", "iounit", "-family", "crc_fifo", "-seed", "3",
+		"-corpus", "40", "-samples", "6", "-sample-sims", "8", "-iterations", "3",
+		"-directions", "3", "-opt-sims", "10", "-best-sims", "60", "-workers", "2"}
+	campaign := func(extra ...string) (string, time.Duration) {
+		var out, errb bytes.Buffer
+		start := time.Now()
+		if code := run(append(args, extra...), &out, &errb); code != 0 {
+			t.Fatalf("exit %d: %s", code, errb.String())
+		}
+		return out.String(), time.Since(start)
+	}
+	local, localTook := campaign()
+	farmed, took := campaign("-farm", "127.0.0.1:1")
+	if farmed != local {
+		t.Fatalf("-farm 127.0.0.1:1 changed stdout:\n%s\nwant:\n%s", farmed, local)
+	}
+	if took > localTook+time.Second {
+		t.Fatalf("-farm 127.0.0.1:1 took %v against %v without -farm: the command waited for the fleet", took, localTook)
 	}
 }

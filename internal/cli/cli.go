@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/coverage"
@@ -177,9 +176,10 @@ func (f *Farm) Register(fs *flag.FlagSet) {
 }
 
 // Dial builds the dispatcher over the -farm workers, or returns nil when
-// -farm is empty. It waits up to five seconds for a first worker and
-// warns if none answered: chunks fall back to local execution until one
-// does. An empty address in the list, or an -audit-fraction the
+// -farm is empty. It does not wait for a worker: a chunk falls back to
+// local execution while no connection is up, and farm.dial_failures
+// (-metrics) and a "down" worker in /v1/scheduler say which address no
+// dial reaches. An empty address in the list, or an -audit-fraction the
 // dispatcher cannot honour (farm.Options.Validate), is a usage error.
 // The command closes d.
 func (f *Farm) Dial(rec *obs.Recorder, log *slog.Logger) (d *farm.Dispatcher, code int) {
@@ -196,11 +196,7 @@ func (f *Farm) Dial(rec *obs.Recorder, log *slog.Logger) (d *farm.Dispatcher, co
 	if err := opts.Validate(); err != nil {
 		return nil, Fail(f.fs, 2, err)
 	}
-	d = farm.New(addrs, opts)
-	if err := d.WaitReady(5 * time.Second); err != nil {
-		printf(f.fs, "farm: no worker reachable yet (%v); continuing, chunks fall back to local execution", err)
-	}
-	return d, 0
+	return farm.New(addrs, opts), 0
 }
 
 // Log is -log-level and -log-format.

@@ -40,6 +40,7 @@ type timing struct {
 	// and every step is jittered by ± jitter of itself (0 disables).
 	backoffBase, backoffMax time.Duration
 	jitter                  float64
+	cooldown                time.Duration // a worker's first quarantine; doubles per repeat, up to 8×
 }
 
 // fleetTiming is the timing every fleet runs (DESIGN.md §9). No option
@@ -53,6 +54,7 @@ var fleetTiming = timing{
 	backoffBase: 50 * time.Millisecond,
 	backoffMax:  2 * time.Second,
 	jitter:      0.25,
+	cooldown:    5 * time.Second,
 }
 
 // Options tune the dispatcher. The zero value gives sane defaults.
@@ -76,11 +78,9 @@ type Options struct {
 	// Log receives structured connection-lifecycle and failure events
 	// with correlated fields (worker, chunk). nil discards.
 	Log *slog.Logger
-	// timing replaces fleetTiming, and breaker overrides two of the
-	// health breaker's constants (health.go), for in-package tests. The
-	// zero timing selects fleetTiming.
-	timing  timing
-	breaker breaker
+	// timing replaces fleetTiming for in-package tests. The zero timing
+	// selects fleetTiming.
+	timing timing
 }
 
 func (o *Options) setDefaults() {
@@ -112,26 +112,26 @@ func (o *Options) Validate() error {
 // local workers then pull from one queue, mixing local and remote
 // execution freely.
 //
-// Per worker address the dispatcher keeps a set of connection slots
-// (one in-flight chunk each). Every slot has a keeper goroutine that
-// dials, handshakes, and — whenever the connection dies — redials with
-// exponential backoff, so workers may crash and rejoin at any time.
-// Failed exchanges are retried on other connections with backoff and
-// jitter, and the chunk is abandoned to the scheduler's local fallback
-// once its attempts run out; combined with the scheduler's exactly-once
-// merge, a chunk is never lost and never double-counted, whatever the
-// failure pattern.
+// Per worker address the dispatcher keeps one record (health.go) and
+// one keeper goroutine, the worker's only dialer: it opens the worker's
+// connection slots (one in-flight chunk each) and, whenever one dies,
+// redials with exponential backoff, so workers may crash and rejoin at
+// any time. Failed exchanges are retried on other connections with
+// backoff and jitter, and the chunk is abandoned to the scheduler's
+// local fallback once its attempts run out; combined with the
+// scheduler's exactly-once merge, a chunk is never lost and never
+// double-counted, whatever the failure pattern.
 //
 // Beyond crash failures, the dispatcher defends against workers that
-// are merely slow, flappy, or wrong: every exchange outcome feeds a
-// per-worker health score whose circuit breaker quarantines erroring
-// and straggling workers (health.go), and sampled results can be
-// audited against local ground truth (AuditFraction) — a provably wrong
-// worker is quarantined permanently.
+// are flappy or wrong: every exchange outcome feeds a per-worker health
+// score whose circuit breaker quarantines erroring workers (health.go),
+// and sampled results can be audited against local ground truth
+// (AuditFraction) — a provably wrong worker is quarantined permanently.
+// A slow worker is only reported: pull scheduling hands it fewer
+// chunks, and the chunk deadline bounds a hung one.
 type Dispatcher struct {
-	opts  Options
-	addrs []string
-	idle  chan *wconn
+	opts Options
+	idle chan *wconn
 
 	closed   chan struct{}
 	stop     sync.Once
@@ -140,9 +140,11 @@ type Dispatcher struct {
 	readyOne sync.Once
 	live     atomic.Int64 // established, un-evicted connections
 
-	log     *slog.Logger
-	metrics *obs.Registry // labeled per-connection gauges (nil-safe)
-	health  *healthSet
+	log *slog.Logger
+	now func() time.Time // the breaker's clock; tests step a fake one
+
+	mu      sync.Mutex // guards every worker record's mutable fields
+	workers []*worker  // one per address, in address-list order
 
 	// Audit state: a sampling RNG plus the local executor a worker runs
 	// chunks on, shared by every auditing lane under auditMu. Audits are
@@ -163,52 +165,67 @@ type Dispatcher struct {
 	mMismatches *obs.Counter
 	hRPCNs      *obs.Histogram
 	tracer      *obs.Tracer
+	// The breaker's: farm.workers_quarantined counts workers not
+	// healthy, farm.quarantines breaker opens.
+	gQuarantined *obs.Gauge
+	cQuarantines *obs.Counter
+	cProbes      *obs.Counter
 }
 
 // wconn is one live worker connection. It is owned by exactly one
 // goroutine at a time — a scheduler lane mid-exchange, the heartbeater
 // mid-ping, or the idle pool — so frames on it never interleave.
 type wconn struct {
-	conn    net.Conn
-	addr    string
-	addrIdx int
-	nextID  uint64
-	dead    atomic.Bool
-	broken  chan struct{} // closed by kill; wakes the keeper to redial
+	wk     *worker
+	conn   net.Conn
+	nextID uint64
+	dead   atomic.Bool
 
 	// cdc's grow-once buffers plus the reusable read frame rf (whose
 	// Hits capacity is retained across results) make the steady-state
 	// exchange path allocation-free.
 	cdc codec
 	rf  Frame
-
-	// gauge is the connection's labeled farm.conns{peer} gauge,
-	// incremented on handshake and decremented on eviction (nil-safe).
-	gauge *obs.Gauge
 }
 
-// New starts a dispatcher for the given worker addresses. It returns
-// immediately; connections are established in the background (WaitReady
-// blocks for the first). An empty address list yields a dispatcher
-// whose RunChunkInto always reports ErrNoWorkers — graceful degradation to
-// local-only execution.
+// New starts a dispatcher for the given worker addresses: one record
+// and one keeper per address. It returns immediately; connections are
+// established in the background (WaitReady blocks for the first). An
+// empty address list yields a dispatcher whose RunChunkInto always
+// reports ErrNoWorkers — graceful degradation to local-only execution.
 func New(addrs []string, opts Options) *Dispatcher {
+	d := newDispatcher(addrs, opts)
+	for _, wk := range d.workers {
+		d.wg.Add(1)
+		go d.keeper(wk)
+	}
+	if d.opts.timing.heartbeat > 0 {
+		d.wg.Add(1)
+		go d.heartbeater()
+	}
+	return d
+}
+
+// newDispatcher builds the dispatcher and its worker records and starts
+// nothing: New starts the goroutines, and the breaker's tests step the
+// records on a manual clock.
+func newDispatcher(addrs []string, opts Options) *Dispatcher {
 	opts.setDefaults()
 	d := &Dispatcher{
 		opts:   opts,
-		addrs:  addrs,
 		idle:   make(chan *wconn, len(addrs)*opts.MaxConnsPerWorker+1),
 		closed: make(chan struct{}),
 		ready:  make(chan struct{}),
+		log:    obs.OrNop(opts.Log),
+		now:    time.Now,
+		local:  newUnitEnvs(nil),
 	}
-	d.log = obs.OrNop(opts.Log)
-	d.health = newHealthSet(opts.breaker, addrs, opts.Rec, d.log)
-	d.local = newUnitEnvs(nil)
 	if opts.AuditFraction > 0 {
 		d.auditRng = rand.New(rand.NewSource(rand.Int63()))
 	}
+	var metrics *obs.Registry // nil-safe
 	if rec := opts.Rec; rec != nil {
-		d.metrics = rec.Metrics
+		metrics = rec.Metrics
 		d.mDials = rec.Counter("farm.dials")
 		d.mDialFails = rec.Counter("farm.dial_failures")
 		d.mChunks = rec.Counter("farm.chunks")
@@ -220,14 +237,23 @@ func New(addrs []string, opts Options) *Dispatcher {
 		d.mMismatches = rec.Counter("farm.audit_mismatches")
 		d.hRPCNs = rec.Histogram("farm.rpc_ns", obs.LatencyBounds())
 		d.tracer = rec.Trace
+		d.gQuarantined = rec.Gauge("farm.workers_quarantined")
+		d.cQuarantines = rec.Counter("farm.quarantines")
+		d.cProbes = rec.Counter("farm.health_probes")
 	}
 	for i, addr := range addrs {
-		d.wg.Add(1)
-		go d.keeper(i, addr, 0, &sync.Once{})
-	}
-	if opts.timing.heartbeat > 0 {
-		d.wg.Add(1)
-		go d.heartbeater()
+		d.workers = append(d.workers, &worker{
+			addr: addr,
+			idx:  i,
+			// One series per configured address, so the label
+			// cardinality is bounded.
+			gauge:    metrics.GaugeWith("farm.conns", obs.Labels("peer", addr)),
+			wake:     make(chan struct{}, 1),
+			conns:    map[*wconn]struct{}{},
+			capacity: 1,
+			state:    healthHealthy,
+			cooldown: opts.timing.cooldown,
+		})
 	}
 	return d
 }
@@ -236,14 +262,7 @@ func New(addrs []string, opts Options) *Dispatcher {
 // potential connection slot, so a fully healthy fleet can be saturated
 // while the acquire timeout keeps lanes from stalling when slots are down.
 func (d *Dispatcher) Lanes() int {
-	return len(d.addrs) * d.opts.MaxConnsPerWorker
-}
-
-// Health returns a point-in-time snapshot of every worker's health
-// score and quarantine state, sorted by address — the farm section of
-// GET /v1/scheduler.
-func (d *Dispatcher) Health() []WorkerHealth {
-	return d.health.snapshot()
+	return len(d.workers) * d.opts.MaxConnsPerWorker
 }
 
 // WaitReady blocks until at least one worker connection has completed
@@ -316,19 +335,19 @@ func (d *Dispatcher) RunChunkInto(c sim.RemoteChunk, dst *coverage.Counts) error
 func (d *Dispatcher) runAttempt(w *wconn, c sim.RemoteChunk, dst *coverage.Counts) error {
 	dur, err := d.exchange(w, c)
 	if err != nil {
-		d.score(w, 0, false)
+		d.score(w.wk, 0, false)
 		d.kill(w)
 		return err
 	}
-	d.score(w, dur, true)
+	d.score(w.wk, dur, true)
 	d.deliver(w, c, dst)
 	return nil
 }
 
 // score feeds one exchange outcome to the health breaker and evicts the
 // connections of a worker the breaker just quarantined.
-func (d *Dispatcher) score(w *wconn, dur time.Duration, ok bool) {
-	for _, victim := range d.health.outcome(w.addr, dur, ok) {
+func (d *Dispatcher) score(wk *worker, dur time.Duration, ok bool) {
+	for _, victim := range d.outcome(wk, dur, ok) {
 		d.kill(victim)
 	}
 }
@@ -373,7 +392,7 @@ func (d *Dispatcher) audit(w *wconn, c sim.RemoteChunk, dst *coverage.Counts) bo
 	local, err := d.auditRun(c)
 	if err != nil {
 		d.log.Warn("farm: audit re-execution failed; accepting remote result",
-			"worker", w.addr, "unit", c.Unit, "err", err)
+			"worker", w.wk.addr, "unit", c.Unit, "err", err)
 		return true
 	}
 	d.mAudits.Inc()
@@ -383,10 +402,10 @@ func (d *Dispatcher) audit(w *wconn, c sim.RemoteChunk, dst *coverage.Counts) bo
 	}
 	d.mMismatches.Inc()
 	d.log.Warn("farm: result integrity audit mismatch; quarantining worker",
-		"worker", w.addr, "campaign", c.Campaign, "batch", c.Batch, "chunk", c.Chunk,
+		"worker", w.wk.addr, "campaign", c.Campaign, "batch", c.Batch, "chunk", c.Chunk,
 		"remote_digest", chunkDigest(w.rf.Hits, w.rf.Sims),
 		"local_digest", chunkDigest(hits, sims))
-	for _, victim := range d.health.integrityFailure(w.addr) {
+	for _, victim := range d.integrityFailure(w.wk) {
 		d.kill(victim)
 	}
 	d.kill(w) // idempotent: integrityFailure's sweep usually got it
@@ -430,8 +449,8 @@ func chunkDigest(hits []uint64, sims uint64) string {
 func (d *Dispatcher) exchange(w *wconn, c sim.RemoteChunk) (time.Duration, error) {
 	sp := d.tracer.Span("farm", "rpc")
 	if sp != nil {
-		sp = sp.WithTid(200 + w.addrIdx)
-		sp.SetArg("worker", w.addr)
+		sp = sp.WithTid(200 + w.wk.idx)
+		sp.SetArg("worker", w.wk.addr)
 		sp.SetArg("instances", c.Hi-c.Lo)
 		sp.SetArg("chunk", c.Chunk)
 		sp.SetArg("batch", c.Batch)
@@ -449,7 +468,7 @@ func (d *Dispatcher) exchange(w *wconn, c sim.RemoteChunk) (time.Duration, error
 	}
 	if err != nil {
 		d.log.Debug("farm: chunk exchange failed",
-			"worker", w.addr,
+			"worker", w.wk.addr,
 			"campaign", c.Campaign, "batch", c.Batch, "chunk", c.Chunk, "err", err)
 	}
 	return dur, err
@@ -463,12 +482,12 @@ func (d *Dispatcher) exchange1(w *wconn, c sim.RemoteChunk) error {
 	}
 	f := &w.rf
 	if f.Err != "" {
-		return fmt.Errorf("farm: worker %s: %s", w.addr, f.Err)
+		return fmt.Errorf("farm: worker %s: %s", w.wk.addr, f.Err)
 	}
 	n := uint64(c.Hi - c.Lo)
 	if len(f.Hits) != c.Events || f.Sims != n {
 		return fmt.Errorf("farm: worker %s: malformed result (%d events/%d sims, want %d/%d)",
-			w.addr, len(f.Hits), f.Sims, c.Events, n)
+			w.wk.addr, len(f.Hits), f.Sims, c.Events, n)
 	}
 	return nil
 }
@@ -511,7 +530,7 @@ func (d *Dispatcher) acquire() *wconn {
 			if w.dead.Load() {
 				continue
 			}
-			if !d.health.allowed(w.addr) {
+			if !d.allowed(w.wk) {
 				d.kill(w)
 				continue
 			}
@@ -542,142 +561,115 @@ func (d *Dispatcher) put(w *wconn) {
 	}
 }
 
-// kill evicts a connection: the keeper observes broken and redials.
+// kill evicts a connection and pokes its worker's keeper to redial.
 func (d *Dispatcher) kill(w *wconn) {
 	if w.dead.Swap(true) {
 		return
 	}
+	wk := w.wk
 	d.mEvicts.Inc()
 	d.live.Add(-1)
-	w.gauge.Add(-1)
-	d.health.detach(w.addr, w)
-	d.log.Debug("farm: connection evicted", "worker", w.addr)
+	wk.gauge.Add(-1)
+	d.mu.Lock()
+	delete(wk.conns, w)
+	d.mu.Unlock()
+	d.log.Debug("farm: connection evicted", "worker", wk.addr)
 	w.conn.Close()
-	close(w.broken)
+	wk.poke()
 }
 
-// keeper maintains one connection slot for one worker address: dial,
-// handshake, hand the connection to the pool, wait for it to break,
-// redial with exponential backoff. Slot 0 discovers the worker's
-// capacity from its welcome frame and spawns the remaining slots
-// (capacity-driven fan-out, capped by MaxConnsPerWorker). While the
-// worker is quarantined the keeper parks at the health gate instead of
-// dialing; after the cooldown exactly one keeper is admitted as the
-// half-open probe.
-func (d *Dispatcher) keeper(addrIdx int, addr string, slot int, fanOut *sync.Once) {
+// keeper is the worker's one dialer. It asks the record (next) and
+// dials one connection into the pool while the record wants one, and
+// otherwise parks until poked, until a quarantine's cooldown passes, or
+// until Close. Its first dial after a cooldown is therefore the
+// half-open probe, and it exits when the worker is quarantined for
+// good. A failed dial backs off per worker (backoffBase doubling to
+// backoffMax), and a handshake resets the backoff.
+func (d *Dispatcher) keeper(wk *worker) {
 	defer d.wg.Done()
-	fails := 0
 	for {
 		select {
 		case <-d.closed:
 			return
 		default:
 		}
-		if !d.gateDial(addr) {
-			return // dispatcher closed while quarantined
+		dial, wait, exit := d.next(wk)
+		if exit {
+			return
+		}
+		if !dial {
+			var cooled <-chan time.Time
+			if wait > 0 {
+				cooled = time.After(wait)
+			}
+			select {
+			case <-wk.wake:
+			case <-cooled:
+			case <-d.closed:
+			}
+			continue
 		}
 		d.mDials.Inc()
-		w, capacity, err := d.dial(addrIdx, addr)
+		w, err := d.dial(wk)
 		if err != nil {
 			d.mDialFails.Inc()
-			d.health.dialFailed(addr)
-			fails++
-			d.log.Debug("farm: dial failed", "worker", addr, "slot", slot, "fails", fails, "err", err)
+			d.mu.Lock()
+			wk.dialFails++
+			fails := wk.dialFails
+			d.mu.Unlock()
+			d.log.Debug("farm: dial failed", "worker", wk.addr, "fails", fails, "err", err)
 			d.sleep(d.backoff(fails - 1))
 			continue
 		}
-		fails = 0
-		d.health.attach(addr, w)
 		d.readyOne.Do(func() { close(d.ready) })
-		if slot == 0 {
-			fanOut.Do(func() {
-				for s := 1; s < min(capacity, d.opts.MaxConnsPerWorker); s++ {
-					d.wg.Add(1)
-					go d.keeper(addrIdx, addr, s, fanOut)
-				}
-			})
-		}
-		select {
-		case d.idle <- w:
-		case <-d.closed:
-			d.kill(w)
-			return
-		}
-		select {
-		case <-w.broken:
-			// Evicted (I/O error, failed ping): loop and redial.
-		case <-d.closed:
-			d.kill(w)
-			return
-		}
+		d.put(w)
 	}
 }
 
-// gateDial parks until the worker's health gate admits a dial, or the
-// dispatcher closes (false).
-func (d *Dispatcher) gateDial(addr string) bool {
-	for {
-		ok, wait := d.health.gate(addr)
-		if ok {
-			return true
-		}
-		select {
-		case <-time.After(wait):
-		case <-d.closed:
-			return false
-		}
-	}
-}
-
-// dial opens and handshakes one connection. The hello/welcome exchange
-// is JSON: the hello offers ProtocolVersion in Max and only a welcome
-// confirming exactly that version is accepted. A refusal (error frame,
-// wrong welcome, any other version) maps onto ErrVersionMismatch.
-func (d *Dispatcher) dial(addrIdx int, addr string) (*wconn, int, error) {
-	conn, err := d.opts.Dial(addr)
+// dial opens, handshakes and registers one connection to the worker.
+// The hello/welcome exchange is JSON: the hello offers ProtocolVersion
+// in Max and only a welcome confirming exactly that version is
+// accepted. A refusal (error frame, wrong welcome, any other version)
+// maps onto ErrVersionMismatch.
+func (d *Dispatcher) dial(wk *worker) (*wconn, error) {
+	conn, err := d.opts.Dial(wk.addr)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	conn.SetDeadline(time.Now().Add(d.opts.timing.chunk))
 	hello := &Frame{Type: TypeHello, Version: handshakeVersion, Max: ProtocolVersion,
 		Build: buildinfo.Read().Short()}
 	if err := WriteFrame(conn, hello); err != nil {
 		conn.Close()
-		return nil, 0, err
+		return nil, err
 	}
 	var f Frame
 	if err := ReadFrame(conn, &f); err != nil {
 		conn.Close()
-		return nil, 0, err
+		return nil, err
 	}
 	conn.SetDeadline(time.Time{})
 	if f.Type == TypeError {
 		conn.Close()
-		return nil, 0, fmt.Errorf("%w: worker %s: %s", ErrVersionMismatch, addr, f.Err)
+		return nil, fmt.Errorf("%w: worker %s: %s", ErrVersionMismatch, wk.addr, f.Err)
 	}
 	if f.Type != TypeWelcome || f.Version != handshakeVersion || f.Max != ProtocolVersion {
 		conn.Close()
-		return nil, 0, fmt.Errorf("%w: worker %s answered %q handshake v%d protocol v%d, want protocol v%d",
-			ErrVersionMismatch, addr, f.Type, f.Version, f.Max, ProtocolVersion)
+		return nil, fmt.Errorf("%w: worker %s answered %q handshake v%d protocol v%d, want protocol v%d",
+			ErrVersionMismatch, wk.addr, f.Type, f.Version, f.Max, ProtocolVersion)
 	}
-	capacity := max(f.Capacity, 1)
-	// The labeled per-connection gauge: one series per worker address.
-	// Addresses come from configuration, so the label cardinality is
-	// bounded.
-	gauge := d.metrics.GaugeWith("farm.conns", obs.Labels("peer", addr))
-	gauge.Add(1)
+	w := &wconn{wk: wk, conn: conn}
+	d.mu.Lock()
+	wk.conns[w] = struct{}{}
+	wk.capacity = max(f.Capacity, 1)
+	wk.dialFails = 0
+	d.mu.Unlock()
+	wk.gauge.Add(1)
 	d.live.Add(1)
 	d.log.Info("farm: connection established",
-		"worker", addr, "remote", conn.RemoteAddr().String(),
+		"worker", wk.addr, "remote", conn.RemoteAddr().String(),
 		"capacity", f.Capacity, "build", f.Build)
-	w := &wconn{
-		conn:    conn,
-		addr:    addr,
-		addrIdx: addrIdx,
-		broken:  make(chan struct{}),
-		gauge:   gauge,
-	}
-	return w, capacity, nil
+	return w, nil
 }
 
 // heartbeater periodically pings pooled (idle) connections and evicts
@@ -725,18 +717,23 @@ func (d *Dispatcher) ping(w *wconn) error {
 // and fall back locally). Close is idempotent.
 func (d *Dispatcher) Close() {
 	d.stop.Do(func() { close(d.closed) })
-	for {
-		select {
-		case w := <-d.idle:
-			d.kill(w)
-		default:
-			d.wg.Wait()
-			d.auditMu.Lock()
-			d.local.close()
-			d.auditMu.Unlock()
-			return
+	// A keeper registers a connection before put checks closed, so a
+	// connection this sweep misses is killed by put.
+	var conns []*wconn
+	d.mu.Lock()
+	for _, wk := range d.workers {
+		for w := range wk.conns {
+			conns = append(conns, w)
 		}
 	}
+	d.mu.Unlock()
+	for _, w := range conns {
+		d.kill(w)
+	}
+	d.wg.Wait()
+	d.auditMu.Lock()
+	d.local.close()
+	d.auditMu.Unlock()
 }
 
 // sleep waits for dur unless the dispatcher closes first.

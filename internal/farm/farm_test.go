@@ -26,6 +26,7 @@ var testTiming = timing{
 	backoffBase: 2 * time.Millisecond,
 	backoffMax:  20 * time.Millisecond,
 	jitter:      0.25,
+	cooldown:    5 * time.Second,
 }
 
 func testOptions(dial func(string) (net.Conn, error), rec *obs.Recorder) Options {
@@ -172,8 +173,13 @@ func TestFarmBitIdenticalAcrossTopologies(t *testing.T) {
 // the dispatcher's accounting reflects it — so the topology tests above
 // are not vacuously comparing local-only runs.
 func TestFarmRemoteActuallyRuns(t *testing.T) {
-	rec := obs.NewRecorder()
-	d, _ := farmFixture(t, []Faults{{}}, rec)
+	rec, srec := obs.NewRecorder(), obs.NewRecorder()
+	srv := NewServer(ServerOptions{Capacity: 2, DrainTimeout: 2 * time.Second, Rec: srec})
+	defer srv.Shutdown()
+	lb := NewLoopback()
+	lb.Add("a", srv, Faults{})
+	d := New([]string{"a"}, testOptions(lb.Dial, rec))
+	defer d.Close()
 	if err := d.WaitReady(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +209,9 @@ func TestFarmRemoteActuallyRuns(t *testing.T) {
 	}
 	if snap.Histograms["farm.rpc_ns"].Count != 1 {
 		t.Fatalf("rpc_ns count = %d, want 1", snap.Histograms["farm.rpc_ns"].Count)
+	}
+	if n := srec.Metrics.Snapshot().Histograms["farm.server.chunk_size"].Count; n != 1 {
+		t.Fatalf("the worker's farm.server.chunk_size count = %d, want the 1 chunk served", n)
 	}
 	// One RPC span on the worker's trace lane.
 	spans := 0
@@ -316,7 +325,8 @@ func TestFarmUnknownUnit(t *testing.T) {
 // false crc_004 hit in every instance, the second as an
 // index-out-of-range panic that took the worker process down.
 func TestServerBadTemplateIsAnInBandError(t *testing.T) {
-	srv := NewServer(ServerOptions{Capacity: 1, DrainTimeout: time.Second})
+	rec := obs.NewRecorder()
+	srv := NewServer(ServerOptions{Capacity: 1, DrainTimeout: time.Second, Rec: rec})
 	defer srv.Shutdown()
 	lb := NewLoopback()
 	lb.Add("w", srv, Faults{})
@@ -355,6 +365,9 @@ func TestServerBadTemplateIsAnInBandError(t *testing.T) {
 		} else if !strings.Contains(res.Err, tc.wantErr) || res.Sims != 0 {
 			t.Fatalf("chunk %d: Err = %q (sims %d), want an error mentioning %q", id, res.Err, res.Sims, tc.wantErr)
 		}
+	}
+	if n := rec.Counter("farm.server.chunk_errors").Value(); n != 3 {
+		t.Fatalf("farm.server.chunk_errors = %d, want the 3 bad templates", n)
 	}
 }
 

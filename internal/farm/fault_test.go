@@ -154,7 +154,7 @@ func TestFaultMatrix(t *testing.T) {
 			opts := testOptions(lb.Dial, rec)
 			opts.timing.chunk = deadline
 			opts.AuditFraction = 1
-			opts.breaker.cooldown = 40 * time.Millisecond
+			opts.timing.cooldown = 40 * time.Millisecond
 			d := New(addrs, opts)
 			t.Cleanup(d.Close)
 			t.Cleanup(func() {
@@ -180,10 +180,12 @@ func TestFaultMatrix(t *testing.T) {
 
 // TestByzantineFleetAcceptance is the robustness acceptance criterion:
 // a three-worker fleet where one worker silently corrupts results
-// (byzantine), one straggles at 10× fleet latency, and one flaps its
-// connections every few hundred milliseconds must complete a campaign
-// workload bit-identically to a clean local run — with the byzantine
-// worker permanently quarantined (farm.workers_quarantined >= 1).
+// (byzantine), one answers every frame 150 ms late on its one
+// connection (a straggler: no breaker cut judges latency, pull
+// scheduling hands it fewer chunks), and one flaps its connections
+// every 150 ms must complete a campaign workload bit-identically to a
+// clean local run — with the byzantine worker permanently quarantined
+// (farm.workers_quarantined >= 1).
 func TestByzantineFleetAcceptance(t *testing.T) {
 	const drivers = 4
 	base := runtime.NumGoroutine()
@@ -220,7 +222,7 @@ func TestByzantineFleetAcceptance(t *testing.T) {
 	// would never serve a chunk. Liveness discovery is not under test
 	// here, so disable it.
 	opts.timing.heartbeat = 0
-	opts.breaker.cooldown = 100 * time.Millisecond
+	opts.timing.cooldown = 100 * time.Millisecond
 	d := New(addrs, opts)
 	defer d.Close()
 	defer func() {
@@ -237,8 +239,12 @@ func TestByzantineFleetAcceptance(t *testing.T) {
 
 	// The byzantine worker must have been caught by the audit and
 	// quarantined permanently.
-	if n := rec.Counter("farm.audit_mismatches").Value(); n == 0 {
+	mismatches := rec.Counter("farm.audit_mismatches").Value()
+	if mismatches == 0 {
 		t.Fatal("no audit mismatches recorded: the byzantine worker was never caught")
+	}
+	if audits := rec.Counter("farm.audits").Value(); audits < mismatches {
+		t.Fatalf("farm.audits = %d below farm.audit_mismatches = %d", audits, mismatches)
 	}
 	if g := rec.Gauge("farm.workers_quarantined").Value(); g < 1 {
 		t.Fatalf("farm.workers_quarantined = %d, want >= 1", g)

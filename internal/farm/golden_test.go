@@ -93,9 +93,9 @@ func recordSession(t *testing.T) []string {
 		tap = &tapConn{Conn: client}
 		return tap, nil
 	}
-	d := New(nil, Options{Dial: dial})
+	d := newDispatcher([]string{"golden"}, Options{Dial: dial})
 	defer d.Close()
-	w, _, err := d.dial(0, "golden")
+	w, err := d.dial(d.workers[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"net"
 	"os"
 	"testing"
 	"time"
@@ -14,14 +15,39 @@ import (
 // TestServerReadyDrain locks the worker's readiness semantics: ready
 // while accepting sessions, not ready (errDraining) from the moment
 // Shutdown begins — the signal farmd's /readyz serves to orchestrators.
+// The connection and session gauges count an open session and return
+// to 0 once the drain has severed it.
 func TestServerReadyDrain(t *testing.T) {
-	s := NewServer(ServerOptions{Capacity: 1})
+	rec := obs.NewRecorder()
+	s := NewServer(ServerOptions{Capacity: 1, Rec: rec})
 	if err := s.Ready(); err != nil {
 		t.Fatalf("fresh server not ready: %v", err)
+	}
+	client, server := net.Pipe()
+	defer client.Close()
+	served := make(chan struct{})
+	go func() {
+		s.ServeConn(server)
+		close(served)
+	}()
+	client.SetDeadline(time.Now().Add(10 * time.Second))
+	handshake(t, client)
+	// The server counts the session once its welcome write returns,
+	// which may be just after the client has read it.
+	conns, sessions := rec.Gauge("farm.server.conns"), rec.Gauge("farm.server.sessions")
+	for giveUp := time.Now().Add(5 * time.Second); sessions.Value() == 0 && time.Now().Before(giveUp); {
+		time.Sleep(time.Millisecond)
+	}
+	if conns.Value() != 1 || sessions.Value() != 1 {
+		t.Fatalf("open session: farm.server.conns = %d, sessions = %d, want 1 and 1", conns.Value(), sessions.Value())
 	}
 	s.Shutdown()
 	if err := s.Ready(); err == nil {
 		t.Fatal("server still ready after Shutdown")
+	}
+	<-served
+	if conns.Value() != 0 || sessions.Value() != 0 {
+		t.Fatalf("after the drain: farm.server.conns = %d, sessions = %d, want 0 and 0", conns.Value(), sessions.Value())
 	}
 }
 

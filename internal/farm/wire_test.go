@@ -478,15 +478,15 @@ func TestDialNegotiation(t *testing.T) {
 			}()
 			return client, nil
 		}
-		d := New(nil, Options{Dial: fakeDial})
+		d := newDispatcher([]string{"current"}, Options{Dial: fakeDial})
 		defer d.Close()
-		w, capacity, err := d.dial(0, "current")
+		w, err := d.dial(d.workers[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer w.conn.Close()
-		if capacity != 3 {
-			t.Fatalf("capacity = %d, want 3", capacity)
+		if w.wk.capacity != 3 {
+			t.Fatalf("capacity = %d, want 3", w.wk.capacity)
 		}
 		if err := d.ping(w); err != nil {
 			t.Fatalf("session ping: %v", err)
@@ -523,9 +523,9 @@ func TestDialVersionMismatch(t *testing.T) {
 				}()
 				return client, nil
 			}
-			d := New(nil, Options{Dial: fakeDial})
+			d := newDispatcher([]string{"fake"}, Options{Dial: fakeDial})
 			defer d.Close()
-			if _, _, err := d.dial(0, "fake"); !errors.Is(err, ErrVersionMismatch) {
+			if _, err := d.dial(d.workers[0]); !errors.Is(err, ErrVersionMismatch) {
 				t.Fatalf("err = %v, want ErrVersionMismatch", err)
 			}
 		})

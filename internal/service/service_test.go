@@ -72,17 +72,19 @@ func waitDone(t *testing.T, svc *Service, id string) *State {
 // TestSubmitRunGet runs one campaign with no farm, beside a healthy
 // loopback fleet, and beside a fleet no dial reaches. A farm is
 // throughput only: every row ends done with the farm-less row's
-// report.json bytes.
+// report.json bytes. The scheduler's farm section tells the two fleets
+// apart: a worker no dial reaches reads "down".
 func TestSubmitRunGet(t *testing.T) {
 	var want []byte
 	for _, tc := range []struct {
 		name   string
-		farm   bool // run chunks through a dispatcher
-		worker bool // a worker behind its address; without one every dial fails
+		farm   bool   // run chunks through a dispatcher
+		worker bool   // a worker behind its address; without one every dial fails
+		state  string // the worker's state in Scheduler().Farm
 	}{
 		{name: "local"},
-		{name: "fleet", farm: true, worker: true},
-		{name: "unreachable", farm: true},
+		{name: "fleet", farm: true, worker: true, state: "healthy"},
+		{name: "unreachable", farm: true, state: "down"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{}
@@ -144,6 +146,16 @@ func TestSubmitRunGet(t *testing.T) {
 			// have run chunks.
 			if n := rec.Metrics.Snapshot().Counters["farm.chunks"]; tc.worker && n == 0 {
 				t.Fatal("farm.chunks = 0 beside a healthy fleet: no chunk ran remotely")
+			}
+			if tc.farm && !tc.worker {
+				for giveUp := time.Now().Add(10 * time.Second); rec.Counter("farm.dial_failures").Value() == 0; time.Sleep(time.Millisecond) {
+					if time.Now().After(giveUp) {
+						t.Fatal("farm.dial_failures = 0: no dial was made")
+					}
+				}
+			}
+			if fleet := svc.Scheduler().Farm; tc.farm && (len(fleet) != 1 || fleet[0].State != tc.state) {
+				t.Fatalf("Scheduler().Farm = %+v, want worker w %s", fleet, tc.state)
 			}
 		})
 	}
