@@ -164,9 +164,11 @@ const (
 
 // A granted bypass request completes at most maxLatency cycles after its
 // issue. The completion calendar counts the requests that fall due on
-// cycle c in slot c&(calendarSlots-1); no two cycles an outstanding request
-// can fall due on share a slot, because each lies within maxLatency
-// cycles after the last issue cycle.
+// cycle c in slot c&(calendarSlots-1). Completions are retired only at a
+// grant decision, and a request is granted only at one, after it retires:
+// every outstanding request falls due within maxLatency cycles after the
+// last decision's cycle, so no two cycles an outstanding request can fall
+// due on share a slot.
 const (
 	maxLatency    = bypassLatency + latencyJitter
 	calendarSlots = 64
@@ -230,37 +232,23 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 	var history [historySize]int // recently touched lines, the first histLen valid
 	histLen := 0
 	var due [calendarSlots]uint8 // bypass completions per cycle, mod calendarSlots
-	retired := 0                 // the cycle up to which completions are retired
+	retired := 0                 // the last grant decision's cycle
 	inFlight := 0
 	maxInFlight := 0
 	waitLeft := 0
 	lastSet, lastSetCycle := -1, -1<<30
 
 	for cycle := 0; cycle < simCycles; cycle++ {
-		// Wait cycles make no draw, and retiring only lowers inFlight,
-		// which only the issue step reads: jump to the cycle the wait
-		// ends on. A negative wait (a template's negative range) is no
-		// wait.
+		// Wait cycles make no draw, and completions are retired only at
+		// the bypass grant decision, the one reader of inFlight: jump to
+		// the cycle the wait ends on. A negative wait (a template's
+		// negative range) is no wait.
 		if waitLeft > 0 {
 			if cycle += waitLeft; cycle >= simCycles {
 				break
 			}
 			waitLeft = 0
 		}
-
-		// Retire the requests due in (retired, cycle]. Every outstanding
-		// request falls due within maxLatency cycles after the last issue
-		// cycle, which is retired, so a jump that long retires them all.
-		if cycle-retired >= maxLatency {
-			inFlight = 0
-			due = [calendarSlots]uint8{}
-		} else {
-			for c := retired + 1; c <= cycle; c++ {
-				inFlight -= int(due[c&(calendarSlots-1)])
-				due[c&(calendarSlots-1)] = 0
-			}
-		}
-		retired = cycle
 
 		// Issue one request.
 		req := reqType.Code(r)
@@ -345,6 +333,21 @@ func (u *L3Cache) Simulate(g *generator.Generator) coverage.Vector {
 			// Bypass path: read-class misses with the hint on may go
 			// straight to memory, occupying a bypass queue slot.
 			if (req == u.reqRead || isRwitm) && bypassHint.Code(r) == u.hintOn {
+				// Retire the requests due in (retired, cycle]. Every
+				// outstanding request was granted at a decision, which
+				// retired first, so it falls due within maxLatency cycles
+				// after retired: a gap that long retires them all.
+				if cycle-retired >= maxLatency {
+					inFlight = 0
+					due = [calendarSlots]uint8{}
+				} else {
+					for c := retired + 1; c <= cycle; c++ {
+						inFlight -= int(due[c&(calendarSlots-1)])
+						due[c&(calendarSlots-1)] = 0
+					}
+				}
+				retired = cycle
+
 				switch {
 				case inFlight >= bypassQueueCap:
 					v.Set(u.evQueueFull)

@@ -294,6 +294,13 @@ var edgeShapes = []shape{
 	{name: "locality_never", read: 50, write: 30, rwitm: 20, on: 100},
 	// Writes only, all fresh lines: every set fills and evicts dirty ways.
 	{name: "write_storm_full", write: 100, off: 100},
+	// Grant decisions only at the rare read miss, a request each cycle:
+	// decisions fall tens of cycles apart, and the completions due between
+	// two of them are retired together at the later one.
+	{name: "decide_between_writes", read: 3, write: 97, on: 100},
+	// The hint on 3 % of the time, an issue every 2 to 4 cycles: most
+	// gaps between decisions outlast the longest latency.
+	{name: "hint_rare", read: 100, on: 3, off: 97, waitLo: 1, waitHi: 3},
 }
 
 // FuzzSimulateMatchesReference: over any request mix, hint mix, ranges
@@ -314,10 +321,12 @@ func FuzzSimulateMatchesReference(f *testing.F) {
 	})
 }
 
-// BenchmarkSimulate times one instance at two shapes campaigns run: a
-// point of the l3_bypass_probe skeleton with the bypass hint always on,
-// and queue_full, the back-to-back read-class misses with the hint on
-// that Fig. 4's optimizer drives its templates toward.
+// BenchmarkSimulate times one instance at three shapes campaigns run:
+// l3_regress_default, the base template the corpus simulates (the hint
+// on 10 % of the time); a point of the l3_bypass_probe skeleton with the
+// bypass hint always on; and queue_full, the back-to-back read-class
+// misses with the hint on that Fig. 4's optimizer drives its templates
+// toward.
 func BenchmarkSimulate(b *testing.B) {
 	u := New()
 	skel, err := skeleton.Skeletonize(findBase(b, u, "l3_bypass_probe"), skeleton.Options{})
@@ -343,7 +352,7 @@ func BenchmarkSimulate(b *testing.B) {
 			queueFull = s.template()
 		}
 	}
-	duvtest.BenchmarkSimulate(b, u, tmpl, queueFull)
+	duvtest.BenchmarkSimulate(b, u, findBase(b, u, "l3_regress_default"), tmpl, queueFull)
 }
 
 // cacheLine is one way of a set in simulateReference.
