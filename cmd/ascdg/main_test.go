@@ -103,6 +103,13 @@ func TestErrors(t *testing.T) {
 		!strings.Contains(errb.String(), `ascdg: unknown engine "bogus"`) {
 		t.Errorf("-engine bogus: exit %d, stderr %q; want exit 2 listing the engines", code, errb.String())
 	}
+	// A deleted engine's name is refused like any unknown one.
+	out.Reset()
+	errb.Reset()
+	if code := run(smallArgs("-unit", "iounit", "-family", "crc_fifo", "-engine", "nelder_mead"), &out, &errb); code != 2 || out.Len() != 0 ||
+		!strings.Contains(errb.String(), `ascdg: unknown engine "nelder_mead" (registered: bayes, implicit_filtering, ranker)`) {
+		t.Errorf("-engine nelder_mead: exit %d, stdout %q, stderr %q; want exit 2, no output, the unknown-engine error", code, out.String(), errb.String())
+	}
 	errb.Reset()
 	if code := run(smallArgs("-unit", "iounit", "-family", "crc_fifo", "-engine-params", "{}"), &out, &errb); code != 2 ||
 		!strings.Contains(errb.String(), "flag provided but not defined: -engine-params") {

@@ -68,6 +68,7 @@ func TestRefusesInputsItWouldRewrite(t *testing.T) {
 		{"-rounds", "0", "-rounds 0"},
 		{"-rounds", "-1", "-rounds -1"},
 		{"-engine", "annealing", `repro: unknown engine "annealing"`},
+		{"-engine", "nelder_mead", `repro: unknown engine "nelder_mead" (registered: bayes, implicit_filtering, ranker)`},
 		{"-workers", "1099511627776", "repro: -workers 1099511627776: want at most 1024"},
 	} {
 		args := []string{"-fig", "3", "-scale", "0.002", "-rounds", "1", "-metrics", tc.flag, tc.value}

@@ -80,7 +80,7 @@ func TestResumeRejectsMismatchedFlow(t *testing.T) {
 		{"seed", nil, 0, func(c *Config) { c.Seed = 22 }, true},
 		{"config", nil, 0, func(c *Config) { c.OptSims = 26 }, true},
 		{"seed_after_kill", nil, 3, func(c *Config) { c.Seed = 99 }, true},
-		{"engine", func(c *Config) { c.Engine = "ranker" }, 0, func(c *Config) { c.Engine = "nelder_mead" }, true},
+		{"engine", func(c *Config) { c.Engine = "ranker" }, 0, func(c *Config) { c.Engine = "bayes" }, true},
 		{"workers", nil, 0, func(c *Config) { c.Workers = 7 }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,7 @@
 // The pluggable optimizer boundary. The paper frames CDG as black-box
 // noisy maximization, and different engines trade off sample efficiency
-// against robustness to noise: the stencil methods (implicit filtering,
-// the default), Nelder-Mead, a Bayesian-optimization engine (Gaussian
+// against robustness to noise: implicit filtering (the paper's stencil
+// method and the default), a Bayesian-optimization engine (Gaussian
 // process surrogate + expected improvement, after NOVA), and a
 // supervised test-selection ranker warm-started from the cross-campaign
 // knowledge base (after Masamba & Eder). All of them speak Engine:
@@ -67,8 +67,8 @@ type Engine interface {
 // EngineConfig is the solver-agnostic part of an engine's setup: the
 // search box, the starting point, the budget, and the seeded RNG.
 // Solver-specific knobs (stencil directions, GP length scales, ...)
-// live in each engine's params type — see IFSpec, NelderMeadSpec,
-// BayesSpec, RankerSpec.
+// live in each engine's params type — see IFSpec, BayesSpec,
+// RankerSpec.
 type EngineConfig struct {
 	// X0 is the starting point; its length sets the dimension.
 	X0 []float64
@@ -76,8 +76,8 @@ type EngineConfig struct {
 	// the skeleton weight box).
 	Lo, Hi float64
 	// MaxEvals bounds objective calls (0 = unlimited). No engine ever
-	// exceeds it: a batch is sized or cut to the calls left, and the run
-	// ends when none are.
+	// exceeds it: a batch is sized to the calls left, and the run ends
+	// when none are.
 	MaxEvals int
 	// RNG drives all engine randomness. nil seeds a fresh generator
 	// with 0.
@@ -125,7 +125,6 @@ type engineParams interface {
 // Validate decodes user params into one strictly, New leniently.
 var engines = map[string]func() engineParams{
 	DefaultEngine: func() engineParams { return new(IFSpec) },
-	"nelder_mead": func() engineParams { return new(NelderMeadSpec) },
 	"bayes":       func() engineParams { return new(BayesSpec) },
 	"ranker":      func() engineParams { return new(RankerSpec) },
 }

@@ -25,7 +25,6 @@ var conformanceCases = []struct {
 	params string
 }{
 	{"implicit_filtering", `{"iterations": 8, "directions": 4}`},
-	{"nelder_mead", `{"iterations": 10}`},
 	{"bayes", `{"iterations": 6, "candidates": 48, "init_rounds": 1, "max_observations": 24}`},
 	{"ranker", `{"iterations": 6, "candidates": 32}`},
 }
@@ -192,8 +191,9 @@ func TestEngineConformanceBatchSequentialEquivalence(t *testing.T) {
 
 // TestEngineConformanceBudget: no engine spends more objective calls
 // than EngineConfig.MaxEvals, and Result reports exactly the calls it
-// made — a noisy objective, and budgets that cut an engine's batches at
-// every offset (below, at and just above a Nelder-Mead simplex of 13).
+// made — a noisy objective, and budgets that end both inside a batch and
+// on a batch boundary (an implicit-filtering iteration is 11 points after
+// the start's 1, a bayes or ranker batch 4).
 func TestEngineConformanceBudget(t *testing.T) {
 	x0 := make([]float64, 12)
 	for i := range x0 {
@@ -221,6 +221,57 @@ func TestEngineConformanceBudget(t *testing.T) {
 						t.Errorf("budget %d, seed %d: Result().Evals = %d, made %d", budget, seed, res.Evals, evals)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestEngineConformanceEmptyStart: a starting point is the dimension,
+// so no engine is built without one.
+func TestEngineConformanceEmptyStart(t *testing.T) {
+	for _, name := range EngineNames() {
+		t.Run(name, func(t *testing.T) {
+			if _, err := New(name, EngineConfig{}, nil); err == nil || !strings.Contains(err.Error(), "empty starting point") {
+				t.Fatalf("New(%s) with no X0: err = %v, want the empty-start error", name, err)
+			}
+		})
+	}
+}
+
+// TestEngineConformanceRespectsBox: under an objective that rewards
+// leaving the box, every proposed point and the result stay in
+// [Lo, Hi], and the run still climbs toward the box's corner.
+func TestEngineConformanceRespectsBox(t *testing.T) {
+	const lo, hi = 10, 60
+	inBox := func(x []float64) bool {
+		for _, v := range x {
+			if v < lo || v > hi {
+				return false
+			}
+		}
+		return true
+	}
+	for _, name := range EngineNames() {
+		t.Run(name, func(t *testing.T) {
+			e, err := New(name, EngineConfig{X0: []float64{35, 35}, Lo: lo, Hi: hi, RNG: rng.New(3)},
+				json.RawMessage(`{"iterations": 20}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Drive(e, DriveOptions{Objective: func(x []float64) float64 {
+				if !inBox(x) {
+					t.Fatalf("proposed %v outside [%v, %v]", x, lo, hi)
+				}
+				return x[0] + x[1]
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !inBox(res.X) {
+				t.Fatalf("Result().X = %v outside [%v, %v]", res.X, lo, hi)
+			}
+			if res.Value < 0.9*2*hi {
+				t.Fatalf("Result().Value = %v: never neared the corner (%v)", res.Value, 2*hi)
 			}
 		})
 	}
@@ -344,8 +395,13 @@ func TestEngineRegistryValidate(t *testing.T) {
 	if err := Validate("implicit_filtering", json.RawMessage(`{"dirctions": 4}`)); err == nil {
 		t.Fatal("typoed param key accepted")
 	}
-	if err := Validate("nelder_mead", json.RawMessage(`{"directions": 4}`)); err == nil {
-		t.Fatal("stencil-only param accepted by nelder_mead")
+	if err := Validate("ranker", json.RawMessage(`{"directions": 4}`)); err == nil {
+		t.Fatal("stencil-only param accepted by ranker")
+	}
+	// A deleted engine's name is refused like any unknown one.
+	want := `unknown engine "nelder_mead" (registered: bayes, implicit_filtering, ranker)`
+	if err := Validate("nelder_mead", nil); err == nil || err.Error() != want {
+		t.Fatalf("Validate(nelder_mead) = %v, want %q", err, want)
 	}
 	// The GP's kernel and noise and the ranker's regularizer are
 	// constants, not knobs.
@@ -361,10 +417,10 @@ func TestEngineRegistryValidate(t *testing.T) {
 	}
 }
 
-// TestEngineNamesStable pins the registry contents: the four engines of
+// TestEngineNamesStable pins the registry contents: the three engines of
 // the A/B study, no strays.
 func TestEngineNamesStable(t *testing.T) {
-	want := []string{"bayes", "implicit_filtering", "nelder_mead", "ranker"}
+	want := []string{"bayes", "implicit_filtering", "ranker"}
 	if got := EngineNames(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("EngineNames() = %v, want %v", got, want)
 	}

@@ -14,10 +14,10 @@ import (
 // policy is what an engine writes: its search step. The frame it embeds
 // does everything else.
 type policy interface {
-	// next returns the engine's next batch, or none when its own stop
-	// criteria say the run is over. A batch whose points draw on the RNG
-	// is sized to remaining() before the draws; a longer one is cut to
-	// the budget and the run ends after it.
+	// next returns the engine's next batch of at most remaining()
+	// points, or none when its own stop criteria say the run is over.
+	// The engine sizes a batch before its points draw on the RNG; the
+	// frame does not cut it.
 	next(n int) [][]float64
 	// learn folds the observed values of next's batch into the engine's
 	// model and, at the end of an iteration, calls endIteration.
@@ -87,11 +87,6 @@ func (f *frame) Propose(_ context.Context, n int) ([][]float64, error) {
 		return nil, nil
 	}
 	pts := f.pol.next(n)
-	// Only a deterministic batch (Nelder-Mead's simplex or shrink) can
-	// be longer; it is cut, and the run ends with it.
-	if rem := f.remaining(); len(pts) > rem {
-		pts = pts[:rem]
-	}
 	if len(pts) == 0 {
 		f.done = true
 		return nil, nil

@@ -6,7 +6,7 @@
 // cannot use gradient or Hessian methods (paper Section IV-E). The
 // primary algorithm is implicit filtering (Algorithm 1 in the paper,
 // refs [5], [6]) with the paper's two noise modifications: N samples per
-// point and per-iteration resampling of the center. Nelder-Mead, a
+// point and per-iteration resampling of the center. A
 // Bayesian-optimization engine and a learned ranker are the
 // alternatives it is compared against.
 //

@@ -32,11 +32,6 @@ func runIF(f Objective, cfg EngineConfig, spec IFSpec) (Result, error) {
 	return Drive(newIFEngine(cfg, spec), DriveOptions{Objective: f})
 }
 
-// runNM drives a fresh Nelder-Mead engine over f to completion.
-func runNM(f Objective, cfg EngineConfig, spec NelderMeadSpec) (Result, error) {
-	return Drive(newNMEngine(cfg, spec), DriveOptions{Objective: f})
-}
-
 func TestImplicitFilteringConvergesNoiseless(t *testing.T) {
 	x0 := []float64{10, 10, 10}
 	res, err := runIF(sphere, EngineConfig{X0: x0, RNG: rng.New(1)},
@@ -89,30 +84,6 @@ func TestImplicitFilteringNeverWorseThanStartNoiseless(t *testing.T) {
 	}
 }
 
-func TestImplicitFilteringRespectsBox(t *testing.T) {
-	// Objective rewards leaving the box; the optimizer must clamp.
-	runaway := func(x []float64) float64 {
-		s := 0.0
-		for _, v := range x {
-			s += v
-		}
-		return s
-	}
-	res, err := runIF(runaway, EngineConfig{X0: []float64{50, 50}, Lo: 0, Hi: 100, RNG: rng.New(3)},
-		IFSpec{Directions: 10, Iterations: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.X {
-		if v < 0 || v > 100 {
-			t.Fatalf("result left the box: %v", res.X)
-		}
-	}
-	if res.Value < 180 {
-		t.Fatalf("should reach near the corner; value = %v", res.Value)
-	}
-}
-
 func TestImplicitFilteringStencilHalvesWhenStuck(t *testing.T) {
 	flat := func(x []float64) float64 { return 0 }
 	res, err := runIF(flat, EngineConfig{X0: []float64{50}, RNG: rng.New(4)},
@@ -144,12 +115,6 @@ func TestImplicitFilteringMaxEvals(t *testing.T) {
 	}
 }
 
-func TestImplicitFilteringEmptyStart(t *testing.T) {
-	if _, err := New(DefaultEngine, EngineConfig{}, nil); err == nil {
-		t.Fatal("empty start should fail")
-	}
-}
-
 func TestImplicitFilteringHistoryMonotoneEvals(t *testing.T) {
 	res, _ := runIF(noisy(sphere, 50, 1), EngineConfig{X0: []float64{20, 20}, RNG: rng.New(7)},
 		IFSpec{Directions: 8, Iterations: 30})
@@ -160,70 +125,6 @@ func TestImplicitFilteringHistoryMonotoneEvals(t *testing.T) {
 		}
 		prev = h.Evals
 	}
-}
-
-func TestNelderMeadConverges(t *testing.T) {
-	res, err := runNM(sphere, EngineConfig{X0: []float64{20, 20}}, NelderMeadSpec{Iterations: 200, InitialStep: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range res.X {
-		if math.Abs(v-70) > 3 {
-			t.Fatalf("x[%d] = %v (value %v)", i, v, res.Value)
-		}
-	}
-}
-
-func TestNelderMeadRespectsBox(t *testing.T) {
-	runaway := func(x []float64) float64 { return x[0] + x[1] }
-	res, err := runNM(runaway, EngineConfig{X0: []float64{90, 90}}, NelderMeadSpec{Iterations: 100, InitialStep: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.X {
-		if v < 0 || v > 100 {
-			t.Fatalf("left the box: %v", res.X)
-		}
-	}
-}
-
-func TestNelderMeadEmptyStart(t *testing.T) {
-	if _, err := New("nelder_mead", EngineConfig{}, nil); err == nil {
-		t.Fatal("empty start should fail")
-	}
-}
-
-func TestImplicitFilteringBeatsNelderMeadUnderHeavyNoise(t *testing.T) {
-	// The design rationale for implicit filtering (paper Section IV-E):
-	// under heavy dynamic noise it keeps making progress where the
-	// simplex method gets dragged around by lucky samples. Compare true
-	// objective values at the returned points under an equal budget.
-	var ifSum, nmSum float64
-	const trials = 5
-	for trial := 0; trial < trials; trial++ {
-		seed := uint64(100 + trial)
-		x0 := []float64{10, 10, 10}
-		budget := 600
-		fi := noisy(sphere, 400, seed)
-		resIF, err := runIF(fi, EngineConfig{X0: x0, MaxEvals: budget, RNG: rng.New(seed)},
-			IFSpec{Directions: 15, Iterations: 1000, MinStep: 1e-9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fn := noisy(sphere, 400, seed+1)
-		resNM, err := runNM(fn, EngineConfig{X0: x0, MaxEvals: budget},
-			NelderMeadSpec{Iterations: 1000, InitialStep: 25})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ifSum += sphere(resIF.X)
-		nmSum += sphere(resNM.X)
-	}
-	if ifSum <= nmSum-1 {
-		t.Fatalf("implicit filtering (%v) should not lose clearly to Nelder-Mead (%v) under heavy noise",
-			ifSum/trials, nmSum/trials)
-	}
-	t.Logf("avg true value: implicit filtering %.1f, nelder-mead %.1f", ifSum/trials, nmSum/trials)
 }
 
 func TestDefaultsApplied(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	_ "repro/internal/duv/l3cache"
@@ -62,13 +63,18 @@ func TestHTTPEngineSpecGoldens(t *testing.T) {
 		t.Fatalf("unknown engine POST status = %d, want 400: %s", resp.StatusCode, body)
 	}
 	checkGolden(t, "submit_bad_engine.json", normalize(body))
+	// A deleted engine's name is refused like any unknown one.
+	resp, body = doJSON(t, client, "POST", ts.URL+"/v1/campaigns", engineSpec("nelder_mead", false))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown engine \"nelder_mead\"`) {
+		t.Fatalf("nelder_mead POST status = %d, want 400 with the unknown-engine error: %s", resp.StatusCode, body)
+	}
 
 	// Engine knobs are not settable: a well-formed engine.params is an
 	// unknown field of the spec → 400, not a run that drops it.
 	withParams := struct {
 		Spec
 		Engine map[string]any `json:"engine"`
-	}{tinySpec(), map[string]any{"name": "nelder_mead", "params": map[string]any{"iterations": 4}}}
+	}{tinySpec(), map[string]any{"name": "ranker", "params": map[string]any{"iterations": 4}}}
 	resp, body = doJSON(t, client, "POST", ts.URL+"/v1/campaigns", withParams)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("engine params POST status = %d, want 400: %s", resp.StatusCode, body)
@@ -84,7 +90,7 @@ func TestHTTPEngineSpecGoldens(t *testing.T) {
 
 	// A campaign under an explicit engine: accepted, and the engine spec
 	// round-trips through the campaign state.
-	spec := engineSpec("nelder_mead", true)
+	spec := engineSpec("ranker", true)
 	spec.Config.OptIterations = 4
 	resp, body = doJSON(t, client, "POST", ts.URL+"/v1/campaigns", spec)
 	if resp.StatusCode != http.StatusAccepted {
