@@ -1,12 +1,7 @@
-// Package repro's root bench suite regenerates every figure of the
-// paper's evaluation (one benchmark per table/figure), runs the ablation
-// benches DESIGN.md calls out, and micro-benchmarks the substrates.
-//
-// Figure benches run at a reduced scale so `go test -bench=.` finishes
-// in minutes; use cmd/repro -scale 1.0 for paper-scale simulation
-// counts. Each figure bench reports custom metrics: sims/op (simulation
-// budget) plus figure-specific coverage outcomes, so regressions in
-// *reproduction quality* — not just speed — show up in bench output.
+// Package repro's root bench suite runs the ablation benches DESIGN.md
+// calls out and micro-benchmarks the substrates. The paper's figures are
+// checked, claim by claim over held-out seeds, by TestClaims in
+// internal/figures; cmd/repro regenerates them.
 package repro
 
 import (
@@ -17,11 +12,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/coverage"
-	"repro/internal/duv/ifu"
 	"repro/internal/duv/iounit"
 	"repro/internal/duv/l3cache"
 	"repro/internal/farm"
-	"repro/internal/figures"
 	"repro/internal/generator"
 	"repro/internal/neighbors"
 	"repro/internal/obs"
@@ -32,9 +25,6 @@ import (
 	"repro/internal/tac"
 	"repro/internal/template"
 )
-
-// benchScale keeps figure benches at ~1/50 of paper corpus scale.
-const benchScale = 0.02
 
 // mustRun / mustSubmit / mustCorpus panic on error: every bench drives
 // an open environment, where these paths cannot fail.
@@ -60,88 +50,6 @@ func mustCorpus(env *sim.Env, sims int) *coverage.Repository {
 		panic(err)
 	}
 	return repo
-}
-
-// BenchmarkFig3IOUnit regenerates the paper's Fig. 3 (I/O unit crc_*
-// family across the four phases). Metrics: crc_032/crc_064 hit rates of
-// the harvested template.
-func BenchmarkFig3IOUnit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.Fig3(figures.Options{Scale: benchScale, Seed: uint64(i + 1), Rounds: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		final := res.Reports[len(res.Reports)-1]
-		m := iounit.New().Model()
-		best := final.Phase("best").Counts
-		b.ReportMetric(float64(res.Sims)/float64(b.N), "sims/op")
-		b.ReportMetric(best.HitRate(m.MustLookup("crc_032")), "crc032_rate")
-		b.ReportMetric(best.HitRate(m.MustLookup("crc_064")), "crc064_rate")
-	}
-}
-
-// BenchmarkFig4L3Cache regenerates the paper's Fig. 4 (L3 byp_reqs
-// family). Metrics: deepest covered level and byp_reqs12 hit rate.
-func BenchmarkFig4L3Cache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.Fig4(figures.Options{Scale: benchScale, Seed: uint64(i + 1), Rounds: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		final := res.Reports[len(res.Reports)-1]
-		m := l3cache.New().Model()
-		best := final.Phase("best").Counts
-		fam, _ := m.Family(l3cache.FamilyName)
-		deepest := 0
-		for i, id := range fam {
-			if best.Hits(id) > 0 {
-				deepest = i + 1
-			}
-		}
-		b.ReportMetric(float64(res.Sims)/float64(b.N), "sims/op")
-		b.ReportMetric(float64(deepest), "deepest_level")
-		b.ReportMetric(best.HitRate(m.MustLookup("byp_reqs12")), "byp12_rate")
-	}
-}
-
-// BenchmarkFig5IFU regenerates the paper's Fig. 5 (IFU cross-product
-// status counts). Metrics: events never hit at the end (paper: exactly
-// 32, the entry7 slice) and events well hit.
-func BenchmarkFig5IFU(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.Fig5(figures.Options{Scale: benchScale, Seed: uint64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report := res.Reports[0]
-		unit := ifu.New()
-		ids, err := unit.Model().IDs(unit.Cross().EventNames())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sc := report.Phase("best").Counts.StatusCounts(ids)
-		b.ReportMetric(float64(res.Sims)/float64(b.N), "sims/op")
-		b.ReportMetric(float64(sc[coverage.StatusNever]), "never_hit")
-		b.ReportMetric(float64(sc[coverage.StatusWell]), "well_hit")
-	}
-}
-
-// BenchmarkFig6Progress regenerates the paper's Fig. 6 (optimization
-// progress on the L3 example). Metrics: final and initial best target
-// values — their ratio is the figure's visible climb.
-func BenchmarkFig6Progress(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.Fig6(figures.Options{Scale: benchScale, Seed: uint64(i + 1), Rounds: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		final := res.Reports[len(res.Reports)-1]
-		if len(final.Progress) == 0 {
-			b.Fatal("no progress history")
-		}
-		b.ReportMetric(final.Progress[0].Best, "first_iter_value")
-		b.ReportMetric(final.Progress[len(final.Progress)-1].Best, "last_iter_value")
-	}
 }
 
 // --- Ablation benches (design choices called out in DESIGN.md §5) ---

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/duv/iounit"
@@ -9,16 +11,13 @@ import (
 	"repro/internal/tac"
 )
 
-// TestEngineSelection runs the full flow under every registered
-// non-default engine and checks the run completes and harvests a valid
-// template. The default engine's reports are pinned byte for byte by the
-// goldens, and every engine's determinism across workers, journaling and
-// replay by TestInvarianceMatrix's engine rows.
+// TestEngineSelection runs the flow under every engine: it harvests a
+// valid template and heads its optimization phase with the tests each
+// iteration after the first ran (only implicit filtering resamples a
+// centre). The goldens pin the default engine's reports byte for byte,
+// and TestInvarianceMatrix's engine rows every engine's determinism.
 func TestEngineSelection(t *testing.T) {
 	for _, name := range opt.EngineNames() {
-		if name == opt.DefaultEngine {
-			continue
-		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			cfg := smallConfig(5)
@@ -38,8 +37,15 @@ func TestEngineSelection(t *testing.T) {
 			if err := report.BestTemplate.Validate(); err != nil {
 				t.Fatalf("best template invalid: %v", err)
 			}
-			if len(report.Progress) == 0 {
-				t.Fatal("no optimization history")
+			if len(report.Progress) < 2 {
+				t.Fatalf("%d optimization iterations, want at least 2", len(report.Progress))
+			}
+			header := report.Phase("optimization").Description
+			for i := 1; i < len(report.Progress); i++ {
+				ran := report.Progress[i].Evals - report.Progress[i-1].Evals
+				if want := fmt.Sprintf(" x %d tests x ", ran); !strings.Contains(header, want) {
+					t.Errorf("optimization header %q, but iteration %d ran %d tests", header, i+1, ran)
+				}
 			}
 		})
 	}

@@ -331,11 +331,20 @@ func (f *Flow) optimize(skel *skeleton.Skeleton, samples []sample, target *neigh
 		if err != nil {
 			return nil, err
 		}
+		// The header counts the tests the last iteration ran: implicit
+		// filtering resamples its centre beside the directions, the other
+		// engines do not, and a first iteration may pay for extra starts.
+		tests := 0
+		if h := res.History; len(h) > 0 {
+			tests = h[len(h)-1].Evals
+			if len(h) > 1 {
+				tests -= h[len(h)-2].Evals
+			}
+		}
 		stats = PhaseStats{
-			Name: "optimization",
-			Description: fmt.Sprintf("%d iterations x %d tests x %d sims",
-				len(res.History), f.cfg.OptDirections+1, f.cfg.OptSims),
-			Counts: counts,
+			Name:        "optimization",
+			Description: fmt.Sprintf("%d iterations x %d tests x %d sims", len(res.History), tests, f.cfg.OptSims),
+			Counts:      counts,
 		}
 		return map[string]any{"best": res.Value, "evals": res.Evals}, nil
 	})

@@ -1,8 +1,8 @@
 // Package figures regenerates every table and figure of the paper's
 // evaluation section (Section V): Fig. 3 (I/O unit crc family), Fig. 4
 // (L3 byp_reqs family), Fig. 5 (IFU cross-product status counts) and
-// Fig. 6 (optimization progress). cmd/repro exposes it as a CLI and the
-// root bench_test.go as testing.B benchmarks.
+// Fig. 6 (optimization progress). cmd/repro exposes it as a CLI, and
+// TestClaims checks the paper's claims on it over held-out seeds.
 //
 // Scaling: the paper's "Before CDG" corpora are 669k-1M simulations.
 // Options.Scale multiplies the corpus and harvest budgets (default 0.1)
@@ -407,8 +407,8 @@ func All(opts Options) ([]*Result, error) {
 	return []*Result{fig3, fig4, fig5, fig6Of(fig4, 0)}, nil // fig6 shares Fig 4's run
 }
 
-// StatusCountsByPhase extracts Fig. 5's raw series (for tests and
-// benches): per phase, the number of events in each status.
+// StatusCountsByPhase extracts Fig. 5's raw series: per phase, the
+// number of events in each status.
 func StatusCountsByPhase(report *core.Report, events []int) map[string]map[coverage.Status]int {
 	out := map[string]map[coverage.Status]int{}
 	for _, p := range report.Phases {
