@@ -181,7 +181,10 @@ func expectedReports(t *testing.T, spec service.Spec) []*service.ReportJSON {
 		OptSims:               spec.Config.OptSims,
 		BestSims:              spec.Config.BestSims,
 	}
-	flow := core.NewFlow(unit, cfg)
+	flow, err := core.New(unit, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer flow.Close()
 	reports, err := flow.Run(context.Background(), core.Target{Family: spec.Family, Decay: spec.Decay, Rounds: spec.Rounds})
 	if err != nil {

@@ -17,7 +17,7 @@
 //     every event name to its ID,
 //  4. implement duv.DUV — Simulate consults the generator, by handle,
 //     for every random decision it makes, and touches no string,
-//  5. hand the unit to core.NewFlow and run.
+//  5. hand the unit to core.New and run.
 package main
 
 import (
@@ -213,7 +213,7 @@ func (u *arbiter) Simulate(g *generator.Generator) coverage.Vector {
 
 func main() {
 	unit := newArbiter()
-	flow := core.NewFlow(unit, core.Config{
+	flow, err := core.New(unit, core.Config{
 		Seed:                  11,
 		CorpusSimsPerTemplate: 1500,
 		SampleTemplates:       40,
@@ -223,6 +223,9 @@ func main() {
 		OptSims:               80,
 		BestSims:              1500,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	reports, err := flow.Run(context.Background(), core.Target{Family: streakFamily, Decay: 0.5, Rounds: 2})
 	if err != nil {
 		log.Fatal(err)

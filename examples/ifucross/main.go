@@ -24,7 +24,7 @@ import (
 
 func main() {
 	unit := ifu.New()
-	flow := core.NewFlow(unit, core.Config{
+	flow, err := core.New(unit, core.Config{
 		Seed:                  3,
 		CorpusSimsPerTemplate: 3000,
 		TopTemplates:          3, // merge parameters from the top-3 templates
@@ -35,6 +35,9 @@ func main() {
 		OptSims:               150,
 		BestSims:              4000,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	reports, err := flow.Run(context.Background(), core.Target{Cross: ifu.CrossName})
 	if err != nil {

@@ -24,7 +24,7 @@ import (
 
 func main() {
 	unit := l3cache.New()
-	flow := core.NewFlow(unit, core.Config{
+	flow, err := core.New(unit, core.Config{
 		Seed:                  7,
 		CorpusSimsPerTemplate: 4000,
 		SampleTemplates:       60,
@@ -34,6 +34,9 @@ func main() {
 		OptSims:               100,
 		BestSims:              3000,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	reports, err := flow.Run(context.Background(), core.Target{Family: l3cache.FamilyName, Decay: 0.4, Rounds: 3})
 	if err != nil {

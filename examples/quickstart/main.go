@@ -21,7 +21,7 @@ import (
 
 func main() {
 	unit := iounit.New()
-	flow := core.NewFlow(unit, core.Config{
+	flow, err := core.New(unit, core.Config{
 		Seed:                  42,
 		CorpusSimsPerTemplate: 2000, // "several weeks" of regression, scaled down
 		SampleTemplates:       50,   // random sample: n templates ...
@@ -31,6 +31,9 @@ func main() {
 		OptSims:               200,
 		BestSims:              2000,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Two refinement rounds: the first pushes the frontier (crc_032),
 	// the second climbs onto the evidence it created (crc_064).

@@ -20,12 +20,11 @@
 //
 // The campaign's target is data (Target: a family, a cross product or
 // an event list), and Run is the one entry point that takes it: one
-// loop runs step 1 for the target's mode, then the pipeline composition
-// — steps 2-6 — once per round. A round hands the next only values: the
-// repository's recorded harvests and the earlier rounds' reports, whose
-// harvested bodies join the coarse-grained search. The other
-// composition, perEventShared, runs steps 2-4 once and steps 5-6 per
-// uncovered event (RunPerEventShared). A flow runs one campaign.
+// loop runs step 1 for the target's mode, then the one composition,
+// pipeline — steps 2-6 — once per round. A round hands the next only
+// values: the repository's recorded harvests and the earlier rounds'
+// reports, whose harvested bodies join the coarse-grained search. A
+// flow runs one campaign.
 //
 // Every phase's aggregate coverage is retained so the paper's result
 // tables (Figs. 3-5) and the optimization progress curve (Fig. 6) can be
@@ -340,17 +339,6 @@ func New(unit duv.DUV, cfg Config) (*Flow, error) {
 	return f, nil
 }
 
-// NewFlow is New for configs without a journal. It panics where New
-// fails — a negative budget, or a journal that cannot be opened; prefer
-// New when cfg.Journal is set.
-func NewFlow(unit duv.DUV, cfg Config) *Flow {
-	f, err := New(unit, cfg)
-	if err != nil {
-		panic(fmt.Sprintf("core.NewFlow: %v (use core.New for journaled flows)", err))
-	}
-	return f
-}
-
 // Env exposes the flow's batch environment (for accounting).
 func (f *Flow) Env() *sim.Env { return f.env }
 
@@ -385,35 +373,12 @@ func (f *Flow) finish(err error) error {
 // Repository returns the flow's corpus (nil until built).
 func (f *Flow) Repository() *coverage.Repository { return f.repo }
 
-// campaign is the one frame around every entry point: it validates the
-// target against the unit, claims the flow for its one campaign by
-// installing the run's context (nil means never canceled) on it and its
-// environment, builds the corpus, runs the composition, and turns a
-// failure caused by cancellation into an interruption. A refused target
-// leaves the flow unclaimed.
-func (f *Flow) campaign(ctx context.Context, target Target, run func() ([]*Report, error)) ([]*Report, error) {
-	if err := target.Validate(f.env.Unit()); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if f.ctx != nil {
-		return nil, errors.New("core: the flow already ran a campaign; resume one in a new flow from its journal")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	f.ctx = ctx
-	f.env.SetContext(ctx)
-	err := f.buildCorpus()
-	var reports []*Report
-	if err == nil {
-		reports, err = run()
-	}
-	return reports, f.finish(err)
-}
-
 // Run is the flow's one entry point: it validates target against the
-// unit, then runs step 1 for the target's mode and steps 2-6, returning
-// one report per round.
+// unit, claims the flow for its one campaign by installing the run's
+// context (nil means never canceled) on it and its environment, builds
+// the corpus, then runs step 1 for the target's mode and steps 2-6,
+// returning one report per round. A failure caused by cancellation is
+// an interruption, and a refused target leaves the flow unclaimed.
 //
 // A family target runs up to Rounds, the paper's closing observation in
 // Section IV-E: "Once there is good evidence for the target event, we
@@ -437,21 +402,33 @@ func (f *Flow) campaign(ctx context.Context, target Target, run func() ([]*Repor
 // new flow on the same journal then resumes from the last completed
 // record.
 func (f *Flow) Run(ctx context.Context, target Target) ([]*Report, error) {
-	return f.campaign(ctx, target, func() ([]*Report, error) {
-		var reports []*Report
-		for len(reports) < target.rounds() && !(len(reports) > 0 && f.familyCovered(target.Family)) {
-			approx, targetEvents, err := f.approximate(target)
-			if err != nil {
-				return reports, err
-			}
-			report, err := f.pipeline(approx, targetEvents, reports)
-			if err != nil {
-				return reports, err
-			}
-			reports = append(reports, report)
+	if err := target.Validate(f.env.Unit()); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if f.ctx != nil {
+		return nil, errors.New("core: the flow already ran a campaign; resume one in a new flow from its journal")
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	f.ctx = ctx
+	f.env.SetContext(ctx)
+	if err := f.buildCorpus(); err != nil {
+		return nil, f.finish(err)
+	}
+	var reports []*Report
+	for len(reports) < target.rounds() && !(len(reports) > 0 && f.familyCovered(target.Family)) {
+		approx, targetEvents, err := f.approximate(target)
+		if err != nil {
+			return reports, f.finish(err)
 		}
-		return reports, nil
-	})
+		report, err := f.pipeline(approx, targetEvents, reports)
+		if err != nil {
+			return reports, f.finish(err)
+		}
+		reports = append(reports, report)
+	}
+	return reports, nil
 }
 
 // RunFamilyRefined is Run for a family target.
@@ -475,8 +452,8 @@ func (f *Flow) familyCovered(family string) bool {
 	return len(f.uncovered(famIDs)) == 0
 }
 
-// pipeline is the first of the flow's two compositions: one approximated
-// target through steps 2-6, bracketed by the journal's run_start and
+// pipeline is the flow's one composition: one approximated target
+// through steps 2-6, bracketed by the journal's run_start and
 // run_done records. prior are the campaign's earlier rounds: their count
 // numbers this round, and their harvested templates join the
 // coarse-grained search.
@@ -503,14 +480,12 @@ func (f *Flow) pipeline(target *neighbors.Target, targetEvents []int, prior []*R
 	if err != nil {
 		return nil, err
 	}
-	res, optimization, err := f.optimize(skel, samples, target, r.SplitString("optimize"), map[string]any{
-		"iterations": f.cfg.OptIterations, "directions": f.cfg.OptDirections, "sims_per_point": f.cfg.OptSims,
-	})
+	res, optimization, err := f.optimize(skel, samples, target, r.SplitString("optimize"))
 	if err != nil {
 		return nil, err
 	}
 	name := fmt.Sprintf("%s_cdg_best_%d", f.env.Unit().Name(), round)
-	bestTemplate, best, err := f.harvest(skel, res.X, name, map[string]any{"sims": f.cfg.BestSims})
+	bestTemplate, best, err := f.harvest(skel, res.X, name)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/duv"
 	"repro/internal/duv/iounit"
 	"repro/internal/duv/l3cache"
 	"repro/internal/neighbors"
@@ -85,6 +86,16 @@ func TestMergeTemplatesDoesNotAliasInputs(t *testing.T) {
 	}
 }
 
+// newFlow is New for a test's config, failing the test where New fails.
+func newFlow(t testing.TB, unit duv.DUV, cfg Config) *Flow {
+	t.Helper()
+	flow, err := New(unit, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flow
+}
+
 // smallConfig keeps end-to-end flow tests fast.
 func smallConfig(seed uint64) Config {
 	return Config{
@@ -102,7 +113,7 @@ func smallConfig(seed uint64) Config {
 }
 
 func TestFlowEndToEndIOUnit(t *testing.T) {
-	flow := NewFlow(iounit.New(), smallConfig(1))
+	flow := newFlow(t, iounit.New(), smallConfig(1))
 	report, err := runOne(flow, Target{Family: iounit.FamilyName})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +159,7 @@ func TestFlowImprovesFamilyFrontier(t *testing.T) {
 	// reach (they need the paper-scale budgets of cmd/repro), but the
 	// frontier must advance: the deepest covered event is hit far more
 	// often by the harvested template than by the regression mix.
-	flow := NewFlow(iounit.New(), smallConfig(2))
+	flow := newFlow(t, iounit.New(), smallConfig(2))
 	report, err := runOne(flow, Target{Family: iounit.FamilyName})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +177,7 @@ func TestFlowHitsUncoveredTargetsL3(t *testing.T) {
 	// The L3 bypass ladder is gentle enough that even small budgets must
 	// newly cover some previously-uncovered family events — the paper's
 	// headline claim.
-	flow := NewFlow(l3cache.New(), smallConfig(2))
+	flow := newFlow(t, l3cache.New(), smallConfig(2))
 	report, err := runOne(flow, Target{Family: l3cache.FamilyName})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +199,7 @@ func TestFlowHitsUncoveredTargetsL3(t *testing.T) {
 }
 
 func TestRunFamilyRefinedProgresses(t *testing.T) {
-	flow := NewFlow(l3cache.New(), smallConfig(9))
+	flow := newFlow(t, l3cache.New(), smallConfig(9))
 	reports, err := flow.Run(context.Background(), Target{Family: l3cache.FamilyName, Rounds: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +230,7 @@ func TestFlowSharedRepository(t *testing.T) {
 	cache := sim.NewCorpusCache()
 	cfgA := smallConfig(3)
 	cfgA.CorpusCache = cache
-	flowA := NewFlow(unit, cfgA)
+	flowA := newFlow(t, unit, cfgA)
 	reportA, err := runOne(flowA, Target{Family: iounit.FamilyName})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +239,7 @@ func TestFlowSharedRepository(t *testing.T) {
 	rec := obs.NewRecorder()
 	cfgB := smallConfig(3)
 	cfgB.CorpusCache, cfgB.Obs = cache, rec
-	flowB := NewFlow(unit, cfgB)
+	flowB := newFlow(t, unit, cfgB)
 	report, err := runOne(flowB, Target{Family: iounit.FamilyName, Decay: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +267,7 @@ func runOne(flow *Flow, target Target) (*Report, error) {
 }
 
 func TestFlowRunErrors(t *testing.T) {
-	flow := NewFlow(iounit.New(), smallConfig(5))
+	flow := newFlow(t, iounit.New(), smallConfig(5))
 	if _, err := flow.pipeline(nil, nil, nil); err == nil {
 		t.Error("nil target should fail")
 	}
@@ -282,7 +293,7 @@ func TestFlowRunErrors(t *testing.T) {
 // its rounds used up and returns no report, or numbers its harvests
 // after the first campaign's. A refused target does not use the flow.
 func TestFlowRunsOneCampaign(t *testing.T) {
-	flow := NewFlow(iounit.New(), smallConfig(13))
+	flow := newFlow(t, iounit.New(), smallConfig(13))
 	defer flow.Close()
 	target := Target{Family: iounit.FamilyName, Decay: 0.4, Rounds: 2}
 	if _, err := flow.Run(context.Background(), Target{Family: "no_such_family"}); err == nil {
@@ -296,17 +307,12 @@ func TestFlowRunsOneCampaign(t *testing.T) {
 		t.Fatalf("first harvest %q, want the round-1 name", reports[0].BestTemplate.Name)
 	}
 	sims := flow.Env().Simulations()
-	for _, run := range []func() ([]*Report, error){
-		func() ([]*Report, error) { return flow.Run(context.Background(), target) },
-		func() ([]*Report, error) { return flow.RunPerEventShared(context.Background(), iounit.FamilyName, 0.4) },
-	} {
-		again, err := run()
-		if err == nil || !strings.Contains(err.Error(), "already ran a campaign") {
-			t.Fatalf("second campaign on one flow: %d reports, err %v; want the one-run error", len(again), err)
-		}
+	again, err := flow.Run(context.Background(), target)
+	if err == nil || !strings.Contains(err.Error(), "already ran a campaign") {
+		t.Fatalf("second campaign on one flow: %d reports, err %v; want the one-run error", len(again), err)
 	}
 	if n := flow.Env().Simulations(); n != sims {
-		t.Fatalf("refused campaigns simulated %d instances", n-sims)
+		t.Fatalf("the refused campaign simulated %d instances", n-sims)
 	}
 }
 
@@ -314,7 +320,7 @@ func TestFlowNoEvidenceFails(t *testing.T) {
 	// A target consisting solely of uncovered events with no covered
 	// neighbors must fail with guidance rather than optimize noise.
 	unit := iounit.New()
-	flow := NewFlow(unit, smallConfig(6))
+	flow := newFlow(t, unit, smallConfig(6))
 	m := unit.Model()
 	dark := neighbors.Uniform([]int{m.MustLookup("crc_096")})
 	if err := flow.buildCorpus(); err != nil {
@@ -329,7 +335,7 @@ func TestFlowNoEvidenceFails(t *testing.T) {
 
 func TestReportFormatters(t *testing.T) {
 	unit := l3cache.New()
-	flow := NewFlow(unit, smallConfig(7))
+	flow := newFlow(t, unit, smallConfig(7))
 	report, err := runOne(flow, Target{Family: l3cache.FamilyName})
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +401,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestBatchObjectiveAccountsEverySimulation(t *testing.T) {
 	// Every probe the batch objective runs must land in both the
 	// optimization phase aggregate and the flow's total accounting.
-	flow := NewFlow(iounit.New(), smallConfig(33))
+	flow := newFlow(t, iounit.New(), smallConfig(33))
 	defer flow.Close()
 	report, err := runOne(flow, Target{Family: iounit.FamilyName})
 	if err != nil {
@@ -419,7 +425,7 @@ func TestBatchObjectiveAccountsEverySimulation(t *testing.T) {
 }
 
 func TestRunCrossOnFamilyUnitFails(t *testing.T) {
-	flow := NewFlow(iounit.New(), smallConfig(12))
+	flow := newFlow(t, iounit.New(), smallConfig(12))
 	if _, err := runOne(flow, Target{Cross: "anything"}); err == nil {
 		t.Fatal("iounit has no cross products; a cross target must fail")
 	}

@@ -10,7 +10,7 @@ import (
 
 func csvReport(t *testing.T) (*Report, *Flow) {
 	t.Helper()
-	flow := NewFlow(iounit.New(), smallConfig(41))
+	flow := newFlow(t, iounit.New(), smallConfig(41))
 	report, err := runOne(flow, Target{Family: iounit.FamilyName})
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func TestEngineSelection(t *testing.T) {
 			t.Parallel()
 			cfg := smallConfig(5)
 			cfg.Engine = name
-			flow := NewFlow(iounit.New(), cfg)
+			flow := newFlow(t, iounit.New(), cfg)
 			defer flow.Close()
 			report, err := runOne(flow, Target{Family: iounit.FamilyName})
 			if err != nil {
@@ -60,7 +60,7 @@ func TestBlendTACPriorOrdering(t *testing.T) {
 		cfg := smallConfig(3)
 		cfg.TopTemplates = len(iounit.New().BaseTemplates())
 		cfg.TACPrior = prior
-		flow := NewFlow(iounit.New(), cfg)
+		flow := newFlow(t, iounit.New(), cfg)
 		if err := flow.buildCorpus(); err != nil {
 			t.Fatal(err)
 		}

@@ -40,8 +40,6 @@ import (
 //   - internal/farm's TestFaultMatrix, TestByzantineFleetAcceptance and
 //     TestFarmBitIdenticalAcrossTopologies: they compare chunk
 //     aggregates, not reports.
-//   - TestPerEventResumeSkipsFinishedTargets: it asserts that a resume
-//     appends nothing again and saves simulations, not only identity.
 func TestInvarianceMatrix(t *testing.T) {
 	before := runtime.NumGoroutine()
 	// Every flow and fleet the rows built is closed; once the scenarios
@@ -61,6 +59,9 @@ func TestInvarianceMatrix(t *testing.T) {
 		t.Run(s.name, func(t *testing.T) {
 			t.Parallel()
 			want := s.play(t, nil)
+			if s.rounds != 0 && len(want.reports) != s.rounds {
+				t.Fatalf("the campaign ran %d rounds, want %d", len(want.reports), s.rounds)
+			}
 			if s.golden != "" {
 				t.Run("golden", func(t *testing.T) { checkReportGolden(t, s.golden, want.reports) })
 			}
@@ -84,21 +85,24 @@ type invScenario struct {
 	// parent is a testdata journal an earlier build wrote for this
 	// scenario; it must replay to the baseline without simulating.
 	parent string
+	// rounds, when set, is the number of reports the baseline must have.
+	rounds int
 	// tiny marks a campaign cheap enough for the costly rows: a kill at
 	// every journal append, and a rerun under every engine.
 	tiny bool
 }
 
-// invScenarios are the five default-engine goldens, the two tiny
+// invScenarios are the four default-engine goldens, the two tiny
 // campaigns the kill rows sweep, and the bayes campaign whose journal
-// predates the engines sharing one frame.
+// predates the engines sharing one frame. The tiny family campaign runs
+// two rounds, so the kill rows also resume after a finished round's
+// harvest and run_done into the next round's work; the tiny per-event
+// campaign targets one mined event, so they also resume a run whose
+// approximated target comes from hit-profile correlation.
 func invScenarios() []invScenario {
 	ctx := context.Background()
 	run := func(target Target) func(*Flow) ([]*Report, error) {
 		return func(f *Flow) ([]*Report, error) { return f.Run(ctx, target) }
-	}
-	perEvent := func(family string, decay float64) func(*Flow) ([]*Report, error) {
-		return func(f *Flow) ([]*Report, error) { return f.RunPerEventShared(ctx, family, decay) }
 	}
 	family := Config{
 		Seed: 7, Workers: 3, CorpusSimsPerTemplate: 120, TopTemplates: 2, Subranges: 2,
@@ -128,12 +132,10 @@ func invScenarios() []invScenario {
 			run: run(Target{Cross: noc.CrossName}), golden: "engine_default_cross_noc.golden"},
 		{name: "events_l3", unit: l3Unit, cfg: l3,
 			run: run(Target{Events: []string{"byp_reqs03"}}), golden: "engine_default_events_l3.golden"},
-		{name: "per_event_l3", unit: l3Unit, cfg: l3, run: perEvent(l3cache.FamilyName, 0.5),
-			golden: "engine_default_per_event_l3.golden", parent: "parent_per_event_l3.journal"},
 		{name: "tiny_family_iounit", unit: ioUnit, cfg: tiny,
-			run: run(Target{Family: iounit.FamilyName, Decay: 0.4}), tiny: true},
+			run: run(Target{Family: iounit.FamilyName, Decay: 0.4, Rounds: 2}), rounds: 2, tiny: true},
 		{name: "tiny_per_event_iounit", unit: ioUnit, cfg: tiny,
-			run: perEvent(iounit.FamilyName, 0.4), tiny: true},
+			run: run(Target{Events: []string{"crc_032"}}), rounds: 1, tiny: true},
 		{name: "parent_bayes_l3", unit: l3Unit, cfg: bayes,
 			run: run(Target{Family: l3cache.FamilyName, Decay: 0.5}), parent: "parent_bayes_l3.journal"},
 	}
@@ -281,9 +283,9 @@ func invReplay(t *testing.T, s invScenario, path string, want invOutcome) {
 }
 
 // invCheckpointed asserts a finished journal holds, for each of its
-// targets, optimizer iterations followed by a harvest: what lets a
-// resumed campaign skip the targets it finished.
-func invCheckpointed(t *testing.T, path string, targets int) {
+// rounds, optimizer iterations followed by a harvest: what lets a
+// resumed campaign skip the rounds it finished.
+func invCheckpointed(t *testing.T, path string, rounds int) {
 	t.Helper()
 	recs, w, err := journal.Recover(path, nil, nil)
 	if err != nil {
@@ -303,8 +305,8 @@ func invCheckpointed(t *testing.T, path string, targets int) {
 			iters = 0
 		}
 	}
-	if harvests != targets {
-		t.Fatalf("journal holds %d harvest records in %d, want one per target (%d)", harvests, len(recs), targets)
+	if harvests != rounds {
+		t.Fatalf("journal holds %d harvest records in %d, want one per round (%d)", harvests, len(recs), rounds)
 	}
 }
 

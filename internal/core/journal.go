@@ -8,9 +8,9 @@
 // each pipeline round. Replay is transparent: a flow runs one campaign,
 // so an interrupted campaign resumes in a new flow constructed with
 // Config.Journal naming its file. That flow consumes the journal's
-// history from the normal entry points (Run, RunPerEventShared) instead
-// of simulating, then switches to live execution mid-phase, producing
-// reports bit-identical to an uninterrupted run.
+// history from the one entry point, Run, instead of simulating, then
+// switches to live execution mid-phase, producing reports bit-identical
+// to an uninterrupted run.
 package core
 
 import (

@@ -188,7 +188,7 @@ func TestRoundSurvivesFailedHarvest(t *testing.T) {
 	cfg.Obs = rec
 	cfg.Journal = filepath.Join(t.TempDir(), "flow.journal")
 
-	flow := NewFlow(iounit.New(), cfg)
+	flow := newFlow(t, iounit.New(), cfg)
 	reports, err := flow.Run(ctx, Target{Family: iounit.FamilyName, Decay: 0.4})
 	flow.Close()
 	if !errors.Is(err, context.Canceled) {
@@ -207,7 +207,7 @@ func TestRoundSurvivesFailedHarvest(t *testing.T) {
 	// A new flow on the journal completes the campaign; the harvested
 	// template must be round 1 — no skipped number.
 	rec.Progress = nil
-	resumed := NewFlow(iounit.New(), cfg)
+	resumed := newFlow(t, iounit.New(), cfg)
 	defer resumed.Close()
 	report, err := runOne(resumed, Target{Family: iounit.FamilyName, Decay: 0.4})
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFlowNoCFamily(t *testing.T) {
-	flow := NewFlow(noc.New(), smallConfig(51))
+	flow := newFlow(t, noc.New(), smallConfig(51))
 	report, err := runOne(flow, Target{Family: noc.FamilyName, Decay: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestFlowNoCFamily(t *testing.T) {
 
 func TestFlowNoCCrossUTurnsStayDark(t *testing.T) {
 	unit := noc.New()
-	flow := NewFlow(unit, smallConfig(52))
+	flow := newFlow(t, unit, smallConfig(52))
 	report, err := runOne(flow, Target{Cross: noc.CrossName})
 	if err != nil {
 		t.Fatal(err)

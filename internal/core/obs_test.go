@@ -19,7 +19,7 @@ func TestFlowEmitsAllPhaseSpans(t *testing.T) {
 	rec := obs.NewRecorder()
 	cfg := smallConfig(21)
 	cfg.Workers, cfg.Obs = 2, rec
-	flow := NewFlow(iounit.New(), cfg)
+	flow := newFlow(t, iounit.New(), cfg)
 	defer flow.Close()
 	if _, err := runOne(flow, Target{Family: iounit.FamilyName}); err != nil {
 		t.Fatal(err)

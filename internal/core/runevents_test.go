@@ -8,7 +8,7 @@ import (
 )
 
 func TestRunEventsCorrelatedTarget(t *testing.T) {
-	flow := NewFlow(l3cache.New(), smallConfig(31))
+	flow := newFlow(t, l3cache.New(), smallConfig(31))
 	// byp_reqs03 has evidence in the corpus; correlation mining should
 	// recruit its ladder siblings as neighbors and the flow should
 	// sharply improve its hit rate.
@@ -33,7 +33,7 @@ func TestRunEventsCorrelatedTarget(t *testing.T) {
 }
 
 func TestRunEventsErrors(t *testing.T) {
-	flow := NewFlow(l3cache.New(), smallConfig(32))
+	flow := newFlow(t, l3cache.New(), smallConfig(32))
 	if _, err := runOne(flow, Target{Events: []string{}}); err == nil {
 		t.Error("no events should fail")
 	}

@@ -16,8 +16,9 @@ import (
 
 // The steps of the flow, one function each, in the paper's order. Every
 // step opens its own phase span, journals the simulations it paid for
-// and replays them on resume, so whatever composes the steps (pipeline,
-// perEventShared) checkpoints the same way.
+// and replays them on resume, so pipeline, which calls them in order,
+// checkpoints without journaling anything itself beyond its round
+// brackets.
 
 // phase runs one step inside its span and phase_start/phase_end event
 // pair: the span closes with the step's result attributes on success
@@ -34,8 +35,8 @@ func (f *Flow) phase(name string, start map[string]any, step func() (map[string]
 
 // buildCorpus builds the "Before CDG" corpus — the unit's base
 // regression suite run into the repository through RunBatches: built,
-// replayed from the journal, or taken from the corpus cache. The
-// campaign frame calls it once, before the composition.
+// replayed from the journal, or taken from the corpus cache. Run calls
+// it once, before the composition.
 func (f *Flow) buildCorpus() error {
 	start := map[string]any{"sims_per_template": f.cfg.CorpusSimsPerTemplate}
 	return f.phase("corpus", start, func() (map[string]any, error) {
@@ -202,12 +203,10 @@ type sample struct {
 }
 
 // sampleBox is step 4, the random-sample phase (paper Section IV-D). It
-// returns the individual samples — so several targets can each pick
-// their own best starting point from the same simulations — and the
-// phase aggregate. scored, when non-nil, is the single target the span
-// reports the best sampled score for; a sample shared by many targets
-// has none.
-func (f *Flow) sampleBox(skel *skeleton.Skeleton, r *rng.RNG, scored *neighbors.Target) (samples []sample, stats PhaseStats, err error) {
+// returns the individual samples, from which optimize picks its start,
+// and the phase aggregate; the span reports the best sampled score
+// under target.
+func (f *Flow) sampleBox(skel *skeleton.Skeleton, r *rng.RNG, target *neighbors.Target) (samples []sample, stats PhaseStats, err error) {
 	start := map[string]any{"templates": f.cfg.SampleTemplates, "sims_each": f.cfg.SampleSims}
 	err = f.phase("sampling", start, func() (map[string]any, error) {
 		var aggregate *coverage.Counts
@@ -220,10 +219,7 @@ func (f *Flow) sampleBox(skel *skeleton.Skeleton, r *rng.RNG, scored *neighbors.
 			Description: fmt.Sprintf("%d tests x %d sims each", f.cfg.SampleTemplates, f.cfg.SampleSims),
 			Counts:      aggregate,
 		}
-		if scored == nil {
-			return nil, nil
-		}
-		_, bestScore := bestSample(samples, scored)
+		_, bestScore := bestSample(samples, target)
 		return map[string]any{"best_score": bestScore}, nil
 	})
 	return samples, stats, err
@@ -274,14 +270,16 @@ func bestSample(samples []sample, target *neighbors.Target) ([]float64, float64)
 
 // optimize is step 5 (paper Section IV-E, Algorithm 1): the configured
 // engine climbs from the target's best sampled point, drawing its
-// randomness from r. attrs are the span's start attributes; the start
-// score joins them. Every completed engine iteration is journaled as an
-// opt_iter record, and a resumed run re-enters at the iteration after
+// randomness from r. Every completed engine iteration is journaled as
+// an opt_iter record, and a resumed run re-enters at the iteration after
 // the last one recorded.
-func (f *Flow) optimize(skel *skeleton.Skeleton, samples []sample, target *neighbors.Target, r *rng.RNG, attrs map[string]any) (res opt.Result, stats PhaseStats, err error) {
+func (f *Flow) optimize(skel *skeleton.Skeleton, samples []sample, target *neighbors.Target, r *rng.RNG) (res opt.Result, stats PhaseStats, err error) {
 	x0, startScore := bestSample(samples, target)
-	attrs["start_score"] = startScore
-	err = f.phase("optimization", attrs, func() (map[string]any, error) {
+	start := map[string]any{
+		"iterations": f.cfg.OptIterations, "directions": f.cfg.OptDirections, "sims_per_point": f.cfg.OptSims,
+		"start_score": startScore,
+	}
+	err = f.phase("optimization", start, func() (map[string]any, error) {
 		engineName := f.cfg.engineName()
 		counts, resume, err := f.replayOptimizer(engineName)
 		if err != nil {
@@ -424,10 +422,9 @@ func (f *Flow) batchObjective(skel *skeleton.Skeleton, target *neighbors.Target,
 // under name, measured standalone, and joins the regression suite — its
 // runs recorded in the repository, last, so a failed harvest leaves the
 // repository as it was. Its body is returned for the report, which is
-// how a later round's coarse-grained search may select it. attrs are
-// the span's start attributes.
-func (f *Flow) harvest(skel *skeleton.Skeleton, x []float64, name string, attrs map[string]any) (tmpl *template.Template, stats PhaseStats, err error) {
-	err = f.phase("harvest", attrs, func() (map[string]any, error) {
+// how a later round's coarse-grained search may select it.
+func (f *Flow) harvest(skel *skeleton.Skeleton, x []float64, name string) (tmpl *template.Template, stats PhaseStats, err error) {
+	err = f.phase("harvest", map[string]any{"sims": f.cfg.BestSims}, func() (map[string]any, error) {
 		tmpl, err = skel.Instantiate(name, x)
 		if err != nil {
 			return nil, err

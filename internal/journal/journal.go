@@ -362,18 +362,6 @@ func NewCursor(w *Writer, recs []Record) *Cursor {
 	return &Cursor{w: w, recs: recs}
 }
 
-// Replaying reports whether unconsumed replay records remain.
-func (c *Cursor) Replaying() bool { return c != nil && c.pos < len(c.recs) }
-
-// PeekType returns the next replay record's type, or "" when replay is
-// exhausted (or the cursor is nil).
-func (c *Cursor) PeekType() string {
-	if c == nil || c.pos >= len(c.recs) {
-		return ""
-	}
-	return c.recs[c.pos].Type
-}
-
 // Take consumes the next replay record if its type matches, decoding it
 // into v (when non-nil). A type mismatch or exhausted replay returns
 // (false, nil) without consuming — the caller then runs the phase live.

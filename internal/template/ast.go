@@ -93,17 +93,6 @@ func (p *WeightParam) CloneParam() Param {
 	return &WeightParam{Name: p.Name, Entries: entries}
 }
 
-// TotalWeight returns the sum of the (non-negative) entry weights.
-func (p *WeightParam) TotalWeight() int {
-	total := 0
-	for _, e := range p.Entries {
-		if e.Weight > 0 {
-			total += e.Weight
-		}
-	}
-	return total
-}
-
 // Entry returns the entry with the given label and whether it exists.
 func (p *WeightParam) Entry(label string) (WeightEntry, bool) {
 	for _, e := range p.Entries {
@@ -143,9 +132,6 @@ func (p *RangeParam) CloneParam() Param {
 	q := *p
 	return &q
 }
-
-// Width returns the number of values in the range.
-func (p *RangeParam) Width() int { return p.Hi - p.Lo + 1 }
 
 func (p *RangeParam) write(b *strings.Builder, indent string) {
 	fmt.Fprintf(b, "%srange %s [%d : %d];\n", indent, p.Name, p.Lo, p.Hi)
