@@ -222,8 +222,11 @@ var crossIDs, entry7 = func() (ids, entry7 []int) {
 
 // samplingUncovers is claim 2: sampling leaves fewer never-hit events.
 func samplingUncovers(_ claimRow, res *Result) (bool, string) {
-	byPhase := StatusCountsByPhase(res.Reports[0], crossIDs)
-	s, b := byPhase["sampling"][coverage.StatusNever], byPhase["before"][coverage.StatusNever]
+	never := map[string]int{} // Fig. 5's never-hit cross events per phase
+	for _, p := range res.Reports[0].Phases {
+		never[p.Name] = p.Counts.StatusCounts(crossIDs)[coverage.StatusNever]
+	}
+	s, b := never["sampling"], never["before"]
 	return s < b, fmt.Sprintf("never-hit: sampling %d, corpus %d", s, b)
 }
 

@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/coverage"
 	"repro/internal/duv"
 	"repro/internal/duv/ifu"
 	"repro/internal/duv/iounit"
@@ -405,14 +404,4 @@ func All(opts Options) ([]*Result, error) {
 		return nil, err
 	}
 	return []*Result{fig3, fig4, fig5, fig6Of(fig4, 0)}, nil // fig6 shares Fig 4's run
-}
-
-// StatusCountsByPhase extracts Fig. 5's raw series: per phase, the
-// number of events in each status.
-func StatusCountsByPhase(report *core.Report, events []int) map[string]map[coverage.Status]int {
-	out := map[string]map[coverage.Status]int{}
-	for _, p := range report.Phases {
-		out[p.Name] = p.Counts.StatusCounts(events)
-	}
-	return out
 }

@@ -20,7 +20,7 @@ import (
 // argument.
 var registering = map[string]bool{
 	"Counter": true, "Gauge": true, "Histogram": true,
-	"CounterWith": true, "GaugeWith": true, "HistogramWith": true,
+	"CounterWith": true, "GaugeWith": true,
 	"counter": true, "gauge": true,
 }
 

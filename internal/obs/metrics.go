@@ -274,12 +274,6 @@ func (r *Registry) GaugeWith(name, labels string) *Gauge {
 	return r.Gauge(metricKey(name, labels))
 }
 
-// HistogramWith returns the histogram for name with the given label
-// set, creating it with bounds on first use.
-func (r *Registry) HistogramWith(name, labels string, bounds []uint64) *Histogram {
-	return r.Histogram(metricKey(name, labels), bounds)
-}
-
 func metricKey(name, labels string) string {
 	if labels == "" {
 		return name

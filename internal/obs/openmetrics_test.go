@@ -55,7 +55,7 @@ func popRegistry() *Registry {
 	for i := uint64(1); i < 30; i++ {
 		h.Observe(i * 100_000)
 	}
-	hl := r.HistogramWith("farm.server.chunk_ns", Labels("zone", "z2"), ExpBounds(10, 2, 4))
+	hl := r.Histogram(metricKey("farm.server.chunk_ns", Labels("zone", "z2")), ExpBounds(10, 2, 4))
 	hl.Observe(5)
 	hl.Observe(500)
 	return r

@@ -24,7 +24,7 @@ type TraceEvent struct {
 
 // maxTraceEvents bounds the tracer's buffer: beyond it new spans are
 // dropped (and counted) instead of growing memory without limit on
-// paper-scale runs.
+// paper-scale runs. Export reports the count as one truncation event.
 const maxTraceEvents = 1 << 20
 
 // Tracer collects spans and exports them as Chrome trace-event JSON.
@@ -54,17 +54,6 @@ func (t *Tracer) Span(cat, name string) *Span {
 	return &Span{t: t, cat: cat, name: name, tid: 1, start: time.Since(t.epoch)}
 }
 
-// Dropped reports how many spans were discarded because the bounded
-// event buffer was full.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // add appends a completed event, honoring the buffer bound.
 func (t *Tracer) add(ev TraceEvent) {
 	t.mu.Lock()
@@ -87,7 +76,9 @@ func (t *Tracer) Events() []TraceEvent {
 }
 
 // Export writes the collected events as one JSON array — a complete
-// Chrome trace file loadable in Perfetto.
+// Chrome trace file loadable in Perfetto. A trace that outgrew
+// maxTraceEvents ends with one instant event, "trace_truncated", whose
+// "dropped_spans" arg counts the spans it lacks.
 func (t *Tracer) Export(w io.Writer) error {
 	if t == nil {
 		_, err := w.Write([]byte("[]\n"))
@@ -95,6 +86,17 @@ func (t *Tracer) Export(w io.Writer) error {
 	}
 	t.mu.Lock()
 	events := append([]TraceEvent(nil), t.events...)
+	if t.dropped > 0 {
+		events = append(events, TraceEvent{
+			Name: "trace_truncated",
+			Cat:  "trace",
+			Ph:   "i",
+			Ts:   float64(time.Since(t.epoch).Microseconds()),
+			Pid:  1,
+			Tid:  1,
+			Args: map[string]any{"dropped_spans": t.dropped},
+		})
+	}
 	t.mu.Unlock()
 	if events == nil {
 		events = []TraceEvent{} // a span-less run is still a valid trace, not "null"

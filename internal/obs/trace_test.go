@@ -32,9 +32,6 @@ func TestTracerSpans(t *testing.T) {
 	if events[1].Tid != 105 {
 		t.Fatalf("WithTid not honored: %+v", events[1])
 	}
-	if tr.Dropped() != 0 {
-		t.Fatalf("dropped = %d, want 0", tr.Dropped())
-	}
 }
 
 func TestTracerExportIsValidChromeTrace(t *testing.T) {
@@ -53,6 +50,50 @@ func TestTracerExportIsValidChromeTrace(t *testing.T) {
 	}
 }
 
+// TestTracerExportReportsDrops: a tracer that dropped spans at its
+// buffer bound exports its events and then one event carrying the
+// count; without drops the export is exactly the events.
+func TestTracerExportReportsDrops(t *testing.T) {
+	tr := NewTracer()
+	tr.Span("phase", "corpus").End()
+	var buf bytes.Buffer
+	if err := tr.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(tr.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want)+"\n" {
+		t.Fatalf("drop-free export = %s, want the events alone: %s", got, want)
+	}
+
+	tr.mu.Lock()
+	tr.dropped = 3
+	tr.mu.Unlock()
+	buf.Reset()
+	if err := tr.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []TraceEvent
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("trace output is not a JSON array: %v\n%s", err, buf.String())
+	}
+	if len(events) != 2 || events[0].Name != "corpus" {
+		t.Fatalf("events = %+v, want the span then the truncation event", events)
+	}
+	last := events[1]
+	if last.Name != "trace_truncated" || last.Cat != "trace" || last.Ph != "i" || last.Pid != 1 || last.Tid != 1 {
+		t.Fatalf("truncation event = %+v", last)
+	}
+	if n, ok := last.Args["dropped_spans"].(float64); !ok || n != 3 {
+		t.Fatalf("dropped_spans = %v, want 3", last.Args["dropped_spans"])
+	}
+	if len(tr.Events()) != 1 {
+		t.Fatalf("Export added the truncation event to the tracer's own events")
+	}
+}
+
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
 	s := tr.Span("phase", "x")
@@ -62,7 +103,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	s.SetArg("k", 1)
 	s = s.WithTid(7)
 	s.End()
-	if tr.Events() != nil || tr.Dropped() != 0 {
+	if tr.Events() != nil {
 		t.Fatalf("nil tracer must read as empty")
 	}
 	var buf bytes.Buffer

@@ -349,18 +349,36 @@ func TestMarkedSource(t *testing.T) {
 	if strings.Count(src, "<?>") != s.Dim() {
 		t.Fatalf("marks = %d, want %d:\n%s", strings.Count(src, "<?>"), s.Dim(), src)
 	}
-	// The marked source must parse as a skeleton with the same slot list.
-	tmpl, marks, err := template.ParseSkeleton(src)
+	// With each mark read as 0 the marked source parses, and its marked
+	// entries, in order, are the slot list.
+	tmpl, err := template.Parse(strings.ReplaceAll(src, "<?>", "0"))
 	if err != nil {
 		t.Fatalf("marked source does not parse: %v\n%s", err, src)
 	}
 	if tmpl.Name != s.Base().Name {
 		t.Fatalf("name = %q", tmpl.Name)
 	}
-	if len(marks) != s.Dim() {
-		t.Fatalf("parsed %d marks, want %d", len(marks), s.Dim())
+	var marked []Slot
+	param := ""
+	for _, line := range strings.Split(src, "\n") {
+		line = strings.TrimSpace(line)
+		if f := strings.Fields(line); len(f) == 3 && f[0] == "weight" {
+			param = f[1]
+		}
+		if entry, ok := strings.CutSuffix(line, "<?>;"); ok {
+			label := strings.TrimSuffix(strings.TrimSpace(entry), ":")
+			if wp := tmpl.Weight(param); wp == nil {
+				t.Fatalf("marked entry %s %s: no weight %s in the parsed template", param, label, param)
+			} else if e, ok := wp.Entry(label); !ok || e.Weight != 0 {
+				t.Fatalf("marked entry %s %s = %+v (found %v), want weight 0", param, label, e, ok)
+			}
+			marked = append(marked, Slot{Param: param, Label: label})
+		}
 	}
-	for i, m := range marks {
+	if len(marked) != s.Dim() {
+		t.Fatalf("parsed %d marks, want %d", len(marked), s.Dim())
+	}
+	for i, m := range marked {
 		if m.Param != s.Slots()[i].Param || m.Label != s.Slots()[i].Label {
 			t.Fatalf("mark %d = %+v, want %+v", i, m, s.Slots()[i])
 		}

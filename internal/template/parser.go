@@ -15,20 +15,10 @@ import (
 //	entry    := (IDENT | subrange) ":" weightVal ";"
 //	subrange := "[" NUMBER ":" NUMBER "]"
 //	range    := "range" IDENT "[" NUMBER ":" NUMBER "]" ";"
-//	weightVal:= NUMBER | "<?>"          (marks allowed only in skeletons)
+//	weightVal:= NUMBER                  (a skeleton's mark "<?>" is refused)
 type parser struct {
-	lex        *lexer
-	tok        token
-	allowMarks bool
-	// marks collects the positions of "<?>" weight values found while
-	// parsing a skeleton file: parameter name + entry label in order.
-	marks []markPos
-}
-
-// markPos records where a skeleton mark appeared.
-type markPos struct {
-	Param string
-	Label string
+	lex *lexer
+	tok token
 }
 
 func (p *parser) advance() error {
@@ -186,14 +176,7 @@ func (p *parser) parseWeight() (Param, error) {
 			}
 			entry.Weight = w
 		case tokMark:
-			if !p.allowMarks {
-				return nil, fmt.Errorf("%d:%d: mark '<?>' is only valid in skeleton files", p.tok.line, p.tok.col)
-			}
-			p.marks = append(p.marks, markPos{Param: name.text, Label: entry.Label()})
-			entry.Weight = 0
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			return nil, fmt.Errorf("%d:%d: mark '<?>' is only valid in skeleton files", p.tok.line, p.tok.col)
 		default:
 			return nil, fmt.Errorf("%d:%d: expected weight value, found %s %q",
 				p.tok.line, p.tok.col, p.tok.kind, p.tok.text)
@@ -250,23 +233,14 @@ func (p *parser) parseRange() (Param, error) {
 	return &RangeParam{Name: name.text, Lo: lo, Hi: hi}, nil
 }
 
-func parse(src string, allowMarks bool) (*Template, []markPos, error) {
-	p := &parser{lex: newLexer(src), allowMarks: allowMarks}
-	if err := p.advance(); err != nil {
-		return nil, nil, err
-	}
-	t, err := p.parseTemplate()
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, p.marks, nil
-}
-
-// Parse parses template source text. Skeleton marks ("<?>") are rejected;
-// use ParseSkeleton for skeleton files.
+// Parse parses template source text. Skeleton marks ("<?>") are
+// rejected.
 func Parse(src string) (*Template, error) {
-	t, _, err := parse(src, false)
-	return t, err
+	p := &parser{lex: newLexer(src)}
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	return p.parseTemplate()
 }
 
 // ParseFile parses the template in the named file.
@@ -280,11 +254,4 @@ func ParseFile(path string) (*Template, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return t, nil
-}
-
-// ParseSkeleton parses skeleton source text, in which weight values may
-// be the mark "<?>". It returns the template (marked weights read as 0)
-// and the ordered list of (parameter, entry label) mark positions.
-func ParseSkeleton(src string) (*Template, []markPos, error) {
-	return parse(src, true)
 }

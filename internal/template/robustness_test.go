@@ -32,7 +32,6 @@ func TestParseNeverPanics(t *testing.T) {
 				}
 			}()
 			_, _ = Parse(src)
-			_, _, _ = ParseSkeleton(src)
 		}()
 		return true
 	}

@@ -144,43 +144,6 @@ func TestNegativeRangeBounds(t *testing.T) {
 	}
 }
 
-func TestParseSkeletonMarks(t *testing.T) {
-	src := `
-template skel {
-    weight Mnemonic {
-        load:  <?>;
-        store: <?>;
-        add:   0;
-    }
-    weight CacheDelay {
-        [0:32]:   <?>;
-        [33:100]: <?>;
-    }
-}
-`
-	tmpl, marks, err := ParseSkeleton(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tmpl.Name != "skel" {
-		t.Fatalf("name = %q", tmpl.Name)
-	}
-	want := []markPos{
-		{"Mnemonic", "load"},
-		{"Mnemonic", "store"},
-		{"CacheDelay", "[0:32]"},
-		{"CacheDelay", "[33:100]"},
-	}
-	if len(marks) != len(want) {
-		t.Fatalf("marks = %v", marks)
-	}
-	for i := range want {
-		if marks[i] != want[i] {
-			t.Fatalf("mark %d = %v, want %v", i, marks[i], want[i])
-		}
-	}
-}
-
 func TestRoundTripFixed(t *testing.T) {
 	tmpl, err := Parse(lsuSource)
 	if err != nil {
