@@ -28,7 +28,6 @@ import (
 	_ "repro/internal/duv/iounit"
 	_ "repro/internal/duv/l3cache"
 	_ "repro/internal/duv/noc"
-	"repro/internal/knowledge"
 	"repro/internal/sigctx"
 	statlib "repro/internal/stats"
 	"repro/internal/tac"
@@ -44,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	save := fs.String("save", "", "save the repository to this JSON file")
 	events := fs.String("events", "", "comma-separated event names to report on (default: all)")
 	best := fs.Int("best", 0, "report the n best templates for the given events")
-	knowledgeDir := fs.String("knowledge", "", "blend cross-campaign knowledge from this directory (a service data root's knowledge/ store) into -best scores")
 	uncovered := fs.Bool("uncovered", false, "list never-hit events")
 	lightly := fs.Bool("lightly", false, "list lightly-hit events")
 	ci := fs.Bool("ci", false, "report 95% Wilson confidence intervals for hit rates")
@@ -63,8 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.Fail(fs, 2, fmt.Errorf("-best %d: want at least 0 (0 skips the query)", *best))
 	case *best > 0 && *events == "":
 		return cli.Fail(fs, 2, errors.New("-best requires -events"))
-	case *knowledgeDir != "" && *best == 0:
-		return cli.Fail(fs, 2, errors.New("-knowledge requires -best"))
 	}
 	unit, err := duv.New(corpus.Unit)
 	if err != nil {
@@ -78,12 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *events != "" {
 		if ids, err = m.IDs(strings.Split(*events, ",")); err != nil {
 			return cli.Fail(fs, 1, err)
-		}
-	}
-	var entries []knowledge.Entry
-	if *knowledgeDir != "" {
-		if entries, err = knowledge.Load(*knowledgeDir); err != nil {
-			return cli.Fail(fs, 1, fmt.Errorf("-knowledge %s: %w", *knowledgeDir, err))
 		}
 	}
 
@@ -119,22 +109,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, m.Name(id))
 		}
 	case *best > 0:
-		// With a knowledge base, rank everything, blend the boosts in,
-		// and only then truncate — a boost may promote a template past
-		// the unblended cutoff.
-		n := *best
-		if *knowledgeDir != "" {
-			n = 0
-		}
-		scores, err := stats.BestTemplates(ids, nil, n)
+		scores, err := stats.BestTemplates(ids, nil, *best)
 		if err != nil {
 			return cli.Fail(fs, 1, err)
-		}
-		if *knowledgeDir != "" {
-			scores = tac.Blend(scores, knowledge.TACBoosts(entries, corpus.Unit, knowledge.DefaultDamp))
-			if len(scores) > *best {
-				scores = scores[:*best]
-			}
 		}
 		fmt.Fprintf(stdout, "%-24s %10s %10s\n", "template", "score", "sims")
 		for _, s := range scores {

@@ -101,15 +101,13 @@ func TestErrors(t *testing.T) {
 			t.Errorf("%s -best 2 without -events: exit %d, stdout %q, stderr %q; want exit 2", list, code, out.String(), errb.String())
 		}
 	}
-	// -knowledge only blends into -best scores: without -best it would
-	// change nothing, so it is refused before the store is read or the
-	// corpus built.
+	// The ranking reads only the corpus: there is no knowledge store to
+	// blend in.
 	out.Reset()
 	errb.Reset()
-	if code := run([]string{"-unit", "iounit", "-sims", "10", "-metrics", "-knowledge", t.TempDir()}, &out, &errb); code != 2 ||
-		!strings.Contains(errb.String(), "tacquery: -knowledge requires -best") || out.Len() != 0 ||
-		strings.Contains(errb.String(), "sim.instances_completed") {
-		t.Errorf("-knowledge without -best: exit %d, stdout %q, stderr %q; want exit 2 before any simulation", code, out.String(), errb.String())
+	if code := run([]string{"-unit", "iounit", "-sims", "10", "-events", "crc_032", "-best", "2", "-knowledge", t.TempDir()}, &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "flag provided but not defined: -knowledge") || out.Len() != 0 {
+		t.Errorf("-knowledge: exit %d, stdout %q, stderr %q; want exit 2 as an undefined flag", code, out.String(), errb.String())
 	}
 	// The flags that shape a corpus build change nothing beside -load, so
 	// each is refused before anything is loaded or simulated.
@@ -132,17 +130,14 @@ func TestErrors(t *testing.T) {
 	if code := run([]string{"-unit", "iounit", "-load", "/no/such/file"}, &out, &errb); code != 1 {
 		t.Errorf("missing load file: exit %d, want 1", code)
 	}
-	// A -save path that cannot be written and a -knowledge store that
-	// cannot be read are refused before the corpus is built, naming the
-	// flag and the path.
-	missing := filepath.Join(t.TempDir(), "no_such_dir")
-	for _, c := range [][]string{{"-save", filepath.Join(missing, "r.json")}, {"-knowledge", missing}} {
-		out.Reset()
-		errb.Reset()
-		args := append([]string{"-unit", "iounit", "-sims", "10", "-events", "crc_032", "-best", "2", "-metrics"}, c...)
-		if code := run(args, &out, &errb); code != 1 || !strings.Contains(errb.String(), "tacquery: "+c[0]+" "+c[1]+": ") ||
-			out.Len() != 0 || strings.Contains(errb.String(), "sim.instances_completed") {
-			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 before any simulation", c, code, out.String(), errb.String())
-		}
+	// A -save path that cannot be written is refused before the corpus
+	// is built, naming the flag and the path.
+	missing := filepath.Join(t.TempDir(), "no_such_dir", "r.json")
+	out.Reset()
+	errb.Reset()
+	args := []string{"-unit", "iounit", "-sims", "10", "-events", "crc_032", "-best", "2", "-metrics", "-save", missing}
+	if code := run(args, &out, &errb); code != 1 || !strings.Contains(errb.String(), "tacquery: -save "+missing+": ") ||
+		out.Len() != 0 || strings.Contains(errb.String(), "sim.instances_completed") {
+		t.Errorf("-save %s: exit %d, stdout %q, stderr %q; want exit 1 before any simulation", missing, code, out.String(), errb.String())
 	}
 }

@@ -119,12 +119,14 @@ type Config struct {
 	// journal's config hash.
 	Prior []opt.PriorPoint
 
-	// TACPrior blends knowledge-base evidence into the coarse-grained
-	// search: per-template score boosts (already damped by the
-	// producer) added to the TAC ranking before the top templates are
-	// chosen. Empty leaves the ranking untouched — the default flow is
-	// bit-identical with or without the field. Result-relevant and
-	// journal-hashed.
+	// TACPrior is hashed into the journal's config hash and read by
+	// nothing else: the coarse-grained search ranks templates by the
+	// corpus alone. Older service versions froze per-template TAC score
+	// boosts into a campaign's knowledge.json and hashed their names and
+	// values here, so a campaign they left running resumes only if the
+	// frozen map is hashed again. The service refuses to resume one
+	// whose map holds a non-zero boost, which this flow would no longer
+	// apply.
 	TACPrior map[string]float64
 
 	// Obs, when non-nil, instruments the run: phase spans and progress

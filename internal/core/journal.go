@@ -51,12 +51,13 @@ func cfgHash(c Config) uint64 {
 		c.SampleTemplates, c.SampleSims,
 		c.OptIterations, c.OptDirections, c.OptSims,
 		c.BestSims)
-	// Engine selection and the knowledge priors steer proposals, so a
+	// Engine selection and the knowledge prior steer proposals, so a
 	// journal written under different ones must not replay. The default
 	// engine with no priors hashes the same as before the engine field
 	// existed, keeping old journals resumable. The trailing "|" is where
 	// the engine-params blob went: hashed empty, journals written with no
-	// blob still resume.
+	// blob still resume. TACPrior steers nothing now; it is hashed as
+	// older versions hashed it, so their journals still resume.
 	if name := c.engineName(); name != opt.DefaultEngine || len(c.Prior) > 0 || len(c.TACPrior) > 0 {
 		fmt.Fprintf(h, "|%s|", name)
 		for _, p := range c.Prior {

@@ -161,7 +161,7 @@ func (f *Flow) coarseSearch(target *neighbors.Target, prior []*Report) (best []t
 		for _, r := range prior {
 			byName[r.BestTemplate.Name] = r.BestTemplate
 		}
-		for _, ts := range tac.Blend(ranked, f.cfg.TACPrior) {
+		for _, ts := range ranked {
 			t, ok := byName[ts.Name]
 			if !ok {
 				continue

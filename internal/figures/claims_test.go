@@ -129,8 +129,9 @@ func TestClaims(t *testing.T) {
 	}
 }
 
-// logRung logs a claim-3 row's best-phase rate spread, the seeds below the
-// ROADMAP tables' 61 %, and the per-seed difference to the default engine.
+// logRung logs a claim-3 row's rounds per seed (logRounds), its
+// best-phase rate spread, the seeds below the ROADMAP tables' 61 %, and
+// the per-seed difference to the default engine.
 func logRung(t *testing.T, row claimRow, seeds []uint64, runs map[runKey]*Result) {
 	m, _ := ladder(row.fig)
 	id, next := m.MustLookup(row.rung), m.MustLookup(row.next)
@@ -138,6 +139,7 @@ func logRung(t *testing.T, row claimRow, seeds []uint64, runs map[runKey]*Result
 	var below []uint64
 	var nextHit, hits, sims, baseHits, baseSims uint64
 	for _, seed := range seeds {
+		logRounds(t, row, seed, runs[row.key(seed, row.engine)], id, next)
 		c := finalPhase(runs[row.key(seed, row.engine)], "best")
 		if rates = append(rates, c.HitRate(id)); c.HitRate(id) < 0.61 {
 			below = append(below, seed)
@@ -157,6 +159,26 @@ func logRung(t *testing.T, row claimRow, seeds []uint64, runs map[runKey]*Result
 	t.Logf("%s best rate: median %.1f %%, quartiles %.1f–%.1f %%, min %.2f %%; below 61 %%: %v; %s hit on %d/%d; minus %s, in points per seed: %.1f, pooled rates differ: %v",
 		row.rung, quantile(0.5), quantile(0.25), quantile(0.75), 100*stats.Summarize(rates).Min, below, row.next, nextHit, len(seeds),
 		opt.DefaultEngine, diffs, stats.RatesDiffer(hits, sims, baseHits, baseSims))
+}
+
+// logRounds logs one seed's trail: the rung's and the next rung's
+// best-phase rate in every round, and the round whose harvest scores
+// highest on round 1's approximated target (the first such round on a
+// tie), which is the round a campaign answering with its best harvest
+// would report instead of the last.
+func logRounds(t *testing.T, row claimRow, seed uint64, res *Result, id, next int) {
+	var rung, above []string
+	pick, pickScore := 0, math.Inf(-1)
+	for i, r := range res.Reports {
+		c := r.Phase("best").Counts
+		rung = append(rung, fmt.Sprintf("%.2f", 100*c.HitRate(id)))
+		above = append(above, fmt.Sprintf("%.2f", 100*c.HitRate(next)))
+		if score := res.Reports[0].Target.Score(c); score > pickScore {
+			pick, pickScore = i, score
+		}
+	}
+	t.Logf("seed %d by round: %s %s %%; %s %s %%; best on round 1's target: round %d of %d",
+		seed, row.rung, strings.Join(rung, " / "), row.next, strings.Join(above, " / "), pick+1, len(res.Reports))
 }
 
 func finalPhase(res *Result, phase string) *coverage.Counts {

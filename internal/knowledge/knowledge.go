@@ -1,8 +1,7 @@
 // Package knowledge is the cross-campaign flywheel store (DESIGN.md
 // §14): a per-template hit-statistics base under the shared data root
-// that every campaign feeds on harvest and later campaigns consume —
-// as warm-start priors for learning optimization engines (ranker,
-// bayes) and as damped score boosts for the coarse-grained TAC search.
+// that every campaign feeds on harvest and later campaigns consume as
+// warm-start priors for learning optimization engines (ranker, bayes).
 //
 // A writer appends only to its own CRC-framed journal
 // (<root>/<owner>.journal); the service, the one writer of its data
@@ -55,8 +54,8 @@ type Entry struct {
 	Score float64 `json:"score"`
 	// Sims is the evaluation's simulation count (the score's support).
 	Sims uint64 `json:"sims"`
-	// Sources are the TAC-chosen base templates the candidate merged —
-	// the names the TAC flywheel boosts in later campaigns.
+	// Sources are the TAC-chosen templates the candidate merged: what
+	// the harvest was built from, served by GET /v1/knowledge.
 	Sources []string `json:"sources,omitempty"`
 }
 
@@ -68,12 +67,6 @@ const (
 	snapshotFile = "snapshot.json"
 	recType      = "knowledge_entry"
 )
-
-// DefaultDamp is the producer-side damping factor applied when past
-// scores become TAC boosts: strong enough to break ties toward
-// historically productive templates, weak enough that fresh in-campaign
-// evidence dominates.
-const DefaultDamp = 0.25
 
 // Store is one writer's handle on the knowledge base. Safe for
 // concurrent use within the process; a second writer in another process
@@ -236,34 +229,4 @@ func Priors(entries []Entry, unit string, max int) []opt.PriorPoint {
 		pts = pts[:max]
 	}
 	return pts
-}
-
-// TACBoosts turns the unit's entries into damped per-template score
-// boosts for the coarse-grained search: every base template a past
-// harvest merged gets damp times its mean achieved score. The result is
-// empty (nil) when the unit has no history, which leaves TAC rankings
-// untouched.
-func TACBoosts(entries []Entry, unit string, damp float64) map[string]float64 {
-	if damp <= 0 {
-		damp = DefaultDamp
-	}
-	sum := map[string]float64{}
-	n := map[string]int{}
-	for _, e := range entries {
-		if e.Unit != unit {
-			continue
-		}
-		for _, name := range e.Sources {
-			sum[name] += e.Score
-			n[name]++
-		}
-	}
-	if len(sum) == 0 {
-		return nil
-	}
-	boosts := make(map[string]float64, len(sum))
-	for name, s := range sum {
-		boosts[name] = damp * s / float64(n[name])
-	}
-	return boosts
 }

@@ -1,7 +1,6 @@
 package knowledge
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/atomicfile"
-	"repro/internal/tac"
 )
 
 func entry(campaign string, round int, unit, template string, score float64, sources ...string) Entry {
@@ -231,60 +229,5 @@ func TestPriors(t *testing.T) {
 	}
 	if got := Priors(entries, "noc", 0); got != nil {
 		t.Fatalf("priors for unitless history = %v, want nil", got)
-	}
-}
-
-func TestTACBoosts(t *testing.T) {
-	entries := []Entry{
-		entry("c1", 0, "iounit", "t1", 0.4, "tplA", "tplB"),
-		entry("c2", 0, "iounit", "t2", 0.8, "tplA"),
-		entry("c3", 0, "l3cache", "t3", 1.0, "tplZ"), // wrong unit
-	}
-	boosts := TACBoosts(entries, "iounit", 0.5)
-	// tplA: 0.5 * mean(0.4, 0.8) = 0.3; tplB: 0.5 * 0.4 = 0.2.
-	if len(boosts) != 2 {
-		t.Fatalf("boosts = %v, want 2 templates", boosts)
-	}
-	if got := boosts["tplA"]; math.Abs(got-0.3) > 1e-12 {
-		t.Fatalf("tplA boost = %v, want 0.3", got)
-	}
-	if got := boosts["tplB"]; got != 0.2 {
-		t.Fatalf("tplB boost = %v, want 0.2", got)
-	}
-	if got := TACBoosts(entries, "noc", 0.5); got != nil {
-		t.Fatalf("boosts for unitless history = %v, want nil", got)
-	}
-	// damp <= 0 falls back to DefaultDamp.
-	if got := TACBoosts(entries, "iounit", 0)["tplB"]; got != DefaultDamp*0.4 {
-		t.Fatalf("default-damp tplB boost = %v, want %v", got, DefaultDamp*0.4)
-	}
-}
-
-// TestBlendTAC: the boosts history earns, blended into a TAC ranking,
-// promote the credited template; history for another unit leaves the
-// ranking untouched, and the input ranking is never mutated.
-func TestBlendTAC(t *testing.T) {
-	ranked := []tac.TemplateScore{
-		{Name: "a", Score: 0.50},
-		{Name: "b", Score: 0.40},
-		{Name: "c", Score: 0.30},
-	}
-	entries := []Entry{entry("c1", 0, "iounit", "t1", 0.5, "c")}
-	if got := tac.Blend(ranked, TACBoosts(entries, "noc", 0.5)); !reflect.DeepEqual(got, ranked) {
-		t.Fatalf("blend without boosts changed ranking: %v", got)
-	}
-	// c: 0.30 + 0.5*0.5 = 0.55 overtakes a.
-	got := tac.Blend(ranked, TACBoosts(entries, "iounit", 0.5))
-	want := []string{"c", "a", "b"}
-	for i, name := range want {
-		if got[i].Name != name {
-			t.Fatalf("blended order = %v, want %v", got, want)
-		}
-	}
-	if got[0].Score != 0.55 {
-		t.Fatalf("boosted score = %v, want 0.55", got[0].Score)
-	}
-	if ranked[2].Score != 0.30 || ranked[0].Name != "a" {
-		t.Fatalf("blend mutated its input: %v", ranked)
 	}
 }

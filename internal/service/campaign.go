@@ -51,8 +51,7 @@ type EngineSpec struct {
 
 	// Knowledge opts the campaign into the cross-campaign flywheel: at
 	// start it reads the knowledge base — harvested (weights, score)
-	// pairs become the engine's warm-start prior, damped per-template
-	// scores boost the coarse-grained TAC ranking — and the consumed
+	// pairs become the engine's warm-start prior — and the consumed
 	// snapshot is frozen in the campaign directory so a resumed campaign
 	// sees byte-identical priors.
 	Knowledge bool `json:"knowledge,omitempty"`

@@ -862,16 +862,32 @@ const maxPriorPoints = 32
 // campaign must read byte-identical ones even after the knowledge base
 // has grown — hence the per-campaign file, not a live query.
 type knowledgeSnapshot struct {
-	Prior []opt.PriorPoint   `json:"prior,omitempty"`
-	TAC   map[string]float64 `json:"tac,omitempty"`
+	Prior []opt.PriorPoint `json:"prior,omitempty"`
+	// TAC holds the TAC score boosts older versions froze. No campaign
+	// writes it now; a frozen one is only hashed (core.Config.TACPrior).
+	TAC map[string]float64 `json:"tac,omitempty"`
 }
 
 // campaignKnowledge loads the campaign's frozen knowledge snapshot, or
-// computes it from the store on first start and persists it.
+// computes it from the store on first start and persists it. A frozen
+// snapshot with a non-zero TAC boost is refused: its hash still matches
+// the journal, but the coarse search no longer applies the boost, so
+// the resumed campaign would pick another candidate and replay the old
+// candidate's sample counts into it.
 func (s *Service) campaignKnowledge(c *campaign) (*knowledgeSnapshot, error) {
 	var frozen knowledgeSnapshot
 	switch err := atomicfile.ReadJSON(filepath.Join(c.dir, knowledgeFile), &frozen); {
 	case err == nil:
+		var boosted []string
+		for name, boost := range frozen.TAC {
+			if boost != 0 {
+				boosted = append(boosted, name)
+			}
+		}
+		if len(boosted) > 0 {
+			sort.Strings(boosted)
+			return nil, fmt.Errorf("service: %s froze non-zero TAC boosts for %v, which the coarse search no longer applies; the campaign cannot resume", knowledgeFile, boosted)
+		}
 		return &frozen, nil
 	case !errors.Is(err, fs.ErrNotExist):
 		return nil, fmt.Errorf("service: %w", err)
@@ -880,11 +896,7 @@ func (s *Service) campaignKnowledge(c *campaign) (*knowledgeSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	unit := c.st.Spec.Unit
-	kp := &knowledgeSnapshot{
-		Prior: knowledge.Priors(entries, unit, maxPriorPoints),
-		TAC:   knowledge.TACBoosts(entries, unit, knowledge.DefaultDamp),
-	}
+	kp := &knowledgeSnapshot{Prior: knowledge.Priors(entries, c.st.Spec.Unit, maxPriorPoints)}
 	if err := c.write(knowledgeFile, kp); err != nil {
 		return nil, err
 	}

@@ -477,23 +477,60 @@ func TestReportWriteFailureCounted(t *testing.T) {
 	}
 }
 
-// TestFailedCampaignReported: a campaign whose flow fails at run time —
-// here a directory stands where its journal file goes, so the disk
-// refuses the journal — ends "failed" with the error on record.
+// TestFailedCampaignReported: a campaign that cannot run ends "failed"
+// with the error on record, and appends nothing to its journal. Here the
+// disk refuses the journal (a directory stands where the file goes), or
+// a campaign an older version left running froze a non-zero TAC boost,
+// which the coarse search no longer applies: resumed, it would pick
+// another candidate and replay the old one's sample counts into it.
 func TestFailedCampaignReported(t *testing.T) {
-	dataDir := t.TempDir()
-	queued := newService(t, Config{DataDir: dataDir, frozen: true})
-	id, err := queued.Submit(tinySpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued.Close()
-	if err := os.MkdirAll(filepath.Join(dataDir, id, "flow.journal", "x"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	svc := newService(t, Config{DataDir: dataDir})
-	st := waitDone(t, svc, id)
-	if st.State != StateFailed || !strings.Contains(st.Error, "journal") {
-		t.Fatalf("state = %q error = %q, want failed with the journal error", st.State, st.Error)
+	for _, tc := range []struct {
+		name    string
+		prepare func(t *testing.T, dataDir string) string // lays out the root, returns the campaign's id
+		err     string
+	}{
+		{"journal refused", func(t *testing.T, dataDir string) string {
+			queued := newService(t, Config{DataDir: dataDir, frozen: true})
+			id, err := queued.Submit(tinySpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			queued.Close()
+			if err := os.MkdirAll(filepath.Join(dataDir, id, "flow.journal", "x"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return id
+		}, "journal"},
+		{"frozen TAC boost", func(t *testing.T, dataDir string) string {
+			copyTree(t, parentRoot, dataDir)
+			path := filepath.Join(dataDir, "c000002", knowledgeFile)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boosted := strings.Replace(string(data), `"io_crc_stress": 0,`, `"io_crc_stress": 0.1,`, 1)
+			if boosted == string(data) {
+				t.Fatalf("%s froze no io_crc_stress boost to raise", path)
+			}
+			if err := os.WriteFile(path, []byte(boosted), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return "c000002"
+		}, "knowledge.json froze non-zero TAC boosts for [io_crc_stress]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dataDir := t.TempDir()
+			id := tc.prepare(t, dataDir)
+			journal := filepath.Join(dataDir, id, "flow.journal")
+			before, _ := os.ReadFile(journal)
+			svc := newService(t, Config{DataDir: dataDir})
+			st := waitDone(t, svc, id)
+			if st.State != StateFailed || !strings.Contains(st.Error, tc.err) {
+				t.Fatalf("state = %q error = %q, want failed with %q", st.State, st.Error, tc.err)
+			}
+			if after, _ := os.ReadFile(journal); string(after) != string(before) {
+				t.Fatalf("the failed campaign's journal grew from %d to %d bytes", len(before), len(after))
+			}
+		})
 	}
 }

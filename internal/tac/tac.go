@@ -83,25 +83,6 @@ func (s *Stats) EventTemplates(event int) []TemplateScore {
 	return scores
 }
 
-// Blend folds per-template score boosts (cross-campaign knowledge) into
-// a ranking: each named template's boost is added to its score, then the
-// ranking re-sorts. Empty boosts return ranked untouched, so a flow or
-// query without knowledge is bit-identical to one that never blends.
-// ranked itself is not modified.
-func Blend(ranked []TemplateScore, boosts map[string]float64) []TemplateScore {
-	if len(boosts) == 0 {
-		return ranked
-	}
-	out := append([]TemplateScore(nil), ranked...)
-	for i := range out {
-		if b, ok := boosts[out[i].Name]; ok {
-			out[i].Score += b
-		}
-	}
-	rank(out)
-	return out
-}
-
 // rank sorts scores best first: score descending, ties by name ascending
 // for determinism.
 func rank(scores []TemplateScore) {

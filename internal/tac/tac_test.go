@@ -2,7 +2,6 @@ package tac
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/coverage"
@@ -135,33 +134,5 @@ func TestReport(t *testing.T) {
 	sub := s.Report([]int{3})
 	if len(sub) != 1 || sub[0].Name != "d" {
 		t.Fatalf("sub report = %+v", sub)
-	}
-}
-
-// TestBlend: knowledge boosts reorder a ranking — boosted templates are
-// promoted, equal scores fall back to name order, empty boosts are a
-// no-op — and the input ranking is never modified.
-func TestBlend(t *testing.T) {
-	ranked := []TemplateScore{{Name: "a", Score: 0.5}, {Name: "b", Score: 0.3}, {Name: "c", Score: 0.1}}
-	for _, tc := range []struct {
-		name   string
-		boosts map[string]float64
-		want   []TemplateScore
-	}{
-		{"nil boosts", nil, ranked},
-		{"promoted to first", map[string]float64{"c": 0.45},
-			[]TemplateScore{{Name: "c", Score: 0.55}, {Name: "a", Score: 0.5}, {Name: "b", Score: 0.3}}},
-		{"promoted to second", map[string]float64{"c": 0.25},
-			[]TemplateScore{{Name: "a", Score: 0.5}, {Name: "c", Score: 0.35}, {Name: "b", Score: 0.3}}},
-		{"tie breaks by name", map[string]float64{"c": 0.4, "x": 9},
-			[]TemplateScore{{Name: "a", Score: 0.5}, {Name: "c", Score: 0.5}, {Name: "b", Score: 0.3}}},
-	} {
-		before := append([]TemplateScore(nil), ranked...)
-		if got := Blend(ranked, tc.boosts); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: Blend = %v, want %v", tc.name, got, tc.want)
-		}
-		if !reflect.DeepEqual(ranked, before) {
-			t.Fatalf("%s: Blend modified its input: %v", tc.name, ranked)
-		}
 	}
 }
