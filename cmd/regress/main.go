@@ -29,7 +29,6 @@ import (
 	_ "repro/internal/duv/noc"
 	"repro/internal/regress"
 	"repro/internal/sigctx"
-	"repro/internal/template"
 )
 
 func main() {
@@ -42,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	minimize := fs.Bool("minimize", false, "print a minimal covering subset of the suite")
 	policy := fs.Int("policy", 0, "allocate this many simulations across the suite")
 	focusLightly := fs.Bool("focus-lightly", false, "policy: weight lightly-hit events 10x")
-	out := fs.String("out", "", "persist the harvested suite (templates + statistics) to this JSON file (atomic write)")
 	var (
 		corpus   cli.Corpus
 		obsFlags cli.Obs
@@ -59,12 +57,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *focusLightly && *policy == 0 {
 		return cli.Fail(fs, 2, errors.New("-focus-lightly requires -policy"))
 	}
-	if !*minimize && *policy <= 0 && *out == "" {
-		fmt.Fprintln(stderr, "regress: one of -minimize, -policy or -out is required")
+	if !*minimize && *policy <= 0 {
+		fmt.Fprintln(stderr, "regress: one of -minimize or -policy is required")
 		return 2
-	}
-	if code := cli.CheckOutput(fs, "out", *out); code != 0 {
-		return code
 	}
 	unit, err := duv.New(corpus.Unit)
 	if err != nil {
@@ -84,19 +79,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if repo == nil {
 		return code
 	}
-	bodies := map[string]*template.Template{}
-	for _, t := range unit.BaseTemplates() {
-		bodies[t.Name] = t
-	}
-	suite, err := regress.FromRepository(repo, bodies)
+	suite, err := regress.FromRepository(repo)
 	if err != nil {
 		return cli.Fail(fs, 1, err)
-	}
-	if *out != "" {
-		if err := suite.SaveFile(*out); err != nil {
-			return cli.Fail(fs, 1, err)
-		}
-		fmt.Fprintf(stdout, "suite saved to %s (%d templates)\n", *out, suite.Len())
 	}
 
 	if *minimize {

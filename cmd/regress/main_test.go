@@ -96,14 +96,32 @@ func TestErrors(t *testing.T) {
 			t.Errorf("%v beside -load: exit %d, stdout %q, stderr %q; want exit 2 naming the flag", c, code, out.String(), errb.String())
 		}
 	}
-	// An -out path that cannot be written is refused before the corpus
-	// is built, naming the flag and the path.
-	missing := filepath.Join(t.TempDir(), "no_such_dir", "suite.json")
-	out.Reset()
+	// The suite file format is gone: the corpus statistics are the
+	// repository tacquery -save and ascdg -save-repo write, and the
+	// template bodies are the unit's built-ins.
 	errb.Reset()
-	if code := run([]string{"-unit", "iounit", "-sims", "10", "-minimize", "-metrics", "-out", missing}, &out, &errb); code != 1 ||
-		!strings.Contains(errb.String(), "regress: -out "+missing+": ") ||
-		out.Len() != 0 || strings.Contains(errb.String(), "sim.instances_completed") {
-		t.Errorf("-out %s: exit %d, stdout %q, stderr %q; want exit 1 before any simulation", missing, code, out.String(), errb.String())
+	if code := run([]string{"-unit", "iounit", "-minimize", "-out", filepath.Join(dir, "suite.json")}, &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "flag provided but not defined: -out") {
+		t.Errorf("-out: exit %d, stderr %q; want exit 2 as an undefined flag", code, errb.String())
+	}
+}
+
+// TestJournalResumeFlags: -resume without -journal is a usage error; a
+// journaled build followed by a resumed one yields the same output.
+func TestJournalResumeFlags(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-unit", "iounit", "-minimize", "-resume"}, &out, &errb); code != 2 {
+		t.Fatalf("-resume without -journal: exit %d, want 2", code)
+	}
+	jpath := filepath.Join(t.TempDir(), "corpus.journal")
+	var first, second bytes.Buffer
+	if code := run([]string{"-unit", "iounit", "-sims", "100", "-minimize", "-journal", jpath}, &first, &errb); code != 0 {
+		t.Fatalf("journaled run exit %d: %s", code, errb.String())
+	}
+	if code := run([]string{"-unit", "iounit", "-sims", "100", "-minimize", "-journal", jpath, "-resume"}, &second, &errb); code != 0 {
+		t.Fatalf("resumed run exit %d: %s", code, errb.String())
+	}
+	if first.String() != second.String() {
+		t.Fatal("resumed build's output diverged")
 	}
 }

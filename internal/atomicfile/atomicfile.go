@@ -3,12 +3,12 @@
 // over the target. Readers never observe a partial file — after a crash
 // the target is either the old complete content or the new complete
 // content, which is the property every artifact a resumable run
-// persists (repositories, harvested suites) needs.
+// persists (repositories, campaign state) needs.
 //
 // WriteJSON and ReadJSON are the one codec of every JSON file on a
 // campaign data root (campaign.json, report.json, a campaign's
 // knowledge.json, and the lease.json and knowledge snapshot.json older
-// versions wrote) and of the harvested regression suite.
+// versions wrote).
 package atomicfile
 
 import (

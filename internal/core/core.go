@@ -455,24 +455,25 @@ func (f *Flow) familyCovered(family string) bool {
 }
 
 // pipeline is the flow's one composition: one approximated target
-// through steps 2-6, bracketed by the journal's run_start and
-// run_done records. prior are the campaign's earlier rounds: their count
-// numbers this round, and their harvested templates join the
-// coarse-grained search.
+// through steps 2-6. The journal's run_start record follows the coarse
+// search, which simulates nothing, so that it can name the choice; it
+// and run_done bracket the steps that simulate. prior are the
+// campaign's earlier rounds: their count numbers this round, and their
+// harvested templates join the coarse-grained search.
 func (f *Flow) pipeline(target *neighbors.Target, targetEvents []int, prior []*Report) (*Report, error) {
 	if target == nil || target.Len() == 0 {
 		return nil, fmt.Errorf("core: empty approximated target")
 	}
 	round := len(prior) + 1
-	if err := f.syncRunStart(target, targetEvents); err != nil {
-		return nil, err
-	}
-	simsAtStart := f.env.Simulations()
-	before := f.beforePhase()
 	chosen, candidate, err := f.coarseSearch(target, prior)
 	if err != nil {
 		return nil, err
 	}
+	if err := f.syncRunStart(target, targetEvents, chosen); err != nil {
+		return nil, err
+	}
+	simsAtStart := f.env.Simulations()
+	before := f.beforePhase()
 	skel, err := f.skeletonize(candidate)
 	if err != nil {
 		return nil, err
@@ -520,14 +521,18 @@ func (f *Flow) beforePhase() PhaseStats {
 }
 
 // syncRunStart validates (replay) or records (live) a run's opening
-// record: the real targets and the approximated target are pure
-// functions of the repository, so a mismatch means the journal belongs
-// to a different campaign.
-func (f *Flow) syncRunStart(target *neighbors.Target, targetEvents []int) error {
+// record: the real targets, the approximated target and the coarse
+// search's choice are pure functions of the repository and the earlier
+// rounds, so a mismatch means the journal belongs to a different
+// campaign, or to a build that ranks the templates differently.
+func (f *Flow) syncRunStart(target *neighbors.Target, targetEvents []int, chosen []tac.TemplateScore) error {
 	want := runStartRec{
 		Targets:       append([]int{}, targetEvents...),
 		ApproxEvents:  target.Events(),
 		ApproxWeights: target.Weights(),
+	}
+	for _, ts := range chosen {
+		want.Chosen = append(want.Chosen, ts.Name)
 	}
 	var got runStartRec
 	ok, err := f.cur.Take("run_start", &got)
@@ -540,6 +545,12 @@ func (f *Flow) syncRunStart(target *neighbors.Target, targetEvents []int) error 
 	if !slices.Equal(got.Targets, want.Targets) || !slices.Equal(got.ApproxEvents, want.ApproxEvents) ||
 		!slices.Equal(got.ApproxWeights, want.ApproxWeights) {
 		return fmt.Errorf("core: journal run_start record does not match this run's targets (journal belongs to a different campaign)")
+	}
+	// A journal written before the record named the choice replays as
+	// it always did.
+	if got.Chosen != nil && !slices.Equal(got.Chosen, want.Chosen) {
+		return fmt.Errorf("core: journal run_start record chose templates %v, this run's coarse search chooses %v (the journal was written under another ranking)",
+			got.Chosen, want.Chosen)
 	}
 	return nil
 }

@@ -274,6 +274,9 @@ func invReplay(t *testing.T, s invScenario, path string, want invOutcome) {
 	if n := rec.Counter("sim.instances_completed").Value(); n != 0 {
 		t.Errorf("replay simulated %d instances, want 0", n)
 	}
+	if n := rec.Counter("flow.resumes").Value(); n != 1 {
+		t.Errorf("flow.resumes = %d, want 1", n)
+	}
 	if got.sims != want.sims {
 		t.Errorf("replay restored %d simulations, want %d", got.sims, want.sims)
 	}

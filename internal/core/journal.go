@@ -85,14 +85,17 @@ func (f *Flow) header() flowHeader {
 	}
 }
 
-// runStartRec opens one round's record group. The targets and the
-// approximated target are recomputed on replay (they are pure functions
-// of the repository) and validated against the record, catching a
+// runStartRec opens one round's record group. The targets, the
+// approximated target and the templates the coarse search chose are
+// recomputed on replay (they are pure functions of the repository and
+// the earlier rounds) and validated against the record, catching a
 // journal that belongs to a different campaign before any divergence.
+// Chosen is absent from journals written before it was recorded.
 type runStartRec struct {
 	Targets       []int     `json:"targets"`
 	ApproxEvents  []int     `json:"approx_events"`
 	ApproxWeights []float64 `json:"approx_weights"`
+	Chosen        []string  `json:"chosen,omitempty"`
 }
 
 // optIterRec checkpoints one optimizer iteration: the engine's opaque

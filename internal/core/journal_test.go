@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -108,6 +110,70 @@ func TestResumeRejectsMismatchedFlow(t *testing.T) {
 				t.Fatalf("refused = %v (%v), want %v", refused, err, tc.refused)
 			}
 		})
+	}
+}
+
+// TestResumeRefusesAnotherRanking: a journal whose run_start names
+// other templates than this run's coarse search chooses (one written by
+// a build that ranks differently, under the same config hash) is refused
+// at run_start, naming both choices, instead of handing the old box's
+// sample counts to a new box.
+func TestResumeRefusesAnotherRanking(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.journal")
+	cfg := journalTestConfig()
+	cfg.Journal = path
+	flow, err := New(iounit.New(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := flow.Run(context.Background(), Target{Family: iounit.FamilyName})
+	flow.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The other ranking: the same templates, best last.
+	var ours, theirs []string
+	for _, ts := range reports[0].ChosenTemplates {
+		ours = append(ours, ts.Name)
+		theirs = append([]string{ts.Name}, theirs...)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := journal.DecodeAll(data[len(journal.Magic):])
+	w, err := journal.Create(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Type == "run_start" {
+			var rec map[string]any
+			if err := json.Unmarshal(r.Data, &rec); err != nil {
+				t.Fatal(err)
+			}
+			rec["chosen"] = theirs
+			if r.Data, err = json.Marshal(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Append(r.Type, r.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+
+	flow, err = New(iounit.New(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flow.Close()
+	_, err = flow.Run(context.Background(), Target{Family: iounit.FamilyName})
+	if want := fmt.Sprintf("run_start record chose templates %v, this run's coarse search chooses %v", theirs, ours); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume under another ranking: %v, want an error containing %q", err, want)
+	}
+	if n := flow.Env().Simulations(); n != reports[0].Phases[0].Counts.Sims() {
+		t.Fatalf("the refused resume stands at %d simulations, want the corpus's %d", n, reports[0].Phases[0].Counts.Sims())
 	}
 }
 

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -10,20 +11,29 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/coverage"
 	"repro/internal/duv"
 	"repro/internal/duv/ifu"
 	"repro/internal/duv/iounit"
 	"repro/internal/duv/l3cache"
+	"repro/internal/neighbors"
 	"repro/internal/opt"
+	"repro/internal/rng"
+	"repro/internal/sim"
+	"repro/internal/skeleton"
 	"repro/internal/stats"
+	"repro/internal/tac"
+	"repro/internal/template"
 )
 
 // claimRow checks one of the paper's six claims (EXPERIMENTS.md) on one
-// figure, scale and engine, over held-out seeds named before it first ran.
-// A seed's report is bit-identical, so its outcome is recorded exactly.
+// figure, scale and engine, or one of its design choices on the L3
+// ablation fixture, over held-out seeds named before it first ran. A
+// seed's outcome is bit-identical, so it is recorded exactly.
 type claimRow struct {
-	claim      int
+	claim      int    // 1..6; 0 on a design-choice row
+	choice     *pair  // a design-choice row: the arms its seeds compare
 	fig        string // fig3..fig6; Fig. 6 renders Fig. 4's run
 	scale      float64
 	rounds     int
@@ -35,6 +45,9 @@ type claimRow struct {
 }
 
 func (r claimRow) name() string {
+	if r.choice != nil {
+		return "design-" + r.choice.name
+	}
 	return fmt.Sprintf("claim%d-%s-scale%g-%s", r.claim, r.fig, r.scale, r.engine)
 }
 
@@ -50,7 +63,16 @@ func (r claimRow) key(seed uint64, engine string) runKey {
 
 // recordedFails holds, per row, the seeds where its predicate was false at
 // K = 20 (EXPERIMENTS.md). A failing row is not re-seeded or resized.
-var recordedFails = map[string][]uint64{"claim3-fig3-scale1-implicit_filtering": {914}}
+var recordedFails = map[string][]uint64{
+	"claim3-fig3-scale1-implicit_filtering": {914},
+	"design-weighted_target":                {8101, 8102, 8103, 8104, 8105, 8107, 8108, 8110, 8111, 8112, 8114, 8118, 8119},
+	"design-sampled_start":                  {8101},
+	"design-resample_center":                {8101, 8105, 8106, 8112, 8113, 8114, 8118, 8120},
+}
+
+// designSeeds are the design-choice rows' held-out seeds.
+var designSeeds = []uint64{8101, 8102, 8103, 8104, 8105, 8106, 8107, 8108, 8109, 8110,
+	8111, 8112, 8113, 8114, 8115, 8116, 8117, 8118, 8119, 8120}
 
 func claimRows() []claimRow {
 	all := []uint64{901, 902, 903, 904, 905, 906, 907, 908, 909, 910, 911, 912, 913, 914, 915, 916, 917, 918, 919, 920}
@@ -76,6 +98,10 @@ func claimRows() []claimRow {
 		claimRow{claim: 4, fig: "fig4", scale: 0.005, rounds: 1, engine: def, seeds: fig4, smoke: 1, pred: descending},
 		claimRow{claim: 5, fig: "fig5", scale: 0.005, rounds: 1, engine: def, seeds: all, smoke: 3, pred: onlyEntry7Unhit},
 		claimRow{claim: 6, fig: "fig6", scale: 0.005, rounds: 1, engine: def, seeds: all, smoke: 1, pred: climbs},
+		claimRow{choice: &pair{"approximated_target", approximated, rawTarget}, seeds: designSeeds, smoke: 1},
+		claimRow{choice: &pair{"weighted_target", weighted, uniform}, seeds: designSeeds, smoke: 1},
+		claimRow{choice: &pair{"sampled_start", approximated, randomStart}, seeds: designSeeds, smoke: 1},
+		claimRow{choice: &pair{"resample_center", resample, noResample}, seeds: designSeeds, smoke: 1},
 	)
 }
 
@@ -92,6 +118,21 @@ func TestClaims(t *testing.T) {
 	}
 	figs := map[string]func(Options) (*Result, error){"fig3": Fig3, "fig4": Fig4, "fig5": Fig5}
 	runs := map[runKey]*Result{}
+	run := func(t *testing.T, key runKey) *Result {
+		if res := runs[key]; res != nil {
+			return res
+		}
+		res, err := figs[key.fig](key.opts)
+		if err != nil {
+			t.Fatalf("seed %d: %v", key.opts.Seed, err)
+		}
+		if res.Name != key.fig || res.Sims == 0 || len(res.Reports) == 0 {
+			t.Fatalf("seed %d: %s ran %d sims into %d reports", key.opts.Seed, res.Name, res.Sims, len(res.Reports))
+		}
+		runs[key] = res
+		return res
+	}
+	arms := armRuns{map[uint64]*ablation{}, map[armKey]float64{}}
 	for _, row := range claimRows() {
 		t.Run(row.name(), func(t *testing.T) {
 			n := min(cmp.Or(k, row.smoke), len(row.seeds))
@@ -100,21 +141,15 @@ func TestClaims(t *testing.T) {
 			}
 			var fails []uint64
 			for _, seed := range row.seeds[:n] {
-				key := row.key(seed, row.engine)
-				res := runs[key]
-				if res == nil {
-					var err error
-					if res, err = figs[key.fig](key.opts); err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
-					}
-					if res.Name != key.fig || res.Sims == 0 || len(res.Reports) == 0 {
-						t.Fatalf("seed %d: %s ran %d sims into %d reports", seed, res.Name, res.Sims, len(res.Reports))
-					}
-					runs[key] = res
+				var ok bool
+				var value string
+				if row.choice != nil {
+					ok, value = row.choice.judge(t, arms, seed)
+				} else {
+					ok, value = row.pred(row, run(t, row.key(seed, row.engine)))
 				}
-				ok, value := row.pred(row, res)
 				if ok == slices.Contains(recordedFails[row.name()], seed) {
-					t.Errorf("seed %d: claim %d holds = %v (%s), recorded %v", seed, row.claim, ok, value, !ok)
+					t.Errorf("seed %d: %s holds = %v (%s), recorded %v", seed, row.name(), ok, value, !ok)
 				}
 				if !ok {
 					fails = append(fails, seed)
@@ -270,4 +305,208 @@ func climbs(_ claimRow, res *Result) (bool, string) {
 	p := climbingReport(res.Reports).Progress
 	first, last := p[0].Best, p[len(p)-1].Best
 	return last > first, fmt.Sprintf("iteration 1 best %.4f, iteration %d best %.4f", first, len(p), last)
+}
+
+// The design choices the paper argues for are checked on one L3 fixture
+// per seed: an 800-sim corpus, the decay-weighted approximated target of
+// the family's uncovered rungs, the skeleton of the TAC-best two
+// templates, and the best of 20 random 50-sim samples as the start (the
+// flow's steps 1-4 at small budgets). Each arm then runs implicit
+// filtering, 11 directions x 8 iterations, from that fixture and
+// re-evaluates the point it returns with 2000 sims.
+
+// ablation is one seed's fixture.
+type ablation struct {
+	seed          uint64
+	batches, sims uint64 // the environment's counters after steps 1-4
+	skel          *skeleton.Skeleton
+	target        *neighbors.Target
+	x0            []float64
+	model         *coverage.Model
+	family, deep  []int // the byp_reqs rungs, and those from byp_reqs09 down
+}
+
+func newAblation(t *testing.T, seed uint64) *ablation {
+	unit := l3cache.New()
+	env := sim.NewEnv(unit, seed, 0)
+	defer env.Close()
+	repo, err := env.BuildCorpus(800)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := unit.Model()
+	fam, _ := model.Family(l3cache.FamilyName)
+	var targets []int
+	for _, id := range fam {
+		if repo.Total().Hits(id) == 0 {
+			targets = append(targets, id)
+		}
+	}
+	if len(targets) == 0 {
+		targets = fam[len(fam)-1:]
+	}
+	ws, err := neighbors.Ordinal(model, l3cache.FamilyName, targets, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := neighbors.NewTarget(ws)
+	ranked, err := tac.New(repo).BestTemplates(target.Events(), target.Weights(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chosen []*template.Template
+	for _, ts := range ranked {
+		for _, b := range unit.BaseTemplates() {
+			if b.Name == ts.Name {
+				chosen = append(chosen, b)
+			}
+		}
+	}
+	skel, err := skeleton.Skeletonize(core.MergeTemplates("ablation_candidate", chosen), skeleton.Options{Subranges: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(seed).SplitString("ablation")
+	best, x0 := -1.0, skel.RandomWeights(r)
+	for range 20 {
+		x := skel.RandomWeights(r)
+		if score := target.Score(point(t, env, skel, x, 50)); score > best {
+			best, x0 = score, x
+		}
+	}
+	return &ablation{seed: seed, batches: env.Batches(), sims: env.Simulations(), skel: skel,
+		target: target, x0: x0, model: model, family: fam, deep: fam[8:]}
+}
+
+// point simulates the skeleton at x.
+func point(t *testing.T, env *sim.Env, skel *skeleton.Skeleton, x []float64, sims int) *coverage.Counts {
+	tmpl, err := skel.Instantiate("point", x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := env.Run(tmpl, sims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// arm is one optimizer run on the fixture: the objective's target and
+// sims per point, the start, engine knobs over the common setting, and
+// the ground truth read off the 2000-sim re-evaluation.
+type arm struct {
+	name        string
+	target      func(*ablation) *neighbors.Target
+	sims        int
+	randomStart bool
+	knobs       string
+	truth       func(*ablation, *coverage.Counts) float64
+}
+
+// fixtureTarget is the approximated target; approxScore judges an arm by it.
+func fixtureTarget(a *ablation) *neighbors.Target         { return a.target }
+func approxScore(a *ablation, c *coverage.Counts) float64 { return a.target.Score(c) }
+
+// deepRates judges an arm by the summed hit rates of byp_reqs09..16, the
+// frontier reachable at these budgets.
+func deepRates(a *ablation, c *coverage.Counts) float64 {
+	sum := 0.0
+	for _, id := range a.deep {
+		sum += c.HitRate(id)
+	}
+	return sum
+}
+
+// ordinal is the family target over byp_reqs09..16 at the given decay.
+func ordinal(decay float64) func(*ablation) *neighbors.Target {
+	return func(a *ablation) *neighbors.Target {
+		ws, err := neighbors.Ordinal(a.model, l3cache.FamilyName, a.deep, decay)
+		if err != nil {
+			panic(err)
+		}
+		return neighbors.NewTarget(ws)
+	}
+}
+
+var (
+	// approximated is the paper's flow: the approximated target (§IV-A)
+	// from the best random sample (§IV-D), resampling the centre (§IV-E).
+	approximated = arm{name: "approximated", target: fixtureTarget, sims: 100, truth: approxScore}
+	// rawTarget climbs on the uncovered rungs byp_reqs12..16 alone, the
+	// flat landscape §IV-A motivates the approximated target with.
+	rawTarget = arm{name: "raw", target: func(a *ablation) *neighbors.Target { return neighbors.Uniform(a.family[11:]) },
+		sims: 100, truth: approxScore}
+	randomStart = arm{name: "random_start", target: fixtureTarget, sims: 100, randomStart: true, truth: approxScore}
+	// The resampling pair runs at 50 sims per point, where noise is large
+	// enough for a lucky centre to matter.
+	resample   = arm{name: "resample", target: fixtureTarget, sims: 50, truth: approxScore}
+	noResample = arm{name: "no_resample", target: fixtureTarget, sims: 50, knobs: `{"no_resample_center": true}`, truth: approxScore}
+	// weighted gives rungs nearer the deep ones more weight (§IV-A);
+	// uniform is §V's plain family sum.
+	weighted = arm{name: "weighted", target: ordinal(0.4), sims: 100, truth: deepRates}
+	uniform  = arm{name: "uniform", target: ordinal(1), sims: 100, truth: deepRates}
+)
+
+// run optimizes from the fixture in an environment at the fixture's
+// counters, so an arm's value does not depend on which arms ran before.
+func (a *ablation) run(t *testing.T, m arm) float64 {
+	env := sim.NewEnv(l3cache.New(), a.seed, 0)
+	defer env.Close()
+	env.RestoreCounters(a.batches, a.sims)
+	params, err := opt.MergeParams(map[string]any{"directions": 11, "iterations": 8}, json.RawMessage(m.knobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := a.x0
+	if m.randomStart {
+		x0 = a.skel.RandomWeights(rng.New(a.seed).SplitString("random_start"))
+	}
+	eng, err := opt.New(opt.DefaultEngine, opt.EngineConfig{X0: x0, RNG: rng.New(a.seed).SplitString("optimizer")}, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := m.target(a)
+	res, err := opt.Drive(eng, opt.DriveOptions{BatchSize: 11, Objective: func(x []float64) float64 {
+		return target.Score(point(t, env, a.skel, x, m.sims))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.truth(a, point(t, env, a.skel, res.X, 2000))
+}
+
+// armRuns shares fixtures and arm values across the design-choice rows.
+type armRuns struct {
+	fixtures map[uint64]*ablation
+	values   map[armKey]float64
+}
+
+type armKey struct {
+	seed uint64
+	arm  string
+}
+
+func (r armRuns) value(t *testing.T, seed uint64, m arm) float64 {
+	key := armKey{seed, m.name}
+	if v, ok := r.values[key]; ok {
+		return v
+	}
+	if r.fixtures[seed] == nil {
+		r.fixtures[seed] = newAblation(t, seed)
+	}
+	r.values[key] = r.fixtures[seed].run(t, m)
+	return r.values[key]
+}
+
+// pair is a design choice: the mechanism's arm and its ablation's.
+type pair struct {
+	name    string
+	on, off arm
+}
+
+// judge holds when the mechanism's ground truth strictly beats the
+// ablation's on the seed.
+func (p *pair) judge(t *testing.T, r armRuns, seed uint64) (bool, string) {
+	on, off := r.value(t, seed, p.on), r.value(t, seed, p.off)
+	return on > off, fmt.Sprintf("%s %.4f, %s %.4f", p.on.name, on, p.off.name, off)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/atomicfile"
+	"repro/internal/obs"
 )
 
 func entry(campaign string, round int, unit, template string, score float64, sources ...string) Entry {
@@ -33,10 +34,14 @@ func openStore(t *testing.T, dir, owner string) *Store {
 }
 
 // TestAddDedupe: feeding the same (campaign, round, template) key twice
-// — a replayed harvest — stores it once.
+// — a replayed harvest — stores it once, and knowledge.entries counts it
+// once.
 func TestAddDedupe(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, "r1")
+	rec := obs.NewRecorder()
+	s, err := Open(t.TempDir(), "r1", rec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
 
 	e := entry("c000001", 0, "iounit", "c000001_r0_best", 0.5, "tplA")
@@ -55,6 +60,9 @@ func TestAddDedupe(t *testing.T) {
 	}
 	if !reflect.DeepEqual(all[0], e) {
 		t.Fatalf("entry round-trip mismatch:\ngot  %+v\nwant %+v", all[0], e)
+	}
+	if n := rec.Counter("knowledge.entries").Value(); n != 1 {
+		t.Fatalf("knowledge.entries = %d, want 1", n)
 	}
 }
 

@@ -21,7 +21,7 @@ type IFSpec struct {
 	// 1/64 of the box width).
 	MinStep float64 `json:"min_step,omitempty"`
 	// NoResampleCenter disables the paper's per-iteration center
-	// re-evaluation (ablations only).
+	// re-evaluation (set only by TestClaims' resampling row).
 	NoResampleCenter bool `json:"no_resample_center,omitempty"`
 }
 

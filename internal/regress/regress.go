@@ -19,15 +19,13 @@ import (
 	"sort"
 
 	"repro/internal/coverage"
-	"repro/internal/template"
 )
 
-// Entry is one regression-suite member: a template (body optional) with
-// its aggregated coverage statistics.
+// Entry is one regression-suite member: a template's name with its
+// aggregated coverage statistics.
 type Entry struct {
-	Name     string
-	Template *template.Template // nil when only statistics are known
-	Counts   *coverage.Counts
+	Name   string
+	Counts *coverage.Counts
 }
 
 // Suite is a regression suite over one coverage model.
@@ -42,9 +40,9 @@ func NewSuite(m *coverage.Model) *Suite {
 	return &Suite{model: m, byName: map[string]int{}}
 }
 
-// Add registers a template with its statistics. Adding an existing name
+// Add registers a template's statistics. Adding an existing name
 // replaces its entry.
-func (s *Suite) Add(name string, tmpl *template.Template, counts *coverage.Counts) error {
+func (s *Suite) Add(name string, counts *coverage.Counts) error {
 	if name == "" {
 		return fmt.Errorf("regress: entry needs a name")
 	}
@@ -55,7 +53,7 @@ func (s *Suite) Add(name string, tmpl *template.Template, counts *coverage.Count
 		return fmt.Errorf("regress: entry %q counts track %d events, model has %d",
 			name, counts.Len(), s.model.Size())
 	}
-	e := Entry{Name: name, Template: tmpl, Counts: counts}
+	e := Entry{Name: name, Counts: counts}
 	if i, ok := s.byName[name]; ok {
 		s.entries[i] = e
 		return nil
@@ -65,13 +63,13 @@ func (s *Suite) Add(name string, tmpl *template.Template, counts *coverage.Count
 	return nil
 }
 
-// FromRepository builds a suite from a coverage repository, attaching
-// template bodies where the caller knows them.
-func FromRepository(repo *coverage.Repository, bodies map[string]*template.Template) (*Suite, error) {
+// FromRepository builds a suite from a coverage repository's
+// per-template statistics.
+func FromRepository(repo *coverage.Repository) (*Suite, error) {
 	s := NewSuite(repo.Model())
 	for _, name := range repo.TemplateNames() {
 		counts, _ := repo.Template(name)
-		if err := s.Add(name, bodies[name], counts); err != nil {
+		if err := s.Add(name, counts); err != nil {
 			return nil, err
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/coverage"
-	"repro/internal/template"
 )
 
 // mkCounts builds counts over n events: sims simulations, with hits[id]
@@ -30,7 +29,7 @@ func testSuite(t *testing.T) (*Suite, *coverage.Model) {
 	s := NewSuite(m)
 	add := func(name string, hits map[int]int) {
 		t.Helper()
-		if err := s.Add(name, nil, mkCounts(m.Size(), 100, hits)); err != nil {
+		if err := s.Add(name, mkCounts(m.Size(), 100, hits)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,16 +67,16 @@ func TestSuiteBasics(t *testing.T) {
 func TestAddValidation(t *testing.T) {
 	m := coverage.MustModel([]string{"a"})
 	s := NewSuite(m)
-	if err := s.Add("", nil, mkCounts(1, 10, nil)); err == nil {
+	if err := s.Add("", mkCounts(1, 10, nil)); err == nil {
 		t.Error("empty name should fail")
 	}
-	if err := s.Add("x", nil, nil); err == nil {
+	if err := s.Add("x", nil); err == nil {
 		t.Error("nil counts should fail")
 	}
-	if err := s.Add("x", nil, coverage.NewCounts(1)); err == nil {
+	if err := s.Add("x", coverage.NewCounts(1)); err == nil {
 		t.Error("zero-sim counts should fail")
 	}
-	if err := s.Add("x", nil, mkCounts(3, 10, nil)); err == nil {
+	if err := s.Add("x", mkCounts(3, 10, nil)); err == nil {
 		t.Error("size mismatch should fail")
 	}
 }
@@ -85,10 +84,10 @@ func TestAddValidation(t *testing.T) {
 func TestAddReplaces(t *testing.T) {
 	m := coverage.MustModel([]string{"a"})
 	s := NewSuite(m)
-	if err := s.Add("x", nil, mkCounts(1, 10, map[int]int{0: 1})); err != nil {
+	if err := s.Add("x", mkCounts(1, 10, map[int]int{0: 1})); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add("x", nil, mkCounts(1, 20, map[int]int{0: 2})); err != nil {
+	if err := s.Add("x", mkCounts(1, 20, map[int]int{0: 2})); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 1 {
@@ -214,17 +213,13 @@ func TestFromRepository(t *testing.T) {
 	v := coverage.NewVectorFor(m)
 	v.Set(0)
 	repo.Record("t1", v)
-	body, err := template.Parse("template t1 { range R [1:2]; }")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := FromRepository(repo, map[string]*template.Template{"t1": body})
+	s, err := FromRepository(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e, ok := s.Entry("t1")
-	if !ok || e.Template != body {
-		t.Fatal("body not attached")
+	if !ok || e.Counts.Sims() != 1 || e.Counts.Hits(0) != 1 || e.Counts.Hits(1) != 0 {
+		t.Fatalf("entry t1 = %+v, %v; want the repository's one simulation hitting a", e, ok)
 	}
 }
 

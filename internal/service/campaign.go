@@ -53,7 +53,8 @@ type EngineSpec struct {
 	// start it reads the knowledge base — harvested (weights, score)
 	// pairs become the engine's warm-start prior — and the consumed
 	// snapshot is frozen in the campaign directory so a resumed campaign
-	// sees byte-identical priors.
+	// sees byte-identical priors. Admission refuses it with bayes, whose
+	// own history steers it down.
 	Knowledge bool `json:"knowledge,omitempty"`
 }
 
@@ -135,6 +136,12 @@ func (s Spec) validate(units func(string) (duv.DUV, error)) error {
 	if s.Engine != nil {
 		if err := opt.Validate(s.Engine.Name, nil); err != nil {
 			return fmt.Errorf("service: spec: %w", err)
+		}
+		// Measured, not assumed: on the same spec run twice, the warm
+		// bayes campaign scored below the cold one on 19 of 20 seeds
+		// (EXPERIMENTS.md, the flywheel's warm/cold table).
+		if s.Engine.Name == "bayes" && s.Engine.Knowledge {
+			return errors.New(`service: spec: engine "bayes" with knowledge: warm bayes campaigns lost to cold ones on 19 of 20 seeds; submit bayes without knowledge, or the ranker with it`)
 		}
 	}
 	return nil

@@ -82,6 +82,16 @@ func TestHTTPEngineSpecGoldens(t *testing.T) {
 	}
 	checkGolden(t, "submit_bad_engine_params.json", normalize(body))
 
+	// bayes with knowledge → 400 giving the measured reason; bayes alone
+	// is admitted (the campaign below runs the ranker with knowledge).
+	resp, body = doJSON(t, client, "POST", ts.URL+"/v1/campaigns", engineSpec("bayes", true))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "warm bayes campaigns lost to cold ones on 19 of 20 seeds") {
+		t.Fatalf("bayes with knowledge POST status = %d, want 400 with the measured reason: %s", resp.StatusCode, body)
+	}
+	if err := engineSpec("bayes", false).validate(svc.unit); err != nil {
+		t.Fatalf("bayes without knowledge refused: %v", err)
+	}
+
 	// The knowledge base starts empty.
 	resp, body = doJSON(t, client, "GET", ts.URL+"/v1/knowledge", nil)
 	if resp.StatusCode != http.StatusOK {

@@ -194,6 +194,8 @@ func TestSpecValidation(t *testing.T) {
 		{Unit: iounit.UnitName, Family: iounit.FamilyName, Config: SpecConfig{SampleSims: -7}},
 		{Unit: iounit.UnitName, Family: iounit.FamilyName, Config: SpecConfig{CorpusSims: -1}},
 		{Unit: iounit.UnitName, Family: iounit.FamilyName, Config: SpecConfig{BestSims: -2000}},
+		// bayes with knowledge is steered down by its own history.
+		{Unit: iounit.UnitName, Family: iounit.FamilyName, Engine: &EngineSpec{Name: "bayes", Knowledge: true}},
 	}
 	for i, spec := range bad {
 		if _, err := svc.Submit(spec); err == nil {

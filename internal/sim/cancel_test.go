@@ -252,6 +252,9 @@ func TestParentCorpusJournalReplays(t *testing.T) {
 	if n := rec.Counter("sim.instances_completed").Value(); n != 0 {
 		t.Errorf("replay simulated %d instances, want 0", n)
 	}
+	if n := rec.Counter("sim.corpus_resumes").Value(); n != 1 {
+		t.Errorf("sim.corpus_resumes = %d, want 1", n)
+	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, journalBytes) {
 		t.Errorf("replay changed the journal (%d bytes, was %d)", len(got), len(journalBytes))
 	}

@@ -52,6 +52,9 @@ func TestSchedulerObsMetrics(t *testing.T) {
 	if chunks == 0 {
 		t.Fatalf("no chunks recorded")
 	}
+	if cs := snap.Histograms["sim.chunk_size"]; cs.Count != chunks || cs.Sum != jobs*batch {
+		t.Fatalf("chunk_size count %d, sum %d; want %d chunks of %d instances", cs.Count, cs.Sum, chunks, jobs*batch)
+	}
 	if hc := snap.Histograms["sim.chunk_ns"].Count; hc != chunks {
 		t.Fatalf("chunk_ns count = %d, want %d", hc, chunks)
 	}
