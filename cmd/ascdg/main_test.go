@@ -183,7 +183,7 @@ func TestRepoSaveAndReuse(t *testing.T) {
 	if !strings.Contains(out.String(), "repository saved") {
 		t.Fatal("save confirmation missing")
 	}
-	// The saved corpus is what tacquery -load and regress -load read:
+	// The saved corpus is what tacquery -load reads:
 	// it loads against its own unit's model and no other.
 	if _, err := coverage.LoadFile(repoPath, l3cache.New().Model()); err != nil {
 		t.Fatalf("saved corpus does not load: %v", err)

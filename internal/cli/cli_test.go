@@ -226,7 +226,7 @@ func TestJournal(t *testing.T) {
 	})
 }
 
-// TestJournalRule: ascdg (Journal.Prepare) and regress and tacquery
+// TestJournalRule: ascdg (Journal.Prepare) and tacquery
 // (Corpus.Build) follow one -journal/-resume rule with one message:
 // -resume needs an existing journal, and -journal without -resume starts
 // over whatever stale file is there.
@@ -253,7 +253,7 @@ func TestJournalRule(t *testing.T) {
 	for _, cmd := range []struct {
 		name string
 		step func(*flag.FlagSet, []string) int
-	}{{"ascdg", prepare}, {"regress", build}, {"tacquery", build}} {
+	}{{"ascdg", prepare}, {"tacquery", build}} {
 		for _, tc := range []stepCase{
 			{[]string{"-journal", missing, "-resume"}, 1, cmd.name + ": -resume: no journal at " + missing + "\n"},
 			{[]string{"-journal", stale}, 0, ""},

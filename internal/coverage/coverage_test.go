@@ -494,6 +494,28 @@ func TestRepositoryLoadModelMismatch(t *testing.T) {
 	}
 }
 
+// TestRepositoryLoadRefusesImpossibleCounts: a saved repository is
+// outside input, so a template without simulations, or with an event
+// hit more often than it was simulated, is refused by name.
+func TestRepositoryLoadRefusesImpossibleCounts(t *testing.T) {
+	m := MustModel([]string{"a", "b"})
+	for _, c := range []struct{ doc, want string }{
+		{`{"events":["a","b"],"templates":{"t1":{"sims":0,"hits":[0,0]}}}`,
+			`coverage: template "t1" has no simulations`},
+		{`{"events":["a","b"],"templates":{"t1":{"sims":4,"hits":[1,1]},"t2":{"sims":4,"hits":[2,23]}}}`,
+			`coverage: template "t2" hits b 23 times in 4 simulations`},
+	} {
+		if _, err := Load(strings.NewReader(c.doc), m); err == nil || err.Error() != c.want {
+			t.Errorf("Load(%s) = %v, want %q", c.doc, err, c.want)
+		}
+	}
+	// A template that hits an event on every simulation is fine.
+	repo, err := Load(strings.NewReader(`{"events":["a","b"],"templates":{"t1":{"sims":4,"hits":[4,0]}}}`), m)
+	if err != nil || repo.Sims() != 4 {
+		t.Fatalf("Load of a full-rate template: %v", err)
+	}
+}
+
 func TestCrossProduct(t *testing.T) {
 	cp, err := NewCrossProduct("ifu", []Dim{
 		{Name: "entry", Values: []string{"e0", "e1", "e2"}},

@@ -150,7 +150,10 @@ func (r *Repository) SaveFile(path string) error {
 }
 
 // Load reads a repository previously written by Save. The stored event
-// list must exactly match the given model's events.
+// list must exactly match the given model's events, and every template
+// must have simulations and no event hit more often than it was
+// simulated: the file is outside input, and a hit rate above 100 % is
+// no statistic.
 func Load(rd io.Reader, m *Model) (*Repository, error) {
 	var in repoJSON
 	if err := json.NewDecoder(rd).Decode(&in); err != nil {
@@ -164,14 +167,28 @@ func Load(rd io.Reader, m *Model) (*Repository, error) {
 			return nil, fmt.Errorf("coverage: repository event %d is %q, model has %q", i, name, m.Name(i))
 		}
 	}
+	names := make([]string, 0, len(in.Templates))
+	for name := range in.Templates {
+		names = append(names, name)
+	}
+	sort.Strings(names) // the first bad template named is the same each load
 	repo := NewRepository(m)
-	for name, cj := range in.Templates {
+	for _, name := range names {
+		cj := in.Templates[name]
 		if len(cj.Hits) != m.Size() {
 			return nil, fmt.Errorf("coverage: template %q has %d hit counters, model has %d events",
 				name, len(cj.Hits), m.Size())
 		}
-		c := &Counts{hits: cj.Hits, sims: cj.Sims}
-		repo.RecordCounts(name, c)
+		if cj.Sims == 0 {
+			return nil, fmt.Errorf("coverage: template %q has no simulations", name)
+		}
+		for id, h := range cj.Hits {
+			if h > cj.Sims {
+				return nil, fmt.Errorf("coverage: template %q hits %s %d times in %d simulations",
+					name, m.Name(id), h, cj.Sims)
+			}
+		}
+		repo.RecordCounts(name, &Counts{hits: cj.Hits, sims: cj.Sims})
 	}
 	return repo, nil
 }

@@ -407,8 +407,8 @@ type corpusHeader struct {
 
 // OpenCorpusJournal opens (journal.Open) the standalone corpus-build
 // journal at path for this environment — the crash-safety entry point
-// for CLIs whose only simulation phase is BuildCorpus (regress,
-// tacquery). A missing file starts a fresh journal; an existing one
+// for a CLI whose only simulation phase is BuildCorpus (tacquery). A
+// missing file starts a fresh journal; an existing one
 // resumes, and its header must match this environment's unit, seed and
 // budget exactly. The caller owns closing the returned cursor.
 func (e *Env) OpenCorpusJournal(path string, simsPerTemplate int, rec *obs.Recorder) (*journal.Cursor, error) {

@@ -6,6 +6,13 @@
 // TAC answers one question for the flow: given the (approximated) target
 // events, which existing test-templates hit them best? The parameters of
 // those templates are the ones the fine-grained search then tunes.
+//
+// The same statistics are the regression suite the harvest step adds to
+// (Section IV-F), and answer its two queries: Minimize, the smallest
+// template subset that keeps the suite's coverage (Yang et al. [12] drop
+// templates that contribute nothing), and Policy, a simulation budget
+// spread over the templates to hit the most (optionally weighted) events
+// at least once, the hardly-hit-events policy of ref [3].
 package tac
 
 import (
@@ -57,7 +64,7 @@ func (s *Stats) BestTemplates(events []int, weights []float64, n int) ([]Templat
 			if weights != nil {
 				w = weights[i]
 			}
-			score += w * c.HitRate(e)
+			score += float64(w * c.HitRate(e))
 		}
 		scores = append(scores, TemplateScore{Name: name, Score: score, Sims: c.Sims()})
 	}
@@ -132,4 +139,146 @@ func (s *Stats) Report(events []int) []EventRow {
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// covered returns the IDs of every event some template hit, ascending.
+func (s *Stats) covered() []int {
+	total := s.repo.Total()
+	var ids []int
+	for id := 0; id < total.Len(); id++ {
+		if total.Hits(id) > 0 {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// Minimize returns, sorted, the names of a small set of templates that
+// together hit every event the repository's templates hit: the classic
+// greedy set cover. Each step picks the template hitting the most
+// still-uncovered events; ties go to the larger hit mass on them, then
+// to the lexicographically first name (TemplateNames is sorted, and only
+// a strictly better template replaces the pick).
+func (s *Stats) Minimize() []string {
+	remaining := s.covered()
+	names := s.repo.TemplateNames()
+	var picked []string
+	for len(remaining) > 0 {
+		var best *coverage.Counts
+		bestName, bestGain, bestMass := "", 0, uint64(0)
+		for _, name := range names {
+			c, _ := s.repo.Template(name)
+			gain, mass := 0, uint64(0)
+			for _, id := range remaining {
+				if h := c.Hits(id); h > 0 {
+					gain++
+					mass += h
+				}
+			}
+			if gain > bestGain || gain == bestGain && mass > bestMass {
+				best, bestName, bestGain, bestMass = c, name, gain, mass
+			}
+		}
+		if best == nil {
+			break // unreachable: the total is the templates' sum
+		}
+		picked = append(picked, bestName)
+		kept := remaining[:0]
+		for _, id := range remaining {
+			if best.Hits(id) == 0 {
+				kept = append(kept, id)
+			}
+		}
+		remaining = kept
+	}
+	sort.Strings(picked)
+	return picked
+}
+
+// Policy allocates a budget of simulations across the templates to
+// maximize the expected number of focus events hit at least once.
+// focus maps event ID -> importance weight; nil focuses uniformly on
+// every event some template hit. The allocation is greedy in chunks:
+// each chunk goes to the template with the highest marginal expected
+// gain given the miss probabilities accumulated so far. The returned
+// map's values sum to budget (when budget >= chunk and some template
+// has nonzero gain).
+func (s *Stats) Policy(budget int, focus map[int]float64) map[string]int {
+	const chunk = 10
+	alloc := map[string]int{}
+	names := s.repo.TemplateNames()
+	if budget <= 0 || len(names) == 0 {
+		return alloc
+	}
+	// The focus events in ascending ID order, so every sum below adds
+	// in one order.
+	var ids []int
+	var weights []float64
+	if focus == nil {
+		ids = s.covered()
+		for range ids {
+			weights = append(weights, 1)
+		}
+	} else {
+		for id := 0; id < s.repo.Model().Size(); id++ {
+			if w, ok := focus[id]; ok {
+				ids, weights = append(ids, id), append(weights, w)
+			}
+		}
+	}
+	// pMiss[i] is the probability focus event ids[i] is missed by the
+	// allocation so far; probs[t][i] is template t's hit probability on it.
+	pMiss := make([]float64, len(ids))
+	for i := range pMiss {
+		pMiss[i] = 1
+	}
+	probs := make([][]float64, len(names))
+	for t, name := range names {
+		c, _ := s.repo.Template(name)
+		probs[t] = make([]float64, len(ids))
+		for i, id := range ids {
+			probs[t][i] = c.HitRate(id)
+		}
+	}
+
+	for spent := 0; spent < budget; {
+		step := chunk
+		if budget-spent < step {
+			step = budget - spent
+		}
+		bestIdx, bestGain := -1, 0.0
+		for t := range names {
+			gain := 0.0
+			for i, p := range probs[t] {
+				// Expected newly-hit mass of `step` sims of this template.
+				gain += float64(weights[i] * pMiss[i] * (1 - pow1m(p, step)))
+			}
+			if gain > bestGain {
+				bestIdx, bestGain = t, gain
+			}
+		}
+		if bestIdx < 0 {
+			break // nothing can improve the focus set
+		}
+		alloc[names[bestIdx]] += step
+		for i, p := range probs[bestIdx] {
+			pMiss[i] *= pow1m(p, step)
+		}
+		spent += step
+	}
+	return alloc
+}
+
+// pow1m returns (1-p)^n.
+func pow1m(p float64, n int) float64 {
+	out := 1.0
+	base := 1 - p
+	for n > 0 {
+		if n&1 == 1 {
+			out *= base
+		}
+		base *= base
+		n >>= 1
+	}
+	return out
 }
