@@ -147,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	reports, err := flow.Run(ctx, target)
 	if errors.Is(err, core.ErrInterrupted) {
-		jnl.Interrupted("run")
+		jnl.Interrupted()
 		return 0
 	}
 	if err != nil {

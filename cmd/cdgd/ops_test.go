@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 	"repro/internal/opt"
 )
 
@@ -47,7 +48,7 @@ func TestCdgdOpsEndpoints(t *testing.T) {
 	if ct := hdr.Get("Content-Type"); ct != obs.OpenMetricsContentType {
 		t.Fatalf("/metrics content type = %q", ct)
 	}
-	if err := obs.ValidateOpenMetrics([]byte(page)); err != nil {
+	if err := obstest.ValidateOpenMetrics([]byte(page)); err != nil {
 		t.Fatalf("cdgd /metrics is not valid OpenMetrics: %v\n%s", err, page)
 	}
 	// One campaign is one sample in each campaign counter family.

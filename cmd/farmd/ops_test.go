@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 )
 
 // lineWatcher signals the first submatch of re seen on the stream.
@@ -95,7 +96,7 @@ func TestFarmdOpsEndpoints(t *testing.T) {
 	if ct := hdr.Get("Content-Type"); ct != obs.OpenMetricsContentType {
 		t.Fatalf("/metrics content type = %q", ct)
 	}
-	if err := obs.ValidateOpenMetrics([]byte(page)); err != nil {
+	if err := obstest.ValidateOpenMetrics([]byte(page)); err != nil {
 		t.Fatalf("farmd /metrics is not valid OpenMetrics: %v\n%s", err, page)
 	}
 	if !strings.Contains(page, "ascdg_build_info{") {

@@ -131,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if errors.Is(err, core.ErrInterrupted) {
-		jnl.Interrupted("run")
+		jnl.Interrupted()
 		return 0
 	}
 	if err != nil {

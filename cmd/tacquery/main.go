@@ -36,7 +36,9 @@ import (
 	_ "repro/internal/duv/iounit"
 	_ "repro/internal/duv/l3cache"
 	_ "repro/internal/duv/noc"
+	"repro/internal/obs"
 	"repro/internal/sigctx"
+	"repro/internal/sim"
 	statlib "repro/internal/stats"
 	"repro/internal/tac"
 )
@@ -48,6 +50,10 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tacquery", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	unitName := fs.String("unit", "", "built-in unit: "+strings.Join(duv.Names(), ", "))
+	sims := fs.Int("sims", 1000, "simulations per base template when building the repository")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	load := fs.String("load", "", "load the repository from this JSON file instead of simulating")
 	save := fs.String("save", "", "save the repository to this JSON file")
 	events := fs.String("events", "", "comma-separated event names to report on (default: all)")
 	best := fs.Int("best", 0, "report the n best templates for the given events")
@@ -58,13 +64,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	policy := fs.Int("policy", 0, "allocate this many simulations across the templates")
 	focusLightly := fs.Bool("focus-lightly", false, "policy: weight lightly-hit events 10x")
 	var (
-		corpus   cli.Corpus
+		workers  cli.Workers
 		obsFlags cli.Obs
 	)
-	if code, done := cli.Parse(fs, args, stdout, &corpus, &obsFlags); done {
+	if code, done := cli.Parse(fs, args, stdout, &workers, &obsFlags); done {
 		return code
 	}
-	if code := corpus.Check(); code != 0 {
+	if *unitName == "" {
+		return cli.Fail(fs, 2, errors.New("-unit is required"))
+	}
+	if *load != "" {
+		// Each flag that shapes a build would change nothing.
+		ignored := ""
+		fs.Visit(func(f *flag.Flag) {
+			if ignored == "" && slices.Contains([]string{"sims", "seed", "workers"}, f.Name) {
+				ignored = f.Name
+			}
+		})
+		if ignored != "" {
+			return cli.Fail(fs, 2, fmt.Errorf("-%s changes nothing beside -load: the repository is loaded, not simulated", ignored))
+		}
+	}
+	if *sims < 1 {
+		return cli.Fail(fs, 2, fmt.Errorf("-sims %d: want at least 1", *sims))
+	}
+	if code := workers.Check(fs); code != 0 {
 		return code
 	}
 	switch {
@@ -83,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}); code != 0 {
 		return code
 	}
-	unit, err := duv.New(corpus.Unit)
+	unit, err := duv.New(*unitName)
 	if err != nil {
 		return cli.Fail(fs, 1, err)
 	}
@@ -107,9 +131,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, stopSignals := sigctx.Notify(context.Background(), stderr)
 	defer stopSignals()
 
-	repo, code := corpus.Build(ctx, unit, rec)
-	if repo == nil {
-		return code
+	var repo *coverage.Repository
+	if *load != "" {
+		repo, err = coverage.LoadFile(*load, m)
+	} else {
+		repo, err = buildCorpus(ctx, unit, *seed, *sims, int(workers), rec)
+	}
+	if errors.Is(err, context.Canceled) {
+		fmt.Fprintln(stderr, "tacquery: interrupted")
+		return 0
+	}
+	if err != nil {
+		return cli.Fail(fs, 1, err)
 	}
 	if *save != "" {
 		if err := repo.SaveFile(*save); err != nil {
@@ -168,8 +201,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			sort.Strings(names)
 			sort.SliceStable(names, func(i, j int) bool { return alloc[names[i]] > alloc[names[j]] })
 			fmt.Fprintf(stdout, "policy for %d simulations:\n", *policy)
+			allocated := 0
 			for _, name := range names {
 				fmt.Fprintf(stdout, "  %-28s %8d sims\n", name, alloc[name])
+				allocated += alloc[name]
+			}
+			if left := *policy - allocated; left > 0 {
+				fmt.Fprintf(stdout, "allocated %d of %d simulations; %d left unallocated: no further simulation raises the chance of hitting a focus event\n",
+					allocated, *policy, left)
 			}
 		}
 	default:
@@ -191,6 +230,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// buildCorpus simulates the unit's base suite at sims per template from
+// seed on a pool of workers.
+func buildCorpus(ctx context.Context, unit duv.DUV, seed uint64, sims, workers int, rec *obs.Recorder) (*coverage.Repository, error) {
+	env := sim.NewEnv(unit, seed, workers)
+	defer env.Close()
+	env.SetRecorder(rec)
+	env.SetContext(ctx)
+	return env.BuildCorpus(sims)
 }
 
 // queryFlags are the flags that pick a query, in precedence order; with

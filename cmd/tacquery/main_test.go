@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -103,6 +107,24 @@ func TestPolicy(t *testing.T) {
 	if !strings.Contains(out.String(), "policy for 500 simulations") {
 		t.Fatalf("output:\n%s", out.String())
 	}
+	// Once every focus event's miss probability underflows to 0 the
+	// greedy allocation stops, and the output says how much of the
+	// budget it left and why.
+	out.Reset()
+	if code := run([]string{"-unit", "ifu", "-sims", "50", "-policy", "2000"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	allocated := 0
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[2] == "sims" {
+			n, _ := strconv.Atoi(f[1])
+			allocated += n
+		}
+	}
+	want := fmt.Sprintf("allocated %d of 2000 simulations; %d left unallocated: no further simulation raises the chance of hitting a focus event\n", allocated, 2000-allocated)
+	if allocated >= 2000 || !strings.HasSuffix(out.String(), want) {
+		t.Fatalf("the policy's lines sum to %d; output lacks %q:\n%s", allocated, want, out.String())
+	}
 }
 
 func TestPolicyFocusLightly(t *testing.T) {
@@ -171,6 +193,17 @@ func TestErrors(t *testing.T) {
 		!strings.Contains(errb.String(), "flag provided but not defined: -knowledge") || out.Len() != 0 {
 		t.Errorf("-knowledge: exit %d, stdout %q, stderr %q; want exit 2 as an undefined flag", code, out.String(), errb.String())
 	}
+	// A repository is built or loaded, never checkpointed: there is no
+	// corpus journal to write or resume.
+	for _, c := range [][]string{{"-journal", filepath.Join(t.TempDir(), "jnl")}, {"-resume"}} {
+		out.Reset()
+		errb.Reset()
+		args := append([]string{"-unit", "iounit", "-sims", "10", "-minimize", "-metrics"}, c...)
+		if code := run(args, &out, &errb); code != 2 || !strings.Contains(errb.String(), "flag provided but not defined: "+c[0]) ||
+			out.Len() != 0 || strings.Contains(errb.String(), "sim.instances_completed") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 as an undefined flag", c, code, out.String(), errb.String())
+		}
+	}
 	// The flags that shape a corpus build change nothing beside -load, so
 	// each is refused before anything is loaded or simulated.
 	dir := t.TempDir()
@@ -178,9 +211,7 @@ func TestErrors(t *testing.T) {
 	if code := run([]string{"-unit", "iounit", "-sims", "10", "-save", repo}, &out, &errb); code != 0 {
 		t.Fatalf("save exit %d: %s", code, errb.String())
 	}
-	for _, c := range [][]string{
-		{"-journal", filepath.Join(dir, "jnl")}, {"-resume"}, {"-sims", "5000"}, {"-seed", "9"}, {"-workers", "3"},
-	} {
+	for _, c := range [][]string{{"-sims", "5000"}, {"-seed", "9"}, {"-workers", "3"}} {
 		out.Reset()
 		errb.Reset()
 		args := append([]string{"-unit", "iounit", "-load", repo, "-uncovered", "-metrics"}, c...)
@@ -255,6 +286,54 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestCorpusFlags covers the flags that pick the repository: their
+// defaults, -unit is required, -workers takes at most sim.MaxWorkers, and
+// an interrupted build ends without a repository. TestErrors and
+// TestSuiteErrors hold the -sims floor and the refusals beside -load.
+func TestCorpusFlags(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-h"}, &out, &errb); code != 2 {
+		t.Fatalf("-h: exit %d, want 2", code)
+	}
+	for _, want := range []string{
+		"-unit string", "-sims int\n", "(default 1000)", "-seed uint\n", "(default 1)", "-load string", "-workers int",
+	} {
+		if !strings.Contains(errb.String(), want) {
+			t.Errorf("usage lacks %q:\n%s", want, errb.String())
+		}
+	}
+	repo := filepath.Join(t.TempDir(), "repo.json")
+	if err := coverage.NewRepository(iounit.New().Model()).SaveFile(repo); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		code int
+		msg  string
+	}{
+		{[]string{}, 2, "tacquery: -unit is required"},
+		{[]string{"-unit", "iounit", "-sims", "1"}, 0, ""},
+		{[]string{"-unit", "iounit", "-sims", "1", "-workers", "1099511627776"}, 2,
+			"tacquery: -workers 1099511627776: want at most 1024 (<= 0: GOMAXPROCS)"},
+		{[]string{"-unit", "iounit", "-sims", "1", "-workers", "1024"}, 0, ""},
+		{[]string{"-unit", "iounit", "-sims", "1", "-workers", "-1"}, 0, ""},
+		{[]string{"-unit", "iounit", "-load", repo}, 0, ""},
+	} {
+		out.Reset()
+		errb.Reset()
+		if code := run(append(c.args, "-uncovered"), &out, &errb); code != c.code || !strings.Contains(errb.String(), c.msg) {
+			t.Errorf("%q: exit %d, stderr %q; want exit %d with %q", c.args, code, errb.String(), c.code, c.msg)
+		}
+	}
+	// An interrupted build ends with context.Canceled, which run reports
+	// as "interrupted".
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if repo, err := buildCorpus(ctx, iounit.New(), 1, 5, 1, nil); repo != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled build: repository %v, err %v; want none and context.Canceled", repo != nil, err)
+	}
+}
+
 // TestSuiteErrors covers the suite queries' refusals: -minimize and
 // -policy on an unknown unit or a missing -load file, budgets below
 // their floor, -focus-lightly without -policy, the corpus-build flags
@@ -294,9 +373,7 @@ func TestSuiteErrors(t *testing.T) {
 	if err := coverage.NewRepository(iounit.New().Model()).SaveFile(repo); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range [][]string{
-		{"-journal", filepath.Join(dir, "jnl")}, {"-resume"}, {"-sims", "5000"}, {"-seed", "9"}, {"-workers", "3"},
-	} {
+	for _, c := range [][]string{{"-sims", "5000"}, {"-seed", "9"}, {"-workers", "3"}} {
 		out.Reset()
 		errb.Reset()
 		args := append([]string{"-unit", "iounit", "-load", repo, "-minimize", "-metrics"}, c...)
@@ -310,25 +387,5 @@ func TestSuiteErrors(t *testing.T) {
 	if code := run([]string{"-unit", "iounit", "-minimize", "-out", filepath.Join(dir, "suite.json")}, &out, &errb); code != 2 ||
 		!strings.Contains(errb.String(), "flag provided but not defined: -out") {
 		t.Errorf("-out: exit %d, stderr %q; want exit 2 as an undefined flag", code, errb.String())
-	}
-}
-
-// TestJournalResumeFlags: -resume without -journal is a usage error; a
-// journaled build followed by a resumed one yields the same output.
-func TestJournalResumeFlags(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-unit", "iounit", "-minimize", "-resume"}, &out, &errb); code != 2 {
-		t.Fatalf("-resume without -journal: exit %d, want 2", code)
-	}
-	jpath := filepath.Join(t.TempDir(), "corpus.journal")
-	var first, second bytes.Buffer
-	if code := run([]string{"-unit", "iounit", "-sims", "100", "-minimize", "-journal", jpath}, &first, &errb); code != 0 {
-		t.Fatalf("journaled run exit %d: %s", code, errb.String())
-	}
-	if code := run([]string{"-unit", "iounit", "-sims", "100", "-minimize", "-journal", jpath, "-resume"}, &second, &errb); code != 0 {
-		t.Fatalf("resumed run exit %d: %s", code, errb.String())
-	}
-	if first.String() != second.String() {
-		t.Fatal("resumed build's output diverged")
 	}
 }

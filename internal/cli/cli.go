@@ -7,7 +7,6 @@
 package cli
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -21,10 +20,7 @@ import (
 	"strings"
 
 	"repro/internal/buildinfo"
-	"repro/internal/coverage"
-	"repro/internal/duv"
 	"repro/internal/farm"
-	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/sim"
@@ -307,8 +303,8 @@ func (j *Journal) Check() int {
 	return 0
 }
 
-// Prepare applies the one journal rule of every command that journals a
-// run into a file: -resume needs an existing journal, and -journal
+// Prepare applies the journal rule of a command that journals its run
+// into one file (ascdg): -resume needs an existing journal, and -journal
 // without -resume starts over, removing a stale file. The command then
 // opens -journal with journal.Open, which resumes whatever file is there.
 func (j *Journal) Prepare() int {
@@ -327,12 +323,12 @@ func (j *Journal) Prepare() int {
 	return 0
 }
 
-// Interrupted reports that an interrupt stopped the command's run (or
-// build), and how to continue it when it was journaled.
-func (j *Journal) Interrupted(what string) {
+// Interrupted reports that an interrupt stopped the command's run, and
+// how to continue it when it was journaled.
+func (j *Journal) Interrupted() {
 	printf(j.fs, "interrupted")
 	if j.Path != "" {
-		printf(j.fs, "%s checkpointed; continue with: %s -resume -journal %s (plus the same flags)", what, j.fs.Name(), j.Path)
+		printf(j.fs, "run checkpointed; continue with: %s -resume -journal %s (plus the same flags)", j.fs.Name(), j.Path)
 	}
 }
 
@@ -369,96 +365,4 @@ func (e *Engine) Check() int {
 		return Fail(e.fs, 2, err)
 	}
 	return 0
-}
-
-// Corpus is the coverage repository of a unit's base suite: -unit,
-// -sims, -seed, -load, -workers, -journal and -resume.
-type Corpus struct {
-	fs      *flag.FlagSet
-	Unit    string
-	sims    int
-	seed    uint64
-	load    string
-	workers Workers
-	journal Journal
-}
-
-func (c *Corpus) Register(fs *flag.FlagSet) {
-	c.fs = fs
-	fs.StringVar(&c.Unit, "unit", "", "built-in unit: "+strings.Join(duv.Names(), ", "))
-	fs.IntVar(&c.sims, "sims", 1000, "simulations per base template when building the repository")
-	fs.Uint64Var(&c.seed, "seed", 1, "simulation seed")
-	fs.StringVar(&c.load, "load", "", "load the repository from this JSON file instead of simulating")
-	c.workers.Register(fs)
-	c.journal.Register(fs)
-}
-
-// Check requires -unit and at least one simulation per template,
-// refuses -workers above sim.MaxWorkers, rejects -resume without
-// -journal, and refuses beside -load each flag that shapes a build,
-// which -load would ignore.
-func (c *Corpus) Check() int {
-	if c.Unit == "" {
-		return Fail(c.fs, 2, errors.New("-unit is required"))
-	}
-	if c.load != "" {
-		ignored := ""
-		c.fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "sims", "seed", "workers", "journal", "resume":
-				if ignored == "" {
-					ignored = f.Name
-				}
-			}
-		})
-		if ignored != "" {
-			return Fail(c.fs, 2, fmt.Errorf("-%s changes nothing beside -load: the repository is loaded, not simulated", ignored))
-		}
-	}
-	if c.sims < 1 {
-		return Fail(c.fs, 2, fmt.Errorf("-sims %d: want at least 1", c.sims))
-	}
-	if code := c.workers.Check(c.fs); code != 0 {
-		return code
-	}
-	return c.journal.Check()
-}
-
-// Build returns the repository: loaded from -load, or simulated under
-// -sims, -seed and -workers and checkpointed per -journal/-resume
-// (Journal.Prepare). A nil repository ends the command with code: 1
-// after an error, 0 once an interrupted build is checkpointed.
-func (c *Corpus) Build(ctx context.Context, unit duv.DUV, rec *obs.Recorder) (repo *coverage.Repository, code int) {
-	if c.load != "" {
-		repo, err := coverage.LoadFile(c.load, unit.Model())
-		if err != nil {
-			return nil, Fail(c.fs, 1, err)
-		}
-		return repo, 0
-	}
-	env := sim.NewEnv(unit, c.seed, int(c.workers))
-	defer env.Close()
-	env.SetRecorder(rec)
-	env.SetContext(ctx)
-	var cur *journal.Cursor
-	if c.journal.Path != "" {
-		if code := c.journal.Prepare(); code != 0 {
-			return nil, code
-		}
-		var err error
-		cur, err = env.OpenCorpusJournal(c.journal.Path, c.sims, rec)
-		if err != nil {
-			return nil, Fail(c.fs, 1, err)
-		}
-		defer cur.Close()
-	}
-	repo, err := env.BuildCorpusJournaled(c.sims, cur)
-	if errors.Is(err, context.Canceled) {
-		c.journal.Interrupted("build")
-		return nil, 0
-	}
-	if err != nil {
-		return nil, Fail(c.fs, 1, err)
-	}
-	return repo, 0
 }

@@ -2,7 +2,6 @@ package cli
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"go/ast"
@@ -18,7 +17,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/duv/iounit"
 	"repro/internal/obs"
 )
 
@@ -215,7 +213,7 @@ func TestJournal(t *testing.T) {
 	checkStep(t, func(j *Journal) int {
 		code := j.Check()
 		if code == 0 {
-			j.Interrupted("run")
+			j.Interrupted()
 		}
 		return code
 	}, []stepCase{
@@ -226,53 +224,33 @@ func TestJournal(t *testing.T) {
 	})
 }
 
-// TestJournalRule: ascdg (Journal.Prepare) and tacquery
-// (Corpus.Build) follow one -journal/-resume rule with one message:
-// -resume needs an existing journal, and -journal without -resume starts
-// over whatever stale file is there.
+// TestJournalRule: -resume needs an existing journal, and -journal
+// without -resume starts over whatever stale file is there.
 func TestJournalRule(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "missing.journal")
 	stale := filepath.Join(dir, "stale.journal")
-	build := func(fs *flag.FlagSet, args []string) int {
-		var c Corpus
-		c.Register(fs)
-		fs.Parse(append([]string{"-sims", "5"}, args...))
-		repo, code := c.Build(context.Background(), iounit.New(), nil)
-		if (repo != nil) != (code == 0) {
-			t.Errorf("%q: repository %v with exit %d", args, repo != nil, code)
+	for _, tc := range []stepCase{
+		{[]string{"-journal", missing, "-resume"}, 1, "ascdg: -resume: no journal at " + missing + "\n"},
+		{[]string{"-journal", stale}, 0, ""},
+	} {
+		if err := os.WriteFile(stale, []byte("a stale run's journal"), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		return code
-	}
-	prepare := func(fs *flag.FlagSet, args []string) int {
+		fs := flag.NewFlagSet("ascdg", flag.ContinueOnError)
+		var out bytes.Buffer
+		fs.SetOutput(&out)
 		var j Journal
 		j.Register(fs)
-		fs.Parse(args)
-		return j.Prepare()
-	}
-	for _, cmd := range []struct {
-		name string
-		step func(*flag.FlagSet, []string) int
-	}{{"ascdg", prepare}, {"tacquery", build}} {
-		for _, tc := range []stepCase{
-			{[]string{"-journal", missing, "-resume"}, 1, cmd.name + ": -resume: no journal at " + missing + "\n"},
-			{[]string{"-journal", stale}, 0, ""},
-		} {
-			if err := os.WriteFile(stale, []byte("a stale run's journal"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			fs := flag.NewFlagSet(cmd.name, flag.ContinueOnError)
-			var out bytes.Buffer
-			fs.SetOutput(&out)
-			if code := cmd.step(fs, tc.args); code != tc.code || !strings.Contains(out.String(), tc.out) {
-				t.Errorf("%s %q: exit %d, output %q; want exit %d, output with %q", cmd.name, tc.args, code, out.String(), tc.code, tc.out)
-			}
-			if _, err := os.Stat(missing); err == nil {
-				t.Errorf("%s %q: -resume created the missing journal", cmd.name, tc.args)
-			}
-			if data, _ := os.ReadFile(stale); tc.code == 0 && string(data) == "a stale run's journal" {
-				t.Errorf("%s %q: the stale journal is still there", cmd.name, tc.args)
-			}
+		fs.Parse(tc.args)
+		if code := j.Prepare(); code != tc.code || !strings.Contains(out.String(), tc.out) {
+			t.Errorf("%q: exit %d, output %q; want exit %d, output with %q", tc.args, code, out.String(), tc.code, tc.out)
+		}
+		if _, err := os.Stat(missing); err == nil {
+			t.Errorf("%q: -resume created the missing journal", tc.args)
+		}
+		if data, _ := os.ReadFile(stale); tc.code == 0 && string(data) == "a stale run's journal" {
+			t.Errorf("%q: the stale journal is still there", tc.args)
 		}
 	}
 }
@@ -295,50 +273,6 @@ func TestEngine(t *testing.T) {
 	}
 }
 
-func TestCorpus(t *testing.T) {
-	checkDefaults(t, &Corpus{}, map[string]string{
-		"unit": "", "sims": "1000", "seed": "1", "load": "", "workers": "0", "journal": "", "resume": "false",
-	})
-	checkStep(t, (*Corpus).Check, []stepCase{
-		{nil, 2, "cmd: -unit is required"},
-		{[]string{"-unit", "iounit", "-resume"}, 2, "cmd: -resume requires -journal"},
-		{[]string{"-unit", "iounit", "-sims", "0"}, 2, "cmd: -sims 0: want at least 1"},
-		{[]string{"-unit", "iounit", "-sims", "-3"}, 2, "cmd: -sims -3: want at least 1"},
-		{[]string{"-unit", "iounit", "-sims", "1"}, 0, ""},
-		{[]string{"-unit", "iounit", "-workers", "1099511627776"}, 2, "cmd: -workers 1099511627776: want at most 1024 (<= 0: GOMAXPROCS)"},
-		{[]string{"-unit", "iounit", "-workers", "1024"}, 0, ""},
-		{[]string{"-unit", "iounit", "-workers", "-1"}, 0, ""},
-		{[]string{"-unit", "iounit"}, 0, ""},
-		{[]string{"-unit", "iounit", "-load", "r.json"}, 0, ""},
-		{[]string{"-unit", "iounit", "-load", "r.json", "-seed", "9"}, 2, "cmd: -seed changes nothing beside -load"},
-		{[]string{"-unit", "iounit", "-load", "r.json", "-journal", "j", "-resume"}, 2, "cmd: -journal changes nothing beside -load"},
-	})
-
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	journal := filepath.Join(t.TempDir(), "corpus.journal")
-	for _, tc := range []struct {
-		ctx  context.Context
-		args []string
-		repo bool
-		code int
-		out  string
-	}{
-		{context.Background(), []string{"-sims", "5"}, true, 0, ""},
-		{context.Background(), []string{"-load", "/no/such/repo.json"}, false, 1, "cmd: "},
-		{canceled, []string{"-sims", "5", "-journal", journal}, false, 0,
-			"cmd: build checkpointed; continue with: cmd -resume -journal " + journal},
-	} {
-		var c Corpus
-		out := register(t, &c, tc.args)
-		repo, code := c.Build(tc.ctx, iounit.New(), nil)
-		if (repo != nil) != tc.repo || code != tc.code || !strings.Contains(out.String(), tc.out) {
-			t.Errorf("%q: repository %v, exit %d, output %q; want repository %v, exit %d, output with %q",
-				tc.args, repo != nil, code, out, tc.repo, tc.code, tc.out)
-		}
-	}
-}
-
 // TestREADMEHasEveryFlag keeps README's flag tables a census both ways:
 // every flag this package registers has a row whose first cell names
 // it, and every flag a row's first cell names is declared by this
@@ -350,7 +284,7 @@ func TestREADMEHasEveryFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
-	Parse(fs, nil, io.Discard, &Obs{}, &Farm{}, &Log{}, &Profile{}, &Corpus{}, &Engine{})
+	Parse(fs, nil, io.Discard, &Obs{}, &Farm{}, &Log{}, &Profile{}, &Journal{}, new(Workers), &Engine{})
 	fs.VisitAll(func(f *flag.Flag) {
 		row := regexp.MustCompile("(?m)^\\| [^|]*`-" + regexp.QuoteMeta(f.Name) + "[` ]")
 		if !row.Match(readme) {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/opt"
-	"repro/internal/sim"
 )
 
 // journalTestConfig is the small iounit campaign the journal tests run:
@@ -182,46 +181,31 @@ func TestResumeRefusesAnotherRanking(t *testing.T) {
 // during the header append — leaves a journal with no complete record.
 // Nothing was checkpointed, so the next run on that path must start it
 // fresh, not refuse it as another run's journal: a campaign adopted from
-// a replica killed in that window would otherwise fail for good, and so
-// would "tacquery -resume" of a corpus build killed there. Both headers
-// go through the one opener, journal.Open.
+// a replica killed in that window would otherwise fail for good.
 func TestJournalWithoutHeaderStartsFresh(t *testing.T) {
-	for _, h := range []struct {
-		header string
-		open   func(path string, seed uint64) error
-	}{
-		{"flow_header", func(path string, seed uint64) error {
-			cfg := journalTestConfig()
-			cfg.Seed, cfg.Journal = seed, path
-			f, err := New(iounit.New(), cfg)
-			if err == nil {
-				f.Close()
-			}
-			return err
-		}},
-		{"corpus_header", func(path string, seed uint64) error {
-			env := sim.NewEnv(iounit.New(), seed, 1)
-			defer env.Close()
-			cur, err := env.OpenCorpusJournal(path, 10, nil)
-			cur.Close()
-			return err
-		}},
-	} {
-		for name, tail := range map[string]string{"magic only": "", "torn header": "\x00\x00\x01"} {
-			path := filepath.Join(t.TempDir(), "run.journal")
-			if err := os.WriteFile(path, []byte(journal.Magic+tail), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := h.open(path, 21); err != nil {
-				t.Fatalf("%s, %s: %v", h.header, name, err)
-			}
-			// The header is on disk now: the same run resumes, another does not.
-			if err := h.open(path, 21); err != nil {
-				t.Fatalf("%s, %s: reopen: %v", h.header, name, err)
-			}
-			if h.open(path, 22) == nil {
-				t.Fatalf("%s, %s: the restarted journal has no header of its own run", h.header, name)
-			}
+	open := func(path string, seed uint64) error {
+		cfg := journalTestConfig()
+		cfg.Seed, cfg.Journal = seed, path
+		f, err := New(iounit.New(), cfg)
+		if err == nil {
+			f.Close()
+		}
+		return err
+	}
+	for name, tail := range map[string]string{"magic only": "", "torn header": "\x00\x00\x01"} {
+		path := filepath.Join(t.TempDir(), "run.journal")
+		if err := os.WriteFile(path, []byte(journal.Magic+tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := open(path, 21); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// The header is on disk now: the same run resumes, another does not.
+		if err := open(path, 21); err != nil {
+			t.Fatalf("%s: reopen: %v", name, err)
+		}
+		if open(path, 22) == nil {
+			t.Fatalf("%s: the restarted journal has no header of its own run", name)
 		}
 	}
 }

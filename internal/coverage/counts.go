@@ -32,7 +32,7 @@ func (c *Counts) Sims() uint64 { return c.sims }
 
 // Add aggregates one simulation's coverage vector. It walks the
 // vector's words directly (popcount-style bit extraction) rather than
-// materializing HitIDs(), so the hottest aggregation loop in the system
+// materializing the hit IDs, so the hottest aggregation loop in the system
 // — one Add per simulation — allocates nothing.
 func (c *Counts) Add(v Vector) {
 	if v.n != len(c.hits) {

@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -8,12 +9,34 @@ import (
 )
 
 // addNaive is the reference implementation Counts.Add is checked
-// against: the old HitIDs-materializing loop.
+// against: the old hitIDs-materializing loop.
 func addNaive(c *Counts, v Vector) {
 	c.sims++
-	for _, id := range v.HitIDs() {
+	for _, id := range hitIDs(v) {
 		c.hits[id]++
 	}
+}
+
+// popCount returns the number of hit events.
+func popCount(v Vector) int {
+	c := 0
+	for _, w := range v.words {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// hitIDs returns the IDs of all hit events in ascending order.
+func hitIDs(v Vector) []int {
+	ids := make([]int, 0, popCount(v))
+	for wi, w := range v.words {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			ids = append(ids, wi*64+b)
+			w &= w - 1
+		}
+	}
+	return ids
 }
 
 // TestCountsAddMatchesNaive property-checks the word-level Add against

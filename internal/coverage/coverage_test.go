@@ -114,21 +114,21 @@ func TestVectorBasics(t *testing.T) {
 			t.Fatalf("Set(%d) did not stick", id)
 		}
 	}
-	if v.PopCount() != 8 {
-		t.Fatalf("PopCount = %d, want 8", v.PopCount())
+	if popCount(v) != 8 {
+		t.Fatalf("popCount = %d, want 8", popCount(v))
 	}
-	ids := v.HitIDs()
+	ids := hitIDs(v)
 	want := []int{0, 1, 63, 64, 65, 127, 128, 129}
 	if len(ids) != len(want) {
-		t.Fatalf("HitIDs = %v", ids)
+		t.Fatalf("hitIDs = %v", ids)
 	}
 	for i := range want {
 		if ids[i] != want[i] {
-			t.Fatalf("HitIDs[%d] = %d, want %d", i, ids[i], want[i])
+			t.Fatalf("hitIDs[%d] = %d, want %d", i, ids[i], want[i])
 		}
 	}
 	v.Reset()
-	if v.PopCount() != 0 {
+	if popCount(v) != 0 {
 		t.Fatal("Reset failed")
 	}
 }
@@ -149,10 +149,10 @@ func TestVectorAlgebraProperties(t *testing.T) {
 		n := 1 + r.Intn(300)
 		a, b := mk(seed+1, n), mk(seed+2, n)
 
-		// HitIDs lists exactly the set bits, ascending, and PopCount
+		// hitIDs lists exactly the set bits, ascending, and popCount
 		// counts them.
-		ids := a.HitIDs()
-		if len(ids) != a.PopCount() {
+		ids := hitIDs(a)
+		if len(ids) != popCount(a) {
 			return false
 		}
 		next := 0
@@ -180,15 +180,15 @@ func TestVectorAlgebraProperties(t *testing.T) {
 		if !c.Equal(a) {
 			return false
 		}
-		before := a.PopCount()
+		before := popCount(a)
 		for i := 0; i < n; i++ {
 			c.Set(i)
 		}
-		if a.PopCount() != before || c.PopCount() != n {
+		if popCount(a) != before || popCount(c) != n {
 			return false
 		}
 		c.Reset()
-		return c.PopCount() == 0 && a.PopCount() == before
+		return popCount(c) == 0 && popCount(a) == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,5 @@
 package coverage
 
-import "math/bits"
-
 // Vector is the coverage vector of one simulated test-instance: bit i is
 // set iff event i was hit during the simulation (paper Section III). It
 // is a fixed-size bitset sized to a model.
@@ -33,15 +31,6 @@ func (v Vector) Get(id int) bool {
 	return v.words[id>>6]&(1<<(uint(id)&63)) != 0
 }
 
-// PopCount returns the number of hit events.
-func (v Vector) PopCount() int {
-	c := 0
-	for _, w := range v.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 // Reset clears all bits.
 func (v Vector) Reset() {
 	for i := range v.words {
@@ -67,17 +56,4 @@ func (v Vector) Equal(u Vector) bool {
 		}
 	}
 	return true
-}
-
-// HitIDs returns the IDs of all hit events in ascending order.
-func (v Vector) HitIDs() []int {
-	ids := make([]int, 0, v.PopCount())
-	for wi, w := range v.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			ids = append(ids, wi*64+b)
-			w &= w - 1
-		}
-	}
-	return ids
 }

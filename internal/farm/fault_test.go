@@ -122,13 +122,18 @@ func TestFaultMatrix(t *testing.T) {
 		name   string
 		faults Faults
 		fired  string
+		// pooled: heartbeats off, and the chunks are driven only once
+		// every worker holds a connection. The fixture's 20 ms ping would
+		// otherwise evict a worker that answers every frame late before
+		// any chunk reached it, and no chunk would meet the deadline.
+		pooled bool
 	}{
-		{"drop", Faults{DropAfterFrames: 3}, "farm.conn_evictions"},
-		{"duplicate", Faults{DuplicateEvery: 2}, ""},
-		{"delay_past_deadline", Faults{Delay: deadline + 100*time.Millisecond}, "farm.chunk_errors"},
-		{"failed_dials", Faults{FailDials: 3}, "farm.dial_failures"},
-		{"flapping", Faults{FlapEvery: 50 * time.Millisecond}, "farm.conn_evictions"},
-		{"corrupt", Faults{Corrupt: true}, "farm.audit_mismatches"},
+		{"drop", Faults{DropAfterFrames: 3}, "farm.conn_evictions", false},
+		{"duplicate", Faults{DuplicateEvery: 2}, "", false},
+		{"delay_past_deadline", Faults{Delay: deadline + 100*time.Millisecond}, "farm.chunk_errors", true},
+		{"failed_dials", Faults{FailDials: 3}, "farm.dial_failures", false},
+		{"flapping", Faults{FlapEvery: 50 * time.Millisecond}, "farm.conn_evictions", false},
+		{"corrupt", Faults{Corrupt: true}, "farm.audit_mismatches", false},
 	}
 
 	env := sim.NewEnv(iounit.New(), 1, 2)
@@ -155,6 +160,9 @@ func TestFaultMatrix(t *testing.T) {
 			opts.timing.chunk = deadline
 			opts.AuditFraction = 1
 			opts.timing.cooldown = 40 * time.Millisecond
+			if row.pooled {
+				opts.timing.heartbeat = 0
+			}
 			d := New(addrs, opts)
 			t.Cleanup(d.Close)
 			t.Cleanup(func() {
@@ -164,6 +172,16 @@ func TestFaultMatrix(t *testing.T) {
 			})
 			if err := d.WaitReady(10 * time.Second); err != nil {
 				t.Fatal(err)
+			}
+			// With a connection of every worker pooled, a faulty one waits
+			// in the idle queue ahead of the healthy worker's connections,
+			// which rejoin at its tail, so one of the chunks meets the
+			// fault.
+			for giveUp := time.Now().Add(10 * time.Second); row.pooled && !everyWorkerConnected(d); {
+				if time.Now().After(giveUp) {
+					t.Fatalf("workers never all connected: %+v", d.Health())
+				}
+				time.Sleep(time.Millisecond)
 			}
 			got := driveChunks(t, d, env, chunks, events, 2)
 			diffCounts(t, row.name, got, want)
@@ -176,6 +194,17 @@ func TestFaultMatrix(t *testing.T) {
 		})
 	}
 	waitGoroutines(t, base)
+}
+
+// everyWorkerConnected reports whether each of d's workers holds a
+// connection.
+func everyWorkerConnected(d *Dispatcher) bool {
+	for _, h := range d.Health() {
+		if h.Conns == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestByzantineFleetAcceptance is the robustness acceptance criterion:

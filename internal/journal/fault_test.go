@@ -35,8 +35,8 @@ func TestAppendFailpointPoisonsWriter(t *testing.T) {
 	if err2 := w.Append("rec", payload{N: 100}); !errors.Is(err2, ErrInjected) {
 		t.Fatalf("Append after poison = %v, want the sticky injected error", err2)
 	}
-	if w.Appends() != 3 {
-		t.Fatalf("Appends = %d after poison, want 3", w.Appends())
+	if w.appends != 3 {
+		t.Fatalf("appends = %d after poison, want 3", w.appends)
 	}
 	w.Close()
 

@@ -16,9 +16,11 @@ var updateFramesGolden = flag.Bool("update-frames-golden", false,
 	"rewrite testdata/frames.golden (ONLY for deliberate format changes)")
 
 // The shapes of the records the flow appends (core's flow_header,
-// run_start, opt_iter and run_done, sim's corpus_header and the
+// run_start, opt_iter and run_done, and sim's
 // corpus_template/sample/harvest batch record), mirrored here: the
-// journal cannot import its callers.
+// journal cannot import its callers. goldenCorpusHeader is the header of
+// the standalone corpus journals older builds wrote; its row stays a
+// framing fixture.
 type (
 	goldenHeader struct {
 		Kind    string `json:"kind"`

@@ -314,11 +314,6 @@ func (w *Writer) Append(typ string, v any) error {
 	return nil
 }
 
-// Appends returns the number of records successfully appended through
-// this writer plus any it was positioned after at recovery — i.e. the
-// journal's record count.
-func (w *Writer) Appends() int { return w.appends }
-
 // Path returns the journal's file path.
 func (w *Writer) Path() string { return w.path }
 

@@ -32,8 +32,8 @@ func writeN(t *testing.T, path string, n int) *Writer {
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
 	w := writeN(t, path, 5)
-	if w.Appends() != 5 {
-		t.Fatalf("Appends = %d, want 5", w.Appends())
+	if w.appends != 5 {
+		t.Fatalf("appends = %d, want 5", w.appends)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -46,8 +46,8 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if len(recs) != 5 {
 		t.Fatalf("recovered %d records, want 5", len(recs))
 	}
-	if w2.Appends() != 5 {
-		t.Fatalf("recovered writer Appends = %d, want 5", w2.Appends())
+	if w2.appends != 5 {
+		t.Fatalf("recovered writer appends = %d, want 5", w2.appends)
 	}
 	cur := NewCursor(w2, recs)
 	for i := 0; i < 5; i++ {

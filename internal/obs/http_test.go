@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/obs/obstest"
 )
 
 func get(t *testing.T, url string) []byte {
@@ -93,7 +95,7 @@ func TestDebugServerOpsEndpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ValidateOpenMetrics(body); err != nil {
+		if err := obstest.ValidateOpenMetrics(body); err != nil {
 			t.Fatalf("scrape %d invalid: %v\n%s", i, err, body)
 		}
 	}

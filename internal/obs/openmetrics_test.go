@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/obs/obstest"
 )
 
 func TestLabels(t *testing.T) {
@@ -67,7 +69,7 @@ func TestWriteOpenMetricsConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := buf.String()
-	if err := ValidateOpenMetrics(buf.Bytes()); err != nil {
+	if err := obstest.ValidateOpenMetrics(buf.Bytes()); err != nil {
 		t.Fatalf("own exposition fails validation: %v\n%s", err, page)
 	}
 	for _, want := range []string{
@@ -98,7 +100,7 @@ func TestWriteOpenMetricsNilRegistry(t *testing.T) {
 	if err := WriteOpenMetrics(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateOpenMetrics(buf.Bytes()); err != nil {
+	if err := obstest.ValidateOpenMetrics(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "ascdg_build_info") {
@@ -160,7 +162,7 @@ func TestRegistryConcurrentWriters(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := ValidateOpenMetrics(buf.Bytes()); err != nil {
+				if err := obstest.ValidateOpenMetrics(buf.Bytes()); err != nil {
 					t.Errorf("mid-write exposition invalid: %v", err)
 					return
 				}
@@ -212,13 +214,13 @@ func TestValidateOpenMetricsRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := ValidateOpenMetrics([]byte(tc.page)); err == nil {
+			if err := obstest.ValidateOpenMetrics([]byte(tc.page)); err == nil {
 				t.Fatalf("validator accepted %s:\n%s", tc.name, tc.page)
 			}
 		})
 	}
 	good := "# TYPE h histogram\nh_bucket{le=\"1.0\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 3\nh_count 2\n# TYPE ok counter\nok_total 1\n# EOF\n"
-	if err := ValidateOpenMetrics([]byte(good)); err != nil {
+	if err := obstest.ValidateOpenMetrics([]byte(good)); err != nil {
 		t.Fatalf("validator rejected a valid page: %v", err)
 	}
 }

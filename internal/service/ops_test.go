@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 )
 
 // TestServiceOpsEndpoints covers the daemon's operational surface as
@@ -44,7 +45,7 @@ func TestServiceOpsEndpoints(t *testing.T) {
 	if ct := hdr.Get("Content-Type"); ct != obs.OpenMetricsContentType {
 		t.Fatalf("/metrics content type = %q", ct)
 	}
-	if err := obs.ValidateOpenMetrics([]byte(page)); err != nil {
+	if err := obstest.ValidateOpenMetrics([]byte(page)); err != nil {
 		t.Fatalf("/metrics is not valid OpenMetrics: %v\n%s", err, page)
 	}
 	if !strings.Contains(page, "service_test_marker_total 3\n") {

@@ -82,10 +82,7 @@ func TestCorpusCacheFillRule(t *testing.T) {
 	// Failed: the journal append of the second template dies.
 	env := NewEnv(iounit.New(), 21, 2)
 	env.SetCorpusCache(cache)
-	cur, err := env.OpenCorpusJournal(filepath.Join(t.TempDir(), "corpus.journal"), 20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cur, _ := openCorpusJournal(t, env, filepath.Join(t.TempDir(), "corpus.journal"), 20)
 	cur.Writer().FailAppends(2, 0)
 	if _, err := env.BuildCorpusJournaled(20, cur); !errors.Is(err, journal.ErrInjected) {
 		t.Fatalf("failed build: err = %v, want ErrInjected", err)

@@ -348,8 +348,8 @@ func (e *Env) BuildCorpus(simsPerTemplate int) (*coverage.Repository, error) {
 
 // BuildCorpusJournaled is BuildCorpus with crash-safe checkpointing:
 // the base templates are the batches of one RunBatches loop, journaled
-// on cur as "corpus_template" records. A nil cursor degrades to a plain
-// build.
+// on cur, a flow's journal, as "corpus_template" records. A nil cursor
+// degrades to a plain build.
 //
 // With a corpus cache installed (SetCorpusCache), the cache is the
 // loop's precomputed records: a remainder the cache holds is replayed
@@ -393,31 +393,4 @@ func (e *Env) BuildCorpusJournaled(simsPerTemplate int, cur *journal.Cursor) (*c
 		e.mCorpusEvictions.Add(uint64(e.corpora.put(key, recs)))
 	}
 	return repo, nil
-}
-
-// corpusHeader identifies a standalone corpus journal; resume rejects a
-// journal whose header does not match the requested build.
-type corpusHeader struct {
-	Kind            string `json:"kind"`
-	Unit            string `json:"unit"`
-	Seed            uint64 `json:"seed"`
-	SimsPerTemplate int    `json:"sims_per_template"`
-	Events          int    `json:"events"`
-}
-
-// OpenCorpusJournal opens (journal.Open) the standalone corpus-build
-// journal at path for this environment — the crash-safety entry point
-// for a CLI whose only simulation phase is BuildCorpus (tacquery). A
-// missing file starts a fresh journal; an existing one
-// resumes, and its header must match this environment's unit, seed and
-// budget exactly. The caller owns closing the returned cursor.
-func (e *Env) OpenCorpusJournal(path string, simsPerTemplate int, rec *obs.Recorder) (*journal.Cursor, error) {
-	cur, resumed, err := journal.Open(path, "corpus_header", corpusHeader{
-		Kind: "corpus", Unit: e.unitName, Seed: e.Seed(),
-		SimsPerTemplate: simsPerTemplate, Events: e.unit.Model().Size(),
-	}, rec, nil)
-	if resumed {
-		rec.Counter("sim.corpus_resumes").Inc()
-	}
-	return cur, err
 }

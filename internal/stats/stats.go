@@ -1,7 +1,5 @@
-// Package stats provides the small statistical toolbox the AS-CDG
-// reproduction needs around empirical hit probabilities: binomial
-// confidence intervals for e_N(t) estimates, rate comparison, and
-// simple summary statistics for optimizer traces.
+// Package stats provides binomial confidence intervals for the empirical
+// hit probabilities e_N(t) the AS-CDG reproduction reports.
 //
 // Coverage hit rates are Bernoulli estimates from N simulations. The
 // Wilson score interval behaves sensibly at the extremes that dominate
@@ -51,7 +49,9 @@ func WilsonZ(hits, n uint64, z float64) Interval {
 	z2 := z * z
 	denom := 1 + z2/nf
 	center := (p + z2/(2*nf)) / denom
-	margin := z / denom * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf))
+	// The explicit conversion rounds the product, so no architecture
+	// fuses it into center ± margin (Go spec, floating-point operators).
+	margin := float64(z / denom * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf)))
 	lo := center - margin
 	hi := center + margin
 	// At p == 0 and p == 1 the bound is exactly 0 or 1, but center and
@@ -63,61 +63,4 @@ func WilsonZ(hits, n uint64, z float64) Interval {
 		hi = 1
 	}
 	return Interval{lo, hi}
-}
-
-// RatesDiffer reports whether two empirical rates are distinguishable at
-// ~95% confidence: their Wilson intervals do not overlap. This is a
-// conservative test, which is the right default when deciding whether a
-// candidate template truly beats another rather than winning on noise.
-func RatesDiffer(hitsA, nA, hitsB, nB uint64) bool {
-	a := Wilson(hitsA, nA)
-	b := Wilson(hitsB, nB)
-	return a.Hi < b.Lo || b.Hi < a.Lo
-}
-
-// RuleOfThree returns the 95% upper bound on the hit probability of an
-// event never hit in n simulations (the "rule of three": 3/n). It
-// answers the question coverage closure keeps asking: "how rare could
-// this still-uncovered event be, given the budget already spent?"
-func RuleOfThree(n uint64) float64 {
-	if n == 0 {
-		return 1
-	}
-	return 3 / float64(n)
-}
-
-// Summary holds simple descriptive statistics of a sample.
-type Summary struct {
-	N         int
-	Mean, Std float64
-	Min, Max  float64
-}
-
-// Summarize computes descriptive statistics; an empty sample yields the
-// zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	return s
 }

@@ -104,47 +104,9 @@ func TestWilsonCoverageSimulation(t *testing.T) {
 	}
 }
 
-func TestRatesDiffer(t *testing.T) {
-	if !RatesDiffer(10, 1000, 200, 1000) {
-		t.Error("1% vs 20% at n=1000 should differ")
-	}
-	if RatesDiffer(100, 1000, 110, 1000) {
-		t.Error("10% vs 11% at n=1000 should not clearly differ")
-	}
-	if RatesDiffer(0, 10, 1, 10) {
-		t.Error("tiny samples should not be distinguishable")
-	}
-}
-
-func TestRuleOfThree(t *testing.T) {
-	if got := RuleOfThree(1000); math.Abs(got-0.003) > 1e-12 {
-		t.Fatalf("RuleOfThree(1000) = %v", got)
-	}
-	if RuleOfThree(0) != 1 {
-		t.Fatal("RuleOfThree(0) should be vacuous")
-	}
-}
-
 func TestIntervalString(t *testing.T) {
 	s := Interval{0.01, 0.05}.String()
 	if !strings.Contains(s, "1.000%") || !strings.Contains(s, "5.000%") {
 		t.Fatalf("String = %q", s)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if math.Abs(s.Std-1.2909944487358056) > 1e-12 {
-		t.Fatalf("Std = %v", s.Std)
-	}
-	if Summarize(nil).N != 0 {
-		t.Fatal("empty summary")
-	}
-	one := Summarize([]float64{7})
-	if one.Std != 0 || one.Mean != 7 {
-		t.Fatalf("single-sample summary = %+v", one)
 	}
 }

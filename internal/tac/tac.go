@@ -200,9 +200,11 @@ func (s *Stats) Minimize() []string {
 // focus maps event ID -> importance weight; nil focuses uniformly on
 // every event some template hit. The allocation is greedy in chunks:
 // each chunk goes to the template with the highest marginal expected
-// gain given the miss probabilities accumulated so far. The returned
-// map's values sum to budget (when budget >= chunk and some template
-// has nonzero gain).
+// gain given the miss probabilities accumulated so far. The allocation
+// stops once no template has a positive gain: every focus event is hit
+// by no template, or is already missed with a probability that has
+// underflowed to 0. The returned map's values then sum to less than
+// budget, and the caller says what is left.
 func (s *Stats) Policy(budget int, focus map[int]float64) map[string]int {
 	const chunk = 10
 	alloc := map[string]int{}
