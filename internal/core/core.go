@@ -95,9 +95,8 @@ type Config struct {
 	SampleSims      int
 
 	// OptIterations, OptDirections and OptSims configure implicit
-	// filtering (defaults 10, 10, 100). The engine's other knobs
-	// (initial_step, min_step, no_resample_center, ...) keep their
-	// defaults.
+	// filtering (defaults 10, 10, 100). The engine's other tuning (its
+	// first and smallest stencil steps) is constants in internal/opt.
 	OptIterations int
 	OptDirections int
 	OptSims       int

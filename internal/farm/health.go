@@ -132,9 +132,9 @@ func (d *Dispatcher) outcome(wk *worker, dur time.Duration, ok bool) []*wconn {
 	wk.samples++
 	if ok {
 		wk.errEWMA *= 1 - alpha
-		wk.latEWMA = alpha*float64(dur) + (1-alpha)*wk.latEWMA
+		wk.latEWMA = float64(alpha*float64(dur)) + float64((1-alpha)*wk.latEWMA)
 	} else {
-		wk.errEWMA = alpha + (1-alpha)*wk.errEWMA
+		wk.errEWMA = alpha + float64((1-alpha)*wk.errEWMA)
 	}
 	switch {
 	case wk.state == healthProbing && ok:

@@ -469,8 +469,12 @@ func (a *ablation) run(t *testing.T, m arm) float64 {
 		t.Fatal(err)
 	}
 	target := m.target(a)
-	res, err := opt.Drive(eng, opt.DriveOptions{BatchSize: 11, Objective: func(x []float64) float64 {
-		return target.Score(point(t, env, a.skel, x, m.sims))
+	res, err := opt.Drive(eng, opt.DriveOptions{BatchSize: 11, Batch: func(points [][]float64) []float64 {
+		values := make([]float64, len(points))
+		for i, x := range points {
+			values[i] = target.Score(point(t, env, a.skel, x, m.sims))
+		}
+		return values
 	}})
 	if err != nil {
 		t.Fatal(err)

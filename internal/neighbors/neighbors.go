@@ -100,7 +100,7 @@ func (t *Target) Len() int { return len(t.order) }
 func (t *Target) Score(c *coverage.Counts) float64 {
 	s := 0.0
 	for _, e := range t.order {
-		s += t.weights[e] * c.HitRate(e)
+		s += float64(t.weights[e] * c.HitRate(e))
 	}
 	return s
 }
@@ -271,7 +271,7 @@ func abs(x int) int {
 func norm(v []float64) float64 {
 	s := 0.0
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -283,7 +283,7 @@ func cosine(a, b []float64) float64 {
 	}
 	dot := 0.0
 	for i := range a {
-		dot += a[i] * b[i]
+		dot += float64(a[i] * b[i])
 	}
 	return dot / (na * nb)
 }

@@ -1,15 +1,18 @@
 package opt
 
 import (
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
 )
 
-// asBatch lifts a sequential objective into a batch objective that
-// honors the ordering contract: the i-th value is f(points[i]).
-func asBatch(f Objective) BatchObjective {
+// asBatch lifts a point function into a batch objective that evaluates
+// the points sequentially in order.
+func asBatch(f func([]float64) float64) BatchObjective {
 	return func(points [][]float64) []float64 {
 		out := make([]float64, len(points))
 		for i, p := range points {
@@ -19,9 +22,28 @@ func asBatch(f Objective) BatchObjective {
 	}
 }
 
+// concurrently lifts a point function into a batch objective that
+// evaluates every point on its own goroutine and returns the values in
+// point order — what the flow's scheduler does with a batch.
+func concurrently(f func([]float64) float64) BatchObjective {
+	return func(points [][]float64) []float64 {
+		out := make([]float64, len(points))
+		var wg sync.WaitGroup
+		for i, p := range points {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out[i] = f(p)
+			}()
+		}
+		wg.Wait()
+		return out
+	}
+}
+
 // sameResult fails unless the two runs are identical down to the
-// iteration histories — the contract that lets the flow switch between
-// the sequential and batch paths without changing results.
+// iteration histories — the contract that lets the flow evaluate a batch
+// concurrently without changing results.
 func sameResult(t *testing.T, a, b Result) {
 	t.Helper()
 	if !reflect.DeepEqual(a.X, b.X) {
@@ -38,14 +60,14 @@ func sameResult(t *testing.T, a, b Result) {
 func TestImplicitFilteringBatchMatchesSequential(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 44} {
 		engine := func() Engine {
-			return newIFEngine(EngineConfig{X0: []float64{10, 85, 40}, MaxEvals: 200, RNG: rng.New(seed)},
-				IFSpec{Directions: 8, Iterations: 40, MinStep: 0.01})
+			return newIFEngine(EngineConfig{X0: []float64{10, 85, 40}, RNG: rng.New(seed)},
+				ifSpec{Directions: 8, Iterations: 40})
 		}
-		seq, err := Drive(engine(), DriveOptions{Objective: sphere})
+		seq, err := Drive(engine(), DriveOptions{Batch: asBatch(sphere)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := Drive(engine(), DriveOptions{Batch: asBatch(sphere)})
+		batch, err := Drive(engine(), DriveOptions{Batch: concurrently(sphere)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,42 +75,36 @@ func TestImplicitFilteringBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestImplicitFilteringMaxEvalsExact(t *testing.T) {
-	calls := 0
-	f := func(x []float64) float64 { calls++; return 0 }
-	if _, err := runIF(f, EngineConfig{X0: make([]float64, 6), MaxEvals: 30, RNG: rng.New(2)},
-		IFSpec{Directions: 50, Iterations: 1000, MinStep: 1e-12}); err != nil {
-		t.Fatal(err)
-	}
-	if calls > 30 {
-		t.Fatalf("calls = %d, budget 30", calls)
-	}
-}
-
+// TestBatchNeverCalledWithZeroPoints: Drive ends the run on an empty
+// proposal instead of handing the objective an empty batch, whether the
+// engine stops on its iterations or, on a flat objective, on implicit
+// filtering's minimum step.
 func TestBatchNeverCalledWithZeroPoints(t *testing.T) {
-	// When the eval budget runs dry mid-iteration the probe list may be
-	// empty; the batch objective must not be invoked for it.
-	batch := func(points [][]float64) []float64 {
-		if len(points) == 0 {
-			t.Fatal("batch objective called with zero points")
+	flat := func([]float64) float64 { return 0 }
+	for _, f := range []func([]float64) float64{sphere, flat} {
+		batch := func(points [][]float64) []float64 {
+			if len(points) == 0 {
+				t.Fatal("batch objective called with zero points")
+			}
+			return asBatch(f)(points)
 		}
-		out := make([]float64, len(points))
-		for i, p := range points {
-			out[i] = sphere(p)
-		}
-		return out
-	}
-	for _, budget := range []int{1, 2, 3} {
-		eng := newIFEngine(EngineConfig{X0: []float64{50, 50}, MaxEvals: budget, RNG: rng.New(4)},
-			IFSpec{Directions: 10, Iterations: 100, MinStep: 1e-12})
-		if _, err := Drive(eng, DriveOptions{Batch: batch}); err != nil {
-			t.Fatal(err)
+		for _, name := range EngineNames() {
+			for _, iters := range []int{1, 3, 20} {
+				e, err := New(name, EngineConfig{X0: []float64{50, 50}, RNG: rng.New(4)},
+					json.RawMessage(fmt.Sprintf(`{"iterations": %d}`, iters)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Drive(e, DriveOptions{Batch: batch}); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
 }
 
 func TestNilObjectiveRequiresBatch(t *testing.T) {
-	if _, err := runIF(nil, EngineConfig{X0: []float64{1}}, IFSpec{}); err == nil {
-		t.Error("nil objective without batch should fail")
+	if _, err := Drive(newIFEngine(EngineConfig{X0: []float64{1}}, ifSpec{}), DriveOptions{}); err == nil {
+		t.Error("Drive without a batch objective should fail")
 	}
 }

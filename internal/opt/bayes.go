@@ -7,25 +7,25 @@ import (
 	"repro/internal/rng"
 )
 
-// BayesSpec holds the Bayesian-optimization engine's knobs: a Gaussian
-// process surrogate with an RBF kernel over the normalized box and an
-// expected-improvement acquisition, after NOVA's Bayes-optimized
-// constrained randomization.
-type BayesSpec struct {
+// bayesSpec is the params type of the Bayesian-optimization engine: a
+// Gaussian process surrogate with an RBF kernel over the normalized box
+// and an expected-improvement acquisition, after NOVA's Bayes-optimized
+// constrained randomization. Its one setting is the budget.
+type bayesSpec struct {
 	// Iterations bounds the proposal rounds (default 50).
 	Iterations int `json:"iterations,omitempty"`
-	// InitRounds is the number of purely random space-filling rounds
-	// before the surrogate takes over (default 2).
-	InitRounds int `json:"init_rounds,omitempty"`
-	// Candidates is the acquisition pool size per round (default 256).
-	Candidates int `json:"candidates,omitempty"`
-	// MaxObservations caps the GP training set: when exceeded, the
-	// global best plus the most recent observations are kept (default
-	// 64 — the O(n^3) Cholesky stays trivial).
-	MaxObservations int `json:"max_observations,omitempty"`
 }
 
 const (
+	// bayesInitRounds is the number of purely random space-filling
+	// rounds before the surrogate takes over.
+	bayesInitRounds = 2
+	// bayesCandidates is the acquisition pool size per round.
+	bayesCandidates = 256
+	// bayesMaxObservations caps the GP training set: when exceeded, the
+	// global best plus the most recent observations are kept, so the
+	// O(n^3) Cholesky stays trivial.
+	bayesMaxObservations = 64
 	// bayesLengthScale is the RBF kernel length scale in normalized box
 	// units.
 	bayesLengthScale = 0.25
@@ -37,35 +37,19 @@ const (
 	bayesExplore = 0.01
 )
 
-func (s BayesSpec) withDefaults() BayesSpec {
-	if s.Iterations <= 0 {
-		s.Iterations = 50
-	}
-	if s.InitRounds <= 0 {
-		s.InitRounds = 2
-	}
-	if s.Candidates <= 0 {
-		s.Candidates = 256
-	}
-	if s.MaxObservations <= 0 {
-		s.MaxObservations = 64
-	}
-	return s
-}
-
-func (s *BayesSpec) build(cfg EngineConfig) Engine { return newBayesEngine(cfg, *s) }
+func (s *bayesSpec) build(cfg EngineConfig) Engine { return newBayesEngine(cfg, *s) }
 
 type bayesEngine struct {
 	frame
-	spec BayesSpec
+	iterations int
 	// Training data: prior (knowledge-base) points first, then live
 	// observations. Only live observations count toward evals/best.
 	xs [][]float64
 	ys []float64
 }
 
-func newBayesEngine(cfg EngineConfig, spec BayesSpec) *bayesEngine {
-	e := &bayesEngine{spec: spec.withDefaults()}
+func newBayesEngine(cfg EngineConfig, spec bayesSpec) *bayesEngine {
+	e := &bayesEngine{iterations: iterationsOrDefault(spec.Iterations)}
 	e.frame = newFrame("bayes", cfg, e)
 	for _, p := range e.prior(cfg.Prior) {
 		e.xs = append(e.xs, p.X)
@@ -85,16 +69,16 @@ func (e *bayesEngine) norm(x []float64) []float64 {
 }
 
 func (e *bayesEngine) next(n int) [][]float64 {
-	if e.iter >= e.spec.Iterations {
+	if e.iter >= e.iterations {
 		return nil
 	}
-	batch := e.batch(n)
+	batch := batchSize(n)
 	switch {
 	case e.evals == 0:
 		// Round 1 always pays for the caller's starting point (the
 		// skeleton sampler's best) before exploring.
 		return e.fill([][]float64{append([]float64(nil), e.x0...)}, batch)
-	case e.iter < e.spec.InitRounds || len(e.xs) < e.dim+2:
+	case e.iter < bayesInitRounds || len(e.xs) < e.dim+2:
 		return e.fill(nil, batch)
 	}
 	return e.acquire(batch)
@@ -106,14 +90,13 @@ func (e *bayesEngine) acquire(batch int) [][]float64 {
 	xs, ys := e.trainingSet()
 	gp := fitGP(xs, ys, e)
 
-	nCand := e.spec.Candidates
 	// Half uniform exploration, half local refinement around the best.
-	cands := e.fill(make([][]float64, 0, nCand), nCand/2)
+	cands := e.fill(make([][]float64, 0, bayesCandidates), bayesCandidates/2)
 	anchor := e.bestX
 	if anchor == nil {
 		anchor = e.x0
 	}
-	for len(cands) < nCand {
+	for len(cands) < bayesCandidates {
 		cands = append(cands, e.jitterAround(anchor))
 	}
 	return topN(cands, func(c []float64) float64 {
@@ -122,10 +105,10 @@ func (e *bayesEngine) acquire(batch int) [][]float64 {
 	}, batch)
 }
 
-// trainingSet caps the GP inputs at MaxObservations, keeping the global
-// best plus the most recent observations.
+// trainingSet caps the GP inputs at bayesMaxObservations, keeping the
+// global best plus the most recent observations.
 func (e *bayesEngine) trainingSet() ([][]float64, []float64) {
-	cap := e.spec.MaxObservations
+	const cap = bayesMaxObservations
 	if len(e.xs) <= cap {
 		return e.xs, e.ys
 	}
@@ -206,7 +189,7 @@ func fitGP(xs [][]float64, ys []float64, e *bayesEngine) *gpModel {
 	m.yMean /= float64(n)
 	for _, y := range ys {
 		d := y - m.yMean
-		m.yStd += d * d
+		m.yStd += float64(d * d)
 	}
 	m.yStd = math.Sqrt(m.yStd / float64(n))
 	if m.yStd == 0 {
@@ -245,12 +228,12 @@ func (m *gpModel) predict(z []float64) (mu, sigma float64) {
 		kv[i] = rbf(z, zi)
 	}
 	for i := 0; i < n; i++ {
-		mu += kv[i] * m.alpha[i]
+		mu += float64(kv[i] * m.alpha[i])
 	}
 	v := forwardSolve(m.chol, n, kv)
 	varZ := 1 + bayesNoise
 	for _, vi := range v {
-		varZ -= vi * vi
+		varZ -= float64(vi * vi)
 	}
 	if varZ < 1e-12 {
 		varZ = 1e-12
@@ -262,7 +245,7 @@ func rbf(a, b []float64) float64 {
 	d2 := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		d2 += d * d
+		d2 += float64(d * d)
 	}
 	return math.Exp(-d2 / (2 * bayesLengthScale * bayesLengthScale))
 }
@@ -272,7 +255,7 @@ func rbf(a, b []float64) float64 {
 func expectedImprovement(mu, sigma, yBest, xi float64) float64 {
 	d := mu - yBest - xi
 	u := d / sigma
-	return d*stdNormCDF(u) + sigma*stdNormPDF(u)
+	return float64(d*stdNormCDF(u)) + float64(sigma*stdNormPDF(u))
 }
 
 func stdNormPDF(u float64) float64 { return math.Exp(-u*u/2) / math.Sqrt(2*math.Pi) }
@@ -285,7 +268,7 @@ func cholFactor(a []float64, n int) {
 	for j := 0; j < n; j++ {
 		d := a[j*n+j]
 		for k := 0; k < j; k++ {
-			d -= a[j*n+k] * a[j*n+k]
+			d -= float64(a[j*n+k] * a[j*n+k])
 		}
 		if d < 1e-12 {
 			d = 1e-12
@@ -295,7 +278,7 @@ func cholFactor(a []float64, n int) {
 		for i := j + 1; i < n; i++ {
 			s := a[i*n+j]
 			for k := 0; k < j; k++ {
-				s -= a[i*n+k] * a[j*n+k]
+				s -= float64(a[i*n+k] * a[j*n+k])
 			}
 			a[i*n+j] = s / d
 		}
@@ -311,7 +294,7 @@ func forwardSolve(l []float64, n int, b []float64) []float64 {
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= l[i*n+k] * v[k]
+			s -= float64(l[i*n+k] * v[k])
 		}
 		v[i] = s / l[i*n+i]
 	}
@@ -325,7 +308,7 @@ func cholSolve(l []float64, n int, b []float64) []float64 {
 	for i := n - 1; i >= 0; i-- {
 		s := v[i]
 		for k := i + 1; k < n; k++ {
-			s -= l[k*n+i] * x[k]
+			s -= float64(l[k*n+i] * x[k])
 		}
 		x[i] = s / l[i*n+i]
 	}

@@ -20,8 +20,6 @@
 //     stable boundaries (nil between them); Restore re-enters the run
 //     so the continued trajectory is bit-identical to the uninterrupted
 //     one, re-evaluating nothing the snapshot already paid for.
-//   - Budget: the points of all batches together never exceed
-//     EngineConfig.MaxEvals.
 package opt
 
 import (
@@ -46,7 +44,8 @@ type Engine interface {
 	// Propose returns the next batch of points to evaluate. n is a
 	// batch-size hint (<= 0 means engine default); stencil engines whose
 	// batch structure is fixed by the algorithm ignore it. An empty
-	// batch means the run is complete (converged or out of budget).
+	// batch means the run is complete (converged or its iterations
+	// spent).
 	Propose(ctx context.Context, n int) ([][]float64, error)
 	// Observe records the objective values for the immediately
 	// preceding Propose call's points, in order.
@@ -65,20 +64,15 @@ type Engine interface {
 }
 
 // EngineConfig is the solver-agnostic part of an engine's setup: the
-// search box, the starting point, the budget, and the seeded RNG.
-// Solver-specific knobs (stencil directions, GP length scales, ...)
-// live in each engine's params type — see IFSpec, BayesSpec,
-// RankerSpec.
+// search box, the starting point and the seeded RNG. The budget
+// (iterations, and directions for implicit filtering) is each engine's
+// params blob; its other tuning is constants beside the engine.
 type EngineConfig struct {
 	// X0 is the starting point; its length sets the dimension.
 	X0 []float64
 	// Lo and Hi bound the box in every coordinate (defaults 0 and 100,
 	// the skeleton weight box).
 	Lo, Hi float64
-	// MaxEvals bounds objective calls (0 = unlimited). No engine ever
-	// exceeds it: a batch is sized to the calls left, and the run ends
-	// when none are.
-	MaxEvals int
 	// RNG drives all engine randomness. nil seeds a fresh generator
 	// with 0.
 	RNG *rng.RNG
@@ -94,7 +88,7 @@ type EngineConfig struct {
 }
 
 // PriorPoint is one past observation offered to an engine as warm-start
-// evidence. It does not count toward the run's eval budget.
+// evidence. It is not an evaluation of the run.
 type PriorPoint struct {
 	X     []float64 `json:"x"`
 	Value float64   `json:"value"`
@@ -124,9 +118,9 @@ type engineParams interface {
 // engines maps each engine name to a fresh value of its params type.
 // Validate decodes user params into one strictly, New leniently.
 var engines = map[string]func() engineParams{
-	DefaultEngine: func() engineParams { return new(IFSpec) },
-	"bayes":       func() engineParams { return new(BayesSpec) },
-	"ranker":      func() engineParams { return new(RankerSpec) },
+	DefaultEngine: func() engineParams { return new(ifSpec) },
+	"bayes":       func() engineParams { return new(bayesSpec) },
+	"ranker":      func() engineParams { return new(rankerSpec) },
 }
 
 // EngineNames returns the engine names, sorted.
@@ -212,11 +206,8 @@ func MergeParams(base map[string]any, over json.RawMessage) (json.RawMessage, er
 
 // DriveOptions configure one Drive loop around an engine.
 type DriveOptions struct {
-	// Objective evaluates points one at a time. May be nil when Batch
-	// is set.
-	Objective Objective
-	// Batch evaluates one Propose batch concurrently (e.g. as parallel
-	// simulation jobs). Takes precedence over Objective.
+	// Batch evaluates one Propose batch, possibly concurrently (e.g. as
+	// parallel simulation jobs).
 	Batch BatchObjective
 	// BatchSize is the hint passed to Propose (<= 0: engine default).
 	BatchSize int
@@ -234,22 +225,11 @@ type DriveOptions struct {
 
 // Drive runs an engine to completion: Propose, evaluate, Observe,
 // checkpoint, repeat. It is the one evaluation loop every caller —
-// flow, CLI baselines, conformance tests — shares, so engines never
-// see objectives directly.
+// flow, claims table, conformance tests — shares, so engines never see
+// objectives directly.
 func Drive(e Engine, o DriveOptions) (Result, error) {
-	batch := o.Batch
-	if batch == nil {
-		if o.Objective == nil {
-			return Result{}, fmt.Errorf("opt: nil objective")
-		}
-		f := o.Objective
-		batch = func(points [][]float64) []float64 {
-			out := make([]float64, len(points))
-			for i, p := range points {
-				out[i] = f(p)
-			}
-			return out
-		}
+	if o.Batch == nil {
+		return Result{}, fmt.Errorf("opt: nil batch objective")
 	}
 	if o.Resume != nil {
 		if err := e.Restore(o.Resume); err != nil {
@@ -267,7 +247,7 @@ func Drive(e Engine, o DriveOptions) (Result, error) {
 		if len(points) == 0 {
 			return e.Result(), nil
 		}
-		values := batch(points)
+		values := o.Batch(points)
 		if err := e.Observe(values); err != nil {
 			return e.Result(), err
 		}

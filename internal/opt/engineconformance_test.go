@@ -25,8 +25,8 @@ var conformanceCases = []struct {
 	params string
 }{
 	{"implicit_filtering", `{"iterations": 8, "directions": 4}`},
-	{"bayes", `{"iterations": 6, "candidates": 48, "init_rounds": 1, "max_observations": 24}`},
-	{"ranker", `{"iterations": 6, "candidates": 32}`},
+	{"bayes", `{"iterations": 6}`},
+	{"ranker", `{"iterations": 6}`},
 }
 
 // confObjective is a deterministic multimodal function of the point
@@ -57,7 +57,7 @@ func TestEngineConformanceDeterminism(t *testing.T) {
 	for _, tc := range conformanceCases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() Result {
-				res, err := Drive(confEngine(t, tc.name, tc.params, 17), DriveOptions{Objective: confObjective})
+				res, err := Drive(confEngine(t, tc.name, tc.params, 17), DriveOptions{Batch: asBatch(confObjective)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +79,7 @@ func TestEngineConformanceCheckpointResume(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var states []json.RawMessage
 			want, err := Drive(confEngine(t, tc.name, tc.params, 23), DriveOptions{
-				Objective: confObjective,
+				Batch: asBatch(confObjective),
 				Checkpoint: func(raw json.RawMessage) error {
 					states = append(states, append(json.RawMessage(nil), raw...))
 					return nil
@@ -103,8 +103,8 @@ func TestEngineConformanceCheckpointResume(t *testing.T) {
 				evals := 0
 				counting := func(x []float64) float64 { evals++; return confObjective(x) }
 				got, err := Drive(confEngine(t, tc.name, tc.params, 23), DriveOptions{
-					Objective: counting,
-					Resume:    st,
+					Batch:  asBatch(counting),
+					Resume: st,
 				})
 				if err != nil {
 					t.Fatalf("resume from checkpoint %d: %v", k, err)
@@ -129,8 +129,8 @@ func TestEngineConformanceCancellation(t *testing.T) {
 			cancel()
 			evals := 0
 			_, err := Drive(confEngine(t, tc.name, tc.params, 5), DriveOptions{
-				Objective: func(x []float64) float64 { evals++; return 0 },
-				Context:   ctx,
+				Batch:   asBatch(func(x []float64) float64 { evals++; return 0 }),
+				Context: ctx,
 			})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
@@ -144,8 +144,8 @@ func TestEngineConformanceCancellation(t *testing.T) {
 			ctx2, cancel2 := context.WithCancel(context.Background())
 			boundaries := 0
 			res, err := Drive(confEngine(t, tc.name, tc.params, 5), DriveOptions{
-				Objective: confObjective,
-				Context:   ctx2,
+				Batch:   asBatch(confObjective),
+				Context: ctx2,
 				Checkpoint: func(json.RawMessage) error {
 					if boundaries++; boundaries == 2 {
 						cancel2()
@@ -166,19 +166,11 @@ func TestEngineConformanceCancellation(t *testing.T) {
 func TestEngineConformanceBatchSequentialEquivalence(t *testing.T) {
 	for _, tc := range conformanceCases {
 		t.Run(tc.name, func(t *testing.T) {
-			seq, err := Drive(confEngine(t, tc.name, tc.params, 31), DriveOptions{Objective: confObjective})
+			seq, err := Drive(confEngine(t, tc.name, tc.params, 31), DriveOptions{Batch: asBatch(confObjective)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			bat, err := Drive(confEngine(t, tc.name, tc.params, 31), DriveOptions{
-				Batch: func(points [][]float64) []float64 {
-					out := make([]float64, len(points))
-					for i, p := range points {
-						out[i] = confObjective(p)
-					}
-					return out
-				},
-			})
+			bat, err := Drive(confEngine(t, tc.name, tc.params, 31), DriveOptions{Batch: concurrently(confObjective)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,11 +181,11 @@ func TestEngineConformanceBatchSequentialEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineConformanceBudget: no engine spends more objective calls
-// than EngineConfig.MaxEvals, and Result reports exactly the calls it
-// made — a noisy objective, and budgets that end both inside a batch and
-// on a batch boundary (an implicit-filtering iteration is 11 points after
-// the start's 1, a bayes or ranker batch 4).
+// TestEngineConformanceBudget: a run's budget is its params'
+// iterations — no engine completes more than {"iterations": k} of them,
+// and it proposes nothing once Drive returns — and Result reports
+// exactly the points its objective saw, on a noisy objective in twelve
+// dimensions.
 func TestEngineConformanceBudget(t *testing.T) {
 	x0 := make([]float64, 12)
 	for i := range x0 {
@@ -201,24 +193,27 @@ func TestEngineConformanceBudget(t *testing.T) {
 	}
 	for _, name := range EngineNames() {
 		t.Run(name, func(t *testing.T) {
-			for _, budget := range []int{1, 7, 12, 13, 37} {
+			for _, k := range []int{1, 2, 5} {
 				for seed := uint64(1); seed <= 3; seed++ {
-					e, err := New(name, EngineConfig{X0: x0, MaxEvals: budget, RNG: rng.New(seed)},
-						json.RawMessage(`{"iterations": 1000}`))
+					e, err := New(name, EngineConfig{X0: x0, RNG: rng.New(seed)},
+						json.RawMessage(fmt.Sprintf(`{"iterations": %d}`, k)))
 					if err != nil {
 						t.Fatal(err)
 					}
 					evals := 0
 					f := noisy(sphere, 300, seed)
-					res, err := Drive(e, DriveOptions{Objective: func(x []float64) float64 { evals++; return f(x) }})
+					res, err := Drive(e, DriveOptions{Batch: asBatch(func(x []float64) float64 { evals++; return f(x) })})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if evals > budget {
-						t.Errorf("budget %d, seed %d: %d evaluations", budget, seed, evals)
+					if len(res.History) == 0 || len(res.History) > k {
+						t.Errorf("iterations %d, seed %d: ran %d iterations", k, seed, len(res.History))
+					}
+					if pts, err := e.Propose(context.Background(), 0); len(pts) != 0 || err != nil {
+						t.Errorf("iterations %d, seed %d: Propose after the run = %d points, %v", k, seed, len(pts), err)
 					}
 					if res.Evals != evals {
-						t.Errorf("budget %d, seed %d: Result().Evals = %d, made %d", budget, seed, res.Evals, evals)
+						t.Errorf("iterations %d, seed %d: Result().Evals = %d, made %d", k, seed, res.Evals, evals)
 					}
 				}
 			}
@@ -258,12 +253,12 @@ func TestEngineConformanceRespectsBox(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Drive(e, DriveOptions{Objective: func(x []float64) float64 {
+			res, err := Drive(e, DriveOptions{Batch: asBatch(func(x []float64) float64 {
 				if !inBox(x) {
 					t.Fatalf("proposed %v outside [%v, %v]", x, lo, hi)
 				}
 				return x[0] + x[1]
-			}})
+			})})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -323,7 +318,7 @@ func TestEngineConformanceProtocolMisuse(t *testing.T) {
 	}
 	for _, tc := range conformanceCases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := Drive(confEngine(t, tc.name, tc.params, 41), DriveOptions{Objective: confObjective})
+			want, err := Drive(confEngine(t, tc.name, tc.params, 41), DriveOptions{Batch: asBatch(confObjective)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +328,7 @@ func TestEngineConformanceProtocolMisuse(t *testing.T) {
 				if err == nil || !strings.Contains(err.Error(), msg) {
 					t.Fatalf("%s: err = %v, want one containing %q", m.name, err, msg)
 				}
-				got, err := Drive(e, DriveOptions{Objective: confObjective})
+				got, err := Drive(e, DriveOptions{Batch: asBatch(confObjective)})
 				if err != nil {
 					t.Fatalf("%s: the run after it: %v", m.name, err)
 				}
@@ -383,6 +378,9 @@ func TestEngineRegistryValidate(t *testing.T) {
 	if err := Validate("bayes", json.RawMessage(`{"iterations": 3}`)); err != nil {
 		t.Fatalf("valid bayes params rejected: %v", err)
 	}
+	if err := Validate("implicit_filtering", json.RawMessage(`{"iterations": 3, "directions": 4, "no_resample_center": true}`)); err != nil {
+		t.Fatalf("valid implicit-filtering params rejected: %v", err)
+	}
 	err := Validate("no_such_engine", nil)
 	if err == nil {
 		t.Fatal("unknown engine accepted")
@@ -403,13 +401,21 @@ func TestEngineRegistryValidate(t *testing.T) {
 	if err := Validate("nelder_mead", nil); err == nil || err.Error() != want {
 		t.Fatalf("Validate(nelder_mead) = %v, want %q", err, want)
 	}
-	// The GP's kernel and noise and the ranker's regularizer are
-	// constants, not knobs.
+	// The GP's kernel and noise, the ranker's regularizer, the stencil's
+	// first and smallest steps, bayes' random rounds, candidate pool and
+	// training cap, and the ranker's candidate pool are constants, not
+	// knobs.
 	for _, c := range []struct{ name, params string }{
 		{"bayes", `{"noise": 0.2}`},
 		{"bayes", `{"length_scale": 0.5}`},
 		{"ranker", `{"ridge": 2}`},
 		{"ranker", `{"explore": 0.5}`},
+		{"implicit_filtering", `{"initial_step": 25}`},
+		{"implicit_filtering", `{"min_step": 1.5625}`},
+		{"bayes", `{"init_rounds": 2}`},
+		{"bayes", `{"candidates": 256}`},
+		{"bayes", `{"max_observations": 64}`},
+		{"ranker", `{"candidates": 128}`},
 	} {
 		if err := Validate(c.name, json.RawMessage(c.params)); err == nil || !strings.Contains(err.Error(), "unknown field") {
 			t.Fatalf("Validate(%s, %s) = %v, want an unknown-field error", c.name, c.params, err)

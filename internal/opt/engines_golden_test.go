@@ -31,7 +31,6 @@ var goldenPrior = []PriorPoint{
 func TestEnginesGolden(t *testing.T) {
 	type row struct {
 		name, engine, params string
-		maxEvals             int
 		prior                []PriorPoint
 	}
 	var rows []row
@@ -39,26 +38,22 @@ func TestEnginesGolden(t *testing.T) {
 		rows = append(rows, row{name: tc.name, engine: tc.name, params: tc.params})
 	}
 	rows = append(rows,
-		row{"bayes prior", "bayes", `{"iterations": 6, "candidates": 48, "init_rounds": 1, "max_observations": 24}`, 0, goldenPrior},
-		row{"ranker prior", "ranker", `{"iterations": 6, "candidates": 32}`, 0, goldenPrior},
-		row{"implicit_filtering max_evals=37", "implicit_filtering", `{"iterations": 8, "directions": 4}`, 37, nil},
-		row{"bayes max_evals=37", "bayes", `{"iterations": 12, "candidates": 48, "init_rounds": 1, "max_observations": 24}`, 37, nil},
-		row{"ranker max_evals=37", "ranker", `{"iterations": 12, "candidates": 32}`, 37, nil},
+		row{"bayes prior", "bayes", `{"iterations": 6}`, goldenPrior},
+		row{"ranker prior", "ranker", `{"iterations": 6}`, goldenPrior},
 	)
 
 	var buf bytes.Buffer
 	for _, r := range rows {
 		e, err := New(r.engine, EngineConfig{
-			X0:       []float64{10, 80, 40},
-			MaxEvals: r.maxEvals,
-			RNG:      rng.New(23),
-			Prior:    r.prior,
+			X0:    []float64{10, 80, 40},
+			RNG:   rng.New(23),
+			Prior: r.prior,
 		}, json.RawMessage(r.params))
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
 		var states []json.RawMessage
-		res, err := Drive(e, DriveOptions{Objective: confObjective, Checkpoint: collect(&states)})
+		res, err := Drive(e, DriveOptions{Batch: asBatch(confObjective), Checkpoint: collect(&states)})
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}

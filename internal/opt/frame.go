@@ -14,10 +14,8 @@ import (
 // policy is what an engine writes: its search step. The frame it embeds
 // does everything else.
 type policy interface {
-	// next returns the engine's next batch of at most remaining()
-	// points, or none when its own stop criteria say the run is over.
-	// The engine sizes a batch before its points draw on the RNG; the
-	// frame does not cut it.
+	// next returns the engine's next batch, or none when its own stop
+	// criteria say the run is over.
 	next(n int) [][]float64
 	// learn folds the observed values of next's batch into the engine's
 	// model and, at the end of an iteration, calls endIteration.
@@ -28,19 +26,18 @@ type policy interface {
 }
 
 // frame is the part of an Engine every engine shares: the config copy,
-// the Propose/Observe protocol, the eval budget, the best point so far,
+// the Propose/Observe protocol, the eval count, the best point so far,
 // the iteration history with its opt_iter events, and Result. An engine
 // embeds it and supplies a policy; the frame implements Name, Propose,
 // Observe, Result and Checkpoint, the engine only Restore.
 type frame struct {
-	name     string
-	pol      policy
-	lo, hi   float64
-	dim      int
-	x0       []float64 // clamped to the box
-	maxEvals int
-	rng      *rng.RNG
-	oo       optObs
+	name   string
+	pol    policy
+	lo, hi float64
+	dim    int
+	x0     []float64 // clamped to the box
+	rng    *rng.RNG
+	oo     optObs
 
 	evals   int
 	iter    int // completed iterations
@@ -54,15 +51,14 @@ type frame struct {
 func newFrame(name string, cfg EngineConfig, pol policy) frame {
 	cfg = cfg.withDefaults()
 	f := frame{
-		name:     name,
-		pol:      pol,
-		lo:       cfg.Lo,
-		hi:       cfg.Hi,
-		dim:      len(cfg.X0),
-		x0:       append([]float64(nil), cfg.X0...),
-		maxEvals: cfg.MaxEvals,
-		rng:      cfg.RNG,
-		oo:       newOptObs(cfg.Recorder),
+		name: name,
+		pol:  pol,
+		lo:   cfg.Lo,
+		hi:   cfg.Hi,
+		dim:  len(cfg.X0),
+		x0:   append([]float64(nil), cfg.X0...),
+		rng:  cfg.RNG,
+		oo:   newOptObs(cfg.Recorder),
 	}
 	clampTo(f.x0, f.lo, f.hi)
 	return f
@@ -70,20 +66,11 @@ func newFrame(name string, cfg EngineConfig, pol policy) frame {
 
 func (f *frame) Name() string { return f.name }
 
-// remaining returns the evals left under the budget (0 = unlimited,
-// reported as a large budget).
-func (f *frame) remaining() int {
-	if f.maxEvals <= 0 {
-		return 1 << 30
-	}
-	return f.maxEvals - f.evals
-}
-
 func (f *frame) Propose(_ context.Context, n int) ([][]float64, error) {
 	if f.pending != nil {
 		return nil, fmt.Errorf("opt: %s: Propose before Observe", f.name)
 	}
-	if f.done || f.remaining() <= 0 {
+	if f.done {
 		return nil, nil
 	}
 	pts := f.pol.next(n)
@@ -156,15 +143,23 @@ func (f *frame) prior(points []PriorPoint) []PriorPoint {
 	return out
 }
 
+// iterationsOrDefault is an engine's iteration budget: n, default 50.
+func iterationsOrDefault(n int) int {
+	if n <= 0 {
+		return 50
+	}
+	return n
+}
+
 // The helpers below serve the model-based engines (bayes, ranker), which
 // propose batches of n points (default 4) and rank random candidates.
 
-// batch sizes a proposal: the hint n (default 4) within the budget.
-func (f *frame) batch(n int) int {
+// batchSize sizes a proposal: the hint n, default 4.
+func batchSize(n int) int {
 	if n <= 0 {
-		n = 4
+		return 4
 	}
-	return min(n, f.remaining())
+	return n
 }
 
 // fill appends uniform random points to pts until it holds n.
@@ -178,7 +173,7 @@ func (f *frame) fill(pts [][]float64, n int) [][]float64 {
 func (f *frame) randomPoint() []float64 {
 	x := make([]float64, f.dim)
 	for i := range x {
-		x[i] = f.lo + f.rng.Float64()*(f.hi-f.lo)
+		x[i] = f.lo + float64(f.rng.Float64()*(f.hi-f.lo))
 	}
 	return x
 }
@@ -189,7 +184,7 @@ func (f *frame) jitterAround(x []float64) []float64 {
 	scale := (f.hi - f.lo) / 10
 	c := make([]float64, f.dim)
 	for i := range c {
-		c[i] = x[i] + f.rng.NormFloat64()*scale
+		c[i] = x[i] + float64(f.rng.NormFloat64()*scale)
 	}
 	clampTo(c, f.lo, f.hi)
 	return c

@@ -7,42 +7,36 @@ import (
 	"repro/internal/rng"
 )
 
-// IFSpec holds implicit filtering's solver-specific knobs.
-type IFSpec struct {
+// ifSpec holds implicit filtering's settings: the flow's budget and the
+// one ablation switch.
+type ifSpec struct {
 	// Directions is the number of random probe directions per iteration
 	// — the paper's n (default 10).
 	Directions int `json:"directions,omitempty"`
 	// Iterations bounds the iteration count (default 50).
 	Iterations int `json:"iterations,omitempty"`
-	// InitialStep is the initial stencil size h (default: a quarter of
-	// the box width).
-	InitialStep float64 `json:"initial_step,omitempty"`
-	// MinStep stops the run when the stencil shrinks below it (default:
-	// 1/64 of the box width).
-	MinStep float64 `json:"min_step,omitempty"`
 	// NoResampleCenter disables the paper's per-iteration center
 	// re-evaluation (set only by TestClaims' resampling row).
 	NoResampleCenter bool `json:"no_resample_center,omitempty"`
 }
 
-func (s IFSpec) withDefaults(lo, hi float64) IFSpec {
-	width := hi - lo
+const (
+	// ifInitialStepDiv sets the initial stencil size h to the box width
+	// over it.
+	ifInitialStepDiv = 4
+	// ifMinStepDiv ends the run when h shrinks below the box width over
+	// it.
+	ifMinStepDiv = 64
+)
+
+func (s ifSpec) withDefaults() ifSpec {
 	if s.Directions <= 0 {
 		s.Directions = 10
 	}
-	if s.InitialStep <= 0 {
-		s.InitialStep = width / 4
-	}
-	if s.MinStep <= 0 {
-		s.MinStep = width / 64
-	}
-	if s.Iterations <= 0 {
-		s.Iterations = 50
-	}
+	s.Iterations = iterationsOrDefault(s.Iterations)
 	return s
 }
-
-func (s *IFSpec) build(cfg EngineConfig) Engine { return newIFEngine(cfg, *s) }
+func (s *ifSpec) build(cfg EngineConfig) Engine { return newIFEngine(cfg, *s) }
 
 // ifEngine is the paper's Algorithm 1 as a policy. Its first batch is
 // the starting point alone; each iteration then proposes one batch
@@ -53,18 +47,19 @@ func (s *IFSpec) build(cfg EngineConfig) Engine { return newIFEngine(cfg, *s) }
 // it.
 type ifEngine struct {
 	frame
-	spec    IFSpec
+	spec    ifSpec
 	center  []float64 // nil until the starting point is observed
 	centerV float64   // the center's latest value
 	h       float64
+	minStep float64
 	sp      *obs.Span
 }
 
-func newIFEngine(cfg EngineConfig, spec IFSpec) *ifEngine {
-	e := &ifEngine{}
+func newIFEngine(cfg EngineConfig, spec ifSpec) *ifEngine {
+	e := &ifEngine{spec: spec.withDefaults()}
 	e.frame = newFrame(DefaultEngine, cfg, e)
-	e.spec = spec.withDefaults(e.lo, e.hi)
-	e.h = e.spec.InitialStep
+	e.h = (e.hi - e.lo) / ifInitialStepDiv
+	e.minStep = (e.hi - e.lo) / ifMinStepDiv
 	return e
 }
 
@@ -80,13 +75,11 @@ func (e *ifEngine) next(int) [][]float64 {
 	if !e.spec.NoResampleCenter {
 		pts = append(pts, append([]float64(nil), e.center...))
 	}
-	// The center resample is charged before the probe count is clamped
-	// to the remaining budget.
-	for d := min(e.spec.Directions, e.remaining()-len(pts)); d > 0; d-- {
+	for d := 0; d < e.spec.Directions; d++ {
 		dir := randomDirection(e.rng, e.dim)
 		cand := make([]float64, e.dim)
 		for i := range cand {
-			cand[i] = e.center[i] + dir[i]*e.h
+			cand[i] = e.center[i] + float64(dir[i]*e.h)
 		}
 		clampTo(cand, e.lo, e.hi)
 		pts = append(pts, cand)
@@ -124,14 +117,33 @@ func (e *ifEngine) learn(pts [][]float64, values []float64) {
 		e.sp.End()
 		e.sp = nil
 	}
-	e.done = e.h < e.spec.MinStep
+	e.done = e.h < e.minStep
 }
 
-// state is the IterState of the completed iteration. The initial center
+// iterState is the implicit-filtering engine's checkpoint, taken after
+// a completed iteration: the stencil state, the running best, the RNG's
+// raw state, and the history so far — everything needed to re-enter the
+// loop at the next iteration and reproduce the uninterrupted run's
+// trajectory bit for bit. It round-trips through JSON exactly (Go's
+// float64 encoding is shortest-representation, which decodes to the
+// identical bits), which is what makes journal replay byte-faithful.
+type iterState struct {
+	Iter        int          `json:"iter"`
+	Center      []float64    `json:"center"`
+	Best        float64      `json:"best"`
+	Step        float64      `json:"step"`
+	OverallBest float64      `json:"overall_best"`
+	OverallX    []float64    `json:"overall_x"`
+	Evals       int          `json:"evals"`
+	RNGState    uint64       `json:"rng_state"`
+	History     []IterRecord `json:"history"`
+}
+
+// state is the iterState of the completed iteration. The initial center
 // evaluation is not a boundary (the frame checkpoints only after
 // iteration 1), so a kill before iteration 1 re-pays only that eval.
 func (e *ifEngine) state() any {
-	return IterState{
+	return iterState{
 		Iter:        e.iter,
 		Center:      e.center,
 		Best:        e.centerV,
@@ -149,13 +161,13 @@ func (e *ifEngine) state() any {
 // uninterrupted run checked after that iteration re-applied, so a
 // finished run stays finished.
 func (e *ifEngine) Restore(state json.RawMessage) error {
-	var st IterState
+	var st iterState
 	if err := json.Unmarshal(state, &st); err != nil {
 		return err
 	}
 	e.center, e.centerV, e.h = st.Center, st.Best, st.Step
 	e.iter, e.evals, e.best, e.bestX, e.history = st.Iter, st.Evals, st.OverallBest, st.OverallX, st.History
 	e.rng = rng.New(st.RNGState)
-	e.done = e.h < e.spec.MinStep
+	e.done = e.h < e.minStep
 	return nil
 }

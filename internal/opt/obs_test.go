@@ -18,7 +18,7 @@ func TestImplicitFilteringObsCounters(t *testing.T) {
 		Progress: obs.NewProgress(&progress),
 	}
 	res, err := runIF(sphere, EngineConfig{X0: []float64{5, 5}, RNG: rng.New(3), Recorder: rec},
-		IFSpec{Directions: 4, Iterations: 12})
+		ifSpec{Directions: 4, Iterations: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestImplicitFilteringObsCounters(t *testing.T) {
 func TestRecorderDoesNotChangeTrajectory(t *testing.T) {
 	run := func(rec *obs.Recorder) Result {
 		res, err := runIF(sphere, EngineConfig{X0: []float64{10, 90}, RNG: rng.New(11), Recorder: rec},
-			IFSpec{Directions: 6, Iterations: 15})
+			ifSpec{Directions: 6, Iterations: 15})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func sphere(x []float64) float64 {
 }
 
 // noisy wraps an objective with additive noise of the given amplitude.
-func noisy(f Objective, amplitude float64, seed uint64) Objective {
+func noisy(f func([]float64) float64, amplitude float64, seed uint64) func([]float64) float64 {
 	r := rng.New(seed)
 	return func(x []float64) float64 {
 		return f(x) + (r.Float64()*2-1)*amplitude
@@ -28,14 +28,14 @@ func noisy(f Objective, amplitude float64, seed uint64) Objective {
 }
 
 // runIF drives a fresh implicit-filtering engine over f to completion.
-func runIF(f Objective, cfg EngineConfig, spec IFSpec) (Result, error) {
-	return Drive(newIFEngine(cfg, spec), DriveOptions{Objective: f})
+func runIF(f func([]float64) float64, cfg EngineConfig, spec ifSpec) (Result, error) {
+	return Drive(newIFEngine(cfg, spec), DriveOptions{Batch: asBatch(f)})
 }
 
 func TestImplicitFilteringConvergesNoiseless(t *testing.T) {
 	x0 := []float64{10, 10, 10}
 	res, err := runIF(sphere, EngineConfig{X0: x0, RNG: rng.New(1)},
-		IFSpec{Directions: 15, Iterations: 120, MinStep: 0.01})
+		ifSpec{Directions: 15, Iterations: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestImplicitFilteringImprovesUnderNoise(t *testing.T) {
 	x0 := []float64{5, 5, 5, 5}
 	start := sphere(x0)
 	res, err := runIF(noisy(sphere, 200, 7), EngineConfig{X0: x0, RNG: rng.New(2)},
-		IFSpec{Directions: 20, Iterations: 80})
+		ifSpec{Directions: 20, Iterations: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestImplicitFilteringNeverWorseThanStartNoiseless(t *testing.T) {
 			x0[i] = r.Float64() * 100
 		}
 		res, err := runIF(sphere, EngineConfig{X0: x0, RNG: rng.New(seed + 1)},
-			IFSpec{Directions: 6, Iterations: 20})
+			ifSpec{Directions: 6, Iterations: 20})
 		if err != nil {
 			return false
 		}
@@ -87,13 +87,17 @@ func TestImplicitFilteringNeverWorseThanStartNoiseless(t *testing.T) {
 func TestImplicitFilteringStencilHalvesWhenStuck(t *testing.T) {
 	flat := func(x []float64) float64 { return 0 }
 	res, err := runIF(flat, EngineConfig{X0: []float64{50}, RNG: rng.New(4)},
-		IFSpec{Directions: 4, Iterations: 100, InitialStep: 32, MinStep: 1})
+		ifSpec{Directions: 4, Iterations: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 32 -> 16 -> 8 -> 4 -> 2 -> 1 -> 0.5 < 1: six iterations.
-	if len(res.History) != 6 {
-		t.Fatalf("iterations = %d, want 6 (history %+v)", len(res.History), res.History)
+	// The box is [0, 100]: 25 -> 12.5 -> 6.25 -> 3.125 -> 1.5625 ->
+	// 0.78125 < 100/64: five iterations.
+	if len(res.History) != 5 {
+		t.Fatalf("iterations = %d, want 5 (history %+v)", len(res.History), res.History)
+	}
+	if h := res.History[len(res.History)-1].Step; h != 100.0/128 {
+		t.Fatalf("final step = %v, want %v", h, 100.0/128)
 	}
 	for _, h := range res.History {
 		if h.Moved {
@@ -102,22 +106,9 @@ func TestImplicitFilteringStencilHalvesWhenStuck(t *testing.T) {
 	}
 }
 
-func TestImplicitFilteringMaxEvals(t *testing.T) {
-	calls := 0
-	f := func(x []float64) float64 { calls++; return 0 }
-	_, err := runIF(f, EngineConfig{X0: []float64{1, 2}, MaxEvals: 37, RNG: rng.New(6)},
-		IFSpec{Directions: 10, Iterations: 1000, MinStep: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls > 37 {
-		t.Fatalf("calls = %d, budget 37", calls)
-	}
-}
-
 func TestImplicitFilteringHistoryMonotoneEvals(t *testing.T) {
 	res, _ := runIF(noisy(sphere, 50, 1), EngineConfig{X0: []float64{20, 20}, RNG: rng.New(7)},
-		IFSpec{Directions: 8, Iterations: 30})
+		ifSpec{Directions: 8, Iterations: 30})
 	prev := 0
 	for _, h := range res.History {
 		if h.Evals <= prev {
@@ -129,9 +120,9 @@ func TestImplicitFilteringHistoryMonotoneEvals(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	c := EngineConfig{}.withDefaults()
-	s := IFSpec{}.withDefaults(c.Lo, c.Hi)
-	if s.Directions != 10 || c.Hi != 100 || s.InitialStep != 25 || s.Iterations != 50 {
-		t.Fatalf("defaults = %+v %+v", c, s)
+	e := newIFEngine(EngineConfig{X0: []float64{1}}, ifSpec{})
+	if e.spec.Directions != 10 || c.Hi != 100 || e.h != 25 || e.minStep != 100.0/64 || e.spec.Iterations != 50 {
+		t.Fatalf("defaults = %+v %+v, step %v, min step %v", c, e.spec, e.h, e.minStep)
 	}
 	if c.RNG == nil {
 		t.Fatal("default RNG missing")
@@ -148,6 +139,35 @@ func TestRandomDirectionUnitNorm(t *testing.T) {
 		}
 		if math.Abs(math.Sqrt(n)-1) > 1e-9 {
 			t.Fatalf("direction norm = %v", math.Sqrt(n))
+		}
+	}
+}
+
+// TestBayesTrainingSetCap: past bayesMaxObservations the GP trains on
+// the global best plus the most recent observations.
+func TestBayesTrainingSetCap(t *testing.T) {
+	for _, best := range []int{3, 69} {
+		e := newBayesEngine(EngineConfig{X0: []float64{1}}, bayesSpec{})
+		for i := 0; i < 70; i++ {
+			e.xs = append(e.xs, []float64{float64(i)})
+			e.ys = append(e.ys, -float64(i))
+		}
+		e.ys[best] = 100
+		xs, ys := e.trainingSet()
+		var want []int
+		if best < 70-(bayesMaxObservations-1) {
+			want = append(want, best)
+		}
+		for i := 70 - (bayesMaxObservations - 1); i < 70; i++ {
+			want = append(want, i)
+		}
+		if len(xs) != len(want) || len(ys) != len(want) {
+			t.Fatalf("best at %d: %d inputs, %d values, want %d", best, len(xs), len(ys), len(want))
+		}
+		for k, i := range want {
+			if xs[k][0] != float64(i) || ys[k] != e.ys[i] {
+				t.Fatalf("best at %d: training point %d = (%v, %v), want observation %d", best, k, xs[k], ys[k], i)
+			}
 		}
 	}
 }

@@ -8,20 +8,21 @@ import (
 	"repro/internal/rng"
 )
 
-// RankerSpec holds the supervised test-selection engine's knobs: an
-// online ridge regression that predicts the objective (novel coverage
-// per candidate) from past hit statistics, after Masamba & Eder. The
-// cross-campaign knowledge base's harvested (weights, score) pairs are
-// folded into the model before the first proposal, so a warm daemon
-// ranks candidates usefully from round one.
-type RankerSpec struct {
+// rankerSpec is the params type of the supervised test-selection
+// engine: an online ridge regression that predicts the objective (novel
+// coverage per candidate) from past hit statistics, after Masamba &
+// Eder. The cross-campaign knowledge base's harvested (weights, score)
+// pairs are folded into the model before the first proposal, so a warm
+// daemon ranks candidates usefully from round one. Its one setting is
+// the budget.
+type rankerSpec struct {
 	// Iterations bounds the proposal rounds (default 50).
 	Iterations int `json:"iterations,omitempty"`
-	// Candidates is the scored pool size per round (default 128).
-	Candidates int `json:"candidates,omitempty"`
 }
 
 const (
+	// rankerCandidates is the scored pool size per round.
+	rankerCandidates = 128
 	// rankerExplore is the fraction of each batch drawn uniformly at
 	// random instead of by predicted rank.
 	rankerExplore = 0.25
@@ -29,22 +30,12 @@ const (
 	rankerRidge = 1.0
 )
 
-func (s RankerSpec) withDefaults() RankerSpec {
-	if s.Iterations <= 0 {
-		s.Iterations = 50
-	}
-	if s.Candidates <= 0 {
-		s.Candidates = 128
-	}
-	return s
-}
-
-func (s *RankerSpec) build(cfg EngineConfig) Engine { return newRankerEngine(cfg, *s) }
+func (s *rankerSpec) build(cfg EngineConfig) Engine { return newRankerEngine(cfg, *s) }
 
 type rankerEngine struct {
 	frame
-	spec RankerSpec
-	nfea int // 1 + 2*dim: bias, linear, quadratic per coordinate
+	iterations int
+	nfea       int // 1 + 2*dim: bias, linear, quadratic per coordinate
 
 	// Ridge-regression normal equations, accumulated online:
 	// a = Ridge*I + sum phi phi^T, b = sum y*phi.
@@ -54,8 +45,8 @@ type rankerEngine struct {
 	priorBest []float64 // best knowledge-base point, exploited directly
 }
 
-func newRankerEngine(cfg EngineConfig, spec RankerSpec) *rankerEngine {
-	e := &rankerEngine{spec: spec.withDefaults()}
+func newRankerEngine(cfg EngineConfig, spec rankerSpec) *rankerEngine {
+	e := &rankerEngine{iterations: iterationsOrDefault(spec.Iterations)}
 	e.frame = newFrame("ranker", cfg, e)
 	e.nfea = 1 + 2*e.dim
 	e.a = make([]float64, e.nfea*e.nfea)
@@ -92,9 +83,9 @@ func (e *rankerEngine) fit(x []float64, y float64) {
 	phi := e.features(x)
 	for i := 0; i < e.nfea; i++ {
 		for j := 0; j < e.nfea; j++ {
-			e.a[i*e.nfea+j] += phi[i] * phi[j]
+			e.a[i*e.nfea+j] += float64(phi[i] * phi[j])
 		}
-		e.b[i] += y * phi[i]
+		e.b[i] += float64(y * phi[i])
 	}
 }
 
@@ -109,16 +100,16 @@ func (e *rankerEngine) predict(w, x []float64) float64 {
 	phi := e.features(x)
 	s := 0.0
 	for i, wi := range w {
-		s += wi * phi[i]
+		s += float64(wi * phi[i])
 	}
 	return s
 }
 
 func (e *rankerEngine) next(n int) [][]float64 {
-	if e.iter >= e.spec.Iterations {
+	if e.iter >= e.iterations {
 		return nil
 	}
-	batch := e.batch(n)
+	batch := batchSize(n)
 	pts := make([][]float64, 0, batch)
 	if e.evals == 0 {
 		// Round 1 pays for the caller's starting point first, and — the
@@ -138,23 +129,23 @@ func (e *rankerEngine) next(n int) [][]float64 {
 // rank scores a candidate pool with the regression model and returns
 // the top n by predicted value.
 func (e *rankerEngine) rank(n int) [][]float64 {
-	cands := make([][]float64, 0, e.spec.Candidates)
+	cands := make([][]float64, 0, rankerCandidates)
 	for _, anchor := range [][]float64{e.bestX, e.priorBest} {
 		if anchor == nil {
 			continue
 		}
 		cands = append(cands, append([]float64(nil), anchor...))
-		for i := 0; i < e.spec.Candidates/8; i++ {
+		for i := 0; i < rankerCandidates/8; i++ {
 			cands = append(cands, e.jitterAround(anchor))
 		}
 	}
 	if len(cands) == 0 {
-		for i := 0; i < e.spec.Candidates/8; i++ {
+		for i := 0; i < rankerCandidates/8; i++ {
 			cands = append(cands, e.jitterAround(e.x0))
 		}
 	}
 	w := e.weights()
-	return topN(e.fill(cands, e.spec.Candidates), func(c []float64) float64 { return e.predict(w, c) }, n)
+	return topN(e.fill(cands, rankerCandidates), func(c []float64) float64 { return e.predict(w, c) }, n)
 }
 
 func (e *rankerEngine) learn(pts [][]float64, values []float64) {

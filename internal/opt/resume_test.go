@@ -15,7 +15,7 @@ import (
 // play (iterations and min step both reachable).
 func resumeEngine(x0 []float64) Engine {
 	return newIFEngine(EngineConfig{X0: x0, RNG: rng.New(9)},
-		IFSpec{Directions: 6, Iterations: 18, MinStep: 0.5})
+		ifSpec{Directions: 6, Iterations: 18})
 }
 
 // collect returns a checkpoint hook that keeps a copy of every state.
@@ -34,7 +34,7 @@ func collect(states *[]json.RawMessage) func(json.RawMessage) error {
 func TestResumeFromEveryCheckpointIsBitIdentical(t *testing.T) {
 	x0 := []float64{10, 20, 30}
 	var states []json.RawMessage
-	want, err := Drive(resumeEngine(x0), DriveOptions{Objective: sphere, Checkpoint: collect(&states)})
+	want, err := Drive(resumeEngine(x0), DriveOptions{Batch: asBatch(sphere), Checkpoint: collect(&states)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestResumeFromEveryCheckpointIsBitIdentical(t *testing.T) {
 	}
 
 	for k, raw := range states {
-		// IterState is the schema journals hold: decoding a checkpoint
+		// iterState is the schema journals hold: decoding a checkpoint
 		// into it and encoding it back, as a journal replay does, must
 		// preserve every field and — Go's float encoding being
 		// shortest-representation — every bit.
-		var st IterState
+		var st iterState
 		if err := json.Unmarshal(raw, &st); err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestResumeFromEveryCheckpointIsBitIdentical(t *testing.T) {
 
 		evals := 0
 		counting := func(x []float64) float64 { evals++; return sphere(x) }
-		got, err := Drive(resumeEngine(x0), DriveOptions{Objective: counting, Resume: back})
+		got, err := Drive(resumeEngine(x0), DriveOptions{Batch: asBatch(counting), Resume: back})
 		if err != nil {
 			t.Fatalf("resume from checkpoint %d: %v", k, err)
 		}
@@ -81,8 +81,8 @@ func TestImplicitFilteringCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	iters := 0
 	res, err := Drive(resumeEngine([]float64{10, 10}), DriveOptions{
-		Objective: sphere,
-		Context:   ctx,
+		Batch:   asBatch(sphere),
+		Context: ctx,
 		Checkpoint: func(json.RawMessage) error {
 			if iters++; iters == 3 {
 				cancel()
@@ -100,8 +100,8 @@ func TestImplicitFilteringCancel(t *testing.T) {
 	// Canceled before the first evaluation: zero work.
 	evals := 0
 	_, err = Drive(resumeEngine([]float64{1}), DriveOptions{
-		Objective: func(x []float64) float64 { evals++; return 0 },
-		Context:   ctx,
+		Batch:   asBatch(func(x []float64) float64 { evals++; return 0 }),
+		Context: ctx,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -117,7 +117,7 @@ func TestCheckpointErrorAborts(t *testing.T) {
 	boom := errors.New("journal full")
 	iters := 0
 	res, err := Drive(resumeEngine([]float64{10, 10}), DriveOptions{
-		Objective: sphere,
+		Batch: asBatch(sphere),
 		Checkpoint: func(json.RawMessage) error {
 			if iters++; iters == 2 {
 				return boom
